@@ -15,8 +15,11 @@ module Catalog = Msoc_analog.Catalog
 
 let tests () =
   (* Shared preparation (staircases + reference makespan) is hoisted so
-     each benchmark times only its own kernel. *)
-  let prepared32 = Evaluate.prepare (Instances.p93791m ~tam_width:32 ()) in
+     each benchmark times only its own kernel, except for the table4
+     searches: on a shared prepared structure every run after the first
+     would only read the schedule memo, so each run prepares its own. *)
+  let problem32 = Instances.p93791m ~tam_width:32 () in
+  let prepared32 = Evaluate.prepare problem32 in
   let combos = Sharing.paper_combinations Catalog.all in
   let table1 =
     Test.make ~name:"table1:area+bounds (26 combos)"
@@ -47,12 +50,12 @@ let tests () =
            ignore (Evaluate.evaluate prepared32 (Sharing.full_sharing Catalog.all))))
   in
   let table4_exhaustive =
-    Test.make ~name:"table4:exhaustive search (W=32)"
-      (Staged.stage (fun () -> ignore (Exhaustive.run prepared32)))
+    Test.make ~name:"table4:exhaustive search (W=32, cold, incl. prepare)"
+      (Staged.stage (fun () -> ignore (Exhaustive.run (Evaluate.prepare problem32))))
   in
   let table4_heuristic =
-    Test.make ~name:"table4:Cost_Optimizer (W=32)"
-      (Staged.stage (fun () -> ignore (Cost_optimizer.run prepared32)))
+    Test.make ~name:"table4:Cost_Optimizer (W=32, cold, incl. prepare)"
+      (Staged.stage (fun () -> ignore (Cost_optimizer.run (Evaluate.prepare problem32))))
   in
   let fig5 =
     Test.make ~name:"fig5:wrapped cutoff experiment"

@@ -82,18 +82,27 @@ let packer_is_default packer =
   Msoc_tam.Packer_registry.name packer
   = Msoc_tam.Packer_registry.name Msoc_tam.Packer_registry.default
 
+(* A bad value, on the command line or in MSOC_JOBS, is a usage error
+   (exit 124) like any other unparseable option. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (Printf.sprintf "invalid value '%s', expected a positive integer" s)
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
 let jobs_arg =
   let doc =
     "Worker domains for parallel sharing-combination evaluation. Defaults to \
      $(b,MSOC_JOBS) when set, else 1 (serial). The plan is bit-identical at \
      any job count."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let resolve_jobs = function
-  | Some n when n >= 1 -> n
-  | Some n -> Fmt.failwith "--jobs must be >= 1, got %d" n
-  | None -> Msoc_util.Pool.default_jobs ()
+  Arg.(
+    value
+    & opt positive_int 1
+    & info [ "j"; "jobs" ] ~env:(Cmd.Env.info "MSOC_JOBS") ~docv:"N" ~doc)
 
 let schedule_flag =
   let doc = "Print the full test schedule (one row per test)." in
@@ -153,7 +162,7 @@ let run_plan width weight_time soc_file analog_labels search delta packer jobs
   let search = resolve_search search delta in
   let packer = resolve_packer packer in
   let plan =
-    Msoc_util.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+    Msoc_util.Pool.with_pool ~jobs (fun pool ->
         Plan.run ~search ~pool ~packer problem)
   in
   if as_json then
@@ -199,7 +208,7 @@ let run_check width weight_time soc_file analog_labels search delta jobs
       let problem = make_problem ~weight_time ~width soc_file analog_labels in
       let search = resolve_search search delta in
       let plan =
-        Msoc_util.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+        Msoc_util.Pool.with_pool ~jobs (fun pool ->
             Plan.run ~search ~pool problem)
       in
       Msoc_check.Verify.plan plan
@@ -246,7 +255,6 @@ let run_analyze root allowlist_file semantic baseline_file write_baseline
     exit 0
   end;
   let config = { A.Rules.default_config with A.Rules.semantic } in
-  let jobs = resolve_jobs jobs in
   let report =
     try A.Engine.run ~config ?allowlist_file ~jobs ~root ()
     with Sys_error m -> Fmt.failwith "analyze: %s" m
@@ -386,7 +394,7 @@ let run_explore widths weights weight_time soc_file analog_labels search delta
   let search = resolve_search search delta in
   let packer = resolve_packer packer in
   let plans =
-    Msoc_util.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+    Msoc_util.Pool.with_pool ~jobs (fun pool ->
         match weights with
         | Some weights ->
           let widths = parse_int_list ~what:"--widths" widths in
@@ -589,7 +597,6 @@ let run_optimize width weight_time soc_file analog_labels analog_scale delta
   let packer = resolve_packer packer in
   let verify = verify || not (packer_is_default packer) in
   let prepared = Evaluate.prepare ~packer problem in
-  let jobs = resolve_jobs jobs in
   match strategy with
   | Some name ->
     ignore problem;
@@ -876,7 +883,7 @@ let run_serve socket tcp worker_id cache_dir memory_cache cache_max_mb queue
       ~memory_capacity:memory_cache ()
   in
   let service =
-    Serve_service.create ~cache ?worker:worker_id ~jobs:(resolve_jobs jobs) ()
+    Serve_service.create ~cache ?worker:worker_id ~jobs ()
   in
   let describe endpoint =
     Fmt.epr "msoc_plan serve: listening on %s (jobs=%d, queue=%d%s%s)@."
@@ -945,7 +952,7 @@ let run_fleet socket tcp workers base_port cache_dir memory_cache cache_max_mb
           @ (match cache_max_mb with
             | Some mb -> [ "--cache-max-mb"; string_of_int mb ]
             | None -> [])
-          @ (match jobs with Some j -> [ "--jobs"; string_of_int j ] | None -> [])
+          @ [ "--jobs"; string_of_int jobs ]
         in
         { Fleet_supervisor.id; argv = Array.of_list argv; port })
   in
@@ -1800,7 +1807,7 @@ let run_cosim spec_name trials seed jobs bits samples tolerance ideal as_json
   let sweeps =
     if trials = 0 then []
     else
-      Msoc_util.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+      Msoc_util.Pool.with_pool ~jobs (fun pool ->
           List.map
             (fun s ->
               Monte_carlo.run ~config ?tolerance_pct:tolerance ~pool ~trials
@@ -1818,7 +1825,7 @@ let run_cosim spec_name trials seed jobs bits samples tolerance ideal as_json
           ~tam_width:width ~weight_time ()
       in
       let plan =
-        Msoc_util.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+        Msoc_util.Pool.with_pool ~jobs (fun pool ->
             Plan.run ~search:(Plan.Heuristic { delta = 0.0 }) ~pool problem)
       in
       Some (reports, plan)
@@ -1977,8 +1984,11 @@ let cosim_cmd =
 let () =
   let doc = "test planning for mixed-signal SOCs with wrapped analog cores" in
   let info = Cmd.info "msoc_plan" ~version:"1.0.0" ~doc in
+  (* a parse error stays on one line, however long the offending value *)
+  let err = Format.formatter_of_out_channel stderr in
+  Format.pp_set_margin err 10_000;
   exit
-    (Cmd.eval
+    (Cmd.eval ~err
        (Cmd.group info
           [
             plan_cmd;

@@ -37,6 +37,8 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 val default_jobs : unit -> int
 (** The [MSOC_JOBS] environment variable, or 1 when unset — the
-    default worker count for the CLI and benches.
+    default worker count for the benches. (The CLI reads [MSOC_JOBS]
+    through its [--jobs] option, which reports a bad value as a usage
+    error.)
     @raise Invalid_argument when [MSOC_JOBS] is set but not a positive
     integer. *)

@@ -22,41 +22,58 @@ let chain_scan_in c =
 let chain_scan_out c =
   Msoc_util.Numeric.sum_int c.scan + c.output_cells + c.bidir_cells
 
-(* Level [n] unit cells onto the bins, each time topping up the bin
-   whose [load] is currently smallest. O(n*k) with tiny constants; the
-   largest ITC'02-class cores have a few hundred terminals. *)
-let level_cells ~load ~add bins n =
-  for _ = 1 to n do
-    let best = ref 0 in
-    for i = 1 to Array.length bins - 1 do
-      if load bins.(i) < load bins.(!best) then best := i
-    done;
-    bins.(!best) <- add bins.(!best)
-  done
+(* The cells each chain receives when [n] unit cells are levelled onto
+   chains of depths [load], one at a time, each topping up the
+   least-loaded chain (the lowest index among ties). That greedy's end
+   state has a closed form. With need h = sum_i max 0 (h - load.(i)),
+   take the highest level h with need h <= n: every chain below h rises
+   to h, and the n - need h cells left over go one each to the
+   lowest-index chains at h (fewer cells than chains at h, or h would
+   not be the highest). O(k log n) for k chains; the greedy, which
+   rescans every chain per cell, is O(n k). *)
+let level load n =
+  let need h = Array.fold_left (fun acc l -> acc + max 0 (h - l)) 0 load in
+  (* need lo <= n < need (hi + 1) *)
+  let rec highest lo hi =
+    if lo = hi then lo
+    else
+      let mid = lo + ((hi - lo + 1) / 2) in
+      if need mid <= n then highest mid hi else highest lo (mid - 1)
+  in
+  let lowest = Array.fold_left min max_int load in
+  let h = highest lowest (lowest + n) in
+  let cells = Array.map (fun l -> max 0 (h - l)) load in
+  let spare = ref (n - need h) in
+  Array.iteri
+    (fun i l ->
+      if l <= h && !spare > 0 then begin
+        cells.(i) <- cells.(i) + 1;
+        decr spare
+      end)
+    load;
+  cells
 
 let design (core : Types.core) ~width =
   if width <= 0 then invalid_arg "Design.design: width must be positive";
-  let scan_bins = Partition.bfd ~k:width ~weight:Fun.id core.scan_chains in
-  let chains =
-    Array.map
-      (fun (b : int Partition.bin) ->
-        { scan = b.items; input_cells = 0; output_cells = 0; bidir_cells = 0 })
-      scan_bins
-  in
-  level_cells
-    ~load:chain_scan_in
-    ~add:(fun c -> { c with input_cells = c.input_cells + 1 })
-    chains core.inputs;
-  level_cells
-    ~load:chain_scan_out
-    ~add:(fun c -> { c with output_cells = c.output_cells + 1 })
-    chains core.outputs;
+  let bins = Partition.bfd ~k:width ~weight:Fun.id core.scan_chains in
+  let scan = Array.map (fun (b : int Partition.bin) -> b.load) bins in
+  let inputs = level scan core.inputs in
+  let outputs = level scan core.outputs in
+  let si = Array.map2 ( + ) scan inputs and so = Array.map2 ( + ) scan outputs in
   (* A bidirectional cell deepens both sides, so place it where it
      least increases max(si, so). *)
-  level_cells
-    ~load:(fun c -> max (chain_scan_in c) (chain_scan_out c))
-    ~add:(fun c -> { c with bidir_cells = c.bidir_cells + 1 })
-    chains core.bidirs;
+  let bidirs = level (Array.map2 max si so) core.bidirs in
+  let chains =
+    Array.mapi
+      (fun i (b : int Partition.bin) ->
+        {
+          scan = b.items;
+          input_cells = inputs.(i);
+          output_cells = outputs.(i);
+          bidir_cells = bidirs.(i);
+        })
+      bins
+  in
   let non_empty c =
     c.scan <> [] || c.input_cells + c.output_cells + c.bidir_cells > 0
   in

@@ -243,6 +243,72 @@ let qcheck_tests =
   ]
   |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
+(* --- CLI values --- *)
+
+(* Runs the built msoc_plan with [args], MSOC_JOBS taken out of the
+   environment and [env] added; returns its exit code and the lines it
+   wrote to stderr. *)
+let run_cli ?(env = []) args =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "msoc_plan.exe"))
+  in
+  let env =
+    Array.append
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"MSOC_JOBS=" kv))
+            (Array.to_list (Unix.environment ()))))
+      (Array.of_list env)
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null; Unix.close err_w)
+      (fun () ->
+        Unix.create_process_env exe (Array.of_list (exe :: args)) env null null err_w)
+  in
+  let ic = Unix.in_channel_of_descr err_r in
+  let text = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic) in
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (code, List.filter (fun l -> l <> "") (String.split_on_char '\n' text))
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
+(* A bad --jobs or MSOC_JOBS is reported like any unparseable option
+   (here --width x): exit 124, the error on one line, then the same
+   usage hint, and never an uncaught exception. *)
+let test_cli_bad_jobs () =
+  let _, reference = run_cli [ "plan"; "--width"; "x" ] in
+  List.iter
+    (fun (env, args, names) ->
+      let what = String.concat " " (env @ args) in
+      let code, lines = run_cli ~env args in
+      checki (what ^ ": exit code") 124 code;
+      checkb (what ^ ": no uncaught exception") false
+        (List.exists (fun l -> contains l "uncaught exception") lines);
+      match (lines, reference) with
+      | error :: hint, _ :: reference_hint ->
+        checkb (what ^ ": one error line naming " ^ names) true
+          (String.starts_with ~prefix:"msoc_plan: " error && contains error names);
+        Alcotest.(check (list string)) (what ^ ": usage hint") reference_hint hint
+      | _ -> Alcotest.failf "%s: no error message" what)
+    [
+      ([], [ "plan"; "--jobs"; "0" ], "'--jobs'");
+      ([], [ "plan"; "--jobs=-3" ], "'--jobs'");
+      ([ "MSOC_JOBS=bogus" ], [ "plan" ], "'MSOC_JOBS'");
+      ([ "MSOC_JOBS=0" ], [ "plan" ], "'MSOC_JOBS'");
+    ]
+
 let suites =
   [
     ( "robustness.planner",
@@ -272,4 +338,5 @@ let suites =
         Alcotest.test_case "plans" `Slow test_p22810s_plans;
       ] );
     ("robustness.properties", qcheck_tests);
+    ("robustness.cli", [ Alcotest.test_case "bad --jobs values" `Quick test_cli_bad_jobs ]);
   ]

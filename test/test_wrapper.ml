@@ -147,6 +147,89 @@ let test_staircase_dominance_vs_design () =
         (p.Pareto.time <= Design.test_time_at scan_core ~width:p.Pareto.width))
     (Pareto.points s)
 
+(* Every staircase point, for every core of three SOCs at every
+   max_width 1..64, hashed. The digest was taken with the cell-by-cell
+   greedy that [Reference] keeps, so any change to what Design_wrapper
+   builds shows here. *)
+let golden_staircase_digest = "cb6fc6713d97a0fce6e889c78ca5e8ce"
+
+let test_staircase_golden () =
+  let socs =
+    [
+      Msoc_itc02.Soc_file.load "../data/p93791s.soc";
+      Msoc_itc02.Synthetic.p22810s ();
+      Msoc_itc02.Synthetic.d281s ();
+    ]
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (soc : Types.soc) ->
+      List.iter
+        (fun (core : Types.core) ->
+          for w = 1 to 64 do
+            Printf.bprintf buf "%s/%d/%d:" soc.Types.name core.Types.id w;
+            List.iter
+              (fun (p : Pareto.point) -> Printf.bprintf buf " %d,%d" p.Pareto.width p.Pareto.time)
+              (Pareto.points (Pareto.staircase core ~max_width:w));
+            Buffer.add_char buf '\n'
+          done)
+        soc.Types.cores)
+    socs;
+  Alcotest.(check string) "staircase digest" golden_staircase_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* --- Reference: the cell-by-cell greedy Design_wrapper --- *)
+
+(* The cell-by-cell greedy, kept as the reference: each cell in turn
+   tops up the chain with the smallest load, rescanning every chain.
+   [Design.design] must build exactly what this builds. *)
+module Reference = struct
+  open Design
+
+  (* Level [n] unit cells onto the bins, each time topping up the bin
+     whose [load] is currently smallest. O(n*k) with tiny constants; the
+     largest ITC'02-class cores have a few hundred terminals. *)
+  let level_cells ~load ~add bins n =
+    for _ = 1 to n do
+      let best = ref 0 in
+      for i = 1 to Array.length bins - 1 do
+        if load bins.(i) < load bins.(!best) then best := i
+      done;
+      bins.(!best) <- add bins.(!best)
+    done
+
+  let design (core : Types.core) ~width =
+    if width <= 0 then invalid_arg "Design.design: width must be positive";
+    let scan_bins = Partition.bfd ~k:width ~weight:Fun.id core.scan_chains in
+    let chains =
+      Array.map
+        (fun (b : int Partition.bin) ->
+          { scan = b.items; input_cells = 0; output_cells = 0; bidir_cells = 0 })
+        scan_bins
+    in
+    level_cells
+      ~load:chain_scan_in
+      ~add:(fun c -> { c with input_cells = c.input_cells + 1 })
+      chains core.inputs;
+    level_cells
+      ~load:chain_scan_out
+      ~add:(fun c -> { c with output_cells = c.output_cells + 1 })
+      chains core.outputs;
+    (* A bidirectional cell deepens both sides, so place it where it
+       least increases max(si, so). *)
+    level_cells
+      ~load:(fun c -> max (chain_scan_in c) (chain_scan_out c))
+      ~add:(fun c -> { c with bidir_cells = c.bidir_cells + 1 })
+      chains core.bidirs;
+    let non_empty c =
+      c.scan <> [] || c.input_cells + c.output_cells + c.bidir_cells > 0
+    in
+    let used_width = Array.fold_left (fun n c -> if non_empty c then n + 1 else n) 0 chains in
+    let scan_in = Array.fold_left (fun m c -> max m (chain_scan_in c)) 0 chains in
+    let scan_out = Array.fold_left (fun m c -> max m (chain_scan_out c)) 0 chains in
+    { core; width; used_width = max 1 used_width; chains; scan_in; scan_out }
+end
+
 let qcheck_tests =
   let open QCheck in
   let core_arb =
@@ -160,6 +243,31 @@ let qcheck_tests =
        return
          (Types.core ~id:1 ~name:"q" ~inputs ~outputs ~bidirs ~scan_chains:chains
             ~patterns))
+  in
+  (* Cores [core_arb] never draws: no inputs, outputs or bidirs, up to
+     40 scan chains with many equal lengths (ties between chains), and
+     widths up to 96, often more wrapper chains than cells. *)
+  let design_arb =
+    let terminals hi = Gen.frequency [ (1, Gen.return 0); (3, Gen.int_range 0 hi) ] in
+    let chain_length =
+      Gen.frequency
+        [ (1, Gen.int_range 1 400); (2, Gen.map (fun x -> 20 * x) (Gen.int_range 1 4)) ]
+    in
+    make
+      ~print:(fun ((c : Types.core), w) ->
+        Printf.sprintf "width %d, inputs %d, outputs %d, bidirs %d, chains [%s]" w
+          c.Types.inputs c.Types.outputs c.Types.bidirs
+          (String.concat "; " (List.map string_of_int c.Types.scan_chains)))
+      (let open Gen in
+       let* inputs = terminals 200 in
+       let* outputs = terminals 150 in
+       let* bidirs = terminals 40 in
+       let* chains = list_size (int_range 0 40) chain_length in
+       let* width = int_range 1 96 in
+       return
+         ( Types.core ~id:1 ~name:"q" ~inputs ~outputs ~bidirs ~scan_chains:chains
+             ~patterns:1,
+           width ))
   in
   [
     Test.make ~name:"bfd max load >= ceil(total/k) and >= max item" ~count:300
@@ -197,6 +305,9 @@ let qcheck_tests =
             Design.chain_scan_in c <= d.Design.scan_in
             && Design.chain_scan_out c <= d.Design.scan_out)
           d.Design.chains);
+    Test.make ~name:"design equals the cell-by-cell reference" ~count:1000
+      design_arb (fun (core, width) ->
+        Design.design core ~width = Reference.design core ~width);
     Test.make ~name:"design conserves cells" ~count:100 core_arb
       (fun core ->
         let d = Design.design core ~width:5 in
@@ -243,6 +354,7 @@ let suites =
         Alcotest.test_case "below min width" `Quick test_staircase_below_min_width;
         Alcotest.test_case "fixed point" `Quick test_fixed_staircase;
         Alcotest.test_case "dominates raw design" `Quick test_staircase_dominance_vs_design;
+        Alcotest.test_case "golden staircases" `Quick test_staircase_golden;
       ] );
     ("wrapper.properties", qcheck_tests);
   ]
