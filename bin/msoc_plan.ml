@@ -48,11 +48,34 @@ let soc_file_arg =
   in
   Arg.(value & opt (some file) None & info [ "soc" ] ~docv:"FILE" ~doc)
 
+(* Name-valued options reject an unknown name as a usage error (exit
+   124), listing the valid names, like any unparseable option. *)
+let unknown_name ~valid s =
+  Error
+    (Printf.sprintf "invalid value '%s', expected one of: %s" s
+       (String.concat ", " valid))
+
+let labels cores = List.map (fun c -> c.Msoc_analog.Spec.label) cores
+
+let analog_conv =
+  let parse s =
+    let rec cores acc = function
+      | [] -> Ok (List.rev acc)
+      | label :: rest -> (
+        match Catalog.find ~label:(String.uppercase_ascii (String.trim label)) with
+        | core -> cores (core :: acc) rest
+        | exception Not_found -> unknown_name ~valid:(labels Catalog.all) label)
+    in
+    cores [] (List.filter (fun l -> l <> "") (String.split_on_char ',' s))
+  in
+  let print ppf cores = Format.pp_print_string ppf (String.concat "," (labels cores)) in
+  Arg.conv' ~docv:"LABELS" (parse, print)
+
 let analog_labels_arg =
   let doc =
     "Comma-separated analog core labels from the built-in catalog (A-E)."
   in
-  Arg.(value & opt string "A,B,C,D,E" & info [ "analog" ] ~docv:"LABELS" ~doc)
+  Arg.(value & opt analog_conv Catalog.all & info [ "analog" ] ~docv:"LABELS" ~doc)
 
 let search_arg =
   let doc = "Search strategy: 'heuristic' (Cost_Optimizer) or 'exhaustive'." in
@@ -69,14 +92,19 @@ let packer_arg =
   let doc =
     "TAM packing heuristic: 'best_fit' (the default priority-rule portfolio),      'diagonal' (diagonal-length priority, arXiv:1008.4446) or 'constrained'      (placement-exclusion aware, arXiv:1008.4448). Every variant's schedule      is certified against the packing invariants; a non-default choice is      additionally re-verified through $(b,Msoc_check) as if $(b,--verify)      were given."
   in
-  Arg.(value & opt string "best_fit" & info [ "packer" ] ~docv:"NAME" ~doc)
-
-let resolve_packer name =
-  match Msoc_tam.Packer_registry.find name with
-  | Some p -> p
-  | None ->
-    Fmt.failwith "unknown packer %S (expected one of: %s)" name
-      (String.concat ", " Msoc_tam.Packer_registry.names)
+  let packer_conv =
+    let parse s =
+      match Msoc_tam.Packer_registry.find s with
+      | Some p -> Ok p
+      | None -> unknown_name ~valid:Msoc_tam.Packer_registry.names s
+    in
+    let print ppf p = Format.pp_print_string ppf (Msoc_tam.Packer_registry.name p) in
+    Arg.conv' ~docv:"NAME" (parse, print)
+  in
+  Arg.(
+    value
+    & opt packer_conv Msoc_tam.Packer_registry.default
+    & info [ "packer" ] ~docv:"NAME" ~doc)
 
 let packer_is_default packer =
   Msoc_tam.Packer_registry.name packer
@@ -135,20 +163,10 @@ let load_soc = function
   | None -> Msoc_itc02.Synthetic.p93791s ()
   | Some path -> Msoc_itc02.Soc_file.load path
 
-let parse_analog labels =
-  String.split_on_char ',' labels
-  |> List.filter (fun s -> s <> "")
-  |> List.map (fun label ->
-         match Catalog.find ~label:(String.uppercase_ascii (String.trim label)) with
-         | core -> core
-         | exception Not_found ->
-           Fmt.failwith "unknown analog core %S (catalog: A, B, C, D, E)" label)
-
 (* --- plan --- *)
 
-let make_problem ?(weight_time = 0.5) ~width soc_file analog_labels =
+let make_problem ?(weight_time = 0.5) ~width soc_file analog_cores =
   let soc = load_soc soc_file in
-  let analog_cores = parse_analog analog_labels in
   Problem.make ~soc ~analog_cores ~tam_width:width ~weight_time ()
 
 let resolve_search search delta =
@@ -156,11 +174,10 @@ let resolve_search search delta =
   | `Heuristic -> Plan.Heuristic { delta }
   | `Exhaustive -> Plan.Exhaustive_search
 
-let run_plan width weight_time soc_file analog_labels search delta packer jobs
+let run_plan width weight_time soc_file analog_cores search delta packer jobs
     with_schedule with_gantt as_json verify =
-  let problem = make_problem ~weight_time ~width soc_file analog_labels in
+  let problem = make_problem ~weight_time ~width soc_file analog_cores in
   let search = resolve_search search delta in
-  let packer = resolve_packer packer in
   let plan =
     Msoc_util.Pool.with_pool ~jobs (fun pool ->
         Plan.run ~search ~pool ~packer problem)
@@ -195,7 +212,7 @@ let plan_cmd =
 
 (* --- check --- *)
 
-let run_check width weight_time soc_file analog_labels search delta jobs
+let run_check width weight_time soc_file analog_cores search delta jobs
     lint_only as_json =
   let lint_diags =
     match soc_file with Some path -> Msoc_check.Lint.file path | None -> []
@@ -205,7 +222,7 @@ let run_check width weight_time soc_file analog_labels search delta jobs
        defects as exceptions; stop at the lint findings *)
     if lint_only || Diagnostic.has_errors lint_diags then []
     else begin
-      let problem = make_problem ~weight_time ~width soc_file analog_labels in
+      let problem = make_problem ~weight_time ~width soc_file analog_cores in
       let search = resolve_search search delta in
       let plan =
         Msoc_util.Pool.with_pool ~jobs (fun pool ->
@@ -389,10 +406,9 @@ let parse_float_list ~what s =
          | Some x -> x
          | None -> Fmt.failwith "%s: expected a number, got %S" what t)
 
-let run_explore widths weights weight_time soc_file analog_labels search delta
+let run_explore widths weights weight_time soc_file analog_cores search delta
     packer jobs verify =
   let search = resolve_search search delta in
-  let packer = resolve_packer packer in
   let plans =
     Msoc_util.Pool.with_pool ~jobs (fun pool ->
         match weights with
@@ -405,12 +421,12 @@ let run_explore widths weights weight_time soc_file analog_labels search delta
           in
           Msoc_testplan.Explore.weight_sweep ~search ~pool ~packer
             ~weights:(parse_float_list ~what:"--weights" weights)
-            (fun weight_time -> make_problem ~weight_time ~width soc_file analog_labels)
+            (fun weight_time -> make_problem ~weight_time ~width soc_file analog_cores)
           |> List.map (fun (w, plan) -> (Printf.sprintf "w_T=%.2f" w, plan))
         | None ->
           Msoc_testplan.Explore.width_sweep ~search ~pool ~packer
             ~widths:(parse_int_list ~what:"--widths" widths)
-            (fun width -> make_problem ~weight_time ~width soc_file analog_labels)
+            (fun width -> make_problem ~weight_time ~width soc_file analog_cores)
           |> List.map (fun (w, plan) -> (Printf.sprintf "W=%d" w, plan)))
   in
   if plans = [] then Fmt.failwith "explore: no feasible point in the sweep";
@@ -480,7 +496,17 @@ let strategy_arg =
      annealing seeds on the worker pool). Without this flag, optimize runs \
      the legacy Cost_Optimizer over the paper's candidate enumeration."
   in
-  Arg.(value & opt (some string) None & info [ "strategy" ] ~docv:"NAME" ~doc)
+  (* The strategy's payload (delta, seeds) comes from other options:
+     the converter checks the name and keeps its canonical spelling. *)
+  let strategy_conv =
+    let parse s =
+      match Msoc_search.Strategy.of_name s with
+      | Some kind -> Ok (Msoc_search.Strategy.name kind)
+      | None -> unknown_name ~valid:Msoc_search.Strategy.names s
+    in
+    Arg.conv' ~docv:"NAME" (parse, Format.pp_print_string)
+  in
+  Arg.(value & opt (some strategy_conv) None & info [ "strategy" ] ~docv:"NAME" ~doc)
 
 let budget_ms_arg =
   let doc =
@@ -584,17 +610,16 @@ let run_optimize_strategy ~prepared ~jobs ~as_json ~verify ~delta ~seed
   if verify then
     report_verification ~context:"optimize --verify" (Msoc_check.Verify.plan plan)
 
-let run_optimize width weight_time soc_file analog_labels analog_scale delta
+let run_optimize width weight_time soc_file analog_cores analog_scale delta
     strategy budget_ms max_evals seed packer jobs as_json verify =
   let problem =
     match analog_scale with
-    | None -> make_problem ~weight_time ~width soc_file analog_labels
+    | None -> make_problem ~weight_time ~width soc_file analog_cores
     | Some n ->
       Problem.make ~soc:(load_soc soc_file)
         ~analog_cores:(Msoc_testplan.Instances.scaled_analog ~n)
         ~tam_width:width ~weight_time ()
   in
-  let packer = resolve_packer packer in
   let verify = verify || not (packer_is_default packer) in
   let prepared = Evaluate.prepare ~packer problem in
   match strategy with
@@ -727,8 +752,7 @@ let soc_info_cmd =
 
 (* --- sharing --- *)
 
-let run_sharing analog_labels all =
-  let cores = parse_analog analog_labels in
+let run_sharing cores all =
   let combos =
     if all then Sharing.all_combinations cores else Sharing.paper_combinations cores
   in
@@ -1295,7 +1319,7 @@ let fetch_stats connect =
         with End_of_file | Sys_error _ -> None)
 
 let run_replay socket tcp count mix_str widths_str weights_str soc_file
-    analog_labels window repeat deadline_ms verify clients rate allow_shed
+    analog_cores window repeat deadline_ms verify clients rate allow_shed
     json_out seed =
   let mix =
     String.split_on_char ',' mix_str
@@ -1331,7 +1355,7 @@ let run_replay socket tcp count mix_str widths_str weights_str soc_file
     List.concat
       (List.init repeat (fun _ ->
            replay_requests ~count ~mix ~widths ~weights ~soc_text
-             ~analog:analog_labels ~deadline_ms))
+             ~analog:(String.concat "," (labels analog_cores)) ~deadline_ms))
     |> List.mapi (fun i (r : Serve_protocol.request) ->
            { r with Serve_protocol.id = Printf.sprintf "q%d" i })
   in
@@ -1533,7 +1557,7 @@ let run_replay socket tcp count mix_str widths_str weights_str soc_file
           | _ -> Msoc_itc02.Synthetic.p93791s ()
         in
         let problem =
-          Problem.make ~soc ~analog_cores:(parse_analog analog_labels)
+          Problem.make ~soc ~analog_cores
             ~tam_width:(get_int "width" ~default:32)
             ~weight_time:(get_float "weight_time" ~default:0.5) ()
         in
@@ -1773,7 +1797,7 @@ let bist_cmd =
 (* --- cosim --- *)
 
 let run_cosim spec_name trials seed jobs bits samples tolerance ideal as_json
-    calibrate system_clock_mhz width weight_time soc_file analog_labels =
+    calibrate system_clock_mhz width weight_time soc_file analog_cores =
   let module Testbench = Msoc_cosim.Testbench in
   let module Monte_carlo = Msoc_cosim.Monte_carlo in
   let module Calibrate = Msoc_cosim.Calibrate in
@@ -1818,7 +1842,6 @@ let run_cosim spec_name trials seed jobs bits samples tolerance ideal as_json
     if not calibrate then None
     else begin
       let soc = load_soc soc_file in
-      let analog_cores = parse_analog analog_labels in
       let problem, reports =
         Calibrate.calibrated_problem ~config
           ~system_clock_hz:(system_clock_mhz *. 1.0e6) ~soc ~analog_cores

@@ -72,27 +72,9 @@ let group_intervals st = function
   | None -> Intervals.empty
   | Some g -> Option.value (List.assoc_opt g st.p_groups) ~default:Intervals.empty
 
-(* Peak concurrent power of committed placements within [start, finish):
-   piecewise constant, so evaluating at interval starts suffices. *)
-let peak_power_within st ~start ~finish =
-  let instants =
-    start
-    :: List.filter_map
-         (fun (s, _, _) -> if start < s && s < finish then Some s else None)
-         st.p_powered
-  in
-  let at instant =
-    List.fold_left
-      (fun acc (s, f, p) -> if s <= instant && instant < f then acc + p else acc)
-      0 st.p_powered
-  in
-  List.fold_left (fun acc i -> max acc (at i)) 0 instants
-
-(* Earliest start at which [w] wires are simultaneously free for
-   [time] cycles, the job's exclusion group is idle, the power budget
-   holds and all predecessors (already scheduled) are done. The
-   earliest feasible start is [floor] or the end of some busy/powered
-   interval, so only those candidates need checking. *)
+(* Blocked windows of a job: the busy intervals of placed jobs it
+   declared a conflict with, plus those reserved against it by placed
+   jobs that declared one with it. Any order, possibly repeated. *)
 let conflict_intervals st job =
   let declared =
     List.filter_map (fun l -> Smap.find_opt l st.p_placed) job.Job.conflicts
@@ -102,51 +84,61 @@ let conflict_intervals st job =
   in
   declared @ reserved
 
-let earliest_placement st ~total_width ~w ~time ~group ~power ~floor ~blocked =
-  let giv = group_intervals st group in
-  let candidates =
-    let wire_ends =
-      Array.to_list st.p_wires
-      |> List.concat_map (fun iv -> Intervals.ends_after iv ~time:0)
+(* The idle run of a resource at [start] is 0 when it is busy at
+   [start], otherwise the distance to its next busy instant ([max_int]
+   when it stays idle). Every job time t is > 0, so the resource is
+   free throughout [start, start + t) exactly when t <= its run.
+   [idle_run] reads sorted, disjoint stretches, where the first one
+   ending after [start] decides; [window_run] reads windows in any
+   order. *)
+let rec idle_run ivs ~start =
+  match ivs with
+  | [] -> max_int
+  | (_, f) :: rest when f <= start -> idle_run rest ~start
+  | (s, _) :: _ -> if s <= start then 0 else s - start
+
+let window_run windows ~start =
+  List.fold_left
+    (fun run (s, f) ->
+      if s <= start && start < f then 0
+      else if start < s then min run (s - start)
+      else run)
+    max_int windows
+
+(* The committed load is piecewise constant and rises only where a
+   placement starts, so the budget first breaks at [start] or at a
+   later placement start. *)
+let power_run st ~start ~power =
+  match st.p_power_budget with
+  | Some budget when power > 0 ->
+    let over instant =
+      List.fold_left
+        (fun acc (s, f, p) -> if s <= instant && instant < f then acc + p else acc)
+        power st.p_powered
+      > budget
     in
-    let group_ends = Intervals.ends_after giv ~time:0 in
-    let power_ends = List.map (fun (_, f, _) -> f) st.p_powered in
-    let blocked_ends = List.map snd blocked in
-    List.sort_uniq compare (floor :: (wire_ends @ group_ends @ power_ends @ blocked_ends))
-    |> List.filter (fun s -> s >= floor)
+    if over start then 0
+    else
+      List.fold_left
+        (fun run (s, _, _) ->
+          if start < s && s - start < run && over s then s - start else run)
+        max_int st.p_powered
+  | Some _ | None -> max_int
+
+(* The earliest feasible start of any operating point is [floor] or
+   the end of some wire, group, power or blocked window at or after
+   it: these candidates, ascending and distinct. *)
+let candidate_starts st ~floor ~group ~blocked =
+  let add acc f = if f >= floor then f :: acc else acc in
+  let add_ends acc ivs = List.fold_left (fun acc (_, f) -> add acc f) acc ivs in
+  let ends =
+    Array.fold_left
+      (fun acc wire -> add_ends acc (Intervals.to_list wire))
+      (add_ends (floor :: add_ends [] blocked) group)
+      st.p_wires
   in
-  let feasible_at start =
-    let finish = start + time in
-    if not (Intervals.free_during giv ~start ~finish) then None
-    else if
-      List.exists (fun (s, f) -> start < f && s < finish) blocked
-    then None
-    else if
-      match st.p_power_budget with
-      | Some budget when power > 0 ->
-        peak_power_within st ~start ~finish + power > budget
-      | Some _ | None -> false
-    then None
-    else begin
-      let free = ref [] in
-      let n = ref 0 in
-      for i = total_width - 1 downto 0 do
-        if Intervals.free_during st.p_wires.(i) ~start ~finish then begin
-          free := i :: !free;
-          incr n
-        end
-      done;
-      if !n >= w then Some (start, !free) else None
-    end
-  in
-  let rec scan = function
-    | [] -> assert false (* past every busy end everything is idle *)
-    | start :: rest -> (
-      match feasible_at start with
-      | Some (start, free_wires) -> (start, free_wires)
-      | None -> scan rest)
-  in
-  scan candidates
+  List.sort_uniq Int.compare
+    (List.fold_left (fun acc (_, f, _) -> add acc f) ends st.p_powered)
 
 (* Among the wires free during the window, keep the [w] whose previous
    busy interval ends latest (least idle created in front of the job). *)
@@ -256,25 +248,66 @@ let place ~width st job =
       0 job.Job.predecessors
   in
   let blocked = conflict_intervals st job in
-  let candidate (p : Pareto.point) =
-    let start, free_wires =
-      earliest_placement st ~total_width:width ~w:p.width ~time:p.time
-        ~group:job.Job.exclusion ~power:job.Job.power ~floor ~blocked
+  let group = Intervals.to_list (group_intervals st job.Job.exclusion) in
+  (* Every wire's idle run at the start being swept. *)
+  let runs = Array.make width 0 in
+  let fits (p : Pareto.point) =
+    let rec count i n =
+      n >= p.width
+      || (i < width && count (i + 1) (if runs.(i) >= p.time then n + 1 else n))
     in
-    (start + p.time, p, start, free_wires)
+    count 0 0
   in
-  let best =
-    match List.map candidate points with
-    | [] -> assert false (* guarded above *)
-    | c :: rest ->
-      List.fold_left
-        (fun ((bf, bp, _, _) as b) ((f, p, _, _) as c) ->
-          if f < bf || (f = bf && p.Pareto.width < bp.Pareto.width) then c else b)
-        c rest
+  (* One ascending sweep over the candidate starts resolves every
+     point at its earliest feasible start: at each start, a point
+     (w, t) fits when the group, conflict and power runs are all >= t
+     and at least w wire runs are. [best] is the least (finish, width)
+     resolved so far, as (finish, point, start) — the earliest finish,
+     ties to fewer wires; a point that can no longer beat it closes
+     untried. *)
+  let rec sweep best open_points = function
+    | [] -> best
+    | _ when open_points = [] -> best
+    | start :: later ->
+      let cap =
+        min (idle_run group ~start)
+          (min (window_run blocked ~start) (power_run st ~start ~power:job.Job.power))
+      in
+      if cap = 0 then sweep best open_points later
+      else begin
+        Array.iteri
+          (fun i wire -> runs.(i) <- idle_run (Intervals.to_list wire) ~start)
+          st.p_wires;
+        let best, still_open =
+          List.fold_left
+            (fun (best, still_open) (p : Pareto.point) ->
+              let finish = start + p.time in
+              match best with
+              | Some (bf, (bp : Pareto.point), _)
+                when finish > bf || (finish = bf && p.width >= bp.width) ->
+                (best, still_open)
+              | Some _ | None ->
+                if p.time <= cap && fits p then (Some (finish, p, start), still_open)
+                else (best, p :: still_open))
+            (best, []) open_points
+        in
+        sweep best still_open later
+      end
   in
-  let _, point, start, free_wires = best in
+  let finish, point, start =
+    match sweep None points (candidate_starts st ~floor ~group ~blocked) with
+    | Some best -> best
+    | None ->
+      raise
+        (Infeasible
+           (Printf.sprintf "job %s found no feasible start on the strip" job.Job.label))
+  in
+  let free_wires =
+    List.filter
+      (fun i -> Intervals.free_during st.p_wires.(i) ~start ~finish)
+      (List.init width Fun.id)
+  in
   let wires = choose_wires st ~start ~w:point.Pareto.width free_wires in
-  let finish = start + point.Pareto.time in
   let p_wires = Array.copy st.p_wires in
   List.iter
     (fun wire -> p_wires.(wire) <- Intervals.add p_wires.(wire) ~start ~finish)
@@ -537,19 +570,16 @@ let repack_with_order e jobs =
   let k = !k in
   let states = Array.make (n + 1) e.e_states.(0) in
   Array.blit e.e_states 0 states 0 (k + 1);
-  let placements = Array.make n None in
-  for i = 0 to k - 1 do
-    placements.(i) <- Some e.e_placements.(i)
-  done;
   let st = ref states.(k) in
+  let replayed = ref [] in
   for i = k to n - 1 do
     let st', pl = place ~width:e.e_width !st order.(i) in
     states.(i + 1) <- st';
-    placements.(i) <- Some pl;
+    replayed := pl :: !replayed;
     st := st'
   done;
   let placements =
-    Array.map (function Some p -> p | None -> assert false (* i < n filled above *)) placements
+    Array.append (Array.sub e.e_placements 0 k) (Array.of_list (List.rev !replayed))
   in
   e.e_order <- order;
   e.e_states <- states;

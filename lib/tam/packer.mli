@@ -11,11 +11,17 @@
     - optionally, instantaneous power capped at [power_budget];
     - each job starting only after its {!Job.t.predecessors} finish.
 
-    Heuristic: longest-processing-time-first over jobs (several
-    priority rules are tried, the best schedule wins); per job, every
-    staircase point is tried against the exact per-wire idle intervals
-    and the placement finishing earliest wins (ties to fewer wires).
-    Gap-aware: freed wire intervals remain usable by later jobs.
+    Heuristic: a portfolio of priority orders (group-aware longest
+    first, largest area first, widest first), each passed through
+    {!respect_precedences} and packed greedily; the smallest makespan
+    wins. Each job takes the staircase point with the earliest finish
+    over its candidate starts (ties to fewer wires), on the free wires
+    with the least idle slack in front of it. The candidate starts are
+    the job's precedence floor and every wire, group, power and
+    conflict-window end after it; one ascending sweep over them
+    resolves all of the job's points at once from each wire's idle run
+    at each start. Gap-aware: idle wire intervals between placed jobs
+    remain usable by later jobs.
 
     This module is one packing {e heuristic} plus the shared
     machinery; alternative priority heuristics plug in through

@@ -1,0 +1,430 @@
+(* Bit-identity of the placement kernel.
+
+   [Ref] below is a direct placement scan on the exported
+   [Packer.Intervals]: every staircase point runs its own scan, each
+   rebuilding the candidate starts and re-walking every wire's
+   intervals. It is the reference the one-sweep [Packer.place] must
+   reproduce: every schedule, one-shot and incremental, structurally
+   equal — starts, widths, times, wire lists and placement order.
+
+   Two checks ride on it:
+   - a QCheck property over generated strips with multi-point
+     staircases, exclusion groups, tight power budgets, conflicts,
+     acyclic precedences and small times (so busy intervals touch
+     candidate windows on both sides);
+   - a golden pin: an MD5 over a canonical text of every placement of
+     every registry variant on three SOCs (plus catalog cores A–E),
+     no and full sharing, W = 16, 24, …, 64. *)
+
+module Types = Msoc_itc02.Types
+module Synthetic = Msoc_itc02.Synthetic
+module Pareto = Msoc_wrapper.Pareto
+module Job = Msoc_tam.Job
+module Schedule = Msoc_tam.Schedule
+module Packer = Msoc_tam.Packer
+module Registry = Msoc_tam.Packer_registry
+module Problem = Msoc_testplan.Problem
+module Evaluate = Msoc_testplan.Evaluate
+module Sharing = Msoc_analog.Sharing
+module Catalog = Msoc_analog.Catalog
+module Rng = Msoc_util.Rng
+
+module Ref = struct
+  module Intervals = Packer.Intervals
+  module Smap = Map.Make (String)
+
+  exception Infeasible = Packer.Infeasible
+
+  type pstate = {
+    p_wires : Intervals.t array;
+    p_groups : (int * Intervals.t) list;
+    p_powered : (int * int * int) list;
+    p_power_budget : int option;
+    p_finished : int Smap.t;
+    p_placed : (int * int) Smap.t;
+    p_reserved : (int * int) list Smap.t;
+  }
+
+  let initial_state ?power_budget ~width () =
+    {
+      p_wires = Array.make width Intervals.empty;
+      p_groups = [];
+      p_powered = [];
+      p_power_budget = power_budget;
+      p_finished = Smap.empty;
+      p_placed = Smap.empty;
+      p_reserved = Smap.empty;
+    }
+
+  let group_intervals st = function
+    | None -> Intervals.empty
+    | Some g -> Option.value (List.assoc_opt g st.p_groups) ~default:Intervals.empty
+
+  let peak_power_within st ~start ~finish =
+    let instants =
+      start
+      :: List.filter_map
+           (fun (s, _, _) -> if start < s && s < finish then Some s else None)
+           st.p_powered
+    in
+    let at instant =
+      List.fold_left
+        (fun acc (s, f, p) -> if s <= instant && instant < f then acc + p else acc)
+        0 st.p_powered
+    in
+    List.fold_left (fun acc i -> max acc (at i)) 0 instants
+
+  let conflict_intervals st job =
+    let declared =
+      List.filter_map (fun l -> Smap.find_opt l st.p_placed) job.Job.conflicts
+    in
+    let reserved =
+      Option.value (Smap.find_opt job.Job.label st.p_reserved) ~default:[]
+    in
+    declared @ reserved
+
+  let earliest_placement st ~total_width ~w ~time ~group ~power ~floor ~blocked =
+    let giv = group_intervals st group in
+    let candidates =
+      let wire_ends =
+        Array.to_list st.p_wires
+        |> List.concat_map (fun iv -> Intervals.ends_after iv ~time:0)
+      in
+      let group_ends = Intervals.ends_after giv ~time:0 in
+      let power_ends = List.map (fun (_, f, _) -> f) st.p_powered in
+      let blocked_ends = List.map snd blocked in
+      List.sort_uniq compare (floor :: (wire_ends @ group_ends @ power_ends @ blocked_ends))
+      |> List.filter (fun s -> s >= floor)
+    in
+    let feasible_at start =
+      let finish = start + time in
+      if not (Intervals.free_during giv ~start ~finish) then None
+      else if
+        List.exists (fun (s, f) -> start < f && s < finish) blocked
+      then None
+      else if
+        match st.p_power_budget with
+        | Some budget when power > 0 ->
+          peak_power_within st ~start ~finish + power > budget
+        | Some _ | None -> false
+      then None
+      else begin
+        let free = ref [] in
+        let n = ref 0 in
+        for i = total_width - 1 downto 0 do
+          if Intervals.free_during st.p_wires.(i) ~start ~finish then begin
+            free := i :: !free;
+            incr n
+          end
+        done;
+        if !n >= w then Some (start, !free) else None
+      end
+    in
+    let rec scan = function
+      | [] -> assert false (* past every busy end everything is idle *)
+      | start :: rest -> (
+        match feasible_at start with
+        | Some (start, free_wires) -> (start, free_wires)
+        | None -> scan rest)
+    in
+    scan candidates
+
+  let choose_wires st ~start ~w free_wires =
+    let slack wire =
+      let prev_end =
+        List.fold_left
+          (fun acc (_, f) -> if f <= start then max acc f else acc)
+          0
+          (Intervals.to_list st.p_wires.(wire))
+      in
+      start - prev_end
+    in
+    let ranked =
+      List.map (fun wire -> (slack wire, wire)) free_wires
+      |> List.sort compare
+    in
+    List.filteri (fun i _ -> i < w) ranked |> List.map snd
+
+  let place ~width st job =
+    let points =
+      Pareto.points job.Job.staircase
+      |> List.filter (fun (p : Pareto.point) -> p.width <= width)
+    in
+    if points = [] then
+      raise
+        (Infeasible
+           (Printf.sprintf
+              "job %s has no operating point at width <= %d (narrowest needs %d wires)"
+              job.Job.label width (Job.min_width job)));
+    let floor =
+      List.fold_left
+        (fun acc pred ->
+          match Smap.find_opt pred st.p_finished with
+          | Some f -> max acc f
+          | None -> acc (* respect_precedences guarantees presence *))
+        0 job.Job.predecessors
+    in
+    let blocked = conflict_intervals st job in
+    let candidate (p : Pareto.point) =
+      let start, free_wires =
+        earliest_placement st ~total_width:width ~w:p.width ~time:p.time
+          ~group:job.Job.exclusion ~power:job.Job.power ~floor ~blocked
+      in
+      (start + p.time, p, start, free_wires)
+    in
+    let best =
+      match List.map candidate points with
+      | [] -> assert false (* guarded above *)
+      | c :: rest ->
+        List.fold_left
+          (fun ((bf, bp, _, _) as b) ((f, p, _, _) as c) ->
+            if f < bf || (f = bf && p.Pareto.width < bp.Pareto.width) then c else b)
+          c rest
+    in
+    let _, point, start, free_wires = best in
+    let wires = choose_wires st ~start ~w:point.Pareto.width free_wires in
+    let finish = start + point.Pareto.time in
+    let p_wires = Array.copy st.p_wires in
+    List.iter
+      (fun wire -> p_wires.(wire) <- Intervals.add p_wires.(wire) ~start ~finish)
+      wires;
+    let p_groups =
+      match job.Job.exclusion with
+      | Some g ->
+        (g, Intervals.add (group_intervals st (Some g)) ~start ~finish)
+        :: List.remove_assoc g st.p_groups
+      | None -> st.p_groups
+    in
+    let p_powered =
+      if job.Job.power > 0 then (start, finish, job.Job.power) :: st.p_powered
+      else st.p_powered
+    in
+    let p_reserved =
+      List.fold_left
+        (fun acc other ->
+          let existing = Option.value (Smap.find_opt other acc) ~default:[] in
+          Smap.add other ((start, finish) :: existing) acc)
+        st.p_reserved job.Job.conflicts
+    in
+    let st' =
+      {
+        st with
+        p_wires;
+        p_groups;
+        p_powered;
+        p_finished = Smap.add job.Job.label finish st.p_finished;
+        p_placed = Smap.add job.Job.label (start, finish) st.p_placed;
+        p_reserved;
+      }
+    in
+    (st', { Schedule.job; start; width = point.Pareto.width; time = point.Pareto.time; wires })
+
+  let schedule_of_placements ?power_budget ~width placements_rev =
+    let placements =
+      List.sort (fun a b -> compare a.Schedule.start b.Schedule.start) placements_rev
+    in
+    { Schedule.total_width = width; power_budget; placements }
+
+  let pack_in_order ?power_budget ~width order =
+    let _, placements_rev =
+      List.fold_left
+        (fun (st, acc) job ->
+          let st', p = place ~width st job in
+          (st', p :: acc))
+        (initial_state ?power_budget ~width (), [])
+        order
+    in
+    schedule_of_placements ?power_budget ~width placements_rev
+end
+
+(* --- generated strips ------------------------------------------------ *)
+
+type instance = {
+  width : int;
+  power_budget : int option;
+  jobs : Job.t list;
+  walk_seed : int;  (* seeds the engine's transposition walk *)
+}
+
+(* Small cores and analog times on a coarse grid: busy stretches end
+   and start on a few shared instants, so candidate windows regularly
+   touch an interval on either side (a stretch ending at the start, the
+   next one beginning at start + time). *)
+let build_instance ~seed =
+  let rng = Rng.create ~seed in
+  let int_in lo hi = Rng.int_in rng ~lo ~hi in
+  let chance k = Rng.int rng ~bound:k = 0 in
+  let width = int_in 1 64 in
+  let n = int_in 1 10 in
+  let grid = if chance 2 then 1 else 5 in
+  let groups = int_in 1 3 in
+  let labels = Array.init n (fun i -> Printf.sprintf "j%d" i) in
+  let base i =
+    if chance 3 then
+      Job.analog ~label:labels.(i)
+        ~width:(int_in 1 (min width 12))
+        ~time:(grid * int_in 1 8)
+        ~group:(Rng.int rng ~bound:groups)
+    else begin
+      let chains = List.init (int_in 0 6) (fun _ -> int_in 1 12) in
+      let core =
+        Types.core ~id:(i + 1) ~name:labels.(i) ~inputs:(int_in 0 8)
+          ~outputs:(int_in 0 8) ~bidirs:0 ~scan_chains:chains
+          ~patterns:(int_in 1 6)
+      in
+      let j = Job.of_core core ~max_width:(int_in 1 64) in
+      if chance 4 then { j with Job.exclusion = Some (Rng.int rng ~bound:groups) } else j
+    end
+  in
+  let power_budget = if chance 2 then Some (int_in 1 6) else None in
+  let pick_labels ~below =
+    if below = 0 then []
+    else List.sort_uniq compare (List.init (int_in 1 2) (fun _ -> labels.(Rng.int rng ~bound:below)))
+  in
+  let jobs =
+    List.init n (fun i ->
+        let j = base i in
+        let j =
+          let cap = Option.value power_budget ~default:6 in
+          Job.with_power j (if chance 3 then 0 else int_in 1 cap)
+        in
+        let j =
+          if chance 4 then Job.with_predecessors j (pick_labels ~below:i) else j
+        in
+        if chance 4 then
+          Job.with_conflicts j
+            (List.filter (fun l -> l <> labels.(i)) (pick_labels ~below:n))
+        else j)
+  in
+  { width; power_budget; jobs; walk_seed = seed }
+
+let print_instance inst =
+  let job j =
+    Printf.sprintf "%s[pts=%s grp=%s pw=%d pred=%s conf=%s]" j.Job.label
+      (String.concat ";"
+         (List.map
+            (fun (p : Pareto.point) -> Printf.sprintf "%dx%d" p.width p.time)
+            (Pareto.points j.Job.staircase)))
+      (match j.Job.exclusion with Some g -> string_of_int g | None -> "-")
+      j.Job.power
+      (String.concat "," j.Job.predecessors)
+      (String.concat "," j.Job.conflicts)
+  in
+  Printf.sprintf "W=%d budget=%s\n%s" inst.width
+    (match inst.power_budget with Some b -> string_of_int b | None -> "none")
+    (String.concat "\n" (List.map job inst.jobs))
+
+let instance_arb =
+  QCheck.make ~print:print_instance
+    QCheck.Gen.(map (fun seed -> build_instance ~seed) (int_range 1 1_000_000_000))
+
+let reference inst order =
+  Ref.pack_in_order ?power_budget:inst.power_budget ~width:inst.width
+    (Packer.respect_precedences order)
+
+(* Every priority order of every registry variant, packed one order at
+   a time through the generic entry point. *)
+let one_shot_matches inst =
+  List.for_all
+    (fun (module P : Msoc_tam.Packer_intf.S) ->
+      List.for_all
+        (fun o ->
+          Packer.pack_with_orders ?power_budget:inst.power_budget ~width:inst.width
+            ~orders:(fun _ -> [ o ])
+            inst.jobs
+          = reference inst o)
+        (P.orders inst.jobs))
+    Registry.all
+
+(* One engine through a seeded walk of transpositions: after each
+   repack (prefix reused, suffix replayed) the schedule equals the
+   reference packed from scratch. *)
+let engine_matches inst =
+  let engine = Packer.prepare ?power_budget:inst.power_budget ~width:inst.width () in
+  let order = Array.of_list inst.jobs in
+  let n = Array.length order in
+  let rng = Rng.create ~seed:inst.walk_seed in
+  let repack_ok () =
+    let o = Array.to_list order in
+    Packer.repack_with_order engine o = reference inst o
+  in
+  let ok = ref (repack_ok ()) in
+  for _ = 1 to 8 do
+    if !ok then begin
+      let i = Rng.int rng ~bound:n and j = Rng.int rng ~bound:n in
+      let tmp = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- tmp;
+      ok := repack_ok ()
+    end
+  done;
+  !ok
+
+let qcheck_tests =
+  [
+    QCheck.Test.make ~name:"place = reference (one-shot and engine)" ~count:500
+      instance_arb (fun inst -> one_shot_matches inst && engine_matches inst);
+  ]
+  |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
+
+(* --- golden pin ------------------------------------------------------ *)
+
+(* One line per placement, in placement order, under a header naming
+   the case. *)
+let canonical buf ~case (s : Schedule.t) =
+  Buffer.add_string buf case;
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun (p : Schedule.placement) ->
+      Printf.bprintf buf "%s %d %d %d %s\n" p.Schedule.job.Job.label p.start
+        p.width p.time
+        (String.concat "," (List.map string_of_int p.wires)))
+    s.Schedule.placements
+
+let golden_digest () =
+  let socs =
+    [
+      ("p93791s", Msoc_itc02.Soc_file.load "../data/p93791s.soc");
+      ("p22810s", Synthetic.p22810s ());
+      ("d281s", Synthetic.d281s ());
+    ]
+  in
+  let sharings =
+    [ ("none", Sharing.no_sharing Catalog.all); ("full", Sharing.full_sharing Catalog.all) ]
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (soc_name, soc) ->
+      List.iter
+        (fun width ->
+          let problem =
+            Problem.make ~soc ~analog_cores:Catalog.all ~tam_width:width
+              ~weight_time:0.5 ()
+          in
+          List.iter
+            (fun (sharing_name, sharing) ->
+              let jobs = Evaluate.jobs_for_problem problem sharing in
+              List.iter
+                (fun p ->
+                  let case =
+                    Printf.sprintf "# %s %s %s W%d" (Registry.name p) soc_name
+                      sharing_name width
+                  in
+                  canonical buf ~case (Registry.pack p ~width jobs))
+                Registry.all)
+            sharings)
+        [ 16; 24; 32; 40; 48; 56; 64 ])
+    socs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden () =
+  Alcotest.(check string)
+    "placements of every variant, SOC, sharing and width"
+    "4f043bbbe3c252f60f9e1d31fe76c314"
+    (golden_digest ())
+
+let suites =
+  [
+    ("packer-ref.property", qcheck_tests);
+    ("packer-ref.golden", [ Alcotest.test_case "registry placements pinned" `Quick test_golden ]);
+  ]

@@ -284,29 +284,47 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
 
-(* A bad --jobs or MSOC_JOBS is reported like any unparseable option
-   (here --width x): exit 124, the error on one line, then the same
-   usage hint, and never an uncaught exception. *)
-let test_cli_bad_jobs () =
-  let _, reference = run_cli [ "plan"; "--width"; "x" ] in
+(* A bad option value is reported like any unparseable option (here
+   the subcommand's --width x): exit 124, the error on one line naming
+   the option (and the valid values), then the same usage hint, and
+   never an uncaught exception. *)
+let check_usage_errors cases =
   List.iter
     (fun (env, args, names) ->
       let what = String.concat " " (env @ args) in
+      let _, reference = run_cli [ List.hd args; "--width"; "x" ] in
       let code, lines = run_cli ~env args in
       checki (what ^ ": exit code") 124 code;
       checkb (what ^ ": no uncaught exception") false
         (List.exists (fun l -> contains l "uncaught exception") lines);
       match (lines, reference) with
       | error :: hint, _ :: reference_hint ->
-        checkb (what ^ ": one error line naming " ^ names) true
-          (String.starts_with ~prefix:"msoc_plan: " error && contains error names);
+        checkb
+          (what ^ ": one error line naming " ^ String.concat " " names)
+          true
+          (String.starts_with ~prefix:"msoc_plan: " error
+          && List.for_all (contains error) names);
         Alcotest.(check (list string)) (what ^ ": usage hint") reference_hint hint
       | _ -> Alcotest.failf "%s: no error message" what)
+    cases
+
+let test_cli_bad_jobs () =
+  check_usage_errors
     [
-      ([], [ "plan"; "--jobs"; "0" ], "'--jobs'");
-      ([], [ "plan"; "--jobs=-3" ], "'--jobs'");
-      ([ "MSOC_JOBS=bogus" ], [ "plan" ], "'MSOC_JOBS'");
-      ([ "MSOC_JOBS=0" ], [ "plan" ], "'MSOC_JOBS'");
+      ([], [ "plan"; "--jobs"; "0" ], [ "'--jobs'" ]);
+      ([], [ "plan"; "--jobs=-3" ], [ "'--jobs'" ]);
+      ([ "MSOC_JOBS=bogus" ], [ "plan" ], [ "'MSOC_JOBS'" ]);
+      ([ "MSOC_JOBS=0" ], [ "plan" ], [ "'MSOC_JOBS'" ]);
+    ]
+
+let test_cli_bad_names () =
+  check_usage_errors
+    [
+      ([], [ "plan"; "--packer"; "nope" ],
+        [ "'--packer'"; "best_fit, diagonal, constrained" ]);
+      ([], [ "optimize"; "--strategy"; "nope" ],
+        [ "'--strategy'"; "exhaustive, repr, bnb, anneal, portfolio" ]);
+      ([], [ "plan"; "--analog"; "Z" ], [ "'--analog'"; "A, B, C, D, E" ]);
     ]
 
 let suites =
@@ -338,5 +356,10 @@ let suites =
         Alcotest.test_case "plans" `Slow test_p22810s_plans;
       ] );
     ("robustness.properties", qcheck_tests);
-    ("robustness.cli", [ Alcotest.test_case "bad --jobs values" `Quick test_cli_bad_jobs ]);
+    ( "robustness.cli",
+      [
+        Alcotest.test_case "bad --jobs values" `Quick test_cli_bad_jobs;
+        Alcotest.test_case "bad --packer, --strategy and --analog names" `Quick
+          test_cli_bad_names;
+      ] );
   ]
