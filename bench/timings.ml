@@ -1,5 +1,6 @@
 (* Bechamel micro-benchmarks: one Test.make per reproduced table /
-   figure, timing the computational kernel that regenerates it. The
+   figure, timing the computational kernel that regenerates it, plus
+   the Design_wrapper staircases every plan starts from. The
    paper's own CPU-time claim (heuristic 6 min vs exhaustive 20 min on
    a Sun Ultra) maps to the table4 pair below. *)
 
@@ -19,11 +20,19 @@ let tests () =
      an evaluation on a shared prepared structure would read the
      schedule memo after its first run. The table4 searches prepare
      inside the closure for the same reason. *)
+  let p93791s = Msoc_itc02.Synthetic.p93791s () in
   let problem32 = Instances.p93791m ~tam_width:32 () in
   let jobs32 =
     Evaluate.jobs_for_problem problem32 (Sharing.no_sharing Catalog.all)
   in
   let combos = Sharing.paper_combinations Catalog.all in
+  let staircases =
+    Test.make ~name:"design_wrapper:staircases (p93791s, 32 cores, W=64)"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun core -> ignore (Msoc_wrapper.Pareto.staircase core ~max_width:64))
+             p93791s.Msoc_itc02.Types.cores))
+  in
   let table1 =
     Test.make ~name:"table1:area+bounds (26 combos)"
       (Staged.stage (fun () ->
@@ -67,7 +76,7 @@ let tests () =
       (Staged.stage (fun () -> ignore (Figures.fig5_experiment ~n:1024 ())))
   in
   Test.make_grouped ~name:"msoc"
-    [ table1; table2; table3; table4_exhaustive; table4_heuristic; fig5 ]
+    [ staircases; table1; table2; table3; table4_exhaustive; table4_heuristic; fig5 ]
 
 let run () =
   Printf.printf "\n=== Bechamel timings (one benchmark per table/figure) ===\n\n";

@@ -33,9 +33,20 @@ module Evaluate = Msoc_testplan.Evaluate
 
 (* --- shared argument definitions --- *)
 
+(* A bad count (--width, --jobs or MSOC_JOBS, --workers) is a usage
+   error (exit 124) like any other unparseable option. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (Printf.sprintf "invalid value '%s', expected a positive integer" s)
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
 let width_arg =
   let doc = "SOC-level TAM width (wires)." in
-  Arg.(value & opt int 32 & info [ "w"; "width" ] ~docv:"W" ~doc)
+  Arg.(value & opt positive_int 32 & info [ "w"; "width" ] ~docv:"W" ~doc)
 
 let weight_time_arg =
   let doc = "Cost weight for test time, 0..1; area weight is its complement." in
@@ -109,17 +120,6 @@ let packer_arg =
 let packer_is_default packer =
   Msoc_tam.Packer_registry.name packer
   = Msoc_tam.Packer_registry.name Msoc_tam.Packer_registry.default
-
-(* A bad value, on the command line or in MSOC_JOBS, is a usage error
-   (exit 124) like any other unparseable option. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None ->
-      Error (Printf.sprintf "invalid value '%s', expected a positive integer" s)
-  in
-  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
 
 let jobs_arg =
   let doc =
@@ -956,7 +956,6 @@ module Fleet_supervisor = Msoc_fleet.Supervisor
 
 let run_fleet socket tcp workers base_port cache_dir memory_cache cache_max_mb
     queue jobs window replicas retry_rounds seed =
-  if workers < 1 then Fmt.failwith "--workers must be >= 1, got %d" workers;
   let listen =
     match (socket, tcp) with
     | Some _, Some _ -> Fmt.failwith "--socket and --tcp are exclusive"
@@ -1030,7 +1029,7 @@ let fleet_cmd =
   in
   let workers_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "workers" ] ~docv:"N" ~doc:"Worker process count.")
   in
   let base_port_arg =

@@ -9,10 +9,14 @@
     scan-in (resp. scan-out) depth; bidirectional cells count on both
     sides. The resulting test application time for [p] patterns is
 
-    {v T(w) = (1 + max(si, so)) * p + min(si, so) v} *)
+    {v T(w) = (1 + max(si, so)) * p + min(si, so) v}
+
+    One kernel does the work: {!design} runs it once and builds the
+    chain records; {!Pareto.staircase} runs it width by width over the
+    same buffers. *)
 
 type chain = {
-  scan : int list;  (** scan-chain lengths placed on this wrapper chain *)
+  scan : int list;  (** scan-chain lengths placed on this wrapper chain, longest first *)
   input_cells : int;
   output_cells : int;
   bidir_cells : int;
@@ -28,7 +32,8 @@ type t = {
 }
 
 val design : Msoc_itc02.Types.core -> width:int -> t
-(** @raise Invalid_argument if [width <= 0]. *)
+(** @raise Invalid_argument if [width <= 0] or a scan-chain length is
+    negative. *)
 
 val test_time : t -> int
 (** Test application time in TAM clock cycles. *)
@@ -40,3 +45,34 @@ val chain_scan_out : chain -> int
 
 val test_time_at : Msoc_itc02.Types.core -> width:int -> int
 (** [test_time_at core ~width] = [test_time (design core ~width)]. *)
+
+(** {1 The kernel} *)
+
+type kernel
+(** One core's scan chains, sorted longest first, and int buffers for
+    designs up to [max_width] wide: per wrapper chain its scan load,
+    scan-chain count and input, output and bidir cells, and per scan
+    chain the wrapper chain holding it. A kernel holds one design at a
+    time; share it across domains only with external locking. *)
+
+val kernel : Msoc_itc02.Types.core -> max_width:int -> kernel
+(** Sorts the scan chains and allocates the buffers, once per core.
+    @raise Invalid_argument if [max_width <= 0] or a scan-chain length
+    is negative. *)
+
+val run : kernel -> width:int -> int
+(** [run k ~width] designs the core at [width] into [k]'s buffers,
+    replacing the previous design, and returns its test time: the
+    best-fit-decreasing partition into the first [width] slots, then
+    the three levellings. O(c·width + width·log n) for [c] scan chains
+    and [n] cells; allocates nothing.
+    @raise Invalid_argument unless [1 <= width <= max_width]. *)
+
+val used_width : kernel -> int
+(** Non-empty wrapper chains of the last {!run}, at least 1. *)
+
+val floor_time : kernel -> int
+(** [(1 + L) * p + L] for the longest scan chain [L] (0 without scan
+    chains): no design at any width is faster. The wrapper chain that
+    holds the longest scan chain is at least [L] deep, so si >= L and
+    so >= L. *)

@@ -4,13 +4,9 @@ type t = point list
 
 let staircase core ~max_width =
   if max_width <= 0 then invalid_arg "Pareto.staircase: max_width must be positive";
-  let add frontier w =
-    let d = Design.design core ~width:w in
-    let time = Design.test_time d in
-    (* Use the wires the design actually occupies, not the budget: a
-       64-wide budget on a 3-chain combinational core may build only a
-       handful of non-empty chains. *)
-    let width = d.Design.used_width in
+  let kernel = Design.kernel core ~max_width in
+  let floor = Design.floor_time kernel in
+  let add frontier ~width ~time =
     match frontier with
     | [] -> [ { width; time } ]
     | best :: _ ->
@@ -20,8 +16,20 @@ let staircase core ~max_width =
         { width; time } :: List.filter (fun p -> p.width < width) frontier
       else frontier
   in
-  let frontier = List.fold_left add [] (List.init max_width (fun i -> i + 1)) in
-  List.rev frontier
+  (* No design at any width is faster than [floor], so once the best
+     time reaches it no wider design can join the frontier. *)
+  let rec sweep frontier w =
+    if w > max_width then frontier
+    else
+      let time = Design.run kernel ~width:w in
+      (* Use the wires the design actually occupies, not the budget: a
+         64-wide budget on a 3-chain combinational core may build only a
+         handful of non-empty chains. *)
+      match add frontier ~width:(Design.used_width kernel) ~time with
+      | best :: _ as frontier when best.time <= floor -> frontier
+      | frontier -> sweep frontier (w + 1)
+  in
+  List.rev (sweep [] 1)
 
 let fixed ~width ~time =
   if width <= 0 || time <= 0 then invalid_arg "Pareto.fixed: need positive width and time";
@@ -44,16 +52,18 @@ let width_for t ~width =
   | Some p -> p.width
   | None -> invalid_arg "Pareto.width_for: width below minimum"
 
+(* A staircase is non-empty by construction, so the [] cases cannot
+   fire. *)
 let min_width = function
-  | [] -> assert false
+  | [] -> invalid_arg "Pareto.min_width: empty staircase"
   | p :: _ -> p.width
 
 let rec max_width = function
-  | [] -> assert false
+  | [] -> invalid_arg "Pareto.max_width: empty staircase"
   | [ p ] -> p.width
   | _ :: rest -> max_width rest
 
 let rec min_time = function
-  | [] -> assert false
+  | [] -> invalid_arg "Pareto.min_time: empty staircase"
   | [ p ] -> p.time
   | _ :: rest -> min_time rest

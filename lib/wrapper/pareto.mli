@@ -13,10 +13,15 @@ type t
 (** Non-empty; widths strictly increasing, times strictly decreasing. *)
 
 val staircase : Msoc_itc02.Types.core -> max_width:int -> t
-(** [staircase core ~max_width] evaluates {!Design.test_time_at} for
-    widths 1..[max_width] and keeps the Pareto frontier. Guaranteed
-    monotone even if the underlying heuristic is not: each width is
-    credited with the best design found at any width <= it. *)
+(** [staircase core ~max_width] runs one {!Design.kernel} at widths
+    1, 2, ... and keeps the Pareto frontier of (wires used, test time).
+    Guaranteed monotone even if the underlying heuristic is not: each
+    width is credited with the best design found at any width <= it.
+    The sweep stops at [max_width] or at the first width whose best
+    time reaches {!Design.floor_time}, since no design at any width is
+    faster; the frontier is the one designing every width 1..[max_width]
+    would give. @raise Invalid_argument if [max_width <= 0] or a
+    scan-chain length is negative. *)
 
 val fixed : width:int -> time:int -> t
 (** One-point staircase for an analog (virtual digital) core.

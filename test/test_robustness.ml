@@ -327,6 +327,18 @@ let test_cli_bad_names () =
       ([], [ "plan"; "--analog"; "Z" ], [ "'--analog'"; "A, B, C, D, E" ]);
     ]
 
+let test_cli_bad_counts () =
+  check_usage_errors
+    [
+      ([], [ "plan"; "--width"; "0" ], [ "'--width'" ]);
+      ([], [ "plan"; "--width=-1" ], [ "'--width'" ]);
+      ([], [ "check"; "--width"; "0" ], [ "'--width'" ]);
+      ([], [ "optimize"; "--width"; "0" ], [ "'--width'" ]);
+      ([], [ "soc-info"; "--soc"; "../data/p93791s.soc"; "--width"; "0" ], [ "'--width'" ]);
+      ([], [ "cosim"; "--width"; "0" ], [ "'--width'" ]);
+      ([], [ "fleet"; "--workers"; "0"; "--tcp"; "7999" ], [ "'--workers'" ]);
+    ]
+
 let suites =
   [
     ( "robustness.planner",
@@ -359,6 +371,7 @@ let suites =
     ( "robustness.cli",
       [
         Alcotest.test_case "bad --jobs values" `Quick test_cli_bad_jobs;
+        Alcotest.test_case "bad --width and --workers values" `Quick test_cli_bad_counts;
         Alcotest.test_case "bad --packer, --strategy and --analog names" `Quick
           test_cli_bad_names;
       ] );

@@ -1,54 +1,76 @@
-(* Tests for Msoc_wrapper: BFD partitioning, Design_wrapper and the
-   Pareto staircase. *)
+(* Tests for Msoc_wrapper: Design_wrapper (its BFD scan-chain
+   partition, its levelling and its kernel) and the Pareto staircase. *)
 
 module Types = Msoc_itc02.Types
-module Partition = Msoc_wrapper.Partition
 module Design = Msoc_wrapper.Design
 module Pareto = Msoc_wrapper.Pareto
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* --- Partition --- *)
+(* --- Scan-chain partition: the BFD inside Design.design --- *)
+
+(* A core with only scan chains, so each wrapper chain's depth is its
+   scan load. Built around [Types.core]'s check so that zero and
+   negative lengths reach the partition. *)
+let chains_core chains =
+  {
+    (Types.core ~id:1 ~name:"bfd" ~inputs:0 ~outputs:0 ~bidirs:0 ~scan_chains:[]
+       ~patterns:1)
+    with
+    Types.scan_chains = chains;
+  }
+
+(* The deepest wrapper chain's scan load. *)
+let max_scan_load chains ~width =
+  Array.fold_left
+    (fun m c -> max m (List.fold_left ( + ) 0 c.Design.scan))
+    0 (Design.design (chains_core chains) ~width).Design.chains
 
 let test_bfd_conserves_items () =
   let items = [ 5; 3; 8; 1; 9; 2 ] in
-  let bins = Partition.bfd ~k:3 ~weight:Fun.id items in
-  let all = Array.to_list bins |> List.concat_map (fun b -> b.Partition.items) in
+  let d = Design.design (chains_core items) ~width:3 in
+  let all = Array.to_list d.Design.chains |> List.concat_map (fun c -> c.Design.scan) in
   Alcotest.(check (list int)) "items conserved" (List.sort compare items)
     (List.sort compare all)
 
 let test_bfd_loads_consistent () =
-  let bins = Partition.bfd ~k:4 ~weight:Fun.id [ 7; 7; 7; 7; 1 ] in
-  Array.iter
-    (fun b ->
-      checki "load = sum of items" (List.fold_left ( + ) 0 b.Partition.items)
-        b.Partition.load)
-    bins
+  (* The kernel reads si, so and the used width off its buffers; the
+     chain records must agree. *)
+  let core =
+    Types.core ~id:1 ~name:"loads" ~inputs:9 ~outputs:5 ~bidirs:3
+      ~scan_chains:[ 7; 7; 7; 7; 1 ] ~patterns:10
+  in
+  let d = Design.design core ~width:4 in
+  let deepest f = Array.fold_left (fun m c -> max m (f c)) 0 d.Design.chains in
+  checki "si = deepest chain" (deepest Design.chain_scan_in) d.Design.scan_in;
+  checki "so = deepest chain" (deepest Design.chain_scan_out) d.Design.scan_out;
+  checki "used width = non-empty chains" 4 d.Design.used_width
 
 let test_bfd_balances_equal_items () =
-  let bins = Partition.bfd ~k:4 ~weight:Fun.id [ 5; 5; 5; 5 ] in
-  checki "perfect balance" 5 (Partition.max_load bins)
+  checki "perfect balance" 5 (max_scan_load [ 5; 5; 5; 5 ] ~width:4)
 
 let test_bfd_single_bin () =
-  let bins = Partition.bfd ~k:1 ~weight:Fun.id [ 3; 4; 5 ] in
-  checki "everything in one bin" 12 (Partition.max_load bins)
+  checki "everything in one bin" 12 (max_scan_load [ 3; 4; 5 ] ~width:1)
 
 let test_bfd_more_bins_than_items () =
-  let bins = Partition.bfd ~k:10 ~weight:Fun.id [ 6; 2 ] in
-  checki "max load is biggest item" 6 (Partition.max_load bins)
+  checki "max load is biggest item" 6 (max_scan_load [ 6; 2 ] ~width:10)
 
 let test_bfd_rejects_bad_input () =
-  (match Partition.bfd ~k:0 ~weight:Fun.id [ 1 ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "k=0 accepted");
-  match Partition.bfd ~k:2 ~weight:Fun.id [ -1 ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative weight accepted"
-
-let test_spread () =
-  Alcotest.(check (array int)) "7 over 3" [| 3; 2; 2 |] (Partition.spread ~k:3 7);
-  Alcotest.(check (array int)) "0 over 2" [| 0; 0 |] (Partition.spread ~k:2 0)
+  let negative = chains_core [ 3; -1 ] in
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  rejects "width 0" (fun () -> ignore (Design.design (chains_core [ 1 ]) ~width:0));
+  rejects "negative length" (fun () -> ignore (Design.design negative ~width:2));
+  rejects "negative length in a staircase" (fun () ->
+      ignore (Pareto.staircase negative ~max_width:4));
+  rejects "max_width 0" (fun () -> ignore (Pareto.staircase (chains_core [ 1 ]) ~max_width:0));
+  let kernel = Design.kernel (chains_core [ 4; 2 ]) ~max_width:3 in
+  rejects "run width 0" (fun () -> ignore (Design.run kernel ~width:0));
+  rejects "run past max_width" (fun () -> ignore (Design.run kernel ~width:4))
 
 (* --- Design --- *)
 
@@ -182,9 +204,37 @@ let test_staircase_golden () =
 
 (* The cell-by-cell greedy, kept as the reference: each cell in turn
    tops up the chain with the smallest load, rescanning every chain.
-   [Design.design] must build exactly what this builds. *)
+   [Design.design] must build exactly what this builds, and
+   [Pareto.staircase] must keep exactly the frontier [staircase] keeps
+   from designing every width. *)
 module Reference = struct
   open Design
+
+  type 'a bin = { load : int; items : 'a list }
+
+  (* Best-fit decreasing: sort items by decreasing weight, always place
+     into the currently shortest bin (the lowest index among ties). *)
+  let bfd ~k ~weight items =
+    if k <= 0 then invalid_arg "Partition.bfd: k must be positive";
+    if List.exists (fun it -> weight it < 0) items then
+      invalid_arg "Partition.bfd: negative weight";
+    let bins = Array.make k { load = 0; items = [] } in
+    let sorted = List.sort (fun a b -> compare (weight b) (weight a)) items in
+    let shortest () =
+      let best = ref 0 in
+      for i = 1 to k - 1 do
+        if bins.(i).load < bins.(!best).load then best := i
+      done;
+      !best
+    in
+    let place it =
+      let i = shortest () in
+      bins.(i) <- { load = bins.(i).load + weight it; items = it :: bins.(i).items }
+    in
+    List.iter place sorted;
+    (* Heavier-first within a bin: items were placed in decreasing weight
+       order, so reversing the accumulated list restores it. *)
+    Array.map (fun b -> { b with items = List.rev b.items }) bins
 
   (* Level [n] unit cells onto the bins, each time topping up the bin
      whose [load] is currently smallest. O(n*k) with tiny constants; the
@@ -200,10 +250,10 @@ module Reference = struct
 
   let design (core : Types.core) ~width =
     if width <= 0 then invalid_arg "Design.design: width must be positive";
-    let scan_bins = Partition.bfd ~k:width ~weight:Fun.id core.scan_chains in
+    let scan_bins = bfd ~k:width ~weight:Fun.id core.scan_chains in
     let chains =
       Array.map
-        (fun (b : int Partition.bin) ->
+        (fun (b : int bin) ->
           { scan = b.items; input_cells = 0; output_cells = 0; bidir_cells = 0 })
         scan_bins
     in
@@ -228,6 +278,29 @@ module Reference = struct
     let scan_in = Array.fold_left (fun m c -> max m (chain_scan_in c)) 0 chains in
     let scan_out = Array.fold_left (fun m c -> max m (chain_scan_out c)) 0 chains in
     { core; width; used_width = max 1 used_width; chains; scan_in; scan_out }
+
+  (* The frontier fold over every width 1..max_width: no kernel and no
+     early exit. *)
+  let staircase core ~max_width : Pareto.point list =
+    if max_width <= 0 then invalid_arg "Pareto.staircase: max_width must be positive";
+    let add (frontier : Pareto.point list) w =
+      let d = design core ~width:w in
+      let time = test_time d in
+      (* Use the wires the design actually occupies, not the budget: a
+         64-wide budget on a 3-chain combinational core may build only a
+         handful of non-empty chains. *)
+      let width = d.used_width in
+      match frontier with
+      | [] -> [ { Pareto.width; time } ]
+      | best :: _ ->
+        if time < best.time && width > best.width then { width; time } :: frontier
+        else if time < best.time && width <= best.width then
+          (* strictly better at no more wires: replace dominated points *)
+          { width; time } :: List.filter (fun (p : Pareto.point) -> p.width < width) frontier
+        else frontier
+    in
+    let frontier = List.fold_left add [] (List.init max_width (fun i -> i + 1)) in
+    List.rev frontier
 end
 
 let qcheck_tests =
@@ -247,46 +320,79 @@ let qcheck_tests =
   (* Cores [core_arb] never draws: no inputs, outputs or bidirs, up to
      40 scan chains with many equal lengths (ties between chains), and
      widths up to 96, often more wrapper chains than cells. *)
+  let terminals hi = Gen.frequency [ (1, Gen.return 0); (3, Gen.int_range 0 hi) ] in
+  let chain_length =
+    Gen.frequency
+      [ (1, Gen.int_range 1 400); (2, Gen.map (fun x -> 20 * x) (Gen.int_range 1 4)) ]
+  in
+  let design_core =
+    let open Gen in
+    let* inputs = terminals 200 in
+    let* outputs = terminals 150 in
+    let* bidirs = terminals 40 in
+    let* chains = list_size (int_range 0 40) chain_length in
+    return (inputs, outputs, bidirs, chains)
+  in
   let design_arb =
-    let terminals hi = Gen.frequency [ (1, Gen.return 0); (3, Gen.int_range 0 hi) ] in
-    let chain_length =
-      Gen.frequency
-        [ (1, Gen.int_range 1 400); (2, Gen.map (fun x -> 20 * x) (Gen.int_range 1 4)) ]
-    in
     make
       ~print:(fun ((c : Types.core), w) ->
         Printf.sprintf "width %d, inputs %d, outputs %d, bidirs %d, chains [%s]" w
           c.Types.inputs c.Types.outputs c.Types.bidirs
           (String.concat "; " (List.map string_of_int c.Types.scan_chains)))
       (let open Gen in
-       let* inputs = terminals 200 in
-       let* outputs = terminals 150 in
-       let* bidirs = terminals 40 in
-       let* chains = list_size (int_range 0 40) chain_length in
+       let* inputs, outputs, bidirs, chains = design_core in
        let* width = int_range 1 96 in
        return
          ( Types.core ~id:1 ~name:"q" ~inputs ~outputs ~bidirs ~scan_chains:chains
              ~patterns:1,
            width ))
   in
+  (* [design_arb]'s cores with patterns 1..2000, so T trades si against
+     so as real cores do, and a max_width of 1..96; plus cores whose
+     floor comes at width 1 (one scan chain, no terminals) and
+     combinational cores with more terminals than max_width, which never
+     reach their floor and sweep every width. *)
+  let sweep_arb =
+    make
+      ~print:(fun ((c : Types.core), max_width) ->
+        Printf.sprintf
+          "max_width %d, patterns %d, inputs %d, outputs %d, bidirs %d, chains [%s]"
+          max_width c.Types.patterns c.Types.inputs c.Types.outputs c.Types.bidirs
+          (String.concat "; " (List.map string_of_int c.Types.scan_chains)))
+      (let open Gen in
+       let* max_width = int_range 1 96 in
+       let* patterns = int_range 1 2000 in
+       let floor_at_one = map (fun l -> (0, 0, 0, [ l ])) chain_length in
+       let combinational =
+         let* inputs = int_range (max_width + 1) (max_width + 200) in
+         let* outputs = terminals 150 in
+         let* bidirs = terminals 40 in
+         return (inputs, outputs, bidirs, [])
+       in
+       let* inputs, outputs, bidirs, chains =
+         frequency [ (6, design_core); (1, floor_at_one); (1, combinational) ]
+       in
+       return
+         ( Types.core ~id:1 ~name:"q" ~inputs ~outputs ~bidirs ~scan_chains:chains
+             ~patterns,
+           max_width ))
+  in
   [
     Test.make ~name:"bfd max load >= ceil(total/k) and >= max item" ~count:300
       (pair (int_range 1 16) (list_of_size (Gen.int_range 1 30) (int_range 0 500)))
       (fun (k, items) ->
-        let bins = Partition.bfd ~k ~weight:Fun.id items in
         let total = List.fold_left ( + ) 0 items in
         let biggest = List.fold_left max 0 items in
-        let load = Partition.max_load bins in
+        let load = max_scan_load items ~width:k in
         load >= (total + k - 1) / k && load >= biggest);
     Test.make ~name:"bfd within 4/3 OPT bound for makespan" ~count:300
       (pair (int_range 1 8) (list_of_size (Gen.int_range 1 20) (int_range 1 100)))
       (fun (k, items) ->
-        let bins = Partition.bfd ~k ~weight:Fun.id items in
         let total = List.fold_left ( + ) 0 items in
         let biggest = List.fold_left max 0 items in
         let opt_lb = max biggest ((total + k - 1) / k) in
         (* LPT guarantee: load <= (4/3 - 1/(3k)) OPT *)
-        3 * Partition.max_load bins <= 4 * opt_lb + biggest);
+        3 * max_scan_load items ~width:k <= 4 * opt_lb + biggest);
     Test.make ~name:"staircase monotone for random cores" ~count:100 core_arb
       (fun core ->
         let points = Pareto.points (Pareto.staircase core ~max_width:20) in
@@ -308,6 +414,10 @@ let qcheck_tests =
     Test.make ~name:"design equals the cell-by-cell reference" ~count:1000
       design_arb (fun (core, width) ->
         Design.design core ~width = Reference.design core ~width);
+    Test.make ~name:"staircase equals the every-width reference sweep" ~count:500
+      sweep_arb (fun (core, max_width) ->
+        Pareto.points (Pareto.staircase core ~max_width)
+        = Reference.staircase core ~max_width);
     Test.make ~name:"design conserves cells" ~count:100 core_arb
       (fun core ->
         let d = Design.design core ~width:5 in
@@ -335,7 +445,6 @@ let suites =
         Alcotest.test_case "single bin" `Quick test_bfd_single_bin;
         Alcotest.test_case "more bins than items" `Quick test_bfd_more_bins_than_items;
         Alcotest.test_case "rejects bad input" `Quick test_bfd_rejects_bad_input;
-        Alcotest.test_case "spread" `Quick test_spread;
       ] );
     ( "wrapper.design",
       [
