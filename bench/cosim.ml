@@ -1,10 +1,7 @@
-(* Co-simulation workload: the Fig. 5 closed loop through the event
-   engine, the full spec-test battery, and a Monte-Carlo yield sweep
-   timed serial vs pooled with the bit-identical certificate.
-
-   Env knobs (CI shrinks them):
-     MSOC_COSIM_TRIALS  Monte-Carlo trials (default 200)
-     MSOC_COSIM_JOBS    pooled worker count (default Pool.default_jobs)
+(* Co-simulation workload: the Fig. 5 closed loop through the wrapped
+   batch path, the full spec-test battery, and a 200-trial Monte-Carlo
+   yield sweep timed serial vs pooled on four domains, with the
+   bit-identical certificate.
 
    Gates (hard failures, so CI catches a regression):
      - Fig. 5: wrapped fc within 5 % of the direct measurement
@@ -17,15 +14,12 @@ module Monte_carlo = Msoc_cosim.Monte_carlo
 module Pool = Msoc_util.Pool
 module Export = Msoc_testplan.Export
 
-let int_env name default =
-  match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
-
 let trial_key (t : Monte_carlo.trial) =
   (t.Monte_carlo.index, t.Monte_carlo.measured, t.Monte_carlo.direct,
    t.Monte_carlo.error_pct, t.Monte_carlo.pass)
 
 let run () =
-  Printf.printf "\n=== cosim: event-driven co-simulation ===\n%!";
+  Printf.printf "\n=== cosim: wrapped co-simulation (one batch pass) ===\n%!";
 
   (* --- Fig. 5 closed loop --- *)
   let fig5 = Testbench.run Testbench.Fc in
@@ -48,8 +42,7 @@ let run () =
     battery;
 
   (* --- Monte-Carlo sweep, serial vs pooled --- *)
-  let trials = int_env "MSOC_COSIM_TRIALS" 200 in
-  let jobs = int_env "MSOC_COSIM_JOBS" (Pool.default_jobs ()) in
+  let trials = 200 and jobs = 4 in
   let seed = 42 in
   let serial_trials, serial = Monte_carlo.run ~trials ~seed Testbench.Fc in
   let pooled_trials, pooled =

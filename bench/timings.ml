@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks: one Test.make per reproduced table /
    figure, timing the computational kernel that regenerates it, plus
-   the Design_wrapper staircases every plan starts from. The
+   the Design_wrapper staircases every plan starts from and one
+   co-simulated Fig. 5 record. The
    paper's own CPU-time claim (heuristic 6 min vs exhaustive 20 min on
    a Sun Ultra) maps to the table4 pair below. *)
 
@@ -75,8 +76,15 @@ let tests () =
     Test.make ~name:"fig5:wrapped cutoff experiment"
       (Staged.stage (fun () -> ignore (Figures.fig5_experiment ~n:1024 ())))
   in
+  let cosim_fc =
+    Test.make ~name:"cosim:Testbench.run fc (default config)"
+      (Staged.stage (fun () -> ignore (Msoc_cosim.Testbench.run Msoc_cosim.Testbench.Fc)))
+  in
   Test.make_grouped ~name:"msoc"
-    [ staircases; table1; table2; table3; table4_exhaustive; table4_heuristic; fig5 ]
+    [
+      staircases; table1; table2; table3; table4_exhaustive; table4_heuristic; fig5;
+      cosim_fc;
+    ]
 
 let run () =
   Printf.printf "\n=== Bechamel timings (one benchmark per table/figure) ===\n\n";

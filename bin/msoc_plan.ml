@@ -13,7 +13,7 @@
      sharing   - list wrapper-sharing combinations with C_A and T_LB
      generate  - emit a synthetic .soc benchmark file
      bist      - converter self-test and Monte-Carlo yield
-     cosim     - event-driven co-simulation of wrapped spec tests
+     cosim     - co-simulation of wrapped spec tests (Fig. 5)
 
    Exit codes: 0 clean; 1 when `check` or `--verify` finds an
    error-severity diagnostic (or `replay` sees a failure); cmdliner's
@@ -33,16 +33,22 @@ module Evaluate = Msoc_testplan.Evaluate
 
 (* --- shared argument definitions --- *)
 
-(* A bad count (--width, --jobs or MSOC_JOBS, --workers) is a usage
-   error (exit 124) like any other unparseable option. *)
-let positive_int =
+(* A value out of its range (--width, --jobs or MSOC_JOBS, --workers,
+   the cosim numbers) is a usage error (exit 124) like any other
+   unparseable option: [ok] accepts the value, [expected] names what
+   would have been accepted. *)
+let checked ~docv ~expected of_string pp ok =
   let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
+    match of_string (String.trim s) with
+    | Some v when ok v -> Ok v
     | Some _ | None ->
-      Error (Printf.sprintf "invalid value '%s', expected a positive integer" s)
+      Error (Printf.sprintf "invalid value '%s', expected %s" s expected)
   in
-  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+  Arg.conv' ~docv (parse, pp)
+
+let positive_int =
+  checked ~docv:"N" ~expected:"a positive integer" int_of_string_opt
+    Format.pp_print_int (fun n -> n >= 1)
 
 let width_arg =
   let doc = "SOC-level TAM width (wires)." in
@@ -1795,27 +1801,13 @@ let bist_cmd =
 
 (* --- cosim --- *)
 
-let run_cosim spec_name trials seed jobs bits samples tolerance ideal as_json
+let run_cosim specs trials seed jobs bits samples tolerance ideal as_json
     calibrate system_clock_mhz width weight_time soc_file analog_cores =
   let module Testbench = Msoc_cosim.Testbench in
   let module Monte_carlo = Msoc_cosim.Monte_carlo in
   let module Calibrate = Msoc_cosim.Calibrate in
   let module Variation = Msoc_mixedsig.Variation in
   let module Export = Msoc_testplan.Export in
-  let specs =
-    if String.lowercase_ascii spec_name = "all" then Testbench.specs
-    else
-      match Testbench.spec_of_name spec_name with
-      | Some s -> [ s ]
-      | None ->
-        Fmt.failwith "unknown spec %S (expected 'all' or one of: %s)"
-          spec_name
-          (String.concat ", " Testbench.spec_names)
-  in
-  if bits < 4 || bits > 16 || bits mod 2 <> 0 then
-    Fmt.failwith "--bits must be an even resolution in 4..16, got %d" bits;
-  if samples < 16 then Fmt.failwith "--samples must be >= 16, got %d" samples;
-  if trials < 0 then Fmt.failwith "--trials must be >= 0, got %d" trials;
   let base = if ideal then Testbench.ideal else Testbench.default in
   let config =
     {
@@ -1927,14 +1919,35 @@ let run_cosim spec_name trials seed jobs bits samples tolerance ideal as_json
       (Msoc_check.Verify.plan plan)
 
 let cosim_cmd =
+  let module Testbench = Msoc_cosim.Testbench in
   let doc =
-    "co-simulate a wrapped analog specification test (event-driven DAC -> \
-     core -> ADC loop, Fig. 5) with optional Monte-Carlo yield sweep and \
-     plan-time calibration"
+    "co-simulate a wrapped analog specification test (the DAC -> core -> \
+     ADC path of Fig. 5, run as one batch pass) with optional Monte-Carlo \
+     yield sweep and plan-time calibration"
+  in
+  let int_where ~docv ~expected ok =
+    checked ~docv ~expected int_of_string_opt Format.pp_print_int ok
+  in
+  let positive_float ~docv =
+    checked ~docv ~expected:"a positive number" float_of_string_opt
+      Format.pp_print_float (fun f -> Float.is_finite f && f > 0.0)
   in
   let spec_arg =
+    let parse s =
+      if String.lowercase_ascii (String.trim s) = "all" then Ok Testbench.specs
+      else
+        match Testbench.spec_of_name s with
+        | Some spec -> Ok [ spec ]
+        | None -> unknown_name ~valid:("all" :: Testbench.spec_names) s
+    in
+    let print ppf specs =
+      Format.pp_print_string ppf
+        (if specs = Testbench.specs then "all"
+         else String.concat "," (List.map Testbench.spec_name specs))
+    in
     Arg.(
-      value & opt string "fc"
+      value
+      & opt (conv' ~docv:"SPEC" (parse, print)) [ Testbench.Fc ]
       & info [ "spec" ] ~docv:"SPEC"
           ~doc:
             "Specification test to co-simulate: gain, fc, thd, iip3, offset, \
@@ -1942,7 +1955,8 @@ let cosim_cmd =
   in
   let trials_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_where ~docv:"N" ~expected:"a non-negative integer" (fun n -> n >= 0)) 0
       & info [ "trials" ] ~docv:"N"
           ~doc:
             "Monte-Carlo trials across process variation (0 = single \
@@ -1958,18 +1972,24 @@ let cosim_cmd =
   in
   let bits_arg =
     Arg.(
-      value & opt int 8
-      & info [ "bits" ] ~docv:"B" ~doc:"Wrapper converter resolution (even).")
+      value
+      & opt
+          (int_where ~docv:"B" ~expected:"an even resolution in 4..16" (fun b ->
+               b >= 4 && b <= 16 && b mod 2 = 0))
+          8
+      & info [ "bits" ] ~docv:"B"
+          ~doc:"Wrapper converter resolution (even, 4..16).")
   in
   let samples_arg =
     Arg.(
-      value & opt int 4551
-      & info [ "samples" ] ~docv:"N" ~doc:"Stimulus record length.")
+      value
+      & opt (int_where ~docv:"N" ~expected:"an integer >= 16" (fun n -> n >= 16)) 4551
+      & info [ "samples" ] ~docv:"N" ~doc:"Stimulus record length (>= 16).")
   in
   let tolerance_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (positive_float ~docv:"PCT")) None
       & info [ "tolerance" ] ~docv:"PCT"
           ~doc:"Pass threshold on wrapped-vs-direct error (default per spec).")
   in
@@ -1990,7 +2010,7 @@ let cosim_cmd =
   in
   let clock_arg =
     Arg.(
-      value & opt float 78.0
+      value & opt (positive_float ~docv:"MHZ") 78.0
       & info [ "system-clock" ] ~docv:"MHZ"
           ~doc:"SOC TAM clock for $(b,--calibrate) divide ratios.")
   in

@@ -5,9 +5,9 @@
     analog test is matched to a {!Testbench} program, its wrapper is
     configured for the test's sampling rate and TAM width
     ({!Msoc_mixedsig.Wrapper.configure_for_test}), the program runs
-    through the event engine, and the measured record time in TAM
-    cycles (the engine's event horizon, which equals
-    [samples · serial_to_parallel · divide_ratio]) replaces the
+    through the wrapped path, and the measured record time in TAM
+    cycles ([samples · serial_to_parallel · divide_ratio], the
+    wrapper's {!Msoc_mixedsig.Wrapper.test_cycles}) replaces the
     nominal [cycles]. The calibrated cores drop straight into
     {!Msoc_testplan.Problem} — a plan over co-sim-measured times
     instead of datasheet estimates — and every such plan re-verifies
@@ -16,7 +16,7 @@
 type measured = {
   test : Msoc_analog.Spec.test;  (** the nominal catalog entry *)
   spec : Testbench.spec;  (** the co-sim program that measured it *)
-  measured_cycles : int;  (** engine TAM-cycle horizon for the record *)
+  measured_cycles : int;  (** TAM cycles of the record under the test's wrapper *)
   value : float;  (** the wrapped-path specification readout *)
   error_pct : float;  (** wrapped vs direct *)
 }

@@ -1,6 +1,4 @@
 module Models = Msoc_mixedsig.Analog_models
-module Filter = Msoc_signal.Filter
-module Rng = Msoc_util.Rng
 
 type stage =
   | Gain of float
@@ -16,67 +14,6 @@ let make ?(bias = 2.0) ~fs stages =
   if fs <= 0.0 then invalid_arg "Dut.make: fs must be positive";
   { stages; fs; bias }
 
-(* --- streaming instantiation --- *)
-
-(* Per-sample DF2T biquad cascade with persistent section state: the
-   same recurrence Filter.process runs section-by-section over the
-   whole array, reassociated per sample. Both orders compute identical
-   float operations for each (section, sample) pair, so the outputs
-   are bit-identical. *)
-let stream_filter filter =
-  let sections =
-    List.map (fun s -> (s, ref 0.0, ref 0.0)) (Filter.sections filter)
-  in
-  fun x ->
-    List.fold_left
-      (fun x ((s : Filter.biquad), z1, z2) ->
-        let y = (s.Filter.b0 *. x) +. !z1 in
-        z1 := (s.Filter.b1 *. x) -. (s.Filter.a1 *. y) +. !z2;
-        z2 := (s.Filter.b2 *. x) -. (s.Filter.a2 *. y);
-        y)
-      x sections
-
-(* Mirrors Analog_models.slew_limited: state starts at the first
-   sample, so the first output equals the first input. *)
-let stream_slew ~max_slew_v_per_s ~fs =
-  if max_slew_v_per_s <= 0.0 then
-    invalid_arg "Dut: slew must be positive";
-  let step = max_slew_v_per_s /. fs in
-  let state = ref None in
-  fun target ->
-    let prev = match !state with Some s -> s | None -> target in
-    let delta = Msoc_util.Numeric.clamp ~lo:(-.step) ~hi:step (target -. prev) in
-    let y = prev +. delta in
-    state := Some y;
-    y
-
-(* Mirrors Analog_models.additive_noise's Box-Muller draw order: one
-   (u1, u2) pair per sample from a single stream. *)
-let stream_noise ~sigma ~seed =
-  let rng = Rng.create ~seed in
-  fun x ->
-    let u1 = Float.max 1e-12 (Rng.float rng ~bound:1.0) in
-    let u2 = Rng.float rng ~bound:1.0 in
-    let g = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
-    x +. (sigma *. g)
-
-let stream_stage ~fs = function
-  | Gain g -> fun x -> g *. x
-  | Dc_offset c -> fun x -> x +. c
-  | Lowpass { order; fc } ->
-    stream_filter (Filter.butterworth_lowpass ~order ~fc ~fs)
-  | Polynomial { a1; a2; a3 } ->
-    fun x -> (a1 *. x) +. (a2 *. x *. x) +. (a3 *. x *. x *. x)
-  | Slew_limited { max_slew_v_per_s } -> stream_slew ~max_slew_v_per_s ~fs
-  | Noise { sigma; seed } -> stream_noise ~sigma ~seed
-
-let stream t =
-  let fns = List.map (stream_stage ~fs:t.fs) t.stages in
-  fun v ->
-    t.bias +. List.fold_left (fun x f -> f x) (v -. t.bias) fns
-
-(* --- batch instantiation --- *)
-
 let batch_stage ~fs = function
   | Gain g -> Models.gain g
   | Dc_offset c -> Models.dc_offset c
@@ -89,5 +26,3 @@ let batch_stage ~fs = function
 let batch t =
   Models.biased ~bias:t.bias
     (Models.compose (List.map (batch_stage ~fs:t.fs) t.stages))
-
-let run_stream t samples = Array.map (stream t) samples

@@ -1,21 +1,9 @@
 (** Device-under-test models as declarative stage pipelines.
 
-    The behavioral models in {!Msoc_mixedsig.Analog_models} are batch
-    functions over a whole record — the right shape for the
-    measurement suite, the wrong shape for an event-driven loop that
-    advances the analog world one sample per {!Event.Analog_advance}.
-    This module describes a DUT as a list of stages and instantiates
-    it either way:
-
-    - {!stream} builds a stateful per-sample function (persistent
-      filter sections, one RNG stream) for the co-sim engine;
-    - {!batch} builds the equivalent {!Msoc_mixedsig.Analog_models.t}
-      for direct-measurement golden paths.
-
-    The two instantiations are bit-identical sample for sample (same
-    arithmetic, same order — certified by the test suite), so a
-    co-simulated measurement can be compared against its batch
-    counterpart without numerical excuses. *)
+    A DUT is a list of stages around an operating point; {!batch}
+    instantiates it as a record-at-once
+    {!Msoc_mixedsig.Analog_models.t}, the model both the wrapped path
+    ({!Engine.run}) and the testbench's direct path run. *)
 
 type stage =
   | Gain of float
@@ -25,29 +13,20 @@ type stage =
   | Polynomial of { a1 : float; a2 : float; a3 : float }
   | Slew_limited of { max_slew_v_per_s : float }
   | Noise of { sigma : float; seed : int }
-      (** deterministic Gaussian noise; a fresh stream per
-          instantiation *)
+      (** deterministic Gaussian noise; the stream restarts at every
+          record *)
 
 type t = { stages : stage list; fs : float; bias : float }
 (** A pipeline running at [fs], AC-coupled around [bias] (the wrapper
-    operating point): every instantiation processes the component
-    around [bias], exactly like
-    {!Msoc_mixedsig.Analog_models.biased}. *)
+    operating point): the stages process the component around [bias],
+    exactly like {!Msoc_mixedsig.Analog_models.biased}. *)
 
 val make : ?bias:float -> fs:float -> stage list -> t
 (** Default bias 2 V (mid-rail of the 0..4 V wrapper supply).
     @raise Invalid_argument on a non-positive [fs]. *)
 
-val stream : t -> float -> float
-(** A fresh stateful per-sample instance. Feed samples in time order;
-    each call advances filter and slew state and consumes noise
-    draws. *)
-
 val batch : t -> Msoc_mixedsig.Analog_models.t
-(** The equivalent record-at-once model, built from
+(** The record-at-once model, built from
     {!Msoc_mixedsig.Analog_models} combinators (biased composition
-    included). *)
-
-val run_stream : t -> float array -> float array
-(** [batch] semantics via a fresh {!stream} instance — the direct
-    analog measurement path of the co-sim testbench. *)
+    included). Filter and slew state start afresh and the noise stream
+    restarts at every record it is applied to. *)

@@ -1,30 +1,30 @@
-(** The event-driven co-simulation loop (the paper's Fig. 5 path).
+(** The wrapped co-simulation path (the paper's Fig. 5 loop).
 
-    Drives one core test through a wrapper as discrete events on the
-    TAM clock: every sample period ([serial_to_parallel ·
-    divide_ratio] TAM cycles) a stimulus word crosses the TAM
-    ([Tam_word]), is converted ([Dac_convert]), advances the analog
-    solver by one sample ([Analog_advance] — the streaming DUT), and
-    one period later the ADC captures the response ([Adc_convert],
-    [Tam_capture]) — the converters pipeline, so scan-in and scan-out
-    overlap exactly as {!Msoc_mixedsig.Wrapper.test_cycles} accounts.
-    A final [Extract] event closes the record.
+    Runs one core test through a wrapper as one batch pass: the
+    stimulus codes go through the wrapper's DAC, the DUT
+    ({!Dut.batch}) and the wrapper's ADC —
+    {!Msoc_mixedsig.Wrapper.apply_core_test}. On the TAM clock, one
+    sample period is [serial_to_parallel · divide_ratio] cycles: a
+    stimulus word crosses the TAM, the DAC converts it, the DUT
+    advances one sample, and one period later the ADC captures the
+    response and the word leaves over the TAM. Scan-in and scan-out
+    overlap, so the record ends at
+    {!Msoc_mixedsig.Wrapper.test_cycles}.
 
-    The digitized response is bit-identical to the batch
-    {!Msoc_mixedsig.Wrapper.apply_core_test} path over {!Dut.batch}
-    (same converter arithmetic, same DUT arithmetic) — asserted in the
-    test suite — so the event engine adds observability (timestamps,
-    event counts, cycle accounting), never numerical drift. *)
+    The pass is exact: the converters are memoryless per sample (their
+    mismatch is drawn when they are built), and the DUT's state
+    (filter sections, slew, noise stream) advances in sample order, as
+    it would one sample at a time. The test suite checks the result
+    against an event-driven reference that runs the chain one
+    boundary crossing at a time. *)
 
 type trace = {
   samples : int;
   tam_cycles : int;
-      (** timestamp of the last capture = wrapper test time; equals
+      (** time of the last capture = wrapper test time,
           {!Msoc_mixedsig.Wrapper.test_cycles} for the record *)
-  dac_events : int;
-  adc_events : int;
-  analog_advances : int;
   scheduler : Scheduler.stats;
+      (** the boundary-crossing counts of the record, in closed form *)
   response : int array;  (** digitized response codes, in order *)
 }
 

@@ -1,100 +1,1 @@
-(* Binary min-heap over Event.compare in a growable array. *)
-
-type t = {
-  mutable heap : Event.t array;  (* slots 0 .. size-1 are live *)
-  mutable size : int;
-  mutable clock : int;
-  mutable next_seq : int;
-  mutable processed : int;
-  mutable peak_queue : int;
-  mutable horizon : int;
-  mutable running : bool;
-}
-
-let create () =
-  {
-    heap = Array.make 64 { Event.time = 0; seq = 0; payload = Event.Extract };
-    size = 0;
-    clock = 0;
-    next_seq = 0;
-    processed = 0;
-    peak_queue = 0;
-    horizon = 0;
-    running = false;
-  }
-
-let now t = t.clock
-
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if Event.compare t.heap.(i) t.heap.(parent) < 0 then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && Event.compare t.heap.(l) t.heap.(!smallest) < 0 then
-    smallest := l;
-  if r < t.size && Event.compare t.heap.(r) t.heap.(!smallest) < 0 then
-    smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let post t ~time payload =
-  if time < 0 then invalid_arg "Scheduler.post: negative timestamp";
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Scheduler.post: %s at t=%d is in the past (now %d)"
-         (Event.describe payload) time t.clock);
-  if t.size = Array.length t.heap then begin
-    let bigger =
-      Array.make (2 * Array.length t.heap)
-        { Event.time = 0; seq = 0; payload = Event.Extract }
-    in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.heap.(t.size) <- { Event.time; seq = t.next_seq; payload };
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  if t.size > t.peak_queue then t.peak_queue <- t.size;
-  sift_up t (t.size - 1)
-
-let pop t =
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    sift_down t 0
-  end;
-  top
-
-let run t ~handler =
-  if t.running then invalid_arg "Scheduler.run: already running";
-  t.running <- true;
-  Fun.protect
-    ~finally:(fun () -> t.running <- false)
-    (fun () ->
-      while t.size > 0 do
-        let ev = pop t in
-        t.clock <- ev.Event.time;
-        if ev.Event.time > t.horizon then t.horizon <- ev.Event.time;
-        t.processed <- t.processed + 1;
-        handler t ev
-      done)
-
-type stats = { processed : int; peak_queue : int; horizon : int }
-
-let stats (t : t) =
-  { processed = t.processed; peak_queue = t.peak_queue; horizon = t.horizon }
+type stats = { processed : int; peak_queue : int }

@@ -1,34 +1,13 @@
-(** Discrete-event scheduler: a time-ordered queue of {!Event.t}.
+(** Boundary-crossing counts of one wrapped record.
 
-    The classic event-wheel loop: handlers pop the earliest event and
-    may post further events at the current or a later timestamp.
-    Events sharing a timestamp run in post order (their sequence
-    number), so a DAC conversion posted by a TAM-word handler runs
-    before the next sample period — deterministic without fractional
-    timestamps. *)
-
-type t
-
-val create : unit -> t
-
-val now : t -> int
-(** Timestamp of the event currently being processed (0 before the
-    first event). *)
-
-val post : t -> time:int -> Event.payload -> unit
-(** Enqueue an event. @raise Invalid_argument if [time] is negative or
-    in the past ([time < now t]) — a discrete-event simulation cannot
-    rewrite history. *)
-
-val run : t -> handler:(t -> Event.t -> unit) -> unit
-(** Drain the queue: repeatedly pop the minimum (time, seq) event,
-    advance the clock to it and call [handler]. Returns when the queue
-    is empty. Not reentrant. *)
+    A record of [n] samples crosses the analog/digital boundary five
+    times per sample — stimulus word in over the TAM, DAC conversion,
+    one DUT step, ADC conversion one sample period later, response
+    word out over the TAM — and is closed by one DSP extraction. All
+    [n] stimulus words are due before the first capture, so at most
+    [n] crossings are ever pending. *)
 
 type stats = {
-  processed : int;  (** events handled across all [run] calls *)
-  peak_queue : int;  (** high-water mark of pending events *)
-  horizon : int;  (** largest timestamp processed *)
+  processed : int;  (** boundary crossings: [5·n + 1] *)
+  peak_queue : int;  (** most crossings pending at once: [n] *)
 }
-
-val stats : t -> stats

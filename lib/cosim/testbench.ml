@@ -227,9 +227,9 @@ let run ?tolerance_pct ?(config = default) spec =
   let dut = dut_for config spec in
   let stimulus = stimulus_for config spec in
   (* Direct path: a bench probe on the bare core — no converters. *)
-  let direct_out = Dut.run_stream dut stimulus.samples_v in
+  let direct_out = Dut.batch dut stimulus.samples_v in
   let direct = extract config spec ~stimulus ~response:direct_out in
-  (* Wrapped path: digital words through DAC → DUT → ADC as events. *)
+  (* Wrapped path: digital words through DAC → DUT → ADC. *)
   let bits = config.variation.Variation.bits in
   let range = Quantize.default_range in
   let codes = Array.map (Quantize.encode ~bits ~range) stimulus.samples_v in

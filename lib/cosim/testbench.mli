@@ -1,9 +1,8 @@
 (** Table-2 specification tests as reusable co-simulation programs.
 
-    Each spec builds a digital stimulus, runs it through the
-    event-driven engine against a behavioral DUT (the wrapped path —
-    what a digital ATE measures through the paper's wrapper), runs the
-    same stimulus through the bare analog model (the direct path — a
+    Each spec builds a digital stimulus, runs it through the wrapped
+    path ({!Engine.run}) against a behavioral DUT (what a digital ATE
+    measures through the paper's wrapper), runs the same stimulus through the bare analog model (the direct path — a
     bench instrument probing the core), applies the same DSP
     extraction to both, and reports the pair with their relative
     error. The [Fc] program with the default configuration is the
@@ -60,7 +59,7 @@ val dut_for : config -> spec -> Dut.t
 
 type result = {
   spec : spec;
-  measured : float;  (** wrapped-path value, via the event engine *)
+  measured : float;  (** wrapped-path value, via {!Engine.run} *)
   direct : float;  (** direct analog measurement of the same DUT *)
   unit_label : string;  (** "kHz", "V/V", "ratio", "V", "V/us", "dB" *)
   error_pct : float;  (** 100·|measured − direct| / |direct| *)

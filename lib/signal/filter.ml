@@ -51,10 +51,6 @@ let butterworth_lowpass ~order ~fc ~fs =
   in
   of_sections sections
 
-let first_order_lowpass ~fc ~fs =
-  check_frequencies ~fc ~fs;
-  of_sections [ lowpass_first_order ~fc ~fs ]
-
 let process_section s samples =
   let z1 = ref 0.0 and z2 = ref 0.0 in
   Array.map

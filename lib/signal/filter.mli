@@ -11,17 +11,12 @@ type biquad = { b0 : float; b1 : float; b2 : float; a1 : float; a2 : float }
 type t
 (** Cascade of sections. *)
 
-val of_sections : biquad list -> t
-(** @raise Invalid_argument on an empty list. *)
-
 val sections : t -> biquad list
 
 val butterworth_lowpass : order:int -> fc:float -> fs:float -> t
 (** Standard Butterworth low-pass.
     @raise Invalid_argument unless [1 <= order <= 8] and
     [0 < fc < fs/2]. *)
-
-val first_order_lowpass : fc:float -> fs:float -> t
 
 val process : t -> float array -> float array
 (** Filter a record (direct form II transposed, zero initial state). *)

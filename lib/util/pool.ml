@@ -99,12 +99,3 @@ let map pool f xs =
          | Some (Ok y) -> y
          | Some (Error e) -> raise e
          | None -> assert false)
-
-let default_jobs () =
-  match Sys.getenv_opt "MSOC_JOBS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None ->
-      invalid_arg (Printf.sprintf "MSOC_JOBS must be a positive integer, got %S" s))

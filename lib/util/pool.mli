@@ -34,11 +34,3 @@ val shutdown : t -> unit
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down
     afterwards, also on exceptions. *)
-
-val default_jobs : unit -> int
-(** The [MSOC_JOBS] environment variable, or 1 when unset — the
-    default worker count for the benches. (The CLI reads [MSOC_JOBS]
-    through its [--jobs] option, which reports a bad value as a usage
-    error.)
-    @raise Invalid_argument when [MSOC_JOBS] is set but not a positive
-    integer. *)

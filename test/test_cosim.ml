@@ -1,8 +1,7 @@
-(* Msoc_cosim: event scheduler, streaming DUT vs batch models, the
-   engine vs the batch wrapper path, the Fig. 5 testbench, Monte-Carlo
+(* Msoc_cosim: the batch engine against the event-driven reference it
+   replaced, the Fig. 5 testbench and its golden digest, Monte-Carlo
    determinism, plan-time calibration, and the serve [cosim] op. *)
 
-module Event = Msoc_cosim.Event
 module Scheduler = Msoc_cosim.Scheduler
 module Dut = Msoc_cosim.Dut
 module Engine = Msoc_cosim.Engine
@@ -18,6 +17,7 @@ module Spec = Msoc_analog.Spec
 module Catalog = Msoc_analog.Catalog
 module Pool = Msoc_util.Pool
 module Rng = Msoc_util.Rng
+module Filter = Msoc_signal.Filter
 module Export = Msoc_testplan.Export
 module Plan = Msoc_testplan.Plan
 module Protocol = Msoc_serve.Protocol
@@ -28,57 +28,277 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
-(* --- scheduler --- *)
+(* --- the event-driven reference --- *)
 
-let test_scheduler_ordering () =
-  let s = Scheduler.create () in
-  let seen = ref [] in
-  (* post out of time order; ties must run in post order *)
-  Scheduler.post s ~time:5 (Event.Analog_advance { index = 50 });
-  Scheduler.post s ~time:1 (Event.Analog_advance { index = 10 });
-  Scheduler.post s ~time:5 (Event.Analog_advance { index = 51 });
-  Scheduler.post s ~time:3 (Event.Analog_advance { index = 30 });
-  Scheduler.run s ~handler:(fun s ev ->
-      (match ev.Event.payload with
-      | Event.Analog_advance { index } -> seen := index :: !seen
-      | _ -> Alcotest.fail "unexpected payload");
-      (* a handler may chain events at the current time *)
-      if ev.Event.payload = Event.Analog_advance { index = 30 } then
-        Scheduler.post s ~time:(Scheduler.now s)
-          (Event.Analog_advance { index = 31 }));
-  checkb "time then post order" true (List.rev !seen = [ 10; 30; 31; 50; 51 ]);
-  let stats = Scheduler.stats s in
-  checki "processed" 5 stats.Scheduler.processed;
-  checki "horizon" 5 stats.Scheduler.horizon;
-  checkb "peak queue sane" true (stats.Scheduler.peak_queue >= 3)
+(* The discrete-event engine and the per-sample DUT that Engine.run and
+   Dut.batch replaced, kept as the reference both are checked against.
+   Every stimulus word is posted into a (time, seq) min-heap and
+   chained Tam_word -> Dac_convert -> Analog_advance -> Adc_convert
+   (one period later) -> Tam_capture, with one Extract at the end. *)
+module Reference = struct
+  module Event = struct
+    type payload =
+      | Tam_word of { index : int; code : int }
+      | Dac_convert of { index : int; code : int }
+      | Analog_advance of { index : int }
+      | Adc_convert of { index : int }
+      | Tam_capture of { index : int }
+      | Extract
 
-let test_scheduler_rejects_past () =
-  let s = Scheduler.create () in
-  Scheduler.post s ~time:4 Event.Extract;
-  (match Scheduler.post s ~time:(-1) Event.Extract with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "negative time accepted");
-  Scheduler.run s ~handler:(fun s ev ->
-      checki "clock follows event" 4 (Scheduler.now s);
-      checkb "payload" true (ev.Event.payload = Event.Extract);
-      match Scheduler.post s ~time:2 Event.Extract with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "past post accepted")
+    type t = { time : int; seq : int; payload : payload }
 
-let test_scheduler_grows () =
-  (* push past the initial 64-slot heap *)
-  let s = Scheduler.create () in
-  let n = 1000 in
-  for i = n downto 1 do
-    Scheduler.post s ~time:i (Event.Analog_advance { index = i })
-  done;
-  let last = ref 0 in
-  Scheduler.run s ~handler:(fun _ ev ->
-      checki "monotone drain" (!last + 1) ev.Event.time;
-      last := ev.Event.time);
-  checki "all processed" n (Scheduler.stats s).Scheduler.processed
+    let compare a b =
+      match Int.compare a.time b.time with
+      | 0 -> Int.compare a.seq b.seq
+      | c -> c
 
-(* --- streaming DUT vs batch models --- *)
+    let describe = function
+      | Tam_word _ -> "tam_word"
+      | Dac_convert _ -> "dac_convert"
+      | Analog_advance _ -> "analog_advance"
+      | Adc_convert _ -> "adc_convert"
+      | Tam_capture _ -> "tam_capture"
+      | Extract -> "extract"
+  end
+
+  (* Binary min-heap over Event.compare in a growable array. *)
+  module Scheduler = struct
+    type t = {
+      mutable heap : Event.t array;  (* slots 0 .. size-1 are live *)
+      mutable size : int;
+      mutable clock : int;
+      mutable next_seq : int;
+      mutable processed : int;
+      mutable peak_queue : int;
+      mutable horizon : int;
+      mutable running : bool;
+    }
+
+    let create () =
+      {
+        heap = Array.make 64 { Event.time = 0; seq = 0; payload = Event.Extract };
+        size = 0;
+        clock = 0;
+        next_seq = 0;
+        processed = 0;
+        peak_queue = 0;
+        horizon = 0;
+        running = false;
+      }
+
+    let now t = t.clock
+
+    let swap t i j =
+      let tmp = t.heap.(i) in
+      t.heap.(i) <- t.heap.(j);
+      t.heap.(j) <- tmp
+
+    let rec sift_up t i =
+      if i > 0 then begin
+        let parent = (i - 1) / 2 in
+        if Event.compare t.heap.(i) t.heap.(parent) < 0 then begin
+          swap t i parent;
+          sift_up t parent
+        end
+      end
+
+    let rec sift_down t i =
+      let l = (2 * i) + 1 and r = (2 * i) + 2 in
+      let smallest = ref i in
+      if l < t.size && Event.compare t.heap.(l) t.heap.(!smallest) < 0 then
+        smallest := l;
+      if r < t.size && Event.compare t.heap.(r) t.heap.(!smallest) < 0 then
+        smallest := r;
+      if !smallest <> i then begin
+        swap t i !smallest;
+        sift_down t !smallest
+      end
+
+    let post t ~time payload =
+      if time < 0 then invalid_arg "Scheduler.post: negative timestamp";
+      if time < t.clock then
+        invalid_arg
+          (Printf.sprintf "Scheduler.post: %s at t=%d is in the past (now %d)"
+             (Event.describe payload) time t.clock);
+      if t.size = Array.length t.heap then begin
+        let bigger =
+          Array.make (2 * Array.length t.heap)
+            { Event.time = 0; seq = 0; payload = Event.Extract }
+        in
+        Array.blit t.heap 0 bigger 0 t.size;
+        t.heap <- bigger
+      end;
+      t.heap.(t.size) <- { Event.time; seq = t.next_seq; payload };
+      t.next_seq <- t.next_seq + 1;
+      t.size <- t.size + 1;
+      if t.size > t.peak_queue then t.peak_queue <- t.size;
+      sift_up t (t.size - 1)
+
+    let pop t =
+      let top = t.heap.(0) in
+      t.size <- t.size - 1;
+      if t.size > 0 then begin
+        t.heap.(0) <- t.heap.(t.size);
+        sift_down t 0
+      end;
+      top
+
+    let run t ~handler =
+      if t.running then invalid_arg "Scheduler.run: already running";
+      t.running <- true;
+      Fun.protect
+        ~finally:(fun () -> t.running <- false)
+        (fun () ->
+          while t.size > 0 do
+            let ev = pop t in
+            t.clock <- ev.Event.time;
+            if ev.Event.time > t.horizon then t.horizon <- ev.Event.time;
+            t.processed <- t.processed + 1;
+            handler t ev
+          done)
+
+    type stats = { processed : int; peak_queue : int; horizon : int }
+
+    let stats (t : t) =
+      { processed = t.processed; peak_queue = t.peak_queue; horizon = t.horizon }
+  end
+
+  (* Per-sample DF2T biquad cascade with persistent section state: the
+     same recurrence Filter.process runs section by section over the
+     whole array, reassociated per sample. *)
+  let stream_filter filter =
+    let sections =
+      List.map (fun s -> (s, ref 0.0, ref 0.0)) (Filter.sections filter)
+    in
+    fun x ->
+      List.fold_left
+        (fun x ((s : Filter.biquad), z1, z2) ->
+          let y = (s.Filter.b0 *. x) +. !z1 in
+          z1 := (s.Filter.b1 *. x) -. (s.Filter.a1 *. y) +. !z2;
+          z2 := (s.Filter.b2 *. x) -. (s.Filter.a2 *. y);
+          y)
+        x sections
+
+  (* Mirrors Analog_models.slew_limited: state starts at the first
+     sample, so the first output equals the first input. *)
+  let stream_slew ~max_slew_v_per_s ~fs =
+    if max_slew_v_per_s <= 0.0 then
+      invalid_arg "Dut: slew must be positive";
+    let step = max_slew_v_per_s /. fs in
+    let state = ref None in
+    fun target ->
+      let prev = match !state with Some s -> s | None -> target in
+      let delta = Msoc_util.Numeric.clamp ~lo:(-.step) ~hi:step (target -. prev) in
+      let y = prev +. delta in
+      state := Some y;
+      y
+
+  (* Mirrors Analog_models.additive_noise's Box-Muller draw order: one
+     (u1, u2) pair per sample from a single stream. *)
+  let stream_noise ~sigma ~seed =
+    let rng = Rng.create ~seed in
+    fun x ->
+      let u1 = Float.max 1e-12 (Rng.float rng ~bound:1.0) in
+      let u2 = Rng.float rng ~bound:1.0 in
+      let g = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
+      x +. (sigma *. g)
+
+  let stream_stage ~fs : Dut.stage -> float -> float = function
+    | Gain g -> fun x -> g *. x
+    | Dc_offset c -> fun x -> x +. c
+    | Lowpass { order; fc } ->
+      stream_filter (Filter.butterworth_lowpass ~order ~fc ~fs)
+    | Polynomial { a1; a2; a3 } ->
+      fun x -> (a1 *. x) +. (a2 *. x *. x) +. (a3 *. x *. x *. x)
+    | Slew_limited { max_slew_v_per_s } -> stream_slew ~max_slew_v_per_s ~fs
+    | Noise { sigma; seed } -> stream_noise ~sigma ~seed
+
+  let stream (t : Dut.t) =
+    let fns = List.map (stream_stage ~fs:t.fs) t.stages in
+    fun v ->
+      t.bias +. List.fold_left (fun x f -> f x) (v -. t.bias) fns
+
+  let run_stream t samples = Array.map (stream t) samples
+
+  type trace = {
+    samples : int;
+    tam_cycles : int;
+    dac_events : int;
+    adc_events : int;
+    analog_advances : int;
+    scheduler : Scheduler.stats;
+    response : int array;
+  }
+
+  let run ~wrapper ~dut ~stimulus_codes =
+    let cfg = Wrapper.config wrapper in
+    (match cfg.Wrapper.mode with
+    | Wrapper.Core_test -> ()
+    | Wrapper.Normal | Wrapper.Self_test ->
+      invalid_arg "Engine.run: wrapper not in core-test mode");
+    let n = Array.length stimulus_codes in
+    if n = 0 then invalid_arg "Engine.run: empty stimulus";
+    let code_limit = 1 lsl Wrapper.bits wrapper in
+    Array.iter
+      (fun c ->
+        if c < 0 || c >= code_limit then
+          invalid_arg "Engine.run: stimulus code out of range")
+      stimulus_codes;
+    let period = cfg.Wrapper.serial_to_parallel * cfg.Wrapper.divide_ratio in
+    let dac = Wrapper.dac wrapper and adc = Wrapper.adc wrapper in
+    let solver = stream dut in
+    (* One cell per index: an ADC event can only read a voltage its
+       Analog_advance produced. *)
+    let analog_in = Array.make n 0.0 in
+    let analog_out = Array.make n Float.nan in
+    let response = Array.make n (-1) in
+    let dac_events = ref 0 and adc_events = ref 0 and advances = ref 0 in
+    let last_capture = ref 0 in
+    let sched = Scheduler.create () in
+    let handler sched (ev : Event.t) =
+      match ev.Event.payload with
+      | Event.Tam_word { index; code } ->
+        Scheduler.post sched ~time:ev.Event.time (Event.Dac_convert { index; code })
+      | Event.Dac_convert { index; code } ->
+        incr dac_events;
+        analog_in.(index) <- Dac.convert dac code;
+        Scheduler.post sched ~time:ev.Event.time (Event.Analog_advance { index })
+      | Event.Analog_advance { index } ->
+        incr advances;
+        analog_out.(index) <- solver analog_in.(index);
+        (* Pipelined capture: the ADC samples one period after the
+           stimulus word entered. *)
+        Scheduler.post sched
+          ~time:(ev.Event.time + period)
+          (Event.Adc_convert { index })
+      | Event.Adc_convert { index } ->
+        incr adc_events;
+        if Float.is_nan analog_out.(index) then
+          invalid_arg "Engine.run: ADC fired before the analog solver";
+        response.(index) <- Adc.convert adc analog_out.(index);
+        Scheduler.post sched ~time:ev.Event.time (Event.Tam_capture { index })
+      | Event.Tam_capture { index } ->
+        if ev.Event.time > !last_capture then last_capture := ev.Event.time;
+        if index = n - 1 then Scheduler.post sched ~time:ev.Event.time Event.Extract
+      | Event.Extract -> ()
+    in
+    Array.iteri
+      (fun index code ->
+        Scheduler.post sched ~time:(index * period) (Event.Tam_word { index; code }))
+      stimulus_codes;
+    Scheduler.run sched ~handler;
+    {
+      samples = n;
+      tam_cycles = !last_capture;
+      dac_events = !dac_events;
+      adc_events = !adc_events;
+      analog_advances = !advances;
+      scheduler = Scheduler.stats sched;
+      response;
+    }
+end
+
+(* --- DUT models --- *)
 
 let random_stages rng =
   let pick () =
@@ -108,9 +328,16 @@ let random_stages rng =
   in
   List.init (Rng.int_in rng ~lo:1 ~hi:4) (fun _ -> pick ())
 
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
 let test_dut_stream_equals_batch () =
-  (* the streaming instantiation must be bit-identical to the batch
-     combinators — across random pipelines, including noise stages *)
+  (* the batch combinators must be bit-identical to the per-sample
+     streaming reference — across random pipelines, including noise
+     stages *)
   for seed = 1 to 25 do
     let rng = Rng.create ~seed in
     let dut = Dut.make ~fs:1.7e6 (random_stages rng) in
@@ -118,11 +345,11 @@ let test_dut_stream_equals_batch () =
     let x =
       Array.init n (fun _ -> Rng.float_in rng ~lo:1.0 ~hi:3.0)
     in
-    let streamed = Dut.run_stream dut x in
+    let streamed = Reference.run_stream dut x in
     let batched = Dut.batch dut x in
     checkb
       (Printf.sprintf "seed %d bit-identical" seed)
-      true (streamed = batched)
+      true (same_bits streamed batched)
   done
 
 let test_dut_validation () =
@@ -130,7 +357,7 @@ let test_dut_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-positive fs accepted"
 
-(* --- engine vs the batch wrapper path --- *)
+(* --- engine vs the event-driven reference --- *)
 
 let fig5_wrapper () =
   Wrapper.set_mode
@@ -143,6 +370,63 @@ let fig5_wrapper () =
        })
     Wrapper.Core_test
 
+(* One case per seed: a random DUT pipeline, a sampled die's wrapper
+   (in plain core-test mode, period 1, or configured for a random
+   catalog test at a random system clock, period > 1), a record of
+   in-range codes and a voltage record for the DUT alone. *)
+type engine_case = {
+  seed : int;
+  dut : Dut.t;
+  wrapper : Wrapper.t;
+  codes : int array;
+  volts : float array;
+}
+
+let engine_case ~seed =
+  let rng = Rng.create ~seed in
+  let dut = Dut.make ~fs:1.7e6 (random_stages rng) in
+  let die = Variation.wrapper (Variation.sample ~master:seed ~trial:1 ()) in
+  let wrapper =
+    if Rng.bool rng then Wrapper.set_mode die Wrapper.Core_test
+    else
+      let core = Rng.pick rng (Array.of_list Catalog.all) in
+      let test = Rng.pick rng (Array.of_list core.Spec.tests) in
+      Wrapper.configure_for_test die
+        ~system_clock_hz:(test.Spec.f_sample_hz *. Rng.float_in rng ~lo:2.0 ~hi:64.0)
+        test
+  in
+  let n = Rng.int_in rng ~lo:1 ~hi:600 in
+  let codes = Array.init n (fun _ -> Rng.int rng ~bound:(1 lsl Wrapper.bits wrapper)) in
+  let volts = Array.init n (fun _ -> Rng.float_in rng ~lo:0.0 ~hi:4.0) in
+  { seed; dut; wrapper; codes; volts }
+
+let print_engine_case c =
+  let cfg = Wrapper.config c.wrapper in
+  Printf.sprintf "seed %d: %d stages, %d bits, %d samples, period %d x %d" c.seed
+    (List.length c.dut.Dut.stages) (Wrapper.bits c.wrapper) (Array.length c.codes)
+    cfg.Wrapper.serial_to_parallel cfg.Wrapper.divide_ratio
+
+let engine_matches_reference c =
+  let t = Engine.run ~wrapper:c.wrapper ~dut:c.dut ~stimulus_codes:c.codes in
+  let r = Reference.run ~wrapper:c.wrapper ~dut:c.dut ~stimulus_codes:c.codes in
+  t.Engine.response = r.Reference.response
+  && t.Engine.samples = r.Reference.samples
+  && t.Engine.tam_cycles = r.Reference.tam_cycles
+  && t.Engine.scheduler.Scheduler.processed
+     = r.Reference.scheduler.Reference.Scheduler.processed
+  && t.Engine.scheduler.Scheduler.peak_queue
+     = r.Reference.scheduler.Reference.Scheduler.peak_queue
+  && same_bits (Dut.batch c.dut c.volts) (Reference.run_stream c.dut c.volts)
+
+let engine_properties =
+  [
+    QCheck.Test.make ~name:"engine equals the event-driven reference" ~count:300
+      (QCheck.make ~print:print_engine_case
+         QCheck.Gen.(map (fun seed -> engine_case ~seed) (int_range 1 1_000_000_000)))
+      engine_matches_reference;
+  ]
+  |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
+
 let test_engine_matches_batch_wrapper () =
   let wrapper = fig5_wrapper () in
   let dut =
@@ -152,20 +436,38 @@ let test_engine_matches_batch_wrapper () =
   let rng = Rng.create ~seed:9 in
   let codes = Array.init 257 (fun _ -> Rng.int_in rng ~lo:0 ~hi:255) in
   let trace = Engine.run ~wrapper ~dut ~stimulus_codes:codes in
-  (* The batch path: same wrapper, same DUT arithmetic, no events.
-     Fresh wrapper instance so converter state cannot leak. *)
+  (* The batch path and the event-driven reference, each on a fresh
+     wrapper instance so converter state cannot leak. *)
   let batch_response =
     Wrapper.apply_core_test (fig5_wrapper ())
       ~core:(Dut.batch dut) ~stimulus:codes
   in
+  let reference =
+    Reference.run ~wrapper:(fig5_wrapper ()) ~dut ~stimulus_codes:codes
+  in
   checkb "response bit-identical to apply_core_test" true
     (trace.Engine.response = batch_response);
+  checkb "response bit-identical to the reference" true
+    (trace.Engine.response = reference.Reference.response);
   checki "samples" 257 trace.Engine.samples;
-  checki "one DAC event per sample" 257 trace.Engine.dac_events;
-  checki "one ADC event per sample" 257 trace.Engine.adc_events;
-  checki "one solver advance per sample" 257 trace.Engine.analog_advances;
+  checki "reference: one DAC event per sample" 257 reference.Reference.dac_events;
+  checki "reference: one ADC event per sample" 257 reference.Reference.adc_events;
+  checki "reference: one solver advance per sample" 257
+    reference.Reference.analog_advances;
+  checki "five events per sample plus Extract" ((5 * 257) + 1)
+    trace.Engine.scheduler.Scheduler.processed;
+  checki "processed = reference"
+    reference.Reference.scheduler.Reference.Scheduler.processed
+    trace.Engine.scheduler.Scheduler.processed;
+  checki "peak queue = one word per sample" 257
+    trace.Engine.scheduler.Scheduler.peak_queue;
+  checki "peak_queue = reference"
+    reference.Reference.scheduler.Reference.Scheduler.peak_queue
+    trace.Engine.scheduler.Scheduler.peak_queue;
   checki "tam_cycles = Wrapper.test_cycles"
     (Wrapper.test_cycles wrapper ~samples:257)
+    trace.Engine.tam_cycles;
+  checki "tam_cycles = reference" reference.Reference.tam_cycles
     trace.Engine.tam_cycles
 
 let test_engine_mode_and_range_guards () =
@@ -237,6 +539,47 @@ let test_spec_names_roundtrip () =
     Testbench.specs;
   checkb "case-insensitive" true (Testbench.spec_of_name " FC " = Some Testbench.Fc);
   checkb "unknown rejected" true (Testbench.spec_of_name "q-factor" = None)
+
+(* --- golden digest --- *)
+
+(* Every spec program under the default and ideal configs, five other
+   resolutions, a shorter record and ten Monte-Carlo dies: both
+   readouts' float bits, the trace's three counts and the response
+   codes. *)
+let golden_configs () =
+  let d = Testbench.default in
+  let with_bits bits =
+    Testbench.with_variation { d.Testbench.variation with Variation.bits } d
+  in
+  [ d; Testbench.ideal ]
+  @ List.map with_bits [ 4; 6; 10; 12; 16 ]
+  @ [ { d with Testbench.samples = 1000 } ]
+  @ List.init 10 (fun i ->
+        Testbench.with_variation (Variation.sample ~master:11 ~trial:(i + 1) ()) d)
+
+let golden_digest () =
+  let buf = Buffer.create (1 lsl 22) in
+  List.iter
+    (fun config ->
+      List.iter
+        (fun spec ->
+          let r = Testbench.run ~config spec in
+          let t = r.Testbench.trace in
+          Printf.bprintf buf "%s %Lx %Lx %d %d %d\n" (Testbench.spec_name spec)
+            (Int64.bits_of_float r.Testbench.measured)
+            (Int64.bits_of_float r.Testbench.direct)
+            t.Engine.tam_cycles t.Engine.scheduler.Scheduler.processed
+            t.Engine.scheduler.Scheduler.peak_queue;
+          Array.iter (fun c -> Printf.bprintf buf "%d " c) t.Engine.response;
+          Buffer.add_char buf '\n')
+        Testbench.specs)
+    (golden_configs ());
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden () =
+  Alcotest.(check string)
+    "every spec under 18 configs" "29da5a2ed75ee43c3dab7d7316b1adf0"
+    (golden_digest ())
 
 (* --- variation sampler --- *)
 
@@ -541,29 +884,25 @@ let test_service_cosim_distinct_keys () =
 
 let suites =
   [
-    ( "cosim.scheduler",
-      [
-        Alcotest.test_case "ordering" `Quick test_scheduler_ordering;
-        Alcotest.test_case "rejects past" `Quick test_scheduler_rejects_past;
-        Alcotest.test_case "heap growth" `Quick test_scheduler_grows;
-      ] );
     ( "cosim.dut",
       [
         Alcotest.test_case "stream = batch" `Quick test_dut_stream_equals_batch;
         Alcotest.test_case "validation" `Quick test_dut_validation;
       ] );
     ( "cosim.engine",
-      [
-        Alcotest.test_case "matches batch wrapper" `Quick
-          test_engine_matches_batch_wrapper;
-        Alcotest.test_case "guards" `Quick test_engine_mode_and_range_guards;
-      ] );
+      engine_properties
+      @ [
+          Alcotest.test_case "matches batch wrapper" `Quick
+            test_engine_matches_batch_wrapper;
+          Alcotest.test_case "guards" `Quick test_engine_mode_and_range_guards;
+        ] );
     ( "cosim.testbench",
       [
         Alcotest.test_case "fig5 closed loop" `Quick test_fig5_closed_loop;
         Alcotest.test_case "all specs pass" `Quick test_all_specs_pass_default;
         Alcotest.test_case "deterministic" `Quick test_testbench_deterministic;
         Alcotest.test_case "spec names" `Quick test_spec_names_roundtrip;
+        Alcotest.test_case "golden digest" `Quick test_golden;
       ] );
     ( "cosim.variation",
       [

@@ -339,6 +339,19 @@ let test_cli_bad_counts () =
       ([], [ "fleet"; "--workers"; "0"; "--tcp"; "7999" ], [ "'--workers'" ]);
     ]
 
+let test_cli_bad_cosim_values () =
+  check_usage_errors
+    [
+      ([], [ "cosim"; "--spec"; "bogus" ],
+        [ "'--spec'"; "all, gain, fc, thd, iip3, offset, slew, dr" ]);
+      ([], [ "cosim"; "--bits"; "5" ], [ "'--bits'"; "4..16" ]);
+      ([], [ "cosim"; "--samples"; "8" ], [ "'--samples'"; ">= 16" ]);
+      ([], [ "cosim"; "--trials=-1" ], [ "'--trials'" ]);
+      ([], [ "cosim"; "--tolerance=-3" ], [ "'--tolerance'" ]);
+      ([], [ "cosim"; "--tolerance=0" ], [ "'--tolerance'" ]);
+      ([], [ "cosim"; "--system-clock=0"; "--calibrate" ], [ "'--system-clock'" ]);
+    ]
+
 let suites =
   [
     ( "robustness.planner",
@@ -374,5 +387,6 @@ let suites =
         Alcotest.test_case "bad --width and --workers values" `Quick test_cli_bad_counts;
         Alcotest.test_case "bad --packer, --strategy and --analog names" `Quick
           test_cli_bad_names;
+        Alcotest.test_case "bad cosim values" `Quick test_cli_bad_cosim_values;
       ] );
   ]
