@@ -14,9 +14,10 @@ test:
 check:
 	dune build @all && dune runtest
 
-# Source-level static analysis (token rules + the semantic S5xx tier:
-# lock order, release paths, check-then-act, blocking under lock, dead
-# exported API) over lib/ bin/ test/ bench/; exits 1 on error findings
+# Source-level static analysis over the parsed lib/ bin/ test/ bench/
+# modules (hygiene rules, lock order, release paths, check-then-act,
+# blocking under lock, dead exported API, resource lifecycles); exits 1
+# on error findings
 analyze:
 	dune exec bin/msoc_plan.exe -- analyze
 

@@ -1,21 +1,15 @@
 (* analyze: the source analyzer over the repo's own tree, timed (PR 7,
    parallel driver PR 10).
 
-   Runs the full Msoc_analysis engine (token rules + the semantic
-   S5xx/S6xx tiers) over lib/ bin/ test/ bench/ four times: a cold
-   serial pass that parses every module, a warm serial pass served
-   from the AST content-hash cache, and two warm parallel passes
-   (--jobs 4 equivalent). Reports wall time, cache traffic and
-   findings; asserts the parallel findings are byte-identical to
-   serial, fails if the cold pass blows the 10 s budget the test suite
-   also enforces (test_semantic.ml, "full run under budget"), and — on
-   machines with at least two cores — gates on the warm parallel
-   speedup.
-
-   Env knobs:
-     MSOC_ANALYZE_JOBS         parallel worker count (default 4)
-     MSOC_ANALYZE_MIN_SPEEDUP  warm speedup gate, cores permitting
-                               (default 2.0)
+   Runs the full Msoc_analysis engine (every rule over the parsed
+   tree) over lib/ bin/ test/ bench/ four times: a cold serial pass
+   that parses every module, a warm serial pass served from the AST
+   content-hash cache, and two parallel passes at [jobs] workers.
+   Reports wall time, cache traffic and findings; asserts the parallel
+   findings are byte-identical to serial, fails if the cold pass blows
+   the 10 s budget the test suite also enforces (test_semantic.ml,
+   "full run under budget"), and — on machines with at least two
+   cores — gates on the warm parallel speedup.
 
    Writes BENCH_analyze.json so CI can archive and assert on the run. *)
 
@@ -27,22 +21,14 @@ module Export = Msoc_testplan.Export
 
 let budget_s = 10.0
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
-  | None -> default
+let jobs = 4
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some v -> (
-      match float_of_string_opt v with Some x -> x | None -> default)
-  | None -> default
+(* warm parallel speedup gate, on machines with at least two cores *)
+let min_speedup = 2.0
 
 let run () =
   Printf.printf "\n=== analyze: source analyzer wall time (PR 7/10) ===\n\n";
   let root = "." in
-  let jobs = max 2 (env_int "MSOC_ANALYZE_JOBS" 4) in
-  let min_speedup = env_float "MSOC_ANALYZE_MIN_SPEEDUP" 2.0 in
   let cores = Domain.recommended_domain_count () in
   Ast.reset_cache_stats ();
   let cold = Engine.run ~root () in
@@ -89,7 +75,7 @@ let run () =
           (warm_misses - cold_misses);
         row "warm parallel" par 0 0;
       ];
-  Printf.printf "\nparse failures (token fallback): %d\n"
+  Printf.printf "\nparse failures (skipped by every rule): %d\n"
     cold.Engine.parse_failures;
   let identical =
     Diagnostic.render_text warm.Engine.diagnostics

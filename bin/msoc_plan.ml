@@ -264,8 +264,12 @@ let check_cmd =
 
 (* --- analyze --- *)
 
-let run_analyze root allowlist_file semantic baseline_file write_baseline
-    list_rules jobs as_json =
+(* A file option that cannot be read or written is a usage error (exit
+   124) naming the option, like an unparseable value. *)
+let file_error option m = `Error (true, Printf.sprintf "option '%s': %s" option m)
+
+let run_analyze root allowlist_file baseline write_baseline list_rules jobs
+    as_json =
   let module A = Msoc_analysis in
   if list_rules then begin
     List.iter
@@ -277,32 +281,34 @@ let run_analyze root allowlist_file semantic baseline_file write_baseline
       Msoc_check.Codes.all;
     exit 0
   end;
-  let config = { A.Rules.default_config with A.Rules.semantic } in
-  let report =
-    try A.Engine.run ~config ?allowlist_file ~jobs ~root ()
-    with Sys_error m -> Fmt.failwith "analyze: %s" m
-  in
-  (match write_baseline with
-  | None -> ()
-  | Some path ->
-    let b = A.Baseline.of_diagnostics report.A.Engine.diagnostics in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (A.Baseline.to_string b));
-    Printf.eprintf "analyze: baseline written to %s\n%!" path);
-  match baseline_file with
-  | None ->
-    if as_json then
-      print_string (Msoc_testplan.Export.pretty (A.Report.to_json report))
-    else print_string (A.Report.to_text report);
-    exit (A.Engine.exit_code report)
-  | Some path -> (
-    (* ratchet mode: fail only on findings the committed baseline does
-       not cover *)
-    match A.Baseline.load path with
-    | Error m -> Fmt.failwith "analyze: %s" m
-    | Ok baseline ->
+  match Option.iter (fun f -> ignore (A.Allowlist.load ~root f)) allowlist_file with
+  | exception Sys_error m -> file_error "--allowlist" m
+  | () -> (
+    let report = A.Engine.run ?allowlist_file ~jobs ~root () in
+    let written =
+      match write_baseline with
+      | None -> Ok ()
+      | Some path -> (
+        let b = A.Baseline.of_diagnostics report.A.Engine.diagnostics in
+        match open_out path with
+        | exception Sys_error m -> Error m
+        | oc ->
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () -> output_string oc (A.Baseline.to_string b));
+          Printf.eprintf "analyze: baseline written to %s\n%!" path;
+          Ok ())
+    in
+    match (written, baseline) with
+    | Error m, _ -> file_error "--write-baseline" m
+    | Ok (), None ->
+      if as_json then
+        print_string (Msoc_testplan.Export.pretty (A.Report.to_json report))
+      else print_string (A.Report.to_text report);
+      exit (A.Engine.exit_code report)
+    | Ok (), Some (path, baseline) ->
+      (* ratchet mode: fail only on findings the committed baseline
+         does not cover *)
       let cmp = A.Baseline.compare_run baseline report.A.Engine.diagnostics in
       let ratcheted =
         { report with A.Engine.diagnostics = cmp.A.Baseline.fresh }
@@ -327,11 +333,12 @@ let run_analyze root allowlist_file semantic baseline_file write_baseline
 let analyze_cmd =
   let doc =
     "run the source-level static analyzer over this repository's own \
-     lib/, bin/, test/ and bench/ trees: token rules for concurrency, \
-     exception safety and API hygiene, plus a semantic AST tier (S5xx: \
-     lock-order cycles across the call graph, exception-path lock leaks, \
-     atomic check-then-act, blocking calls under a lock, dead exported \
-     API); exit 1 on any error-severity finding"
+     lib/, bin/, test/ and bench/ trees: every module is parsed once and \
+     checked for concurrency, exception safety and API hygiene, lock-order \
+     cycles across the call graph, exception-path lock leaks, atomic \
+     check-then-act, blocking calls under a lock, dead exported API, \
+     resource lifecycles and reply obligations; exit 1 on any \
+     error-severity finding"
   in
   let root_arg =
     Arg.(
@@ -349,26 +356,16 @@ let analyze_cmd =
              $(b,analysis.allow) under the root when present). Stale or \
              unjustified entries are themselves reported.")
   in
-  let semantic_arg =
-    let semantic =
-      ( true,
-        Arg.info [ "semantic" ]
-          ~doc:
-            "Run the S5xx AST tier (lock-order cycles, exception-path lock \
-             leaks, atomic check-then-act, blocking under lock, dead \
-             exported API) on top of the token rules. This is the default." )
+  let baseline_conv =
+    let parse path =
+      Result.map (fun b -> (path, b)) (Msoc_analysis.Baseline.load path)
     in
-    let no_semantic =
-      ( false,
-        Arg.info [ "no-semantic" ]
-          ~doc:"Token rules only; skip parsing and the S5xx tier." )
-    in
-    Arg.(value & vflag true [ semantic; no_semantic ])
+    Arg.conv' ~docv:"FILE" (parse, fun ppf (path, _) -> Format.pp_print_string ppf path)
   in
   let baseline_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some baseline_conv) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
             "Ratchet mode: compare against a committed baseline and fail \
@@ -390,9 +387,9 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(
-      const run_analyze $ root_arg $ allowlist_arg $ semantic_arg
-      $ baseline_arg $ write_baseline_arg $ list_rules_arg $ jobs_arg
-      $ json_flag)
+      ret
+        (const run_analyze $ root_arg $ allowlist_arg $ baseline_arg
+        $ write_baseline_arg $ list_rules_arg $ jobs_arg $ json_flag))
 
 (* --- explore --- *)
 
@@ -857,6 +854,21 @@ let serve_tcp_arg =
           "Serve as a TCP daemon on 127.0.0.1:$(docv) (0 picks a free port). \
            Exclusive with $(b,--socket).")
 
+(* [--socket] and [--tcp] name one endpoint: both together, or neither
+   where the command has no [stdio] mode, is a usage error (exit 124). *)
+let endpoint ?stdio socket_arg tcp_arg =
+  let pick socket tcp =
+    match (socket, tcp, stdio) with
+    | Some _, Some _, _ ->
+      `Error (true, "options '--socket' and '--tcp' are exclusive")
+    | Some path, None, _ -> `Ok (`Unix path)
+    | None, Some t, _ -> `Ok (`Tcp t)
+    | None, None, Some mode -> `Ok mode
+    | None, None, None ->
+      `Error (true, "one of the options '--socket' or '--tcp' is required")
+  in
+  Term.(ret (const pick $ socket_arg $ tcp_arg))
+
 let worker_id_arg =
   Arg.(
     value
@@ -899,7 +911,7 @@ let queue_arg =
           "Bounded request queue capacity; requests beyond it are rejected \
            with an $(b,overloaded) envelope.")
 
-let run_serve socket tcp worker_id cache_dir memory_cache cache_max_mb queue
+let run_serve endpoint worker_id cache_dir memory_cache cache_max_mb queue
     jobs =
   let max_disk_bytes =
     Option.map
@@ -928,20 +940,19 @@ let run_serve socket tcp worker_id cache_dir memory_cache cache_max_mb queue
   Fun.protect
     ~finally:(fun () -> Serve_service.shutdown service)
     (fun () ->
-      match (socket, tcp) with
-      | Some _, Some _ -> Fmt.failwith "--socket and --tcp are exclusive"
-      | Some path, None ->
+      match endpoint with
+      | `Unix path ->
         describe path;
         Msoc_serve.Server.serve_unix ~queue_capacity:queue ~socket_path:path
           service;
         Fmt.epr "msoc_plan serve: drained, exiting@."
-      | None, Some port ->
+      | `Tcp port ->
         Msoc_serve.Server.serve_tcp ~queue_capacity:queue
           ~ready:(fun bound ->
             describe (Printf.sprintf "127.0.0.1:%d" bound))
           ~port service;
         Fmt.epr "msoc_plan serve: drained, exiting@."
-      | None, None -> Msoc_serve.Server.serve_channels service stdin stdout)
+      | `Stdio -> Msoc_serve.Server.serve_channels service stdin stdout)
 
 let serve_cmd =
   let doc =
@@ -951,7 +962,9 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run_serve $ serve_socket_arg $ serve_tcp_arg $ worker_id_arg
+      const run_serve
+      $ endpoint ~stdio:`Stdio serve_socket_arg serve_tcp_arg
+      $ worker_id_arg
       $ cache_dir_arg $ memory_cache_arg $ cache_max_mb_arg $ queue_arg
       $ jobs_arg)
 
@@ -960,14 +973,12 @@ let serve_cmd =
 module Fleet_router = Msoc_fleet.Router
 module Fleet_supervisor = Msoc_fleet.Supervisor
 
-let run_fleet socket tcp workers base_port cache_dir memory_cache cache_max_mb
+let run_fleet endpoint workers base_port cache_dir memory_cache cache_max_mb
     queue jobs window replicas retry_rounds seed =
   let listen =
-    match (socket, tcp) with
-    | Some _, Some _ -> Fmt.failwith "--socket and --tcp are exclusive"
-    | Some path, None -> `Unix path
-    | None, Some port -> `Tcp ("127.0.0.1", port)
-    | None, None -> Fmt.failwith "fleet needs --socket PATH or --tcp PORT"
+    match endpoint with
+    | `Unix path -> `Unix path
+    | `Tcp port -> `Tcp ("127.0.0.1", port)
   in
   let specs =
     List.init workers (fun i ->
@@ -1074,7 +1085,7 @@ let fleet_cmd =
   in
   Cmd.v (Cmd.info "fleet" ~doc)
     Term.(
-      const run_fleet $ serve_socket_arg $ serve_tcp_arg $ workers_arg
+      const run_fleet $ endpoint serve_socket_arg serve_tcp_arg $ workers_arg
       $ base_port_arg $ cache_dir_arg $ memory_cache_arg $ cache_max_mb_arg
       $ queue_arg $ jobs_arg $ window_arg $ replicas_arg $ retry_rounds_arg
       $ seed_arg)
@@ -1178,11 +1189,8 @@ let ordinal_of_id id =
 (* connect () gives a fresh connection to the replay target: a serve
    daemon's Unix socket or the TCP front door of a worker or a fleet
    router — the protocol is identical on all three. *)
-let replay_connect socket tcp =
-  match (socket, tcp) with
-  | Some _, Some _ -> Fmt.failwith "--socket and --tcp are exclusive"
-  | None, None -> Fmt.failwith "replay needs --socket PATH or --tcp HOST:PORT"
-  | Some path, None ->
+let replay_connect = function
+  | `Unix path ->
     fun () ->
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       (match Unix.connect fd (Unix.ADDR_UNIX path) with
@@ -1190,27 +1198,7 @@ let replay_connect socket tcp =
       | exception e ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e)
-  | None, Some spec ->
-    let host, port_text =
-      match String.rindex_opt spec ':' with
-      | Some i ->
-        ( String.sub spec 0 i,
-          String.sub spec (i + 1) (String.length spec - i - 1) )
-      | None -> ("127.0.0.1", spec)
-    in
-    let port =
-      match int_of_string_opt port_text with
-      | Some p -> p
-      | None -> Fmt.failwith "--tcp: expected HOST:PORT or PORT, got %S" spec
-    in
-    let addr =
-      match host with
-      | "" | "localhost" | "127.0.0.1" -> Unix.inet_addr_loopback
-      | h -> (
-        match Unix.inet_addr_of_string h with
-        | a -> a
-        | exception Failure _ -> Fmt.failwith "--tcp: bad host in %S" spec)
-    in
+  | `Tcp (addr, port) ->
     fun () ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       (match
@@ -1323,7 +1311,7 @@ let fetch_stats connect =
           | Error _ -> None
         with End_of_file | Sys_error _ -> None)
 
-let run_replay socket tcp count mix_str widths_str weights_str soc_file
+let run_replay endpoint count mix_str widths_str weights_str soc_file
     analog_cores window repeat deadline_ms verify clients rate allow_shed
     json_out seed =
   let mix =
@@ -1365,7 +1353,7 @@ let run_replay socket tcp count mix_str widths_str weights_str soc_file
            { r with Serve_protocol.id = Printf.sprintf "q%d" i })
   in
   let n = List.length requests in
-  let connect = replay_connect socket tcp in
+  let connect = replay_connect endpoint in
   let fail_replay msg =
     Fmt.epr "replay: FAIL: %s@." msg;
     exit 1
@@ -1657,10 +1645,38 @@ let replay_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:"Daemon or router Unix socket to connect to.")
   in
+  (* HOST:PORT or PORT (on the loopback); a malformed target is a
+     usage error *)
+  let tcp_conv =
+    let parse spec =
+      let host, port_text =
+        match String.rindex_opt spec ':' with
+        | Some i ->
+          ( String.sub spec 0 i,
+            String.sub spec (i + 1) (String.length spec - i - 1) )
+        | None -> ("127.0.0.1", spec)
+      in
+      match int_of_string_opt port_text with
+      | None ->
+        Error (Printf.sprintf "expected HOST:PORT or PORT, got '%s'" spec)
+      | Some port -> (
+        match host with
+        | "" | "localhost" | "127.0.0.1" -> Ok (Unix.inet_addr_loopback, port)
+        | h -> (
+          match Unix.inet_addr_of_string h with
+          | addr -> Ok (addr, port)
+          | exception Failure _ ->
+            Error (Printf.sprintf "bad host in '%s'" spec)))
+    in
+    let print ppf (addr, port) =
+      Format.fprintf ppf "%s:%d" (Unix.string_of_inet_addr addr) port
+    in
+    Arg.conv' ~docv:"HOST:PORT" (parse, print)
+  in
   let tcp_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some tcp_conv) None
       & info [ "tcp" ] ~docv:"HOST:PORT"
           ~doc:
             "TCP endpoint to connect to (a fleet router or a TCP worker). \
@@ -1752,7 +1768,7 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
-      const run_replay $ socket_arg $ tcp_arg $ count_arg $ mix_arg
+      const run_replay $ endpoint socket_arg tcp_arg $ count_arg $ mix_arg
       $ widths_arg $ weights_arg $ soc_file_arg $ analog_labels_arg
       $ window_arg $ repeat_arg $ deadline_arg $ verify_arg $ clients_arg
       $ rate_arg $ allow_shed_arg $ json_out_arg $ seed_arg)

@@ -1,4 +1,4 @@
-(** Cached Parsetree parsing — the substrate of the semantic tier.
+(** Cached Parsetree parsing — the substrate of every analyzer rule.
 
     Every [.ml]/[.mli] the analyzer touches is parsed with the stock
     OCaml parser (compiler-libs.common, never type-checked) through a
@@ -6,9 +6,8 @@
     unchanged file parses exactly once per process however many rules
     or engine runs ask for it.
 
-    Parse failures degrade gracefully: the result is an [Error]
-    carrying a one-line description, the semantic rules skip the file
-    and the lexical token rules keep covering it. *)
+    A parse failure is an [Error] carrying a one-line description:
+    every rule skips the file and MSOC-S406 reports the skip. *)
 
 type impl = (Parsetree.structure, string) result
 
@@ -26,7 +25,7 @@ val cache_stats : unit -> int * int
 
 val reset_cache_stats : unit -> unit
 
-(** {2 Parsetree helpers shared by the semantic modules} *)
+(** {2 Parsetree helpers shared by the rule modules} *)
 
 val line_of : Location.t -> int
 (** 1-based start line. *)
@@ -35,3 +34,23 @@ val ident_path : Longident.t -> string list
 
 val path_string : Longident.t -> string
 (** [path_string lid] is the dotted rendering, e.g. ["Mutex.lock"]. *)
+
+(** {2 The paths a structure names} *)
+
+type kind =
+  | Value  (** an expression identifier: [Pool.map], [exit] *)
+  | Member
+      (** a constructor, record field or type path: [Pool.t],
+          [r.Cache.lock] *)
+  | Module  (** a module or module-type path: [F (Pool)], [module type of X] *)
+  | Open  (** an [open] target, structure-level or local *)
+  | Include  (** an [include] target *)
+  | Alias of string  (** [module A = Path]: the alias [A] of the path *)
+
+type reference = { kind : kind; path : string list; line : int }
+(** [path] is the dotted path split on dots, [line] its 1-based start
+    line. *)
+
+val references : Parsetree.structure -> reference list
+(** Every path the structure names, in source order: expressions,
+    patterns, types and the module language, at any depth. *)

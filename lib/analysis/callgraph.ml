@@ -11,8 +11,8 @@
    rules need: an edge exists only when the target is certainly the
    project function named.
 
-   Built once per engine run; parsing goes through the Ast content
-   cache, so the graph costs one Parsetree walk per file. *)
+   Built once per engine run from the Parsetrees Project.load already
+   holds, so the graph costs one Parsetree walk per file. *)
 
 open Parsetree
 
@@ -182,13 +182,7 @@ let build (p : Project.t) =
   let parsed =
     List.filter_map
       (fun (m : Project.module_info) ->
-        match
-          Ast.parse_impl ~path:m.Project.ml_path
-            (String.concat "\n"
-               (Array.to_list (Source.raw m.Project.source)))
-        with
-        | Ok str -> Some (m, str)
-        | Error _ -> None)
+        match m.Project.ast with Ok str -> Some (m, str) | Error _ -> None)
       p.Project.modules
   in
   let lib_of_exposed = Hashtbl.create 16 in
@@ -229,13 +223,9 @@ let build (p : Project.t) =
       let self_defs = Hashtbl.create 32 in
       List.iter (fun d -> Hashtbl.replace self_defs d.name ()) defs;
       let opened =
-        Project.opened_libs p m.Project.source
-        |> List.filter_map (fun lib_name ->
-               List.find_map
-                 (fun (l : Project.lib) ->
-                   if l.Project.name = lib_name then Some l.Project.dir
-                   else None)
-                 p.Project.libs)
+        List.map
+          (fun (l : Project.lib) -> l.Project.dir)
+          (Project.opened_libs p m)
       in
       let r =
         {

@@ -23,8 +23,8 @@ type def = {
 type t
 
 val build : Project.t -> t
-(** One Parsetree walk per parsable module (through the {!Ast}
-    content cache); modules that fail to parse contribute no nodes. *)
+(** One Parsetree walk per parsable module; modules that fail to
+    parse contribute no nodes. *)
 
 val defs : t -> def list
 

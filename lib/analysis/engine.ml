@@ -1,9 +1,22 @@
-(* Engine is the stable name the CLI, tests and bench drive; the
-   actual orchestration (including the parallel fan-out) lives in
-   Driver. *)
+(* The analyzer entry point: discover and parse the tree, run every
+   rule family, apply the allowlist, sort — optionally fanning the
+   pure per-item stages across a Msoc_util.Pool.
 
-type report = Driver.report = {
-  diagnostics : Msoc_check.Diagnostic.t list;
+   Parallel structure. Parsing stays serial: compiler-libs keeps
+   global lexer state, so Project.load parses every module in this
+   domain before any worker starts. Everything downstream is a pure
+   Parsetree walk — per-definition Flow/Resource summaries, the S6xx
+   path walks — and those run through Pool.map, which preserves input
+   order. Findings are therefore produced in the same order whatever
+   the job count, and the final Diagnostic.sort makes the report
+   byte-identical to a serial run (asserted by the test suite and the
+   bench gate). *)
+
+module Diagnostic = Msoc_check.Diagnostic
+module Pool = Msoc_util.Pool
+
+type report = {
+  diagnostics : Diagnostic.t list;
   suppressed : int;
   files_scanned : int;
   parse_failures : int;
@@ -12,9 +25,60 @@ type report = Driver.report = {
   jobs : int;
 }
 
-let default_allowlist_file = Driver.default_allowlist_file
+let default_allowlist_file = "analysis.allow"
 
-let run ?config ?allowlist_file ?jobs ~root () =
-  Driver.run ?config ?allowlist_file ?jobs ~root ()
+let resolve_allowlist ~root = function
+  | Some path -> Allowlist.load ~root path
+  | None ->
+    if Sys.file_exists (Filename.concat root default_allowlist_file) then
+      Allowlist.load ~root default_allowlist_file
+    else Allowlist.empty
 
-let exit_code = Driver.exit_code
+(* Memoized raw-line reader for @hash allowlist anchors. Project
+   sources are served from memory; anything else the allowlist names
+   (a .mli, a dune file) is read from disk once. *)
+let make_file_lines ~root (project : Project.t) =
+  let cache = Hashtbl.create 16 in
+  List.iter
+    (fun (m : Project.module_info) ->
+      Hashtbl.replace cache m.Project.ml_path
+        (Some (Source.raw m.Project.source)))
+    project.Project.modules;
+  fun rel ->
+    match Hashtbl.find_opt cache rel with
+    | Some lines -> lines
+    | None ->
+      let lines =
+        match Source.load ~root rel with
+        | src -> Some (Source.raw src)
+        | exception Sys_error _ -> None
+      in
+      Hashtbl.replace cache rel lines;
+      lines
+
+let run ?(config = Rules.default_config) ?allowlist_file ?(jobs = 1) ~root () =
+  let t0 = Unix.gettimeofday () in
+  let project = Project.load ~root in
+  let allowlist = resolve_allowlist ~root allowlist_file in
+  let raw =
+    if jobs <= 1 then Rules.run config project
+    else
+      Pool.with_pool ~jobs (fun pool ->
+          let par = { Semantic.pmap = (fun f xs -> Pool.map pool f xs) } in
+          Rules.run ~par config project)
+  in
+  let file_lines = make_file_lines ~root project in
+  let applied = Allowlist.apply ~file_lines allowlist raw in
+  {
+    diagnostics = Diagnostic.sort (applied.Allowlist.kept @ applied.Allowlist.meta);
+    suppressed = applied.Allowlist.suppressed;
+    files_scanned =
+      List.length project.Project.modules
+      + List.length project.Project.dune_files;
+    parse_failures = Semantic.parse_failures project;
+    elapsed_s = Unix.gettimeofday () -. t0;
+    allowlist_path = allowlist.Allowlist.path;
+    jobs;
+  }
+
+let exit_code report = Diagnostic.exit_code report.diagnostics

@@ -4,10 +4,11 @@
    the [lib/<dir>] directories owning a [dune] file with a
    [(name ...)] stanza, modules are their [.ml] files, and [bin]
    executables join the scan (hygiene rules) without joining the
-   library-only checks. Edges are textual module references, which is
-   exactly what the reachability rule (MSOC-S101) needs: if a module's
-   name appears in code that runs under the domain pool or the server
-   threads, its module-level state is shared state. *)
+   library-only checks. Every module is parsed once, here, through the
+   Ast content cache; edges are the module paths its Parsetree names,
+   which is exactly what the reachability rule (MSOC-S101) needs: if a
+   module is named by code that runs under the domain pool or the
+   server threads, its module-level state is shared state. *)
 
 type lib = {
   dir : string;  (* "lib/serve" *)
@@ -24,6 +25,8 @@ type module_info = {
   ml_path : string;  (* "lib/util/pool.ml" *)
   mli_path : string option;
   source : Source.t;
+  ast : Ast.impl;
+  refs : Ast.reference list;  (* [] when the module does not parse *)
 }
 
 type t = {
@@ -36,8 +39,8 @@ type t = {
 let module_name_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
-(* [(name foo)] extraction from a dune file; dune needs no masking
-   here because the stanza grammar keeps names on their own token. *)
+(* [(name foo)] extraction from a dune file: the stanza grammar keeps
+   names on their own token. *)
 let dune_lib_name text =
   let tokens =
     String.split_on_char '\n' text
@@ -59,6 +62,22 @@ let list_dir root rel =
   else []
 
 let join a b = a ^ "/" ^ b
+
+(* Parsing happens here, serially, before any rule (or worker domain)
+   runs: the OCaml lexer keeps global state. *)
+let module_info ~root ~owner ~scope ml_path ~mli_path =
+  let source = Source.load ~root ml_path in
+  let ast = Ast.parse_impl ~path:ml_path (Source.text source) in
+  {
+    owner;
+    scope;
+    name = module_name_of_path ml_path;
+    ml_path;
+    mli_path;
+    source;
+    ast;
+    refs = (match ast with Ok str -> Ast.references str | Error _ -> []);
+  }
 
 let load ~root =
   let lib_dirs =
@@ -84,16 +103,10 @@ let load ~root =
     |> List.map (fun f ->
            let ml_path = join lib.dir f in
            let mli = ml_path ^ "i" in
-           {
-             owner = Some lib;
-             scope = Lib;
-             name = module_name_of_path ml_path;
-             ml_path;
-             mli_path =
+           module_info ~root ~owner:(Some lib) ~scope:Lib ml_path
+             ~mli_path:
                (if Sys.file_exists (Filename.concat root mli) then Some mli
-                else None);
-             source = Source.load ~root ml_path;
-           })
+                else None))
   in
   (* bin/, test/ and bench/ are flat executable directories: their
      modules join the scan (exception-safety, lock rules, semantic
@@ -102,15 +115,7 @@ let load ~root =
     list_dir root dir
     |> List.filter (fun f -> Filename.check_suffix f ".ml")
     |> List.map (fun f ->
-           let ml_path = join dir f in
-           {
-             owner = None;
-             scope;
-             name = module_name_of_path ml_path;
-             ml_path;
-             mli_path = None;
-             source = Source.load ~root ml_path;
-           })
+           module_info ~root ~owner:None ~scope (join dir f) ~mli_path:None)
   in
   let extra_dune dir =
     let path = join dir "dune" in
@@ -136,80 +141,54 @@ let load ~root =
 
 let exposed_name (lib : lib) = String.capitalize_ascii lib.name
 
-(* A sibling-style reference: the bare module name followed by ['.'],
-   or named by [open]/[include], or aliased ([module X = Name]). *)
-let sibling_ref line name =
-  let rec scan from =
-    let sub = String.sub line from (String.length line - from) in
-    match Source.find_token ~allow_dot_prefix:false sub name with
-    | None -> false
-    | Some j ->
-      let i = from + j in
-      let after = i + String.length name in
-      let dotted = after < String.length line && line.[after] = '.' in
-      let prefix = String.trim (String.sub line 0 i) in
-      let ends_with s suf =
-        let n = String.length s and m = String.length suf in
-        n >= m && String.sub s (n - m) m = suf
-      in
-      if
-        dotted
-        || ends_with prefix "open"
-        || ends_with prefix "include"
-        || ends_with prefix "="
-      then true
-      else if after < String.length line then scan after
-      else false
-  in
-  scan 0
-
-let file_references_module ~same_lib ~opened source (m : module_info) =
-  let lines = Source.masked source in
-  let direct () =
-    Array.exists (fun line -> sibling_ref line m.name) lines
-  in
-  match m.owner with
-  | Some lib when not same_lib ->
-    let qualified = exposed_name lib ^ "." ^ m.name in
-    Array.exists (fun line -> Source.has_token line qualified) lines
-    || (List.mem lib.name opened && direct ())
-  | _ -> direct ()
-
-let opened_libs t source =
-  let lines = Source.masked source in
-  List.filter_map
+let opened_libs t (m : module_info) =
+  List.filter
     (fun lib ->
-      if
-        Array.exists
-          (fun line -> Source.has_token line ("open " ^ exposed_name lib))
-          lines
-        (* [open Msoc_x] tokenizes as two words; check both in turn *)
-        || Array.exists
-             (fun line ->
-               match Source.find_token line (exposed_name lib) with
-               | None -> false
-               | Some i ->
-                 let prefix = String.trim (String.sub line 0 i) in
-                 let n = String.length prefix in
-                 n >= 4 && String.sub prefix (n - 4) 4 = "open")
-             lines
-      then Some lib.name
-      else None)
+      List.exists
+        (fun (r : Ast.reference) ->
+          r.Ast.kind = Ast.Open && r.Ast.path = [ exposed_name lib ])
+        m.refs)
     t.libs
 
+(* The module path a reference goes through: the qualifier of a value
+   or member path ([Pool] for [Pool.map], nothing for a bare [map]),
+   the whole path of a module-level reference. *)
+let module_part (r : Ast.reference) =
+  match (r.Ast.kind, List.rev r.Ast.path) with
+  | (Ast.Value | Ast.Member), _ :: quals -> List.rev quals
+  | (Ast.Module | Ast.Open | Ast.Include | Ast.Alias _), _ -> r.Ast.path
+  | (Ast.Value | Ast.Member), [] -> []
+
+(* A library module [N] is referenced by its bare name ([N.f],
+   [open N], [module X = N]) from its own library or from a module
+   that opens the library, and as [Msoc_x.N] from anywhere. *)
 let dependencies t (m : module_info) =
-  let opened = opened_libs t m.source in
+  let heads = Hashtbl.create 64 and qualified = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      match module_part r with
+      | a :: rest -> (
+        Hashtbl.replace heads a ();
+        match rest with
+        | b :: _ -> Hashtbl.replace qualified (a, b) ()
+        | [] -> ())
+      | [] -> ())
+    m.refs;
+  let opened = opened_libs t m in
   List.filter
     (fun (n : module_info) ->
       n.ml_path <> m.ml_path
-      && n.owner <> None
       &&
-      let same_lib =
-        match (m.owner, n.owner) with
-        | Some a, Some b -> a.dir = b.dir
-        | _ -> false
-      in
-      file_references_module ~same_lib ~opened m.source n)
+      match n.owner with
+      | None -> false
+      | Some lib ->
+        let same_lib =
+          match m.owner with Some a -> a.dir = lib.dir | None -> false
+        in
+        if same_lib then Hashtbl.mem heads n.name
+        else
+          Hashtbl.mem qualified (exposed_name lib, n.name)
+          || (List.memq lib opened && Hashtbl.mem heads n.name))
     t.modules
 
 (* --- reachability --- *)

@@ -3,10 +3,10 @@
     A project is the checked-out tree: every [lib/<dir>] owning a
     [dune] file with a [(name ...)] stanza contributes its [.ml]
     modules, and [bin/*.ml] executables join the scan without
-    belonging to a library. Edges of the graph are textual module
-    references ([Pool.map], [Msoc_util.Pool], [open]/[include]/alias),
-    computed on masked sources so comments and strings never create an
-    edge. *)
+    belonging to a library. Every module is parsed once at load
+    (through the {!Ast} content cache); edges of the graph are the
+    module paths its Parsetree names ([Pool.map], [Msoc_util.Pool],
+    [open]/[include]/alias targets, types, constructors, fields). *)
 
 type lib = {
   dir : string;  (** e.g. ["lib/serve"] *)
@@ -26,6 +26,9 @@ type module_info = {
   ml_path : string;
   mli_path : string option;  (** sibling [.mli] when it exists *)
   source : Source.t;
+  ast : Ast.impl;  (** the parsed [.ml], or why it does not parse *)
+  refs : Ast.reference list;
+      (** {!Ast.references} of [ast]; [[]] when it does not parse *)
 }
 
 type t = {
@@ -40,14 +43,17 @@ type t = {
 val load : root:string -> t
 (** Scan [root/lib], [root/bin], [root/test] and [root/bench].
     Directories without a dune [(name ...)] stanza are skipped under
-    [lib/]; listing order is sorted, so runs are deterministic. *)
+    [lib/]; listing order is sorted, so runs are deterministic. Parses
+    every module serially, so no later stage (or worker domain) runs
+    the parser. *)
 
 val exposed_name : lib -> string
 (** The OCaml-visible wrapper module of a library: ["msoc_serve"] is
     exposed as ["Msoc_serve"]. *)
 
-val opened_libs : t -> Source.t -> string list
-(** Library names ([lib.name]) the source [open]s at top level. *)
+val opened_libs : t -> module_info -> lib list
+(** Libraries the module [open]s by their exposed name, at top level
+    or locally. *)
 
 val dependencies : t -> module_info -> module_info list
 (** Library modules this module references (never [bin] modules, never

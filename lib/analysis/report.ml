@@ -17,7 +17,7 @@ let to_text (r : Engine.report) =
   let degraded =
     if r.Engine.parse_failures = 0 then ""
     else
-      Printf.sprintf ", %d unparsable (token rules only)"
+      Printf.sprintf ", %d unparsable (skipped)"
         r.Engine.parse_failures
   in
   Printf.sprintf "%sanalyze: %s (%d files%s%s, %.0f ms)\n" findings

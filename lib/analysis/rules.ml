@@ -1,17 +1,19 @@
 (* The rule families.
 
-   Concurrency (S1xx): PRs 1-4 made the planner parallel — a Domain
+   Concurrency (S101): PRs 1-4 made the planner parallel — a Domain
    pool, per-connection reader threads, a racing portfolio — so
    module-level mutable state reachable from that code is shared
-   state, and an unpaired Mutex.lock is a deadlock on the first
-   exception. Exception safety (S2xx): a catch-all that drops the
+   state. Exception safety (S2xx): a catch-all that drops the
    exception turns a crash into silent corruption. Hygiene (S3xx):
    every library module keeps a .mli, every stanza keeps
-   warnings-as-errors, stdout belongs to the CLI.
+   warnings-as-errors, stdout belongs to the CLI. Lock discipline and
+   the interprocedural tiers live in Semantic.
 
-   All scanning happens on masked sources (Source.mask), so strings
-   and comments never fire a rule. *)
+   Every OCaml rule reads the Parsetree Project.load parsed, so
+   strings and comments never fire a rule; a module that does not
+   parse is skipped and reported once, as S406. *)
 
+open Parsetree
 module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
 
@@ -20,16 +22,12 @@ type config = {
       (* reachability roots for S101: directories or single .ml files *)
   required_flags : string list;
       (* substrings every dune stanza must carry (S302) *)
-  semantic : bool;
-      (* run the S5xx AST tier; on parsable modules S502 supersedes
-         the token S102 heuristic *)
 }
 
 let default_config =
   {
     roots = [ "lib/serve"; "lib/search"; "lib/util/pool.ml" ];
     required_flags = [ "-w +a-4-40-41-42-44-45-70"; "-warn-error +a" ];
-    semantic = true;
   }
 
 let severity_of code =
@@ -44,203 +42,189 @@ let lib_modules (p : Project.t) =
   List.filter (fun (m : Project.module_info) -> m.Project.owner <> None)
     p.Project.modules
 
+(* [ends_with suffix path]: [["exit"]] matches [exit] and
+   [Stdlib.exit]; [["Printf"; "printf"]] matches [Printf.printf]. *)
+let ends_with suffix path =
+  let n = List.length path and k = List.length suffix in
+  n >= k && List.filteri (fun i _ -> i >= n - k) path = suffix
+
+(* Lines of the value paths in [m] that [matches] selects, one per
+   line, ascending. *)
+let value_lines (m : Project.module_info) matches =
+  List.filter_map
+    (fun (r : Ast.reference) ->
+      if r.Ast.kind = Ast.Value && matches r.Ast.path then Some r.Ast.line
+      else None)
+    m.Project.refs
+  |> List.sort_uniq compare
+
+(* Lines of the expressions in [m] for which [hit] names a line, one
+   per line, ascending. *)
+let expr_lines (m : Project.module_info) hit =
+  match m.Project.ast with
+  | Error _ -> []
+  | Ok str ->
+    let lines = ref [] in
+    let it =
+      {
+        Ast_iterator.default_iterator with
+        expr =
+          (fun self e ->
+            lines := hit e @ !lines;
+            Ast_iterator.default_iterator.expr self e);
+      }
+    in
+    it.structure it str;
+    List.sort_uniq compare !lines
+
 (* --- S101: module-level mutable state under concurrency --- *)
 
 let mutable_triggers =
-  [ ("ref", false); ("Hashtbl.create", true); ("Buffer.create", true);
-    ("Queue.create", true) ]
+  [
+    ("ref", fun path -> path = [ "ref" ]);
+    ("Hashtbl.create", ends_with [ "Hashtbl"; "create" ]);
+    ("Buffer.create", ends_with [ "Buffer"; "create" ]);
+    ("Queue.create", ends_with [ "Queue"; "create" ]);
+  ]
 
-let starts_with p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+(* Value paths a structure-level binding evaluates when the module
+   initializes: function bodies run later, per call, so the walk stops
+   at every [fun]/[function]. *)
+let init_time_values (e : expression) =
+  let found = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          match e.pexp_desc with
+          | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> ()
+          | Pexp_ident { txt; _ } ->
+            found := Ast.ident_path txt :: !found
+          | _ -> Ast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.expr it e;
+  !found
 
-(* A structure-level binding of a mutable container: [let name = ref
-   ...] (or Hashtbl/Buffer/Queue.create) at column 0, trigger after
-   the [=]. Function-local bindings are indented or terminated by
-   [in], so they never match. *)
-let toplevel_mutable_binding line =
-  if not (starts_with "let " line) then None
-  else
-    match String.index_opt line '=' with
-    | None -> None
-    | Some eq ->
-      let rhs = String.sub line eq (String.length line - eq) in
-      List.find_map
-        (fun (tok, allow_dot_prefix) ->
-          if Source.has_token ~allow_dot_prefix rhs tok then Some tok else None)
-        mutable_triggers
+(* A structure-level binding that creates a mutable container at
+   module initialization, with the first trigger it evaluates in
+   [mutable_triggers] order. *)
+let toplevel_mutable_bindings str =
+  List.concat_map
+    (fun (item : structure_item) ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) ->
+        List.filter_map
+          (fun (vb : value_binding) ->
+            let values = init_time_values vb.pvb_expr in
+            List.find_map
+              (fun (tok, matches) ->
+                if List.exists matches values then
+                  Some (Ast.line_of vb.pvb_loc, tok)
+                else None)
+              mutable_triggers)
+          vbs
+      | _ -> [])
+    str
 
 let rule_concurrent_state config p =
   let reachable = Project.reachable p ~roots:config.roots in
   List.concat_map
     (fun (m : Project.module_info) ->
-      if not (List.mem m.Project.ml_path reachable) then []
-      else
-        let lines = Source.masked m.Project.source in
-        let guarded =
-          Array.exists
-            (fun line ->
-              Source.has_token line "Mutex" || Source.has_token line "Atomic")
-            lines
-        in
-        if guarded then []
-        else
-          Array.to_list
-            (Array.mapi
-               (fun i line ->
-                 match toplevel_mutable_binding line with
-                 | None -> []
-                 | Some tok ->
-                   [
-                     diag ~file:m.Project.ml_path ~line:(i + 1) Codes.s101
-                       "module-level %s in a module reachable from the \
-                        concurrent roots, with no Atomic/Mutex in scope — \
-                        guard it or allowlist the audited exception"
-                       tok;
-                   ])
-               lines)
-          |> List.concat)
+      let guarded () =
+        List.exists
+          (fun (r : Ast.reference) ->
+            List.mem "Mutex" r.Ast.path || List.mem "Atomic" r.Ast.path)
+          m.Project.refs
+      in
+      match m.Project.ast with
+      | Ok str when List.mem m.Project.ml_path reachable && not (guarded ()) ->
+        List.map
+          (fun (line, tok) ->
+            diag ~file:m.Project.ml_path ~line Codes.s101
+              "module-level %s in a module reachable from the concurrent \
+               roots, with no Atomic/Mutex in scope — guard it or allowlist \
+               the audited exception"
+              tok)
+          (toplevel_mutable_bindings str)
+      | _ -> [])
     (lib_modules p)
-
-(* --- S102: Mutex.lock without unlock/Fun.protect pairing --- *)
-
-(* Token heuristic, superseded by the AST-precise S502 wherever the
-   semantic tier runs and the module parses; it stays as the fallback
-   for parse failures (graceful degradation, DESIGN.md §13). *)
-let rule_lock_pairing ?(skip = fun (_ : Project.module_info) -> false)
-    (p : Project.t) =
-  List.concat_map
-    (fun (m : Project.module_info) ->
-      if skip m then []
-      else
-      let lines = Source.masked m.Project.source in
-      List.filter_map
-        (fun (lo, hi) ->
-          let count tok =
-            let acc = ref 0 in
-            for i = lo to hi do
-              acc := !acc + Source.count_tokens lines.(i) tok
-            done;
-            !acc
-          in
-          let locks = count "Mutex.lock" in
-          let unlocks = count "Mutex.unlock" in
-          let protects = count "Fun.protect" in
-          if locks > 0 && protects = 0 && locks > unlocks then begin
-            let anchor = ref lo in
-            (try
-               for i = lo to hi do
-                 if Source.has_token lines.(i) "Mutex.lock" then begin
-                   anchor := i;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            Some
-              (diag ~file:m.Project.ml_path ~line:(!anchor + 1) Codes.s102
-                 "%d Mutex.lock against %d Mutex.unlock and no Fun.protect \
-                  in this definition — an exception here leaves the mutex \
-                  held"
-                 locks unlocks)
-          end
-          else None)
-        (Source.chunks m.Project.source))
-    p.Project.modules
 
 (* --- S201: catch-all exception handlers --- *)
 
-let skip_ws line i =
-  let n = String.length line in
-  let j = ref i in
-  while !j < n && (line.[!j] = ' ' || line.[!j] = '\t') do
-    incr j
-  done;
-  !j
+let unguarded_lines pred (cases : case list) =
+  List.filter_map
+    (fun (c : case) ->
+      if c.pc_guard = None && pred c.pc_lhs then
+        Some (Ast.line_of c.pc_lhs.ppat_loc)
+      else None)
+    cases
 
-(* After a [with]/[exception] keyword at column [i+len], does a bare
-   [_ ->] follow (optionally through a ['|'])? *)
-let wildcard_arrow_after line i =
-  let n = String.length line in
-  let j = skip_ws line i in
-  let j = if j < n && line.[j] = '|' then skip_ws line (j + 1) else j in
-  if j < n && line.[j] = '_' then
-    let k = j + 1 in
-    if k < n && Source.is_ident_char line.[k] then false
-    else
-      let k = skip_ws line k in
-      k + 1 < n && line.[k] = '-' && line.[k + 1] = '>'
-  else false
+let is_any (p : pattern) = p.ppat_desc = Ppat_any
 
-let catch_all_on_line line =
-  let with_catch =
-    match Source.find_token line "with" with
-    | None -> false
-    | Some i ->
-      wildcard_arrow_after line (i + 4)
-      && (Source.has_token line "try"
-         || not (Source.has_token line "match" || Source.has_token line "function"))
-  in
-  let exception_catch =
-    match Source.find_token line "exception" with
-    | None -> false
-    | Some i -> wildcard_arrow_after line (i + 9)
-  in
-  with_catch || exception_catch
+(* [try … with _ ->] and [| exception _ ->]; a plain match wildcard is
+   exhaustiveness, not exception swallowing. *)
+let catch_all_lines (e : expression) =
+  match e.pexp_desc with
+  | Pexp_try (_, cases) -> unguarded_lines is_any cases
+  | Pexp_match (_, cases) | Pexp_function cases ->
+    unguarded_lines
+      (fun p ->
+        match p.ppat_desc with
+        | Ppat_exception inner -> is_any inner
+        | _ -> false)
+      cases
+  | _ -> []
 
 let rule_catch_all (p : Project.t) =
   List.concat_map
     (fun (m : Project.module_info) ->
-      let lines = Source.masked m.Project.source in
-      Array.to_list
-        (Array.mapi
-           (fun i line ->
-             if catch_all_on_line line then
-               [
-                 diag ~file:m.Project.ml_path ~line:(i + 1) Codes.s201
-                   "catch-all handler drops the exception — match the \
-                    specific exceptions or re-raise";
-               ]
-             else [])
-           lines)
-      |> List.concat)
+      List.map
+        (fun line ->
+          diag ~file:m.Project.ml_path ~line Codes.s201
+            "catch-all handler drops the exception — match the specific \
+             exceptions or re-raise")
+        (expr_lines m catch_all_lines))
     p.Project.modules
 
-(* --- S202/S203/S204: assert false / exit / failwith in libraries --- *)
+(* --- S202/S203/S204/S303: library-only hygiene --- *)
 
-let token_rule ~code ~tokens ~message (p : Project.t) =
+let lib_rule ~code ~message lines_of p =
   List.concat_map
     (fun (m : Project.module_info) ->
-      let lines = Source.masked m.Project.source in
-      Array.to_list
-        (Array.mapi
-           (fun i line ->
-             List.filter_map
-               (fun tok ->
-                 if Source.has_token line tok then
-                   Some (diag ~file:m.Project.ml_path ~line:(i + 1) code "%s" (message tok))
-                 else None)
-               tokens)
-           lines)
-      |> List.concat)
+      List.map
+        (fun line -> diag ~file:m.Project.ml_path ~line code "%s" message)
+        (lines_of m))
     (lib_modules p)
 
+let assert_false_lines (e : expression) =
+  match e.pexp_desc with
+  | Pexp_assert
+      { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ } ->
+    [ Ast.line_of e.pexp_loc ]
+  | _ -> []
+
 let rule_assert_false p =
-  token_rule ~code:Codes.s202 ~tokens:[ "assert false" ]
-    ~message:(fun _ ->
+  lib_rule ~code:Codes.s202
+    ~message:
       "assert false in library code — prefer a typed error or an \
-       invariant-carrying exception")
+       invariant-carrying exception"
+    (fun m -> expr_lines m assert_false_lines)
     p
 
 let rule_lib_exit p =
-  token_rule ~code:Codes.s203 ~tokens:[ "exit" ]
-    ~message:(fun _ ->
-      "exit called from library code — only the CLI owns the process")
+  lib_rule ~code:Codes.s203
+    ~message:"exit called from library code — only the CLI owns the process"
+    (fun m -> value_lines m (ends_with [ "exit" ]))
     p
 
 let rule_lib_failwith p =
-  token_rule ~code:Codes.s204 ~tokens:[ "failwith" ]
-    ~message:(fun _ ->
-      "failwith in library code — raise a typed exception the caller \
-       can match")
+  lib_rule ~code:Codes.s204
+    ~message:
+      "failwith in library code — raise a typed exception the caller can \
+       match"
+    (fun m -> value_lines m (ends_with [ "failwith" ]))
     p
 
 (* --- S301: every library .ml has a .mli --- *)
@@ -259,27 +243,37 @@ let rule_missing_mli (p : Project.t) =
 
 (* --- S302: dune stanzas keep warnings-as-errors --- *)
 
+(* [word] occurs in [line] bounded by non-identifier characters. *)
+let has_word line word =
+  let ident c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  let n = String.length line and m = String.length word in
+  let rec go i =
+    i + m <= n
+    && ((String.sub line i m = word
+        && (i = 0 || not (ident line.[i - 1]))
+        && (i + m = n || not (ident line.[i + m])))
+       || go (i + 1))
+  in
+  go 0
+
 let rule_dune_flags config (p : Project.t) =
   List.concat_map
     (fun dune ->
-      let text = String.concat "\n" (Array.to_list (Source.raw dune)) in
+      let text = Source.text dune in
       let anchor =
-        let lines = Source.raw dune in
-        let found = ref 1 in
-        (try
-           Array.iteri
-             (fun i line ->
-               if
-                 List.exists
-                   (fun k -> Source.has_token line k)
-                   [ "library"; "executable"; "executables"; "test" ]
-               then begin
-                 found := i + 1;
-                 raise Exit
-               end)
-             lines
-         with Exit -> ());
-        !found
+        let stanza line =
+          List.exists (has_word line)
+            [ "library"; "executable"; "executables"; "test" ]
+        in
+        let rec first i = function
+          | [] -> 1
+          | line :: rest -> if stanza line then i else first (i + 1) rest
+        in
+        first 1 (Array.to_list (Source.raw dune))
       in
       List.filter_map
         (fun flag ->
@@ -300,29 +294,37 @@ let rule_dune_flags config (p : Project.t) =
 
 (* --- S303: no stdout printing in libraries --- *)
 
-let stdout_tokens =
-  [
-    "print_string"; "print_endline"; "print_newline"; "print_char";
-    "print_int"; "print_float"; "print_bytes"; "Printf.printf";
-    "Format.printf"; "Fmt.pr";
-  ]
+let stdout_paths =
+  List.map
+    (fun name -> (name, [ name ]))
+    [
+      "print_string"; "print_endline"; "print_newline"; "print_char";
+      "print_int"; "print_float"; "print_bytes";
+    ]
+  @ [
+      ("Printf.printf", [ "Printf"; "printf" ]);
+      ("Format.printf", [ "Format"; "printf" ]);
+      ("Fmt.pr", [ "Fmt"; "pr" ]);
+    ]
 
 let rule_stdout_in_lib p =
-  token_rule ~code:Codes.s303 ~tokens:stdout_tokens
-    ~message:(fun tok ->
-      Printf.sprintf
-        "%s writes to stdout from library code — return the rendering and \
-         let the CLI print it"
-        tok)
-    p
+  List.concat_map
+    (fun (name, suffix) ->
+      lib_rule ~code:Codes.s303
+        ~message:
+          (Printf.sprintf
+             "%s writes to stdout from library code — return the rendering \
+              and let the CLI print it"
+             name)
+        (fun m -> value_lines m (ends_with suffix))
+        p)
+    stdout_paths
 
 (* --- all rules --- *)
 
 let run ?par config p =
-  let skip m = config.semantic && Semantic.parse_ok m in
   rule_concurrent_state config p
-  @ rule_lock_pairing ~skip p
-  @ (if config.semantic then Semantic.run ?par p else [])
+  @ Semantic.run ?par p
   @ rule_catch_all p
   @ rule_assert_false p
   @ rule_lib_exit p

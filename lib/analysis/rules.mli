@@ -1,10 +1,11 @@
 (** The rule families of the source-level analyzer.
 
-    Concurrency (S1xx), exception safety (S2xx) and API hygiene
-    (S3xx); severities come from the shared {!Msoc_check.Codes}
-    registry, findings are plain {!Msoc_check.Diagnostic.t} values.
-    Rules scan masked sources only ({!Source.mask}), so comments and
-    string literals can never fire one. *)
+    Concurrency (S101), exception safety (S2xx) and API hygiene
+    (S3xx), plus the {!Semantic} S5xx/S6xx tiers; severities come from
+    the shared {!Msoc_check.Codes} registry, findings are plain
+    {!Msoc_check.Diagnostic.t} values. Every OCaml rule walks the
+    Parsetree, so comments and string literals can never fire one; a
+    module that does not parse is skipped and reported as MSOC-S406. *)
 
 type config = {
   roots : string list;
@@ -13,21 +14,15 @@ type config = {
           (["lib/util/pool.ml"]). *)
   required_flags : string list;
       (** Substrings every dune stanza must carry (MSOC-S302). *)
-  semantic : bool;
-      (** Run the {!Semantic} S5xx tier. On modules that parse, the
-          AST-precise MSOC-S502 supersedes the token MSOC-S102
-          heuristic; parse failures keep the token rule (graceful
-          degradation, DESIGN.md §13). *)
 }
 
 val default_config : config
 (** Roots: [lib/serve], [lib/search], [lib/util/pool.ml] — the
     concurrent subsystems from PRs 1-4. Required flags: the PR 2
-    warnings-as-errors set. Semantic tier on. *)
+    warnings-as-errors set. *)
 
 val run : ?par:Semantic.par -> config -> Project.t -> Msoc_check.Diagnostic.t list
-(** Every rule over the whole project — token families and, when
-    [config.semantic], the S5xx/S6xx tiers — unfiltered (the engine
-    applies the allowlist) and unsorted. [par] fans the pure
-    per-definition semantic stages over a pool ({!Driver} supplies
-    it); output is identical with or without it. *)
+(** Every rule over the whole project, unfiltered (the engine applies
+    the allowlist) and unsorted. [par] fans the pure per-definition
+    semantic stages over a pool ({!Engine} supplies it); output is
+    identical with or without it. *)

@@ -1,5 +1,5 @@
-(* The S5xx/S6xx semantic rule families: AST-level checks over the
-   parsed project, where the lexical token rules cannot see.
+(* The S5xx/S6xx semantic rule families: interprocedural checks over
+   the call graph of the parsed project.
 
    S501 builds the Mutex acquisition graph across the call graph and
    reports cycles (two call paths taking the same locks in opposite
@@ -13,9 +13,8 @@
    the same context: resource lifecycle over the per-def summaries and
    reply/counter obligations over the call graph.
 
-   Files that fail to parse are skipped here; the engine keeps the
-   token rules as their substrate and S406 records the skip as an
-   info-level diagnostic (graceful but never silent degradation). *)
+   A module that fails to parse is skipped by every rule; S406 records
+   the skip as an info-level diagnostic (never a silent gap). *)
 
 module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
@@ -28,15 +27,11 @@ let severity_of code =
 let diag ?file ?line code fmt =
   Diagnostic.makef ?file ?line ~code ~severity:(severity_of code) fmt
 
-let source_text src = String.concat "\n" (Array.to_list (Source.raw src))
-
-let parse_ok (m : Project.module_info) =
-  match Ast.parse_impl ~path:m.Project.ml_path (source_text m.Project.source) with
-  | Ok _ -> true
-  | Error _ -> false
-
 let parse_failures (p : Project.t) =
-  List.length (List.filter (fun m -> not (parse_ok m)) p.Project.modules)
+  List.length
+    (List.filter
+       (fun (m : Project.module_info) -> Result.is_error m.Project.ast)
+       p.Project.modules)
 
 (* S406: one info diagnostic per unparsable module, anchored at the
    syntax-error line. The Ast error string reads "path:LINE: …" — the
@@ -44,37 +39,22 @@ let parse_failures (p : Project.t) =
 let skip_line_of_error ~path err =
   let prefix = path ^ ":" in
   let plen = String.length prefix in
-  if String.length err > plen && String.sub err 0 plen = prefix then begin
-    let i = ref plen in
-    let n = String.length err in
-    let stop = ref false in
-    let acc = ref 0 in
-    let seen = ref false in
-    while (not !stop) && !i < n do
-      match err.[!i] with
-      | '0' .. '9' as c ->
-        acc := (!acc * 10) + (Char.code c - Char.code '0');
-        seen := true;
-        incr i
-      | _ -> stop := true
-    done;
-    if !seen then !acc else 0
-  end
+  if String.starts_with ~prefix err then
+    Option.value ~default:0
+      (Scanf.sscanf_opt (String.sub err plen (String.length err - plen)) "%d"
+         Fun.id)
   else 0
 
 let rule_parse_skips (p : Project.t) =
   List.filter_map
     (fun (m : Project.module_info) ->
-      match
-        Ast.parse_impl ~path:m.Project.ml_path (source_text m.Project.source)
-      with
+      match m.Project.ast with
       | Ok _ -> None
       | Error err ->
         let line = skip_line_of_error ~path:m.Project.ml_path err in
         Some
           (diag ~file:m.Project.ml_path ~line Codes.s406
-             "semantic tier skipped: %s — token rules still cover this file"
-             err))
+             "not analyzed: %s — every AST rule skips this file" err))
     p.Project.modules
 
 (* --- shared per-run context --- *)
@@ -343,165 +323,73 @@ let rule_blocking_under_lock ctx =
 
 (* --- S505: dead exported API --- *)
 
-(* Uses are collected textually over masked sources: every [Mod.value]
-   pair in the project (plus examples/), with per-file [module A = …]
-   aliases expanded. Token scanning under-approximates nothing the
-   codebase does — qualified access is the house style — and two
-   same-named modules in different libraries conservatively share
-   their uses. *)
+(* Uses are the paths each parsed module (plus examples/) names: every
+   [Mod.value] pair of a value, constructor, field or type path, with
+   per-file [module A = …] aliases expanded, and every [open]/[include]
+   target marks its module fully used. Qualified access is the house
+   style; two same-named modules in different libraries conservatively
+   share their uses. *)
 
 let is_upper c = 'A' <= c && c <= 'Z'
 
 let is_lower_start c = ('a' <= c && c <= 'z') || c = '_'
 
-(* All [(module, value)] pairs on one masked line. *)
-let dotted_pairs line =
-  let n = String.length line in
-  let ident_start i =
-    let j = ref i in
-    while !j > 0 && Source.is_ident_char line.[!j - 1] do
-      decr j
-    done;
-    !j
-  in
-  let ident_end i =
-    let j = ref i in
-    while !j < n && Source.is_ident_char line.[!j] do
-      incr j
-    done;
-    !j
-  in
-  let pairs = ref [] in
-  String.iteri
-    (fun i c ->
-      if c = '.' && i > 0 && i + 1 < n then begin
-        let ms = ident_start (i - 1) and me = i in
-        let vs = i + 1 in
-        let ve = ident_end vs in
-        if
-          me > ms && ve > vs
-          && is_upper line.[ms]
-          && is_lower_start line.[vs]
-        then
-          pairs :=
-            (String.sub line ms (me - ms), String.sub line vs (ve - vs))
-            :: !pairs
-      end)
-    line;
-  !pairs
+let is_ident_char c = is_upper c || is_lower_start c || ('0' <= c && c <= '9') || c = '\''
 
-(* Per-file [module A = …path…] aliases, textual: A maps to the last
-   module component of the path. *)
-let file_aliases masked_lines =
-  Array.to_list masked_lines
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         let pre = "module " in
-         if
-           String.length line > String.length pre
-           && String.sub line 0 (String.length pre) = pre
-         then
-           match String.index_opt line '=' with
-           | None -> None
-           | Some eq ->
-             let lhs =
-               String.trim (String.sub line (String.length pre) (eq - String.length pre))
-             in
-             let rhs =
-               String.trim (String.sub line (eq + 1) (String.length line - eq - 1))
-             in
-             if
-               lhs <> "" && rhs <> ""
-               && String.for_all
-                    (fun c -> Source.is_ident_char c || c = '.')
-                    rhs
-               && is_upper rhs.[0]
-             then
-               let target =
-                 match String.rindex_opt rhs '.' with
-                 | Some i -> String.sub rhs (i + 1) (String.length rhs - i - 1)
-                 | None -> rhs
-               in
-               if lhs <> target then Some (lhs, target) else None
-             else None
-         else None)
+let last path = List.nth path (List.length path - 1)
 
-(* Fully-used marks: [open M] / [include M] where the last component
-   is a bare project module name. *)
-let full_use_marks masked_lines =
-  Array.to_list masked_lines
-  |> List.concat_map (fun line ->
-         List.filter_map
-           (fun kw ->
-             match Source.find_token line kw with
-             | None -> None
-             | Some i ->
-               let rest =
-                 String.trim
-                   (String.sub line
-                      (i + String.length kw)
-                      (String.length line - i - String.length kw))
-               in
-               let stop =
-                 let j = ref 0 in
-                 while
-                   !j < String.length rest
-                   && (Source.is_ident_char rest.[!j] || rest.[!j] = '.')
-                 do
-                   incr j
-                 done;
-                 !j
-               in
-               let path = String.sub rest 0 stop in
-               if path = "" then None
-               else
-                 let target =
-                   match String.rindex_opt path '.' with
-                   | Some k ->
-                     String.sub path (k + 1) (String.length path - k - 1)
-                   | None -> path
-                 in
-                 if target <> "" && is_upper target.[0] then Some target
-                 else None)
-           [ "open"; "include" ])
-
-let list_example_sources root =
+let example_references root =
   let dir = Filename.concat root "examples" in
   if Sys.file_exists dir && Sys.is_directory dir then
     Sys.readdir dir |> Array.to_list |> List.sort compare
     |> List.filter (fun f -> Filename.check_suffix f ".ml")
     |> List.filter_map (fun f ->
-           match Source.load ~root ("examples/" ^ f) with
-           | src -> Some src
-           | exception Sys_error _ -> None)
+           let path = "examples/" ^ f in
+           match Source.load ~root path with
+           | exception Sys_error _ -> None
+           | src -> (
+             match Ast.parse_impl ~path (Source.text src) with
+             | Ok str -> Some (path, Ast.references str)
+             | Error _ -> None))
   else []
 
 let rule_dead_api ctx =
   let p = ctx.project in
-  (* use index: (module name, value name) set and fully-used modules,
-     per source file *)
+  (* use index: (module name, value name) -> every file using it, and
+     the fully-used modules *)
   let uses = Hashtbl.create 1024 in
   let fully_used = Hashtbl.create 16 in
-  let index_source (src : Source.t) =
-    let masked = Source.masked src in
-    let aliases = file_aliases masked in
+  let index_source (path, refs) =
+    let aliases =
+      List.filter_map
+        (fun (r : Ast.reference) ->
+          match r.Ast.kind with
+          | Ast.Alias name when name <> last r.Ast.path ->
+            Some (name, last r.Ast.path)
+          | _ -> None)
+        refs
+    in
     let resolve m =
       match List.assoc_opt m aliases with Some t -> t | None -> m
     in
-    Array.iter
-      (fun line ->
-        List.iter
-          (fun (m, v) ->
-            Hashtbl.replace uses (resolve m, v) (Source.path src))
-          (dotted_pairs line))
-      masked;
     List.iter
-      (fun m -> Hashtbl.replace fully_used (resolve m) (Source.path src))
-      (full_use_marks masked)
+      (fun (r : Ast.reference) ->
+        match (r.Ast.kind, List.rev r.Ast.path) with
+        | (Ast.Value | Ast.Member), v :: m :: _
+          when is_upper m.[0] && is_lower_start v.[0] ->
+          let key = (resolve m, v) in
+          if not (List.mem path (Hashtbl.find_all uses key)) then
+            Hashtbl.add uses key path
+        | (Ast.Open | Ast.Include), m :: _ when is_upper m.[0] ->
+          Hashtbl.replace fully_used (resolve m) ()
+        | _ -> ())
+      refs
   in
-  List.iter (fun (m : Project.module_info) -> index_source m.Project.source)
+  List.iter
+    (fun (m : Project.module_info) ->
+      index_source (m.Project.ml_path, m.Project.refs))
     p.Project.modules;
-  List.iter index_source (list_example_sources p.Project.root);
+  List.iter index_source (example_references p.Project.root);
   (* exported values per lib module with a parsable .mli *)
   List.concat_map
     (fun (m : Project.module_info) ->
@@ -511,7 +399,7 @@ let rule_dead_api ctx =
         match Source.load ~root:p.Project.root mli_path with
         | exception Sys_error _ -> []
         | mli_src -> (
-          match Ast.parse_intf ~path:mli_path (source_text mli_src) with
+          match Ast.parse_intf ~path:mli_path (Source.text mli_src) with
           | Error _ -> []
           | Ok signature ->
             if Hashtbl.mem fully_used m.Project.name then []
@@ -524,32 +412,14 @@ let rule_dead_api ctx =
                     if
                       name = ""
                       || not (is_lower_start name.[0])
-                      || not (String.for_all Source.is_ident_char name)
+                      || not (String.for_all is_ident_char name)
                     then None
                     else
-                      let used_by =
-                        Hashtbl.find_opt uses (m.Project.name, name)
-                      in
-                      let external_use =
-                        match used_by with
-                        | Some path ->
-                          path <> m.Project.ml_path || Hashtbl.length uses = 0
-                        | None -> false
-                      in
-                      (* Hashtbl.replace keeps one witness; a value used
-                         only by its own .ml can shadow an external use,
-                         so double-check by scanning for any other
-                         witness before flagging. *)
-                      let external_use =
-                        external_use
-                        || Hashtbl.fold
-                             (fun (mm, vv) path acc ->
-                               acc
-                               || mm = m.Project.name && vv = name
-                                  && path <> m.Project.ml_path)
-                             uses false
-                      in
-                      if external_use then None
+                      if
+                        List.exists
+                          (fun path -> path <> m.Project.ml_path)
+                          (Hashtbl.find_all uses (m.Project.name, name))
+                      then None
                       else
                         Some
                           (diag ~file:mli_path

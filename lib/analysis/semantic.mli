@@ -1,7 +1,6 @@
-(** The S5xx/S6xx semantic rule families: AST-level analysis over the
-    parsed project (DESIGN.md §13, §16).
+(** The S5xx/S6xx semantic rule families: interprocedural analysis
+    over the parsed project (DESIGN.md §13, §16).
 
-    Where the token rules see lines, these rules see structure:
     MSOC-S501 walks the Mutex acquisition graph across the
     {!Callgraph} and reports lock-order cycles; MSOC-S502 classifies
     every critical section's exception paths; MSOC-S503 catches
@@ -11,24 +10,19 @@
     runs from the same context: {!Resource} (S601–S603 lifecycle) and
     {!Typestate} (S604 reply obligation, S605 counter balance).
 
-    Modules that fail to parse contribute nothing here — the engine
-    falls back to the token rules for them, and MSOC-S406 records each
-    skip as an info diagnostic (degradation is never silent). *)
+    Modules that fail to parse contribute nothing here (nor to any
+    other rule); MSOC-S406 records each skip as an info diagnostic, so
+    the gap is never silent. *)
 
 type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
 (** An order-preserving (possibly parallel) map the pure per-item
-    stages run through — {!Msoc_util.Pool.map} wrapped by the driver.
+    stages run through — {!Msoc_util.Pool.map} wrapped by {!Engine}.
     Absent, everything runs serially with identical output. *)
 
 val run : ?par:par -> Project.t -> Msoc_check.Diagnostic.t list
 (** All S5xx/S6xx findings plus S406 skip notices over the project,
     unsorted and unfiltered (the engine applies the allowlist and
     sorting). *)
-
-val parse_ok : Project.module_info -> bool
-(** Whether the module's [.ml] parses — the engine keeps token rule
-    MSOC-S102 alive exactly for the modules where this is [false]
-    (or when the semantic tier is disabled). *)
 
 val parse_failures : Project.t -> int
 (** Count of modules whose [.ml] does not parse (reported by the CLI

@@ -1,164 +1,20 @@
-(* Line-oriented token scanning over OCaml and dune sources.
+(* Loaded OCaml and dune sources.
 
-   The analyzer never parses OCaml properly; it scans tokens on a
-   *masked* copy of each file in which comment bodies, string literals
-   and character literals are blanked out (newlines preserved). That
-   keeps every rule line-accurate while making the obvious false
-   positives — ["with _ ->" in a docstring] — impossible by
-   construction. *)
+   The analyzer reads OCaml through the Parsetree (Ast); a source only
+   carries the text the parser consumes and the raw lines that content
+   anchors hash and the dune stanza checks scan. *)
 
 type t = {
   path : string;  (* root-relative, forward slashes *)
+  text : string;
   raw : string array;
-  masked : string array;
 }
 
 let path t = t.path
 
+let text t = t.text
+
 let raw t = t.raw
-
-let masked t = t.masked
-
-let line_count t = Array.length t.raw
-
-(* --- masking lexer --- *)
-
-(* One pass over the whole text. States: code, comment (with nesting
-   depth; strings inside comments are consumed per the OCaml lexical
-   convention), string. Character literals are consumed inline from
-   code state; a lone apostrophe (type variable, [Rng.t]'s ['a]) is
-   left alone. *)
-
-let mask text =
-  let n = String.length text in
-  let out = Bytes.of_string text in
-  let blank i = if Bytes.get out i <> '\n' then Bytes.set out i ' ' in
-  (* Quoted string literals [{|…|}] / [{id|…|id}]: the body obeys no
-     escape rules, so the whole literal is consumed (and blanked) in
-     one scan. [quoted_string_start i] recognizes the opener at [i]
-     and returns the delimiter id; [consume_quoted] blanks through the
-     matching [|id}] (or to EOF when unterminated, as the OCaml lexer
-     would error there anyway). *)
-  let quoted_string_start i =
-    if text.[i] <> '{' then None
-    else
-      let j = ref (i + 1) in
-      while
-        !j < n
-        && (match text.[!j] with 'a' .. 'z' | '_' -> true | _ -> false)
-      do
-        incr j
-      done;
-      if !j < n && text.[!j] = '|' then
-        Some (String.sub text (i + 1) (!j - i - 1))
-      else None
-  in
-  let consume_quoted i id =
-    let closer = "|" ^ id ^ "}" in
-    let m = String.length closer in
-    let rec find j =
-      if j + m > n then n
-      else if String.sub text j m = closer then j + m
-      else find (j + 1)
-    in
-    let stop = find (i + String.length id + 2) in
-    for k = i to stop - 1 do
-      blank k
-    done;
-    stop
-  in
-  let i = ref 0 in
-  let comment_depth = ref 0 in
-  let in_string = ref false in
-  (* [in_comment_string]: a string literal inside a comment still
-     escapes the comment terminator per the OCaml lexer *)
-  let in_comment_string = ref false in
-  while !i < n do
-    let c = text.[!i] in
-    let next = if !i + 1 < n then Some text.[!i + 1] else None in
-    if !in_string then begin
-      blank !i;
-      (match (c, next) with
-      | '\\', Some _ ->
-        blank (!i + 1);
-        incr i
-      | '"', _ -> in_string := false
-      | _ -> ());
-      incr i
-    end
-    else if !comment_depth > 0 then begin
-      if !in_comment_string then begin
-        blank !i;
-        (match (c, next) with
-        | '\\', Some _ ->
-          blank (!i + 1);
-          incr i
-        | '"', _ -> in_comment_string := false
-        | _ -> ());
-        incr i
-      end
-      else
-        match (c, next) with
-        | '(', Some '*' ->
-          blank !i;
-          blank (!i + 1);
-          incr comment_depth;
-          i := !i + 2
-        | '*', Some ')' ->
-          blank !i;
-          blank (!i + 1);
-          decr comment_depth;
-          i := !i + 2
-        | '"', _ ->
-          blank !i;
-          in_comment_string := true;
-          incr i
-        | '{', _ when quoted_string_start !i <> None ->
-          (* the comment lexer also consumes quoted strings whole, so
-             a comment terminator inside one does not end the comment *)
-          let id = Option.get (quoted_string_start !i) in
-          i := consume_quoted !i id
-        | _ ->
-          blank !i;
-          incr i
-    end
-    else begin
-      match (c, next) with
-      | '(', Some '*' ->
-        blank !i;
-        blank (!i + 1);
-        comment_depth := 1;
-        i := !i + 2
-      | '"', _ ->
-        blank !i;
-        in_string := true;
-        incr i
-      | '{', _ when quoted_string_start !i <> None ->
-        let id = Option.get (quoted_string_start !i) in
-        i := consume_quoted !i id
-      | '\'', Some '\\' ->
-        (* escaped char literal: '\n', '\\', '\xNN', '\123' *)
-        let j = ref (!i + 2) in
-        while !j < n && text.[!j] <> '\'' && !j - !i < 6 do
-          incr j
-        done;
-        if !j < n && text.[!j] = '\'' then begin
-          for k = !i to !j do
-            blank k
-          done;
-          i := !j + 1
-        end
-        else incr i
-      | '\'', Some _ when !i + 2 < n && text.[!i + 2] = '\'' ->
-        (* plain char literal 'x' *)
-        blank !i;
-        blank (!i + 1);
-        blank (!i + 2);
-        i := !i + 3
-      | _ -> incr i
-    end
-  done;
-  Bytes.to_string out
 
 let split_lines text =
   (* keep a trailing empty segment out: "a\nb\n" -> [|"a"; "b"|] *)
@@ -170,9 +26,6 @@ let split_lines text =
   in
   Array.of_list lines
 
-let of_string ~path text =
-  { path; raw = split_lines text; masked = split_lines (mask text) }
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -180,7 +33,8 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let load ~root rel =
-  of_string ~path:rel (read_file (Filename.concat root rel))
+  let text = read_file (Filename.concat root rel) in
+  { path = rel; text; raw = split_lines text }
 
 (* --- content anchors --- *)
 
@@ -191,87 +45,3 @@ let load ~root rel =
    line. *)
 let hash_line line =
   String.sub (Digest.to_hex (Digest.string (String.trim line))) 0 8
-
-(* --- token matching --- *)
-
-let is_ident_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-  | _ -> false
-
-(* [find_token ?allow_dot_prefix line tok] returns the column of the
-   first occurrence of [tok] bounded by non-identifier characters.
-   With [allow_dot_prefix] (default true) a ['.'] immediately before
-   the match is accepted, so ["Mutex.lock"] also matches
-   ["Stdlib.Mutex.lock"]; tokens like ["ref"] pass [false] to avoid
-   matching field projections. *)
-let find_token ?(allow_dot_prefix = true) line tok =
-  let n = String.length line and m = String.length tok in
-  let boundary_before i =
-    i = 0
-    ||
-    let c = line.[i - 1] in
-    (not (is_ident_char c)) && (allow_dot_prefix || c <> '.')
-  in
-  let boundary_after i = i + m >= n || not (is_ident_char line.[i + m]) in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = tok && boundary_before i && boundary_after i
-    then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let has_token ?allow_dot_prefix line tok =
-  find_token ?allow_dot_prefix line tok <> None
-
-(* [count_tokens] counts non-overlapping bounded occurrences. *)
-let count_tokens ?(allow_dot_prefix = true) line tok =
-  let m = String.length tok in
-  let rec go acc i =
-    match
-      let sub = String.sub line i (String.length line - i) in
-      find_token ~allow_dot_prefix sub tok
-    with
-    | None -> acc
-    | Some j -> go (acc + 1) (i + j + m)
-  in
-  if m = 0 then 0 else go 0 0
-
-(* --- structure-level chunking --- *)
-
-(* A "chunk" is the span between two column-0 [let]/[module]/[type]
-   items: the textual approximation of one top-level definition. Rules
-   that reason about "the same function" (lock pairing) use chunks. *)
-
-let chunk_starts t =
-  let starts = ref [] in
-  Array.iteri
-    (fun i line ->
-      let starts_with p =
-        String.length line >= String.length p
-        && String.sub line 0 (String.length p) = p
-      in
-      if
-        starts_with "let "
-        || starts_with "let("
-        || starts_with "module "
-        || starts_with "type "
-        || starts_with "exception "
-        || starts_with "and "
-      then starts := i :: !starts)
-    t.masked;
-  List.rev !starts
-
-let chunks t =
-  let starts = chunk_starts t in
-  let n = line_count t in
-  match starts with
-  | [] -> if n = 0 then [] else [ (0, n - 1) ]
-  | first :: _ ->
-    let rec spans = function
-      | [] -> []
-      | [ s ] -> [ (s, n - 1) ]
-      | s :: (s' :: _ as rest) -> (s, s' - 1) :: spans rest
-    in
-    let head = if first > 0 then [ (0, first - 1) ] else [] in
-    head @ spans starts

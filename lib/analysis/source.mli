@@ -1,11 +1,9 @@
-(** Line-oriented token scanning over OCaml and dune sources — the
-    lexical substrate of {!Msoc_analysis}.
+(** Loaded OCaml and dune sources — the file substrate of
+    {!Msoc_analysis}.
 
-    A loaded source keeps the raw lines and a {e masked} copy in which
-    comment bodies, string literals and character literals are blanked
-    (newlines preserved, so line and column numbers agree). Every rule
-    scans the masked lines: a pattern inside a docstring or a string
-    literal can never fire. *)
+    A source keeps its text (the input of the {!Ast} parser) and its
+    raw lines (the input of the content anchors and of the dune stanza
+    checks). Rules over OCaml read the Parsetree, never the text. *)
 
 type t
 
@@ -13,49 +11,16 @@ val load : root:string -> string -> t
 (** [load ~root rel] reads [root/rel]; the source's {!path} is [rel].
     @raise Sys_error when the file cannot be read. *)
 
-val of_string : path:string -> string -> t
-
 val read_file : string -> string
 (** Whole-file read (binary). @raise Sys_error on failure. *)
 
 val path : t -> string
 
+val text : t -> string
+
 val raw : t -> string array
-
-val masked : t -> string array
-
-val line_count : t -> int
-
-val mask : string -> string
-(** The masking lexer on a whole text: comments (nested, with
-    comment-embedded strings), string literals (plain ["…"] and
-    quoted [{|…|}] / [{id|…|id}] forms) and char literals blanked to
-    spaces. Exposed for tests. *)
 
 val hash_line : string -> string
 (** Stable 8-hex-char content anchor of one source line (MD5 of the
     trimmed text) — the [@hash] form of allowlist entries and the CI
     ratchet baseline key. *)
-
-val is_ident_char : char -> bool
-(** Letters, digits, ['_'] and ['''] — the characters that extend an
-    identifier token. *)
-
-val find_token : ?allow_dot_prefix:bool -> string -> string -> int option
-(** [find_token line tok] is the column of the first occurrence of
-    [tok] bounded by non-identifier characters, or [None].
-    [allow_dot_prefix] (default [true]) accepts a ['.'] immediately
-    before the match, so ["Mutex.lock"] also matches
-    ["Stdlib.Mutex.lock"]; pass [false] for bare value tokens like
-    ["ref"]. *)
-
-val has_token : ?allow_dot_prefix:bool -> string -> string -> bool
-
-val count_tokens : ?allow_dot_prefix:bool -> string -> string -> int
-(** Non-overlapping bounded occurrences of the token in the line. *)
-
-val chunks : t -> (int * int) list
-(** Inclusive 0-based line spans between column-0 structure items
-    ([let]/[module]/[type]/[exception]/[and]) — the textual
-    approximation of "one top-level definition" used by
-    same-function rules. *)

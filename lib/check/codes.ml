@@ -32,7 +32,6 @@ let w301 = "MSOC-W301"
 let w302 = "MSOC-W302"
 let w303 = "MSOC-W303"
 let s101 = "MSOC-S101"
-let s102 = "MSOC-S102"
 let s201 = "MSOC-S201"
 let s202 = "MSOC-S202"
 let s203 = "MSOC-S203"
@@ -102,7 +101,6 @@ let all =
     error s101
       "module-level mutable state reachable from concurrent code without \
        Atomic/Mutex protection";
-    error s102 "Mutex.lock without Fun.protect or Mutex.unlock pairing";
     error s201 "catch-all exception handler drops the exception";
     warning s202 "assert false in library code";
     error s203 "exit called from library code";
@@ -114,7 +112,7 @@ let all =
     warning s402 "allowlist entry carries no justification";
     error s403 "malformed allowlist line";
     warning s404 "allowlist anchor hash no longer matches the code";
-    info s406 "semantic tier skipped: file does not parse";
+    info s406 "file does not parse: every AST rule skipped it";
     error s501 "lock-order cycle across the call graph (potential deadlock)";
     error s502 "lock not released on all exception paths";
     error s503 "atomic check-then-act without compare_and_set";

@@ -90,8 +90,6 @@ val s101 : string
     [Queue.create] bound at structure level) in a module reachable from
     the concurrent roots, with no [Atomic]/[Mutex] in scope *)
 
-val s102 : string  (** [Mutex.lock] without [Fun.protect]/[Mutex.unlock] pairing in the same function *)
-
 val s201 : string  (** [with _ ->] catch-all that drops the exception *)
 
 val s202 : string  (** [assert false] in library (non-test) code *)
@@ -117,9 +115,9 @@ val s404 : string
     matches any line of the target file — the code under audit changed *)
 
 val s406 : string
-(** info: a file the semantic tier could not parse — AST-level rules
-    (S5xx/S6xx) were skipped for it and the token rules are its only
-    coverage; emitted so the gap is visible, never silent *)
+(** info: a file that does not parse — every AST rule skipped it
+    (only the file-level S301/S302 still cover it); emitted so the gap
+    is visible, never silent *)
 
 (* semantic (AST-level) analysis, Msoc_analysis S5xx *)
 

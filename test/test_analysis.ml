@@ -9,7 +9,6 @@ module Codes = Msoc_check.Codes
 module Engine = Msoc_analysis.Engine
 module Rules = Msoc_analysis.Rules
 module Allowlist = Msoc_analysis.Allowlist
-module Source = Msoc_analysis.Source
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -70,15 +69,9 @@ let fixture ?(mli = true) ?(dune = clean_dune) ?(extra = []) body =
   @ (if mli then [ ("lib/fix/fix.mli", "(* fixture interface *)\n") ] else [])
   @ extra
 
-(* Token-tier config: the S5xx semantic tier is exercised separately
-   (test_semantic.ml) so each fixture still reports exactly one
-   finding. *)
-let fix_config =
-  {
-    Rules.default_config with
-    Rules.roots = [ "lib/fix" ];
-    Rules.semantic = false;
-  }
+(* The default rules with lib/fix as the concurrent root; each fixture
+   seeds one violation, so it reports exactly one finding. *)
+let fix_config = { Rules.default_config with Rules.roots = [ "lib/fix" ] }
 
 let analyze ?(config = fix_config) files =
   with_project files (fun root -> Engine.run ~config ~root ())
@@ -142,13 +135,14 @@ let test_s101_guarded_or_unreachable () =
   in
   assert_clean ~ctx:"S101 unreachable" r
 
+(* S502 judges the lock-pairing fixtures (MSOC-S102 is retired). *)
 let test_s102_lock_pairing () =
   let r =
     analyze
       (fixture
          "let work () = ()\n\nlet unsafe m =\n  Mutex.lock m;\n  work ()\n")
   in
-  assert_only ~ctx:"S102 unpaired" Codes.s102 4 r;
+  assert_only ~ctx:"S102 unpaired" Codes.s502 4 r;
   let r =
     analyze
       (fixture
@@ -219,6 +213,44 @@ let test_masking () =
          "(* failwith exit print_endline Hashtbl.create *)\nlet s = \"assert false\"\nlet f x = ignore s; x\n")
   in
   assert_clean ~ctx:"masked tokens" r
+
+(* --- spellings only the Parsetree reads right --- *)
+
+let test_ast_spellings () =
+  (* a binding split over two lines *)
+  let r = analyze (fixture "let table =\n  Hashtbl.create 16\n") in
+  assert_only ~ctx:"S101 two-line binding" Codes.s101 1 r;
+  (* a function returning a fresh container holds no state *)
+  let r = analyze (fixture "let make () = Hashtbl.create 16\n") in
+  assert_clean ~ctx:"S101 factory function" r;
+  (* reachable through a qualified field only *)
+  let r =
+    analyze
+      ~config:{ fix_config with Rules.roots = [ "lib/fix/fix.ml" ] }
+      (fixture
+         ~extra:
+           [ ("lib/fix/state.ml", "type t = { count : int }\nlet table = Hashtbl.create 16\n");
+             ("lib/fix/state.mli", "(* fixture interface *)\n") ]
+         "let count x = x.State.count\n")
+  in
+  checkb ("S101 via a qualified field — " ^ show r) true
+    (List.map
+       (fun (d : Diagnostic.t) ->
+         (d.Diagnostic.code, d.Diagnostic.location.Diagnostic.file,
+          d.Diagnostic.location.Diagnostic.line))
+       r.Engine.diagnostics
+    = [ (Codes.s101, Some "lib/fix/state.ml", Some 2) ]);
+  (* a handler on its own line, and after another handler *)
+  let r = analyze (fixture "let f g x =\n  try g x with\n  | _ -> 0\n") in
+  assert_only ~ctx:"S201 handler on its own line" Codes.s201 3 r;
+  let r = analyze (fixture "let f g x = try g x with Not_found -> 1 | _ -> 0\n") in
+  assert_only ~ctx:"S201 second handler" Codes.s201 1 r;
+  (* parenthesized *)
+  let r = analyze (fixture "let f () = assert (false)\n") in
+  assert_only ~ctx:"S202 assert (false)" Codes.s202 1 r;
+  (* a record field named exit is no call *)
+  let r = analyze (fixture "type t = { exit : int }\nlet code t = t.exit\n") in
+  assert_clean ~ctx:"S203 field named exit" r
 
 (* --- allowlist --- *)
 
@@ -305,6 +337,7 @@ let suites =
         Alcotest.test_case "S302 dune flags" `Quick test_s302_dune_flags;
         Alcotest.test_case "S303 stdout in lib" `Quick test_s303_stdout;
         Alcotest.test_case "masking" `Quick test_masking;
+        Alcotest.test_case "AST-only spellings" `Quick test_ast_spellings;
       ] );
     ( "analysis-allowlist",
       [

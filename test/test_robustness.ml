@@ -352,6 +352,35 @@ let test_cli_bad_cosim_values () =
       ([], [ "cosim"; "--system-clock=0"; "--calibrate" ], [ "'--system-clock'" ]);
     ]
 
+(* The analyze file options: an unreadable allowlist, a malformed
+   baseline, an unwritable baseline snapshot. *)
+let test_cli_bad_analyze_files () =
+  let malformed = Filename.temp_file "msoc_baseline" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove malformed)
+    (fun () ->
+      Out_channel.with_open_bin malformed (fun oc -> output_string oc "{ not json");
+      check_usage_errors
+        [
+          ([], [ "analyze"; "--allowlist"; "nope.allow" ], [ "'--allowlist'" ]);
+          ([], [ "analyze"; "--baseline"; malformed ], [ "'--baseline'" ]);
+          ([], [ "analyze"; "--write-baseline"; "/nonexistent/dir/b.json" ],
+            [ "'--write-baseline'" ]);
+        ])
+
+let test_cli_bad_endpoints () =
+  let both = [ "'--socket'"; "'--tcp'" ] in
+  check_usage_errors
+    [
+      ([], [ "serve"; "--socket"; "unused.sock"; "--tcp"; "0" ], both);
+      ([], [ "fleet" ], both);
+      ([], [ "fleet"; "--socket"; "unused.sock"; "--tcp"; "7999" ], both);
+      ([], [ "replay" ], both);
+      ([], [ "replay"; "--socket"; "unused.sock"; "--tcp"; "7999" ], both);
+      ([], [ "replay"; "--tcp"; "localhost:http" ], [ "'--tcp'" ]);
+      ([], [ "replay"; "--tcp"; "999.1.1.1:80" ], [ "'--tcp'" ]);
+    ]
+
 let suites =
   [
     ( "robustness.planner",
@@ -388,5 +417,9 @@ let suites =
         Alcotest.test_case "bad --packer, --strategy and --analog names" `Quick
           test_cli_bad_names;
         Alcotest.test_case "bad cosim values" `Quick test_cli_bad_cosim_values;
+        Alcotest.test_case "bad analyze file options" `Quick
+          test_cli_bad_analyze_files;
+        Alcotest.test_case "bad --socket/--tcp endpoints" `Quick
+          test_cli_bad_endpoints;
       ] );
   ]

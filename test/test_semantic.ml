@@ -3,7 +3,7 @@
    plus seeded mutations of the real lib/serve sources proving the
    analyzer catches the concurrency bugs it was built for, hash-anchor
    allowlist coverage, the CI ratchet baseline, and the quoted-string
-   masking regression with its qcheck line-geometry property. *)
+   regression. *)
 
 module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
@@ -23,11 +23,6 @@ let checks = Alcotest.(check string)
 let with_project = Test_analysis.with_project
 let fixture = Test_analysis.fixture
 let show = Test_analysis.show
-
-let contains haystack needle =
-  let h = String.length haystack and n = String.length needle in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
 
 (* Semantic tier on; roots kept away from lib/fix so S101 stays out of
    the picture and each fixture isolates its S5xx rule. *)
@@ -265,15 +260,29 @@ let test_s505_dead_api () =
          body
       @ [ ("lib/fix/fix.mli", mli) ])
   in
-  checkb ("S505 open marks used — " ^ show r) true
-    (not
-       (List.exists
-          (fun (d : Diagnostic.t) ->
-            d.Diagnostic.code = Codes.s505
-            && d.Diagnostic.location.Diagnostic.file = Some "lib/fix/fix.mli")
-          r.Engine.diagnostics))
+  let spared ctx (r : Engine.report) =
+    checkb (ctx ^ " — " ^ show r) true
+      (not
+         (List.exists
+            (fun (d : Diagnostic.t) ->
+              d.Diagnostic.code = Codes.s505
+              && d.Diagnostic.location.Diagnostic.file = Some "lib/fix/fix.mli")
+            r.Engine.diagnostics))
+  in
+  spared "S505 open marks used" r;
+  (* so does a local open, which names no [Fix.value] pair *)
+  let r =
+    analyze
+      (fixture ~mli:false
+         ~extra:
+           [ ("lib/fix/other.ml", "let f x = Fix.(used (dead x))\n");
+             ("lib/fix/other.mli", "val f : int -> int\n") ]
+         body
+      @ [ ("lib/fix/fix.mli", mli) ])
+  in
+  spared "S505 local open marks used" r
 
-(* --- graceful degradation: parse failure keeps the token tier --- *)
+(* --- parse failure: S406 and nothing else --- *)
 
 let test_parse_failure_degrades () =
   let r =
@@ -285,9 +294,10 @@ let test_parse_failure_degrades () =
          \  compute (oops\n")
   in
   checki ("unparsable module counted — " ^ show r) 1 r.Engine.parse_failures;
-  checkb "token S102 still fires" true (has Codes.s102 r);
+  checkb "S406 reports the skip" true (has Codes.s406 r);
+  checkb "no S102 (retired)" true (not (has "MSOC-S102" r));
   checkb "no S502 from the failed parse" true (not (has Codes.s502 r));
-  (* parsable module: S502 supersedes S102 (no double fire) *)
+  (* the parsable spelling is analyzed *)
   let r =
     analyze
       (fixture
@@ -299,21 +309,7 @@ let test_parse_failure_degrades () =
           \  v\n")
   in
   checkb "S502 on the parsable spelling" true (has Codes.s502 r);
-  checkb "S102 superseded" true (not (has Codes.s102 r));
-  (* --no-semantic: token tier only, S102 is back *)
-  let r =
-    analyze
-      ~config:{ sem_config with Rules.semantic = false }
-      (fixture
-         "let m = Mutex.create ()\n\
-          let bad xs =\n\
-         \  Mutex.lock m;\n\
-         \  let v = List.hd xs in\n\
-         \  ignore (List.length xs);\n\
-          \  ()\n")
-  in
-  checkb "token tier alone flags unpaired lock" true (has Codes.s102 r);
-  checki "semantic off: no parse accounting" 0 r.Engine.parse_failures
+  checki "no parse failure" 0 r.Engine.parse_failures
 
 (* --- seeded mutations of the real lib/serve sources --- *)
 
@@ -511,53 +507,19 @@ let test_baseline_never_absorbs_audit () =
   let cmp = Baseline.compare_run b [ audit ] in
   checki "S4xx stays live" 1 (List.length cmp.Baseline.fresh)
 
-(* --- quoted-string masking (regression) --- *)
+(* --- quoted strings and comments never fire a rule (regression) --- *)
 
 let test_mask_quoted_strings () =
-  let masked = Source.mask "let s = {|Mutex.lock and \"quote\"|} ;;" in
-  checkb "{|...|} body blanked" true
-    (not (contains masked "Mutex.lock"));
-  let masked = Source.mask "let s = {ext|assert false |} still|ext} done" in
-  checkb "{id|...|id} honors its id" true
-    (not (contains masked "assert false")
-    && not (contains masked "still"));
-  checkb "{id|...|id} ends at its terminator" true
-    (contains masked "done");
-  (* a comment terminator inside a quoted string does not end the string *)
-  let masked = Source.mask "let s = {|a *) b|}\nlet live = exit 1\n" in
-  checkb "*) inside {|...|} inert" true
-    (contains masked "exit");
-  (* a quoted string inside a comment keeps the comment's extent *)
-  let masked = Source.mask "(* {|inner *) still comment|} *) let live = 3" in
-  checkb "comment swallows quoted *)" true
-    (contains masked "live");
-  checkb "comment body blanked" true
-    (not (contains masked "still"));
-  (* near-misses: Bigarray access and record syntax are not quoted strings *)
-  let masked = Source.mask "let v = x.{0} + 1 let r = { r with field = 2 }" in
-  checkb "x.{0} untouched" true (contains masked "x.{0}");
-  checkb "record braces untouched" true (contains masked "field");
-  (* the loaded-source view agrees with the raw mask *)
-  let src = Source.of_string ~path:"q.ml" "let s = {|exit 1|}\nlet k = 2\n" in
-  checki "line_count" 2 (Source.line_count src);
-  checkb "masked lines blank the quoted body" true
-    (not (contains (Source.masked src).(0) "exit"));
+  List.iter
+    (fun (ctx, body) -> assert_clean ~ctx (analyze (fixture body)))
+    [
+      ("{|...|} body is a string", "let s = {|exit 1|}\nlet k = 2\n");
+      ( "{id|...|id} ends at its own terminator",
+        "let s = {ext|assert false |} still|ext}\nlet k = 2\n" );
+      ( "a quoted *) inside a comment keeps the comment open",
+        "(* {|inner *) failwith still comment|} *)\nlet live = 3\n" );
+    ];
   checks "default allowlist name" "analysis.allow" Engine.default_allowlist_file
-
-let mask_geometry_prop =
-  let gen =
-    QCheck.string_gen_of_size (QCheck.Gen.int_range 0 200)
-      (QCheck.Gen.oneofl
-         [ 'a'; 'x'; '{'; '}'; '|'; '"'; '\''; '('; '*'; ')'; '\n'; ' '; '\\' ])
-  in
-  QCheck.Test.make ~count:500 ~name:"mask preserves line geometry" gen
-    (fun text ->
-      let masked = Source.mask text in
-      let lines t = String.split_on_char '\n' t in
-      List.length (lines masked) = List.length (lines text)
-      && List.for_all2
-           (fun a b -> String.length a = String.length b)
-           (lines masked) (lines text))
 
 (* --- the Ast parse cache --- *)
 
@@ -670,7 +632,6 @@ let suites =
       [
         Alcotest.test_case "quoted-string masking" `Quick
           test_mask_quoted_strings;
-        QCheck_alcotest.to_alcotest mask_geometry_prop;
         Alcotest.test_case "ast cache" `Quick test_ast_cache;
         Alcotest.test_case "flow & callgraph helpers" `Quick
           test_flow_and_callgraph;
