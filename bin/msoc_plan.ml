@@ -50,6 +50,10 @@ let positive_int =
   checked ~docv:"N" ~expected:"a positive integer" int_of_string_opt
     Format.pp_print_int (fun n -> n >= 1)
 
+let positive_float ~docv =
+  checked ~docv ~expected:"a positive number" float_of_string_opt
+    Format.pp_print_float (fun f -> Float.is_finite f && f > 0.0)
+
 let width_arg =
   let doc = "SOC-level TAM width (wires)." in
   Arg.(value & opt positive_int 32 & info [ "w"; "width" ] ~docv:"W" ~doc)
@@ -71,6 +75,24 @@ let unknown_name ~valid s =
   Error
     (Printf.sprintf "invalid value '%s', expected one of: %s" s
        (String.concat ", " valid))
+
+(* A comma-separated list of names, each one of [valid]; [nonempty]
+   rejects a list that names nothing. *)
+let names_conv ~docv ~valid ~nonempty of_name name =
+  let parse s =
+    let rec values acc = function
+      | [] when nonempty && acc = [] -> unknown_name ~valid s
+      | [] -> Ok (List.rev acc)
+      | n :: rest -> (
+        match of_name n with
+        | Some v -> values (v :: acc) rest
+        | None -> unknown_name ~valid n)
+    in
+    values []
+      (List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s)))
+  in
+  let print ppf vs = Format.pp_print_string ppf (String.concat "," (List.map name vs)) in
+  Arg.conv' ~docv (parse, print)
 
 let labels cores = List.map (fun c -> c.Msoc_analog.Spec.label) cores
 
@@ -897,7 +919,7 @@ let memory_cache_arg =
 let cache_max_mb_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "cache-max-mb" ] ~docv:"MB"
         ~doc:
           "Cap the on-disk cache; a size-aware sweep removes the oldest \
@@ -913,13 +935,7 @@ let queue_arg =
 
 let run_serve endpoint worker_id cache_dir memory_cache cache_max_mb queue
     jobs =
-  let max_disk_bytes =
-    Option.map
-      (fun mb ->
-        if mb < 1 then Fmt.failwith "--cache-max-mb must be >= 1, got %d" mb;
-        mb * 1024 * 1024)
-      cache_max_mb
-  in
+  let max_disk_bytes = Option.map (fun mb -> mb * 1024 * 1024) cache_max_mb in
   let cache =
     Msoc_serve.Cache.create ?dir:cache_dir ?max_disk_bytes
       ~memory_capacity:memory_cache ()
@@ -1311,28 +1327,9 @@ let fetch_stats connect =
           | Error _ -> None
         with End_of_file | Sys_error _ -> None)
 
-let run_replay endpoint count mix_str widths_str weights_str soc_file
-    analog_cores window repeat deadline_ms verify clients rate allow_shed
+let run_replay endpoint count mix widths_str weights_str soc_file
+    analog_cores window repeat deadline_ms verify clients rate allowed_shed
     json_out seed =
-  let mix =
-    String.split_on_char ',' mix_str
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun s ->
-           match Serve_protocol.op_of_name (String.trim s) with
-           | Some ((Serve_protocol.Plan | Serve_protocol.Optimize) as op) -> op
-           | Some _ | None ->
-             Fmt.failwith "--mix accepts plan and optimize, got %S" s)
-  in
-  if mix = [] then Fmt.failwith "--mix selects no operations";
-  if clients < 1 then Fmt.failwith "--clients must be >= 1, got %d" clients;
-  let allowed_shed =
-    String.split_on_char ',' allow_shed
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun s ->
-           match Serve_protocol.status_of_name (String.trim s) with
-           | Some st -> st
-           | None -> Fmt.failwith "--allow-shed: unknown status %S" s)
-  in
   let widths = parse_int_list ~what:"--widths" widths_str in
   let weights = parse_float_list ~what:"--weights" weights_str in
   let soc_text =
@@ -1361,7 +1358,6 @@ let run_replay endpoint count mix_str widths_str weights_str soc_file
   let results, malformed, wall =
     match rate with
     | Some r ->
-      if r <= 0.0 then Fmt.failwith "--rate must be positive";
       replay_open_loop ~connect ~clients ~rate:r ~seed requests
     | None ->
       (* closed loop: one connection, bounded pipeline windows *)
@@ -1684,22 +1680,27 @@ let replay_cmd =
   in
   let clients_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "clients" ] ~docv:"N"
           ~doc:"Concurrent connections in open-loop mode.")
   in
   let rate_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (positive_float ~docv:"R")) None
       & info [ "rate" ] ~docv:"R"
           ~doc:
             "Open-loop mode: send at R req/s with Poisson arrivals, split \
              over $(b,--clients) connections, never waiting for responses.")
   in
   let allow_shed_arg =
+    let valid = List.map Serve_protocol.status_name Serve_protocol.statuses in
     Arg.(
-      value & opt string ""
+      value
+      & opt
+          (names_conv ~docv:"STATUSES" ~valid ~nonempty:false
+             Serve_protocol.status_of_name Serve_protocol.status_name)
+          []
       & info [ "allow-shed" ] ~docv:"STATUSES"
           ~doc:
             "Comma-separated statuses (e.g. overloaded,unavailable) tolerated \
@@ -1724,8 +1725,17 @@ let replay_cmd =
       & info [ "count" ] ~docv:"N" ~doc:"Requests per repetition.")
   in
   let mix_arg =
+    let of_name name =
+      match Serve_protocol.op_of_name name with
+      | Some ((Serve_protocol.Plan | Serve_protocol.Optimize) as op) -> Some op
+      | Some _ | None -> None
+    in
     Arg.(
-      value & opt string "plan,optimize"
+      value
+      & opt
+          (names_conv ~docv:"OPS" ~valid:[ "plan"; "optimize" ] ~nonempty:true
+             of_name Serve_protocol.op_name)
+          [ Serve_protocol.Plan; Serve_protocol.Optimize ]
       & info [ "mix" ] ~docv:"OPS" ~doc:"Comma-separated operation cycle.")
   in
   let widths_arg =
@@ -1944,10 +1954,6 @@ let cosim_cmd =
   let int_where ~docv ~expected ok =
     checked ~docv ~expected int_of_string_opt Format.pp_print_int ok
   in
-  let positive_float ~docv =
-    checked ~docv ~expected:"a positive number" float_of_string_opt
-      Format.pp_print_float (fun f -> Float.is_finite f && f > 0.0)
-  in
   let spec_arg =
     let parse s =
       if String.lowercase_ascii (String.trim s) = "all" then Ok Testbench.specs
@@ -1997,10 +2003,25 @@ let cosim_cmd =
           ~doc:"Wrapper converter resolution (even, 4..16).")
   in
   let samples_arg =
-    Arg.(
-      value
-      & opt (int_where ~docv:"N" ~expected:"an integer >= 16" (fun n -> n >= 16)) 4551
-      & info [ "samples" ] ~docv:"N" ~doc:"Stimulus record length (>= 16).")
+    let samples =
+      Arg.(
+        value
+        & opt (int_where ~docv:"N" ~expected:"an integer >= 16" (fun n -> n >= 16)) 4551
+        & info [ "samples" ] ~docv:"N"
+            ~doc:"Stimulus record length (>= 16; >= 65 with $(b,--spec) iip3).")
+    in
+    let check specs n =
+      match List.find_opt (fun s -> n < Testbench.min_samples s) specs with
+      | Some spec ->
+        `Error
+          ( true,
+            Printf.sprintf
+              "option '--samples': invalid value '%d', expected an integer >= %d \
+               with --spec %s"
+              n (Testbench.min_samples spec) (Testbench.spec_name spec) )
+      | None -> `Ok n
+    in
+    Term.(ret (const check $ spec_arg $ samples))
   in
   let tolerance_arg =
     Arg.(

@@ -10,14 +10,15 @@ type t = {
 
 let run_prepared ?(search = Heuristic { delta = 0.0 }) ?pool prepared =
   let problem = Evaluate.problem prepared in
-  let considered = List.length (Problem.combinations problem) in
+  let combinations = Problem.combinations problem in
+  let considered = List.length combinations in
   let best, evaluations =
     match search with
     | Exhaustive_search ->
-      let r = Exhaustive.run ?pool prepared in
+      let r = Exhaustive.run ~combinations ?pool prepared in
       (r.Exhaustive.best, r.Exhaustive.evaluations)
     | Heuristic { delta } ->
-      let r = Cost_optimizer.run ~delta ?pool prepared in
+      let r = Cost_optimizer.run ~delta ~combinations ?pool prepared in
       (r.Cost_optimizer.best, r.Cost_optimizer.evaluations)
   in
   {

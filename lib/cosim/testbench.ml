@@ -28,6 +28,12 @@ let spec_of_name name =
   let name = String.lowercase_ascii (String.trim name) in
   List.find_opt (fun s -> spec_name s = name) specs
 
+(* Below a 128-point FFT the two iip3 tones (45 and 55 kHz at the
+   default 1.7 MS/s, both scaled with fs) round to one bin. *)
+let min_samples = function
+  | Iip3 -> 65
+  | Gain | Fc | Thd | Dc_offset | Slew | Dr -> 16
+
 (* Gain and fc ride the paper's 5 % Fig. 5 agreement; the distortion
    and DC readouts sit near the converter noise/step floor where an
    8-bit wrapped path legitimately deviates more. *)

@@ -24,6 +24,11 @@ val spec_name : spec -> string
 val spec_of_name : string -> spec option
 (** Case-insensitive. *)
 
+val min_samples : spec -> int
+(** The shortest record the spec's extraction resolves: 16 samples,
+    and 65 for [Iip3], whose two tones land on one bin of a 64-point
+    FFT (the FFT pads to the next power of two). *)
+
 val default_tolerance_pct : spec -> float
 (** Per-spec pass tolerance on the wrapped-vs-direct relative error:
     5 % for [Gain]/[Fc] (the paper's Fig. 5 agreement), wider for the

@@ -107,6 +107,17 @@ type status =
   | Shutting_down
   | Unavailable
 
+let statuses =
+  [
+    Success;
+    Bad_request;
+    Server_error;
+    Overloaded;
+    Deadline_exceeded;
+    Shutting_down;
+    Unavailable;
+  ]
+
 let status_name = function
   | Success -> "ok"
   | Bad_request -> "bad_request"

@@ -75,6 +75,9 @@ type status =
       (** no worker reachable after retries (fleet router); the
           request was never computed — retry later *)
 
+val statuses : status list
+(** All seven, in declaration order. *)
+
 val status_name : status -> string
 
 val status_of_name : string -> status option

@@ -2,59 +2,78 @@ module Pareto = Msoc_wrapper.Pareto
 
 exception Infeasible of string
 
-(* Sorted, disjoint busy intervals [start, finish). *)
+(* Sorted, disjoint busy stretches [start, finish) as one flat int
+   array [|s0; f0; s1; f1; ...|], one pair per maximal busy stretch.
+   An array is never mutated once built: [add] returns a fresh one, so
+   the packing-state checkpoints that share it stay valid. *)
 module Intervals = struct
-  type t = (int * int) list
+  type t = int array
 
-  let empty : t = []
+  let empty : t = [||]
 
-  let to_list t = t
+  let to_list t = List.init (Array.length t / 2) (fun i -> (t.(2 * i), t.(2 * i + 1)))
+
+  (* Array index of the first stretch ending after [time] (the length
+     when none does), by binary search over the sorted finishes. *)
+  let rec search (t : t) ~time lo hi =
+    if lo >= hi then 2 * lo
+    else
+      let mid = (lo + hi) / 2 in
+      if t.((2 * mid) + 1) <= time then search t ~time (mid + 1) hi
+      else search t ~time lo mid
+
+  let first_after t ~time = search t ~time 0 (Array.length t / 2)
 
   let free_during t ~start ~finish =
-    List.for_all (fun (s, f) -> finish <= s || f <= start) t
+    let c = first_after t ~time:start in
+    c = Array.length t || finish <= t.(c)
 
   (* Insert a busy window, merging with a touching neighbour on either
-     side so the list keeps one entry per maximal busy stretch — the
-     candidate-start lists built from interval ends then stay bounded
-     by the number of idle gaps instead of growing with every
-     placement. Callers only add windows that passed [free_during], so
-     the new window never overlaps an existing entry. *)
+     side so the array keeps one pair per maximal busy stretch. Callers
+     only add windows that passed [free_during], so the new window
+     never overlaps an existing stretch. *)
   let add t ~start ~finish =
-    let rec insert = function
-      | [] -> [ (start, finish) ]
-      | (s, f) :: rest when f < start -> (s, f) :: insert rest
-      | (s, f) :: rest when f = start -> absorb s finish rest
-      | rest -> absorb start finish rest
-    and absorb s f = function
-      | (s2, f2) :: rest when s2 = f -> (s, f2) :: rest
-      | rest -> (s, f) :: rest
-    in
-    insert t
+    let len = Array.length t in
+    let c = first_after t ~time:(start - 1) in
+    let left = c < len && t.(c + 1) = start in
+    let next = if left then c + 2 else c in
+    let right = next < len && t.(next) = finish in
+    let after = if right then next + 2 else next in
+    let r = Array.make (len + 2 - (after - c)) start in
+    for j = 0 to c - 1 do
+      r.(j) <- t.(j)
+    done;
+    if left then r.(c) <- t.(c);
+    r.(c + 1) <- (if right then t.(next + 1) else finish);
+    for j = after to len - 1 do
+      r.(j + c + 2 - after) <- t.(j)
+    done;
+    r
 
   let ends_after t ~time =
-    List.filter_map (fun (_, f) -> if f >= time then Some f else None) t
+    List.filter_map (fun (_, f) -> if f >= time then Some f else None) (to_list t)
 end
 
 module Smap = Map.Make (String)
 
 (* Persistent packing state: one snapshot per placed job, so the
-   incremental engine ([prepare] / [repack_with_order]) can resume
-   from any prefix of a previous order without replaying it. The wire
-   array is copied on write (strip widths are small); everything else
-   is already a persistent structure. *)
+   incremental engine ([prepare] / [repack_below]) can resume from any
+   prefix of a previous order without replaying it. The wire array is
+   copied on write (strip widths are small); everything else is
+   already a persistent structure. *)
 type pstate = {
   p_wires : Intervals.t array;  (* never mutated: copy-on-write *)
   p_groups : (int * Intervals.t) list;
   (* committed placements as (start, finish, power) for the budget *)
   p_powered : (int * int * int) list;
   p_power_budget : int option;
-  (* label -> finish time of already-scheduled jobs *)
-  p_finished : int Smap.t;
   (* label -> busy interval of the placed job with that label *)
   p_placed : (int * int) Smap.t;
   (* label of a FUTURE job -> intervals already reserved against it by
      placed jobs that declared the conflict *)
   p_reserved : (int * int) list Smap.t;
+  (* the latest finish so far: the running makespan *)
+  p_makespan : int;
 }
 
 let initial_state ?power_budget ~width () =
@@ -63,9 +82,9 @@ let initial_state ?power_budget ~width () =
     p_groups = [];
     p_powered = [];
     p_power_budget = power_budget;
-    p_finished = Smap.empty;
     p_placed = Smap.empty;
     p_reserved = Smap.empty;
+    p_makespan = 0;
   }
 
 let group_intervals st = function
@@ -88,22 +107,13 @@ let conflict_intervals st job =
    [start], otherwise the distance to its next busy instant ([max_int]
    when it stays idle). Every job time t is > 0, so the resource is
    free throughout [start, start + t) exactly when t <= its run.
-   [idle_run] reads sorted, disjoint stretches, where the first one
-   ending after [start] decides; [window_run] reads windows in any
-   order. *)
-let rec idle_run ivs ~start =
-  match ivs with
-  | [] -> max_int
-  | (_, f) :: rest when f <= start -> idle_run rest ~start
-  | (s, _) :: _ -> if s <= start then 0 else s - start
-
-let window_run windows ~start =
-  List.fold_left
-    (fun run (s, f) ->
-      if s <= start && start < f then 0
-      else if start < s then min run (s - start)
-      else run)
-    max_int windows
+   [window_run] reads windows in any order. *)
+let rec window_run windows ~start run =
+  match windows with
+  | [] -> run
+  | (s, f) :: rest ->
+    if s <= start && start < f then 0
+    else window_run rest ~start (if start < s then Int.min run (s - start) else run)
 
 (* The committed load is piecewise constant and rises only where a
    placement starts, so the budget first breaks at [start] or at a
@@ -124,38 +134,6 @@ let power_run st ~start ~power =
           if start < s && s - start < run && over s then s - start else run)
         max_int st.p_powered
   | Some _ | None -> max_int
-
-(* The earliest feasible start of any operating point is [floor] or
-   the end of some wire, group, power or blocked window at or after
-   it: these candidates, ascending and distinct. *)
-let candidate_starts st ~floor ~group ~blocked =
-  let add acc f = if f >= floor then f :: acc else acc in
-  let add_ends acc ivs = List.fold_left (fun acc (_, f) -> add acc f) acc ivs in
-  let ends =
-    Array.fold_left
-      (fun acc wire -> add_ends acc (Intervals.to_list wire))
-      (add_ends (floor :: add_ends [] blocked) group)
-      st.p_wires
-  in
-  List.sort_uniq Int.compare
-    (List.fold_left (fun acc (_, f, _) -> add acc f) ends st.p_powered)
-
-(* Among the wires free during the window, keep the [w] whose previous
-   busy interval ends latest (least idle created in front of the job). *)
-let choose_wires st ~start ~w free_wires =
-  let slack wire =
-    let prev_end =
-      List.fold_left
-        (fun acc (_, f) -> if f <= start then max acc f else acc)
-        0 st.p_wires.(wire)
-    in
-    start - prev_end
-  in
-  let ranked =
-    List.map (fun wire -> (slack wire, wire)) free_wires
-    |> List.sort compare
-  in
-  List.filteri (fun i _ -> i < w) ranked |> List.map snd
 
 module Iset = Set.Make (Int)
 
@@ -222,15 +200,174 @@ let respect_precedences order =
     end;
     List.rev !result
 
+(* --- the placement kernel ------------------------------------------- *)
+
+(* Scratch of one strip width, reused by every placement of an order,
+   so [place] allocates no buffer. Per wire, the sweep keeps a cursor
+   on the first busy stretch ending after the current start, that
+   stretch's bounds and the end of the stretch before it, all in flat
+   int arrays. *)
+type sweep = {
+  cursor : int array;  (* array index of the stretch at the cursor *)
+  busy_from : int array;  (* its start; [max_int] when idle for good *)
+  busy_until : int array;  (* its finish; [max_int] when idle for good *)
+  idle_since : int array;  (* the previous stretch's finish, or 0 *)
+  runs : int array;  (* the finite idle runs at the current start *)
+  keys : int array;  (* the best window's free wires, keyed *)
+  mutable finite : int;  (* entries of [runs] in use *)
+  mutable idle : int;  (* wires idle for good at the current start *)
+  mutable free : int;  (* entries of [keys] in use *)
+  (* the best point so far; [best_finish = max_int] before the first *)
+  mutable best_finish : int;
+  mutable best_width : int;
+  mutable best_start : int;
+}
+
+let sweep ~width =
+  let slots () = Array.make width 0 in
+  {
+    cursor = slots ();
+    busy_from = slots ();
+    busy_until = slots ();
+    idle_since = slots ();
+    runs = slots ();
+    keys = slots ();
+    finite = 0;
+    idle = 0;
+    free = 0;
+    best_finish = max_int;
+    best_width = 0;
+    best_start = 0;
+  }
+
+(* The least conflict-window or power-placement end after [start]. *)
+let lower_end ~start (least : int) f = if start < f && f < least then f else least
+
+let rec window_end windows ~start least =
+  match windows with
+  | [] -> least
+  | (_, f) :: rest -> window_end rest ~start (lower_end ~start least f)
+
+let rec power_end powered ~start least =
+  match powered with
+  | [] -> least
+  | (_, f, _) :: rest -> power_end rest ~start (lower_end ~start least f)
+
+(* Array index of the first stretch of [ivs] ending after [start], from
+   cursor [c] on: the sweep's starts only grow. *)
+let rec advance (ivs : Intervals.t) c ~start =
+  if c < Array.length ivs && ivs.(c + 1) <= start then advance ivs (c + 2) ~start else c
+
+(* Bring every wire to [start]: a wire whose stretch at the cursor has
+   ended moves its cursor on. Counts the wires idle for good, collects
+   the finite idle runs and returns the least stretch end after
+   [start], the next start. *)
+let scan_wires sw wires ~width ~start =
+  let next = ref max_int in
+  sw.idle <- 0;
+  sw.finite <- 0;
+  for i = 0 to width - 1 do
+    if sw.busy_until.(i) <= start then begin
+      let ivs = wires.(i) in
+      let c = advance ivs sw.cursor.(i) ~start in
+      sw.cursor.(i) <- c;
+      if c > 0 then sw.idle_since.(i) <- ivs.(c - 1);
+      if c = Array.length ivs then begin
+        sw.busy_from.(i) <- max_int;
+        sw.busy_until.(i) <- max_int
+      end
+      else begin
+        sw.busy_from.(i) <- ivs.(c);
+        sw.busy_until.(i) <- ivs.(c + 1)
+      end
+    end;
+    let until = sw.busy_until.(i) and from = sw.busy_from.(i) in
+    if until < !next then next := until;
+    if from = max_int then sw.idle <- sw.idle + 1
+    else if from > start then begin
+      sw.runs.(sw.finite) <- from - start;
+      sw.finite <- sw.finite + 1
+    end
+  done;
+  !next
+
+(* At least [p.width] wires are idle for [p.time] from the start. *)
+let fits sw (p : Pareto.point) =
+  let n = ref sw.idle in
+  for j = 0 to sw.finite - 1 do
+    if sw.runs.(j) >= p.time then incr n
+  done;
+  !n >= p.width
+
+(* Key every wire free over [start, finish) as slack * width + wire,
+   the slack being the idle time its previous busy stretch leaves in
+   front of [start]. *)
+let key_free_wires sw ~width ~start ~finish =
+  sw.free <- 0;
+  for i = 0 to width - 1 do
+    if sw.busy_from.(i) >= finish then begin
+      sw.keys.(sw.free) <- ((start - sw.idle_since.(i)) * width) + i;
+      sw.free <- sw.free + 1
+    end
+  done
+
+(* Resolve the usable points at [start], where the group, conflict and
+   power runs are all [cap]: a point that still beats the best (finish,
+   width) becomes the best if it fits. Returns how many points stay
+   open; a point that cannot beat the best never will. *)
+let rec resolve sw ~width ~start ~cap open_points = function
+  | (p : Pareto.point) :: rest when p.width <= width ->
+    let finish = start + p.time in
+    if finish < sw.best_finish || (finish = sw.best_finish && p.width < sw.best_width)
+    then
+      if p.time <= cap && fits sw p then begin
+        sw.best_finish <- finish;
+        sw.best_width <- p.width;
+        sw.best_start <- start;
+        key_free_wires sw ~width ~start ~finish;
+        resolve sw ~width ~start ~cap open_points rest
+      end
+      else resolve sw ~width ~start ~cap (open_points + 1) rest
+    else resolve sw ~width ~start ~cap open_points rest
+  | _ -> open_points
+
+(* In-place ascending sort of [a.(0 .. n-1)]. *)
+let insertion_sort a n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
 (* Place one job on the earliest feasible window, returning the grown
    state alongside the placement. Pure in [st]: the incremental engine
-   checkpoints these states per position. *)
-let place ~width st job =
-  let points =
-    Pareto.points job.Job.staircase
-    |> List.filter (fun (p : Pareto.point) -> p.width <= width)
+   checkpoints these states per position.
+
+   One ascending sweep over the job's candidate starts resolves every
+   staircase point at once. The candidate starts are the precedence
+   floor and every wire, group, conflict-window and power end after
+   it: from each start the sweep moves to the least such end after it,
+   reading the wires and the group through one cursor each. At each
+   start a wire is busy, idle for good, or idle for a finite run; a
+   point (w, t) fits when the group, conflict and power runs are all
+   >= t and the wires idle for good plus the finite runs >= t number
+   at least w. The best point is the least (finish, width); the sweep
+   ends when no point can beat it. Of the wires free over the best
+   window, the job takes the [w] with the least idle slack in front
+   of it (the least keys slack * width + wire). *)
+let place sw ~width st job =
+  let points = Pareto.points job.Job.staircase in
+  (* Widths rise along the staircase: the usable points are a prefix. *)
+  let usable =
+    List.fold_left
+      (fun n (p : Pareto.point) -> if p.width <= width then n + 1 else n)
+      0 points
   in
-  if points = [] then
+  if usable = 0 then
     (* [pack] pre-checks this, but guard the internal entry point
        too: silently packing an out-of-bounds rectangle would defeat
        every capacity invariant downstream. *)
@@ -242,81 +379,66 @@ let place ~width st job =
   let floor =
     List.fold_left
       (fun acc pred ->
-        match Smap.find_opt pred st.p_finished with
-        | Some f -> max acc f
+        match Smap.find_opt pred st.p_placed with
+        | Some (_, f) -> Int.max acc f
         | None -> acc (* respect_precedences guarantees presence *))
       0 job.Job.predecessors
   in
   let blocked = conflict_intervals st job in
-  let group = Intervals.to_list (group_intervals st job.Job.exclusion) in
-  (* Every wire's idle run at the start being swept. *)
-  let runs = Array.make width 0 in
-  let fits (p : Pareto.point) =
-    let rec count i n =
-      n >= p.width
-      || (i < width && count (i + 1) (if runs.(i) >= p.time then n + 1 else n))
-    in
-    count 0 0
-  in
-  (* One ascending sweep over the candidate starts resolves every
-     point at its earliest feasible start: at each start, a point
-     (w, t) fits when the group, conflict and power runs are all >= t
-     and at least w wire runs are. [best] is the least (finish, width)
-     resolved so far, as (finish, point, start) — the earliest finish,
-     ties to fewer wires; a point that can no longer beat it closes
-     untried. *)
-  let rec sweep best open_points = function
-    | [] -> best
-    | _ when open_points = [] -> best
-    | start :: later ->
-      let cap =
-        min (idle_run group ~start)
-          (min (window_run blocked ~start) (power_run st ~start ~power:job.Job.power))
+  let group = group_intervals st job.Job.exclusion in
+  let wires = st.p_wires in
+  for i = 0 to width - 1 do
+    sw.cursor.(i) <- 0;
+    sw.idle_since.(i) <- 0;
+    sw.busy_until.(i) <- min_int (* moves every cursor at the first start *)
+  done;
+  sw.best_finish <- max_int;
+  let rec go start group_cursor open_points =
+    if open_points > 0 && start < max_int then begin
+      let g = advance group group_cursor ~start in
+      let idle_group = g = Array.length group in
+      let next =
+        Int.min
+          (if idle_group then max_int else group.(g + 1))
+          (Int.min (scan_wires sw wires ~width ~start)
+             (power_end st.p_powered ~start (window_end blocked ~start max_int)))
       in
-      if cap = 0 then sweep best open_points later
-      else begin
-        Array.iteri
-          (fun i wire -> runs.(i) <- idle_run (Intervals.to_list wire) ~start)
-          st.p_wires;
-        let best, still_open =
-          List.fold_left
-            (fun (best, still_open) (p : Pareto.point) ->
-              let finish = start + p.time in
-              match best with
-              | Some (bf, (bp : Pareto.point), _)
-                when finish > bf || (finish = bf && p.width >= bp.width) ->
-                (best, still_open)
-              | Some _ | None ->
-                if p.time <= cap && fits p then (Some (finish, p, start), still_open)
-                else (best, p :: still_open))
-            (best, []) open_points
-        in
-        sweep best still_open later
-      end
+      let cap =
+        Int.min
+          (if idle_group then max_int else Int.max 0 (group.(g) - start))
+          (Int.min (window_run blocked ~start max_int)
+             (power_run st ~start ~power:job.Job.power))
+      in
+      go next g (if cap > 0 then resolve sw ~width ~start ~cap 0 points else open_points)
+    end
   in
-  let finish, point, start =
-    match sweep None points (candidate_starts st ~floor ~group ~blocked) with
-    | Some best -> best
-    | None ->
-      raise
-        (Infeasible
-           (Printf.sprintf "job %s found no feasible start on the strip" job.Job.label))
-  in
-  let free_wires =
-    List.filter
-      (fun i -> Intervals.free_during st.p_wires.(i) ~start ~finish)
-      (List.init width Fun.id)
-  in
-  let wires = choose_wires st ~start ~w:point.Pareto.width free_wires in
-  let p_wires = Array.copy st.p_wires in
-  List.iter
-    (fun wire -> p_wires.(wire) <- Intervals.add p_wires.(wire) ~start ~finish)
-    wires;
+  go floor 0 usable;
+  if sw.best_finish = max_int then
+    raise
+      (Infeasible
+         (Printf.sprintf "job %s found no feasible start on the strip" job.Job.label));
+  let start = sw.best_start and finish = sw.best_finish and w = sw.best_width in
+  insertion_sort sw.keys sw.free;
+  let chosen = List.init w (fun j -> sw.keys.(j) mod width) in
+  (* Wires with one busy history share one array, and so do their
+     grown histories: [Intervals.add] runs once per distinct array. *)
+  let p_wires = Array.copy wires in
+  ignore
+    (List.fold_left
+       (fun grown wire ->
+         let ivs = wires.(wire) in
+         match List.assq_opt ivs grown with
+         | Some added ->
+           p_wires.(wire) <- added;
+           grown
+         | None ->
+           let added = Intervals.add ivs ~start ~finish in
+           p_wires.(wire) <- added;
+           (ivs, added) :: grown)
+       [] chosen);
   let p_groups =
     match job.Job.exclusion with
-    | Some g ->
-      (g, Intervals.add (group_intervals st (Some g)) ~start ~finish)
-      :: List.remove_assoc g st.p_groups
+    | Some g -> (g, Intervals.add group ~start ~finish) :: List.remove_assoc g st.p_groups
     | None -> st.p_groups
   in
   let p_powered =
@@ -336,18 +458,20 @@ let place ~width st job =
       p_wires;
       p_groups;
       p_powered;
-      p_finished = Smap.add job.Job.label finish st.p_finished;
       p_placed = Smap.add job.Job.label (start, finish) st.p_placed;
       p_reserved;
+      p_makespan = Int.max st.p_makespan finish;
     }
   in
-  (st', { Schedule.job; start; width = point.Pareto.width; time = point.Pareto.time; wires })
+  (st', { Schedule.job; start; width = w; time = finish - start; wires = chosen })
 
 (* Process-wide interval-state accounting. [full_rebuilds] counts
-   packs that build the per-wire interval state from scratch (every
-   [pack_in_order], plus any engine repack whose cached prefix is
-   empty); [jobs_reused] counts placements served from an engine's
-   checkpoints instead of being replayed. Atomics so pool workers and
+   order packs that build the per-wire interval state from scratch
+   (every one-shot order, plus any engine repack whose cached prefix
+   is empty); [jobs_reused] counts placements served from an engine's
+   checkpoints instead of being replayed; [jobs_placed] counts the
+   placements computed, so an order stopped by the best-of-orders
+   bound counts only the jobs it placed. Atomics so pool workers and
    benches can read deltas from any domain. *)
 type repack_stats = {
   repacks : int;
@@ -373,22 +497,40 @@ let repack_totals () =
 
 let schedule_of_placements ?power_budget ~width placements_rev =
   let placements =
-    List.sort (fun a b -> compare a.Schedule.start b.Schedule.start) placements_rev
+    List.sort (fun a b -> Int.compare a.Schedule.start b.Schedule.start) placements_rev
   in
   { Schedule.total_width = width; power_budget; placements }
 
-let pack_in_order ?power_budget ~width order =
-  Atomic.incr total_full_rebuilds;
-  ignore (Atomic.fetch_and_add total_jobs_placed (List.length order));
-  let _, placements_rev =
-    List.fold_left
-      (fun (st, acc) job ->
-        let st', p = place ~width st job in
-        (st', p :: acc))
-      (initial_state ?power_budget ~width (), [])
-      order
+(* Place [order.(k)], [order.(k + 1)], ... on top of [states.(k)],
+   storing the state after position [i] in [states.(i + 1)], until the
+   order is placed or its running makespan reaches [bound]. Returns
+   the number of positions placed in all and the new placements,
+   newest first. *)
+let place_below ~width ~bound order states k =
+  let sw = sweep ~width in
+  let rec go i placed =
+    if i = Array.length order || states.(i).p_makespan >= bound then (i, placed)
+    else begin
+      let st, p = place sw ~width states.(i) order.(i) in
+      states.(i + 1) <- st;
+      go (i + 1) (p :: placed)
+    end
   in
-  schedule_of_placements ?power_budget ~width placements_rev
+  go k []
+
+(* Pack one order from scratch; [None] once its running makespan
+   reaches [bound]. *)
+let pack_in_order ?power_budget ~width ~bound order =
+  let order = Array.of_list order in
+  let states =
+    Array.make (Array.length order + 1) (initial_state ?power_budget ~width ())
+  in
+  let m, placements_rev = place_below ~width ~bound order states 0 in
+  Atomic.incr total_full_rebuilds;
+  ignore (Atomic.fetch_and_add total_jobs_placed m);
+  if states.(m).p_makespan < bound then
+    Some (schedule_of_placements ?power_budget ~width placements_rev)
+  else None
 
 (* A job bound to an exclusion group inherits the group's total serial
    time as its urgency: the group is in effect one long serial job and
@@ -431,35 +573,65 @@ let validate_jobs ?power_budget ~width jobs =
       | Some _ | None -> ())
     jobs
 
+(* A job's priority keys, computed once for all three rules. *)
+type keys = { job : Job.t; urgency : int; time : int; area : int; width : int }
+
 (* Greedy list scheduling is sensitive to the job order, so the
    default packer tries a few natural priority rules and keeps the
    best schedule: longest (group-aware) first, largest area first, and
    widest first (which wins when one wide bottleneck rectangle must
-   nest under the narrow analog chains). *)
+   nest under the narrow analog chains). Each rule is a stable sort,
+   decreasing on a pair of keys. *)
 let priority_orders jobs =
   let urgency = group_urgency jobs in
-  let by key = List.sort (fun a b -> compare (key b) (key a)) jobs in
+  let keyed =
+    List.map
+      (fun job ->
+        { job; urgency = urgency job; time = Job.min_time job; area = Job.area job;
+          width = Job.min_width job })
+      jobs
+  in
+  let by first second =
+    List.stable_sort
+      (fun a b ->
+        match Int.compare (first b) (first a) with
+        | 0 -> Int.compare (second b) (second a)
+        | c -> c)
+      keyed
+    |> List.map (fun k -> k.job)
+  in
   [
-    by (fun j -> (urgency j, Job.min_time j));
-    by (fun j -> (Job.area j, urgency j));
-    by (fun j -> (Job.min_width j, urgency j));
+    by (fun k -> k.urgency) (fun k -> k.time);
+    by (fun k -> k.area) (fun k -> k.urgency);
+    by (fun k -> k.width) (fun k -> k.urgency);
   ]
+
+(* Order [i] is packed by [pack i ~bound order], which gives up once
+   the order's running makespan reaches [bound]: the makespan of the
+   best complete order so far. Placing more jobs never lowers a
+   running makespan, and a tie keeps the earlier order, so an order
+   that reaches the bound cannot win. *)
+let best_of_orders pack orders =
+  let rec go i best = function
+    | [] -> best
+    | order :: rest ->
+      let bound = match best with Some s -> Schedule.makespan s | None -> max_int in
+      let best = match pack i ~bound order with Some _ as s -> s | None -> best in
+      go (i + 1) best rest
+  in
+  go 0 None orders
 
 let pack_with_orders ?power_budget ~width ~orders jobs =
   validate_strip ?power_budget ~width ();
   validate_jobs ?power_budget ~width jobs;
-  let schedules =
-    List.map
-      (fun order -> pack_in_order ?power_budget ~width (respect_precedences order))
+  match
+    best_of_orders
+      (fun _ ~bound order ->
+        pack_in_order ?power_budget ~width ~bound (respect_precedences order))
       (orders jobs)
-  in
-  match schedules with
-  | [] -> invalid_arg "Packer.pack_with_orders: orders produced no priority order"
-  | s :: rest ->
-    List.fold_left
-      (fun best s ->
-        if Schedule.makespan s < Schedule.makespan best then s else best)
-      s rest
+  with
+  | Some s -> s
+  | None -> invalid_arg "Packer.pack_with_orders: orders produced no priority order"
 
 let pack ?power_budget ~width jobs =
   pack_with_orders ?power_budget ~width ~orders:priority_orders jobs
@@ -510,10 +682,9 @@ let pack_optimized ?power_budget ?(rounds = 8) ~width jobs =
           let order =
             respect_precedences (promotion_order ~front:order_front jobs)
           in
-          let candidate = pack_in_order ?power_budget ~width order in
           let best =
-            if Schedule.makespan candidate < Schedule.makespan best then candidate
-            else best
+            Option.value ~default:best
+              (pack_in_order ?power_budget ~width ~bound:(Schedule.makespan best) order)
           in
           refine best order_front (remaining - 1)
         end
@@ -528,7 +699,8 @@ let pack_optimized ?power_budget ?(rounds = 8) ~width jobs =
    diffs the new effective order against the cached one and replays
    only the suffix after the longest common prefix — an annealer's
    transposition at positions (i, j) keeps min(i, j) placements for
-   free. NOT thread-safe: one engine per domain. *)
+   free. An order stopped by its bound leaves only the prefix it
+   placed in the cache. NOT thread-safe: one engine per domain. *)
 type prepared = {
   e_width : int;
   e_power_budget : int option;
@@ -554,12 +726,12 @@ let prepare ?power_budget ~width () =
 
 let repack_stats e = e.e_stats
 
-let repack_with_order e jobs =
+let repack_below e ~bound jobs =
   validate_jobs ?power_budget:e.e_power_budget ~width:e.e_width jobs;
   let order = Array.of_list (respect_precedences jobs) in
   let n = Array.length order in
   let prev = e.e_order in
-  let limit = min n (Array.length prev) in
+  let limit = Int.min n (Array.length prev) in
   let k = ref 0 in
   (* Jobs are pure data (label, staircase points, constraint lists),
      so structural equality is the right prefix test; the physical
@@ -570,34 +742,34 @@ let repack_with_order e jobs =
   let k = !k in
   let states = Array.make (n + 1) e.e_states.(0) in
   Array.blit e.e_states 0 states 0 (k + 1);
-  let st = ref states.(k) in
-  let replayed = ref [] in
-  for i = k to n - 1 do
-    let st', pl = place ~width:e.e_width !st order.(i) in
-    states.(i + 1) <- st';
-    replayed := pl :: !replayed;
-    st := st'
-  done;
+  let m, replayed = place_below ~width:e.e_width ~bound order states k in
   let placements =
-    Array.append (Array.sub e.e_placements 0 k) (Array.of_list (List.rev !replayed))
+    Array.append (Array.sub e.e_placements 0 k) (Array.of_list (List.rev replayed))
   in
-  e.e_order <- order;
-  e.e_states <- states;
+  e.e_order <- Array.sub order 0 m;
+  e.e_states <- Array.sub states 0 (m + 1);
   e.e_placements <- placements;
   e.e_stats <-
     {
       repacks = e.e_stats.repacks + 1;
       full_rebuilds = (e.e_stats.full_rebuilds + if k = 0 && n > 0 then 1 else 0);
       jobs_reused = e.e_stats.jobs_reused + k;
-      jobs_placed = e.e_stats.jobs_placed + (n - k);
+      jobs_placed = e.e_stats.jobs_placed + (m - k);
     };
   Atomic.incr total_repacks;
   if k = 0 && n > 0 then Atomic.incr total_full_rebuilds;
   ignore (Atomic.fetch_and_add total_jobs_reused k);
-  ignore (Atomic.fetch_and_add total_jobs_placed (n - k));
-  let placements_rev = Array.fold_left (fun acc p -> p :: acc) [] placements in
-  schedule_of_placements ?power_budget:e.e_power_budget ~width:e.e_width
-    placements_rev
+  ignore (Atomic.fetch_and_add total_jobs_placed (m - k));
+  if states.(m).p_makespan < bound then
+    Some
+      (schedule_of_placements ?power_budget:e.e_power_budget ~width:e.e_width
+         (Array.fold_left (fun acc p -> p :: acc) [] placements))
+  else None
+
+let repack_with_order e jobs =
+  match repack_below e ~bound:max_int jobs with
+  | Some s -> s
+  | None -> invalid_arg "Packer.repack_with_order: makespan reached max_int"
 
 let anneal ?power_budget ?(seed = 1) ?(iterations = 150) ~width jobs =
   let best = ref (pack_optimized ?power_budget ~width jobs) in

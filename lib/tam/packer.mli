@@ -14,14 +14,15 @@
     Heuristic: a portfolio of priority orders (group-aware longest
     first, largest area first, widest first), each passed through
     {!respect_precedences} and packed greedily; the smallest makespan
-    wins. Each job takes the staircase point with the earliest finish
-    over its candidate starts (ties to fewer wires), on the free wires
-    with the least idle slack in front of it. The candidate starts are
-    the job's precedence floor and every wire, group, power and
-    conflict-window end after it; one ascending sweep over them
-    resolves all of the job's points at once from each wire's idle run
-    at each start. Gap-aware: idle wire intervals between placed jobs
-    remain usable by later jobs.
+    wins, ties to the earlier order ({!best_of_orders}). Each job takes
+    the staircase point with the earliest finish over its candidate
+    starts (ties to fewer wires), on the free wires with the least idle
+    slack in front of it. The candidate starts are the job's precedence
+    floor and every wire, group, power and conflict-window end after
+    it; one ascending sweep, with one cursor per wire, visits them in
+    order and resolves all of the job's points at once from each
+    wire's idle run at each start. Gap-aware: idle wire intervals
+    between placed jobs remain usable by later jobs.
 
     This module is one packing {e heuristic} plus the shared
     machinery; alternative priority heuristics plug in through
@@ -37,10 +38,11 @@ exception Infeasible of string
     repacks of {!anneal} and {!pack_optimized}. *)
 
 (** Sorted, disjoint busy intervals [[start, finish)], one entry per
-    maximal busy stretch: {!Intervals.add} merges touching neighbours
-    on insert, keeping the candidate-start lists the placement scan
-    derives from interval ends proportional to the number of idle
-    gaps. Exposed for tests. *)
+    maximal busy stretch, held as one flat int array
+    [[|s0; f0; s1; f1; ...|]]. {!Intervals.add} merges touching
+    neighbours on insert and returns a fresh array, leaving its
+    argument untouched, so packing-state checkpoints that share a
+    wire's intervals stay valid. Exposed for tests. *)
 module Intervals : sig
   type t
 
@@ -77,9 +79,22 @@ val group_urgency : Job.t list -> Job.t -> int
 
 val priority_orders : Job.t list -> Job.t list list
 (** The default heuristic's priority rules — group-aware longest
-    first, largest area first, widest first — as plain sorts of the
-    input. Precedences are {e not} yet applied; {!pack_with_orders}
-    does that per order. *)
+    first, largest area first, widest first — as stable sorts of the
+    input, each job's keys computed once. Precedences are {e not} yet
+    applied; {!pack_with_orders} does that per order. *)
+
+val best_of_orders :
+  (int -> bound:int -> Job.t list -> Schedule.t option) ->
+  Job.t list list ->
+  Schedule.t option
+(** [best_of_orders pack orders] is the best-of-orders rule every
+    packer shares: the first schedule with the strictly smallest
+    makespan, [None] only when [orders] is empty. Order [i] is packed
+    by [pack i ~bound order], where [bound] is the makespan of the
+    best complete order so far ([max_int] for the first); [pack]
+    returns [None] as soon as the order's running makespan reaches
+    [bound]. The stop is exact: a running makespan never falls, and a
+    tie keeps the earlier order, so a stopped order cannot win. *)
 
 val pack_with_orders :
   ?power_budget:int ->
@@ -88,9 +103,10 @@ val pack_with_orders :
   Job.t list ->
   Schedule.t
 (** Generic entry point behind every packer variant: validate the
-    strip and the jobs, pack each priority order [orders jobs] (after
-    {!respect_precedences}) and keep the first schedule with the
-    smallest makespan. [pack = pack_with_orders ~orders:priority_orders].
+    strip and the jobs, then pack each priority order [orders jobs]
+    (after {!respect_precedences}) from scratch through
+    {!best_of_orders}, so an order stops once it can no longer win.
+    [pack = pack_with_orders ~orders:priority_orders].
     @raise Infeasible as described above.
     @raise Invalid_argument if [width <= 0], [power_budget <= 0], or
     [orders] returns no order. *)
@@ -136,12 +152,12 @@ val anneal :
 (** {2 Incremental repacking}
 
     An engine caches the last packed order with one packing-state
-    checkpoint per position; {!repack_with_order} replays only the
-    suffix after the longest common prefix with the cached order and
-    returns a schedule bit-identical to
-    [pack_in_order (respect_precedences jobs)] from scratch. Both
-    {!anneal}'s transpositions and the search-layer evaluators sit on
-    this API. *)
+    checkpoint per position; {!repack_below} replays only the suffix
+    after the longest common prefix with the cached order and returns
+    a schedule bit-identical to packing
+    [respect_precedences jobs] from scratch. {!anneal}'s
+    transpositions and the registry's best-of-orders repacks (and so
+    the search-layer evaluators) sit on this API. *)
 
 type prepared
 (** A reusable incremental-packing state for one fixed strip
@@ -151,21 +167,27 @@ type prepared
 val prepare : ?power_budget:int -> width:int -> unit -> prepared
 (** @raise Invalid_argument if [width <= 0] or [power_budget <= 0]. *)
 
-val repack_with_order : prepared -> Job.t list -> Schedule.t
-(** [repack_with_order e jobs] packs [jobs] in the given priority
+val repack_below : prepared -> bound:int -> Job.t list -> Schedule.t option
+(** [repack_below e ~bound jobs] packs [jobs] in the given priority
     order (after {!respect_precedences}) on [e]'s strip, reusing the
     cached placements of the longest common prefix with the previous
-    call.
+    call, and stops with [None] once the running makespan reaches
+    [bound]. The engine then caches only the prefix it placed.
     @raise Infeasible exactly as {!pack} would on the same jobs. *)
 
+val repack_with_order : prepared -> Job.t list -> Schedule.t
+(** {!repack_below} with no bound. *)
+
 type repack_stats = {
-  repacks : int;  (** {!repack_with_order} calls *)
+  repacks : int;  (** engine repacks ({!repack_below} calls) *)
   full_rebuilds : int;
-      (** packs that built the interval state from scratch: every
-          one-shot [pack] order, plus repacks with an empty common
-          prefix *)
+      (** order packs that built the interval state from scratch:
+          every one-shot [pack] order, stopped or not, plus repacks
+          with an empty common prefix *)
   jobs_reused : int;  (** placements served from cached checkpoints *)
-  jobs_placed : int;  (** placements actually (re)computed *)
+  jobs_placed : int;
+      (** placements actually (re)computed; an order stopped by its
+          bound counts only the jobs it placed *)
 }
 
 val repack_stats : prepared -> repack_stats

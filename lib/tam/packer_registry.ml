@@ -71,38 +71,33 @@ type incremental = {
   packer : packer;
   width : int;
   power_budget : int option;
-  mutable engines : Packer.prepared list;
+  mutable engines : Packer.prepared array;
 }
 
 let incremental ?power_budget ~width packer =
   (* Validate the strip eagerly, exactly like [Packer.prepare]. *)
   let first = Packer.prepare ?power_budget ~width () in
-  { packer; width; power_budget; engines = [ first ] }
+  { packer; width; power_budget; engines = [| first |] }
 
 let repack inc jobs =
   let (module P) = inc.packer in
   let orders = P.orders jobs in
+  let have = Array.length inc.engines in
   let needed = List.length orders in
-  let have = List.length inc.engines in
   if have < needed then
     inc.engines <-
-      inc.engines
-      @ List.init (needed - have) (fun _ ->
-            Packer.prepare ?power_budget:inc.power_budget ~width:inc.width ());
-  let engines = List.filteri (fun i _ -> i < needed) inc.engines in
-  let schedules = List.map2 Packer.repack_with_order engines orders in
-  match schedules with
-  | [] ->
+      Array.append inc.engines
+        (Array.init (needed - have) (fun _ ->
+             Packer.prepare ?power_budget:inc.power_budget ~width:inc.width ()));
+  match
+    Packer.best_of_orders
+      (fun i ~bound order -> Packer.repack_below inc.engines.(i) ~bound order)
+      orders
+  with
+  | Some best -> certify ~packer:P.name ~jobs best
+  | None ->
     invalid_arg
       (Printf.sprintf "Packer_registry.repack: packer %s produced no priority order"
          P.name)
-  | s :: rest ->
-    let best =
-      List.fold_left
-        (fun best s ->
-          if Schedule.makespan s < Schedule.makespan best then s else best)
-        s rest
-    in
-    certify ~packer:P.name ~jobs best
 
 let incremental_packer inc = inc.packer

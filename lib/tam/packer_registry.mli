@@ -61,7 +61,9 @@ val incremental : ?power_budget:int -> width:int -> packer -> incremental
 
 val repack : incremental -> Job.t list -> Schedule.t
 (** Pack via the incremental engines, reusing each priority order's
-    common prefix with the previous call. Bit-identical to
+    common prefix with the previous call, through the same
+    {!Packer.best_of_orders} loop as [pack]: an order stops once its
+    running makespan reaches the best so far. Bit-identical to
     [pack packer] on the same jobs (same orders, same tie-break),
     certified the same way. *)
 

@@ -1,17 +1,23 @@
-(* Bit-identity of the placement kernel.
+(* Bit-identity of the placement kernel and the best-of-orders loop.
 
-   [Ref] below is a direct placement scan on the exported
-   [Packer.Intervals]: every staircase point runs its own scan, each
-   rebuilding the candidate starts and re-walking every wire's
-   intervals. It is the reference the one-sweep [Packer.place] must
-   reproduce: every schedule, one-shot and incremental, structurally
-   equal — starts, widths, times, wire lists and placement order.
+   [Ref] below is a direct placement scan on the list-based interval
+   representation the packer used before its flat int arrays, copied
+   verbatim: every staircase point runs its own scan, each rebuilding
+   the candidate starts and re-walking every wire's intervals. It is
+   the reference the one-sweep [Packer.place] must reproduce: every
+   schedule, one-shot and incremental, structurally equal — starts,
+   widths, times, wire lists and placement order.
 
-   Two checks ride on it:
+   Four checks ride on it:
+   - a QCheck property comparing [Packer.Intervals] with [Ref.Intervals]
+     over random insertions that touch their neighbours on either side;
    - a QCheck property over generated strips with multi-point
      staircases, exclusion groups, tight power budgets, conflicts,
      acyclic precedences and small times (so busy intervals touch
-     candidate windows on both sides);
+     candidate windows on both sides), packing one order at a time;
+   - a QCheck property on the same strips for the best-of-orders rule
+     with its early stop, one-shot and through one incremental engine
+     per variant fed a walk of related job sets;
    - a golden pin: an MD5 over a canonical text of every placement of
      every registry variant on three SOCs (plus catalog cores A–E),
      no and full sharing, W = 16, 24, …, 64. *)
@@ -30,7 +36,39 @@ module Catalog = Msoc_analog.Catalog
 module Rng = Msoc_util.Rng
 
 module Ref = struct
-  module Intervals = Packer.Intervals
+  (* Sorted, disjoint busy intervals [start, finish). *)
+  module Intervals = struct
+    type t = (int * int) list
+
+    let empty : t = []
+
+    let to_list t = t
+
+    let free_during t ~start ~finish =
+      List.for_all (fun (s, f) -> finish <= s || f <= start) t
+
+    (* Insert a busy window, merging with a touching neighbour on either
+       side so the list keeps one entry per maximal busy stretch — the
+       candidate-start lists built from interval ends then stay bounded
+       by the number of idle gaps instead of growing with every
+       placement. Callers only add windows that passed [free_during], so
+       the new window never overlaps an existing entry. *)
+    let add t ~start ~finish =
+      let rec insert = function
+        | [] -> [ (start, finish) ]
+        | (s, f) :: rest when f < start -> (s, f) :: insert rest
+        | (s, f) :: rest when f = start -> absorb s finish rest
+        | rest -> absorb start finish rest
+      and absorb s f = function
+        | (s2, f2) :: rest when s2 = f -> (s, f2) :: rest
+        | rest -> (s, f) :: rest
+      in
+      insert t
+
+    let ends_after t ~time =
+      List.filter_map (fun (_, f) -> if f >= time then Some f else None) t
+  end
+
   module Smap = Map.Make (String)
 
   exception Infeasible = Packer.Infeasible
@@ -360,10 +398,94 @@ let engine_matches inst =
   done;
   !ok
 
+(* The best-of-orders rule without an early stop, through [Ref]: pack
+   every order from scratch and keep the first strictly smaller
+   makespan. *)
+let reference_best inst orders =
+  match List.map (reference inst) orders with
+  | [] -> None
+  | s :: rest ->
+    Some
+      (List.fold_left
+         (fun best s ->
+           if Schedule.makespan s < Schedule.makespan best then s else best)
+         s rest)
+
+(* The next job set of a sharing-like walk: every job bound to an
+   exclusion group is re-bound, with even odds, to a random group. *)
+let redraw_groups rng jobs =
+  List.map
+    (fun j ->
+      match j.Job.exclusion with
+      | Some _ when Rng.int rng ~bound:2 = 0 ->
+        { j with Job.exclusion = Some (Rng.int rng ~bound:3) }
+      | Some _ | None -> j)
+    jobs
+
+(* Every variant's best of its orders, one-shot, equals the reference
+   rule; one incremental engine per variant, fed eight related job
+   sets in a row, returns [Registry.pack]'s schedule on each. *)
+let best_of_orders_matches inst =
+  let budget = inst.power_budget and width = inst.width in
+  List.for_all
+    (fun ((module P : Msoc_tam.Packer_intf.S) as packer) ->
+      Some
+        (Packer.pack_with_orders ?power_budget:budget ~width ~orders:P.orders inst.jobs)
+      = reference_best inst (P.orders inst.jobs)
+      &&
+      let inc = Registry.incremental ?power_budget:budget ~width packer in
+      let rng = Rng.create ~seed:inst.walk_seed in
+      let rec walk jobs k =
+        k = 0
+        || Registry.repack inc jobs
+           = Registry.pack packer ?power_budget:budget ~width jobs
+           && walk (redraw_groups rng jobs) (k - 1)
+      in
+      walk inst.jobs 8)
+    Registry.all
+
+(* Insertions on a coarse or a fine grid, each kept only when the
+   window is free (the packer's precondition), so new windows often
+   touch a stretch on one or both sides. *)
+let intervals_match seed =
+  let rng = Rng.create ~seed in
+  let grid = if Rng.int rng ~bound:2 = 0 then 1 else 5 in
+  let window () =
+    let start = grid * Rng.int rng ~bound:12 in
+    (start, start + (grid * Rng.int_in rng ~lo:1 ~hi:4))
+  in
+  let agree flat listed =
+    Packer.Intervals.to_list flat = Ref.Intervals.to_list listed
+    && List.for_all
+         (fun _ ->
+           let start, finish = window () in
+           Packer.Intervals.free_during flat ~start ~finish
+           = Ref.Intervals.free_during listed ~start ~finish
+           && Packer.Intervals.ends_after flat ~time:start
+              = Ref.Intervals.ends_after listed ~time:start)
+         [ 1; 2; 3 ]
+  in
+  let rec grow flat listed k =
+    k = 0
+    ||
+    let start, finish = window () in
+    if Ref.Intervals.free_during listed ~start ~finish then
+      let flat = Packer.Intervals.add flat ~start ~finish
+      and listed = Ref.Intervals.add listed ~start ~finish in
+      agree flat listed && grow flat listed (k - 1)
+    else grow flat listed (k - 1)
+  in
+  grow Packer.Intervals.empty Ref.Intervals.empty 24
+
 let qcheck_tests =
   [
+    QCheck.Test.make ~name:"Intervals = list reference" ~count:500
+      QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000_000))
+      intervals_match;
     QCheck.Test.make ~name:"place = reference (one-shot and engine)" ~count:500
       instance_arb (fun inst -> one_shot_matches inst && engine_matches inst);
+    QCheck.Test.make ~name:"best of orders = reference rule (one-shot and incremental)"
+      ~count:300 instance_arb best_of_orders_matches;
   ]
   |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
 

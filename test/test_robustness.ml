@@ -350,6 +350,21 @@ let test_cli_bad_cosim_values () =
       ([], [ "cosim"; "--tolerance=-3" ], [ "'--tolerance'" ]);
       ([], [ "cosim"; "--tolerance=0" ], [ "'--tolerance'" ]);
       ([], [ "cosim"; "--system-clock=0"; "--calibrate" ], [ "'--system-clock'" ]);
+      ([], [ "cosim"; "--spec"; "iip3"; "--samples"; "64" ], [ "'--samples'"; ">= 65" ]);
+      ([], [ "cosim"; "--spec"; "all"; "--samples"; "64" ], [ "'--samples'"; ">= 65" ]);
+    ]
+
+let test_cli_bad_serve_values () =
+  let replay args = "replay" :: "--socket" :: "unused.sock" :: args in
+  check_usage_errors
+    [
+      ([], [ "serve"; "--cache-max-mb"; "0" ], [ "'--cache-max-mb'" ]);
+      ([], replay [ "--clients"; "0" ], [ "'--clients'" ]);
+      ([], replay [ "--rate"; "0" ], [ "'--rate'" ]);
+      ([], replay [ "--mix"; "bogus" ], [ "'--mix'"; "plan, optimize" ]);
+      ([], replay [ "--mix"; "" ], [ "'--mix'"; "plan, optimize" ]);
+      ([], replay [ "--allow-shed"; "nope" ],
+        [ "'--allow-shed'"; "overloaded, deadline_exceeded" ]);
     ]
 
 (* The analyze file options: an unreadable allowlist, a malformed
@@ -421,5 +436,7 @@ let suites =
           test_cli_bad_analyze_files;
         Alcotest.test_case "bad --socket/--tcp endpoints" `Quick
           test_cli_bad_endpoints;
+        Alcotest.test_case "bad serve and replay values" `Quick
+          test_cli_bad_serve_values;
       ] );
   ]
