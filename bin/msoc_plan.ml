@@ -16,13 +16,14 @@
      cosim     - co-simulation of wrapped spec tests (Fig. 5)
 
    Exit codes: 0 clean; 1 when `check` or `--verify` finds an
-   error-severity diagnostic (or `replay` sees a failure); cmdliner's
-   124/125 on CLI misuse. *)
+   error-severity diagnostic (or `replay` sees a failure); 124 on CLI
+   misuse — a value outside its range (Msoc_serve.Request's table) or a
+   request the planner rejects, what the service answers bad_request;
+   125 only on a bug (an uncaught exception). *)
 
 open Cmdliner
 
 module Types = Msoc_itc02.Types
-module Problem = Msoc_testplan.Problem
 module Plan = Msoc_testplan.Plan
 module Report = Msoc_testplan.Report
 module Catalog = Msoc_analog.Catalog
@@ -30,29 +31,41 @@ module Sharing = Msoc_analog.Sharing
 module Table = Msoc_util.Ascii_table
 module Diagnostic = Msoc_check.Diagnostic
 module Evaluate = Msoc_testplan.Evaluate
+module Export = Msoc_testplan.Export
+module Registry = Msoc_tam.Packer_registry
+module Request = Msoc_serve.Request
 
 (* --- shared argument definitions --- *)
 
-(* A value out of its range (--width, --jobs or MSOC_JOBS, --workers,
-   the cosim numbers) is a usage error (exit 124) like any other
-   unparseable option: [ok] accepts the value, [expected] names what
-   would have been accepted. *)
-let checked ~docv ~expected of_string pp ok =
+(* A value outside its range is a usage error (exit 124) like any other
+   unparseable option; the ranges and their "expected" phrases are the
+   ones the serve envelopes are checked against. *)
+let invalid_value (range : _ Request.range) s =
+  Printf.sprintf "invalid value '%s', expected %s" s range.Request.expected
+
+let in_range (range : _ Request.range) of_string s =
+  match of_string (String.trim s) with
+  | Some v when range.Request.ok v -> Ok v
+  | Some _ | None -> Error (invalid_value range s)
+
+let checked ~docv range of_string pp = Arg.conv' ~docv (in_range range of_string, pp)
+let int_in ?(docv = "N") range = checked ~docv range int_of_string_opt Format.pp_print_int
+let float_in ~docv range = checked ~docv range float_of_string_opt Format.pp_print_float
+let positive_int = int_in Request.positive_int
+let pp_name name ppf v = Format.pp_print_string ppf (name v)
+
+(* A comma-separated list, each entry in [range]; [nonempty] rejects a
+   list that names nothing. *)
+let list_conv ~docv ~nonempty (range : _ Request.range) of_string name =
   let parse s =
-    match of_string (String.trim s) with
-    | Some v when ok v -> Ok v
-    | Some _ | None ->
-      Error (Printf.sprintf "invalid value '%s', expected %s" s expected)
+    let rec values acc = function
+      | [] when nonempty && acc = [] -> Error (invalid_value range s)
+      | [] -> Ok (List.rev acc)
+      | v :: rest -> Result.bind (in_range range of_string v) (fun v -> values (v :: acc) rest)
+    in
+    values [] (List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s)))
   in
-  Arg.conv' ~docv (parse, pp)
-
-let positive_int =
-  checked ~docv:"N" ~expected:"a positive integer" int_of_string_opt
-    Format.pp_print_int (fun n -> n >= 1)
-
-let positive_float ~docv =
-  checked ~docv ~expected:"a positive number" float_of_string_opt
-    Format.pp_print_float (fun f -> Float.is_finite f && f > 0.0)
+  Arg.conv' ~docv (parse, pp_name (fun vs -> String.concat "," (List.map name vs)))
 
 let width_arg =
   let doc = "SOC-level TAM width (wires)." in
@@ -60,7 +73,10 @@ let width_arg =
 
 let weight_time_arg =
   let doc = "Cost weight for test time, 0..1; area weight is its complement." in
-  Arg.(value & opt float 0.5 & info [ "t"; "weight-time" ] ~docv:"WT" ~doc)
+  Arg.(
+    value
+    & opt (float_in ~docv:"WT" Request.weight) 0.5
+    & info [ "t"; "weight-time" ] ~docv:"WT" ~doc)
 
 let soc_file_arg =
   let doc =
@@ -69,85 +85,44 @@ let soc_file_arg =
   in
   Arg.(value & opt (some file) None & info [ "soc" ] ~docv:"FILE" ~doc)
 
-(* Name-valued options reject an unknown name as a usage error (exit
-   124), listing the valid names, like any unparseable option. *)
-let unknown_name ~valid s =
-  Error
-    (Printf.sprintf "invalid value '%s', expected one of: %s" s
-       (String.concat ", " valid))
-
-(* A comma-separated list of names, each one of [valid]; [nonempty]
-   rejects a list that names nothing. *)
-let names_conv ~docv ~valid ~nonempty of_name name =
-  let parse s =
-    let rec values acc = function
-      | [] when nonempty && acc = [] -> unknown_name ~valid s
-      | [] -> Ok (List.rev acc)
-      | n :: rest -> (
-        match of_name n with
-        | Some v -> values (v :: acc) rest
-        | None -> unknown_name ~valid n)
-    in
-    values []
-      (List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s)))
-  in
-  let print ppf vs = Format.pp_print_string ppf (String.concat "," (List.map name vs)) in
-  Arg.conv' ~docv (parse, print)
-
 let labels cores = List.map (fun c -> c.Msoc_analog.Spec.label) cores
-
-let analog_conv =
-  let parse s =
-    let rec cores acc = function
-      | [] -> Ok (List.rev acc)
-      | label :: rest -> (
-        match Catalog.find ~label:(String.uppercase_ascii (String.trim label)) with
-        | core -> cores (core :: acc) rest
-        | exception Not_found -> unknown_name ~valid:(labels Catalog.all) label)
-    in
-    cores [] (List.filter (fun l -> l <> "") (String.split_on_char ',' s))
-  in
-  let print ppf cores = Format.pp_print_string ppf (String.concat "," (labels cores)) in
-  Arg.conv' ~docv:"LABELS" (parse, print)
 
 let analog_labels_arg =
   let doc =
     "Comma-separated analog core labels from the built-in catalog (A-E)."
   in
+  let analog_conv =
+    checked ~docv:"LABELS" (Request.one_of (labels Catalog.all)) Request.analog_cores
+      (pp_name (fun cores -> String.concat "," (labels cores)))
+  in
   Arg.(value & opt analog_conv Catalog.all & info [ "analog" ] ~docv:"LABELS" ~doc)
-
-let search_arg =
-  let doc = "Search strategy: 'heuristic' (Cost_Optimizer) or 'exhaustive'." in
-  Arg.(
-    value
-    & opt (enum [ ("heuristic", `Heuristic); ("exhaustive", `Exhaustive) ]) `Heuristic
-    & info [ "search" ] ~docv:"STRATEGY" ~doc)
 
 let delta_arg =
   let doc = "Cost_Optimizer pruning threshold (0 = aggressive, paper default)." in
-  Arg.(value & opt float 0.0 & info [ "delta" ] ~docv:"DELTA" ~doc)
+  Arg.(
+    value & opt (float_in ~docv:"DELTA" Request.delta) 0.0 & info [ "delta" ] ~docv:"DELTA" ~doc)
+
+let search_term =
+  let doc = "Search strategy: 'heuristic' (Cost_Optimizer) or 'exhaustive'." in
+  let search =
+    Arg.(
+      value
+      & opt (enum (List.map (fun n -> (n, n)) Request.searches)) "heuristic"
+      & info [ "search" ] ~docv:"STRATEGY" ~doc)
+  in
+  (* the enum admits only names Request.search knows *)
+  Term.(const (fun name delta -> Option.get (Request.search ~delta name)) $ search $ delta_arg)
 
 let packer_arg =
   let doc =
     "TAM packing heuristic: 'best_fit' (the default priority-rule portfolio),      'diagonal' (diagonal-length priority, arXiv:1008.4446) or 'constrained'      (placement-exclusion aware, arXiv:1008.4448). Every variant's schedule      is certified against the packing invariants; a non-default choice is      additionally re-verified through $(b,Msoc_check) as if $(b,--verify)      were given."
   in
   let packer_conv =
-    let parse s =
-      match Msoc_tam.Packer_registry.find s with
-      | Some p -> Ok p
-      | None -> unknown_name ~valid:Msoc_tam.Packer_registry.names s
-    in
-    let print ppf p = Format.pp_print_string ppf (Msoc_tam.Packer_registry.name p) in
-    Arg.conv' ~docv:"NAME" (parse, print)
+    checked ~docv:"NAME" (Request.one_of Registry.names) Registry.find (pp_name Registry.name)
   in
-  Arg.(
-    value
-    & opt packer_conv Msoc_tam.Packer_registry.default
-    & info [ "packer" ] ~docv:"NAME" ~doc)
+  Arg.(value & opt packer_conv Registry.default & info [ "packer" ] ~docv:"NAME" ~doc)
 
-let packer_is_default packer =
-  Msoc_tam.Packer_registry.name packer
-  = Msoc_tam.Packer_registry.name Msoc_tam.Packer_registry.default
+let packer_is_default packer = Registry.name packer = Registry.name Registry.default
 
 let jobs_arg =
   let doc =
@@ -187,31 +162,32 @@ let report_verification ~context diags =
   Fmt.epr "%s: %s@." context (Diagnostic.summary diags);
   if Diagnostic.has_errors diags then exit 1
 
-let load_soc = function
-  | None -> Msoc_itc02.Synthetic.p93791s ()
-  | Some path -> Msoc_itc02.Soc_file.load path
+(* A planning command's term, run to completion. A request the planner
+   rejects (the service's bad_request: a .soc that does not parse, a
+   width an analog core cannot fit, a sweep with no feasible point) is
+   one error line and exit 124; anything else escaping is a bug. *)
+let planning term =
+  let run f =
+    match f () with
+    | () -> `Ok ()
+    | exception e -> (
+      match Request.error_message e with Some m -> `Error (false, m) | None -> raise e)
+  in
+  Term.(ret (const run $ term))
+
+(* The request a command poses; the .soc loads inside [planning]. *)
+let setting ?(search = Plan.Heuristic { delta = 0.0 }) ?(packer = Registry.default) ~width
+    ~weight_time soc_file analog_cores =
+  { Request.soc = Request.load_soc soc_file; analog_cores; width; weight_time; search; packer }
 
 (* --- plan --- *)
 
-let make_problem ?(weight_time = 0.5) ~width soc_file analog_cores =
-  let soc = load_soc soc_file in
-  Problem.make ~soc ~analog_cores ~tam_width:width ~weight_time ()
-
-let resolve_search search delta =
-  match search with
-  | `Heuristic -> Plan.Heuristic { delta }
-  | `Exhaustive -> Plan.Exhaustive_search
-
-let run_plan width weight_time soc_file analog_cores search delta packer jobs
-    with_schedule with_gantt as_json verify =
-  let problem = make_problem ~weight_time ~width soc_file analog_cores in
-  let search = resolve_search search delta in
-  let plan =
-    Msoc_util.Pool.with_pool ~jobs (fun pool ->
-        Plan.run ~search ~pool ~packer problem)
-  in
+let run_plan width weight_time soc_file analog_cores search packer jobs
+    with_schedule with_gantt as_json verify () =
+  let s = setting ~search ~packer ~width ~weight_time soc_file analog_cores in
+  let plan = Msoc_util.Pool.with_pool ~jobs (fun pool -> Request.plan ~pool s) in
   if as_json then
-    print_string (Msoc_testplan.Export.plan_to_string ~pretty:true plan)
+    print_string (Export.plan_to_string ~pretty:true plan)
   else begin
     print_string (Report.summary plan);
     print_newline ();
@@ -233,15 +209,16 @@ let plan_cmd =
   let doc = "plan a mixed-signal SOC: wrapper sharing + TAM schedule" in
   Cmd.v
     (Cmd.info "plan" ~doc)
-    Term.(
-      const run_plan $ width_arg $ weight_time_arg $ soc_file_arg
-      $ analog_labels_arg $ search_arg $ delta_arg $ packer_arg $ jobs_arg
-      $ schedule_flag $ gantt_flag $ json_flag $ verify_flag)
+    (planning
+       Term.(
+         const run_plan $ width_arg $ weight_time_arg $ soc_file_arg
+         $ analog_labels_arg $ search_term $ packer_arg $ jobs_arg
+         $ schedule_flag $ gantt_flag $ json_flag $ verify_flag))
 
 (* --- check --- *)
 
-let run_check width weight_time soc_file analog_cores search delta jobs
-    lint_only as_json =
+let run_check width weight_time soc_file analog_cores search jobs lint_only
+    as_json () =
   let lint_diags =
     match soc_file with Some path -> Msoc_check.Lint.file path | None -> []
   in
@@ -250,13 +227,9 @@ let run_check width weight_time soc_file analog_cores search delta jobs
        defects as exceptions; stop at the lint findings *)
     if lint_only || Diagnostic.has_errors lint_diags then []
     else begin
-      let problem = make_problem ~weight_time ~width soc_file analog_cores in
-      let search = resolve_search search delta in
-      let plan =
-        Msoc_util.Pool.with_pool ~jobs (fun pool ->
-            Plan.run ~search ~pool problem)
-      in
-      Msoc_check.Verify.plan plan
+      let s = setting ~search ~width ~weight_time soc_file analog_cores in
+      Msoc_check.Verify.plan
+        (Msoc_util.Pool.with_pool ~jobs (fun pool -> Request.plan ~pool s))
     end
   in
   let diags = Diagnostic.sort (lint_diags @ plan_diags) in
@@ -279,10 +252,11 @@ let check_cmd =
       & info [ "lint-only" ] ~doc:"Stop after linting the .soc input; do not plan.")
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(
-      const run_check $ width_arg $ weight_time_arg $ soc_file_arg
-      $ analog_labels_arg $ search_arg $ delta_arg $ jobs_arg $ lint_only_flag
-      $ json_flag)
+    (planning
+       Term.(
+         const run_check $ width_arg $ weight_time_arg $ soc_file_arg
+         $ analog_labels_arg $ search_term $ jobs_arg $ lint_only_flag
+         $ json_flag))
 
 (* --- analyze --- *)
 
@@ -415,46 +389,10 @@ let analyze_cmd =
 
 (* --- explore --- *)
 
-let parse_int_list ~what s =
-  String.split_on_char ',' s
-  |> List.filter (fun t -> String.trim t <> "")
-  |> List.map (fun t ->
-         match int_of_string_opt (String.trim t) with
-         | Some n -> n
-         | None -> Fmt.failwith "%s: expected an integer, got %S" what t)
-
-let parse_float_list ~what s =
-  String.split_on_char ',' s
-  |> List.filter (fun t -> String.trim t <> "")
-  |> List.map (fun t ->
-         match float_of_string_opt (String.trim t) with
-         | Some x -> x
-         | None -> Fmt.failwith "%s: expected a number, got %S" what t)
-
-let run_explore widths weights weight_time soc_file analog_cores search delta
-    packer jobs verify =
-  let search = resolve_search search delta in
-  let plans =
-    Msoc_util.Pool.with_pool ~jobs (fun pool ->
-        match weights with
-        | Some weights ->
-          let widths = parse_int_list ~what:"--widths" widths in
-          let width =
-            match widths with
-            | [ w ] -> w
-            | _ -> Fmt.failwith "--weights sweeps need exactly one --widths value"
-          in
-          Msoc_testplan.Explore.weight_sweep ~search ~pool ~packer
-            ~weights:(parse_float_list ~what:"--weights" weights)
-            (fun weight_time -> make_problem ~weight_time ~width soc_file analog_cores)
-          |> List.map (fun (w, plan) -> (Printf.sprintf "w_T=%.2f" w, plan))
-        | None ->
-          Msoc_testplan.Explore.width_sweep ~search ~pool ~packer
-            ~widths:(parse_int_list ~what:"--widths" widths)
-            (fun width -> make_problem ~weight_time ~width soc_file analog_cores)
-          |> List.map (fun (w, plan) -> (Printf.sprintf "W=%d" w, plan)))
-  in
-  if plans = [] then Fmt.failwith "explore: no feasible point in the sweep";
+let run_explore sweep weight_time soc_file analog_cores search packer jobs verify () =
+  let width, sweep = sweep in
+  let s = setting ~search ~packer ~width ~weight_time soc_file analog_cores in
+  let plans = Msoc_util.Pool.with_pool ~jobs (fun pool -> Request.explore ~pool s sweep) in
   let columns =
     [
       Table.column "point";
@@ -486,28 +424,45 @@ let run_explore widths weights weight_time soc_file analog_cores search delta
     report_verification ~context:"explore --verify"
       (List.concat_map (fun (_, plan) -> Msoc_check.Verify.plan plan) plans)
 
+let widths_conv =
+  list_conv ~docv:"W1,W2,.." ~nonempty:true Request.positive_int int_of_string_opt string_of_int
+
+let weights_conv =
+  list_conv ~docv:"T1,T2,.." ~nonempty:true Request.weight float_of_string_opt string_of_float
+
 let explore_cmd =
   let doc = "sweep TAM widths or cost weights and tabulate the chosen plans" in
   let widths_arg =
     Arg.(
       value
-      & opt string "16,24,32,48,64"
+      & opt widths_conv [ 16; 24; 32; 48; 64 ]
       & info [ "widths" ] ~docv:"W1,W2,.." ~doc:"Comma-separated TAM widths to sweep.")
   in
   let weights_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some weights_conv) None
       & info [ "weights" ] ~docv:"T1,T2,.."
           ~doc:
             "Comma-separated time weights (0..1) to sweep at a single --widths \
              value, instead of a width sweep.")
   in
+  (* (the setting's width, the sweep): a weight sweep runs at its one
+     width; a width sweep ignores the setting's, the envelope default *)
+  let sweep widths weights =
+    match (weights, widths) with
+    | None, _ -> `Ok (32, Request.Widths widths)
+    | Some weights, [ width ] -> `Ok (width, Request.Weights weights)
+    | Some _, _ ->
+      `Error (true, "option '--weights': a weight sweep takes exactly one '--widths' value")
+  in
   Cmd.v (Cmd.info "explore" ~doc)
-    Term.(
-      const run_explore $ widths_arg $ weights_arg $ weight_time_arg
-      $ soc_file_arg $ analog_labels_arg $ search_arg $ delta_arg $ packer_arg
-      $ jobs_arg $ verify_flag)
+    (planning
+       Term.(
+         const run_explore
+         $ ret (const sweep $ widths_arg $ weights_arg)
+         $ weight_time_arg $ soc_file_arg $ analog_labels_arg $ search_term $ packer_arg
+         $ jobs_arg $ verify_flag))
 
 (* --- optimize --- *)
 
@@ -524,12 +479,9 @@ let strategy_arg =
   (* The strategy's payload (delta, seeds) comes from other options:
      the converter checks the name and keeps its canonical spelling. *)
   let strategy_conv =
-    let parse s =
-      match Msoc_search.Strategy.of_name s with
-      | Some kind -> Ok (Msoc_search.Strategy.name kind)
-      | None -> unknown_name ~valid:Msoc_search.Strategy.names s
-    in
-    Arg.conv' ~docv:"NAME" (parse, Format.pp_print_string)
+    checked ~docv:"NAME" (Request.one_of Msoc_search.Strategy.names)
+      (fun s -> Option.map Msoc_search.Strategy.name (Request.strategy ~delta:0.0 ~seed:1 s))
+      Format.pp_print_string
   in
   Arg.(value & opt (some strategy_conv) None & info [ "strategy" ] ~docv:"NAME" ~doc)
 
@@ -538,14 +490,17 @@ let budget_ms_arg =
     "Time budget in milliseconds for the anytime strategies (bnb, anneal, \
      portfolio): when it runs out the best incumbent so far is returned."
   in
-  Arg.(value & opt (some float) None & info [ "budget-ms" ] ~docv:"MS" ~doc)
+  Arg.(
+    value
+    & opt (some (float_in ~docv:"MS" Request.positive_float)) None
+    & info [ "budget-ms" ] ~docv:"MS" ~doc)
 
 let max_evals_arg =
   let doc =
     "Cap on full TAM-optimizer evaluations for the anytime strategies (split \
      across portfolio members)."
   in
-  Arg.(value & opt (some int) None & info [ "max-evals" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "max-evals" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc =
@@ -561,17 +516,10 @@ let analog_scale_arg =
      lengths) for large-instance runs. Past ~11 cores the sharing space \
      exceeds the enumeration limit and only the anytime strategies apply."
   in
-  Arg.(value & opt (some int) None & info [ "analog-scale" ] ~docv:"N" ~doc)
-
-let resolve_strategy ~delta ~seed name =
-  match
-    Msoc_search.Strategy.of_name ~delta ~seed ~seeds:[ seed; seed + 1; seed + 2 ]
-      name
-  with
-  | Some kind -> kind
-  | None ->
-    Fmt.failwith "unknown strategy %S (expected one of: %s)" name
-      (String.concat ", " Msoc_search.Strategy.names)
+  Arg.(
+    value
+    & opt (some (int_in Request.analog_scale)) None
+    & info [ "analog-scale" ] ~docv:"N" ~doc)
 
 let json_with_search plan search_json =
   match Msoc_testplan.Export.plan_json plan with
@@ -600,125 +548,88 @@ let print_search_stats (stats : Msoc_search.Stats.t) =
     stats.Msoc_search.Stats.cache_hits stats.Msoc_search.Stats.cache_misses
     stats.Msoc_search.Stats.wall_ms
 
-let run_optimize_strategy ~prepared ~jobs ~as_json ~verify ~delta ~seed
-    ~budget_ms ~max_evals name =
-  let kind = resolve_strategy ~delta ~seed name in
-  let budget =
-    Msoc_search.Budget.make ?max_evals
-      ?time_limit_s:(Option.map (fun ms -> ms /. 1000.0) budget_ms)
-      ()
-  in
-  let outcome =
-    Msoc_util.Pool.with_pool ~jobs (fun pool ->
-        Msoc_search.Strategy.run ~pool ~budget kind prepared)
-  in
-  let plan = Msoc_search.Strategy.plan_of_outcome prepared outcome in
-  if as_json then
-    print_string
-      (Msoc_testplan.Export.pretty
-         (json_with_search plan (Msoc_search.Strategy.outcome_json outcome)))
-  else begin
-    print_string (Report.summary plan);
-    print_newline ();
-    Fmt.pr "strategy: %s (%s)@."
-      (Msoc_search.Strategy.name outcome.Msoc_search.Strategy.strategy)
-      (if outcome.Msoc_search.Strategy.optimal then "proven optimal"
-       else "anytime incumbent");
-    print_search_stats outcome.Msoc_search.Strategy.stats;
-    List.iter
-      (fun (m : Msoc_search.Portfolio.member_result) ->
-        Fmt.pr "  member %-10s cost %.4f%s@." m.Msoc_search.Portfolio.member
-          m.Msoc_search.Portfolio.cost
-          (if m.Msoc_search.Portfolio.optimal then " (optimal)" else ""))
-      outcome.Msoc_search.Strategy.members
-  end;
-  if verify then
-    report_verification ~context:"optimize --verify" (Msoc_check.Verify.plan plan)
-
-let run_optimize width weight_time soc_file analog_cores analog_scale delta
-    strategy budget_ms max_evals seed packer jobs as_json verify =
-  let problem =
-    match analog_scale with
-    | None -> make_problem ~weight_time ~width soc_file analog_cores
-    | Some n ->
-      Problem.make ~soc:(load_soc soc_file)
-        ~analog_cores:(Msoc_testplan.Instances.scaled_analog ~n)
-        ~tam_width:width ~weight_time ()
-  in
-  let verify = verify || not (packer_is_default packer) in
-  let prepared = Evaluate.prepare ~packer problem in
-  match strategy with
-  | Some name ->
-    ignore problem;
-    run_optimize_strategy ~prepared ~jobs ~as_json ~verify ~delta ~seed
-      ~budget_ms ~max_evals name
-  | None ->
-    let cache0 = Evaluate.cache_stats prepared in
-    let result =
-      Msoc_util.Pool.with_pool ~jobs (fun pool ->
-          Msoc_testplan.Cost_optimizer.run ~delta ~pool prepared)
-    in
-    let cache1 = Evaluate.cache_stats prepared in
-    let plan =
-      {
-        Plan.problem;
-        best = result.Msoc_testplan.Cost_optimizer.best;
-        evaluations = result.Msoc_testplan.Cost_optimizer.evaluations;
-        considered = result.Msoc_testplan.Cost_optimizer.considered;
-        reference_makespan = Evaluate.reference_makespan prepared;
-      }
-    in
+let print_optimized ~as_json = function
+  | Request.Searched { plan; outcome } ->
+    if as_json then
+      print_string
+        (Export.pretty
+           (json_with_search plan (Msoc_search.Strategy.outcome_json outcome)))
+    else begin
+      print_string (Report.summary plan);
+      print_newline ();
+      Fmt.pr "strategy: %s (%s)@."
+        (Msoc_search.Strategy.name outcome.Msoc_search.Strategy.strategy)
+        (if outcome.Msoc_search.Strategy.optimal then "proven optimal"
+         else "anytime incumbent");
+      print_search_stats outcome.Msoc_search.Strategy.stats;
+      List.iter
+        (fun (m : Msoc_search.Portfolio.member_result) ->
+          Fmt.pr "  member %-10s cost %.4f%s@." m.Msoc_search.Portfolio.member
+            m.Msoc_search.Portfolio.cost
+            (if m.Msoc_search.Portfolio.optimal then " (optimal)" else ""))
+        outcome.Msoc_search.Strategy.members
+    end
+  | Request.Pruned { plan; result; memo_hits; memo_misses } ->
+    let module C = Msoc_testplan.Cost_optimizer in
+    let groups = result.C.surviving_groups in
     if as_json then begin
       let counters =
-        Msoc_testplan.Export.Object
+        Export.Object
           [
-            ("strategy", Msoc_testplan.Export.String "repr-legacy");
-            ( "evaluations",
-              Msoc_testplan.Export.Int
-                result.Msoc_testplan.Cost_optimizer.evaluations );
-            ( "considered",
-              Msoc_testplan.Export.Int
-                result.Msoc_testplan.Cost_optimizer.considered );
-            ( "cache_hits",
-              Msoc_testplan.Export.Int
-                (cache1.Evaluate.hits - cache0.Evaluate.hits) );
-            ( "cache_misses",
-              Msoc_testplan.Export.Int
-                (cache1.Evaluate.misses - cache0.Evaluate.misses) );
+            ("strategy", Export.String "repr-legacy");
+            ("evaluations", Export.Int result.C.evaluations);
+            ("considered", Export.Int result.C.considered);
+            ("cache_hits", Export.Int memo_hits);
+            ("cache_misses", Export.Int memo_misses);
             ( "surviving_groups",
-              Msoc_testplan.Export.List
-                (List.map
-                   (fun sig_ ->
-                     Msoc_testplan.Export.List
-                       (List.map
-                          (fun n -> Msoc_testplan.Export.Int n)
-                          sig_))
-                   result.Msoc_testplan.Cost_optimizer.surviving_groups) );
+              Export.List
+                (List.map (fun g -> Export.List (List.map (fun n -> Export.Int n) g)) groups) );
           ]
       in
-      print_string (Msoc_testplan.Export.pretty (json_with_search plan counters))
+      print_string (Export.pretty (json_with_search plan counters))
     end
     else begin
       print_string (Report.summary plan);
       print_newline ();
       Fmt.pr "pruning: %d of %d combinations fully evaluated (%.0f%% saved)@."
-        result.Msoc_testplan.Cost_optimizer.evaluations
-        result.Msoc_testplan.Cost_optimizer.considered
+        result.C.evaluations result.C.considered
         (100.0
         *. (1.0
-           -. float_of_int result.Msoc_testplan.Cost_optimizer.evaluations
-              /. float_of_int
-                   (max 1 result.Msoc_testplan.Cost_optimizer.considered)));
+           -. float_of_int result.C.evaluations
+              /. float_of_int (max 1 result.C.considered)));
       Fmt.pr "surviving degree signatures: %s@."
         (String.concat " "
            (List.map
-              (fun sig_ ->
-                "[" ^ String.concat ";" (List.map string_of_int sig_) ^ "]")
-              result.Msoc_testplan.Cost_optimizer.surviving_groups))
-    end;
-    if verify then
-      report_verification ~context:"optimize --verify"
-        (Msoc_check.Verify.plan plan)
+              (fun sig_ -> "[" ^ String.concat ";" (List.map string_of_int sig_) ^ "]")
+              groups))
+    end
+
+let run_optimize width weight_time soc_file analog_cores analog_scale delta
+    strategy budget_ms max_evals seed packer jobs as_json verify () =
+  let analog_cores =
+    match analog_scale with
+    | None -> analog_cores
+    | Some n -> Msoc_testplan.Instances.scaled_analog ~n
+  in
+  let s =
+    setting ~search:(Plan.Heuristic { delta }) ~packer ~width ~weight_time soc_file analog_cores
+  in
+  (* the --strategy converter admits only names Request.strategy knows *)
+  let strategy =
+    Option.map
+      (fun name ->
+        let kind = Option.get (Request.strategy ~delta ~seed name) in
+        { Request.kind; max_evals; budget_ms })
+      strategy
+  in
+  let optimized =
+    Msoc_util.Pool.with_pool ~jobs (fun pool -> Request.optimize ~pool s strategy)
+  in
+  print_optimized ~as_json optimized;
+  if verify || not (packer_is_default packer) then
+    match optimized with
+    | Request.Searched { plan; _ } | Request.Pruned { plan; _ } ->
+      report_verification ~context:"optimize --verify" (Msoc_check.Verify.plan plan)
 
 let optimize_cmd =
   let doc =
@@ -726,16 +637,17 @@ let optimize_cmd =
      default, or a Msoc_search strategy via $(b,--strategy)"
   in
   Cmd.v (Cmd.info "optimize" ~doc)
-    Term.(
-      const run_optimize $ width_arg $ weight_time_arg $ soc_file_arg
-      $ analog_labels_arg $ analog_scale_arg $ delta_arg $ strategy_arg
-      $ budget_ms_arg $ max_evals_arg $ seed_arg $ packer_arg $ jobs_arg
-      $ json_flag $ verify_flag)
+    (planning
+       Term.(
+         const run_optimize $ width_arg $ weight_time_arg $ soc_file_arg
+         $ analog_labels_arg $ analog_scale_arg $ delta_arg $ strategy_arg
+         $ budget_ms_arg $ max_evals_arg $ seed_arg $ packer_arg $ jobs_arg
+         $ json_flag $ verify_flag))
 
 (* --- soc-info --- *)
 
-let run_soc_info soc_file width volume =
-  let soc = load_soc soc_file in
+let run_soc_info soc_file width volume () =
+  let soc = Request.load_soc soc_file in
   Fmt.pr "%a@." Types.pp_soc soc;
   if volume then begin
     print_newline ();
@@ -773,7 +685,7 @@ let soc_info_cmd =
     Arg.(value & flag & info [ "volume" ] ~doc:"Include the test-data volume table.")
   in
   Cmd.v (Cmd.info "soc-info" ~doc)
-    Term.(const run_soc_info $ soc_file_arg $ width_arg $ volume_flag)
+    (planning Term.(const run_soc_info $ soc_file_arg $ width_arg $ volume_flag))
 
 (* --- sharing --- *)
 
@@ -832,7 +744,9 @@ let run_generate seed n_cores target_area bottleneck output =
 let generate_cmd =
   let doc = "generate a synthetic .soc benchmark" in
   let seed = Arg.(value & opt int 937 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let n = Arg.(value & opt int 32 & info [ "cores" ] ~docv:"N" ~doc:"Number of cores.") in
+  let n =
+    Arg.(value & opt positive_int 32 & info [ "cores" ] ~docv:"N" ~doc:"Number of cores.")
+  in
   let area =
     Arg.(
       value
@@ -847,16 +761,32 @@ let generate_cmd =
                 p93791s uses seed 937, area 26500000 and this flag).")
   in
   let out =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"OUTPUT.soc" ~doc:"Output path.")
+    let in_a_directory path =
+      let dir = Filename.dirname path in
+      Sys.file_exists dir && Sys.is_directory dir
+    in
+    let path =
+      checked ~docv:"OUTPUT.soc"
+        { Request.expected = "a path in an existing directory"; ok = in_a_directory }
+        Option.some Format.pp_print_string
+    in
+    Arg.(required & pos 0 (some path) None & info [] ~docv:"OUTPUT.soc" ~doc:"Output path.")
+  in
+  (* the bottleneck core comes on top of a drawn one *)
+  let two = Request.{ expected = "an integer >= 2 with '--bottleneck'"; ok = (fun n -> n >= 2) } in
+  let cores n bottleneck =
+    if bottleneck && not (two.Request.ok n) then
+      `Error (true, "option '--cores': " ^ invalid_value two (string_of_int n))
+    else `Ok n
   in
   Cmd.v (Cmd.info "generate" ~doc)
-    Term.(const run_generate $ seed $ n $ area $ bottleneck $ out)
+    Term.(
+      const run_generate $ seed $ ret (const cores $ n $ bottleneck) $ area $ bottleneck $ out)
 
 (* --- serve --- *)
 
 module Serve_protocol = Msoc_serve.Protocol
 module Serve_service = Msoc_serve.Service
-module Export = Msoc_testplan.Export
 
 (* daemon arguments shared by [serve] and [fleet] *)
 
@@ -912,7 +842,7 @@ let cache_dir_arg =
 
 let memory_cache_arg =
   Arg.(
-    value & opt int 512
+    value & opt positive_int 512
     & info [ "memory-cache" ] ~docv:"N"
         ~doc:"In-memory LRU capacity (entries).")
 
@@ -927,7 +857,7 @@ let cache_max_mb_arg =
 
 let queue_arg =
   Arg.(
-    value & opt int 64
+    value & opt positive_int 64
     & info [ "queue" ] ~docv:"N"
         ~doc:
           "Bounded request queue capacity; requests beyond it are rejected \
@@ -1073,7 +1003,7 @@ let fleet_cmd =
   in
   let window_arg =
     Arg.(
-      value & opt int 8
+      value & opt positive_int 8
       & info [ "window" ] ~docv:"N"
           ~doc:
             "Per-worker in-flight cap; admissions beyond it are shed with an \
@@ -1081,7 +1011,7 @@ let fleet_cmd =
   in
   let replicas_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "replicas" ] ~docv:"N"
           ~doc:"Hash-ring virtual nodes per worker.")
   in
@@ -1253,8 +1183,8 @@ let replay_open_loop ~connect ~clients ~rate ~seed requests =
     parts.(i mod clients) <- i :: parts.(i mod clients)
   done;
   let t0 = Unix.gettimeofday () in
-  let client_thread part () =
-    let fd = connect () in
+  let refused = Atomic.make None in
+  let client fd part =
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
@@ -1299,10 +1229,16 @@ let replay_open_loop ~connect ~clients ~rate ~seed requests =
     Thread.join reader;
     try Unix.close fd with Unix.Unix_error _ -> ()
   in
+  let client_thread part () =
+    match connect () with
+    | exception (Unix.Unix_error _ as e) -> Atomic.set refused (Some e)
+    | fd -> client fd part
+  in
   let threads =
     Array.to_list (Array.map (fun part -> Thread.create (client_thread part) ()) parts)
   in
   List.iter Thread.join threads;
+  Option.iter raise (Atomic.get refused);
   (results, Atomic.get malformed, Unix.gettimeofday () -. t0)
 
 (* One stats envelope on a fresh connection; soft-fails to None so a
@@ -1327,19 +1263,11 @@ let fetch_stats connect =
           | Error _ -> None
         with End_of_file | Sys_error _ -> None)
 
-let run_replay endpoint count mix widths_str weights_str soc_file
+let run_replay endpoint count mix widths weights soc_file
     analog_cores window repeat deadline_ms verify clients rate allowed_shed
     json_out seed =
-  let widths = parse_int_list ~what:"--widths" widths_str in
-  let weights = parse_float_list ~what:"--weights" weights_str in
   let soc_text =
-    Option.map
-      (fun path ->
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic)))
-      soc_file
+    Option.map (fun path -> In_channel.with_open_bin path In_channel.input_all) soc_file
   in
   let requests =
     List.concat
@@ -1356,6 +1284,7 @@ let run_replay endpoint count mix widths_str weights_str soc_file
     exit 1
   in
   let results, malformed, wall =
+    match
     match rate with
     | Some r ->
       replay_open_loop ~connect ~clients ~rate:r ~seed requests
@@ -1379,6 +1308,10 @@ let run_replay endpoint count mix widths_str weights_str soc_file
           | Some _ | None -> ())
         responses;
       (results, malformed, wall)
+    with
+    | run -> run
+    | exception Unix.Unix_error (e, _, _) ->
+      fail_replay ("cannot connect: " ^ Unix.error_message e)
   in
   let stats = fetch_stats connect in
   let answered =
@@ -1507,7 +1440,8 @@ let run_replay endpoint count mix widths_str weights_str soc_file
               (List.map Serve_protocol.status_name allowed_shed)));
     incr failures
   end;
-  (* bit-identical spot check against the one-shot planner *)
+  (* bit-identical spot check: decode each sampled request as the
+     daemon did and rerun it fresh, one-shot *)
   if verify > 0 then begin
     let seen = Hashtbl.create 8 in
     let sample =
@@ -1528,48 +1462,22 @@ let run_replay endpoint count mix widths_str weights_str soc_file
     in
     List.iter
       (fun ((req : Serve_protocol.request), (resp : Serve_protocol.response), _) ->
-        let params = req.Serve_protocol.params in
-        let get_int name ~default =
-          match Export.member name params with
-          | Some (Export.Int i) -> i
-          | _ -> default
-        in
-        let get_float name ~default =
-          match Export.member name params with
-          | Some (Export.Float f) -> f
-          | Some (Export.Int i) -> float_of_int i
-          | _ -> default
-        in
-        let soc =
-          match Export.member "soc_text" params with
-          | Some (Export.String text) -> Msoc_itc02.Soc_file.of_string text
-          | _ -> Msoc_itc02.Synthetic.p93791s ()
-        in
-        let problem =
-          Problem.make ~soc ~analog_cores
-            ~tam_width:(get_int "width" ~default:32)
-            ~weight_time:(get_float "weight_time" ~default:0.5) ()
-        in
-        let local = Plan.run ~search:(Plan.Heuristic { delta = 0.0 }) problem in
-        let local_json = Msoc_testplan.Export.plan_json local in
-        let remote_json =
-          match req.Serve_protocol.op with
-          | Serve_protocol.Optimize ->
-            Option.value
-              (Export.member "plan" resp.Serve_protocol.result)
-              ~default:Export.Null
-          | _ -> resp.Serve_protocol.result
-        in
-        if Export.to_string local_json <> Export.to_string remote_json then begin
-          Fmt.epr "FAIL: %s (%s) differs from the one-shot plan@."
-            req.Serve_protocol.id
-            (Serve_protocol.op_name req.Serve_protocol.op);
+        let op = req.Serve_protocol.op in
+        let fail what =
+          Fmt.epr "FAIL: %s (%s) %s@." req.Serve_protocol.id (Serve_protocol.op_name op) what;
           incr failures
-        end
-        else if Diagnostic.has_errors (Msoc_check.Verify.plan local) then begin
-          Fmt.epr "FAIL: %s fails independent verification@." req.Serve_protocol.id;
-          incr failures
-        end)
+        in
+        match Request.run (Request.of_params op req.Serve_protocol.params) with
+        | exception e -> fail ("fails one-shot: " ^ Printexc.to_string e)
+        | local
+          when Export.to_string (Request.result_json local)
+               <> Export.to_string resp.Serve_protocol.result ->
+          fail "differs from the one-shot run"
+        | Request.Planned plan
+        | Request.Optimized (Request.Pruned { plan; _ } | Request.Searched { plan; _ })
+          when Diagnostic.has_errors (Msoc_check.Verify.plan plan) ->
+          fail "fails independent verification"
+        | _ -> ())
       sample;
     Fmt.pr "  verified %d distinct configurations against the one-shot CLI@."
       (Hashtbl.length seen)
@@ -1687,7 +1595,7 @@ let replay_cmd =
   let rate_arg =
     Arg.(
       value
-      & opt (some (positive_float ~docv:"R")) None
+      & opt (some (float_in ~docv:"R" Request.positive_float)) None
       & info [ "rate" ] ~docv:"R"
           ~doc:
             "Open-loop mode: send at R req/s with Poisson arrivals, split \
@@ -1698,7 +1606,7 @@ let replay_cmd =
     Arg.(
       value
       & opt
-          (names_conv ~docv:"STATUSES" ~valid ~nonempty:false
+          (list_conv ~docv:"STATUSES" ~nonempty:false (Request.one_of valid)
              Serve_protocol.status_of_name Serve_protocol.status_name)
           []
       & info [ "allow-shed" ] ~docv:"STATUSES"
@@ -1733,24 +1641,24 @@ let replay_cmd =
     Arg.(
       value
       & opt
-          (names_conv ~docv:"OPS" ~valid:[ "plan"; "optimize" ] ~nonempty:true
+          (list_conv ~docv:"OPS" ~nonempty:true (Request.one_of [ "plan"; "optimize" ])
              of_name Serve_protocol.op_name)
           [ Serve_protocol.Plan; Serve_protocol.Optimize ]
       & info [ "mix" ] ~docv:"OPS" ~doc:"Comma-separated operation cycle.")
   in
   let widths_arg =
     Arg.(
-      value & opt string "16,24,32,48"
+      value & opt widths_conv [ 16; 24; 32; 48 ]
       & info [ "widths" ] ~docv:"W1,W2,.." ~doc:"TAM widths cycled through.")
   in
   let weights_arg =
     Arg.(
-      value & opt string "0.25,0.5,0.75"
+      value & opt weights_conv [ 0.25; 0.5; 0.75 ]
       & info [ "weights" ] ~docv:"T1,T2,.." ~doc:"Time weights cycled through.")
   in
   let window_arg =
     Arg.(
-      value & opt int 32
+      value & opt positive_int 32
       & info [ "window" ] ~docv:"N"
           ~doc:
             "In-flight pipeline depth; keep below the server queue to avoid \
@@ -1818,58 +1726,35 @@ let run_bist bits mismatch_pct trials =
 
 let bist_cmd =
   let doc = "converter self-test: loopback linearity, cost, Monte-Carlo yield" in
-  let bits = Arg.(value & opt int 8 & info [ "bits" ] ~docv:"N" ~doc:"Converter resolution.") in
+  let bits =
+    Arg.(
+      value & opt (int_in Request.bits) 8
+      & info [ "bits" ] ~docv:"N" ~doc:"Converter resolution (even, 4..16).")
+  in
   let mismatch =
     Arg.(value & opt float 1.0 & info [ "mismatch" ] ~docv:"PCT" ~doc:"Resistor mismatch sigma in percent.")
   in
-  let trials = Arg.(value & opt int 50 & info [ "trials" ] ~docv:"T" ~doc:"Monte-Carlo dies.") in
+  let trials =
+    Arg.(value & opt positive_int 50 & info [ "trials" ] ~docv:"T" ~doc:"Monte-Carlo dies.")
+  in
   Cmd.v (Cmd.info "bist" ~doc) Term.(const run_bist $ bits $ mismatch $ trials)
 
 (* --- cosim --- *)
 
-let run_cosim specs trials seed jobs bits samples tolerance ideal as_json
-    calibrate system_clock_mhz width weight_time soc_file analog_cores =
+let run_cosim specs trials seed jobs bits samples tolerance_pct ideal as_json
+    calibrate system_clock_mhz width weight_time soc_file analog_cores () =
   let module Testbench = Msoc_cosim.Testbench in
   let module Monte_carlo = Msoc_cosim.Monte_carlo in
   let module Calibrate = Msoc_cosim.Calibrate in
-  let module Variation = Msoc_mixedsig.Variation in
-  let module Export = Msoc_testplan.Export in
-  let base = if ideal then Testbench.ideal else Testbench.default in
-  let config =
-    {
-      base with
-      Testbench.variation = { base.Testbench.variation with Variation.bits };
-      samples;
-    }
+  let config = Request.config ~ideal ~bits ~samples () in
+  (* the SOC is only planned when calibrating *)
+  let s = setting ~width ~weight_time (if calibrate then soc_file else None) analog_cores in
+  let c =
+    { Request.specs; config; trials; seed; tolerance_pct; calibrate;
+      system_clock_hz = system_clock_mhz *. 1.0e6 }
   in
-  let results =
-    List.map (fun s -> Testbench.run ?tolerance_pct:tolerance ~config s) specs
-  in
-  let sweeps =
-    if trials = 0 then []
-    else
-      Msoc_util.Pool.with_pool ~jobs (fun pool ->
-          List.map
-            (fun s ->
-              Monte_carlo.run ~config ?tolerance_pct:tolerance ~pool ~trials
-                ~seed s)
-            specs)
-  in
-  let calibration =
-    if not calibrate then None
-    else begin
-      let soc = load_soc soc_file in
-      let problem, reports =
-        Calibrate.calibrated_problem ~config
-          ~system_clock_hz:(system_clock_mhz *. 1.0e6) ~soc ~analog_cores
-          ~tam_width:width ~weight_time ()
-      in
-      let plan =
-        Msoc_util.Pool.with_pool ~jobs (fun pool ->
-            Plan.run ~search:(Plan.Heuristic { delta = 0.0 }) ~pool problem)
-      in
-      Some (reports, plan)
-    end
+  let { Request.results; sweeps; calibration } =
+    Msoc_util.Pool.with_pool ~jobs (fun pool -> Request.cosim ~pool s c)
   in
   if as_json then begin
     let fields =
@@ -1896,7 +1781,7 @@ let run_cosim specs trials seed jobs bits samples tolerance ideal as_json
       | Some (reports, plan) ->
         [
           ("calibration", Calibrate.calibration_json reports);
-          ("calibrated_plan", Msoc_testplan.Export.plan_json plan);
+          ("calibrated_plan", Export.plan_json plan);
         ]
     in
     print_string (Export.pretty (Export.Object fields));
@@ -1951,25 +1836,21 @@ let cosim_cmd =
      ADC path of Fig. 5, run as one batch pass) with optional Monte-Carlo \
      yield sweep and plan-time calibration"
   in
-  let int_where ~docv ~expected ok =
-    checked ~docv ~expected int_of_string_opt Format.pp_print_int ok
-  in
   let spec_arg =
-    let parse s =
-      if String.lowercase_ascii (String.trim s) = "all" then Ok Testbench.specs
-      else
-        match Testbench.spec_of_name s with
-        | Some spec -> Ok [ spec ]
-        | None -> unknown_name ~valid:("all" :: Testbench.spec_names) s
+    let of_name s =
+      if String.lowercase_ascii s = "all" then Some Testbench.specs
+      else Option.map (fun spec -> [ spec ]) (Testbench.spec_of_name s)
     in
-    let print ppf specs =
-      Format.pp_print_string ppf
-        (if specs = Testbench.specs then "all"
-         else String.concat "," (List.map Testbench.spec_name specs))
+    let print specs =
+      if specs = Testbench.specs then "all"
+      else String.concat "," (List.map Testbench.spec_name specs)
     in
     Arg.(
       value
-      & opt (conv' ~docv:"SPEC" (parse, print)) [ Testbench.Fc ]
+      & opt
+          (checked ~docv:"SPEC" (Request.one_of ("all" :: Testbench.spec_names)) of_name
+             (pp_name print))
+          [ Testbench.Fc ]
       & info [ "spec" ] ~docv:"SPEC"
           ~doc:
             "Specification test to co-simulate: gain, fc, thd, iip3, offset, \
@@ -1978,7 +1859,7 @@ let cosim_cmd =
   let trials_arg =
     Arg.(
       value
-      & opt (int_where ~docv:"N" ~expected:"a non-negative integer" (fun n -> n >= 0)) 0
+      & opt (int_in Request.non_negative_int) 0
       & info [ "trials" ] ~docv:"N"
           ~doc:
             "Monte-Carlo trials across process variation (0 = single \
@@ -1995,10 +1876,7 @@ let cosim_cmd =
   let bits_arg =
     Arg.(
       value
-      & opt
-          (int_where ~docv:"B" ~expected:"an even resolution in 4..16" (fun b ->
-               b >= 4 && b <= 16 && b mod 2 = 0))
-          8
+      & opt (int_in ~docv:"B" Request.bits) 8
       & info [ "bits" ] ~docv:"B"
           ~doc:"Wrapper converter resolution (even, 4..16).")
   in
@@ -2006,27 +1884,21 @@ let cosim_cmd =
     let samples =
       Arg.(
         value
-        & opt (int_where ~docv:"N" ~expected:"an integer >= 16" (fun n -> n >= 16)) 4551
+        & opt int Testbench.default.Testbench.samples
         & info [ "samples" ] ~docv:"N"
             ~doc:"Stimulus record length (>= 16; >= 65 with $(b,--spec) iip3).")
     in
     let check specs n =
-      match List.find_opt (fun s -> n < Testbench.min_samples s) specs with
-      | Some spec ->
-        `Error
-          ( true,
-            Printf.sprintf
-              "option '--samples': invalid value '%d', expected an integer >= %d \
-               with --spec %s"
-              n (Testbench.min_samples spec) (Testbench.spec_name spec) )
-      | None -> `Ok n
+      let range = Request.samples specs in
+      if range.Request.ok n then `Ok n
+      else `Error (true, "option '--samples': " ^ invalid_value range (string_of_int n))
     in
     Term.(ret (const check $ spec_arg $ samples))
   in
   let tolerance_arg =
     Arg.(
       value
-      & opt (some (positive_float ~docv:"PCT")) None
+      & opt (some (float_in ~docv:"PCT" Request.positive_float)) None
       & info [ "tolerance" ] ~docv:"PCT"
           ~doc:"Pass threshold on wrapped-vs-direct error (default per spec).")
   in
@@ -2047,16 +1919,17 @@ let cosim_cmd =
   in
   let clock_arg =
     Arg.(
-      value & opt (positive_float ~docv:"MHZ") 78.0
+      value & opt (float_in ~docv:"MHZ" Request.positive_float) 78.0
       & info [ "system-clock" ] ~docv:"MHZ"
           ~doc:"SOC TAM clock for $(b,--calibrate) divide ratios.")
   in
   Cmd.v (Cmd.info "cosim" ~doc)
-    Term.(
-      const run_cosim $ spec_arg $ trials_arg $ seed_arg $ jobs_arg $ bits_arg
-      $ samples_arg $ tolerance_arg $ ideal_flag $ json_flag $ calibrate_flag
-      $ clock_arg $ width_arg $ weight_time_arg $ soc_file_arg
-      $ analog_labels_arg)
+    (planning
+       Term.(
+         const run_cosim $ spec_arg $ trials_arg $ seed_arg $ jobs_arg $ bits_arg
+         $ samples_arg $ tolerance_arg $ ideal_flag $ json_flag $ calibrate_flag
+         $ clock_arg $ width_arg $ weight_time_arg $ soc_file_arg
+         $ analog_labels_arg))
 
 (* --- main --- *)
 

@@ -13,20 +13,19 @@
     <- {"v":1,"id":"r1","status":"ok","cached":"memory","elapsed_ms":0.2,"result":{...}}
     v}
 
-    The [plan], [optimize] and [explore] ops additionally accept a
-    ["packer"] param naming a registered packing heuristic
-    ({!Msoc_tam.Packer_registry.names}: [best_fit], [diagonal],
-    [constrained]); omitted means [best_fit] with byte-identical
-    legacy cache keys, an unknown name is a [bad_request], and
-    non-default variants are re-verified through [Msoc_check] before
-    the result is served.
-
-    The [cosim] op runs a co-simulated specification test
-    ([Msoc_cosim]) — params name the spec ([gain], [fc], [thd],
-    [iip3], [offset], [slew], [dr]), the Monte-Carlo trial count and
-    master seed — and caches like any plan: the result is a pure
-    function of the params, so it shares the two-level cache and
-    fingerprint discipline.
+    Params, all optional (defaults in parentheses), decoded by
+    {!Request.of_params}: every op but [stats] and [shutdown] takes
+    [soc_text] or [soc_path] (p93791s), [analog] labels (A-E), [width]
+    (32) and [weight_time] (0.5); [plan] and [explore] [search]
+    ([heuristic]), [delta] (0) and [packer] ([best_fit], [diagonal] or
+    [constrained]); [optimize] [delta], [packer], [strategy], [seed]
+    (1), [max_evals] and [budget_ms]; [explore] [widths] or [weights];
+    [cosim] [spec] (fc), [trials] (0), [seed] (42), [bits] (8),
+    [samples] (4551), [tolerance_pct], [calibrate] and
+    [system_clock_hz] (78e6). A value of the wrong type or out of range
+    is a [bad_request] naming the param, before anything is computed.
+    A non-default packer's plans are re-verified through [Msoc_check]
+    before they are served; a [cosim] result caches like a plan.
 
     Malformed lines never kill a connection: they produce a
     [bad_request] response with an empty [id]. *)

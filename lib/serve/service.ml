@@ -1,20 +1,9 @@
 module Export = Msoc_testplan.Export
 module Fingerprint = Msoc_testplan.Fingerprint
 module Problem = Msoc_testplan.Problem
-module Plan = Msoc_testplan.Plan
 module Evaluate = Msoc_testplan.Evaluate
-module Explore = Msoc_testplan.Explore
-module Cost_optimizer = Msoc_testplan.Cost_optimizer
-module Sharing = Msoc_analog.Sharing
-module Catalog = Msoc_analog.Catalog
 module Pool = Msoc_util.Pool
-module Strategy = Msoc_search.Strategy
-module Budget = Msoc_search.Budget
 module Registry = Msoc_tam.Packer_registry
-module Variation = Msoc_mixedsig.Variation
-module Testbench = Msoc_cosim.Testbench
-module Monte_carlo = Msoc_cosim.Monte_carlo
-module Calibrate = Msoc_cosim.Calibrate
 
 (* Small LRU of prepared structures: key = Fingerprint.structure_hex.
    8 resident SOC structures cover any realistic sweep workload while
@@ -54,261 +43,28 @@ let request_shutdown t = t.stop <- true
 
 let shutdown t = Pool.shutdown t.pool
 
-(* --- params --- *)
-
-exception Bad of string
-
-let badf fmt = Format.kasprintf (fun m -> raise (Bad m)) fmt
-
-let field name params = Export.member name params
-
-let int_param ~default name params =
-  match field name params with
-  | None -> default
-  | Some (Export.Int i) -> i
-  | Some _ -> badf "param %S must be an integer" name
-
-let float_param ~default name params =
-  match field name params with
-  | None -> default
-  | Some (Export.Float f) -> f
-  | Some (Export.Int i) -> float_of_int i
-  | Some _ -> badf "param %S must be a number" name
-
-let string_param name params =
-  match field name params with
-  | None -> None
-  | Some (Export.String s) -> Some s
-  | Some _ -> badf "param %S must be a string" name
-
-let number_list_param name params =
-  match field name params with
-  | None -> None
-  | Some (Export.List items) ->
-    Some
-      (List.map
-         (function
-           | Export.Int i -> float_of_int i
-           | Export.Float f -> f
-           | _ -> badf "param %S must be a list of numbers" name)
-         items)
-  | Some _ -> badf "param %S must be a list of numbers" name
-
-let load_soc params =
-  match (string_param "soc_text" params, string_param "soc_path" params) with
-  | Some _, Some _ -> badf "give either \"soc_text\" or \"soc_path\", not both"
-  | Some text, None -> Msoc_itc02.Soc_file.of_string text
-  | None, Some path -> Msoc_itc02.Soc_file.load path
-  | None, None -> Msoc_itc02.Synthetic.p93791s ()
-
-let analog_cores params =
-  let labels =
-    match string_param "analog" params with
-    | Some s -> s
-    | None -> "A,B,C,D,E"
-  in
-  let cores =
-    String.split_on_char ',' labels
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun label ->
-           let label = String.uppercase_ascii (String.trim label) in
-           match Catalog.find ~label with
-           | core -> core
-           | exception Not_found ->
-             badf "unknown analog core %S (catalog: A, B, C, D, E)" label)
-  in
-  if cores = [] then badf "param \"analog\" selects no cores";
-  cores
-
-let problem_of_params ?width params =
-  let width =
-    match width with Some w -> w | None -> int_param ~default:32 "width" params
-  in
-  let weight_time = float_param ~default:0.5 "weight_time" params in
-  Problem.make ~soc:(load_soc params) ~analog_cores:(analog_cores params)
-    ~tam_width:width ~weight_time ()
-
-(* [packer] selects a registered packing heuristic; absent means the
-   default ([best_fit]) with byte-identical legacy cache keys. *)
-let packer_of_params params =
-  match string_param "packer" params with
-  | None -> None
-  | Some name -> (
-    match Registry.find name with
-    | Some p -> Some p
-    | None ->
-      badf "unknown packer %S (expected one of: %s)" name
-        (String.concat ", " Registry.names))
-
-(* Non-default variants join the request fingerprint so their results
-   never answer (or are answered by) a best_fit request; the default —
-   named or omitted — keeps the legacy key. *)
-let packer_extra packer =
-  match packer with
-  | Some p when Registry.name p <> Registry.name Registry.default ->
-    Some (Export.Object [ ("packer", Export.String (Registry.name p)) ])
-  | Some _ | None -> None
-
-let merge_extra packer_extra strategy_extra =
-  match (packer_extra, strategy_extra) with
-  | None, json -> json
-  | Some json, None -> Some json
-  | Some (Export.Object pf), Some (Export.Object sf) ->
-    Some (Export.Object (sf @ pf))
-  | Some _, Some json -> Some json
-
-(* Defense in depth for the non-default heuristics: beyond the
-   registry's own certification, re-verify the served plan through the
-   independent Msoc_check pass (re-derived job set + cost
-   cross-checks). A finding here is a packer bug, reported as a server
-   error rather than silently served. *)
-exception Verification_failed of string
-
-let verify_plan ~packer plan =
-  match packer with
-  | None -> ()
-  | Some p ->
-    if Registry.name p <> Registry.name Registry.default then begin
-      let diags = Msoc_check.Verify.plan plan in
-      if Msoc_check.Diagnostic.has_errors diags then
-        raise
-          (Verification_failed
-             (Printf.sprintf "packer %s failed verification: %s"
-                (Registry.name p)
-                (String.concat "; "
-                   (List.map
-                      (fun (d : Msoc_check.Diagnostic.t) ->
-                        Printf.sprintf "[%s] %s" d.Msoc_check.Diagnostic.code
-                          d.Msoc_check.Diagnostic.message)
-                      (List.filter
-                         (fun (d : Msoc_check.Diagnostic.t) ->
-                           d.Msoc_check.Diagnostic.severity
-                           = Msoc_check.Diagnostic.Error)
-                         diags)))))
-    end
-
-let search_of_params params =
-  let delta = float_param ~default:0.0 "delta" params in
-  match string_param "search" params with
-  | None | Some "heuristic" -> Plan.Heuristic { delta }
-  | Some "exhaustive" -> Plan.Exhaustive_search
-  | Some other -> badf "unknown search %S (heuristic or exhaustive)" other
-
 (* --- prepared-structure reuse --- *)
 
-let prepared_for t ?packer problem =
+let prepared_for t packer problem =
   (* The schedule memo depends on the packing heuristic, so each
      variant gets its own resident prepared structure. *)
-  let skey =
-    Fingerprint.structure_hex problem
-    ^ "#"
-    ^ Registry.name (Option.value packer ~default:Registry.default)
+  let skey = Fingerprint.structure_hex problem ^ "#" ^ Registry.name packer in
+  let prepared =
+    match Hashtbl.find_opt t.prepared skey with
+    | Some prepared when Problem.same_structure (Evaluate.problem prepared) problem ->
+      Evaluate.reweight prepared problem
+    | _ ->
+      let prepared = Evaluate.prepare ~packer problem in
+      Hashtbl.replace t.prepared skey prepared;
+      prepared
   in
-  match Hashtbl.find_opt t.prepared skey with
-  | Some prepared when Problem.same_structure (Evaluate.problem prepared) problem ->
-    t.prepared_order <-
-      skey :: List.filter (fun k -> k <> skey) t.prepared_order;
-    Evaluate.reweight prepared problem
-  | _ ->
-    let prepared = Evaluate.prepare ?packer problem in
-    Hashtbl.replace t.prepared skey prepared;
-    t.prepared_order <-
-      skey :: List.filter (fun k -> k <> skey) t.prepared_order;
-    (match List.filteri (fun i _ -> i >= max_prepared) t.prepared_order with
-    | [] -> ()
-    | evicted ->
-      List.iter (Hashtbl.remove t.prepared) evicted;
-      t.prepared_order <-
-        List.filteri (fun i _ -> i < max_prepared) t.prepared_order);
-    prepared
-
-(* --- per-op computation --- *)
-
-let plan_of_result problem (result : Cost_optimizer.result) ~reference_makespan =
-  {
-    Plan.problem;
-    best = result.Cost_optimizer.best;
-    evaluations = result.Cost_optimizer.evaluations;
-    considered = result.Cost_optimizer.considered;
-    reference_makespan;
-  }
-
-let compute_plan t ~search ?packer problem =
-  let prepared = prepared_for t ?packer problem in
-  let plan = Plan.run_prepared ~search ~pool:t.pool prepared in
-  verify_plan ~packer plan;
-  Export.plan_json plan
-
-let compute_optimize_strategy t ~kind ~budget ?packer problem =
-  (* Strategy.run already re-verifies every outcome through Msoc_check
-     (raising on findings), for every packer variant. *)
-  let prepared = prepared_for t ?packer problem in
-  let outcome = Strategy.run ~pool:t.pool ~budget kind prepared in
-  let plan = Strategy.plan_of_outcome prepared outcome in
-  Export.Object
-    [
-      ("plan", Export.plan_json plan);
-      ("search", Strategy.outcome_json outcome);
-    ]
-
-let compute_optimize t ~delta ?packer problem =
-  let prepared = prepared_for t ?packer problem in
-  let result = Cost_optimizer.run ~delta ~pool:t.pool prepared in
-  let plan =
-    plan_of_result problem result
-      ~reference_makespan:(Evaluate.reference_makespan prepared)
-  in
-  verify_plan ~packer plan;
-  Export.Object
-    [
-      ("plan", Export.plan_json plan);
-      ( "surviving_groups",
-        Export.List
-          (List.map
-             (fun signature ->
-               Export.List (List.map (fun n -> Export.Int n) signature))
-             result.Cost_optimizer.surviving_groups) );
-    ]
-
-let explore_point_json label (plan : Plan.t) =
-  let e = plan.Plan.best in
-  Export.Object
-    [
-      ("point", Export.String label);
-      ("sharing", Export.String (Sharing.short_name e.Evaluate.combination));
-      ("cost", Export.Float e.Evaluate.cost);
-      ("c_t", Export.Float e.Evaluate.c_t);
-      ("c_a", Export.Float e.Evaluate.c_a);
-      ("makespan", Export.Int e.Evaluate.makespan);
-      ("evaluations", Export.Int plan.Plan.evaluations);
-    ]
-
-let compute_explore t ~search ?packer params =
-  let widths =
-    Option.map (List.map int_of_float) (number_list_param "widths" params)
-  in
-  let weights = number_list_param "weights" params in
-  let points =
-    match (widths, weights) with
-    | Some _, Some _ -> badf "give either \"widths\" or \"weights\", not both"
-    | None, None -> badf "explore needs \"widths\" or \"weights\""
-    | Some widths, None ->
-      Explore.width_sweep ~search ~pool:t.pool ?packer ~widths (fun width ->
-          problem_of_params ~width params)
-      |> List.map (fun (w, plan) ->
-             explore_point_json (Printf.sprintf "W=%d" w) plan)
-    | None, Some weights ->
-      let width = int_param ~default:32 "width" params in
-      Explore.weight_sweep ~search ~pool:t.pool ?packer ~weights
-        (fun weight_time ->
-          let soc = load_soc params in
-          Problem.make ~soc ~analog_cores:(analog_cores params)
-            ~tam_width:width ~weight_time ())
-      |> List.map (fun (w, plan) ->
-             explore_point_json (Printf.sprintf "w_T=%.2f" w) plan)
-  in
-  if points = [] then badf "no feasible point in the sweep";
-  Export.Object [ ("points", Export.List points) ]
+  t.prepared_order <- skey :: List.filter (fun k -> k <> skey) t.prepared_order;
+  (match List.filteri (fun i _ -> i >= max_prepared) t.prepared_order with
+  | [] -> ()
+  | evicted ->
+    List.iter (Hashtbl.remove t.prepared) evicted;
+    t.prepared_order <- List.filteri (fun i _ -> i < max_prepared) t.prepared_order);
+  prepared
 
 let stats_result t =
   Export.Object
@@ -323,134 +79,49 @@ let stats_result t =
           ] );
     ]
 
-(* --- cosim --- *)
-
-type cosim_params = {
-  spec : Testbench.spec;
-  trials : int;  (* 0 = single deterministic run, no Monte-Carlo *)
-  seed : int;
-  bits : int;
-  samples : int;
-  tolerance_pct : float option;
-  calibrate : bool;
-  system_clock_hz : float;
-}
-
-let cosim_of_params params =
-  let spec_name = Option.value (string_param "spec" params) ~default:"fc" in
-  let spec =
-    match Testbench.spec_of_name spec_name with
-    | Some s -> s
-    | None ->
-      badf "unknown spec %S (expected one of: %s)" spec_name
-        (String.concat ", " Testbench.spec_names)
-  in
-  let trials = int_param ~default:0 "trials" params in
-  if trials < 0 then badf "param \"trials\" must be >= 0";
-  let seed = int_param ~default:42 "seed" params in
-  let bits = int_param ~default:8 "bits" params in
-  if bits < 4 || bits > 16 || bits mod 2 <> 0 then
-    badf "param \"bits\" must be an even resolution in 4..16";
-  let samples =
-    int_param ~default:Testbench.default.Testbench.samples "samples" params
-  in
-  if samples < 16 then badf "param \"samples\" must be >= 16";
-  let tolerance_pct =
-    match field "tolerance_pct" params with
-    | None -> None
-    | Some (Export.Float f) when f > 0.0 -> Some f
-    | Some (Export.Int i) when i > 0 -> Some (float_of_int i)
-    | Some _ -> badf "param \"tolerance_pct\" must be a positive number"
-  in
-  let calibrate =
-    match field "calibrate" params with
-    | None -> false
-    | Some (Export.Bool b) -> b
-    | Some _ -> badf "param \"calibrate\" must be a boolean"
-  in
-  let system_clock_hz = float_param ~default:78.0e6 "system_clock_hz" params in
-  if system_clock_hz <= 0.0 then
-    badf "param \"system_clock_hz\" must be positive";
-  { spec; trials; seed; bits; samples; tolerance_pct; calibrate;
-    system_clock_hz }
-
-let cosim_extra (p : cosim_params) =
-  Export.Object
-    ([
-       ("spec", Export.String (Testbench.spec_name p.spec));
-       ("trials", Export.Int p.trials);
-       ("seed", Export.Int p.seed);
-       ("bits", Export.Int p.bits);
-       ("samples", Export.Int p.samples);
-     ]
-    @ (match p.tolerance_pct with
-      | Some f -> [ ("tolerance_pct", Export.Float f) ]
-      | None -> [])
-    @
-    if p.calibrate then
-      [
-        ("calibrate", Export.Bool true);
-        ("system_clock_hz", Export.Float p.system_clock_hz);
-      ]
-    else [])
-
-(* The cache stores only the deterministic payload; wall-clock rates
-   would make a cached replay differ from its first computation. *)
-let strip_timing = function
-  | Export.Object fields ->
-    Export.Object (List.filter (fun (k, _) -> k <> "timing") fields)
-  | json -> json
-
-let cosim_config (p : cosim_params) =
-  {
-    Testbench.default with
-    Testbench.variation =
-      { Testbench.default.Testbench.variation with Variation.bits = p.bits };
-    samples = p.samples;
-  }
-
-let compute_cosim t (p : cosim_params) problem =
-  let config = cosim_config p in
-  let result = Testbench.run ?tolerance_pct:p.tolerance_pct ~config p.spec in
-  let fields = [ ("result", Testbench.result_json result) ] in
-  let fields =
-    if p.trials = 0 then fields
-    else begin
-      let _trials, summary =
-        Monte_carlo.run ~config ?tolerance_pct:p.tolerance_pct ~pool:t.pool
-          ~trials:p.trials ~seed:p.seed p.spec
-      in
-      fields
-      @ [ ("monte_carlo", strip_timing (Monte_carlo.summary_json summary)) ]
-    end
-  in
-  let fields =
-    if not p.calibrate then fields
-    else begin
-      (* Re-plan the request's own problem over co-sim-measured test
-         times instead of the catalog's nominal cycles. *)
-      let calibrated, reports =
-        Calibrate.calibrated_problem ~config
-          ~policy:problem.Problem.policy
-          ~system_clock_hz:p.system_clock_hz ~soc:problem.Problem.soc
-          ~analog_cores:problem.Problem.analog_cores
-          ~tam_width:problem.Problem.tam_width
-          ~weight_time:problem.Problem.weight_time ()
-      in
-      let search = Plan.Heuristic { delta = 0.0 } in
-      fields
-      @ [
-          ("calibration", Calibrate.calibration_json reports);
-          ("calibrated_plan", compute_plan t ~search calibrated);
-        ]
-    end
-  in
-  Export.Object fields
-
 (* --- dispatch --- *)
 
-let cached_compute ?extra t ~op_name ~search ~compute problem =
-  let key = Fingerprint.request_hex ?extra ~op:op_name ~search problem in
+(* The result cache key: the request's problem, op and search, plus
+   the op's plan-determining extras. A non-default packer joins them,
+   so its results never answer (or are answered by) a best_fit
+   request; the default, named or omitted, keeps the legacy key. A
+   strategy's declared budget and the request deadline shape its
+   anytime result, so they join too: an anneal incumbent must never
+   answer a bnb request, nor a tightly budgeted run an unbudgeted one.
+   Explore sweeps are never cached. *)
+let cache_key ?deadline_ms (r : Request.t) =
+  let key op (s : Request.setting) fields =
+    let fields =
+      if Registry.name s.packer = Registry.name Registry.default then fields
+      else fields @ [ ("packer", Export.String (Registry.name s.packer)) ]
+    in
+    let extra = if fields = [] then None else Some (Export.Object fields) in
+    Some (Fingerprint.request_hex ?extra ~op ~search:s.search (Request.problem s))
+  in
+  match r with
+  | Request.Plan s -> key "plan" s []
+  | Request.Optimize (s, None) -> key "optimize" s []
+  | Request.Optimize (s, Some { kind; max_evals; budget_ms }) ->
+    key "optimize" s
+      ((match Msoc_search.Strategy.request_json ?max_evals ?time_limit_ms:budget_ms kind with
+       | Export.Object fields -> fields
+       | _ -> [])
+      @ Option.fold deadline_ms ~none:[] ~some:(fun ms -> [ ("deadline_ms", Export.Float ms) ]))
+  | Request.Explore _ -> None
+  | Request.Cosim (s, c) ->
+    (* the co-sim result is a pure function of (problem, cosim knobs) *)
+    let specs = String.concat "," (List.map Msoc_cosim.Testbench.spec_name c.specs) in
+    key "cosim" s
+      ([ ("spec", Export.String specs); ("trials", Export.Int c.trials);
+         ("seed", Export.Int c.seed); ("bits", Export.Int c.config.variation.bits);
+         ("samples", Export.Int c.config.samples) ]
+      @ Option.fold c.tolerance_pct ~none:[] ~some:(fun f -> [ ("tolerance_pct", Export.Float f) ])
+      @
+      if c.calibrate then
+        [ ("calibrate", Export.Bool true); ("system_clock_hz", Export.Float c.system_clock_hz) ]
+      else [])
+
+let cached_compute t ~key compute =
   match Cache.find t.cache ~key with
   | Some (json, Cache.Memory) ->
     Metrics.cache_memory_hit t.metrics;
@@ -461,7 +132,7 @@ let cached_compute ?extra t ~op_name ~search ~compute problem =
   | None ->
     Metrics.cache_miss t.metrics;
     let packs0 = Evaluate.total_packs () in
-    let json = compute problem in
+    let json = compute () in
     Metrics.add_packs t.metrics (Evaluate.total_packs () - packs0);
     Cache.store t.cache ~key json;
     (json, None)
@@ -493,116 +164,25 @@ let handle ?admitted_at t (req : Protocol.request) =
         | Protocol.Shutdown ->
           t.stop <- true;
           (Export.Object [ ("draining", Export.Bool true) ], None)
-        | Protocol.Plan ->
-          let search = search_of_params req.Protocol.params in
-          let packer = packer_of_params req.Protocol.params in
-          let problem = problem_of_params req.Protocol.params in
-          cached_compute ?extra:(packer_extra packer) t ~op_name:"plan"
-            ~search
-            ~compute:(compute_plan t ~search ?packer)
-            problem
-        | Protocol.Optimize -> (
-          let params = req.Protocol.params in
-          let delta = float_param ~default:0.0 "delta" params in
-          let search = Plan.Heuristic { delta } in
-          let packer = packer_of_params params in
-          let problem = problem_of_params params in
-          match string_param "strategy" params with
-          | None ->
-            (* Legacy request shape: same computation, same cache key
-               as before the strategy field existed. *)
-            cached_compute
-              ?extra:(packer_extra packer)
-              t ~op_name:"optimize" ~search
-              ~compute:(compute_optimize t ~delta ?packer)
-              problem
-          | Some name ->
-            let seed = int_param ~default:1 "seed" params in
-            let max_evals =
-              match field "max_evals" params with
-              | None -> None
-              | Some (Export.Int i) when i >= 1 -> Some i
-              | Some _ -> badf "param \"max_evals\" must be a positive integer"
-            in
-            let budget_ms =
-              match field "budget_ms" params with
-              | None -> None
-              | Some (Export.Int i) when i >= 1 -> Some (float_of_int i)
-              | Some (Export.Float f) when f > 0.0 -> Some f
-              | Some _ -> badf "param \"budget_ms\" must be a positive number"
-            in
-            let kind =
-              match
-                Strategy.of_name ~delta ~seed
-                  ~seeds:[ seed; seed + 1; seed + 2 ]
-                  name
-              with
-              | Some kind -> kind
-              | None ->
-                badf "unknown strategy %S (expected one of: %s)" name
-                  (String.concat ", " Strategy.names)
-            in
-            (* The declared budget and the request deadline shape the
-               anytime result, so they join the strategy in the cache
-               key — an anneal incumbent must never answer a bnb
-               request, nor a tightly-budgeted run an unbudgeted one. *)
-            let extra =
-              match
-                ( Strategy.request_json ?max_evals ?time_limit_ms:budget_ms
-                    kind,
-                  req.Protocol.deadline_ms )
-              with
-              | Export.Object fields, Some ms ->
-                Export.Object (fields @ [ ("deadline_ms", Export.Float ms) ])
-              | json, _ -> json
-            in
-            let extra =
-              match merge_extra (packer_extra packer) (Some extra) with
-              | Some json -> json
-              | None -> extra
-            in
-            let budget =
-              Budget.make ?max_evals
-                ?time_limit_s:(Option.map (fun ms -> ms /. 1000.0) budget_ms)
-                ?deadline ()
-            in
-            cached_compute ~extra t ~op_name:"optimize" ~search
-              ~compute:(compute_optimize_strategy t ~kind ~budget ?packer)
-              problem)
-        | Protocol.Explore ->
-          let search = search_of_params req.Protocol.params in
-          let packer = packer_of_params req.Protocol.params in
-          (compute_explore t ~search ?packer req.Protocol.params, None)
-        | Protocol.Cosim ->
-          let p = cosim_of_params req.Protocol.params in
-          let problem = problem_of_params req.Protocol.params in
-          (* The co-sim result is a pure function of (problem, cosim
-             params): it shares the plan cache under the same
-             fingerprint discipline, with the cosim knobs as the
-             request-distinguishing extra. *)
-          cached_compute ~extra:(cosim_extra p) t ~op_name:"cosim"
-            ~search:(Plan.Heuristic { delta = 0.0 })
-            ~compute:(compute_cosim t p) problem
+        | op -> (
+          let r = Request.of_params op req.Protocol.params in
+          let compute () =
+            Request.result_json
+              (Request.run ~prepare:(prepared_for t) ~pool:t.pool ?deadline r)
+          in
+          match cache_key ?deadline_ms:req.Protocol.deadline_ms r with
+          | Some key -> cached_compute t ~key compute
+          | None -> (compute (), None))
       with
       | result, cached ->
         if expired () then
           Protocol.reject ~id Protocol.Deadline_exceeded
             "deadline elapsed while computing (result cached for retry)"
         else Protocol.ok ?cached ~id result
-      | exception Bad m -> Protocol.reject ~id Protocol.Bad_request m
-      | exception Msoc_itc02.Soc_file.Parse_error { file; line; message } ->
-        Protocol.reject ~id Protocol.Bad_request
-          (Printf.sprintf "%s:%d: %s"
-             (Option.value file ~default:"<soc_text>")
-             line message)
-      | exception Msoc_tam.Packer.Infeasible m ->
-        Protocol.reject ~id Protocol.Bad_request ("infeasible: " ^ m)
-      | exception Invalid_argument m ->
-        Protocol.reject ~id Protocol.Bad_request m
-      | exception Failure m -> Protocol.reject ~id Protocol.Bad_request m
-      | exception Sys_error m -> Protocol.reject ~id Protocol.Bad_request m
-      | exception e ->
-        Protocol.reject ~id Protocol.Server_error (Printexc.to_string e)
+      | exception e -> (
+        match Request.error_message e with
+        | Some m -> Protocol.reject ~id Protocol.Bad_request m
+        | None -> Protocol.reject ~id Protocol.Server_error (Printexc.to_string e))
   in
   let elapsed = Unix.gettimeofday () -. admitted_at in
   Metrics.incr_status t.metrics response.Protocol.status;

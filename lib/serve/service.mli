@@ -1,14 +1,14 @@
 (** Request dispatch: one envelope in, one envelope out.
 
-    A service owns the resident planning state the one-shot CLI cannot
-    keep: a {!Msoc_util.Pool} of worker domains, a small LRU of
-    prepared problem structures (so weight sweeps and repeated
-    requests over one SOC share wrapper designs and the schedule memo
-    cache via {!Msoc_testplan.Evaluate.reweight}), and the two-level
-    result {!Cache} keyed by canonical problem hashes
-    ({!Msoc_testplan.Fingerprint.request_hex}; a non-default ["packer"]
-    param joins the key via [?extra], and selects its own resident
-    prepared structure).
+    Each envelope is decoded into a {!Request.t}, looked up in the
+    cache, run by {!Request.run} and encoded. A service owns the
+    resident planning state the one-shot CLI cannot keep: a
+    {!Msoc_util.Pool} of worker domains, a small LRU of prepared
+    problem structures (so weight sweeps and repeated requests over one
+    SOC share wrapper designs and the schedule memo cache via
+    {!Msoc_testplan.Evaluate.reweight}; each packer has its own), and
+    the two-level result {!Cache} keyed by canonical problem hashes
+    ({!Msoc_testplan.Fingerprint.request_hex}, with the op's extras).
 
     {!handle} must be called from a single thread (the transport's
     dispatch thread): the evaluation caches are deliberately

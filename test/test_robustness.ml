@@ -246,9 +246,10 @@ let qcheck_tests =
 (* --- CLI values --- *)
 
 (* Runs the built msoc_plan with [args], MSOC_JOBS taken out of the
-   environment and [env] added; returns its exit code and the lines it
-   wrote to stderr. *)
-let run_cli ?(env = []) args =
+   environment and [env] added, its stdout on [stdout] (default
+   discarded); returns its exit code and the lines it wrote to
+   stderr. *)
+let run_cli ?(env = []) ?stdout args =
   let exe =
     Filename.concat
       (Filename.dirname Sys.executable_name)
@@ -268,7 +269,8 @@ let run_cli ?(env = []) args =
     Fun.protect
       ~finally:(fun () -> Unix.close null; Unix.close err_w)
       (fun () ->
-        Unix.create_process_env exe (Array.of_list (exe :: args)) env null null err_w)
+        Unix.create_process_env exe (Array.of_list (exe :: args)) env null
+          (Option.value stdout ~default:null) err_w)
   in
   let ic = Unix.in_channel_of_descr err_r in
   let text = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic) in
@@ -367,6 +369,168 @@ let test_cli_bad_serve_values () =
         [ "'--allow-shed'"; "overloaded, deadline_exceeded" ]);
     ]
 
+(* Planning values checked against the request range table. *)
+let test_cli_bad_request_values () =
+  check_usage_errors
+    [
+      ([], [ "plan"; "--weight-time"; "2" ], [ "'--weight-time'"; "0..1" ]);
+      ([], [ "plan"; "--weight-time=-0.1" ], [ "'--weight-time'"; "0..1" ]);
+      ([], [ "plan"; "--analog"; "," ], [ "'--analog'"; "A, B, C, D, E" ]);
+      ([], [ "plan"; "--delta=-1" ], [ "'--delta'" ]);
+      ([], [ "plan"; "--delta"; "nan" ], [ "'--delta'" ]);
+      ([], [ "optimize"; "--max-evals"; "0" ], [ "'--max-evals'" ]);
+      ([], [ "optimize"; "--budget-ms"; "0" ], [ "'--budget-ms'" ]);
+      ([], [ "optimize"; "--budget-ms=-5" ], [ "'--budget-ms'" ]);
+      ([], [ "optimize"; "--analog-scale"; "3" ], [ "'--analog-scale'"; "4..26" ]);
+      ([], [ "optimize"; "--analog-scale"; "40" ], [ "'--analog-scale'"; "4..26" ]);
+    ]
+
+(* explore's and replay's sweep lists: each entry checked, none dropped *)
+let test_cli_bad_sweeps () =
+  let cases cmd =
+    [
+      ([], cmd @ [ "--widths"; "16,x" ], [ "'--widths'"; "'x'" ]);
+      ([], cmd @ [ "--weights"; "0.5,y" ], [ "'--weights'"; "'y'" ]);
+      ([], cmd @ [ "--widths"; "0,16" ], [ "'--widths'"; "'0'" ]);
+      ([], cmd @ [ "--weights"; "2" ], [ "'--weights'"; "0..1" ]);
+    ]
+  in
+  check_usage_errors
+    (cases [ "explore" ]
+    @ cases [ "replay"; "--socket"; "unused.sock" ]
+    @ [ ([], [ "explore"; "--weights"; "0.5"; "--widths"; "16,32" ], [ "'--weights'"; "'--widths'" ]) ])
+
+let test_cli_bad_tool_values () =
+  check_usage_errors
+    [
+      ([], [ "bist"; "--bits"; "3" ], [ "'--bits'"; "4..16" ]);
+      ([], [ "bist"; "--bits"; "18" ], [ "'--bits'"; "4..16" ]);
+      ([], [ "bist"; "--trials"; "0" ], [ "'--trials'" ]);
+      ([], [ "generate"; "--cores"; "1"; "--bottleneck"; "unused.soc" ], [ "'--cores'"; "'--bottleneck'" ]);
+      ([], [ "generate"; "/nonexistent/dir/out.soc" ], [ "OUTPUT.soc"; "existing directory" ]);
+      ([], [ "serve"; "--memory-cache"; "0" ], [ "'--memory-cache'" ]);
+      ([], [ "serve"; "--queue"; "0" ], [ "'--queue'" ]);
+      ([], [ "fleet"; "--window"; "0"; "--tcp"; "7999" ], [ "'--window'" ]);
+      ([], [ "fleet"; "--replicas"; "0"; "--tcp"; "7999" ], [ "'--replicas'" ]);
+      ([], [ "replay"; "--socket"; "unused.sock"; "--window"; "0" ], [ "'--window'" ]);
+    ]
+
+(* A daemon nobody runs is a replay failure like any other: one line,
+   exit 1, in both the closed and the open loop. *)
+let test_cli_replay_unreachable () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "msoc-nobody-%d.sock" (Unix.getpid ()))
+  in
+  List.iter
+    (fun extra ->
+      let args = [ "replay"; "--socket"; socket; "--count"; "2" ] @ extra in
+      let what = String.concat " " args in
+      match run_cli args with
+      | 1, [ line ] ->
+        checkb (what ^ ": " ^ line) true (String.starts_with ~prefix:"replay: FAIL: " line)
+      | code, lines ->
+        Alcotest.failf "%s: exit %d, %d stderr lines" what code (List.length lines))
+    [ []; [ "--rate"; "50"; "--clients"; "2" ] ]
+
+(* Every CLI rejection above that has an envelope equivalent gets a
+   bad_request from the service; where planning rejects the request,
+   the CLI's one error line carries the service's message. *)
+let test_cli_envelope_rejections () =
+  let module Protocol = Msoc_serve.Protocol in
+  let module Service = Msoc_serve.Service in
+  let open Msoc_testplan.Export in
+  let bad_soc = Filename.temp_file "msoc-bad" ".soc" in
+  Fun.protect ~finally:(fun () -> Sys.remove bad_soc) @@ fun () ->
+  Out_channel.with_open_bin bad_soc (fun oc -> output_string oc "SocName x\nModule bogus\n");
+  let service = Service.create () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let bnb = ("strategy", String "bnb") in
+  List.iter
+    (fun (args, op, params, planning) ->
+      let what = String.concat " " args in
+      let resp = Service.handle service (Protocol.request ~params:(Object params) ~id:"r" op) in
+      checkb (what ^ ": bad_request") true (resp.Protocol.status = Protocol.Bad_request);
+      let code, lines = run_cli args in
+      checki (what ^ ": exit code") 124 code;
+      checkb (what ^ ": no uncaught exception") false
+        (List.exists (fun l -> contains l "uncaught exception") lines);
+      match (planning, lines, resp.Protocol.error) with
+      | false, _, _ -> ()
+      | true, [ line ], Some m ->
+        checkb (what ^ ": " ^ line ^ " carries " ^ m) true
+          (String.starts_with ~prefix:"msoc_plan: " line && contains line m)
+      | true, _, _ -> Alcotest.failf "%s: expected one error line" what)
+    [
+      ([ "plan"; "--weight-time"; "2" ], Protocol.Plan, [ ("weight_time", Int 2) ], false);
+      ([ "plan"; "--weight-time=-0.1" ], Protocol.Plan, [ ("weight_time", Float (-0.1)) ], false);
+      ([ "plan"; "--analog"; "," ], Protocol.Plan, [ ("analog", String ",") ], false);
+      ([ "plan"; "--delta=-1" ], Protocol.Plan, [ ("delta", Int (-1)) ], false);
+      ([ "optimize"; "--max-evals"; "0" ], Protocol.Optimize, [ ("max_evals", Int 0) ], false);
+      ( [ "optimize"; "--strategy"; "bnb"; "--max-evals"; "0" ], Protocol.Optimize,
+        [ bnb; ("max_evals", Int 0) ], false );
+      ( [ "optimize"; "--strategy"; "bnb"; "--budget-ms"; "0" ], Protocol.Optimize,
+        [ bnb; ("budget_ms", Int 0) ], false );
+      ( [ "optimize"; "--strategy"; "bnb"; "--budget-ms=-5" ], Protocol.Optimize,
+        [ bnb; ("budget_ms", Int (-5)) ], false );
+      ( [ "explore"; "--widths"; "16,x" ], Protocol.Explore,
+        [ ("widths", List [ Int 16; String "x" ]) ], false );
+      ( [ "explore"; "--weights"; "0.5,y"; "--widths"; "32" ], Protocol.Explore,
+        [ ("weights", List [ Float 0.5; String "y" ]); ("width", Int 32) ], false );
+      ( [ "explore"; "--widths"; "0,16" ], Protocol.Explore,
+        [ ("widths", List [ Int 0; Int 16 ]) ], false );
+      ( [ "explore"; "--weights"; "2"; "--widths"; "32" ], Protocol.Explore,
+        [ ("weights", List [ Int 2 ]); ("width", Int 32) ], false );
+      ( [ "explore"; "--weights"; "0.5"; "--widths"; "16,32" ], Protocol.Explore,
+        [ ("weights", List [ Float 0.5 ]); ("widths", List [ Int 16; Int 32 ]) ], false );
+      ([ "plan"; "--width"; "1" ], Protocol.Plan, [ ("width", Int 1) ], true);
+      ([ "optimize"; "--width"; "1" ], Protocol.Optimize, [ ("width", Int 1) ], true);
+      ([ "check"; "--width"; "1" ], Protocol.Plan, [ ("width", Int 1) ], true);
+      ( [ "cosim"; "--calibrate"; "--width"; "1" ], Protocol.Cosim,
+        [ ("calibrate", Bool true); ("width", Int 1) ], true );
+      ([ "plan"; "--soc"; bad_soc ], Protocol.Plan, [ ("soc_path", String bad_soc) ], true);
+      ([ "soc-info"; "--soc"; bad_soc ], Protocol.Plan, [ ("soc_path", String bad_soc) ], true);
+      ( [ "explore"; "--widths"; "1,2" ], Protocol.Explore,
+        [ ("widths", List [ Int 1; Int 2 ]) ], true );
+    ]
+
+(* CLI = envelope: the CLI's JSON parses to the serve op's result. *)
+let test_cli_equals_envelope () =
+  let module Protocol = Msoc_serve.Protocol in
+  let module Service = Msoc_serve.Service in
+  let module Export = Msoc_testplan.Export in
+  let cli_json args =
+    let path = Filename.temp_file "msoc-cli" ".json" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644 in
+    let code, _ = Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> run_cli ~stdout:fd args) in
+    checki (String.concat " " args ^ ": exit code") 0 code;
+    Export.parse_exn (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let service = Service.create () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let op_result op params =
+    let resp = Service.handle service (Protocol.request ~params:(Export.Object params) ~id:"e" op) in
+    checkb "ok" true (resp.Protocol.status = Protocol.Success);
+    resp.Protocol.result
+  in
+  let same what a b = Alcotest.(check string) what (Export.to_string a) (Export.to_string b) in
+  List.iter
+    (fun (width, packer) ->
+      same
+        (Printf.sprintf "plan W=%d %s" width packer)
+        (op_result Protocol.Plan
+           [ ("width", Export.Int width); ("packer", Export.String packer);
+             ("analog", Export.String "A,C,E") ])
+        (cli_json
+           [ "plan"; "--json"; "--width"; string_of_int width; "--packer"; packer;
+             "--analog"; "A,C,E" ]))
+    [ (16, "best_fit"); (16, "diagonal"); (32, "best_fit"); (32, "diagonal") ];
+  let cosim = op_result Protocol.Cosim [ ("spec", Export.String "fc") ] in
+  match (Export.member "results" (cli_json [ "cosim"; "--spec"; "fc"; "--json" ]), Export.member "result" cosim) with
+  | Some (Export.List [ cli ]), Some envelope -> same "cosim fc" envelope cli
+  | _ -> Alcotest.fail "cosim: expected one result on each side"
+
 (* The analyze file options: an unreadable allowlist, a malformed
    baseline, an unwritable baseline snapshot. *)
 let test_cli_bad_analyze_files () =
@@ -438,5 +602,13 @@ let suites =
           test_cli_bad_endpoints;
         Alcotest.test_case "bad serve and replay values" `Quick
           test_cli_bad_serve_values;
+        Alcotest.test_case "bad request values" `Quick test_cli_bad_request_values;
+        Alcotest.test_case "bad sweep lists" `Quick test_cli_bad_sweeps;
+        Alcotest.test_case "bad bist, generate, serve and fleet values" `Quick
+          test_cli_bad_tool_values;
+        Alcotest.test_case "replay against no daemon" `Quick test_cli_replay_unreachable;
+        Alcotest.test_case "CLI and envelope agree on rejections" `Quick
+          test_cli_envelope_rejections;
+        Alcotest.test_case "CLI = envelope" `Quick test_cli_equals_envelope;
       ] );
   ]

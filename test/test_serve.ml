@@ -573,6 +573,11 @@ let plan_params ?(width = 24) ?(weight_time = 0.5) () =
       ("weight_time", Export.Float weight_time);
     ]
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 let handle_ok service req =
   let resp = Service.handle service req in
   if resp.Protocol.status <> Protocol.Success then
@@ -625,15 +630,60 @@ let test_service_cache_tiers () =
           let resp = handle_ok service req in
           checkb "disk hit across restart" true (resp.Protocol.cached = Some "disk")))
 
+(* The disk cache names every entry after its Fingerprint.request_hex
+   key, packer, strategy and cosim extras included. A key that moves
+   turns every persisted cache cold, so the names are pinned here. *)
+let test_service_cache_file_names () =
+  let open Export in
+  let base = [ ("width", Int 16); ("analog", String "A,B,C") ] in
+  let cases =
+    [
+      ("plan", Protocol.Plan, None, [], "49598d8cabdf57d3b384fb506ab26602");
+      ( "plan best_fit", Protocol.Plan, None, [ ("packer", String "best_fit") ],
+        "49598d8cabdf57d3b384fb506ab26602" );
+      ( "plan diagonal", Protocol.Plan, None, [ ("packer", String "diagonal") ],
+        "61519ad6bb0440d0b64b2b4d951e390a" );
+      ( "optimize delta", Protocol.Optimize, None, [ ("delta", Float 0.5) ],
+        "48bfbad17db1e0917787e575347752a5" );
+      ( "optimize bnb", Protocol.Optimize, Some 60_000.0,
+        [ ("strategy", String "bnb"); ("max_evals", Int 16); ("budget_ms", Int 50_000) ],
+        "798e5a7b58b44d575c45d20cc90eb8f7" );
+      ( "cosim fc", Protocol.Cosim, None,
+        [ ("spec", String "fc"); ("trials", Int 3) ],
+        "357e753a0aec97f22c944335b44e4c85" );
+      ( "cosim calibrate", Protocol.Cosim, None,
+        [ ("calibrate", Bool true); ("samples", Int 512) ],
+        "4ec22fb4aca44049e6073fb7aba099ce" );
+    ]
+  in
+  List.iter
+    (fun (what, op, deadline_ms, params, name) ->
+      with_temp_dir (fun dir ->
+          let cache = Cache.create ~memory_capacity:8 ~dir () in
+          with_service ~cache (fun service ->
+              ignore
+                (handle_ok service
+                   (Protocol.request ?deadline_ms ~params:(Object (base @ params))
+                      ~id:what op)));
+          Alcotest.(check (list string))
+            what [ name ^ ".json" ]
+            (List.sort compare (Array.to_list (Sys.readdir dir)))))
+    cases
+
 let test_service_bad_request_envelopes () =
   with_service (fun service ->
-      let handle params =
-        Service.handle service (Protocol.request ~params ~id:"b" Protocol.Plan)
-      in
-      let bad params =
-        let resp = handle params in
+      (* [names]: what the error must mention, e.g. the param. Every
+         bad value is rejected before anything is packed. *)
+      let bad ?(op = Protocol.Plan) ?(names = []) params =
+        let packs = Msoc_testplan.Evaluate.total_packs () in
+        let resp = Service.handle service (Protocol.request ~params ~id:"b" op) in
         checkb "bad_request" true (resp.Protocol.status = Protocol.Bad_request);
-        checkb "has error text" true (resp.Protocol.error <> None)
+        let error = Option.value resp.Protocol.error ~default:"" in
+        checkb "has error text" true (error <> "");
+        List.iter
+          (fun name -> checkb (error ^ " names " ^ name) true (contains error name))
+          names;
+        checki (error ^ ": nothing packed") packs (Msoc_testplan.Evaluate.total_packs ())
       in
       bad (Export.Object [ ("width", Export.Int (-3)) ]);
       bad (Export.Object [ ("width", Export.String "wide") ]);
@@ -643,7 +693,45 @@ let test_service_bad_request_envelopes () =
         (Export.Object
            [ ("soc_text", Export.String "SocName x\nModule bogus\n") ]);
       (* an infeasible width is a client error, not a server crash *)
-      bad (Export.Object [ ("width", Export.Int 1) ]))
+      bad (Export.Object [ ("width", Export.Int 1) ]);
+      (* sweep values are checked, never truncated or dropped *)
+      let explore params = bad ~op:Protocol.Explore ~names:[ "\"widths\"" ] params in
+      explore (Export.Object [ ("widths", Export.List [ Export.Float 16.5 ]) ]);
+      explore (Export.Object [ ("widths", Export.List [ Export.Int 0; Export.Int 16 ]) ]);
+      bad ~op:Protocol.Explore ~names:[ "\"weights\""; "0..1" ]
+        (Export.Object [ ("weights", Export.List [ Export.Int 2; Export.Float 0.5 ]) ]);
+      (* a negative delta no longer waits for the prepare's reference pack *)
+      bad ~names:[ "\"delta\"" ] (Export.Object [ ("delta", Export.Int (-1)) ]))
+
+(* Decoding any params object yields a request or raises what
+   Request.error_message maps: a bad value is a bad_request, never a
+   server error. *)
+let test_decode_total =
+  let keys =
+    [ "soc_text"; "soc_path"; "analog"; "width"; "weight_time"; "search"; "delta"; "packer";
+      "strategy"; "seed"; "max_evals"; "budget_ms"; "widths"; "weights"; "spec"; "trials";
+      "bits"; "samples"; "tolerance_pct"; "calibrate"; "system_clock_hz" ]
+  in
+  let value =
+    QCheck.Gen.(
+      frequency
+        [ (3, json_gen);
+          (2, oneofl
+                Export.
+                  [ Int 0; Int 16; Int (-1); Float 0.5; Float 2.0; String "A,C"; String "iip3";
+                    List [ Int 16; Int 32 ]; List [ Float 0.25 ]; Bool true ]) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneofl Protocol.[ Plan; Optimize; Explore; Cosim ])
+        (list_size (0 -- 4) (pair (oneofl keys) value)))
+  in
+  QCheck.Test.make ~count:300 ~name:"request: decoding any params is total" (QCheck.make gen)
+    (fun (op, fields) ->
+      match Msoc_serve.Request.of_params op (Export.Object fields) with
+      | _ -> true
+      | exception e -> Msoc_serve.Request.error_message e <> None)
 
 let test_service_packer_param () =
   let params ?packer () =
@@ -1019,8 +1107,11 @@ let suites =
         Alcotest.test_case "plan matches one-shot" `Quick
           test_service_plan_matches_one_shot;
         Alcotest.test_case "cache tiers" `Quick test_service_cache_tiers;
+        Alcotest.test_case "cache file names" `Quick
+          test_service_cache_file_names;
         Alcotest.test_case "bad requests" `Quick
           test_service_bad_request_envelopes;
+        QCheck_alcotest.to_alcotest test_decode_total;
         Alcotest.test_case "deadlines" `Quick test_service_deadline;
         Alcotest.test_case "packer param" `Quick test_service_packer_param;
         Alcotest.test_case "stats and drain" `Quick
