@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks: one Test.make per reproduced table /
    figure, timing the computational kernel that regenerates it, plus
-   the Design_wrapper staircases every plan starts from and one
-   co-simulated Fig. 5 record. The
+   the Design_wrapper staircases every plan starts from, one
+   co-simulated Fig. 5 record and the two kernels that record spends
+   most of its time in (a spectrum and a pipeline ADC pass). The
    paper's own CPU-time claim (heuristic 6 min vs exhaustive 20 min on
    a Sun Ultra) maps to the table4 pair below. *)
 
@@ -80,10 +81,37 @@ let tests () =
     Test.make ~name:"cosim:Testbench.run fc (default config)"
       (Staged.stage (fun () -> ignore (Msoc_cosim.Testbench.run Msoc_cosim.Testbench.Fc)))
   in
+  (* The Fig. 5 record: the fc program's three tones around the 2 V
+     bias, 4551 samples at 1.7 MS/s, through the default die's ADC. *)
+  let fig5_record =
+    let fs = 1.7e6 in
+    Msoc_signal.Tone.sample ~fs ~n:4551
+      ~tones:
+        (List.map
+           (fun hz ->
+             Msoc_signal.Tone.tone ~amplitude:0.6
+               (Msoc_signal.Tone.coherent_freq ~fs ~n:8192 hz))
+           [ 20_000.0; 60_000.0; 150_000.0 ])
+    |> Array.map (fun v -> v +. 2.0)
+  in
+  let fig5_adc =
+    Msoc_mixedsig.Wrapper.adc
+      (Msoc_mixedsig.Variation.wrapper
+         Msoc_cosim.Testbench.default.Msoc_cosim.Testbench.variation)
+  in
+  let spectrum =
+    Test.make ~name:"signal:Spectrum.analyze (4551 -> 8192, Hann)"
+      (Staged.stage (fun () ->
+           ignore (Msoc_signal.Spectrum.analyze ~fs:1.7e6 ~pad_to:8192 fig5_record)))
+  in
+  let adc =
+    Test.make ~name:"mixedsig:Adc.convert_all (8-bit pipeline, 4551 samples)"
+      (Staged.stage (fun () -> ignore (Msoc_mixedsig.Adc.convert_all fig5_adc fig5_record)))
+  in
   Test.make_grouped ~name:"msoc"
     [
       staircases; table1; table2; table3; table4_exhaustive; table4_heuristic; fig5;
-      cosim_fc;
+      cosim_fc; spectrum; adc;
     ]
 
 let run () =

@@ -1886,7 +1886,7 @@ let cosim_cmd =
         value
         & opt int Testbench.default.Testbench.samples
         & info [ "samples" ] ~docv:"N"
-            ~doc:"Stimulus record length (>= 16; >= 65 with $(b,--spec) iip3).")
+            ~doc:"Stimulus record length (16..1048576; from 65 with $(b,--spec) iip3).")
     in
     let check specs n =
       let range = Request.samples specs in

@@ -34,6 +34,12 @@ let min_samples = function
   | Iip3 -> 65
   | Gain | Fc | Thd | Dc_offset | Slew | Dr -> 16
 
+(* A ceiling for records from outside the program: each sample costs
+   a few float arrays (stimulus, DUT stages, converters) and the FFT
+   pads to the next power of two, so 2^20 samples stay near 100 MB
+   where 4e8 would ask for several 3.2 GB arrays. *)
+let max_samples = 1 lsl 20
+
 (* Gain and fc ride the paper's 5 % Fig. 5 agreement; the distortion
    and DC readouts sit near the converter noise/step floor where an
    8-bit wrapped path legitimately deviates more. *)
@@ -172,33 +178,40 @@ let spectrum config x = Spectrum.analyze ~fs:config.fs ~pad_to:(pad_of config) x
 
 let mean x = Array.fold_left ( +. ) 0.0 x /. float_of_int (Array.length x)
 
-let extract config spec ~stimulus ~response =
+(* The spec's readout of a response record. What depends on the
+   stimulus alone (the Fc program's input spectrum) is computed once,
+   for both paths. *)
+let extract config spec ~stimulus =
   match (spec, stimulus.tones) with
   | Gain, [ f ] ->
     (* Goertzel, the ATE fast path: evaluated at exactly the stimulus
        frequency, no FFT grid. *)
-    Goertzel.amplitude ~fs:config.fs ~f
-      (Array.map (fun v -> v -. config.bias) response)
-    /. stimulus.amplitude
+    fun response ->
+      Goertzel.amplitude ~fs:config.fs ~f
+        (Array.map (fun v -> v -. config.bias) response)
+      /. stimulus.amplitude
   | Fc, tones ->
     let s_in = spectrum config stimulus.samples_v in
-    let s_out = spectrum config response in
-    Cutoff.from_spectra ~order:2 ~input:s_in ~output:s_out tones
-  | Thd, [ f ] -> Distortion.thd (spectrum config response) ~fundamental:f
+    fun response ->
+      Cutoff.from_spectra ~order:2 ~input:s_in ~output:(spectrum config response) tones
+  | Thd, [ f ] -> fun response -> Distortion.thd (spectrum config response) ~fundamental:f
   | Iip3, [ f1; f2 ] ->
-    (Distortion.imd3 (spectrum config response) ~f1 ~f2).Distortion.iip3_rel
-  | Dc_offset, _ -> mean response -. config.bias
+    fun response ->
+      (Distortion.imd3 (spectrum config response) ~f1 ~f2).Distortion.iip3_rel
+  | Dc_offset, _ -> fun response -> mean response -. config.bias
   | Slew, _ ->
-    let max_slope = ref 0.0 in
-    for i = 1 to Array.length response - 1 do
-      let slope = Float.abs (response.(i) -. response.(i - 1)) *. config.fs in
-      if slope > !max_slope then max_slope := slope
-    done;
-    !max_slope /. 1.0e6 (* V/us *)
+    fun response ->
+      let max_slope = ref 0.0 in
+      for i = 1 to Array.length response - 1 do
+        let slope = Float.abs (response.(i) -. response.(i - 1)) *. config.fs in
+        if slope > !max_slope then max_slope := slope
+      done;
+      !max_slope /. 1.0e6 (* V/us *)
   | Dr, [ f ] ->
-    let m = mean response in
-    let ac = Array.map (fun v -> v -. m) response in
-    Distortion.sinad_db (spectrum config ac) ~fundamental:f
+    fun response ->
+      let m = mean response in
+      let ac = Array.map (fun v -> v -. m) response in
+      Distortion.sinad_db (spectrum config ac) ~fundamental:f
   | (Gain | Thd | Iip3 | Dr), _ ->
     invalid_arg "Testbench.extract: stimulus does not match the spec's program"
 
@@ -232,9 +245,9 @@ let run ?tolerance_pct ?(config = default) spec =
   in
   let dut = dut_for config spec in
   let stimulus = stimulus_for config spec in
+  let readout = extract config spec ~stimulus in
   (* Direct path: a bench probe on the bare core — no converters. *)
-  let direct_out = Dut.batch dut stimulus.samples_v in
-  let direct = extract config spec ~stimulus ~response:direct_out in
+  let direct = readout (Dut.batch dut stimulus.samples_v) in
   (* Wrapped path: digital words through DAC → DUT → ADC. *)
   let bits = config.variation.Variation.bits in
   let range = Quantize.default_range in
@@ -246,7 +259,7 @@ let run ?tolerance_pct ?(config = default) spec =
   let response =
     Array.map (Quantize.decode ~bits ~range) trace.Engine.response
   in
-  let measured = extract config spec ~stimulus ~response in
+  let measured = readout response in
   let error_pct =
     if direct = 0.0 then Float.abs measured *. 100.0
     else 100.0 *. Float.abs (measured -. direct) /. Float.abs direct

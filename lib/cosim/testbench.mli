@@ -29,6 +29,12 @@ val min_samples : spec -> int
     and 65 for [Iip3], whose two tones land on one bin of a 64-point
     FFT (the FFT pads to the next power of two). *)
 
+val max_samples : int
+(** [2^20]: the longest record a request may ask for. A longer one is
+    rejected before any array is allocated; the record, every DUT
+    stage and the next-power-of-two FFT pad are each a float array of
+    about that length. *)
+
 val default_tolerance_pct : spec -> float
 (** Per-spec pass tolerance on the wrapped-vs-direct relative error:
     5 % for [Gain]/[Fc] (the paper's Fig. 5 agreement), wider for the

@@ -4,9 +4,11 @@ type architecture = Flash | Modular_pipeline
    thresholds below the input. *)
 type flash_bank = float array
 
+(* [cell_bottom.(msb)] is the bottom of coarse cell [msb], tabulated
+   from the reconstruction DAC when the converter is created. *)
 type stages =
   | Single of flash_bank
-  | Pipeline of { coarse : flash_bank; reconstruct : Dac.t; fine : flash_bank }
+  | Pipeline of { coarse : flash_bank; cell_bottom : float array; fine : flash_bank }
 
 type t = {
   architecture : architecture;
@@ -47,12 +49,16 @@ let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_r
     | Modular_pipeline ->
       let half = bits / 2 in
       let coarse = make_bank rng ~sigma_volts ~bits:half ~range in
-      (* The reconstruction DAC outputs the *bottom* of the coarse
-         cell; we use an ideal modular sub-DAC shifted by half an MSB
-         LSB (see [pipeline_convert]). *)
+      (* The reconstruction DAC is an ideal sub-DAC; Dac.convert
+         returns cell centers, so subtracting half an MSB LSB gives the
+         cell bottom and the residue lies in [0, span/2^h). *)
       let reconstruct = Dac.create Dac.Full_string ~bits:half ~range in
+      let msb_lsb = (range.Quantize.vmax -. range.Quantize.vmin) /. float_of_int (1 lsl half) in
+      let cell_bottom =
+        Array.init (1 lsl half) (fun msb -> Dac.convert reconstruct msb -. (msb_lsb /. 2.0))
+      in
       let fine = make_bank rng ~sigma_volts ~bits:half ~range in
-      Pipeline { coarse; reconstruct; fine }
+      Pipeline { coarse; cell_bottom; fine }
   in
   { architecture; bits; range; stages }
 
@@ -60,29 +66,22 @@ let bits t = t.bits
 
 let architecture t = t.architecture
 
-let bank_convert bank v =
-  (* Thresholds are sorted; binary search for the comparator count. *)
-  let n = Array.length bank in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if v >= bank.(mid) then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
+(* Thresholds are sorted; binary search for the comparator count. *)
+let bank_convert (bank : flash_bank) v =
+  let lo = ref 0 and hi = ref (Array.length bank) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if v >= bank.(mid) then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let convert t v =
   match t.stages with
   | Single bank -> bank_convert bank v
-  | Pipeline { coarse; reconstruct; fine } ->
+  | Pipeline { coarse; cell_bottom; fine } ->
     let half = t.bits / 2 in
     let msb = bank_convert coarse v in
-    (* Dac.convert returns cell centers; subtracting half an MSB LSB
-       gives the cell bottom, so the residue lies in [0, span/2^h). *)
-    let span = t.range.Quantize.vmax -. t.range.Quantize.vmin in
-    let msb_lsb = span /. float_of_int (1 lsl half) in
-    let cell_bottom = Dac.convert reconstruct msb -. (msb_lsb /. 2.0) in
-    let residue = v -. cell_bottom in
+    let residue = v -. cell_bottom.(msb) in
     let amplified = t.range.Quantize.vmin +. (residue *. float_of_int (1 lsl half)) in
     let lsb_code =
       Msoc_util.Numeric.clamp_int ~lo:0 ~hi:((1 lsl half) - 1) (bank_convert fine amplified)

@@ -8,7 +8,13 @@
       flash — 2·(2^(n/2) − 1) comparators (32-ish vs 256 at 8 bits).
 
     Optional comparator threshold noise exercises the pipeline's
-    sensitivity to stage errors. *)
+    sensitivity to stage errors.
+
+    Conversion builds no closure and evaluates no DAC per sample: each
+    flash bank is a sorted threshold array searched by a binary-search
+    loop, and {!create} evaluates the pipeline's reconstruction DAC once
+    per coarse code into a table of coarse-cell bottoms. Codes are
+    bit-identical to evaluating the DAC on every sample. *)
 
 type architecture = Flash | Modular_pipeline
 

@@ -35,12 +35,14 @@ let slew_limited ~max_slew_v_per_s ~fs samples =
 
 let additive_noise ?(seed = 42) ~sigma samples =
   let rng = Msoc_util.Rng.create ~seed in
-  let gaussian () =
+  let out = Array.make (Array.length samples) 0.0 in
+  for i = 0 to Array.length samples - 1 do
     let u1 = Float.max 1e-12 (Msoc_util.Rng.float rng ~bound:1.0) in
     let u2 = Msoc_util.Rng.float rng ~bound:1.0 in
-    Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
-  in
-  Array.map (fun v -> v +. (sigma *. gaussian ())) samples
+    let g = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
+    out.(i) <- samples.(i) +. (sigma *. g)
+  done;
+  out
 
 let downconverter ~lo_hz ~fs ~if_lowpass_fc =
   let post = lowpass ~order:3 ~fc:if_lowpass_fc ~fs in

@@ -14,15 +14,19 @@ let step ~bits ~range =
   if range.vmax <= range.vmin then invalid_arg "Quantize: empty range";
   (range.vmax -. range.vmin) /. float_of_int (code_count ~bits)
 
-let encode ~bits ~range v =
-  let lsb = step ~bits ~range in
-  let raw = int_of_float (Float.floor ((v -. range.vmin) /. lsb)) in
-  Msoc_util.Numeric.clamp_int ~lo:0 ~hi:(code_count ~bits - 1) raw
+(* Both take [bits] and [range] first and compute the step once, so a
+   partial application converts a whole record at one step. *)
+let encode ~bits ~range =
+  let lsb = step ~bits ~range and hi = code_count ~bits - 1 in
+  fun v ->
+    let raw = int_of_float (Float.floor ((v -. range.vmin) /. lsb)) in
+    Msoc_util.Numeric.clamp_int ~lo:0 ~hi raw
 
-let decode ~bits ~range code =
-  let n = code_count ~bits in
-  if code < 0 || code >= n then invalid_arg "Quantize.decode: code out of range";
-  range.vmin +. ((float_of_int code +. 0.5) *. step ~bits ~range)
+let decode ~bits ~range =
+  let lsb = step ~bits ~range and n = code_count ~bits in
+  fun code ->
+    if code < 0 || code >= n then invalid_arg "Quantize.decode: code out of range";
+    range.vmin +. ((float_of_int code +. 0.5) *. lsb)
 
 let roundtrip ~bits ~range v = decode ~bits ~range (encode ~bits ~range v)
 

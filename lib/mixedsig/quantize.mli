@@ -16,10 +16,13 @@ val step : bits:int -> range:range -> float
 (** LSB size. *)
 
 val encode : bits:int -> range:range -> float -> int
-(** Voltage to code, clipping to the range. *)
+(** Voltage to code, clipping to the range. [encode ~bits ~range]
+    computes the step once, so mapping it over a record checks and
+    divides once per record, not once per sample. *)
 
 val decode : bits:int -> range:range -> int -> float
-(** Code to the center voltage of its quantization cell.
+(** Code to the center voltage of its quantization cell; staged like
+    {!encode}.
     @raise Invalid_argument on out-of-range codes. *)
 
 val roundtrip : bits:int -> range:range -> float -> float

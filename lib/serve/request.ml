@@ -30,13 +30,14 @@ let bits =
 let analog_scale = { expected = "an integer in 4..26"; ok = (fun n -> n >= 4 && n <= 26) }
 
 let samples specs =
-  let floor = Testbench.min_samples in
+  let floor = Testbench.min_samples and ceiling = Testbench.max_samples in
+  let within lo n = n >= lo && n <= ceiling in
   match List.stable_sort (fun a b -> compare (floor b) (floor a)) specs with
-  | [] -> positive_int
+  | [] -> { expected = Printf.sprintf "an integer in 1..%d" ceiling; ok = within 1 }
   | s :: _ ->
     let spec = Testbench.spec_name s in
-    { expected = Printf.sprintf "an integer >= %d with spec %s" (floor s) spec;
-      ok = (fun n -> n >= floor s) }
+    { expected = Printf.sprintf "an integer in %d..%d with spec %s" (floor s) ceiling spec;
+      ok = within (floor s) }
 
 let one_of names = { expected = "one of: " ^ String.concat ", " names; ok = (fun _ -> true) }
 let any expected = { expected; ok = (fun _ -> true) }

@@ -32,7 +32,8 @@ val bits : int range
 val analog_scale : int range
 
 val samples : Testbench.spec list -> int range
-(** At least {!Testbench.min_samples} of every spec. *)
+(** At least {!Testbench.min_samples} of every spec and at most
+    {!Testbench.max_samples}. *)
 
 val one_of : string list -> 'a range
 (** A name from a closed list; the lookup itself decides. *)

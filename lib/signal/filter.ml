@@ -52,14 +52,16 @@ let butterworth_lowpass ~order ~fc ~fs =
   of_sections sections
 
 let process_section s samples =
+  let out = Array.make (Array.length samples) 0.0 in
   let z1 = ref 0.0 and z2 = ref 0.0 in
-  Array.map
-    (fun x ->
-      let y = (s.b0 *. x) +. !z1 in
-      z1 := (s.b1 *. x) -. (s.a1 *. y) +. !z2;
-      z2 := (s.b2 *. x) -. (s.a2 *. y);
-      y)
-    samples
+  for i = 0 to Array.length samples - 1 do
+    let x = samples.(i) in
+    let y = (s.b0 *. x) +. !z1 in
+    z1 := (s.b1 *. x) -. (s.a1 *. y) +. !z2;
+    z2 := (s.b2 *. x) -. (s.a2 *. y);
+    out.(i) <- y
+  done;
+  out
 
 let process t samples = List.fold_left (fun acc s -> process_section s acc) samples t
 

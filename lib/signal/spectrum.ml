@@ -6,15 +6,29 @@ type t = {
   magnitudes : float array;
 }
 
+(* Window [coefs]-many samples of [x] from [offset] straight into the
+   real half of a zero-padded [n_fft]-point split buffer, transform it
+   in place and return |X[k]| of the one-sided bins 0 .. n_fft/2. *)
+let one_sided_magnitudes ~coefs ~n_fft ~offset x =
+  let re = Array.make n_fft 0.0 and im = Array.make n_fft 0.0 in
+  for i = 0 to Array.length coefs - 1 do
+    re.(i) <- x.(offset + i) *. coefs.(i)
+  done;
+  Fft.forward_in_place ~re ~im;
+  let mags = Array.make ((n_fft / 2) + 1) 0.0 in
+  for k = 0 to Array.length mags - 1 do
+    mags.(k) <- Float.hypot re.(k) im.(k)
+  done;
+  mags
+
 let analyze ?(window = Window.Hann) ?pad_to ~fs samples =
   let n_signal = Array.length samples in
   if n_signal = 0 then invalid_arg "Spectrum.analyze: empty record";
-  let windowed = Window.apply window samples in
-  let padded = Fft.of_real ?pad_to windowed in
-  let n_fft = Array.length padded in
-  let mags = Fft.magnitudes (Fft.forward padded) in
-  let one_sided = Array.sub mags 0 ((n_fft / 2) + 1) in
-  { fs; n_signal; n_fft; window; magnitudes = one_sided }
+  let n_fft = Option.value pad_to ~default:(Fft.next_pow2 n_signal) in
+  if n_fft < n_signal then invalid_arg "Spectrum.analyze: pad_to smaller than the record";
+  let coefs = Window.coefficients window n_signal in
+  let magnitudes = one_sided_magnitudes ~coefs ~n_fft ~offset:0 samples in
+  { fs; n_signal; n_fft; window; magnitudes }
 
 let bin_of_freq t f =
   if f < 0.0 || f > t.fs /. 2.0 then invalid_arg "Spectrum.bin_of_freq: out of range";
@@ -83,10 +97,7 @@ let welch_psd ?(window = Window.Hann) ?(segment = 1024) ?(overlap = 0.5) ~fs x =
   let half = (segment / 2) + 1 in
   let acc = Array.make half 0.0 in
   for s = 0 to n_segments - 1 do
-    let windowed =
-      Array.init segment (fun i -> x.((s * hop) + i) *. coefs.(i))
-    in
-    let mags = Fft.magnitudes (Fft.forward (Fft.of_real windowed)) in
+    let mags = one_sided_magnitudes ~coefs ~n_fft:segment ~offset:(s * hop) x in
     for k = 0 to half - 1 do
       (* one-sided PSD: double everything but DC and Nyquist *)
       let scale = if k = 0 || k = half - 1 then 1.0 else 2.0 in

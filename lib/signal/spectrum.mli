@@ -13,8 +13,15 @@ type t = {
 }
 
 val analyze : ?window:Window.t -> ?pad_to:int -> fs:float -> float array -> t
-(** Windowed (default Hann), zero-padded FFT magnitude spectrum.
-    @raise Invalid_argument on an empty record. *)
+(** Windowed (default Hann), zero-padded FFT magnitude spectrum. The
+    record is windowed straight into the real half of a [pad_to]-point
+    split buffer (default: the next power of two of its length),
+    transformed in place by {!Fft.forward_in_place}, and only the
+    one-sided bins take [Float.hypot]. The magnitudes are
+    bit-identical to windowing, padding, transforming and taking the
+    modulus of boxed [Complex.t] values.
+    @raise Invalid_argument on an empty record, or a [pad_to] smaller
+    than the record or not a power of two. *)
 
 val bin_of_freq : t -> float -> int
 (** Nearest bin. @raise Invalid_argument outside [0, fs/2]. *)
@@ -43,7 +50,8 @@ val welch_psd :
 (** Welch's averaged-periodogram power spectral density: split the
     record into [segment]-sample windows (default 1024, power of two)
     overlapping by [overlap] (default 0.5), window each, average the
-    periodograms. Returns one-sided (frequency, PSD) pairs in
+    periodograms (each segment through the same in-place kernel as
+    {!analyze}). Returns one-sided (frequency, PSD) pairs in
     units²/Hz; the variance of each PSD estimate shrinks with the
     number of averaged segments — the right tool for noise floors,
     where a single FFT's bins fluctuate 100%.

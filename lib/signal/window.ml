@@ -12,10 +12,6 @@ let coefficients w n =
   if n <= 0 then invalid_arg "Window.coefficients: n must be positive";
   if n = 1 then [| 1.0 |] else Array.init n (fun i -> shape w i n)
 
-let apply w samples =
-  let coefs = coefficients w (Array.length samples) in
-  Array.mapi (fun i s -> s *. coefs.(i)) samples
-
 let coherent_gain w =
   match w with
   | Rectangular -> 1.0

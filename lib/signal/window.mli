@@ -6,9 +6,6 @@ val coefficients : t -> int -> float array
 (** [coefficients w n] is the length-[n] window.
     @raise Invalid_argument if [n <= 0]. *)
 
-val apply : t -> float array -> float array
-(** Pointwise product with the window of matching length. *)
-
 val coherent_gain : t -> float
 (** Mean window value — divides spectral magnitudes to recover tone
     amplitudes. *)

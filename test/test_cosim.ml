@@ -827,27 +827,30 @@ let test_service_cosim_bad_requests () =
       bad (Export.Object [ ("trials", Export.Int (-1)) ]);
       bad (Export.Object [ ("samples", Export.Int 2) ]);
       bad (Export.Object [ ("calibrate", Export.String "yes") ]);
-      (* iip3's floor is checked before the run, naming the param *)
+      (* iip3's floor and every spec's ceiling are checked before the
+         run, naming the param and the range *)
       List.iter
-        (fun samples ->
+        (fun (spec, samples, range) ->
           let resp =
             Service.handle service
               (Protocol.request
                  ~params:
                    (Export.Object
-                      [ ("spec", Export.String "iip3"); ("samples", Export.Int samples) ])
+                      [ ("spec", Export.String spec); ("samples", Export.Int samples) ])
                  ~id:"i" Protocol.Cosim)
           in
-          checkb "iip3 bad_request" true (resp.Protocol.status = Protocol.Bad_request);
+          checkb (spec ^ " bad_request") true (resp.Protocol.status = Protocol.Bad_request);
           let error = Option.value resp.Protocol.error ~default:"" in
           let mentions needle =
             let n = String.length needle in
             let rec go i = i + n <= String.length error && (String.sub error i n = needle || go (i + 1)) in
             go 0
           in
-          checkb (error ^ " names samples and the floor") true
-            (mentions "\"samples\"" && mentions ">= 65"))
-        [ 16; 32; 64 ])
+          checkb (error ^ " names samples and the range") true
+            (mentions "\"samples\"" && mentions range))
+        [ ("iip3", 16, "65..1048576"); ("iip3", 32, "65..1048576");
+          ("iip3", 64, "65..1048576"); ("iip3", 1_048_577, "65..1048576");
+          ("fc", 400_000_000, "16..1048576"); ("thd", 1_048_577, "16..1048576") ])
 
 let with_temp_dir f =
   let dir = Filename.temp_file "msoc-cosim-cache" "" in

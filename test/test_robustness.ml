@@ -347,13 +347,18 @@ let test_cli_bad_cosim_values () =
       ([], [ "cosim"; "--spec"; "bogus" ],
         [ "'--spec'"; "all, gain, fc, thd, iip3, offset, slew, dr" ]);
       ([], [ "cosim"; "--bits"; "5" ], [ "'--bits'"; "4..16" ]);
-      ([], [ "cosim"; "--samples"; "8" ], [ "'--samples'"; ">= 16" ]);
+      ([], [ "cosim"; "--samples"; "8" ], [ "'--samples'"; "16..1048576" ]);
+      ([], [ "cosim"; "--samples"; "400000000" ], [ "'--samples'"; "16..1048576" ]);
+      ([], [ "cosim"; "--spec"; "thd"; "--samples"; "1048577" ],
+        [ "'--samples'"; "16..1048576" ]);
       ([], [ "cosim"; "--trials=-1" ], [ "'--trials'" ]);
       ([], [ "cosim"; "--tolerance=-3" ], [ "'--tolerance'" ]);
       ([], [ "cosim"; "--tolerance=0" ], [ "'--tolerance'" ]);
       ([], [ "cosim"; "--system-clock=0"; "--calibrate" ], [ "'--system-clock'" ]);
-      ([], [ "cosim"; "--spec"; "iip3"; "--samples"; "64" ], [ "'--samples'"; ">= 65" ]);
-      ([], [ "cosim"; "--spec"; "all"; "--samples"; "64" ], [ "'--samples'"; ">= 65" ]);
+      ([], [ "cosim"; "--spec"; "iip3"; "--samples"; "64" ], [ "'--samples'"; "65..1048576" ]);
+      ([], [ "cosim"; "--spec"; "all"; "--samples"; "64" ], [ "'--samples'"; "65..1048576" ]);
+      ([], [ "cosim"; "--spec"; "all"; "--samples"; "1048577" ],
+        [ "'--samples'"; "65..1048576" ]);
     ]
 
 let test_cli_bad_serve_values () =

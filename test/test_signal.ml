@@ -110,14 +110,6 @@ let test_fft_linearity () =
         (close ~abs_tol:1e-9 (Complex.norm (Complex.sub c (Complex.add fa.(i) fb.(i)))) 0.0))
     fsum
 
-let test_of_real_padding () =
-  let x = Fft.of_real [| 1.0; 2.0; 3.0 |] in
-  checki "padded to 4" 4 (Array.length x);
-  checkb "zeros appended" true (x.(3) = Complex.zero);
-  match Fft.of_real ~pad_to:2 [| 1.0; 2.0; 3.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "pad smaller than input accepted"
-
 (* --- Window --- *)
 
 let test_window_bounds () =
@@ -269,6 +261,17 @@ let test_spectrum_series () =
   checki "one-sided length" 513 (Array.length series);
   checkb "silence is floor" true (snd series.(10) <= -100.0)
 
+let test_spectrum_padding () =
+  let s = Spectrum.analyze ~fs:1.0 [| 1.0; 2.0; 3.0 |] in
+  checki "padded to 4" 4 s.Spectrum.n_fft;
+  checki "bins 0 .. n_fft/2" 3 (Array.length s.Spectrum.magnitudes);
+  List.iter
+    (fun pad_to ->
+      match Spectrum.analyze ~pad_to ~fs:1.0 [| 1.0; 2.0; 3.0 |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "pad_to %d accepted" pad_to)
+    [ 2; 6 ]
+
 (* --- Cutoff --- *)
 
 let test_cutoff_fit_exact_model () =
@@ -407,7 +410,6 @@ let suites =
         Alcotest.test_case "inverse roundtrip" `Quick test_fft_inverse_roundtrip;
         Alcotest.test_case "Parseval" `Quick test_fft_parseval;
         Alcotest.test_case "linearity" `Quick test_fft_linearity;
-        Alcotest.test_case "of_real padding" `Quick test_of_real_padding;
       ] );
     ( "signal.window",
       [
@@ -436,6 +438,7 @@ let suites =
         Alcotest.test_case "tone amplitude" `Quick test_spectrum_tone_amplitude;
         Alcotest.test_case "multi-tone separation" `Quick test_spectrum_multi_tone_separation;
         Alcotest.test_case "peaks" `Quick test_spectrum_peaks;
+        Alcotest.test_case "padding" `Quick test_spectrum_padding;
         Alcotest.test_case "series" `Quick test_spectrum_series;
       ] );
     ( "signal.cutoff",
