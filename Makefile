@@ -44,6 +44,8 @@ examples:
 	dune exec examples/audio_codec.exe
 	dune exec examples/virtual_ate.exe
 	dune exec examples/baseband_phone.exe
+	dune exec examples/width_sweep.exe
+	dune exec examples/hierarchy_extest.exe
 
 # Re-emit the checked-in synthetic benchmark (deterministic)
 artifacts:

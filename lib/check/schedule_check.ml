@@ -1,178 +1,37 @@
-module Job = Msoc_tam.Job
 module Schedule = Msoc_tam.Schedule
-module Pareto = Msoc_wrapper.Pareto
 
-let finish (p : Schedule.placement) = p.Schedule.start + p.Schedule.time
-
-let overlaps a b = a.Schedule.start < finish b && b.Schedule.start < finish a
-
-(* Sweep a piecewise-constant load: [placements] weighted by [load],
-   report the first instant where the total exceeds [limit]. Frees are
-   applied before allocations at equal instants because intervals are
-   half-open. *)
-let sweep_excess ~load ~limit placements =
-  let events =
-    List.concat_map
-      (fun p ->
-        let l = load p in
-        if l = 0 || p.Schedule.time <= 0 then []
-        else [ (p.Schedule.start, l); (finish p, -l) ])
-      placements
-    |> List.sort compare
-  in
-  let rec scan running = function
-    | [] -> None
-    | (t, delta) :: rest ->
-      let running = running + delta in
-      if running > limit then Some (t, running) else scan running rest
-  in
-  scan 0 events
+let code : Schedule.violation -> string = function
+  | Schedule.Wire_conflict _ -> Codes.e101
+  | Schedule.Capacity_exceeded _ -> Codes.e102
+  | Schedule.Degenerate_rectangle _ -> Codes.e103
+  | Schedule.Wider_than_tam _ -> Codes.e104
+  | Schedule.Wire_out_of_range _ | Schedule.Wrong_wire_count _ | Schedule.Duplicate_wire _ ->
+    Codes.e105
+  | Schedule.Exclusion_overlap _ -> Codes.e106
+  | Schedule.Duplicate_job _ -> Codes.e107
+  | Schedule.Missing_job _ -> Codes.e108
+  | Schedule.Unexpected_job _ -> Codes.e109
+  | Schedule.Bad_operating_point _ -> Codes.e110
+  | Schedule.Precedence_violation _ | Schedule.Missing_predecessor _ -> Codes.e111
+  | Schedule.Conflict_overlap _ -> Codes.e113
+  | Schedule.Power_exceeded _ -> Codes.e114
 
 let run ?expected ?reported_makespan (s : Schedule.t) =
-  let diags = ref [] in
-  let note d = diags := d :: !diags in
-  let err code fmt =
-    Format.kasprintf
-      (fun m -> note (Diagnostic.make ~code ~severity:Diagnostic.Error m))
-      fmt
+  let error code fmt = Diagnostic.makef ~code ~severity:Diagnostic.Error fmt in
+  let violations =
+    List.map
+      (fun v -> error (code v) "%a" Schedule.pp_violation v)
+      (Schedule.check ?expected s)
   in
-  let warn code fmt =
-    Format.kasprintf
-      (fun m -> note (Diagnostic.make ~code ~severity:Diagnostic.Warning m))
-      fmt
+  let makespan =
+    match reported_makespan with
+    | Some reported when reported <> Schedule.makespan s ->
+      [ error Codes.e112 "reported makespan %d, recomputed %d" reported (Schedule.makespan s) ]
+    | Some _ | None -> []
   in
-  let width = s.Schedule.total_width in
-  let label (p : Schedule.placement) = p.Schedule.job.Job.label in
-  (* per-rectangle shape *)
-  List.iter
-    (fun (p : Schedule.placement) ->
-      if p.Schedule.width <= 0 || p.Schedule.time <= 0 || p.Schedule.start < 0 then
-        err Codes.e103
-          "test %s occupies a degenerate rectangle (start %d, width %d, time %d)"
-          (label p) p.Schedule.start p.Schedule.width p.Schedule.time;
-      if p.Schedule.width > width then
-        err Codes.e104 "test %s is %d wires wide on a %d-wire TAM" (label p)
-          p.Schedule.width width;
-      let wires = p.Schedule.wires in
-      if List.length wires <> p.Schedule.width then
-        err Codes.e105 "test %s is assigned %d wires for a width-%d rectangle"
-          (label p) (List.length wires) p.Schedule.width;
-      if List.length (List.sort_uniq compare wires) <> List.length wires then
-        err Codes.e105 "test %s lists the same wire twice" (label p);
-      List.iter
-        (fun w ->
-          if w < 0 || w >= width then
-            err Codes.e105 "test %s uses out-of-range wire %d (TAM has %d)"
-              (label p) w width)
-        wires;
-      (* operating point on the job's own staircase *)
-      let on_staircase =
-        Pareto.points p.Schedule.job.Job.staircase
-        |> List.exists (fun (pt : Pareto.point) ->
-               pt.Pareto.width = p.Schedule.width && pt.Pareto.time = p.Schedule.time)
-      in
-      if not on_staircase then
-        err Codes.e110 "test %s runs at (%d wires, %d cycles), not on its staircase"
-          (label p) p.Schedule.width p.Schedule.time;
-      (* precedences *)
-      List.iter
-        (fun pred ->
-          match
-            List.find_opt (fun q -> label q = pred) s.Schedule.placements
-          with
-          | None ->
-            err Codes.e111 "test %s depends on %s, which is not scheduled"
-              (label p) pred
-          | Some q ->
-            if finish q > p.Schedule.start then
-              err Codes.e111 "test %s starts at %d before predecessor %s finishes at %d"
-                (label p) p.Schedule.start pred (finish q))
-        p.Schedule.job.Job.predecessors)
-    s.Schedule.placements;
-  (* pairwise temporal checks *)
-  let rec pairwise = function
-    | [] -> ()
-    | p :: rest ->
-      List.iter
-        (fun q ->
-          if overlaps p q then begin
-            (match
-               List.find_opt (fun w -> List.mem w q.Schedule.wires) p.Schedule.wires
-             with
-            | Some wire ->
-              err Codes.e101 "wire %d carries both %s and %s at once" wire (label p)
-                (label q)
-            | None -> ());
-            (match (p.Schedule.job.Job.exclusion, q.Schedule.job.Job.exclusion) with
-            | Some g1, Some g2 when g1 = g2 ->
-              err Codes.e106
-                "tests %s and %s share analog wrapper %d but overlap in time"
-                (label p) (label q) g1
-            | _ -> ());
-            if
-              List.mem (label q) p.Schedule.job.Job.conflicts
-              || List.mem (label p) q.Schedule.job.Job.conflicts
-            then
-              err Codes.e113 "declared-conflict tests %s and %s overlap" (label p)
-                (label q)
-          end)
-        rest;
-      pairwise rest
+  let empty =
+    if s.Schedule.placements = [] && Option.value expected ~default:[] = [] then
+      [ Diagnostic.make ~code:Codes.w101 ~severity:Diagnostic.Warning "schedule has no placements" ]
+    else []
   in
-  pairwise s.Schedule.placements;
-  (* capacity, independent of the recorded wire lists *)
-  (match
-     sweep_excess ~load:(fun p -> p.Schedule.width) ~limit:width
-       s.Schedule.placements
-   with
-  | Some (t, busy) ->
-    err Codes.e102 "at cycle %d, %d wires are busy on a %d-wire TAM" t busy width
-  | None -> ());
-  (* power budget *)
-  (match s.Schedule.power_budget with
-  | None -> ()
-  | Some budget -> (
-    match
-      sweep_excess ~load:(fun p -> p.Schedule.job.Job.power) ~limit:budget
-        s.Schedule.placements
-    with
-    | Some (t, power) ->
-      err Codes.e114 "at cycle %d, power %d exceeds the budget %d" t power budget
-    | None -> ()));
-  (* exactly-once coverage against the expected job set *)
-  (match expected with
-  | None -> ()
-  | Some jobs ->
-    let scheduled = Hashtbl.create 16 in
-    List.iter
-      (fun p ->
-        let l = label p in
-        let n = Option.value (Hashtbl.find_opt scheduled l) ~default:0 in
-        Hashtbl.replace scheduled l (n + 1))
-      s.Schedule.placements;
-    let expected_labels = Hashtbl.create 16 in
-    List.iter (fun j -> Hashtbl.replace expected_labels j.Job.label ()) jobs;
-    List.iter
-      (fun j ->
-        match Option.value (Hashtbl.find_opt scheduled j.Job.label) ~default:0 with
-        | 0 -> err Codes.e108 "test %s is never scheduled" j.Job.label
-        | 1 -> ()
-        | n -> err Codes.e107 "test %s is scheduled %d times" j.Job.label n)
-      jobs;
-    List.iter
-      (fun p ->
-        if not (Hashtbl.mem expected_labels (label p)) then
-          err Codes.e109 "scheduled test %s is not in the expected job set" (label p))
-      s.Schedule.placements);
-  (* makespan cross-check *)
-  (match reported_makespan with
-  | None -> ()
-  | Some reported ->
-    let recomputed =
-      List.fold_left (fun acc p -> max acc (finish p)) 0 s.Schedule.placements
-    in
-    if reported <> recomputed then
-      err Codes.e112 "reported makespan %d, recomputed %d" reported recomputed);
-  if s.Schedule.placements = [] && Option.value expected ~default:[] = [] then
-    warn Codes.w101 "schedule has no placements";
-  List.rev !diags
+  violations @ makespan @ empty

@@ -1,21 +1,25 @@
-(** Independent verification of a packed TAM schedule.
+(** Verification of a packed TAM schedule, as MSOC diagnostics.
 
-    Re-derives the rectangle-packing invariants from first principles,
-    trusting nothing the packer recorded beyond the placements
-    themselves:
+    The structural facts are {!Msoc_tam.Schedule.check}'s, the one
+    schedule check: each violation becomes an error with its code and
+    {!Msoc_tam.Schedule.pp_violation}'s message —
 
-    - every rectangle is positive and fits within the TAM width
-      (E103/E104), with a well-formed wire assignment (E105);
-    - no wire carries two overlapping tests (E101) and — independently
-      of the recorded wire lists — the summed busy width never exceeds
-      the TAM width at any cycle (E102);
+    - no wire carries two overlapping tests (E101) and, independently
+      of the recorded wire lists, the summed busy width never exceeds
+      the TAM width (E102);
+    - every rectangle is positive and starts at or after 0 (E103),
+      fits the TAM (E104) and has a well-formed wire list (E105);
+    - every test runs at a point on its job's Pareto staircase (E110);
     - tests bound to one shared analog wrapper (exclusion group) never
-      overlap (E106), declared conflicts never overlap (E113) and
-      precedences are respected (E111);
-    - against an expected job set: every job scheduled exactly once
-      (E107/E108/E109) at a point on its Pareto staircase (E110);
-    - the reported makespan equals the recomputed one (E112) and the
-      power budget holds at every instant (E114). *)
+      overlap (E106), precedences hold (E111), declared conflicts never
+      overlap (E113) and the power budget holds at every instant
+      (E114);
+    - against an expected job set: every job placed exactly once
+      (E107/E108/E109), each placement checked against the expected
+      job with its label, not the job record it carries.
+
+    On top of those, this module adds the reported-makespan cross-check
+    (E112) and the empty-schedule warning (W101). *)
 
 val run :
   ?expected:Msoc_tam.Job.t list ->
@@ -24,5 +28,7 @@ val run :
   Diagnostic.t list
 (** [run ?expected ?reported_makespan schedule] returns the findings
     in deterministic order; [[]] means the schedule verifies clean.
-    [expected] enables the exactly-once and staircase checks;
-    [reported_makespan] enables the makespan cross-check. *)
+    [expected] enables the exactly-once checks and makes each
+    placement be checked against the expected job with its label
+    rather than the record it carries; [reported_makespan] enables
+    the makespan cross-check. *)

@@ -26,33 +26,20 @@ let find key =
   List.find_opt (fun (module P : Packer_intf.S) -> P.name = key) all
 
 (* Certification: whatever heuristic produced the schedule, it must
-   pass the full invariant check and place exactly the requested jobs
-   before it is handed to any caller. (The independent Msoc_check
-   verifier re-checks again at the search/CLI/serve layers; this
-   guard lives below that dependency boundary so even direct library
-   users of a variant get a certified schedule.) *)
+   pass the full invariant check against the requested jobs, each
+   placed exactly once, before it is handed to any caller. (Msoc_check
+   verifies again at the search/CLI/serve layers, against jobs
+   re-derived from the problem; this guard lives below that dependency
+   boundary so even direct library users of a variant get a certified
+   schedule.) *)
 let certify ~packer ~jobs schedule =
-  (match Schedule.check schedule with
-  | [] -> ()
+  match Schedule.check ~expected:jobs schedule with
+  | [] -> schedule
   | v :: _ ->
     raise
       (Packer.Infeasible
          (Format.asprintf "packer %s produced an invalid schedule: %a" packer
-            Schedule.pp_violation v)));
-  let labels l = List.sort compare l in
-  let placed =
-    labels
-      (List.map
-         (fun (p : Schedule.placement) -> p.Schedule.job.Job.label)
-         schedule.Schedule.placements)
-  in
-  let wanted = labels (List.map (fun (j : Job.t) -> j.Job.label) jobs) in
-  if placed <> wanted then
-    raise
-      (Packer.Infeasible
-         (Printf.sprintf "packer %s lost or duplicated jobs in its schedule"
-            packer));
-  schedule
+            Schedule.pp_violation v))
 
 let pack (module P : Packer_intf.S) ?power_budget ~width jobs =
   certify ~packer:P.name ~jobs (P.pack ?power_budget ~width jobs)

@@ -16,8 +16,9 @@
     packer-matrix bench gates on exactly that invariant.
 
     Every schedule returned through {!pack} or {!repack} is certified
-    against {!Schedule.check} and checked to place exactly the
-    requested jobs before it reaches the caller. *)
+    by one [Schedule.check ~expected:jobs] call — every invariant, and
+    each requested job placed exactly once — before it reaches the
+    caller. *)
 
 module Best_fit : Packer_intf.S
 module Diagonal : Packer_intf.S
@@ -44,8 +45,9 @@ val pack :
   packer -> ?power_budget:int -> width:int -> Job.t list -> Schedule.t
 (** Pack with the variant and certify the result.
     @raise Packer.Infeasible on infeasible inputs, and also if the
-    variant produced a schedule violating {!Schedule.check} or losing
-    jobs (a packer bug surfaced, never silently returned). *)
+    variant produced a schedule violating [Schedule.check ~expected:jobs]
+    (a packer bug surfaced, never silently returned), with the first
+    violation's {!Schedule.pp_violation} message. *)
 
 val lower_bound :
   packer -> ?power_budget:int -> width:int -> Job.t list -> int

@@ -11,6 +11,7 @@ module Schedule_check = Msoc_check.Schedule_check
 module Cost_check = Msoc_check.Cost_check
 module Verify = Msoc_check.Verify
 module Job = Msoc_tam.Job
+module Pareto = Msoc_wrapper.Pareto
 module Packer = Msoc_tam.Packer
 module Schedule = Msoc_tam.Schedule
 module Catalog = Msoc_analog.Catalog
@@ -400,6 +401,25 @@ let test_mutation_dropped_and_duplicated () =
     (Verify.evaluation ~problem ~reference_makespan
        { ev with Evaluate.schedule = duplicated })
 
+let test_mutation_forged_staircase () =
+  let problem, reference_makespan, ev = d281_best () in
+  let s = ev.Evaluate.schedule in
+  (* halve core c7's test and give its placement's job record a
+     staircase holding the halved point: only the expected job set,
+     re-derived from the problem, still knows c7's real staircase *)
+  let forge (p : Schedule.placement) =
+    if p.Schedule.job.Job.label <> "c7" then p
+    else
+      let time = p.Schedule.time / 2 in
+      let staircase = Pareto.fixed ~width:p.Schedule.width ~time in
+      { p with Schedule.time; job = { p.Schedule.job with Job.staircase } }
+  in
+  let forged = { s with Schedule.placements = List.map forge s.Schedule.placements } in
+  checkb "c7 is placed" true (forged <> s);
+  assert_code ~ctx:"forged staircase" Codes.e110
+    (Verify.evaluation ~problem ~reference_makespan
+       { ev with Evaluate.schedule = forged })
+
 let test_capacity_check_is_independent_of_wires () =
   (* a schedule whose wire lists look disjoint but whose widths cannot
      fit: the sweep (E102) must catch what the wire check cannot *)
@@ -502,6 +522,8 @@ let suites =
           test_mutation_dropped_and_duplicated;
         Alcotest.test_case "capacity check independent of wire lists" `Quick
           test_capacity_check_is_independent_of_wires;
+        Alcotest.test_case "forged staircase is caught" `Quick
+          test_mutation_forged_staircase;
       ] );
     ( "packer-width-audit",
       [

@@ -86,15 +86,35 @@ let test_certify_rejects_invalid () =
 
     let lower_bound = Packer.lower_bound
   end in
+  let module Forging = struct
+    let name = "forging"
+    let orders jobs = [ jobs ]
+
+    (* packs a valid strip, then halves every test and rewrites its
+       job's staircase to the halved point *)
+    let pack ?power_budget ~width jobs =
+      let s = Packer.pack ?power_budget ~width jobs in
+      let forge (p : Schedule.placement) =
+        let time = p.Schedule.time / 2 in
+        let staircase = Pareto.fixed ~width:p.Schedule.width ~time in
+        { p with Schedule.time; job = { p.Schedule.job with Job.staircase } }
+      in
+      { s with Schedule.placements = List.map forge s.Schedule.placements }
+
+    let lower_bound = Packer.lower_bound
+  end in
   let jobs =
     [
       Job.analog ~label:"a" ~width:1 ~time:10 ~group:0;
       Job.analog ~label:"b" ~width:1 ~time:20 ~group:0;
     ]
   in
-  match Registry.pack (module Lying) ~width:4 jobs with
+  (match Registry.pack (module Lying) ~width:4 jobs with
   | exception Packer.Infeasible _ -> ()
-  | _ -> Alcotest.fail "certification accepted a job-dropping packer"
+  | _ -> Alcotest.fail "certification accepted a job-dropping packer");
+  match Registry.pack (module Forging) ~width:4 jobs with
+  | exception Packer.Infeasible _ -> ()
+  | _ -> Alcotest.fail "certification accepted a forged staircase"
 
 (* --- per-variant cache keys --- *)
 
