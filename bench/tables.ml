@@ -179,8 +179,8 @@ let table4 () =
       Table.column ~align:Table.Right "N_heur";
       Table.column "S_heur";
       Table.column ~align:Table.Right "dN (%)";
-      Table.column ~align:Table.Right "t_exh (s)";
-      Table.column ~align:Table.Right "t_heur (s)";
+      Table.column ~align:Table.Right "t_exh (ms)";
+      Table.column ~align:Table.Right "t_heur (ms)";
     ]
   in
   let rows = ref [] in
@@ -212,8 +212,8 @@ let table4 () =
               Sharing.short_name heur.Cost_optimizer.best.Evaluate.combination;
               Table.float_cell
                 (Cost_optimizer.evaluation_reduction_pct heur ~exhaustive:exh);
-              Table.float_cell ~decimals:2 t_exh;
-              Table.float_cell ~decimals:2 t_heur;
+              Table.float_cell ~decimals:2 (1000.0 *. t_exh);
+              Table.float_cell ~decimals:2 (1000.0 *. t_heur);
             ]
             :: !rows)
         widths)

@@ -1,10 +1,11 @@
 (* Bechamel micro-benchmarks: one Test.make per reproduced table /
    figure, timing the computational kernel that regenerates it, plus
    the Design_wrapper staircases every plan starts from, one
-   co-simulated Fig. 5 record and the two kernels that record spends
-   most of its time in (a spectrum and a pipeline ADC pass). The
-   paper's own CPU-time claim (heuristic 6 min vs exhaustive 20 min on
-   a Sun Ultra) maps to the table4 pair below. *)
+   co-simulated Fig. 5 record, the two kernels that record spends most
+   of its time in (a spectrum and a pipeline ADC pass) and the two
+   anytime search strategies on their own. The paper's own CPU-time
+   claim (heuristic 6 min vs exhaustive 20 min on a Sun Ultra) maps to
+   the table4 pair below. *)
 
 open Bechamel
 open Toolkit
@@ -73,6 +74,30 @@ let tests () =
     Test.make ~name:"table4:Cost_Optimizer (W=32, cold, incl. prepare)"
       (Staged.stage (fun () -> ignore (Cost_optimizer.run (Evaluate.prepare problem32))))
   in
+  (* The search layer alone: 14 scaled analog cores are past the
+     enumeration guard, and a prepared structure whose schedule memo
+     already holds every schedule a 24-evaluation search reaches packs
+     nothing, so these time branch-and-bound's tree and the annealing
+     walk with their memo-hit evaluations. *)
+  let search_prepared =
+    Evaluate.prepare
+      (Instances.with_analog ~tam_width:32 ~analog_cores:(Instances.scaled_analog ~n:14) ())
+  in
+  let search_budget = Msoc_search.Budget.make ~max_evals:24 () in
+  let bnb () = ignore (Msoc_search.Bnb.run ~budget:search_budget search_prepared) in
+  let anneal () =
+    ignore (Msoc_search.Anneal.run ~budget:search_budget ~seed:1 search_prepared)
+  in
+  bnb ();
+  anneal ();
+  let search_bnb =
+    Test.make ~name:"search:bnb tree (p93791s + 14 scaled analog, W=32, warm memo)"
+      (Staged.stage bnb)
+  in
+  let search_anneal =
+    Test.make ~name:"search:anneal walk (p93791s + 14 scaled analog, W=32, warm memo)"
+      (Staged.stage anneal)
+  in
   let fig5 =
     Test.make ~name:"fig5:wrapped cutoff experiment"
       (Staged.stage (fun () -> ignore (Figures.fig5_experiment ~n:1024 ())))
@@ -110,8 +135,8 @@ let tests () =
   in
   Test.make_grouped ~name:"msoc"
     [
-      staircases; table1; table2; table3; table4_exhaustive; table4_heuristic; fig5;
-      cosim_fc; spectrum; adc;
+      staircases; table1; table2; table3; table4_exhaustive; table4_heuristic;
+      search_bnb; search_anneal; fig5; cosim_fc; spectrum; adc;
     ]
 
 let run () =

@@ -1,12 +1,18 @@
-module Spec = Msoc_analog.Spec
 module Sharing = Msoc_analog.Sharing
-module Area = Msoc_analog.Area
 module Evaluate = Msoc_testplan.Evaluate
 module Problem = Msoc_testplan.Problem
-module Numeric = Msoc_util.Numeric
 module Rng = Msoc_util.Rng
 
 type result = { best : Evaluate.evaluation; stats : Stats.t }
+
+(* A prefix-free byte code, so a concatenation of group numbers reads
+   back one way only. *)
+let rec add_varint buf n =
+  if n < 128 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (n land 127 lor 128));
+    add_varint buf (n lsr 7)
+  end
 
 let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
     prepared =
@@ -18,11 +24,8 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
      skipped across this run's evaluations. *)
   let repack0 = Msoc_tam.Packer.repack_totals () in
   let problem = Evaluate.problem prepared in
-  let policy = problem.Problem.policy in
-  let model = problem.Problem.area_model in
   let bound = Bound.create prepared in
-  let all_cores = problem.Problem.analog_cores in
-  let cores = Array.of_list all_cores in
+  let { Bound.cores; time; compatible; by_rank; t_floor; _ } = bound in
   let m = Array.length cores in
   let iterations =
     match iterations with Some n -> max 0 n | None -> max 2000 (250 * m)
@@ -40,32 +43,21 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
       usage.(g) <- 0;
       contrib.(g) <- 0.0
     | ms ->
-      let cs = List.map (fun i -> cores.(i)) ms in
-      usage.(g) <- Bound.group_usage cs;
-      contrib.(g) <- Bound.group_contrib bound cs
+      usage.(g) <- List.fold_left (fun acc i -> acc + time.(i)) 0 ms;
+      contrib.(g) <- Bound.contrib bound ms
   in
   for g = 0 to m - 1 do
     refresh g
   done;
   let energy () =
-    let t_lb = Array.fold_left max (Bound.t_floor bound) usage in
-    let c_t =
-      Numeric.percent_of_or ~default:0.0 (float_of_int t_lb)
-        (float_of_int (Bound.reference_makespan bound))
-    in
-    let c_a =
-      Numeric.percent_of_or ~default:0.0
-        (Array.fold_left ( +. ) 0.0 contrib)
-        (Bound.solo_total bound)
-    in
-    (problem.Problem.weight_time *. c_t)
-    +. (problem.Problem.weight_area *. c_a)
+    let t_lb = ref t_floor and area = ref 0.0 in
+    for g = 0 to m - 1 do
+      t_lb := max !t_lb usage.(g);
+      area := !area +. contrib.(g)
+    done;
+    Bound.cost bound ~t_lb:!t_lb ~area:!area
   in
-  let compatible_into g i =
-    List.for_all
-      (fun j -> Spec.compatible ~policy cores.(i) cores.(j))
-      members.(g)
-  in
+  let compatible_into g i = List.for_all (fun j -> compatible.(i).(j)) members.(g) in
   let restore saved =
     List.iter
       (fun (g, ms) ->
@@ -74,13 +66,21 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
         refresh g)
       saved
   in
-  let nonempty () =
-    let acc = ref [] in
-    for g = m - 1 downto 0 do
-      if members.(g) <> [] then acc := g :: !acc
+  (* [groups_of_size k] fills picks.(0 .. n-1) with the ids, in order,
+     of the groups with at least k members and returns n; [pick n]
+     draws one of them as [Rng.pick] would from that array. *)
+  let picks = Array.make m 0 in
+  let groups_of_size min_size =
+    let n = ref 0 in
+    for g = 0 to m - 1 do
+      if List.compare_length_with members.(g) min_size >= 0 then begin
+        picks.(!n) <- g;
+        incr n
+      end
     done;
-    !acc
+    !n
   in
+  let pick n = picks.(Rng.int rng ~bound:n) in
   (* Each proposal mutates in place and returns the snapshot needed to
      undo it, or None when the draw is a no-op / infeasible. *)
   let move_core () =
@@ -105,21 +105,14 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
     end
   in
   let merge_groups () =
-    match nonempty () with
-    | [] | [ _ ] -> None
-    | gs ->
-      let arr = Array.of_list gs in
-      let a = Rng.pick rng arr in
-      let b = Rng.pick rng arr in
+    match groups_of_size 1 with
+    | 0 | 1 -> None
+    | n ->
+      let a = pick n in
+      let b = pick n in
       if a = b then None
       else if
-        not
-          (List.for_all
-             (fun i ->
-               List.for_all
-                 (fun j -> Spec.compatible ~policy cores.(i) cores.(j))
-                 members.(b))
-             members.(a))
+        not (List.for_all (fun i -> compatible_into b i) members.(a))
       then None
       else begin
         let saved = [ (a, members.(a)); (b, members.(b)) ] in
@@ -133,15 +126,10 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
       end
   in
   let split_group () =
-    let candidates =
-      List.filter
-        (fun g -> List.compare_length_with members.(g) 2 >= 0)
-        (nonempty ())
-    in
-    match candidates with
-    | [] -> None
-    | gs -> (
-      let g = Rng.pick rng (Array.of_list gs) in
+    match groups_of_size 2 with
+    | 0 -> None
+    | n -> (
+      let g = pick n in
       let fresh = ref (-1) in
       (try
          for h = 0 to m - 1 do
@@ -165,34 +153,59 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
           Some saved
         end)
   in
-  let current_sharing () =
-    Sharing.make
-      (List.filter_map
-         (fun g ->
-           match members.(g) with
-           | [] -> None
-           | ms -> Some (List.map (fun i -> cores.(i)) ms))
-         (List.init m Fun.id))
-  in
   (* Best distinct acceptable states by proxy energy, bounded to top_k.
-     The proxy is a function of the partition alone, so a name seen
-     once never needs reconsidering. *)
+     The proxy is a function of the partition alone, so a partition seen
+     once never needs reconsidering. A partition is keyed by the
+     restricted-growth string of its canonical form (the one
+     Sharing.make builds: groups ordered by their first core in label
+     order, members in label order) — each core's canonical group
+     number, in label order. Only a state that can enter the pool is
+     built as a Sharing.t and named. *)
   let seen = Hashtbl.create 64 in
   let pool = ref [] in
+  let may_enter e =
+    top_k > 0
+    &&
+    match List.nth_opt !pool (top_k - 1) with
+    | None -> true
+    | Some (last, _, _) -> Float.compare e last <= 0
+  in
+  let canon = Array.make m (-1) in
+  let buckets = Array.make m [] in
+  let key_buf = Buffer.create (2 * m) in
   let note_state e =
-    let s = current_sharing () in
-    if Area.acceptable ~model s then begin
-      let name = Sharing.full_name s in
-      if not (Hashtbl.mem seen name) then begin
-        Hashtbl.add seen name ();
+    Buffer.clear key_buf;
+    let n = ref 0 in
+    Array.iter
+      (fun i ->
+        let g = gid.(i) in
+        if canon.(g) < 0 then begin
+          canon.(g) <- !n;
+          incr n
+        end;
+        add_varint key_buf canon.(g))
+      by_rank;
+    let key = Buffer.contents key_buf in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      for r = m - 1 downto 0 do
+        let i = by_rank.(r) in
+        let c = canon.(gid.(i)) in
+        buckets.(c) <- i :: buckets.(c)
+      done;
+      let groups = List.init !n (fun c -> buckets.(c)) in
+      Array.fill buckets 0 !n [];
+      if Bound.acceptable bound groups && may_enter e then begin
+        let s = Sharing.make (List.map (List.map (fun i -> cores.(i))) groups) in
         let merged =
           List.merge
             (fun (e1, n1, _) (e2, n2, _) -> compare (e1, n1) (e2, n2))
-            [ (e, name, s) ] !pool
+            [ (e, Sharing.full_name s, s) ] !pool
         in
         pool := List.filteri (fun i _ -> i < top_k) merged
       end
-    end
+    end;
+    Array.fill canon 0 m (-1)
   in
   let e_init = energy () in
   note_state e_init;
@@ -252,7 +265,7 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
         }
         :: !trace
   in
-  let no_sharing = Sharing.no_sharing all_cores in
+  let no_sharing = Sharing.no_sharing problem.Problem.analog_cores in
   eval_combination no_sharing;
   let no_sharing_name = Sharing.full_name no_sharing in
   List.iter

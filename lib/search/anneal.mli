@@ -11,6 +11,14 @@
     cooling; the generator is {!Msoc_util.Rng} (SplitMix64), so equal
     seeds give equal walks, bit for bit.
 
+    The walk runs on {!Bound}'s per-core tables: a group refresh sums
+    table entries over its member indices. A visited partition is
+    keyed by the restricted-growth string of its canonical form (each
+    core's group number, cores in label order), its acceptability is
+    priced from the tables in canonical order, and only a state that
+    can enter the top-k pool is built as a {!Msoc_analog.Sharing.t}
+    and named.
+
     The [top_k] best distinct acceptable states seen — plus the
     no-sharing baseline — are then fully evaluated under the
     {!Budget}, and the cheapest evaluation wins. The result is a

@@ -1,4 +1,3 @@
-module Spec = Msoc_analog.Spec
 module Sharing = Msoc_analog.Sharing
 module Area = Msoc_analog.Area
 module Evaluate = Msoc_testplan.Evaluate
@@ -13,24 +12,48 @@ let run ?(budget = Budget.unlimited) prepared =
   let policy = problem.Problem.policy in
   let model = problem.Problem.area_model in
   let bound = Bound.create prepared in
+  let { Bound.cores; time; compatible; order; floating; t_floor; _ } = bound in
+  let area_floor = Option.is_some bound.Bound.join_floor in
   let all_cores = problem.Problem.analog_cores in
-  (* Longest core first: the time floor tightens as early as possible,
-     so bad subtrees die near the root. Label tie-break keeps the tree
-     (and hence every counter) deterministic. *)
-  let cores =
-    List.sort
-      (fun (a : Spec.core) b ->
-        match compare (Spec.core_time b) (Spec.core_time a) with
-        | 0 -> compare a.Spec.label b.Spec.label
-        | c -> c)
-      all_cores
-    |> Array.of_list
-  in
   let m = Array.length cores in
-  let suffixes = Array.make (m + 1) [] in
+  (* longest.(i): the longest core among order.(i) .. order.(m-1). *)
+  let longest = Array.make (m + 1) 0 in
   for i = m - 1 downto 0 do
-    suffixes.(i) <- cores.(i) :: suffixes.(i + 1)
+    longest.(i) <- max time.(order.(i)) longest.(i + 1)
   done;
+  (* The partial partition, in place: groups 0 .. k-1 in the order they
+     were opened, each with its members newest first, its serial time
+     and (with an area floor) its Eq. 1 term. Sums over the groups run
+     newest first, k-1 down to 0: float addition does not reassociate,
+     and test/test_search_ref.ml pins that order. *)
+  let k = ref 0 in
+  let members = Array.make m [] in
+  let usage = Array.make m 0 in
+  let contrib = Array.make m 0.0 in
+  let refresh g =
+    if area_floor then contrib.(g) <- Bound.contrib bound members.(g)
+  in
+  (* Child [g] adds core c to group g; child [!k] opens a new group. *)
+  let apply g c =
+    if g = !k then incr k;
+    members.(g) <- c :: members.(g);
+    usage.(g) <- usage.(g) + time.(c);
+    refresh g
+  in
+  let undo g c =
+    members.(g) <- List.tl members.(g);
+    usage.(g) <- usage.(g) - time.(c);
+    if members.(g) = [] then decr k else refresh g
+  in
+  let child_bound i =
+    let t_lb = ref (max t_floor longest.(i + 1)) in
+    let assigned = ref 0.0 in
+    for g = !k - 1 downto 0 do
+      t_lb := max !t_lb usage.(g);
+      assigned := !assigned +. contrib.(g)
+    done;
+    Bound.floor bound ~t_lb:!t_lb ~area:(!assigned +. floating.(i + 1))
+  in
   let evals = ref 0 in
   let expanded = ref 0 in
   let pruned = ref 0 in
@@ -79,44 +102,46 @@ let run ?(budget = Budget.unlimited) prepared =
      && Sharing.is_feasible ~policy full
      && Area.acceptable ~model full
    then consider full);
-  let rec go groups i =
+  let rec go i =
     if budget_hit () then ()
     else if i = m then begin
+      let groups =
+        List.init !k (fun j -> List.map (fun c -> cores.(c)) members.(!k - 1 - j))
+      in
       let candidate = Sharing.make groups in
       if Area.acceptable ~model candidate then consider candidate
     end
     else begin
       incr expanded;
-      let c = cores.(i) in
-      let unassigned = suffixes.(i + 1) in
-      let joins =
-        List.mapi
-          (fun idx g ->
-            if List.for_all (fun d -> Spec.compatible ~policy c d) g then
-              Some (List.mapi (fun j g' -> if j = idx then c :: g' else g') groups)
-            else None)
-          groups
-        |> List.filter_map Fun.id
+      let c = order.(i) in
+      (* Children — joins into the newest group first, then the new
+         group — are priced in place and undone; the stable sort keeps
+         that order among equal bounds. *)
+      let children = ref [] in
+      let price g =
+        apply g c;
+        children := (child_bound i, g) :: !children;
+        undo g c
       in
-      let children = joins @ [ [ c ] :: groups ] in
-      let scored =
-        List.map
-          (fun gs -> (Bound.lower_bound bound ~groups:gs ~unassigned, gs))
-          children
-        |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-      in
+      for g = !k - 1 downto 0 do
+        if List.for_all (fun d -> compatible.(c).(d)) members.(g) then price g
+      done;
+      price !k;
       List.iter
-        (fun (lb, gs) ->
+        (fun (lb, g) ->
           if budget_hit () then ()
           else
             match !best with
             | Some (b : Evaluate.evaluation) when lb >= b.Evaluate.cost ->
               incr pruned
-            | Some _ | None -> go gs (i + 1))
-        scored
+            | Some _ | None ->
+              apply g c;
+              go (i + 1);
+              undo g c)
+        (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (List.rev !children))
     end
   in
-  go [] 0;
+  go 0;
   let best =
     match !best with
     | Some e -> e

@@ -4,11 +4,16 @@
     each tree node either adds the next core to one of the formed
     groups (when pairwise compatible under the problem's policy) or
     opens a new group, so every set partition appears exactly once.
-    Children are explored cheapest {!Bound.lower_bound} first; a child
-    whose bound already reaches the incumbent's cost is pruned, and
-    since the bound is admissible the returned cost is optimal over
-    the same candidate space {!Msoc_testplan.Problem.all_combinations}
-    enumerates — without ever materializing it. Complete partitions
+    Children are explored cheapest bound first; a child whose bound
+    already reaches the incumbent's cost is pruned, and since the
+    bound is admissible the returned cost is optimal over the same
+    candidate space {!Msoc_testplan.Problem.all_combinations}
+    enumerates — without ever materializing it.
+
+    The tree is walked in place on {!Bound}'s per-core tables: each
+    formed group keeps its member indices, serial time and Eq. 1 term,
+    and each child is applied, priced with {!Bound.floor} and undone,
+    so no group list is rebuilt per child. Complete partitions
     equivalent up to exchange of identical cores are evaluated once
     ({!Msoc_analog.Sharing.equivalence_key}).
 

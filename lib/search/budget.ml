@@ -7,7 +7,10 @@ let make ?max_evals ?time_limit_s ?deadline () =
   | Some n when n < 1 -> invalid_arg "Budget.make: max_evals must be >= 1"
   | Some _ | None -> ());
   (match time_limit_s with
-  | Some s when s <= 0.0 -> invalid_arg "Budget.make: time_limit_s must be > 0"
+  | Some s when not (s > 0.0) -> invalid_arg "Budget.make: time_limit_s must be > 0"
+  | Some _ | None -> ());
+  (match deadline with
+  | Some d when Float.is_nan d -> invalid_arg "Budget.make: deadline must not be NaN"
   | Some _ | None -> ());
   let deadline =
     match (time_limit_s, deadline) with

@@ -21,7 +21,9 @@ val make :
   ?max_evals:int -> ?time_limit_s:float -> ?deadline:float -> unit -> t
 (** [time_limit_s] is relative to now; when both it and [deadline] are
     given the earlier instant wins.
-    @raise Invalid_argument if [max_evals < 1] or [time_limit_s <= 0]. *)
+    @raise Invalid_argument if [max_evals < 1], [time_limit_s] is not
+    [> 0] (NaN included) or [deadline] is NaN — a NaN instant would
+    never expire. *)
 
 val expired : t -> bool
 (** The deadline (if any) has passed. *)

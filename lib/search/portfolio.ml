@@ -20,23 +20,31 @@ let run ?pool ?(budget = Budget.unlimited) ?(seeds = [ 1; 2; 3 ]) problem =
   if seeds = [] then invalid_arg "Portfolio.run: seeds must be non-empty";
   let t0 = Unix.gettimeofday () in
   let specs = Bnb_member :: List.map (fun s -> Anneal_member s) seeds in
-  let member_budget =
+  (* An eval cap is dealt out in member order: each member gets
+     [total / k] and the first [total mod k] one more, so the members
+     together never exceed it. A member whose share is 0 does not run;
+     branch-and-bound, first, always does. *)
+  let specs =
     match budget.Budget.max_evals with
-    | None -> budget
+    | None -> List.map (fun spec -> (spec, budget)) specs
     | Some total ->
-      { budget with Budget.max_evals = Some (max 1 (total / List.length specs)) }
+      let k = List.length specs in
+      List.mapi (fun i spec -> (i, spec, (total / k) + Bool.to_int (i < total mod k))) specs
+      |> List.filter_map (fun (i, spec, share) ->
+             if share = 0 && i > 0 then None
+             else Some (spec, { budget with Budget.max_evals = Some share }))
   in
   (* Each member prepares privately: the schedule memo inside a
      prepared value is not domain-safe, so racing members must not
      share one. Costs one reference pack per member. *)
-  let run_member spec =
+  let run_member (spec, budget) =
     let prepared = Evaluate.prepare problem in
     match spec with
     | Bnb_member ->
-      let r = Bnb.run ~budget:member_budget prepared in
+      let r = Bnb.run ~budget prepared in
       ("bnb", r.Bnb.best, r.Bnb.optimal, r.Bnb.stats)
     | Anneal_member seed ->
-      let r = Anneal.run ~budget:member_budget ~seed prepared in
+      let r = Anneal.run ~budget ~seed prepared in
       (Printf.sprintf "anneal:%d" seed, r.Anneal.best, false, r.Anneal.stats)
   in
   let outcomes =

@@ -5,9 +5,12 @@
     Each member builds its own {!Msoc_testplan.Evaluate.prepare} — the
     schedule memo is per-prepared, single-domain state, so members
     never share mutable caches and can run on
-    {!Msoc_util.Pool} worker domains. The eval cap is split evenly
-    across members; the deadline (an absolute instant) is shared, so
-    all members stop together. The winner is picked by cost with ties
+    {!Msoc_util.Pool} worker domains. An eval cap of [n] over [k]
+    members gives each [n / k] evaluations and the first [n mod k] one
+    more; a member whose share is 0 does not run (branch-and-bound,
+    first, always runs), so the portfolio never evaluates more than
+    [n] times. The deadline (an absolute instant) is shared, so all
+    members stop together. The winner is picked by cost with ties
     to the earlier member in the fixed order (branch-and-bound first,
     then the seeds in the given order) — parallel runs return exactly
     what the serial run returns. *)
@@ -25,7 +28,8 @@ type result = {
   optimal : bool;
       (** some member proved optimality (its branch-and-bound tree was
           exhausted) *)
-  members : member_result list;  (** in the fixed member order *)
+  members : member_result list;
+      (** the members that ran, in the fixed member order *)
 }
 
 val run :

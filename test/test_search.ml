@@ -193,6 +193,14 @@ let test_budget_validation_and_floor () =
   (match Budget.make ~time_limit_s:0.0 () with
   | _ -> Alcotest.fail "time_limit_s=0 must be rejected"
   | exception Invalid_argument _ -> ());
+  (* A NaN compares false against every instant, so such a budget
+     would never expire. *)
+  (match Budget.make ~time_limit_s:Float.nan () with
+  | _ -> Alcotest.fail "time_limit_s=nan must be rejected"
+  | exception Invalid_argument _ -> ());
+  (match Budget.make ~deadline:Float.nan () with
+  | _ -> Alcotest.fail "deadline=nan must be rejected"
+  | exception Invalid_argument _ -> ());
   let problem = synthetic_problem ~seed:13 ~m:6 ~tam_width:24 in
   let prepared = Evaluate.prepare problem in
   (* One evaluation is always delivered, even when the deadline is
@@ -209,6 +217,42 @@ let test_budget_validation_and_floor () =
   let capped = Bnb.run ~budget:(Budget.make ~max_evals:2 ()) prepared in
   checki "eval cap respected" 2 capped.Bnb.stats.Msoc_search.Stats.evaluations;
   checkb "capped bnb not optimal" false capped.Bnb.optimal
+
+(* --- portfolio eval cap --- *)
+
+(* Four members (bnb, then three annealers) share a cap of n: each gets
+   n / 4, the first n mod 4 one more, and a member with no share does
+   not run. On this instance every member can spend its share, so the
+   portfolio evaluates exactly n times. *)
+let test_portfolio_cap () =
+  let problem =
+    Instances.with_analog ~tam_width:32 ~analog_cores:(Instances.scaled_analog ~n:8) ()
+  in
+  let prepared = Evaluate.prepare problem in
+  let names = [ "bnb"; "anneal:1"; "anneal:2"; "anneal:3" ] in
+  for n = 1 to 10 do
+    let ctx = Printf.sprintf "max_evals=%d" n in
+    let outcome =
+      Strategy.run ~budget:(Budget.make ~max_evals:n ())
+        (Strategy.Portfolio { seeds = [ 1; 2; 3 ] })
+        prepared
+    in
+    let members = outcome.Strategy.members in
+    Alcotest.(check (list string))
+      (ctx ^ ": members that ran")
+      (List.filteri (fun i _ -> i < n) names)
+      (List.map (fun (m : Portfolio.member_result) -> m.Portfolio.member) members);
+    List.iteri
+      (fun i (m : Portfolio.member_result) ->
+        let share = (n / 4) + if i < n mod 4 then 1 else 0 in
+        checkb
+          (Printf.sprintf "%s: %s within its share %d" ctx m.Portfolio.member share)
+          true
+          (m.Portfolio.stats.Msoc_search.Stats.evaluations <= share))
+      members;
+    checki (ctx ^ ": evaluations") n outcome.Strategy.stats.Msoc_search.Stats.evaluations;
+    assert_no_findings ~ctx outcome.Strategy.diagnostics
+  done
 
 (* --- incumbent trace --- *)
 
@@ -291,6 +335,8 @@ let suites =
           test_anytime_beyond_enumeration_limit;
         Alcotest.test_case "budget validation and floor" `Quick
           test_budget_validation_and_floor;
+        Alcotest.test_case "portfolio deals out the eval cap" `Quick
+          test_portfolio_cap;
         Alcotest.test_case "incumbent trace monotone" `Quick
           test_incumbent_trace_monotone;
         Alcotest.test_case "fingerprint strategy keys" `Quick
