@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks: one Test.make per reproduced table /
    figure, timing the computational kernel that regenerates it, plus
    the Design_wrapper staircases every plan starts from, one
-   co-simulated Fig. 5 record, the two kernels that record spends most
+   co-simulated Fig. 5 record, a serial Monte-Carlo run of it (one
+   program, twenty dies), the two kernels that record spends most
    of its time in (a spectrum and a pipeline ADC pass) and the two
    anytime search strategies on their own. The paper's own CPU-time
    claim (heuristic 6 min vs exhaustive 20 min on a Sun Ultra) maps to
@@ -106,6 +107,11 @@ let tests () =
     Test.make ~name:"cosim:Testbench.run fc (default config)"
       (Staged.stage (fun () -> ignore (Msoc_cosim.Testbench.run Msoc_cosim.Testbench.Fc)))
   in
+  let cosim_mc_fc =
+    Test.make ~name:"cosim:Monte_carlo.run fc (20 trials, serial)"
+      (Staged.stage (fun () ->
+           ignore (Msoc_cosim.Monte_carlo.run ~trials:20 ~seed:1 Msoc_cosim.Testbench.Fc)))
+  in
   (* The Fig. 5 record: the fc program's three tones around the 2 V
      bias, 4551 samples at 1.7 MS/s, through the default die's ADC. *)
   let fig5_record =
@@ -136,7 +142,7 @@ let tests () =
   Test.make_grouped ~name:"msoc"
     [
       staircases; table1; table2; table3; table4_exhaustive; table4_heuristic;
-      search_bnb; search_anneal; fig5; cosim_fc; spectrum; adc;
+      search_bnb; search_anneal; fig5; cosim_fc; cosim_mc_fc; spectrum; adc;
     ]
 
 let run () =

@@ -23,10 +23,22 @@ type t = { stages : stage list; fs : float; bias : float }
 
 val make : ?bias:float -> fs:float -> stage list -> t
 (** Default bias 2 V (mid-rail of the 0..4 V wrapper supply).
-    @raise Invalid_argument on a non-positive [fs]. *)
+    @raise Invalid_argument on an [fs] that is not positive and finite
+    (NaN included), or a [bias] that is not finite. *)
 
-val batch : t -> Msoc_mixedsig.Analog_models.t
+val batch : ?samples:int -> t -> Msoc_mixedsig.Analog_models.t
 (** The record-at-once model, built from
     {!Msoc_mixedsig.Analog_models} combinators (biased composition
     included). Filter and slew state start afresh and the noise stream
-    restarts at every record it is applied to. *)
+    restarts at every record it is applied to.
+
+    With [samples], the noise stage's Gaussian values for a record of
+    that length are drawn once, when the model is built
+    ({!Msoc_mixedsig.Analog_models.gaussian_draws}), and every record
+    adds them ({!Msoc_mixedsig.Analog_models.add_draws}). They are the
+    values the restarted stream draws, so on records of at most
+    [samples] the model is bit-identical to the one without it; a
+    longer record raises [Invalid_argument]. A testbench trial builds
+    it once and runs both its paths through it, drawing the noise once
+    instead of twice. The model only reads the draws: it can be
+    applied from any domain. *)

@@ -31,5 +31,13 @@ type trace = {
 val run :
   wrapper:Msoc_mixedsig.Wrapper.t -> dut:Dut.t -> stimulus_codes:int array ->
   trace
-(** @raise Invalid_argument if the wrapper is not in [Core_test] mode,
+(** [run_core ~wrapper ~core:(Dut.batch dut) ~stimulus_codes].
+    @raise Invalid_argument if the wrapper is not in [Core_test] mode,
     a stimulus code is out of range, or the record is empty. *)
+
+val run_core :
+  wrapper:Msoc_mixedsig.Wrapper.t -> core:Msoc_mixedsig.Analog_models.t ->
+  stimulus_codes:int array -> trace
+(** The wrapped path through an already built DUT model: a testbench
+    trial builds its DUT's {!Dut.batch} once and passes the same model
+    to its direct path and here. Same errors as {!run}. *)

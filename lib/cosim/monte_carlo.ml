@@ -30,25 +30,27 @@ type summary = {
   trials_per_s : float;
 }
 
-let run_trial ?ranges ~config ~tolerance_pct ~seed spec index =
-  let variation = Variation.sample ?ranges ~master:seed ~trial:index () in
-  let config = Testbench.with_variation variation config in
-  let r = Testbench.run ?tolerance_pct ~config spec in
-  {
-    index;
-    variation;
-    measured = r.Testbench.measured;
-    direct = r.Testbench.direct;
-    error_pct = r.Testbench.error_pct;
-    pass = r.Testbench.pass;
-  }
-
 let run ?ranges ?(config = Testbench.default) ?tolerance_pct ?pool ~trials
     ~seed spec =
   if trials < 1 then invalid_arg "Monte_carlo.run: trials >= 1";
   let t0 = Unix.gettimeofday () in
+  (* The die-independent work once per run; each trial reads the
+     program and allocates its own arrays, so trials share no mutable
+     state on the pool's domains. *)
+  let program = Testbench.program ?tolerance_pct config spec in
+  let one index =
+    let variation = Variation.sample ?ranges ~master:seed ~trial:index () in
+    let r = Testbench.run_program program variation in
+    {
+      index;
+      variation;
+      measured = r.Testbench.measured;
+      direct = r.Testbench.direct;
+      error_pct = r.Testbench.error_pct;
+      pass = r.Testbench.pass;
+    }
+  in
   let indices = List.init trials (fun i -> i + 1) in
-  let one = run_trial ?ranges ~config ~tolerance_pct ~seed spec in
   let results =
     match pool with
     | Some pool -> Pool.map pool one indices

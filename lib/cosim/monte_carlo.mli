@@ -1,13 +1,14 @@
 (** Monte-Carlo sweeps of a co-simulated specification test.
 
-    Re-runs one {!Testbench} program across many simulated dies —
-    converter resolution, mismatch, noise and DUT process variation
-    drawn per trial by the shared {!Msoc_mixedsig.Variation} sampler —
-    and summarizes pass yield (Wilson interval) plus the measured
-    value's distribution. Trials parallelize on {!Msoc_util.Pool};
-    because each trial's draw is a pure function of [(seed, index)]
-    and {!Msoc_util.Pool.map} preserves input order, a sweep is
-    bit-identical at any job count (the PR 1 discipline). *)
+    Builds one {!Testbench.program} per run and runs it across many
+    simulated dies ({!Testbench.run_program}) — converter resolution,
+    mismatch, noise and DUT process variation drawn per trial by the
+    shared {!Msoc_mixedsig.Variation} sampler — and summarizes pass
+    yield (Wilson interval) plus the measured value's distribution.
+    Trials parallelize on {!Msoc_util.Pool}, sharing the immutable
+    program; because each trial's draw is a pure function of
+    [(seed, index)] and {!Msoc_util.Pool.map} preserves input order, a
+    sweep is bit-identical at any job count. *)
 
 type trial = {
   index : int;  (** 1-based trial number *)
@@ -47,7 +48,9 @@ val run :
   trial list * summary
 (** Trials 1..[trials] in order. [config] (default
     {!Testbench.default}) supplies everything the per-trial variation
-    does not override. @raise Invalid_argument if [trials < 1]. *)
+    does not override; its program is built once for the run.
+    @raise Invalid_argument if [trials < 1], or as
+    {!Testbench.program}. *)
 
 val summary_json : summary -> Msoc_testplan.Export.json
 (** Deterministic fields only — the wall-clock rates are reported

@@ -174,14 +174,14 @@ let stimulus_for config spec =
 
 (* --- extraction (identical DSP on both paths) --- *)
 
-let spectrum config x = Spectrum.analyze ~fs:config.fs ~pad_to:(pad_of config) x
-
 let mean x = Array.fold_left ( +. ) 0.0 x /. float_of_int (Array.length x)
 
-(* The spec's readout of a response record. What depends on the
-   stimulus alone (the Fc program's input spectrum) is computed once,
-   for both paths. *)
+(* The spec's readout of a response record, built once per program.
+   What depends on the stimulus alone is computed here, once for every
+   trial and both paths: the window's coefficients for the record
+   length (inside the analyzer) and the Fc program's input spectrum. *)
 let extract config spec ~stimulus =
+  let analyzer () = Spectrum.analyzer ~fs:config.fs ~pad_to:(pad_of config) config.samples in
   match (spec, stimulus.tones) with
   | Gain, [ f ] ->
     (* Goertzel, the ATE fast path: evaluated at exactly the stimulus
@@ -191,13 +191,16 @@ let extract config spec ~stimulus =
         (Array.map (fun v -> v -. config.bias) response)
       /. stimulus.amplitude
   | Fc, tones ->
-    let s_in = spectrum config stimulus.samples_v in
+    let spectrum = analyzer () in
+    let s_in = spectrum stimulus.samples_v in
     fun response ->
-      Cutoff.from_spectra ~order:2 ~input:s_in ~output:(spectrum config response) tones
-  | Thd, [ f ] -> fun response -> Distortion.thd (spectrum config response) ~fundamental:f
+      Cutoff.from_spectra ~order:2 ~input:s_in ~output:(spectrum response) tones
+  | Thd, [ f ] ->
+    let spectrum = analyzer () in
+    fun response -> Distortion.thd (spectrum response) ~fundamental:f
   | Iip3, [ f1; f2 ] ->
-    fun response ->
-      (Distortion.imd3 (spectrum config response) ~f1 ~f2).Distortion.iip3_rel
+    let spectrum = analyzer () in
+    fun response -> (Distortion.imd3 (spectrum response) ~f1 ~f2).Distortion.iip3_rel
   | Dc_offset, _ -> fun response -> mean response -. config.bias
   | Slew, _ ->
     fun response ->
@@ -208,10 +211,11 @@ let extract config spec ~stimulus =
       done;
       !max_slope /. 1.0e6 (* V/us *)
   | Dr, [ f ] ->
+    let spectrum = analyzer () in
     fun response ->
       let m = mean response in
       let ac = Array.map (fun v -> v -. m) response in
-      Distortion.sinad_db (spectrum config ac) ~fundamental:f
+      Distortion.sinad_db (spectrum ac) ~fundamental:f
   | (Gain | Thd | Iip3 | Dr), _ ->
     invalid_arg "Testbench.extract: stimulus does not match the spec's program"
 
@@ -224,7 +228,18 @@ let unit_label = function
   | Slew -> "V/us"
   | Dr -> "dB"
 
-(* --- the program --- *)
+(* --- the program and its trials --- *)
+
+(* Everything a spec test computes that does not depend on the die.
+   Nothing writes to it once built, so one program serves every trial
+   of a Monte-Carlo run, on any domain. *)
+type program = {
+  spec : spec;
+  config : config;  (* its variation is unused: each trial brings a die *)
+  tolerance_pct : float;
+  stimulus : stimulus;
+  readout : float array -> float;
+}
 
 type result = {
   spec : spec;
@@ -237,43 +252,54 @@ type result = {
   trace : Engine.trace;
 }
 
-let run ?tolerance_pct ?(config = default) spec =
+let program ?tolerance_pct config spec =
+  let lo = min_samples spec in
+  if config.samples < lo || config.samples > max_samples then
+    invalid_arg
+      (Printf.sprintf "Testbench.program: spec %s needs samples in %d..%d, got %d"
+         (spec_name spec) lo max_samples config.samples);
   let tolerance_pct =
     match tolerance_pct with
     | Some t -> t
     | None -> default_tolerance_pct spec
   in
-  let dut = dut_for config spec in
   let stimulus = stimulus_for config spec in
-  let readout = extract config spec ~stimulus in
+  { spec; config; tolerance_pct; stimulus; readout = extract config spec ~stimulus }
+
+let run_program p variation =
+  let config = with_variation variation p.config in
+  (* One DUT model per trial, noise drawn once, for both paths. *)
+  let core = Dut.batch ~samples:config.samples (dut_for config p.spec) in
+  let stimulus = p.stimulus.samples_v in
   (* Direct path: a bench probe on the bare core — no converters. *)
-  let direct = readout (Dut.batch dut stimulus.samples_v) in
+  let direct = p.readout (core stimulus) in
   (* Wrapped path: digital words through DAC → DUT → ADC. *)
-  let bits = config.variation.Variation.bits in
+  let bits = variation.Variation.bits in
   let range = Quantize.default_range in
-  let codes = Array.map (Quantize.encode ~bits ~range) stimulus.samples_v in
-  let wrapper =
-    Wrapper.set_mode (Variation.wrapper config.variation) Wrapper.Core_test
-  in
-  let trace = Engine.run ~wrapper ~dut ~stimulus_codes:codes in
+  let codes = Array.map (Quantize.encode ~bits ~range) stimulus in
+  let wrapper = Wrapper.set_mode (Variation.wrapper variation) Wrapper.Core_test in
+  let trace = Engine.run_core ~wrapper ~core ~stimulus_codes:codes in
   let response =
     Array.map (Quantize.decode ~bits ~range) trace.Engine.response
   in
-  let measured = readout response in
+  let measured = p.readout response in
   let error_pct =
     if direct = 0.0 then Float.abs measured *. 100.0
     else 100.0 *. Float.abs (measured -. direct) /. Float.abs direct
   in
   {
-    spec;
+    spec = p.spec;
     measured;
     direct;
-    unit_label = unit_label spec;
+    unit_label = unit_label p.spec;
     error_pct;
-    tolerance_pct;
-    pass = error_pct <= tolerance_pct;
+    tolerance_pct = p.tolerance_pct;
+    pass = error_pct <= p.tolerance_pct;
     trace;
   }
+
+let run ?tolerance_pct ?(config = default) spec =
+  run_program (program ?tolerance_pct config spec) config.variation
 
 let result_json r =
   Export.Object

@@ -1,14 +1,17 @@
 (** Table-2 specification tests as reusable co-simulation programs.
 
     Each spec builds a digital stimulus, runs it through the wrapped
-    path ({!Engine.run}) against a behavioral DUT (what a digital ATE
-    measures through the paper's wrapper), runs the same stimulus through the bare analog model (the direct path — a
-    bench instrument probing the core), applies the same DSP
-    extraction to both, and reports the pair with their relative
-    error. The [Fc] program with the default configuration is the
-    Fig. 5 closed loop: a 61 kHz second-order Butterworth core
-    measured through an 8-bit wrapper with realistic converter
-    mismatch lands within the paper's ~5 % of the direct measurement. *)
+    path ({!Engine.run_core}) against a behavioral DUT (what a digital
+    ATE measures through the paper's wrapper), runs the same stimulus
+    through the bare analog model (the direct path — a bench
+    instrument probing the core), applies the same DSP extraction to
+    both, and reports the pair with their relative error. The
+    die-independent part is a {!program}, built once; each die is a
+    trial through it ({!run_program}). The [Fc] program with the
+    default configuration is the Fig. 5 closed loop: a 61 kHz
+    second-order Butterworth core measured through an 8-bit wrapper
+    with realistic converter mismatch lands within the paper's ~5 % of
+    the direct measurement. *)
 
 type spec = Gain | Fc | Thd | Iip3 | Dc_offset | Slew | Dr
 
@@ -70,7 +73,7 @@ val dut_for : config -> spec -> Dut.t
 
 type result = {
   spec : spec;
-  measured : float;  (** wrapped-path value, via {!Engine.run} *)
+  measured : float;  (** wrapped-path value, via {!Engine.run_core} *)
   direct : float;  (** direct analog measurement of the same DUT *)
   unit_label : string;  (** "kHz", "V/V", "ratio", "V", "V/us", "dB" *)
   error_pct : float;  (** 100·|measured − direct| / |direct| *)
@@ -79,9 +82,39 @@ type result = {
   trace : Engine.trace;
 }
 
+(** {2 Programs and trials}
+
+    A spec test splits into a {e program}, everything that does not
+    depend on the die, and a {e trial}, one die through it. The
+    program holds the stimulus (samples and tones), the readout with
+    its window coefficients for the record length, and the Fc
+    program's input spectrum. A trial builds the die's DUT model once
+    (its noise drawn once, {!Dut.batch}[ ~samples]), runs the direct
+    path and the wrapped path ({!Engine.run_core}) through that one
+    model, and reads both out. A Monte-Carlo run builds one program
+    and runs every die from it. *)
+
+type program
+(** Immutable once built: trials only read it, so the domains of a
+    {!Msoc_util.Pool} may share one without a lock. *)
+
+val program : ?tolerance_pct:float -> config -> spec -> program
+(** The spec's program for the config's rate, record length, bias and
+    nominal core. The config's variation is not read: each trial
+    brings its own die. [tolerance_pct] defaults to
+    {!default_tolerance_pct}.
+    @raise Invalid_argument if [config.samples] is outside
+    [min_samples spec .. max_samples]; the message names the spec. *)
+
+val run_program : program -> Msoc_mixedsig.Variation.t -> result
+(** One trial: the die's converters, resolution, noise and process
+    shifts through the program. Bit-identical to running the whole
+    spec test for that die. *)
+
 val run : ?tolerance_pct:float -> ?config:config -> spec -> result
-(** Execute the spec's program. [tolerance_pct] defaults to
-    {!default_tolerance_pct}. *)
+(** Execute the spec's program for the config's own die:
+    [run_program (program ?tolerance_pct config spec) config.variation].
+    @raise Invalid_argument as {!program}. *)
 
 val result_json : result -> Msoc_testplan.Export.json
 

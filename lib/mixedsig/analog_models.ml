@@ -20,8 +20,9 @@ let lowpass ~order ~fc ~fs =
   fun samples -> Msoc_signal.Filter.process filter samples
 
 let slew_limited ~max_slew_v_per_s ~fs samples =
-  if max_slew_v_per_s <= 0.0 then
+  if not (max_slew_v_per_s > 0.0) then
     invalid_arg "Analog_models.slew_limited: slew must be positive";
+  if Float.is_nan fs then invalid_arg "Analog_models.slew_limited: fs is NaN";
   let step = max_slew_v_per_s /. fs in
   let out = Array.make (Array.length samples) 0.0 in
   let state = ref (if Array.length samples > 0 then samples.(0) else 0.0) in
@@ -33,16 +34,28 @@ let slew_limited ~max_slew_v_per_s ~fs samples =
     samples;
   out
 
-let additive_noise ?(seed = 42) ~sigma samples =
+let gaussian_draws ~seed n =
   let rng = Msoc_util.Rng.create ~seed in
-  let out = Array.make (Array.length samples) 0.0 in
-  for i = 0 to Array.length samples - 1 do
+  let g = Array.make n 0.0 in
+  for i = 0 to n - 1 do
     let u1 = Float.max 1e-12 (Msoc_util.Rng.float rng ~bound:1.0) in
     let u2 = Msoc_util.Rng.float rng ~bound:1.0 in
-    let g = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
-    out.(i) <- samples.(i) +. (sigma *. g)
+    g.(i) <- Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
+  done;
+  g
+
+let add_draws ~sigma draws samples =
+  let n = Array.length samples in
+  if n > Array.length draws then
+    invalid_arg "Analog_models.add_draws: record longer than the draws";
+  let out = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    out.(i) <- samples.(i) +. (sigma *. draws.(i))
   done;
   out
+
+let additive_noise ?(seed = 42) ~sigma samples =
+  add_draws ~sigma (gaussian_draws ~seed (Array.length samples)) samples
 
 let downconverter ~lo_hz ~fs ~if_lowpass_fc =
   let post = lowpass ~order:3 ~fc:if_lowpass_fc ~fs in

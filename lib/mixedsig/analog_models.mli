@@ -36,11 +36,26 @@ val lowpass : order:int -> fc:float -> fs:float -> t
 val slew_limited : max_slew_v_per_s:float -> fs:float -> t
 (** Rate limiter: output follows input but moves at most
     [max_slew/fs] volts per sample — the imperfection a slew-rate
-    test quantifies. @raise Invalid_argument on non-positive slew. *)
+    test quantifies. @raise Invalid_argument on a slew that is not
+    positive (NaN included) or a NaN [fs]. *)
 
 val additive_noise : ?seed:int -> sigma:float -> t
 (** Deterministic Gaussian noise source (fresh stream per call using
-    [seed]); sets the noise floor that a dynamic-range test measures. *)
+    [seed]); sets the noise floor that a dynamic-range test measures.
+    [additive_noise ~seed ~sigma x] is
+    [add_draws ~sigma (gaussian_draws ~seed (Array.length x)) x]. *)
+
+val gaussian_draws : seed:int -> int -> float array
+(** [gaussian_draws ~seed n]: the first [n] standard-normal values of
+    the stream {!additive_noise} starts at [seed] (Box–Muller, two
+    uniforms per value). The [i]-th value depends on [seed] and [i]
+    only, so a longer draw extends a shorter one. *)
+
+val add_draws : sigma:float -> float array -> t
+(** [add_draws ~sigma draws x] adds [sigma *. draws.(i)] to sample
+    [i]: the noise stage with its draws made in advance, so one draw
+    can serve several records of the same length.
+    @raise Invalid_argument if the record is longer than [draws]. *)
 
 val downconverter : lo_hz:float -> fs:float -> if_lowpass_fc:float -> t
 (** Ideal mixer: multiply by a cosine local oscillator at [lo_hz] and

@@ -55,12 +55,12 @@ let ranges ?(bits_choices = default_ranges.bits_choices)
         invalid_arg "Variation.ranges: bits choices must be even, 4..16")
     bits_choices;
   if
-    dac_mismatch_sigma_max < 0.0
-    || adc_threshold_sigma_lsb_max < 0.0
-    || noise_sigma_v_max < 0.0
-    || fc_shift_pct_max < 0.0
-    || gain_shift_pct_max < 0.0
-  then invalid_arg "Variation.ranges: bounds must be non-negative";
+    not
+      (List.for_all
+         (fun bound -> bound >= 0.0)
+         [ dac_mismatch_sigma_max; adc_threshold_sigma_lsb_max; noise_sigma_v_max;
+           fc_shift_pct_max; gain_shift_pct_max ])
+  then invalid_arg "Variation.ranges: bounds must be non-negative (and not NaN)";
   {
     bits_choices;
     dac_mismatch_sigma_max;

@@ -50,7 +50,7 @@ val ranges :
   ranges
 (** {!default_ranges} with overrides.
     @raise Invalid_argument on an empty or odd [bits_choices] list,
-    bits outside 4..16, or negative bounds. *)
+    bits outside 4..16, or a negative or NaN bound. *)
 
 val trial_seed : master:int -> trial:int -> int
 (** One SplitMix64 finalizer over the [(master, trial)] pair — the

@@ -30,7 +30,7 @@ let lowpass_first_order ~fc ~fs =
   { b0 = k /. a0; b1 = k /. a0; b2 = 0.0; a1 = (k -. 1.0) /. a0; a2 = 0.0 }
 
 let check_frequencies ~fc ~fs =
-  if fc <= 0.0 || fc >= fs /. 2.0 then
+  if not (fc > 0.0 && fc < fs /. 2.0) then
     invalid_arg "Filter: need 0 < fc < fs/2"
 
 let butterworth_lowpass ~order ~fc ~fs =

@@ -16,7 +16,7 @@ val sections : t -> biquad list
 val butterworth_lowpass : order:int -> fc:float -> fs:float -> t
 (** Standard Butterworth low-pass.
     @raise Invalid_argument unless [1 <= order <= 8] and
-    [0 < fc < fs/2]. *)
+    [0 < fc < fs/2] (a NaN [fc] or [fs] fails it). *)
 
 val process : t -> float array -> float array
 (** Filter a record (direct form II transposed, zero initial state). *)

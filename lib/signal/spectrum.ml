@@ -21,14 +21,22 @@ let one_sided_magnitudes ~coefs ~n_fft ~offset x =
   done;
   mags
 
-let analyze ?(window = Window.Hann) ?pad_to ~fs samples =
-  let n_signal = Array.length samples in
-  if n_signal = 0 then invalid_arg "Spectrum.analyze: empty record";
+(* The window's coefficients are computed once per partial
+   application, as [Quantize.encode ~bits ~range] computes its step:
+   every record of a program's length reuses them. *)
+let analyzer ?(window = Window.Hann) ?pad_to ~fs n_signal =
+  if n_signal <= 0 then invalid_arg "Spectrum.analyze: empty record";
   let n_fft = Option.value pad_to ~default:(Fft.next_pow2 n_signal) in
   if n_fft < n_signal then invalid_arg "Spectrum.analyze: pad_to smaller than the record";
   let coefs = Window.coefficients window n_signal in
-  let magnitudes = one_sided_magnitudes ~coefs ~n_fft ~offset:0 samples in
-  { fs; n_signal; n_fft; window; magnitudes }
+  fun samples ->
+    if Array.length samples <> n_signal then
+      invalid_arg "Spectrum.analyze: record length differs from the analyzer's";
+    let magnitudes = one_sided_magnitudes ~coefs ~n_fft ~offset:0 samples in
+    { fs; n_signal; n_fft; window; magnitudes }
+
+let analyze ?window ?pad_to ~fs samples =
+  analyzer ?window ?pad_to ~fs (Array.length samples) samples
 
 let bin_of_freq t f =
   if f < 0.0 || f > t.fs /. 2.0 then invalid_arg "Spectrum.bin_of_freq: out of range";

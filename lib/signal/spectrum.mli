@@ -12,8 +12,20 @@ type t = {
   magnitudes : float array;  (** bins 0 .. n_fft/2, raw |X[k]| *)
 }
 
+val analyzer :
+  ?window:Window.t -> ?pad_to:int -> fs:float -> int -> float array -> t
+(** [analyzer ~fs n] is {!analyze} for records of [n] samples, with
+    the window's [n] coefficients computed once, here, and reused by
+    every record it is applied to (as [Quantize.encode ~bits ~range]
+    computes its step once). The closure only reads them, so domains
+    may share it. Each spectrum is bit-identical to {!analyze}'s.
+    @raise Invalid_argument if [n <= 0] or [pad_to < n], and, when
+    applied, on a record whose length is not [n] or a [pad_to] that is
+    not a power of two. *)
+
 val analyze : ?window:Window.t -> ?pad_to:int -> fs:float -> float array -> t
-(** Windowed (default Hann), zero-padded FFT magnitude spectrum. The
+(** Windowed (default Hann), zero-padded FFT magnitude spectrum:
+    [analyzer ?window ?pad_to ~fs (Array.length x) x]. The
     record is windowed straight into the real half of a [pad_to]-point
     split buffer (default: the next power of two of its length),
     transformed in place by {!Fft.forward_in_place}, and only the

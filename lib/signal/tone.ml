@@ -1,8 +1,8 @@
 type t = { freq_hz : float; amplitude : float; phase_rad : float }
 
 let tone ?(amplitude = 1.0) ?(phase_rad = 0.0) freq_hz =
-  if freq_hz <= 0.0 then invalid_arg "Tone.tone: frequency must be positive";
-  if amplitude < 0.0 then invalid_arg "Tone.tone: negative amplitude";
+  if not (freq_hz > 0.0) then invalid_arg "Tone.tone: frequency must be positive";
+  if not (amplitude >= 0.0) then invalid_arg "Tone.tone: amplitude must be non-negative";
   { freq_hz; amplitude; phase_rad }
 
 let sample ~tones ~fs ~n =

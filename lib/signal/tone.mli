@@ -8,8 +8,8 @@ type t = { freq_hz : float; amplitude : float; phase_rad : float }
 
 val tone : ?amplitude:float -> ?phase_rad:float -> float -> t
 (** [tone f] with amplitude 1 and phase 0 by default.
-    @raise Invalid_argument on non-positive frequency or negative
-    amplitude. *)
+    @raise Invalid_argument on a frequency that is not positive or an
+    amplitude that is negative, NaN included. *)
 
 val sample : tones:t list -> fs:float -> n:int -> float array
 (** [sample ~tones ~fs ~n] sums the tones at [n] instants spaced

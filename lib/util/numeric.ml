@@ -11,7 +11,7 @@ let percent_of_or ~default part whole =
 
 let clamp ~lo ~hi v = Float.min hi (Float.max lo v)
 
-let clamp_int ~lo ~hi v = min hi (max lo v)
+let clamp_int ~lo ~hi v = Int.min hi (Int.max lo v)
 
 let ceil_div a b =
   assert (b > 0);

@@ -20,6 +20,8 @@ val clamp : lo:float -> hi:float -> float -> float
 (** Clamp into [\[lo, hi\]]. *)
 
 val clamp_int : lo:int -> hi:int -> int -> int
+(** Clamp into [\[lo, hi\]] with [Int.min]/[Int.max]: an integer compare,
+    not the polymorphic one (every converter sample goes through it). *)
 
 val ceil_div : int -> int -> int
 (** [ceil_div a b] is ⌈a/b⌉ for positive [b]. *)

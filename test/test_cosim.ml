@@ -353,9 +353,16 @@ let test_dut_stream_equals_batch () =
   done
 
 let test_dut_validation () =
-  match Dut.make ~fs:0.0 [ Dut.Gain 1.0 ] with
+  (match Dut.make ~fs:0.0 [ Dut.Gain 1.0 ] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non-positive fs accepted"
+  | _ -> Alcotest.fail "non-positive fs accepted");
+  List.iter
+    (fun (fs, bias) ->
+      match Dut.make ~bias ~fs [ Dut.Gain 1.0 ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "fs %g, bias %g accepted" fs bias)
+    [ (Float.nan, 2.0); (Float.infinity, 2.0); (1.7e6, Float.nan);
+      (1.7e6, Float.infinity) ]
 
 (* --- engine vs the event-driven reference --- *)
 
@@ -531,6 +538,39 @@ let test_testbench_deterministic () =
     (a.Testbench.measured = b.Testbench.measured
     && a.Testbench.trace.Engine.response = b.Testbench.trace.Engine.response)
 
+(* The program checks the record length once, before any DSP: a record
+   outside [min_samples spec .. max_samples] is rejected with the spec's
+   name, not deep in Goertzel or the IMD3 readout. *)
+let test_record_length_checked () =
+  let config samples = { Testbench.default with Testbench.samples } in
+  let rejected spec samples =
+    let name = Testbench.spec_name spec in
+    let names_spec msg =
+      let needle = "spec " ^ name in
+      let n = String.length needle in
+      let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
+      go 0
+    in
+    (match Testbench.run ~config:(config samples) spec with
+    | exception Invalid_argument msg ->
+      checkb (Printf.sprintf "%s at %d names the spec: %s" name samples msg) true
+        (names_spec msg)
+    | _ -> Alcotest.failf "%s at %d samples accepted" name samples);
+    match Monte_carlo.run ~config:(config samples) ~trials:2 ~seed:1 spec with
+    | exception Invalid_argument msg -> checkb "Monte-Carlo: same check" true (names_spec msg)
+    | _ -> Alcotest.failf "Monte-Carlo %s at %d samples accepted" name samples
+  in
+  rejected Testbench.Gain 0;
+  rejected Testbench.Iip3 8;
+  rejected Testbench.Iip3 (Testbench.min_samples Testbench.Iip3 - 1);
+  rejected Testbench.Slew 1;
+  rejected Testbench.Fc (Testbench.max_samples + 1);
+  List.iter
+    (fun spec ->
+      let r = Testbench.run ~config:(config (Testbench.min_samples spec)) spec in
+      checki "shortest record runs" (Testbench.min_samples spec) r.Testbench.trace.Engine.samples)
+    Testbench.specs
+
 let test_spec_names_roundtrip () =
   List.iter
     (fun s ->
@@ -620,9 +660,23 @@ let test_variation_ranges_validation () =
   (match Variation.ranges ~bits_choices:[ 7 ] () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "odd bits accepted");
-  match Variation.ranges ~dac_mismatch_sigma_max:(-0.1) () with
+  (match Variation.ranges ~dac_mismatch_sigma_max:(-0.1) () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative bound accepted"
+  | _ -> Alcotest.fail "negative bound accepted");
+  let nan = Float.nan in
+  List.iter
+    (fun (name, ranges) ->
+      match ranges () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "NaN %s accepted" name)
+    [
+      ("dac_mismatch_sigma_max", fun () -> Variation.ranges ~dac_mismatch_sigma_max:nan ());
+      ( "adc_threshold_sigma_lsb_max",
+        fun () -> Variation.ranges ~adc_threshold_sigma_lsb_max:nan () );
+      ("noise_sigma_v_max", fun () -> Variation.ranges ~noise_sigma_v_max:nan ());
+      ("fc_shift_pct_max", fun () -> Variation.ranges ~fc_shift_pct_max:nan ());
+      ("gain_shift_pct_max", fun () -> Variation.ranges ~gain_shift_pct_max:nan ());
+    ]
 
 let test_yield_port_compat () =
   (* Yield.wrapper_for_die now rides Variation.wrapper; the historical
@@ -925,6 +979,7 @@ let suites =
         Alcotest.test_case "fig5 closed loop" `Quick test_fig5_closed_loop;
         Alcotest.test_case "all specs pass" `Quick test_all_specs_pass_default;
         Alcotest.test_case "deterministic" `Quick test_testbench_deterministic;
+        Alcotest.test_case "record length" `Quick test_record_length_checked;
         Alcotest.test_case "spec names" `Quick test_spec_names_roundtrip;
         Alcotest.test_case "golden digest" `Quick test_golden;
       ] );

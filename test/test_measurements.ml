@@ -113,6 +113,14 @@ let test_models_slew_limiter () =
   let y = model [| 0.0; 5.0; 5.0; 5.0; 5.0; 5.0; 5.0 |] in
   Alcotest.(check (array (float 1e-9))) "ramp" [| 0.0; 1.0; 2.0; 3.0; 4.0; 5.0; 5.0 |] y
 
+let test_models_slew_validation () =
+  List.iter
+    (fun (max_slew_v_per_s, fs) ->
+      match Models.slew_limited ~max_slew_v_per_s ~fs [| 0.0; 1.0 |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "slew %g at fs %g accepted" max_slew_v_per_s fs)
+    [ (0.0, 1.0e6); (-1.0, 1.0e6); (Float.nan, 1.0e6); (1.0e6, Float.nan) ]
+
 let test_models_downconverter () =
   let fs = 1.0e6 and n = 8192 in
   let lo = Tone.coherent_freq ~fs ~n 200_000.0 in
@@ -217,6 +225,7 @@ let suites =
       [
         Alcotest.test_case "compose and bias" `Quick test_models_compose_and_bias;
         Alcotest.test_case "slew limiter" `Quick test_models_slew_limiter;
+        Alcotest.test_case "slew validation" `Quick test_models_slew_validation;
         Alcotest.test_case "downconverter" `Quick test_models_downconverter;
       ] );
     ( "measure.wrapped",

@@ -156,6 +156,16 @@ let test_tone_crest_factor () =
   checkb "sine crest ~ sqrt(2)" true
     (Float.abs (Tone.crest_factor s -. Float.sqrt 2.0) < 0.01)
 
+let test_tone_validation () =
+  List.iter
+    (fun (amplitude, f) ->
+      match Tone.tone ~amplitude f with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "tone %g Hz at amplitude %g accepted" f amplitude)
+    [ (1.0, 0.0); (1.0, -5.0); (1.0, Float.nan); (-0.1, 100.0); (Float.nan, 100.0) ];
+  let t = Tone.tone ~amplitude:0.0 100.0 in
+  checkb "zero amplitude accepted" true (t.Tone.amplitude = 0.0)
+
 (* --- Filter --- *)
 
 let test_butterworth_minus3db_at_fc () =
@@ -213,9 +223,15 @@ let test_filter_validation () =
   (match Filter.butterworth_lowpass ~order:0 ~fc:1000.0 ~fs:10_000.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "order 0 accepted");
-  match Filter.butterworth_lowpass ~order:2 ~fc:6_000.0 ~fs:10_000.0 with
+  (match Filter.butterworth_lowpass ~order:2 ~fc:6_000.0 ~fs:10_000.0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "fc above Nyquist accepted"
+  | _ -> Alcotest.fail "fc above Nyquist accepted");
+  List.iter
+    (fun (fc, fs) ->
+      match Filter.butterworth_lowpass ~order:2 ~fc ~fs with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "fc %g at fs %g accepted" fc fs)
+    [ (Float.nan, 10_000.0); (1000.0, Float.nan) ]
 
 (* --- Spectrum --- *)
 
@@ -422,6 +438,7 @@ let suites =
         Alcotest.test_case "sample" `Quick test_tone_sample;
         Alcotest.test_case "coherent freq" `Quick test_tone_coherent;
         Alcotest.test_case "crest factor" `Quick test_tone_crest_factor;
+        Alcotest.test_case "validation" `Quick test_tone_validation;
       ] );
     ( "signal.filter",
       [
