@@ -3,8 +3,9 @@
    the Design_wrapper staircases every plan starts from, one
    co-simulated Fig. 5 record, a serial Monte-Carlo run of it (one
    program, twenty dies), the two kernels that record spends most
-   of its time in (a spectrum and a pipeline ADC pass) and the two
-   anytime search strategies on their own. The paper's own CPU-time
+   of its time in (a spectrum and a pipeline ADC pass), the two
+   anytime search strategies on their own and branch-and-bound with
+   its packs. The paper's own CPU-time
    claim (heuristic 6 min vs exhaustive 20 min on a Sun Ultra) maps to
    the table4 pair below. *)
 
@@ -99,6 +100,16 @@ let tests () =
     Test.make ~name:"search:anneal walk (p93791s + 14 scaled analog, W=32, warm memo)"
       (Staged.stage anneal)
   in
+  (* The same branch-and-bound search on a fresh prepared structure:
+     every schedule it evaluates is a certified incremental pack. *)
+  let search_bnb_cold =
+    Test.make
+      ~name:"search:bnb, cold memo (p93791s + 14 scaled analog, W=32, 24 evaluations)"
+      (Staged.stage (fun () ->
+           ignore
+             (Msoc_search.Strategy.run ~budget:search_budget Msoc_search.Strategy.Bnb
+                (Evaluate.prepare (Evaluate.problem search_prepared)))))
+  in
   let fig5 =
     Test.make ~name:"fig5:wrapped cutoff experiment"
       (Staged.stage (fun () -> ignore (Figures.fig5_experiment ~n:1024 ())))
@@ -142,7 +153,8 @@ let tests () =
   Test.make_grouped ~name:"msoc"
     [
       staircases; table1; table2; table3; table4_exhaustive; table4_heuristic;
-      search_bnb; search_anneal; fig5; cosim_fc; cosim_mc_fc; spectrum; adc;
+      search_bnb; search_anneal; search_bnb_cold; fig5; cosim_fc; cosim_mc_fc; spectrum;
+      adc;
     ]
 
 let run () =

@@ -17,7 +17,8 @@ type t = {
 
 let make ?(area_model = Area.default_model) ?(policy = Spec.default_policy)
     ?self_test ~soc ~analog_cores ~tam_width ~weight_time () =
-  if weight_time < 0.0 || weight_time > 1.0 then
+  (* Written so that NaN, which fails every comparison, is rejected. *)
+  if not (weight_time >= 0.0 && weight_time <= 1.0) then
     invalid_arg "Problem.make: weight_time out of [0, 1]";
   if tam_width < 1 then invalid_arg "Problem.make: tam_width must be >= 1";
   if analog_cores = [] then invalid_arg "Problem.make: no analog cores";

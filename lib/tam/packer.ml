@@ -67,8 +67,10 @@ type pstate = {
   (* committed placements as (start, finish, power) for the budget *)
   p_powered : (int * int * int) list;
   p_power_budget : int option;
-  (* label -> busy interval of the placed job with that label *)
-  p_placed : (int * int) Smap.t;
+  (* label -> busy interval of the placed job with that label; [None]
+     once a job was placed for a job set that names no predecessor and
+     no conflict, which never reads it *)
+  p_placed : (int * int) Smap.t option;
   (* label of a FUTURE job -> intervals already reserved against it by
      placed jobs that declared the conflict *)
   p_reserved : (int * int) list Smap.t;
@@ -82,7 +84,7 @@ let initial_state ?power_budget ~width () =
     p_groups = [];
     p_powered = [];
     p_power_budget = power_budget;
-    p_placed = Smap.empty;
+    p_placed = Some Smap.empty;
     p_reserved = Smap.empty;
     p_makespan = 0;
   }
@@ -91,13 +93,14 @@ let group_intervals st = function
   | None -> Intervals.empty
   | Some g -> Option.value (List.assoc_opt g st.p_groups) ~default:Intervals.empty
 
+(* The busy interval of the placed job with this label. *)
+let placed_interval st label = Option.bind st.p_placed (Smap.find_opt label)
+
 (* Blocked windows of a job: the busy intervals of placed jobs it
    declared a conflict with, plus those reserved against it by placed
    jobs that declared one with it. Any order, possibly repeated. *)
 let conflict_intervals st job =
-  let declared =
-    List.filter_map (fun l -> Smap.find_opt l st.p_placed) job.Job.conflicts
-  in
+  let declared = List.filter_map (placed_interval st) job.Job.conflicts in
   let reserved =
     Option.value (Smap.find_opt job.Job.label st.p_reserved) ~default:[]
   in
@@ -141,21 +144,21 @@ module Iset = Set.Make (Int)
    otherwise preserving the priority order: a label-keyed Kahn
    topological sort that, at every step, emits the ready job earliest
    in the input order — exactly the sequence the old O(n²)
-   partition-and-rescan loop produced, in O(n + e) set operations. *)
+   partition-and-rescan loop produced, in O(n + e) set operations.
+   When no job names a predecessor every job is ready from the start,
+   so the order is the input itself. *)
 let respect_precedences order =
-  match order with
-  | [] -> []
-  | _ ->
+  let index = Hashtbl.create 64 in
+  List.iteri
+    (fun i j ->
+      if Hashtbl.mem index j.Job.label then
+        raise (Infeasible (Printf.sprintf "duplicate job label: %s" j.Job.label));
+      Hashtbl.add index j.Job.label i)
+    order;
+  if List.for_all (fun j -> j.Job.predecessors = []) order then order
+  else
     let jobs = Array.of_list order in
     let n = Array.length jobs in
-    let index = Hashtbl.create (2 * n) in
-    Array.iteri
-      (fun i j ->
-        if Hashtbl.mem index j.Job.label then
-          raise
-            (Infeasible (Printf.sprintf "duplicate job label: %s" j.Job.label));
-        Hashtbl.add index j.Job.label i)
-      jobs;
     let indegree = Array.make n 0 in
     let successors = Array.make n [] in
     Array.iteri
@@ -203,20 +206,32 @@ let respect_precedences order =
 (* --- the placement kernel ------------------------------------------- *)
 
 (* Scratch of one strip width, reused by every placement of an order,
-   so [place] allocates no buffer. Per wire, the sweep keeps a cursor
-   on the first busy stretch ending after the current start, that
-   stretch's bounds and the end of the stretch before it, all in flat
-   int arrays. *)
+   so [place] allocates no buffer.
+
+   The sweep runs over wire classes, not wires. A class is the set of
+   wires whose busy history is one physical array, counted by its
+   number of wires: [place_below] finds the classes of the state it
+   resumes, and every placement keeps them current. Per class, the
+   sweep keeps a cursor on the first busy stretch ending after the
+   current start, that stretch's bounds and the end of the stretch
+   before it, all in flat int arrays. *)
 type sweep = {
+  history : Intervals.t array;  (* per class: its busy history *)
+  count : int array;  (* per class: its wires *)
   cursor : int array;  (* array index of the stretch at the cursor *)
   busy_from : int array;  (* its start; [max_int] when idle for good *)
   busy_until : int array;  (* its finish; [max_int] when idle for good *)
   idle_since : int array;  (* the previous stretch's finish, or 0 *)
+  slack : int array;  (* idle slack in front of the best window, or -1 *)
+  taken : int array;  (* wires the placement takes from it; 0 between placements *)
+  moved : int array;  (* the class its taken wires move to *)
   runs : int array;  (* the finite idle runs at the current start *)
+  run_wires : int array;  (* the wires of each finite run *)
+  class_of : int array;  (* per wire: its class *)
   keys : int array;  (* the best window's free wires, keyed *)
+  mutable classes : int;  (* classes in use *)
   mutable finite : int;  (* entries of [runs] in use *)
   mutable idle : int;  (* wires idle for good at the current start *)
-  mutable free : int;  (* entries of [keys] in use *)
   (* the best point so far; [best_finish = max_int] before the first *)
   mutable best_finish : int;
   mutable best_width : int;
@@ -226,19 +241,43 @@ type sweep = {
 let sweep ~width =
   let slots () = Array.make width 0 in
   {
+    history = Array.make width Intervals.empty;
+    count = slots ();
     cursor = slots ();
     busy_from = slots ();
     busy_until = slots ();
     idle_since = slots ();
+    slack = slots ();
+    taken = slots ();
+    moved = slots ();
     runs = slots ();
+    run_wires = slots ();
+    class_of = slots ();
     keys = slots ();
+    classes = 0;
     finite = 0;
     idle = 0;
-    free = 0;
     best_finish = max_int;
     best_width = 0;
     best_start = 0;
   }
+
+(* Group the wires by physical busy history. *)
+let find_classes sw (wires : Intervals.t array) =
+  sw.classes <- 0;
+  for i = 0 to Array.length wires - 1 do
+    let c = ref 0 in
+    while !c < sw.classes && sw.history.(!c) != wires.(i) do
+      incr c
+    done;
+    if !c = sw.classes then begin
+      sw.history.(!c) <- wires.(i);
+      sw.count.(!c) <- 0;
+      sw.classes <- !c + 1
+    end;
+    sw.count.(!c) <- sw.count.(!c) + 1;
+    sw.class_of.(i) <- !c
+  done
 
 (* The least conflict-window or power-placement end after [start]. *)
 let lower_end ~start (least : int) f = if start < f && f < least then f else least
@@ -258,34 +297,35 @@ let rec power_end powered ~start least =
 let rec advance (ivs : Intervals.t) c ~start =
   if c < Array.length ivs && ivs.(c + 1) <= start then advance ivs (c + 2) ~start else c
 
-(* Bring every wire to [start]: a wire whose stretch at the cursor has
-   ended moves its cursor on. Counts the wires idle for good, collects
-   the finite idle runs and returns the least stretch end after
-   [start], the next start. *)
-let scan_wires sw wires ~width ~start =
+(* Bring every class to [start]: a class whose stretch at the cursor
+   has ended moves its cursor on. Counts the wires idle for good,
+   collects the finite idle runs with their wires and returns the least
+   stretch end after [start], the next start. *)
+let scan_classes sw ~start =
   let next = ref max_int in
   sw.idle <- 0;
   sw.finite <- 0;
-  for i = 0 to width - 1 do
-    if sw.busy_until.(i) <= start then begin
-      let ivs = wires.(i) in
-      let c = advance ivs sw.cursor.(i) ~start in
-      sw.cursor.(i) <- c;
-      if c > 0 then sw.idle_since.(i) <- ivs.(c - 1);
-      if c = Array.length ivs then begin
-        sw.busy_from.(i) <- max_int;
-        sw.busy_until.(i) <- max_int
+  for c = 0 to sw.classes - 1 do
+    if sw.busy_until.(c) <= start then begin
+      let ivs = sw.history.(c) in
+      let k = advance ivs sw.cursor.(c) ~start in
+      sw.cursor.(c) <- k;
+      if k > 0 then sw.idle_since.(c) <- ivs.(k - 1);
+      if k = Array.length ivs then begin
+        sw.busy_from.(c) <- max_int;
+        sw.busy_until.(c) <- max_int
       end
       else begin
-        sw.busy_from.(i) <- ivs.(c);
-        sw.busy_until.(i) <- ivs.(c + 1)
+        sw.busy_from.(c) <- ivs.(k);
+        sw.busy_until.(c) <- ivs.(k + 1)
       end
     end;
-    let until = sw.busy_until.(i) and from = sw.busy_from.(i) in
+    let until = sw.busy_until.(c) and from = sw.busy_from.(c) in
     if until < !next then next := until;
-    if from = max_int then sw.idle <- sw.idle + 1
+    if from = max_int then sw.idle <- sw.idle + sw.count.(c)
     else if from > start then begin
       sw.runs.(sw.finite) <- from - start;
+      sw.run_wires.(sw.finite) <- sw.count.(c);
       sw.finite <- sw.finite + 1
     end
   done;
@@ -295,20 +335,15 @@ let scan_wires sw wires ~width ~start =
 let fits sw (p : Pareto.point) =
   let n = ref sw.idle in
   for j = 0 to sw.finite - 1 do
-    if sw.runs.(j) >= p.time then incr n
+    if sw.runs.(j) >= p.time then n := !n + sw.run_wires.(j)
   done;
   !n >= p.width
 
-(* Key every wire free over [start, finish) as slack * width + wire,
-   the slack being the idle time its previous busy stretch leaves in
-   front of [start]. *)
-let key_free_wires sw ~width ~start ~finish =
-  sw.free <- 0;
-  for i = 0 to width - 1 do
-    if sw.busy_from.(i) >= finish then begin
-      sw.keys.(sw.free) <- ((start - sw.idle_since.(i)) * width) + i;
-      sw.free <- sw.free + 1
-    end
+(* Note, per class, the idle slack its previous busy stretch leaves in
+   front of [start] when it is free over [start, finish), -1 when not. *)
+let note_free_classes sw ~start ~finish =
+  for c = 0 to sw.classes - 1 do
+    sw.slack.(c) <- (if sw.busy_from.(c) >= finish then start - sw.idle_since.(c) else -1)
   done
 
 (* Resolve the usable points at [start], where the group, conflict and
@@ -324,7 +359,7 @@ let rec resolve sw ~width ~start ~cap open_points = function
         sw.best_finish <- finish;
         sw.best_width <- p.width;
         sw.best_start <- start;
-        key_free_wires sw ~width ~start ~finish;
+        note_free_classes sw ~start ~finish;
         resolve sw ~width ~start ~cap open_points rest
       end
       else resolve sw ~width ~start ~cap (open_points + 1) rest
@@ -332,7 +367,7 @@ let rec resolve sw ~width ~start ~cap open_points = function
   | _ -> open_points
 
 (* In-place ascending sort of [a.(0 .. n-1)]. *)
-let insertion_sort a n =
+let insertion_sort (a : int array) n =
   for i = 1 to n - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in
@@ -343,23 +378,78 @@ let insertion_sort a n =
     a.(!j + 1) <- x
   done
 
+(* The [w] wires the best window takes: of the wires free over it,
+   keyed slack * width + wire, the [w] least keys. *)
+let choose_wires sw ~width w =
+  let free = ref 0 in
+  for i = 0 to width - 1 do
+    let slack = sw.slack.(sw.class_of.(i)) in
+    if slack >= 0 then begin
+      sw.keys.(!free) <- (slack * width) + i;
+      incr free
+    end
+  done;
+  insertion_sort sw.keys !free;
+  List.init w (fun j -> sw.keys.(j) mod width)
+
+(* Add [start, finish) to the chosen wires, returning the grown wire
+   array. [Intervals.add] runs once per class the wires come from, at
+   its first chosen wire. A class whose wires are all chosen moves to
+   the grown history; one chosen in part splits, its chosen wires
+   forming a new class. *)
+let take_wires sw wires chosen ~start ~finish =
+  List.iter
+    (fun wire ->
+      let c = sw.class_of.(wire) in
+      sw.taken.(c) <- sw.taken.(c) + 1)
+    chosen;
+  let p_wires = Array.copy wires in
+  List.iter
+    (fun wire ->
+      let c = sw.class_of.(wire) in
+      let taken = sw.taken.(c) in
+      if taken > 0 then begin
+        sw.taken.(c) <- 0;
+        let grown = Intervals.add sw.history.(c) ~start ~finish in
+        if taken = sw.count.(c) then begin
+          sw.history.(c) <- grown;
+          sw.moved.(c) <- c
+        end
+        else begin
+          let split = sw.classes in
+          sw.classes <- split + 1;
+          sw.history.(split) <- grown;
+          sw.count.(split) <- taken;
+          sw.count.(c) <- sw.count.(c) - taken;
+          sw.moved.(c) <- split
+        end
+      end;
+      let moved = sw.moved.(c) in
+      sw.class_of.(wire) <- moved;
+      p_wires.(wire) <- sw.history.(moved))
+    chosen;
+  p_wires
+
 (* Place one job on the earliest feasible window, returning the grown
    state alongside the placement. Pure in [st]: the incremental engine
-   checkpoints these states per position.
+   checkpoints these states per position. [sw]'s classes are those of
+   [st.p_wires], and the placement moves them on to the grown state's.
+   [track] keeps [p_placed]; it is off for a job set that names no
+   predecessor and no conflict.
 
    One ascending sweep over the job's candidate starts resolves every
    staircase point at once. The candidate starts are the precedence
    floor and every wire, group, conflict-window and power end after
    it: from each start the sweep moves to the least such end after it,
-   reading the wires and the group through one cursor each. At each
-   start a wire is busy, idle for good, or idle for a finite run; a
-   point (w, t) fits when the group, conflict and power runs are all
-   >= t and the wires idle for good plus the finite runs >= t number
-   at least w. The best point is the least (finish, width); the sweep
-   ends when no point can beat it. Of the wires free over the best
-   window, the job takes the [w] with the least idle slack in front
-   of it (the least keys slack * width + wire). *)
-let place sw ~width st job =
+   reading each wire class and the group through one cursor each. At
+   each start a class is busy, idle for good, or idle for a finite
+   run; a point (w, t) fits when the group, conflict and power runs are
+   all >= t and the wires idle for good plus the wires of the finite
+   runs >= t number at least w. The best point is the least (finish,
+   width); the sweep ends when no point can beat it. Of the wires free
+   over the best window, the job takes the [w] with the least idle
+   slack in front of it (the least keys slack * width + wire). *)
+let place sw ~width ~track st job =
   let points = Pareto.points job.Job.staircase in
   (* Widths rise along the staircase: the usable points are a prefix. *)
   let usable =
@@ -379,18 +469,17 @@ let place sw ~width st job =
   let floor =
     List.fold_left
       (fun acc pred ->
-        match Smap.find_opt pred st.p_placed with
+        match placed_interval st pred with
         | Some (_, f) -> Int.max acc f
         | None -> acc (* respect_precedences guarantees presence *))
       0 job.Job.predecessors
   in
   let blocked = conflict_intervals st job in
   let group = group_intervals st job.Job.exclusion in
-  let wires = st.p_wires in
-  for i = 0 to width - 1 do
-    sw.cursor.(i) <- 0;
-    sw.idle_since.(i) <- 0;
-    sw.busy_until.(i) <- min_int (* moves every cursor at the first start *)
+  for c = 0 to sw.classes - 1 do
+    sw.cursor.(c) <- 0;
+    sw.idle_since.(c) <- 0;
+    sw.busy_until.(c) <- min_int (* moves every cursor at the first start *)
   done;
   sw.best_finish <- max_int;
   let rec go start group_cursor open_points =
@@ -400,7 +489,7 @@ let place sw ~width st job =
       let next =
         Int.min
           (if idle_group then max_int else group.(g + 1))
-          (Int.min (scan_wires sw wires ~width ~start)
+          (Int.min (scan_classes sw ~start)
              (power_end st.p_powered ~start (window_end blocked ~start max_int)))
       in
       let cap =
@@ -418,24 +507,8 @@ let place sw ~width st job =
       (Infeasible
          (Printf.sprintf "job %s found no feasible start on the strip" job.Job.label));
   let start = sw.best_start and finish = sw.best_finish and w = sw.best_width in
-  insertion_sort sw.keys sw.free;
-  let chosen = List.init w (fun j -> sw.keys.(j) mod width) in
-  (* Wires with one busy history share one array, and so do their
-     grown histories: [Intervals.add] runs once per distinct array. *)
-  let p_wires = Array.copy wires in
-  ignore
-    (List.fold_left
-       (fun grown wire ->
-         let ivs = wires.(wire) in
-         match List.assq_opt ivs grown with
-         | Some added ->
-           p_wires.(wire) <- added;
-           grown
-         | None ->
-           let added = Intervals.add ivs ~start ~finish in
-           p_wires.(wire) <- added;
-           (ivs, added) :: grown)
-       [] chosen);
+  let chosen = choose_wires sw ~width w in
+  let p_wires = take_wires sw st.p_wires chosen ~start ~finish in
   let p_groups =
     match job.Job.exclusion with
     | Some g -> (g, Intervals.add group ~start ~finish) :: List.remove_assoc g st.p_groups
@@ -452,13 +525,17 @@ let place sw ~width st job =
         Smap.add other ((start, finish) :: existing) acc)
       st.p_reserved job.Job.conflicts
   in
+  let p_placed =
+    if track then Option.map (Smap.add job.Job.label (start, finish)) st.p_placed
+    else None
+  in
   let st' =
     {
       st with
       p_wires;
       p_groups;
       p_powered;
-      p_placed = Smap.add job.Job.label (start, finish) st.p_placed;
+      p_placed;
       p_reserved;
       p_makespan = Int.max st.p_makespan finish;
     }
@@ -501,17 +578,23 @@ let schedule_of_placements ?power_budget ~width placements_rev =
   in
   { Schedule.total_width = width; power_budget; placements }
 
+(* Whether a placement must record its label: some job of [order]
+   names a predecessor or a conflict. *)
+let tracks order =
+  Array.exists (fun j -> j.Job.predecessors <> [] || j.Job.conflicts <> []) order
+
 (* Place [order.(k)], [order.(k + 1)], ... on top of [states.(k)],
    storing the state after position [i] in [states.(i + 1)], until the
    order is placed or its running makespan reaches [bound]. Returns
    the number of positions placed in all and the new placements,
-   newest first. *)
-let place_below ~width ~bound order states k =
+   newest first. [track] is [tracks order]. *)
+let place_below ~width ~track ~bound order states k =
   let sw = sweep ~width in
+  find_classes sw states.(k).p_wires;
   let rec go i placed =
     if i = Array.length order || states.(i).p_makespan >= bound then (i, placed)
     else begin
-      let st, p = place sw ~width states.(i) order.(i) in
+      let st, p = place sw ~width ~track states.(i) order.(i) in
       states.(i + 1) <- st;
       go (i + 1) (p :: placed)
     end
@@ -525,7 +608,9 @@ let pack_in_order ?power_budget ~width ~bound order =
   let states =
     Array.make (Array.length order + 1) (initial_state ?power_budget ~width ())
   in
-  let m, placements_rev = place_below ~width ~bound order states 0 in
+  let m, placements_rev =
+    place_below ~width ~track:(tracks order) ~bound order states 0
+  in
   Atomic.incr total_full_rebuilds;
   ignore (Atomic.fetch_and_add total_jobs_placed m);
   if states.(m).p_makespan < bound then
@@ -580,25 +665,27 @@ type keys = { job : Job.t; urgency : int; time : int; area : int; width : int }
    default packer tries a few natural priority rules and keeps the
    best schedule: longest (group-aware) first, largest area first, and
    widest first (which wins when one wide bottleneck rectangle must
-   nest under the narrow analog chains). Each rule is a stable sort,
-   decreasing on a pair of keys. *)
+   nest under the narrow analog chains). Each rule is a stable sort of
+   one keyed array, decreasing on a pair of keys. *)
 let priority_orders jobs =
   let urgency = group_urgency jobs in
   let keyed =
-    List.map
-      (fun job ->
-        { job; urgency = urgency job; time = Job.min_time job; area = Job.area job;
-          width = Job.min_width job })
-      jobs
+    Array.of_list
+      (List.map
+         (fun job ->
+           { job; urgency = urgency job; time = Job.min_time job; area = Job.area job;
+             width = Job.min_width job })
+         jobs)
   in
   let by first second =
-    List.stable_sort
+    let sorted = Array.copy keyed in
+    Array.stable_sort
       (fun a b ->
         match Int.compare (first b) (first a) with
         | 0 -> Int.compare (second b) (second a)
         | c -> c)
-      keyed
-    |> List.map (fun k -> k.job)
+      sorted;
+    Array.fold_right (fun k acc -> k.job :: acc) sorted []
   in
   [
     by (fun k -> k.urgency) (fun k -> k.time);
@@ -742,7 +829,21 @@ let repack_below e ~bound jobs =
   let k = !k in
   let states = Array.make (n + 1) e.e_states.(0) in
   Array.blit e.e_states 0 states 0 (k + 1);
-  let m, replayed = place_below ~width:e.e_width ~bound order states k in
+  let track = tracks order in
+  (* A prefix placed for a job set that named no predecessor and no
+     conflict kept no labels: rebuild them from its placements. *)
+  if track && Option.is_none states.(k).p_placed then
+    states.(k) <-
+      {
+        (states.(k)) with
+        p_placed =
+          Some
+            (Array.fold_left
+               (fun acc (p : Schedule.placement) ->
+                 Smap.add p.job.Job.label (p.start, Schedule.finish p) acc)
+               Smap.empty (Array.sub e.e_placements 0 k));
+      };
+  let m, replayed = place_below ~width:e.e_width ~track ~bound order states k in
   let placements =
     Array.append (Array.sub e.e_placements 0 k) (Array.of_list (List.rev replayed))
   in
@@ -828,6 +929,7 @@ let anneal ?power_budget ?(seed = 1) ?(iterations = 150) ~width jobs =
   end
 
 let lower_bound ?power_budget ~width jobs =
+  validate_strip ?power_budget ~width ();
   let area = List.fold_left (fun acc j -> acc + Job.area j) 0 jobs in
   let area_bound = Msoc_util.Numeric.ceil_div area width in
   let bottleneck = List.fold_left (fun acc j -> max acc (Job.min_time j)) 0 jobs in

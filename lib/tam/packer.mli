@@ -19,10 +19,13 @@
     starts (ties to fewer wires), on the free wires with the least idle
     slack in front of it. The candidate starts are the job's precedence
     floor and every wire, group, power and conflict-window end after
-    it; one ascending sweep, with one cursor per wire, visits them in
-    order and resolves all of the job's points at once from each
-    wire's idle run at each start. Gap-aware: idle wire intervals
-    between placed jobs remain usable by later jobs.
+    it; one ascending sweep visits them in order and resolves all of
+    the job's points at once from the wires' idle runs at each start.
+    The sweep reads wire classes, not wires: the wires whose busy
+    history is one shared array move as one class, with one cursor and
+    a wire count, so a start costs one visit per distinct history.
+    Gap-aware: idle wire intervals between placed jobs remain usable by
+    later jobs.
 
     This module is one packing {e heuristic} plus the shared
     machinery; alternative priority heuristics plug in through
@@ -67,7 +70,8 @@ val respect_precedences : Job.t list -> Job.t list
 (** Stable topological reorder: predecessors before dependents, the
     priority order otherwise preserved (at every step the ready job
     earliest in the input order is emitted — Kahn with a min-index
-    ready set, O(n + e)).
+    ready set, O(n + e)). When no job names a predecessor, the input
+    itself, after the duplicate-label check.
     @raise Infeasible on duplicate labels, precedence cycles or
     unknown predecessor labels. *)
 
@@ -79,9 +83,10 @@ val group_urgency : Job.t list -> Job.t -> int
 
 val priority_orders : Job.t list -> Job.t list list
 (** The default heuristic's priority rules — group-aware longest
-    first, largest area first, widest first — as stable sorts of the
-    input, each job's keys computed once. Precedences are {e not} yet
-    applied; {!pack_with_orders} does that per order. *)
+    first, largest area first, widest first — as stable sorts of one
+    array of the input's jobs, each job's keys computed once.
+    Precedences are {e not} yet applied; {!pack_with_orders} does that
+    per order. *)
 
 val best_of_orders :
   (int -> bound:int -> Job.t list -> Schedule.t option) ->
@@ -155,7 +160,11 @@ val anneal :
     checkpoint per position; {!repack_below} replays only the suffix
     after the longest common prefix with the cached order and returns
     a schedule bit-identical to packing
-    [respect_precedences jobs] from scratch. {!anneal}'s
+    [respect_precedences jobs] from scratch. A checkpoint records the
+    placed jobs' labels only when some job of its order names a
+    predecessor or a conflict; a repack whose jobs do, on a prefix
+    placed without them, rebuilds the labels from the cached
+    placements. {!anneal}'s
     transpositions and the registry's best-of-orders repacks (and so
     the search-layer evaluators) sit on this API. *)
 
@@ -204,4 +213,6 @@ val lower_bound : ?power_budget:int -> width:int -> Job.t list -> int
     single-job minimum time, each exclusion group's serial time (the
     paper's analog [T_LB]) and, when a budget is given, total
     power-time / budget. The packer's makespan never beats this;
-    tests assert it stays within a small factor of it. *)
+    tests assert it stays within a small factor of it.
+    @raise Invalid_argument if [width <= 0] or [power_budget <= 0],
+    with {!pack}'s messages. *)

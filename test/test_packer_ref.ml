@@ -20,7 +20,15 @@
      per variant fed a walk of related job sets;
    - a golden pin: an MD5 over a canonical text of every placement of
      every registry variant on three SOCs (plus catalog cores A–E),
-     no and full sharing, W = 16, 24, …, 64. *)
+     no and full sharing, W = 16, 24, …, 64.
+
+   The search-scale suite runs the same rules on the strips the search
+   strategies pack: p93791s plus 6–14 scaled analog cores under random
+   set partitions, with and without a converter self-test gating each
+   group. A QCheck property compares every variant with the reference
+   rule and one incremental engine per variant, fed a walk of
+   partitions, with [Registry.pack]; a golden MD5 pins every schedule
+   the engines return along a seeded walk at W = 24, 32 and 40. *)
 
 module Types = Msoc_itc02.Types
 module Synthetic = Msoc_itc02.Synthetic
@@ -31,6 +39,7 @@ module Packer = Msoc_tam.Packer
 module Registry = Msoc_tam.Packer_registry
 module Problem = Msoc_testplan.Problem
 module Evaluate = Msoc_testplan.Evaluate
+module Instances = Msoc_testplan.Instances
 module Sharing = Msoc_analog.Sharing
 module Catalog = Msoc_analog.Catalog
 module Rng = Msoc_util.Rng
@@ -545,8 +554,120 @@ let test_golden () =
     "4f043bbbe3c252f60f9e1d31fe76c314"
     (golden_digest ())
 
+(* --- search-scale strips ----------------------------------------- *)
+
+(* p93791s with [n] scaled analog cores at TAM width [width]; with
+   [self_test], each sharing group's tests wait for its converter
+   self-test (a predecessor). *)
+let scaled_prepared ~n ~width ~self_test =
+  Evaluate.prepare
+    (Problem.make ~soc:(Synthetic.p93791s ()) ~analog_cores:(Instances.scaled_analog ~n)
+       ~tam_width:width ~weight_time:0.5
+       ?self_test:(if self_test then Some { Problem.hits_per_code = 4 } else None)
+       ())
+
+(* A set partition as a group index per core: [assign.(i)] in 0..n-1. *)
+let random_assignment rng n =
+  let groups = Rng.int_in rng ~lo:1 ~hi:n in
+  Array.init n (fun _ -> Rng.int rng ~bound:groups)
+
+(* A search-like move: one core joins another group or a new one. *)
+let move rng assign =
+  let n = Array.length assign in
+  assign.(Rng.int rng ~bound:n) <- Rng.int rng ~bound:n
+
+let sharing_of cores assign =
+  Sharing.make
+    (List.filter_map
+       (fun g ->
+         match List.filteri (fun i _ -> assign.(i) = g) cores with
+         | [] -> None
+         | group -> Some group)
+       (List.init (Array.length assign) Fun.id))
+
+type scaled = { n : int; s_width : int; self_test : bool; seed : int }
+
+let scaled_arb =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "n=%d W=%d self_test=%b seed=%d" c.n c.s_width c.self_test c.seed)
+    QCheck.Gen.(
+      map
+        (fun (n, (s_width, (self_test, seed))) -> { n; s_width; self_test; seed })
+        (pair (int_range 6 14)
+           (pair (int_range 16 64) (pair bool (int_range 1 1_000_000_000)))))
+
+(* Every variant's best of its orders equals the reference rule on the
+   first partition; one incremental engine per variant, fed eight
+   partitions of a walk, returns [Registry.pack]'s schedule on each. *)
+let search_scale_matches c =
+  let prepared = scaled_prepared ~n:c.n ~width:c.s_width ~self_test:c.self_test in
+  let cores = (Evaluate.problem prepared).Problem.analog_cores in
+  let start = random_assignment (Rng.create ~seed:c.seed) c.n in
+  let jobs_at assign = Evaluate.jobs_for prepared (sharing_of cores assign) in
+  let jobs = jobs_at start in
+  let inst = { width = c.s_width; power_budget = None; jobs; walk_seed = c.seed } in
+  List.for_all
+    (fun ((module P : Msoc_tam.Packer_intf.S) as packer) ->
+      Some (Packer.pack_with_orders ~width:c.s_width ~orders:P.orders jobs)
+      = reference_best inst (P.orders jobs)
+      &&
+      let inc = Registry.incremental ~width:c.s_width packer in
+      let rng = Rng.create ~seed:(c.seed + 1) in
+      let assign = Array.copy start in
+      let rec walk k =
+        k = 0
+        ||
+        let jobs = jobs_at assign in
+        Registry.repack inc jobs = Registry.pack packer ~width:c.s_width jobs
+        &&
+        (move rng assign;
+         walk (k - 1))
+      in
+      walk 8)
+    Registry.all
+
+(* Every schedule one engine per variant returns along a seeded walk of
+   20 partitions of p93791s + 14 scaled cores, the self-test gating on
+   every other step. *)
+let search_scale_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun width ->
+      let plain = scaled_prepared ~n:14 ~width ~self_test:false
+      and gated = scaled_prepared ~n:14 ~width ~self_test:true in
+      let cores = (Evaluate.problem plain).Problem.analog_cores in
+      let rng = Rng.create ~seed:width in
+      let assign = random_assignment rng 14 in
+      let engines = List.map (fun p -> (p, Registry.incremental ~width p)) Registry.all in
+      for step = 1 to 20 do
+        let prepared = if step mod 2 = 0 then gated else plain in
+        let jobs = Evaluate.jobs_for prepared (sharing_of cores assign) in
+        List.iter
+          (fun (p, inc) ->
+            let case = Printf.sprintf "# %s W%d step %d" (Registry.name p) width step in
+            canonical buf ~case (Registry.repack inc jobs))
+          engines;
+        move rng assign
+      done)
+    [ 24; 32; 40 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_search_scale_golden () =
+  Alcotest.(check string)
+    "engine schedules along a walk of p93791s + 14 scaled cores"
+    "3646926e84be14a5dbb72914da08481b"
+    (search_scale_digest ())
+
 let suites =
   [
     ("packer-ref.property", qcheck_tests);
     ("packer-ref.golden", [ Alcotest.test_case "registry placements pinned" `Quick test_golden ]);
+    ( "packer-ref.search-scale",
+      [
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~name:"best of orders and engines = reference rule" ~count:16
+             scaled_arb search_scale_matches);
+        Alcotest.test_case "engine schedules pinned" `Quick test_search_scale_golden;
+      ] );
   ]

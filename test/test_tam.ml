@@ -253,6 +253,45 @@ let test_lower_bound_components () =
   (* with tiny width, area bound dominates: total area 310 wires*cycles *)
   checki "area bound" 310 (Packer.lower_bound ~width:1 jobs)
 
+(* The bound validates its strip like [Packer.pack]: a zero or
+   negative width or budget is an [Invalid_argument] with pack's
+   message, from every registry variant, and positive strips keep
+   their bounds. *)
+let test_lower_bound_strip_validation () =
+  let jobs =
+    [
+      Job.with_power (Job.analog ~label:"a" ~width:1 ~time:100 ~group:0) 2;
+      Job.with_power (Job.analog ~label:"b" ~width:1 ~time:150 ~group:0) 1;
+      Job.with_power (Job.analog ~label:"c" ~width:1 ~time:60 ~group:1) 3;
+    ]
+  in
+  let width_msg = Invalid_argument "Packer.pack: width must be positive" in
+  let budget_msg = Invalid_argument "Packer.pack: power_budget must be positive" in
+  let bounds =
+    ("packer", fun power_budget width -> Packer.lower_bound ?power_budget ~width jobs)
+    :: List.map
+         (fun p ->
+           ( Msoc_tam.Packer_registry.name p,
+             fun power_budget width ->
+               Msoc_tam.Packer_registry.lower_bound p ?power_budget ~width jobs ))
+         Msoc_tam.Packer_registry.all
+  in
+  List.iter
+    (fun (name, bound) ->
+      Alcotest.check_raises (name ^ " width 0") width_msg (fun () ->
+          ignore (bound None 0));
+      Alcotest.check_raises (name ^ " width -3") width_msg (fun () ->
+          ignore (bound None (-3)));
+      Alcotest.check_raises (name ^ " budget 0") budget_msg (fun () ->
+          ignore (bound (Some 0) 4));
+      Alcotest.check_raises (name ^ " budget -1") budget_msg (fun () ->
+          ignore (bound (Some (-1)) 4));
+      checki (name ^ " area bound") 310 (bound None 1);
+      checki (name ^ " group bound") 250 (bound None 2);
+      checki (name ^ " energy bound") 265 (bound (Some 2) 2);
+      checki (name ^ " loose budget") 250 (bound (Some 50) 32))
+    bounds
+
 (* --- Intervals: touching stretches coalesce on insert --- *)
 
 let test_intervals_coalesce () =
@@ -346,6 +385,29 @@ let test_repack_incremental_identity () =
   checki "prefix placements reused" (n - 2) st.Packer.jobs_reused;
   checki "suffix placements recomputed" (n + 2) st.Packer.jobs_placed
 
+(* An engine that packed a job set naming no predecessor and no
+   conflict, then a set that adds a job naming both, reuses the
+   placed prefix: the new job must still wait for its predecessor and
+   keep off its conflict's window, exactly as in a scratch pack. *)
+let test_repack_names_placed_prefix () =
+  let a = Job.analog ~label:"a" ~width:2 ~time:100 ~group:0 in
+  let b = Job.analog ~label:"b" ~width:2 ~time:50 ~group:1 in
+  let c = Job.analog ~label:"c" ~width:1 ~time:30 ~group:2 in
+  let d =
+    Job.with_conflicts
+      (Job.with_predecessors (Job.analog ~label:"d" ~width:1 ~time:20 ~group:3) [ "c" ])
+      [ "a" ]
+  in
+  let engine = Packer.prepare ~width:4 () in
+  ignore (Packer.repack_with_order engine [ a; b; c ]);
+  let s = Packer.repack_with_order engine [ a; b; c; d ] in
+  checkb "= scratch pack" true
+    (s = Packer.pack_with_orders ~width:4 ~orders:(fun js -> [ js ]) [ a; b; c; d ]);
+  checki "prefix reused" 3 (Packer.repack_stats engine).Packer.jobs_reused;
+  match List.find_opt (fun p -> p.Schedule.job.Job.label = "d") s.Schedule.placements with
+  | Some p -> checki "d after a's window" 100 p.Schedule.start
+  | None -> Alcotest.fail "d not placed"
+
 let qcheck_tests =
   let open QCheck in
   let jobs_arb =
@@ -429,6 +491,8 @@ let suites =
         Alcotest.test_case "makespan vs width" `Quick test_pack_makespan_decreases_with_width;
         Alcotest.test_case "quality on benchmark" `Slow test_pack_quality_on_benchmark;
         Alcotest.test_case "lower bound components" `Quick test_lower_bound_components;
+        Alcotest.test_case "lower bound strip validation" `Quick
+          test_lower_bound_strip_validation;
         Alcotest.test_case "intervals coalesce" `Quick test_intervals_coalesce;
         Alcotest.test_case "coalescing preserves schedules" `Quick
           test_intervals_coalescing_preserves_schedules;
@@ -440,6 +504,8 @@ let suites =
           test_duplicate_label_rejected;
         Alcotest.test_case "incremental repack identity" `Quick
           test_repack_incremental_identity;
+        Alcotest.test_case "repack names a placed prefix" `Quick
+          test_repack_names_placed_prefix;
       ] );
     ("tam.properties", qcheck_tests);
   ]

@@ -42,6 +42,24 @@ let test_problem_validation () =
   expect_invalid "analog wider than TAM" (fun () ->
       Problem.make ~soc ~analog_cores:[ Catalog.core_d ] ~tam_width:8 ~weight_time:0.5 ())
 
+(* NaN fails every comparison, so a range check written as
+   [w < 0 || w > 1] lets it through; Plan.run then dies on it. *)
+let test_problem_weight_range () =
+  let soc = Msoc_itc02.Synthetic.d281s () in
+  let make weight_time =
+    Problem.make ~soc ~analog_cores:Catalog.all ~tam_width:32 ~weight_time ()
+  in
+  List.iter
+    (fun w ->
+      Alcotest.check_raises (Printf.sprintf "weight %g" w)
+        (Invalid_argument "Problem.make: weight_time out of [0, 1]") (fun () ->
+          ignore (make w)))
+    [ Float.nan; -0.1; 1.1 ];
+  List.iter
+    (fun w ->
+      checkf 0.0 (Printf.sprintf "weight %g kept" w) w (make w).Problem.weight_time)
+    [ 0.0; 1.0 ]
+
 let test_problem_weights_complement () =
   let p = small_problem ~weight_time:0.3 () in
   checkf 1e-9 "w_A = 1 - w_T" 0.7 p.Problem.weight_area
@@ -281,6 +299,7 @@ let suites =
     ( "testplan.problem",
       [
         Alcotest.test_case "validation" `Quick test_problem_validation;
+        Alcotest.test_case "weight_time range" `Quick test_problem_weight_range;
         Alcotest.test_case "weights complement" `Quick test_problem_weights_complement;
         Alcotest.test_case "combinations filtered" `Quick test_problem_combinations_filtered;
         Alcotest.test_case "combination counts" `Quick test_problem_cde_combination_count;
