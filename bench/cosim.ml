@@ -7,7 +7,9 @@
      - Fig. 5: wrapped fc within 5 % of the direct measurement
      - Monte-Carlo: pooled sweep bit-identical to the serial sweep
 
-   Writes BENCH_cosim.json so CI can archive and assert on the run. *)
+   Writes BENCH_cosim.json so CI can archive and assert on the run,
+   with the serial sweep's minor-heap words per trial: a count, the
+   same on every host, that CI gates without a wall clock. *)
 
 module Testbench = Msoc_cosim.Testbench
 module Monte_carlo = Msoc_cosim.Monte_carlo
@@ -44,7 +46,11 @@ let run () =
   (* --- Monte-Carlo sweep, serial vs pooled --- *)
   let trials = 200 and jobs = 4 in
   let seed = 42 in
+  let minor_before = Gc.minor_words () in
   let serial_trials, serial = Monte_carlo.run ~trials ~seed Testbench.Fc in
+  let minor_words_per_trial =
+    (Gc.minor_words () -. minor_before) /. float_of_int trials
+  in
   let pooled_trials, pooled =
     Pool.with_pool ~jobs (fun pool ->
         Monte_carlo.run ~pool ~trials ~seed Testbench.Fc)
@@ -68,6 +74,8 @@ let run () =
      %b\n%!"
     serial.Monte_carlo.trials_per_s jobs pooled.Monte_carlo.trials_per_s
     identical;
+  Printf.printf "  serial sweep allocates %.0f minor words per trial\n%!"
+    minor_words_per_trial;
   if not identical then
     failwith "cosim gate: pooled Monte-Carlo differs from serial";
 
@@ -91,6 +99,7 @@ let run () =
               ( "pooled_trials_per_s",
                 Export.Float pooled.Monte_carlo.trials_per_s );
               ("bit_identical", Export.Bool identical);
+              ("minor_words_per_trial", Export.Float minor_words_per_trial);
             ] );
       ]
   in

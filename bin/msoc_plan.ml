@@ -1859,7 +1859,7 @@ let cosim_cmd =
   let trials_arg =
     Arg.(
       value
-      & opt (int_in Request.non_negative_int) 0
+      & opt (int_in Request.trials) 0
       & info [ "trials" ] ~docv:"N"
           ~doc:
             "Monte-Carlo trials across process variation (0 = single \

@@ -16,21 +16,26 @@ let make ?(bias = 2.0) ~fs stages =
   if not (Float.is_finite bias) then invalid_arg "Dut.make: bias must be finite";
   { stages; fs; bias }
 
-(* With [samples], the noise stage draws its Gaussian values once,
-   here: a restarted stream would draw the same values for every
-   record of that length. *)
-let batch_stage ~fs ~samples = function
-  | Gain g -> Models.gain g
-  | Dc_offset c -> Models.dc_offset c
-  | Lowpass { order; fc } -> Models.lowpass ~order ~fc ~fs
-  | Polynomial { a1; a2; a3 } -> Models.polynomial ~a1 ~a2 ~a3
-  | Slew_limited { max_slew_v_per_s } ->
-    Models.slew_limited ~max_slew_v_per_s ~fs
+(* Each stage as its in-place kernel. With [samples], the noise stage
+   draws its Gaussian values once, here: a restarted stream would draw
+   the same values for every record of that length. *)
+let kernel ~fs ~samples = function
+  | Gain g -> Models.gain_in_place g
+  | Dc_offset c -> Models.dc_offset_in_place c
+  | Lowpass { order; fc } -> Models.lowpass_in_place ~order ~fc ~fs
+  | Polynomial { a1; a2; a3 } -> Models.polynomial_in_place ~a1 ~a2 ~a3
+  | Slew_limited { max_slew_v_per_s } -> Models.slew_limited_in_place ~max_slew_v_per_s ~fs
   | Noise { sigma; seed } -> (
     match samples with
-    | None -> Models.additive_noise ~seed ~sigma
-    | Some n -> Models.add_draws ~sigma (Models.gaussian_draws ~seed n))
+    | None -> Models.additive_noise_in_place ~seed ~sigma
+    | Some n -> Models.add_draws_in_place ~sigma (Models.gaussian_draws ~seed n))
 
+(* One buffer per record: the bias comes off into it, every stage
+   overwrites it in turn, and the bias goes back on. *)
 let batch ?samples t =
-  Models.biased ~bias:t.bias
-    (Models.compose (List.map (batch_stage ~fs:t.fs ~samples) t.stages))
+  let kernels = List.map (kernel ~fs:t.fs ~samples) t.stages in
+  fun record ->
+    let buffer = Models.remove_bias ~bias:t.bias record in
+    List.iter (fun run -> run buffer) kernels;
+    Models.dc_offset_in_place t.bias buffer;
+    buffer

@@ -3,7 +3,8 @@
     A DUT is a list of stages around an operating point; {!batch}
     instantiates it as a record-at-once
     {!Msoc_mixedsig.Analog_models.t}, the model both the wrapped path
-    ({!Engine.run}) and the testbench's direct path run. *)
+    ({!Engine.run}) and the testbench's direct path run, computed in
+    place in one buffer per record. *)
 
 type stage =
   | Gain of float
@@ -27,18 +28,25 @@ val make : ?bias:float -> fs:float -> stage list -> t
     (NaN included), or a [bias] that is not finite. *)
 
 val batch : ?samples:int -> t -> Msoc_mixedsig.Analog_models.t
-(** The record-at-once model, built from
-    {!Msoc_mixedsig.Analog_models} combinators (biased composition
-    included). Filter and slew state start afresh and the noise stream
-    restarts at every record it is applied to.
+(** The record-at-once model. Applied to a record, it allocates one
+    buffer: {!Msoc_mixedsig.Analog_models.remove_bias} copies the
+    record with the bias off, each stage's in-place kernel
+    ({!Msoc_mixedsig.Analog_models.gain_in_place} and its siblings)
+    overwrites the buffer in stage order, and
+    {!Msoc_mixedsig.Analog_models.dc_offset_in_place} puts the bias
+    back. Every sample sees the float operations of
+    {!Msoc_mixedsig.Analog_models.biased} over the composed stage
+    models, in their order, so the output is bit-identical to theirs.
+    Filter and slew state start afresh and the noise stream restarts
+    at every record it is applied to.
 
     With [samples], the noise stage's Gaussian values for a record of
     that length are drawn once, when the model is built
     ({!Msoc_mixedsig.Analog_models.gaussian_draws}), and every record
-    adds them ({!Msoc_mixedsig.Analog_models.add_draws}). They are the
-    values the restarted stream draws, so on records of at most
-    [samples] the model is bit-identical to the one without it; a
-    longer record raises [Invalid_argument]. A testbench trial builds
-    it once and runs both its paths through it, drawing the noise once
-    instead of twice. The model only reads the draws: it can be
-    applied from any domain. *)
+    adds them ({!Msoc_mixedsig.Analog_models.add_draws_in_place}).
+    They are the values the restarted stream draws, so on records of
+    at most [samples] the model is bit-identical to the one without
+    it; a longer record raises [Invalid_argument]. A testbench trial
+    builds it once and runs both its paths through it, drawing the
+    noise once instead of twice. The model only reads the draws and
+    writes only its own buffer: it can be applied from any domain. *)

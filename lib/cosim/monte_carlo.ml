@@ -30,9 +30,16 @@ type summary = {
   trials_per_s : float;
 }
 
+(* A ceiling for sweeps from outside the program, as
+   [Testbench.max_samples] is for records: the index list and the
+   results are built before the summary, so a billion trials would ask
+   for tens of GB before the first one ran. *)
+let max_trials = 100_000
+
 let run ?ranges ?(config = Testbench.default) ?tolerance_pct ?pool ~trials
     ~seed spec =
-  if trials < 1 then invalid_arg "Monte_carlo.run: trials >= 1";
+  if trials < 1 || trials > max_trials then
+    invalid_arg (Printf.sprintf "Monte_carlo.run: trials in 1..%d, got %d" max_trials trials);
   let t0 = Unix.gettimeofday () in
   (* The die-independent work once per run; each trial reads the
      program and allocates its own arrays, so trials share no mutable

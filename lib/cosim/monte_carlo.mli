@@ -37,6 +37,11 @@ type summary = {
   trials_per_s : float;
 }
 
+val max_trials : int
+(** [100_000]: the largest sweep a request may ask for. {!run} rejects
+    a larger one before it builds anything; the serve range table and
+    the CLI's [--trials] read it too. *)
+
 val run :
   ?ranges:Msoc_mixedsig.Variation.ranges ->
   ?config:Testbench.config ->
@@ -49,8 +54,8 @@ val run :
 (** Trials 1..[trials] in order. [config] (default
     {!Testbench.default}) supplies everything the per-trial variation
     does not override; its program is built once for the run.
-    @raise Invalid_argument if [trials < 1], or as
-    {!Testbench.program}. *)
+    @raise Invalid_argument if [trials] is outside [1 .. max_trials],
+    or as {!Testbench.program}. *)
 
 val summary_json : summary -> Msoc_testplan.Export.json
 (** Deterministic fields only — the wall-clock rates are reported

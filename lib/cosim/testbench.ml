@@ -1,6 +1,7 @@
 module Variation = Msoc_mixedsig.Variation
 module Wrapper = Msoc_mixedsig.Wrapper
 module Quantize = Msoc_mixedsig.Quantize
+module Models = Msoc_mixedsig.Analog_models
 module Tone = Msoc_signal.Tone
 module Spectrum = Msoc_signal.Spectrum
 module Goertzel = Msoc_signal.Goertzel
@@ -174,7 +175,12 @@ let stimulus_for config spec =
 
 (* --- extraction (identical DSP on both paths) --- *)
 
-let mean x = Array.fold_left ( +. ) 0.0 x /. float_of_int (Array.length x)
+let mean x =
+  let sum = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    sum := !sum +. x.(i)
+  done;
+  !sum /. float_of_int (Array.length x)
 
 (* The spec's readout of a response record, built once per program.
    What depends on the stimulus alone is computed here, once for every
@@ -187,8 +193,7 @@ let extract config spec ~stimulus =
     (* Goertzel, the ATE fast path: evaluated at exactly the stimulus
        frequency, no FFT grid. *)
     fun response ->
-      Goertzel.amplitude ~fs:config.fs ~f
-        (Array.map (fun v -> v -. config.bias) response)
+      Goertzel.amplitude ~fs:config.fs ~f (Models.remove_bias ~bias:config.bias response)
       /. stimulus.amplitude
   | Fc, tones ->
     let spectrum = analyzer () in
@@ -213,8 +218,7 @@ let extract config spec ~stimulus =
   | Dr, [ f ] ->
     let spectrum = analyzer () in
     fun response ->
-      let m = mean response in
-      let ac = Array.map (fun v -> v -. m) response in
+      let ac = Models.remove_bias ~bias:(mean response) response in
       Distortion.sinad_db (spectrum ac) ~fundamental:f
   | (Gain | Thd | Iip3 | Dr), _ ->
     invalid_arg "Testbench.extract: stimulus does not match the spec's program"
@@ -276,12 +280,10 @@ let run_program p variation =
   (* Wrapped path: digital words through DAC → DUT → ADC. *)
   let bits = variation.Variation.bits in
   let range = Quantize.default_range in
-  let codes = Array.map (Quantize.encode ~bits ~range) stimulus in
+  let codes = Quantize.encode_all ~bits ~range stimulus in
   let wrapper = Wrapper.set_mode (Variation.wrapper variation) Wrapper.Core_test in
   let trace = Engine.run_core ~wrapper ~core ~stimulus_codes:codes in
-  let response =
-    Array.map (Quantize.decode ~bits ~range) trace.Engine.response
-  in
+  let response = Quantize.decode_all ~bits ~range trace.Engine.response in
   let measured = p.readout response in
   let error_pct =
     if direct = 0.0 then Float.abs measured *. 100.0

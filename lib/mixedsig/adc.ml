@@ -17,11 +17,6 @@ type t = {
   stages : stages;
 }
 
-let gaussian rng =
-  let u1 = Float.max 1e-12 (Msoc_util.Rng.float rng ~bound:1.0) in
-  let u2 = Msoc_util.Rng.float rng ~bound:1.0 in
-  Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
-
 let code_edges_ideal ~bits ~range =
   let n = 1 lsl bits in
   let lsb = Quantize.step ~bits ~range in
@@ -29,7 +24,7 @@ let code_edges_ideal ~bits ~range =
 
 let make_bank rng ~sigma_volts ~bits ~range =
   code_edges_ideal ~bits ~range
-  |> Array.map (fun edge -> edge +. (sigma_volts *. gaussian rng))
+  |> Array.map (fun edge -> edge +. (sigma_volts *. Msoc_util.Rng.gaussian rng))
 
 let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_range)
     architecture ~bits =
@@ -66,8 +61,12 @@ let bits t = t.bits
 
 let architecture t = t.architecture
 
-(* Thresholds are sorted; binary search for the comparator count. *)
-let bank_convert (bank : flash_bank) v =
+(* The conversion is written once, in the two helpers below: [convert]
+   applies them to one voltage and [convert_all] to a record, with the
+   stage match outside its loop. They are inlined, so no sample is
+   boxed. Thresholds are sorted; a binary search counts the
+   comparators below the input. *)
+let[@inline] bank_convert (bank : flash_bank) v =
   let lo = ref 0 and hi = ref (Array.length bank) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -75,20 +74,34 @@ let bank_convert (bank : flash_bank) v =
   done;
   !lo
 
+let[@inline] pipeline_convert ~coarse ~cell_bottom ~fine ~vmin ~half v =
+  let msb = bank_convert coarse v in
+  let residue = v -. cell_bottom.(msb) in
+  let amplified = vmin +. (residue *. float_of_int (1 lsl half)) in
+  let lsb_code =
+    Msoc_util.Numeric.clamp_int ~lo:0 ~hi:((1 lsl half) - 1) (bank_convert fine amplified)
+  in
+  (msb lsl half) lor lsb_code
+
 let convert t v =
   match t.stages with
   | Single bank -> bank_convert bank v
   | Pipeline { coarse; cell_bottom; fine } ->
-    let half = t.bits / 2 in
-    let msb = bank_convert coarse v in
-    let residue = v -. cell_bottom.(msb) in
-    let amplified = t.range.Quantize.vmin +. (residue *. float_of_int (1 lsl half)) in
-    let lsb_code =
-      Msoc_util.Numeric.clamp_int ~lo:0 ~hi:((1 lsl half) - 1) (bank_convert fine amplified)
-    in
-    (msb lsl half) lor lsb_code
+    pipeline_convert ~coarse ~cell_bottom ~fine ~vmin:t.range.Quantize.vmin ~half:(t.bits / 2) v
 
-let convert_all t samples = Array.map (convert t) samples
+let convert_all t samples =
+  let codes = Array.make (Array.length samples) 0 in
+  (match t.stages with
+  | Single bank ->
+    for i = 0 to Array.length samples - 1 do
+      codes.(i) <- bank_convert bank samples.(i)
+    done
+  | Pipeline { coarse; cell_bottom; fine } ->
+    let vmin = t.range.Quantize.vmin and half = t.bits / 2 in
+    for i = 0 to Array.length samples - 1 do
+      codes.(i) <- pipeline_convert ~coarse ~cell_bottom ~fine ~vmin ~half samples.(i)
+    done);
+  codes
 
 let comparator_count t =
   match t.architecture with

@@ -1,69 +1,94 @@
 type t = float array -> float array
 
+type kernel = float array -> unit
+
+let copied kernel samples =
+  let out = Array.copy samples in
+  kernel out;
+  out
+
 let identity samples = samples
 
 let compose models samples =
   List.fold_left (fun acc model -> model acc) samples models
 
-let biased ~bias inner samples =
-  Array.map (fun v -> v +. bias) (inner (Array.map (fun v -> v -. bias) samples))
+let remove_bias ~bias samples =
+  let out = Array.make (Array.length samples) 0.0 in
+  for i = 0 to Array.length samples - 1 do
+    out.(i) <- samples.(i) -. bias
+  done;
+  out
 
-let gain g samples = Array.map (fun v -> g *. v) samples
+let dc_offset_in_place offset x =
+  for i = 0 to Array.length x - 1 do
+    x.(i) <- x.(i) +. offset
+  done
 
-let dc_offset offset samples = Array.map (fun v -> v +. offset) samples
+let dc_offset offset = copied (dc_offset_in_place offset)
 
-let polynomial ~a1 ~a2 ~a3 samples =
-  Array.map (fun x -> (a1 *. x) +. (a2 *. x *. x) +. (a3 *. x *. x *. x)) samples
+let biased ~bias inner samples = dc_offset bias (inner (remove_bias ~bias samples))
 
-let lowpass ~order ~fc ~fs =
-  let filter = Msoc_signal.Filter.butterworth_lowpass ~order ~fc ~fs in
-  fun samples -> Msoc_signal.Filter.process filter samples
+let gain_in_place g x =
+  for i = 0 to Array.length x - 1 do
+    x.(i) <- g *. x.(i)
+  done
 
-let slew_limited ~max_slew_v_per_s ~fs samples =
+let gain g = copied (gain_in_place g)
+
+let polynomial_in_place ~a1 ~a2 ~a3 x =
+  for i = 0 to Array.length x - 1 do
+    let v = x.(i) in
+    x.(i) <- (a1 *. v) +. (a2 *. v *. v) +. (a3 *. v *. v *. v)
+  done
+
+let polynomial ~a1 ~a2 ~a3 = copied (polynomial_in_place ~a1 ~a2 ~a3)
+
+let lowpass_in_place ~order ~fc ~fs =
+  Msoc_signal.Filter.process_in_place (Msoc_signal.Filter.butterworth_lowpass ~order ~fc ~fs)
+
+let lowpass ~order ~fc ~fs = copied (lowpass_in_place ~order ~fc ~fs)
+
+let slew_limited_in_place ~max_slew_v_per_s ~fs x =
   if not (max_slew_v_per_s > 0.0) then
     invalid_arg "Analog_models.slew_limited: slew must be positive";
   if Float.is_nan fs then invalid_arg "Analog_models.slew_limited: fs is NaN";
   let step = max_slew_v_per_s /. fs in
-  let out = Array.make (Array.length samples) 0.0 in
-  let state = ref (if Array.length samples > 0 then samples.(0) else 0.0) in
-  Array.iteri
-    (fun i target ->
-      let delta = Msoc_util.Numeric.clamp ~lo:(-.step) ~hi:step (target -. !state) in
-      state := !state +. delta;
-      out.(i) <- !state)
-    samples;
-  out
+  let state = ref (if Array.length x > 0 then x.(0) else 0.0) in
+  for i = 0 to Array.length x - 1 do
+    (* [Numeric.clamp ~lo:(-.step) ~hi:step], spelled out: the stdlib's
+       [min] and [max] inline, a call into another module would box
+       each sample. *)
+    let delta = Float.min step (Float.max (-.step) (x.(i) -. !state)) in
+    state := !state +. delta;
+    x.(i) <- !state
+  done
+
+let slew_limited ~max_slew_v_per_s ~fs = copied (slew_limited_in_place ~max_slew_v_per_s ~fs)
 
 let gaussian_draws ~seed n =
-  let rng = Msoc_util.Rng.create ~seed in
   let g = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let u1 = Float.max 1e-12 (Msoc_util.Rng.float rng ~bound:1.0) in
-    let u2 = Msoc_util.Rng.float rng ~bound:1.0 in
-    g.(i) <- Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
-  done;
+  Msoc_util.Rng.fill_gaussian (Msoc_util.Rng.create ~seed) g;
   g
 
-let add_draws ~sigma draws samples =
-  let n = Array.length samples in
+let add_draws_in_place ~sigma draws x =
+  let n = Array.length x in
   if n > Array.length draws then
     invalid_arg "Analog_models.add_draws: record longer than the draws";
-  let out = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    out.(i) <- samples.(i) +. (sigma *. draws.(i))
-  done;
-  out
+    x.(i) <- x.(i) +. (sigma *. draws.(i))
+  done
 
-let additive_noise ?(seed = 42) ~sigma samples =
-  add_draws ~sigma (gaussian_draws ~seed (Array.length samples)) samples
+let add_draws ~sigma draws = copied (add_draws_in_place ~sigma draws)
+
+let additive_noise_in_place ?(seed = 42) ~sigma x =
+  add_draws_in_place ~sigma (gaussian_draws ~seed (Array.length x)) x
+
+let additive_noise ?seed ~sigma = copied (additive_noise_in_place ?seed ~sigma)
 
 let downconverter ~lo_hz ~fs ~if_lowpass_fc =
-  let post = lowpass ~order:3 ~fc:if_lowpass_fc ~fs in
-  fun samples ->
-    let mixed =
-      Array.mapi
-        (fun i v ->
-          v *. Float.cos (2.0 *. Float.pi *. lo_hz *. float_of_int i /. fs))
-        samples
-    in
-    post mixed
+  let post = lowpass_in_place ~order:3 ~fc:if_lowpass_fc ~fs in
+  copied (fun x ->
+      for i = 0 to Array.length x - 1 do
+        x.(i) <- x.(i) *. Float.cos (2.0 *. Float.pi *. lo_hz *. float_of_int i /. fs)
+      done;
+      post x)

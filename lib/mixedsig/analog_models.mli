@@ -5,24 +5,47 @@
     measurement suite ({!Measurements}) ground truth to extract: each
     knob below corresponds to a specification tested in Table 2
     (pass-band gain, cut-off, THD via third-order nonlinearity, IIP3,
-    DC offset, slew rate, dynamic range via the noise floor). *)
+    DC offset, slew rate, dynamic range via the noise floor).
+
+    Each stage's arithmetic is written once, as an in-place {!kernel}
+    (a [for] loop over the float array, nothing allocated per sample);
+    the record-to-record model of the same stage runs that kernel on a
+    copy of its input, which it never writes. A DUT pipeline
+    ([Msoc_cosim.Dut.batch]) runs the kernels over one buffer per
+    record. *)
 
 type t = float array -> float array
+
+type kernel = float array -> unit
+(** A stage that overwrites its record with its output, sample [i]
+    depending only on samples [0 .. i] (filter and slew state advance
+    in sample order). *)
 
 val identity : t
 
 val compose : t list -> t
 (** Left-to-right pipeline. *)
 
+val remove_bias : bias:float -> t
+(** A fresh record with [bias] subtracted from every sample: the AC
+    component a core sees around its operating point. *)
+
 val biased : bias:float -> t -> t
 (** Run the inner model on the AC component around [bias] (wrapper
-    signals live in 0..4 V; cores are AC-coupled around mid-rail). *)
+    signals live in 0..4 V; cores are AC-coupled around mid-rail):
+    {!remove_bias}, the inner model, then {!dc_offset}[ bias]. *)
+
+val gain_in_place : float -> kernel
 
 val gain : float -> t
 (** Memoryless linear gain. *)
 
+val dc_offset_in_place : float -> kernel
+
 val dc_offset : float -> t
 (** Adds a constant. *)
+
+val polynomial_in_place : a1:float -> a2:float -> a3:float -> kernel
 
 val polynomial : a1:float -> a2:float -> a3:float -> t
 (** Memoryless nonlinearity [a1·x + a2·x² + a3·x³] — produces the
@@ -30,14 +53,25 @@ val polynomial : a1:float -> a2:float -> a3:float -> t
     measure. The third-order intercept of this model is at input
     amplitude [sqrt(4/3 · |a1/a3|)]. *)
 
+val lowpass_in_place : order:int -> fc:float -> fs:float -> kernel
+(** The filter is designed when the three labels are applied
+    ({!Msoc_signal.Filter.process_in_place} runs it).
+    @raise Invalid_argument as
+    {!Msoc_signal.Filter.butterworth_lowpass}. *)
+
 val lowpass : order:int -> fc:float -> fs:float -> t
 (** Butterworth low-pass core (the Fig. 5 core). *)
+
+val slew_limited_in_place : max_slew_v_per_s:float -> fs:float -> kernel
 
 val slew_limited : max_slew_v_per_s:float -> fs:float -> t
 (** Rate limiter: output follows input but moves at most
     [max_slew/fs] volts per sample — the imperfection a slew-rate
-    test quantifies. @raise Invalid_argument on a slew that is not
-    positive (NaN included) or a NaN [fs]. *)
+    test quantifies. @raise Invalid_argument, when applied to a
+    record, on a slew that is not positive (NaN included) or a NaN
+    [fs]. *)
+
+val additive_noise_in_place : ?seed:int -> sigma:float -> kernel
 
 val additive_noise : ?seed:int -> sigma:float -> t
 (** Deterministic Gaussian noise source (fresh stream per call using
@@ -47,9 +81,13 @@ val additive_noise : ?seed:int -> sigma:float -> t
 
 val gaussian_draws : seed:int -> int -> float array
 (** [gaussian_draws ~seed n]: the first [n] standard-normal values of
-    the stream {!additive_noise} starts at [seed] (Box–Muller, two
-    uniforms per value). The [i]-th value depends on [seed] and [i]
-    only, so a longer draw extends a shorter one. *)
+    the stream {!additive_noise} starts at [seed]
+    ({!Msoc_util.Rng.fill_gaussian}: Box–Muller, two uniforms per
+    value, the [2n] uniforms drawn in one bulk draw). The [i]-th value
+    depends on [seed] and [i] only, so a longer draw extends a shorter
+    one. *)
+
+val add_draws_in_place : sigma:float -> float array -> kernel
 
 val add_draws : sigma:float -> float array -> t
 (** [add_draws ~sigma draws x] adds [sigma *. draws.(i)] to sample

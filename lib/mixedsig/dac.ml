@@ -1,20 +1,13 @@
 type architecture = Full_string | Modular
 
-type t = {
-  architecture : architecture;
-  bits : int;
-  range : Quantize.range;
-  (* Cumulative normalized ladder fractions: [frac ladder c] is the
-     fraction of full scale below code [c]'s cell. One ladder for
-     Full_string, two half-size ladders for Modular. *)
-  ladders : float array list;
-}
+(* Cumulative normalized ladder fractions: [ladder.(c)] is the
+   fraction of full scale below code [c]'s cell. One ladder for
+   Full_string, two half-size ladders for Modular. *)
+type ladders =
+  | String_ladder of float array
+  | Modular_ladders of { msb : float array; lsb : float array }
 
-let gaussian rng =
-  (* Box–Muller from two uniforms. *)
-  let u1 = Float.max 1e-12 (Msoc_util.Rng.float rng ~bound:1.0) in
-  let u2 = Msoc_util.Rng.float rng ~bound:1.0 in
-  Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
+type t = { bits : int; range : Quantize.range; ladders : ladders }
 
 (* A ladder of [n] resistors with relative mismatch sigma, returned as
    n cumulative fractions: fractions.(c) = sum of the first c
@@ -22,7 +15,7 @@ let gaussian rng =
 let make_ladder rng ~sigma n =
   let resistors =
     Array.init n (fun _ ->
-        let r = 1.0 +. (sigma *. gaussian rng) in
+        let r = 1.0 +. (sigma *. Msoc_util.Rng.gaussian rng) in
         Float.max 0.05 r)
   in
   let total = Array.fold_left ( +. ) 0.0 resistors in
@@ -43,43 +36,74 @@ let create ?(mismatch_sigma = 0.0) ?(seed = 1) ?(range = Quantize.default_range)
   let rng = Msoc_util.Rng.create ~seed in
   let ladders =
     match architecture with
-    | Full_string -> [ make_ladder rng ~sigma:mismatch_sigma (1 lsl bits) ]
+    | Full_string -> String_ladder (make_ladder rng ~sigma:mismatch_sigma (1 lsl bits))
     | Modular ->
       let half = 1 lsl (bits / 2) in
-      [ make_ladder rng ~sigma:mismatch_sigma half;
-        make_ladder rng ~sigma:mismatch_sigma half ]
+      (* The LSB ladder takes the stream's first draws: that order
+         fixes every mismatched ladder the tests and goldens pin. *)
+      let lsb = make_ladder rng ~sigma:mismatch_sigma half in
+      let msb = make_ladder rng ~sigma:mismatch_sigma half in
+      Modular_ladders { msb; lsb }
   in
-  { architecture; bits; range; ladders }
+  { bits; range; ladders }
 
 let bits t = t.bits
 
-let architecture t = t.architecture
+let architecture t =
+  match t.ladders with
+  | String_ladder _ -> Full_string
+  | Modular_ladders _ -> Modular
 
 let span t = t.range.Quantize.vmax -. t.range.Quantize.vmin
 
+(* The conversion, written once: [convert] applies it to one code and
+   [convert_all] to a record, with the ladder match outside its
+   loop. Inlined, so no sample is boxed. *)
+let[@inline] check_code ~n code =
+  if code < 0 || code >= n then invalid_arg "Dac.convert: code out of range"
+
+let[@inline] string_fraction ladder ~half_lsb code = ladder.(code) +. half_lsb
+
+let[@inline] modular_fraction ~msb ~lsb ~h ~half_lsb code =
+  msb.(code lsr h) +. (lsb.(code land ((1 lsl h) - 1)) /. float_of_int (1 lsl h)) +. half_lsb
+
+let[@inline] volts ~vmin ~span fraction = vmin +. (fraction *. span)
+
+let convert_all t codes =
+  let n = 1 lsl t.bits in
+  let half_lsb = 0.5 /. float_of_int n and vmin = t.range.Quantize.vmin and span = span t in
+  let out = Array.make (Array.length codes) 0.0 in
+  (match t.ladders with
+  | String_ladder ladder ->
+    for i = 0 to Array.length codes - 1 do
+      let code = codes.(i) in
+      check_code ~n code;
+      out.(i) <- volts ~vmin ~span (string_fraction ladder ~half_lsb code)
+    done
+  | Modular_ladders { msb; lsb } ->
+    let h = t.bits / 2 in
+    for i = 0 to Array.length codes - 1 do
+      let code = codes.(i) in
+      check_code ~n code;
+      out.(i) <- volts ~vmin ~span (modular_fraction ~msb ~lsb ~h ~half_lsb code)
+    done);
+  out
+
 let convert t code =
   let n = 1 lsl t.bits in
-  if code < 0 || code >= n then invalid_arg "Dac.convert: code out of range";
+  check_code ~n code;
   let half_lsb = 0.5 /. float_of_int n in
   let fraction =
-    match (t.architecture, t.ladders) with
-    | Full_string, [ ladder ] -> ladder.(code) +. half_lsb
-    | Modular, [ msb_ladder; lsb_ladder ] ->
-      let h = t.bits / 2 in
-      let msb = code lsr h and lsb = code land ((1 lsl h) - 1) in
-      msb_ladder.(msb)
-      +. (lsb_ladder.(lsb) /. float_of_int (1 lsl h))
-      +. half_lsb
-    | (Full_string | Modular), _ -> assert false
+    match t.ladders with
+    | String_ladder ladder -> string_fraction ladder ~half_lsb code
+    | Modular_ladders { msb; lsb } -> modular_fraction ~msb ~lsb ~h:(t.bits / 2) ~half_lsb code
   in
-  t.range.Quantize.vmin +. (fraction *. span t)
-
-let convert_all t codes = Array.map (convert t) codes
+  volts ~vmin:t.range.Quantize.vmin ~span:(span t) fraction
 
 let resistor_count t =
-  match t.architecture with
-  | Full_string -> 1 lsl t.bits
-  | Modular -> 2 * (1 lsl (t.bits / 2))
+  match t.ladders with
+  | String_ladder _ -> 1 lsl t.bits
+  | Modular_ladders _ -> 2 * (1 lsl (t.bits / 2))
 
 let lsb t = span t /. float_of_int (1 lsl t.bits)
 

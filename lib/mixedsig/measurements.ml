@@ -21,11 +21,11 @@ let pad_of t = Msoc_signal.Fft.next_pow2 t.samples
 let run_through_wrapper t stimulus =
   let bits = Wrapper.bits t.wrapper in
   let range = Quantize.default_range in
-  let codes = Array.map (Quantize.encode ~bits ~range) stimulus in
+  let codes = Quantize.encode_all ~bits ~range stimulus in
   let wrapper = Wrapper.set_mode t.wrapper Wrapper.Core_test in
   let biased_core = Analog_models.biased ~bias:t.bias t.core in
   let response = Wrapper.apply_core_test wrapper ~core:biased_core ~stimulus:codes in
-  Array.map (Quantize.decode ~bits ~range) response
+  Quantize.decode_all ~bits ~range response
 
 let coherent t f = Tone.coherent_freq ~fs:t.fs ~n:(pad_of t) f
 
@@ -91,7 +91,7 @@ let measure_dynamic_range t ~freq ~amplitude =
   let mean =
     Array.fold_left ( +. ) 0.0 response /. float_of_int (Array.length response)
   in
-  let ac = Array.map (fun v -> v -. mean) response in
+  let ac = Analog_models.remove_bias ~bias:mean response in
   let s_out = Spectrum.analyze ~fs:t.fs ~pad_to:(pad_of t) ac in
   Distortion.sinad_db s_out ~fundamental:f
 

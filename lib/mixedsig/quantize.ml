@@ -14,19 +14,42 @@ let step ~bits ~range =
   if range.vmax <= range.vmin then invalid_arg "Quantize: empty range";
   (range.vmax -. range.vmin) /. float_of_int (code_count ~bits)
 
-(* Both take [bits] and [range] first and compute the step once, so a
-   partial application converts a whole record at one step. *)
+(* The two cell formulas, each written once and inlined into the
+   per-value closures and the record loops alike, so no sample is
+   boxed. *)
+let[@inline] code_of ~vmin ~lsb ~hi v =
+  Msoc_util.Numeric.clamp_int ~lo:0 ~hi (int_of_float (Float.floor ((v -. vmin) /. lsb)))
+
+let[@inline] volts_of ~vmin ~lsb ~n code =
+  if code < 0 || code >= n then invalid_arg "Quantize.decode: code out of range";
+  vmin +. ((float_of_int code +. 0.5) *. lsb)
+
+(* Every entry takes [bits] and [range] first and computes the step
+   once, so a partial application converts a whole record at one
+   step. *)
 let encode ~bits ~range =
   let lsb = step ~bits ~range and hi = code_count ~bits - 1 in
-  fun v ->
-    let raw = int_of_float (Float.floor ((v -. range.vmin) /. lsb)) in
-    Msoc_util.Numeric.clamp_int ~lo:0 ~hi raw
+  fun v -> code_of ~vmin:range.vmin ~lsb ~hi v
 
 let decode ~bits ~range =
   let lsb = step ~bits ~range and n = code_count ~bits in
-  fun code ->
-    if code < 0 || code >= n then invalid_arg "Quantize.decode: code out of range";
-    range.vmin +. ((float_of_int code +. 0.5) *. lsb)
+  fun code -> volts_of ~vmin:range.vmin ~lsb ~n code
+
+let encode_all ~bits ~range samples =
+  let lsb = step ~bits ~range and hi = code_count ~bits - 1 in
+  let codes = Array.make (Array.length samples) 0 in
+  for i = 0 to Array.length samples - 1 do
+    codes.(i) <- code_of ~vmin:range.vmin ~lsb ~hi samples.(i)
+  done;
+  codes
+
+let decode_all ~bits ~range codes =
+  let lsb = step ~bits ~range and n = code_count ~bits in
+  let volts = Array.make (Array.length codes) 0.0 in
+  for i = 0 to Array.length codes - 1 do
+    volts.(i) <- volts_of ~vmin:range.vmin ~lsb ~n codes.(i)
+  done;
+  volts
 
 let roundtrip ~bits ~range v = decode ~bits ~range (encode ~bits ~range v)
 

@@ -25,6 +25,14 @@ val decode : bits:int -> range:range -> int -> float
     {!encode}.
     @raise Invalid_argument on out-of-range codes. *)
 
+val encode_all : bits:int -> range:range -> float array -> int array
+(** {!encode} over a record: one step computation and one [for] loop
+    over the float array, nothing boxed per sample. *)
+
+val decode_all : bits:int -> range:range -> int array -> float array
+(** {!decode} over a record, staged like {!encode_all}.
+    @raise Invalid_argument on the first out-of-range code. *)
+
 val roundtrip : bits:int -> range:range -> float -> float
 (** [decode (encode v)] — ideal ADC→DAC path; error <= step/2 for
     in-range [v]. *)

@@ -17,7 +17,9 @@ type 'a range = { expected : string; ok : 'a -> bool }
 let positive_int = { expected = "a positive integer"; ok = (fun n -> n >= 1) }
 let positive_float =
   { expected = "a positive number"; ok = (fun f -> Float.is_finite f && f > 0.0) }
-let non_negative_int = { expected = "a non-negative integer"; ok = (fun n -> n >= 0) }
+let trials =
+  { expected = Printf.sprintf "an integer in 0..%d" Monte_carlo.max_trials;
+    ok = (fun n -> n >= 0 && n <= Monte_carlo.max_trials) }
 
 let delta =
   { expected = "a non-negative number"; ok = (fun f -> Float.is_finite f && f >= 0.0) }
@@ -187,7 +189,7 @@ let of_params op params =
         {
           specs;
           config = config ~bits ~samples ();
-          trials = value "trials" non_negative_int int_of ~default:0;
+          trials = value "trials" trials int_of ~default:0;
           seed = value "seed" (any "an integer") int_of ~default:42;
           tolerance_pct = get "tolerance_pct" positive_float number_of;
           calibrate = value "calibrate" (any "a boolean") bool_of ~default:false;

@@ -25,7 +25,9 @@ type 'a range = {
 
 val positive_int : int range
 val positive_float : float range
-val non_negative_int : int range
+val trials : int range
+(** 0 (no sweep) to {!Msoc_cosim.Monte_carlo.max_trials}. *)
+
 val delta : float range
 val weight : float range
 val bits : int range

@@ -30,7 +30,7 @@ let golden_section ~f ~lo ~hi ~iterations =
 
 let fit ?(order = 2) gains =
   if List.length gains < 2 then invalid_arg "Cutoff.fit: need at least two tones";
-  if List.exists (fun (f, g) -> f <= 0.0 || g <= 0.0) gains then
+  if List.exists (fun (f, g) -> not (f > 0.0 && g > 0.0)) gains then
     invalid_arg "Cutoff.fit: non-positive frequency or gain";
   let freqs = List.map fst gains in
   let fmin = List.fold_left Float.min Float.infinity freqs in

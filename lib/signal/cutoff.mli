@@ -13,8 +13,8 @@ val fit : ?order:int -> (float * float) list -> float
 (** [fit gains] where [gains] are (frequency, linear gain) pairs —
     gains normalized to the pass-band (or not: an overall gain factor
     is fitted out). Returns the estimated cut-off. Default order 2.
-    @raise Invalid_argument with fewer than 2 tones or non-positive
-    data. *)
+    @raise Invalid_argument with fewer than 2 tones or a frequency or
+    gain that is not positive (NaN included). *)
 
 val from_spectra :
   ?order:int -> input:Spectrum.t -> output:Spectrum.t -> float list -> float

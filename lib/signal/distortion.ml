@@ -6,7 +6,7 @@ let fold_into_nyquist ~fs f =
   if r <= fs /. 2.0 then r else fs -. r
 
 let harmonic_frequencies ~fundamental ~fs ~count =
-  if fundamental <= 0.0 || fundamental >= fs /. 2.0 then
+  if not (fundamental > 0.0 && fundamental < fs /. 2.0) then
     invalid_arg "Distortion.harmonic_frequencies: fundamental out of (0, fs/2)";
   if count < 1 then invalid_arg "Distortion.harmonic_frequencies: count >= 1";
   List.init count (fun i ->
@@ -66,7 +66,7 @@ let imd3 spectrum ~f1 ~f2 =
   let lo1 = (2.0 *. f1) -. f2 and lo2 = (2.0 *. f2) -. f1 in
   List.iter
     (fun f ->
-      if f <= 0.0 || f >= fs /. 2.0 then
+      if not (f > 0.0 && f < fs /. 2.0) then
         invalid_arg "Distortion.imd3: IMD product outside (0, fs/2)")
     [ lo1; lo2 ];
   let a1 = Spectrum.tone_amplitude spectrum f1

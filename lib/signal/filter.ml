@@ -51,19 +51,24 @@ let butterworth_lowpass ~order ~fc ~fs =
   in
   of_sections sections
 
-let process_section s samples =
-  let out = Array.make (Array.length samples) 0.0 in
+(* Direct form II transposed, zero initial state, overwriting each
+   sample with the section's output. *)
+let process_section_in_place s x =
   let z1 = ref 0.0 and z2 = ref 0.0 in
-  for i = 0 to Array.length samples - 1 do
-    let x = samples.(i) in
-    let y = (s.b0 *. x) +. !z1 in
-    z1 := (s.b1 *. x) -. (s.a1 *. y) +. !z2;
-    z2 := (s.b2 *. x) -. (s.a2 *. y);
-    out.(i) <- y
-  done;
-  out
+  for i = 0 to Array.length x - 1 do
+    let v = x.(i) in
+    let y = (s.b0 *. v) +. !z1 in
+    z1 := (s.b1 *. v) -. (s.a1 *. y) +. !z2;
+    z2 := (s.b2 *. v) -. (s.a2 *. y);
+    x.(i) <- y
+  done
 
-let process t samples = List.fold_left (fun acc s -> process_section s acc) samples t
+let process_in_place t x = List.iter (fun s -> process_section_in_place s x) t
+
+let process t samples =
+  let out = Array.copy samples in
+  process_in_place t out;
+  out
 
 let magnitude_response t ~fs f =
   let w = 2.0 *. Float.pi *. f /. fs in

@@ -18,8 +18,14 @@ val butterworth_lowpass : order:int -> fc:float -> fs:float -> t
     @raise Invalid_argument unless [1 <= order <= 8] and
     [0 < fc < fs/2] (a NaN [fc] or [fs] fails it). *)
 
+val process_in_place : t -> float array -> unit
+(** Filter a record in place: each section in cascade order runs over
+    the whole record (direct form II transposed, zero initial state),
+    overwriting every sample with its output. Allocates nothing per
+    sample. *)
+
 val process : t -> float array -> float array
-(** Filter a record (direct form II transposed, zero initial state). *)
+(** {!process_in_place} on a copy of the record. *)
 
 val magnitude_response : t -> fs:float -> float -> float
 (** [magnitude_response t ~fs f] is |H(e^{j2πf/fs})|. *)

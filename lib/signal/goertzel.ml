@@ -4,7 +4,7 @@
 let power ~fs ~f x =
   let n = Array.length x in
   if n = 0 then invalid_arg "Goertzel.power: empty record";
-  if f < 0.0 || f > fs /. 2.0 then invalid_arg "Goertzel.power: f outside [0, fs/2]";
+  if not (f >= 0.0 && f <= fs /. 2.0) then invalid_arg "Goertzel.power: f outside [0, fs/2]";
   let w = 2.0 *. Float.pi *. f /. fs in
   let coeff = 2.0 *. Float.cos w in
   let s1 = ref 0.0 and s2 = ref 0.0 in

@@ -11,7 +11,7 @@ val power : fs:float -> f:float -> float array -> float
 (** [power ~fs ~f x] is |X(f)|², the squared magnitude of the DFT of
     [x] evaluated at frequency [f].
     @raise Invalid_argument on an empty record or [f] outside
-    [\[0, fs/2\]]. *)
+    [\[0, fs/2\]] (a NaN [f] or [fs] included). *)
 
 val magnitude : fs:float -> f:float -> float array -> float
 (** sqrt of {!power}. *)

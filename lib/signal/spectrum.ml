@@ -8,38 +8,40 @@ type t = {
 
 (* Window [coefs]-many samples of [x] from [offset] straight into the
    real half of a zero-padded [n_fft]-point split buffer, transform it
-   in place and return |X[k]| of the one-sided bins 0 .. n_fft/2. *)
-let one_sided_magnitudes ~coefs ~n_fft ~offset x =
+   in place over [plan] and return |X[k]| of the one-sided bins
+   0 .. n_fft/2. *)
+let one_sided_magnitudes ~plan ~coefs ~n_fft ~offset x =
   let re = Array.make n_fft 0.0 and im = Array.make n_fft 0.0 in
   for i = 0 to Array.length coefs - 1 do
     re.(i) <- x.(offset + i) *. coefs.(i)
   done;
-  Fft.forward_in_place ~re ~im;
+  Fft.execute plan ~re ~im;
   let mags = Array.make ((n_fft / 2) + 1) 0.0 in
   for k = 0 to Array.length mags - 1 do
     mags.(k) <- Float.hypot re.(k) im.(k)
   done;
   mags
 
-(* The window's coefficients are computed once per partial
-   application, as [Quantize.encode ~bits ~range] computes its step:
-   every record of a program's length reuses them. *)
+(* The window's coefficients and the FFT plan are built once per
+   partial application, as [Quantize.encode ~bits ~range] computes its
+   step: every record of a program's length reuses them. *)
 let analyzer ?(window = Window.Hann) ?pad_to ~fs n_signal =
   if n_signal <= 0 then invalid_arg "Spectrum.analyze: empty record";
-  let n_fft = Option.value pad_to ~default:(Fft.next_pow2 n_signal) in
+  let n_fft = match pad_to with Some n -> n | None -> Fft.next_pow2 n_signal in
   if n_fft < n_signal then invalid_arg "Spectrum.analyze: pad_to smaller than the record";
+  let plan = Fft.plan n_fft in
   let coefs = Window.coefficients window n_signal in
   fun samples ->
     if Array.length samples <> n_signal then
       invalid_arg "Spectrum.analyze: record length differs from the analyzer's";
-    let magnitudes = one_sided_magnitudes ~coefs ~n_fft ~offset:0 samples in
+    let magnitudes = one_sided_magnitudes ~plan ~coefs ~n_fft ~offset:0 samples in
     { fs; n_signal; n_fft; window; magnitudes }
 
 let analyze ?window ?pad_to ~fs samples =
   analyzer ?window ?pad_to ~fs (Array.length samples) samples
 
 let bin_of_freq t f =
-  if f < 0.0 || f > t.fs /. 2.0 then invalid_arg "Spectrum.bin_of_freq: out of range";
+  if not (f >= 0.0 && f <= t.fs /. 2.0) then invalid_arg "Spectrum.bin_of_freq: out of range";
   let bin = int_of_float (Float.round (f *. float_of_int t.n_fft /. t.fs)) in
   min bin (Array.length t.magnitudes - 1)
 
@@ -89,13 +91,13 @@ let peaks t ~count =
   |> List.map (fun i -> (freq_of_bin t i, tone_amplitude t (freq_of_bin t i)))
 
 let welch_psd ?(window = Window.Hann) ?(segment = 1024) ?(overlap = 0.5) ~fs x =
-  if overlap < 0.0 || overlap > 0.9 then
+  if not (overlap >= 0.0 && overlap <= 0.9) then
     invalid_arg "Spectrum.welch_psd: overlap outside [0, 0.9]";
   if Array.length x < segment then
     invalid_arg "Spectrum.welch_psd: record shorter than one segment";
   if Fft.next_pow2 segment <> segment then
     invalid_arg "Spectrum.welch_psd: segment must be a power of two";
-  let coefs = Window.coefficients window segment in
+  let plan = Fft.plan segment and coefs = Window.coefficients window segment in
   (* window power normalization: U = mean of w^2 *)
   let u =
     Array.fold_left (fun a w -> a +. (w *. w)) 0.0 coefs /. float_of_int segment
@@ -105,7 +107,7 @@ let welch_psd ?(window = Window.Hann) ?(segment = 1024) ?(overlap = 0.5) ~fs x =
   let half = (segment / 2) + 1 in
   let acc = Array.make half 0.0 in
   for s = 0 to n_segments - 1 do
-    let mags = one_sided_magnitudes ~coefs ~n_fft:segment ~offset:(s * hop) x in
+    let mags = one_sided_magnitudes ~plan ~coefs ~n_fft:segment ~offset:(s * hop) x in
     for k = 0 to half - 1 do
       (* one-sided PSD: double everything but DC and Nyquist *)
       let scale = if k = 0 || k = half - 1 then 1.0 else 2.0 in

@@ -15,28 +15,33 @@ type t = {
 val analyzer :
   ?window:Window.t -> ?pad_to:int -> fs:float -> int -> float array -> t
 (** [analyzer ~fs n] is {!analyze} for records of [n] samples, with
-    the window's [n] coefficients computed once, here, and reused by
-    every record it is applied to (as [Quantize.encode ~bits ~range]
-    computes its step once). The closure only reads them, so domains
-    may share it. Each spectrum is bit-identical to {!analyze}'s.
-    @raise Invalid_argument if [n <= 0] or [pad_to < n], and, when
-    applied, on a record whose length is not [n] or a [pad_to] that is
-    not a power of two. *)
+    the window's [n] coefficients and the {!Fft.plan} for the padded
+    length built once, here, and reused by every record it is applied
+    to (as [Quantize.encode ~bits ~range] computes its step once). A
+    Monte-Carlo program builds one analyzer, so every trial reads the
+    same plan. The closure only reads them, so domains may share it.
+    Each spectrum is bit-identical to {!analyze}'s.
+    @raise Invalid_argument if [n <= 0], [pad_to < n] or [pad_to] is
+    not a power of two (all when the analyzer is built), and, when
+    applied, on a record whose length is not [n]. Without [pad_to],
+    [n] is padded to {!Fft.next_pow2}[ n]; with it, that is not
+    computed. *)
 
 val analyze : ?window:Window.t -> ?pad_to:int -> fs:float -> float array -> t
 (** Windowed (default Hann), zero-padded FFT magnitude spectrum:
-    [analyzer ?window ?pad_to ~fs (Array.length x) x]. The
-    record is windowed straight into the real half of a [pad_to]-point
-    split buffer (default: the next power of two of its length),
-    transformed in place by {!Fft.forward_in_place}, and only the
-    one-sided bins take [Float.hypot]. The magnitudes are
+    [analyzer ?window ?pad_to ~fs (Array.length x) x], so one plan is
+    built per call. The record is windowed straight into the real half
+    of a [pad_to]-point split buffer (default: the next power of two
+    of its length), transformed in place by {!Fft.execute}, and only
+    the one-sided bins take [Float.hypot]. The magnitudes are
     bit-identical to windowing, padding, transforming and taking the
     modulus of boxed [Complex.t] values.
     @raise Invalid_argument on an empty record, or a [pad_to] smaller
     than the record or not a power of two. *)
 
 val bin_of_freq : t -> float -> int
-(** Nearest bin. @raise Invalid_argument outside [0, fs/2]. *)
+(** Nearest bin. @raise Invalid_argument outside [0, fs/2] (a NaN
+    frequency included). *)
 
 val freq_of_bin : t -> int -> float
 
@@ -63,9 +68,10 @@ val welch_psd :
     record into [segment]-sample windows (default 1024, power of two)
     overlapping by [overlap] (default 0.5), window each, average the
     periodograms (each segment through the same in-place kernel as
-    {!analyze}). Returns one-sided (frequency, PSD) pairs in
-    units²/Hz; the variance of each PSD estimate shrinks with the
-    number of averaged segments — the right tool for noise floors,
-    where a single FFT's bins fluctuate 100%.
-    @raise Invalid_argument if the record is shorter than one segment
-    or [overlap] is outside [0, 0.9]. *)
+    {!analyze}, over one plan built per call). Returns one-sided
+    (frequency, PSD) pairs in units²/Hz; the variance of each PSD
+    estimate shrinks with the number of averaged segments — the right
+    tool for noise floors, where a single FFT's bins fluctuate 100%.
+    @raise Invalid_argument if the record is shorter than one segment,
+    [segment] is not a power of two or [overlap] is outside [0, 0.9]
+    (NaN included). *)

@@ -9,12 +9,23 @@ let copy t = { state = t.state }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+(* The stream's three steps, each written once. Inlined so a loop over
+   an int64 held in a local keeps it unboxed. *)
+let[@inline] advance state = Int64.add state golden_gamma
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let[@inline] to_float z ~bound =
+  let max53 = 9007199254740992.0 (* 2^53 *) in
+  let u = Int64.to_float (Int64.shift_right_logical z 11) in
+  u /. max53 *. bound
+
+let bits64 t =
+  t.state <- advance t.state;
+  mix t.state
 
 (* Non-negative 62-bit value, safe to store in an OCaml int. *)
 let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
@@ -27,10 +38,32 @@ let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in: hi < lo";
   lo + int t ~bound:(hi - lo + 1)
 
-let float t ~bound =
-  let max53 = 9007199254740992.0 (* 2^53 *) in
-  let u = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  u /. max53 *. bound
+let float t ~bound = to_float (bits64 t) ~bound
+
+let fill_float t ~bound dst =
+  let state = ref t.state in
+  for i = 0 to Array.length dst - 1 do
+    state := advance !state;
+    dst.(i) <- to_float (mix !state) ~bound
+  done;
+  t.state <- !state
+
+(* Box–Muller from two uniforms in [0, 1). *)
+let[@inline] box_muller u1 u2 =
+  Float.sqrt (-2.0 *. Float.log (Float.max 1e-12 u1)) *. Float.cos (2.0 *. Float.pi *. u2)
+
+let gaussian t =
+  let u1 = float t ~bound:1.0 in
+  let u2 = float t ~bound:1.0 in
+  box_muller u1 u2
+
+let fill_gaussian t dst =
+  let n = Array.length dst in
+  let u = Array.make (2 * n) 0.0 in
+  fill_float t ~bound:1.0 u;
+  for i = 0 to n - 1 do
+    dst.(i) <- box_muller u.(2 * i) u.((2 * i) + 1)
+  done
 
 let float_in t ~lo ~hi = lo +. float t ~bound:(hi -. lo)
 

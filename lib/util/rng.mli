@@ -30,6 +30,23 @@ val int_in : t -> lo:int -> hi:int -> int
 val float : t -> bound:float -> float
 (** [float t ~bound] is uniform in [\[0, bound)]. *)
 
+val fill_float : t -> bound:float -> float array -> unit
+(** [fill_float t ~bound dst] overwrites [dst.(i)], in index order,
+    with the value the [i]-th of [Array.length dst] calls of
+    [float t ~bound] would return, and leaves [t] where those calls
+    would. The generator state stays in a local for the loop, so
+    nothing is boxed per value. *)
+
+val gaussian : t -> float
+(** One standard-normal value by Box–Muller from two [float t
+    ~bound:1.0] draws (the first clamped to at least 1e-12 before its
+    logarithm). *)
+
+val fill_gaussian : t -> float array -> unit
+(** [fill_gaussian t dst] writes the values [Array.length dst] calls of
+    {!gaussian} would return, bit for bit, drawing their uniforms with
+    one {!fill_float} into a scratch array of twice [dst]'s length. *)
+
 val float_in : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. *)
 

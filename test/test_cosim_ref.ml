@@ -1,4 +1,4 @@
-(* Bit-identity of the Monte-Carlo program.
+(* Bit-identity of the Monte-Carlo program and its DUT.
 
    [Ref] below keeps, verbatim, the testbench path that rebuilt every
    die-independent part of a spec test on every run: the stimulus
@@ -17,7 +17,16 @@
      a 2-domain pool, against [Ref.monte_carlo];
    - a golden pin: an MD5 over Monte_carlo.run for the seven specs at
      seeds 1 and 7, 20 trials, 4551 and 512 samples, taken at the
-     reference code. *)
+     reference code.
+   [Ref.batch] keeps, verbatim, Dut.batch as it was before the in-place
+   DUT: every stage a record-to-record model (test_dsp_ref.ml's
+   [Ref.Mapped.Models]), composed inside [biased], so each stage and
+   each side of the bias allocated its own array. A second property
+   runs both over each spec's stage list for a sampled die and over
+   random lists of up to five stages, with the noise drawn for the
+   record's length, a longer or a shorter one, or per record, and
+   compares two records' float bits (or the rejection) through one
+   model, and that neither record was written. *)
 
 module Testbench = Msoc_cosim.Testbench
 module Monte_carlo = Msoc_cosim.Monte_carlo
@@ -224,6 +233,26 @@ module Ref = struct
       trace;
     }
 
+  (* --- Dut.batch: a fresh array per stage and around the bias --- *)
+
+  module Models = Test_dsp_ref.Ref.Mapped.Models
+
+  let batch_stage ~fs ~samples = function
+    | Dut.Gain g -> Models.gain g
+    | Dut.Dc_offset c -> Models.dc_offset c
+    | Dut.Lowpass { order; fc } -> Models.lowpass ~order ~fc ~fs
+    | Dut.Polynomial { a1; a2; a3 } -> Models.polynomial ~a1 ~a2 ~a3
+    | Dut.Slew_limited { max_slew_v_per_s } ->
+      Models.slew_limited ~max_slew_v_per_s ~fs
+    | Dut.Noise { sigma; seed } -> (
+      match samples with
+      | None -> Models.additive_noise ~seed ~sigma
+      | Some n -> Models.add_draws ~sigma (Models.gaussian_draws ~seed n))
+
+  let batch ?samples (t : Dut.t) =
+    Models.biased ~bias:t.Dut.bias
+      (Models.compose (List.map (batch_stage ~fs:t.Dut.fs ~samples) t.Dut.stages))
+
   (* --- Monte_carlo.run's trial loop --- *)
 
   let run_trial ?ranges ~config ~tolerance_pct ~seed spec index =
@@ -370,6 +399,68 @@ let same_as_reference seed =
       pooled want;
   true
 
+(* --- the in-place DUT --- *)
+
+(* A stage list: one spec's core for a sampled die, or up to five
+   stages of any kind with drawn parameters (a slew that is not
+   positive included, which both sides must reject alike). *)
+let draw_stages rng ~fs =
+  if Rng.bool rng then
+    let spec = Rng.pick rng (Array.of_list Testbench.specs) in
+    let die = Variation.sample ~master:(Rng.int rng ~bound:1_000_000) ~trial:(Rng.int_in rng ~lo:1 ~hi:50) () in
+    (Testbench.dut_for (Testbench.with_variation die { Testbench.default with Testbench.fs }) spec)
+      .Dut.stages
+  else
+    List.init (Rng.int_in rng ~lo:0 ~hi:5) (fun _ ->
+        match Rng.int rng ~bound:6 with
+        | 0 -> Dut.Gain (Rng.float_in rng ~lo:(-2.0) ~hi:2.0)
+        | 1 -> Dut.Dc_offset (Rng.float_in rng ~lo:(-0.5) ~hi:0.5)
+        | 2 -> Dut.Lowpass { order = Rng.int_in rng ~lo:1 ~hi:8; fc = fs *. Rng.float_in rng ~lo:0.001 ~hi:0.45 }
+        | 3 ->
+          Dut.Polynomial
+            { a1 = Rng.float_in rng ~lo:0.5 ~hi:1.5; a2 = Rng.float_in rng ~lo:(-0.1) ~hi:0.1;
+              a3 = Rng.float_in rng ~lo:(-0.1) ~hi:0.1 }
+        | 4 ->
+          Dut.Slew_limited
+            { max_slew_v_per_s = Rng.pick rng [| 0.0; Rng.float_in rng ~lo:1.0e3 ~hi:1.0e8 |] }
+        | _ -> Dut.Noise { sigma = Rng.float_in rng ~lo:0.0 ~hi:0.05; seed = Rng.int rng ~bound:1_000_000 })
+
+let same_bits = Test_dsp_ref.same_bits
+
+let batch_matches seed =
+  let rng = Rng.create ~seed in
+  let fs = Rng.pick rng rates in
+  let stages = draw_stages rng ~fs in
+  let dut = Dut.make ~bias:(Rng.float_in rng ~lo:0.0 ~hi:4.0) ~fs stages in
+  let n = Rng.int_in rng ~lo:1 ~hi:5000 in
+  (* the draws made for exactly [n], for more, for fewer, or none *)
+  let samples =
+    match Rng.int rng ~bound:4 with
+    | 0 -> None
+    | 1 -> Some n
+    | 2 -> Some (n + Rng.int_in rng ~lo:1 ~hi:100)
+    | _ -> Some (max 0 (n - Rng.int_in rng ~lo:1 ~hi:100))
+  in
+  let model = Dut.batch ?samples dut and reference = Ref.batch ?samples dut in
+  let run f = match f () with y -> Ok y | exception e -> Error (Printexc.to_string e) in
+  (* one model over two records: nothing carries over between them,
+     and neither record is written *)
+  for _ = 1 to 2 do
+    let x = Array.init n (fun _ -> Rng.float_in rng ~lo:(-1.0) ~hi:5.0) in
+    let x0 = Array.copy x in
+    let same =
+      match (run (fun () -> model x), run (fun () -> reference x)) with
+      | Ok a, Ok b -> same_bits a b
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false
+    in
+    if not same then
+      QCheck.Test.fail_reportf "%d stages, %d samples at fs %g: batch differs from the reference"
+        (List.length stages) n fs;
+    if not (same_bits x x0) then QCheck.Test.fail_reportf "the record was written"
+  done;
+  true
+
 let seed_arb = QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000_000))
 
 (* --- golden pin --- *)
@@ -403,6 +494,9 @@ let suites =
         QCheck_alcotest.to_alcotest
           (QCheck.Test.make ~name:"testbench and Monte-Carlo = reference" ~count:80 seed_arb
              same_as_reference);
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~name:"in-place DUT = per-stage arrays" ~count:150 seed_arb
+             batch_matches);
       ] );
     ("cosim-ref.golden", [ Alcotest.test_case "Monte-Carlo trials pinned" `Quick test_golden ]);
   ]

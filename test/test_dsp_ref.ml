@@ -1,15 +1,23 @@
-(* Bit-identity of the flat kernels of a co-simulated trial.
+(* Bit-identity of the record passes of a co-simulated trial.
 
    [Ref] below keeps, verbatim (less the ADC record's unused
-   [architecture] field), the code the flat path replaced: the
+   [architecture] field), the code the split-array path replaced: the
    radix-2 transform over boxed [Complex.t] values, the spectrum built
    as window -> pad -> transform -> modulus of every bin -> one-sided
    slice (and Welch's average over it), the pipeline ADC that binary
    searches with a recursive closure and asks its reconstruction DAC
    for the coarse cell's bottom on every sample, the [Array.map] biquad
-   over [ref] state, the noise stage and per-sample quantization. The
-   flat code must reproduce every output bit for bit, compared through
-   [Int64.bits_of_float]:
+   over [ref] state, the noise stage and per-sample quantization.
+   [Ref.Mapped] keeps, verbatim (less the converters' argument checks,
+   which no case reaches), the split-array code that FFT plans, bulk
+   draws, record loops and in-place stages replaced: the transform
+   that recomputes its bit reversal and twiddles on every call, the
+   analyzer over it, the noise draw of one [Rng.float] pair per value,
+   the [Array.map] quantizer, DAC and ADC passes with their private
+   Box–Muller draws, the biquad cascade with a fresh array per section
+   and every [Analog_models] stage as a record-to-record map. The
+   current code must reproduce every output bit for bit, compared
+   through [Int64.bits_of_float]:
    - FFT forward and inverse at every power-of-two length 1..4096;
    - spectra for every window with [pad_to] the record length (when a
      power of two), the next power of two and four times that, and
@@ -17,7 +25,15 @@
    - both ADC architectures at 4..16 bits (even for the pipeline) on
      every threshold, its neighbouring floats, and voltages inside and
      outside 0..4 V, plus quantization of the same voltages;
-   - Butterworth low-passes of orders 1..8 and the noise stage. *)
+   - Butterworth low-passes of orders 1..8 and the noise stage;
+   - against [Ref.Mapped], on records of 1..5000 samples: one
+     analyzer's spectra of two records with [pad_to] up to 2^14, the
+     planned transform at that size (forward, one-shot and inverse),
+     the bulk uniform and Gaussian draws with the generator state they
+     leave, the quantizer, both DAC and both ADC architectures at even
+     4..16 bits with mismatch and threshold noise on or off (codes and
+     out-of-range rejections alike), and every model stage, which must
+     also leave its input record as it found it. *)
 
 module Fft = Msoc_signal.Fft
 module Window = Msoc_signal.Window
@@ -238,6 +254,322 @@ module Ref = struct
       Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
     in
     Array.map (fun v -> v +. (sigma *. gaussian ())) samples
+
+  (* --- the record passes before FFT plans, bulk draws and in-place
+     stages: per-call twiddles, [Array.map] closures and a fresh array
+     per stage --- *)
+
+  module Mapped = struct
+    (* Fft.transform: twiddles by the per-stage recurrence on every
+       call. *)
+    let transform ~sign re im =
+      let n = Array.length re in
+      if not (is_pow2 n) then invalid_arg "Fft.transform: length must be a power of two";
+      if Array.length im <> n then invalid_arg "Fft.transform: re and im lengths differ";
+      (* Bit reversal. *)
+      let j = ref 0 in
+      for i = 0 to n - 2 do
+        if i < !j then begin
+          let tr = re.(i) and ti = im.(i) in
+          re.(i) <- re.(!j);
+          im.(i) <- im.(!j);
+          re.(!j) <- tr;
+          im.(!j) <- ti
+        end;
+        let m = ref (n lsr 1) in
+        while !m >= 1 && !j land !m <> 0 do
+          j := !j lxor !m;
+          m := !m lsr 1
+        done;
+        j := !j lor !m
+      done;
+      (* Butterflies. *)
+      let wr = Array.make (n / 2) 1.0 and wi = Array.make (n / 2) 0.0 in
+      let len = ref 2 in
+      while !len <= n do
+        let half = !len / 2 in
+        let theta = float_of_int sign *. 2.0 *. Float.pi /. float_of_int !len in
+        let cr = Float.cos theta and ci = Float.sin theta in
+        for k = 1 to half - 1 do
+          let xr = wr.(k - 1) and xi = wi.(k - 1) in
+          wr.(k) <- (xr *. cr) -. (xi *. ci);
+          wi.(k) <- (xr *. ci) +. (xi *. cr)
+        done;
+        let i = ref 0 in
+        while !i < n do
+          for k = 0 to half - 1 do
+            let p = !i + k in
+            let q = p + half in
+            let br = re.(q) and bi = im.(q) and w_r = wr.(k) and w_i = wi.(k) in
+            let vr = (br *. w_r) -. (bi *. w_i) and vi = (br *. w_i) +. (bi *. w_r) in
+            let ur = re.(p) and ui = im.(p) in
+            re.(p) <- ur +. vr;
+            im.(p) <- ui +. vi;
+            re.(q) <- ur -. vr;
+            im.(q) <- ui -. vi
+          done;
+          i := !i + !len
+        done;
+        len := !len * 2
+      done
+
+    let forward_in_place ~re ~im = transform ~sign:(-1) re im
+
+    (* Spectrum.analyzer: the window's coefficients once, a transform
+       with fresh twiddles per record. *)
+    let one_sided_magnitudes ~coefs ~n_fft ~offset x =
+      let re = Array.make n_fft 0.0 and im = Array.make n_fft 0.0 in
+      for i = 0 to Array.length coefs - 1 do
+        re.(i) <- x.(offset + i) *. coefs.(i)
+      done;
+      forward_in_place ~re ~im;
+      let mags = Array.make ((n_fft / 2) + 1) 0.0 in
+      for k = 0 to Array.length mags - 1 do
+        mags.(k) <- Float.hypot re.(k) im.(k)
+      done;
+      mags
+
+    let analyzer ?(window = Window.Hann) ?pad_to ~fs n_signal =
+      if n_signal <= 0 then invalid_arg "Spectrum.analyze: empty record";
+      let n_fft = Option.value pad_to ~default:(Fft.next_pow2 n_signal) in
+      if n_fft < n_signal then invalid_arg "Spectrum.analyze: pad_to smaller than the record";
+      let coefs = Window.coefficients window n_signal in
+      fun samples ->
+        if Array.length samples <> n_signal then
+          invalid_arg "Spectrum.analyze: record length differs from the analyzer's";
+        let magnitudes = one_sided_magnitudes ~coefs ~n_fft ~offset:0 samples in
+        { Spectrum.fs; n_signal; n_fft; window; magnitudes }
+
+    (* Quantize.encode and decode, staged, mapped over a record. *)
+    let encode ~bits ~range =
+      let lsb = Quantize.step ~bits ~range and hi = Quantize.code_count ~bits - 1 in
+      fun v ->
+        let raw = int_of_float (Float.floor ((v -. range.Quantize.vmin) /. lsb)) in
+        Msoc_util.Numeric.clamp_int ~lo:0 ~hi raw
+
+    let decode ~bits ~range =
+      let lsb = Quantize.step ~bits ~range and n = Quantize.code_count ~bits in
+      fun code ->
+        if code < 0 || code >= n then invalid_arg "Quantize.decode: code out of range";
+        range.Quantize.vmin +. ((float_of_int code +. 0.5) *. lsb)
+
+    (* Dac: a private Box–Muller, the ladders as a list, a match on
+       the architecture per sample. *)
+    module Dac = struct
+      type t = {
+        architecture : Dac.architecture;
+        bits : int;
+        range : Quantize.range;
+        ladders : float array list;
+      }
+
+      let gaussian rng =
+        (* Box–Muller from two uniforms. *)
+        let u1 = Float.max 1e-12 (Msoc_util.Rng.float rng ~bound:1.0) in
+        let u2 = Msoc_util.Rng.float rng ~bound:1.0 in
+        Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
+
+      let make_ladder rng ~sigma n =
+        let resistors =
+          Array.init n (fun _ ->
+              let r = 1.0 +. (sigma *. gaussian rng) in
+              Float.max 0.05 r)
+        in
+        let total = Array.fold_left ( +. ) 0.0 resistors in
+        let fractions = Array.make n 0.0 in
+        let acc = ref 0.0 in
+        for c = 0 to n - 1 do
+          fractions.(c) <- !acc /. total;
+          acc := !acc +. resistors.(c)
+        done;
+        fractions
+
+      let create ?(mismatch_sigma = 0.0) ?(seed = 1) ?(range = Quantize.default_range)
+          architecture ~bits =
+        let rng = Msoc_util.Rng.create ~seed in
+        let ladders =
+          match architecture with
+          | Dac.Full_string -> [ make_ladder rng ~sigma:mismatch_sigma (1 lsl bits) ]
+          | Dac.Modular ->
+            let half = 1 lsl (bits / 2) in
+            [ make_ladder rng ~sigma:mismatch_sigma half;
+              make_ladder rng ~sigma:mismatch_sigma half ]
+        in
+        { architecture; bits; range; ladders }
+
+      let span t = t.range.Quantize.vmax -. t.range.Quantize.vmin
+
+      let convert t code =
+        let n = 1 lsl t.bits in
+        if code < 0 || code >= n then invalid_arg "Dac.convert: code out of range";
+        let half_lsb = 0.5 /. float_of_int n in
+        let fraction =
+          match (t.architecture, t.ladders) with
+          | Dac.Full_string, [ ladder ] -> ladder.(code) +. half_lsb
+          | Dac.Modular, [ msb_ladder; lsb_ladder ] ->
+            let h = t.bits / 2 in
+            let msb = code lsr h and lsb = code land ((1 lsl h) - 1) in
+            msb_ladder.(msb)
+            +. (lsb_ladder.(lsb) /. float_of_int (1 lsl h))
+            +. half_lsb
+          | (Dac.Full_string | Dac.Modular), _ -> assert false
+        in
+        t.range.Quantize.vmin +. (fraction *. span t)
+
+      let convert_all t codes = Array.map (convert t) codes
+    end
+
+    (* Adc: a private Box–Muller, the coarse cells' bottoms tabulated
+       from the reconstruction DAC, a match on the stages per
+       sample. *)
+    module Adc = struct
+      type stages =
+        | Single of float array
+        | Pipeline of { coarse : float array; cell_bottom : float array; fine : float array }
+
+      type t = { bits : int; range : Quantize.range; stages : stages }
+
+      let gaussian rng =
+        let u1 = Float.max 1e-12 (Msoc_util.Rng.float rng ~bound:1.0) in
+        let u2 = Msoc_util.Rng.float rng ~bound:1.0 in
+        Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
+
+      let make_bank rng ~sigma_volts ~bits ~range =
+        Adc.code_edges_ideal ~bits ~range
+        |> Array.map (fun edge -> edge +. (sigma_volts *. gaussian rng))
+
+      let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_range)
+          architecture ~bits =
+        let rng = Msoc_util.Rng.create ~seed in
+        let full_lsb = Quantize.step ~bits ~range in
+        let sigma_volts = threshold_sigma_lsb *. full_lsb in
+        let stages =
+          match architecture with
+          | Adc.Flash -> Single (make_bank rng ~sigma_volts ~bits ~range)
+          | Adc.Modular_pipeline ->
+            let half = bits / 2 in
+            let coarse = make_bank rng ~sigma_volts ~bits:half ~range in
+            let reconstruct = Dac.create Msoc_mixedsig.Dac.Full_string ~bits:half ~range in
+            let msb_lsb =
+              (range.Quantize.vmax -. range.Quantize.vmin) /. float_of_int (1 lsl half)
+            in
+            let cell_bottom =
+              Array.init (1 lsl half) (fun msb -> Dac.convert reconstruct msb -. (msb_lsb /. 2.0))
+            in
+            let fine = make_bank rng ~sigma_volts ~bits:half ~range in
+            Pipeline { coarse; cell_bottom; fine }
+        in
+        { bits; range; stages }
+
+      let bank_convert bank v =
+        let lo = ref 0 and hi = ref (Array.length bank) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if v >= bank.(mid) then lo := mid + 1 else hi := mid
+        done;
+        !lo
+
+      let convert t v =
+        match t.stages with
+        | Single bank -> bank_convert bank v
+        | Pipeline { coarse; cell_bottom; fine } ->
+          let half = t.bits / 2 in
+          let msb = bank_convert coarse v in
+          let residue = v -. cell_bottom.(msb) in
+          let amplified = t.range.Quantize.vmin +. (residue *. float_of_int (1 lsl half)) in
+          let lsb_code =
+            Msoc_util.Numeric.clamp_int ~lo:0 ~hi:((1 lsl half) - 1) (bank_convert fine amplified)
+          in
+          (msb lsl half) lor lsb_code
+
+      let convert_all t samples = Array.map (convert t) samples
+    end
+
+    (* Filter.process: a fresh array per section. *)
+    let process_section (s : Filter.biquad) samples =
+      let out = Array.make (Array.length samples) 0.0 in
+      let z1 = ref 0.0 and z2 = ref 0.0 in
+      for i = 0 to Array.length samples - 1 do
+        let x = samples.(i) in
+        let y = (s.Filter.b0 *. x) +. !z1 in
+        z1 := (s.Filter.b1 *. x) -. (s.Filter.a1 *. y) +. !z2;
+        z2 := (s.Filter.b2 *. x) -. (s.Filter.a2 *. y);
+        out.(i) <- y
+      done;
+      out
+
+    let process t samples =
+      List.fold_left (fun acc s -> process_section s acc) samples (Filter.sections t)
+
+    (* Analog_models: every stage a record-to-record [Array.map]. *)
+    module Models = struct
+      let compose models samples =
+        List.fold_left (fun acc model -> model acc) samples models
+
+      let biased ~bias inner samples =
+        Array.map (fun v -> v +. bias) (inner (Array.map (fun v -> v -. bias) samples))
+
+      let gain g samples = Array.map (fun v -> g *. v) samples
+
+      let dc_offset offset samples = Array.map (fun v -> v +. offset) samples
+
+      let polynomial ~a1 ~a2 ~a3 samples =
+        Array.map (fun x -> (a1 *. x) +. (a2 *. x *. x) +. (a3 *. x *. x *. x)) samples
+
+      let lowpass ~order ~fc ~fs =
+        let filter = Filter.butterworth_lowpass ~order ~fc ~fs in
+        fun samples -> process filter samples
+
+      let slew_limited ~max_slew_v_per_s ~fs samples =
+        if not (max_slew_v_per_s > 0.0) then
+          invalid_arg "Analog_models.slew_limited: slew must be positive";
+        if Float.is_nan fs then invalid_arg "Analog_models.slew_limited: fs is NaN";
+        let step = max_slew_v_per_s /. fs in
+        let out = Array.make (Array.length samples) 0.0 in
+        let state = ref (if Array.length samples > 0 then samples.(0) else 0.0) in
+        Array.iteri
+          (fun i target ->
+            let delta = Msoc_util.Numeric.clamp ~lo:(-.step) ~hi:step (target -. !state) in
+            state := !state +. delta;
+            out.(i) <- !state)
+          samples;
+        out
+
+      let gaussian_draws ~seed n =
+        let rng = Msoc_util.Rng.create ~seed in
+        let g = Array.make n 0.0 in
+        for i = 0 to n - 1 do
+          let u1 = Float.max 1e-12 (Msoc_util.Rng.float rng ~bound:1.0) in
+          let u2 = Msoc_util.Rng.float rng ~bound:1.0 in
+          g.(i) <- Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2)
+        done;
+        g
+
+      let add_draws ~sigma draws samples =
+        let n = Array.length samples in
+        if n > Array.length draws then
+          invalid_arg "Analog_models.add_draws: record longer than the draws";
+        let out = Array.make n 0.0 in
+        for i = 0 to n - 1 do
+          out.(i) <- samples.(i) +. (sigma *. draws.(i))
+        done;
+        out
+
+      let additive_noise ?(seed = 42) ~sigma samples =
+        add_draws ~sigma (gaussian_draws ~seed (Array.length samples)) samples
+
+      let downconverter ~lo_hz ~fs ~if_lowpass_fc =
+        let post = lowpass ~order:3 ~fc:if_lowpass_fc ~fs in
+        fun samples ->
+          let mixed =
+            Array.mapi
+              (fun i v ->
+                v *. Float.cos (2.0 *. Float.pi *. lo_hz *. float_of_int i /. fs))
+              samples
+          in
+          post mixed
+    end
+  end
 end
 
 let same_bits a b =
@@ -383,6 +715,191 @@ let filter_matches seed =
        (Models.additive_noise ~seed:noise_seed ~sigma x)
        (Ref.additive_noise ~seed:noise_seed ~sigma x)
 
+(* --- FFT plans, bulk draws, record loops and in-place stages --- *)
+
+(* A call's value or its exception's text: a call the reference
+   rejects must be rejected the same way. *)
+type 'a outcome = Value of 'a | Raised of string
+
+let run f = match f () with v -> Value v | exception e -> Raised (Printexc.to_string e)
+
+let same_outcome same a b =
+  match (a, b) with
+  | Value a, Value b -> same a b
+  | Raised a, Raised b -> String.equal a b
+  | Value _, Raised _ | Raised _, Value _ -> false
+
+let same_floats f g = same_outcome same_bits (run f) (run g)
+let same_ints f g = same_outcome ( = ) (run f) (run g)
+
+(* 1..5000 samples: short records, exact powers of two and the top
+   end besides uniform lengths. *)
+let draw_length rng =
+  match Rng.int rng ~bound:6 with
+  | 0 -> Rng.int_in rng ~lo:1 ~hi:4
+  | 1 -> 1 lsl Rng.int_in rng ~lo:0 ~hi:12
+  | 2 -> 5000
+  | _ -> Rng.int_in rng ~lo:1 ~hi:5000
+
+(* Mostly voltages across -1..5 V (converter and stage inputs), with
+   the corner values of [value] and non-finite samples mixed in. *)
+let draw_record rng n =
+  Array.init n (fun _ ->
+      match Rng.int rng ~bound:12 with
+      | 0 -> value rng
+      | 1 -> Rng.pick rng [| Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 4.0 |]
+      | _ -> Rng.float_in rng ~lo:(-1.0) ~hi:5.0)
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+let kernels_match seed =
+  let rng = Rng.create ~seed in
+  let n = draw_length rng in
+  let x = draw_record rng n and y = draw_record rng n in
+  let x0 = Array.copy x in
+  let fs = Rng.pick rng [| 1.7e6; 640.0e3; 26.0e6; Rng.float_in rng ~lo:1.0e3 ~hi:1.0e8 |] in
+  let failed = ref [] in
+  let check label ok = if not ok then failed := label :: !failed in
+  (* spectra: one analyzer, hence one plan, over two records *)
+  let next = Fft.next_pow2 n in
+  let pad_to =
+    if Rng.bool rng then None else Some (next lsl Rng.int_in rng ~lo:0 ~hi:(14 - log2 next))
+  in
+  let window = Rng.pick rng (Array.of_list windows) in
+  let planned = Spectrum.analyzer ~window ?pad_to ~fs n
+  and mapped = Ref.Mapped.analyzer ~window ?pad_to ~fs n in
+  let same_spectrum (a : Spectrum.t) (b : Spectrum.t) =
+    a.Spectrum.n_fft = b.Spectrum.n_fft && a.Spectrum.n_signal = b.Spectrum.n_signal
+    && same_bits a.Spectrum.magnitudes b.Spectrum.magnitudes
+  in
+  List.iter
+    (fun r ->
+      check "spectrum"
+        (same_outcome same_spectrum (run (fun () -> planned r)) (run (fun () -> mapped r))))
+    [ x; y ];
+  (* the transform itself at the padded size, one plan over two
+     vectors, and the one-shot entry *)
+  let size = Option.value pad_to ~default:next in
+  let plan = Fft.plan size in
+  for _ = 1 to 2 do
+    let re = Array.init size (fun _ -> value rng) and im = Array.init size (fun _ -> value rng) in
+    let re' = Array.copy re and im' = Array.copy im in
+    let re1 = Array.copy re and im1 = Array.copy im in
+    Fft.execute plan ~re ~im;
+    Ref.Mapped.transform ~sign:(-1) re' im';
+    Fft.forward_in_place ~re:re1 ~im:im1;
+    check "Fft.execute" (same_bits re re' && same_bits im im');
+    check "Fft.forward_in_place" (same_bits re1 re' && same_bits im1 im')
+  done;
+  let c = Array.init size (fun _ -> { Complex.re = value rng; im = value rng }) in
+  let re = Array.map (fun v -> v.Complex.re) c and im = Array.map (fun v -> v.Complex.im) c in
+  Ref.Mapped.transform ~sign:1 re im;
+  let scale = 1.0 /. float_of_int size in
+  let back = Fft.inverse c in
+  check "Fft.inverse"
+    (same_bits (Array.map (fun v -> v.Complex.re) back) (Array.map (fun x -> x *. scale) re)
+    && same_bits (Array.map (fun v -> v.Complex.im) back) (Array.map (fun x -> x *. scale) im));
+  (* draws: the bulk uniform draw leaves the generator where n single
+     draws do; Gaussian draws match the per-value Box–Muller *)
+  let draw_seed = Rng.int rng ~bound:1_000_000 and bound = Rng.float_in rng ~lo:0.1 ~hi:10.0 in
+  let bulk = Rng.create ~seed:draw_seed and single = Rng.create ~seed:draw_seed in
+  let u = Array.make n 0.0 in
+  Rng.fill_float bulk ~bound u;
+  let u' = Array.init n (fun _ -> Rng.float single ~bound) in
+  check "Rng.fill_float" (same_bits u u');
+  check "Rng.fill_float leaves the generator" (Int64.equal (Rng.bits64 bulk) (Rng.bits64 single));
+  let g = Array.make n 0.0 in
+  Rng.fill_gaussian bulk g;
+  let g' = Array.init n (fun _ -> Ref.Mapped.Dac.gaussian single) in
+  check "Rng.fill_gaussian" (same_bits g g');
+  check "Rng.gaussian" (same_bits [| Rng.gaussian bulk |] [| Ref.Mapped.Adc.gaussian single |]);
+  check "gaussian_draws"
+    (same_bits
+       (Models.gaussian_draws ~seed:draw_seed n)
+       (Ref.Mapped.Models.gaussian_draws ~seed:draw_seed n));
+  (* quantizer and converters at even 4..16 bits, mismatch and
+     threshold noise on or off *)
+  let bits = 2 * Rng.int_in rng ~lo:2 ~hi:8 and range = Quantize.default_range in
+  let codes = Quantize.encode_all ~bits ~range x in
+  check "Quantize.encode_all" (codes = Array.map (Ref.Mapped.encode ~bits ~range) x);
+  let all_codes = Array.init (1 lsl bits) Fun.id in
+  List.iter
+    (fun cs ->
+      check "Quantize.decode_all"
+        (same_floats
+           (fun () -> Quantize.decode_all ~bits ~range cs)
+           (fun () -> Array.map (Ref.Mapped.decode ~bits ~range) cs)))
+    [ codes; all_codes; Array.append codes [| 1 lsl bits |]; [| -1 |] ];
+  let mismatch_sigma = if Rng.bool rng then 0.0 else Rng.float_in rng ~lo:0.0 ~hi:0.05 in
+  let dac_seed = Rng.int_in rng ~lo:1 ~hi:1_000_000 in
+  let dac_arch = if Rng.bool rng then Dac.Full_string else Dac.Modular in
+  let dac = Dac.create ~mismatch_sigma ~seed:dac_seed dac_arch ~bits
+  and dac' = Ref.Mapped.Dac.create ~mismatch_sigma ~seed:dac_seed dac_arch ~bits in
+  List.iter
+    (fun cs ->
+      let want () = Ref.Mapped.Dac.convert_all dac' cs in
+      check "Dac.convert_all" (same_floats (fun () -> Dac.convert_all dac cs) want);
+      check "Dac.convert" (same_floats (fun () -> Array.map (Dac.convert dac) cs) want))
+    [ codes; all_codes; [| 0; 1 lsl bits |] ];
+  let threshold_sigma_lsb = if Rng.bool rng then 0.0 else Rng.float_in rng ~lo:0.0 ~hi:1.0 in
+  let adc_seed = Rng.int_in rng ~lo:1 ~hi:1_000_000 in
+  let adc_arch = if Rng.bool rng then Adc.Flash else Adc.Modular_pipeline in
+  let adc = Adc.create ~threshold_sigma_lsb ~seed:adc_seed adc_arch ~bits
+  and adc' = Ref.Mapped.Adc.create ~threshold_sigma_lsb ~seed:adc_seed adc_arch ~bits in
+  let analog = Ref.Mapped.Dac.convert_all dac' codes in
+  List.iter
+    (fun v ->
+      let want () = Ref.Mapped.Adc.convert_all adc' v in
+      check "Adc.convert_all" (same_ints (fun () -> Adc.convert_all adc v) want);
+      check "Adc.convert" (same_ints (fun () -> Array.map (Adc.convert adc) v) want))
+    [ x; analog ];
+  (* the stages, each allocating form over its in-place kernel *)
+  let module M = Ref.Mapped.Models in
+  let g = Rng.float_in rng ~lo:(-3.0) ~hi:3.0 and c = Rng.float_in rng ~lo:(-1.0) ~hi:1.0 in
+  let a1 = Rng.float_in rng ~lo:0.5 ~hi:1.5 and a2 = Rng.float_in rng ~lo:(-0.1) ~hi:0.1
+  and a3 = Rng.float_in rng ~lo:(-0.1) ~hi:0.1 in
+  let order = Rng.int_in rng ~lo:1 ~hi:8 and fc = fs *. Rng.float_in rng ~lo:0.001 ~hi:0.45 in
+  let max_slew_v_per_s = Rng.pick rng [| 0.0; -1.0; Float.nan; Rng.float_in rng ~lo:1.0e3 ~hi:1.0e8 |] in
+  let sigma = if Rng.bool rng then 0.0 else Rng.float_in rng ~lo:0.0 ~hi:0.05 in
+  let noise_seed = Rng.int rng ~bound:1_000_000 in
+  let draws = Models.gaussian_draws ~seed:noise_seed (n + Rng.int_in rng ~lo:(-1) ~hi:3) in
+  let bias = Rng.float_in rng ~lo:0.0 ~hi:4.0 in
+  let filter = Filter.butterworth_lowpass ~order ~fc ~fs in
+  let stages =
+    [
+      ("gain", Models.gain g, M.gain g);
+      ("dc_offset", Models.dc_offset c, M.dc_offset c);
+      ("polynomial", Models.polynomial ~a1 ~a2 ~a3, M.polynomial ~a1 ~a2 ~a3);
+      ("lowpass", Models.lowpass ~order ~fc ~fs, M.lowpass ~order ~fc ~fs);
+      ("Filter.process", Filter.process filter, Ref.Mapped.process filter);
+      ( "slew_limited",
+        Models.slew_limited ~max_slew_v_per_s ~fs,
+        M.slew_limited ~max_slew_v_per_s ~fs );
+      ("add_draws", Models.add_draws ~sigma draws, M.add_draws ~sigma draws);
+      ( "additive_noise",
+        Models.additive_noise ~seed:noise_seed ~sigma,
+        M.additive_noise ~seed:noise_seed ~sigma );
+      ("biased", Models.biased ~bias (Models.gain g), M.biased ~bias (M.gain g));
+      ( "compose",
+        Models.compose [ Models.gain g; Models.polynomial ~a1 ~a2 ~a3; Models.dc_offset c ],
+        M.compose [ M.gain g; M.polynomial ~a1 ~a2 ~a3; M.dc_offset c ] );
+      ( "downconverter",
+        Models.downconverter ~lo_hz:(fs /. 7.0) ~fs ~if_lowpass_fc:fc,
+        M.downconverter ~lo_hz:(fs /. 7.0) ~fs ~if_lowpass_fc:fc );
+    ]
+  in
+  List.iter
+    (fun (label, model, reference) ->
+      List.iter
+        (fun r -> check label (same_floats (fun () -> model r) (fun () -> reference r)))
+        [ x; y ])
+    stages;
+  check "the record is never written" (same_bits x x0);
+  if !failed <> [] then
+    QCheck.Test.fail_reportf "%d samples at fs %g, pad %d, %d bits: %s differ" n fs size bits
+      (String.concat ", " (List.rev !failed));
+  true
+
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"FFT forward and inverse = boxed reference" ~count:300 seed_arb
@@ -394,6 +911,8 @@ let qcheck_tests =
       adc_matches;
     QCheck.Test.make ~name:"Butterworth and noise = Array.map reference" ~count:200 seed_arb
       filter_matches;
+    QCheck.Test.make ~name:"planned FFT, bulk draws and in-place stages = mapped reference"
+      ~count:100 seed_arb kernels_match;
   ]
   |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
 

@@ -352,6 +352,7 @@ let test_cli_bad_cosim_values () =
       ([], [ "cosim"; "--spec"; "thd"; "--samples"; "1048577" ],
         [ "'--samples'"; "16..1048576" ]);
       ([], [ "cosim"; "--trials=-1" ], [ "'--trials'" ]);
+      ([], [ "cosim"; "--trials"; "100001" ], [ "'--trials'"; "0..100000" ]);
       ([], [ "cosim"; "--tolerance=-3" ], [ "'--tolerance'" ]);
       ([], [ "cosim"; "--tolerance=0" ], [ "'--tolerance'" ]);
       ([], [ "cosim"; "--system-clock=0"; "--calibrate" ], [ "'--system-clock'" ]);

@@ -703,6 +703,30 @@ let test_service_bad_request_envelopes () =
       (* a negative delta no longer waits for the prepare's reference pack *)
       bad ~names:[ "\"delta\"" ] (Export.Object [ ("delta", Export.Int (-1)) ]))
 
+(* A sweep above Monte_carlo.max_trials is refused by the decoder,
+   naming the range, and by the run itself, before either builds
+   anything. The decoder is checked first: it runs nothing, so a build
+   that accepts the value fails there and never starts the sweep. *)
+let test_cosim_trials_ceiling () =
+  let decode trials =
+    Msoc_serve.Request.of_params Protocol.Cosim
+      (Export.Object [ ("trials", Export.Int trials) ])
+  in
+  List.iter
+    (fun trials ->
+      (match decode trials with
+      | exception Invalid_argument m ->
+        checkb (m ^ " names the param and range") true
+          (contains m "\"trials\"" && contains m "0..100000")
+      | _ -> Alcotest.failf "trials %d decoded" trials);
+      match Msoc_cosim.Monte_carlo.run ~trials ~seed:1 Msoc_cosim.Testbench.Fc with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Monte_carlo.run accepted %d trials" trials)
+    [ 100_001; 1_000_000_000 ];
+  match decode 100_000 with
+  | Msoc_serve.Request.Cosim (_, c) -> checki "the ceiling decodes" 100_000 c.Msoc_serve.Request.trials
+  | _ -> Alcotest.fail "not a cosim request"
+
 (* Decoding any params object yields a request or raises what
    Request.error_message maps: a bad value is a bad_request, never a
    server error. *)
@@ -1111,6 +1135,7 @@ let suites =
           test_service_cache_file_names;
         Alcotest.test_case "bad requests" `Quick
           test_service_bad_request_envelopes;
+        Alcotest.test_case "cosim trials ceiling" `Quick test_cosim_trials_ceiling;
         QCheck_alcotest.to_alcotest test_decode_total;
         Alcotest.test_case "deadlines" `Quick test_service_deadline;
         Alcotest.test_case "packer param" `Quick test_service_packer_param;

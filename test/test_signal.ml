@@ -8,6 +8,7 @@ module Tone = Msoc_signal.Tone
 module Filter = Msoc_signal.Filter
 module Spectrum = Msoc_signal.Spectrum
 module Cutoff = Msoc_signal.Cutoff
+module Distortion = Msoc_signal.Distortion
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -21,6 +22,18 @@ let test_next_pow2 () =
   checki "5 -> 8" 8 (Fft.next_pow2 5);
   checki "4551 -> 8192" 8192 (Fft.next_pow2 4551);
   checki "1024 -> 1024" 1024 (Fft.next_pow2 1024)
+
+(* 2^61 is the largest power of two an int holds: above it the
+   doubling used to wrap to 0 and spin. *)
+let test_next_pow2_ceiling () =
+  let top = (max_int lsr 1) + 1 in
+  checki "2^61 -> 2^61" top (Fft.next_pow2 top);
+  List.iter
+    (fun n ->
+      match Fft.next_pow2 n with
+      | exception Invalid_argument _ -> ()
+      | p -> Alcotest.failf "next_pow2 %d returned %d" n p)
+    [ top + 1; max_int ]
 
 let test_fft_rejects_non_pow2 () =
   match Fft.forward (Array.make 5 Complex.zero) with
@@ -288,6 +301,35 @@ let test_spectrum_padding () =
       | _ -> Alcotest.failf "pad_to %d accepted" pad_to)
     [ 2; 6 ]
 
+(* Every frequency guard fails on NaN, and the analyzer checks its
+   pad when it is built, computing no next power of two for a given
+   one. *)
+let test_spectrum_validation () =
+  let fs = 1.0e6 and n = 256 in
+  let f = Tone.coherent_freq ~fs ~n 50_000.0 in
+  let x = Tone.sample ~tones:[ Tone.tone f ] ~fs ~n in
+  let s = Spectrum.analyze ~fs x in
+  let rejects what thunk =
+    match thunk () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  rejects "bin_of_freq nan" (fun () -> Spectrum.bin_of_freq s Float.nan);
+  rejects "tone_amplitude nan" (fun () -> Spectrum.tone_amplitude s Float.nan);
+  rejects "thd ~fundamental:nan" (fun () -> Distortion.thd s ~fundamental:Float.nan);
+  rejects "harmonic_frequencies ~fundamental:nan" (fun () ->
+      Distortion.harmonic_frequencies ~fundamental:Float.nan ~fs ~count:3);
+  rejects "harmonic_frequencies ~fs:nan" (fun () ->
+      Distortion.harmonic_frequencies ~fundamental:f ~fs:Float.nan ~count:3);
+  rejects "imd3 ~f1:nan" (fun () -> Distortion.imd3 s ~f1:Float.nan ~f2:f);
+  rejects "imd3 ~f2:nan" (fun () -> Distortion.imd3 s ~f1:f ~f2:Float.nan);
+  rejects "welch overlap nan" (fun () ->
+      Spectrum.welch_psd ~segment:64 ~overlap:Float.nan ~fs (Array.make 256 0.0));
+  rejects "pad_to 6, at build" (fun () -> Spectrum.analyzer ~pad_to:6 ~fs 3);
+  let huge = (max_int lsr 1) + 2 in
+  rejects "pad_to below a huge record" (fun () -> Spectrum.analyzer ~pad_to:8 ~fs huge);
+  rejects "huge record, default pad" (fun () -> Spectrum.analyzer ~fs huge)
+
 (* --- Cutoff --- *)
 
 let test_cutoff_fit_exact_model () =
@@ -336,9 +378,15 @@ let test_cutoff_fit_validation () =
   (match Cutoff.fit [ (100.0, 1.0) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "single tone accepted");
-  match Cutoff.fit [ (100.0, 1.0); (200.0, -0.5) ] with
+  (match Cutoff.fit [ (100.0, 1.0); (200.0, -0.5) ] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative gain accepted"
+  | _ -> Alcotest.fail "negative gain accepted");
+  List.iter
+    (fun gains ->
+      match Cutoff.fit gains with
+      | exception Invalid_argument _ -> ()
+      | fc -> Alcotest.failf "NaN data accepted (fc %g)" fc)
+    [ [ (100.0, 1.0); (200.0, Float.nan) ]; [ (Float.nan, 1.0); (200.0, 0.5) ] ]
 
 let test_from_spectra_rejects_aliased_tone () =
   (* A tone at or above Nyquist has aliased: its measured gain would
@@ -419,6 +467,7 @@ let suites =
     ( "signal.fft",
       [
         Alcotest.test_case "next_pow2" `Quick test_next_pow2;
+        Alcotest.test_case "next_pow2 ceiling" `Quick test_next_pow2_ceiling;
         Alcotest.test_case "rejects non-pow2" `Quick test_fft_rejects_non_pow2;
         Alcotest.test_case "impulse" `Quick test_fft_impulse;
         Alcotest.test_case "dc" `Quick test_fft_dc;
@@ -457,6 +506,7 @@ let suites =
         Alcotest.test_case "peaks" `Quick test_spectrum_peaks;
         Alcotest.test_case "padding" `Quick test_spectrum_padding;
         Alcotest.test_case "series" `Quick test_spectrum_series;
+        Alcotest.test_case "validation" `Quick test_spectrum_validation;
       ] );
     ( "signal.cutoff",
       [

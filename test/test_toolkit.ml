@@ -167,9 +167,15 @@ let test_goertzel_validation () =
   (match Goertzel.power ~fs:1000.0 ~f:100.0 [||] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty accepted");
-  match Goertzel.power ~fs:1000.0 ~f:900.0 [| 1.0 |] with
+  (match Goertzel.power ~fs:1000.0 ~f:900.0 [| 1.0 |] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "f above Nyquist accepted"
+  | _ -> Alcotest.fail "f above Nyquist accepted");
+  List.iter
+    (fun (fs, f) ->
+      match Goertzel.power ~fs ~f (Array.make 256 1.0) with
+      | exception Invalid_argument _ -> ()
+      | p -> Alcotest.failf "f %g at fs %g accepted (power %g)" f fs p)
+    [ (1000.0, Float.nan); (Float.nan, 100.0) ]
 
 (* --- Newman phases --- *)
 
