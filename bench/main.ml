@@ -5,8 +5,9 @@
    Usage: dune exec bench/main.exe [-- section ...]
    Sections: table1 table2 table3 table4 fig2 fig4 fig5 ablation-delta
    ablation-serial ablation-placement ablation-selftest ablation-fixed
-   ablation-power ablation-engine scaling search-scaling packer-matrix
-   serve-throughput fleet cosim analyze timings
+   ablation-power ablation-packer ablation-engine generality sigma-delta
+   tradeoff scaling search-scaling packer-matrix serve-throughput fleet
+   cosim timings
    (default: all). *)
 
 let sections =
@@ -35,7 +36,6 @@ let sections =
     ("serve-throughput", Serve.run);
     ("fleet", Fleet.run);
     ("cosim", Cosim.run);
-    ("analyze", Analysis.run);
     ("timings", Timings.run);
   ]
 

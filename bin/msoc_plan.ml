@@ -264,8 +264,7 @@ let check_cmd =
    124) naming the option, like an unparseable value. *)
 let file_error option m = `Error (true, Printf.sprintf "option '%s': %s" option m)
 
-let run_analyze root allowlist_file baseline write_baseline list_rules jobs
-    as_json =
+let run_analyze root allowlist_file baseline write_baseline list_rules as_json =
   let module A = Msoc_analysis in
   if list_rules then begin
     List.iter
@@ -280,7 +279,7 @@ let run_analyze root allowlist_file baseline write_baseline list_rules jobs
   match Option.iter (fun f -> ignore (A.Allowlist.load ~root f)) allowlist_file with
   | exception Sys_error m -> file_error "--allowlist" m
   | () -> (
-    let report = A.Engine.run ?allowlist_file ~jobs ~root () in
+    let report = A.Engine.run ?allowlist_file ~root () in
     let written =
       match write_baseline with
       | None -> Ok ()
@@ -385,7 +384,7 @@ let analyze_cmd =
     Term.(
       ret
         (const run_analyze $ root_arg $ allowlist_arg $ baseline_arg
-        $ write_baseline_arg $ list_rules_arg $ jobs_arg $ json_flag))
+        $ write_baseline_arg $ list_rules_arg $ json_flag))
 
 (* --- explore --- *)
 

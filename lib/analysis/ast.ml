@@ -3,9 +3,8 @@
 
    The analyzer never type-checks: it parses each .ml/.mli with the
    stock OCaml parser and every rule walks the resulting Parsetree.
-   Parsing is cached per *content* (MD5 of the text), so a file
-   re-analyzed unchanged — across engine runs in one process, or
-   shared between rules — parses exactly once.
+   A parse is a plain function of the text; [Project.load] calls it
+   once per module, so no cache is kept.
 
    Parse failures are data, not exceptions: a file the parser rejects
    (syntax extension, mid-edit state) is skipped by every rule and
@@ -15,33 +14,6 @@ type impl = (Parsetree.structure, string) result
 
 type intf = (Parsetree.signature, string) result
 
-(* Content-addressed caches. The analyzer is single-threaded (one
-   engine run walks files sequentially), and lib/analysis is not
-   reachable from the concurrent roots, but guard anyway: the cache is
-   process-global state and a stress test may analyze from domains. *)
-let cache_lock = Mutex.create ()
-
-let impl_cache : (string, impl) Hashtbl.t = Hashtbl.create 256
-
-let intf_cache : (string, intf) Hashtbl.t = Hashtbl.create 256
-
-let hits = ref 0
-
-let misses = ref 0
-
-let cache_stats () =
-  Mutex.protect cache_lock (fun () -> (!hits, !misses))
-
-let reset_cache_stats () =
-  Mutex.protect cache_lock (fun () ->
-      hits := 0;
-      misses := 0)
-
-let lexbuf_of ~path text =
-  let lexbuf = Lexing.from_string text in
-  Lexing.set_filename lexbuf path;
-  lexbuf
-
 let describe_error ~path = function
   | Syntaxerr.Error err ->
     let loc = Syntaxerr.location_of_error err in
@@ -50,31 +22,16 @@ let describe_error ~path = function
     Printf.sprintf "%s:%d: lexical error" path loc.Location.loc_start.Lexing.pos_lnum
   | e -> Printf.sprintf "%s: parse failed: %s" path (Printexc.to_string e)
 
-let cached cache parse ~path text =
-  let key = Digest.string text in
-  match
-    Mutex.protect cache_lock (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some r ->
-          incr hits;
-          Some r
-        | None ->
-          incr misses;
-          None)
-  with
-  | Some r -> r
-  | None ->
-    let r =
-      match parse (lexbuf_of ~path text) with
-      | ast -> Ok ast
-      | exception e -> Error (describe_error ~path e)
-    in
-    Mutex.protect cache_lock (fun () -> Hashtbl.replace cache key r);
-    r
+let parse parser ~path text =
+  let lexbuf = Lexing.from_string text in
+  Lexing.set_filename lexbuf path;
+  match parser lexbuf with
+  | ast -> Ok ast
+  | exception e -> Error (describe_error ~path e)
 
-let parse_impl ~path text = cached impl_cache Parse.implementation ~path text
+let parse_impl ~path text = parse Parse.implementation ~path text
 
-let parse_intf ~path text = cached intf_cache Parse.interface ~path text
+let parse_intf ~path text = parse Parse.interface ~path text
 
 (* --- small Parsetree helpers shared by the rule modules --- *)
 

@@ -1,12 +1,12 @@
-(** Cached Parsetree parsing — the substrate of every analyzer rule.
+(** Parsetree parsing — the substrate of every analyzer rule.
 
     Every [.ml]/[.mli] the analyzer touches is parsed with the stock
-    OCaml parser (compiler-libs.common, never type-checked) through a
-    per-content cache: the key is the MD5 of the file text, so an
-    unchanged file parses exactly once per process however many rules
-    or engine runs ask for it.
+    OCaml parser (compiler-libs.common, never type-checked).
+    {!Project.load} parses each module once per run; nothing is
+    cached across runs.
 
-    A parse failure is an [Error] carrying a one-line description:
+    A parse failure is an [Error] carrying a one-line description
+    (["path:LINE: syntax error"] or ["path:LINE: lexical error"]):
     every rule skips the file and MSOC-S406 reports the skip. *)
 
 type impl = (Parsetree.structure, string) result
@@ -15,15 +15,9 @@ type intf = (Parsetree.signature, string) result
 
 val parse_impl : path:string -> string -> impl
 (** [parse_impl ~path text] parses [text] as a structure; [path] only
-    labels locations and error messages. Cached by content hash. *)
+    labels locations and error messages. *)
 
 val parse_intf : path:string -> string -> intf
-
-val cache_stats : unit -> int * int
-(** [(hits, misses)] of the content-addressed parse cache since start
-    (or the last {!reset_cache_stats}) — surfaced by the bench. *)
-
-val reset_cache_stats : unit -> unit
 
 (** {2 Parsetree helpers shared by the rule modules} *)
 

@@ -1,19 +1,9 @@
 (* The analyzer entry point: discover and parse the tree, run every
-   rule family, apply the allowlist, sort — optionally fanning the
-   pure per-item stages across a Msoc_util.Pool.
-
-   Parallel structure. Parsing stays serial: compiler-libs keeps
-   global lexer state, so Project.load parses every module in this
-   domain before any worker starts. Everything downstream is a pure
-   Parsetree walk — per-definition Flow/Resource summaries, the S6xx
-   path walks — and those run through Pool.map, which preserves input
-   order. Findings are therefore produced in the same order whatever
-   the job count, and the final Diagnostic.sort makes the report
-   byte-identical to a serial run (asserted by the test suite and the
-   bench gate). *)
+   rule family, apply the allowlist, sort. One serial pass: the rules
+   take about as long as the parse, and on a 2-core host a domain pool
+   made the run no faster (DESIGN.md §16). *)
 
 module Diagnostic = Msoc_check.Diagnostic
-module Pool = Msoc_util.Pool
 
 type report = {
   diagnostics : Diagnostic.t list;
@@ -22,7 +12,6 @@ type report = {
   parse_failures : int;
   elapsed_s : float;
   allowlist_path : string option;
-  jobs : int;
 }
 
 let default_allowlist_file = "analysis.allow"
@@ -56,17 +45,11 @@ let make_file_lines ~root (project : Project.t) =
       Hashtbl.replace cache rel lines;
       lines
 
-let run ?(config = Rules.default_config) ?allowlist_file ?(jobs = 1) ~root () =
+let run ?(config = Rules.default_config) ?allowlist_file ~root () =
   let t0 = Unix.gettimeofday () in
   let project = Project.load ~root in
   let allowlist = resolve_allowlist ~root allowlist_file in
-  let raw =
-    if jobs <= 1 then Rules.run config project
-    else
-      Pool.with_pool ~jobs (fun pool ->
-          let par = { Semantic.pmap = (fun f xs -> Pool.map pool f xs) } in
-          Rules.run ~par config project)
-  in
+  let raw = Rules.run config project in
   let file_lines = make_file_lines ~root project in
   let applied = Allowlist.apply ~file_lines allowlist raw in
   {
@@ -78,7 +61,6 @@ let run ?(config = Rules.default_config) ?allowlist_file ?(jobs = 1) ~root () =
     parse_failures = Semantic.parse_failures project;
     elapsed_s = Unix.gettimeofday () -. t0;
     allowlist_path = allowlist.Allowlist.path;
-    jobs;
   }
 
 let exit_code report = Diagnostic.exit_code report.diagnostics

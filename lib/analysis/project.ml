@@ -4,8 +4,8 @@
    the [lib/<dir>] directories owning a [dune] file with a
    [(name ...)] stanza, modules are their [.ml] files, and [bin]
    executables join the scan (hygiene rules) without joining the
-   library-only checks. Every module is parsed once, here, through the
-   Ast content cache; edges are the module paths its Parsetree names,
+   library-only checks. Every module is parsed once, here, with
+   [Ast.parse_impl]; edges are the module paths its Parsetree names,
    which is exactly what the reachability rule (MSOC-S101) needs: if a
    module is named by code that runs under the domain pool or the
    server threads, its module-level state is shared state. *)
@@ -63,8 +63,7 @@ let list_dir root rel =
 
 let join a b = a ^ "/" ^ b
 
-(* Parsing happens here, serially, before any rule (or worker domain)
-   runs: the OCaml lexer keeps global state. *)
+(* Parsing happens here, once per module, before any rule runs. *)
 let module_info ~root ~owner ~scope ml_path ~mli_path =
   let source = Source.load ~root ml_path in
   let ast = Ast.parse_impl ~path:ml_path (Source.text source) in

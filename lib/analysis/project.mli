@@ -44,8 +44,7 @@ val load : root:string -> t
 (** Scan [root/lib], [root/bin], [root/test] and [root/bench].
     Directories without a dune [(name ...)] stanza are skipped under
     [lib/]; listing order is sorted, so runs are deterministic. Parses
-    every module serially, so no later stage (or worker domain) runs
-    the parser. *)
+    every module once; the rules read the Parsetrees it holds. *)
 
 val exposed_name : lib -> string
 (** The OCaml-visible wrapper module of a library: ["msoc_serve"] is

@@ -784,15 +784,12 @@ and sub_blocks e =
 
 (* --- entry point --- *)
 
-let run ?pmap graph (lookup : string -> summary) =
+let run graph (lookup : string -> summary) =
   let derived = fixpoint graph lookup in
-  let map =
-    match pmap with Some f -> f | None -> fun f xs -> List.map f xs
-  in
-  Callgraph.defs graph
-  |> map (fun (d : Callgraph.def) ->
-         let acc = ref [] in
-         let ctx = { graph; def = d; derived; emit = (fun x -> acc := x :: !acc) } in
-         analyze_block ctx (stmts (snd (fun_params d.Callgraph.body)));
-         List.rev !acc)
-  |> List.concat
+  List.concat_map
+    (fun (d : Callgraph.def) ->
+      let acc = ref [] in
+      let ctx = { graph; def = d; derived; emit = (fun x -> acc := x :: !acc) } in
+      analyze_block ctx (stmts (snd (fun_params d.Callgraph.body)));
+      List.rev !acc)
+    (Callgraph.defs graph)

@@ -44,16 +44,9 @@ type summary = {
 val empty : summary
 
 val summarize : Parsetree.expression -> summary
-(** One Parsetree walk over a definition body. Pure — safe to run in
-    parallel across definitions. *)
+(** One Parsetree walk over a definition body. Pure. *)
 
 val run :
-  ?pmap:((Callgraph.def -> Msoc_check.Diagnostic.t list) ->
-        Callgraph.def list ->
-        Msoc_check.Diagnostic.t list list) ->
-  Callgraph.t ->
-  (string -> summary) ->
-  Msoc_check.Diagnostic.t list
+  Callgraph.t -> (string -> summary) -> Msoc_check.Diagnostic.t list
 (** Fixpoint over [lookup]ed summaries, then the per-definition path
-    walk. [pmap] (when given) maps the walk over definitions — it must
-    preserve order; {!Msoc_util.Pool.map} qualifies. *)
+    walk. *)

@@ -322,9 +322,9 @@ let rule_stdout_in_lib p =
 
 (* --- all rules --- *)
 
-let run ?par config p =
+let run config p =
   rule_concurrent_state config p
-  @ Semantic.run ?par p
+  @ Semantic.run p
   @ rule_catch_all p
   @ rule_assert_false p
   @ rule_lib_exit p

@@ -21,8 +21,6 @@ val default_config : config
     concurrent subsystems from PRs 1-4. Required flags: the PR 2
     warnings-as-errors set. *)
 
-val run : ?par:Semantic.par -> config -> Project.t -> Msoc_check.Diagnostic.t list
+val run : config -> Project.t -> Msoc_check.Diagnostic.t list
 (** Every rule over the whole project, unfiltered (the engine applies
-    the allowlist) and unsorted. [par] fans the pure per-definition
-    semantic stages over a pool ({!Engine} supplies it); output is
-    identical with or without it. *)
+    the allowlist) and unsorted. *)

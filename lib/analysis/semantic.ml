@@ -67,26 +67,13 @@ type ctx = {
   summaries : (string, Flow.summary) Hashtbl.t;  (* def key -> summary *)
 }
 
-(* [par], when given, runs pure per-item functions across a worker
-   pool (order-preserving map — {!Msoc_util.Pool.map} qualifies);
-   summarization and the S6xx walks are pure Parsetree traversals, so
-   they are the natural parallel stages. The field is polymorphic
-   because the stages return different types. *)
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let make_ctx ?par project =
+let make_ctx project =
   let graph = Callgraph.build project in
-  let defs = Callgraph.defs graph in
   let summaries = Hashtbl.create 512 in
-  let map =
-    match par with Some p -> p.pmap | None -> fun f xs -> List.map f xs
-  in
-  let computed =
-    map (fun (d : Callgraph.def) -> Flow.summarize d.Callgraph.body) defs
-  in
-  List.iter2
-    (fun (d : Callgraph.def) s -> Hashtbl.replace summaries d.Callgraph.key s)
-    defs computed;
+  List.iter
+    (fun (d : Callgraph.def) ->
+      Hashtbl.replace summaries d.Callgraph.key (Flow.summarize d.Callgraph.body))
+    (Callgraph.defs graph);
   { project; graph; summaries }
 
 let summary ctx key =
@@ -437,17 +424,14 @@ let rule_dead_api ctx =
 
 (* --- entry point --- *)
 
-let run ?par (p : Project.t) =
-  let ctx = make_ctx ?par p in
+let run (p : Project.t) =
+  let ctx = make_ctx p in
   let lookup key = (summary ctx key).Flow.resources in
-  let pmap =
-    Option.map (fun pr -> fun f xs -> pr.pmap f xs) par
-  in
   rule_lock_order ctx
   @ rule_lock_release ctx
   @ rule_check_then_act ctx
   @ rule_blocking_under_lock ctx
   @ rule_dead_api ctx
-  @ Resource.run ?pmap ctx.graph lookup
-  @ Typestate.run ?pmap ctx.graph
+  @ Resource.run ctx.graph lookup
+  @ Typestate.run ctx.graph
   @ rule_parse_skips p

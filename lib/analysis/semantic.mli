@@ -14,12 +14,7 @@
     other rule); MSOC-S406 records each skip as an info diagnostic, so
     the gap is never silent. *)
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** An order-preserving (possibly parallel) map the pure per-item
-    stages run through — {!Msoc_util.Pool.map} wrapped by {!Engine}.
-    Absent, everything runs serially with identical output. *)
-
-val run : ?par:par -> Project.t -> Msoc_check.Diagnostic.t list
+val run : Project.t -> Msoc_check.Diagnostic.t list
 (** All S5xx/S6xx findings plus S406 skip notices over the project,
     unsorted and unfiltered (the engine applies the allowlist and
     sorting). *)

@@ -457,12 +457,9 @@ let rule_counter_balance (d : Callgraph.def) =
 
 (* --- entry point --- *)
 
-let run ?pmap graph =
+let run graph =
   let may_reply = may_reply_table graph in
-  let map =
-    match pmap with Some f -> f | None -> fun f xs -> List.map f xs
-  in
-  Callgraph.defs graph
-  |> map (fun (d : Callgraph.def) ->
-         rule_reply_obligation graph may_reply d @ rule_counter_balance d)
-  |> List.concat
+  List.concat_map
+    (fun (d : Callgraph.def) ->
+      rule_reply_obligation graph may_reply d @ rule_counter_balance d)
+    (Callgraph.defs graph)

@@ -19,12 +19,6 @@ val transfer_paths : string list
 (** Hand-offs that move the obligation to another thread (queue push,
     router forward). *)
 
-val run :
-  ?pmap:((Callgraph.def -> Msoc_check.Diagnostic.t list) ->
-        Callgraph.def list ->
-        Msoc_check.Diagnostic.t list list) ->
-  Callgraph.t ->
-  Msoc_check.Diagnostic.t list
+val run : Callgraph.t -> Msoc_check.Diagnostic.t list
 (** May-reply callgraph fixpoint, then both rules over every
-    definition. [pmap] as in {!Resource.run}: order-preserving
-    parallel map. *)
+    definition. *)

@@ -26,6 +26,8 @@ let one_sided_magnitudes ~plan ~coefs ~n_fft ~offset x =
    partial application, as [Quantize.encode ~bits ~range] computes its
    step: every record of a program's length reuses them. *)
 let analyzer ?(window = Window.Hann) ?pad_to ~fs n_signal =
+  if not (Float.is_finite fs && fs > 0.0) then
+    invalid_arg "Spectrum.analyze: fs must be finite and positive";
   if n_signal <= 0 then invalid_arg "Spectrum.analyze: empty record";
   let n_fft = match pad_to with Some n -> n | None -> Fft.next_pow2 n_signal in
   if n_fft < n_signal then invalid_arg "Spectrum.analyze: pad_to smaller than the record";
@@ -91,6 +93,8 @@ let peaks t ~count =
   |> List.map (fun i -> (freq_of_bin t i, tone_amplitude t (freq_of_bin t i)))
 
 let welch_psd ?(window = Window.Hann) ?(segment = 1024) ?(overlap = 0.5) ~fs x =
+  if not (Float.is_finite fs && fs > 0.0) then
+    invalid_arg "Spectrum.welch_psd: fs must be finite and positive";
   if not (overlap >= 0.0 && overlap <= 0.9) then
     invalid_arg "Spectrum.welch_psd: overlap outside [0, 0.9]";
   if Array.length x < segment then

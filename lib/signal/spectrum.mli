@@ -21,8 +21,9 @@ val analyzer :
     Monte-Carlo program builds one analyzer, so every trial reads the
     same plan. The closure only reads them, so domains may share it.
     Each spectrum is bit-identical to {!analyze}'s.
-    @raise Invalid_argument if [n <= 0], [pad_to < n] or [pad_to] is
-    not a power of two (all when the analyzer is built), and, when
+    @raise Invalid_argument if [fs] is not finite and positive (NaN
+    included), [n <= 0], [pad_to < n] or [pad_to] is not a power of
+    two (all when the analyzer is built), and, when
     applied, on a record whose length is not [n]. Without [pad_to],
     [n] is padded to {!Fft.next_pow2}[ n]; with it, that is not
     computed. *)
@@ -36,8 +37,9 @@ val analyze : ?window:Window.t -> ?pad_to:int -> fs:float -> float array -> t
     the one-sided bins take [Float.hypot]. The magnitudes are
     bit-identical to windowing, padding, transforming and taking the
     modulus of boxed [Complex.t] values.
-    @raise Invalid_argument on an empty record, or a [pad_to] smaller
-    than the record or not a power of two. *)
+    @raise Invalid_argument on an [fs] that is not finite and positive
+    (NaN included), an empty record, or a [pad_to] smaller than the
+    record or not a power of two. *)
 
 val bin_of_freq : t -> float -> int
 (** Nearest bin. @raise Invalid_argument outside [0, fs/2] (a NaN
@@ -72,6 +74,6 @@ val welch_psd :
     (frequency, PSD) pairs in units²/Hz; the variance of each PSD
     estimate shrinks with the number of averaged segments — the right
     tool for noise floors, where a single FFT's bins fluctuate 100%.
-    @raise Invalid_argument if the record is shorter than one segment,
-    [segment] is not a power of two or [overlap] is outside [0, 0.9]
-    (NaN included). *)
+    @raise Invalid_argument if [fs] is not finite and positive, the
+    record is shorter than one segment, [segment] is not a power of two
+    or [overlap] is outside [0, 0.9] (NaN included for both). *)

@@ -313,13 +313,18 @@ let test_exit_contract () =
 
 (* dune runs tests from _build/default/test; the (source_tree ...) and
    analysis.allow deps in test/dune materialize the real tree at
-   [..] so the shipped sources gate themselves. *)
+   [..] so the shipped sources gate themselves. One cold run over the
+   whole tree also holds the analyzer to its 10 s budget. *)
 let test_tree_is_clean () =
   let r = Engine.run ~root:".." () in
   checkb "repo tree has libs" true (r.Engine.files_scanned > 50);
   checks "repo tree analyzes clean" "<clean>" (show r);
   checki "repo exit 0" 0 (Engine.exit_code r);
-  checkb "repo allowlist loaded" true (r.Engine.allowlist_path <> None)
+  checkb "repo allowlist loaded" true (r.Engine.allowlist_path <> None);
+  checki "every module parses" 0 r.Engine.parse_failures;
+  checkb
+    (Printf.sprintf "full run in %.1f s (< 10 s budget)" r.Engine.elapsed_s)
+    true (r.Engine.elapsed_s < 10.0)
 
 let suites =
   [

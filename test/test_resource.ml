@@ -2,8 +2,7 @@
    gets seeded-mutation fixtures that must report the exact code at
    the exact line, and a near-miss fixture (the legal spelling one
    edit away) that must stay silent — plus the S406 parse-skip info
-   diagnostic, the derived releaser/acquirer fixpoint, and the
-   parallel driver's bit-identity contract across job counts. *)
+   diagnostic and the derived releaser/acquirer fixpoint. *)
 
 module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
@@ -422,34 +421,6 @@ let test_callgraph_find () =
       checkb "find rejects unknown keys" true
         (Callgraph.find g "lib/fix/fix.ml#nope" = None))
 
-(* --- parallel driver: bit-identity across job counts --- *)
-
-let test_jobs_bit_identical () =
-  (* a fixture with findings from several rules, so ordering matters *)
-  let files =
-    fixture
-      "let f path =\n\
-      \  let ic = open_in path in\n\
-      \  input_line ic\n\
-       let g path =\n\
-      \  let ic = open_in path in\n\
-      \  close_in ic;\n\
-      \  close_in ic\n"
-  in
-  with_project files (fun root ->
-      let serial = Engine.run ~config:res_config ~root () in
-      let parallel = Engine.run ~config:res_config ~jobs:3 ~root () in
-      checki "serial runs with jobs=1" 1 serial.Engine.jobs;
-      checki "parallel records its job count" 3 parallel.Engine.jobs;
-      checks "fixture findings bit-identical" (show serial) (show parallel));
-  (* and over the real tree: the strongest ordering test we have *)
-  let serial = Engine.run ~root:".." () in
-  let parallel = Engine.run ~jobs:4 ~root:".." () in
-  checks "repo findings bit-identical across job counts" (show serial)
-    (show parallel);
-  checki "same suppression count" serial.Engine.suppressed
-    parallel.Engine.suppressed
-
 let suites =
   [
     ( "resource-rules",
@@ -482,6 +453,5 @@ let suites =
         Alcotest.test_case "S406 parse skip" `Quick test_s406_parse_skip;
         Alcotest.test_case "kind catalog" `Quick test_catalog;
         Alcotest.test_case "callgraph find" `Quick test_callgraph_find;
-        Alcotest.test_case "jobs bit-identity" `Quick test_jobs_bit_identical;
       ] );
   ]

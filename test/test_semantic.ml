@@ -15,7 +15,6 @@ module Source = Msoc_analysis.Source
 module Project = Msoc_analysis.Project
 module Callgraph = Msoc_analysis.Callgraph
 module Flow = Msoc_analysis.Flow
-module Ast = Msoc_analysis.Ast
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -284,6 +283,18 @@ let test_s505_dead_api () =
 
 (* --- parse failure: S406 and nothing else --- *)
 
+(* The S406 notice carries the parser's own description of the
+   failure. *)
+let s406_names what (r : Engine.report) =
+  checkb
+    ("S406 names a " ^ what ^ " — " ^ show r)
+    true
+    (List.exists
+       (fun (d : Diagnostic.t) ->
+         d.Diagnostic.code = Codes.s406
+         && Test_resource.contains d.Diagnostic.message what)
+       r.Engine.diagnostics)
+
 let test_parse_failure_degrades () =
   let r =
     analyze
@@ -295,8 +306,13 @@ let test_parse_failure_degrades () =
   in
   checki ("unparsable module counted — " ^ show r) 1 r.Engine.parse_failures;
   checkb "S406 reports the skip" true (has Codes.s406 r);
+  s406_names "syntax error" r;
   checkb "no S102 (retired)" true (not (has "MSOC-S102" r));
   checkb "no S502 from the failed parse" true (not (has Codes.s502 r));
+  (* a text the lexer rejects degrades the same way *)
+  let r = analyze (fixture "let s = \"never closed\n") in
+  checki ("unlexable module counted — " ^ show r) 1 r.Engine.parse_failures;
+  s406_names "lexical error" r;
   (* the parsable spelling is analyzed *)
   let r =
     analyze
@@ -521,26 +537,6 @@ let test_mask_quoted_strings () =
     ];
   checks "default allowlist name" "analysis.allow" Engine.default_allowlist_file
 
-(* --- the Ast parse cache --- *)
-
-let test_ast_cache () =
-  Ast.reset_cache_stats ();
-  let text = "let f x = x + 1\n" in
-  (match Ast.parse_impl ~path:"a.ml" text with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let hits0, misses0 = Ast.cache_stats () in
-  (* same content, different path: served from the content-keyed cache *)
-  (match Ast.parse_impl ~path:"b.ml" text with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let hits1, misses1 = Ast.cache_stats () in
-  checkb "second parse is a cache hit" true (hits1 = hits0 + 1);
-  checki "no extra miss" misses0 misses1;
-  match Ast.parse_impl ~path:"c.ml" "let broken = (" with
-  | Ok _ -> Alcotest.fail "broken text parsed"
-  | Error e -> checkb "parse error described" true (String.length e > 0)
-
 (* --- white-box: Flow and Callgraph helpers --- *)
 
 let test_flow_and_callgraph () =
@@ -576,15 +572,6 @@ let test_flow_and_callgraph () =
       | m :: _ -> checki "no lib deps" 0 (List.length (Project.dependencies p m))
       | [] -> Alcotest.fail "no modules")
 
-(* --- the full-repo semantic run stays fast --- *)
-
-let test_semantic_run_under_budget () =
-  let r = Engine.run ~root:".." () in
-  checkb
-    (Printf.sprintf "full semantic run in %.1f s (< 10 s budget)"
-       r.Engine.elapsed_s)
-    true (r.Engine.elapsed_s < 10.0)
-
 let suites =
   [
     ( "semantic-rules",
@@ -612,8 +599,6 @@ let suites =
           test_mutated_serve_blocking_under_lock;
         Alcotest.test_case "unmutated cache has no false positives" `Quick
           test_real_serve_cache_no_false_positives;
-        Alcotest.test_case "full run under budget" `Quick
-          test_semantic_run_under_budget;
       ] );
     ( "semantic-allowlist",
       [
@@ -632,7 +617,6 @@ let suites =
       [
         Alcotest.test_case "quoted-string masking" `Quick
           test_mask_quoted_strings;
-        Alcotest.test_case "ast cache" `Quick test_ast_cache;
         Alcotest.test_case "flow & callgraph helpers" `Quick
           test_flow_and_callgraph;
       ] );

@@ -301,9 +301,10 @@ let test_spectrum_padding () =
       | _ -> Alcotest.failf "pad_to %d accepted" pad_to)
     [ 2; 6 ]
 
-(* Every frequency guard fails on NaN, and the analyzer checks its
-   pad when it is built, computing no next power of two for a given
-   one. *)
+(* Every frequency guard fails on NaN, every entry that builds a
+   spectrum or a PSD refuses an [fs] that is not finite and positive,
+   and the analyzer checks its pad when it is built, computing no next
+   power of two for a given one. *)
 let test_spectrum_validation () =
   let fs = 1.0e6 and n = 256 in
   let f = Tone.coherent_freq ~fs ~n 50_000.0 in
@@ -325,6 +326,15 @@ let test_spectrum_validation () =
   rejects "imd3 ~f2:nan" (fun () -> Distortion.imd3 s ~f1:f ~f2:Float.nan);
   rejects "welch overlap nan" (fun () ->
       Spectrum.welch_psd ~segment:64 ~overlap:Float.nan ~fs (Array.make 256 0.0));
+  List.iter
+    (fun bad ->
+      rejects (Printf.sprintf "analyzer ~fs:%g" bad) (fun () ->
+          Spectrum.analyzer ~fs:bad n);
+      rejects (Printf.sprintf "analyze ~fs:%g" bad) (fun () ->
+          Spectrum.analyze ~fs:bad x);
+      rejects (Printf.sprintf "welch_psd ~fs:%g" bad) (fun () ->
+          Spectrum.welch_psd ~segment:64 ~fs:bad (Array.make 256 0.0)))
+    [ Float.nan; 0.0; -1.0; Float.infinity ];
   rejects "pad_to 6, at build" (fun () -> Spectrum.analyzer ~pad_to:6 ~fs 3);
   let huge = (max_int lsr 1) + 2 in
   rejects "pad_to below a huge record" (fun () -> Spectrum.analyzer ~pad_to:8 ~fs huge);
