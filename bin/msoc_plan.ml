@@ -68,8 +68,10 @@ let list_conv ~docv ~nonempty (range : _ Request.range) of_string name =
   Arg.conv' ~docv (parse, pp_name (fun vs -> String.concat "," (List.map name vs)))
 
 let width_arg =
-  let doc = "SOC-level TAM width (wires)." in
-  Arg.(value & opt positive_int 32 & info [ "w"; "width" ] ~docv:"W" ~doc)
+  let doc =
+    Printf.sprintf "SOC-level TAM width (wires), 1..%d." Msoc_testplan.Problem.max_tam_width
+  in
+  Arg.(value & opt (int_in Request.width) 32 & info [ "w"; "width" ] ~docv:"W" ~doc)
 
 let weight_time_arg =
   let doc = "Cost weight for test time, 0..1; area weight is its complement." in
@@ -424,7 +426,7 @@ let run_explore sweep weight_time soc_file analog_cores search packer jobs verif
       (List.concat_map (fun (_, plan) -> Msoc_check.Verify.plan plan) plans)
 
 let widths_conv =
-  list_conv ~docv:"W1,W2,.." ~nonempty:true Request.positive_int int_of_string_opt string_of_int
+  list_conv ~docv:"W1,W2,.." ~nonempty:true Request.width int_of_string_opt string_of_int
 
 let weights_conv =
   list_conv ~docv:"T1,T2,.." ~nonempty:true Request.weight float_of_string_opt string_of_float
@@ -435,7 +437,10 @@ let explore_cmd =
     Arg.(
       value
       & opt widths_conv [ 16; 24; 32; 48; 64 ]
-      & info [ "widths" ] ~docv:"W1,W2,.." ~doc:"Comma-separated TAM widths to sweep.")
+      & info [ "widths" ] ~docv:"W1,W2,.."
+          ~doc:
+            (Printf.sprintf "Comma-separated TAM widths to sweep, each in 1..%d."
+               Msoc_testplan.Problem.max_tam_width))
   in
   let weights_arg =
     Arg.(

@@ -24,45 +24,55 @@ let full_sharing cores = make [ cores ]
 
 (* Key identifying a partition up to exchange of identical cores: each
    core is replaced by the label of the first catalog core with the
-   same test set, groups become sorted label lists, sorted. *)
-let equivalence_key cores t =
-  let class_of c =
+   same test set, groups become sorted label lists, sorted. The class
+   of each of [cores] is found once, when [cores] is applied; a core
+   that is not (physically) one of them is looked up as it comes. *)
+let equivalence_key cores =
+  let class_in c =
     match List.find_opt (fun d -> Spec.same_tests c d) cores with
     | Some d -> d.Spec.label
     | None -> c.Spec.label
   in
-  t.groups
-  |> List.map (fun g -> List.sort compare (List.map class_of g))
-  |> List.sort compare
+  let classes = List.map (fun c -> (c, class_in c)) cores in
+  let rec find c = function
+    | [] -> class_in c
+    | (d, label) :: rest -> if d == c then label else find c rest
+  in
+  let class_of c = find c classes in
+  fun t ->
+    t.groups
+    |> List.map (fun g -> List.sort compare (List.map class_of g))
+    |> List.sort compare
 
 let all_combinations cores =
+  let key_of = equivalence_key cores in
   (* Stream the partitions and dedup with a hash table as they come,
      so neither the Bell(n)-sized raw list nor a quadratic List.mem
      scan is ever built; first-seen representatives are kept, as
-     before. *)
+     before, each with its key. *)
   let seen = Hashtbl.create 256 in
   let deduped =
     Seq.fold_left
       (fun acc p ->
         let comb = make p in
-        let key = equivalence_key cores comb in
+        let key = key_of comb in
         if Hashtbl.mem seen key then acc
         else begin
           Hashtbl.add seen key ();
-          comb :: acc
+          (List.length comb.groups, key, comb) :: acc
         end)
       []
       (Combinat.set_partitions_seq cores)
     |> List.rev
   in
   (* Deterministic, readable order: by number of groups descending
-     (less sharing first, like the paper's Table 1), then by name. *)
+     (less sharing first, like the paper's Table 1), then by name.
+     The keys are distinct after the dedup, so the order is total. *)
   List.sort
-    (fun a b ->
-      match compare (List.length b.groups) (List.length a.groups) with
-      | 0 -> compare (equivalence_key cores a) (equivalence_key cores b)
-      | c -> c)
+    (fun (na, ka, _) (nb, kb, _) ->
+      match Int.compare nb na with 0 -> compare ka kb | c -> c)
     deduped
+  |> List.map (fun (_, _, comb) -> comb)
 
 let degree_signature t = Combinat.partitions_with_block_sizes t.groups
 

@@ -15,12 +15,15 @@ type t = {
   self_test : self_test_config option;
 }
 
+let max_tam_width = 1024
+
 let make ?(area_model = Area.default_model) ?(policy = Spec.default_policy)
     ?self_test ~soc ~analog_cores ~tam_width ~weight_time () =
   (* Written so that NaN, which fails every comparison, is rejected. *)
   if not (weight_time >= 0.0 && weight_time <= 1.0) then
     invalid_arg "Problem.make: weight_time out of [0, 1]";
-  if tam_width < 1 then invalid_arg "Problem.make: tam_width must be >= 1";
+  if tam_width < 1 || tam_width > max_tam_width then
+    invalid_arg (Printf.sprintf "Problem.make: tam_width must be in 1..%d" max_tam_width);
   if analog_cores = [] then invalid_arg "Problem.make: no analog cores";
   List.iter
     (fun c ->

@@ -25,6 +25,13 @@ type t = private {
   self_test : self_test_config option;
 }
 
+val max_tam_width : int
+(** 1024 wires, 16× the paper's widest W = 64. Every digital core's
+    staircase sweeps widths up to W over buffers W wide, so a plan's
+    time and memory grow with W (a plan of p93791s took 1.5 s at
+    W = 4096 and 29 s at 16384 on a 2-core host); the bound keeps one
+    request from holding a planner for that long. *)
+
 val make :
   ?area_model:Msoc_analog.Area.model ->
   ?policy:Msoc_analog.Spec.policy ->
@@ -37,8 +44,8 @@ val make :
   t
 (** [weight_area] is [1 − weight_time].
     @raise Invalid_argument unless [0 <= weight_time <= 1],
-    [tam_width >= 1], the analog list is non-empty, and every analog
-    core's width fits in [tam_width]. *)
+    [1 <= tam_width <= max_tam_width], the analog list is non-empty,
+    and every analog core's width fits in [tam_width]. *)
 
 val same_structure : t -> t -> bool
 (** [same_structure a b] holds when [a] and [b] differ at most in

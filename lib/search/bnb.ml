@@ -71,8 +71,9 @@ let run ?(budget = Budget.unlimited) prepared =
     end
     else false
   in
+  let key_of = Sharing.equivalence_key all_cores in
   let consider combination =
-    let key = Sharing.equivalence_key all_cores combination in
+    let key = key_of combination in
     if Hashtbl.mem evaluated key then incr dedup
     else begin
       Hashtbl.add evaluated key ();

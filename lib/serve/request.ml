@@ -15,6 +15,9 @@ module Calibrate = Msoc_cosim.Calibrate
 type 'a range = { expected : string; ok : 'a -> bool }
 
 let positive_int = { expected = "a positive integer"; ok = (fun n -> n >= 1) }
+let width =
+  { expected = Printf.sprintf "an integer in 1..%d" Problem.max_tam_width;
+    ok = (fun n -> n >= 1 && n <= Problem.max_tam_width) }
 let positive_float =
   { expected = "a positive number"; ok = (fun f -> Float.is_finite f && f > 0.0) }
 let trials =
@@ -151,7 +154,7 @@ let of_params op params =
       analog_cores =
         value "analog" (one_of (List.map (fun c -> c.Msoc_analog.Spec.label) Catalog.all))
           (fun j -> Option.bind (string_of j) analog_cores) ~default:Catalog.all;
-      width = value "width" positive_int int_of ~default:32;
+      width = value "width" width int_of ~default:32;
       weight_time = value "weight_time" weight number_of ~default:0.5;
       search =
         (match op with
@@ -172,7 +175,7 @@ let of_params op params =
     let kind = named "strategy" Strategy.names (strategy ~delta ~seed) in
     Optimize (s, Option.map (fun kind -> { kind; max_evals; budget_ms }) kind)
   | Protocol.Explore -> (
-    match (list "widths" positive_int int_of, list "weights" weight number_of) with
+    match (list "widths" width int_of, list "weights" weight number_of) with
     | Some _, Some _ -> invalid "give either \"widths\" or \"weights\", not both"
     | None, None -> invalid "explore needs \"widths\" or \"weights\""
     | Some ws, None -> Explore (s, Widths ws)

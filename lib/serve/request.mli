@@ -20,11 +20,16 @@ type 'a range = {
     range as [param "p": invalid value v, expected <expected>], the
     CLI's converters as [option '--p': invalid value 'v', expected
     <expected>] (a usage error, exit 124). Each param and option takes
-    the entry named after it; counts, widths and [max_evals] take
+    the entry named after it; counts and [max_evals] take
     {!positive_int}, [budget_ms] and the other rates {!positive_float}. *)
 
 val positive_int : int range
 val positive_float : float range
+
+val width : int range
+(** A TAM width, [width] and each [widths] entry: 1 to
+    {!Msoc_testplan.Problem.max_tam_width}. *)
+
 val trials : int range
 (** 0 (no sweep) to {!Msoc_cosim.Monte_carlo.max_trials}. *)
 

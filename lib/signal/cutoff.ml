@@ -1,16 +1,25 @@
-let model_gain ~order ~fc f =
+let[@inline] model_gain ~order ~fc f =
   1.0 /. Float.sqrt (1.0 +. Float.pow (f /. fc) (2.0 *. float_of_int order))
 
 (* Sum of squared residuals in log-gain with the best overall gain
-   factor eliminated in closed form (it is the mean log offset). *)
-let residual ~order ~gains fc =
-  let logs =
-    List.map
-      (fun (f, g) -> Float.log g -. Float.log (model_gain ~order ~fc f))
-      gains
-  in
-  let mean = Msoc_util.Numeric.mean logs in
-  List.fold_left (fun acc l -> acc +. ((l -. mean) ** 2.0)) 0.0 logs
+   factor eliminated in closed form (it is the mean log offset). The
+   tones' frequencies and log gains come as arrays built once per fit;
+   [logs] is scratch of the same length. The mean is a left-to-right
+   sum divided by the count, as [Numeric.mean] takes it. *)
+let residual ~order ~freqs ~log_gains ~logs fc =
+  let n = Array.length freqs in
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    let l = log_gains.(i) -. Float.log (model_gain ~order ~fc freqs.(i)) in
+    logs.(i) <- l;
+    sum := !sum +. l
+  done;
+  let mean = !sum /. float_of_int n in
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    acc := !acc +. ((logs.(i) -. mean) ** 2.0)
+  done;
+  !acc
 
 let golden_section ~f ~lo ~hi ~iterations =
   let phi = (Float.sqrt 5.0 -. 1.0) /. 2.0 in
@@ -38,7 +47,10 @@ let fit ?(order = 2) gains =
   (* Search log-uniformly: fc could sit below, inside or above the
      tone grid (extrapolation is the point of the method). *)
   let lo = Float.log (fmin /. 20.0) and hi = Float.log (fmax *. 20.0) in
-  let objective logfc = residual ~order ~gains (Float.exp logfc) in
+  let freqs = Array.of_list freqs in
+  let log_gains = Array.of_list (List.map (fun (_, g) -> Float.log g) gains) in
+  let logs = Array.make (Array.length freqs) 0.0 in
+  let objective logfc = residual ~order ~freqs ~log_gains ~logs (Float.exp logfc) in
   (* Coarse grid seed + golden refinement, since the residual can have
      shallow local minima when a tone sits in the stop-band noise. *)
   let steps = 200 in

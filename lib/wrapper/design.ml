@@ -31,6 +31,9 @@ let test_time t = time ~patterns:t.core.Types.patterns t.scan_in t.scan_out
 type kernel = {
   source : Types.core;
   lengths : int array;  (* scan-chain lengths, longest first *)
+  positive : int;  (* how many of [lengths] are positive *)
+  cells_in : int;  (* scan + input + bidir cells: the scan-in side's total *)
+  cells_out : int;  (* scan + output + bidir cells *)
   owner : int array;  (* wrapper chain holding each of [lengths] *)
   (* One slot per wrapper chain; a design at width k uses the first k. *)
   load : int array;  (* scan cells *)
@@ -49,12 +52,20 @@ let kernel (core : Types.core) ~max_width =
   if max_width <= 0 then invalid_arg "Design.kernel: max_width must be positive";
   if List.exists (fun l -> l < 0) core.scan_chains then
     invalid_arg "Design.kernel: negative scan-chain length";
+  (* [lower_bound] needs T monotone in si and so (patterns >= 0), and
+     the levelling's descent a non-negative cell count. *)
+  if core.inputs < 0 || core.outputs < 0 || core.bidirs < 0 || core.patterns < 0 then
+    invalid_arg "Design.kernel: negative terminal or pattern count";
   let lengths = Array.of_list core.scan_chains in
   Array.sort (fun a b -> Int.compare b a) lengths;
+  let scan = Array.fold_left ( + ) 0 lengths in
   let slots () = Array.make max_width 0 in
   {
     source = core;
     lengths;
+    positive = Array.fold_left (fun n l -> if l > 0 then n + 1 else n) 0 lengths;
+    cells_in = scan + core.inputs + core.bidirs;
+    cells_out = scan + core.outputs + core.bidirs;
     owner = Array.make (Array.length lengths) 0;
     load = slots ();
     count = slots ();
@@ -71,35 +82,44 @@ let kernel (core : Types.core) ~max_width =
    the first [k] chains of depths [load], one at a time, each topping up
    the least-loaded chain (the lowest index among ties). That greedy's
    end state has a closed form. With need h = sum_i max 0 (h - load.(i)),
-   take the highest level h with need h <= n: every chain below h rises
-   to h, and the n - need h cells left over go one each to the
-   lowest-index chains at h (fewer cells than chains at h, or h would
-   not be the highest). O(k log n); the greedy, which rescans every
-   chain per cell, is O(n k). [need] and [highest] are top-level so the
-   levelling allocates no closure. *)
-let need load k h =
-  let acc = ref 0 in
-  for i = 0 to k - 1 do
-    let d = h - load.(i) in
-    if d > 0 then acc := !acc + d
-  done;
-  !acc
+   take the highest level H with need H <= n: every chain below H rises
+   to H, and the n - need H cells left over go one each to the
+   lowest-index chains at H (fewer cells than chains at H, or H would
+   not be the highest). The greedy, which rescans every chain per cell,
+   is O(n k).
 
-(* need lo <= n < need (hi + 1) *)
-let rec highest load k n lo hi =
-  if lo = hi then lo
-  else
-    let mid = lo + ((hi - lo + 1) / 2) in
-    if need load k mid <= n then highest load k n mid hi
-    else highest load k n lo (mid - 1)
-
+   H is found from above. For the lowest depth m and the total depth s
+   of the k chains, need h >= h - m and need h >= k h - s, so H <= m + n
+   and H <= (n + s)/k (rounded down); the search starts at the smaller.
+   At a level h with need h > n, let A be the chains below h, holding
+   s_A: every h' <= h has need h' >= |A| h' - s_A, so H <= (n + s_A)/|A|,
+   which is below h. Each step is one pass over the chains, and the
+   search stops at the first h with need h <= n, which is H. A step
+   that keeps A stops at the next level, so there are at most k + 1
+   passes; on the ITC'02 SOCs at widths up to 1024, at most four. *)
 let level load k n cells =
-  let lowest = ref load.(0) in
-  for i = 1 to k - 1 do
-    lowest := Int.min !lowest load.(i)
+  let lowest = ref load.(0) and total = ref 0 in
+  for i = 0 to k - 1 do
+    let l = load.(i) in
+    if l < !lowest then lowest := l;
+    total := !total + l
   done;
-  let h = highest load k n !lowest (!lowest + n) in
-  let spare = ref (n - need load k h) in
+  let h = ref (Int.min (!lowest + n) ((n + !total) / k)) and need = ref (n + 1) in
+  while !need > n do
+    let below = ref 0 and sum = ref 0 in
+    need := 0;
+    for i = 0 to k - 1 do
+      let l = load.(i) in
+      if l < !h then begin
+        need := !need + !h - l;
+        incr below;
+        sum := !sum + l
+      end
+    done;
+    if !need > n then h := (n + !sum) / !below
+  done;
+  let h = !h in
+  let spare = ref (n - !need) in
   for i = 0 to k - 1 do
     let l = load.(i) in
     let c = if l < h then h - l else 0 in
@@ -114,12 +134,19 @@ let run kn ~width:k =
   if k <= 0 || k > Array.length kn.load then
     invalid_arg "Design.run: width outside 1..max_width";
   let { source = core; lengths; owner; load; count; ins; outs; bids; base; _ } = kn in
-  Array.fill load 0 k 0;
-  Array.fill count 0 k 0;
   (* Best-fit decreasing: each scan chain, longest first, goes to the
      wrapper chain with the least scan load, the lowest index among
-     ties. *)
-  for j = 0 to Array.length lengths - 1 do
+     ties. While positive chains fill empty slots, that slot is the
+     next empty one, so the first min(positive, k) are placed directly. *)
+  let direct = Int.min kn.positive k in
+  for j = 0 to direct - 1 do
+    owner.(j) <- j;
+    load.(j) <- lengths.(j);
+    count.(j) <- 1
+  done;
+  Array.fill load direct (k - direct) 0;
+  Array.fill count direct (k - direct) 0;
+  for j = direct to Array.length lengths - 1 do
     let best = ref 0 in
     for i = 1 to k - 1 do
       if load.(i) < load.(!best) then best := i
@@ -149,9 +176,20 @@ let run kn ~width:k =
 
 let used_width kn = kn.used
 
+let longest kn = if Array.length kn.lengths = 0 then 0 else kn.lengths.(0)
+
 let floor_time kn =
-  let longest = if Array.length kn.lengths = 0 then 0 else kn.lengths.(0) in
-  time ~patterns:kn.source.Types.patterns longest longest
+  let l = longest kn in
+  time ~patterns:kn.source.Types.patterns l l
+
+(* A top-level function, so the bound allocates no closure. *)
+let depth ~longest k cells = Int.max longest ((cells + k - 1) / k)
+
+let lower_bound kn ~width:k =
+  if k <= 0 then invalid_arg "Design.lower_bound: width must be positive";
+  let longest = longest kn in
+  time ~patterns:kn.source.Types.patterns (depth ~longest k kn.cells_in)
+    (depth ~longest k kn.cells_out)
 
 let design core ~width =
   if width <= 0 then invalid_arg "Design.design: width must be positive";

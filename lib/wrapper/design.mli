@@ -57,15 +57,16 @@ type kernel
 
 val kernel : Msoc_itc02.Types.core -> max_width:int -> kernel
 (** Sorts the scan chains and allocates the buffers, once per core.
-    @raise Invalid_argument if [max_width <= 0] or a scan-chain length
-    is negative. *)
+    @raise Invalid_argument if [max_width <= 0], or a scan-chain length,
+    terminal count or pattern count is negative. *)
 
 val run : kernel -> width:int -> int
 (** [run k ~width] designs the core at [width] into [k]'s buffers,
     replacing the previous design, and returns its test time: the
     best-fit-decreasing partition into the first [width] slots, then
-    the three levellings. O(c·width + width·log n) for [c] scan chains
-    and [n] cells; allocates nothing.
+    the three levellings. O(c·width + width·d) for [c] scan chains,
+    where each levelling's descent takes [d] passes (at most [width] + 1;
+    at most four on the ITC'02 SOCs); allocates nothing.
     @raise Invalid_argument unless [1 <= width <= max_width]. *)
 
 val used_width : kernel -> int
@@ -76,3 +77,13 @@ val floor_time : kernel -> int
     chains): no design at any width is faster. The wrapper chain that
     holds the longest scan chain is at least [L] deep, so si >= L and
     so >= L. *)
+
+val lower_bound : kernel -> width:int -> int
+(** [lower_bound k ~width] is [T(max(L, ⌈(S+I+B)/width⌉),
+    max(L, ⌈(S+O+B)/width⌉))] for [S] scan cells, [I] inputs, [O]
+    outputs, [B] bidirs and the longest scan chain [L]: no design at
+    [width] is faster than it. The [width] chains hold all S+I+B
+    scan-in cells, so the deepest holds at least their average, and
+    si >= L as for {!floor_time}; likewise so. T is monotone in both.
+    O(1); [width] may exceed the kernel's [max_width].
+    @raise Invalid_argument if [width <= 0]. *)

@@ -17,17 +17,24 @@ let staircase core ~max_width =
       else frontier
   in
   (* No design at any width is faster than [floor], so once the best
-     time reaches it no wider design can join the frontier. *)
+     time reaches it no wider design can join the frontier. Short of
+     that, a width whose lower bound already reaches the best time
+     would not join it either ([add] needs a strictly better time), so
+     it is not designed. *)
   let rec sweep frontier w =
     if w > max_width then frontier
     else
-      let time = Design.run kernel ~width:w in
-      (* Use the wires the design actually occupies, not the budget: a
-         64-wide budget on a 3-chain combinational core may build only a
-         handful of non-empty chains. *)
-      match add frontier ~width:(Design.used_width kernel) ~time with
-      | best :: _ as frontier when best.time <= floor -> frontier
-      | frontier -> sweep frontier (w + 1)
+      match frontier with
+      | best :: _ when Design.lower_bound kernel ~width:w >= best.time ->
+        sweep frontier (w + 1)
+      | _ -> (
+        let time = Design.run kernel ~width:w in
+        (* Use the wires the design actually occupies, not the budget: a
+           64-wide budget on a 3-chain combinational core may build only
+           a handful of non-empty chains. *)
+        match add frontier ~width:(Design.used_width kernel) ~time with
+        | best :: _ as frontier when best.time <= floor -> frontier
+        | frontier -> sweep frontier (w + 1))
   in
   List.rev (sweep [] 1)
 

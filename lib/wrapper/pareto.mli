@@ -19,9 +19,10 @@ val staircase : Msoc_itc02.Types.core -> max_width:int -> t
     width is credited with the best design found at any width <= it.
     The sweep stops at [max_width] or at the first width whose best
     time reaches {!Design.floor_time}, since no design at any width is
-    faster; the frontier is the one designing every width 1..[max_width]
-    would give. @raise Invalid_argument if [max_width <= 0] or a
-    scan-chain length is negative. *)
+    faster, and it does not design a width whose {!Design.lower_bound}
+    already reaches the best time so far; the frontier is the one
+    designing every width 1..[max_width] would give.
+    @raise Invalid_argument as {!Design.kernel}. *)
 
 val fixed : width:int -> time:int -> t
 (** One-point staircase for an analog (virtual digital) core.

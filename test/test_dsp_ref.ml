@@ -33,7 +33,10 @@
      leave, the quantizer, both DAC and both ADC architectures at even
      4..16 bits with mismatch and threshold noise on or off (codes and
      out-of-range rejections alike), and every model stage, which must
-     also leave its input record as it found it. *)
+     also leave its input record as it found it;
+   - [Ref.Cutoff] keeps the cut-off fit whose residual mapped the tone
+     list and took [Numeric.mean] on every evaluation; [Cutoff.fit]
+     must return its bits, or raise its exception, on 2..6 tones. *)
 
 module Fft = Msoc_signal.Fft
 module Window = Msoc_signal.Window
@@ -570,6 +573,67 @@ module Ref = struct
           post mixed
     end
   end
+
+  (* --- the cut-off fit before its residual became an array loop: a
+     [List.map] over the tones, [Numeric.mean], then a fold --- *)
+
+  module Cutoff = struct
+    let model_gain ~order ~fc f =
+      1.0 /. Float.sqrt (1.0 +. Float.pow (f /. fc) (2.0 *. float_of_int order))
+
+    (* Sum of squared residuals in log-gain with the best overall gain
+       factor eliminated in closed form (it is the mean log offset). *)
+    let residual ~order ~gains fc =
+      let logs =
+        List.map
+          (fun (f, g) -> Float.log g -. Float.log (model_gain ~order ~fc f))
+          gains
+      in
+      let mean = Msoc_util.Numeric.mean logs in
+      List.fold_left (fun acc l -> acc +. ((l -. mean) ** 2.0)) 0.0 logs
+
+    let golden_section ~f ~lo ~hi ~iterations =
+      let phi = (Float.sqrt 5.0 -. 1.0) /. 2.0 in
+      let rec go a b fa_x fb_x x1 x2 n =
+        if n = 0 then (a +. b) /. 2.0
+        else if fa_x < fb_x then
+          let b = x2 and x2 = x1 in
+          let x1 = b -. (phi *. (b -. a)) in
+          go a b (f x1) fa_x x1 x2 (n - 1)
+        else
+          let a = x1 and x1 = x2 in
+          let x2 = a +. (phi *. (b -. a)) in
+          go a b fb_x (f x2) x1 x2 (n - 1)
+      in
+      let x1 = hi -. (phi *. (hi -. lo)) and x2 = lo +. (phi *. (hi -. lo)) in
+      go lo hi (f x1) (f x2) x1 x2 iterations
+
+    let fit ?(order = 2) gains =
+      if List.length gains < 2 then invalid_arg "Cutoff.fit: need at least two tones";
+      if List.exists (fun (f, g) -> not (f > 0.0 && g > 0.0)) gains then
+        invalid_arg "Cutoff.fit: non-positive frequency or gain";
+      let freqs = List.map fst gains in
+      let fmin = List.fold_left Float.min Float.infinity freqs in
+      let fmax = List.fold_left Float.max 0.0 freqs in
+      (* Search log-uniformly: fc could sit below, inside or above the
+         tone grid (extrapolation is the point of the method). *)
+      let lo = Float.log (fmin /. 20.0) and hi = Float.log (fmax *. 20.0) in
+      let objective logfc = residual ~order ~gains (Float.exp logfc) in
+      (* Coarse grid seed + golden refinement, since the residual can have
+         shallow local minima when a tone sits in the stop-band noise. *)
+      let steps = 200 in
+      let best = ref lo and best_v = ref (objective lo) in
+      for i = 1 to steps do
+        let x = lo +. ((hi -. lo) *. float_of_int i /. float_of_int steps) in
+        let v = objective x in
+        if v < !best_v then begin
+          best := x;
+          best_v := v
+        end
+      done;
+      let span = (hi -. lo) /. float_of_int steps in
+      Float.exp (golden_section ~f:objective ~lo:(!best -. span) ~hi:(!best +. span) ~iterations:60)
+  end
 end
 
 let same_bits a b =
@@ -900,6 +964,41 @@ let kernels_match seed =
       (String.concat ", " (List.rev !failed));
   true
 
+(* --- the cut-off fit --- *)
+
+(* 2..6 tones at positive frequencies and gains, orders 1..4: gains on
+   a Butterworth curve with a gain factor and noise, arbitrary ones, or
+   a repeated tone. Now and then a list [fit] must reject (one tone, a
+   gain or frequency that is 0, negative or NaN). *)
+let cutoff_matches seed =
+  let rng = Rng.create ~seed in
+  let order = Rng.int_in rng ~lo:1 ~hi:4 in
+  let fc = Float.pow 10.0 (Rng.float_in rng ~lo:1.0 ~hi:8.0) in
+  let factor = Float.pow 10.0 (Rng.float_in rng ~lo:(-2.0) ~hi:1.0) in
+  let tone () =
+    let f = Float.pow 10.0 (Rng.float_in rng ~lo:0.0 ~hi:8.0) in
+    let g =
+      if Rng.bool rng then
+        factor *. Ref.Cutoff.model_gain ~order ~fc f
+        *. (1.0 +. Rng.float_in rng ~lo:(-0.05) ~hi:0.05)
+      else Float.pow 10.0 (Rng.float_in rng ~lo:(-6.0) ~hi:1.0)
+    in
+    (f, g)
+  in
+  let tones = List.init (Rng.int_in rng ~lo:2 ~hi:6) (fun _ -> tone ()) in
+  let tones =
+    match Rng.int rng ~bound:10 with
+    | 0 -> List.hd tones :: tones
+    | 1 -> [ List.hd tones ]
+    | 2 -> (Rng.pick rng [| 0.0; -1.0; Float.nan |], 1.0) :: tones
+    | 3 -> (1.0e3, Rng.pick rng [| 0.0; -0.5; Float.nan |]) :: tones
+    | _ -> tones
+  in
+  let order = if Rng.int rng ~bound:8 = 0 then None else Some order in
+  same_floats
+    (fun () -> [| Msoc_signal.Cutoff.fit ?order tones |])
+    (fun () -> [| Ref.Cutoff.fit ?order tones |])
+
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"FFT forward and inverse = boxed reference" ~count:300 seed_arb
@@ -913,6 +1012,8 @@ let qcheck_tests =
       filter_matches;
     QCheck.Test.make ~name:"planned FFT, bulk draws and in-place stages = mapped reference"
       ~count:100 seed_arb kernels_match;
+    QCheck.Test.make ~name:"cut-off fit = list-based reference" ~count:1000 seed_arb
+      cutoff_matches;
   ]
   |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
 

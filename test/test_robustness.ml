@@ -338,6 +338,8 @@ let test_cli_bad_counts () =
       ([], [ "optimize"; "--width"; "0" ], [ "'--width'" ]);
       ([], [ "soc-info"; "--soc"; "../data/p93791s.soc"; "--width"; "0" ], [ "'--width'" ]);
       ([], [ "cosim"; "--width"; "0" ], [ "'--width'" ]);
+      ([], [ "plan"; "--width"; "1025" ], [ "'--width'"; "1..1024" ]);
+      ([], [ "soc-info"; "--width"; "1000000000" ], [ "'--width'"; "1..1024" ]);
       ([], [ "fleet"; "--workers"; "0"; "--tcp"; "7999" ], [ "'--workers'" ]);
     ]
 
@@ -398,6 +400,7 @@ let test_cli_bad_sweeps () =
       ([], cmd @ [ "--widths"; "16,x" ], [ "'--widths'"; "'x'" ]);
       ([], cmd @ [ "--weights"; "0.5,y" ], [ "'--weights'"; "'y'" ]);
       ([], cmd @ [ "--widths"; "0,16" ], [ "'--widths'"; "'0'" ]);
+      ([], cmd @ [ "--widths"; "16,1025" ], [ "'--widths'"; "'1025'"; "1..1024" ]);
       ([], cmd @ [ "--weights"; "2" ], [ "'--weights'"; "0..1" ]);
     ]
   in
@@ -485,6 +488,9 @@ let test_cli_envelope_rejections () =
         [ ("weights", List [ Float 0.5; String "y" ]); ("width", Int 32) ], false );
       ( [ "explore"; "--widths"; "0,16" ], Protocol.Explore,
         [ ("widths", List [ Int 0; Int 16 ]) ], false );
+      ([ "plan"; "--width"; "1025" ], Protocol.Plan, [ ("width", Int 1025) ], false);
+      ( [ "explore"; "--widths"; "16,1025" ], Protocol.Explore,
+        [ ("widths", List [ Int 16; Int 1025 ]) ], false );
       ( [ "explore"; "--weights"; "2"; "--widths"; "32" ], Protocol.Explore,
         [ ("weights", List [ Int 2 ]); ("width", Int 32) ], false );
       ( [ "explore"; "--weights"; "0.5"; "--widths"; "16,32" ], Protocol.Explore,

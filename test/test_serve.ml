@@ -727,6 +727,40 @@ let test_cosim_trials_ceiling () =
   | Msoc_serve.Request.Cosim (_, c) -> checki "the ceiling decodes" 100_000 c.Msoc_serve.Request.trials
   | _ -> Alcotest.fail "not a cosim request"
 
+(* A TAM width above Problem.max_tam_width, alone or in a sweep, is a
+   bad_request naming the param and the range, and nothing is packed;
+   the ceiling itself decodes. Only the decoder and the rejections run:
+   no plan at a large width. *)
+let test_width_ceiling () =
+  let open Export in
+  let decode op params = Msoc_serve.Request.of_params op (Object params) in
+  with_service (fun service ->
+      List.iter
+        (fun (op, name, params) ->
+          let packs = Msoc_testplan.Evaluate.total_packs () in
+          let resp = Service.handle service (Protocol.request ~params:(Object params) ~id:"w" op) in
+          let error = Option.value resp.Protocol.error ~default:"" in
+          checkb (error ^ ": bad_request") true (resp.Protocol.status = Protocol.Bad_request);
+          checkb (error ^ " names the param and range") true
+            (contains error name && contains error "1..1024");
+          checki (error ^ ": nothing packed") packs (Msoc_testplan.Evaluate.total_packs ()))
+        [
+          (Protocol.Plan, "\"width\"", [ ("width", Int 1025) ]);
+          (Protocol.Plan, "\"width\"", [ ("width", Int 1_000_000_000) ]);
+          (Protocol.Optimize, "\"width\"", [ ("width", Int 1025) ]);
+          (Protocol.Explore, "\"widths\"", [ ("widths", List [ Int 16; Int 1025 ]) ]);
+          (Protocol.Explore, "\"widths\"", [ ("widths", List [ Int 1_000_000_000 ]) ]);
+          ( Protocol.Explore, "\"width\"",
+            [ ("weights", List [ Float 0.5 ]); ("width", Int 1025) ] );
+        ]);
+  (match decode Protocol.Plan [ ("width", Int 1024) ] with
+  | Msoc_serve.Request.Plan s -> checki "the ceiling decodes" 1024 s.Msoc_serve.Request.width
+  | _ -> Alcotest.fail "not a plan request");
+  match decode Protocol.Explore [ ("widths", List [ Int 16; Int 1024 ]) ] with
+  | Msoc_serve.Request.Explore (_, Msoc_serve.Request.Widths ws) ->
+    Alcotest.(check (list int)) "the ceiling decodes in a sweep" [ 16; 1024 ] ws
+  | _ -> Alcotest.fail "not a width sweep"
+
 (* Decoding any params object yields a request or raises what
    Request.error_message maps: a bad value is a bad_request, never a
    server error. *)
@@ -1136,6 +1170,7 @@ let suites =
         Alcotest.test_case "bad requests" `Quick
           test_service_bad_request_envelopes;
         Alcotest.test_case "cosim trials ceiling" `Quick test_cosim_trials_ceiling;
+        Alcotest.test_case "TAM width ceiling" `Quick test_width_ceiling;
         QCheck_alcotest.to_alcotest test_decode_total;
         Alcotest.test_case "deadlines" `Quick test_service_deadline;
         Alcotest.test_case "packer param" `Quick test_service_packer_param;

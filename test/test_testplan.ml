@@ -36,6 +36,9 @@ let test_problem_validation () =
       Problem.make ~soc ~analog_cores:Catalog.all ~tam_width:32 ~weight_time:1.5 ());
   expect_invalid "zero width" (fun () ->
       Problem.make ~soc ~analog_cores:Catalog.all ~tam_width:0 ~weight_time:0.5 ());
+  expect_invalid "width above max_tam_width" (fun () ->
+      Problem.make ~soc ~analog_cores:Catalog.all ~tam_width:1025 ~weight_time:0.5 ());
+  ignore (Problem.make ~soc ~analog_cores:Catalog.all ~tam_width:1024 ~weight_time:0.5 ());
   expect_invalid "no analog cores" (fun () ->
       Problem.make ~soc ~analog_cores:[] ~tam_width:32 ~weight_time:0.5 ());
   (* core D needs 10 wires *)

@@ -68,6 +68,11 @@ let test_bfd_rejects_bad_input () =
   rejects "negative length in a staircase" (fun () ->
       ignore (Pareto.staircase negative ~max_width:4));
   rejects "max_width 0" (fun () -> ignore (Pareto.staircase (chains_core [ 1 ]) ~max_width:0));
+  (* The lower bound needs T monotone, and the levelling n >= 0 cells. *)
+  rejects "negative inputs" (fun () ->
+      ignore (Pareto.staircase { (chains_core [ 1 ]) with Types.inputs = -1 } ~max_width:4));
+  rejects "negative patterns" (fun () ->
+      ignore (Pareto.staircase { (chains_core [ 1 ]) with Types.patterns = -1 } ~max_width:4));
   let kernel = Design.kernel (chains_core [ 4; 2 ]) ~max_width:3 in
   rejects "run width 0" (fun () -> ignore (Design.run kernel ~width:0));
   rejects "run past max_width" (fun () -> ignore (Design.run kernel ~width:4))
@@ -418,6 +423,12 @@ let qcheck_tests =
       sweep_arb (fun (core, max_width) ->
         Pareto.points (Pareto.staircase core ~max_width)
         = Reference.staircase core ~max_width);
+    Test.make ~name:"lower bound <= the design at every width 1..96" ~count:300
+      sweep_arb (fun (core, _) ->
+        let kernel = Design.kernel core ~max_width:96 in
+        List.for_all
+          (fun width -> Design.lower_bound kernel ~width <= Design.run kernel ~width)
+          (List.init 96 succ));
     Test.make ~name:"design conserves cells" ~count:100 core_arb
       (fun core ->
         let d = Design.design core ~width:5 in
