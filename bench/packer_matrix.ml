@@ -1,26 +1,17 @@
 (* Packer matrix: every registered packer variant head-to-head on the
    seeded synthetic suite and the checked-in data/p93791s.soc
-   benchmark — verified schedule quality and packs/sec — plus the
-   incremental-repack engine measured against the old
-   rebuild-everything-per-move behavior.
+   benchmark — verified schedule quality and packs/sec.
 
-   Two gates (each fails the bench, and the bench-smoke CI job):
-   - quality: no variant's Msoc_check-verified makespan may exceed
-     best_fit's on any instance. Variants extend the best_fit
-     portfolio with specialty orders, so a regression is a packer
-     bug, not a heuristic trade-off.
-   - incremental: over a seeded transposition walk, the engine must
-     perform at least 2x fewer full interval-state rebuilds than one
-     per proposal (what the pre-engine anneal did):
-     2 * full_rebuilds <= proposals.
+   Quality gate (fails the bench, and the bench-smoke CI job): no
+   variant's Msoc_check-verified makespan may exceed best_fit's on any
+   instance. Variants extend the best_fit portfolio with specialty
+   orders, so a regression is a packer bug, not a heuristic trade-off.
 
    Writes BENCH_packer_matrix.json so CI can archive the numbers.
 
-   Environment knobs (for the CI smoke run):
+   Environment knob (for the CI smoke run):
      MSOC_PACKER_BENCH_REPEATS  timed packs per (instance, variant)
-                                (default 3)
-     MSOC_PACKER_BENCH_MOVES    proposals in the transposition walk
-                                (default 200) *)
+                                (default 3) *)
 
 module Table = Msoc_util.Ascii_table
 module Problem = Msoc_testplan.Problem
@@ -30,8 +21,6 @@ module Instances = Msoc_testplan.Instances
 module Synthetic = Msoc_itc02.Synthetic
 module Soc_file = Msoc_itc02.Soc_file
 module Sharing = Msoc_analog.Sharing
-module Job = Msoc_tam.Job
-module Packer = Msoc_tam.Packer
 module Registry = Msoc_tam.Packer_registry
 module Schedule = Msoc_tam.Schedule
 module Schedule_check = Msoc_check.Schedule_check
@@ -171,110 +160,22 @@ let matrix ~repeats ~note insts =
   Table.print ~columns ~rows;
   !regressions
 
-(* --- incremental engine vs rebuild-per-move ------------------------ *)
-
-(* The anneal's inner loop, replayed deterministically: adjacent
-   transpositions on a priority order, greedy acceptance. The
-   pre-engine packer rebuilt the whole per-wire interval state once
-   per proposal; the gate demands the engine halves that. *)
-let incremental_walk ~moves ~note (instance, width, jobs) =
-  let engine = Packer.prepare ~width () in
-  let order = Array.of_list (List.hd (Packer.priority_orders jobs)) in
-  let n = Array.length order in
-  let rng = Random.State.make [| 0x9e3779b9; width; n |] in
-  let pack () =
-    Schedule.makespan (Packer.repack_with_order engine (Array.to_list order))
-  in
-  let best = ref (pack ()) in
-  let accepted = ref 0 in
-  let proposals = if n < 2 then 0 else moves in
-  for _ = 1 to proposals do
-    let i = Random.State.int rng (n - 1) in
-    let tmp = order.(i) in
-    order.(i) <- order.(i + 1);
-    order.(i + 1) <- tmp;
-    let ms = pack () in
-    if ms <= !best then begin
-      best := ms;
-      incr accepted
-    end
-    else begin
-      let tmp = order.(i) in
-      order.(i) <- order.(i + 1);
-      order.(i + 1) <- tmp
-    end
-  done;
-  let stats = Packer.repack_stats engine in
-  note
-    (Export.Object
-       [
-         ("instance", Export.String instance);
-         ("width", Export.Int width);
-         ("proposals", Export.Int proposals);
-         ("accepted", Export.Int !accepted);
-         ("repacks", Export.Int stats.Packer.repacks);
-         ("full_rebuilds", Export.Int stats.Packer.full_rebuilds);
-         ("jobs_reused", Export.Int stats.Packer.jobs_reused);
-         ("jobs_placed", Export.Int stats.Packer.jobs_placed);
-       ]);
-  let per_accepted =
-    float_of_int stats.Packer.full_rebuilds
-    /. float_of_int (max 1 !accepted)
-  in
-  let ok = 2 * stats.Packer.full_rebuilds <= proposals in
-  ( [
-      instance;
-      string_of_int proposals;
-      string_of_int !accepted;
-      string_of_int stats.Packer.full_rebuilds;
-      Table.float_cell ~decimals:3 per_accepted;
-      string_of_int stats.Packer.jobs_reused;
-      string_of_int stats.Packer.jobs_placed;
-      (if ok then "yes" else "NO");
-    ],
-    ok )
-
 let run () =
   header "Packer matrix: variants x instances, Msoc_check-verified";
   let repeats = max 1 (env_int "MSOC_PACKER_BENCH_REPEATS" 3) in
-  let moves = max 10 (env_int "MSOC_PACKER_BENCH_MOVES" 200) in
   let insts = instances () in
   let matrix_rows = ref [] in
-  let engine_rows = ref [] in
   let regressions =
     matrix ~repeats ~note:(fun j -> matrix_rows := j :: !matrix_rows) insts
   in
-  header "Incremental repack vs one rebuild per proposal";
-  let columns =
-    [
-      Table.column "instance";
-      Table.column ~align:Table.Right "proposals";
-      Table.column ~align:Table.Right "accepted";
-      Table.column ~align:Table.Right "full rebuilds";
-      Table.column ~align:Table.Right "rebuilds/accept";
-      Table.column ~align:Table.Right "reused";
-      Table.column ~align:Table.Right "placed";
-      Table.column "2x gate";
-    ]
-  in
-  let walks =
-    List.map
-      (incremental_walk ~moves ~note:(fun j -> engine_rows := j :: !engine_rows))
-      insts
-  in
-  Table.print ~columns ~rows:(List.map fst walks);
-  let incremental_ok = List.for_all snd walks in
   let doc =
     Export.Object
       [
         ("bench", Export.String "packer-matrix");
         ("repeats", Export.Int repeats);
-        ("moves", Export.Int moves);
         ("packers", Export.List (List.map (fun s -> Export.String s) Registry.names));
         ("matrix", Export.List (List.rev !matrix_rows));
-        ("incremental", Export.List (List.rev !engine_rows));
         ("quality_gate_ok", Export.Bool (regressions = []));
-        ("incremental_gate_ok", Export.Bool incremental_ok);
       ]
   in
   let path = "BENCH_packer_matrix.json" in
@@ -289,7 +190,4 @@ let run () =
   if regressions <> [] then
     failwith
       ("packer-matrix: variant makespan regressed vs best_fit:\n  "
-      ^ String.concat "\n  " (List.rev regressions));
-  if not incremental_ok then
-    failwith
-      "packer-matrix: incremental engine missed the 2x rebuild-reduction gate"
+      ^ String.concat "\n  " (List.rev regressions))

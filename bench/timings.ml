@@ -102,7 +102,7 @@ let tests () =
       (Staged.stage anneal)
   in
   (* The same branch-and-bound search on a fresh prepared structure:
-     every schedule it evaluates is a certified incremental pack. *)
+     every schedule it evaluates is a certified pack. *)
   let search_bnb_cold =
     Test.make
       ~name:"search:bnb, cold memo (p93791s + 14 scaled analog, W=32, 24 evaluations)"

@@ -541,13 +541,6 @@ let print_search_stats (stats : Msoc_search.Stats.t) =
   if stats.Msoc_search.Stats.moves > 0 then
     Fmt.pr "anneal: %d moves proposed, %d accepted@."
       stats.Msoc_search.Stats.moves stats.Msoc_search.Stats.accepted_moves;
-  if
-    stats.Msoc_search.Stats.pack_full_rebuilds > 0
-    || stats.Msoc_search.Stats.pack_prefix_reuses > 0
-  then
-    Fmt.pr "packer engine: %d full interval rebuilds, %d placements reused@."
-      stats.Msoc_search.Stats.pack_full_rebuilds
-      stats.Msoc_search.Stats.pack_prefix_reuses;
   Fmt.pr "schedule cache: %d hits, %d misses; wall %.1f ms@."
     stats.Msoc_search.Stats.cache_hits stats.Msoc_search.Stats.cache_misses
     stats.Msoc_search.Stats.wall_ms

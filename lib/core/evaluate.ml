@@ -26,11 +26,6 @@ type prepared = {
   reference_makespan : int;
   cache : cache;
   packer : Registry.packer;
-  (* Serial-path engine: caches per-order packing-state checkpoints so
-     consecutive cache misses (neighboring sharing combinations share
-     long job-list prefixes) replay only order suffixes. NOT shared
-     with pool workers — they run the pure one-shot pack. *)
-  inc : Registry.incremental;
 }
 
 (* Process-wide count of TAM-optimizer invocations ([Packer.pack]
@@ -98,16 +93,9 @@ let jobs_for_groups prepared groups =
 
 let combination_key (combination : Sharing.t) = Sharing.full_name combination
 
-(* Serial path: incremental repack on the prepared engine. *)
+(* The one packing path, serial and on the pool's worker domains: the
+   certified pack shares no mutable state but the atomic counter. *)
 let pack_jobs p jobs =
-  Atomic.incr packs;
-  Registry.repack p.inc jobs
-
-(* Worker path: a pure (jobs, width) -> schedule function with no
-   shared mutable engine, so pool domains stay race-free; the result
-   is bit-identical to [pack_jobs] (the registry's incremental path
-   packs the same orders with the same tie-break). *)
-let pack_jobs_pure p jobs =
   Atomic.incr packs;
   Registry.pack p.packer ~width:p.problem.Problem.tam_width jobs
 
@@ -133,10 +121,7 @@ let prepare ?(packer = Registry.default) (problem : Problem.t) =
       problem.Problem.soc.Msoc_itc02.Types.cores
   in
   let cache = { table = Hashtbl.create 64; hits = 0; misses = 0 } in
-  let inc = Registry.incremental ~width:problem.Problem.tam_width packer in
-  let provisional =
-    { problem; digital_jobs; reference_makespan = 0; cache; packer; inc }
-  in
+  let provisional = { problem; digital_jobs; reference_makespan = 0; cache; packer } in
   let full = Sharing.full_sharing problem.Problem.analog_cores in
   (* Seeding through [schedule_for] leaves the full-sharing schedule
      in the cache: when full sharing is also a candidate combination
@@ -205,8 +190,8 @@ let evaluate_many ?pool p combinations =
   | Some pool when Msoc_util.Pool.jobs pool <= 1 -> ()
   | Some pool ->
     (* Pack the schedules the cache is missing on the worker domains.
-       Workers run the pure (jobs, width) -> schedule function only;
-       the table and counters are touched from this domain alone.
+       Workers run [pack_jobs] only; the table and its counters are
+       touched from this domain alone.
        [Pool.map] returns in input order and packing is deterministic,
        so the filled cache — and every evaluation below — is
        bit-identical to the serial path. *)
@@ -224,7 +209,7 @@ let evaluate_many ?pool p combinations =
     in
     let schedules =
       Msoc_util.Pool.map pool
-        (fun c -> pack_jobs_pure p (jobs_for_groups p c.Sharing.groups))
+        (fun c -> pack_jobs p (jobs_for_groups p c.Sharing.groups))
         missing
     in
     List.iter2

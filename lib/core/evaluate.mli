@@ -21,10 +21,9 @@ val prepare : ?packer:Msoc_tam.Packer_registry.packer -> Problem.t -> prepared
     full-sharing configuration to obtain the [C_T] normalization
     base (the reference schedule seeds the cache). [packer] (default
     {!Msoc_tam.Packer_registry.default}, i.e. [best_fit]) selects the
-    packing heuristic used for every schedule of this [prepared]; on
-    the serial path schedules come from the registry's incremental
-    repack engine, on the pool path from the pure certified pack —
-    bit-identical either way. *)
+    packing heuristic used for every schedule of this [prepared]; the
+    serial path and the pool path both pack through the certified
+    {!Msoc_tam.Packer_registry.pack}. *)
 
 val reweight : prepared -> Problem.t -> prepared
 (** [reweight p problem] is [p] retargeted at [problem], sharing [p]'s
@@ -41,9 +40,9 @@ type cache_stats = { hits : int; misses : int; entries : int }
 val cache_stats : prepared -> cache_stats
 
 val total_packs : unit -> int
-(** Process-wide monotone count of TAM-optimizer runs (incremental
-    repacks and one-shot packs) issued by this module, across all
-    [prepared] values and pool workers. Read the delta around a
+(** Process-wide monotone count of TAM-optimizer runs
+    ({!Msoc_tam.Packer_registry.pack} calls) issued by this module,
+    across all [prepared] values and pool workers. Read the delta around a
     search to measure how much work the cache avoided. *)
 
 val problem : prepared -> Problem.t

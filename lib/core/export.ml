@@ -222,10 +222,15 @@ let parse text =
       if !continue then incr stop
     done;
     let tok = String.sub text pos (!stop - pos) in
+    (* A literal past the float range reads as an infinity, which the
+       printer cannot write back as JSON: reject it here. *)
+    let finite v =
+      if Float.is_finite v then Float v else fail pos "number %S is out of range" tok
+    in
     let value =
       if !is_float then
         match float_of_string_opt tok with
-        | Some v -> Float v
+        | Some v -> finite v
         | None -> fail pos "malformed number %S" tok
       else
         match int_of_string_opt tok with
@@ -233,7 +238,7 @@ let parse text =
         | None -> (
           (* an integer literal too wide for [int]: keep the magnitude *)
           match float_of_string_opt tok with
-          | Some v -> Float v
+          | Some v -> finite v
           | None -> fail pos "malformed number %S" tok)
     in
     (value, !stop)

@@ -25,11 +25,13 @@ val pretty : json -> string
 val parse : string -> (json, string) result
 (** Parse one JSON value (the whole input, surrounding whitespace
     allowed). Numbers without a fraction or exponent that fit in an
-    OCaml [int] parse as [Int], everything else as [Float]; [\uXXXX]
+    OCaml [int] parse as [Int], everything else as [Float]; a number
+    whose value is past the float range is an [Error]; [\uXXXX]
     escapes decode to UTF-8 bytes. [Error] carries a
     ["offset N: message"] description. Inverse of {!to_string} /
-    {!pretty} for every value whose floats are finite, so protocol
-    envelopes round-trip. *)
+    {!pretty} for every value whose floats are finite and print
+    exactly in 12 significant digits, so protocol envelopes
+    round-trip. *)
 
 val parse_exn : string -> json
 (** @raise Failure with the {!parse} error description. *)

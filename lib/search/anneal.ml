@@ -18,11 +18,6 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
     prepared =
   let t0 = Unix.gettimeofday () in
   let cache0 = Evaluate.cache_stats prepared in
-  (* The prepared evaluator packs cache misses through the registry's
-     incremental engine; record the process-wide rebuild/reuse deltas
-     so the outcome shows how much interval-state work the engine
-     skipped across this run's evaluations. *)
-  let repack0 = Msoc_tam.Packer.repack_totals () in
   let problem = Evaluate.problem prepared in
   let bound = Bound.create prepared in
   let { Bound.cores; time; compatible; by_rank; t_floor; _ } = bound in
@@ -277,7 +272,6 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
     match !best with Some e -> e | None -> assert false
   in
   let cache1 = Evaluate.cache_stats prepared in
-  let repack1 = Msoc_tam.Packer.repack_totals () in
   let stats =
     {
       Stats.zero with
@@ -287,11 +281,6 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
       accepted_moves = !accepted;
       cache_hits = cache1.Evaluate.hits - cache0.Evaluate.hits;
       cache_misses = cache1.Evaluate.misses - cache0.Evaluate.misses;
-      pack_full_rebuilds =
-        repack1.Msoc_tam.Packer.full_rebuilds
-        - repack0.Msoc_tam.Packer.full_rebuilds;
-      pack_prefix_reuses =
-        repack1.Msoc_tam.Packer.jobs_reused - repack0.Msoc_tam.Packer.jobs_reused;
       wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
       incumbent_trace = List.rev !trace;
     }

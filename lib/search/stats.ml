@@ -12,8 +12,6 @@ type t = {
   accepted_moves : int;
   cache_hits : int;
   cache_misses : int;
-  pack_full_rebuilds : int;
-  pack_prefix_reuses : int;
   wall_ms : float;
   incumbent_trace : trace_point list;
 }
@@ -29,8 +27,6 @@ let zero =
     accepted_moves = 0;
     cache_hits = 0;
     cache_misses = 0;
-    pack_full_rebuilds = 0;
-    pack_prefix_reuses = 0;
     wall_ms = 0.0;
     incumbent_trace = [];
   }
@@ -48,8 +44,6 @@ let merge stats =
         accepted_moves = acc.accepted_moves + s.accepted_moves;
         cache_hits = acc.cache_hits + s.cache_hits;
         cache_misses = acc.cache_misses + s.cache_misses;
-        pack_full_rebuilds = acc.pack_full_rebuilds + s.pack_full_rebuilds;
-        pack_prefix_reuses = acc.pack_prefix_reuses + s.pack_prefix_reuses;
         wall_ms = Float.max acc.wall_ms s.wall_ms;
         incumbent_trace = [];
       })
@@ -75,8 +69,6 @@ let to_json t =
       ("accepted_moves", Export.Int t.accepted_moves);
       ("cache_hits", Export.Int t.cache_hits);
       ("cache_misses", Export.Int t.cache_misses);
-      ("pack_full_rebuilds", Export.Int t.pack_full_rebuilds);
-      ("pack_prefix_reuses", Export.Int t.pack_prefix_reuses);
       ("wall_ms", Export.Float t.wall_ms);
       ("incumbent_trace", Export.List (List.map trace_point_json t.incumbent_trace));
     ]

@@ -26,13 +26,6 @@ type t = {
   accepted_moves : int;  (** annealing proposals accepted *)
   cache_hits : int;  (** schedule-cache hits during this search *)
   cache_misses : int;  (** schedules actually packed *)
-  pack_full_rebuilds : int;
-      (** packs that built per-wire interval state from scratch
-          (process-wide {!Msoc_tam.Packer.repack_totals} delta around
-          the strategy run) *)
-  pack_prefix_reuses : int;
-      (** placements served from the incremental engine's cached
-          prefix checkpoints instead of being replayed *)
   wall_ms : float;
   incumbent_trace : trace_point list;  (** chronological *)
 }

@@ -4,8 +4,10 @@ exception Infeasible of string
 
 (* Sorted, disjoint busy stretches [start, finish) as one flat int
    array [|s0; f0; s1; f1; ...|], one pair per maximal busy stretch.
-   An array is never mutated once built: [add] returns a fresh one, so
-   the packing-state checkpoints that share it stay valid. *)
+   An array is never mutated once built: [add] returns a fresh one.
+   The packer keeps the wires that share one busy history array as one
+   class, and a placement that takes part of a class splits it: the
+   wires it leaves keep the old array. *)
 module Intervals = struct
   type t = int array
 
@@ -56,55 +58,9 @@ end
 
 module Smap = Map.Make (String)
 
-(* Persistent packing state: one snapshot per placed job, so the
-   incremental engine ([prepare] / [repack_below]) can resume from any
-   prefix of a previous order without replaying it. The wire array is
-   copied on write (strip widths are small); everything else is
-   already a persistent structure. *)
-type pstate = {
-  p_wires : Intervals.t array;  (* never mutated: copy-on-write *)
-  p_groups : (int * Intervals.t) list;
-  (* committed placements as (start, finish, power) for the budget *)
-  p_powered : (int * int * int) list;
-  p_power_budget : int option;
-  (* label -> busy interval of the placed job with that label; [None]
-     once a job was placed for a job set that names no predecessor and
-     no conflict, which never reads it *)
-  p_placed : (int * int) Smap.t option;
-  (* label of a FUTURE job -> intervals already reserved against it by
-     placed jobs that declared the conflict *)
-  p_reserved : (int * int) list Smap.t;
-  (* the latest finish so far: the running makespan *)
-  p_makespan : int;
-}
-
-let initial_state ?power_budget ~width () =
-  {
-    p_wires = Array.make width Intervals.empty;
-    p_groups = [];
-    p_powered = [];
-    p_power_budget = power_budget;
-    p_placed = Some Smap.empty;
-    p_reserved = Smap.empty;
-    p_makespan = 0;
-  }
-
-let group_intervals st = function
+let group_intervals groups = function
   | None -> Intervals.empty
-  | Some g -> Option.value (List.assoc_opt g st.p_groups) ~default:Intervals.empty
-
-(* The busy interval of the placed job with this label. *)
-let placed_interval st label = Option.bind st.p_placed (Smap.find_opt label)
-
-(* Blocked windows of a job: the busy intervals of placed jobs it
-   declared a conflict with, plus those reserved against it by placed
-   jobs that declared one with it. Any order, possibly repeated. *)
-let conflict_intervals st job =
-  let declared = List.filter_map (placed_interval st) job.Job.conflicts in
-  let reserved =
-    Option.value (Smap.find_opt job.Job.label st.p_reserved) ~default:[]
-  in
-  declared @ reserved
+  | Some g -> Option.value (List.assoc_opt g groups) ~default:Intervals.empty
 
 (* The idle run of a resource at [start] is 0 when it is busy at
    [start], otherwise the distance to its next busy instant ([max_int]
@@ -121,13 +77,13 @@ let rec window_run windows ~start run =
 (* The committed load is piecewise constant and rises only where a
    placement starts, so the budget first breaks at [start] or at a
    later placement start. *)
-let power_run st ~start ~power =
-  match st.p_power_budget with
+let power_run power_budget powered ~start ~power =
+  match power_budget with
   | Some budget when power > 0 ->
     let over instant =
       List.fold_left
         (fun acc (s, f, p) -> if s <= instant && instant < f then acc + p else acc)
-        power st.p_powered
+        power powered
       > budget
     in
     if over start then 0
@@ -135,7 +91,7 @@ let power_run st ~start ~power =
       List.fold_left
         (fun run (s, _, _) ->
           if start < s && s - start < run && over s then s - start else run)
-        max_int st.p_powered
+        max_int powered
   | Some _ | None -> max_int
 
 module Iset = Set.Make (Int)
@@ -205,13 +161,14 @@ let respect_precedences order =
 
 (* --- the placement kernel ------------------------------------------- *)
 
-(* Scratch of one strip width, reused by every placement of an order,
-   so [place] allocates no buffer.
+(* The wires of one order's strip and the sweep's scratch, written in
+   place by every placement of the order, so [place] allocates no
+   buffer.
 
-   The sweep runs over wire classes, not wires. A class is the set of
-   wires whose busy history is one physical array, counted by its
-   number of wires: [place_below] finds the classes of the state it
-   resumes, and every placement keeps them current. Per class, the
+   The wires are held as classes, and the sweep runs over classes, not
+   wires. A class is the set of wires whose busy history is one
+   physical array, counted by its number of wires: the empty strip is
+   one class, and every placement keeps them current. Per class, the
    sweep keeps a cursor on the first busy stretch ending after the
    current start, that stretch's bounds and the end of the stretch
    before it, all in flat int arrays. *)
@@ -240,9 +197,11 @@ type sweep = {
 
 let sweep ~width =
   let slots () = Array.make width 0 in
+  let count = slots () in
+  count.(0) <- width;
   {
     history = Array.make width Intervals.empty;
-    count = slots ();
+    count;
     cursor = slots ();
     busy_from = slots ();
     busy_until = slots ();
@@ -254,7 +213,7 @@ let sweep ~width =
     run_wires = slots ();
     class_of = slots ();
     keys = slots ();
-    classes = 0;
+    classes = 1;
     finite = 0;
     idle = 0;
     best_finish = max_int;
@@ -262,22 +221,34 @@ let sweep ~width =
     best_start = 0;
   }
 
-(* Group the wires by physical busy history. *)
-let find_classes sw (wires : Intervals.t array) =
-  sw.classes <- 0;
-  for i = 0 to Array.length wires - 1 do
-    let c = ref 0 in
-    while !c < sw.classes && sw.history.(!c) != wires.(i) do
-      incr c
-    done;
-    if !c = sw.classes then begin
-      sw.history.(!c) <- wires.(i);
-      sw.count.(!c) <- 0;
-      sw.classes <- !c + 1
-    end;
-    sw.count.(!c) <- sw.count.(!c) + 1;
-    sw.class_of.(i) <- !c
-  done
+(* The packing state of one order, written in place by [place]. *)
+type state = {
+  sw : sweep;
+  width : int;
+  power_budget : int option;
+  (* whether placements record their labels: some job of the order
+     names a predecessor or a conflict *)
+  track : bool;
+  mutable groups : (int * Intervals.t) list;
+  (* committed placements as (start, finish, power) for the budget *)
+  mutable powered : (int * int * int) list;
+  (* label -> busy interval of the placed job with that label, when
+     [track] *)
+  mutable placed : (int * int) Smap.t;
+  (* label of a FUTURE job -> intervals already reserved against it by
+     placed jobs that declared the conflict *)
+  mutable reserved : (int * int) list Smap.t;
+  (* the latest finish so far: the running makespan *)
+  mutable makespan : int;
+}
+
+(* Blocked windows of a job: the busy intervals of placed jobs it
+   declared a conflict with, plus those reserved against it by placed
+   jobs that declared one with it. Any order, possibly repeated. *)
+let conflict_intervals st job =
+  let declared = List.filter_map (fun l -> Smap.find_opt l st.placed) job.Job.conflicts in
+  let reserved = Option.value (Smap.find_opt job.Job.label st.reserved) ~default:[] in
+  declared @ reserved
 
 (* The least conflict-window or power-placement end after [start]. *)
 let lower_end ~start (least : int) f = if start < f && f < least then f else least
@@ -392,18 +363,16 @@ let choose_wires sw ~width w =
   insertion_sort sw.keys !free;
   List.init w (fun j -> sw.keys.(j) mod width)
 
-(* Add [start, finish) to the chosen wires, returning the grown wire
-   array. [Intervals.add] runs once per class the wires come from, at
-   its first chosen wire. A class whose wires are all chosen moves to
-   the grown history; one chosen in part splits, its chosen wires
-   forming a new class. *)
-let take_wires sw wires chosen ~start ~finish =
+(* Add [start, finish) to the chosen wires. [Intervals.add] runs once
+   per class the wires come from, at its first chosen wire. A class
+   whose wires are all chosen moves to the grown history; one chosen in
+   part splits, its chosen wires forming a new class. *)
+let take_wires sw chosen ~start ~finish =
   List.iter
     (fun wire ->
       let c = sw.class_of.(wire) in
       sw.taken.(c) <- sw.taken.(c) + 1)
     chosen;
-  let p_wires = Array.copy wires in
   List.iter
     (fun wire ->
       let c = sw.class_of.(wire) in
@@ -424,18 +393,11 @@ let take_wires sw wires chosen ~start ~finish =
           sw.moved.(c) <- split
         end
       end;
-      let moved = sw.moved.(c) in
-      sw.class_of.(wire) <- moved;
-      p_wires.(wire) <- sw.history.(moved))
-    chosen;
-  p_wires
+      sw.class_of.(wire) <- sw.moved.(c))
+    chosen
 
-(* Place one job on the earliest feasible window, returning the grown
-   state alongside the placement. Pure in [st]: the incremental engine
-   checkpoints these states per position. [sw]'s classes are those of
-   [st.p_wires], and the placement moves them on to the grown state's.
-   [track] keeps [p_placed]; it is off for a job set that names no
-   predecessor and no conflict.
+(* Place one job on the earliest feasible window, writing it into [st],
+   and return the placement.
 
    One ascending sweep over the job's candidate starts resolves every
    staircase point at once. The candidate starts are the precedence
@@ -449,7 +411,8 @@ let take_wires sw wires chosen ~start ~finish =
    width); the sweep ends when no point can beat it. Of the wires free
    over the best window, the job takes the [w] with the least idle
    slack in front of it (the least keys slack * width + wire). *)
-let place sw ~width ~track st job =
+let place st job =
+  let sw = st.sw and width = st.width in
   let points = Pareto.points job.Job.staircase in
   (* Widths rise along the staircase: the usable points are a prefix. *)
   let usable =
@@ -469,13 +432,13 @@ let place sw ~width ~track st job =
   let floor =
     List.fold_left
       (fun acc pred ->
-        match placed_interval st pred with
+        match Smap.find_opt pred st.placed with
         | Some (_, f) -> Int.max acc f
         | None -> acc (* respect_precedences guarantees presence *))
       0 job.Job.predecessors
   in
   let blocked = conflict_intervals st job in
-  let group = group_intervals st job.Job.exclusion in
+  let group = group_intervals st.groups job.Job.exclusion in
   for c = 0 to sw.classes - 1 do
     sw.cursor.(c) <- 0;
     sw.idle_since.(c) <- 0;
@@ -490,13 +453,13 @@ let place sw ~width ~track st job =
         Int.min
           (if idle_group then max_int else group.(g + 1))
           (Int.min (scan_classes sw ~start)
-             (power_end st.p_powered ~start (window_end blocked ~start max_int)))
+             (power_end st.powered ~start (window_end blocked ~start max_int)))
       in
       let cap =
         Int.min
           (if idle_group then max_int else Int.max 0 (group.(g) - start))
           (Int.min (window_run blocked ~start max_int)
-             (power_run st ~start ~power:job.Job.power))
+             (power_run st.power_budget st.powered ~start ~power:job.Job.power))
       in
       go next g (if cap > 0 then resolve sw ~width ~start ~cap 0 points else open_points)
     end
@@ -508,113 +471,71 @@ let place sw ~width ~track st job =
          (Printf.sprintf "job %s found no feasible start on the strip" job.Job.label));
   let start = sw.best_start and finish = sw.best_finish and w = sw.best_width in
   let chosen = choose_wires sw ~width w in
-  let p_wires = take_wires sw st.p_wires chosen ~start ~finish in
-  let p_groups =
-    match job.Job.exclusion with
-    | Some g -> (g, Intervals.add group ~start ~finish) :: List.remove_assoc g st.p_groups
-    | None -> st.p_groups
-  in
-  let p_powered =
-    if job.Job.power > 0 then (start, finish, job.Job.power) :: st.p_powered
-    else st.p_powered
-  in
-  let p_reserved =
+  take_wires sw chosen ~start ~finish;
+  (match job.Job.exclusion with
+  | Some g ->
+    st.groups <- (g, Intervals.add group ~start ~finish) :: List.remove_assoc g st.groups
+  | None -> ());
+  if job.Job.power > 0 then st.powered <- (start, finish, job.Job.power) :: st.powered;
+  st.reserved <-
     List.fold_left
       (fun acc other ->
         let existing = Option.value (Smap.find_opt other acc) ~default:[] in
         Smap.add other ((start, finish) :: existing) acc)
-      st.p_reserved job.Job.conflicts
-  in
-  let p_placed =
-    if track then Option.map (Smap.add job.Job.label (start, finish)) st.p_placed
-    else None
-  in
-  let st' =
-    {
-      st with
-      p_wires;
-      p_groups;
-      p_powered;
-      p_placed;
-      p_reserved;
-      p_makespan = Int.max st.p_makespan finish;
-    }
-  in
-  (st', { Schedule.job; start; width = w; time = finish - start; wires = chosen })
+      st.reserved job.Job.conflicts;
+  if st.track then st.placed <- Smap.add job.Job.label (start, finish) st.placed;
+  st.makespan <- Int.max st.makespan finish;
+  { Schedule.job; start; width = w; time = finish - start; wires = chosen }
 
-(* Process-wide interval-state accounting. [full_rebuilds] counts
-   order packs that build the per-wire interval state from scratch
-   (every one-shot order, plus any engine repack whose cached prefix
-   is empty); [jobs_reused] counts placements served from an engine's
-   checkpoints instead of being replayed; [jobs_placed] counts the
-   placements computed, so an order stopped by the best-of-orders
-   bound counts only the jobs it placed. Atomics so pool workers and
-   benches can read deltas from any domain. *)
-type repack_stats = {
-  repacks : int;
-  full_rebuilds : int;
-  jobs_reused : int;
-  jobs_placed : int;
-}
+(* Process-wide packing accounting, atomics so pool workers and benches
+   can read deltas from any domain. [full_rebuilds] counts order packs,
+   stopped or not; [jobs_placed] counts the placements computed, so an
+   order stopped by the best-of-orders bound counts only the jobs it
+   placed. *)
+type totals = { full_rebuilds : int; jobs_reused : int; jobs_placed : int }
 
-let stats_zero = { repacks = 0; full_rebuilds = 0; jobs_reused = 0; jobs_placed = 0 }
-
-let total_repacks = Atomic.make 0
 let total_full_rebuilds = Atomic.make 0
-let total_jobs_reused = Atomic.make 0
 let total_jobs_placed = Atomic.make 0
 
 let repack_totals () =
   {
-    repacks = Atomic.get total_repacks;
     full_rebuilds = Atomic.get total_full_rebuilds;
-    jobs_reused = Atomic.get total_jobs_reused;
+    jobs_reused = 0;
     jobs_placed = Atomic.get total_jobs_placed;
   }
 
-let schedule_of_placements ?power_budget ~width placements_rev =
-  let placements =
-    List.sort (fun a b -> Int.compare a.Schedule.start b.Schedule.start) placements_rev
-  in
-  { Schedule.total_width = width; power_budget; placements }
-
-(* Whether a placement must record its label: some job of [order]
-   names a predecessor or a conflict. *)
-let tracks order =
-  Array.exists (fun j -> j.Job.predecessors <> [] || j.Job.conflicts <> []) order
-
-(* Place [order.(k)], [order.(k + 1)], ... on top of [states.(k)],
-   storing the state after position [i] in [states.(i + 1)], until the
-   order is placed or its running makespan reaches [bound]. Returns
-   the number of positions placed in all and the new placements,
-   newest first. [track] is [tracks order]. *)
-let place_below ~width ~track ~bound order states k =
-  let sw = sweep ~width in
-  find_classes sw states.(k).p_wires;
-  let rec go i placed =
-    if i = Array.length order || states.(i).p_makespan >= bound then (i, placed)
-    else begin
-      let st, p = place sw ~width ~track states.(i) order.(i) in
-      states.(i + 1) <- st;
-      go (i + 1) (p :: placed)
-    end
-  in
-  go k []
-
-(* Pack one order from scratch; [None] once its running makespan
-   reaches [bound]. *)
+(* Pack one order on an empty strip, placing jobs until the order is
+   placed or its running makespan reaches [bound]; [None] then. *)
 let pack_in_order ?power_budget ~width ~bound order =
-  let order = Array.of_list order in
-  let states =
-    Array.make (Array.length order + 1) (initial_state ?power_budget ~width ())
+  let st =
+    {
+      sw = sweep ~width;
+      width;
+      power_budget;
+      track =
+        List.exists (fun j -> j.Job.predecessors <> [] || j.Job.conflicts <> []) order;
+      groups = [];
+      powered = [];
+      placed = Smap.empty;
+      reserved = Smap.empty;
+      makespan = 0;
+    }
   in
-  let m, placements_rev =
-    place_below ~width ~track:(tracks order) ~bound order states 0
+  let rec go placed = function
+    | job :: rest when st.makespan < bound -> go (place st job :: placed) rest
+    | _ -> placed
   in
+  let placements = go [] order in
   Atomic.incr total_full_rebuilds;
-  ignore (Atomic.fetch_and_add total_jobs_placed m);
-  if states.(m).p_makespan < bound then
-    Some (schedule_of_placements ?power_budget ~width placements_rev)
+  ignore (Atomic.fetch_and_add total_jobs_placed (List.length placements));
+  if st.makespan < bound then
+    Some
+      {
+        Schedule.total_width = width;
+        power_budget;
+        placements =
+          List.sort (fun a b -> Int.compare a.Schedule.start b.Schedule.start) placements;
+      }
   else None
 
 (* A job bound to an exclusion group inherits the group's total serial
@@ -693,30 +614,24 @@ let priority_orders jobs =
     by (fun k -> k.width) (fun k -> k.urgency);
   ]
 
-(* Order [i] is packed by [pack i ~bound order], which gives up once
-   the order's running makespan reaches [bound]: the makespan of the
-   best complete order so far. Placing more jobs never lowers a
+(* The first schedule with the strictly smallest makespan. Each order
+   gives up once its running makespan reaches [bound]: the makespan of
+   the best complete order so far. Placing more jobs never lowers a
    running makespan, and a tie keeps the earlier order, so an order
    that reaches the bound cannot win. *)
-let best_of_orders pack orders =
-  let rec go i best = function
-    | [] -> best
-    | order :: rest ->
+let best_of_orders ?power_budget ~width orders =
+  List.fold_left
+    (fun best order ->
       let bound = match best with Some s -> Schedule.makespan s | None -> max_int in
-      let best = match pack i ~bound order with Some _ as s -> s | None -> best in
-      go (i + 1) best rest
-  in
-  go 0 None orders
+      match pack_in_order ?power_budget ~width ~bound (respect_precedences order) with
+      | Some _ as s -> s
+      | None -> best)
+    None orders
 
 let pack_with_orders ?power_budget ~width ~orders jobs =
   validate_strip ?power_budget ~width ();
   validate_jobs ?power_budget ~width jobs;
-  match
-    best_of_orders
-      (fun _ ~bound order ->
-        pack_in_order ?power_budget ~width ~bound (respect_precedences order))
-      (orders jobs)
-  with
+  match best_of_orders ?power_budget ~width (orders jobs) with
   | Some s -> s
   | None -> invalid_arg "Packer.pack_with_orders: orders produced no priority order"
 
@@ -778,100 +693,6 @@ let pack_optimized ?power_budget ?(rounds = 8) ~width jobs =
   in
   refine initial [] rounds
 
-(* --- incremental repacking ------------------------------------------- *)
-
-(* The engine caches the last effective order together with one state
-   checkpoint per position: [e_states.(i)] is the state before placing
-   [e_order.(i)] (so [e_states.(0)] is the empty strip). A repack
-   diffs the new effective order against the cached one and replays
-   only the suffix after the longest common prefix — an annealer's
-   transposition at positions (i, j) keeps min(i, j) placements for
-   free. An order stopped by its bound leaves only the prefix it
-   placed in the cache. NOT thread-safe: one engine per domain. *)
-type prepared = {
-  e_width : int;
-  e_power_budget : int option;
-  mutable e_order : Job.t array;
-  mutable e_states : pstate array;
-  mutable e_placements : Schedule.placement array;
-  mutable e_stats : repack_stats;
-}
-
-let prepare ?power_budget ~width () =
-  if width <= 0 then invalid_arg "Packer.prepare: width must be positive";
-  (match power_budget with
-  | Some b when b <= 0 -> invalid_arg "Packer.prepare: power_budget must be positive"
-  | Some _ | None -> ());
-  {
-    e_width = width;
-    e_power_budget = power_budget;
-    e_order = [||];
-    e_states = [| initial_state ?power_budget ~width () |];
-    e_placements = [||];
-    e_stats = stats_zero;
-  }
-
-let repack_stats e = e.e_stats
-
-let repack_below e ~bound jobs =
-  validate_jobs ?power_budget:e.e_power_budget ~width:e.e_width jobs;
-  let order = Array.of_list (respect_precedences jobs) in
-  let n = Array.length order in
-  let prev = e.e_order in
-  let limit = Int.min n (Array.length prev) in
-  let k = ref 0 in
-  (* Jobs are pure data (label, staircase points, constraint lists),
-     so structural equality is the right prefix test; the physical
-     check just short-circuits the common case. *)
-  while !k < limit && (order.(!k) == prev.(!k) || order.(!k) = prev.(!k)) do
-    incr k
-  done;
-  let k = !k in
-  let states = Array.make (n + 1) e.e_states.(0) in
-  Array.blit e.e_states 0 states 0 (k + 1);
-  let track = tracks order in
-  (* A prefix placed for a job set that named no predecessor and no
-     conflict kept no labels: rebuild them from its placements. *)
-  if track && Option.is_none states.(k).p_placed then
-    states.(k) <-
-      {
-        (states.(k)) with
-        p_placed =
-          Some
-            (Array.fold_left
-               (fun acc (p : Schedule.placement) ->
-                 Smap.add p.job.Job.label (p.start, Schedule.finish p) acc)
-               Smap.empty (Array.sub e.e_placements 0 k));
-      };
-  let m, replayed = place_below ~width:e.e_width ~track ~bound order states k in
-  let placements =
-    Array.append (Array.sub e.e_placements 0 k) (Array.of_list (List.rev replayed))
-  in
-  e.e_order <- Array.sub order 0 m;
-  e.e_states <- Array.sub states 0 (m + 1);
-  e.e_placements <- placements;
-  e.e_stats <-
-    {
-      repacks = e.e_stats.repacks + 1;
-      full_rebuilds = (e.e_stats.full_rebuilds + if k = 0 && n > 0 then 1 else 0);
-      jobs_reused = e.e_stats.jobs_reused + k;
-      jobs_placed = e.e_stats.jobs_placed + (m - k);
-    };
-  Atomic.incr total_repacks;
-  if k = 0 && n > 0 then Atomic.incr total_full_rebuilds;
-  ignore (Atomic.fetch_and_add total_jobs_reused k);
-  ignore (Atomic.fetch_and_add total_jobs_placed (m - k));
-  if states.(m).p_makespan < bound then
-    Some
-      (schedule_of_placements ?power_budget:e.e_power_budget ~width:e.e_width
-         (Array.fold_left (fun acc p -> p :: acc) [] placements))
-  else None
-
-let repack_with_order e jobs =
-  match repack_below e ~bound:max_int jobs with
-  | Some s -> s
-  | None -> invalid_arg "Packer.repack_with_order: makespan reached max_int"
-
 let anneal ?power_budget ?(seed = 1) ?(iterations = 150) ~width jobs =
   let best = ref (pack_optimized ?power_budget ~width jobs) in
   if jobs = [] then !best
@@ -886,11 +707,9 @@ let anneal ?power_budget ?(seed = 1) ?(iterations = 150) ~width jobs =
            jobs)
     in
     let n = Array.length order in
-    (* One engine across all transpositions: a swap at (i, j) replays
-       only from position min(i, j), instead of rebuilding the whole
-       per-wire interval state as the old per-move pack did. *)
-    let engine = prepare ?power_budget ~width () in
-    let pack_order () = repack_with_order engine (Array.to_list order) in
+    let pack_order () =
+      pack_with_orders ?power_budget ~width ~orders:(fun _ -> [ Array.to_list order ]) jobs
+    in
     let current = ref (Schedule.makespan (pack_order ())) in
     let span0 = float_of_int !current in
     let temperature k =

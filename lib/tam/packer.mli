@@ -14,7 +14,7 @@
     Heuristic: a portfolio of priority orders (group-aware longest
     first, largest area first, widest first), each passed through
     {!respect_precedences} and packed greedily; the smallest makespan
-    wins, ties to the earlier order ({!best_of_orders}). Each job takes
+    wins, ties to the earlier order ({!pack_with_orders}). Each job takes
     the staircase point with the earliest finish over its candidate
     starts (ties to fewer wires), on the free wires with the least idle
     slack in front of it. The candidate starts are the job's precedence
@@ -38,14 +38,16 @@ exception Infeasible of string
     jobs are never clipped: a job whose narrowest Pareto point needs
     more wires than the TAM has is always rejected (with the offending
     label in the message), on every entry point including the internal
-    repacks of {!anneal} and {!pack_optimized}. *)
+    packs of {!anneal} and {!pack_optimized}. *)
 
 (** Sorted, disjoint busy intervals [[start, finish)], one entry per
     maximal busy stretch, held as one flat int array
     [[|s0; f0; s1; f1; ...|]]. {!Intervals.add} merges touching
     neighbours on insert and returns a fresh array, leaving its
-    argument untouched, so packing-state checkpoints that share a
-    wire's intervals stay valid. Exposed for tests. *)
+    argument untouched: the packer keeps the wires that share one busy
+    history array as one wire class, and a placement that takes part of
+    a class leaves the old array to the wires it does not take.
+    Exposed for tests. *)
 module Intervals : sig
   type t
 
@@ -88,19 +90,6 @@ val priority_orders : Job.t list -> Job.t list list
     Precedences are {e not} yet applied; {!pack_with_orders} does that
     per order. *)
 
-val best_of_orders :
-  (int -> bound:int -> Job.t list -> Schedule.t option) ->
-  Job.t list list ->
-  Schedule.t option
-(** [best_of_orders pack orders] is the best-of-orders rule every
-    packer shares: the first schedule with the strictly smallest
-    makespan, [None] only when [orders] is empty. Order [i] is packed
-    by [pack i ~bound order], where [bound] is the makespan of the
-    best complete order so far ([max_int] for the first); [pack]
-    returns [None] as soon as the order's running makespan reaches
-    [bound]. The stop is exact: a running makespan never falls, and a
-    tie keeps the earlier order, so a stopped order cannot win. *)
-
 val pack_with_orders :
   ?power_budget:int ->
   width:int ->
@@ -109,8 +98,12 @@ val pack_with_orders :
   Schedule.t
 (** Generic entry point behind every packer variant: validate the
     strip and the jobs, then pack each priority order [orders jobs]
-    (after {!respect_precedences}) from scratch through
-    {!best_of_orders}, so an order stops once it can no longer win.
+    (after {!respect_precedences}) on an empty strip and keep the
+    first schedule with the strictly smallest makespan. Each order is
+    packed against a bound, the makespan of the best complete order so
+    far, and stops once its running makespan reaches it. The stop is
+    exact: a running makespan never falls, and a tie keeps the earlier
+    order, so a stopped order cannot win.
     [pack = pack_with_orders ~orders:priority_orders].
     @raise Infeasible as described above.
     @raise Invalid_argument if [width <= 0], [power_budget <= 0], or
@@ -150,63 +143,27 @@ val anneal :
     deterministic for a given [seed], default 1). Returns the best
     schedule seen — never worse than {!pack_optimized}. Use for final
     sign-off schedules where seconds of CPU buy cycles of test time;
-    the optimizers use the fast packer. Internally runs on the
-    incremental engine below, so a transposition replays only the
-    order suffix it invalidated. *)
+    the optimizers use the fast packer. Each proposal is one order
+    packed from an empty strip, as {!pack_with_orders} packs it. *)
 
-(** {2 Incremental repacking}
-
-    An engine caches the last packed order with one packing-state
-    checkpoint per position; {!repack_below} replays only the suffix
-    after the longest common prefix with the cached order and returns
-    a schedule bit-identical to packing
-    [respect_precedences jobs] from scratch. A checkpoint records the
-    placed jobs' labels only when some job of its order names a
-    predecessor or a conflict; a repack whose jobs do, on a prefix
-    placed without them, rebuilds the labels from the cached
-    placements. {!anneal}'s
-    transpositions and the registry's best-of-orders repacks (and so
-    the search-layer evaluators) sit on this API. *)
-
-type prepared
-(** A reusable incremental-packing state for one fixed strip
-    ([width], [power_budget]). Mutable and NOT thread-safe: use one
-    engine per domain (pool workers keep the pure {!pack} path). *)
-
-val prepare : ?power_budget:int -> width:int -> unit -> prepared
-(** @raise Invalid_argument if [width <= 0] or [power_budget <= 0]. *)
-
-val repack_below : prepared -> bound:int -> Job.t list -> Schedule.t option
-(** [repack_below e ~bound jobs] packs [jobs] in the given priority
-    order (after {!respect_precedences}) on [e]'s strip, reusing the
-    cached placements of the longest common prefix with the previous
-    call, and stops with [None] once the running makespan reaches
-    [bound]. The engine then caches only the prefix it placed.
-    @raise Infeasible exactly as {!pack} would on the same jobs. *)
-
-val repack_with_order : prepared -> Job.t list -> Schedule.t
-(** {!repack_below} with no bound. *)
-
-type repack_stats = {
-  repacks : int;  (** engine repacks ({!repack_below} calls) *)
+type totals = {
   full_rebuilds : int;
-      (** order packs that built the interval state from scratch:
-          every one-shot [pack] order, stopped or not, plus repacks
-          with an empty common prefix *)
-  jobs_reused : int;  (** placements served from cached checkpoints *)
+      (** order packs, each from an empty strip: every order
+          {!pack_with_orders} packs, stopped or not, every
+          {!pack_optimized} round and every {!anneal} proposal *)
+  jobs_reused : int;
+      (** always 0: every order is placed from an empty strip, so no
+          placement is reused. Kept for readers of the totals that
+          report a prefix-reuse ratio. *)
   jobs_placed : int;
-      (** placements actually (re)computed; an order stopped by its
-          bound counts only the jobs it placed *)
+      (** placements computed; an order stopped by its bound counts
+          only the jobs it placed *)
 }
 
-val repack_stats : prepared -> repack_stats
-(** This engine's counters since {!prepare}. *)
-
-val repack_totals : unit -> repack_stats
-(** Process-wide monotone totals across all engines {e and} one-shot
-    packs (maintained atomically). Benches read the delta around an
-    optimization to show how many full interval-state rebuilds the
-    incremental engine avoided. *)
+val repack_totals : unit -> totals
+(** Process-wide monotone totals across all packs (maintained
+    atomically). Benches read the delta around an optimization to
+    count the orders packed and the placements they made. *)
 
 val lower_bound : ?power_budget:int -> width:int -> Job.t list -> int
 (** Max of the classic bounds: total-area / width, the largest

@@ -22,7 +22,7 @@ module type S = sig
   (** Pack under this heuristic; semantics and error behavior of
       {!Packer.pack}. Equals
       [Packer.pack_with_orders ~orders] for every registered
-      variant — the registry's incremental path relies on it. *)
+      variant. *)
 
   val lower_bound : ?power_budget:int -> width:int -> Job.t list -> int
   (** Heuristic-independent certificate; every registered variant

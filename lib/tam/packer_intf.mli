@@ -14,8 +14,7 @@ module type S = sig
   val pack : ?power_budget:int -> width:int -> Job.t list -> Schedule.t
   (** Pack under this heuristic; semantics and error behavior of
       {!Packer.pack}. Equals [Packer.pack_with_orders ~orders] for
-      every registered variant — the registry's incremental path
-      relies on it. *)
+      every registered variant. *)
 
   val lower_bound : ?power_budget:int -> width:int -> Job.t list -> int
   (** Heuristic-independent certificate; every registered variant

@@ -46,45 +46,3 @@ let pack (module P : Packer_intf.S) ?power_budget ~width jobs =
 
 let lower_bound (module P : Packer_intf.S) ?power_budget ~width jobs =
   P.lower_bound ?power_budget ~width jobs
-
-(* --- incremental path ------------------------------------------------ *)
-
-(* One {!Packer.prepare} engine per priority-order index: order [i] of
-   consecutive [repack] calls diffs against order [i] of the previous
-   call, which is where the common prefixes live (a search move
-   perturbs the job set slightly, leaving each rule's sorted prefix
-   largely intact). *)
-type incremental = {
-  packer : packer;
-  width : int;
-  power_budget : int option;
-  mutable engines : Packer.prepared array;
-}
-
-let incremental ?power_budget ~width packer =
-  (* Validate the strip eagerly, exactly like [Packer.prepare]. *)
-  let first = Packer.prepare ?power_budget ~width () in
-  { packer; width; power_budget; engines = [| first |] }
-
-let repack inc jobs =
-  let (module P) = inc.packer in
-  let orders = P.orders jobs in
-  let have = Array.length inc.engines in
-  let needed = List.length orders in
-  if have < needed then
-    inc.engines <-
-      Array.append inc.engines
-        (Array.init (needed - have) (fun _ ->
-             Packer.prepare ?power_budget:inc.power_budget ~width:inc.width ()));
-  match
-    Packer.best_of_orders
-      (fun i ~bound order -> Packer.repack_below inc.engines.(i) ~bound order)
-      orders
-  with
-  | Some best -> certify ~packer:P.name ~jobs best
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Packer_registry.repack: packer %s produced no priority order"
-         P.name)
-
-let incremental_packer inc = inc.packer

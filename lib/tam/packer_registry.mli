@@ -15,8 +15,8 @@
     makespan is never worse than [best_fit] on any instance — the
     packer-matrix bench gates on exactly that invariant.
 
-    Every schedule returned through {!pack} or {!repack} is certified
-    by one [Schedule.check ~expected:jobs] call — every invariant, and
+    Every schedule returned through {!pack} is certified by one
+    [Schedule.check ~expected:jobs] call — every invariant, and
     each requested job placed exactly once — before it reaches the
     caller. *)
 
@@ -51,22 +51,3 @@ val pack :
 
 val lower_bound :
   packer -> ?power_budget:int -> width:int -> Job.t list -> int
-
-type incremental
-(** A reusable incremental-repack state for one variant on one fixed
-    strip: one {!Packer.prepare} engine per priority order. Mutable
-    and NOT thread-safe — one per domain; pool workers use the pure
-    {!pack}. *)
-
-val incremental : ?power_budget:int -> width:int -> packer -> incremental
-(** @raise Invalid_argument if [width <= 0] or [power_budget <= 0]. *)
-
-val repack : incremental -> Job.t list -> Schedule.t
-(** Pack via the incremental engines, reusing each priority order's
-    common prefix with the previous call, through the same
-    {!Packer.best_of_orders} loop as [pack]: an order stops once its
-    running makespan reaches the best so far. Bit-identical to
-    [pack packer] on the same jobs (same orders, same tie-break),
-    certified the same way. *)
-
-val incremental_packer : incremental -> packer

@@ -171,6 +171,18 @@ let start_worker service =
   in
   (wait 250, th)
 
+(* the port a [~ready] callback stored *)
+let wait_port bound =
+  let rec wait tries =
+    if Atomic.get bound <> 0 then Atomic.get bound
+    else if tries = 0 then Alcotest.fail "router port never bound"
+    else begin
+      Thread.delay 0.02;
+      wait (tries - 1)
+    end
+  in
+  wait 250
+
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -280,16 +292,7 @@ let test_router_end_to_end () =
       stop_worker sa pa ta;
       stop_worker sb pb tb)
     (fun () ->
-      let rec wait tries =
-        if Atomic.get router_port <> 0 then Atomic.get router_port
-        else if tries = 0 then Alcotest.fail "router port never bound"
-        else begin
-          Thread.delay 0.02;
-          wait (tries - 1)
-        end
-      in
-      let port = wait 250 in
-      let fd = connect port in
+      let fd = connect (wait_port router_port) in
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       send_req oc (plan_req ~id:"r1" ());
@@ -371,15 +374,7 @@ let test_router_all_workers_down () =
       Atomic.set stop true;
       Thread.join router)
     (fun () ->
-      let rec wait tries =
-        if Atomic.get router_port <> 0 then Atomic.get router_port
-        else if tries = 0 then Alcotest.fail "router port never bound"
-        else begin
-          Thread.delay 0.02;
-          wait (tries - 1)
-        end
-      in
-      let fd = connect (wait 250) in
+      let fd = connect (wait_port router_port) in
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       send_req oc (plan_req ~id:"n1" ());
@@ -388,6 +383,57 @@ let test_router_all_workers_down () =
       checkb "honest unavailable" true
         (r.Protocol.status = Protocol.Unavailable);
       checkb "stamped by the router" true (r.Protocol.worker = Some "router");
+      try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* A number past the float range once parsed as an infinity: the
+   router forwarded it as [inf], the worker rejected that line under an
+   empty id the router could not match, and the client got no envelope
+   while the worker's window slot stayed taken. Two such lines filled a
+   window of 2, so the plan after them was shed. *)
+let test_router_out_of_range_number () =
+  let service = Service.create ~worker:"a" ~jobs:1 () in
+  let port, th = start_worker service in
+  let stop = Atomic.make false in
+  let router_port = Atomic.make 0 in
+  let router =
+    Thread.create
+      (fun () ->
+        Router.run
+          ~ready:(fun p -> Atomic.set router_port p)
+          ~listen:(`Tcp ("127.0.0.1", 0))
+          ~stop
+          (Router.config ~window:2 ~retry_rounds:1 ~seed:5
+             [ { Router.id = "a"; host = "127.0.0.1"; port } ]))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join router;
+      stop_worker service port th)
+    (fun () ->
+      let fd = connect (wait_port router_port) in
+      (* a bounded wait: a missing envelope fails the read *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      let recv what =
+        match recv_resp ic with
+        | r -> r
+        | exception (Sys_blocked_io | Sys_error _ | End_of_file) ->
+          Alcotest.failf "no envelope for %s" what
+      in
+      for k = 1 to 2 do
+        output_string oc {|{"v":1,"id":"a","op":"plan","deadline_ms":1e999}|};
+        output_char oc '\n';
+        flush oc;
+        let r = recv (Printf.sprintf "out-of-range line %d" k) in
+        checkb "bad_request" true (r.Protocol.status = Protocol.Bad_request)
+      done;
+      send_req oc (plan_req ~id:"p1" ());
+      let r = recv "the plan after them" in
+      checks "the plan's own envelope" "p1" r.Protocol.id;
+      checkb "plan ok" true (r.Protocol.status = Protocol.Success);
       try Unix.close fd with Unix.Unix_error _ -> ())
 
 (* --- supervisor over a real worker process --- *)
@@ -492,6 +538,8 @@ let suites =
         Alcotest.test_case "end-to-end over TCP" `Quick test_router_end_to_end;
         Alcotest.test_case "all workers down" `Quick
           test_router_all_workers_down;
+        Alcotest.test_case "out-of-range number rejected" `Quick
+          test_router_out_of_range_number;
       ] );
     ( "fleet-supervisor",
       [

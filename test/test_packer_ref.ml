@@ -5,8 +5,8 @@
    verbatim: every staircase point runs its own scan, each rebuilding
    the candidate starts and re-walking every wire's intervals. It is
    the reference the one-sweep [Packer.place] must reproduce: every
-   schedule, one-shot and incremental, structurally equal — starts,
-   widths, times, wire lists and placement order.
+   schedule structurally equal — starts, widths, times, wire lists and
+   placement order.
 
    Four checks ride on it:
    - a QCheck property comparing [Packer.Intervals] with [Ref.Intervals]
@@ -16,19 +16,23 @@
      acyclic precedences and small times (so busy intervals touch
      candidate windows on both sides), packing one order at a time;
    - a QCheck property on the same strips for the best-of-orders rule
-     with its early stop, one-shot and through one incremental engine
-     per variant fed a walk of related job sets;
+     with its early stop;
    - a golden pin: an MD5 over a canonical text of every placement of
      every registry variant on three SOCs (plus catalog cores A–E),
      no and full sharing, W = 16, 24, …, 64.
+
+   A fifth check has no reference: a golden MD5 over
+   [Packer.pack_optimized] and [Packer.anneal] on the paper's two
+   instances pins their repack-and-keep-the-best loops. It was taken
+   when anneal's proposals still resumed from cached packing-state
+   checkpoints; they now pack from an empty strip.
 
    The search-scale suite runs the same rules on the strips the search
    strategies pack: p93791s plus 6–14 scaled analog cores under random
    set partitions, with and without a converter self-test gating each
    group. A QCheck property compares every variant with the reference
-   rule and one incremental engine per variant, fed a walk of
-   partitions, with [Registry.pack]; a golden MD5 pins every schedule
-   the engines return along a seeded walk at W = 24, 32 and 40. *)
+   rule; a golden MD5 pins every schedule [Registry.pack] returns along
+   a seeded walk of partitions at W = 24, 32 and 40. *)
 
 module Types = Msoc_itc02.Types
 module Synthetic = Msoc_itc02.Synthetic
@@ -290,7 +294,7 @@ type instance = {
   width : int;
   power_budget : int option;
   jobs : Job.t list;
-  walk_seed : int;  (* seeds the engine's transposition walk *)
+  seed : int;  (* the instance's seed, for a property's own draws *)
 }
 
 (* Small cores and analog times on a coarse grid: busy stretches end
@@ -343,7 +347,7 @@ let build_instance ~seed =
             (List.filter (fun l -> l <> labels.(i)) (pick_labels ~below:n))
         else j)
   in
-  { width; power_budget; jobs; walk_seed = seed }
+  { width; power_budget; jobs; seed }
 
 let print_instance inst =
   let job j =
@@ -383,30 +387,6 @@ let one_shot_matches inst =
         (P.orders inst.jobs))
     Registry.all
 
-(* One engine through a seeded walk of transpositions: after each
-   repack (prefix reused, suffix replayed) the schedule equals the
-   reference packed from scratch. *)
-let engine_matches inst =
-  let engine = Packer.prepare ?power_budget:inst.power_budget ~width:inst.width () in
-  let order = Array.of_list inst.jobs in
-  let n = Array.length order in
-  let rng = Rng.create ~seed:inst.walk_seed in
-  let repack_ok () =
-    let o = Array.to_list order in
-    Packer.repack_with_order engine o = reference inst o
-  in
-  let ok = ref (repack_ok ()) in
-  for _ = 1 to 8 do
-    if !ok then begin
-      let i = Rng.int rng ~bound:n and j = Rng.int rng ~bound:n in
-      let tmp = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- tmp;
-      ok := repack_ok ()
-    end
-  done;
-  !ok
-
 (* The best-of-orders rule without an early stop, through [Ref]: pack
    every order from scratch and keep the first strictly smaller
    makespan. *)
@@ -420,37 +400,14 @@ let reference_best inst orders =
            if Schedule.makespan s < Schedule.makespan best then s else best)
          s rest)
 
-(* The next job set of a sharing-like walk: every job bound to an
-   exclusion group is re-bound, with even odds, to a random group. *)
-let redraw_groups rng jobs =
-  List.map
-    (fun j ->
-      match j.Job.exclusion with
-      | Some _ when Rng.int rng ~bound:2 = 0 ->
-        { j with Job.exclusion = Some (Rng.int rng ~bound:3) }
-      | Some _ | None -> j)
-    jobs
-
-(* Every variant's best of its orders, one-shot, equals the reference
-   rule; one incremental engine per variant, fed eight related job
-   sets in a row, returns [Registry.pack]'s schedule on each. *)
+(* Every variant's best of its orders equals the reference rule. *)
 let best_of_orders_matches inst =
-  let budget = inst.power_budget and width = inst.width in
   List.for_all
-    (fun ((module P : Msoc_tam.Packer_intf.S) as packer) ->
+    (fun (module P : Msoc_tam.Packer_intf.S) ->
       Some
-        (Packer.pack_with_orders ?power_budget:budget ~width ~orders:P.orders inst.jobs)
-      = reference_best inst (P.orders inst.jobs)
-      &&
-      let inc = Registry.incremental ?power_budget:budget ~width packer in
-      let rng = Rng.create ~seed:inst.walk_seed in
-      let rec walk jobs k =
-        k = 0
-        || Registry.repack inc jobs
-           = Registry.pack packer ?power_budget:budget ~width jobs
-           && walk (redraw_groups rng jobs) (k - 1)
-      in
-      walk inst.jobs 8)
+        (Packer.pack_with_orders ?power_budget:inst.power_budget ~width:inst.width
+           ~orders:P.orders inst.jobs)
+      = reference_best inst (P.orders inst.jobs))
     Registry.all
 
 (* Insertions on a coarse or a fine grid, each kept only when the
@@ -491,10 +448,10 @@ let qcheck_tests =
     QCheck.Test.make ~name:"Intervals = list reference" ~count:500
       QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000_000))
       intervals_match;
-    QCheck.Test.make ~name:"place = reference (one-shot and engine)" ~count:500
-      instance_arb (fun inst -> one_shot_matches inst && engine_matches inst);
-    QCheck.Test.make ~name:"best of orders = reference rule (one-shot and incremental)"
-      ~count:300 instance_arb best_of_orders_matches;
+    QCheck.Test.make ~name:"place = reference (one order at a time)" ~count:500
+      instance_arb one_shot_matches;
+    QCheck.Test.make ~name:"best of orders = reference rule" ~count:300 instance_arb
+      best_of_orders_matches;
   ]
   |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
@@ -554,6 +511,53 @@ let test_golden () =
     "4f043bbbe3c252f60f9e1d31fe76c314"
     (golden_digest ())
 
+(* [Packer.pack_optimized] and [Packer.anneal] (seeds 1-3) on the two
+   paper instances, no and full sharing, W = 16, 32 and 64, plus
+   p93791m's no-sharing jobs under a power budget. *)
+let optimized_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let pin ?power_budget ~case ~width jobs =
+    canonical buf ~case:(case ^ " pack_optimized")
+      (Packer.pack_optimized ?power_budget ~width jobs);
+    List.iter
+      (fun seed ->
+        canonical buf
+          ~case:(Printf.sprintf "%s anneal seed %d" case seed)
+          (Packer.anneal ?power_budget ~seed ~width jobs))
+      [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (name, instance) ->
+      List.iter
+        (fun width ->
+          let problem : Problem.t = instance width in
+          let analog = problem.Problem.analog_cores in
+          List.iter
+            (fun (sharing_name, sharing) ->
+              pin
+                ~case:(Printf.sprintf "# %s %s W%d" name sharing_name width)
+                ~width
+                (Evaluate.jobs_for_problem problem sharing))
+            [ ("none", Sharing.no_sharing analog); ("full", Sharing.full_sharing analog) ])
+        [ 16; 32; 64 ])
+    [
+      ("p93791m", fun tam_width -> Instances.p93791m ~tam_width ());
+      ("d281m", fun tam_width -> Instances.d281m ~tam_width ());
+    ];
+  let problem = Instances.p93791m ~tam_width:32 () in
+  let jobs =
+    List.mapi
+      (fun i j -> Job.with_power j (1 + (i mod 4)))
+      (Evaluate.jobs_for_problem problem (Sharing.no_sharing problem.Problem.analog_cores))
+  in
+  pin ~power_budget:6 ~case:"# p93791m none W32 budget 6" ~width:32 jobs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_optimized_golden () =
+  Alcotest.(check string)
+    "pack_optimized and anneal schedules" "cc254e5f6425127789b9c8bab5a5f1aa"
+    (optimized_digest ())
+
 (* --- search-scale strips ----------------------------------------- *)
 
 (* p93791s with [n] scaled analog cores at TAM width [width]; with
@@ -597,38 +601,22 @@ let scaled_arb =
         (pair (int_range 6 14)
            (pair (int_range 16 64) (pair bool (int_range 1 1_000_000_000)))))
 
-(* Every variant's best of its orders equals the reference rule on the
-   first partition; one incremental engine per variant, fed eight
-   partitions of a walk, returns [Registry.pack]'s schedule on each. *)
+(* Every variant's best of its orders equals the reference rule on a
+   random partition. *)
 let search_scale_matches c =
   let prepared = scaled_prepared ~n:c.n ~width:c.s_width ~self_test:c.self_test in
   let cores = (Evaluate.problem prepared).Problem.analog_cores in
-  let start = random_assignment (Rng.create ~seed:c.seed) c.n in
-  let jobs_at assign = Evaluate.jobs_for prepared (sharing_of cores assign) in
-  let jobs = jobs_at start in
-  let inst = { width = c.s_width; power_budget = None; jobs; walk_seed = c.seed } in
-  List.for_all
-    (fun ((module P : Msoc_tam.Packer_intf.S) as packer) ->
-      Some (Packer.pack_with_orders ~width:c.s_width ~orders:P.orders jobs)
-      = reference_best inst (P.orders jobs)
-      &&
-      let inc = Registry.incremental ~width:c.s_width packer in
-      let rng = Rng.create ~seed:(c.seed + 1) in
-      let assign = Array.copy start in
-      let rec walk k =
-        k = 0
-        ||
-        let jobs = jobs_at assign in
-        Registry.repack inc jobs = Registry.pack packer ~width:c.s_width jobs
-        &&
-        (move rng assign;
-         walk (k - 1))
-      in
-      walk 8)
-    Registry.all
+  let assign = random_assignment (Rng.create ~seed:c.seed) c.n in
+  best_of_orders_matches
+    {
+      width = c.s_width;
+      power_budget = None;
+      jobs = Evaluate.jobs_for prepared (sharing_of cores assign);
+      seed = c.seed;
+    }
 
-(* Every schedule one engine per variant returns along a seeded walk of
-   20 partitions of p93791s + 14 scaled cores, the self-test gating on
+(* Every schedule each variant packs along a seeded walk of 20
+   partitions of p93791s + 14 scaled cores, the self-test gating on
    every other step. *)
 let search_scale_digest () =
   let buf = Buffer.create (1 lsl 20) in
@@ -639,15 +627,14 @@ let search_scale_digest () =
       let cores = (Evaluate.problem plain).Problem.analog_cores in
       let rng = Rng.create ~seed:width in
       let assign = random_assignment rng 14 in
-      let engines = List.map (fun p -> (p, Registry.incremental ~width p)) Registry.all in
       for step = 1 to 20 do
         let prepared = if step mod 2 = 0 then gated else plain in
         let jobs = Evaluate.jobs_for prepared (sharing_of cores assign) in
         List.iter
-          (fun (p, inc) ->
+          (fun p ->
             let case = Printf.sprintf "# %s W%d step %d" (Registry.name p) width step in
-            canonical buf ~case (Registry.repack inc jobs))
-          engines;
+            canonical buf ~case (Registry.pack p ~width jobs))
+          Registry.all;
         move rng assign
       done)
     [ 24; 32; 40 ];
@@ -655,19 +642,24 @@ let search_scale_digest () =
 
 let test_search_scale_golden () =
   Alcotest.(check string)
-    "engine schedules along a walk of p93791s + 14 scaled cores"
+    "schedules along a walk of p93791s + 14 scaled cores"
     "3646926e84be14a5dbb72914da08481b"
     (search_scale_digest ())
 
 let suites =
   [
     ("packer-ref.property", qcheck_tests);
-    ("packer-ref.golden", [ Alcotest.test_case "registry placements pinned" `Quick test_golden ]);
+    ( "packer-ref.golden",
+      [
+        Alcotest.test_case "registry placements pinned" `Quick test_golden;
+        Alcotest.test_case "anneal and pack_optimized pinned" `Quick
+          test_optimized_golden;
+      ] );
     ( "packer-ref.search-scale",
       [
         QCheck_alcotest.to_alcotest
-          (QCheck.Test.make ~name:"best of orders and engines = reference rule" ~count:16
+          (QCheck.Test.make ~name:"best of orders = reference rule" ~count:16
              scaled_arb search_scale_matches);
-        Alcotest.test_case "engine schedules pinned" `Quick test_search_scale_golden;
+        Alcotest.test_case "walk schedules pinned" `Quick test_search_scale_golden;
       ] );
   ]

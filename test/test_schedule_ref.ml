@@ -291,7 +291,7 @@ let code_set ds = List.sort_uniq compare (List.map (fun (d : Diagnostic.t) -> d.
 
 (* Clean, then once per corruption: the same codes as [Ref.run]. *)
 let same_codes (inst : Test_packer_ref.instance) =
-  let rng = Rng.create ~seed:inst.Test_packer_ref.walk_seed in
+  let rng = Rng.create ~seed:inst.Test_packer_ref.seed in
   let packer = Rng.pick rng (Array.of_list Registry.all) in
   let s =
     Registry.pack packer ?power_budget:inst.Test_packer_ref.power_budget

@@ -358,56 +358,6 @@ let test_duplicate_label_rejected () =
       (contains msg "duplicate" && contains msg "a")
   | _ -> Alcotest.fail "duplicate label accepted"
 
-(* --- incremental repack: bit-identity and counter contract --- *)
-
-let test_repack_incremental_identity () =
-  let jobs = small_jobs () in
-  let order = List.hd (Packer.priority_orders jobs) in
-  let one_shot o =
-    Packer.pack_with_orders ~width:8 ~orders:(fun _ -> [ o ]) jobs
-  in
-  let engine = Packer.prepare ~width:8 () in
-  let s1 = Packer.repack_with_order engine order in
-  checkb "first repack = one-shot pack" true (s1 = one_shot order);
-  (* swap the last two jobs: the shared prefix must be replayed from
-     checkpoints, the result still bit-identical to a scratch pack *)
-  let arr = Array.of_list order in
-  let n = Array.length arr in
-  let tmp = arr.(n - 1) in
-  arr.(n - 1) <- arr.(n - 2);
-  arr.(n - 2) <- tmp;
-  let order2 = Array.to_list arr in
-  let s2 = Packer.repack_with_order engine order2 in
-  checkb "suffix repack = one-shot pack" true (s2 = one_shot order2);
-  let st = Packer.repack_stats engine in
-  checki "two repacks" 2 st.Packer.repacks;
-  checki "one full rebuild (the first)" 1 st.Packer.full_rebuilds;
-  checki "prefix placements reused" (n - 2) st.Packer.jobs_reused;
-  checki "suffix placements recomputed" (n + 2) st.Packer.jobs_placed
-
-(* An engine that packed a job set naming no predecessor and no
-   conflict, then a set that adds a job naming both, reuses the
-   placed prefix: the new job must still wait for its predecessor and
-   keep off its conflict's window, exactly as in a scratch pack. *)
-let test_repack_names_placed_prefix () =
-  let a = Job.analog ~label:"a" ~width:2 ~time:100 ~group:0 in
-  let b = Job.analog ~label:"b" ~width:2 ~time:50 ~group:1 in
-  let c = Job.analog ~label:"c" ~width:1 ~time:30 ~group:2 in
-  let d =
-    Job.with_conflicts
-      (Job.with_predecessors (Job.analog ~label:"d" ~width:1 ~time:20 ~group:3) [ "c" ])
-      [ "a" ]
-  in
-  let engine = Packer.prepare ~width:4 () in
-  ignore (Packer.repack_with_order engine [ a; b; c ]);
-  let s = Packer.repack_with_order engine [ a; b; c; d ] in
-  checkb "= scratch pack" true
-    (s = Packer.pack_with_orders ~width:4 ~orders:(fun js -> [ js ]) [ a; b; c; d ]);
-  checki "prefix reused" 3 (Packer.repack_stats engine).Packer.jobs_reused;
-  match List.find_opt (fun p -> p.Schedule.job.Job.label = "d") s.Schedule.placements with
-  | Some p -> checki "d after a's window" 100 p.Schedule.start
-  | None -> Alcotest.fail "d not placed"
-
 let qcheck_tests =
   let open QCheck in
   let jobs_arb =
@@ -502,10 +452,6 @@ let suites =
           test_pack_optimized_never_worse;
         Alcotest.test_case "duplicate label rejected" `Quick
           test_duplicate_label_rejected;
-        Alcotest.test_case "incremental repack identity" `Quick
-          test_repack_incremental_identity;
-        Alcotest.test_case "repack names a placed prefix" `Quick
-          test_repack_names_placed_prefix;
       ] );
     ("tam.properties", qcheck_tests);
   ]
