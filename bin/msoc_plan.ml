@@ -221,18 +221,22 @@ let plan_cmd =
 
 let run_check width weight_time soc_file analog_cores search jobs lint_only
     as_json () =
-  let lint_diags =
-    match soc_file with Some path -> Msoc_check.Lint.file path | None -> []
+  (* one read of the file: its lint findings, and the SOC it loads to
+     when none of them is an error *)
+  let lint_diags, soc =
+    match soc_file with
+    | Some path -> Msoc_check.Lint.load path
+    | None -> ([], Some (Request.load_soc None))
   in
   let plan_diags =
-    (* planning a file that fails lint would only re-report the same
-       defects as exceptions; stop at the lint findings *)
-    if lint_only || Diagnostic.has_errors lint_diags then []
-    else begin
-      let s = setting ~search ~width ~weight_time soc_file analog_cores in
+    match soc with
+    | Some soc when not lint_only ->
+      let s =
+        { Request.soc; analog_cores; width; weight_time; search; packer = Registry.default }
+      in
       Msoc_check.Verify.plan
         (Msoc_util.Pool.with_pool ~jobs (fun pool -> Request.plan ~pool s))
-    end
+    | Some _ | None -> []
   in
   let diags = Diagnostic.sort (lint_diags @ plan_diags) in
   if as_json then
@@ -758,13 +762,19 @@ let generate_cmd =
                 p93791s uses seed 937, area 26500000 and this flag).")
   in
   let out =
-    let in_a_directory path =
+    (* the file's name less its extension names the SOC *)
+    let writable path =
       let dir = Filename.dirname path in
       Sys.file_exists dir && Sys.is_directory dir
+      && Msoc_itc02.Scan.one_token (Filename.remove_extension (Filename.basename path))
     in
     let path =
       checked ~docv:"OUTPUT.soc"
-        { Request.expected = "a path in an existing directory"; ok = in_a_directory }
+        {
+          Request.expected =
+            "a path in an existing directory, named without blanks, tabs or '#'";
+          ok = writable;
+        }
         Option.some Format.pp_print_string
     in
     Arg.(required & pos 0 (some path) None & info [] ~docv:"OUTPUT.soc" ~doc:"Output path.")

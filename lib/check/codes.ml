@@ -28,7 +28,6 @@ let e306 = "MSOC-E306"
 let e307 = "MSOC-E307"
 let e308 = "MSOC-E308"
 let e309 = "MSOC-E309"
-let w301 = "MSOC-W301"
 let w302 = "MSOC-W302"
 let w303 = "MSOC-W303"
 let s101 = "MSOC-S101"
@@ -95,7 +94,6 @@ let all =
     error e307 "non-positive scan-chain length";
     error e308 "duplicate core name (test labels would collide)";
     error e309 "core carries no test data (zero-length staircase)";
-    warning w301 "unknown directive (skipped)";
     warning w302 "SocName redeclared";
     warning w303 "SOC declares no cores";
     error s101

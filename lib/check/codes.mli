@@ -61,7 +61,10 @@ val w201 : string  (** zero reference makespan: C_T priced as 0 by convention *)
 
 val e301 : string  (** duplicate core id *)
 
-val e302 : string  (** malformed token or field value *)
+val e302 : string
+(** malformed token or field value, including a line no directive takes
+    (MSOC-W301, "unknown directive (skipped)", is retired: the loader
+    refuses such a line, so lint reports it here) *)
 
 val e303 : string  (** missing required Module field *)
 
@@ -76,8 +79,6 @@ val e307 : string  (** non-positive scan-chain length *)
 val e308 : string  (** duplicate core name (test labels would collide) *)
 
 val e309 : string  (** core carries no test data (zero-length staircase) *)
-
-val w301 : string  (** unknown directive (skipped) *)
 
 val w302 : string  (** SocName redeclared *)
 

@@ -1,153 +1,63 @@
-type state = {
-  mutable socname_line : int option;
-  ids : (int, int) Hashtbl.t;  (* core id -> first line *)
-  names : (string, int) Hashtbl.t;  (* core name -> first line *)
-  mutable modules : int;
-  mutable diags : Diagnostic.t list;
-}
+module Scan = Msoc_itc02.Scan
 
-let tokens_of_line s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
+let code : Scan.kind -> string = function
+  | Syntax | Range -> Codes.e302
+  | Duplicate_id -> Codes.e301
+  | Missing_field -> Codes.e303
+  | Chain_count -> Codes.e304
+  | Missing_socname -> Codes.e305
+  | Patterns -> Codes.e306
+  | Chain_length -> Codes.e307
+  | Socname_redeclared -> Codes.w302
+  | No_modules -> Codes.w303
 
-let strip_comment s =
-  match String.index_opt s '#' with
-  | Some i -> String.sub s 0 i
-  | None -> s
-
-let note st ?file ~line ~code ~severity fmt =
-  Format.kasprintf
-    (fun m -> st.diags <- Diagnostic.make ?file ~line ~code ~severity m :: st.diags)
-    fmt
-
-let lint_module st ?file ~line toks =
-  let err code fmt = note st ?file ~line ~code ~severity:Diagnostic.Error fmt in
-  let int_field key tok =
-    match int_of_string_opt tok with
-    | Some n -> Some n
-    | None ->
-      err Codes.e302 "field %s expects an integer, got %S" key tok;
-      None
+(* The two checks the loader does not make: a repeated core name, and a
+   core that shifts nothing (its test-data volume, and hence its Pareto
+   staircase, is empty). *)
+let policy ?file (modules : Scan.module_ list) =
+  let names = Hashtbl.create 16 in
+  let error (m : Scan.module_) code fmt =
+    Diagnostic.makef ?file ~line:m.line ~code ~severity:Diagnostic.Error fmt
   in
-  (* split the keyword/value stream, ScanChains consuming the tail *)
-  let rec scalars acc = function
-    | [] -> (acc, None)
-    | "ScanChains" :: count :: rest -> (
-      match int_field "ScanChains" count with
-      | None -> (acc, None)
-      | Some n -> (
-        match rest with
-        | [] when n = 0 -> (acc, Some [])
-        | ":" :: lens ->
-          if List.length lens <> n then
-            err Codes.e304 "ScanChains %d but %d lengths given" n (List.length lens);
-          (acc, Some (List.filter_map (int_field "ScanChains length") lens))
-        | _ when n = 0 ->
-          err Codes.e304 "unexpected tokens after ScanChains 0";
-          (acc, Some [])
-        | _ ->
-          err Codes.e304 "ScanChains %d must be followed by ': l1 .. l%d'" n n;
-          (acc, None)))
-    | key :: value :: rest -> scalars ((key, value) :: acc) rest
-    | [ tok ] ->
-      err Codes.e302 "dangling token %S" tok;
-      (acc, None)
-  in
-  let fields, chains = scalars [] toks in
-  let chains = Option.value chains ~default:[] in
-  List.iter
-    (fun l -> if l <= 0 then err Codes.e307 "scan-chain length %d must be positive" l)
-    chains;
-  let get key =
-    match List.assoc_opt key fields with
-    | Some v -> int_field key v
-    | None ->
-      err Codes.e303 "missing field %s" key;
-      None
-  in
-  (match List.assoc_opt "Name" fields with
-  | None -> err Codes.e303 "missing field Name"
-  | Some name -> (
-    match Hashtbl.find_opt st.names name with
-    | Some first ->
-      err Codes.e308 "core name %s already used on line %d (test labels would collide)"
-        name first
-    | None -> Hashtbl.replace st.names name line));
-  let inputs = get "Inputs" and outputs = get "Outputs" and bidirs = get "Bidirs" in
-  let patterns = get "Patterns" in
-  List.iter
-    (fun (key, v) ->
-      match v with
-      | Some n when n < 0 -> err Codes.e302 "field %s must be non-negative, got %d" key n
-      | Some _ | None -> ())
-    [ ("Inputs", inputs); ("Outputs", outputs); ("Bidirs", bidirs) ];
-  (match patterns with
-  | Some p when p < 1 ->
-    err Codes.e306 "Patterns %d: the core contributes no test (zero-length staircase)" p
-  | Some _ | None -> ());
-  (* a core with no scan cells and no terminals shifts nothing: its
-     test-data volume, and hence its Pareto staircase, is empty *)
-  match (inputs, outputs, bidirs) with
-  | Some 0, Some 0, Some 0 when chains = [] ->
-    err Codes.e309 "core has no scan cells and no terminals: nothing to test"
-  | _ -> ()
-
-let string ?file text =
-  let st =
-    {
-      socname_line = None;
-      ids = Hashtbl.create 16;
-      names = Hashtbl.create 16;
-      modules = 0;
-      diags = [];
-    }
-  in
-  let err ~line code fmt = note st ?file ~line ~code ~severity:Diagnostic.Error fmt in
-  let warn ~line code fmt =
-    note st ?file ~line ~code ~severity:Diagnostic.Warning fmt
-  in
-  List.iteri
-    (fun i raw ->
-      let line = i + 1 in
-      match tokens_of_line (strip_comment raw) with
-      | [] -> ()
-      | [ "SocName"; _ ] when st.socname_line = None -> st.socname_line <- Some line
-      | "SocName" :: _ when st.socname_line <> None ->
-        warn ~line Codes.w302 "SocName redeclared (first on line %d)"
-          (Option.get st.socname_line)
-      | "SocName" :: _ -> err ~line Codes.e302 "SocName takes exactly one token"
-      | "Module" :: id :: rest -> (
-        st.modules <- st.modules + 1;
-        (match int_of_string_opt id with
-        | None -> err ~line Codes.e302 "Module id expects an integer, got %S" id
-        | Some id when id < 1 -> err ~line Codes.e302 "Module id must be >= 1, got %d" id
-        | Some id -> (
-          match Hashtbl.find_opt st.ids id with
+  List.concat_map
+    (fun (m : Scan.module_) ->
+      let repeated =
+        match m.name with
+        | None -> []
+        | Some name -> (
+          match Hashtbl.find_opt names name with
           | Some first ->
-            err ~line Codes.e301 "duplicate core id %d (first on line %d)" id first
-          | None -> Hashtbl.replace st.ids id line));
-        lint_module st ?file ~line rest)
-      | tok :: _ -> warn ~line Codes.w301 "unknown directive %S (skipped)" tok)
-    (String.split_on_char '\n' text);
-  if st.socname_line = None then
-    note st ?file ~line:1 ~code:Codes.e305 ~severity:Diagnostic.Error
-      "missing SocName directive";
-  if st.modules = 0 then
-    note st ?file ~line:1 ~code:Codes.w303 ~severity:Diagnostic.Warning
-      "SOC declares no cores";
-  List.rev st.diags
+            [ error m Codes.e308 "core name %s already used on line %d (test labels would collide)"
+                name first ]
+          | None ->
+            Hashtbl.replace names name m.line;
+            [])
+      in
+      let empty =
+        match (m.inputs, m.outputs, m.bidirs, m.chains) with
+        | Some 0, Some 0, Some 0, [] ->
+          [ error m Codes.e309 "core has no scan cells and no terminals: nothing to test" ]
+        | _ -> []
+      in
+      repeated @ empty)
+    modules
 
-let file path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> string ~file:path text
+let lint ?file text =
+  let s = Scan.scan ~hierarchical:false text in
+  let finding (f : Scan.finding) =
+    let severity = if Scan.fatal f.kind then Diagnostic.Error else Diagnostic.Warning in
+    Diagnostic.make ?file ~line:f.line ~code:(code f.kind) ~severity f.message
+  in
+  (List.map finding s.findings @ policy ?file s.modules, s)
+
+let string ?file text = fst (lint ?file text)
+
+let load path =
+  match Scan.read path with
   | exception Sys_error message ->
-    [
-      Diagnostic.make ~file:path ~code:Codes.e302 ~severity:Diagnostic.Error
-        message;
-    ]
+    ([ Diagnostic.make ~file:path ~code:Codes.e302 ~severity:Diagnostic.Error message ], None)
+  | text ->
+    let diags, s = lint ~file:path text in
+    (diags, if Diagnostic.has_errors diags then None else Some (Msoc_itc02.Soc_file.of_scan ~file:path s))
+
+let file path = fst (load path)

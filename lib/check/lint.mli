@@ -1,16 +1,25 @@
 (** Line-anchored lint for [.soc] benchmark descriptions.
 
-    Unlike {!Msoc_itc02.Soc_file.of_string}, which raises on the first
-    problem, the linter scans the whole file tolerantly and reports
-    every finding as a {!Diagnostic.t} anchored to its source line —
-    duplicate core ids and names, malformed or missing fields,
-    [ScanChains] arity mismatches, non-positive pattern counts or
-    chain lengths, and cores that carry no test data at all (whose
-    Pareto staircase would be zero-length). A file with no
-    error-severity finding is guaranteed to load cleanly. *)
+    The linter reads through {!Msoc_itc02.Scan}, the one reader of the
+    flat loader {!Msoc_itc02.Soc_file.of_string}: where the loader
+    raises at one finding, the linter reports every finding as a
+    {!Diagnostic.t} anchored to its source line — duplicate core ids,
+    malformed tokens, unknown directives, malformed or missing fields,
+    [ScanChains] arity mismatches, non-positive pattern counts or chain
+    lengths. Each finding that stops the loader is an error here, so a
+    file with no error-severity finding is guaranteed to load cleanly
+    (a property in test/test_soc_ref.ml checks it).
+    Two error checks are the linter's own policy, and the loader
+    accepts what they flag: duplicate core names (E308), and cores that
+    carry no test data at all, whose Pareto staircase would be
+    zero-length (E309). *)
 
 val string : ?file:string -> string -> Diagnostic.t list
 (** Lint [.soc] source text; [file] only labels the diagnostics. *)
 
 val file : string -> Diagnostic.t list
 (** Read and lint a file. Unreadable files yield a single E302. *)
+
+val load : string -> Diagnostic.t list * Msoc_itc02.Types.soc option
+(** [load path] reads [path] once and scans it once: its {!file}
+    findings, and the SOC when none of them is an error. *)

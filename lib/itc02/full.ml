@@ -1,4 +1,4 @@
-type test = { index : int; scan_use : bool; tam_use : bool; patterns : int }
+type test = Scan.test = { index : int; scan_use : bool; tam_use : bool; patterns : int }
 
 type module_ = {
   id : int;
@@ -13,47 +13,31 @@ type module_ = {
 
 type t = { name : string; modules : module_ list }
 
-exception Parse_error of { line : int; message : string }
-
-let fail line fmt =
-  Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
-
 (* --- validation --- *)
 
-let validate t =
-  let ( let* ) r f = Result.bind r f in
-  let error fmt = Format.kasprintf Result.error fmt in
-  let* () =
-    let ids = List.map (fun m -> m.id) t.modules in
-    if List.length (List.sort_uniq compare ids) <> List.length ids then
-      error "duplicate module ids"
-    else Ok ()
+(* The first structural fault in module order: the module's position,
+   the position of its test when a test is at fault, and why. *)
+let fault t =
+  let ids = Hashtbl.create 16 in
+  let rec go i prev = function
+    | [] -> None
+    | m :: rest -> (
+      let at test fmt = Printf.ksprintf (fun why -> Some (i, test, why)) fmt in
+      if Hashtbl.mem ids m.id then at None "duplicate module id %d" m.id
+      else if m.tests = [] then at None "module %d has no tests" m.id
+      else if m.level > prev + 1 then
+        if i = 0 then at None "first module deeper than level 1"
+        else at None "module %d skips a hierarchy level" m.id
+      else
+        match List.find_index (fun (x : test) -> x.patterns < 1) m.tests with
+        | Some j -> at (Some j) "module %d has a test with no patterns" m.id
+        | None ->
+          Hashtbl.replace ids m.id ();
+          go (i + 1) m.level rest)
   in
-  let* () =
-    match List.find_opt (fun m -> m.tests = []) t.modules with
-    | Some m -> error "module %d has no tests" m.id
-    | None -> Ok ()
-  in
-  let* () =
-    let bad m = List.exists (fun (test : test) -> test.patterns < 1) m.tests in
-    match List.find_opt bad t.modules with
-    | Some m -> error "module %d has a test with no patterns" m.id
-    | None -> Ok ()
-  in
-  let* () =
-    match t.modules with
-    | [] -> Ok ()
-    | first :: _ when first.level > 1 -> error "first module deeper than level 1"
-    | first :: rest ->
-      let step (prev, acc) m =
-        if m.level > prev + 1 then (m.level, Error m.id) else (m.level, acc)
-      in
-      let _, acc = List.fold_left step (first.level, Ok ()) rest in
-      (match acc with
-      | Ok () -> Ok ()
-      | Error id -> error "module %d skips a hierarchy level" id)
-  in
-  Ok ()
+  go 0 0 t.modules
+
+let validate t = match fault t with None -> Ok () | Some (_, _, why) -> Error why
 
 let find_module t ~id =
   match List.find_opt (fun m -> m.id = id) t.modules with
@@ -81,162 +65,59 @@ let ancestors t ~id =
   in
   List.rev (up [] id)
 
-(* --- parsing --- *)
+(* --- text --- *)
 
-let tokens_of_line s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun tok -> tok <> "")
-
-let strip_comment s =
-  match String.index_opt s '#' with Some i -> String.sub s 0 i | None -> s
-
-let int_of_token line tok =
-  match int_of_string_opt tok with
-  | Some n -> n
-  | None -> fail line "expected integer, got %S" tok
-
-let bool_of_token line tok =
-  match tok with
-  | "0" -> false
-  | "1" -> true
-  | _ -> fail line "expected 0 or 1, got %S" tok
-
-let parse_module_header line toks =
-  let rec scalars acc = function
-    | [] -> (acc, [])
-    | "ScanChains" :: count :: rest ->
-      let n = int_of_token line count in
-      let chains =
-        match rest with
-        | [] when n = 0 -> []
-        | ":" :: lens ->
-          if List.length lens <> n then
-            fail line "ScanChains %d but %d lengths" n (List.length lens);
-          List.map (int_of_token line) lens
-        | _ when n = 0 -> fail line "unexpected tokens after ScanChains 0"
-        | _ -> fail line "ScanChains %d needs ': l1 .. ln'" n
-      in
-      (acc, chains)
-    | key :: value :: rest -> scalars ((key, value) :: acc) rest
-    | [ tok ] -> fail line "dangling token %S" tok
-  in
-  let fields, chains = scalars [] toks in
-  let get key =
-    match List.assoc_opt key fields with
-    | Some v -> int_of_token line v
-    | None -> fail line "missing field %s" key
-  in
-  let name =
-    match List.assoc_opt "Name" fields with
-    | Some n -> n
-    | None -> fail line "missing field Name"
-  in
-  fun id ->
+let parse ?file text =
+  let s = Scan.scan ~hierarchical:true text in
+  Scan.check ?file s;
+  (* no fatal finding: every field read and is in range *)
+  let v = Option.get in
+  let module_ (m : Scan.module_) =
     {
-      id;
-      level = get "Level";
-      name;
-      inputs = get "Inputs";
-      outputs = get "Outputs";
-      bidirs = get "Bidirs";
-      scan_chains = chains;
-      tests = [];
+      id = v m.id;
+      level = v m.level;
+      name = v m.name;
+      inputs = v m.inputs;
+      outputs = v m.outputs;
+      bidirs = v m.bidirs;
+      scan_chains = m.chains;
+      tests = List.map snd m.tests;
     }
+  in
+  let t = { name = v s.soc_name; modules = List.map module_ s.modules } in
+  match fault t with
+  | None -> t
+  | Some (i, test, why) ->
+    let m = List.nth s.modules i in
+    Scan.fail ?file (match test with None -> m.line | Some j -> fst (List.nth m.tests j)) why
 
-let parse_test_line line toks =
-  let rec fields acc = function
-    | [] -> acc
-    | key :: value :: rest -> fields ((key, value) :: acc) rest
-    | [ tok ] -> fail line "dangling token %S" tok
-  in
-  let fields = fields [] toks in
-  let get key =
-    match List.assoc_opt key fields with
-    | Some v -> v
-    | None -> fail line "missing field %s" key
-  in
-  fun index ->
-    {
-      index;
-      scan_use = bool_of_token line (get "ScanUse");
-      tam_use = bool_of_token line (get "TamUse");
-      patterns = int_of_token line (get "Patterns");
-    }
-
-let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let step (lineno, name, modules) raw =
-    let lineno = lineno + 1 in
-    match tokens_of_line (strip_comment raw) with
-    | [] -> (lineno, name, modules)
-    | [ "SocName"; n ] -> (lineno, Some n, modules)
-    | "SocName" :: _ -> fail lineno "SocName takes exactly one token"
-    | "Module" :: id :: rest ->
-      let id = int_of_token lineno id in
-      let mk = parse_module_header lineno rest in
-      (lineno, name, mk id :: modules)
-    | "Test" :: index :: rest -> (
-      let index = int_of_token lineno index in
-      let mk = parse_test_line lineno rest in
-      match modules with
-      | [] -> fail lineno "Test before any Module"
-      | m :: others -> (lineno, name, { m with tests = mk index :: m.tests } :: others))
-    | tok :: _ -> fail lineno "unknown directive %S" tok
-  in
-  let _, name, modules = List.fold_left step (0, None, []) lines in
-  match name with
-  | None -> fail 0 "missing SocName directive"
-  | Some name ->
-    let t =
-      {
-        name;
-        modules = List.rev_map (fun m -> { m with tests = List.rev m.tests }) modules;
-      }
-    in
-    (match validate t with
-    | Ok () -> t
-    | Error message -> fail 0 "%s" message)
+let of_string text = parse text
 
 let to_string t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "SocName %s\n" t.name);
+  Printf.bprintf buf "SocName %s\n" (Scan.token_name ~what:"Full.to_string: SOC" t.name);
   List.iter
     (fun m ->
-      Buffer.add_string buf
-        (Printf.sprintf "Module %d Level %d Name %s Inputs %d Outputs %d Bidirs %d ScanChains %d"
-           m.id m.level m.name m.inputs m.outputs m.bidirs
-           (List.length m.scan_chains));
-      if m.scan_chains <> [] then begin
-        Buffer.add_string buf " :";
-        List.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) m.scan_chains
-      end;
+      Printf.bprintf buf "Module %d Level %d Name %s Inputs %d Outputs %d Bidirs %d" m.id m.level
+        (Scan.token_name ~what:"Full.to_string: module" m.name)
+        m.inputs m.outputs m.bidirs;
+      Scan.add_chains buf m.scan_chains;
       Buffer.add_char buf '\n';
       List.iter
-        (fun (test : test) ->
-          Buffer.add_string buf
-            (Printf.sprintf "Test %d ScanUse %d TamUse %d Patterns %d\n" test.index
-               (if test.scan_use then 1 else 0)
-               (if test.tam_use then 1 else 0)
-               test.patterns))
+        (fun test ->
+          Printf.bprintf buf "Test %d ScanUse %d TamUse %d Patterns %d\n" test.index
+            (Bool.to_int test.scan_use) (Bool.to_int test.tam_use) test.patterns)
         m.tests)
     t.modules;
   Buffer.contents buf
 
-let load path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string text
+let load path = parse ~file:path (Scan.read path)
 
+(* printed before the file is opened, so a name that does not print
+   leaves the file as it was *)
 let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t))
+  let text = to_string t in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 (* --- flat view --- *)
 

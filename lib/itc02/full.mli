@@ -23,7 +23,7 @@
     the ITC'02 convention: a module at level [k+1] is embedded in the
     nearest preceding module at level [k]. *)
 
-type test = {
+type test = Scan.test = {
   index : int;  (** 1-based within its module *)
   scan_use : bool;
   tam_use : bool;
@@ -55,17 +55,27 @@ val parent : t -> id:int -> module_ option
 val ancestors : t -> id:int -> module_ list
 (** Chain of embedding modules, innermost first. *)
 
-exception Parse_error of { line : int; message : string }
-
 val of_string : string -> t
-(** Parses and validates. @raise Parse_error. *)
+(** Parses and validates through {!Scan}, the reader {!Soc_file} shares.
+    A negative terminal count or a scan-chain length below 1 is refused
+    at its [Module] line, a {!validate} fault at the [Module] or [Test]
+    line at fault; a text it accepts flattens without [Invalid_argument]
+    unless no test uses the TAM (test/test_soc_ref.ml checks the reader
+    against the one it replaced).
+    @raise Soc_file.Parse_error, never [Invalid_argument]. *)
 
 val to_string : t -> string
-(** Round-trips through {!of_string}. *)
+(** Round-trips through {!of_string} for every value it accepts.
+    @raise Invalid_argument when the SOC's or a module's name would not
+    read back as one token (see {!Scan.token_name}). *)
 
 val load : string -> t
+(** {!of_string} of a file (a pipe too).
+    @raise Soc_file.Parse_error (with [file = Some path]) or [Sys_error]. *)
 
 val save : string -> t -> unit
+(** @raise Invalid_argument as {!to_string} does, before the file is
+    opened. *)
 
 val flatten : t -> Types.soc
 (** The planner's flat view: one {!Types.core} per TAM-using test —

@@ -1,112 +1,34 @@
-exception Parse_error of { file : string option; line : int; message : string }
+exception Parse_error = Scan.Parse_error
 
-(* [file] is diagnostic only, threaded explicitly so concurrent parses
-   (e.g. on serve worker threads) can never mislabel each other's
-   errors. *)
-let fail ~file line fmt =
-  Format.kasprintf (fun message -> raise (Parse_error { file; line; message })) fmt
-
-let tokens_of_line s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
-
-let strip_comment s =
-  match String.index_opt s '#' with
-  | Some i -> String.sub s 0 i
-  | None -> s
-
-let int_of_token ~file line tok =
-  match int_of_string_opt tok with
-  | Some n -> n
-  | None -> fail ~file line "expected integer, got %S" tok
-
-(* Module lines are keyword/value pairs in fixed order; we parse them
-   leniently (any order for the scalar fields) to be robust against
-   hand-edited files. *)
-let parse_module_line ~file line toks =
-  let rec scalars acc = function
-    | [] -> (acc, None)
-    | "ScanChains" :: count :: rest ->
-      let n = int_of_token ~file line count in
-      let chains =
-        match rest with
-        | [] when n = 0 -> []
-        | ":" :: lens ->
-          if List.length lens <> n then
-            fail ~file line "ScanChains %d but %d lengths given" n
-              (List.length lens);
-          List.map (int_of_token ~file line) lens
-        | _ when n = 0 -> fail ~file line "unexpected tokens after ScanChains 0"
-        | _ -> fail ~file line "ScanChains %d must be followed by ': l1 .. ln'" n
-      in
-      (acc, Some chains)
-    | key :: value :: rest -> scalars ((key, value) :: acc) rest
-    | [ tok ] -> fail ~file line "dangling token %S" tok
+let of_scan ?file (s : Scan.t) =
+  Scan.check ?file s;
+  (* no fatal finding: every field read and is in range *)
+  let v = Option.get in
+  let core (m : Scan.module_) =
+    Types.core ~id:(v m.id) ~name:(v m.name) ~inputs:(v m.inputs) ~outputs:(v m.outputs)
+      ~bidirs:(v m.bidirs) ~patterns:(v m.patterns) ~scan_chains:m.chains
   in
-  let fields, chains = scalars [] toks in
-  let chains = Option.value chains ~default:[] in
-  let get key =
-    match List.assoc_opt key fields with
-    | Some v -> int_of_token ~file line v
-    | None -> fail ~file line "missing field %s" key
-  in
-  let name =
-    match List.assoc_opt "Name" fields with
-    | Some n -> n
-    | None -> fail ~file line "missing field Name"
-  in
-  fun id ->
-    Types.core ~id ~name ~inputs:(get "Inputs") ~outputs:(get "Outputs")
-      ~bidirs:(get "Bidirs") ~patterns:(get "Patterns") ~scan_chains:chains
+  Types.soc ~name:(v s.soc_name) ~cores:(List.map core s.modules)
 
-let of_string ?file text =
-  let lines = String.split_on_char '\n' text in
-  let step (lineno, name, cores) raw =
-    let lineno = lineno + 1 in
-    match tokens_of_line (strip_comment raw) with
-    | [] -> (lineno, name, cores)
-    | [ "SocName"; n ] -> (lineno, Some n, cores)
-    | "SocName" :: _ -> fail ~file lineno "SocName takes exactly one token"
-    | "Module" :: id :: rest ->
-      let id = int_of_token ~file lineno id in
-      let mk = parse_module_line ~file lineno rest in
-      (lineno, name, mk id :: cores)
-    | tok :: _ -> fail ~file lineno "unknown directive %S" tok
-  in
-  let _, name, cores = List.fold_left step (0, None, []) lines in
-  match name with
-  | None -> fail ~file 0 "missing SocName directive"
-  | Some name -> Types.soc ~name ~cores:(List.rev cores)
+let of_string ?file text = of_scan ?file (Scan.scan ~hierarchical:false text)
 
 let to_string (soc : Types.soc) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "SocName %s\n" soc.name);
-  let emit (c : Types.core) =
-    Buffer.add_string buf
-      (Printf.sprintf "Module %d Name %s Inputs %d Outputs %d Bidirs %d Patterns %d ScanChains %d"
-         c.id c.name c.inputs c.outputs c.bidirs c.patterns
-         (List.length c.scan_chains));
-    if c.scan_chains <> [] then begin
-      Buffer.add_string buf " :";
-      List.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) c.scan_chains
-    end;
-    Buffer.add_char buf '\n'
-  in
-  List.iter emit soc.cores;
+  Printf.bprintf buf "SocName %s\n" (Scan.token_name ~what:"Soc_file.to_string: SOC" soc.name);
+  List.iter
+    (fun (c : Types.core) ->
+      Printf.bprintf buf "Module %d Name %s Inputs %d Outputs %d Bidirs %d Patterns %d" c.id
+        (Scan.token_name ~what:"Soc_file.to_string: core" c.name)
+        c.inputs c.outputs c.bidirs c.patterns;
+      Scan.add_chains buf c.scan_chains;
+      Buffer.add_char buf '\n')
+    soc.cores;
   Buffer.contents buf
 
-let load path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string ~file:path text
+let load path = of_string ~file:path (Scan.read path)
 
+(* printed before the file is opened, so a name that does not print
+   leaves the file as it was *)
 let save path soc =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string soc))
+  let text = to_string soc in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)

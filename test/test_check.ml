@@ -170,10 +170,13 @@ let test_lint_file_level () =
     lint_lines
       [ "Frobnicate 1"; "SocName a"; "SocName b"; "# just a comment" ]
   in
-  assert_code ~ctx:"unknown directive" Codes.w301 ds;
+  (* the loader refuses an unknown directive, so lint does too *)
+  assert_code ~ctx:"unknown directive" Codes.e302 ds;
+  checkb "unknown directive anchored to line 1" true (find_line Codes.e302 ds = Some 1);
   assert_code ~ctx:"socname redeclared" Codes.w302 ds;
   assert_code ~ctx:"no cores" Codes.w303 ds;
-  checkb "warnings only: no errors" false (Diagnostic.has_errors ds);
+  checkb "the unknown directive is the one error" true
+    (codes (Diagnostic.errors ds) = [ Codes.e302 ]);
   let ds = lint_lines [ "Module 1 Name a Inputs 1 Outputs 1 Bidirs 0 Patterns 5 ScanChains 0" ] in
   assert_code ~ctx:"missing SocName" Codes.e305 ds
 

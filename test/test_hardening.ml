@@ -20,7 +20,9 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
 
-(* --- parser fuzz: any input either parses or raises Parse_error --- *)
+(* --- parser fuzz: any input either parses or raises Parse_error at a
+   line >= 1; an Invalid_argument from the model's constructors is a
+   failure --- *)
 
 let garbage_gen =
   QCheck.Gen.(
@@ -50,31 +52,56 @@ let keyword_soup_gen =
     in
     return (String.concat " " words))
 
+(* Well-formed lines of both dialects whose values stray out of range:
+   0 or negative ids, counts, patterns and chain lengths, and repeated
+   ids. The keyword soup almost never assembles such a line. *)
+let out_of_range_gen =
+  QCheck.Gen.(
+    let value = frequency [ (4, int_range 1 9); (1, return 0); (1, int_range (-3) (-1)) ] in
+    let line =
+      let* id = int_range (-1) 4 and* level = int_range 0 2 in
+      let* i = value and* o = value and* b = value and* p = value in
+      let* chains = list_size (int_range 0 3) value in
+      let tail =
+        if chains = [] then ""
+        else " : " ^ String.concat " " (List.map string_of_int chains)
+      in
+      oneofl
+        [
+          Printf.sprintf "Module %d Name m%d Inputs %d Outputs %d Bidirs %d Patterns %d ScanChains %d%s"
+            id id i o b p (List.length chains) tail;
+          Printf.sprintf "Module %d Level %d Name m%d Inputs %d Outputs %d Bidirs %d ScanChains %d%s"
+            id level id i o b (List.length chains) tail;
+          Printf.sprintf "Test %d ScanUse %d TamUse 1 Patterns %d" (abs id) (abs b mod 2) p;
+        ]
+    in
+    let* lines = list_size (int_range 1 8) line in
+    return (String.concat "\n" ("SocName fuzz" :: lines)))
+
+let parses_or_refuses_at_a_line of_string text =
+  match of_string text with
+  | _ -> true
+  | exception Soc_file.Parse_error { line; _ } -> line >= 1
+
 let test_soc_file_fuzz () =
   let run gen =
     QCheck.Test.check_exn
-      (QCheck.Test.make ~name:"soc_file total" ~count:300 (QCheck.make gen)
-         (fun text ->
-           match Soc_file.of_string text with
-           | _ -> true
-           | exception Soc_file.Parse_error _ -> true
-           | exception Invalid_argument _ -> true (* semantic validation *)))
+      (QCheck.Test.make ~name:"soc_file total" ~count:300 (QCheck.make ~print:Fun.id gen)
+         (parses_or_refuses_at_a_line (Soc_file.of_string ?file:None)))
   in
   run garbage_gen;
-  run keyword_soup_gen
+  run keyword_soup_gen;
+  run out_of_range_gen
 
 let test_full_fuzz () =
   let run gen =
     QCheck.Test.check_exn
-      (QCheck.Test.make ~name:"full dialect total" ~count:300 (QCheck.make gen)
-         (fun text ->
-           match Full.of_string text with
-           | _ -> true
-           | exception Full.Parse_error _ -> true
-           | exception Invalid_argument _ -> true))
+      (QCheck.Test.make ~name:"full dialect total" ~count:300 (QCheck.make ~print:Fun.id gen)
+         (parses_or_refuses_at_a_line Full.of_string))
   in
   run garbage_gen;
-  run keyword_soup_gen
+  run keyword_soup_gen;
+  run out_of_range_gen
 
 (* --- packer stress --- *)
 

@@ -9,6 +9,11 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 let sample_core =
   Types.core ~id:1 ~name:"cpu" ~inputs:10 ~outputs:5 ~bidirs:2
     ~scan_chains:[ 100; 50; 25 ] ~patterns:200
@@ -74,6 +79,9 @@ let test_file_roundtrip () =
           sample_core;
           Types.core ~id:2 ~name:"glue" ~inputs:3 ~outputs:4 ~bidirs:0
             ~scan_chains:[] ~patterns:10;
+          (* a line longer than the reader's first token buffer *)
+          Types.core ~id:3 ~name:"wide" ~inputs:1 ~outputs:1 ~bidirs:0
+            ~scan_chains:(List.init 300 (fun i -> i + 1)) ~patterns:2;
         ]
   in
   let back = roundtrip soc in
@@ -132,6 +140,17 @@ let test_file_error_names_file () =
   | exception Soc_file.Parse_error { file; _ } ->
     checkb "of_string stays anonymous" true (file = None)
 
+(* A file past the reader's cap is refused whole, not read. *)
+let test_file_too_long () =
+  let path = Filename.temp_file "msoc" ".soc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "SocName big\n";
+      output_string oc (String.make Msoc_itc02.Scan.max_bytes '\n'));
+  match Soc_file.load path with
+  | _ -> Alcotest.fail "loaded a file past the cap"
+  | exception Sys_error m -> checkb ("names the cap: " ^ m) true (contains m "longer than")
+
 let test_file_load_save () =
   let path = Filename.temp_file "msoc" ".soc" in
   let soc = Synthetic.d281s () in
@@ -178,28 +197,92 @@ let test_synthetic_d281s () =
   checkb "ids 1..8" true
     (List.map (fun c -> c.Types.id) soc.Types.cores = List.init 8 (fun i -> i + 1))
 
+(* A printer refuses a name its reader would not read back as one
+   token, in both dialects, naming the name. *)
+let test_unreadable_names () =
+  let core name =
+    Types.core ~id:1 ~name ~inputs:1 ~outputs:1 ~bidirs:0 ~scan_chains:[] ~patterns:1
+  in
+  List.iter
+    (fun name ->
+      let refused what print =
+        match print () with
+        | _ -> Alcotest.failf "%s: printed the name %S" what name
+        | exception Invalid_argument m ->
+          checkb (Printf.sprintf "%s: %S names %S" what m name) true
+            (contains m (Printf.sprintf "%S" name))
+      in
+      refused "SOC" (fun () -> Soc_file.to_string (Types.soc ~name ~cores:[]));
+      refused "core" (fun () -> Soc_file.to_string (Types.soc ~name:"s" ~cores:[ core name ]));
+      let module F = Msoc_itc02.Full in
+      let full = F.of_flat (Types.soc ~name:"s" ~cores:[ core "c" ]) in
+      refused "hierarchical SOC" (fun () -> F.to_string { full with F.name });
+      refused "module" (fun () ->
+          F.to_string
+            { full with F.modules = List.map (fun (m : F.module_) -> { m with F.name }) full.F.modules }))
+    [ ""; "a b"; "a\tb"; "a\nb"; "a#b"; "#" ]
+
 let qcheck_tests =
   let open QCheck in
-  let core_gen =
+  let name_gen =
+    Gen.(string_size ~gen:(oneof [ char_range 'a' 'z'; oneofl [ '_'; '/'; '.'; ':'; '\r'; '7' ] ])
+           (int_range 1 6))
+  in
+  let core_gen id =
     let open Gen in
-    let* id = int_range 1 50 in
+    let* name = name_gen in
     let* inputs = int_range 0 300 in
     let* outputs = int_range 0 300 in
     let* bidirs = int_range 0 80 in
     let* chains = list_size (int_range 0 12) (int_range 1 500) in
     let* patterns = int_range 1 5000 in
-    return
-      (Types.core ~id ~name:(Printf.sprintf "g%d" id) ~inputs ~outputs ~bidirs
-         ~scan_chains:chains ~patterns)
+    return (Types.core ~id ~name ~inputs ~outputs ~bidirs ~scan_chains:chains ~patterns)
   in
-  let arbitrary_core = make core_gen in
+  let soc_gen =
+    let open Gen in
+    let* n = int_range 0 8 in
+    let* ids = shuffle_l (List.init n (fun i -> (3 * i) + 1)) in
+    let* cores = flatten_l (List.map core_gen ids) in
+    let* name = name_gen in
+    return (Types.soc ~name ~cores)
+  in
+  let full_gen =
+    let open Gen in
+    let module F = Msoc_itc02.Full in
+    let test index =
+      let* scan_use = bool and* tam_use = bool and* patterns = int_range 1 5000 in
+      return { F.index; scan_use; tam_use; patterns }
+    in
+    let module_ id level =
+      let* name = name_gen and* inputs = int_range 0 300 and* outputs = int_range 0 300 in
+      let* bidirs = int_range 0 80 and* scan_chains = list_size (int_range 0 6) (int_range 1 500) in
+      let* k = int_range 1 4 in
+      let* tests = flatten_l (List.init k (fun i -> test (i + 1))) in
+      return { F.id; level; name; inputs; outputs; bidirs; scan_chains; tests }
+    in
+    (* each module at most one level below the one before it *)
+    let rec levels prev n =
+      if n = 0 then return []
+      else
+        let* l = int_range (min prev 1) (prev + 1) in
+        map (List.cons l) (levels l (n - 1))
+    in
+    let* n = int_range 1 6 in
+    let* first = int_range 0 1 in
+    let* levels = levels first (n - 1) in
+    let* modules = flatten_l (List.mapi (fun i l -> module_ (first + i) l) (first :: levels)) in
+    let* name = name_gen in
+    return { F.name; modules }
+  in
   [
-    Test.make ~name:"soc file round-trips any core" ~count:200 arbitrary_core
-      (fun core ->
-        let soc = Types.soc ~name:"prop" ~cores:[ core ] in
-        (roundtrip soc).Types.cores = soc.Types.cores);
+    Test.make ~name:"soc file round-trips whole SOCs" ~count:300
+      (make ~print:Soc_file.to_string soc_gen)
+      (fun soc -> roundtrip soc = soc);
+    Test.make ~name:"hierarchical file round-trips whole SOCs" ~count:300
+      (make ~print:Msoc_itc02.Full.to_string full_gen)
+      (fun t -> Msoc_itc02.Full.of_string (Msoc_itc02.Full.to_string t) = t);
     Test.make ~name:"test_data_volume positive and monotone in patterns" ~count:200
-      arbitrary_core
+      (make (core_gen 1))
       (fun core ->
         let more = { core with Types.patterns = core.Types.patterns + 1 } in
         Types.test_data_volume core > 0
@@ -225,6 +308,8 @@ let suites =
         Alcotest.test_case "parse errors name the file" `Quick
           test_file_error_names_file;
         Alcotest.test_case "load/save" `Quick test_file_load_save;
+        Alcotest.test_case "a file past the cap" `Quick test_file_too_long;
+        Alcotest.test_case "printers refuse unreadable names" `Quick test_unreadable_names;
       ] );
     ( "itc02.synthetic",
       [

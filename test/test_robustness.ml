@@ -246,10 +246,10 @@ let qcheck_tests =
 (* --- CLI values --- *)
 
 (* Runs the built msoc_plan with [args], MSOC_JOBS taken out of the
-   environment and [env] added, its stdout on [stdout] (default
-   discarded); returns its exit code and the lines it wrote to
-   stderr. *)
-let run_cli ?(env = []) ?stdout args =
+   environment and [env] added, its stdin on [stdin] and its stdout on
+   [stdout] (default: both /dev/null); returns its exit code and the
+   lines it wrote to stderr. *)
+let run_cli ?(env = []) ?stdin ?stdout args =
   let exe =
     Filename.concat
       (Filename.dirname Sys.executable_name)
@@ -269,8 +269,8 @@ let run_cli ?(env = []) ?stdout args =
     Fun.protect
       ~finally:(fun () -> Unix.close null; Unix.close err_w)
       (fun () ->
-        Unix.create_process_env exe (Array.of_list (exe :: args)) env null
-          (Option.value stdout ~default:null) err_w)
+        Unix.create_process_env exe (Array.of_list (exe :: args)) env
+          (Option.value stdin ~default:null) (Option.value stdout ~default:null) err_w)
   in
   let ic = Unix.in_channel_of_descr err_r in
   let text = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic) in
@@ -417,6 +417,7 @@ let test_cli_bad_tool_values () =
       ([], [ "bist"; "--trials"; "0" ], [ "'--trials'" ]);
       ([], [ "generate"; "--cores"; "1"; "--bottleneck"; "unused.soc" ], [ "'--cores'"; "'--bottleneck'" ]);
       ([], [ "generate"; "/nonexistent/dir/out.soc" ], [ "OUTPUT.soc"; "existing directory" ]);
+      ([], [ "generate"; "a b.soc" ], [ "OUTPUT.soc"; "without blanks" ]);
       ([], [ "serve"; "--memory-cache"; "0" ], [ "'--memory-cache'" ]);
       ([], [ "serve"; "--queue"; "0" ], [ "'--queue'" ]);
       ([], [ "fleet"; "--window"; "0"; "--tcp"; "7999" ], [ "'--window'" ]);
@@ -572,6 +573,74 @@ let test_cli_bad_endpoints () =
       ([], [ "replay"; "--tcp"; "999.1.1.1:80" ], [ "'--tcp'" ]);
     ]
 
+(* [args]' exit code and stdout; [stdin], when given, arrives on a
+   pipe. *)
+let cli_output ?stdin args =
+  let path = Filename.temp_file "msoc-cli" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644 in
+  let code =
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    match stdin with
+    | None -> fst (run_cli ~stdout:fd args)
+    | Some text ->
+      (* a .soc fits the pipe's buffer: write it all, then start the reader *)
+      let r, w = Unix.pipe ~cloexec:true () in
+      Fun.protect ~finally:(fun () -> Unix.close r) @@ fun () ->
+      ignore (Unix.write_substring w text 0 (String.length text));
+      Unix.close w;
+      fst (run_cli ~stdin:r ~stdout:fd args)
+  in
+  (code, In_channel.with_open_bin path In_channel.input_all)
+
+(* A .soc on a pipe loads like the file: the reader sizes nothing. *)
+let test_cli_soc_on_stdin () =
+  let soc = "../data/p93791s.soc" in
+  let file = cli_output [ "plan"; "--soc"; soc; "--json" ] in
+  let piped =
+    cli_output ~stdin:(In_channel.with_open_bin soc In_channel.input_all)
+      [ "plan"; "--soc"; "/dev/stdin"; "--json" ]
+  in
+  checki "file: exit code" 0 (fst file);
+  checki "stdin: exit code" 0 (fst piped);
+  Alcotest.(check string) "stdin prints the file's plan" (snd file) (snd piped)
+
+(* One fault per file, each at a line the loader names: [check] (with
+   and without --lint-only) reports an error there and exits 1, [plan]
+   refuses with [f:LINE: ...] and exit 124, never a Types message. *)
+let test_cli_soc_fixtures () =
+  let good id = Printf.sprintf "Module %d Name m%d Inputs 1 Outputs 1 Bidirs 0 Patterns 5 ScanChains 1 : 7" id id in
+  List.iter
+    (fun (what, lines, line) ->
+      let f = Filename.temp_file "msoc-fixture" ".soc" in
+      Fun.protect ~finally:(fun () -> Sys.remove f) @@ fun () ->
+      Out_channel.with_open_bin f (fun oc -> output_string oc (String.concat "\n" lines ^ "\n"));
+      let at = Printf.sprintf "%s:%d: " f line in
+      (match run_cli [ "plan"; "--soc"; f ] with
+      | 124, [ message ] ->
+        checkb (what ^ ": plan names the line: " ^ message) true
+          (String.starts_with ~prefix:("msoc_plan: " ^ at) message
+          && not (contains message "Types."))
+      | code, lines ->
+        Alcotest.failf "%s: plan exit %d, stderr %s" what code (String.concat " | " lines));
+      List.iter
+        (fun extra ->
+          let code, out = cli_output ([ "check"; "--soc"; f ] @ extra) in
+          checki (what ^ ": check exit code") 1 code;
+          checkb (what ^ ": check errs at the line") true (contains out (at ^ "error [MSOC-E")))
+        [ []; [ "--lint-only" ] ])
+    [
+      ("unknown Test line", [ "SocName s"; good 1; "Test 1 ScanUse 1 TamUse 1 Patterns 5" ], 3);
+      ("bare Module line", [ "SocName s"; "Module"; good 1 ], 2);
+      ("second SocName b c", [ "SocName s"; good 1; "SocName b c" ], 3);
+      ("Patterns 0", [ "SocName s"; good 1; "Module 2 Name z Inputs 1 Outputs 1 Bidirs 0 Patterns 0" ], 3);
+      ( "zero chain length",
+        [ "SocName s"; "Module 1 Name m Inputs 1 Outputs 1 Bidirs 0 Patterns 5 ScanChains 2 : 4 0"; good 2 ],
+        2 );
+      ("repeated id", [ "SocName s"; good 1; good 2; good 1 ], 4);
+      ("Module 0", [ "SocName s"; good 0 ], 2);
+    ]
+
 let suites =
   [
     ( "robustness.planner",
@@ -622,5 +691,8 @@ let suites =
         Alcotest.test_case "CLI and envelope agree on rejections" `Quick
           test_cli_envelope_rejections;
         Alcotest.test_case "CLI = envelope" `Quick test_cli_equals_envelope;
+        Alcotest.test_case "a .soc on stdin" `Quick test_cli_soc_on_stdin;
+        Alcotest.test_case ".soc faults: plan, check and lint name one line" `Quick
+          test_cli_soc_fixtures;
       ] );
   ]

@@ -90,28 +90,49 @@ let test_full_of_flat () =
         && a.Types.patterns = b.Types.patterns))
     soc.Types.cores back.Types.cores
 
+(* Each fault is a Parse_error at the line at fault: the Module or Test
+   line it names, never line 0 and never Invalid_argument. *)
 let test_full_validation_errors () =
-  let expect_error text =
+  let header ?(id = 1) ?(level = 1) ?(inputs = 1) ?(chains = "0") () =
+    Printf.sprintf "Module %d Level %d Name m%d Inputs %d Outputs 1 Bidirs 0 ScanChains %s" id
+      level id inputs chains
+  in
+  let test = "Test 1 ScanUse 0 TamUse 1 Patterns 5" in
+  let expect_error ~line lines =
+    let text = String.concat "\n" ("SocName x" :: lines) in
     match Full.of_string text with
-    | exception Full.Parse_error _ -> ()
+    | exception Msoc_itc02.Soc_file.Parse_error { line = got; _ } ->
+      checki (text ^ ": line") line got
     | _ -> Alcotest.failf "accepted: %s" text
   in
-  expect_error "SocName x\nTest 1 ScanUse 1 TamUse 1 Patterns 5\n";
+  expect_error ~line:2 [ test ];
   (* test before module *)
-  expect_error
-    "SocName x\nModule 1 Level 1 Name a Inputs 1 Outputs 1 Bidirs 0 ScanChains 0\n";
+  expect_error ~line:4 [ header (); test; header ~id:2 () ];
   (* module with no tests *)
-  expect_error
-    "SocName x\nModule 1 Level 3 Name a Inputs 1 Outputs 1 Bidirs 0 ScanChains 0\n\
-     Test 1 ScanUse 0 TamUse 1 Patterns 5\n";
+  expect_error ~line:2 [ header ~level:3 (); test ];
   (* first module too deep *)
-  expect_error
-    "SocName x\n\
-     Module 1 Level 1 Name a Inputs 1 Outputs 1 Bidirs 0 ScanChains 0\n\
-     Test 1 ScanUse 0 TamUse 1 Patterns 5\n\
-     Module 2 Level 3 Name b Inputs 1 Outputs 1 Bidirs 0 ScanChains 0\n\
-     Test 1 ScanUse 0 TamUse 1 Patterns 5\n"
+  expect_error ~line:4 [ header (); test; header ~id:2 ~level:3 (); test ];
   (* level skip *)
+  expect_error ~line:3 [ header (); "Test 2 ScanUse 0 TamUse 1 Patterns 0" ];
+  (* a test with no patterns *)
+  expect_error ~line:4 [ header (); test; header (); test ];
+  (* a repeated id, on the line that repeats it *)
+  expect_error ~line:2 [ header ~inputs:(-1) (); test ];
+  expect_error ~line:2 [ header ~chains:"1 : 0" (); test ];
+  (* a negative terminal count and a zero chain length *)
+  let top = Full.of_string (String.concat "\n" [ "SocName x"; header ~id:0 ~level:0 (); test ]) in
+  checki "Module 0 Level 0 is the top module" 0 (List.hd top.Full.modules).Full.level
+
+(* The one Parse_error: Full.load names its file, as Soc_file.load does. *)
+let test_full_load_names_file () =
+  let path = Filename.temp_file "msoc" ".soc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc "SocName x\nTest 1\n");
+  match Full.load path with
+  | _ -> Alcotest.fail "loaded a malformed file"
+  | exception Msoc_itc02.Soc_file.Parse_error { file; line; _ } ->
+    checkb "file attached" true (file = Some path);
+    checki "line" 2 line
 
 let test_full_flatten_needs_tam_tests () =
   let t =
@@ -322,6 +343,7 @@ let suites =
         Alcotest.test_case "flatten" `Quick test_full_flatten;
         Alcotest.test_case "of_flat" `Quick test_full_of_flat;
         Alcotest.test_case "validation errors" `Quick test_full_validation_errors;
+        Alcotest.test_case "load names the file" `Quick test_full_load_names_file;
         Alcotest.test_case "flatten needs TAM tests" `Quick test_full_flatten_needs_tam_tests;
       ] );
     ( "signal.goertzel",
