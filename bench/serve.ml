@@ -46,7 +46,7 @@ let pass service lines =
   List.map
     (fun line ->
       match Protocol.request_of_line line with
-      | Error e -> failwith ("serve-throughput: bad request line: " ^ e)
+      | Error (_, e) -> failwith ("serve-throughput: bad request line: " ^ e)
       | Ok req -> Service.handle service req)
     lines
 

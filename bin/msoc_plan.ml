@@ -266,11 +266,7 @@ let check_cmd =
 
 (* --- analyze --- *)
 
-(* A file option that cannot be read or written is a usage error (exit
-   124) naming the option, like an unparseable value. *)
-let file_error option m = `Error (true, Printf.sprintf "option '%s': %s" option m)
-
-let run_analyze root allowlist_file baseline write_baseline list_rules as_json =
+let run_analyze root allowlist_file list_rules as_json =
   let module A = Msoc_analysis in
   if list_rules then begin
     List.iter
@@ -282,54 +278,16 @@ let run_analyze root allowlist_file baseline write_baseline list_rules as_json =
       Msoc_check.Codes.all;
     exit 0
   end;
+  (* an unreadable allowlist is a usage error (exit 124) naming the
+     option, like an unparseable value *)
   match Option.iter (fun f -> ignore (A.Allowlist.load ~root f)) allowlist_file with
-  | exception Sys_error m -> file_error "--allowlist" m
-  | () -> (
+  | exception Sys_error m -> `Error (true, "option '--allowlist': " ^ m)
+  | () ->
     let report = A.Engine.run ?allowlist_file ~root () in
-    let written =
-      match write_baseline with
-      | None -> Ok ()
-      | Some path -> (
-        let b = A.Baseline.of_diagnostics report.A.Engine.diagnostics in
-        match open_out path with
-        | exception Sys_error m -> Error m
-        | oc ->
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (A.Baseline.to_string b));
-          Printf.eprintf "analyze: baseline written to %s\n%!" path;
-          Ok ())
-    in
-    match (written, baseline) with
-    | Error m, _ -> file_error "--write-baseline" m
-    | Ok (), None ->
-      if as_json then
-        print_string (Msoc_testplan.Export.pretty (A.Report.to_json report))
-      else print_string (A.Report.to_text report);
-      exit (A.Engine.exit_code report)
-    | Ok (), Some (path, baseline) ->
-      (* ratchet mode: fail only on findings the committed baseline
-         does not cover *)
-      let cmp = A.Baseline.compare_run baseline report.A.Engine.diagnostics in
-      let ratcheted =
-        { report with A.Engine.diagnostics = cmp.A.Baseline.fresh }
-      in
-      if as_json then
-        print_string (Msoc_testplan.Export.pretty (A.Report.to_json ratcheted))
-      else begin
-        print_string (A.Report.to_text ratcheted);
-        if cmp.A.Baseline.suppressed > 0 then
-          Printf.printf "ratchet: %d known finding(s) absorbed by %s\n"
-            cmp.A.Baseline.suppressed path;
-        List.iter
-          (fun (code, file, was, now) ->
-            Printf.printf
-              "ratchet: %s %s improved %d -> %d — regenerate the baseline \
-               (--write-baseline)\n"
-              code file was now)
-          cmp.A.Baseline.improved
-      end;
-      exit (A.Engine.exit_code ratcheted))
+    if as_json then
+      print_string (Msoc_testplan.Export.pretty (A.Report.to_json report))
+    else print_string (A.Report.to_text report);
+    exit (A.Engine.exit_code report)
 
 let analyze_cmd =
   let doc =
@@ -357,29 +315,6 @@ let analyze_cmd =
              $(b,analysis.allow) under the root when present). Stale or \
              unjustified entries are themselves reported.")
   in
-  let baseline_conv =
-    let parse path =
-      Result.map (fun b -> (path, b)) (Msoc_analysis.Baseline.load path)
-    in
-    Arg.conv' ~docv:"FILE" (parse, fun ppf (path, _) -> Format.pp_print_string ppf path)
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some baseline_conv) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Ratchet mode: compare against a committed baseline and fail \
-             only on NEW findings (a (code, file) group that grew past the \
-             snapshot).")
-  in
-  let write_baseline_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Snapshot this run's findings as a ratchet baseline.")
-  in
   let list_rules_arg =
     Arg.(
       value & flag
@@ -389,8 +324,8 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(
       ret
-        (const run_analyze $ root_arg $ allowlist_arg $ baseline_arg
-        $ write_baseline_arg $ list_rules_arg $ json_flag))
+        (const run_analyze $ root_arg $ allowlist_arg $ list_rules_arg
+        $ json_flag))
 
 (* --- explore --- *)
 
@@ -1270,12 +1205,9 @@ let fetch_stats connect =
           | Error _ -> None
         with End_of_file | Sys_error _ -> None)
 
-let run_replay endpoint count mix widths weights soc_file
+let run_replay endpoint count mix widths weights soc_text
     analog_cores window repeat deadline_ms verify clients rate allowed_shed
     json_out seed =
-  let soc_text =
-    Option.map (fun path -> In_channel.with_open_bin path In_channel.input_all) soc_file
-  in
   let requests =
     List.concat
       (List.init repeat (fun _ ->
@@ -1691,10 +1623,23 @@ let replay_cmd =
             "Re-plan up to K distinct configurations locally and require \
              bit-identical results (0 disables).")
   in
+  (* the .soc sent inline, read as every --soc is (Scan.read: a pipe
+     too, at most Scan.max_bytes); a read error is one error line and
+     exit 124, before any connect *)
+  let soc_text_arg =
+    let read = function
+      | None -> `Ok None
+      | Some path -> (
+        match Msoc_itc02.Scan.read path with
+        | text -> `Ok (Some text)
+        | exception Sys_error m -> `Error (false, m))
+    in
+    Term.(ret (const read $ soc_file_arg))
+  in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
       const run_replay $ endpoint socket_arg tcp_arg $ count_arg $ mix_arg
-      $ widths_arg $ weights_arg $ soc_file_arg $ analog_labels_arg
+      $ widths_arg $ weights_arg $ soc_text_arg $ analog_labels_arg
       $ window_arg $ repeat_arg $ deadline_arg $ verify_arg $ clients_arg
       $ rate_arg $ allow_shed_arg $ json_out_arg $ seed_arg)
 

@@ -91,14 +91,12 @@ let of_string ?path text =
             { code; file; line; hash; justification; source_line } :: !entries
         | None ->
           diags :=
-            Diagnostic.makef ?file:path ~line:source_line ~code:Codes.s403
-              ~severity:Diagnostic.Error
+            Codes.diag ?file:path ~line:source_line Codes.s403
               "allowlist target %S is not FILE[:LINE][@HASH8]" target
             :: !diags)
       | _ ->
         diags :=
-          Diagnostic.makef ?file:path ~line:source_line ~code:Codes.s403
-            ~severity:Diagnostic.Error
+          Codes.diag ?file:path ~line:source_line Codes.s403
             "expected \"MSOC-code path[:line][@hash] # justification\", got %S"
             (String.trim raw_line)
           :: !diags)
@@ -172,8 +170,7 @@ let apply ?(file_lines = fun (_ : string) -> None) t diags =
                match anchor_dead with
                | Some h ->
                  [
-                   Diagnostic.makef ?file:t.path ~line:entry.source_line
-                     ~code:Codes.s404 ~severity:Diagnostic.Warning
+                   Codes.diag ?file:t.path ~line:entry.source_line Codes.s404
                      "allowlist entry %s %s@%s: no line of %s hashes to the \
                       anchor any more — the audited code changed, re-review \
                       and re-anchor (or delete the entry)"
@@ -181,8 +178,7 @@ let apply ?(file_lines = fun (_ : string) -> None) t diags =
                  ]
                | None ->
                  [
-                   Diagnostic.makef ?file:t.path ~line:entry.source_line
-                     ~code:Codes.s401 ~severity:Diagnostic.Warning
+                   Codes.diag ?file:t.path ~line:entry.source_line Codes.s401
                      "allowlist entry %s %s matched no finding — remove it"
                      entry.code entry.file;
                  ]
@@ -191,8 +187,7 @@ let apply ?(file_lines = fun (_ : string) -> None) t diags =
              if entry.justification <> "" then []
              else
                [
-                 Diagnostic.makef ?file:t.path ~line:entry.source_line
-                   ~code:Codes.s402 ~severity:Diagnostic.Warning
+                 Codes.diag ?file:t.path ~line:entry.source_line Codes.s402
                    "allowlist entry %s %s has no justification comment"
                    entry.code entry.file;
                ]

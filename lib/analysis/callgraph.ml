@@ -258,6 +258,42 @@ let find t key = Hashtbl.find_opt t.by_key key
 
 let callees t key = Option.value (Hashtbl.find_opt t.calls key) ~default:[]
 
+module StringSet = Set.Make (String)
+
+(* The union closure over callees, round-robin to the fixpoint: the
+   sets only grow and are finite, so the sweep ends. A key that names
+   two definitions (a shadowed top-level binding) takes both seeds. *)
+let close t seed =
+  let table = Hashtbl.create 512 in
+  let closed key =
+    Option.value (Hashtbl.find_opt table key) ~default:StringSet.empty
+  in
+  List.iter
+    (fun d ->
+      Hashtbl.replace table d.key (StringSet.union (closed d.key) (seed d)))
+    t.defs;
+  let rec sweep () =
+    let grew =
+      List.fold_left
+        (fun grew d ->
+          let current = closed d.key in
+          let merged =
+            List.fold_left
+              (fun acc callee -> StringSet.union acc (closed callee))
+              current (callees t d.key)
+          in
+          if StringSet.equal merged current then grew
+          else begin
+            Hashtbl.replace table d.key merged;
+            true
+          end)
+        false t.defs
+    in
+    if grew then sweep ()
+  in
+  sweep ();
+  closed
+
 (* Chasing one reference from a known definition site: the value name
    must match a callee; a module hint (last qualifier) narrows
    multiple candidates. Over-matching is accepted — the interprocedural

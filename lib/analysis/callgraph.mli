@@ -7,9 +7,10 @@
     Unresolvable references (stdlib, function arguments, local opens)
     never become edges, so every edge is certain.
 
-    The S5xx rules walk this graph to propagate lock acquisition and
-    blocking behaviour across function boundaries (MSOC-S501,
-    MSOC-S504). *)
+    The interprocedural rules walk this graph: {!close} carries lock
+    acquisition, blocking and replies across function boundaries
+    (MSOC-S501, MSOC-S504, MSOC-S604), {!resolve_call} chases one
+    reference. *)
 
 type def = {
   key : string;  (** globally unique: ["lib/serve/cache.ml#Lru.find"] *)
@@ -33,6 +34,15 @@ val find : t -> string -> def option
 val callees : t -> string -> string list
 (** Callee def keys of a definition, deduplicated; [[]] for unknown
     keys. *)
+
+val close : t -> (def -> Set.Make(String).t) -> string -> Set.Make(String).t
+(** [close t seed key] is the union of [seed] over every definition
+    [key] reaches through {!callees}, itself included: the least
+    table with [closed k ⊇ seed d] for each definition [d] under [k]
+    and [closed k ⊇ closed c] for each callee [c]. Unknown keys close
+    to the empty set. MSOC-S501 closes the locks each definition
+    takes, MSOC-S504 the blocking primitives it reaches, and MSOC-S604
+    a one-element seed on a direct reply (non-empty = may reply). *)
 
 val resolve_call : t -> def -> Longident.t -> def list
 (** Candidate defs a reference inside [d] may name, resolved against

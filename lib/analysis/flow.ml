@@ -77,18 +77,6 @@ let is_blocking_path path =
      && String.sub path 0 5 = "Unix."
      && not (List.mem path unix_nonblocking)
 
-(* Re-exported views on the shared syntactic helpers (the callgraph
-   and the tests reach them through Flow). *)
-let lock_expr = Syntax.ident_chain
-let may_raise = Syntax.may_raise
-
-let line_of = Syntax.line_of
-let normalize_apply = Syntax.normalize_apply
-let apply_path = Syntax.apply_path
-let thunk_body = Syntax.thunk_body
-let labelled = Syntax.labelled
-let positional = Syntax.positional
-
 (* --- the traversal --- *)
 
 type state = {
@@ -144,20 +132,21 @@ let rec walk st ~held e =
   | Pexp_ident { txt; _ } ->
     (* a bare reference can be a callback about to run under our locks *)
     if held <> [] then
-      st.calls <- { held; callee = txt; call_line = line_of e } :: st.calls
+      st.calls <-
+        { held; callee = txt; call_line = Syntax.line_of e } :: st.calls
   | _ -> ()
 
 and walk_seq st ~held = function
   | [] -> ()
   | stmt :: rest -> (
-    match apply_path stmt with
+    match Syntax.apply_path stmt with
     | Some ("Mutex.lock", _, args) ->
       let lock =
-        match positional args with
-        | [ m ] -> Option.value (lock_expr m) ~default:"<opaque>"
+        match Syntax.positional args with
+        | [ m ] -> Option.value (Syntax.ident_chain m) ~default:"<opaque>"
         | _ -> "<opaque>"
       in
-      let line = line_of stmt in
+      let line = Syntax.line_of stmt in
       walk_critical st ~held ~lock ~line rest
     | _ ->
       walk_stmt st ~held stmt;
@@ -180,7 +169,7 @@ and walk_critical st ~held ~lock ~line rest =
        section and must be exception-free *)
     match split_at_unlock lock rest with
     | Some (critical, after) ->
-      let released = not (List.exists may_raise critical) in
+      let released = not (List.exists Syntax.may_raise critical) in
       record_acq st ~held ~line ~released lock;
       List.iter (walk_stmt st ~held:held') critical;
       walk_seq st ~held after
@@ -189,7 +178,7 @@ and walk_critical st ~held ~lock ~line rest =
       List.iter (walk_stmt st ~held:held') rest)
 
 and is_protect e =
-  match apply_path e with
+  match Syntax.apply_path e with
   | Some (("Fun.protect" | "Mutex.protect"), _, _) -> true
   | _ -> false
 
@@ -197,10 +186,10 @@ and split_at_unlock lock stmts =
   let rec go acc = function
     | [] -> None
     | stmt :: rest -> (
-      match apply_path stmt with
+      match Syntax.apply_path stmt with
       | Some ("Mutex.unlock", _, args)
-        when (match positional args with
-             | [ m ] -> lock_expr m = Some lock
+        when (match Syntax.positional args with
+             | [ m ] -> Syntax.ident_chain m = Some lock
              | _ -> false) ->
         Some (List.rev acc, rest)
       | _ -> go (stmt :: acc) rest)
@@ -208,46 +197,51 @@ and split_at_unlock lock stmts =
   go [] stmts
 
 and walk_stmt st ~held stmt =
-  match apply_path stmt with
+  match Syntax.apply_path stmt with
   | Some _ -> walk_apply st ~held stmt ~continuation:[]
   | None -> walk st ~held stmt
 
 and walk_apply st ~held e ~continuation:_ =
-  match apply_path e with
+  match Syntax.apply_path e with
   | None -> (
-    match normalize_apply e with
+    match Syntax.normalize_apply e with
     | Some (head, args) ->
       walk st ~held head;
       List.iter (fun (_, a) -> walk st ~held a) args
     | None -> ())
   | Some ("Mutex.protect", lid, args) -> (
     ignore lid;
-    match positional args with
+    match Syntax.positional args with
     | [ m; body ] ->
-      let lock = Option.value (lock_expr m) ~default:"<opaque>" in
-      record_acq st ~held ~line:(line_of e) ~released:true lock;
-      walk st ~held:(lock :: held) (thunk_body body)
+      let lock = Option.value (Syntax.ident_chain m) ~default:"<opaque>" in
+      record_acq st ~held ~line:(Syntax.line_of e) ~released:true lock;
+      walk st ~held:(lock :: held) (Syntax.thunk_body body)
     | _ -> List.iter (fun (_, a) -> walk st ~held a) args)
   | Some ("Mutex.lock", _, args) ->
     (* a lock outside statement position (e.g. a one-expression
        function body) is an acquire wrapper *)
     let lock =
-      match positional args with
-      | [ m ] -> Option.value (lock_expr m) ~default:"<opaque>"
+      match Syntax.positional args with
+      | [ m ] -> Option.value (Syntax.ident_chain m) ~default:"<opaque>"
       | _ -> "<opaque>"
     in
-    record_acq st ~held ~line:(line_of e) ~released:true lock
+    record_acq st ~held ~line:(Syntax.line_of e) ~released:true lock
   | Some ("Fun.protect", _, _) -> walk_protect st ~held e
   | Some (_, lid, args) ->
     if held <> [] then
-      st.calls <- { held; callee = lid; call_line = line_of e } :: st.calls;
-    List.iter (fun (_, a) -> walk st ~held (thunk_body a)) args
+      st.calls <-
+        { held; callee = lid; call_line = Syntax.line_of e } :: st.calls;
+    List.iter (fun (_, a) -> walk st ~held (Syntax.thunk_body a)) args
 
 and walk_protect st ~held e =
-  match normalize_apply e with
+  match Syntax.normalize_apply e with
   | Some (_, args) ->
-    Option.iter (fun f -> walk st ~held (thunk_body f)) (labelled "finally" args);
-    List.iter (fun body -> walk st ~held (thunk_body body)) (positional args)
+    Option.iter
+      (fun f -> walk st ~held (Syntax.thunk_body f))
+      (Syntax.labelled "finally" args);
+    List.iter
+      (fun body -> walk st ~held (Syntax.thunk_body body))
+      (Syntax.positional args)
   | None -> ()
 
 (* --- Atomic check-then-act --- *)
@@ -262,11 +256,11 @@ let atomic_footprint e =
       expr =
         (fun self ex ->
           incr pos;
-          (match apply_path ex with
+          (match Syntax.apply_path ex with
           | Some (path, _, args) -> (
             let atom =
-              match positional args with
-              | m :: _ -> lock_expr m
+              match Syntax.positional args with
+              | m :: _ -> Syntax.ident_chain m
               | [] -> None
             in
             match (path, atom) with

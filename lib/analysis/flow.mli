@@ -50,12 +50,3 @@ val summarize : Parsetree.expression -> summary
 
 val is_blocking_path : string -> bool
 (** Whether a dotted path names a blocking primitive (MSOC-S504). *)
-
-val lock_expr : Parsetree.expression -> string option
-(** Syntactic lock identity: [Some "t.lock"] for ident/field chains,
-    [None] otherwise. Exposed for the callgraph and tests. *)
-
-val may_raise : Parsetree.expression -> bool
-(** Conservative: [false] only for expressions built from constants,
-    idents, constructors, field reads/writes and a whitelist of
-    non-raising stdlib calls. *)

@@ -328,14 +328,6 @@ let fixpoint graph (lookup : string -> summary) =
 
 (* --- the per-definition path walk --- *)
 
-let severity_of code =
-  match Codes.describe code with
-  | Some info -> info.Codes.severity
-  | None -> Diagnostic.Error
-
-let diag ?file ?line code fmt =
-  Diagnostic.makef ?file ?line ~code ~severity:(severity_of code) fmt
-
 (* A statement with its binding pattern kept (Flow linearizes patterns
    away; the resource walk needs the bound name). *)
 type stmt = { pat : pattern option; exp : expression }
@@ -493,7 +485,7 @@ let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
         match classify_stmt ctx x k e with
         | Release (_, line) ->
           emit
-            (diag ~file ~line Codes.s602
+            (Codes.diag ~file ~line Codes.s602
                "%s '%s' (acquired at line %d) was already released at line \
                 %d — double release"
                k.kind_name x acq_line first_line);
@@ -519,7 +511,7 @@ let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
                  | (_, line, _) :: _ ->
                    let _, fin_line, _ = List.hd fin_rels in
                    emit
-                     (diag ~file ~line:fin_line Codes.s602
+                     (Codes.diag ~file ~line:fin_line Codes.s602
                         "%s '%s' is released in the protected body (line %d) \
                          and again unconditionally in ~finally — double \
                          release"
@@ -532,7 +524,7 @@ let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
           | Release (rk, line) ->
             if rk <> k.kind_name then begin
               emit
-                (diag ~file ~line Codes.s603
+                (Codes.diag ~file ~line Codes.s603
                    "'%s' holds a %s acquired at line %d but is released \
                     with a %s release — mismatched acquire/release pair"
                    x k.kind_name acq_line rk);
@@ -542,7 +534,7 @@ let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
               (match risky with
               | Some raise_line ->
                 emit
-                  (diag ~file ~line:acq_line Codes.s601
+                  (Codes.diag ~file ~line:acq_line Codes.s601
                      "%s '%s' is released at line %d, but line %d can raise \
                       first — the resource leaks on that exception path \
                       (wrap in Fun.protect ~finally)"
@@ -668,13 +660,13 @@ let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
             in
             if later_release then
               emit
-                (diag ~file:ctx.def.Callgraph.ml_path ~line:rl Codes.s602
+                (Codes.diag ~file:ctx.def.Callgraph.ml_path ~line:rl Codes.s602
                    "%s '%s' is released on this branch and released again \
                     after the branch — double release on this path"
                    k.kind_name x)
             else
               emit
-                (diag ~file:ctx.def.Callgraph.ml_path ~line:ll Codes.s601
+                (Codes.diag ~file:ctx.def.Callgraph.ml_path ~line:ll Codes.s601
                    "%s '%s' (acquired at line %d) is released on the branch \
                     at line %d but stays unreleased on this branch"
                    k.kind_name x acq_line rl)
@@ -705,7 +697,7 @@ let report_status ctx ~x ~(k : kind) ~acq_line status =
   match status with
   | Live ->
     ctx.emit
-      (diag ~file:ctx.def.Callgraph.ml_path ~line:acq_line Codes.s601
+      (Codes.diag ~file:ctx.def.Callgraph.ml_path ~line:acq_line Codes.s601
          "%s '%s' acquired here is not released before the end of its \
           scope — release it on every path or hand it off explicitly"
          k.kind_name x)

@@ -14,29 +14,18 @@
    parse is skipped and reported once, as S406. *)
 
 open Parsetree
-module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
 
 type config = {
   roots : string list;
       (* reachability roots for S101: directories or single .ml files *)
-  required_flags : string list;
-      (* substrings every dune stanza must carry (S302) *)
 }
 
-let default_config =
-  {
-    roots = [ "lib/serve"; "lib/search"; "lib/util/pool.ml" ];
-    required_flags = [ "-w +a-4-40-41-42-44-45-70"; "-warn-error +a" ];
-  }
+let default_config = { roots = [ "lib/serve"; "lib/search"; "lib/util/pool.ml" ] }
 
-let severity_of code =
-  match Codes.describe code with
-  | Some info -> info.Codes.severity
-  | None -> Diagnostic.Error
-
-let diag ?file ?line code fmt =
-  Diagnostic.makef ?file ?line ~code ~severity:(severity_of code) fmt
+(* Substrings every dune stanza must carry (S302): the
+   warnings-as-errors set. *)
+let required_flags = [ "-w +a-4-40-41-42-44-45-70"; "-warn-error +a" ]
 
 let lib_modules (p : Project.t) =
   List.filter (fun (m : Project.module_info) -> m.Project.owner <> None)
@@ -142,7 +131,7 @@ let rule_concurrent_state config p =
       | Ok str when List.mem m.Project.ml_path reachable && not (guarded ()) ->
         List.map
           (fun (line, tok) ->
-            diag ~file:m.Project.ml_path ~line Codes.s101
+            Codes.diag ~file:m.Project.ml_path ~line Codes.s101
               "module-level %s in a module reachable from the concurrent \
                roots, with no Atomic/Mutex in scope — guard it or allowlist \
                the audited exception"
@@ -182,7 +171,7 @@ let rule_catch_all (p : Project.t) =
     (fun (m : Project.module_info) ->
       List.map
         (fun line ->
-          diag ~file:m.Project.ml_path ~line Codes.s201
+          Codes.diag ~file:m.Project.ml_path ~line Codes.s201
             "catch-all handler drops the exception — match the specific \
              exceptions or re-raise")
         (expr_lines m catch_all_lines))
@@ -194,7 +183,7 @@ let lib_rule ~code ~message lines_of p =
   List.concat_map
     (fun (m : Project.module_info) ->
       List.map
-        (fun line -> diag ~file:m.Project.ml_path ~line code "%s" message)
+        (fun line -> Codes.diag ~file:m.Project.ml_path ~line code "%s" message)
         (lines_of m))
     (lib_modules p)
 
@@ -234,7 +223,7 @@ let rule_missing_mli (p : Project.t) =
     (fun (m : Project.module_info) ->
       if m.Project.mli_path = None then
         Some
-          (diag ~file:m.Project.ml_path ~line:1 Codes.s301
+          (Codes.diag ~file:m.Project.ml_path ~line:1 Codes.s301
              "library module %s has no .mli — every library interface is \
               explicit"
              m.Project.name)
@@ -260,7 +249,7 @@ let has_word line word =
   in
   go 0
 
-let rule_dune_flags config (p : Project.t) =
+let rule_dune_flags (p : Project.t) =
   List.concat_map
     (fun dune ->
       let text = Source.text dune in
@@ -285,11 +274,11 @@ let rule_dune_flags config (p : Project.t) =
           if contains text flag then None
           else
             Some
-              (diag ~file:(Source.path dune) ~line:anchor Codes.s302
+              (Codes.diag ~file:(Source.path dune) ~line:anchor Codes.s302
                  "stanza is missing %S — every build keeps \
                   warnings-as-errors"
                  flag))
-        config.required_flags)
+        required_flags)
     p.Project.dune_files
 
 (* --- S303: no stdout printing in libraries --- *)
@@ -330,5 +319,5 @@ let run config p =
   @ rule_lib_exit p
   @ rule_lib_failwith p
   @ rule_missing_mli p
-  @ rule_dune_flags config p
+  @ rule_dune_flags p
   @ rule_stdout_in_lib p

@@ -12,14 +12,12 @@ type config = {
       (** Reachability roots for MSOC-S101: directories
           (["lib/serve"] — every module inside) or single files
           (["lib/util/pool.ml"]). *)
-  required_flags : string list;
-      (** Substrings every dune stanza must carry (MSOC-S302). *)
 }
 
 val default_config : config
 (** Roots: [lib/serve], [lib/search], [lib/util/pool.ml] — the
-    concurrent subsystems from PRs 1-4. Required flags: the PR 2
-    warnings-as-errors set. *)
+    concurrent subsystems from PRs 1-4. Every dune stanza must carry
+    the warnings-as-errors flags (MSOC-S302); that set is fixed. *)
 
 val run : config -> Project.t -> Msoc_check.Diagnostic.t list
 (** Every rule over the whole project, unfiltered (the engine applies

@@ -16,16 +16,7 @@
    A module that fails to parse is skipped by every rule; S406 records
    the skip as an info-level diagnostic (never a silent gap). *)
 
-module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
-
-let severity_of code =
-  match Codes.describe code with
-  | Some info -> info.Codes.severity
-  | None -> Diagnostic.Error
-
-let diag ?file ?line code fmt =
-  Diagnostic.makef ?file ?line ~code ~severity:(severity_of code) fmt
 
 let parse_failures (p : Project.t) =
   List.length
@@ -53,7 +44,7 @@ let rule_parse_skips (p : Project.t) =
       | Error err ->
         let line = skip_line_of_error ~path:m.Project.ml_path err in
         Some
-          (diag ~file:m.Project.ml_path ~line Codes.s406
+          (Codes.diag ~file:m.Project.ml_path ~line Codes.s406
              "not analyzed: %s — every AST rule skips this file" err))
     p.Project.modules
 
@@ -95,46 +86,11 @@ let qualify (d : Callgraph.def) lock =
   if lock = "<opaque>" then None
   else Some (d.Callgraph.module_name ^ ":" ^ lock)
 
-(* Resolving a held-call Longident against the def's known callees
-   lives on the graph itself now — Resource and Typestate share it. *)
-let resolve_call ctx (d : Callgraph.def) lid =
-  Callgraph.resolve_call ctx.graph d lid
-
-(* Fixpoint of a per-def set property over the call graph. *)
-let fixpoint ctx (own : Callgraph.def -> StringSet.t) =
-  let table = Hashtbl.create 512 in
-  let defs = Callgraph.defs ctx.graph in
-  List.iter
-    (fun (d : Callgraph.def) -> Hashtbl.replace table d.Callgraph.key (own d))
-    defs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (d : Callgraph.def) ->
-        let current = Hashtbl.find table d.Callgraph.key in
-        let merged =
-          List.fold_left
-            (fun acc callee ->
-              match Hashtbl.find_opt table callee with
-              | Some s -> StringSet.union acc s
-              | None -> acc)
-            current
-            (Callgraph.callees ctx.graph d.Callgraph.key)
-        in
-        if not (StringSet.equal merged current) then begin
-          Hashtbl.replace table d.Callgraph.key merged;
-          changed := true
-        end)
-      defs
-  done;
-  table
-
 (* --- S501: lock-order cycles --- *)
 
 let rule_lock_order ctx =
   let locks_of =
-    fixpoint ctx (fun d ->
+    Callgraph.close ctx.graph (fun d ->
         List.fold_left
           (fun acc (a : Flow.acquisition) ->
             match qualify d a.Flow.lock with
@@ -163,11 +119,9 @@ let rule_lock_order ctx =
           let inner_locks =
             List.fold_left
               (fun acc (c : Callgraph.def) ->
-                match Hashtbl.find_opt locks_of c.Callgraph.key with
-                | Some s -> StringSet.union acc s
-                | None -> acc)
+                StringSet.union acc (locks_of c.Callgraph.key))
               StringSet.empty
-              (resolve_call ctx d hc.Flow.callee)
+              (Callgraph.resolve_call ctx.graph d hc.Flow.callee)
           in
           List.iter
             (fun outer ->
@@ -218,12 +172,12 @@ let rule_lock_order ctx =
           Hashtbl.replace reported id ();
           let d =
             if a = b then
-              diag ~file ~line Codes.s501
+              Codes.diag ~file ~line Codes.s501
                 "lock %s can be re-acquired while already held (self-deadlock \
                  on a non-reentrant mutex)"
                 a
             else
-              diag ~file ~line Codes.s501
+              Codes.diag ~file ~line Codes.s501
                 "lock-order cycle: %s is acquired while %s is held, and a \
                  call path acquires them in the opposite order — potential \
                  deadlock"
@@ -243,7 +197,8 @@ let rule_lock_release ctx =
              if a.Flow.released then None
              else
                Some
-                 (diag ~file:d.Callgraph.ml_path ~line:a.Flow.line Codes.s502
+                 (Codes.diag ~file:d.Callgraph.ml_path ~line:a.Flow.line
+                    Codes.s502
                     "Mutex.lock %s is not released on all exception paths — \
                      wrap the critical section in Mutex.protect or \
                      Fun.protect ~finally:unlock"
@@ -257,7 +212,7 @@ let rule_check_then_act ctx =
     (fun (d : Callgraph.def) ->
       (summary ctx d.Callgraph.key).Flow.check_then_act
       |> List.map (fun (atom, line) ->
-             diag ~file:d.Callgraph.ml_path ~line Codes.s503
+             Codes.diag ~file:d.Callgraph.ml_path ~line Codes.s503
                "Atomic.get %s followed by Atomic.set in %s without a \
                 compare_and_set loop — another domain can interleave between \
                 the check and the act"
@@ -269,7 +224,7 @@ let rule_check_then_act ctx =
 let rule_blocking_under_lock ctx =
   (* which defs may block, transitively, and through what primitive *)
   let blocks_via =
-    fixpoint ctx (fun d ->
+    Callgraph.close ctx.graph (fun d ->
         List.fold_left
           (fun acc (path, _) -> StringSet.add path acc)
           StringSet.empty
@@ -283,7 +238,7 @@ let rule_blocking_under_lock ctx =
              let held = String.concat ", " hc.Flow.held in
              if Flow.is_blocking_path path then
                Some
-                 (diag ~file:d.Callgraph.ml_path ~line:hc.Flow.call_line
+                 (Codes.diag ~file:d.Callgraph.ml_path ~line:hc.Flow.call_line
                     Codes.s504
                     "blocking call %s while holding %s — the lock is pinned \
                      for the whole operation"
@@ -292,16 +247,14 @@ let rule_blocking_under_lock ctx =
                let via =
                  List.fold_left
                    (fun acc (c : Callgraph.def) ->
-                     match Hashtbl.find_opt blocks_via c.Callgraph.key with
-                     | Some s -> StringSet.union acc s
-                     | None -> acc)
+                     StringSet.union acc (blocks_via c.Callgraph.key))
                    StringSet.empty
-                   (resolve_call ctx d hc.Flow.callee)
+                   (Callgraph.resolve_call ctx.graph d hc.Flow.callee)
                in
                if StringSet.is_empty via then None
                else
                  Some
-                   (diag ~file:d.Callgraph.ml_path ~line:hc.Flow.call_line
+                   (Codes.diag ~file:d.Callgraph.ml_path ~line:hc.Flow.call_line
                       Codes.s504
                       "call to %s while holding %s may block (reaches %s)"
                       path held
@@ -409,7 +362,7 @@ let rule_dead_api ctx =
                       then None
                       else
                         Some
-                          (diag ~file:mli_path
+                          (Codes.diag ~file:mli_path
                              ~line:(Ast.line_of vd.Parsetree.pval_loc)
                              Codes.s505
                              "%s.%s is exported but never referenced outside \

@@ -7,7 +7,7 @@
    [send_client], [job.reply], [write_line]), a hand-off that moves
    the obligation to another thread ([Bounded_queue.try_push], the
    router's [forward]), or a call that transitively reaches one (the
-   may-reply callgraph fixpoint). A case that cannot reply at all is
+   may-reply closure, Callgraph.close). A case that cannot reply at all is
    the lost-envelope bug; a straight path through two definite reply
    calls is the double-envelope bug — both from PR 8's review, by
    hand then, statically now.
@@ -23,16 +23,7 @@
    (incr-only metrics are not accounting). *)
 
 open Parsetree
-module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
-
-let severity_of code =
-  match Codes.describe code with
-  | Some info -> info.Codes.severity
-  | None -> Diagnostic.Error
-
-let diag ?file ?line code fmt =
-  Diagnostic.makef ?file ?line ~code ~severity:(severity_of code) fmt
 
 (* --- S604: reply obligation --- *)
 
@@ -70,8 +61,8 @@ let contains_request_call e =
   it.expr it e;
   !found
 
-(* The may-reply fixpoint: defs that contain a direct reply or
-   transfer call, closed over the call graph. *)
+(* A def's own body sends or hands off an envelope: the one-element
+   seed of the may-reply closure. *)
 let direct_may_reply body =
   let found = ref false in
   let it =
@@ -89,32 +80,6 @@ let direct_may_reply body =
   in
   it.expr it body;
   !found
-
-let may_reply_table graph =
-  let table = Hashtbl.create 256 in
-  let defs = Callgraph.defs graph in
-  List.iter
-    (fun (d : Callgraph.def) ->
-      if direct_may_reply d.Callgraph.body then
-        Hashtbl.replace table d.Callgraph.key ())
-    defs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (d : Callgraph.def) ->
-        if not (Hashtbl.mem table d.Callgraph.key) then
-          if
-            List.exists
-              (fun callee -> Hashtbl.mem table callee)
-              (Callgraph.callees graph d.Callgraph.key)
-          then begin
-            Hashtbl.replace table d.Callgraph.key ();
-            changed := true
-          end)
-      defs
-  done;
-  table
 
 (* Can this case body discharge the reply obligation anywhere within
    (directly, by transfer, or through a may-reply callee)? *)
@@ -134,8 +99,7 @@ let can_reply graph may_reply (d : Callgraph.def) e =
             | Some (_, lid, _) ->
               if
                 List.exists
-                  (fun (c : Callgraph.def) ->
-                    Hashtbl.mem may_reply c.Callgraph.key)
+                  (fun (c : Callgraph.def) -> may_reply c.Callgraph.key)
                   (Callgraph.resolve_call graph d lid)
               then found := true
             | None -> ()));
@@ -213,7 +177,7 @@ let rule_reply_obligation graph may_reply (d : Callgraph.def) =
                   let line = Ast.line_of c.pc_lhs.ppat_loc in
                   if not (can_reply graph may_reply d c.pc_rhs) then
                     out :=
-                      diag ~file ~line Codes.s604
+                      Codes.diag ~file ~line Codes.s604
                         "request-dispatch branch in %s sends no reply on any \
                          path — every parsed request must be answered or \
                          handed off exactly once"
@@ -225,7 +189,7 @@ let rule_reply_obligation graph may_reply (d : Callgraph.def) =
                       let last = List.nth tail (List.length tail - 1) in
                       ignore last;
                       out :=
-                        diag ~file ~line:second Codes.s604
+                        Codes.diag ~file ~line:second Codes.s604
                           "request-dispatch branch in %s can send %d replies \
                            on one path — the second envelope is sent here"
                           d.Callgraph.name
@@ -440,13 +404,13 @@ let rule_counter_balance (d : Callgraph.def) =
                    List.find_opt (fun (k, _, _) -> k = key) (List.rev !witness)
                  with
                 | Some (_, (l0, n0), (l1, n1)) ->
-                  diag ~file ~line:l1 Codes.s605
+                  Codes.diag ~file ~line:l1 Codes.s605
                     "counter %s in %s is unbalanced: the branch at line %d \
                      nets %+d but this branch nets %+d — balance the pair \
                      on every path"
                     key d.Callgraph.name l0 n0.lo n1.lo
                 | None ->
-                  diag ~file ~line:d.Callgraph.line Codes.s605
+                  Codes.diag ~file ~line:d.Callgraph.line Codes.s605
                     "counter %s in %s nets between %+d and %+d depending on \
                      the path — balance the pair on every path"
                     key d.Callgraph.name n.lo n.hi)
@@ -457,8 +421,16 @@ let rule_counter_balance (d : Callgraph.def) =
 
 (* --- entry point --- *)
 
+module StringSet = Set.Make (String)
+
 let run graph =
-  let may_reply = may_reply_table graph in
+  (* a def may reply when its own body does or some callee may *)
+  let replies =
+    Callgraph.close graph (fun (d : Callgraph.def) ->
+        if direct_may_reply d.Callgraph.body then StringSet.singleton "reply"
+        else StringSet.empty)
+  in
+  let may_reply key = not (StringSet.is_empty (replies key)) in
   List.concat_map
     (fun (d : Callgraph.def) ->
       rule_reply_obligation graph may_reply d @ rule_counter_balance d)

@@ -20,5 +20,5 @@ val transfer_paths : string list
     router forward). *)
 
 val run : Callgraph.t -> Msoc_check.Diagnostic.t list
-(** May-reply callgraph fixpoint, then both rules over every
-    definition. *)
+(** May-reply closure over the call graph ({!Callgraph.close}), then
+    both rules over every definition. *)

@@ -124,3 +124,11 @@ let all =
   ]
 
 let describe code = List.find_opt (fun i -> i.code = code) all
+
+(* The one constructor of coded findings: the severity is the
+   registry's, so a rule never restates it. *)
+let diag ?file ?line code fmt =
+  let severity =
+    match describe code with Some i -> i.severity | None -> Diagnostic.Error
+  in
+  Diagnostic.makef ?file ?line ~code ~severity fmt

@@ -175,3 +175,13 @@ val all : info list
 (** Every registered code, in numbering order; codes are unique. *)
 
 val describe : string -> info option
+
+val diag :
+  ?file:string ->
+  ?line:int ->
+  string ->
+  ('a, Format.formatter, unit, Diagnostic.t) format4 ->
+  'a
+(** [diag ?file ?line code fmt ...] is {!Diagnostic.makef} at the
+    severity {!describe} registers for [code] ([Error] for a code the
+    registry does not hold). *)

@@ -313,9 +313,9 @@ let client_reader st client lr () =
     | Server.Line_reader.Line line when String.trim line = "" -> loop ()
     | Server.Line_reader.Line line ->
       (match Protocol.request_of_line line with
-      | Error e ->
+      | Error (id, e) ->
         Fleet_metrics.incr_malformed st.metrics;
-        send_client client (router_reject ~id:"" Protocol.Bad_request e)
+        send_client client (router_reject ~id Protocol.Bad_request e)
       | Ok req -> admit st backoff client req);
       loop ()
   in

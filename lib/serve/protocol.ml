@@ -95,8 +95,15 @@ let request_of_json json =
 
 let request_of_line line =
   match Export.parse line with
-  | Ok json -> request_of_json json
-  | Error e -> Error e
+  | Error e -> Error ("", e)
+  | Ok json -> (
+    match request_of_json json with
+    | Ok r -> Ok r
+    | Error e ->
+      (* answer under the line's own id, so a pipelining client can
+         tell which request failed *)
+      let id = match string_field "id" json with Ok id -> id | Error _ -> "" in
+      Error (id, e))
 
 type status =
   | Success

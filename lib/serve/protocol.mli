@@ -28,7 +28,8 @@
     before they are served; a [cosim] result caches like a plan.
 
     Malformed lines never kill a connection: they produce a
-    [bad_request] response with an empty [id]. *)
+    [bad_request] response under the line's string [id], or an empty
+    [id] when it has none. *)
 
 val version : int
 (** Envelope schema version, stamped as [v] on both directions. Both
@@ -58,7 +59,10 @@ val request_json : request -> Msoc_testplan.Export.json
 val request_to_line : request -> string
 (** Compact, newline-free — ready for [output_string] + ['\n']. *)
 
-val request_of_line : string -> (request, string) result
+val request_of_line : string -> (request, string * string) result
+(** [Error (id, message)] for a line that is not a valid envelope:
+    [id] is the line's own [id] when the line is a JSON object whose
+    [id] is a string, [""] otherwise. *)
 
 type status =
   | Success  (** ["ok"] *)

@@ -14,12 +14,11 @@ let serve_channels service ic oc =
     | line when String.trim line = "" -> loop ()
     | line ->
       (match Protocol.request_of_line line with
-      | Error e ->
+      | Error (id, e) ->
         Metrics.incr_malformed (Service.metrics service);
         Metrics.incr_status (Service.metrics service) Protocol.Bad_request;
         write_line oc
-          (Protocol.response_to_line
-             (Protocol.reject ~id:"" Protocol.Bad_request e))
+          (Protocol.response_to_line (Protocol.reject ~id Protocol.Bad_request e))
       | Ok req ->
         write_line oc (Protocol.response_to_line (Service.handle service req)));
       if Service.shutdown_requested service then () else loop ()
@@ -163,10 +162,10 @@ let reader service queue conn lr ~detach () =
     | Line_reader.Line line when String.trim line = "" -> loop ()
     | Line_reader.Line line ->
       (match Protocol.request_of_line line with
-      | Error e ->
+      | Error (id, e) ->
         Metrics.incr_malformed metrics;
         Metrics.incr_status metrics Protocol.Bad_request;
-        send conn (Protocol.reject ~id:"" Protocol.Bad_request e)
+        send conn (Protocol.reject ~id Protocol.Bad_request e)
       | Ok request ->
         let job =
           { request; admitted_at = Unix.gettimeofday (); reply = send conn }

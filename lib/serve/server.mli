@@ -29,7 +29,8 @@
 
 val serve_channels : Service.t -> in_channel -> out_channel -> unit
 (** Stdio batch mode. Blank lines are skipped; malformed lines get a
-    [bad_request] envelope with an empty [id]. Returns at EOF or after
+    [bad_request] envelope under the line's string [id] (empty when it
+    has none, see {!Protocol.request_of_line}). Returns at EOF or after
     answering a [shutdown] envelope. *)
 
 (** Bounded NDJSON line reading over a raw descriptor — the input

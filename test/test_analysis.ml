@@ -71,7 +71,7 @@ let fixture ?(mli = true) ?(dune = clean_dune) ?(extra = []) body =
 
 (* The default rules with lib/fix as the concurrent root; each fixture
    seeds one violation, so it reports exactly one finding. *)
-let fix_config = { Rules.default_config with Rules.roots = [ "lib/fix" ] }
+let fix_config = { Rules.roots = [ "lib/fix" ] }
 
 let analyze ?(config = fix_config) files =
   with_project files (fun root -> Engine.run ~config ~root ())
@@ -130,7 +130,7 @@ let test_s101_guarded_or_unreachable () =
   (* a module outside the concurrent roots is not flagged *)
   let r =
     analyze
-      ~config:{ fix_config with Rules.roots = [ "lib/other" ] }
+      ~config:{ Rules.roots = [ "lib/other" ] }
       (fixture "let table = Hashtbl.create 16\nlet find k = Hashtbl.find_opt table k\n")
   in
   assert_clean ~ctx:"S101 unreachable" r
@@ -226,7 +226,7 @@ let test_ast_spellings () =
   (* reachable through a qualified field only *)
   let r =
     analyze
-      ~config:{ fix_config with Rules.roots = [ "lib/fix/fix.ml" ] }
+      ~config:{ Rules.roots = [ "lib/fix/fix.ml" ] }
       (fixture
          ~extra:
            [ ("lib/fix/state.ml", "type t = { count : int }\nlet table = Hashtbl.create 16\n");

@@ -837,7 +837,7 @@ let test_protocol_cosim_roundtrip () =
       && back.Protocol.id = "c1"
       && Export.to_string back.Protocol.params
          = Export.to_string req.Protocol.params)
-  | Error e -> Alcotest.failf "round-trip failed: %s" e
+  | Error (_, e) -> Alcotest.failf "round-trip failed: %s" e
 
 let test_service_cosim_ok () =
   with_service (fun service ->

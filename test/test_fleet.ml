@@ -341,21 +341,21 @@ let test_router_end_to_end () =
       Thread.join router;
       checkb "router stopped on the shutdown envelope" true (Atomic.get stop))
 
+(* bind-then-close guarantees a loopback port with no listener *)
+let dead_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, p) -> p
+      | Unix.ADDR_UNIX _ -> 0)
+
 let test_router_all_workers_down () =
   (* nothing listens on the target port: the router must answer with
      an honest [unavailable] envelope, never hang or drop *)
-  let dead_port =
-    (* bind-then-close guarantees a port with no listener *)
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let p =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> 0
-    in
-    Unix.close fd;
-    p
-  in
+  let dead_port = dead_port () in
   let stop = Atomic.make false in
   let router_port = Atomic.make 0 in
   let router =
@@ -383,6 +383,53 @@ let test_router_all_workers_down () =
       checkb "honest unavailable" true
         (r.Protocol.status = Protocol.Unavailable);
       checkb "stamped by the router" true (r.Protocol.worker = Some "router");
+      try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* The router answers a bad envelope itself, under the line's own
+   string id: a pipelining client can tell which request failed. No
+   worker is reached, so none listens. *)
+let test_router_bad_envelope_keeps_id () =
+  let stop = Atomic.make false in
+  let router_port = Atomic.make 0 in
+  let router =
+    Thread.create
+      (fun () ->
+        Router.run
+          ~ready:(fun p -> Atomic.set router_port p)
+          ~listen:(`Tcp ("127.0.0.1", 0))
+          ~stop
+          (Router.config ~retry_rounds:1 ~seed:6
+             [ { Router.id = "gone"; host = "127.0.0.1"; port = dead_port () } ]))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join router)
+    (fun () ->
+      let fd = connect (wait_port router_port) in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      List.iter
+        (fun (id, line) ->
+          output_string oc line;
+          output_char oc '\n';
+          flush oc;
+          match recv_resp ic with
+          | r ->
+            checks ("id of " ^ line) id r.Protocol.id;
+            checkb "bad_request" true (r.Protocol.status = Protocol.Bad_request);
+            checkb "stamped by the router" true (r.Protocol.worker = Some "router")
+          | exception (Sys_blocked_io | Sys_error _ | End_of_file) ->
+            Alcotest.failf "no envelope for %s" line)
+        [
+          ("a", {|{"v":1,"id":"a","op":"plan","params":[]}|});
+          ("b", {|{"v":1,"id":"b","op":"nope"}|});
+          ("c", {|{"v":1,"id":"c","op":"plan","deadline_ms":-1}|});
+          ("", {|{"v":1,"id":7,"op":"plan"}|});
+          ("", "not json");
+        ];
       try Unix.close fd with Unix.Unix_error _ -> ())
 
 (* A number past the float range once parsed as an infinity: the
@@ -538,6 +585,8 @@ let suites =
         Alcotest.test_case "end-to-end over TCP" `Quick test_router_end_to_end;
         Alcotest.test_case "all workers down" `Quick
           test_router_all_workers_down;
+        Alcotest.test_case "bad envelope keeps its id" `Quick
+          test_router_bad_envelope_keeps_id;
         Alcotest.test_case "out-of-range number rejected" `Quick
           test_router_out_of_range_number;
       ] );

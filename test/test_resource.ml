@@ -27,7 +27,7 @@ let contains haystack needle =
 
 (* Semantic tier on; S101 roots kept away from lib/fix so each fixture
    isolates its S6xx rule. *)
-let res_config = { Rules.default_config with Rules.roots = [ "lib/none" ] }
+let res_config = { Rules.roots = [ "lib/none" ] }
 
 let analyze ?(config = res_config) files =
   with_project files (fun root -> Engine.run ~config ~root ())

@@ -443,6 +443,22 @@ let test_cli_replay_unreachable () =
         Alcotest.failf "%s: exit %d, %d stderr lines" what code (List.length lines))
     [ []; [ "--rate"; "50"; "--clients"; "2" ] ]
 
+(* replay reads its --soc as every other --soc reader does: a file one
+   byte past the cap is one error line naming it and exit 124, before
+   any connect (nothing listens on the socket). *)
+let test_cli_replay_soc_past_cap () =
+  let soc = Filename.temp_file "msoc-big" ".soc" in
+  Fun.protect ~finally:(fun () -> Sys.remove soc) @@ fun () ->
+  Out_channel.with_open_bin soc (fun oc ->
+      output_string oc (String.make (Msoc_itc02.Scan.max_bytes + 1) '\n'));
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "msoc-nobody-%d.sock" (Unix.getpid ()))
+  in
+  match run_cli [ "replay"; "--socket"; socket; "--soc"; soc ] with
+  | 124, [ line ] -> checkb ("names the file: " ^ line) true (contains line soc)
+  | code, lines -> Alcotest.failf "exit %d: %s" code (String.concat " | " lines)
+
 (* Every CLI rejection above that has an envelope equivalent gets a
    bad_request from the service; where planning rejects the request,
    the CLI's one error line carries the service's message. *)
@@ -544,21 +560,15 @@ let test_cli_equals_envelope () =
   | Some (Export.List [ cli ]), Some envelope -> same "cosim fc" envelope cli
   | _ -> Alcotest.fail "cosim: expected one result on each side"
 
-(* The analyze file options: an unreadable allowlist, a malformed
-   baseline, an unwritable baseline snapshot. *)
+(* The analyze file option: an unreadable allowlist. The ratchet's
+   baseline options are gone, so naming one is an unknown option. *)
 let test_cli_bad_analyze_files () =
-  let malformed = Filename.temp_file "msoc_baseline" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove malformed)
-    (fun () ->
-      Out_channel.with_open_bin malformed (fun oc -> output_string oc "{ not json");
-      check_usage_errors
-        [
-          ([], [ "analyze"; "--allowlist"; "nope.allow" ], [ "'--allowlist'" ]);
-          ([], [ "analyze"; "--baseline"; malformed ], [ "'--baseline'" ]);
-          ([], [ "analyze"; "--write-baseline"; "/nonexistent/dir/b.json" ],
-            [ "'--write-baseline'" ]);
-        ])
+  check_usage_errors
+    [
+      ([], [ "analyze"; "--allowlist"; "nope.allow" ], [ "'--allowlist'" ]);
+      ([], [ "analyze"; "--baseline"; "b.json" ], [ "'--baseline'" ]);
+      ([], [ "analyze"; "--write-baseline"; "b.json" ], [ "'--write-baseline'" ]);
+    ]
 
 let test_cli_bad_endpoints () =
   let both = [ "'--socket'"; "'--tcp'" ] in
@@ -688,6 +698,7 @@ let suites =
         Alcotest.test_case "bad bist, generate, serve and fleet values" `Quick
           test_cli_bad_tool_values;
         Alcotest.test_case "replay against no daemon" `Quick test_cli_replay_unreachable;
+        Alcotest.test_case "replay --soc past the cap" `Quick test_cli_replay_soc_past_cap;
         Alcotest.test_case "CLI and envelope agree on rejections" `Quick
           test_cli_envelope_rejections;
         Alcotest.test_case "CLI = envelope" `Quick test_cli_equals_envelope;

@@ -2,19 +2,20 @@
    firing fixture and a near-miss (the legal spelling one edit away),
    plus seeded mutations of the real lib/serve sources proving the
    analyzer catches the concurrency bugs it was built for, hash-anchor
-   allowlist coverage, the CI ratchet baseline, and the quoted-string
-   regression. *)
+   allowlist coverage, the quoted-string regression, and the call-graph
+   closure against the fixpoints it replaced. *)
 
 module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
 module Engine = Msoc_analysis.Engine
 module Rules = Msoc_analysis.Rules
 module Allowlist = Msoc_analysis.Allowlist
-module Baseline = Msoc_analysis.Baseline
 module Source = Msoc_analysis.Source
 module Project = Msoc_analysis.Project
 module Callgraph = Msoc_analysis.Callgraph
 module Flow = Msoc_analysis.Flow
+module Syntax = Msoc_analysis.Syntax
+module Typestate = Msoc_analysis.Typestate
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -25,8 +26,7 @@ let show = Test_analysis.show
 
 (* Semantic tier on; roots kept away from lib/fix so S101 stays out of
    the picture and each fixture isolates its S5xx rule. *)
-let sem_config =
-  { Rules.default_config with Rules.roots = [ "lib/none" ] }
+let sem_config = { Rules.roots = [ "lib/none" ] }
 
 let analyze ?(config = sem_config) files =
   with_project files (fun root -> Engine.run ~config ~root ())
@@ -480,49 +480,6 @@ let test_allowlist_hash_parsing () =
   | _ -> Alcotest.fail "expected one entry");
   checki "no parse diags" 0 (List.length t.Allowlist.parse_diags)
 
-(* --- the CI ratchet baseline --- *)
-
-let mkdiag ?line code file =
-  Diagnostic.make ~file ?line ~code ~severity:Diagnostic.Error "seeded"
-
-let test_baseline_ratchet () =
-  let known = [ mkdiag ~line:3 Codes.s202 "lib/a.ml"; mkdiag Codes.s303 "lib/b.ml" ] in
-  let b = Baseline.of_diagnostics known in
-  (* same findings: everything absorbed *)
-  let cmp = Baseline.compare_run b known in
-  checki "absorbed" 2 cmp.Baseline.suppressed;
-  checki "nothing fresh" 0 (List.length cmp.Baseline.fresh);
-  (* a new file's finding is fresh; known groups stay absorbed *)
-  let cmp = Baseline.compare_run b (mkdiag Codes.s202 "lib/c.ml" :: known) in
-  checki "one fresh" 1 (List.length cmp.Baseline.fresh);
-  (* a known group growing past its count resurfaces whole *)
-  let cmp =
-    Baseline.compare_run b (mkdiag ~line:9 Codes.s202 "lib/a.ml" :: known)
-  in
-  checkb "grown group resurfaces" true
-    (List.exists
-       (fun (d : Diagnostic.t) ->
-         d.Diagnostic.location.Diagnostic.file = Some "lib/a.ml")
-       cmp.Baseline.fresh);
-  (* shrinking reports the improvement *)
-  let cmp = Baseline.compare_run b [ List.hd known ] in
-  checki "improvement noted" 1 (List.length cmp.Baseline.improved);
-  (* round-trip through the committed JSON form *)
-  match Baseline.of_string (Baseline.to_string b) with
-  | Error e -> Alcotest.fail e
-  | Ok b' ->
-    let cmp = Baseline.compare_run b' known in
-    checki "round-tripped baseline still absorbs" 2 cmp.Baseline.suppressed
-
-let test_baseline_never_absorbs_audit () =
-  let audit =
-    Diagnostic.make ~file:"analysis.allow" ~line:2 ~code:Codes.s401
-      ~severity:Diagnostic.Warning "stale"
-  in
-  let b = Baseline.of_diagnostics [ audit ] in
-  let cmp = Baseline.compare_run b [ audit ] in
-  checki "S4xx stays live" 1 (List.length cmp.Baseline.fresh)
-
 (* --- quoted strings and comments never fire a rule (regression) --- *)
 
 let test_mask_quoted_strings () =
@@ -557,12 +514,12 @@ let test_flow_and_callgraph () =
         | Some d -> d
         | None -> Alcotest.fail ("def not found: " ^ name)
       in
-      checkb "lock_expr renders idents" true
-        (Flow.lock_expr (def "alias").Callgraph.body = Some "m");
+      checkb "ident_chain renders idents" true
+        (Syntax.ident_chain (def "alias").Callgraph.body = Some "m");
       checkb "List.hd may raise" true
-        (Flow.may_raise (def "risky").Callgraph.body);
+        (Syntax.may_raise (def "risky").Callgraph.body);
       checkb "a closure body does not raise by itself" true
-        (not (Flow.may_raise (def "caller").Callgraph.body));
+        (not (Syntax.may_raise (def "caller").Callgraph.body));
       let caller = def "caller" in
       checkb "caller -> risky edge" true
         (List.mem (def "risky").Callgraph.key
@@ -571,6 +528,164 @@ let test_flow_and_callgraph () =
       match p.Project.modules with
       | m :: _ -> checki "no lib deps" 0 (List.length (Project.dependencies p m))
       | [] -> Alcotest.fail "no modules")
+
+(* --- the union closure against the fixpoints it replaced --- *)
+
+(* Semantic.fixpoint and Typestate.may_reply_table as they were before
+   Callgraph.close replaced them, verbatim, with the helpers their
+   seeds used (qualify for S501's acquisitions, direct_may_reply for
+   S604's replies); [ctx] keeps the one field fixpoint read. *)
+module Ref = struct
+  module StringSet = Set.Make (String)
+
+  type ctx = { graph : Callgraph.t }
+
+  let qualify (d : Callgraph.def) lock =
+    if lock = "<opaque>" then None
+    else Some (d.Callgraph.module_name ^ ":" ^ lock)
+
+  (* Fixpoint of a per-def set property over the call graph. *)
+  let fixpoint ctx (own : Callgraph.def -> StringSet.t) =
+    let table = Hashtbl.create 512 in
+    let defs = Callgraph.defs ctx.graph in
+    List.iter
+      (fun (d : Callgraph.def) -> Hashtbl.replace table d.Callgraph.key (own d))
+      defs;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (d : Callgraph.def) ->
+          let current = Hashtbl.find table d.Callgraph.key in
+          let merged =
+            List.fold_left
+              (fun acc callee ->
+                match Hashtbl.find_opt table callee with
+                | Some s -> StringSet.union acc s
+                | None -> acc)
+              current
+              (Callgraph.callees ctx.graph d.Callgraph.key)
+          in
+          if not (StringSet.equal merged current) then begin
+            Hashtbl.replace table d.Callgraph.key merged;
+            changed := true
+          end)
+        defs
+    done;
+    table
+
+  let reply_paths = Typestate.reply_paths
+
+  let transfer_paths = Typestate.transfer_paths
+
+  let chain_last e =
+    match Syntax.apply_chain e with
+    | Some (path, args) -> Some (Syntax.last_component path, args)
+    | None -> None
+
+  let direct_may_reply body =
+    let found = ref false in
+    let it =
+      {
+        Ast_iterator.default_iterator with
+        expr =
+          (fun self ex ->
+            (match chain_last ex with
+            | Some (last, _)
+              when List.mem last reply_paths || List.mem last transfer_paths ->
+              found := true
+            | _ -> ());
+            Ast_iterator.default_iterator.expr self ex);
+      }
+    in
+    it.expr it body;
+    !found
+
+  let may_reply_table graph =
+    let table = Hashtbl.create 256 in
+    let defs = Callgraph.defs graph in
+    List.iter
+      (fun (d : Callgraph.def) ->
+        if direct_may_reply d.Callgraph.body then
+          Hashtbl.replace table d.Callgraph.key ())
+      defs;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (d : Callgraph.def) ->
+          if not (Hashtbl.mem table d.Callgraph.key) then
+            if
+              List.exists
+                (fun callee -> Hashtbl.mem table callee)
+                (Callgraph.callees graph d.Callgraph.key)
+            then begin
+              Hashtbl.replace table d.Callgraph.key ();
+              changed := true
+            end)
+        defs
+    done;
+    table
+end
+
+module StringSet = Ref.StringSet
+
+(* Over the repository's own call graph, Callgraph.close returns the
+   tables the two fixpoints did for S501's acquisitions, S504's
+   blocking sites and S604's direct replies; in each some closure
+   outgrows its seed, so the propagation itself is compared. *)
+let test_closure_matches_reference () =
+  let graph = Callgraph.build (Project.load ~root:"..") in
+  let defs = Callgraph.defs graph in
+  let summaries = Hashtbl.create 512 in
+  List.iter
+    (fun (d : Callgraph.def) ->
+      Hashtbl.replace summaries d.Callgraph.key
+        (Flow.summarize d.Callgraph.body))
+    defs;
+  let summary (d : Callgraph.def) = Hashtbl.find summaries d.Callgraph.key in
+  let locks d =
+    List.fold_left
+      (fun acc (a : Flow.acquisition) ->
+        match Ref.qualify d a.Flow.lock with
+        | Some q -> StringSet.add q acc
+        | None -> acc)
+      StringSet.empty (summary d).Flow.acquisitions
+  in
+  let blocking d =
+    List.fold_left
+      (fun acc (path, _) -> StringSet.add path acc)
+      StringSet.empty (summary d).Flow.blocking_sites
+  in
+  let replies (d : Callgraph.def) =
+    if Ref.direct_may_reply d.Callgraph.body then StringSet.singleton "reply"
+    else StringSet.empty
+  in
+  let compare_on name seed expected =
+    let closed = Callgraph.close graph seed in
+    let differ =
+      List.filter_map
+        (fun (d : Callgraph.def) ->
+          if StringSet.equal (expected d) (closed d.Callgraph.key) then None
+          else Some d.Callgraph.key)
+        defs
+    in
+    checks (name ^ ": definitions whose closure differs") ""
+      (String.concat ", " differ);
+    checkb (name ^ ": some closure outgrows its seed") true
+      (List.exists
+         (fun (d : Callgraph.def) ->
+           not (StringSet.equal (seed d) (closed d.Callgraph.key)))
+         defs)
+  in
+  let set_of table (d : Callgraph.def) = Hashtbl.find table d.Callgraph.key in
+  compare_on "S501 locks" locks (set_of (Ref.fixpoint { Ref.graph } locks));
+  compare_on "S504 blocking" blocking
+    (set_of (Ref.fixpoint { Ref.graph } blocking));
+  let may_reply = Ref.may_reply_table graph in
+  compare_on "S604 may reply" replies (fun d ->
+      if Hashtbl.mem may_reply d.Callgraph.key then StringSet.singleton "reply"
+      else StringSet.empty)
 
 let suites =
   [
@@ -607,17 +722,13 @@ let suites =
           test_allowlist_stale_hash_is_s404;
         Alcotest.test_case "hash grammar" `Quick test_allowlist_hash_parsing;
       ] );
-    ( "semantic-baseline",
-      [
-        Alcotest.test_case "ratchet" `Quick test_baseline_ratchet;
-        Alcotest.test_case "audit never baselined" `Quick
-          test_baseline_never_absorbs_audit;
-      ] );
     ( "semantic-infra",
       [
         Alcotest.test_case "quoted-string masking" `Quick
           test_mask_quoted_strings;
         Alcotest.test_case "flow & callgraph helpers" `Quick
           test_flow_and_callgraph;
+        Alcotest.test_case "closure matches the fixpoints" `Quick
+          test_closure_matches_reference;
       ] );
   ]

@@ -488,11 +488,11 @@ let test_protocol_request_roundtrip () =
     checkb "deadline" true (back.Protocol.deadline_ms = Some 250.0);
     checkb "params" true
       (Export.member "width" back.Protocol.params = Some (Export.Int 24))
-  | Error e -> Alcotest.failf "round-trip failed: %s" e);
+  | Error (_, e) -> Alcotest.failf "round-trip failed: %s" e);
   (* params defaults to an empty object and may be omitted on the wire *)
   match Protocol.request_of_line {|{"v":1,"id":"x","op":"stats"}|} with
   | Ok r -> checkb "missing params ok" true (r.Protocol.op = Protocol.Stats)
-  | Error e -> Alcotest.failf "minimal request rejected: %s" e
+  | Error (_, e) -> Alcotest.failf "minimal request rejected: %s" e
 
 let test_protocol_response_roundtrip () =
   let resp =
@@ -514,19 +514,27 @@ let test_protocol_response_roundtrip () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "reject with Success accepted"
 
+(* A bad envelope is rejected under its own string id, so a pipelining
+   client can tell which request failed; [""] when the line has none:
+   not JSON, not an object, or an id that is not a string. *)
 let test_protocol_rejects_bad_envelopes () =
-  let bad line =
+  let bad ?(id = "") line =
     match Protocol.request_of_line line with
-    | Error _ -> ()
+    | Error (got, _) -> checks ("id of the rejection of " ^ line) id got
     | Ok _ -> Alcotest.failf "accepted %S" line
   in
   bad "not json";
-  bad {|{"id":"x","op":"plan"}|} (* missing v *);
-  bad {|{"v":2,"id":"x","op":"plan"}|} (* wrong version *);
+  bad ~id:"x" {|{"id":"x","op":"plan"}|} (* missing v *);
+  bad ~id:"x" {|{"v":2,"id":"x","op":"plan"}|} (* wrong version *);
   bad {|{"v":1,"op":"plan"}|} (* missing id *);
-  bad {|{"v":1,"id":"x","op":"frobnicate"}|} (* unknown op *);
+  bad {|{"v":1,"id":7,"op":"plan"}|} (* id not a string *);
+  bad ~id:"x" {|{"v":1,"id":"x","op":"frobnicate"}|} (* unknown op *);
   bad {|[1,2,3]|};
-  (* numbers past the float range *)
+  bad {|"a"|};
+  bad ~id:"a" {|{"v":1,"id":"a","op":"plan","params":[]}|};
+  bad ~id:"b" {|{"v":1,"id":"b","op":"nope"}|};
+  bad ~id:"c" {|{"v":1,"id":"c","op":"plan","deadline_ms":-1}|};
+  (* numbers past the float range: the line is not JSON *)
   bad {|{"v":1,"id":"a","op":"plan","deadline_ms":1e999}|};
   bad {|{"v":1,"id":"a","op":"plan","params":{"weight_time":-1e999}}|}
 
@@ -916,6 +924,7 @@ let test_serve_channels_batch () =
           "";
           "garbage line";
           Protocol.request_to_line (Protocol.request ~id:"b2" Protocol.Stats);
+          {|{"v":1,"id":"b3","op":"nope"}|};
         ]
       in
       let in_read, in_write = Unix.pipe ~cloexec:false () in
@@ -960,14 +969,16 @@ let test_serve_channels_batch () =
             | Error e -> Alcotest.failf "malformed response %S: %s" line e)
           !collected
       in
-      checki "three responses (blank skipped)" 3 (List.length responses);
+      checki "four responses (blank skipped)" 4 (List.length responses);
       let by_id id =
         List.find (fun (r : Protocol.response) -> r.Protocol.id = id) responses
       in
       checkb "plan ok" true ((by_id "b1").Protocol.status = Protocol.Success);
       checkb "stats ok" true ((by_id "b2").Protocol.status = Protocol.Success);
       checkb "malformed answered with empty id" true
-        ((by_id "").Protocol.status = Protocol.Bad_request))
+        ((by_id "").Protocol.status = Protocol.Bad_request);
+      checkb "bad envelope answered under its own id" true
+        ((by_id "b3").Protocol.status = Protocol.Bad_request))
 
 let test_serve_unix_end_to_end () =
   let socket_path =
@@ -1020,10 +1031,16 @@ let test_serve_unix_end_to_end () =
         (Export.to_string r1.Protocol.result)
         (Export.to_string r2.Protocol.result);
       checkb "stats ok" true (r3.Protocol.status = Protocol.Success);
+      output_string oc {|{"v":1,"id":"u5","op":"plan","params":[]}|};
+      output_char oc '\n';
+      flush oc;
+      let r5 = recv () in
       (* shutdown envelope drains the daemon; serve_unix returns *)
       send (Protocol.request ~id:"u4" Protocol.Shutdown);
       let r4 = recv () in
       checkb "shutdown acknowledged" true (r4.Protocol.status = Protocol.Success);
+      checks "bad envelope answered under its own id" "u5" r5.Protocol.id;
+      checkb "bad envelope rejected" true (r5.Protocol.status = Protocol.Bad_request);
       Unix.close fd;
       Thread.join server;
       checkb "socket removed after drain" false (Sys.file_exists socket_path))
