@@ -5,15 +5,12 @@
    modules Msoc_mixedsig.Wrapper and Msoc_testplan.Cost_optimizer. *)
 
 module Table = Msoc_util.Ascii_table
-module Numeric = Msoc_util.Numeric
-module Tone = Msoc_signal.Tone
-module Filter = Msoc_signal.Filter
 module Spectrum = Msoc_signal.Spectrum
-module Cutoff = Msoc_signal.Cutoff
 module Quantize = Msoc_mixedsig.Quantize
-module Wrapper = Msoc_mixedsig.Wrapper
+module Variation = Msoc_mixedsig.Variation
 module Cost_model = Msoc_mixedsig.Cost_model
 module Catalog = Msoc_analog.Catalog
+module Testbench = Msoc_cosim.Testbench
 
 let header title = Printf.printf "\n=== %s ===\n\n" title
 
@@ -21,77 +18,16 @@ let header title = Printf.printf "\n=== %s ===\n\n" title
 (* Fig. 5: cut-off frequency test of a wrapped low-pass core.
    Paper parameters: 50 MHz system clock, 1.7 MHz sampling, 4551
    samples, three input tones, 8-bit converters; reported fc: 61 kHz
-   direct vs 58 kHz through the wrapper (~5% error).                   *)
-
-type fig5_result = {
-  tones : float list;
-  input_db : float list;
-  direct_db : float list;
-  wrapped_db : float list;
-  fc_direct : float;
-  fc_wrapped : float;
-  error_pct : float;
-}
-
-let fig5_experiment ?(bits = 8) ?(n = 4551) ?(ideal = false) () =
-  let fs = 1.7e6 in
-  let pad = Msoc_signal.Fft.next_pow2 n in
-  let filter = Filter.butterworth_lowpass ~order:2 ~fc:61_000.0 ~fs in
-  let tones =
-    List.map (Tone.coherent_freq ~fs ~n:pad) [ 20_000.0; 60_000.0; 150_000.0 ]
-  in
-  (* 3 x 0.6 V keeps the worst-case sum inside the converters' 0..4 V
-     range around the 2 V bias — no clipping. *)
-  let bias = 2.0 in
-  let stimulus =
-    Tone.sample ~tones:(List.map (fun hz -> Tone.tone ~amplitude:0.6 hz) tones) ~fs ~n
-    |> Array.map (fun v -> bias +. v)
-  in
-  let core samples =
-    Array.map (fun v -> bias +. v)
-      (Filter.process filter (Array.map (fun v -> v -. bias) samples))
-  in
-  let spectrum x = Spectrum.analyze ~fs ~pad_to:pad x in
-  let s_in = spectrum stimulus in
-  let direct_out = core stimulus in
-  let s_direct = spectrum direct_out in
-  let range = Quantize.default_range in
-  let codes = Array.map (Quantize.encode ~bits ~range) stimulus in
-  (* The paper measures 0.5um silicon, not ideal converters: by default
-     give the DAC resistor mismatch and the ADC comparator-threshold
-     noise typical of an untrimmed flash/string design. *)
-  let wrapper =
-    if ideal then Wrapper.create ~bits ()
-    else
-      let dac =
-        Msoc_mixedsig.Dac.create ~mismatch_sigma:0.02 ~seed:20 Msoc_mixedsig.Dac.Modular
-          ~bits
-      in
-      let adc =
-        Msoc_mixedsig.Adc.create ~threshold_sigma_lsb:0.5 ~seed:21
-          Msoc_mixedsig.Adc.Modular_pipeline ~bits
-      in
-      Wrapper.create ~adc ~dac ~bits ()
-  in
-  let wrapper = Wrapper.set_mode wrapper Wrapper.Core_test in
-  let wrapped_codes = Wrapper.apply_core_test wrapper ~core ~stimulus:codes in
-  let wrapped_out = Array.map (Quantize.decode ~bits ~range) wrapped_codes in
-  let s_wrapped = spectrum wrapped_out in
-  let fc_direct = Cutoff.from_spectra ~order:2 ~input:s_in ~output:s_direct tones in
-  let fc_wrapped = Cutoff.from_spectra ~order:2 ~input:s_in ~output:s_wrapped tones in
-  {
-    tones;
-    input_db = List.map (Spectrum.tone_level_db s_in) tones;
-    direct_db = List.map (Spectrum.tone_level_db s_direct) tones;
-    wrapped_db = List.map (Spectrum.tone_level_db s_wrapped) tones;
-    fc_direct;
-    fc_wrapped;
-    error_pct = 100.0 *. Float.abs (fc_wrapped -. fc_direct) /. fc_direct;
-  }
+   direct vs 58 kHz through the wrapper (~5% error). Every figure is
+   a trial of the testbench's fc program, the one `cosim`, its
+   Monte-Carlo sweeps and calibration run.                            *)
 
 let fig5 () =
   header "Figure 5: direct vs wrapped cut-off frequency test (fs=1.7MHz, N=4551, 8-bit)";
-  let r = fig5_experiment () in
+  let die = Testbench.default in
+  let r, s =
+    Testbench.spectra (Testbench.program die Testbench.Fc) die.Testbench.variation
+  in
   let columns =
     [
       Table.column ~align:Table.Right "tone (kHz)";
@@ -100,80 +36,56 @@ let fig5 () =
       Table.column ~align:Table.Right "wrapper o/p (dB)";
     ]
   in
+  let level spectrum f = Table.float_cell (Spectrum.tone_level_db spectrum f) in
   let rows =
-    List.map2
-      (fun f (i, (d, w)) ->
+    List.map
+      (fun f ->
         [
           Table.float_cell (f /. 1.0e3);
-          Table.float_cell i;
-          Table.float_cell d;
-          Table.float_cell w;
+          level s.Testbench.input f;
+          level s.Testbench.direct_spectrum f;
+          level s.Testbench.wrapped_spectrum f;
         ])
-      r.tones
-      (List.map2 (fun i dw -> (i, dw)) r.input_db
-         (List.map2 (fun d w -> (d, w)) r.direct_db r.wrapped_db))
+      s.Testbench.tones
   in
   Table.print ~columns ~rows;
   Printf.printf
     "\nExtracted cut-off: direct %.1f kHz, wrapped %.1f kHz -> error %.2f%%\n"
-    (r.fc_direct /. 1.0e3) (r.fc_wrapped /. 1.0e3) r.error_pct;
-  let ideal = fig5_experiment ~ideal:true () in
+    (r.Testbench.direct /. 1.0e3) (r.Testbench.measured /. 1.0e3) r.Testbench.error_pct;
+  let ideal = Testbench.run ~config:Testbench.ideal Testbench.Fc in
   Printf.printf
     "With ideal (mismatch-free) converters the wrapped estimate is %.1f kHz \
      (error %.2f%%) - the residual error is the converter non-ideality, not \
      the wrapper concept.\n"
-    (ideal.fc_wrapped /. 1.0e3) ideal.error_pct;
+    (ideal.Testbench.measured /. 1.0e3) ideal.Testbench.error_pct;
   Printf.printf "Paper: fc=61 kHz direct vs 58 kHz wrapped (~5%% error).\n";
-  (* Error shrinks with more tones, as the paper notes. *)
-  let with_more_tones =
-    let fs = 1.7e6 and n = 4551 in
-    let pad = Msoc_signal.Fft.next_pow2 n in
-    let filter = Filter.butterworth_lowpass ~order:2 ~fc:61_000.0 ~fs in
-    let tones =
-      List.map (Tone.coherent_freq ~fs ~n:pad)
-        [ 10_000.0; 20_000.0; 40_000.0; 60_000.0; 90_000.0; 150_000.0; 220_000.0 ]
-    in
-    let bias = 2.0 in
-    let stimulus =
-      Tone.sample ~tones:(List.map (fun hz -> Tone.tone ~amplitude:0.25 hz) tones) ~fs ~n
-      |> Array.map (fun v -> bias +. v)
-    in
-    let core samples =
-      Array.map (fun v -> bias +. v)
-        (Filter.process filter (Array.map (fun v -> v -. bias) samples))
-    in
-    let range = Quantize.default_range in
-    let codes = Array.map (Quantize.encode ~bits:8 ~range) stimulus in
-    let dac =
-      Msoc_mixedsig.Dac.create ~mismatch_sigma:0.02 ~seed:20 Msoc_mixedsig.Dac.Modular
-        ~bits:8
-    in
-    let adc =
-      Msoc_mixedsig.Adc.create ~threshold_sigma_lsb:0.5 ~seed:21
-        Msoc_mixedsig.Adc.Modular_pipeline ~bits:8
-    in
-    let wrapper = Wrapper.set_mode (Wrapper.create ~adc ~dac ~bits:8 ()) Wrapper.Core_test in
-    let wrapped =
-      Array.map (Quantize.decode ~bits:8 ~range)
-        (Wrapper.apply_core_test wrapper ~core ~stimulus:codes)
-    in
-    let s_in = Spectrum.analyze ~fs ~pad_to:pad stimulus in
-    let s_wr = Spectrum.analyze ~fs ~pad_to:pad wrapped in
-    Cutoff.from_spectra ~order:2 ~input:s_in ~output:s_wr tones
+  let seven =
+    Testbench.run
+      ~stimulus:
+        {
+          Testbench.tones =
+            [ 10_000.0; 20_000.0; 40_000.0; 60_000.0; 90_000.0; 150_000.0; 220_000.0 ];
+          amplitude = 0.25;
+        }
+      Testbench.Fc
   in
   Printf.printf
-    "With 7 input tones instead of 3, the wrapped estimate moves to %.1f kHz \
-     (the paper: 'this error can be reduced further by using more \
-     frequencies').\n"
-    (with_more_tones /. 1.0e3);
+    "With 7 input tones (0.25 V each) instead of 3: direct %.1f kHz, wrapped \
+     %.1f kHz -> error %.2f%% (3 tones: %.2f%%; the paper expects more \
+     frequencies to reduce the error).\n"
+    (seven.Testbench.direct /. 1.0e3) (seven.Testbench.measured /. 1.0e3)
+    seven.Testbench.error_pct r.Testbench.error_pct;
   (* Resolution sweep: the wrapper concept holds as long as the
      converters give the test enough dynamic range. *)
   Printf.printf "\nWrapped measurement error vs converter resolution:\n";
   List.iter
     (fun bits ->
-      let r = fig5_experiment ~bits () in
+      let config =
+        Testbench.with_variation { die.Testbench.variation with Variation.bits } die
+      in
+      let r = Testbench.run ~config Testbench.Fc in
       Printf.printf "  %2d-bit wrapper: fc=%.1f kHz, error %.2f%%\n" bits
-        (r.fc_wrapped /. 1.0e3) r.error_pct)
+        (r.Testbench.measured /. 1.0e3) r.Testbench.error_pct)
     [ 4; 6; 8; 10 ]
 
 (* ------------------------------------------------------------------ *)

@@ -111,10 +111,6 @@ let tests () =
              (Msoc_search.Strategy.run ~budget:search_budget Msoc_search.Strategy.Bnb
                 (Evaluate.prepare (Evaluate.problem search_prepared)))))
   in
-  let fig5 =
-    Test.make ~name:"fig5:wrapped cutoff experiment"
-      (Staged.stage (fun () -> ignore (Figures.fig5_experiment ~n:1024 ())))
-  in
   let cosim_fc =
     Test.make ~name:"cosim:Testbench.run fc (default config)"
       (Staged.stage (fun () -> ignore (Msoc_cosim.Testbench.run Msoc_cosim.Testbench.Fc)))
@@ -162,7 +158,7 @@ let tests () =
   Test.make_grouped ~name:"msoc"
     [
       staircases; table1; table2; table3; table4_exhaustive; table4_heuristic;
-      search_bnb; search_anneal; search_bnb_cold; fig5; cosim_fc; cosim_mc_fc; spectrum;
+      search_bnb; search_anneal; search_bnb_cold; cosim_fc; cosim_mc_fc; spectrum;
       planned_spectrum; adc;
     ]
 

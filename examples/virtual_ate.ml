@@ -1,12 +1,13 @@
 (* Virtual ATE session: from plan to executed measurements.
 
    The planner decides *when* each analog test runs and on *which*
-   shared wrapper; the mixed-signal layer knows *how* to run it. This
+   shared wrapper; the co-simulation knows *how* to run it. This
    example closes the loop: it plans a small mixed-signal SOC, then
-   walks the schedule wrapper by wrapper, executing every analog test
-   against behavioral core models through the shared-wrapper
-   simulation, and prints an ATE-style session log with scheduled
-   times and measured values.
+   walks the schedule, executing every analog test as the testbench
+   program its name maps to, at the test's own sampling rate and
+   resolution (the path `msoc_plan cosim --calibrate` takes), and
+   prints an ATE-style session log with scheduled times, measured
+   values and the TAM cycles the co-simulated record took.
 
      dune exec examples/virtual_ate.exe *)
 
@@ -16,77 +17,32 @@ module Sharing = Msoc_analog.Sharing
 module Schedule = Msoc_tam.Schedule
 module Job = Msoc_tam.Job
 module Plan = Msoc_testplan.Plan
-module Models = Msoc_mixedsig.Analog_models
-module M = Msoc_mixedsig.Measurements
+module Testbench = Msoc_cosim.Testbench
+module Calibrate = Msoc_cosim.Calibrate
 
-(* Behavioral models standing in for the real silicon of cores C, D
-   and E: the CODEC band-limits audio, the down-converter mixes, the
-   amplifier has gain and a slew limit. *)
-let model_for label fs =
-  match label with
-  | "C" ->
-    Models.compose
-      [ Models.gain 0.98; Models.lowpass ~order:2 ~fc:22_000.0 ~fs ]
-  | "D" -> Models.compose [ Models.polynomial ~a1:0.9 ~a2:0.0 ~a3:(-0.01) ]
-  | "E" ->
-    Models.compose
-      [ Models.gain 1.6; Models.slew_limited ~max_slew_v_per_s:60.0e6 ~fs ]
-  | _ -> Models.identity
+let analog_cores = [ Catalog.core_c; Catalog.core_d; Catalog.core_e ]
 
-(* One measurement per test name, matching Table 2's specification
-   types; the record length is shortened so the session runs fast. *)
-let execute_test ~core_label (test : Spec.test) =
-  let fs = test.Spec.f_sample_hz in
-  let setup =
-    M.setup
-      ~bits:(test.Spec.resolution_bits + (test.Spec.resolution_bits land 1))
-      ~fs ~samples:2048
-      (model_for core_label fs)
-  in
-  let band_tone = Float.max 1_000.0 test.Spec.f_low_hz in
-  match test.Spec.name with
-  | "f_c" ->
-    let fc =
-      M.measure_cutoff setup
-        ~tones:[ band_tone /. 2.0; test.Spec.f_high_hz; test.Spec.f_high_hz *. 3.0 ]
-        ~amplitude:0.4
-    in
-    Printf.sprintf "f_c = %.1f kHz" (fc /. 1.0e3)
-  | "g_pb" | "G" ->
-    let g = M.measure_gain setup ~freq:(Float.min band_tone (fs /. 8.0)) ~amplitude:0.4 in
-    Printf.sprintf "gain = %.3f" g
-  | "THD" ->
-    let thd = M.measure_thd setup ~freq:(fs /. 128.0) ~amplitude:0.5 in
-    Printf.sprintf "THD = %.3f%%" (100.0 *. thd)
-  | "IIP3" ->
-    let r =
-      M.measure_iip3 setup ~f1:(fs /. 24.0) ~f2:(fs /. 20.0) ~amplitude:0.3
-    in
-    Printf.sprintf "IIP3 ~ %.2f V (IMD %.1f dBc)" r.Msoc_signal.Distortion.iip3_rel
-      r.Msoc_signal.Distortion.imd_dbc
-  | "DC_offset" | "V_dc" ->
-    Printf.sprintf "V_off = %.1f mV" (1000.0 *. M.measure_dc_offset setup)
-  | "SR" ->
-    Printf.sprintf "SR = %.2f V/us" (M.measure_slew_rate setup ~step_volts:1.2 /. 1.0e6)
-  | "DR" ->
-    Printf.sprintf "DR = %.1f dB"
-      (M.measure_dynamic_range setup ~freq:(fs /. 64.0) ~amplitude:0.8)
-  | other ->
-    (* band attenuation, phase-offset and similar tests reduce to gain
-       measurements at their band edges here *)
-    let g = M.measure_gain setup ~freq:(Float.min band_tone (fs /. 8.0)) ~amplitude:0.3 in
-    Printf.sprintf "%s: level %.3f" other g
+(* the SOC's TAM clock, which sets each test's wrapper divide ratio *)
+let system_clock_hz = 78.0e6
 
 let () =
   let problem =
-    Msoc_testplan.Problem.make ~soc:(Msoc_itc02.Synthetic.d281s ())
-      ~analog_cores:[ Catalog.core_c; Catalog.core_d; Catalog.core_e ]
+    Msoc_testplan.Problem.make ~soc:(Msoc_itc02.Synthetic.d281s ()) ~analog_cores
       ~tam_width:24 ~weight_time:0.5 ()
   in
   let plan = Plan.run problem in
   Printf.printf "Plan: sharing %s, makespan %s cycles\n\n"
     (Sharing.short_name (Plan.sharing plan))
     (Msoc_util.Ascii_table.int_cell (Plan.makespan plan));
+  (* one co-simulated run per analog test, keyed by its job label *)
+  let measured =
+    List.concat_map
+      (fun core ->
+        List.map
+          (fun (m : Calibrate.measured) -> (core.Spec.label ^ ":" ^ m.Calibrate.test.Spec.name, m))
+          (Calibrate.measure_core ~system_clock_hz core))
+      analog_cores
+  in
   let schedule = plan.Plan.best.Msoc_testplan.Evaluate.schedule in
   let analog_placements =
     schedule.Schedule.placements
@@ -95,22 +51,20 @@ let () =
     |> List.sort (fun (a : Schedule.placement) b ->
            compare a.Schedule.start b.Schedule.start)
   in
-  Printf.printf "%-10s %-10s %-8s %s\n" "start" "finish" "test" "measurement";
+  Printf.printf "%-10s %-10s %-8s %-7s %12s %14s %14s\n" "start" "finish" "test" "program"
+    "wrapped" "err vs direct" "co-sim cycles";
   List.iter
     (fun (p : Schedule.placement) ->
       let label = p.Schedule.job.Job.label in
-      match String.split_on_char ':' label with
-      | [ core_label; test_name ] ->
-        let core = List.find (fun c -> c.Spec.label = core_label) Catalog.all in
-        let test =
-          List.find (fun (t : Spec.test) -> t.Spec.name = test_name) core.Spec.tests
-        in
-        let result = execute_test ~core_label test in
-        Printf.printf "%-10d %-10d %-8s %s\n" p.Schedule.start
-          (Schedule.finish p) label result
-      | _ -> ())
+      match List.assoc_opt label measured with
+      | Some m ->
+        Printf.printf "%-10d %-10d %-8s %-7s %12.5g %13.2f%% %14d\n" p.Schedule.start
+          (Schedule.finish p) label
+          (Testbench.spec_name m.Calibrate.spec)
+          m.Calibrate.value m.Calibrate.error_pct m.Calibrate.measured_cycles
+      | None -> ())
     analog_placements;
   Printf.printf
     "\nEvery analog measurement above ran as digital stimulus/response \
-     through the shared-wrapper converters, at the instant the TAM schedule \
-     reserved for it.\n"
+     through its wrapper's converters, at the test's own sampling rate; \
+     the TAM schedule reserved the catalog's cycles for it.\n"

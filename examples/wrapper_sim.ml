@@ -1,8 +1,9 @@
 (* Analog test wrapper simulation: the paper's §5 demonstration.
 
    A low-pass analog core (61 kHz Butterworth) is tested for its
-   cut-off frequency twice:
-     1. directly, with an analog multi-tone stimulus;
+   cut-off frequency twice, in one trial of the co-simulation
+   testbench's fc program:
+     1. directly, with the analog multi-tone stimulus on the bare core;
      2. through the 8-bit analog test wrapper (digital codes -> DAC ->
         core -> ADC -> digital codes), as a tester without analog
         instruments would.
@@ -12,54 +13,34 @@
 
      dune exec examples/wrapper_sim.exe *)
 
-module Tone = Msoc_signal.Tone
-module Filter = Msoc_signal.Filter
+module Testbench = Msoc_cosim.Testbench
 module Spectrum = Msoc_signal.Spectrum
-module Cutoff = Msoc_signal.Cutoff
-module Quantize = Msoc_mixedsig.Quantize
 module Wrapper = Msoc_mixedsig.Wrapper
 
-let fs = 1.7e6 (* paper: 1.7 MHz sampling from a 50 MHz system clock *)
-let n = 4551 (* paper: 4551 samples *)
-let bits = 8
-
 let () =
-  let pad = Msoc_signal.Fft.next_pow2 n in
-  let design_fc = 61_000.0 in
-  let core_filter = Filter.butterworth_lowpass ~order:2 ~fc:design_fc ~fs in
-  let bias = 2.0 in
-  let analog_core samples =
-    Array.map (fun v -> bias +. v)
-      (Filter.process core_filter (Array.map (fun v -> v -. bias) samples))
-  in
+  (* ideal 8-bit converters; the paper's 1.7 MHz sampling from a
+     50 MHz system clock, 4551 samples, three tones *)
+  let config = Testbench.ideal in
+  let variation = config.Testbench.variation in
+  let r, s = Testbench.spectra (Testbench.program config Testbench.Fc) variation in
+  let n = config.Testbench.samples in
+  Printf.printf "Stimulus: %d samples at %.1f MHz, tones at %s kHz\n" n
+    (config.Testbench.fs /. 1.0e6)
+    (String.concat ", "
+       (List.map (fun f -> Printf.sprintf "%.1f" (f /. 1.0e3)) s.Testbench.tones));
 
-  (* multi-tone stimulus, tones placed on FFT bins (coherent sampling) *)
-  let tones =
-    List.map (Tone.coherent_freq ~fs ~n:pad) [ 20_000.0; 60_000.0; 150_000.0 ]
-  in
-  let stimulus =
-    Tone.sample ~tones:(List.map (fun hz -> Tone.tone ~amplitude:0.6 hz) tones) ~fs ~n
-    |> Array.map (fun v -> bias +. v)
-  in
-  Printf.printf "Stimulus: %d samples at %.1f MHz, tones at %s kHz\n" n (fs /. 1.0e6)
-    (String.concat ", " (List.map (fun f -> Printf.sprintf "%.1f" (f /. 1.0e3)) tones));
-
-  (* 1. direct analog measurement *)
-  let direct_response = analog_core stimulus in
-  let s_in = Spectrum.analyze ~fs ~pad_to:pad stimulus in
-  let s_direct = Spectrum.analyze ~fs ~pad_to:pad direct_response in
-  let fc_direct = Cutoff.from_spectra ~order:2 ~input:s_in ~output:s_direct tones in
-
-  (* 2. wrapped measurement: put the wrapper in core-test mode, stream
-     the digitized stimulus through DAC -> core -> ADC *)
-  let range = Quantize.default_range in
-  let stimulus_codes = Array.map (Quantize.encode ~bits ~range) stimulus in
-  let wrapper = Wrapper.create ~bits () in
+  (* the wrapper the trial ran through, configured for the catalog's
+     f_c test on the SOC's TAM *)
   let fc_test =
     Msoc_analog.Spec.test ~name:"f_c" ~f_low_hz:45_000.0 ~f_high_hz:55_000.0
-      ~f_sample_hz:1.5e6 ~cycles:13_653 ~tam_width:4 ~resolution_bits:bits
+      ~f_sample_hz:1.5e6 ~cycles:13_653 ~tam_width:4
+      ~resolution_bits:variation.Msoc_mixedsig.Variation.bits
   in
-  let wrapper = Wrapper.configure_for_test wrapper ~system_clock_hz:50.0e6 fc_test in
+  let wrapper =
+    Wrapper.configure_for_test
+      (Msoc_mixedsig.Variation.wrapper variation)
+      ~system_clock_hz:50.0e6 fc_test
+  in
   let cfg = Wrapper.config wrapper in
   Printf.printf
     "Wrapper configured: divide ratio %d (fs=%.2f MHz), serial-to-parallel %d, \
@@ -70,28 +51,22 @@ let () =
   Printf.printf "Streaming this record costs %s TAM cycles\n"
     (Msoc_util.Ascii_table.int_cell (Wrapper.test_cycles wrapper ~samples:n));
 
-  let response_codes =
-    Wrapper.apply_core_test wrapper ~core:analog_core ~stimulus:stimulus_codes
-  in
-  let wrapped_response = Array.map (Quantize.decode ~bits ~range) response_codes in
-  let s_wrapped = Spectrum.analyze ~fs ~pad_to:pad wrapped_response in
-  let fc_wrapped = Cutoff.from_spectra ~order:2 ~input:s_in ~output:s_wrapped tones in
-
   (* report: per-tone levels and extracted cut-offs *)
   Printf.printf "\n%-12s %12s %12s %12s\n" "tone (kHz)" "input (dB)" "direct (dB)"
     "wrapped (dB)";
   List.iter
     (fun f ->
       Printf.printf "%-12.1f %12.1f %12.1f %12.1f\n" (f /. 1.0e3)
-        (Spectrum.tone_level_db s_in f)
-        (Spectrum.tone_level_db s_direct f)
-        (Spectrum.tone_level_db s_wrapped f))
-    tones;
-  let err = 100.0 *. Float.abs (fc_wrapped -. fc_direct) /. fc_direct in
+        (Spectrum.tone_level_db s.Testbench.input f)
+        (Spectrum.tone_level_db s.Testbench.direct_spectrum f)
+        (Spectrum.tone_level_db s.Testbench.wrapped_spectrum f))
+    s.Testbench.tones;
   Printf.printf
     "\nCut-off: design %.1f kHz | direct measurement %.1f kHz | wrapped %.1f kHz\n"
-    (design_fc /. 1.0e3) (fc_direct /. 1.0e3) (fc_wrapped /. 1.0e3);
-  Printf.printf "Wrapper-induced error: %.2f%% (paper reports ~5%% in silicon)\n" err;
+    (config.Testbench.fc_nominal /. 1.0e3)
+    (r.Testbench.direct /. 1.0e3) (r.Testbench.measured /. 1.0e3);
+  Printf.printf "Wrapper-induced error: %.2f%% (paper reports ~5%% in silicon)\n"
+    r.Testbench.error_pct;
 
   (* the wrapper's self-test mode checks the converters themselves *)
   let self = Wrapper.set_mode wrapper Wrapper.Self_test in

@@ -743,9 +743,12 @@ let rec analyze_block ctx block =
     block
 
 (* Nested scopes that carry their own statements: branches, closure
-   bodies, loop bodies, combinator arguments. *)
+   bodies, loop bodies, combinator arguments, and a [let] chain or
+   sequence that is itself a statement (a binding's right-hand side),
+   walked as its own block. *)
 and sub_blocks e =
   match e.pexp_desc with
+  | Pexp_let _ | Pexp_sequence _ -> [ e ]
   | Pexp_ifthenelse (c, t, f) ->
     [ c; t ] @ (match f with Some f -> [ f ] | None -> [])
   | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->

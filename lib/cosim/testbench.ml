@@ -117,61 +117,72 @@ let dut_for config spec =
 
 (* --- stimulus programs --- *)
 
+type stimulus = { tones : float list; amplitude : float }
+
 let pad_of config = Fft.next_pow2 config.samples
 
 let coherent config f = Tone.coherent_freq ~fs:config.fs ~n:(pad_of config) f
 
-(* Stimulus frequencies ride the sampling rate so a program stays
-   alias-free at any test's fs (the calibration path runs each Table-2
-   test at its own rate). The ratios reproduce the Fig. 5 values at
-   the default 1.7 MS/s: [scaled config 20.0] is 20 kHz there. *)
-let scaled config khz_at_1p7m =
-  coherent config (config.fs *. (khz_at_1p7m /. 1700.0))
-
-let tone_stimulus config ~tones ~amplitude =
-  Tone.sample
-    ~tones:(List.map (fun hz -> Tone.tone ~amplitude hz) tones)
-    ~fs:config.fs ~n:config.samples
-  |> Array.map (fun v -> v +. config.bias)
-
-let step_stimulus config ~step_volts =
-  let half = config.samples / 2 in
-  Array.init config.samples (fun i ->
-      if i < half then config.bias -. (step_volts /. 2.0)
-      else config.bias +. (step_volts /. 2.0))
-
-type stimulus = { samples_v : float array; tones : float list; amplitude : float }
-
-let stimulus_for config spec =
+(* A spec's own stimulus. Its frequencies ride the sampling rate so a
+   program stays alias-free at any test's fs (the calibration path runs
+   each Table-2 test at its own rate); the ratios reproduce the Fig. 5
+   values at the default 1.7 MS/s. *)
+let default_stimulus config spec =
+  let at_1p7m khz amplitude =
+    { tones = List.map (fun k -> config.fs *. (k /. 1700.0)) khz; amplitude }
+  in
   match spec with
-  | Gain ->
-    let f = scaled config 20.0 in
-    { samples_v = tone_stimulus config ~tones:[ f ] ~amplitude:1.0;
-      tones = [ f ]; amplitude = 1.0 }
+  | Gain | Dr -> at_1p7m [ 20.0 ] 1.0
   | Fc ->
     (* Fig. 5's three-tone program: one tone in the pass band, one at
        the knee, one in the stop band. *)
-    let tones = List.map (scaled config) [ 20.0; 60.0; 150.0 ] in
-    { samples_v = tone_stimulus config ~tones ~amplitude:0.6; tones;
-      amplitude = 0.6 }
-  | Thd ->
-    let f = scaled config 10.0 in
-    { samples_v = tone_stimulus config ~tones:[ f ] ~amplitude:1.2;
-      tones = [ f ]; amplitude = 1.2 }
-  | Iip3 ->
-    let f1 = scaled config 45.0 and f2 = scaled config 55.0 in
-    { samples_v = tone_stimulus config ~tones:[ f1; f2 ] ~amplitude:0.7;
-      tones = [ f1; f2 ]; amplitude = 0.7 }
-  | Dc_offset ->
-    { samples_v = Array.make config.samples config.bias; tones = [];
-      amplitude = 0.0 }
+    at_1p7m [ 20.0; 60.0; 150.0 ] 0.6
+  | Thd -> at_1p7m [ 10.0 ] 1.2
+  | Iip3 -> at_1p7m [ 45.0; 55.0 ] 0.7
+  | Dc_offset -> at_1p7m [] 0.0
+  | Slew -> at_1p7m [] 1.5
+
+(* What a readout needs of a caller's stimulus, checked once when the
+   program is built: the tone count it reads, tones below Nyquist on
+   the grid (Iip3's on two bins, their IMD3 products in band) and an
+   amplitude it can divide by; the offset test holds the bias. *)
+let check_stimulus config spec { tones; amplitude } =
+  let fail why =
+    invalid_arg (Printf.sprintf "Testbench.program: spec %s %s" (spec_name spec) why)
+  in
+  let n = List.length tones in
+  (match spec with
+  | Gain | Thd | Dr -> if n <> 1 then fail "reads one tone"
+  | Iip3 -> if n <> 2 then fail "reads two tones"
+  | Fc -> if n < 2 then fail "fits two tones or more"
+  | Dc_offset | Slew -> if n <> 0 then fail "takes no tones");
+  let in_band f = f > 0.0 && f < config.fs /. 2.0 in
+  if not (List.for_all (fun f -> f > 0.0 && in_band (coherent config f)) tones) then
+    fail "needs tones in (0, fs/2) on the record's grid";
+  (match List.map (coherent config) tones with
+  | [ f1; f2 ] when spec = Iip3 ->
+    if f1 = f2 || not (in_band ((2.0 *. f1) -. f2) && in_band ((2.0 *. f2) -. f1)) then
+      fail "needs its tones on two bins and IMD3 products in (0, fs/2)"
+  | _ -> ());
+  if spec = Dc_offset then (if amplitude <> 0.0 then fail "takes no amplitude")
+  else if not (Float.is_finite amplitude && amplitude > 0.0) then
+    fail "needs a positive finite amplitude"
+
+(* The record a stimulus drives, its tones already on the grid. *)
+let record_of config spec { tones; amplitude } =
+  match spec with
+  | Dc_offset -> Array.make config.samples config.bias
   | Slew ->
-    { samples_v = step_stimulus config ~step_volts:1.5; tones = [];
-      amplitude = 1.5 }
-  | Dr ->
-    let f = scaled config 20.0 in
-    { samples_v = tone_stimulus config ~tones:[ f ] ~amplitude:1.0;
-      tones = [ f ]; amplitude = 1.0 }
+    (* a step of [amplitude] volts across the bias, at mid-record *)
+    let half = config.samples / 2 in
+    Array.init config.samples (fun i ->
+        if i < half then config.bias -. (amplitude /. 2.0)
+        else config.bias +. (amplitude /. 2.0))
+  | Gain | Fc | Thd | Iip3 | Dr ->
+    Tone.sample
+      ~tones:(List.map (fun hz -> Tone.tone ~amplitude hz) tones)
+      ~fs:config.fs ~n:config.samples
+    |> Array.map (fun v -> v +. config.bias)
 
 (* --- extraction (identical DSP on both paths) --- *)
 
@@ -182,46 +193,61 @@ let mean x =
   done;
   !sum /. float_of_int (Array.length x)
 
-(* The spec's readout of a response record, built once per program.
-   What depends on the stimulus alone is computed here, once for every
-   trial and both paths: the window's coefficients for the record
-   length (inside the analyzer) and the Fc program's input spectrum. *)
-let extract config spec ~stimulus =
+(* A response's readout: from the record itself, or from its spectrum.
+   A spectral readout keeps the analysis apart from the reading, so a
+   trial can hand out the spectra it read ({!spectra}). *)
+type readout =
+  | Of_record of (float array -> float)
+  | Of_spectrum of { analyze : float array -> Spectrum.t; read : Spectrum.t -> float }
+
+(* The spec's readout, built once per program. What depends on the
+   stimulus alone is computed here, once for every trial and both
+   paths: the window's coefficients for the record length (inside the
+   analyzer) and the Fc program's input spectrum. *)
+let extract config spec { tones; amplitude } ~record =
   let analyzer () = Spectrum.analyzer ~fs:config.fs ~pad_to:(pad_of config) config.samples in
-  match (spec, stimulus.tones) with
+  match (spec, tones) with
   | Gain, [ f ] ->
     (* Goertzel, the ATE fast path: evaluated at exactly the stimulus
        frequency, no FFT grid. *)
-    fun response ->
-      Goertzel.amplitude ~fs:config.fs ~f (Models.remove_bias ~bias:config.bias response)
-      /. stimulus.amplitude
+    Of_record
+      (fun response ->
+        Goertzel.amplitude ~fs:config.fs ~f (Models.remove_bias ~bias:config.bias response)
+        /. amplitude)
   | Fc, tones ->
-    let spectrum = analyzer () in
-    let s_in = spectrum stimulus.samples_v in
-    fun response ->
-      Cutoff.from_spectra ~order:2 ~input:s_in ~output:(spectrum response) tones
+    let analyze = analyzer () in
+    let s_in = analyze record in
+    Of_spectrum
+      { analyze; read = (fun s -> Cutoff.from_spectra ~order:2 ~input:s_in ~output:s tones) }
   | Thd, [ f ] ->
-    let spectrum = analyzer () in
-    fun response -> Distortion.thd (spectrum response) ~fundamental:f
+    Of_spectrum { analyze = analyzer (); read = (fun s -> Distortion.thd s ~fundamental:f) }
   | Iip3, [ f1; f2 ] ->
-    let spectrum = analyzer () in
-    fun response -> (Distortion.imd3 (spectrum response) ~f1 ~f2).Distortion.iip3_rel
-  | Dc_offset, _ -> fun response -> mean response -. config.bias
+    Of_spectrum
+      { analyze = analyzer (); read = (fun s -> (Distortion.imd3 s ~f1 ~f2).Distortion.iip3_rel) }
+  | Dc_offset, _ -> Of_record (fun response -> mean response -. config.bias)
   | Slew, _ ->
-    fun response ->
-      let max_slope = ref 0.0 in
-      for i = 1 to Array.length response - 1 do
-        let slope = Float.abs (response.(i) -. response.(i - 1)) *. config.fs in
-        if slope > !max_slope then max_slope := slope
-      done;
-      !max_slope /. 1.0e6 (* V/us *)
+    Of_record
+      (fun response ->
+        let max_slope = ref 0.0 in
+        for i = 1 to Array.length response - 1 do
+          let slope = Float.abs (response.(i) -. response.(i - 1)) *. config.fs in
+          if slope > !max_slope then max_slope := slope
+        done;
+        !max_slope /. 1.0e6 (* V/us *))
   | Dr, [ f ] ->
     let spectrum = analyzer () in
-    fun response ->
-      let ac = Models.remove_bias ~bias:(mean response) response in
-      Distortion.sinad_db (spectrum ac) ~fundamental:f
+    Of_spectrum
+      {
+        analyze = (fun response -> spectrum (Models.remove_bias ~bias:(mean response) response));
+        read = (fun s -> Distortion.sinad_db s ~fundamental:f);
+      }
   | (Gain | Thd | Iip3 | Dr), _ ->
     invalid_arg "Testbench.extract: stimulus does not match the spec's program"
+
+let read_out readout response =
+  match readout with
+  | Of_record read -> read response
+  | Of_spectrum { analyze; read } -> read (analyze response)
 
 let unit_label = function
   | Gain -> "V/V"
@@ -241,8 +267,9 @@ type program = {
   spec : spec;
   config : config;  (* its variation is unused: each trial brings a die *)
   tolerance_pct : float;
-  stimulus : stimulus;
-  readout : float array -> float;
+  tones : float list;  (* the stimulus tones, on the record's grid *)
+  record : float array;
+  readout : readout;
 }
 
 type result = {
@@ -256,35 +283,37 @@ type result = {
   trace : Engine.trace;
 }
 
-let program ?tolerance_pct config spec =
+let program ?tolerance_pct ?stimulus config spec =
   let lo = min_samples spec in
   if config.samples < lo || config.samples > max_samples then
     invalid_arg
       (Printf.sprintf "Testbench.program: spec %s needs samples in %d..%d, got %d"
          (spec_name spec) lo max_samples config.samples);
-  let tolerance_pct =
-    match tolerance_pct with
-    | Some t -> t
-    | None -> default_tolerance_pct spec
-  in
-  let stimulus = stimulus_for config spec in
-  { spec; config; tolerance_pct; stimulus; readout = extract config spec ~stimulus }
+  Option.iter (check_stimulus config spec) stimulus;
+  let { tones; amplitude } = Option.value stimulus ~default:(default_stimulus config spec) in
+  let tolerance_pct = Option.value tolerance_pct ~default:(default_tolerance_pct spec) in
+  let stimulus = { tones = List.map (coherent config) tones; amplitude } in
+  let record = record_of config spec stimulus in
+  let readout = extract config spec stimulus ~record in
+  { spec; config; tolerance_pct; tones = stimulus.tones; record; readout }
 
-let run_program p variation =
+(* One trial: both paths through one DUT model (its noise drawn
+   once), each response read by [read] as soon as it exists; returns
+   the direct reading, the wrapped reading and the wrapped trace. *)
+let trial (p : program) variation read =
   let config = with_variation variation p.config in
-  (* One DUT model per trial, noise drawn once, for both paths. *)
   let core = Dut.batch ~samples:config.samples (dut_for config p.spec) in
-  let stimulus = p.stimulus.samples_v in
   (* Direct path: a bench probe on the bare core — no converters. *)
-  let direct = p.readout (core stimulus) in
+  let direct = read (core p.record) in
   (* Wrapped path: digital words through DAC → DUT → ADC. *)
   let bits = variation.Variation.bits in
   let range = Quantize.default_range in
-  let codes = Quantize.encode_all ~bits ~range stimulus in
+  let codes = Quantize.encode_all ~bits ~range p.record in
   let wrapper = Wrapper.set_mode (Variation.wrapper variation) Wrapper.Core_test in
   let trace = Engine.run_core ~wrapper ~core ~stimulus_codes:codes in
-  let response = Quantize.decode_all ~bits ~range trace.Engine.response in
-  let measured = p.readout response in
+  (direct, read (Quantize.decode_all ~bits ~range trace.Engine.response), trace)
+
+let result_of (p : program) ~direct ~measured trace =
   let error_pct =
     if direct = 0.0 then Float.abs measured *. 100.0
     else 100.0 *. Float.abs (measured -. direct) /. Float.abs direct
@@ -300,8 +329,29 @@ let run_program p variation =
     trace;
   }
 
-let run ?tolerance_pct ?(config = default) spec =
-  run_program (program ?tolerance_pct config spec) config.variation
+let run_program p variation =
+  let direct, measured, trace = trial p variation (read_out p.readout) in
+  result_of p ~direct ~measured trace
+
+type spectra = {
+  tones : float list;
+  input : Spectrum.t;
+  direct_spectrum : Spectrum.t;
+  wrapped_spectrum : Spectrum.t;
+}
+
+let spectra (p : program) variation =
+  match p.readout with
+  | Of_record _ ->
+    invalid_arg
+      (Printf.sprintf "Testbench.spectra: spec %s reads no spectrum" (spec_name p.spec))
+  | Of_spectrum { analyze; read } ->
+    let direct_spectrum, wrapped_spectrum, trace = trial p variation analyze in
+    ( result_of p ~direct:(read direct_spectrum) ~measured:(read wrapped_spectrum) trace,
+      { tones = p.tones; input = analyze p.record; direct_spectrum; wrapped_spectrum } )
+
+let run ?tolerance_pct ?stimulus ?(config = default) spec =
+  run_program (program ?tolerance_pct ?stimulus config spec) config.variation
 
 let result_json r =
   Export.Object

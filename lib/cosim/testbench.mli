@@ -94,26 +94,58 @@ type result = {
     model, and reads both out. A Monte-Carlo run builds one program
     and runs every die from it. *)
 
+(** A program's stimulus: [tones] in Hz, each moved to the record's
+    coherent grid, at [amplitude] volts peak around the bias. For
+    [Slew] there are no tones and [amplitude] is the step; [Dc_offset]
+    holds the bias (no tones, amplitude 0). Each spec's own, at the
+    default 1.7 MS/s and scaled with [fs]: 1 V at 20 kHz ([Gain],
+    [Dr]), 0.6 V at 20, 60 and 150 kHz ([Fc], Fig. 5), 1.2 V at 10 kHz
+    ([Thd]), 0.7 V at 45 and 55 kHz ([Iip3]) and a 1.5 V step. *)
+type stimulus = { tones : float list; amplitude : float }
+
 type program
 (** Immutable once built: trials only read it, so the domains of a
     {!Msoc_util.Pool} may share one without a lock. *)
 
-val program : ?tolerance_pct:float -> config -> spec -> program
+val program : ?tolerance_pct:float -> ?stimulus:stimulus -> config -> spec -> program
 (** The spec's program for the config's rate, record length, bias and
     nominal core. The config's variation is not read: each trial
     brings its own die. [tolerance_pct] defaults to
-    {!default_tolerance_pct}.
+    {!default_tolerance_pct}, [stimulus] to the spec's own.
     @raise Invalid_argument if [config.samples] is outside
-    [min_samples spec .. max_samples]; the message names the spec. *)
+    [min_samples spec .. max_samples], or if the readout cannot use
+    [stimulus]: a tone count other than one ([Gain], [Thd], [Dr]), two
+    ([Iip3]), two or more ([Fc]) or none, a tone not in [(0, fs/2)] on
+    the grid, [Iip3] tones on one bin or with an IMD3 product outside
+    the band, an amplitude that is not positive and finite, or any
+    for [Dc_offset]. The message names the spec. *)
 
 val run_program : program -> Msoc_mixedsig.Variation.t -> result
 (** One trial: the die's converters, resolution, noise and process
     shifts through the program. Bit-identical to running the whole
     spec test for that die. *)
 
-val run : ?tolerance_pct:float -> ?config:config -> spec -> result
+(** The spectra one trial's readouts read: of the stimulus, the bare
+    core's response and the wrapped path's decoded response ([Dr]'s
+    with each record's mean removed), and the tones on the grid. *)
+type spectra = {
+  tones : float list;
+  input : Msoc_signal.Spectrum.t;
+  direct_spectrum : Msoc_signal.Spectrum.t;
+  wrapped_spectrum : Msoc_signal.Spectrum.t;
+}
+
+val spectra : program -> Msoc_mixedsig.Variation.t -> result * spectra
+(** {!run_program} for a program read from spectra ([Fc], [Thd],
+    [Iip3], [Dr]), with the spectra it read: the same two paths, run
+    once, and a bit-identical result. The [Fc] program's are Fig. 5.
+    @raise Invalid_argument, naming the spec, for the others. *)
+
+val run :
+  ?tolerance_pct:float -> ?stimulus:stimulus -> ?config:config -> spec -> result
 (** Execute the spec's program for the config's own die:
-    [run_program (program ?tolerance_pct config spec) config.variation].
+    [run_program (program ?tolerance_pct ?stimulus config spec)
+    config.variation].
     @raise Invalid_argument as {!program}. *)
 
 val result_json : result -> Msoc_testplan.Export.json

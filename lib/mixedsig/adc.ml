@@ -59,7 +59,6 @@ let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_r
 
 let bits t = t.bits
 
-let architecture t = t.architecture
 
 (* The conversion is written once, in the two helpers below: [convert]
    applies them to one voltage and [convert_all] to a record, with the

@@ -34,8 +34,6 @@ val create :
 
 val bits : t -> int
 
-val architecture : t -> architecture
-
 val convert : t -> float -> int
 (** Voltage to code; clips outside the range. *)
 

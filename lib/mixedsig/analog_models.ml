@@ -7,8 +7,6 @@ let copied kernel samples =
   kernel out;
   out
 
-let identity samples = samples
-
 let compose models samples =
   List.fold_left (fun acc model -> model acc) samples models
 

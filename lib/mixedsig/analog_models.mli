@@ -2,7 +2,8 @@
 
     A core model maps an analog input record to an analog output
     record at the wrapper's sampling rate. These models give the
-    measurement suite ({!Measurements}) ground truth to extract: each
+    co-simulation testbench ([Msoc_cosim.Testbench], through
+    [Msoc_cosim.Dut]) ground truth to extract: each
     knob below corresponds to a specification tested in Table 2
     (pass-band gain, cut-off, THD via third-order nonlinearity, IIP3,
     DC offset, slew rate, dynamic range via the noise floor).
@@ -20,8 +21,6 @@ type kernel = float array -> unit
 (** A stage that overwrites its record with its output, sample [i]
     depending only on samples [0 .. i] (filter and slew state advance
     in sample order). *)
-
-val identity : t
 
 val compose : t list -> t
 (** Left-to-right pipeline. *)

@@ -21,12 +21,6 @@ val modular_dac_resistors : bits:int -> int
 val comparator_reduction : bits:int -> float
 (** flash / modular comparator ratio — ≈ 8× at 8 bits. *)
 
-val reference_wrapper_area_mm2 : float
-(** 0.02 mm², 8-bit wrapper, 0.5 µm (paper §5). *)
-
-val reference_tech_um : float
-(** 0.5 µm. *)
-
 val wrapper_area_mm2 : ?scaling_exponent:float -> ?bits:int -> tech_um:float -> unit -> float
 (** Area of a [bits]-bit (default 8) wrapper in a [tech_um] process:
     the reference area, scaled by [(tech/0.5)^exponent] (default

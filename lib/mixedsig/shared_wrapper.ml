@@ -40,7 +40,6 @@ let create ?(crosstalk = 1.0e-3) ?(system_clock_hz = 50.0e6) member_cores =
     reconfig_count = 0;
   }
 
-let members t = List.map (fun c -> c.Spec.label) t.member_cores
 
 let requirement t = t.requirement
 

@@ -28,9 +28,6 @@ val create :
     @raise Invalid_argument on an empty member list or a member whose
     sampling requirement exceeds the system clock. *)
 
-val members : t -> string list
-(** Labels of the cores served. *)
-
 val requirement : t -> Msoc_analog.Spec.requirement
 (** Merged sizing requirement (resolution, speed, width). *)
 

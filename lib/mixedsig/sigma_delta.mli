@@ -25,14 +25,11 @@ val decimate_cic : stages:int -> ratio:int -> float array -> float array
     (floor). @raise Invalid_argument unless [stages >= 1] and
     [ratio >= 2]. *)
 
-val convert : ?order:order -> ?stages:int -> osr:int -> float array -> float array
-(** The full oversampled ADC: modulate at the input rate, then CIC-
-    decimate by [osr] (default stages = modulator order + 1). The
-    result is at rate [fs/osr]. *)
-
 val measured_enob :
   ?order:order -> osr:int -> fs:float -> signal_hz:float -> unit -> float
-(** Single-tone ENOB of {!convert} at oversampling ratio [osr]:
+(** Single-tone ENOB of the full oversampled ADC (modulate at the
+    input rate, then CIC-decimate by [osr] with modulator order + 1
+    stages) at oversampling ratio [osr]:
     generates a coherent test tone at [signal_hz], converts, and
     computes SINAD/ENOB at the decimated rate. The noise-shaping
     yardstick: each doubling of [osr] buys ≈1.5 bits at first order

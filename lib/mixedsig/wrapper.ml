@@ -11,7 +11,6 @@ type t = {
   adc : Adc.t;
   dac : Dac.t;
   bits : int;
-  range : Quantize.range;
   config : config;
 }
 
@@ -32,12 +31,10 @@ let create ?adc ?dac ?(range = Quantize.default_range) ~bits () =
     adc;
     dac;
     bits;
-    range;
     config = { mode = Normal; divide_ratio = 1; serial_to_parallel = 1; tam_width = 1 };
   }
 
 let bits t = t.bits
-let range t = t.range
 
 let adc t = t.adc
 

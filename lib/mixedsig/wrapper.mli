@@ -36,9 +36,6 @@ val create :
 
 val bits : t -> int
 
-val range : t -> Quantize.range
-(** Conversion range shared by the wrapper's ADC and DAC. *)
-
 val adc : t -> Adc.t
 
 val dac : t -> Dac.t

@@ -276,7 +276,7 @@ type cosimulated = {
 
 let cosim ?(prepare = fresh) ?pool s c =
   let { config; tolerance_pct; _ } = c in
-  let results = List.map (Testbench.run ?tolerance_pct ~config) c.specs in
+  let results = List.map (fun spec -> Testbench.run ?tolerance_pct ~config spec) c.specs in
   let sweeps =
     if c.trials = 0 then []
     else

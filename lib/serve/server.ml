@@ -224,10 +224,11 @@ let serve_loop ~queue_capacity ~max_line ~idle_timeout_s ~listener ~cleanup
   with_signals stop (fun () ->
       Fun.protect ~finally:cleanup (fun () ->
           let dispatcher = Thread.create (dispatch service queue stop) () in
-          (* Poll-accept so the loop observes [stop] promptly even when
+          (* Poll-accept so the loop observes [stop], and a shutdown
+             requested on the service from outside, promptly even when
              no client ever connects; 100 ms is invisible next to a
              pack but keeps shutdown snappy. *)
-          while not (Atomic.get stop) do
+          while not (Atomic.get stop || Service.shutdown_requested service) do
             match Unix.select [ listener ] [] [] 0.1 with
             | [ _ ], _, _ -> (
               match Unix.accept listener with

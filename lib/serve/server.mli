@@ -21,8 +21,8 @@
     for [idle_timeout_s] is reaped — a stuck or hostile peer can pin
     neither memory nor a reader thread forever.
 
-    Shutdown — on SIGINT, SIGTERM or a [shutdown] envelope — is
-    graceful: the accept loop closes the listener, the queue stops
+    Shutdown — on SIGINT, SIGTERM, a [shutdown] envelope or
+    {!Service.request_shutdown} from another thread — is graceful: the accept loop closes the listener, the queue stops
     admitting (late arrivals get [shutting_down]), the dispatch thread
     drains every admitted request and its responses are flushed, then
     connections close and the daemon returns. *)

@@ -43,10 +43,13 @@ val handle : ?admitted_at:float -> t -> Protocol.request -> Protocol.response
     request — deadlines count queueing time, as a client would. *)
 
 val shutdown_requested : t -> bool
-(** True once a [shutdown] envelope has been handled. *)
+(** True once a [shutdown] envelope has been handled or
+    {!request_shutdown} was called. *)
 
 val request_shutdown : t -> unit
-(** What the [shutdown] op does; exposed for signal handlers. *)
+(** What the [shutdown] op does; exposed for signal handlers and
+    embedders. A daemon serving [t] ({!Server.serve_unix},
+    {!Server.serve_tcp}) sees it within one accept poll and drains. *)
 
 val shutdown : t -> unit
 (** Release the worker pool. The service must not be used after. *)

@@ -25,9 +25,6 @@ let thd ?(harmonics = 5) spectrum ~fundamental =
   in
   Float.sqrt harmonic_power /. fund_amp
 
-let thd_db ?harmonics spectrum ~fundamental =
-  Msoc_util.Numeric.db (thd ?harmonics spectrum ~fundamental)
-
 let sinad_db spectrum ~fundamental =
   let mags = spectrum.Spectrum.magnitudes in
   let n = Array.length mags in

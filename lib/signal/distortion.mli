@@ -22,8 +22,6 @@ val thd : ?harmonics:int -> Spectrum.t -> fundamental:float -> float
     [fundamental] included) or {!harmonic_frequencies}, or when the
     fundamental is absent. *)
 
-val thd_db : ?harmonics:int -> Spectrum.t -> fundamental:float -> float
-
 val sinad_db : Spectrum.t -> fundamental:float -> float
 (** Signal over everything-else (noise + distortion) in dB, computed
     from raw spectrum bins with the fundamental's ±2 bins and DC

@@ -16,9 +16,7 @@ let power ~fs ~f x =
   (* |X|^2 = s1^2 + s2^2 - coeff*s1*s2 *)
   (!s1 *. !s1) +. (!s2 *. !s2) -. (coeff *. !s1 *. !s2)
 
-let magnitude ~fs ~f x = Float.sqrt (Float.max 0.0 (power ~fs ~f x))
-
 let amplitude ~fs ~f x =
-  2.0 *. magnitude ~fs ~f x /. float_of_int (Array.length x)
+  2.0 *. Float.sqrt (Float.max 0.0 (power ~fs ~f x)) /. float_of_int (Array.length x)
 
 let amplitudes ~fs ~fl x = List.map (fun f -> (f, amplitude ~fs ~f x)) fl

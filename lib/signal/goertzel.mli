@@ -13,9 +13,6 @@ val power : fs:float -> f:float -> float array -> float
     @raise Invalid_argument on an empty record or [f] outside
     [\[0, fs/2\]] (a NaN [f] or [fs] included). *)
 
-val magnitude : fs:float -> f:float -> float array -> float
-(** sqrt of {!power}. *)
-
 val amplitude : fs:float -> f:float -> float array -> float
 (** Amplitude of the sine component at [f]: [2·magnitude/n]. A unit
     sine at a coherent frequency reports ≈ 1.0 (no window is applied;

@@ -45,8 +45,6 @@ val bin_of_freq : t -> float -> int
 (** Nearest bin. @raise Invalid_argument outside [0, fs/2] (a NaN
     frequency included). *)
 
-val freq_of_bin : t -> int -> float
-
 val tone_amplitude : t -> float -> float
 (** Peak amplitude of the tone nearest [f]: searches ±2 bins around
     the nominal bin and compensates FFT length and window coherent

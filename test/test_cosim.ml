@@ -538,6 +538,13 @@ let test_testbench_deterministic () =
     (a.Testbench.measured = b.Testbench.measured
     && a.Testbench.trace.Engine.response = b.Testbench.trace.Engine.response)
 
+(* Does a rejection message name the spec? *)
+let names_spec spec msg =
+  let needle = "spec " ^ Testbench.spec_name spec in
+  let n = String.length needle in
+  let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
+  go 0
+
 (* The program checks the record length once, before any DSP: a record
    outside [min_samples spec .. max_samples] is rejected with the spec's
    name, not deep in Goertzel or the IMD3 readout. *)
@@ -545,19 +552,13 @@ let test_record_length_checked () =
   let config samples = { Testbench.default with Testbench.samples } in
   let rejected spec samples =
     let name = Testbench.spec_name spec in
-    let names_spec msg =
-      let needle = "spec " ^ name in
-      let n = String.length needle in
-      let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
-      go 0
-    in
     (match Testbench.run ~config:(config samples) spec with
     | exception Invalid_argument msg ->
       checkb (Printf.sprintf "%s at %d names the spec: %s" name samples msg) true
-        (names_spec msg)
+        (names_spec spec msg)
     | _ -> Alcotest.failf "%s at %d samples accepted" name samples);
     match Monte_carlo.run ~config:(config samples) ~trials:2 ~seed:1 spec with
-    | exception Invalid_argument msg -> checkb "Monte-Carlo: same check" true (names_spec msg)
+    | exception Invalid_argument msg -> checkb "Monte-Carlo: same check" true (names_spec spec msg)
     | _ -> Alcotest.failf "Monte-Carlo %s at %d samples accepted" name samples
   in
   rejected Testbench.Gain 0;
@@ -570,6 +571,117 @@ let test_record_length_checked () =
       let r = Testbench.run ~config:(config (Testbench.min_samples spec)) spec in
       checki "shortest record runs" (Testbench.min_samples spec) r.Testbench.trace.Engine.samples)
     Testbench.specs
+
+(* A stimulus the spec's readout cannot use is rejected when the
+   program is built, naming the spec; the spec's own stimulus passed
+   explicitly runs bit for bit as the default. *)
+let test_stimulus_checked () =
+  let rejected spec tones amplitude =
+    match Testbench.program ~stimulus:{ Testbench.tones; amplitude } Testbench.default spec with
+    | exception Invalid_argument msg ->
+      checkb (Printf.sprintf "rejection names the spec: %s" msg) true (names_spec spec msg)
+    | _ ->
+      Alcotest.failf "%s accepted %d tones at %g V" (Testbench.spec_name spec)
+        (List.length tones) amplitude
+  in
+  rejected Testbench.Gain [ 20_000.0; 40_000.0 ] 0.5;
+  rejected Testbench.Gain [ 20_000.0 ] 0.0;
+  rejected Testbench.Gain [ -20_000.0 ] 0.5;
+  rejected Testbench.Fc [ 60_000.0 ] 0.5;
+  rejected Testbench.Thd [ 900_000.0 ] 0.5;
+  rejected Testbench.Thd [ 849_990.0 ] 0.5 (* on the grid it lands at fs/2 *);
+  rejected Testbench.Iip3 [ 45_000.0 ] 0.5;
+  rejected Testbench.Iip3 [ 45_000.0; 45_050.0 ] 0.5 (* one bin *);
+  rejected Testbench.Iip3 [ 100_000.0; 700_000.0 ] 0.5 (* 2 f2 - f1 past fs/2 *);
+  rejected Testbench.Dc_offset [ 20_000.0 ] 0.5;
+  rejected Testbench.Dc_offset [] 0.5;
+  rejected Testbench.Slew [] 0.0;
+  rejected Testbench.Slew [ 20_000.0 ] 1.5;
+  rejected Testbench.Dr [ 20_000.0 ] Float.nan;
+  let default_fc =
+    { Testbench.tones = [ 20_000.0; 60_000.0; 150_000.0 ]; amplitude = 0.6 }
+  in
+  checkb "the Fc program's own stimulus, explicit = default" true
+    (Testbench.run ~stimulus:default_fc Testbench.Fc = Testbench.run Testbench.Fc);
+  checkb "a step is the Slew amplitude" true
+    (Testbench.run ~stimulus:{ Testbench.tones = []; amplitude = 1.5 } Testbench.Slew
+    = Testbench.run Testbench.Slew)
+
+(* The spectra a trial's readouts read come from the trial itself: the
+   result next to them is run_program's, bit for bit, on any die. *)
+let test_spectra_match_trial () =
+  let dies =
+    Testbench.default.Testbench.variation
+    :: List.init 3 (fun i -> Variation.sample ~master:5 ~trial:(i + 1) ())
+  in
+  List.iter
+    (fun spec ->
+      let p = Testbench.program Testbench.default spec in
+      List.iter
+        (fun die ->
+          let r, s = Testbench.spectra p die in
+          checkb
+            (Testbench.spec_name spec ^ ": result = run_program")
+            true
+            (r = Testbench.run_program p die);
+          checki "one input bin set per spectrum"
+            (Array.length s.Testbench.input.Msoc_signal.Spectrum.magnitudes)
+            (Array.length s.Testbench.wrapped_spectrum.Msoc_signal.Spectrum.magnitudes))
+        dies)
+    [ Testbench.Fc; Testbench.Thd; Testbench.Iip3; Testbench.Dr ];
+  let _, s = Testbench.spectra (Testbench.program Testbench.default Testbench.Fc)
+      Testbench.default.Testbench.variation in
+  checki "three Fig. 5 tones" 3 (List.length s.Testbench.tones);
+  List.iter
+    (fun spec ->
+      match Testbench.spectra (Testbench.program Testbench.default spec)
+              Testbench.default.Testbench.variation with
+      | exception Invalid_argument msg ->
+        checkb ("names the spec: " ^ msg) true (names_spec spec msg)
+      | _ -> Alcotest.failf "%s has no spectra" (Testbench.spec_name spec))
+    [ Testbench.Gain; Testbench.Dc_offset; Testbench.Slew ]
+
+(* The Fig. 5 rows EXPERIMENTS.md records, as `bench fig5` prints them:
+   the default die, ideal converters, the resolution sweep and the
+   7-tone program. *)
+let test_fig5_record () =
+  let die = Testbench.default in
+  let r = Testbench.run Testbench.Fc in
+  checkb
+    (Printf.sprintf "wrapped within 5%% of direct: %.3f%%" r.Testbench.error_pct)
+    true (r.Testbench.error_pct < 5.0);
+  let ideal = Testbench.run ~config:Testbench.ideal Testbench.Fc in
+  checkb
+    (Printf.sprintf "ideal error %.3f%% below the default die's %.3f%%"
+       ideal.Testbench.error_pct r.Testbench.error_pct)
+    true
+    (ideal.Testbench.error_pct < r.Testbench.error_pct);
+  List.iter
+    (fun bits ->
+      let config =
+        Testbench.with_variation { die.Testbench.variation with Variation.bits } die
+      in
+      let e = (Testbench.run ~config Testbench.Fc).Testbench.error_pct in
+      if bits = 4 then checkb (Printf.sprintf "4-bit error %.2f%% above 1%%" e) true (e > 1.0)
+      else checkb (Printf.sprintf "%d-bit error %.3f%% below 0.2%%" bits e) true (e < 0.2))
+    [ 4; 6; 8; 10 ];
+  let seven =
+    Testbench.run
+      ~stimulus:
+        {
+          Testbench.tones =
+            [ 10_000.0; 20_000.0; 40_000.0; 60_000.0; 90_000.0; 150_000.0; 220_000.0 ];
+          amplitude = 0.25;
+        }
+      Testbench.Fc
+  in
+  checks "7-tone row as recorded: direct, wrapped (kHz), error"
+    "59.1 59.3 0.30"
+    (Printf.sprintf "%.1f %.1f %.2f" (seven.Testbench.direct /. 1.0e3)
+       (seven.Testbench.measured /. 1.0e3) seven.Testbench.error_pct);
+  checkb "more tones do not reduce the error here (the paper's claim is not reproduced)"
+    true
+    (seven.Testbench.error_pct > r.Testbench.error_pct)
 
 let test_spec_names_roundtrip () =
   List.iter
@@ -980,6 +1092,9 @@ let suites =
         Alcotest.test_case "all specs pass" `Quick test_all_specs_pass_default;
         Alcotest.test_case "deterministic" `Quick test_testbench_deterministic;
         Alcotest.test_case "record length" `Quick test_record_length_checked;
+        Alcotest.test_case "stimulus checked" `Quick test_stimulus_checked;
+        Alcotest.test_case "spectra = trial" `Quick test_spectra_match_trial;
+        Alcotest.test_case "fig5 record" `Quick test_fig5_record;
         Alcotest.test_case "spec names" `Quick test_spec_names_roundtrip;
         Alcotest.test_case "golden digest" `Quick test_golden;
       ] );

@@ -83,53 +83,9 @@ let test_digital_only_makespans_decrease () =
 let test_wrapped_cutoff_measurement_error_small () =
   (* The paper's demonstration: cut-off extracted through the 8-bit
      wrapper is within ~5% of the direct analog measurement. *)
-  let fs = 1.7e6 in
-  let n = 4551 in
-  let pad = 8192 in
-  let filter = Msoc_signal.Filter.butterworth_lowpass ~order:2 ~fc:61_000.0 ~fs in
-  let tones =
-    List.map (Msoc_signal.Tone.coherent_freq ~fs ~n:pad) [ 20_000.0; 60_000.0; 150_000.0 ]
-  in
-  let stimulus_analog =
-    Msoc_signal.Tone.sample
-      ~tones:(List.map (fun hz -> Msoc_signal.Tone.tone ~amplitude:1.2 hz) tones)
-      ~fs ~n
-    |> Array.map (fun v -> 2.0 +. v)
-    (* bias into the 0..4V converter range *)
-  in
-  (* direct analog measurement *)
-  let direct_out = Msoc_signal.Filter.process filter stimulus_analog in
-  let spectrum x = Msoc_signal.Spectrum.analyze ~fs ~pad_to:pad x in
-  let fc_direct =
-    Msoc_signal.Cutoff.from_spectra ~order:2 ~input:(spectrum stimulus_analog)
-      ~output:(spectrum direct_out) tones
-  in
-  (* wrapped measurement: digitize stimulus, DAC -> core -> ADC *)
-  let bits = 8 in
-  let range = Msoc_mixedsig.Quantize.default_range in
-  let codes =
-    Array.map (Msoc_mixedsig.Quantize.encode ~bits ~range) stimulus_analog
-  in
-  let wrapper =
-    Msoc_mixedsig.Wrapper.set_mode
-      (Msoc_mixedsig.Wrapper.create ~bits ())
-      Msoc_mixedsig.Wrapper.Core_test
-  in
-  let ac_couple samples =
-    (* remove the DC bias before filtering, restore after, so the
-       filter's DC response does not fold the bias into the tones *)
-    Array.map (fun v -> 2.0 +. v) (Msoc_signal.Filter.process filter (Array.map (fun v -> v -. 2.0) samples))
-  in
-  let response_codes =
-    Msoc_mixedsig.Wrapper.apply_core_test wrapper ~core:ac_couple ~stimulus:codes
-  in
-  let wrapped_out =
-    Array.map (Msoc_mixedsig.Quantize.decode ~bits ~range) response_codes
-  in
-  let fc_wrapped =
-    Msoc_signal.Cutoff.from_spectra ~order:2 ~input:(spectrum stimulus_analog)
-      ~output:(spectrum wrapped_out) tones
-  in
+  let r = Msoc_cosim.Testbench.run ~config:Msoc_cosim.Testbench.ideal Msoc_cosim.Testbench.Fc in
+  let fc_direct = r.Msoc_cosim.Testbench.direct
+  and fc_wrapped = r.Msoc_cosim.Testbench.measured in
   let err = Float.abs (fc_wrapped -. fc_direct) /. fc_direct in
   checkb
     (Printf.sprintf "direct %.0f Hz vs wrapped %.0f Hz: err %.2f%%" fc_direct

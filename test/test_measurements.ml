@@ -1,13 +1,16 @@
 (* Tests for the analog test library: distortion metrics, behavioral
    core models, and Table 2's specification tests executed through the
-   wrapper. Each measurement is checked against the analytic ground
-   truth of the core model it observes. *)
+   wrapper by the co-simulation testbench. Each measurement is checked
+   against the analytic ground truth of the DUT stages it observes. *)
 
 module Tone = Msoc_signal.Tone
 module Spectrum = Msoc_signal.Spectrum
 module Distortion = Msoc_signal.Distortion
+module Filter = Msoc_signal.Filter
 module Models = Msoc_mixedsig.Analog_models
-module M = Msoc_mixedsig.Measurements
+module Variation = Msoc_mixedsig.Variation
+module Testbench = Msoc_cosim.Testbench
+module Dut = Msoc_cosim.Dut
 
 let checkb = Alcotest.(check bool)
 let close_pct name pct expected actual =
@@ -132,63 +135,103 @@ let test_models_downconverter () =
   close_pct "IF tone" 6.0 0.5 (Spectrum.tone_amplitude s (rf -. lo));
   checkb "sum suppressed" true (Spectrum.tone_amplitude s (rf +. lo) < 0.02)
 
-(* --- Measurements through the wrapper --- *)
+(* --- Table 2's spec tests through the wrapper --- *)
+
+(* Ideal converters at [bits], the DUT's design values and its noise
+   floor: only quantization stands between the truth and the wrapped
+   readout. *)
+let bench ?(bits = 8) ?(noise = 0.0) ?(gain = 1.0) () =
+  {
+    Testbench.ideal with
+    Testbench.variation = { (Variation.nominal ~bits ()) with Variation.noise_sigma_v = noise };
+    gain_nominal = gain;
+  }
+
+let tones ?(amplitude = 0.5) tones = { Testbench.tones; amplitude }
+
+let wrapped ?stimulus config spec = (Testbench.run ?stimulus ~config spec).Testbench.measured
+
+(* The stages of the DUT a spec probes: every ground truth below is
+   computed from them. *)
+let stages config spec = (Testbench.dut_for config spec).Dut.stages
+
+let on_grid config f =
+  Tone.coherent_freq ~fs:config.Testbench.fs
+    ~n:(Msoc_signal.Fft.next_pow2 config.Testbench.samples)
+    f
+
+(* Gain times the low-pass stage's magnitude at the tone on the grid. *)
+let gain_truth config f =
+  match stages config Testbench.Gain with
+  | [ Dut.Gain g; Dut.Lowpass { order; fc } ] ->
+    let fs = config.Testbench.fs in
+    g *. Filter.magnitude_response (Filter.butterworth_lowpass ~order ~fc ~fs) ~fs (on_grid config f)
+  | _ -> Alcotest.fail "gain DUT: expected gain then low-pass"
 
 let test_measure_gain () =
-  let t = M.setup (Models.gain 0.7) in
-  close_pct "gain 0.7" 2.0 0.7 (M.measure_gain t ~freq:50_000.0 ~amplitude:0.8)
+  let config = bench ~gain:0.7 () in
+  close_pct "gain 0.7" 2.0 (gain_truth config 50_000.0)
+    (wrapped ~stimulus:(tones ~amplitude:0.8 [ 50_000.0 ]) config Testbench.Gain)
 
 let test_measure_cutoff () =
-  let t = M.setup (Models.lowpass ~order:2 ~fc:61_000.0 ~fs:1.7e6) in
-  let fc =
-    M.measure_cutoff t ~tones:[ 20_000.0; 60_000.0; 150_000.0 ] ~amplitude:0.55
-  in
-  close_pct "cutoff" 5.0 61_000.0 fc
+  let config = bench () in
+  match stages config Testbench.Fc with
+  | [ Dut.Gain _; Dut.Lowpass { fc; _ } ] ->
+    close_pct "cutoff" 5.0 fc
+      (wrapped ~stimulus:(tones ~amplitude:0.55 [ 20_000.0; 60_000.0; 150_000.0 ]) config Testbench.Fc)
+  | _ -> Alcotest.fail "fc DUT: expected gain then low-pass"
 
 let test_measure_thd () =
-  (* For y = x + a3 x^3 with a 0.5 V tone, HD3 relative to the
-     fundamental is a3 A^2 / 4 = 1.25e-3. A 12-bit wrapper adds small
-     quantization spurs on top, so allow a generous band. *)
-  let model = Models.polynomial ~a1:1.0 ~a2:0.0 ~a3:0.02 in
-  let t = M.setup ~bits:12 model in
-  let thd = M.measure_thd t ~freq:20_000.0 ~amplitude:0.5 in
-  close_pct "thd (12-bit wrapper)" 30.0 (0.02 *. 0.5 *. 0.5 /. 4.0) thd
+  (* For y = a1 x + a2 x^2 + a3 x^3 driven by a tone of amplitude A,
+     HD2 is a2 A^2 / 2, HD3 is a3 A^3 / 4 and the fundamental
+     a1 A + 3/4 a3 A^3. A 12-bit wrapper adds small quantization spurs
+     on top, so allow a generous band. *)
+  let config = bench ~bits:12 () in
+  match stages config Testbench.Thd with
+  | [ Dut.Polynomial { a1; a2; a3 } ] ->
+    let a = 0.5 in
+    let truth =
+      Float.hypot (a2 *. a *. a /. 2.0) (a3 *. a *. a *. a /. 4.0)
+      /. Float.abs ((a1 *. a) +. (0.75 *. a3 *. a *. a *. a))
+    in
+    close_pct "thd (12-bit wrapper)" 30.0 truth
+      (wrapped ~stimulus:(tones ~amplitude:a [ 20_000.0 ]) config Testbench.Thd)
+  | _ -> Alcotest.fail "thd DUT: expected one polynomial"
 
 let test_measure_iip3 () =
-  let a3 = 0.05 in
-  let model = Models.polynomial ~a1:1.0 ~a2:0.0 ~a3:(-.a3) in
-  let t = M.setup ~bits:12 model in
-  let r = M.measure_iip3 t ~f1:90_000.0 ~f2:110_000.0 ~amplitude:0.5 in
-  close_pct "iip3" 15.0 (Float.sqrt (4.0 /. 3.0 /. a3)) r.Distortion.iip3_rel
+  let config = bench ~bits:12 () in
+  match stages config Testbench.Iip3 with
+  | [ Dut.Polynomial { a1; a3; _ } ] ->
+    close_pct "iip3" 15.0
+      (Float.sqrt (4.0 /. 3.0 *. a1 /. Float.abs a3))
+      (wrapped ~stimulus:(tones [ 90_000.0; 110_000.0 ]) config Testbench.Iip3)
+  | _ -> Alcotest.fail "iip3 DUT: expected one polynomial"
 
 let test_measure_dc_offset () =
-  let t = M.setup ~bits:12 (Models.dc_offset 0.05) in
-  close_pct "offset" 10.0 0.05 (M.measure_dc_offset t)
+  let config = bench ~bits:12 () in
+  match stages config Testbench.Dc_offset with
+  | [ Dut.Gain _; Dut.Dc_offset c ] ->
+    close_pct "offset" 10.0 c (wrapped config Testbench.Dc_offset)
+  | _ -> Alcotest.fail "offset DUT: expected gain then offset"
 
 let test_measure_slew_rate () =
-  let fs = 1.7e6 in
-  let sr = 0.4e6 (* 0.4 V/us *) in
-  let t = M.setup ~bits:12 (Models.slew_limited ~max_slew_v_per_s:sr ~fs) in
-  close_pct "slew" 10.0 sr (M.measure_slew_rate t ~step_volts:1.5)
+  let config = bench ~bits:12 () in
+  match stages config Testbench.Slew with
+  | [ Dut.Gain _; Dut.Slew_limited { max_slew_v_per_s } ] ->
+    (* the readout is in V/us *)
+    close_pct "slew" 10.0 (max_slew_v_per_s /. 1.0e6)
+      (wrapped ~stimulus:(tones ~amplitude:1.5 []) config Testbench.Slew)
+  | _ -> Alcotest.fail "slew DUT: expected gain then slew limiter"
 
 let test_measure_dynamic_range_tracks_noise () =
-  let quiet = M.setup ~bits:12 (Models.additive_noise ?seed:None ~sigma:0.001) in
-  let noisy = M.setup ~bits:12 (Models.additive_noise ?seed:None ~sigma:0.02) in
-  let dr s = M.measure_dynamic_range s ~freq:50_000.0 ~amplitude:0.9 in
-  let d_quiet = dr quiet and d_noisy = dr noisy in
+  let dr noise =
+    wrapped ~stimulus:(tones ~amplitude:0.9 [ 50_000.0 ]) (bench ~bits:12 ~noise ()) Testbench.Dr
+  in
+  let d_quiet = dr 0.001 and d_noisy = dr 0.02 in
   checkb
     (Printf.sprintf "DR falls with noise: %.1f dB > %.1f dB" d_quiet d_noisy)
     true
     (d_quiet > d_noisy +. 15.0)
-
-let test_measurement_verdicts () =
-  let v = { M.name = "g"; value = 0.7; limit_low = 0.6; limit_high = 0.8 } in
-  checkb "pass" true (M.passed v);
-  checkb "fail low" false (M.passed { v with M.value = 0.5 });
-  let s = Format.asprintf "%a" M.pp_verdict v in
-  checkb "prints PASS" true
-    (let n = String.length s in
-     n >= 4 && String.sub s (n - 4) 4 = "PASS")
 
 let qcheck_tests =
   let open QCheck in
@@ -196,16 +239,22 @@ let qcheck_tests =
     Test.make ~name:"measured gain tracks model gain" ~count:15
       (float_range 0.2 1.5)
       (fun g ->
-        let t = M.setup ~bits:12 (Models.gain g) in
-        let measured = M.measure_gain t ~freq:40_000.0 ~amplitude:0.4 in
-        Float.abs (measured -. g) /. g < 0.05);
+        let config = bench ~bits:12 ~gain:g () in
+        let measured =
+          wrapped ~stimulus:(tones ~amplitude:0.4 [ 40_000.0 ]) config Testbench.Gain
+        in
+        let truth = gain_truth config 40_000.0 in
+        Float.abs (measured -. truth) /. truth < 0.05);
+    (* The THD core is y = a1 x + 0.005 x^2 + 0.01 x^3; its linear gain
+       a1 follows the config's gain. *)
     Test.make ~name:"thd grows with drive for cubic core" ~count:10
-      (float_range 0.01 0.04)
-      (fun a3 ->
-        let t = M.setup ~bits:12 (Models.polynomial ~a1:1.0 ~a2:0.0 ~a3) in
-        let low = M.measure_thd t ~freq:20_000.0 ~amplitude:0.25 in
-        let high = M.measure_thd t ~freq:20_000.0 ~amplitude:0.75 in
-        high > low);
+      (float_range 0.5 1.5)
+      (fun a1 ->
+        let config = bench ~bits:12 ~gain:a1 () in
+        let thd amplitude =
+          wrapped ~stimulus:(tones ~amplitude [ 20_000.0 ]) config Testbench.Thd
+        in
+        thd 0.75 > thd 0.25);
   ]
   |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
@@ -237,7 +286,6 @@ let suites =
         Alcotest.test_case "dc offset" `Quick test_measure_dc_offset;
         Alcotest.test_case "slew rate" `Quick test_measure_slew_rate;
         Alcotest.test_case "dynamic range" `Quick test_measure_dynamic_range_tracks_noise;
-        Alcotest.test_case "verdicts" `Quick test_measurement_verdicts;
       ] );
     ("measure.properties", qcheck_tests);
   ]

@@ -106,6 +106,39 @@ let test_s601_exception_path () =
   in
   assert_clean ~ctx:"S601 handled-exception near-miss" r
 
+let test_s601_nested_let () =
+  (* the acquisition is bound inside another [let]'s right-hand side:
+     the same exception path as at the top of a body *)
+  let r =
+    analyze
+      (fixture
+         "let f path =\n\
+         \  let port =\n\
+         \    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in\n\
+         \    Unix.bind fd (Unix.ADDR_UNIX path);\n\
+         \    Unix.close fd;\n\
+         \    1\n\
+         \  in\n\
+         \  port + 1\n")
+  in
+  assert_fires ~ctx:"S601 nested let" Codes.s601 3 r;
+  checkb "message names the risky line" true
+    (contains (show r) "line 4 can raise");
+  (* near-miss: Fun.protect releases on every path *)
+  let r =
+    analyze
+      (fixture
+         "let f path =\n\
+         \  let port =\n\
+         \    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in\n\
+         \    Fun.protect ~finally:(fun () -> Unix.close fd)\n\
+         \      (fun () -> Unix.bind fd (Unix.ADDR_UNIX path));\n\
+         \    1\n\
+         \  in\n\
+         \  port + 1\n")
+  in
+  assert_clean ~ctx:"S601 nested let near-miss" r
+
 let test_s601_branch_leak () =
   let r =
     analyze
@@ -430,6 +463,7 @@ let suites =
         Alcotest.test_case "S601 exception path" `Quick
           test_s601_exception_path;
         Alcotest.test_case "S601 branch leak" `Quick test_s601_branch_leak;
+        Alcotest.test_case "S601 nested let" `Quick test_s601_nested_let;
         Alcotest.test_case "S602 double release" `Quick
           test_s602_double_release;
         Alcotest.test_case "S603 mismatched pair" `Quick

@@ -1045,6 +1045,53 @@ let test_serve_unix_end_to_end () =
       Thread.join server;
       checkb "socket removed after drain" false (Sys.file_exists socket_path))
 
+(* [Service.request_shutdown] from another thread stops a daemon that
+   never saw an envelope: the accept loop polls the service's flag, not
+   only its own. Should the daemon still be serving after the bounded
+   wait, a [shutdown] envelope ends it, so the test fails instead of
+   hanging the suite. *)
+let test_serve_unix_request_shutdown () =
+  let socket_path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "msoc-test-%d-stop.sock" (Unix.getpid ()))
+  in
+  let service = Service.create ~jobs:1 () in
+  let returned = Atomic.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set returned true)
+          (fun () -> Server.serve_unix ~queue_capacity:8 ~socket_path service))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown service)
+    (fun () ->
+      let rec wait_until cond tries =
+        cond () || (tries > 0 && (Thread.delay 0.05; wait_until cond (tries - 1)))
+      in
+      if not (wait_until (fun () -> Sys.file_exists socket_path) 100) then
+        Alcotest.fail "daemon socket never appeared";
+      Service.request_shutdown service;
+      let stopped = wait_until (fun () -> Atomic.get returned) 100 in
+      if not stopped then begin
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX socket_path);
+            let oc = Unix.out_channel_of_descr fd in
+            output_string oc
+              (Protocol.request_to_line (Protocol.request ~id:"s1" Protocol.Shutdown));
+            output_char oc '\n';
+            flush oc;
+            ignore (input_line (Unix.in_channel_of_descr fd)))
+      end;
+      Thread.join server;
+      checkb "request_shutdown stops the accept loop within 5 s" true stopped;
+      checkb "socket removed after drain" false (Sys.file_exists socket_path))
+
 let test_serve_tcp_end_to_end () =
   let service = Service.create ~worker:"t0" ~jobs:1 () in
   let bound = Atomic.make 0 in
@@ -1205,6 +1252,8 @@ let suites =
         Alcotest.test_case "stdio batch" `Quick test_serve_channels_batch;
         Alcotest.test_case "unix socket end-to-end" `Quick
           test_serve_unix_end_to_end;
+        Alcotest.test_case "request_shutdown stops a daemon" `Quick
+          test_serve_unix_request_shutdown;
         Alcotest.test_case "tcp end-to-end + line cap" `Quick
           test_serve_tcp_end_to_end;
       ] );
