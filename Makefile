@@ -15,9 +15,9 @@ check:
 	dune build @all && dune runtest
 
 # Source-level static analysis over the parsed lib/ bin/ test/ bench/
-# modules (hygiene rules, lock order, release paths, check-then-act,
-# blocking under lock, dead exported API, resource lifecycles); exits 1
-# on error findings
+# bench/suite/ examples/ modules (hygiene rules, lock order, release
+# paths, check-then-act, blocking under lock, dead exported API,
+# resource lifecycles); exits 1 on error findings
 analyze:
 	dune exec bin/msoc_plan.exe -- analyze
 

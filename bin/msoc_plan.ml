@@ -292,10 +292,11 @@ let run_analyze root allowlist_file list_rules as_json =
 let analyze_cmd =
   let doc =
     "run the source-level static analyzer over this repository's own \
-     lib/, bin/, test/ and bench/ trees: every module is parsed once and \
-     checked for concurrency, exception safety and API hygiene, lock-order \
-     cycles across the call graph, exception-path lock leaks, atomic \
-     check-then-act, blocking calls under a lock, dead exported API, \
+     lib/, bin/, test/, bench/, bench/suite/ and examples/ trees: every \
+     module is parsed once and checked for concurrency, exception safety \
+     and API hygiene, lock-order cycles across the call graph, \
+     exception-path lock leaks, atomic check-then-act, blocking calls \
+     under a lock, dead exported API, \
      resource lifecycles and reply obligations; exit 1 on any \
      error-severity finding"
   in
@@ -1766,11 +1767,12 @@ let run_cosim specs trials seed jobs bits samples tolerance_pct ideal as_json
       List.iter
         (List.iter (fun (m : Calibrate.measured) ->
              Fmt.pr "  %-10s via %-6s nominal %8d -> measured %8d cycles \
-                     (err %5.2f%%)@."
+                     (err %5.2f%%)%s@."
                m.Calibrate.test.Msoc_analog.Spec.name
                (Testbench.spec_name m.Calibrate.spec)
                m.Calibrate.test.Msoc_analog.Spec.cycles
-               m.Calibrate.measured_cycles m.Calibrate.error_pct))
+               m.Calibrate.measured_cycles m.Calibrate.error_pct
+               (if m.Calibrate.pass then "" else " FAIL")))
         reports;
       Fmt.pr "@.Plan over calibrated times:@.";
       print_string (Report.summary plan)

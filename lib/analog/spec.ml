@@ -64,19 +64,3 @@ let compatible ?(policy = default_policy) a b =
 let same_tests a b =
   List.length a.tests = List.length b.tests
   && List.for_all2 (fun (x : test) (y : test) -> x = y) a.tests b.tests
-
-let pp_hz ppf f =
-  if f = 0.0 then Format.pp_print_string ppf "DC"
-  else if f >= 1.0e6 then Format.fprintf ppf "%gMHz" (f /. 1.0e6)
-  else if f >= 1.0e3 then Format.fprintf ppf "%gkHz" (f /. 1.0e3)
-  else Format.fprintf ppf "%gHz" f
-
-let pp_test ppf (t : test) =
-  Format.fprintf ppf "%s: [%a..%a] fs=%a cycles=%d w=%d %db" t.name pp_hz
-    t.f_low_hz pp_hz t.f_high_hz pp_hz t.f_sample_hz t.cycles t.tam_width
-    t.resolution_bits
-
-let pp_core ppf c =
-  Format.fprintf ppf "@[<v>Core %s (%s), %d cycles total" c.label c.name (core_time c);
-  List.iter (fun t -> Format.fprintf ppf "@,  %a" pp_test t) c.tests;
-  Format.fprintf ppf "@]"

@@ -80,7 +80,3 @@ val same_tests : core -> core -> bool
 (** True when the cores have identical test lists (labels aside) —
     cores A and B in the paper. Used to deduplicate equivalent sharing
     combinations. *)
-
-val pp_test : Format.formatter -> test -> unit
-
-val pp_core : Format.formatter -> core -> unit

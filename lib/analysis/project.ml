@@ -2,10 +2,10 @@
 
    The analyzer works on the checked-out tree itself: libraries are
    the [lib/<dir>] directories owning a [dune] file with a
-   [(name ...)] stanza, modules are their [.ml] files, and [bin]
-   executables join the scan (hygiene rules) without joining the
-   library-only checks. Every module is parsed once, here, with
-   [Ast.parse_impl]; edges are the module paths its Parsetree names,
+   [(name ...)] stanza, modules are their [.ml] files, and the
+   executables of [bin], [test], [bench], [bench/suite] and [examples]
+   join the scan without joining the library-only checks. Every module
+   is parsed once, here, with [Ast.parse_impl]; edges are the module paths its Parsetree names,
    which is exactly what the reachability rule (MSOC-S101) needs: if a
    module is named by code that runs under the domain pool or the
    server threads, its module-level state is shared state. *)
@@ -16,11 +16,8 @@ type lib = {
   dune_path : string;
 }
 
-type scope = Lib | Bin | Test | Bench
-
 type module_info = {
   owner : lib option;  (* [None] outside lib/ *)
-  scope : scope;
   name : string;  (* "Pool" *)
   ml_path : string;  (* "lib/util/pool.ml" *)
   mli_path : string option;
@@ -64,12 +61,11 @@ let list_dir root rel =
 let join a b = a ^ "/" ^ b
 
 (* Parsing happens here, once per module, before any rule runs. *)
-let module_info ~root ~owner ~scope ml_path ~mli_path =
+let module_info ~root ~owner ml_path ~mli_path =
   let source = Source.load ~root ml_path in
   let ast = Ast.parse_impl ~path:ml_path (Source.text source) in
   {
     owner;
-    scope;
     name = module_name_of_path ml_path;
     ml_path;
     mli_path;
@@ -102,19 +98,19 @@ let load ~root =
     |> List.map (fun f ->
            let ml_path = join lib.dir f in
            let mli = ml_path ^ "i" in
-           module_info ~root ~owner:(Some lib) ~scope:Lib ml_path
+           module_info ~root ~owner:(Some lib) ml_path
              ~mli_path:
                (if Sys.file_exists (Filename.concat root mli) then Some mli
                 else None))
   in
-  (* bin/, test/ and bench/ are flat executable directories: their
-     modules join the scan (exception-safety, lock rules, semantic
-     tier) without joining the library-only hygiene checks. *)
-  let flat_modules scope dir =
+  (* The executable directories are flat: their modules join the scan
+     (exception-safety, lock rules, semantic tier, and the uses S505
+     counts) without joining the library-only hygiene checks. *)
+  let exe_dirs = [ "bin"; "test"; "bench"; "bench/suite"; "examples" ] in
+  let flat_modules dir =
     list_dir root dir
     |> List.filter (fun f -> Filename.check_suffix f ".ml")
-    |> List.map (fun f ->
-           module_info ~root ~owner:None ~scope (join dir f) ~mli_path:None)
+    |> List.map (fun f -> module_info ~root ~owner:None (join dir f) ~mli_path:None)
   in
   let extra_dune dir =
     let path = join dir "dune" in
@@ -124,15 +120,12 @@ let load ~root =
   in
   let dune_files =
     List.map (fun lib -> Source.load ~root lib.dune_path) libs
-    @ extra_dune "bin" @ extra_dune "test" @ extra_dune "bench"
+    @ List.concat_map extra_dune exe_dirs
   in
   {
     root;
     libs;
-    modules =
-      List.concat_map lib_modules libs
-      @ flat_modules Bin "bin" @ flat_modules Test "test"
-      @ flat_modules Bench "bench";
+    modules = List.concat_map lib_modules libs @ List.concat_map flat_modules exe_dirs;
     dune_files;
   }
 

@@ -2,11 +2,12 @@
 
     A project is the checked-out tree: every [lib/<dir>] owning a
     [dune] file with a [(name ...)] stanza contributes its [.ml]
-    modules, and [bin/*.ml] executables join the scan without
-    belonging to a library. Every module is parsed once at load
-    (through the {!Ast} content cache); edges of the graph are the
-    module paths its Parsetree names ([Pool.map], [Msoc_util.Pool],
-    [open]/[include]/alias targets, types, constructors, fields). *)
+    modules, and the executables of [bin/], [test/], [bench/],
+    [bench/suite/] and [examples/] join the scan without belonging to a
+    library. Every module is parsed once at load ({!Ast.parse_impl});
+    edges of the graph are the module paths its Parsetree names
+    ([Pool.map], [Msoc_util.Pool], [open]/[include]/alias targets,
+    types, constructors, fields). *)
 
 type lib = {
   dir : string;  (** e.g. ["lib/serve"] *)
@@ -14,14 +15,11 @@ type lib = {
   dune_path : string;
 }
 
-type scope = Lib | Bin | Test | Bench
-(** Where a module lives. Library-only rules (S2xx/S3xx hygiene) look
-    at {!Lib} modules; concurrency, exception-flow and semantic rules
-    cover all four scopes. *)
-
 type module_info = {
-  owner : lib option;  (** [None] outside [lib/] *)
-  scope : scope;
+  owner : lib option;
+      (** [None] outside [lib/]. Library-only rules (S2xx/S3xx hygiene)
+          look at modules with an owner; concurrency, exception-flow
+          and semantic rules cover every module. *)
   name : string;  (** OCaml module name, e.g. ["Pool"] *)
   ml_path : string;
   mli_path : string option;  (** sibling [.mli] when it exists *)
@@ -36,15 +34,16 @@ type t = {
   libs : lib list;
   modules : module_info list;
   dune_files : Source.t list;
-      (** every [lib/*/dune] plus [bin/dune], [test/dune] and
-          [bench/dune] when present *)
+      (** every [lib/*/dune] plus the [dune] file of each executable
+          directory when present *)
 }
 
 val load : root:string -> t
-(** Scan [root/lib], [root/bin], [root/test] and [root/bench].
-    Directories without a dune [(name ...)] stanza are skipped under
-    [lib/]; listing order is sorted, so runs are deterministic. Parses
-    every module once; the rules read the Parsetrees it holds. *)
+(** Scan [root/lib], [root/bin], [root/test], [root/bench],
+    [root/bench/suite] and [root/examples]. Directories without a dune
+    [(name ...)] stanza are skipped under [lib/]; listing order is
+    sorted, so runs are deterministic. Parses every module once; the
+    rules read the Parsetrees it holds. *)
 
 val exposed_name : lib -> string
 (** The OCaml-visible wrapper module of a library: ["msoc_serve"] is

@@ -263,7 +263,7 @@ let rule_blocking_under_lock ctx =
 
 (* --- S505: dead exported API --- *)
 
-(* Uses are the paths each parsed module (plus examples/) names: every
+(* Uses are the paths each parsed module names: every
    [Mod.value] pair of a value, constructor, field or type path, with
    per-file [module A = …] aliases expanded, and every [open]/[include]
    target marks its module fully used. Qualified access is the house
@@ -277,21 +277,6 @@ let is_lower_start c = ('a' <= c && c <= 'z') || c = '_'
 let is_ident_char c = is_upper c || is_lower_start c || ('0' <= c && c <= '9') || c = '\''
 
 let last path = List.nth path (List.length path - 1)
-
-let example_references root =
-  let dir = Filename.concat root "examples" in
-  if Sys.file_exists dir && Sys.is_directory dir then
-    Sys.readdir dir |> Array.to_list |> List.sort compare
-    |> List.filter (fun f -> Filename.check_suffix f ".ml")
-    |> List.filter_map (fun f ->
-           let path = "examples/" ^ f in
-           match Source.load ~root path with
-           | exception Sys_error _ -> None
-           | src -> (
-             match Ast.parse_impl ~path (Source.text src) with
-             | Ok str -> Some (path, Ast.references str)
-             | Error _ -> None))
-  else []
 
 let rule_dead_api ctx =
   let p = ctx.project in
@@ -329,7 +314,6 @@ let rule_dead_api ctx =
     (fun (m : Project.module_info) ->
       index_source (m.Project.ml_path, m.Project.refs))
     p.Project.modules;
-  List.iter index_source (example_references p.Project.root);
   (* exported values per lib module with a parsable .mli *)
   List.concat_map
     (fun (m : Project.module_info) ->

@@ -9,13 +9,11 @@
     problem's analog cores (E205) and flags the zero-reference
     convention (W201). *)
 
-val default_tolerance : float
-(** 1e-6 relative — loose enough for float re-association, far
-    tighter than any real divergence. *)
-
 val evaluation :
   ?tol:float ->
   problem:Msoc_testplan.Problem.t ->
   reference_makespan:int ->
   Msoc_testplan.Evaluate.evaluation ->
   Diagnostic.t list
+(** [tol] is relative, 1e-6 by default: loose enough for float
+    re-association, far tighter than any real divergence. *)

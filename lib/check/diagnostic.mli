@@ -64,8 +64,6 @@ val render_text : t list -> string
 val summary : t list -> string
 (** E.g. ["2 errors, 1 warning"]; ["no findings"] when clean. *)
 
-val to_json : t -> Msoc_testplan.Export.json
-
 val report_json : t list -> Msoc_testplan.Export.json
 (** Object with error/warning counts and the full diagnostic list —
     the payload of [msoc_plan check --json]. *)

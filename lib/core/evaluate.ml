@@ -143,8 +143,6 @@ let cache_stats p =
 
 let problem p = p.problem
 
-let packer_name p = Registry.name p.packer
-
 let reference_makespan p = p.reference_makespan
 
 let digital_jobs p = p.digital_jobs

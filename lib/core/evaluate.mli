@@ -47,10 +47,6 @@ val total_packs : unit -> int
 
 val problem : prepared -> Problem.t
 
-val packer_name : prepared -> string
-(** Registry name of the packing heuristic this [prepared] packs
-    with ([best_fit] unless {!prepare} was given another). *)
-
 val reference_makespan : prepared -> int
 (** Makespan with all analog cores on one wrapper. *)
 

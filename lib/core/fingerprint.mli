@@ -16,27 +16,21 @@
     model, so the omission is safe there; callers installing a custom
     model must not share a cache directory with default-model runs. *)
 
-val problem_json : Problem.t -> Export.json
-(** The canonical form, weights included. Deterministic: field order
-    is fixed and lists keep the problem's own (already canonical)
-    order. *)
-
 val problem_hex : Problem.t -> string
-(** Hex digest of {!problem_json} rendered compactly. *)
+(** Hex digest of the canonical form, weights included, rendered
+    compactly. Deterministic: field order is fixed and lists keep the
+    problem's own (already canonical) order. *)
 
 val structure_hex : Problem.t -> string
 (** Like {!problem_hex} with the cost weights zeroed out — equal for
     problems that {!Problem.same_structure} would accept (modulo the
     area model), so weight sweeps can share one prepared evaluation. *)
 
-val search_json : Plan.search -> Export.json
-(** Canonical rendering of the search strategy (kind + delta). *)
-
 val request_hex :
   ?extra:Export.json -> op:string -> search:Plan.search -> Problem.t -> string
 (** Cache key for a full request: problem + operation name + search
-    strategy. Different search settings can choose different plans,
-    so they never share a result entry. [extra] folds any further
+    strategy (kind + delta). Different search settings can choose
+    different plans, so they never share a result entry. [extra] folds any further
     plan-determining request parameters into the key — e.g. the
     {!Msoc_search} strategy kind, its seeds and its declared budget —
     so a cached annealing result can never be served to a

@@ -65,12 +65,6 @@ exception Combination_overflow of {
     partitions exist before any dedup or filter can shrink the list,
     so past the limit enumeration is an OOM, not a slow run. *)
 
-val combination_limit : unit -> int
-(** The enumeration limit: [MSOC_MAX_COMBINATIONS] when set, else
-    200_000 (admits m = 10 analog cores, Bell(10) = 115_975; refuses
-    m >= 11). @raise Invalid_argument when the variable is set but not
-    a positive integer. *)
-
 val overflow_message :
   analog_cores:int -> combinations:int -> limit:int -> string
 (** Human-readable rendering of {!Combination_overflow}: names the
@@ -87,8 +81,12 @@ val combinations : ?limit:int -> t -> Msoc_analog.Sharing.t list
     Never empty: when no sharing is feasible (one analog core, or all
     groupings ruled out), the no-sharing combination is the single
     candidate. Partitions are enumerated lazily and deduplicated
-    incrementally; [limit] overrides {!combination_limit}.
-    @raise Combination_overflow when Bell(m) exceeds the limit. *)
+    incrementally. [limit] defaults to [MSOC_MAX_COMBINATIONS] when
+    set, else 200_000 (admits m = 10 analog cores, Bell(10) = 115_975;
+    refuses m >= 11).
+    @raise Combination_overflow when Bell(m) exceeds the limit.
+    @raise Invalid_argument when [MSOC_MAX_COMBINATIONS] is read and is
+    not a positive integer. *)
 
 val all_combinations : ?limit:int -> t -> Msoc_analog.Sharing.t list
 (** Same filters over every distinct partition (for the generalized /

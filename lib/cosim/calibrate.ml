@@ -10,6 +10,7 @@ type measured = {
   measured_cycles : int;
   value : float;
   error_pct : float;
+  pass : bool;
 }
 
 (* Heuristic name match over the catalog's Table-2 vocabulary. Gain is
@@ -43,8 +44,9 @@ let measure_test ~(config : Testbench.config) ~system_clock_hz (test : Spec.test
   let bits = bits_for_test test in
   let variation = { config.Testbench.variation with Variation.bits } in
   (* The whole regime rides the test's sampling rate: stimulus tones
-     scale with fs inside the testbench, and the DUT's pole scales
-     here, so the Fc program keeps its tones around the knee at any
+     scale with fs inside the testbench, and the DUT's pole (and with
+     it the slew limit) scales here, so the Fc program keeps its tones
+     around the knee and the Slew program its step per sample at any
      rate. *)
   let factor = test.Spec.f_sample_hz /. config.Testbench.fs in
   let config =
@@ -77,6 +79,7 @@ let measure_test ~(config : Testbench.config) ~system_clock_hz (test : Spec.test
     measured_cycles;
     value = r.Testbench.measured;
     error_pct = r.Testbench.error_pct;
+    pass = r.Testbench.pass;
   }
 
 let measure_core ?(config = Testbench.default) ~system_clock_hz core =
@@ -121,6 +124,7 @@ let calibration_json reports =
                  ("measured_cycles", Export.Int m.measured_cycles);
                  ("value", Export.Float m.value);
                  ("error_pct", Export.Float m.error_pct);
+                 ("pass", Export.Bool m.pass);
                ])
            measurements)
        reports)

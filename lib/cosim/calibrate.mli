@@ -19,6 +19,7 @@ type measured = {
   measured_cycles : int;  (** TAM cycles of the record under the test's wrapper *)
   value : float;  (** the wrapped-path specification readout *)
   error_pct : float;  (** wrapped vs direct *)
+  pass : bool;  (** the program's verdict: [error_pct] within the spec's tolerance *)
 }
 
 val spec_for_test : Msoc_analog.Spec.test -> Testbench.spec
@@ -59,4 +60,5 @@ val calibrated_problem :
     measurements — per-core measurement reports alongside. *)
 
 val calibration_json : measured list list -> Msoc_testplan.Export.json
-(** Per-test nominal vs measured cycles, values and errors. *)
+(** Per-test nominal vs measured cycles, values, errors and
+    verdicts. *)

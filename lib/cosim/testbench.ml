@@ -107,11 +107,15 @@ let dut_for config spec =
       with_noise [ Dut.Polynomial { a1 = g; a2 = 0.0; a3 = 0.02 } ]
     | Dc_offset -> with_noise [ Dut.Gain g; Dut.Dc_offset 0.05 ]
     | Slew ->
-      (* Process variation moves the bias current, hence the slew. *)
+      (* Process variation moves the bias current, hence the slew. The
+         limit is 0.5 V/us for the 61 kHz core and scales with the
+         design cut-off, so a core scaled to a test's own rate (as
+         Calibrate scales it) slews as far per sample. *)
+      let max_slew = 5.0e5 *. (config.fc_nominal /. default.fc_nominal) in
       with_noise
         [ Dut.Gain g;
           Dut.Slew_limited
-            { max_slew_v_per_s = shifted 5.0e5 v.Variation.fc_shift_pct } ]
+            { max_slew_v_per_s = shifted max_slew v.Variation.fc_shift_pct } ]
   in
   Dut.make ~bias:config.bias ~fs:config.fs stages
 

@@ -69,7 +69,8 @@ val dut_for : config -> spec -> Dut.t
 (** The behavioral core each spec probes (gain + low-pass for the
     frequency tests, third-order polynomial for THD/IIP3, rate
     limiter for SR, ...), with the config's process variation and
-    noise applied. *)
+    noise applied. The SR limit is 0.5 V/us at a 61 kHz [fc_nominal]
+    and scales with it. *)
 
 type result = {
   spec : spec;

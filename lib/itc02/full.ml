@@ -37,8 +37,6 @@ let fault t =
   in
   go 0 0 t.modules
 
-let validate t = match fault t with None -> Ok () | Some (_, _, why) -> Error why
-
 let find_module t ~id =
   match List.find_opt (fun m -> m.id = id) t.modules with
   | Some m -> m
@@ -112,12 +110,6 @@ let to_string t =
   Buffer.contents buf
 
 let load path = parse ~file:path (Scan.read path)
-
-(* printed before the file is opened, so a name that does not print
-   leaves the file as it was *)
-let save path t =
-  let text = to_string t in
-  Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 (* --- flat view --- *)
 

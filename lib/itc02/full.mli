@@ -43,11 +43,6 @@ type module_ = {
 
 type t = { name : string; modules : module_ list }
 
-val validate : t -> (unit, string) result
-(** Structural checks: distinct ids, non-empty test lists, positive
-    patterns, level steps (a module may be at most one level deeper
-    than its predecessor), first module at level <= 1. *)
-
 val parent : t -> id:int -> module_ option
 (** Embedding module per the level convention; [None] for top-level
     modules. @raise Not_found for unknown ids. *)
@@ -58,10 +53,13 @@ val ancestors : t -> id:int -> module_ list
 val of_string : string -> t
 (** Parses and validates through {!Scan}, the reader {!Soc_file} shares.
     A negative terminal count or a scan-chain length below 1 is refused
-    at its [Module] line, a {!validate} fault at the [Module] or [Test]
-    line at fault; a text it accepts flattens without [Invalid_argument]
-    unless no test uses the TAM (test/test_soc_ref.ml checks the reader
-    against the one it replaced).
+    at its [Module] line. So is a structural fault, at the [Module] or
+    [Test] line at fault: a repeated id, a module without tests, a test
+    without patterns, a module more than one level deeper than its
+    predecessor, or a first module deeper than level 1. A text it
+    accepts flattens without [Invalid_argument] unless no test uses the
+    TAM (test/test_soc_ref.ml checks the reader against the one it
+    replaced).
     @raise Soc_file.Parse_error, never [Invalid_argument]. *)
 
 val to_string : t -> string
@@ -72,10 +70,6 @@ val to_string : t -> string
 val load : string -> t
 (** {!of_string} of a file (a pipe too).
     @raise Soc_file.Parse_error (with [file = Some path]) or [Sys_error]. *)
-
-val save : string -> t -> unit
-(** @raise Invalid_argument as {!to_string} does, before the file is
-    opened. *)
 
 val flatten : t -> Types.soc
 (** The planner's flat view: one {!Types.core} per TAM-using test —

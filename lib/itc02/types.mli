@@ -51,7 +51,5 @@ val test_data_volume : core -> int
 val find_core : soc -> id:int -> core
 (** @raise Not_found if no core has this id. *)
 
-val pp_core : Format.formatter -> core -> unit
-
 val pp_soc : Format.formatter -> soc -> unit
 (** One-line-per-core summary. *)

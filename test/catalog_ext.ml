@@ -1,3 +1,26 @@
+(* Extension cores beyond the paper's five: the pool that
+   test_catalog_ext and the sharing-enumeration reference
+   (test_sharing_ref) draw from.
+
+   The paper's catalog is deliberately mid-frequency and low-to-mid
+   resolution, which is why all 26 sharing combinations are feasible.
+   These three extra cores populate the corners of the requirement
+   space, so the compatibility rule of §3 actually bites:
+
+   - F — PLL block: a fast, low-resolution core (40 MHz sampling for
+     the jitter proxy test). Sharing F with a high-resolution core is
+     forbidden under the default policy.
+   - G — sigma-delta audio ADC front-end: 12-bit resolution at audio
+     rates; the "high-resolution and low-speed" archetype. F and G
+     can never share a wrapper.
+   - H — temperature sensor: a tiny, slow DC core that can share with
+     anything.
+
+   Frequencies/cycle counts are chosen in the style of Table 2; they
+   are our additions, not paper data. *)
+
+module Spec = Msoc_analog.Spec
+
 let t = Spec.test
 
 let khz v = v *. 1.0e3
@@ -33,6 +56,5 @@ let core_h =
           ~cycles:2_000 ~tam_width:1 ~resolution_bits:8;
       ]
 
-let extras = [ core_f; core_g; core_h ]
-
-let extended = Catalog.all @ extras
+(* The paper's A..E plus F, G and H — eight cores. *)
+let extended = Msoc_analog.Catalog.all @ [ core_f; core_g; core_h ]

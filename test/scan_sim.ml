@@ -1,3 +1,21 @@
+(* Cycle-accurate simulation of a wrapped digital core's test: the
+   oracle for the closed-form test time.
+
+   The scheduling layer trusts the closed form
+   T(w) = (1 + max(si, so))·p + min(si, so). This module derives that
+   number by simulating the scan protocol cycle by cycle (shift-in,
+   capture, shift-out, with the shift-out of pattern i overlapped with
+   the shift-in of pattern i+1), so the formula is a checked property
+   of the protocol, not an article of faith. [simulate] is the full
+   per-cycle trace for the design's pattern count: si shifts, then for
+   every pattern a capture followed by max(si, so) overlapped shifts,
+   ending with the drain of the last response; its length is the
+   simulated test time. [simulated_cycles] counts it without building
+   the trace, and [formula_cycles] is Design.test_time. *)
+
+module Design = Msoc_wrapper.Design
+
+(* What the wrapper does in one TAM clock cycle. *)
 type event = Shift | Capture
 
 (* Protocol: prime the wrapper by shifting in the first pattern
@@ -28,6 +46,8 @@ let simulated_cycles d =
 
 let formula_cycles = Design.test_time
 
+(* Human-readable recap: si/so, pattern count, simulated vs formula
+   cycles. *)
 let trace_summary d =
   Printf.sprintf
     "core %s: si=%d so=%d patterns=%d -> simulated %d cycles, formula %d"

@@ -4,7 +4,7 @@
 
 module Spec = Msoc_analog.Spec
 module Catalog = Msoc_analog.Catalog
-module Ext = Msoc_analog.Catalog_ext
+module Ext = Catalog_ext
 module Sharing = Msoc_analog.Sharing
 module Problem = Msoc_testplan.Problem
 module Plan = Msoc_testplan.Plan

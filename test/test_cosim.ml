@@ -921,6 +921,35 @@ let test_calibrated_plan_verifies () =
   checkb "calibrated plan verifies clean" false
     (Msoc_check.Diagnostic.has_errors diags)
 
+(* Every Table-2 test of the five catalog cores, co-simulated at its
+   own rate under cosim --calibrate's defaults (the default testbench,
+   a 78 MHz SOC clock), passes its program's tolerance, and the JSON
+   row carries the verdict. E's SR runs at 69 MS/s: only a slew limit
+   that scales with the core's pole moves the step by more than an
+   8-bit LSB per sample there. *)
+let test_calibration_rows_pass () =
+  let reports =
+    List.map (fun core -> Calibrate.measure_core ~system_clock_hz:78.0e6 core) Catalog.all
+  in
+  List.iter2
+    (fun (core : Spec.core) ->
+      List.iter (fun (m : Calibrate.measured) ->
+          checkb
+            (Printf.sprintf "%s:%s via %s, err %.2f%%" core.Spec.label
+               m.Calibrate.test.Spec.name
+               (Testbench.spec_name m.Calibrate.spec)
+               m.Calibrate.error_pct)
+            true m.Calibrate.pass))
+    Catalog.all reports;
+  match Calibrate.calibration_json reports with
+  | Export.List rows ->
+    checki "one row per test" 20 (List.length rows);
+    List.iter
+      (fun row ->
+        checkb "pass field" true (Export.member "pass" row = Some (Export.Bool true)))
+      rows
+  | _ -> Alcotest.fail "calibration_json is not a list"
+
 (* --- serve: the cosim op --- *)
 
 let with_service ?cache f =
@@ -1120,6 +1149,7 @@ let suites =
         Alcotest.test_case "measured cycles" `Quick test_calibrated_core_cycles;
         Alcotest.test_case "plan verifies clean" `Quick
           test_calibrated_plan_verifies;
+        Alcotest.test_case "catalog rows pass" `Quick test_calibration_rows_pass;
       ] );
     ( "cosim.serve",
       [

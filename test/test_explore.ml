@@ -1,11 +1,9 @@
-(* Tests for the exploration helpers, the annealing packer and the
-   digital DFT area model. *)
+(* Tests for the exploration helpers and the annealing packer. *)
 
 module Types = Msoc_itc02.Types
 module Job = Msoc_tam.Job
 module Schedule = Msoc_tam.Schedule
 module Packer = Msoc_tam.Packer
-module Dft_area = Msoc_wrapper.Dft_area
 module Catalog = Msoc_analog.Catalog
 module Problem = Msoc_testplan.Problem
 module Plan = Msoc_testplan.Plan
@@ -137,47 +135,6 @@ let test_anneal_empty () =
   let s = Packer.anneal ~width:4 [] in
   checki "empty schedule" 0 (List.length s.Schedule.placements)
 
-(* --- Dft_area --- *)
-
-let test_dft_core_cost () =
-  let core =
-    Types.core ~id:1 ~name:"d" ~inputs:10 ~outputs:6 ~bidirs:2 ~scan_chains:[ 50 ]
-      ~patterns:10
-  in
-  let c = Dft_area.core_wrapper_cost core in
-  checki "boundary cells" 20 c.Dft_area.boundary_cells;
-  checki "gates" ((20 * 8) + 60) c.Dft_area.gate_equivalents;
-  checkb "positive area" true (c.Dft_area.area_mm2 > 0.0)
-
-let test_dft_soc_cost_sums () =
-  let soc = Msoc_itc02.Synthetic.d281s () in
-  let total = Dft_area.soc_wrapper_cost soc in
-  let sum =
-    List.fold_left
-      (fun acc core -> acc + (Dft_area.core_wrapper_cost core).Dft_area.gate_equivalents)
-      0 soc.Types.cores
-  in
-  checki "gates sum" sum total.Dft_area.gate_equivalents
-
-let test_dft_technology_scaling () =
-  let soc = Msoc_itc02.Synthetic.d281s () in
-  let coarse = (Dft_area.soc_wrapper_cost ~tech_um:0.5 soc).Dft_area.area_mm2 in
-  let fine = (Dft_area.soc_wrapper_cost ~tech_um:0.12 soc).Dft_area.area_mm2 in
-  checkb "lambda^2 scaling" true
-    (Msoc_util.Numeric.close ~rel:1e-6 (coarse /. fine) ((0.5 /. 0.12) ** 2.0))
-
-let test_dft_analog_share () =
-  (* p93791m: five 8-10 bit analog wrappers at 0.12um vs 32 digital
-     wrappers — the analog share should be substantial but not total,
-     supporting (and quantifying) the paper's premise. *)
-  let soc = Msoc_itc02.Synthetic.p93791s () in
-  let analog_mm2 =
-    5.0 *. Msoc_mixedsig.Cost_model.wrapper_area_mm2 ~tech_um:0.12 ()
-  in
-  let share = Dft_area.analog_share_pct ~soc ~analog_wrappers_mm2:analog_mm2 () in
-  checkb (Printf.sprintf "share %.1f%% in (5, 95)" share) true
-    (share > 5.0 && share < 95.0)
-
 let suites =
   [
     ( "explore",
@@ -197,12 +154,5 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_anneal_deterministic;
         Alcotest.test_case "respects constraints" `Quick test_anneal_respects_constraints;
         Alcotest.test_case "empty" `Quick test_anneal_empty;
-      ] );
-    ( "dft_area",
-      [
-        Alcotest.test_case "core cost" `Quick test_dft_core_cost;
-        Alcotest.test_case "soc cost sums" `Quick test_dft_soc_cost_sums;
-        Alcotest.test_case "technology scaling" `Quick test_dft_technology_scaling;
-        Alcotest.test_case "analog share" `Quick test_dft_analog_share;
       ] );
   ]

@@ -1,6 +1,9 @@
 (* Hardening: fuzz the parsers (they must fail only with their own
-   exceptions), stress the packer with adversarial shapes, and cover
-   reporting paths not exercised elsewhere. *)
+   exceptions, and the wire parsers only with an [Error]), stress the
+   packer with adversarial shapes, and cover reporting paths not
+   exercised elsewhere. The parser fuzzers and the wire properties are
+   registered through QCheck_alcotest, so QCHECK_SEED picks their
+   inputs. *)
 
 module Types = Msoc_itc02.Types
 module Soc_file = Msoc_itc02.Soc_file
@@ -9,6 +12,7 @@ module Job = Msoc_tam.Job
 module Schedule = Msoc_tam.Schedule
 module Packer = Msoc_tam.Packer
 module Export = Msoc_testplan.Export
+module Protocol = Msoc_serve.Protocol
 module Report = Msoc_testplan.Report
 module Plan = Msoc_testplan.Plan
 
@@ -83,25 +87,115 @@ let parses_or_refuses_at_a_line of_string text =
   | _ -> true
   | exception Soc_file.Parse_error { line; _ } -> line >= 1
 
-let test_soc_file_fuzz () =
-  let run gen =
-    QCheck.Test.check_exn
-      (QCheck.Test.make ~name:"soc_file total" ~count:300 (QCheck.make ~print:Fun.id gen)
-         (parses_or_refuses_at_a_line (Soc_file.of_string ?file:None)))
-  in
-  run garbage_gen;
-  run keyword_soup_gen;
-  run out_of_range_gen
+let parser_fuzz ~name of_string =
+  QCheck.Test.make ~name ~count:900
+    (QCheck.make ~print:Fun.id
+       (QCheck.Gen.oneof [ garbage_gen; keyword_soup_gen; out_of_range_gen ]))
+    (parses_or_refuses_at_a_line of_string)
 
-let test_full_fuzz () =
-  let run gen =
-    QCheck.Test.check_exn
-      (QCheck.Test.make ~name:"full dialect total" ~count:300 (QCheck.make ~print:Fun.id gen)
-         (parses_or_refuses_at_a_line Full.of_string))
+let test_soc_file_fuzz = parser_fuzz ~name:"soc_file fuzz" (Soc_file.of_string ?file:None)
+
+let test_full_fuzz = parser_fuzz ~name:"full dialect fuzz" Full.of_string
+
+(* --- wire parsers: Ok or Error on any line, never a raise --- *)
+
+(* Byte spans (start, length) of the number tokens outside string
+   literals. *)
+let number_spans line =
+  let n = String.length line in
+  let numeric = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
+  let rec go i in_string acc =
+    if i >= n then List.rev acc
+    else
+      match line.[i] with
+      | '\\' when in_string -> go (i + 2) true acc
+      | '"' -> go (i + 1) (not in_string) acc
+      | '-' | '0' .. '9' when not in_string ->
+        let j = ref i in
+        while !j < n && numeric line.[!j] do
+          incr j
+        done;
+        go !j false ((i, !j - i) :: acc)
+      | _ -> go (i + 1) in_string acc
   in
-  run garbage_gen;
-  run keyword_soup_gen;
-  run out_of_range_gen
+  go 0 false []
+
+let envelope_gen =
+  QCheck.Gen.(
+    let* id = string_size ~gen:printable (0 -- 8) in
+    let* op = oneofl Protocol.[ Plan; Explore; Optimize; Cosim; Stats; Shutdown ] in
+    let* deadline_ms = opt (float_range 0.0 1e4) in
+    let* params =
+      list_size (0 -- 4) (pair (string_size ~gen:printable (1 -- 8)) Test_serve.json_gen)
+    in
+    return
+      (Protocol.request_to_line
+         (Protocol.request ?deadline_ms ~params:(Export.Object params) ~id op)))
+
+(* A valid envelope with one byte flipped, or with one number (["v"]'s
+   at least) replaced by a value past the float or int range, a
+   negative zero or one past [max_int]. *)
+let mutated_envelope_gen =
+  QCheck.Gen.(
+    let* line = envelope_gen in
+    oneof
+      [
+        (let* i = int_bound (String.length line - 1) and* c = char in
+         return (String.mapi (fun j b -> if j = i then c else b) line));
+        (let* start, len = oneofl (number_spans line)
+         and* edge = oneofl [ "1e999"; "-0"; "4611686018427387904"; "9999999999999999999" ] in
+         return
+           (String.sub line 0 start ^ edge
+           ^ String.sub line (start + len) (String.length line - start - len)));
+      ])
+
+(* Up to 20,000 open arrays or objects, closed or left open; one
+   kind nests inside an object with a string id. *)
+let deep_gen =
+  QCheck.Gen.(
+    let* depth = frequency [ (3, int_range 1 1_000); (1, int_range 1_000 20_000) ] in
+    let* opener, closer =
+      oneofl [ ("[", "]"); ({|{"a":|}, "}"); ({|{"id":"d","x":|}, "}") ]
+    in
+    let* closed = bool in
+    let repeat s = String.concat "" (List.init depth (fun _ -> s)) in
+    return (repeat opener ^ "1" ^ if closed then repeat closer else ""))
+
+let wire_arb =
+  let print s =
+    String.escaped (if String.length s > 200 then String.sub s 0 200 ^ "..." else s)
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      frequency
+        [
+          (2, string_size ~gen:char (0 -- 300));
+          ( 2,
+            string_size
+              ~gen:(oneofl (List.of_seq (String.to_seq {|{}[]":,1e-.\u nt|})))
+              (0 -- 60) );
+          (1, deep_gen);
+          (3, mutated_envelope_gen);
+        ])
+
+let test_export_parse_total =
+  QCheck.Test.make ~name:"Export.parse total" ~count:1000 wire_arb (fun line ->
+      match Export.parse line with Ok _ | Error _ -> true)
+
+(* A line that is a JSON object with a string id is answered under that
+   id, accepted or not; any other line under [""]. *)
+let test_request_of_line_total =
+  QCheck.Test.make ~name:"request_of_line total, id echoed" ~count:1000 wire_arb (fun line ->
+      let expected =
+        match Export.parse line with
+        | Ok json -> (
+          match Export.member "id" json with Some (Export.String id) -> id | _ -> "")
+        | Error _ -> ""
+      in
+      let id =
+        match Protocol.request_of_line line with Ok r -> r.Protocol.id | Error (id, _) -> id
+      in
+      id = expected)
 
 (* --- packer stress --- *)
 
@@ -223,10 +317,13 @@ let test_gantt_power_annotation () =
 let suites =
   [
     ( "hardening.parsers",
-      [
-        Alcotest.test_case "soc_file fuzz" `Quick test_soc_file_fuzz;
-        Alcotest.test_case "full dialect fuzz" `Quick test_full_fuzz;
-      ] );
+      List.map
+        (fun t -> QCheck_alcotest.to_alcotest t)
+        [ test_soc_file_fuzz; test_full_fuzz ] );
+    ( "hardening.wire",
+      List.map
+        (fun t -> QCheck_alcotest.to_alcotest t)
+        [ test_export_parse_total; test_request_of_line_total ] );
     ( "hardening.packer",
       [
         Alcotest.test_case "all full width" `Quick test_packer_all_full_width;

@@ -1,12 +1,10 @@
 (* Tests for the protocol-level models: the cycle-accurate scan
-   simulation (which must re-derive the closed-form test time), the
-   IEEE 1500-style wrapper, sigma-delta conversion, and the test-data
-   volume analysis. *)
+   simulation (test/scan_sim.ml, which must re-derive the closed-form
+   test time), sigma-delta conversion, and the test-data volume
+   analysis. *)
 
 module Types = Msoc_itc02.Types
 module Design = Msoc_wrapper.Design
-module Scan_sim = Msoc_wrapper.Scan_sim
-module Ieee1500 = Msoc_wrapper.Ieee1500
 module Sd = Msoc_mixedsig.Sigma_delta
 module Volume = Msoc_itc02.Volume
 
@@ -59,71 +57,6 @@ let test_scan_sim_summary () =
   let d = Design.design (sample_core ~patterns:3 ~chains:[ 20 ]) ~width:1 in
   let s = Scan_sim.trace_summary d in
   checkb "mentions patterns" true (String.length s > 20)
-
-(* --- IEEE 1500 --- *)
-
-(* A 4-in, 4-out core computing bitwise NOT. *)
-let not_core bits = Array.map not bits
-
-(* 3-in, 2-out: [parity; all_ones] *)
-let parity_core bits =
-  let ones = Array.fold_left (fun n b -> if b then n + 1 else n) 0 bits in
-  [| ones mod 2 = 1; ones = Array.length bits |]
-
-let test_1500_bypass_is_one_bit () =
-  let w = Ieee1500.create ~inputs:4 ~outputs:4 ~core:not_core in
-  checkb "starts in bypass" true (Ieee1500.instruction w = Ieee1500.Wby);
-  (* a bit falls out exactly one shift later *)
-  checkb "first out is false" true (Ieee1500.shift w true = false);
-  checkb "then the pushed bit" true (Ieee1500.shift w false = true)
-
-let test_1500_intest_not_core () =
-  let w = Ieee1500.create ~inputs:4 ~outputs:4 ~core:not_core in
-  Ieee1500.load_instruction w Ieee1500.Wintest;
-  let response = Ieee1500.apply_pattern w [ true; false; true; true ] in
-  Alcotest.(check (list bool)) "NOT applied" [ false; true; false; false ] response
-
-let test_1500_intest_parity_core () =
-  let w = Ieee1500.create ~inputs:3 ~outputs:2 ~core:parity_core in
-  Ieee1500.load_instruction w Ieee1500.Wintest;
-  Alcotest.(check (list bool)) "parity of 101" [ false; false ]
-    (Ieee1500.apply_pattern w [ true; false; true ]);
-  Alcotest.(check (list bool)) "parity of 111" [ true; true ]
-    (Ieee1500.apply_pattern w [ true; true; true ])
-
-let test_1500_pattern_sequence () =
-  (* many patterns back to back keep producing correct responses:
-     the drain of one pattern must not corrupt the next load *)
-  let w = Ieee1500.create ~inputs:4 ~outputs:4 ~core:not_core in
-  Ieee1500.load_instruction w Ieee1500.Wintest;
-  for i = 0 to 15 do
-    let bits = List.init 4 (fun b -> i land (1 lsl b) <> 0) in
-    let expect = List.map not bits in
-    Alcotest.(check (list bool)) (Printf.sprintf "pattern %d" i) expect
-      (Ieee1500.apply_pattern w bits)
-  done
-
-let test_1500_wbr_shift_through () =
-  (* In Wextest the whole WBR is one chain: a bit pushed in appears
-     after wbr_length shifts. *)
-  let w = Ieee1500.create ~inputs:3 ~outputs:2 ~core:parity_core in
-  Ieee1500.load_instruction w Ieee1500.Wextest;
-  let n = Ieee1500.wbr_length w in
-  let outputs = List.init (2 * n) (fun i -> Ieee1500.shift w (i = 0)) in
-  checkb "marker appears after wbr_length shifts" true (List.nth outputs n)
-
-let test_1500_validation () =
-  (match Ieee1500.create ~inputs:0 ~outputs:1 ~core:not_core with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "0 inputs accepted");
-  let w = Ieee1500.create ~inputs:2 ~outputs:2 ~core:not_core in
-  (match Ieee1500.apply_pattern w [ true; false ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "apply in bypass accepted");
-  Ieee1500.load_instruction w Ieee1500.Wintest;
-  match Ieee1500.apply_pattern w [ true ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "short pattern accepted"
 
 (* --- Sigma-delta --- *)
 
@@ -212,15 +145,6 @@ let suites =
         Alcotest.test_case "trace structure" `Quick test_scan_sim_trace_structure;
         Alcotest.test_case "random cores" `Quick test_scan_sim_qcheck;
         Alcotest.test_case "summary" `Quick test_scan_sim_summary;
-      ] );
-    ( "protocol.ieee1500",
-      [
-        Alcotest.test_case "bypass one bit" `Quick test_1500_bypass_is_one_bit;
-        Alcotest.test_case "intest NOT core" `Quick test_1500_intest_not_core;
-        Alcotest.test_case "intest parity core" `Quick test_1500_intest_parity_core;
-        Alcotest.test_case "pattern sequence" `Quick test_1500_pattern_sequence;
-        Alcotest.test_case "wbr shift-through" `Quick test_1500_wbr_shift_through;
-        Alcotest.test_case "validation" `Quick test_1500_validation;
       ] );
     ( "protocol.sigma_delta",
       [

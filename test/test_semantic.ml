@@ -281,6 +281,35 @@ let test_s505_dead_api () =
   in
   spared "S505 local open marks used" r
 
+(* examples/ and bench/suite/ are scanned trees: an export that only an
+   example or only a benchmark workload reads is used, and the dead one
+   beside them still fires. *)
+let test_s505_executable_trees () =
+  let mli = "val shown : int -> int\nval timed : int -> int\nval dead : int -> int\n" in
+  let body = "let shown x = x + 1\nlet timed x = x + 2\nlet dead x = x - 1\n" in
+  let r =
+    analyze
+      (fixture ~mli:false
+         ~extra:
+           [ ("examples/demo.ml", "let () = print_int (Fix.shown 1)\n");
+             ("bench/suite/workload.ml", "let run () = Fix.timed 1\n") ]
+         body
+      @ [ ("lib/fix/fix.mli", mli) ])
+  in
+  let dead_lines =
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        if
+          d.Diagnostic.code = Codes.s505
+          && d.Diagnostic.location.Diagnostic.file = Some "lib/fix/fix.mli"
+        then d.Diagnostic.location.Diagnostic.line
+        else None)
+      r.Engine.diagnostics
+  in
+  Alcotest.(check (list int))
+    ("S505 fires on fix.mli line 3 only — " ^ show r)
+    [ 3 ] dead_lines
+
 (* --- parse failure: S406 and nothing else --- *)
 
 (* The S406 notice carries the parser's own description of the
@@ -701,6 +730,8 @@ let suites =
         Alcotest.test_case "S504 blocking under lock" `Quick
           test_s504_blocking_under_lock;
         Alcotest.test_case "S505 dead exported API" `Quick test_s505_dead_api;
+        Alcotest.test_case "S505 examples and bench/suite uses" `Quick
+          test_s505_executable_trees;
         Alcotest.test_case "parse-failure degradation" `Quick
           test_parse_failure_degrades;
       ] );

@@ -17,7 +17,6 @@
 
 module Spec = Msoc_analog.Spec
 module Sharing = Msoc_analog.Sharing
-module Catalog_ext = Msoc_analog.Catalog_ext
 module Instances = Msoc_testplan.Instances
 
 module Ref = struct

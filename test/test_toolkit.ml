@@ -1,14 +1,11 @@
 (* Tests for the toolkit additions: the extended ITC'02 dialect
    (hierarchy + multiple tests), Goertzel tone detection, Newman-phase
-   multitones, bit-level TAM streaming, Gantt rendering and JSON
-   export. *)
+   multitones, Gantt rendering and JSON export. *)
 
 module Types = Msoc_itc02.Types
 module Full = Msoc_itc02.Full
 module Tone = Msoc_signal.Tone
 module Goertzel = Msoc_signal.Goertzel
-module Bitstream = Msoc_mixedsig.Bitstream
-module Wrapper = Msoc_mixedsig.Wrapper
 module Gantt = Msoc_tam.Gantt
 module Export = Msoc_testplan.Export
 
@@ -227,53 +224,6 @@ let test_newman_phase_values () =
     checkb "phi_3 = 9pi/4" true (Float.abs (p3 -. (9.0 *. Float.pi /. 4.0)) < 1e-12)
   | _ -> Alcotest.fail "expected 4 phases"
 
-(* --- Bitstream --- *)
-
-let test_bitstream_roundtrip () =
-  let codes = Array.init 64 (fun i -> (i * 37) mod 256) in
-  List.iter
-    (fun width ->
-      let words = Bitstream.serialize ~bits:8 ~width codes in
-      checki
-        (Printf.sprintf "word count at width %d" width)
-        (64 * Bitstream.words_per_sample ~bits:8 ~width)
-        (Array.length words);
-      checkb "roundtrip" true (Bitstream.deserialize ~bits:8 ~width words = codes))
-    [ 1; 2; 3; 4; 5; 8 ]
-
-let test_bitstream_msb_first () =
-  (* code 0xB4 over 4 wires: first word = high nibble 0xB, second 0x4 *)
-  let words = Bitstream.serialize ~bits:8 ~width:4 [| 0xB4 |] in
-  Alcotest.(check (array int)) "msb first" [| 0xB; 0x4 |] words
-
-let test_bitstream_word_fits_width () =
-  let codes = Array.init 32 (fun i -> i * 8) in
-  let words = Bitstream.serialize ~bits:8 ~width:3 codes in
-  Array.iter (fun w -> checkb "3-bit words" true (w >= 0 && w < 8)) words
-
-let test_bitstream_validation () =
-  (match Bitstream.serialize ~bits:8 ~width:4 [| 256 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "oversized code accepted");
-  match Bitstream.deserialize ~bits:8 ~width:3 (Array.make 5 0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "ragged stream accepted"
-
-let test_bitstream_through_wrapper () =
-  let wrapper = Wrapper.set_mode (Wrapper.create ~bits:8 ()) Wrapper.Core_test in
-  let wrapper =
-    (* width is part of the wrapper's config; reuse configure_for_test *)
-    Wrapper.configure_for_test wrapper ~system_clock_hz:50.0e6
-      (List.nth Msoc_analog.Catalog.core_a.Msoc_analog.Spec.tests 1)
-  in
-  let codes = Array.init 100 (fun i -> (i * 11) mod 256) in
-  let cfg = Wrapper.config wrapper in
-  let words = Bitstream.serialize ~bits:8 ~width:cfg.Wrapper.tam_width codes in
-  let out = Bitstream.stream_core_test wrapper ~core:Fun.id words in
-  checki "stream length preserved" (Array.length words) (Array.length out);
-  checkb "identity core round-trips the stream" true
-    (Bitstream.deserialize ~bits:8 ~width:cfg.Wrapper.tam_width out = codes)
-
 (* --- Gantt --- *)
 
 let gantt_schedule () =
@@ -358,14 +308,6 @@ let suites =
       [
         Alcotest.test_case "crest factor" `Quick test_newman_crest_factor;
         Alcotest.test_case "phase values" `Quick test_newman_phase_values;
-      ] );
-    ( "mixedsig.bitstream",
-      [
-        Alcotest.test_case "round-trip" `Quick test_bitstream_roundtrip;
-        Alcotest.test_case "msb first" `Quick test_bitstream_msb_first;
-        Alcotest.test_case "word fits width" `Quick test_bitstream_word_fits_width;
-        Alcotest.test_case "validation" `Quick test_bitstream_validation;
-        Alcotest.test_case "through wrapper" `Quick test_bitstream_through_wrapper;
       ] );
     ( "tam.gantt",
       [
