@@ -17,9 +17,10 @@ check:
 # Source-level static analysis over the parsed lib/ bin/ test/ bench/
 # bench/suite/ examples/ modules (hygiene rules, lock order, release
 # paths, check-then-act, blocking under lock, dead exported API,
-# resource lifecycles); exits 1 on error findings
+# resource lifecycles); exits 1 on error findings. The analyzer is its
+# own executable: msoc_plan links no compiler-libs.
 analyze:
-	dune exec bin/msoc_plan.exe -- analyze
+	dune exec bin/msoc_analyze.exe
 
 # Strict gate: warnings-as-errors build, full tests, the independent
 # plan verifier over the checked-in benchmark, and the source analyzer
@@ -28,7 +29,7 @@ lint:
 	dune build @all
 	dune runtest
 	dune exec bin/msoc_plan.exe -- check --soc data/p93791s.soc
-	dune exec bin/msoc_plan.exe -- analyze
+	dune exec bin/msoc_analyze.exe
 
 # Regenerate every paper table/figure + ablations (writes bench_output.txt)
 bench:

@@ -4,7 +4,6 @@
    Subcommands:
      plan      - plan a SOC (built-in instance or .soc file + analog set)
      check     - lint a .soc input and verify a produced plan (Msoc_check)
-     analyze   - source-level concurrency & hygiene linter (Msoc_analysis)
      explore   - sweep TAM widths or cost weights
      optimize  - Cost_Optimizer front end with pruning statistics
      serve     - resident planning service (stdio batch or Unix socket)
@@ -14,6 +13,9 @@
      generate  - emit a synthetic .soc benchmark file
      bist      - converter self-test and Monte-Carlo yield
      cosim     - co-simulation of wrapped spec tests (Fig. 5)
+
+   The source-level analyzer is its own executable, msoc_analyze
+   (bin/msoc_analyze.ml), so this one links no compiler-libs.
 
    Exit codes: 0 clean; 1 when `check` or `--verify` finds an
    error-severity diagnostic (or `replay` sees a failure); 124 on CLI
@@ -263,70 +265,6 @@ let check_cmd =
          const run_check $ width_arg $ weight_time_arg $ soc_file_arg
          $ analog_labels_arg $ search_term $ jobs_arg $ lint_only_flag
          $ json_flag))
-
-(* --- analyze --- *)
-
-let run_analyze root allowlist_file list_rules as_json =
-  let module A = Msoc_analysis in
-  if list_rules then begin
-    List.iter
-      (fun (info : Msoc_check.Codes.info) ->
-        if String.length info.code > 5 && info.code.[5] = 'S' then
-          Printf.printf "%s  %-7s  %s\n" info.code
-            (Msoc_check.Diagnostic.severity_label info.severity)
-            info.title)
-      Msoc_check.Codes.all;
-    exit 0
-  end;
-  (* an unreadable allowlist is a usage error (exit 124) naming the
-     option, like an unparseable value *)
-  match Option.iter (fun f -> ignore (A.Allowlist.load ~root f)) allowlist_file with
-  | exception Sys_error m -> `Error (true, "option '--allowlist': " ^ m)
-  | () ->
-    let report = A.Engine.run ?allowlist_file ~root () in
-    if as_json then
-      print_string (Msoc_testplan.Export.pretty (A.Report.to_json report))
-    else print_string (A.Report.to_text report);
-    exit (A.Engine.exit_code report)
-
-let analyze_cmd =
-  let doc =
-    "run the source-level static analyzer over this repository's own \
-     lib/, bin/, test/, bench/, bench/suite/ and examples/ trees: every \
-     module is parsed once and checked for concurrency, exception safety \
-     and API hygiene, lock-order cycles across the call graph, \
-     exception-path lock leaks, atomic check-then-act, blocking calls \
-     under a lock, dead exported API, \
-     resource lifecycles and reply obligations; exit 1 on any \
-     error-severity finding"
-  in
-  let root_arg =
-    Arg.(
-      value & opt dir "."
-      & info [ "root" ] ~docv:"DIR"
-          ~doc:"Repository root to analyze (defaults to the current directory).")
-  in
-  let allowlist_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "allowlist" ] ~docv:"FILE"
-          ~doc:
-            "Allowlist of audited exceptions, root-relative (defaults to \
-             $(b,analysis.allow) under the root when present). Stale or \
-             unjustified entries are themselves reported.")
-  in
-  let list_rules_arg =
-    Arg.(
-      value & flag
-      & info [ "rules" ]
-          ~doc:"List every S-family rule (code, severity, title) and exit.")
-  in
-  Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(
-      ret
-        (const run_analyze $ root_arg $ allowlist_arg $ list_rules_arg
-        $ json_flag))
 
 (* --- explore --- *)
 
@@ -1899,7 +1837,6 @@ let () =
           [
             plan_cmd;
             check_cmd;
-            analyze_cmd;
             explore_cmd;
             optimize_cmd;
             serve_cmd;

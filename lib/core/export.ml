@@ -96,6 +96,8 @@ let pretty json =
 
 exception Parse_failure of int * string
 
+let max_depth = 512
+
 let parse text =
   let n = String.length text in
   let fail pos fmt =
@@ -243,10 +245,13 @@ let parse text =
     in
     (value, !stop)
   in
-  let rec parse_value pos =
+  (* [depth] counts the arrays and objects around the value *)
+  let rec parse_value depth pos =
     let pos = skip_ws pos in
     match peek pos with
     | None -> fail pos "expected a value, got end of input"
+    | Some ('[' | '{') when depth = max_depth ->
+      fail pos "nesting deeper than %d levels" max_depth
     | Some 'n' -> literal pos "null" Null
     | Some 't' -> literal pos "true" (Bool true)
     | Some 'f' -> literal pos "false" (Bool false)
@@ -259,7 +264,7 @@ let parse text =
       | Some ']' -> (List [], pos + 1)
       | _ ->
         let rec items acc pos =
-          let item, pos = parse_value pos in
+          let item, pos = parse_value (depth + 1) pos in
           let pos = skip_ws pos in
           match peek pos with
           | Some ',' -> items (item :: acc) (pos + 1)
@@ -277,7 +282,7 @@ let parse text =
           let pos = expect pos '"' in
           let key, pos = parse_string pos in
           let pos = expect (skip_ws pos) ':' in
-          let value, pos = parse_value pos in
+          let value, pos = parse_value (depth + 1) pos in
           ((key, value), pos)
         in
         let rec fields acc pos =
@@ -292,7 +297,7 @@ let parse text =
     | Some c -> fail pos "unexpected character %C" c
   in
   match
-    let value, pos = parse_value 0 in
+    let value, pos = parse_value 0 0 in
     let pos = skip_ws pos in
     if pos < n then fail pos "trailing content after the value";
     value

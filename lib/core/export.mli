@@ -22,16 +22,25 @@ val to_string : json -> string
 val pretty : json -> string
 (** Two-space-indented rendering with a trailing newline. *)
 
+val max_depth : int
+(** 512: the most arrays and objects {!parse} accepts one inside the
+    other. What the program prints nests far less (a serve envelope
+    around a plan's schedule is about 6 deep). The parser recurses once
+    per level, and serve's 1 MiB line holds a million ['['], so the cap
+    is what bounds its stack and time on hostile input. *)
+
 val parse : string -> (json, string) result
 (** Parse one JSON value (the whole input, surrounding whitespace
     allowed). Numbers without a fraction or exponent that fit in an
     OCaml [int] parse as [Int], everything else as [Float]; a number
     whose value is past the float range is an [Error]; [\uXXXX]
-    escapes decode to UTF-8 bytes. [Error] carries a
+    escapes decode to UTF-8 bytes; an array or object nested past
+    {!max_depth} is an [Error] ["offset N: nesting deeper than 512
+    levels"] at its opening bracket. [Error] carries a
     ["offset N: message"] description. Inverse of {!to_string} /
     {!pretty} for every value whose floats are finite and print
-    exactly in 12 significant digits, so protocol envelopes
-    round-trip. *)
+    exactly in 12 significant digits and that nests at most
+    {!max_depth} deep, so protocol envelopes round-trip. *)
 
 val parse_exn : string -> json
 (** @raise Failure with the {!parse} error description. *)

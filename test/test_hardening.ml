@@ -250,35 +250,36 @@ let test_packer_conflict_clique () =
   checki "valid" 0 (List.length (Schedule.check s));
   checki "clique serializes" 250 (Schedule.makespan s)
 
-let test_packer_mixed_stress_qcheck () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"stress shapes stay valid" ~count:60
-       QCheck.(triple (int_range 1 2000) (int_range 2 10) (int_range 1 6))
-       (fun (seed, width, groups) ->
-         let rng = Msoc_util.Rng.create ~seed in
-         let n = Msoc_util.Rng.int_in rng ~lo:3 ~hi:18 in
-         let jobs =
-           List.init n (fun i ->
-               let label = Printf.sprintf "s%d" i in
-               let w = Msoc_util.Rng.int_in rng ~lo:1 ~hi:width in
-               let t = Msoc_util.Rng.int_in rng ~lo:5 ~hi:2_000 in
-               let base =
-                 if Msoc_util.Rng.bool rng then
-                   Job.analog ~label ~width:w ~time:t
-                     ~group:(Msoc_util.Rng.int rng ~bound:groups)
-                 else Job.digital ~label (Msoc_wrapper.Pareto.fixed ~width:w ~time:t)
-               in
-               let base =
-                 if i > 0 && Msoc_util.Rng.int rng ~bound:3 = 0 then
-                   Job.with_predecessors base [ Printf.sprintf "s%d" (i - 1) ]
-                 else base
-               in
-               if i > 1 && Msoc_util.Rng.int rng ~bound:4 = 0 then
-                 Job.with_conflicts base [ Printf.sprintf "s%d" (i - 2) ]
-               else base)
-         in
-         let s = Packer.pack ~width jobs in
-         Schedule.check s = []))
+(* Random mixes of digital and grouped analog jobs, precedences and
+   conflicts pack into valid schedules. *)
+let test_packer_mixed_stress =
+  QCheck.Test.make ~name:"mixed stress" ~count:60
+    QCheck.(triple (int_range 1 2000) (int_range 2 10) (int_range 1 6))
+    (fun (seed, width, groups) ->
+      let rng = Msoc_util.Rng.create ~seed in
+      let n = Msoc_util.Rng.int_in rng ~lo:3 ~hi:18 in
+      let jobs =
+        List.init n (fun i ->
+            let label = Printf.sprintf "s%d" i in
+            let w = Msoc_util.Rng.int_in rng ~lo:1 ~hi:width in
+            let t = Msoc_util.Rng.int_in rng ~lo:5 ~hi:2_000 in
+            let base =
+              if Msoc_util.Rng.bool rng then
+                Job.analog ~label ~width:w ~time:t
+                  ~group:(Msoc_util.Rng.int rng ~bound:groups)
+              else Job.digital ~label (Msoc_wrapper.Pareto.fixed ~width:w ~time:t)
+            in
+            let base =
+              if i > 0 && Msoc_util.Rng.int rng ~bound:3 = 0 then
+                Job.with_predecessors base [ Printf.sprintf "s%d" (i - 1) ]
+              else base
+            in
+            if i > 1 && Msoc_util.Rng.int rng ~bound:4 = 0 then
+              Job.with_conflicts base [ Printf.sprintf "s%d" (i - 2) ]
+            else base)
+      in
+      let s = Packer.pack ~width jobs in
+      Schedule.check s = [])
 
 (* --- reporting paths --- *)
 
@@ -290,23 +291,21 @@ let test_utilization_table () =
     (List.length (String.split_on_char '\n' out) >= 24 + 3);
   checkb "prints efficiency" true (contains out "overall efficiency")
 
-let test_export_escaping_qcheck () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"json strings never contain raw control chars"
-       ~count:300
-       QCheck.(string_gen QCheck.Gen.(char_range '\000' '\255'))
-       (fun s ->
-         let out = Export.to_string (Export.String s) in
-         (* the payload between the quotes must be free of raw control
-            characters and unescaped quotes *)
-         let inner = String.sub out 1 (String.length out - 2) in
-         let ok = ref true in
-         String.iteri
-           (fun i c ->
-             if Char.code c < 0x20 then ok := false
-             else if c = '"' && (i = 0 || inner.[i - 1] <> '\\') then ok := false)
-           inner;
-         !ok))
+let test_export_escaping =
+  QCheck.Test.make ~name:"json escaping" ~count:300
+    QCheck.(string_gen QCheck.Gen.(char_range '\000' '\255'))
+    (fun s ->
+      let out = Export.to_string (Export.String s) in
+      (* the payload between the quotes must be free of raw control
+         characters and unescaped quotes *)
+      let inner = String.sub out 1 (String.length out - 2) in
+      let ok = ref true in
+      String.iteri
+        (fun i c ->
+          if Char.code c < 0x20 then ok := false
+          else if c = '"' && (i = 0 || inner.[i - 1] <> '\\') then ok := false)
+        inner;
+      !ok)
 
 let test_gantt_power_annotation () =
   let jobs = [ Job.with_power (Job.digital ~label:"p" (Msoc_wrapper.Pareto.fixed ~width:1 ~time:10)) 3 ] in
@@ -330,12 +329,12 @@ let suites =
         Alcotest.test_case "single wire" `Quick test_packer_single_wire;
         Alcotest.test_case "deep precedence chain" `Quick test_packer_deep_precedence_chain;
         Alcotest.test_case "conflict clique" `Quick test_packer_conflict_clique;
-        Alcotest.test_case "mixed stress" `Quick test_packer_mixed_stress_qcheck;
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick test_packer_mixed_stress;
       ] );
     ( "hardening.reporting",
       [
         Alcotest.test_case "utilization table" `Quick test_utilization_table;
-        Alcotest.test_case "json escaping" `Quick test_export_escaping_qcheck;
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick test_export_escaping;
         Alcotest.test_case "gantt power annotation" `Quick test_gantt_power_annotation;
       ] );
   ]

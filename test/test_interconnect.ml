@@ -116,18 +116,18 @@ let test_full_soc_with_interconnect () =
   let core_only = Schedule.makespan (Packer.pack ~width core_jobs) in
   checkb "links cost something" true (Schedule.makespan s >= core_only)
 
-let test_interconnect_qcheck () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"random link sets schedule validly" ~count:25
-       QCheck.(pair (int_range 1 500) (int_range 2 12))
-       (fun (patterns, width) ->
-         let core_jobs = List.map (Job.of_core ~max_width:width) soc.Types.cores in
-         let link_jobs =
-           Interconnect.jobs soc ~max_width:width
-             (Interconnect.neighbor_chain soc ~patterns)
-         in
-         let s = Packer.pack ~width (core_jobs @ link_jobs) in
-         Schedule.check s = []))
+(* Random neighbour-chain link sets schedule validly with the cores. *)
+let test_interconnect_qcheck =
+  QCheck.Test.make ~name:"random link sets" ~count:25
+    QCheck.(pair (int_range 1 500) (int_range 2 12))
+    (fun (patterns, width) ->
+      let core_jobs = List.map (Job.of_core ~max_width:width) soc.Types.cores in
+      let link_jobs =
+        Interconnect.jobs soc ~max_width:width
+          (Interconnect.neighbor_chain soc ~patterns)
+      in
+      let s = Packer.pack ~width (core_jobs @ link_jobs) in
+      Schedule.check s = [])
 
 let suites =
   [
@@ -140,6 +140,6 @@ let suites =
         Alcotest.test_case "validation" `Quick test_link_validation;
         Alcotest.test_case "neighbor chain" `Quick test_neighbor_chain;
         Alcotest.test_case "full SOC with links" `Quick test_full_soc_with_interconnect;
-        Alcotest.test_case "random link sets" `Quick test_interconnect_qcheck;
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick test_interconnect_qcheck;
       ] );
   ]

@@ -43,15 +43,14 @@ let test_scan_sim_trace_structure () =
   checkb "starts with shifts" true
     (match trace with Scan_sim.Shift :: _ -> true | _ -> false)
 
-let test_scan_sim_qcheck () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"simulation = formula for random cores" ~count:200
-       QCheck.(
-         quad (int_range 1 300) (int_range 0 6) (int_range 10 200) (int_range 1 12))
-       (fun (patterns, n_chains, chain_len, width) ->
-         let chains = List.init n_chains (fun _ -> chain_len) in
-         let d = Design.design (sample_core ~patterns ~chains) ~width in
-         Scan_sim.simulated_cycles d = Scan_sim.formula_cycles d))
+(* The cycle-level scan simulation equals the formula on random cores. *)
+let test_scan_sim_qcheck =
+  QCheck.Test.make ~name:"random cores" ~count:200
+    QCheck.(quad (int_range 1 300) (int_range 0 6) (int_range 10 200) (int_range 1 12))
+    (fun (patterns, n_chains, chain_len, width) ->
+      let chains = List.init n_chains (fun _ -> chain_len) in
+      let d = Design.design (sample_core ~patterns ~chains) ~width in
+      Scan_sim.simulated_cycles d = Scan_sim.formula_cycles d)
 
 let test_scan_sim_summary () =
   let d = Design.design (sample_core ~patterns:3 ~chains:[ 20 ]) ~width:1 in
@@ -143,7 +142,7 @@ let suites =
       [
         Alcotest.test_case "matches formula" `Quick test_scan_sim_matches_formula;
         Alcotest.test_case "trace structure" `Quick test_scan_sim_trace_structure;
-        Alcotest.test_case "random cores" `Quick test_scan_sim_qcheck;
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick test_scan_sim_qcheck;
         Alcotest.test_case "summary" `Quick test_scan_sim_summary;
       ] );
     ( "protocol.sigma_delta",

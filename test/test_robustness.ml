@@ -245,16 +245,18 @@ let qcheck_tests =
 
 (* --- CLI values --- *)
 
-(* Runs the built msoc_plan with [args], MSOC_JOBS taken out of the
-   environment and [env] added, its stdin on [stdin] and its stdout on
-   [stdout] (default: both /dev/null); returns its exit code and the
-   lines it wrote to stderr. *)
-let run_cli ?(env = []) ?stdin ?stdout args =
-  let exe =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." (Filename.concat "bin" "msoc_plan.exe"))
-  in
+(* The built executable [tool] of bin/: msoc_plan or msoc_analyze. *)
+let tool_exe tool =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "bin" (tool ^ ".exe")))
+
+(* Runs the built [tool] (default msoc_plan) with [args], MSOC_JOBS
+   taken out of the environment and [env] added, its stdin on [stdin]
+   and its stdout on [stdout] (default: both /dev/null); returns its
+   exit code and the lines it wrote to stderr. *)
+let run_cli ?(tool = "msoc_plan") ?(env = []) ?stdin ?stdout args =
+  let exe = tool_exe tool in
   let env =
     Array.append
       (Array.of_list
@@ -287,15 +289,17 @@ let contains haystack needle =
   go 0
 
 (* A bad option value is reported like any unparseable option (here
-   the subcommand's --width x): exit 124, the error on one line naming
-   the option (and the valid values), then the same usage hint, and
-   never an uncaught exception. *)
-let check_usage_errors cases =
+   the command's --width x: msoc_plan's subcommand, or msoc_analyze,
+   which has none): exit 124, the error on one line naming the option
+   (and the valid values), then the same usage hint, and never an
+   uncaught exception. *)
+let check_usage_errors ?(tool = "msoc_plan") cases =
   List.iter
     (fun (env, args, names) ->
-      let what = String.concat " " (env @ args) in
-      let _, reference = run_cli [ List.hd args; "--width"; "x" ] in
-      let code, lines = run_cli ~env args in
+      let what = String.concat " " (env @ (tool :: args)) in
+      let command = if tool = "msoc_plan" then [ List.hd args ] else [] in
+      let _, reference = run_cli ~tool (command @ [ "--width"; "x" ]) in
+      let code, lines = run_cli ~tool ~env args in
       checki (what ^ ": exit code") 124 code;
       checkb (what ^ ": no uncaught exception") false
         (List.exists (fun l -> contains l "uncaught exception") lines);
@@ -304,7 +308,7 @@ let check_usage_errors cases =
         checkb
           (what ^ ": one error line naming " ^ String.concat " " names)
           true
-          (String.starts_with ~prefix:"msoc_plan: " error
+          (String.starts_with ~prefix:(tool ^ ": ") error
           && List.for_all (contains error) names);
         Alcotest.(check (list string)) (what ^ ": usage hint") reference_hint hint
       | _ -> Alcotest.failf "%s: no error message" what)
@@ -560,15 +564,53 @@ let test_cli_equals_envelope () =
   | Some (Export.List [ cli ]), Some envelope -> same "cosim fc" envelope cli
   | _ -> Alcotest.fail "cosim: expected one result on each side"
 
-(* The analyze file option: an unreadable allowlist. The ratchet's
-   baseline options are gone, so naming one is an unknown option. *)
+(* The analyzer's file option: an unreadable allowlist. The ratchet's
+   baseline options are gone, so naming one is an unknown option. The
+   analyzer is msoc_analyze; msoc_plan has no analyze command. *)
 let test_cli_bad_analyze_files () =
-  check_usage_errors
+  check_usage_errors ~tool:"msoc_analyze"
     [
-      ([], [ "analyze"; "--allowlist"; "nope.allow" ], [ "'--allowlist'" ]);
-      ([], [ "analyze"; "--baseline"; "b.json" ], [ "'--baseline'" ]);
-      ([], [ "analyze"; "--write-baseline"; "b.json" ], [ "'--write-baseline'" ]);
-    ]
+      ([], [ "--allowlist"; "nope.allow" ], [ "'--allowlist'" ]);
+      ([], [ "--baseline"; "b.json" ], [ "'--baseline'" ]);
+      ([], [ "--write-baseline"; "b.json" ], [ "'--write-baseline'" ]);
+    ];
+  check_usage_errors [ ([], [ "analyze" ], [ "unknown command 'analyze'" ]) ]
+
+(* The planner, the serve daemon and the fleet workers are one binary,
+   msoc_plan, and none of them runs the analyzer. So it links neither
+   Msoc_analysis nor the compiler-libs front end the analyzer parses
+   with, which would triple the binary and the page faults of every
+   start-up (DESIGN.md §11). The compilation units are read from the
+   symbol table with nm (binutils, which ocamlopt links with);
+   msoc_analyze is the control that the reading finds them where they
+   are linked. *)
+let analyzer_units tool =
+  let compiler_libs =
+    List.map (( ^ ) "caml")
+      [ "Parse"; "Parser"; "Lexer"; "Location"; "Longident"; "Ast_helper"; "Warnings"; "Clflags" ]
+  in
+  let ic = Unix.open_process_args_in "nm" [| "nm"; "--defined-only"; tool_exe tool |] in
+  let units =
+    In_channel.input_all ic |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ _; _; symbol ] ->
+             let unit = List.hd (String.split_on_char '.' symbol) in
+             if String.starts_with ~prefix:"camlMsoc_analysis" unit || List.mem unit compiler_libs
+             then Some unit
+             else None
+           | _ -> None)
+    |> List.sort_uniq compare
+  in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> units
+  | _ -> Alcotest.failf "nm %s failed" (tool_exe tool)
+
+let test_link_set () =
+  Alcotest.(check (list string)) "msoc_plan links no analyzer unit" [] (analyzer_units "msoc_plan");
+  let linked = analyzer_units "msoc_analyze" in
+  checkb "msoc_analyze links Msoc_analysis and compiler-libs' Parse" true
+    (List.mem "camlMsoc_analysis__Engine" linked && List.mem "camlParse" linked)
 
 let test_cli_bad_endpoints () =
   let both = [ "'--socket'"; "'--tcp'" ] in
@@ -689,6 +731,7 @@ let suites =
         Alcotest.test_case "bad cosim values" `Quick test_cli_bad_cosim_values;
         Alcotest.test_case "bad analyze file options" `Quick
           test_cli_bad_analyze_files;
+        Alcotest.test_case "msoc_plan links no analyzer" `Quick test_link_set;
         Alcotest.test_case "bad --socket/--tcp endpoints" `Quick
           test_cli_bad_endpoints;
         Alcotest.test_case "bad serve and replay values" `Quick

@@ -113,6 +113,23 @@ let test_parse_errors () =
       String.make 400 '9';
     ]
 
+(* Nesting past Export.max_depth is refused at the bracket that passes
+   it: a line of 1,000,000 '[' (inside serve's 1 MiB line cap) is one
+   [Error], not a parse a level at a time. *)
+let test_parse_depth_cap () =
+  let outcome text = match Export.parse text with Ok _ -> "Ok" | Error e -> e in
+  let refused_at n =
+    Printf.sprintf "offset %d: nesting deeper than %d levels" n Export.max_depth
+  in
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  let objects n = String.concat "" (List.init n (fun _ -> {|{"a":|})) ^ "1" ^ String.make n '}' in
+  let cap = Export.max_depth in
+  checks "1,000,000 '['" (refused_at cap) (outcome (String.make 1_000_000 '['));
+  checks "max_depth arrays" "Ok" (outcome (arrays cap));
+  checks "one array more" (refused_at cap) (outcome (arrays (cap + 1)));
+  checks "max_depth objects" "Ok" (outcome (objects cap));
+  checks "one object more" (refused_at (5 * cap)) (outcome (objects (cap + 1)))
+
 (* print -> parse is the identity on generated documents: every int,
    strings and keys of any bytes, and floats that are decimals of at
    most 12 significant digits, so the %.12g print is exact. Non-finite
@@ -1035,12 +1052,28 @@ let test_serve_unix_end_to_end () =
       output_char oc '\n';
       flush oc;
       let r5 = recv () in
+      (* a line of 1,000,000 '[' fits the 1 MiB line cap: one
+         bad_request past Export.max_depth, and the connection goes on
+         serving *)
+      output_string oc (String.make 1_000_000 '[');
+      output_char oc '\n';
+      send (Protocol.request ~id:"u6" Protocol.Stats);
+      let r_deep = recv () in
+      let r6 = recv () in
       (* shutdown envelope drains the daemon; serve_unix returns *)
       send (Protocol.request ~id:"u4" Protocol.Shutdown);
       let r4 = recv () in
       checkb "shutdown acknowledged" true (r4.Protocol.status = Protocol.Success);
       checks "bad envelope answered under its own id" "u5" r5.Protocol.id;
       checkb "bad envelope rejected" true (r5.Protocol.status = Protocol.Bad_request);
+      checks "deep line answered under the empty id" "" r_deep.Protocol.id;
+      checkb "deep line rejected for its nesting" true
+        (r_deep.Protocol.status = Protocol.Bad_request
+        && r_deep.Protocol.error
+           = Some (Printf.sprintf "offset %d: nesting deeper than %d levels"
+                     Export.max_depth Export.max_depth));
+      checks "the next request is answered" "u6" r6.Protocol.id;
+      checkb "the next request succeeds" true (r6.Protocol.status = Protocol.Success);
       Unix.close fd;
       Thread.join server;
       checkb "socket removed after drain" false (Sys.file_exists socket_path))
@@ -1185,6 +1218,7 @@ let suites =
         Alcotest.test_case "parse strings" `Quick test_parse_strings;
         Alcotest.test_case "parse structures" `Quick test_parse_structures;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
+        Alcotest.test_case "parse depth cap" `Quick test_parse_depth_cap;
       ] );
     ("export-json.properties", qcheck_tests);
     ( "serve-fingerprint",
