@@ -36,15 +36,16 @@ type summary = {
    for tens of GB before the first one ran. *)
 let max_trials = 100_000
 
-let run ?ranges ?(config = Testbench.default) ?tolerance_pct ?pool ~trials
-    ~seed spec =
+let check_trials name trials =
   if trials < 1 || trials > max_trials then
-    invalid_arg (Printf.sprintf "Monte_carlo.run: trials in 1..%d, got %d" max_trials trials);
+    invalid_arg (Printf.sprintf "Monte_carlo.%s: trials in 1..%d, got %d" name max_trials trials)
+
+(* Each trial reads the program and allocates its own arrays, so
+   trials share no mutable state on the pool's domains. *)
+let run_program ?ranges ?pool ~trials ~seed program =
+  check_trials "run_program" trials;
   let t0 = Unix.gettimeofday () in
-  (* The die-independent work once per run; each trial reads the
-     program and allocates its own arrays, so trials share no mutable
-     state on the pool's domains. *)
-  let program = Testbench.program ?tolerance_pct config spec in
+  let spec = Testbench.program_spec program in
   let one index =
     let variation = Variation.sample ?ranges ~master:seed ~trial:index () in
     let r = Testbench.run_program program variation in
@@ -100,6 +101,11 @@ let run ?ranges ?(config = Testbench.default) ?tolerance_pct ?pool ~trials
     }
   in
   (results, summary)
+
+let run ?ranges ?(config = Testbench.default) ?tolerance_pct ?pool ~trials
+    ~seed spec =
+  check_trials "run" trials;
+  run_program ?ranges ?pool ~trials ~seed (Testbench.program ?tolerance_pct config spec)
 
 let summary_json s =
   Export.Object

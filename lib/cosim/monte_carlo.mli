@@ -1,6 +1,6 @@
 (** Monte-Carlo sweeps of a co-simulated specification test.
 
-    Builds one {!Testbench.program} per run and runs it across many
+    Runs one {!Testbench.program} across many
     simulated dies ({!Testbench.run_program}) — converter resolution,
     mismatch, noise and DUT process variation drawn per trial by the
     shared {!Msoc_mixedsig.Variation} sampler — and summarizes pass
@@ -51,11 +51,24 @@ val run :
   seed:int ->
   Testbench.spec ->
   trial list * summary
-(** Trials 1..[trials] in order. [config] (default
-    {!Testbench.default}) supplies everything the per-trial variation
-    does not override; its program is built once for the run.
+(** Trials 1..[trials] in order: {!run_program} over the spec's
+    program for [config] (default {!Testbench.default}), which supplies
+    everything the per-trial variation does not override. The program
+    is built once for the run, after the [trials] check.
     @raise Invalid_argument if [trials] is outside [1 .. max_trials],
     or as {!Testbench.program}. *)
+
+val run_program :
+  ?ranges:Msoc_mixedsig.Variation.ranges ->
+  ?pool:Msoc_util.Pool.t ->
+  trials:int ->
+  seed:int ->
+  Testbench.program ->
+  trial list * summary
+(** The sweep over a program already built, so one program serves a
+    nominal test ({!Testbench.run_program}) and its sweep. [elapsed_s]
+    times the trials, not the program's build.
+    @raise Invalid_argument if [trials] is outside [1 .. max_trials]. *)
 
 val summary_json : summary -> Msoc_testplan.Export.json
 (** Deterministic fields only — the wall-clock rates are reported

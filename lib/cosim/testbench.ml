@@ -333,6 +333,8 @@ let result_of (p : program) ~direct ~measured trace =
     trace;
   }
 
+let program_spec (p : program) = p.spec
+
 let run_program p variation =
   let direct, measured, trace = trial p variation (read_out p.readout) in
   result_of p ~direct ~measured trace

@@ -121,6 +121,9 @@ val program : ?tolerance_pct:float -> ?stimulus:stimulus -> config -> spec -> pr
     the band, an amplitude that is not positive and finite, or any
     for [Dc_offset]. The message names the spec. *)
 
+val program_spec : program -> spec
+(** The spec a program tests. *)
+
 val run_program : program -> Msoc_mixedsig.Variation.t -> result
 (** One trial: the die's converters, resolution, noise and process
     shifts through the program. Bit-identical to running the whole

@@ -276,14 +276,22 @@ type cosimulated = {
 
 let cosim ?(prepare = fresh) ?pool s c =
   let { config; tolerance_pct; _ } = c in
-  let results = List.map (fun spec -> Testbench.run ?tolerance_pct ~config spec) c.specs in
+  (* One program per spec serves its nominal test and its sweep. *)
+  let nominal =
+    List.map
+      (fun spec ->
+        let program = Testbench.program ?tolerance_pct config spec in
+        (program, Testbench.run_program program config.Testbench.variation))
+      c.specs
+  in
+  let results = List.map snd nominal in
   let sweeps =
     if c.trials = 0 then []
     else
       List.map
-        (fun spec ->
-          Monte_carlo.run ~config ?tolerance_pct ?pool ~trials:c.trials ~seed:c.seed spec)
-        c.specs
+        (fun (program, _) ->
+          Monte_carlo.run_program ?pool ~trials:c.trials ~seed:c.seed program)
+        nominal
   in
   let calibration =
     if not c.calibrate then None

@@ -8,28 +8,21 @@ let next_pow2 n =
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-(* Everything a transform's size fixes: the bit-reversal swaps as
-   flattened (i, j) pairs with i < j, and each stage's twiddles. The
-   stage of half-length h keeps its h twiddles at offset h - 1 of [wr]
-   and [wi] (n - 1 in all), computed by the recurrence w_0 = 1,
-   w_(k+1) = w_k * (cos θ, sin θ): the products [Complex.mul] forms,
-   so every twiddle is the float a boxed transform multiplies by. *)
-type plan = { n : int; swaps : int array; wr : float array; wi : float array }
+(* Everything a transform's size fixes: each index's bit reversal,
+   and each stage's twiddles. The stage of half-length h keeps its h
+   twiddles at offset h - 1 of [wr] and [wi] (n - 1 in all), computed
+   by the recurrence w_0 = 1, w_(k+1) = w_k * (cos θ, sin θ): the
+   products [Complex.mul] forms, so every twiddle is the float a boxed
+   transform multiplies by. *)
+type plan = { n : int; rev : int array; wr : float array; wi : float array }
 
 let make_plan ~sign n =
   if not (is_pow2 n) then invalid_arg "Fft.plan: length must be a power of two";
-  (* Of the n = 2^k indices, 2^ceil(k/2) are their own bit reversal;
-     the rest pair up. *)
-  let k = ref 0 in
-  while 1 lsl !k < n do incr k done;
-  let swaps = Array.make (n - (1 lsl ((!k + 1) / 2))) 0 and count = ref 0 in
-  let j = ref 0 in
-  for i = 0 to n - 2 do
-    if i < !j then begin
-      swaps.(!count) <- i;
-      swaps.(!count + 1) <- !j;
-      count := !count + 2
-    end;
+  (* j walks the bit reversals of 0 .. n - 1: adding 1 at the top bit
+     and carrying downwards. *)
+  let rev = Array.make n 0 and j = ref 0 in
+  for i = 0 to n - 1 do
+    rev.(i) <- !j;
     let m = ref (n lsr 1) in
     while !m >= 1 && !j land !m <> 0 do
       j := !j lxor !m;
@@ -50,50 +43,143 @@ let make_plan ~sign n =
     done;
     half := 2 * h
   done;
-  { n; swaps; wr; wi }
+  { n; rev; wr; wi }
 
 let plan n = make_plan ~sign:(-1) n
 
-(* In-place decimation-in-time FFT over split real/imaginary arrays.
-   Every butterfly performs the float operations of
-   [Complex.mul]/[add]/[sub] in their order, so the result is
-   bit-identical to the boxed transform. *)
-let execute p ~re ~im =
-  let n = p.n in
-  if Array.length re <> n || Array.length im <> n then
-    invalid_arg "Fft.execute: re and im must have the plan's length";
-  let swaps = p.swaps and wr = p.wr and wi = p.wi in
-  let s = ref 0 in
-  while !s < Array.length swaps do
-    let i = swaps.(!s) and j = swaps.(!s + 1) in
-    let tr = re.(i) and ti = im.(i) in
-    re.(i) <- re.(j);
-    im.(i) <- im.(j);
-    re.(j) <- tr;
-    im.(j) <- ti;
-    s := !s + 2
-  done;
-  let half = ref 1 in
-  while !half < n do
-    let h = !half in
-    let off = h - 1 in
+(* Unchecked float-array access, typed so every load and store stays
+   unboxed. *)
+external get : float array -> int -> float = "%array_unsafe_get"
+external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
+(* The decimation-in-time stages over a vector already in bit-reversed
+   order, in place, as radix-2² passes: each pass runs the stages of
+   half-lengths h and 2h over the groups of four values h apart that
+   they combine, (p0, p1) and (p2, p3) by stage h's twiddle k, then
+   (p0, p2) by stage 2h's twiddle k and (p1, p3) by its twiddle k + h,
+   so a group is loaded and stored once for two stages. The first pass
+   (h = 1) reads its three twiddles once; a plain stage ends the
+   transform when log2 n is odd. Every butterfly performs the float
+   operations of [Complex.mul], [add] and [sub] in their order, so the
+   result is bit-identical to the boxed radix-2 transform.
+
+   The loops read and write unchecked: the caller has checked that [re]
+   and [im] have the plan's length n, and the plan holds n - 1
+   twiddles, more than the largest index read (4h - 2 <= n - 2 in a
+   pass, 2h - 2 = n - 2 in the plain stage). *)
+let stages p (re : float array) (im : float array) =
+  let n = p.n and wr = p.wr and wi = p.wi in
+  let h = ref 1 in
+  if n >= 4 then begin
+    let c1r = get wr 0 and c1i = get wi 0 and c2r = get wr 1 and c2i = get wi 1
+    and c3r = get wr 2 and c3i = get wi 2 in
     let i = ref 0 in
     while !i < n do
-      for k = 0 to h - 1 do
-        let p = !i + k in
-        let q = p + h in
-        let br = re.(q) and bi = im.(q) and w_r = wr.(off + k) and w_i = wi.(off + k) in
-        let vr = (br *. w_r) -. (bi *. w_i) and vi = (br *. w_i) +. (bi *. w_r) in
-        let ur = re.(p) and ui = im.(p) in
-        re.(p) <- ur +. vr;
-        im.(p) <- ui +. vi;
-        re.(q) <- ur -. vr;
-        im.(q) <- ui -. vi
-      done;
-      i := !i + (2 * h)
+      let p0 = !i in
+      let p1 = p0 + 1 and p2 = p0 + 2 and p3 = p0 + 3 in
+      let x0r = get re p0 and x0i = get im p0 and x1r = get re p1 and x1i = get im p1 in
+      let vr = (x1r *. c1r) -. (x1i *. c1i) and vi = (x1r *. c1i) +. (x1i *. c1r) in
+      let y0r = x0r +. vr and y0i = x0i +. vi and y1r = x0r -. vr and y1i = x0i -. vi in
+      let x2r = get re p2 and x2i = get im p2 and x3r = get re p3 and x3i = get im p3 in
+      let vr = (x3r *. c1r) -. (x3i *. c1i) and vi = (x3r *. c1i) +. (x3i *. c1r) in
+      let y2r = x2r +. vr and y2i = x2i +. vi and y3r = x2r -. vr and y3i = x2i -. vi in
+      let vr = (y2r *. c2r) -. (y2i *. c2i) and vi = (y2r *. c2i) +. (y2i *. c2r) in
+      set re p0 (y0r +. vr);
+      set im p0 (y0i +. vi);
+      set re p2 (y0r -. vr);
+      set im p2 (y0i -. vi);
+      let vr = (y3r *. c3r) -. (y3i *. c3i) and vi = (y3r *. c3i) +. (y3i *. c3r) in
+      set re p1 (y1r +. vr);
+      set im p1 (y1i +. vi);
+      set re p3 (y1r -. vr);
+      set im p3 (y1i -. vi);
+      i := !i + 4
     done;
-    half := 2 * h
-  done
+    h := 4
+  end;
+  while 4 * !h <= n do
+    let h' = !h in
+    let o1 = h' - 1 and o2 = (2 * h') - 1 in
+    let i = ref 0 in
+    while !i < n do
+      for k = 0 to h' - 1 do
+        let c1r = get wr (o1 + k) and c1i = get wi (o1 + k) in
+        let p0 = !i + k in
+        let p1 = p0 + h' in
+        let p2 = p1 + h' in
+        let p3 = p2 + h' in
+        let x0r = get re p0 and x0i = get im p0 and x1r = get re p1 and x1i = get im p1 in
+        let vr = (x1r *. c1r) -. (x1i *. c1i) and vi = (x1r *. c1i) +. (x1i *. c1r) in
+        let y0r = x0r +. vr and y0i = x0i +. vi and y1r = x0r -. vr and y1i = x0i -. vi in
+        let x2r = get re p2 and x2i = get im p2 and x3r = get re p3 and x3i = get im p3 in
+        let vr = (x3r *. c1r) -. (x3i *. c1i) and vi = (x3r *. c1i) +. (x3i *. c1r) in
+        let y2r = x2r +. vr and y2i = x2i +. vi and y3r = x2r -. vr and y3i = x2i -. vi in
+        let c2r = get wr (o2 + k) and c2i = get wi (o2 + k) in
+        let vr = (y2r *. c2r) -. (y2i *. c2i) and vi = (y2r *. c2i) +. (y2i *. c2r) in
+        set re p0 (y0r +. vr);
+        set im p0 (y0i +. vi);
+        set re p2 (y0r -. vr);
+        set im p2 (y0i -. vi);
+        let c3r = get wr (o2 + k + h') and c3i = get wi (o2 + k + h') in
+        let vr = (y3r *. c3r) -. (y3i *. c3i) and vi = (y3r *. c3i) +. (y3i *. c3r) in
+        set re p1 (y1r +. vr);
+        set im p1 (y1i +. vi);
+        set re p3 (y1r -. vr);
+        set im p3 (y1i -. vi)
+      done;
+      i := !i + (4 * h')
+    done;
+    h := 4 * h'
+  done;
+  let h = !h in
+  if h < n then
+    for k = 0 to h - 1 do
+      let p0 = k in
+      let p1 = p0 + h in
+      let c1r = get wr (h - 1 + k) and c1i = get wi (h - 1 + k) in
+      let x1r = get re p1 and x1i = get im p1 in
+      let vr = (x1r *. c1r) -. (x1i *. c1i) and vi = (x1r *. c1i) +. (x1i *. c1r) in
+      let x0r = get re p0 and x0i = get im p0 in
+      set re p0 (x0r +. vr);
+      set im p0 (x0i +. vi);
+      set re p1 (x0r -. vr);
+      set im p1 (x0i -. vi)
+    done
+
+let check_buffers name p ~re ~im =
+  if Array.length re <> p.n || Array.length im <> p.n then
+    invalid_arg (name ^ ": re and im must have the plan's length")
+
+let execute p ~re ~im =
+  check_buffers "Fft.execute" p ~re ~im;
+  let rev = p.rev in
+  for i = 0 to p.n - 1 do
+    let j = Array.unsafe_get rev i in
+    if i < j then begin
+      let tr = get re i and ti = get im i in
+      set re i (get re j);
+      set im i (get im j);
+      set re j tr;
+      set im j ti
+    end
+  done;
+  stages p re im
+
+let execute_windowed p ~coefs ~offset x ~re ~im =
+  check_buffers "Fft.execute_windowed" p ~re ~im;
+  let m = Array.length coefs in
+  if m > p.n then invalid_arg "Fft.execute_windowed: more coefficients than the plan's length";
+  if offset < 0 || offset > Array.length x - m then
+    invalid_arg "Fft.execute_windowed: offset leaves the record";
+  let rev = p.rev in
+  for i = 0 to m - 1 do
+    set re (Array.unsafe_get rev i) (get x (offset + i) *. get coefs i)
+  done;
+  for i = m to p.n - 1 do
+    set re (Array.unsafe_get rev i) 0.0
+  done;
+  Array.fill im 0 p.n 0.0;
+  stages p re im
 
 let forward_in_place ~re ~im = execute (plan (Array.length re)) ~re ~im
 

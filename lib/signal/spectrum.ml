@@ -7,16 +7,14 @@ type t = {
 }
 
 (* Window [coefs]-many samples of [x] from [offset] straight into the
-   real half of a zero-padded [n_fft]-point split buffer, transform it
-   in place over [plan] and return |X[k]| of the one-sided bins
-   0 .. n_fft/2. *)
+   bit-reversed slots of a zero-padded [n_fft]-point split buffer,
+   transform it in place over [plan] and return |X[k]| of the
+   one-sided bins 0 .. n_fft/2. The entry overwrites every slot, so
+   the buffers start uninitialized. *)
 let one_sided_magnitudes ~plan ~coefs ~n_fft ~offset x =
-  let re = Array.make n_fft 0.0 and im = Array.make n_fft 0.0 in
-  for i = 0 to Array.length coefs - 1 do
-    re.(i) <- x.(offset + i) *. coefs.(i)
-  done;
-  Fft.execute plan ~re ~im;
-  let mags = Array.make ((n_fft / 2) + 1) 0.0 in
+  let re = Array.create_float n_fft and im = Array.create_float n_fft in
+  Fft.execute_windowed plan ~coefs ~offset x ~re ~im;
+  let mags = Array.create_float ((n_fft / 2) + 1) in
   for k = 0 to Array.length mags - 1 do
     mags.(k) <- Float.hypot re.(k) im.(k)
   done;

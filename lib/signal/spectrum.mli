@@ -31,10 +31,11 @@ val analyzer :
 val analyze : ?window:Window.t -> ?pad_to:int -> fs:float -> float array -> t
 (** Windowed (default Hann), zero-padded FFT magnitude spectrum:
     [analyzer ?window ?pad_to ~fs (Array.length x) x], so one plan is
-    built per call. The record is windowed straight into the real half
-    of a [pad_to]-point split buffer (default: the next power of two
-    of its length), transformed in place by {!Fft.execute}, and only
-    the one-sided bins take [Float.hypot]. The magnitudes are
+    built per call. {!Fft.execute_windowed} writes each windowed
+    sample straight into its bit-reversed slot of a [pad_to]-point
+    split buffer (default: the next power of two of its length) and
+    transforms it in place, and only the one-sided bins take
+    [Float.hypot]. The magnitudes are
     bit-identical to windowing, padding, transforming and taking the
     modulus of boxed [Complex.t] values.
     @raise Invalid_argument on an [fs] that is not finite and positive

@@ -58,12 +58,14 @@ let gaussian t =
   box_muller u1 u2
 
 let fill_gaussian t dst =
-  let n = Array.length dst in
-  let u = Array.make (2 * n) 0.0 in
-  fill_float t ~bound:1.0 u;
-  for i = 0 to n - 1 do
-    dst.(i) <- box_muller u.(2 * i) u.((2 * i) + 1)
-  done
+  let state = ref t.state in
+  for i = 0 to Array.length dst - 1 do
+    state := advance !state;
+    let u1 = to_float (mix !state) ~bound:1.0 in
+    state := advance !state;
+    dst.(i) <- box_muller u1 (to_float (mix !state) ~bound:1.0)
+  done;
+  t.state <- !state
 
 let float_in t ~lo ~hi = lo +. float t ~bound:(hi -. lo)
 

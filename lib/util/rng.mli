@@ -44,8 +44,10 @@ val gaussian : t -> float
 
 val fill_gaussian : t -> float array -> unit
 (** [fill_gaussian t dst] writes the values [Array.length dst] calls of
-    {!gaussian} would return, bit for bit, drawing their uniforms with
-    one {!fill_float} into a scratch array of twice [dst]'s length. *)
+    {!gaussian} would return, bit for bit, and leaves [t] where those
+    calls would. Each value's two uniforms are drawn inline, with the
+    generator state in a local as in {!fill_float}, so nothing is
+    allocated. *)
 
 val float_in : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. *)

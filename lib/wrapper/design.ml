@@ -35,13 +35,17 @@ type kernel = {
   cells_in : int;  (* scan + input + bidir cells: the scan-in side's total *)
   cells_out : int;  (* scan + output + bidir cells *)
   owner : int array;  (* wrapper chain holding each of [lengths] *)
-  (* One slot per wrapper chain; a design at width k uses the first k. *)
-  load : int array;  (* scan cells *)
-  count : int array;  (* scan chains *)
-  ins : int array;  (* input cells *)
-  outs : int array;  (* output cells *)
-  bids : int array;  (* bidir cells *)
-  base : int array;  (* max(si, so) before the bidirs *)
+  max_width : int;
+  (* One slot per wrapper chain; a design at width k uses the first k.
+     The arrays start at the kernel's guess of the widest design (see
+     [kernel]) and double when [run] is asked for a wider one, up to
+     [max_width]. *)
+  mutable load : int array;  (* scan cells *)
+  mutable count : int array;  (* scan chains *)
+  mutable ins : int array;  (* input cells *)
+  mutable outs : int array;  (* output cells *)
+  mutable bids : int array;  (* bidir cells *)
+  mutable base : int array;  (* max(si, so) before the bidirs *)
   (* The last design. *)
   mutable used : int;
   mutable si : int;
@@ -59,14 +63,23 @@ let kernel (core : Types.core) ~max_width =
   let lengths = Array.of_list core.scan_chains in
   Array.sort (fun a b -> Int.compare b a) lengths;
   let scan = Array.fold_left ( + ) 0 lengths in
-  let slots () = Array.make max_width 0 in
+  let cells_in = scan + core.inputs + core.bidirs and cells_out = scan + core.outputs + core.bidirs in
+  (* A staircase rarely designs much past the width where
+     [lower_bound] stops falling, ceil (max cells / max 1 L): past it,
+     only while its designs miss the bound, and best-fit decreasing
+     meets it within a few widths. So the slots start a quarter past
+     that width, not at [max_width] ([run] grows them). *)
+  let longest = if Array.length lengths = 0 then 1 else Int.max 1 lengths.(0) in
+  let settled = (Int.max cells_in cells_out + longest - 1) / longest in
+  let slots () = Array.make (Int.min max_width (settled + (settled / 4) + 1)) 0 in
   {
     source = core;
     lengths;
     positive = Array.fold_left (fun n l -> if l > 0 then n + 1 else n) 0 lengths;
-    cells_in = scan + core.inputs + core.bidirs;
-    cells_out = scan + core.outputs + core.bidirs;
+    cells_in;
+    cells_out;
     owner = Array.make (Array.length lengths) 0;
+    max_width;
     load = slots ();
     count = slots ();
     ins = slots ();
@@ -130,9 +143,20 @@ let level load k n cells =
     else cells.(i) <- c
   done
 
+(* Slots for a design [k] wide, doubling: [run] keeps nothing in them
+   from one design to the next. *)
+let grow kn k =
+  let slots = Array.make (Int.min kn.max_width (Int.max k (2 * Array.length kn.load))) 0 in
+  kn.load <- slots;
+  kn.count <- Array.copy slots;
+  kn.ins <- Array.copy slots;
+  kn.outs <- Array.copy slots;
+  kn.bids <- Array.copy slots;
+  kn.base <- Array.copy slots
+
 let run kn ~width:k =
-  if k <= 0 || k > Array.length kn.load then
-    invalid_arg "Design.run: width outside 1..max_width";
+  if k <= 0 || k > kn.max_width then invalid_arg "Design.run: width outside 1..max_width";
+  if k > Array.length kn.load then grow kn k;
   let { source = core; lengths; owner; load; count; ins; outs; bids; base; _ } = kn in
   (* Best-fit decreasing: each scan chain, longest first, goes to the
      wrapper chain with the least scan load, the lowest index among

@@ -52,7 +52,11 @@ type kernel
 (** One core's scan chains, sorted longest first, and int buffers for
     designs up to [max_width] wide: per wrapper chain its scan load,
     scan-chain count and input, output and bidir cells, and per scan
-    chain the wrapper chain holding it. A kernel holds one design at a
+    chain the wrapper chain holding it. The per-wrapper-chain buffers
+    start a quarter past the width where {!lower_bound} stops falling
+    (ceil of the larger cell total over max 1 L, capped at
+    [max_width]), which a staircase rarely passes, and {!run} doubles
+    them when asked for a wider design. A kernel holds one design at a
     time; share it across domains only with external locking. *)
 
 val kernel : Msoc_itc02.Types.core -> max_width:int -> kernel
@@ -66,7 +70,9 @@ val run : kernel -> width:int -> int
     best-fit-decreasing partition into the first [width] slots, then
     the three levellings. O(c·width + width·d) for [c] scan chains,
     where each levelling's descent takes [d] passes (at most [width] + 1;
-    at most four on the ITC'02 SOCs); allocates nothing.
+    at most four on the ITC'02 SOCs); allocates only when [width] is
+    wider than the kernel's buffers, which then double (to at least
+    [width], at most [max_width]).
     @raise Invalid_argument unless [1 <= width <= max_width]. *)
 
 val used_width : kernel -> int

@@ -868,6 +868,51 @@ let test_monte_carlo_summary () =
     checkb "no toplevel elapsed" true (not (List.mem_assoc "elapsed_s" fields))
   | _ -> Alcotest.fail "summary_json not an object"
 
+(* [run_program] over a program built once reads what [run] reads for
+   the program's spec and config: every trial and every deterministic
+   summary field. *)
+let test_monte_carlo_run_program () =
+  let deterministic s =
+    match Monte_carlo.summary_json s with
+    | Export.Object fields -> Export.to_string (Export.Object (List.remove_assoc "timing" fields))
+    | json -> Export.to_string json
+  in
+  List.iter
+    (fun spec ->
+      let name = Testbench.spec_name spec in
+      let a, sa = Monte_carlo.run ~config:mc_config ~trials:3 ~seed:7 spec in
+      let b, sb = Monte_carlo.run_program ~trials:3 ~seed:7 (Testbench.program mc_config spec) in
+      checkb (name ^ ": trials") true (List.map trial_key a = List.map trial_key b);
+      checks (name ^ ": summary") (deterministic sa) (deterministic sb))
+    Testbench.specs;
+  match Monte_carlo.run_program ~trials:0 ~seed:1 (Testbench.program mc_config Testbench.Fc) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "zero trials accepted"
+
+(* The allocation gate: one Monte-Carlo trial of the default fc
+   program may allocate at most [fc_trial_major_words] words on the
+   major heap. Its arrays longer than the minor heap's largest block
+   (the record, the DUT stages, the noise draws, the FFT buffers and
+   the magnitudes) go there directly; its ~5 000 minor words start on
+   an empty minor heap after [Gc.full_major] and trigger no minor
+   collection, so nothing is promoted and the count repeats exactly
+   (72 832 words; 81 935 before the noise draw streamed its uniforms
+   and the spectra stopped zero-filling their buffers). *)
+let fc_trial_major_words = 73_000.0
+
+let test_fc_trial_major_words () =
+  let program = Testbench.program Testbench.default Testbench.Fc in
+  let variation = Variation.sample ~master:1 ~trial:1 () in
+  ignore (Testbench.run_program program variation);
+  Gc.full_major ();
+  let _, _, before = Gc.counters () in
+  ignore (Sys.opaque_identity (Testbench.run_program program variation));
+  let _, _, after = Gc.counters () in
+  let words = after -. before in
+  if words > fc_trial_major_words then
+    Alcotest.failf "one fc trial allocated %.0f major words, above the gate's %.0f" words
+      fc_trial_major_words
+
 (* --- calibration --- *)
 
 let test_spec_for_test_mapping () =
@@ -1142,6 +1187,8 @@ let suites =
         Alcotest.test_case "seed sensitivity" `Quick
           test_monte_carlo_seed_sensitivity;
         Alcotest.test_case "summary" `Quick test_monte_carlo_summary;
+        Alcotest.test_case "run_program = run" `Quick test_monte_carlo_run_program;
+        Alcotest.test_case "fc trial major words" `Quick test_fc_trial_major_words;
       ] );
     ( "cosim.calibrate",
       [

@@ -17,11 +17,16 @@
    Box–Muller draws, the biquad cascade with a fresh array per section
    and every [Analog_models] stage as a record-to-record map. The
    current code must reproduce every output bit for bit, compared
-   through [Int64.bits_of_float]:
-   - FFT forward and inverse at every power-of-two length 1..4096;
+   through [Int64.bits_of_float], on vectors that now and then carry
+   NaNs of either sign and infinities:
+   - FFT forward and inverse at power-of-two lengths 1..4096, and in
+     every case each length 2^0..2^14 through both planned entries
+     ([execute], and [execute_windowed] against [execute]), so both
+     parities of log2 n and the sizes below the first radix-2² pass
+     run in every run;
    - spectra for every window with [pad_to] the record length (when a
      power of two), the next power of two and four times that, and
-     Welch PSDs;
+     Welch PSDs, with segments of 1, 2 and 4 samples in every case;
    - both ADC architectures at 4..16 bits (even for the pipeline) on
      every threshold, its neighbouring floats, and voltages inside and
      outside 0..4 V, plus quantization of the same voltages;
@@ -36,7 +41,10 @@
      also leave its input record as it found it;
    - [Ref.Cutoff] keeps the cut-off fit whose residual mapped the tone
      list and took [Numeric.mean] on every evaluation; [Cutoff.fit]
-     must return its bits, or raise its exception, on 2..6 tones. *)
+     must return its bits, or raise its exception, on 2..6 tones.
+   The entries whose loops run unchecked must raise [Invalid_argument]
+   on every buffer of the wrong length and every offset outside the
+   record. *)
 
 module Fft = Msoc_signal.Fft
 module Window = Msoc_signal.Window
@@ -657,6 +665,18 @@ let value rng =
   | 3 -> Rng.float_in rng ~lo:(-1.0) ~hi:1.0 *. Float.pow 10.0 (Rng.float_in rng ~lo:(-30.0) ~hi:30.0)
   | _ -> Rng.float_in rng ~lo:(-2.0) ~hi:2.0
 
+(* [n] [value]s; one vector in four carries one to three NaNs of
+   either sign or infinities, so NaN propagation and inf - inf are
+   compared too without poisoning every transform. *)
+let values rng n =
+  let v = Array.init n (fun _ -> value rng) in
+  if n > 0 && Rng.int rng ~bound:4 = 0 then
+    for _ = 1 to Rng.int_in rng ~lo:1 ~hi:3 do
+      v.(Rng.int rng ~bound:n) <-
+        Rng.pick rng [| Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity |]
+    done;
+  v
+
 let seed_arb = QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000_000))
 
 (* --- FFT --- *)
@@ -665,10 +685,8 @@ let fft_matches seed =
   let rng = Rng.create ~seed in
   let n = 1 lsl Rng.int_in rng ~lo:0 ~hi:12 in
   let real = Rng.bool rng in
-  let x =
-    Array.init n (fun _ ->
-        { Complex.re = value rng; im = (if real then 0.0 else value rng) })
-  in
+  let re = values rng n and im = if real then Array.make n 0.0 else values rng n in
+  let x = Array.init n (fun i -> { Complex.re = re.(i); im = im.(i) }) in
   same_complex (Fft.forward x) (Ref.forward x)
   && same_complex (Fft.inverse x) (Ref.inverse x)
   && same_complex (Fft.inverse (Fft.forward x)) (Ref.inverse (Ref.forward x))
@@ -683,7 +701,7 @@ let spectra_match seed =
     if Rng.bool rng then 1 lsl Rng.int_in rng ~lo:0 ~hi:11
     else Rng.int_in rng ~lo:1 ~hi:2500
   in
-  let x = Array.init n (fun _ -> value rng) in
+  let x = values rng n in
   let next = Fft.next_pow2 n in
   List.for_all
     (fun window ->
@@ -696,17 +714,21 @@ let spectra_match seed =
         ((if n = next then [ Some n ] else []) @ [ None; Some next; Some (4 * next) ]))
     windows
 
+(* The drawn segment and the three below the first radix-2² pass. *)
 let welch_matches seed =
   let rng = Rng.create ~seed in
-  let segment = 1 lsl Rng.int_in rng ~lo:0 ~hi:9 in
-  let x = Array.init (segment + Rng.int_in rng ~lo:0 ~hi:3000) (fun _ -> value rng) in
+  let drawn = 1 lsl Rng.int_in rng ~lo:0 ~hi:9 in
+  let x = values rng (drawn + Rng.int_in rng ~lo:0 ~hi:3000) in
   let window = Rng.pick rng (Array.of_list windows) in
   let overlap = Rng.pick rng [| 0.0; 0.25; 0.5; 0.75; 0.9 |] in
   let fs = Rng.float_in rng ~lo:1.0e3 ~hi:1.0e7 in
-  let flat = Spectrum.welch_psd ~window ~segment ~overlap ~fs x
-  and reference = Ref.welch_psd ~window ~segment ~overlap ~fs x in
-  same_bits (Array.map fst flat) (Array.map fst reference)
-  && same_bits (Array.map snd flat) (Array.map snd reference)
+  List.for_all
+    (fun segment ->
+      let flat = Spectrum.welch_psd ~window ~segment ~overlap ~fs x
+      and reference = Ref.welch_psd ~window ~segment ~overlap ~fs x in
+      same_bits (Array.map fst flat) (Array.map fst reference)
+      && same_bits (Array.map snd flat) (Array.map snd reference))
+    [ drawn; 1; 2; 4 ]
 
 (* --- ADC and quantization --- *)
 
@@ -964,6 +986,85 @@ let kernels_match seed =
       (String.concat ", " (List.rev !failed));
   true
 
+(* --- every planned size, both entries --- *)
+
+(* Each length 2^0..2^14: [execute] against the mapped transform,
+   [inverse] against its scaled inverse, and [execute_windowed] over
+   buffers full of leftovers against [execute] of the record it
+   describes: [m] samples from [offset] times [m] coefficients (NaNs
+   and infinities included), zero-padded. *)
+let every_size_matches seed =
+  let rng = Rng.create ~seed in
+  let failed = ref [] in
+  for log2n = 0 to 14 do
+    let n = 1 lsl log2n in
+    let check label ok = if not ok then failed := Printf.sprintf "%s at %d" label n :: !failed in
+    let plan = Fft.plan n in
+    let re = values rng n and im = values rng n in
+    let c = Array.init n (fun i -> { Complex.re = re.(i); im = im.(i) }) in
+    let re' = Array.copy re and im' = Array.copy im in
+    Ref.Mapped.transform ~sign:(-1) re' im';
+    Fft.execute plan ~re ~im;
+    check "Fft.execute" (same_bits re re' && same_bits im im');
+    let re' = Array.map (fun v -> v.Complex.re) c and im' = Array.map (fun v -> v.Complex.im) c in
+    Ref.Mapped.transform ~sign:1 re' im';
+    let scale = 1.0 /. float_of_int n and back = Fft.inverse c in
+    check "Fft.inverse"
+      (same_bits (Array.map (fun v -> v.Complex.re) back) (Array.map (fun x -> x *. scale) re')
+      && same_bits (Array.map (fun v -> v.Complex.im) back) (Array.map (fun x -> x *. scale) im'));
+    let m = if Rng.bool rng then n else Rng.int_in rng ~lo:0 ~hi:n in
+    let offset = Rng.int_in rng ~lo:0 ~hi:5 in
+    let x = values rng (offset + m + Rng.int_in rng ~lo:0 ~hi:5) and coefs = values rng m in
+    let want_re = Array.make n 0.0 and want_im = Array.make n 0.0 in
+    for i = 0 to m - 1 do
+      want_re.(i) <- x.(offset + i) *. coefs.(i)
+    done;
+    Fft.execute plan ~re:want_re ~im:want_im;
+    let re = values rng n and im = values rng n in
+    Fft.execute_windowed plan ~coefs ~offset x ~re ~im;
+    check "Fft.execute_windowed" (same_bits re want_re && same_bits im want_im)
+  done;
+  if !failed <> [] then
+    QCheck.Test.fail_reportf "%s differ" (String.concat ", " (List.rev !failed));
+  true
+
+(* The entries whose loops run unchecked reject, before any loop, a
+   buffer of the wrong length, more coefficients than the plan and an
+   offset that leaves the record (one past the end, negative, or large
+   enough to overflow). *)
+let test_unchecked_entries_reject () =
+  let rejects label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: accepted" label
+  in
+  List.iter
+    (fun n ->
+      let plan = Fft.plan n in
+      let buf k = Array.make k 0.0 in
+      List.iter
+        (fun (label, re, im) ->
+          rejects ("execute " ^ label) (fun () -> Fft.execute plan ~re ~im);
+          rejects ("execute_windowed " ^ label) (fun () ->
+              Fft.execute_windowed plan ~coefs:(buf 1) ~offset:0 (buf 1) ~re ~im))
+        [
+          ("re short", buf (n - 1), buf n);
+          ("re long", buf (n + 1), buf n);
+          ("im short", buf n, buf (n - 1));
+          ("im long", buf n, buf (n + 1));
+          ("both empty", [||], [||]);
+        ];
+      let windowed label ~coefs ~offset x =
+        rejects ("execute_windowed " ^ label) (fun () ->
+            Fft.execute_windowed plan ~coefs ~offset x ~re:(buf n) ~im:(buf n))
+      in
+      windowed "coefs past the plan" ~coefs:(buf (n + 1)) ~offset:0 (buf (n + 1));
+      windowed "offset past the end" ~coefs:(buf n) ~offset:1 (buf n);
+      windowed "offset -1" ~coefs:(buf 1) ~offset:(-1) (buf 4);
+      windowed "offset max_int" ~coefs:(buf 1) ~offset:max_int (buf 4);
+      windowed "offset min_int" ~coefs:(buf 1) ~offset:min_int (buf 4))
+    [ 1; 2; 4; 8; 1024 ]
+
 (* --- the cut-off fit --- *)
 
 (* 2..6 tones at positive frequencies and gains, orders 1..4: gains on
@@ -1014,7 +1115,15 @@ let qcheck_tests =
       ~count:100 seed_arb kernels_match;
     QCheck.Test.make ~name:"cut-off fit = list-based reference" ~count:1000 seed_arb
       cutoff_matches;
+    QCheck.Test.make ~name:"every FFT size 2^0..2^14, both entries = mapped reference"
+      ~count:20 seed_arb every_size_matches;
   ]
   |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
-let suites = [ ("dsp-ref.property", qcheck_tests) ]
+let suites =
+  [
+    ("dsp-ref.property", qcheck_tests);
+    ( "dsp-ref.entries",
+      [ Alcotest.test_case "unchecked entries reject bad buffers" `Quick
+          test_unchecked_entries_reject ] );
+  ]
