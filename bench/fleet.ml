@@ -44,19 +44,8 @@ let worker_exe () =
 
 (* --- wire client (closed loop, one in-flight request per connection) --- *)
 
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.setsockopt fd Unix.TCP_NODELAY true
-  with
-  | () -> fd
-  | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e
-
 let rec connect_retry ?(attempts = 100) port =
-  match connect port with
+  match Msoc_serve.Server.connect (`Tcp ("127.0.0.1", port)) () with
   | fd -> fd
   | exception Unix.Unix_error _ when attempts > 0 ->
     Thread.delay 0.1;

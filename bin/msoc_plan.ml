@@ -6,8 +6,9 @@
      check     - lint a .soc input and verify a produced plan (Msoc_check)
      explore   - sweep TAM widths or cost weights
      optimize  - Cost_Optimizer front end with pruning statistics
-     serve     - resident planning service (stdio batch or Unix socket)
-     replay    - load-test client for a running serve daemon
+     serve     - resident planning service (stdio batch, Unix socket or TCP)
+     fleet     - consistent-hash router over supervised serve workers
+     replay    - load-test client for a serve daemon or a fleet router
      soc-info  - describe a .soc file (cores, staircases, volumes)
      sharing   - list wrapper-sharing combinations with C_A and T_LB
      generate  - emit a synthetic .soc benchmark file
@@ -679,13 +680,16 @@ let serve_socket_arg =
         ~doc:"Serve as a daemon on this Unix-domain socket instead of stdio.")
 
 let serve_tcp_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "tcp" ] ~docv:"PORT"
-        ~doc:
-          "Serve as a TCP daemon on 127.0.0.1:$(docv) (0 picks a free port). \
-           Exclusive with $(b,--socket).")
+  let on_loopback = Option.map (fun port -> ("127.0.0.1", port)) in
+  Term.(
+    const on_loopback
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "tcp" ] ~docv:"PORT"
+            ~doc:
+              "Serve as a TCP daemon on 127.0.0.1:$(docv) (0 picks a free \
+               port). Exclusive with $(b,--socket)."))
 
 (* [--socket] and [--tcp] name one endpoint: both together, or neither
    where the command has no [stdio] mode, is a usage error (exit 124). *)
@@ -768,18 +772,16 @@ let run_serve endpoint worker_id cache_dir memory_cache cache_max_mb queue
     ~finally:(fun () -> Serve_service.shutdown service)
     (fun () ->
       match endpoint with
-      | `Unix path ->
-        describe path;
-        Msoc_serve.Server.serve_unix ~queue_capacity:queue ~socket_path:path
-          service;
-        Fmt.epr "msoc_plan serve: drained, exiting@."
-      | `Tcp port ->
-        Msoc_serve.Server.serve_tcp ~queue_capacity:queue
+      | `Stdio -> Msoc_serve.Server.serve_channels service stdin stdout
+      | (`Unix _ | `Tcp _) as listen ->
+        Msoc_serve.Server.serve ~queue_capacity:queue
           ~ready:(fun bound ->
-            describe (Printf.sprintf "127.0.0.1:%d" bound))
-          ~port service;
-        Fmt.epr "msoc_plan serve: drained, exiting@."
-      | `Stdio -> Msoc_serve.Server.serve_channels service stdin stdout)
+            describe
+              (match listen with
+              | `Unix path -> path
+              | `Tcp (host, _) -> Printf.sprintf "%s:%d" host bound))
+          ~listen service;
+        Fmt.epr "msoc_plan serve: drained, exiting@.")
 
 let serve_cmd =
   let doc =
@@ -800,13 +802,8 @@ let serve_cmd =
 module Fleet_router = Msoc_fleet.Router
 module Fleet_supervisor = Msoc_fleet.Supervisor
 
-let run_fleet endpoint workers base_port cache_dir memory_cache cache_max_mb
+let run_fleet listen workers base_port cache_dir memory_cache cache_max_mb
     queue jobs window replicas retry_rounds seed =
-  let listen =
-    match endpoint with
-    | `Unix path -> `Unix path
-    | `Tcp port -> `Tcp ("127.0.0.1", port)
-  in
   let specs =
     List.init workers (fun i ->
         let id = Printf.sprintf "w%d" i in
@@ -860,7 +857,7 @@ let run_fleet endpoint workers base_port cache_dir memory_cache cache_max_mb
         ~ready:(fun bound ->
           match listen with
           | `Unix path -> Fmt.epr "msoc_plan fleet: router on %s@." path
-          | `Tcp _ -> Fmt.epr "msoc_plan fleet: router on 127.0.0.1:%d@." bound)
+          | `Tcp (host, _) -> Fmt.epr "msoc_plan fleet: router on %s:%d@." host bound)
         ~listen ~stop cfg);
   Fmt.epr "msoc_plan fleet: drained, exiting@."
 
@@ -1013,30 +1010,6 @@ let ordinal_of_id id =
     int_of_string_opt (String.sub id 1 (String.length id - 1))
   else None
 
-(* connect () gives a fresh connection to the replay target: a serve
-   daemon's Unix socket or the TCP front door of a worker or a fleet
-   router — the protocol is identical on all three. *)
-let replay_connect = function
-  | `Unix path ->
-    fun () ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | () -> fd
-      | exception e ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        raise e)
-  | `Tcp (addr, port) ->
-    fun () ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (match
-         Unix.connect fd (Unix.ADDR_INET (addr, port));
-         Unix.setsockopt fd Unix.TCP_NODELAY true
-       with
-      | () -> fd
-      | exception e ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        raise e)
-
 (* Open loop: requests depart on a Poisson schedule fixed before the
    run starts, split round-robin over [clients] connections. Arrivals
    never wait for responses — pressure the target cannot absorb shows
@@ -1156,7 +1129,9 @@ let run_replay endpoint count mix widths weights soc_text
            { r with Serve_protocol.id = Printf.sprintf "q%d" i })
   in
   let n = List.length requests in
-  let connect = replay_connect endpoint in
+  (* a fresh connection per call: a serve daemon's socket or the front
+     door of a worker or a fleet router, one protocol on all three *)
+  let connect = Msoc_serve.Server.connect endpoint in
   let fail_replay msg =
     Fmt.epr "replay: FAIL: %s@." msg;
     exit 1
@@ -1443,16 +1418,14 @@ let replay_cmd =
         Error (Printf.sprintf "expected HOST:PORT or PORT, got '%s'" spec)
       | Some port -> (
         match host with
-        | "" | "localhost" | "127.0.0.1" -> Ok (Unix.inet_addr_loopback, port)
+        | "" | "localhost" | "127.0.0.1" -> Ok ("127.0.0.1", port)
         | h -> (
           match Unix.inet_addr_of_string h with
-          | addr -> Ok (addr, port)
+          | addr -> Ok (Unix.string_of_inet_addr addr, port)
           | exception Failure _ ->
             Error (Printf.sprintf "bad host in '%s'" spec)))
     in
-    let print ppf (addr, port) =
-      Format.fprintf ppf "%s:%d" (Unix.string_of_inet_addr addr) port
-    in
+    let print ppf (host, port) = Format.fprintf ppf "%s:%d" host port in
     Arg.conv' ~docv:"HOST:PORT" (parse, print)
   in
   let tcp_arg =

@@ -35,58 +35,22 @@ type config = {
   window : int;  (* per-worker in-flight cap *)
   replicas : int;  (* ring virtual nodes per worker *)
   retry_rounds : int;  (* all-down backoff rounds before unavailable *)
-  max_line : int;
+  max_line : int option;  (* None: the front door's 1 MiB *)
   idle_timeout_s : float option;
   seed : int;
 }
 
-let config ?(window = 8) ?(replicas = 64) ?(retry_rounds = 5)
-    ?(max_line = 1 lsl 20) ?idle_timeout_s ?(seed = 1) workers =
+let config ?(window = 8) ?(replicas = 64) ?(retry_rounds = 5) ?max_line
+    ?idle_timeout_s ?(seed = 1) workers =
   if workers = [] then invalid_arg "Router.config: no workers";
   if window < 1 then invalid_arg "Router.config: window must be >= 1";
   { workers; window; replicas; retry_rounds; max_line; idle_timeout_s; seed }
-
-(* --- client-side connections --- *)
-
-type client = {
-  c_fd : Unix.file_descr;
-  c_oc : out_channel;
-  c_lock : Mutex.t;
-  mutable c_closed : bool;  (* under [c_lock] *)
-}
-
-(* Same discipline as the serve transports: the per-client write lock
-   keeps envelope lines whole across the reader thread (rejections)
-   and every worker-link thread (forwarded results); a closed or dead
-   peer swallows the write. *)
-let send_client c response =
-  Mutex.lock c.c_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.c_lock)
-    (fun () ->
-      if not c.c_closed then
-        try
-          output_string c.c_oc (Protocol.response_to_line response);
-          output_char c.c_oc '\n';
-          flush c.c_oc
-        with Sys_error _ -> ())
-
-let close_client c =
-  Mutex.lock c.c_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.c_lock)
-    (fun () ->
-      if not c.c_closed then begin
-        c.c_closed <- true;
-        (try flush c.c_oc with Sys_error _ -> ());
-        try Unix.close c.c_fd with Unix.Unix_error _ -> ()
-      end)
 
 (* --- router state --- *)
 
 type pending = {
   internal : string;  (* the id on the worker wire *)
-  p_client : client;
+  p_client : Server.connection;
   orig_id : string;
   request : Protocol.request;  (* original; resends re-render from it *)
   key : string;
@@ -233,26 +197,14 @@ let stats_json st =
 let router_reject ~id status why =
   Protocol.reject ~worker:"router" ~id status why
 
-(* Interruptible sleep in 50 ms slices so a drain is observed fast. *)
-let backoff_sleep st backoff =
-  let delay = Backoff.next_delay_ms backoff /. 1000.0 in
-  let slices = max 1 (int_of_float (Float.ceil (delay /. 0.05))) in
-  let rec nap k =
-    if k > 0 && not (Atomic.get st.stop) then begin
-      Thread.delay 0.05;
-      nap (k - 1)
-    end
-  in
-  nap slices
-
-let admit st backoff client (req : Protocol.request) =
+let admit st backoff conn (req : Protocol.request) =
   let id = req.Protocol.id in
   match req.Protocol.op with
   | Protocol.Stats ->
-    send_client client (Protocol.ok ~worker:"router" ~id (stats_json st))
+    Server.send conn (Protocol.ok ~worker:"router" ~id (stats_json st))
   | Protocol.Shutdown ->
     Atomic.set st.stop true;
-    send_client client
+    Server.send conn
       (Protocol.ok ~worker:"router" ~id
          (Export.Object [ ("draining", Export.Bool true) ]))
   | Protocol.Plan | Protocol.Explore | Protocol.Optimize | Protocol.Cosim ->
@@ -261,7 +213,7 @@ let admit st backoff client (req : Protocol.request) =
     let p =
       {
         internal = Printf.sprintf "f%d" (Atomic.fetch_and_add st.next_id 1);
-        p_client = client;
+        p_client = conn;
         orig_id = id;
         request = req;
         key;
@@ -277,36 +229,36 @@ let admit st backoff client (req : Protocol.request) =
       match try_dispatch st p with
       | Dispatched -> ()
       | Window_full w ->
-        send_client client
+        Server.send conn
           (router_reject ~id Protocol.Overloaded
              (Printf.sprintf "worker %s window full (%d in flight)" w
                 st.cfg.window))
       | No_worker ->
         if Atomic.get st.stop then
-          send_client client
+          Server.send conn
             (router_reject ~id Protocol.Shutting_down "fleet is draining")
         else if round >= st.cfg.retry_rounds then begin
           Fleet_metrics.incr_shed_unavailable st.metrics;
-          send_client client
+          Server.send conn
             (router_reject ~id Protocol.Unavailable
                (Printf.sprintf "no worker reachable after %d retries" round))
         end
         else begin
-          backoff_sleep st backoff;
+          Backoff.sleep backoff ~stop:(fun () -> Atomic.get st.stop);
           attempt (round + 1)
         end
     in
     attempt 0;
     Fleet_metrics.queued_decr st.metrics primary
 
-let client_reader st client lr () =
+let client_reader st conn lr =
   let backoff = Backoff.create ~seed:st.cfg.seed () in
   let rec loop () =
     match Server.Line_reader.next lr with
     | Server.Line_reader.Eof | Server.Line_reader.Idle_timeout -> ()
     | Server.Line_reader.Too_long ->
       Fleet_metrics.incr_malformed st.metrics;
-      send_client client
+      Server.send conn
         (router_reject ~id:"" Protocol.Bad_request
            (Printf.sprintf "line exceeds %d bytes"
               (Server.Line_reader.max_line lr)))
@@ -315,8 +267,8 @@ let client_reader st client lr () =
       (match Protocol.request_of_line line with
       | Error (id, e) ->
         Fleet_metrics.incr_malformed st.metrics;
-        send_client client (router_reject ~id Protocol.Bad_request e)
-      | Ok req -> admit st backoff client req);
+        Server.send conn (router_reject ~id Protocol.Bad_request e)
+      | Ok req -> admit st backoff conn req);
       loop ()
   in
   loop ()
@@ -330,7 +282,7 @@ let on_response st (resp : Protocol.response) =
     release_slot st p.assigned;
     Fleet_metrics.in_flight_decr st.metrics p.assigned;
     (* keep the worker's own stamp so clients see who computed it *)
-    send_client p.p_client { resp with Protocol.id = p.orig_id }
+    Server.send p.p_client { resp with Protocol.id = p.orig_id }
 
 (* A dead worker orphans its in-flight requests. Each orphan is taken
    out of the pending table (skipping any the reply path already
@@ -364,7 +316,7 @@ let on_worker_down st worker_id =
       let rec go = function
         | [] ->
           Fleet_metrics.incr_shed_unavailable st.metrics;
-          send_client p.p_client
+          Server.send p.p_client
             (router_reject ~id:p.orig_id Protocol.Unavailable
                (Printf.sprintf "worker %s died and no replacement is reachable"
                   worker_id))
@@ -373,7 +325,7 @@ let on_worker_down st worker_id =
             go rest
           else if not (acquire_slot st w) then begin
             Fleet_metrics.incr_shed_overloaded st.metrics w;
-            send_client p.p_client
+            Server.send p.p_client
               (router_reject ~id:p.orig_id Protocol.Overloaded
                  (Printf.sprintf
                     "worker %s died; replacement %s window full (%d in flight)"
@@ -387,48 +339,6 @@ let on_worker_down st worker_id =
     orphans
 
 (* --- the router process --- *)
-
-let bind_listener listen =
-  match listen with
-  | `Unix socket_path ->
-    (if Sys.file_exists socket_path then
-       try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (match
-       Unix.bind fd (Unix.ADDR_UNIX socket_path);
-       Unix.listen fd 64
-     with
-    | () ->
-      let cleanup () =
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        try Unix.unlink socket_path with Unix.Unix_error _ | Sys_error _ -> ()
-      in
-      (fd, 0, cleanup)
-    | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e)
-  | `Tcp (host, port) ->
-    let addr =
-      match host with
-      | "localhost" -> Unix.inet_addr_loopback
-      | h -> Unix.inet_addr_of_string h
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (match
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (addr, port));
-       Unix.listen fd 64
-     with
-    | () ->
-      let bound =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | Unix.ADDR_UNIX _ -> port
-      in
-      (fd, bound, fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e)
 
 let run ?ready ?metrics ~listen ~stop cfg =
   let metrics =
@@ -472,65 +382,18 @@ let run ?ready ?metrics ~listen ~stop cfg =
     }
   in
   st_ref := Some st;
-  let listener, bound_port, cleanup = bind_listener listen in
-  (match ready with Some f -> f bound_port | None -> ());
-  let clients = ref [] in
-  let clients_lock = Mutex.create () in
   Fun.protect
-    ~finally:(fun () ->
-      cleanup ();
-      List.iter (fun (_, c) -> Worker_client.stop c) links)
+    ~finally:(fun () -> List.iter (fun (_, c) -> Worker_client.stop c) links)
     (fun () ->
-      while not (Atomic.get st.stop) do
-        match Unix.select [ listener ] [] [] 0.1 with
-        | [ _ ], _, _ -> (
-          match Unix.accept listener with
-          | fd, _ ->
-            (try Unix.setsockopt fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            let client =
-              {
-                c_fd = fd;
-                c_oc = Unix.out_channel_of_descr fd;
-                c_lock = Mutex.create ();
-                c_closed = false;
-              }
-            in
-            Mutex.lock clients_lock;
-            clients := client :: !clients;
-            Mutex.unlock clients_lock;
-            let lr =
-              Server.Line_reader.create ?idle_timeout_s:cfg.idle_timeout_s
-                ~max_line:cfg.max_line fd
-            in
-            (* Mirror serve_loop's detach: when the reader exits (eof,
-               idle timeout, oversized line) the client leaves the
-               list and its fd/channel close — otherwise every
-               disconnect leaks a descriptor for the router's
-               lifetime. *)
-            let detach () =
-              Mutex.lock clients_lock;
-              clients := List.filter (fun c -> c != client) !clients;
-              Mutex.unlock clients_lock;
-              close_client client
-            in
-            ignore
-              (Thread.create
-                 (fun () ->
-                   Fun.protect ~finally:detach (client_reader st client lr))
-                 ())
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
-      (* Drain: in-flight work finishes and flushes back to clients
-         before the links drop; 10 s bounds a hung worker. *)
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      while pending_count st > 0 && Unix.gettimeofday () < deadline do
-        Thread.delay 0.02
-      done;
-      Mutex.lock clients_lock;
-      let conns = !clients in
-      clients := [];
-      Mutex.unlock clients_lock;
-      List.iter close_client conns)
+      Server.with_listener ?ready listen (fun listener ->
+          Server.accept_loop ?idle_timeout_s:cfg.idle_timeout_s
+            ?max_line:cfg.max_line listener
+            ~stop:(fun () -> Atomic.get st.stop)
+            ~drain:(fun () ->
+              (* in-flight work finishes and flushes back to clients
+                 before the links drop; 10 s bounds a hung worker *)
+              let deadline = Unix.gettimeofday () +. 10.0 in
+              while pending_count st > 0 && Unix.gettimeofday () < deadline do
+                Thread.delay 0.02
+              done)
+            (client_reader st)))

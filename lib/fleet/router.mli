@@ -1,7 +1,10 @@
 (** The fleet router: one front door, N planning workers.
 
     Clients speak the ordinary serve NDJSON protocol to the router
-    (Unix socket or TCP); the router consistent-hashes each request's
+    (Unix socket or TCP), through the same listener, connections and
+    accept loop as a serve daemon ({!Msoc_serve.Server.accept_loop}):
+    line cap, idle reaping and drain behave alike at both front doors.
+    The router consistent-hashes each request's
     {!routing_key} onto a worker and proxies the envelope over that
     worker's persistent link ({!Worker_client}), rewriting ids both
     ways. Stability of the hash is the point: repeats of the same
@@ -37,7 +40,7 @@ type config = {
   window : int;
   replicas : int;
   retry_rounds : int;
-  max_line : int;
+  max_line : int option;
   idle_timeout_s : float option;
   seed : int;
 }
@@ -46,21 +49,23 @@ val config :
   ?window:int -> ?replicas:int -> ?retry_rounds:int -> ?max_line:int ->
   ?idle_timeout_s:float -> ?seed:int -> worker_spec list -> config
 (** Defaults: [window] 8 in-flight per worker, [replicas] 64,
-    [retry_rounds] 5, [max_line] 1 MiB, no idle timeout, [seed] 1.
+    [retry_rounds] 5, no [max_line] (the front door's 1 MiB), no idle
+    timeout, [seed] 1.
     @raise Invalid_argument on an empty worker list or [window < 1]. *)
 
 val run :
   ?ready:(int -> unit) ->
   ?metrics:Fleet_metrics.t ->
-  listen:[ `Tcp of string * int | `Unix of string ] ->
+  listen:Msoc_serve.Server.endpoint ->
   stop:bool Atomic.t ->
   config -> unit
-(** Bind, start the worker links, accept clients; blocks until [stop]
-    is set (externally, e.g. by a signal handler, or by a [shutdown]
-    envelope), then drains in-flight requests (bounded grace) and
+(** Start the worker links, bind [listen], accept clients; blocks
+    until [stop] is set (externally, e.g. by a signal handler, or by a
+    [shutdown] envelope), then waits up to 10 s for the pending table
+    to empty, closes the client connections and the listener, and
     severs the links. [ready] receives the bound TCP port (0 for a
     Unix socket) before the first accept. [metrics] (default: a fresh
     table) lets the caller share the table with the supervisor so its
     restart events appear in the fleet's [stats]. Does not install
-    signal handlers — the caller owns signal policy.
+    SIGINT/SIGTERM handlers — the caller owns signal policy.
     @raise Unix.Unix_error when the listen endpoint cannot be bound. *)

@@ -1,4 +1,5 @@
 module Protocol = Msoc_serve.Protocol
+module Server = Msoc_serve.Server
 module Backoff = Msoc_util.Backoff
 
 (* One persistent TCP link to one worker, owned by a maintenance
@@ -12,7 +13,7 @@ type link = { fd : Unix.file_descr; oc : out_channel; ic : in_channel }
 
 type t = {
   id : string;
-  addr : Unix.sockaddr;
+  connect : unit -> Unix.file_descr;
   on_response : Protocol.response -> unit;
   on_state : up:bool -> unit;  (* edge-triggered, outside [lock] *)
   lock : Mutex.t;
@@ -64,23 +65,9 @@ let still_running t =
   r
 
 let connect_once t =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd t.addr;
-    Unix.setsockopt fd Unix.TCP_NODELAY true
-  with
-  | () -> Some { fd; oc = Unix.out_channel_of_descr fd; ic = Unix.in_channel_of_descr fd }
-  | exception Unix.Unix_error _ ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    None
-
-(* Interruptible backoff sleep: 50 ms slices so [stop] is observed
-   promptly even under the 2 s delay cap. *)
-let backoff_sleep t =
-  let delay = Backoff.next_delay_ms t.backoff /. 1000.0 in
-  let slices = int_of_float (Float.ceil (delay /. 0.05)) in
-  let rec nap k = if k > 0 && still_running t then begin Thread.delay 0.05; nap (k - 1) end in
-  nap (max 1 slices)
+  match t.connect () with
+  | fd -> Some { fd; oc = Unix.out_channel_of_descr fd; ic = Unix.in_channel_of_descr fd }
+  | exception Unix.Unix_error _ -> None
 
 let read_loop t l =
   let rec loop () =
@@ -101,7 +88,7 @@ let read_loop t l =
 let maintain t () =
   while still_running t do
     match connect_once t with
-    | None -> backoff_sleep t
+    | None -> Backoff.sleep t.backoff ~stop:(fun () -> not (still_running t))
     | Some l ->
       if not (still_running t) then close_link l
       else begin
@@ -118,18 +105,11 @@ let maintain t () =
   match take_link t with Some l -> close_link l | None -> ()
 
 let create ~id ~host ~port ~seed ~on_response ~on_state () =
-  let addr =
-    let inet =
-      match host with
-      | "localhost" -> Unix.inet_addr_loopback
-      | h -> Unix.inet_addr_of_string h
-    in
-    Unix.ADDR_INET (inet, port)
-  in
   let t =
     {
       id;
-      addr;
+      (* resolves the host here, so a bad one fails [create] *)
+      connect = Server.connect (`Tcp (host, port));
       on_response;
       on_state;
       lock = Mutex.create ();

@@ -22,9 +22,11 @@ val create :
   on_response:(Msoc_serve.Protocol.response -> unit) ->
   on_state:(up:bool -> unit) -> unit -> t
 (** Starts the maintenance thread immediately. [host] accepts
-    ["localhost"] or a dotted quad. Callbacks run on the maintenance
+    ["localhost"] or a dotted quad; each connect goes through
+    {!Msoc_serve.Server.connect}. Callbacks run on the maintenance
     thread and must not call back into this module (except
-    {!send_line}). *)
+    {!send_line}).
+    @raise Failure on a bad host. *)
 
 val id : t -> string
 

@@ -27,8 +27,6 @@ let serve_channels service ic oc =
 
 (* --- bounded line reading over a raw descriptor --- *)
 
-let default_max_line = 1 lsl 20
-
 module Line_reader = struct
   type event = Line of string | Eof | Too_long | Idle_timeout
 
@@ -42,7 +40,7 @@ module Line_reader = struct
     idle_timeout_s : float option;
   }
 
-  let create ?idle_timeout_s ?(max_line = default_max_line) fd =
+  let create ?idle_timeout_s ?(max_line = 1 lsl 20) fd =
     {
       fd;
       chunk = Bytes.create 8192;
@@ -103,13 +101,77 @@ module Line_reader = struct
       end
 end
 
-(* --- socket daemons (Unix-domain and TCP share everything below) --- *)
+(* --- endpoints --- *)
 
-type job = {
-  request : Protocol.request;
-  admitted_at : float;
-  reply : Protocol.response -> unit;
-}
+type endpoint = [ `Unix of string | `Tcp of string * int ]
+
+let sockaddr = function
+  | `Unix path -> Unix.ADDR_UNIX path
+  | `Tcp (host, port) ->
+    let addr =
+      match host with
+      | "localhost" -> Unix.inet_addr_loopback
+      | h -> Unix.inet_addr_of_string h
+    in
+    Unix.ADDR_INET (addr, port)
+
+let socket_for addr = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+
+(* The address resolves when [connect] is applied to the endpoint, so a
+   bad host fails there; each [()] opens a fresh connection. *)
+let connect endpoint =
+  let addr = sockaddr endpoint in
+  fun () ->
+    let fd = socket_for addr in
+    match
+      Unix.connect fd addr;
+      (* latency beats throughput for one-line envelopes *)
+      match endpoint with
+      | `Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+      | `Unix _ -> ()
+    with
+    | () -> fd
+    | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+
+(* --- the listener --- *)
+
+type listener = Unix.file_descr
+
+let with_listener ?ready endpoint f =
+  let addr = sockaddr endpoint in
+  (* a socket file left at the path is replaced, and ours removed *)
+  let unlink () =
+    match endpoint with
+    | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | `Tcp _ -> ()
+  in
+  unlink ();
+  let listener = socket_for addr in
+  match
+    (match endpoint with
+    | `Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true
+    | `Unix _ -> ());
+    Unix.bind listener addr;
+    Unix.listen listener 64
+  with
+  | exception e ->
+    (try Unix.close listener with Unix.Unix_error _ -> ());
+    raise e
+  | () ->
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.close listener with Unix.Unix_error _ -> ());
+        unlink ())
+      (fun () ->
+        (match (ready, Unix.getsockname listener) with
+        | Some ready, Unix.ADDR_INET (_, port) -> ready port
+        | Some ready, Unix.ADDR_UNIX _ -> ready 0
+        | None, _ -> ());
+        f listener)
+
+(* --- connections --- *)
 
 type connection = {
   fd : Unix.file_descr;
@@ -118,10 +180,11 @@ type connection = {
   mutable conn_closed : bool;  (* guarded by [write_lock] *)
 }
 
-(* Writes happen from the reader thread (rejections) and the dispatch
-   thread (results); the lock keeps envelope lines whole. A dead peer
-   must not kill the server: write errors are swallowed (the reader
-   notices the close on its side). *)
+(* Writes happen from the reader thread (rejections) and from whichever
+   thread holds the result (serve's dispatcher, the router's worker
+   links); the lock keeps envelope lines whole. A dead peer must not
+   kill the server: write errors are swallowed (the reader notices the
+   close on its side). *)
 let send conn response =
   Mutex.lock conn.write_lock;
   Fun.protect
@@ -146,7 +209,72 @@ let close_conn conn =
         try Unix.close conn.fd with Unix.Unix_error _ -> ()
       end)
 
-let reader service queue conn lr ~detach () =
+(* --- the accept loop --- *)
+
+let accept_loop ?idle_timeout_s ?max_line ~stop ~drain listener reader =
+  (* A peer that closes before its reply must cost an EPIPE, which
+     [send] swallows, not the process: SIGPIPE's default action ends
+     it. Left ignored on return, as another loop may still serve. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let connections = ref [] in
+  let conn_lock = Mutex.create () in
+  let detach conn () =
+    Mutex.lock conn_lock;
+    connections := List.filter (fun c -> c != conn) !connections;
+    Mutex.unlock conn_lock;
+    close_conn conn
+  in
+  (* Poll-accept so the loop observes [stop] promptly even when no
+     client ever connects; 100 ms is invisible next to a pack but keeps
+     shutdown snappy. *)
+  while not (stop ()) do
+    match Unix.select [ listener ] [] [] 0.1 with
+    | [ _ ], _, _ -> (
+      match Unix.accept listener with
+      | fd, _ ->
+        (* Unix-domain sockets reject the option, harmlessly *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+        let conn =
+          {
+            fd;
+            conn_oc = Unix.out_channel_of_descr fd;
+            write_lock = Mutex.create ();
+            conn_closed = false;
+          }
+        in
+        Mutex.lock conn_lock;
+        connections := conn :: !connections;
+        Mutex.unlock conn_lock;
+        (* when the reader exits (eof, idle timeout, oversize line) the
+           connection leaves the list and its descriptor closes *)
+        let lr = Line_reader.create ?idle_timeout_s ?max_line fd in
+        ignore
+          (Thread.create
+             (fun () -> Fun.protect ~finally:(detach conn) (fun () -> reader conn lr))
+             ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done;
+  (* Drain: the caller answers what it admitted (replies flush inside
+     [send]), then the connections drop. *)
+  drain ();
+  Mutex.lock conn_lock;
+  let conns = !connections in
+  connections := [];
+  Mutex.unlock conn_lock;
+  List.iter close_conn conns
+
+(* --- the serve daemon --- *)
+
+type job = {
+  request : Protocol.request;
+  admitted_at : float;
+  reply : Protocol.response -> unit;
+}
+
+let reader service queue conn lr =
   let metrics = Service.metrics service in
   let rec loop () =
     match Line_reader.next lr with
@@ -185,8 +313,7 @@ let reader service queue conn lr ~detach () =
         end);
       loop ()
   in
-  loop ();
-  detach conn
+  loop ()
 
 let dispatch service queue stop () =
   let rec loop () =
@@ -207,108 +334,19 @@ let with_signals stop f =
     ~finally:(fun () -> List.iter (fun (s, b) -> Sys.set_signal s b) previous)
     f
 
-(* The accept/dispatch/drain loop both daemons share. The caller owns
-   binding and listening; [cleanup] runs on every exit path. *)
-let serve_loop ~queue_capacity ~max_line ~idle_timeout_s ~listener ~cleanup
+let serve ?(queue_capacity = 64) ?max_line ?idle_timeout_s ?ready ~listen
     service =
   let stop = Atomic.make false in
   let queue = Bounded_queue.create ~capacity:queue_capacity in
-  let connections = ref [] in
-  let conn_lock = Mutex.create () in
-  let detach conn =
-    Mutex.lock conn_lock;
-    connections := List.filter (fun c -> c != conn) !connections;
-    Mutex.unlock conn_lock;
-    close_conn conn
-  in
-  with_signals stop (fun () ->
-      Fun.protect ~finally:cleanup (fun () ->
+  with_listener ?ready listen (fun listener ->
+      with_signals stop (fun () ->
           let dispatcher = Thread.create (dispatch service queue stop) () in
-          (* Poll-accept so the loop observes [stop], and a shutdown
-             requested on the service from outside, promptly even when
-             no client ever connects; 100 ms is invisible next to a
-             pack but keeps shutdown snappy. *)
-          while not (Atomic.get stop || Service.shutdown_requested service) do
-            match Unix.select [ listener ] [] [] 0.1 with
-            | [ _ ], _, _ -> (
-              match Unix.accept listener with
-              | fd, _ ->
-                (* latency beats throughput for one-line envelopes;
-                   Unix-domain sockets reject the option, harmlessly *)
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                 with Unix.Unix_error _ -> ());
-                let conn =
-                  {
-                    fd;
-                    conn_oc = Unix.out_channel_of_descr fd;
-                    write_lock = Mutex.create ();
-                    conn_closed = false;
-                  }
-                in
-                Mutex.lock conn_lock;
-                connections := conn :: !connections;
-                Mutex.unlock conn_lock;
-                let lr = Line_reader.create ?idle_timeout_s ~max_line fd in
-                ignore (Thread.create (reader service queue conn lr ~detach) ())
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-            | _ -> ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          done;
-          (* Drain: stop admissions, let the dispatcher finish every
-             admitted request (replies flush inside [send]), then drop
-             the connections. *)
-          Bounded_queue.close queue;
-          Thread.join dispatcher;
-          Mutex.lock conn_lock;
-          let conns = !connections in
-          connections := [];
-          Mutex.unlock conn_lock;
-          List.iter close_conn conns))
-
-let serve_unix ?(queue_capacity = 64) ?(max_line = default_max_line)
-    ?idle_timeout_s ~socket_path service =
-  (if Sys.file_exists socket_path then
-     try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let cleanup () =
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    try Unix.unlink socket_path with Unix.Unix_error _ | Sys_error _ -> ()
-  in
-  match
-    Unix.bind listener (Unix.ADDR_UNIX socket_path);
-    Unix.listen listener 64
-  with
-  | () ->
-    serve_loop ~queue_capacity ~max_line ~idle_timeout_s ~listener ~cleanup
-      service
-  | exception e ->
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    raise e
-
-let serve_tcp ?(queue_capacity = 64) ?(max_line = default_max_line)
-    ?idle_timeout_s ?ready ?(host = "127.0.0.1") ~port service =
-  let addr =
-    match host with
-    | "localhost" -> Unix.inet_addr_loopback
-    | h -> Unix.inet_addr_of_string h
-  in
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.setsockopt listener Unix.SO_REUSEADDR true;
-    Unix.bind listener (Unix.ADDR_INET (addr, port));
-    Unix.listen listener 64
-  with
-  | () ->
-    let bound_port =
-      match Unix.getsockname listener with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> port
-    in
-    (match ready with Some f -> f bound_port | None -> ());
-    serve_loop ~queue_capacity ~max_line ~idle_timeout_s ~listener
-      ~cleanup:(fun () ->
-        try Unix.close listener with Unix.Unix_error _ -> ())
-      service
-  | exception e ->
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    raise e
+          accept_loop ?idle_timeout_s ?max_line listener
+            ~stop:(fun () ->
+              Atomic.get stop || Service.shutdown_requested service)
+            ~drain:(fun () ->
+              (* stop admissions; the dispatcher finishes every
+                 admitted request *)
+              Bounded_queue.close queue;
+              Thread.join dispatcher)
+            (reader service queue)))

@@ -48,8 +48,8 @@ val shutdown_requested : t -> bool
 
 val request_shutdown : t -> unit
 (** What the [shutdown] op does; exposed for signal handlers and
-    embedders. A daemon serving [t] ({!Server.serve_unix},
-    {!Server.serve_tcp}) sees it within one accept poll and drains. *)
+    embedders. A daemon serving [t] ({!Server.serve}) sees it within
+    one accept poll and drains. *)
 
 val shutdown : t -> unit
 (** Release the worker pool. The service must not be used after. *)

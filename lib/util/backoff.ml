@@ -33,3 +33,15 @@ let next_delay_ms t =
   let d = Rng.float t.rng ~bound:(ceiling_ms t) in
   t.attempt <- t.attempt + 1;
   d
+
+(* 50 ms slices, so a stop is observed promptly even at the 2 s
+   default cap. *)
+let sleep t ~stop =
+  let delay = next_delay_ms t /. 1000.0 in
+  let rec nap k =
+    if k > 0 && not (stop ()) then begin
+      Unix.sleepf 0.05;
+      nap (k - 1)
+    end
+  in
+  nap (max 1 (int_of_float (Float.ceil (delay /. 0.05))))

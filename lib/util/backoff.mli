@@ -23,3 +23,9 @@ val attempt : t -> int
 val reset : t -> unit
 (** Back to attempt 0 — call after a successful recovery so the next
     failure starts fast again. *)
+
+val sleep : t -> stop:(unit -> bool) -> unit
+(** Draw the next delay and sleep it in 50 ms slices (a draw under
+    one slice still sleeps one), checking [stop ()] before each slice
+    and returning as soon as it holds, so a retrying thread stays
+    stoppable through a long delay. *)

@@ -150,15 +150,15 @@ let plan_req ?(width = 16) ~id () =
          ])
     Protocol.Plan
 
-(* serve_tcp on an OS-assigned port, in a thread; returns the port *)
+(* a TCP daemon on an OS-assigned port, in a thread; returns the port *)
 let start_worker service =
   let port = Atomic.make 0 in
   let th =
     Thread.create
       (fun () ->
-        Server.serve_tcp ~queue_capacity:8
+        Server.serve ~queue_capacity:8
           ~ready:(fun p -> Atomic.set port p)
-          ~port:0 service)
+          ~listen:(`Tcp ("127.0.0.1", 0)) service)
       ()
   in
   let rec wait tries =
@@ -183,10 +183,7 @@ let wait_port bound =
   in
   wait 250
 
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  fd
+let connect port = Server.connect (`Tcp ("127.0.0.1", port)) ()
 
 let send_req oc req =
   output_string oc (Protocol.request_to_line req);
@@ -483,6 +480,224 @@ let test_router_out_of_range_number () =
       checkb "plan ok" true (r.Protocol.status = Protocol.Success);
       try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* --- one front door, four ways in --- *)
+
+(* The daemon and the router share Server's listener, connections and
+   accept loop, so one body checks both, each over a Unix socket and
+   over TCP: an oversize line, a line cut short by a close, a client
+   that leaves before its reply, a silent connection and a shutdown. *)
+
+type door = {
+  reach : unit -> Unix.file_descr;
+  stamp : string option;  (* the worker stamp on the door's own rejections *)
+  settled : Export.json -> bool;
+      (* from the door's stats: a plan was answered and none is owed *)
+  stop : unit -> unit;  (* idempotent; returns once the door has *)
+  socket_file : string option;
+}
+
+let door_max_line = 4096
+
+let door_endpoint transport tag =
+  match transport with
+  | `Unix ->
+    `Unix
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "msoc-door-%d-%s.sock" (Unix.getpid ()) tag))
+  | `Tcp -> `Tcp ("127.0.0.1", 0)
+
+let rec poll what cond tries =
+  if not (cond ()) then
+    if tries = 0 then Alcotest.failf "%s: not within 5 s" what
+    else begin
+      Thread.delay 0.02;
+      poll what cond (tries - 1)
+    end
+
+(* run a door in a thread until its [ready] fires: the thread, a
+   connector and the socket file to be removed on shutdown *)
+let open_door listen start =
+  let bound = Atomic.make None in
+  let th = Thread.create (fun () -> start ~ready:(fun p -> Atomic.set bound (Some p))) () in
+  poll "the door bound" (fun () -> Atomic.get bound <> None) 250;
+  let port = Option.get (Atomic.get bound) in
+  let reach =
+    match listen with
+    | `Unix _ -> Server.connect listen
+    | `Tcp (host, _) -> Server.connect (`Tcp (host, port))
+  in
+  let socket_file = match listen with `Unix path -> Some path | `Tcp _ -> None in
+  (th, reach, socket_file)
+
+let once f =
+  let done_ = ref false in
+  fun () ->
+    if not !done_ then begin
+      done_ := true;
+      f ()
+    end
+
+let int_at path json =
+  match
+    List.fold_left (fun j k -> Option.bind j (Export.member k)) (Some json) path
+  with
+  | Some (Export.Int n) -> n
+  | _ -> 0
+
+(* a connection whose reads give up after 5 s *)
+let enter door =
+  let fd = door.reach () in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+
+(* the next envelope, or None once the door has hung up *)
+let next_envelope ic =
+  match input_line ic with
+  | line -> (
+    match Protocol.response_of_line line with
+    | Ok r -> Some r
+    | Error e -> Alcotest.failf "malformed response %S: %s" line e)
+  | exception (End_of_file | Sys_error _) -> None
+  | exception Sys_blocked_io -> Alcotest.fail "no envelope and no hang-up within 5 s"
+
+let exchange door req =
+  let fd, ic, oc = enter door in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      send_req oc req;
+      match next_envelope ic with
+      | Some r -> r
+      | None -> Alcotest.failf "the door hung up on %s" req.Protocol.id)
+
+let door_stats door =
+  let r = exchange door (Protocol.request ~id:"st" Protocol.Stats) in
+  checkb "stats answered" true (r.Protocol.status = Protocol.Success);
+  r.Protocol.result
+
+let daemon_door transport idle_timeout_s =
+  let listen = door_endpoint transport "daemon" in
+  let service = Service.create ~jobs:1 () in
+  let th, reach, socket_file =
+    open_door listen (fun ~ready ->
+        (* the default queue (64) holds the abandoned burst below *)
+        Server.serve ~max_line:door_max_line ?idle_timeout_s ~ready ~listen
+          service)
+  in
+  {
+    reach;
+    stamp = None;
+    (* one dispatch thread: a stats that counts the plan follows it *)
+    settled = (fun stats -> int_at [ "metrics"; "requests"; "plan" ] stats >= 1);
+    stop =
+      once (fun () ->
+          Service.request_shutdown service;
+          Thread.join th;
+          Service.shutdown service);
+    socket_file;
+  }
+
+let router_door transport idle_timeout_s =
+  let listen = door_endpoint transport "router" in
+  let service = Service.create ~worker:"a" ~jobs:1 () in
+  let port, worker = start_worker service in
+  let stop = Atomic.make false in
+  let th, reach, socket_file =
+    open_door listen (fun ~ready ->
+        Router.run ~ready ~listen ~stop
+          (Router.config ~max_line:door_max_line ?idle_timeout_s ~seed:3
+             [ { Router.id = "a"; host = "127.0.0.1"; port } ]))
+  in
+  let door =
+    {
+      reach;
+      stamp = Some "router";
+      settled =
+        (fun stats ->
+          int_at [ "pending" ] stats = 0
+          && int_at [ "fleet"; "workers"; "a"; "forwarded" ] stats >= 1);
+      stop =
+        once (fun () ->
+            Atomic.set stop true;
+            Thread.join th;
+            stop_worker service port worker);
+      socket_file;
+    }
+  in
+  match
+    poll "the worker link up"
+      (fun () ->
+        Export.member "links" (door_stats door)
+        = Some (Export.Object [ ("a", Export.Bool true) ]))
+      250
+  with
+  | () -> door
+  | exception e ->
+    door.stop ();
+    raise e
+
+let front_door_body door =
+  (* an oversize line: one bad_request, then the door hangs up *)
+  let fd, ic, oc = enter door in
+  output_string oc (String.make (door_max_line + 1) 'x');
+  output_char oc '\n';
+  flush oc;
+  (match next_envelope ic with
+  | Some r ->
+    checkb "oversize line rejected" true (r.Protocol.status = Protocol.Bad_request);
+    checks "under the empty id" "" r.Protocol.id;
+    checkb "stamped by the door" true (r.Protocol.worker = door.stamp)
+  | None -> Alcotest.fail "no envelope for an oversize line");
+  checkb "one envelope, then the connection closes" true (next_envelope ic = None);
+  Unix.close fd;
+  (* half a line, then the client closes its side: no envelope *)
+  let fd, ic, oc = enter door in
+  output_string oc {|{"v":1,"id":"half","op":"st|};
+  flush oc;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  checkb "a partial line gets no envelope" true (next_envelope ic = None);
+  Unix.close fd;
+  ignore (door_stats door : Export.json);
+  (* a plan whose client leaves before the reply still runs *)
+  let fd, _, oc = enter door in
+  send_req oc (plan_req ~width:20 ~id:"gone" ());
+  Unix.close fd;
+  poll "the abandoned plan answered" (fun () -> door.settled (door_stats door)) 250;
+  (* replies owed to departed clients cost the door nothing *)
+  for k = 1 to 20 do
+    let fd, _, oc = enter door in
+    send_req oc (Protocol.request ~id:(Printf.sprintf "s%d" k) Protocol.Stats);
+    Unix.close fd
+  done;
+  let r = exchange door (plan_req ~width:20 ~id:"again" ()) in
+  checks "the repeat's own id" "again" r.Protocol.id;
+  checkb "the repeat succeeds" true (r.Protocol.status = Protocol.Success);
+  checkb "the abandoned plan filled the cache" true
+    (r.Protocol.cached = Some "memory");
+  checkb "nothing owed" true (door.settled (door_stats door));
+  (* a shutdown envelope: the door drains and returns *)
+  let r = exchange door (Protocol.request ~id:"bye" Protocol.Shutdown) in
+  checkb "shutdown acknowledged" true (r.Protocol.status = Protocol.Success);
+  door.stop ();
+  match door.socket_file with
+  | Some path -> checkb "socket file removed" false (Sys.file_exists path)
+  | None -> ()
+
+(* a connection that never sends is reaped after the idle budget *)
+let idle_body door =
+  let fd, ic, _ = enter door in
+  let t0 = Unix.gettimeofday () in
+  checkb "a silent connection is reaped" true (next_envelope ic = None);
+  checkb "not before its idle budget" true (Unix.gettimeofday () -. t0 >= 0.15);
+  Unix.close fd;
+  ignore (door_stats door : Export.json)
+
+let test_front_door start () =
+  let door = start None in
+  Fun.protect ~finally:door.stop (fun () -> front_door_body door);
+  let idle = start (Some 0.2) in
+  Fun.protect ~finally:idle.stop (fun () -> idle_body idle)
+
 (* --- supervisor over a real worker process --- *)
 
 let test_supervisor_restarts_killed_worker () =
@@ -589,6 +804,17 @@ let suites =
           test_router_bad_envelope_keeps_id;
         Alcotest.test_case "out-of-range number rejected" `Quick
           test_router_out_of_range_number;
+      ] );
+    ( "front-door",
+      [
+        Alcotest.test_case "daemon over a Unix socket" `Quick
+          (test_front_door (daemon_door `Unix));
+        Alcotest.test_case "daemon over TCP" `Quick
+          (test_front_door (daemon_door `Tcp));
+        Alcotest.test_case "router over a Unix socket" `Quick
+          (test_front_door (router_door `Unix));
+        Alcotest.test_case "router over TCP" `Quick
+          (test_front_door (router_door `Tcp));
       ] );
     ( "fleet-supervisor",
       [

@@ -1005,7 +1005,7 @@ let test_serve_unix_end_to_end () =
   let service = Service.create ~jobs:1 () in
   let server =
     Thread.create
-      (fun () -> Server.serve_unix ~queue_capacity:8 ~socket_path service)
+      (fun () -> Server.serve ~queue_capacity:8 ~listen:(`Unix socket_path) service)
       ()
   in
   Fun.protect
@@ -1023,8 +1023,7 @@ let test_serve_unix_end_to_end () =
         end
       in
       wait_for_socket 100;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket_path);
+      let fd = Server.connect (`Unix socket_path) () in
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       let send req =
@@ -1060,7 +1059,7 @@ let test_serve_unix_end_to_end () =
       send (Protocol.request ~id:"u6" Protocol.Stats);
       let r_deep = recv () in
       let r6 = recv () in
-      (* shutdown envelope drains the daemon; serve_unix returns *)
+      (* shutdown envelope drains the daemon; serve returns *)
       send (Protocol.request ~id:"u4" Protocol.Shutdown);
       let r4 = recv () in
       checkb "shutdown acknowledged" true (r4.Protocol.status = Protocol.Success);
@@ -1095,7 +1094,8 @@ let test_serve_unix_request_shutdown () =
       (fun () ->
         Fun.protect
           ~finally:(fun () -> Atomic.set returned true)
-          (fun () -> Server.serve_unix ~queue_capacity:8 ~socket_path service))
+          (fun () ->
+            Server.serve ~queue_capacity:8 ~listen:(`Unix socket_path) service))
       ()
   in
   Fun.protect
@@ -1109,11 +1109,10 @@ let test_serve_unix_request_shutdown () =
       Service.request_shutdown service;
       let stopped = wait_until (fun () -> Atomic.get returned) 100 in
       if not stopped then begin
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let fd = Server.connect (`Unix socket_path) () in
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
-            Unix.connect fd (Unix.ADDR_UNIX socket_path);
             let oc = Unix.out_channel_of_descr fd in
             output_string oc
               (Protocol.request_to_line (Protocol.request ~id:"s1" Protocol.Shutdown));
@@ -1131,9 +1130,9 @@ let test_serve_tcp_end_to_end () =
   let server =
     Thread.create
       (fun () ->
-        Server.serve_tcp ~queue_capacity:8 ~max_line:4096
+        Server.serve ~queue_capacity:8 ~max_line:4096
           ~ready:(fun p -> Atomic.set bound p)
-          ~port:0 service)
+          ~listen:(`Tcp ("127.0.0.1", 0)) service)
       ()
   in
   Fun.protect
@@ -1151,11 +1150,7 @@ let test_serve_tcp_end_to_end () =
         end
       in
       let port = wait_for_port 100 in
-      let connect () =
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        fd
-      in
+      let connect = Server.connect (`Tcp ("127.0.0.1", port)) in
       let fd = connect () in
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
@@ -1199,7 +1194,7 @@ let test_serve_tcp_end_to_end () =
       | exception End_of_file -> ()
       | _ -> Alcotest.fail "connection stayed open after an oversize line");
       (try Unix.close fd2 with Unix.Unix_error _ -> ());
-      (* shutdown envelope drains the daemon; serve_tcp returns *)
+      (* shutdown envelope drains the daemon; serve returns *)
       send (Protocol.request ~id:"t3" Protocol.Shutdown);
       let r3 = recv () in
       checkb "shutdown acknowledged" true (r3.Protocol.status = Protocol.Success);
