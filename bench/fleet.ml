@@ -25,6 +25,8 @@
    Writes BENCH_fleet.json so CI can archive and assert on the run. *)
 
 module Protocol = Msoc_serve.Protocol
+module Client = Msoc_serve.Client
+module Clock = Msoc_util.Clock
 module Export = Msoc_testplan.Export
 module Router = Msoc_fleet.Router
 module Supervisor = Msoc_fleet.Supervisor
@@ -45,8 +47,8 @@ let worker_exe () =
 (* --- wire client (closed loop, one in-flight request per connection) --- *)
 
 let rec connect_retry ?(attempts = 100) port =
-  match Msoc_serve.Server.connect (`Tcp ("127.0.0.1", port)) () with
-  | fd -> fd
+  match Client.connect ~idle_timeout_s:30.0 (`Tcp ("127.0.0.1", port)) () with
+  | c -> c
   | exception Unix.Unix_error _ when attempts > 0 ->
     Thread.delay 0.1;
     connect_retry ~attempts:(attempts - 1) port
@@ -60,29 +62,24 @@ let drive ~port ~threads requests =
   let results = Array.make n None in
   let cursor = Atomic.make 0 in
   let pump () =
-    let fd = connect_retry port in
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
+    let c = connect_retry port in
     let rec go () =
       let i = Atomic.fetch_and_add cursor 1 in
-      if i < n then begin
-        output_string oc (Protocol.request_to_line reqs.(i));
-        output_char oc '\n';
-        flush oc;
-        (match Protocol.response_of_line (input_line ic) with
-        | Ok resp -> results.(i) <- Some resp
-        | Error _ -> ());
-        go ()
-      end
+      if i < n then
+        match Client.call c reqs.(i) with
+        | Client.Response resp ->
+          results.(i) <- Some resp;
+          go ()
+        | Client.Malformed _ -> go ()
+        | Client.Closed | Client.Timed_out -> ()
     in
-    (try go () with End_of_file | Sys_error _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ()
+    go ();
+    Client.close c
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let ths = List.init threads (fun _ -> Thread.create pump ()) in
   List.iter Thread.join ths;
-  (results, Unix.gettimeofday () -. t0)
+  (results, Clock.now () -. t0)
 
 (* --- request streams --- *)
 
@@ -304,12 +301,12 @@ let run () =
   require "kill phase: >= 1 cross-worker shared-cache disk hit"
     (!cross_disk >= 1);
   (* the supervisor must bring the victim back *)
-  let deadline = Unix.gettimeofday () +. 20.0 in
+  let deadline = Clock.now () +. 20.0 in
   let rec wait_restart () =
     match List.assoc_opt victim (Supervisor.pids supervisor) with
     | Some pid when pid <> victim_pid -> true
     | _ ->
-      if Unix.gettimeofday () > deadline then false
+      if Clock.now () > deadline then false
       else begin
         Thread.delay 0.1;
         wait_restart ()

@@ -19,10 +19,11 @@
    (bin/msoc_analyze.ml), so this one links no compiler-libs.
 
    Exit codes: 0 clean; 1 when `check` or `--verify` finds an
-   error-severity diagnostic (or `replay` sees a failure); 124 on CLI
-   misuse — a value outside its range (Msoc_serve.Request's table) or a
-   request the planner rejects, what the service answers bad_request;
-   125 only on a bug (an uncaught exception). *)
+   error-severity diagnostic, `replay` sees a failure or `serve`/`fleet`
+   cannot bind their listener; 124 on CLI misuse — a value outside its
+   range (Msoc_serve.Request's table) or a request the planner rejects,
+   what the service answers bad_request; 125 only on a bug (an uncaught
+   exception). *)
 
 open Cmdliner
 
@@ -55,6 +56,15 @@ let checked ~docv range of_string pp = Arg.conv' ~docv (in_range range of_string
 let int_in ?(docv = "N") range = checked ~docv range int_of_string_opt Format.pp_print_int
 let float_in ~docv range = checked ~docv range float_of_string_opt Format.pp_print_float
 let positive_int = int_in Request.positive_int
+
+(* An output file is checked when the options are parsed, before any
+   work: its directory must exist. *)
+let output_path ~docv ?(named = fun _ -> true) expected =
+  let ok path =
+    let dir = Filename.dirname path in
+    Sys.file_exists dir && Sys.is_directory dir && named path
+  in
+  checked ~docv { Request.expected; ok } Option.some Format.pp_print_string
 let pp_name name ppf v = Format.pp_print_string ppf (name v)
 
 (* A comma-separated list, each entry in [range]; [nonempty] rejects a
@@ -638,19 +648,11 @@ let generate_cmd =
   in
   let out =
     (* the file's name less its extension names the SOC *)
-    let writable path =
-      let dir = Filename.dirname path in
-      Sys.file_exists dir && Sys.is_directory dir
-      && Msoc_itc02.Scan.one_token (Filename.remove_extension (Filename.basename path))
-    in
     let path =
-      checked ~docv:"OUTPUT.soc"
-        {
-          Request.expected =
-            "a path in an existing directory, named without blanks, tabs or '#'";
-          ok = writable;
-        }
-        Option.some Format.pp_print_string
+      output_path ~docv:"OUTPUT.soc"
+        ~named:(fun path ->
+          Msoc_itc02.Scan.one_token (Filename.remove_extension (Filename.basename path)))
+        "a path in an existing directory, named without blanks, tabs or '#'"
     in
     Arg.(required & pos 0 (some path) None & info [] ~docv:"OUTPUT.soc" ~doc:"Output path.")
   in
@@ -669,6 +671,8 @@ let generate_cmd =
 
 module Serve_protocol = Msoc_serve.Protocol
 module Serve_service = Msoc_serve.Service
+module Client = Msoc_serve.Client
+module Clock = Msoc_util.Clock
 
 (* daemon arguments shared by [serve] and [fleet] *)
 
@@ -748,6 +752,22 @@ let queue_arg =
           "Bounded request queue capacity; requests beyond it are rejected \
            with an $(b,overloaded) envelope.")
 
+(* Runs [serve ~ready] on [listen]; [ready] names the endpoint from the
+   port bound. A listener that cannot be bound (a missing directory, a
+   port in use) is one line and exit 1, once [serve] has released what
+   it started: [ready] never fired, so the error is the bind's. *)
+let listening cmd listen serve =
+  let name port =
+    match listen with `Unix path -> path | `Tcp (host, _) -> Printf.sprintf "%s:%d" host port
+  in
+  let bound = ref false in
+  match serve ~ready:(fun port -> bound := true; name port) with
+  | () -> ()
+  | exception Unix.Unix_error (e, _, _) when not !bound ->
+    let port = match listen with `Tcp (_, port) -> port | `Unix _ -> 0 in
+    Fmt.epr "msoc_plan %s: cannot listen on %s: %s@." cmd (name port) (Unix.error_message e);
+    exit 1
+
 let run_serve endpoint worker_id cache_dir memory_cache cache_max_mb queue
     jobs =
   let max_disk_bytes = Option.map (fun mb -> mb * 1024 * 1024) cache_max_mb in
@@ -768,20 +788,15 @@ let run_serve endpoint worker_id cache_dir memory_cache cache_max_mb queue
       | Some w -> Printf.sprintf ", worker=%s" w
       | None -> "")
   in
-  Fun.protect
-    ~finally:(fun () -> Serve_service.shutdown service)
-    (fun () ->
-      match endpoint with
-      | `Stdio -> Msoc_serve.Server.serve_channels service stdin stdout
-      | (`Unix _ | `Tcp _) as listen ->
-        Msoc_serve.Server.serve ~queue_capacity:queue
-          ~ready:(fun bound ->
-            describe
-              (match listen with
-              | `Unix path -> path
-              | `Tcp (host, _) -> Printf.sprintf "%s:%d" host bound))
-          ~listen service;
-        Fmt.epr "msoc_plan serve: drained, exiting@.")
+  let serving f = Fun.protect ~finally:(fun () -> Serve_service.shutdown service) f in
+  match endpoint with
+  | `Stdio -> serving (fun () -> Msoc_serve.Server.serve_channels service stdin stdout)
+  | (`Unix _ | `Tcp _) as listen ->
+    listening "serve" listen (fun ~ready ->
+        serving (fun () ->
+            Msoc_serve.Server.serve ~queue_capacity:queue ~listen service
+              ~ready:(fun port -> describe (ready port))));
+    Fmt.epr "msoc_plan serve: drained, exiting@."
 
 let serve_cmd =
   let doc =
@@ -839,26 +854,24 @@ let run_fleet listen workers base_port cache_dir memory_cache cache_max_mb
        (List.map
           (fun (id, pid) -> Printf.sprintf "%s pid %d" id pid)
           (Fleet_supervisor.pids supervisor)));
-  Fun.protect
-    ~finally:(fun () ->
-      Fleet_supervisor.stop supervisor;
-      Sys.set_signal Sys.sigterm old_term;
-      Sys.set_signal Sys.sigint old_int)
-    (fun () ->
-      let cfg =
-        Fleet_router.config ~window ~replicas ~retry_rounds ~seed
-          (List.map
-             (fun (s : Fleet_supervisor.spec) ->
-               { Fleet_router.id = s.Fleet_supervisor.id; host = "127.0.0.1";
-                 port = s.Fleet_supervisor.port })
-             specs)
-      in
-      Fleet_router.run ~metrics
-        ~ready:(fun bound ->
-          match listen with
-          | `Unix path -> Fmt.epr "msoc_plan fleet: router on %s@." path
-          | `Tcp (host, _) -> Fmt.epr "msoc_plan fleet: router on %s:%d@." host bound)
-        ~listen ~stop cfg);
+  listening "fleet" listen (fun ~ready ->
+    Fun.protect
+      ~finally:(fun () ->
+        Fleet_supervisor.stop supervisor;
+        Sys.set_signal Sys.sigterm old_term;
+        Sys.set_signal Sys.sigint old_int)
+      (fun () ->
+        let cfg =
+          Fleet_router.config ~window ~replicas ~retry_rounds ~seed
+            (List.map
+               (fun (s : Fleet_supervisor.spec) ->
+                 { Fleet_router.id = s.Fleet_supervisor.id; host = "127.0.0.1";
+                   port = s.Fleet_supervisor.port })
+               specs)
+        in
+        Fleet_router.run ~metrics
+          ~ready:(fun port -> Fmt.epr "msoc_plan fleet: router on %s@." (ready port))
+          ~listen ~stop cfg));
   Fmt.epr "msoc_plan fleet: drained, exiting@."
 
 let fleet_cmd =
@@ -922,11 +935,11 @@ let fleet_cmd =
    response envelope, and optionally re-plans a sample locally to
    prove the daemon's answers are bit-identical to the one-shot CLI. *)
 
-let replay_requests ~count ~mix ~widths ~weights ~soc_text ~analog ~deadline_ms =
-  List.init count (fun i ->
-      let op = List.nth mix (i mod List.length mix) in
-      let width = List.nth widths (i mod List.length widths) in
-      let weight = List.nth weights (i mod List.length weights) in
+(* [repeat] passes of [count] requests, request j under the id qj *)
+let replay_requests ~count ~repeat ~mix ~widths ~weights ~soc_text ~analog ~deadline_ms =
+  let cycle l i = List.nth l (i mod List.length l) in
+  List.init (repeat * count) (fun j ->
+      let i = j mod count in
       let params =
         Export.Object
           ((match soc_text with
@@ -934,58 +947,12 @@ let replay_requests ~count ~mix ~widths ~weights ~soc_text ~analog ~deadline_ms 
            | None -> [])
           @ [
               ("analog", Export.String analog);
-              ("width", Export.Int width);
-              ("weight_time", Export.Float weight);
+              ("width", Export.Int (cycle widths i));
+              ("weight_time", Export.Float (cycle weights i));
             ])
       in
       Serve_protocol.request ?deadline_ms ~params
-        ~id:(Printf.sprintf "q%d" i) op)
-
-let replay_exchange ~window ic oc requests =
-  (* chunked pipelining: send a window, then collect its responses;
-     responses arrive in request order on one connection, but match by
-     id anyway so a reordering bug is caught, not hidden *)
-  let latencies = Hashtbl.create 256 in
-  let responses = ref [] in
-  let malformed = ref 0 in
-  let rec chunks = function
-    | [] -> ()
-    | batch ->
-      let now = Unix.gettimeofday () in
-      let this, rest =
-        List.filteri (fun i _ -> i < window) batch,
-        List.filteri (fun i _ -> i >= window) batch
-      in
-      List.iter
-        (fun (r : Serve_protocol.request) ->
-          Hashtbl.replace latencies r.Serve_protocol.id now;
-          output_string oc (Serve_protocol.request_to_line r);
-          output_char oc '\n')
-        this;
-      flush oc;
-      List.iter
-        (fun (r : Serve_protocol.request) ->
-          match input_line ic with
-          | exception End_of_file ->
-            Fmt.failwith "server closed the connection mid-replay"
-          | line -> (
-            match Serve_protocol.response_of_line line with
-            | Error e ->
-              incr malformed;
-              Fmt.epr "malformed response for %s: %s@." r.Serve_protocol.id e
-            | Ok resp ->
-              let sent =
-                match Hashtbl.find_opt latencies resp.Serve_protocol.id with
-                | Some t -> t
-                | None -> Fmt.failwith "response for unknown id %S" resp.Serve_protocol.id
-              in
-              responses :=
-                (resp, 1e3 *. (Unix.gettimeofday () -. sent)) :: !responses))
-        this;
-      chunks rest
-  in
-  chunks requests;
-  (List.rev !responses, !malformed)
+        ~id:(Printf.sprintf "q%d" j) (cycle mix i))
 
 let percentile sorted p =
   match Array.length sorted with
@@ -1010,171 +977,154 @@ let ordinal_of_id id =
     int_of_string_opt (String.sub id 1 (String.length id - 1))
   else None
 
-(* Open loop: requests depart on a Poisson schedule fixed before the
-   run starts, split round-robin over [clients] connections. Arrivals
-   never wait for responses — pressure the target cannot absorb shows
-   up honestly as latency or shed envelopes, not as a politely pausing
-   generator. Each connection pairs a sender (paces the schedule) with
-   a reader (scatters responses by ordinal); a receive timeout bounds
-   stragglers so a silent drop is counted, not waited on forever. *)
-let replay_open_loop ~connect ~clients ~rate ~seed requests =
+(* One driver for both loops. The requests are dealt round-robin over
+   [clients] connections, and each connection pairs a sender with a
+   reader that scatters envelopes by ordinal; besides the connection
+   count, the loops differ only in [departs], which holds a request
+   until it may leave. A connection
+   ends when its target leaves or stays silent for 30 s, and what it
+   never answered counts as dropped. An envelope under an id the
+   connection never sent, or one answered twice, counts as malformed. *)
+type conn = {
+  client : Client.t;
+  lock : Mutex.t;
+  moved : Condition.t;  (* a line came in, or the connection ended *)
+  mutable heard : int;  (* lines read, placed or not *)
+  mutable over : bool;
+}
+
+let ended c = Mutex.protect c.lock (fun () -> c.over)
+
+let update c f =
+  Mutex.protect c.lock (fun () ->
+      f c;
+      Condition.broadcast c.moved)
+
+(* the sender stops, and a blocked send or read wakes *)
+let finish c =
+  update c (fun c -> c.over <- true);
+  Client.shutdown c.client
+
+let replay_drive ~connect ~clients ~departs requests =
   let requests = Array.of_list requests in
   let n = Array.length requests in
-  let arrivals = Array.make n 0.0 in
-  let rng = Msoc_util.Rng.create ~seed in
-  let t = ref 0.0 in
-  Array.iteri
-    (fun i _ ->
-      let u = Msoc_util.Rng.float rng ~bound:1.0 in
-      t := !t +. (-.log (1.0 -. u) /. rate);
-      arrivals.(i) <- !t)
-    requests;
-  let send_at = Array.make n 0.0 in
+  let sent_at = Array.make n 0.0 in
   let results = Array.make n None in
   let malformed = Atomic.make 0 in
-  let parts = Array.make (max 1 clients) [] in
-  for i = n - 1 downto 0 do
-    parts.(i mod clients) <- i :: parts.(i mod clients)
-  done;
-  let t0 = Unix.gettimeofday () in
-  let refused = Atomic.make None in
-  let client fd part =
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let expected = List.length part in
-    let reader =
-      Thread.create
-        (fun () ->
-          let got = ref 0 in
-          try
-            while !got < expected do
-              let line = input_line ic in
-              let now = Unix.gettimeofday () in
-              match Serve_protocol.response_of_line line with
-              | Error _ -> Atomic.incr malformed
-              | Ok resp -> (
-                incr got;
-                match ordinal_of_id resp.Serve_protocol.id with
-                | Some i when i >= 0 && i < n ->
-                  results.(i) <- Some (resp, 1e3 *. (now -. send_at.(i)))
-                | Some _ | None -> Atomic.incr malformed)
-            done
-          with End_of_file | Sys_error _ -> ())
-        ()
+  let part k = List.filter (fun i -> i mod clients = k) (List.init n Fun.id) in
+  let conns =
+    Array.init clients (fun _ ->
+        { client = connect (); lock = Mutex.create (); moved = Condition.create ();
+          heard = 0; over = false })
+  in
+  let t0 = Clock.now () in
+  let sender k () =
+    let c = conns.(k) in
+    List.iteri
+      (fun j i ->
+        if departs ~t0 c j i then begin
+          sent_at.(i) <- Clock.now ();
+          if not (Client.send c.client requests.(i)) then finish c
+        end)
+      (part k)
+  in
+  let place k (resp : Serve_protocol.response) =
+    match ordinal_of_id resp.Serve_protocol.id with
+    | Some i when i >= 0 && i < n && i mod clients = k && results.(i) = None ->
+      results.(i) <- Some (resp, 1e3 *. (Clock.now () -. sent_at.(i)));
+      true
+    | Some _ | None -> false
+  in
+  let reader k () =
+    let c = conns.(k) in
+    let expected = List.length (part k) in
+    let rec loop heard =
+      if heard < expected then
+        match Client.recv c.client with
+        | Client.Closed | Client.Timed_out -> ()
+        | reply ->
+          (match reply with
+          | Client.Response resp when place k resp -> ()
+          | _ -> Atomic.incr malformed);
+          update c (fun c -> c.heard <- heard + 1);
+          loop (heard + 1)
     in
-    List.iter
-      (fun i ->
-        let rec pace () =
-          let dt = t0 +. arrivals.(i) -. Unix.gettimeofday () in
-          if dt > 0.0 then begin
-            Thread.delay (Float.min dt 0.05);
-            pace ()
-          end
-        in
-        pace ();
-        send_at.(i) <- Unix.gettimeofday ();
-        try
-          output_string oc (Serve_protocol.request_to_line requests.(i));
-          output_char oc '\n';
-          flush oc
-        with Sys_error _ -> ())
-      part;
-    Thread.join reader;
-    try Unix.close fd with Unix.Unix_error _ -> ()
+    loop 0;
+    finish c
   in
-  let client_thread part () =
-    match connect () with
-    | exception (Unix.Unix_error _ as e) -> Atomic.set refused (Some e)
-    | fd -> client fd part
+  List.init clients (fun k -> [ Thread.create (sender k) (); Thread.create (reader k) () ])
+  |> List.concat |> List.iter Thread.join;
+  Array.iter (fun c -> Client.close c.client) conns;
+  (results, Atomic.get malformed, Clock.now () -. t0)
+
+(* Closed loop: one connection, and a request leaves once every
+   earlier chunk of [window] has been answered. *)
+let after_chunks ~window ~t0:_ c j _ =
+  Mutex.protect c.lock (fun () ->
+      while (not c.over) && c.heard < j - (j mod window) do
+        Condition.wait c.moved c.lock
+      done;
+      not c.over)
+
+(* Open loop: requests depart on a Poisson schedule fixed before the
+   run starts, and never wait for responses — pressure the target
+   cannot absorb shows up honestly as latency or shed envelopes, not
+   as a politely pausing generator. *)
+let on_schedule ~rate ~seed n =
+  let rng = Msoc_util.Rng.create ~seed in
+  let t = ref 0.0 in
+  let arrivals =
+    Array.init n (fun _ ->
+        t := !t +. (-.log (1.0 -. Msoc_util.Rng.float rng ~bound:1.0) /. rate);
+        !t)
   in
-  let threads =
-    Array.to_list (Array.map (fun part -> Thread.create (client_thread part) ()) parts)
-  in
-  List.iter Thread.join threads;
-  Option.iter raise (Atomic.get refused);
-  (results, Atomic.get malformed, Unix.gettimeofday () -. t0)
+  fun ~t0 c _ i ->
+    let rec pace () =
+      let dt = t0 +. arrivals.(i) -. Clock.now () in
+      (not (ended c)) && (dt <= 0.0 || (Thread.delay (Float.min dt 0.05); pace ()))
+    in
+    pace ()
 
 (* One stats envelope on a fresh connection; soft-fails to None so a
    load report survives a target that drained right after the run. *)
 let fetch_stats connect =
   match connect () with
   | exception Unix.Unix_error _ -> None
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        try
-          output_string oc
-            (Serve_protocol.request_to_line
-               (Serve_protocol.request ~id:"stats" Serve_protocol.Stats));
-          output_char oc '\n';
-          flush oc;
-          match Serve_protocol.response_of_line (input_line ic) with
-          | Ok r -> Some r.Serve_protocol.result
-          | Error _ -> None
-        with End_of_file | Sys_error _ -> None)
+  | c ->
+    Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+        match Client.call c (Serve_protocol.request ~id:"stats" Serve_protocol.Stats) with
+        | Client.Response r -> Some r.Serve_protocol.result
+        | Client.Malformed _ | Client.Closed | Client.Timed_out -> None)
 
 let run_replay endpoint count mix widths weights soc_text
     analog_cores window repeat deadline_ms verify clients rate allowed_shed
     json_out seed =
   let requests =
-    List.concat
-      (List.init repeat (fun _ ->
-           replay_requests ~count ~mix ~widths ~weights ~soc_text
-             ~analog:(String.concat "," (labels analog_cores)) ~deadline_ms))
-    |> List.mapi (fun i (r : Serve_protocol.request) ->
-           { r with Serve_protocol.id = Printf.sprintf "q%d" i })
+    replay_requests ~count ~repeat ~mix ~widths ~weights ~soc_text
+      ~analog:(String.concat "," (labels analog_cores)) ~deadline_ms
   in
   let n = List.length requests in
   (* a fresh connection per call: a serve daemon's socket or the front
      door of a worker or a fleet router, one protocol on all three *)
-  let connect = Msoc_serve.Server.connect endpoint in
-  let fail_replay msg =
-    Fmt.epr "replay: FAIL: %s@." msg;
-    exit 1
-  in
+  let connect = Client.connect ~idle_timeout_s:30.0 endpoint in
   let results, malformed, wall =
-    match
-    match rate with
-    | Some r ->
-      replay_open_loop ~connect ~clients ~rate:r ~seed requests
-    | None ->
-      (* closed loop: one connection, bounded pipeline windows *)
-      let fd = connect () in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let t0 = Unix.gettimeofday () in
-      let responses, malformed =
-        try replay_exchange ~window ic oc requests
-        with Failure msg | Sys_error msg -> fail_replay msg
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      let results = Array.make n None in
-      List.iter
-        (fun ((resp : Serve_protocol.response), lat) ->
-          match ordinal_of_id resp.Serve_protocol.id with
-          | Some i when i >= 0 && i < n -> results.(i) <- Some (resp, lat)
-          | Some _ | None -> ())
-        responses;
-      (results, malformed, wall)
-    with
-    | run -> run
-    | exception Unix.Unix_error (e, _, _) ->
-      fail_replay ("cannot connect: " ^ Unix.error_message e)
+    let clients, departs =
+      match rate with
+      | Some rate -> (clients, on_schedule ~rate ~seed n)
+      | None -> (1, after_chunks ~window)
+    in
+    try replay_drive ~connect ~clients ~departs requests
+    with Unix.Unix_error (e, _, _) ->
+      Fmt.epr "replay: FAIL: cannot connect: %s@." (Unix.error_message e);
+      exit 1
   in
   let stats = fetch_stats connect in
+  (* every peer is closed: with SIGPIPE at its default, a closed stdout
+     ends replay quietly, as it ends any other command *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
   let answered =
-    List.concat
-      (List.mapi
-         (fun i req ->
-           match results.(i) with
-           | Some (resp, lat) -> [ (req, resp, lat) ]
-           | None -> [])
-         requests)
+    List.filter_map Fun.id
+      (List.mapi (fun i req -> Option.map (fun (resp, lat) -> (req, resp, lat)) results.(i)) requests)
   in
   let dropped = n - List.length answered in
   let by_status = Hashtbl.create 8 in
@@ -1382,10 +1332,10 @@ let run_replay endpoint count mix widths weights soc_text
           ("failures", Export.Int !failures);
         ]
     in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Export.to_string json ^ "\n")));
+    try Out_channel.with_open_text path (fun oc -> output_string oc (Export.to_string json ^ "\n"))
+    with Sys_error m ->
+      Fmt.epr "replay: FAIL: %s@." m;
+      exit 1);
   if !failures > 0 then exit 1
 
 let replay_cmd =
@@ -1468,7 +1418,7 @@ let replay_cmd =
   let json_out_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (output_path ~docv:"FILE" "a path in an existing directory")) None
       & info [ "json-out" ] ~docv:"FILE"
           ~doc:"Write the load report (percentiles, statuses, workers) as JSON.")
   in

@@ -1,5 +1,5 @@
 module Protocol = Msoc_serve.Protocol
-module Server = Msoc_serve.Server
+module Client = Msoc_serve.Client
 module Backoff = Msoc_util.Backoff
 
 (* One persistent TCP link to one worker, owned by a maintenance
@@ -9,15 +9,13 @@ module Backoff = Msoc_util.Backoff
    maintenance thread is the only closer, and closing takes the same
    lock so a late write can never land on a reused descriptor. *)
 
-type link = { fd : Unix.file_descr; oc : out_channel; ic : in_channel }
-
 type t = {
   id : string;
-  connect : unit -> Unix.file_descr;
+  connect : unit -> Client.t;
   on_response : Protocol.response -> unit;
   on_state : up:bool -> unit;  (* edge-triggered, outside [lock] *)
   lock : Mutex.t;
-  mutable link : link option;  (* under [lock] *)
+  mutable link : Client.t option;  (* under [lock] *)
   mutable running : bool;  (* under [lock] *)
   backoff : Backoff.t;  (* owned by the maintenance thread *)
   mutable thread : Thread.t option;
@@ -35,16 +33,7 @@ let send_line t line =
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      match t.link with
-      | None -> false
-      | Some l -> (
-        try
-          output_string l.oc line;
-          output_char l.oc '\n';
-          flush l.oc;
-          true
-        with Sys_error _ -> false))
+    (fun () -> match t.link with None -> false | Some l -> Client.send_line l line)
 
 (* Detach the link under the lock, close it outside: after the swap no
    sender can reach the descriptor, so the close races nothing. *)
@@ -55,42 +44,34 @@ let take_link t =
   Mutex.unlock t.lock;
   l
 
-let close_link l =
-  try Unix.close l.fd with Unix.Unix_error _ -> ()
-
 let still_running t =
   Mutex.lock t.lock;
   let r = t.running in
   Mutex.unlock t.lock;
   r
 
-let connect_once t =
-  match t.connect () with
-  | fd -> Some { fd; oc = Unix.out_channel_of_descr fd; ic = Unix.in_channel_of_descr fd }
-  | exception Unix.Unix_error _ -> None
-
 let read_loop t l =
   let rec loop () =
-    match input_line l.ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line ->
-      (match Protocol.response_of_line line with
-      | Ok response -> t.on_response response
-      | Error _ ->
-        (* a worker speaking another schema version (or garbage) —
-           drop the link and let the reconnect path retry *)
-        ());
+    match Client.recv l with
+    | Client.Response response ->
+      t.on_response response;
       loop ()
+    | Client.Malformed _ ->
+      (* a line that is no envelope of this schema version (or
+         garbage) is skipped: the link stays up, and the request it
+         answered gets no envelope from this worker *)
+      loop ()
+    | Client.Closed | Client.Timed_out -> ()
   in
   loop ()
 
 let maintain t () =
   while still_running t do
-    match connect_once t with
-    | None -> Backoff.sleep t.backoff ~stop:(fun () -> not (still_running t))
-    | Some l ->
-      if not (still_running t) then close_link l
+    match t.connect () with
+    | exception Unix.Unix_error _ ->
+      Backoff.sleep t.backoff ~stop:(fun () -> not (still_running t))
+    | l ->
+      if not (still_running t) then Client.close l
       else begin
         Backoff.reset t.backoff;
         Mutex.lock t.lock;
@@ -98,18 +79,18 @@ let maintain t () =
         Mutex.unlock t.lock;
         t.on_state ~up:true;
         read_loop t l;
-        (match take_link t with Some l -> close_link l | None -> ());
+        Option.iter Client.close (take_link t);
         t.on_state ~up:false
       end
   done;
-  match take_link t with Some l -> close_link l | None -> ()
+  Option.iter Client.close (take_link t)
 
 let create ~id ~host ~port ~seed ~on_response ~on_state () =
   let t =
     {
       id;
       (* resolves the host here, so a bad one fails [create] *)
-      connect = Server.connect (`Tcp (host, port));
+      connect = Client.connect (`Tcp (host, port));
       on_response;
       on_state;
       lock = Mutex.create ();
@@ -127,12 +108,10 @@ let stop t =
   t.running <- false;
   let l = t.link in
   Mutex.unlock t.lock;
-  (* Wake a blocked read with a half-close; the maintenance thread
-     owns the full close. A racing worker-side EOF may have already
-     closed the descriptor — EBADF et al. are the benign outcomes. *)
-  (match l with
-  | Some l -> ( try Unix.shutdown l.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-  | None -> ());
+  (* Wake a blocked read; the maintenance thread owns the close. A
+     racing worker-side EOF may have already closed the descriptor —
+     EBADF et al. are the benign outcomes. *)
+  Option.iter Client.shutdown l;
   match t.thread with
   | Some th ->
     Thread.join th;

@@ -3,11 +3,13 @@
     A maintenance thread owns the link's lifecycle: it connects to the
     worker's TCP endpoint, retrying with seeded jittered backoff
     ({!Msoc_util.Backoff}) while the worker is down or restarting,
-    then reads response lines and hands each parsed envelope to
-    [on_response] until the link dies, then reconnects. [on_state]
-    fires on every up/down edge (outside any internal lock), which is
-    how the router learns to fail requests over and to redispatch
-    in-flight work from a dead worker.
+    then reads response lines through {!Msoc_serve.Client} and hands
+    each envelope to [on_response] until the link dies, then
+    reconnects. A line that is no envelope is skipped: the link stays
+    up, and the request it answered gets nothing from this worker.
+    [on_state] fires on every up/down edge (outside any internal
+    lock), which is how the router learns to fail requests over and
+    to redispatch in-flight work from a dead worker.
 
     {!send_line} is thread-safe and never blocks on a dead link: it
     returns [false] when the link is down (callers treat that as "this
@@ -23,7 +25,7 @@ val create :
   on_state:(up:bool -> unit) -> unit -> t
 (** Starts the maintenance thread immediately. [host] accepts
     ["localhost"] or a dotted quad; each connect goes through
-    {!Msoc_serve.Server.connect}. Callbacks run on the maintenance
+    {!Msoc_serve.Client.connect}. Callbacks run on the maintenance
     thread and must not call back into this module (except
     {!send_line}).
     @raise Failure on a bad host. *)

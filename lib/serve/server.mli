@@ -39,17 +39,22 @@ val serve_channels : Service.t -> in_channel -> out_channel -> unit
     answering a [shutdown] envelope. *)
 
 (** Bounded NDJSON line reading over a raw descriptor — the input
-    discipline {!accept_loop} applies to every peer: per-line length
-    cap, optional idle budget, EINTR-safe. *)
+    discipline {!accept_loop} applies to every peer, and {!Client} to
+    every server: per-line length cap, optional idle budget,
+    EINTR-safe. *)
 module Line_reader : sig
   type event =
     | Line of string  (** one line, terminator stripped *)
-    | Eof  (** end of input; a partial last line is dropped *)
+    | Eof  (** end of input, or a read error; a partial last line is
+                dropped *)
     | Too_long  (** the line crossed [max_line]; no resync point *)
     | Idle_timeout  (** silent past [idle_timeout_s] *)
 
   type t
-  (** Made by {!accept_loop} for each connection it accepts. *)
+
+  val create : ?idle_timeout_s:float -> ?max_line:int -> Unix.file_descr -> t
+  (** [max_line] defaults to 1 MiB; no idle budget by default. The
+      reader never closes the descriptor. *)
 
   val next : t -> event
 
@@ -63,7 +68,9 @@ type endpoint = [ `Unix of string | `Tcp of string * int ]
 val connect : endpoint -> unit -> Unix.file_descr
 (** [connect endpoint] resolves the address; each [()] then opens a
     fresh client connection, with [TCP_NODELAY] set over TCP. A socket
-    whose connect fails is closed before the error propagates.
+    whose connect fails is closed before the error propagates. Clients
+    speak through {!Client.connect}, which wraps this; the raw
+    descriptor is for a caller that breaks the framing on purpose.
     @raise Failure at [connect endpoint] on a bad host.
     @raise Unix.Unix_error at [()] when the connect fails. *)
 

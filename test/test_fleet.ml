@@ -9,6 +9,7 @@ module Export = Msoc_testplan.Export
 module Protocol = Msoc_serve.Protocol
 module Service = Msoc_serve.Service
 module Server = Msoc_serve.Server
+module Client = Msoc_serve.Client
 module Backoff = Msoc_util.Backoff
 module Hash_ring = Msoc_fleet.Hash_ring
 module Router = Msoc_fleet.Router
@@ -183,17 +184,17 @@ let wait_port bound =
   in
   wait 250
 
-let connect port = Server.connect (`Tcp ("127.0.0.1", port)) ()
+let connect ?idle_timeout_s port =
+  Client.connect ?idle_timeout_s (`Tcp ("127.0.0.1", port)) ()
 
-let send_req oc req =
-  output_string oc (Protocol.request_to_line req);
-  output_char oc '\n';
-  flush oc
+let send_req c req = ignore (Client.send c req : bool)
 
-let recv_resp ic =
-  match Protocol.response_of_line (input_line ic) with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "malformed response: %s" e
+(* the next envelope; [what] names the request a missing one fails *)
+let recv_resp ?(what = "the request") c =
+  match Client.recv c with
+  | Client.Response r -> r
+  | Client.Malformed e -> Alcotest.failf "malformed response: %s" e
+  | Client.Closed | Client.Timed_out -> Alcotest.failf "no envelope for %s" what
 
 (* a [shutdown] envelope is the only thing that makes the daemon's
    accept loop exit (the dispatcher observes the service flag while
@@ -201,16 +202,10 @@ let recv_resp ic =
 let stop_worker service port th =
   (match connect port with
   | exception Unix.Unix_error _ -> Service.request_shutdown service
-  | fd ->
+  | c ->
     Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        try
-          send_req oc (Protocol.request ~id:"stop" Protocol.Shutdown);
-          ignore (input_line ic)
-        with End_of_file | Sys_error _ -> ()));
+      ~finally:(fun () -> Client.close c)
+      (fun () -> ignore (Client.call c (Protocol.request ~id:"stop" Protocol.Shutdown))));
   Thread.join th;
   Service.shutdown service
 
@@ -289,11 +284,9 @@ let test_router_end_to_end () =
       stop_worker sa pa ta;
       stop_worker sb pb tb)
     (fun () ->
-      let fd = connect (wait_port router_port) in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      send_req oc (plan_req ~id:"r1" ());
-      let r1 = recv_resp ic in
+      let c = connect (wait_port router_port) in
+      send_req c (plan_req ~id:"r1" ());
+      let r1 = recv_resp c in
       checks "routed response keeps the client id" "r1" r1.Protocol.id;
       checkb "plan ok through the router" true
         (r1.Protocol.status = Protocol.Success);
@@ -304,7 +297,7 @@ let test_router_end_to_end () =
       in
       checkb "stamped by a real worker" true (w1 = "a" || w1 = "b");
       (* same fingerprint, field order flipped: same worker, warm *)
-      send_req oc
+      send_req c
         { (plan_req ~id:"r2" ()) with
           Protocol.params =
             Export.Object
@@ -312,7 +305,7 @@ let test_router_end_to_end () =
                 ("width", Export.Int 16);
                 ("soc_text", Export.String (Lazy.force small_soc_text));
               ] };
-      let r2 = recv_resp ic in
+      let r2 = recv_resp c in
       checkb "repeat is a cache hit" true (r2.Protocol.cached <> None);
       checkb "repeat lands on the same worker" true
         (r2.Protocol.worker = Some w1);
@@ -320,8 +313,8 @@ let test_router_end_to_end () =
         (Export.to_string r1.Protocol.result)
         (Export.to_string r2.Protocol.result);
       (* stats are answered by the router itself *)
-      send_req oc (Protocol.request ~id:"r3" Protocol.Stats);
-      let r3 = recv_resp ic in
+      send_req c (Protocol.request ~id:"r3" Protocol.Stats);
+      let r3 = recv_resp c in
       checkb "stats stamped by the router" true
         (r3.Protocol.worker = Some "router");
       checkb "stats carry the fleet section" true
@@ -330,11 +323,11 @@ let test_router_end_to_end () =
         (Export.member "protocol_version" r3.Protocol.result
         = Some (Export.Int Protocol.version));
       (* shutdown drains the fleet *)
-      send_req oc (Protocol.request ~id:"r4" Protocol.Shutdown);
-      let r4 = recv_resp ic in
+      send_req c (Protocol.request ~id:"r4" Protocol.Shutdown);
+      let r4 = recv_resp c in
       checkb "shutdown acknowledged" true
         (r4.Protocol.status = Protocol.Success);
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Client.close c;
       Thread.join router;
       checkb "router stopped on the shutdown envelope" true (Atomic.get stop))
 
@@ -371,16 +364,14 @@ let test_router_all_workers_down () =
       Atomic.set stop true;
       Thread.join router)
     (fun () ->
-      let fd = connect (wait_port router_port) in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      send_req oc (plan_req ~id:"n1" ());
-      let r = recv_resp ic in
+      let c = connect (wait_port router_port) in
+      send_req c (plan_req ~id:"n1" ());
+      let r = recv_resp c in
       checks "request id preserved" "n1" r.Protocol.id;
       checkb "honest unavailable" true
         (r.Protocol.status = Protocol.Unavailable);
       checkb "stamped by the router" true (r.Protocol.worker = Some "router");
-      try Unix.close fd with Unix.Unix_error _ -> ())
+      Client.close c)
 
 (* The router answers a bad envelope itself, under the line's own
    string id: a pipelining client can tell which request failed. No
@@ -404,22 +395,14 @@ let test_router_bad_envelope_keeps_id () =
       Atomic.set stop true;
       Thread.join router)
     (fun () ->
-      let fd = connect (wait_port router_port) in
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
+      let c = connect ~idle_timeout_s:5.0 (wait_port router_port) in
       List.iter
         (fun (id, line) ->
-          output_string oc line;
-          output_char oc '\n';
-          flush oc;
-          match recv_resp ic with
-          | r ->
-            checks ("id of " ^ line) id r.Protocol.id;
-            checkb "bad_request" true (r.Protocol.status = Protocol.Bad_request);
-            checkb "stamped by the router" true (r.Protocol.worker = Some "router")
-          | exception (Sys_blocked_io | Sys_error _ | End_of_file) ->
-            Alcotest.failf "no envelope for %s" line)
+          ignore (Client.send_line c line : bool);
+          let r = recv_resp ~what:line c in
+          checks ("id of " ^ line) id r.Protocol.id;
+          checkb "bad_request" true (r.Protocol.status = Protocol.Bad_request);
+          checkb "stamped by the router" true (r.Protocol.worker = Some "router"))
         [
           ("a", {|{"v":1,"id":"a","op":"plan","params":[]}|});
           ("b", {|{"v":1,"id":"b","op":"nope"}|});
@@ -427,7 +410,7 @@ let test_router_bad_envelope_keeps_id () =
           ("", {|{"v":1,"id":7,"op":"plan"}|});
           ("", "not json");
         ];
-      try Unix.close fd with Unix.Unix_error _ -> ())
+      Client.close c)
 
 (* A number past the float range once parsed as an infinity: the
    router forwarded it as [inf], the worker rejected that line under an
@@ -456,29 +439,18 @@ let test_router_out_of_range_number () =
       Thread.join router;
       stop_worker service port th)
     (fun () ->
-      let fd = connect (wait_port router_port) in
       (* a bounded wait: a missing envelope fails the read *)
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let recv what =
-        match recv_resp ic with
-        | r -> r
-        | exception (Sys_blocked_io | Sys_error _ | End_of_file) ->
-          Alcotest.failf "no envelope for %s" what
-      in
+      let c = connect ~idle_timeout_s:5.0 (wait_port router_port) in
       for k = 1 to 2 do
-        output_string oc {|{"v":1,"id":"a","op":"plan","deadline_ms":1e999}|};
-        output_char oc '\n';
-        flush oc;
-        let r = recv (Printf.sprintf "out-of-range line %d" k) in
+        ignore (Client.send_line c {|{"v":1,"id":"a","op":"plan","deadline_ms":1e999}|} : bool);
+        let r = recv_resp ~what:(Printf.sprintf "out-of-range line %d" k) c in
         checkb "bad_request" true (r.Protocol.status = Protocol.Bad_request)
       done;
-      send_req oc (plan_req ~id:"p1" ());
-      let r = recv "the plan after them" in
+      send_req c (plan_req ~id:"p1" ());
+      let r = recv_resp ~what:"the plan after them" c in
       checks "the plan's own envelope" "p1" r.Protocol.id;
       checkb "plan ok" true (r.Protocol.status = Protocol.Success);
-      try Unix.close fd with Unix.Unix_error _ -> ())
+      Client.close c)
 
 (* --- one front door, four ways in --- *)
 
@@ -488,7 +460,7 @@ let test_router_out_of_range_number () =
    that leaves before its reply, a silent connection and a shutdown. *)
 
 type door = {
-  reach : unit -> Unix.file_descr;
+  endpoint : Server.endpoint;  (* with the port the door bound *)
   stamp : string option;  (* the worker stamp on the door's own rejections *)
   settled : Export.json -> bool;
       (* from the door's stats: a plan was answered and none is owed *)
@@ -514,20 +486,16 @@ let rec poll what cond tries =
       poll what cond (tries - 1)
     end
 
-(* run a door in a thread until its [ready] fires: the thread, a
-   connector and the socket file to be removed on shutdown *)
+(* run a door in a thread until its [ready] fires: the thread, the
+   endpoint it bound and the socket file to be removed on shutdown *)
 let open_door listen start =
   let bound = Atomic.make None in
   let th = Thread.create (fun () -> start ~ready:(fun p -> Atomic.set bound (Some p))) () in
   poll "the door bound" (fun () -> Atomic.get bound <> None) 250;
   let port = Option.get (Atomic.get bound) in
-  let reach =
-    match listen with
-    | `Unix _ -> Server.connect listen
-    | `Tcp (host, _) -> Server.connect (`Tcp (host, port))
-  in
-  let socket_file = match listen with `Unix path -> Some path | `Tcp _ -> None in
-  (th, reach, socket_file)
+  match listen with
+  | `Unix path -> (th, listen, Some path)
+  | `Tcp (host, _) -> (th, `Tcp (host, port), None)
 
 let once f =
   let done_ = ref false in
@@ -545,28 +513,23 @@ let int_at path json =
   | _ -> 0
 
 (* a connection whose reads give up after 5 s *)
-let enter door =
-  let fd = door.reach () in
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+let enter door = Client.connect ~idle_timeout_s:5.0 door.endpoint ()
 
 (* the next envelope, or None once the door has hung up *)
-let next_envelope ic =
-  match input_line ic with
-  | line -> (
-    match Protocol.response_of_line line with
-    | Ok r -> Some r
-    | Error e -> Alcotest.failf "malformed response %S: %s" line e)
-  | exception (End_of_file | Sys_error _) -> None
-  | exception Sys_blocked_io -> Alcotest.fail "no envelope and no hang-up within 5 s"
+let next_envelope c =
+  match Client.recv c with
+  | Client.Response r -> Some r
+  | Client.Malformed e -> Alcotest.failf "malformed response: %s" e
+  | Client.Closed -> None
+  | Client.Timed_out -> Alcotest.fail "no envelope and no hang-up within 5 s"
 
 let exchange door req =
-  let fd, ic, oc = enter door in
+  let c = enter door in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> Client.close c)
     (fun () ->
-      send_req oc req;
-      match next_envelope ic with
+      send_req c req;
+      match next_envelope c with
       | Some r -> r
       | None -> Alcotest.failf "the door hung up on %s" req.Protocol.id)
 
@@ -578,14 +541,14 @@ let door_stats door =
 let daemon_door transport idle_timeout_s =
   let listen = door_endpoint transport "daemon" in
   let service = Service.create ~jobs:1 () in
-  let th, reach, socket_file =
+  let th, endpoint, socket_file =
     open_door listen (fun ~ready ->
         (* the default queue (64) holds the abandoned burst below *)
         Server.serve ~max_line:door_max_line ?idle_timeout_s ~ready ~listen
           service)
   in
   {
-    reach;
+    endpoint;
     stamp = None;
     (* one dispatch thread: a stats that counts the plan follows it *)
     settled = (fun stats -> int_at [ "metrics"; "requests"; "plan" ] stats >= 1);
@@ -602,7 +565,7 @@ let router_door transport idle_timeout_s =
   let service = Service.create ~worker:"a" ~jobs:1 () in
   let port, worker = start_worker service in
   let stop = Atomic.make false in
-  let th, reach, socket_file =
+  let th, endpoint, socket_file =
     open_door listen (fun ~ready ->
         Router.run ~ready ~listen ~stop
           (Router.config ~max_line:door_max_line ?idle_timeout_s ~seed:3
@@ -610,7 +573,7 @@ let router_door transport idle_timeout_s =
   in
   let door =
     {
-      reach;
+      endpoint;
       stamp = Some "router";
       settled =
         (fun stats ->
@@ -638,36 +601,36 @@ let router_door transport idle_timeout_s =
 
 let front_door_body door =
   (* an oversize line: one bad_request, then the door hangs up *)
-  let fd, ic, oc = enter door in
-  output_string oc (String.make (door_max_line + 1) 'x');
-  output_char oc '\n';
-  flush oc;
-  (match next_envelope ic with
+  let c = enter door in
+  ignore (Client.send_line c (String.make (door_max_line + 1) 'x') : bool);
+  (match next_envelope c with
   | Some r ->
     checkb "oversize line rejected" true (r.Protocol.status = Protocol.Bad_request);
     checks "under the empty id" "" r.Protocol.id;
     checkb "stamped by the door" true (r.Protocol.worker = door.stamp)
   | None -> Alcotest.fail "no envelope for an oversize line");
-  checkb "one envelope, then the connection closes" true (next_envelope ic = None);
-  Unix.close fd;
-  (* half a line, then the client closes its side: no envelope *)
-  let fd, ic, oc = enter door in
-  output_string oc {|{"v":1,"id":"half","op":"st|};
-  flush oc;
+  checkb "one envelope, then the connection closes" true (next_envelope c = None);
+  Client.close c;
+  (* half a line, then the client closes its side: no envelope (a raw
+     descriptor, as the client only sends whole lines) *)
+  let fd = Server.connect door.endpoint () in
+  let half = {|{"v":1,"id":"half","op":"st|} in
+  ignore (Unix.write_substring fd half 0 (String.length half) : int);
   Unix.shutdown fd Unix.SHUTDOWN_SEND;
-  checkb "a partial line gets no envelope" true (next_envelope ic = None);
+  checkb "a partial line gets no envelope" true
+    (Server.Line_reader.(next (create ~idle_timeout_s:5.0 fd)) = Server.Line_reader.Eof);
   Unix.close fd;
   ignore (door_stats door : Export.json);
   (* a plan whose client leaves before the reply still runs *)
-  let fd, _, oc = enter door in
-  send_req oc (plan_req ~width:20 ~id:"gone" ());
-  Unix.close fd;
+  let c = enter door in
+  send_req c (plan_req ~width:20 ~id:"gone" ());
+  Client.close c;
   poll "the abandoned plan answered" (fun () -> door.settled (door_stats door)) 250;
   (* replies owed to departed clients cost the door nothing *)
   for k = 1 to 20 do
-    let fd, _, oc = enter door in
-    send_req oc (Protocol.request ~id:(Printf.sprintf "s%d" k) Protocol.Stats);
-    Unix.close fd
+    let c = enter door in
+    send_req c (Protocol.request ~id:(Printf.sprintf "s%d" k) Protocol.Stats);
+    Client.close c
   done;
   let r = exchange door (plan_req ~width:20 ~id:"again" ()) in
   checks "the repeat's own id" "again" r.Protocol.id;
@@ -685,14 +648,22 @@ let front_door_body door =
 
 (* a connection that never sends is reaped after the idle budget *)
 let idle_body door =
-  let fd, ic, _ = enter door in
+  let c = enter door in
   let t0 = Unix.gettimeofday () in
-  checkb "a silent connection is reaped" true (next_envelope ic = None);
+  checkb "a silent connection is reaped" true (next_envelope c = None);
   checkb "not before its idle budget" true (Unix.gettimeofday () -. t0 >= 0.15);
-  Unix.close fd;
+  Client.close c;
   ignore (door_stats door : Export.json)
 
+(* Client.connect sets SIGPIPE to ignored once per process; put back to
+   its default here, only the door's own accept loop keeps a client
+   that leaves before its reply from killing this process *)
+let sigpipe_default () =
+  ignore (Client.connect (`Unix "unused") : unit -> Client.t);
+  Sys.set_signal Sys.sigpipe Sys.Signal_default
+
 let test_front_door start () =
+  sigpipe_default ();
   let door = start None in
   Fun.protect ~finally:door.stop (fun () -> front_door_body door);
   let idle = start (Some 0.2) in
@@ -729,17 +700,14 @@ let test_supervisor_restarts_killed_worker () =
       let answer () =
         match connect port with
         | exception Unix.Unix_error _ -> None
-        | fd ->
+        | c ->
           Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
+            ~finally:(fun () -> Client.close c)
             (fun () ->
-              let ic = Unix.in_channel_of_descr fd in
-              let oc = Unix.out_channel_of_descr fd in
-              try
-                send_req oc (Protocol.request ~id:"hb" Protocol.Stats);
-                Some (recv_resp ic)
-              with End_of_file | Sys_error _ -> None)
+              match Client.call c (Protocol.request ~id:"hb" Protocol.Stats) with
+              | Client.Response r -> Some r
+              | Client.Malformed e -> Alcotest.failf "malformed response: %s" e
+              | Client.Closed | Client.Timed_out -> None)
       in
       let rec wait_answer tries =
         match answer () with

@@ -253,9 +253,9 @@ let tool_exe tool =
 
 (* Runs the built [tool] (default msoc_plan) with [args], MSOC_JOBS
    taken out of the environment and [env] added, its stdin on [stdin]
-   and its stdout on [stdout] (default: both /dev/null); returns its
-   exit code and the lines it wrote to stderr. *)
-let run_cli ?(tool = "msoc_plan") ?(env = []) ?stdin ?stdout args =
+   and its stdout on [stdout] (default: both /dev/null); returns how
+   it ended and the lines it wrote to stderr. *)
+let run_tool ?(tool = "msoc_plan") ?(env = []) ?stdin ?stdout args =
   let exe = tool_exe tool in
   let env =
     Array.append
@@ -276,12 +276,14 @@ let run_cli ?(tool = "msoc_plan") ?(env = []) ?stdin ?stdout args =
   in
   let ic = Unix.in_channel_of_descr err_r in
   let text = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic) in
-  let code =
-    match snd (Unix.waitpid [] pid) with
-    | Unix.WEXITED c -> c
-    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
-  in
-  (code, List.filter (fun l -> l <> "") (String.split_on_char '\n' text))
+  let status = snd (Unix.waitpid [] pid) in
+  (status, List.filter (fun l -> l <> "") (String.split_on_char '\n' text))
+
+(* [run_tool]'s exit code (-1 for a signal) and stderr lines *)
+let run_cli ?tool ?env ?stdin ?stdout args =
+  match run_tool ?tool ?env ?stdin ?stdout args with
+  | Unix.WEXITED c, lines -> (c, lines)
+  | (Unix.WSIGNALED _ | Unix.WSTOPPED _), lines -> (-1, lines)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -379,6 +381,8 @@ let test_cli_bad_serve_values () =
       ([], replay [ "--mix"; "" ], [ "'--mix'"; "plan, optimize" ]);
       ([], replay [ "--allow-shed"; "nope" ],
         [ "'--allow-shed'"; "overloaded, deadline_exceeded" ]);
+      ([], replay [ "--json-out"; "/nonexistent/dir/r.json" ],
+        [ "'--json-out'"; "existing directory" ]);
     ]
 
 (* Planning values checked against the request range table. *)
@@ -446,6 +450,124 @@ let test_cli_replay_unreachable () =
       | code, lines ->
         Alcotest.failf "%s: exit %d, %d stderr lines" what code (List.length lines))
     [ []; [ "--rate"; "50"; "--clients"; "2" ] ]
+
+(* [msoc_plan serve --socket socket] in the background, its output
+   discarded, until [f pid] returns; then SIGTERM and reaped *)
+let with_daemon socket f =
+  let exe = tool_exe "msoc_plan" in
+  (try Sys.remove socket with Sys_error _ -> ());
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close null) (fun () ->
+        Unix.create_process exe [| exe; "serve"; "--socket"; socket |] null null null)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      let rec wait tries =
+        if not (Sys.file_exists socket) then
+          if tries = 0 then Alcotest.fail "daemon socket never appeared"
+          else begin
+            Thread.delay 0.05;
+            wait (tries - 1)
+          end
+      in
+      wait 200;
+      f pid)
+
+(* A daemon that drains in the middle of a replay leaves a report, not
+   a dead client: exit 1, the "replayed" report, the count of requests
+   that got no envelope, and in the JSON dropped >= 1 and nothing
+   malformed, in the open and the closed loop. A replay whose stdout is
+   a closed pipe still dies of SIGPIPE with nothing on stderr, as any
+   command does. *)
+let test_cli_replay_through_drain () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "msoc-drain-%d.sock" (Unix.getpid ()))
+  in
+  let json = Filename.temp_file "msoc-drain" ".json" in
+  let out = Filename.temp_file "msoc-drain" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove json; Sys.remove out) @@ fun () ->
+  List.iter
+    (fun (n, extra) ->
+      let args =
+        [ "replay"; "--socket"; socket; "--count"; string_of_int n; "--verify"; "0";
+          "--json-out"; json ] @ extra
+      in
+      let what = String.concat " " args in
+      let code, lines =
+        with_daemon socket (fun pid ->
+            let term = Thread.create (fun () -> Thread.delay 1.0; Unix.kill pid Sys.sigterm) () in
+            let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd; Thread.join term)
+              (fun () -> run_cli ~stdout:fd args))
+      in
+      checki (what ^ ": exit code") 1 code;
+      checkb (what ^ ": the report") true
+        (String.starts_with ~prefix:"replayed " (In_channel.with_open_bin out In_channel.input_all));
+      checkb (what ^ ": the dropped count") true
+        (List.exists
+           (fun l ->
+             String.starts_with ~prefix:"FAIL: " l
+             && contains l (Printf.sprintf " of %d requests got no response envelope" n))
+           lines);
+      let report = Msoc_testplan.Export.parse_exn (In_channel.with_open_bin json In_channel.input_all) in
+      let count key =
+        match Msoc_testplan.Export.member key report with
+        | Some (Msoc_testplan.Export.Int k) -> k
+        | _ -> Alcotest.failf "%s: no %s in the JSON report" what key
+      in
+      checkb (what ^ ": dropped >= 1") true (count "dropped" >= 1);
+      checki (what ^ ": malformed") 0 (count "malformed"))
+    [ (200, [ "--rate"; "20"; "--clients"; "2" ]); (5000, []) ];
+  with_daemon socket (fun _ ->
+      let r, w = Unix.pipe ~cloexec:true () in
+      Unix.close r;
+      let status, lines =
+        Fun.protect ~finally:(fun () -> Unix.close w) (fun () ->
+            run_tool ~stdout:w [ "replay"; "--socket"; socket; "--count"; "20"; "--verify"; "0" ])
+      in
+      checkb "replay | true: killed by SIGPIPE" true (status = Unix.WSIGNALED Sys.sigpipe);
+      Alcotest.(check (list string)) "replay | true: nothing on stderr" [] lines)
+
+(* A listener that cannot be bound is one line and exit 1, never an
+   uncaught exception: a socket in a missing directory for serve and
+   for fleet (whose worker is stopped first), and a port in use. *)
+let test_cli_unbindable () =
+  let loopback_port fd =
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0
+  in
+  let taken = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close taken) @@ fun () ->
+  let port = loopback_port taken in
+  Unix.listen taken 1;
+  (* the fleet's worker takes a port nothing listens on *)
+  let free = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let base_port = Fun.protect ~finally:(fun () -> Unix.close free) (fun () -> loopback_port free) in
+  let missing = "/nonexistent/dir/x.sock" in
+  List.iter
+    (fun (args, endpoint) ->
+      let what = String.concat " " args in
+      let code, lines = run_cli args in
+      let message =
+        Printf.sprintf "msoc_plan %s: cannot listen on %s: " (List.hd args) endpoint
+      in
+      checki (what ^ ": exit code") 1 code;
+      checkb (what ^ ": no uncaught exception") false
+        (List.exists (fun l -> contains l "uncaught exception") lines);
+      checkb (what ^ ": one line naming the endpoint") true
+        (List.length (List.filter (fun l -> String.starts_with ~prefix:message l) lines) = 1))
+    [
+      ([ "serve"; "--socket"; missing ], missing);
+      ([ "fleet"; "--workers"; "1"; "--base-port"; string_of_int base_port; "--socket"; missing ],
+        missing);
+      ([ "serve"; "--tcp"; string_of_int port ], Printf.sprintf "127.0.0.1:%d" port);
+    ]
 
 (* replay reads its --soc as every other --soc reader does: a file one
    byte past the cap is one error line naming it and exit 124, before
@@ -741,6 +863,8 @@ let suites =
         Alcotest.test_case "bad bist, generate, serve and fleet values" `Quick
           test_cli_bad_tool_values;
         Alcotest.test_case "replay against no daemon" `Quick test_cli_replay_unreachable;
+        Alcotest.test_case "replay through a drain" `Quick test_cli_replay_through_drain;
+        Alcotest.test_case "unbindable listeners" `Quick test_cli_unbindable;
         Alcotest.test_case "replay --soc past the cap" `Quick test_cli_replay_soc_past_cap;
         Alcotest.test_case "CLI and envelope agree on rejections" `Quick
           test_cli_envelope_rejections;

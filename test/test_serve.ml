@@ -16,6 +16,7 @@ module Metrics = Msoc_serve.Metrics
 module Cache = Msoc_serve.Cache
 module Service = Msoc_serve.Service
 module Server = Msoc_serve.Server
+module Client = Msoc_serve.Client
 module Catalog = Msoc_analog.Catalog
 module Synthetic = Msoc_itc02.Synthetic
 
@@ -997,6 +998,14 @@ let test_serve_channels_batch () =
       checkb "bad envelope answered under its own id" true
         ((by_id "b3").Protocol.status = Protocol.Bad_request))
 
+let send c req = ignore (Client.send c req : bool)
+
+let recv c =
+  match Client.recv c with
+  | Client.Response r -> r
+  | Client.Malformed e -> Alcotest.failf "malformed response: %s" e
+  | Client.Closed | Client.Timed_out -> Alcotest.fail "no response"
+
 let test_serve_unix_end_to_end () =
   let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1023,23 +1032,13 @@ let test_serve_unix_end_to_end () =
         end
       in
       wait_for_socket 100;
-      let fd = Server.connect (`Unix socket_path) () in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let send req =
-        output_string oc (Protocol.request_to_line req);
-        output_char oc '\n';
-        flush oc
-      in
-      let recv () =
-        match Protocol.response_of_line (input_line ic) with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "malformed response: %s" e
-      in
-      send (Protocol.request ~params:(plan_params ()) ~id:"u1" Protocol.Plan);
-      send (Protocol.request ~params:(plan_params ()) ~id:"u2" Protocol.Plan);
-      send (Protocol.request ~id:"u3" Protocol.Stats);
-      let r1 = recv () and r2 = recv () and r3 = recv () in
+      let c = Client.connect (`Unix socket_path) () in
+      send c (Protocol.request ~params:(plan_params ()) ~id:"u1" Protocol.Plan);
+      send c (Protocol.request ~params:(plan_params ()) ~id:"u2" Protocol.Plan);
+      send c (Protocol.request ~id:"u3" Protocol.Stats);
+      let r1 = recv c in
+      let r2 = recv c in
+      let r3 = recv c in
       checks "first id" "u1" r1.Protocol.id;
       checkb "first ok" true (r1.Protocol.status = Protocol.Success);
       checkb "second is a cache hit" true (r2.Protocol.cached = Some "memory");
@@ -1047,21 +1046,18 @@ let test_serve_unix_end_to_end () =
         (Export.to_string r1.Protocol.result)
         (Export.to_string r2.Protocol.result);
       checkb "stats ok" true (r3.Protocol.status = Protocol.Success);
-      output_string oc {|{"v":1,"id":"u5","op":"plan","params":[]}|};
-      output_char oc '\n';
-      flush oc;
-      let r5 = recv () in
+      ignore (Client.send_line c {|{"v":1,"id":"u5","op":"plan","params":[]}|} : bool);
+      let r5 = recv c in
       (* a line of 1,000,000 '[' fits the 1 MiB line cap: one
          bad_request past Export.max_depth, and the connection goes on
          serving *)
-      output_string oc (String.make 1_000_000 '[');
-      output_char oc '\n';
-      send (Protocol.request ~id:"u6" Protocol.Stats);
-      let r_deep = recv () in
-      let r6 = recv () in
+      ignore (Client.send_line c (String.make 1_000_000 '[') : bool);
+      send c (Protocol.request ~id:"u6" Protocol.Stats);
+      let r_deep = recv c in
+      let r6 = recv c in
       (* shutdown envelope drains the daemon; serve returns *)
-      send (Protocol.request ~id:"u4" Protocol.Shutdown);
-      let r4 = recv () in
+      send c (Protocol.request ~id:"u4" Protocol.Shutdown);
+      let r4 = recv c in
       checkb "shutdown acknowledged" true (r4.Protocol.status = Protocol.Success);
       checks "bad envelope answered under its own id" "u5" r5.Protocol.id;
       checkb "bad envelope rejected" true (r5.Protocol.status = Protocol.Bad_request);
@@ -1073,7 +1069,7 @@ let test_serve_unix_end_to_end () =
                      Export.max_depth Export.max_depth));
       checks "the next request is answered" "u6" r6.Protocol.id;
       checkb "the next request succeeds" true (r6.Protocol.status = Protocol.Success);
-      Unix.close fd;
+      Client.close c;
       Thread.join server;
       checkb "socket removed after drain" false (Sys.file_exists socket_path))
 
@@ -1109,16 +1105,10 @@ let test_serve_unix_request_shutdown () =
       Service.request_shutdown service;
       let stopped = wait_until (fun () -> Atomic.get returned) 100 in
       if not stopped then begin
-        let fd = Server.connect (`Unix socket_path) () in
+        let c = Client.connect (`Unix socket_path) () in
         Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            let oc = Unix.out_channel_of_descr fd in
-            output_string oc
-              (Protocol.request_to_line (Protocol.request ~id:"s1" Protocol.Shutdown));
-            output_char oc '\n';
-            flush oc;
-            ignore (input_line (Unix.in_channel_of_descr fd)))
+          ~finally:(fun () -> Client.close c)
+          (fun () -> ignore (Client.call c (Protocol.request ~id:"s1" Protocol.Shutdown)))
       end;
       Thread.join server;
       checkb "request_shutdown stops the accept loop within 5 s" true stopped;
@@ -1150,23 +1140,12 @@ let test_serve_tcp_end_to_end () =
         end
       in
       let port = wait_for_port 100 in
-      let connect = Server.connect (`Tcp ("127.0.0.1", port)) in
-      let fd = connect () in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let send req =
-        output_string oc (Protocol.request_to_line req);
-        output_char oc '\n';
-        flush oc
-      in
-      let recv () =
-        match Protocol.response_of_line (input_line ic) with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "malformed response: %s" e
-      in
-      send (Protocol.request ~params:(plan_params ()) ~id:"t1" Protocol.Plan);
-      send (Protocol.request ~params:(plan_params ()) ~id:"t2" Protocol.Plan);
-      let r1 = recv () and r2 = recv () in
+      let connect = Client.connect (`Tcp ("127.0.0.1", port)) in
+      let c = connect () in
+      send c (Protocol.request ~params:(plan_params ()) ~id:"t1" Protocol.Plan);
+      send c (Protocol.request ~params:(plan_params ()) ~id:"t2" Protocol.Plan);
+      let r1 = recv c in
+      let r2 = recv c in
       checks "first id" "t1" r1.Protocol.id;
       checkb "first ok" true (r1.Protocol.status = Protocol.Success);
       checkb "worker stamp on the envelope" true
@@ -1177,29 +1156,40 @@ let test_serve_tcp_end_to_end () =
         (Export.to_string r2.Protocol.result);
       (* an oversize line on a second connection: one bad_request
          envelope, then the connection closes (no resync point) *)
-      let fd2 = connect () in
-      let ic2 = Unix.in_channel_of_descr fd2 in
-      let oc2 = Unix.out_channel_of_descr fd2 in
-      output_string oc2 (String.make 8000 'x');
-      output_char oc2 '\n';
-      flush oc2;
-      let r_big =
-        match Protocol.response_of_line (input_line ic2) with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "malformed oversize reply: %s" e
-      in
+      let c2 = connect () in
+      ignore (Client.send_line c2 (String.make 8000 'x') : bool);
+      let r_big = recv c2 in
       checkb "oversize line rejected" true
         (r_big.Protocol.status = Protocol.Bad_request);
-      (match input_line ic2 with
-      | exception End_of_file -> ()
+      (match Client.recv c2 with
+      | Client.Closed -> ()
       | _ -> Alcotest.fail "connection stayed open after an oversize line");
-      (try Unix.close fd2 with Unix.Unix_error _ -> ());
+      Client.close c2;
       (* shutdown envelope drains the daemon; serve returns *)
-      send (Protocol.request ~id:"t3" Protocol.Shutdown);
-      let r3 = recv () in
+      send c (Protocol.request ~id:"t3" Protocol.Shutdown);
+      let r3 = recv c in
       checkb "shutdown acknowledged" true (r3.Protocol.status = Protocol.Success);
-      Unix.close fd;
+      Client.close c;
       Thread.join server)
+
+(* A reply line past the client's cap (Scan.max_bytes) has no resync
+   point: the connection reads as closed, and nothing spins on it. *)
+let test_client_line_cap () =
+  let path = Filename.temp_file "msoc-cap" ".sock" in
+  Sys.remove path;
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close listener; Sys.remove path) @@ fun () ->
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let c = Client.connect (`Unix path) () in
+  let peer, _ = Unix.accept ~cloexec:true listener in
+  let lines = String.make (Msoc_itc02.Scan.max_bytes + 1) 'x' ^ "\n{}\n" in
+  let writer = Thread.create (fun () -> Unix.write_substring peer lines 0 (String.length lines)) () in
+  let reply = Client.recv c in
+  Thread.join writer;
+  Unix.close peer;
+  Client.close c;
+  checkb "a line past the cap closes the connection" true (reply = Client.Closed)
 
 let qcheck_tests =
   [ test_roundtrip_property ] |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
@@ -1285,5 +1275,6 @@ let suites =
           test_serve_unix_request_shutdown;
         Alcotest.test_case "tcp end-to-end + line cap" `Quick
           test_serve_tcp_end_to_end;
+        Alcotest.test_case "client line cap" `Quick test_client_line_cap;
       ] );
   ]
