@@ -8,8 +8,9 @@
      - Monte-Carlo: pooled sweep bit-identical to the serial sweep
 
    Writes BENCH_cosim.json so CI can archive and assert on the run,
-   with the serial sweep's minor-heap words per trial: a count, the
-   same on every host, that CI gates without a wall clock. *)
+   with the serial sweep's minor- and major-heap words per trial:
+   counts, the same on every host, that CI gates without a wall
+   clock. *)
 
 module Testbench = Msoc_cosim.Testbench
 module Monte_carlo = Msoc_cosim.Monte_carlo
@@ -46,10 +47,13 @@ let run () =
   (* --- Monte-Carlo sweep, serial vs pooled --- *)
   let trials = 200 and jobs = 4 in
   let seed = 42 in
-  let minor_before = Gc.minor_words () in
+  let per_trial before after = (after -. before) /. float_of_int trials in
+  let minor_before = Gc.minor_words () and _, _, major_before = Gc.counters () in
   let serial_trials, serial = Monte_carlo.run ~trials ~seed Testbench.Fc in
-  let minor_words_per_trial =
-    (Gc.minor_words () -. minor_before) /. float_of_int trials
+  let minor_words_per_trial = per_trial minor_before (Gc.minor_words ()) in
+  let major_words_per_trial =
+    let _, _, major_after = Gc.counters () in
+    per_trial major_before major_after
   in
   let pooled_trials, pooled =
     Pool.with_pool ~jobs (fun pool ->
@@ -76,6 +80,8 @@ let run () =
     identical;
   Printf.printf "  serial sweep allocates %.0f minor words per trial\n%!"
     minor_words_per_trial;
+  Printf.printf "  serial sweep allocates %.0f major words per trial\n%!"
+    major_words_per_trial;
   if not identical then
     failwith "cosim gate: pooled Monte-Carlo differs from serial";
 
@@ -100,6 +106,7 @@ let run () =
                 Export.Float pooled.Monte_carlo.trials_per_s );
               ("bit_identical", Export.Bool identical);
               ("minor_words_per_trial", Export.Float minor_words_per_trial);
+              ("major_words_per_trial", Export.Float major_words_per_trial);
             ] );
       ]
   in

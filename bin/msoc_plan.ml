@@ -56,6 +56,7 @@ let checked ~docv range of_string pp = Arg.conv' ~docv (in_range range of_string
 let int_in ?(docv = "N") range = checked ~docv range int_of_string_opt Format.pp_print_int
 let float_in ~docv range = checked ~docv range float_of_string_opt Format.pp_print_float
 let positive_int = int_in Request.positive_int
+let non_negative_int = int_in { Request.expected = "a non-negative integer"; ok = (fun n -> n >= 0) }
 
 (* An output file is checked when the options are parsed, before any
    work: its directory must exist. *)
@@ -1430,7 +1431,7 @@ let replay_cmd =
   in
   let count_arg =
     Arg.(
-      value & opt int 1000
+      value & opt non_negative_int 1000
       & info [ "count" ] ~docv:"N" ~doc:"Requests per repetition.")
   in
   let mix_arg =
@@ -1467,7 +1468,7 @@ let replay_cmd =
   in
   let repeat_arg =
     Arg.(
-      value & opt int 1
+      value & opt non_negative_int 1
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Replay the stream N times (2+ demonstrates the warm cache).")
   in

@@ -2,9 +2,10 @@
 
     A DUT is a list of stages around an operating point; {!batch}
     instantiates it as a record-at-once
-    {!Msoc_mixedsig.Analog_models.t}, the model both the wrapped path
-    ({!Engine.run}) and the testbench's direct path run, computed in
-    place in one buffer per record. *)
+    {!Msoc_mixedsig.Analog_models.t}, computed in place in one buffer
+    per record (the model {!Engine.run} runs), and {!batch_into} as
+    the same stages over a buffer of the caller's, the model both
+    paths of a testbench trial run. *)
 
 type stage =
   | Gain of float
@@ -29,8 +30,9 @@ val make : ?bias:float -> fs:float -> stage list -> t
 
 val batch : ?samples:int -> t -> Msoc_mixedsig.Analog_models.t
 (** The record-at-once model. Applied to a record, it allocates one
-    buffer: {!Msoc_mixedsig.Analog_models.remove_bias} copies the
-    record with the bias off, each stage's in-place kernel
+    buffer and runs {!batch_into}'s stages over it: the bias comes off
+    into the buffer ({!Msoc_mixedsig.Analog_models.remove_bias_into}),
+    each stage's in-place kernel
     ({!Msoc_mixedsig.Analog_models.gain_in_place} and its siblings)
     overwrites the buffer in stage order, and
     {!Msoc_mixedsig.Analog_models.dc_offset_in_place} puts the bias
@@ -46,7 +48,25 @@ val batch : ?samples:int -> t -> Msoc_mixedsig.Analog_models.t
     adds them ({!Msoc_mixedsig.Analog_models.add_draws_in_place}).
     They are the values the restarted stream draws, so on records of
     at most [samples] the model is bit-identical to the one without
-    it; a longer record raises [Invalid_argument]. A testbench trial
-    builds it once and runs both its paths through it, drawing the
-    noise once instead of twice. The model only reads the draws and
-    writes only its own buffer: it can be applied from any domain. *)
+    it; a longer record raises [Invalid_argument]. The model only
+    reads the draws and writes only its own buffer: it can be applied
+    from any domain. *)
+
+val batch_into :
+  draws:float array -> t -> float array -> into:float array -> unit
+(** The model {!batch}[ ~samples:(Array.length draws)] computes,
+    written into a buffer of the caller's instead of a fresh one and
+    with the noise drawn into [draws]: building the model
+    ([batch_into ~draws t]) overwrites [draws] with the noise stage's
+    values ({!Msoc_mixedsig.Analog_models.gaussian_draws_into}), and
+    applying it to a record writes the output into [into], which may
+    be the record itself. Nothing is allocated per record. A
+    testbench trial builds it once, over its workspace's draws, and
+    runs both paths through it: the direct path from the program's
+    record into the sample buffer, the wrapped path in place on the
+    DAC's output. The model reads [draws] on every record, so the
+    buffer must not be refilled while the model is in use.
+    @raise Invalid_argument, when built, if [t] has more than one
+    noise stage, and, when applied, if [into]'s length differs from
+    the record's or the record is longer than [draws] (with a noise
+    stage). *)

@@ -7,7 +7,8 @@ type trace = {
   response : int array;
 }
 
-let run_core ~wrapper ~core ~stimulus_codes =
+let run ~wrapper ~dut ~stimulus_codes =
+  let core = Dut.batch dut in
   let n = Array.length stimulus_codes in
   if n = 0 then invalid_arg "Engine.run: empty stimulus";
   let response = Wrapper.apply_core_test wrapper ~core ~stimulus:stimulus_codes in
@@ -17,6 +18,3 @@ let run_core ~wrapper ~core ~stimulus_codes =
     scheduler = { Scheduler.processed = (5 * n) + 1; peak_queue = n };
     response;
   }
-
-let run ~wrapper ~dut ~stimulus_codes =
-  run_core ~wrapper ~core:(Dut.batch dut) ~stimulus_codes

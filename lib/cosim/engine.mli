@@ -31,13 +31,10 @@ type trace = {
 val run :
   wrapper:Msoc_mixedsig.Wrapper.t -> dut:Dut.t -> stimulus_codes:int array ->
   trace
-(** [run_core ~wrapper ~core:(Dut.batch dut) ~stimulus_codes].
+(** The record through {!Msoc_mixedsig.Wrapper.apply_core_test} with
+    the DUT's record-at-once model ({!Dut.batch}), every stage into a
+    fresh array. A testbench trial runs the same chain in its
+    workspace's buffers ({!Testbench.workspace}) and reports the same
+    counts.
     @raise Invalid_argument if the wrapper is not in [Core_test] mode,
     a stimulus code is out of range, or the record is empty. *)
-
-val run_core :
-  wrapper:Msoc_mixedsig.Wrapper.t -> core:Msoc_mixedsig.Analog_models.t ->
-  stimulus_codes:int array -> trace
-(** The wrapped path through an already built DUT model: a testbench
-    trial builds its DUT's {!Dut.batch} once and passes the same model
-    to its direct path and here. Same errors as {!run}. *)

@@ -40,31 +40,41 @@ let check_trials name trials =
   if trials < 1 || trials > max_trials then
     invalid_arg (Printf.sprintf "Monte_carlo.%s: trials in 1..%d, got %d" name max_trials trials)
 
-(* Each trial reads the program and allocates its own arrays, so
-   trials share no mutable state on the pool's domains. *)
+(* At most [jobs] contiguous runs of the indices 1..[trials], in
+   order, their lengths at most one apart. *)
+let chunks ~jobs trials =
+  let jobs = min jobs trials in
+  List.init jobs (fun c -> ((c * trials / jobs) + 1, (c + 1) * trials / jobs))
+
+(* Every domain that runs trials owns one workspace: the serial loop
+   one, a pool one per contiguous chunk of trials, built inside the
+   chunk's task. The program is only read, and the chunks join back in
+   index order. *)
 let run_program ?ranges ?pool ~trials ~seed program =
   check_trials "run_program" trials;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Msoc_util.Clock.now () in
   let spec = Testbench.program_spec program in
-  let one index =
-    let variation = Variation.sample ?ranges ~master:seed ~trial:index () in
-    let r = Testbench.run_program program variation in
-    {
-      index;
-      variation;
-      measured = r.Testbench.measured;
-      direct = r.Testbench.direct;
-      error_pct = r.Testbench.error_pct;
-      pass = r.Testbench.pass;
-    }
+  let chunk (first, last) =
+    let ws = Testbench.workspace program in
+    List.init (last - first + 1) (fun i ->
+        let index = first + i in
+        let variation = Variation.sample ?ranges ~master:seed ~trial:index () in
+        let r = Testbench.run_trial ws variation in
+        {
+          index;
+          variation;
+          measured = r.Testbench.measured;
+          direct = r.Testbench.direct;
+          error_pct = r.Testbench.error_pct;
+          pass = r.Testbench.pass;
+        })
   in
-  let indices = List.init trials (fun i -> i + 1) in
   let results =
     match pool with
-    | Some pool -> Pool.map pool one indices
-    | None -> List.map one indices
+    | Some pool -> List.concat (Pool.map pool chunk (chunks ~jobs:(Pool.jobs pool) trials))
+    | None -> chunk (1, trials)
   in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = Msoc_util.Clock.now () -. t0 in
   let passes = List.length (List.filter (fun t -> t.pass) results) in
   let ci_low, ci_high = Yield.wilson_interval ~trials ~passes in
   let values = List.map (fun t -> t.measured) results in

@@ -5,10 +5,15 @@
     mismatch, noise and DUT process variation drawn per trial by the
     shared {!Msoc_mixedsig.Variation} sampler — and summarizes pass
     yield (Wilson interval) plus the measured value's distribution.
-    Trials parallelize on {!Msoc_util.Pool}, sharing the immutable
-    program; because each trial's draw is a pure function of
-    [(seed, index)] and {!Msoc_util.Pool.map} preserves input order, a
-    sweep is bit-identical at any job count. *)
+    Every domain that runs trials owns one {!Testbench.workspace} and
+    runs its trials through it ({!Testbench.run_trial}): the serial
+    loop one workspace, a {!Msoc_util.Pool} one per contiguous chunk
+    of trials (at most [Pool.jobs] chunks), all sharing the immutable
+    program. Because each trial's draw is a pure function of
+    [(seed, index)], a trial's outputs do not depend on what ran
+    through its workspace before, and {!Msoc_util.Pool.map} joins the
+    chunks back in index order, a sweep is bit-identical at any job
+    count. *)
 
 type trial = {
   index : int;  (** 1-based trial number *)
@@ -33,7 +38,9 @@ type summary = {
   measured_max : float;
   error_pct_mean : float;
   error_pct_max : float;
-  elapsed_s : float;  (** wall clock — excluded from determinism claims *)
+  elapsed_s : float;
+      (** the trials' time on the monotonic clock ({!Msoc_util.Clock}) —
+          excluded from determinism claims *)
   trials_per_s : float;
 }
 
@@ -67,7 +74,9 @@ val run_program :
   trial list * summary
 (** The sweep over a program already built, so one program serves a
     nominal test ({!Testbench.run_program}) and its sweep. [elapsed_s]
-    times the trials, not the program's build.
+    times the trials and their workspaces, not the program's build.
+    After its workspace's first trial, a trial allocates no array: its
+    records, FFT buffers and converter codes are the workspace's.
     @raise Invalid_argument if [trials] is outside [1 .. max_trials]. *)
 
 val summary_json : summary -> Msoc_testplan.Export.json

@@ -199,28 +199,38 @@ let mean x =
 
 (* A response's readout: from the record itself, or from its spectrum.
    A spectral readout keeps the analysis apart from the reading, so a
-   trial can hand out the spectra it read ({!spectra}). *)
+   trial can hand out the spectra it read ({!spectra}). Both may
+   overwrite the response they are given (the bias or the mean comes
+   off in place): a trial hands them its own sample buffer. The
+   analysis computes the spectrum in the scratch it is lent. *)
 type readout =
   | Of_record of (float array -> float)
-  | Of_spectrum of { analyze : float array -> Spectrum.t; read : Spectrum.t -> float }
+  | Of_spectrum of {
+      analyze : Spectrum.scratch -> float array -> Spectrum.t;
+      read : Spectrum.t -> float;
+    }
+
+let remove_bias_in_place ~bias x = Models.remove_bias_into ~bias x ~into:x
 
 (* The spec's readout, built once per program. What depends on the
    stimulus alone is computed here, once for every trial and both
    paths: the window's coefficients for the record length (inside the
    analyzer) and the Fc program's input spectrum. *)
 let extract config spec { tones; amplitude } ~record =
-  let analyzer () = Spectrum.analyzer ~fs:config.fs ~pad_to:(pad_of config) config.samples in
+  let analyzer () =
+    Spectrum.analyzer_into ~fs:config.fs ~pad_to:(pad_of config) config.samples
+  in
   match (spec, tones) with
   | Gain, [ f ] ->
     (* Goertzel, the ATE fast path: evaluated at exactly the stimulus
        frequency, no FFT grid. *)
     Of_record
       (fun response ->
-        Goertzel.amplitude ~fs:config.fs ~f (Models.remove_bias ~bias:config.bias response)
-        /. amplitude)
+        remove_bias_in_place ~bias:config.bias response;
+        Goertzel.amplitude ~fs:config.fs ~f response /. amplitude)
   | Fc, tones ->
     let analyze = analyzer () in
-    let s_in = analyze record in
+    let s_in = analyze (Spectrum.scratch (pad_of config)) record in
     Of_spectrum
       { analyze; read = (fun s -> Cutoff.from_spectra ~order:2 ~input:s_in ~output:s tones) }
   | Thd, [ f ] ->
@@ -242,16 +252,14 @@ let extract config spec { tones; amplitude } ~record =
     let spectrum = analyzer () in
     Of_spectrum
       {
-        analyze = (fun response -> spectrum (Models.remove_bias ~bias:(mean response) response));
+        analyze =
+          (fun scratch response ->
+            remove_bias_in_place ~bias:(mean response) response;
+            spectrum scratch response);
         read = (fun s -> Distortion.sinad_db s ~fundamental:f);
       }
   | (Gain | Thd | Iip3 | Dr), _ ->
     invalid_arg "Testbench.extract: stimulus does not match the spec's program"
-
-let read_out readout response =
-  match readout with
-  | Of_record read -> read response
-  | Of_spectrum { analyze; read } -> read (analyze response)
 
 let unit_label = function
   | Gain -> "V/V"
@@ -275,6 +283,8 @@ type program = {
   record : float array;
   readout : readout;
 }
+
+type reading = { measured : float; direct : float; error_pct : float; pass : bool }
 
 type result = {
   spec : spec;
@@ -301,27 +311,78 @@ let program ?tolerance_pct ?stimulus config spec =
   let readout = extract config spec stimulus ~record in
   { spec; config; tolerance_pct; tones = stimulus.tones; record; readout }
 
-(* One trial: both paths through one DUT model (its noise drawn
-   once), each response read by [read] as soon as it exists; returns
-   the direct reading, the wrapped reading and the wrapped trace. *)
-let trial (p : program) variation read =
+(* --- the workspace and the trial --- *)
+
+(* Everything a trial writes, sized for one program: the die's noise
+   draws, the sample buffer every stage of both paths overwrites, the
+   code buffer (the stimulus codes, then the response codes) and, in
+   [read], the program's readout over the workspace's own FFT buffers
+   and magnitudes when it reads a spectrum. *)
+type workspace = {
+  program : program;
+  draws : float array;
+  samples : float array;
+  codes : int array;
+  read : float array -> float;
+}
+
+let workspace (p : program) =
+  let n = p.config.samples in
+  let read =
+    match p.readout with
+    | Of_record read -> read
+    | Of_spectrum { analyze; read } ->
+      let scratch = Spectrum.scratch (pad_of p.config) in
+      fun response -> read (analyze scratch response)
+  in
+  {
+    program = p;
+    draws = Array.create_float n;
+    samples = Array.create_float n;
+    codes = Array.make n 0;
+    read;
+  }
+
+(* One trial through [ws]: both paths through one DUT model (its noise
+   drawn once, into the workspace), each response read by [read] from
+   the sample buffer as soon as it exists; returns the direct reading,
+   the wrapped reading and the die's wrapper. The response codes stay
+   in [ws.codes]. *)
+let trial ws variation read =
+  let p = ws.program in
   let config = with_variation variation p.config in
-  let core = Dut.batch ~samples:config.samples (dut_for config p.spec) in
+  let core = Dut.batch_into ~draws:ws.draws (dut_for config p.spec) in
   (* Direct path: a bench probe on the bare core — no converters. *)
-  let direct = read (core p.record) in
+  core p.record ~into:ws.samples;
+  let direct = read ws.samples in
   (* Wrapped path: digital words through DAC → DUT → ADC. *)
   let bits = variation.Variation.bits in
   let range = Quantize.default_range in
-  let codes = Quantize.encode_all ~bits ~range p.record in
+  Quantize.encode_into ~bits ~range p.record ~into:ws.codes;
   let wrapper = Wrapper.set_mode (Variation.wrapper variation) Wrapper.Core_test in
-  let trace = Engine.run_core ~wrapper ~core ~stimulus_codes:codes in
-  (direct, read (Quantize.decode_all ~bits ~range trace.Engine.response), trace)
+  Wrapper.apply_core_test_into wrapper
+    ~core:(fun x -> core x ~into:x)
+    ~codes:ws.codes ~samples:ws.samples;
+  Quantize.decode_into ~bits ~range ws.codes ~into:ws.samples;
+  (direct, read ws.samples, wrapper)
+
+(* The counts {!Engine.run} reports for the record, in closed form,
+   over the response codes the trial left in the workspace. *)
+let trace_of wrapper response =
+  let n = Array.length response in
+  {
+    Engine.samples = n;
+    tam_cycles = Wrapper.test_cycles wrapper ~samples:n;
+    scheduler = { Scheduler.processed = (5 * n) + 1; peak_queue = n };
+    response;
+  }
+
+let error_pct_of ~direct ~measured =
+  if direct = 0.0 then Float.abs measured *. 100.0
+  else 100.0 *. Float.abs (measured -. direct) /. Float.abs direct
 
 let result_of (p : program) ~direct ~measured trace =
-  let error_pct =
-    if direct = 0.0 then Float.abs measured *. 100.0
-    else 100.0 *. Float.abs (measured -. direct) /. Float.abs direct
-  in
+  let error_pct = error_pct_of ~direct ~measured in
   {
     spec = p.spec;
     measured;
@@ -335,9 +396,18 @@ let result_of (p : program) ~direct ~measured trace =
 
 let program_spec (p : program) = p.spec
 
+(* A fresh workspace per call: the result's trace holds its code
+   buffer, so no two results share one. *)
 let run_program p variation =
-  let direct, measured, trace = trial p variation (read_out p.readout) in
-  result_of p ~direct ~measured trace
+  let ws = workspace p in
+  let direct, measured, wrapper = trial ws variation ws.read in
+  result_of p ~direct ~measured (trace_of wrapper ws.codes)
+
+(* The verdict alone: nothing of the workspace leaves the trial. *)
+let run_trial ws variation : reading =
+  let direct, measured, _ = trial ws variation ws.read in
+  let error_pct = error_pct_of ~direct ~measured in
+  { measured; direct; error_pct; pass = error_pct <= ws.program.tolerance_pct }
 
 type spectra = {
   tones : float list;
@@ -352,9 +422,19 @@ let spectra (p : program) variation =
     invalid_arg
       (Printf.sprintf "Testbench.spectra: spec %s reads no spectrum" (spec_name p.spec))
   | Of_spectrum { analyze; read } ->
-    let direct_spectrum, wrapped_spectrum, trace = trial p variation analyze in
-    ( result_of p ~direct:(read direct_spectrum) ~measured:(read wrapped_spectrum) trace,
-      { tones = p.tones; input = analyze p.record; direct_spectrum; wrapped_spectrum } )
+    (* each spectrum in a scratch of its own, so all three outlive the
+       trial; the record is copied, as an analysis may write it *)
+    let analyze x = analyze (Spectrum.scratch (pad_of p.config)) x in
+    let ws = workspace p in
+    let direct_spectrum, wrapped_spectrum, wrapper = trial ws variation analyze in
+    ( result_of p ~direct:(read direct_spectrum) ~measured:(read wrapped_spectrum)
+        (trace_of wrapper ws.codes),
+      {
+        tones = p.tones;
+        input = analyze (Array.copy p.record);
+        direct_spectrum;
+        wrapped_spectrum;
+      } )
 
 let run ?tolerance_pct ?stimulus ?(config = default) spec =
   run_program (program ?tolerance_pct ?stimulus config spec) config.variation

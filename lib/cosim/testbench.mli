@@ -1,13 +1,15 @@
 (** Table-2 specification tests as reusable co-simulation programs.
 
     Each spec builds a digital stimulus, runs it through the wrapped
-    path ({!Engine.run_core}) against a behavioral DUT (what a digital
-    ATE measures through the paper's wrapper), runs the same stimulus
+    path (the DAC → DUT → ADC chain {!Engine.run} models) against a
+    behavioral DUT (what a digital ATE measures through the paper's
+    wrapper), runs the same stimulus
     through the bare analog model (the direct path — a bench
     instrument probing the core), applies the same DSP extraction to
     both, and reports the pair with their relative error. The
     die-independent part is a {!program}, built once; each die is a
-    trial through it ({!run_program}). The [Fc] program with the
+    trial through it ({!run_program}, or {!run_trial} through a reused
+    {!workspace}). The [Fc] program with the
     default configuration is the Fig. 5 closed loop: a 61 kHz
     second-order Butterworth core measured through an 8-bit wrapper
     with realistic converter mismatch lands within the paper's ~5 % of
@@ -72,9 +74,18 @@ val dut_for : config -> spec -> Dut.t
     noise applied. The SR limit is 0.5 V/us at a 61 kHz [fc_nominal]
     and scales with it. *)
 
+type reading = {
+  measured : float;  (** wrapped-path value *)
+  direct : float;  (** direct analog measurement of the same DUT *)
+  error_pct : float;  (** 100·|measured − direct| / |direct| *)
+  pass : bool;  (** [error_pct] within the program's tolerance *)
+}
+(** A trial's verdict without its trace ({!run_trial}): the fields of
+    {!result} a Monte-Carlo sweep keeps. *)
+
 type result = {
   spec : spec;
-  measured : float;  (** wrapped-path value, via {!Engine.run_core} *)
+  measured : float;  (** wrapped-path value *)
   direct : float;  (** direct analog measurement of the same DUT *)
   unit_label : string;  (** "kHz", "V/V", "ratio", "V", "V/us", "dB" *)
   error_pct : float;  (** 100·|measured − direct| / |direct| *)
@@ -89,11 +100,13 @@ type result = {
     depend on the die, and a {e trial}, one die through it. The
     program holds the stimulus (samples and tones), the readout with
     its window coefficients for the record length, and the Fc
-    program's input spectrum. A trial builds the die's DUT model once
-    (its noise drawn once, {!Dut.batch}[ ~samples]), runs the direct
-    path and the wrapped path ({!Engine.run_core}) through that one
-    model, and reads both out. A Monte-Carlo run builds one program
-    and runs every die from it. *)
+    program's input spectrum. A trial writes a {!workspace}: it builds
+    the die's DUT model once ({!Dut.batch_into}, its noise drawn once
+    into the workspace), runs the direct path and the wrapped path
+    (DAC → DUT → ADC, {!Msoc_mixedsig.Wrapper.apply_core_test_into})
+    through that one model in the workspace's buffers, and reads both
+    out. A Monte-Carlo run builds one program and runs every die from
+    it, through one workspace per domain. *)
 
 (** A program's stimulus: [tones] in Hz, each moved to the record's
     coherent grid, at [amplitude] volts peak around the bias. For
@@ -126,8 +139,38 @@ val program_spec : program -> spec
 
 val run_program : program -> Msoc_mixedsig.Variation.t -> result
 (** One trial: the die's converters, resolution, noise and process
-    shifts through the program. Bit-identical to running the whole
-    spec test for that die. *)
+    shifts through the program, in a fresh {!workspace}, so the
+    result's [trace.response] is an array of its own. Bit-identical to
+    running the whole spec test for that die. *)
+
+type workspace
+(** The buffers a trial of one program writes, allocated once and
+    reused by every trial run through it: the die's noise draws, one
+    sample buffer (the direct path's response; then the DAC's output,
+    which the DUT overwrites in place and the ADC reads; then the
+    decoded response), the code buffer (the stimulus codes the DAC
+    reads, then the response codes the ADC writes) and, for a
+    spectral readout, the FFT's split real and imaginary buffers and
+    the magnitudes ({!Msoc_signal.Spectrum.scratch}).
+
+    Ownership: a workspace belongs to the one domain that runs trials
+    through it, one trial at a time; nothing holds it in a
+    process-wide or domain-local table, and nothing backed by it
+    leaves its trial ({!run_trial} returns a {!reading} of floats).
+    Every trial overwrites every buffer before it reads it, so a
+    trial's outputs do not depend on what ran through the workspace
+    before. *)
+
+val workspace : program -> workspace
+(** Fresh buffers sized for the program's record and FFT length. *)
+
+val run_trial : workspace -> Msoc_mixedsig.Variation.t -> reading
+(** {!run_program} through the workspace, without the trace: the
+    same [measured], [direct], [error_pct] and [pass], bit for bit,
+    whatever trials ran through the workspace before. Through a warm
+    workspace the trial allocates no record-sized array, only the
+    die's converters, DUT stages and readout values: an fc trial of
+    the default program puts no word on the major heap. *)
 
 (** The spectra one trial's readouts read: of the stimulus, the bare
     core's response and the wrapped path's decoded response ([Dr]'s
@@ -142,7 +185,9 @@ type spectra = {
 val spectra : program -> Msoc_mixedsig.Variation.t -> result * spectra
 (** {!run_program} for a program read from spectra ([Fc], [Thd],
     [Iip3], [Dr]), with the spectra it read: the same two paths, run
-    once, and a bit-identical result. The [Fc] program's are Fig. 5.
+    once, and a bit-identical result. Each spectrum is computed in a
+    scratch of its own, so all three own their arrays. The [Fc]
+    program's are Fig. 5.
     @raise Invalid_argument, naming the spec, for the others. *)
 
 val run :

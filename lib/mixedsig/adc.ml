@@ -61,7 +61,7 @@ let bits t = t.bits
 
 
 (* The conversion is written once, in the two helpers below: [convert]
-   applies them to one voltage and [convert_all] to a record, with the
+   applies them to one voltage and [convert_into] to a record, with the
    stage match outside its loop. They are inlined, so no sample is
    boxed. Thresholds are sorted; a binary search counts the
    comparators below the input. *)
@@ -88,9 +88,10 @@ let convert t v =
   | Pipeline { coarse; cell_bottom; fine } ->
     pipeline_convert ~coarse ~cell_bottom ~fine ~vmin:t.range.Quantize.vmin ~half:(t.bits / 2) v
 
-let convert_all t samples =
-  let codes = Array.make (Array.length samples) 0 in
-  (match t.stages with
+let convert_into t samples ~into:codes =
+  if Array.length codes <> Array.length samples then
+    invalid_arg "Adc.convert_into: output length differs from the record's";
+  match t.stages with
   | Single bank ->
     for i = 0 to Array.length samples - 1 do
       codes.(i) <- bank_convert bank samples.(i)
@@ -99,7 +100,11 @@ let convert_all t samples =
     let vmin = t.range.Quantize.vmin and half = t.bits / 2 in
     for i = 0 to Array.length samples - 1 do
       codes.(i) <- pipeline_convert ~coarse ~cell_bottom ~fine ~vmin ~half samples.(i)
-    done);
+    done
+
+let convert_all t samples =
+  let codes = Array.make (Array.length samples) 0 in
+  convert_into t samples ~into:codes;
   codes
 
 let comparator_count t =

@@ -37,7 +37,14 @@ val bits : t -> int
 val convert : t -> float -> int
 (** Voltage to code; clips outside the range. *)
 
+val convert_into : t -> float array -> into:int array -> unit
+(** {!convert} over a record, written into [into]; nothing is
+    allocated.
+    @raise Invalid_argument if [into]'s length differs from the
+    record's. *)
+
 val convert_all : t -> float array -> int array
+(** {!convert_into} a fresh array. *)
 
 val comparator_count : t -> int
 (** 2^n − 1 for [Flash]; 2·(2^(n/2) − 1) for [Modular_pipeline]. *)

@@ -10,11 +10,16 @@ let copied kernel samples =
 let compose models samples =
   List.fold_left (fun acc model -> model acc) samples models
 
-let remove_bias ~bias samples =
-  let out = Array.make (Array.length samples) 0.0 in
+let remove_bias_into ~bias samples ~into:out =
+  if Array.length out <> Array.length samples then
+    invalid_arg "Analog_models.remove_bias_into: output length differs from the record's";
   for i = 0 to Array.length samples - 1 do
     out.(i) <- samples.(i) -. bias
-  done;
+  done
+
+let remove_bias ~bias samples =
+  let out = Array.create_float (Array.length samples) in
+  remove_bias_into ~bias samples ~into:out;
   out
 
 let dc_offset_in_place offset x =
@@ -63,9 +68,12 @@ let slew_limited_in_place ~max_slew_v_per_s ~fs x =
 
 let slew_limited ~max_slew_v_per_s ~fs = copied (slew_limited_in_place ~max_slew_v_per_s ~fs)
 
+let gaussian_draws_into ~seed draws =
+  Msoc_util.Rng.fill_gaussian (Msoc_util.Rng.create ~seed) draws
+
 let gaussian_draws ~seed n =
-  let g = Array.make n 0.0 in
-  Msoc_util.Rng.fill_gaussian (Msoc_util.Rng.create ~seed) g;
+  let g = Array.create_float n in
+  gaussian_draws_into ~seed g;
   g
 
 let add_draws_in_place ~sigma draws x =

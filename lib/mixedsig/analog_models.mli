@@ -25,14 +25,17 @@ type kernel = float array -> unit
 val compose : t list -> t
 (** Left-to-right pipeline. *)
 
-val remove_bias : bias:float -> t
-(** A fresh record with [bias] subtracted from every sample: the AC
-    component a core sees around its operating point. *)
+val remove_bias_into : bias:float -> float array -> into:float array -> unit
+(** [remove_bias_into ~bias x ~into] writes [x.(i) -. bias] into
+    [into.(i)]: the AC component a core sees around its operating
+    point. [into] may be [x] itself.
+    @raise Invalid_argument if [into]'s length differs from [x]'s. *)
 
 val biased : bias:float -> t -> t
 (** Run the inner model on the AC component around [bias] (wrapper
     signals live in 0..4 V; cores are AC-coupled around mid-rail):
-    {!remove_bias}, the inner model, then {!dc_offset}[ bias]. *)
+    {!remove_bias_into} a fresh record, the inner model, then
+    {!dc_offset}[ bias]. *)
 
 val gain_in_place : float -> kernel
 
@@ -85,6 +88,11 @@ val gaussian_draws : seed:int -> int -> float array
     value, the [2n] uniforms drawn in one bulk draw). The [i]-th value
     depends on [seed] and [i] only, so a longer draw extends a shorter
     one. *)
+
+val gaussian_draws_into : seed:int -> float array -> unit
+(** [gaussian_draws_into ~seed draws] overwrites [draws] with
+    [gaussian_draws ~seed (Array.length draws)], allocating no
+    array: a buffer one Monte-Carlo trial after another refills. *)
 
 val add_draws_in_place : sigma:float -> float array -> kernel
 

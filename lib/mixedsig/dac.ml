@@ -57,7 +57,7 @@ let architecture t =
 let span t = t.range.Quantize.vmax -. t.range.Quantize.vmin
 
 (* The conversion, written once: [convert] applies it to one code and
-   [convert_all] to a record, with the ladder match outside its
+   [convert_into] to a record, with the ladder match outside its
    loop. Inlined, so no sample is boxed. *)
 let[@inline] check_code ~n code =
   if code < 0 || code >= n then invalid_arg "Dac.convert: code out of range"
@@ -69,11 +69,12 @@ let[@inline] modular_fraction ~msb ~lsb ~h ~half_lsb code =
 
 let[@inline] volts ~vmin ~span fraction = vmin +. (fraction *. span)
 
-let convert_all t codes =
+let convert_into t codes ~into:out =
+  if Array.length out <> Array.length codes then
+    invalid_arg "Dac.convert_into: output length differs from the record's";
   let n = 1 lsl t.bits in
   let half_lsb = 0.5 /. float_of_int n and vmin = t.range.Quantize.vmin and span = span t in
-  let out = Array.make (Array.length codes) 0.0 in
-  (match t.ladders with
+  match t.ladders with
   | String_ladder ladder ->
     for i = 0 to Array.length codes - 1 do
       let code = codes.(i) in
@@ -86,7 +87,11 @@ let convert_all t codes =
       let code = codes.(i) in
       check_code ~n code;
       out.(i) <- volts ~vmin ~span (modular_fraction ~msb ~lsb ~h ~half_lsb code)
-    done);
+    done
+
+let convert_all t codes =
+  let out = Array.create_float (Array.length codes) in
+  convert_into t codes ~into:out;
   out
 
 let convert t code =

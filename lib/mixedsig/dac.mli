@@ -32,7 +32,15 @@ val architecture : t -> architecture
 val convert : t -> int -> float
 (** Code to voltage. @raise Invalid_argument on out-of-range codes. *)
 
+val convert_into : t -> int array -> into:float array -> unit
+(** {!convert} over a record, written into [into]; nothing is
+    allocated.
+    @raise Invalid_argument if [into]'s length differs from the
+    record's, or on the first out-of-range code (the samples before
+    it are written). *)
+
 val convert_all : t -> int array -> float array
+(** {!convert_into} a fresh array. *)
 
 val resistor_count : t -> int
 (** 2^n for [Full_string]; 2·2^(n/2) for [Modular]. *)

@@ -35,21 +35,23 @@ let decode ~bits ~range =
   let lsb = step ~bits ~range and n = code_count ~bits in
   fun code -> volts_of ~vmin:range.vmin ~lsb ~n code
 
-let encode_all ~bits ~range samples =
+let check_lengths name src into =
+  if Array.length into <> Array.length src then
+    invalid_arg (name ^ ": output length differs from the record's")
+
+let encode_into ~bits ~range samples ~into:codes =
   let lsb = step ~bits ~range and hi = code_count ~bits - 1 in
-  let codes = Array.make (Array.length samples) 0 in
+  check_lengths "Quantize.encode_into" samples codes;
   for i = 0 to Array.length samples - 1 do
     codes.(i) <- code_of ~vmin:range.vmin ~lsb ~hi samples.(i)
-  done;
-  codes
+  done
 
-let decode_all ~bits ~range codes =
+let decode_into ~bits ~range codes ~into:volts =
   let lsb = step ~bits ~range and n = code_count ~bits in
-  let volts = Array.make (Array.length codes) 0.0 in
+  check_lengths "Quantize.decode_into" codes volts;
   for i = 0 to Array.length codes - 1 do
     volts.(i) <- volts_of ~vmin:range.vmin ~lsb ~n codes.(i)
-  done;
-  volts
+  done
 
 let roundtrip ~bits ~range v = decode ~bits ~range (encode ~bits ~range v)
 

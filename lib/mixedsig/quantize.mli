@@ -25,13 +25,19 @@ val decode : bits:int -> range:range -> int -> float
     {!encode}.
     @raise Invalid_argument on out-of-range codes. *)
 
-val encode_all : bits:int -> range:range -> float array -> int array
-(** {!encode} over a record: one step computation and one [for] loop
-    over the float array, nothing boxed per sample. *)
+val encode_into : bits:int -> range:range -> float array -> into:int array -> unit
+(** {!encode} over a record, written into [into]: one step
+    computation and one [for] loop over the float array, nothing
+    allocated or boxed per sample.
+    @raise Invalid_argument if [into]'s length differs from the
+    record's. *)
 
-val decode_all : bits:int -> range:range -> int array -> float array
-(** {!decode} over a record, staged like {!encode_all}.
-    @raise Invalid_argument on the first out-of-range code. *)
+val decode_into : bits:int -> range:range -> int array -> into:float array -> unit
+(** {!decode} over a record, written into [into], staged like
+    {!encode_into}.
+    @raise Invalid_argument if [into]'s length differs from the
+    record's, or on the first out-of-range code (the samples before
+    it are written). *)
 
 val roundtrip : bits:int -> range:range -> float -> float
 (** [decode (encode v)] — ideal ADC→DAC path; error <= step/2 for

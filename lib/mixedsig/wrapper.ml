@@ -78,14 +78,26 @@ let check_codes t codes =
       if c < 0 || c >= n then invalid_arg "Wrapper: stimulus code out of range")
     codes
 
-let apply_core_test t ~core ~stimulus =
+let check_core_test t stimulus =
   (match t.config.mode with
   | Core_test -> ()
   | Normal | Self_test -> invalid_arg "Wrapper.apply_core_test: not in core-test mode");
-  check_codes t stimulus;
+  check_codes t stimulus
+
+let apply_core_test t ~core ~stimulus =
+  check_core_test t stimulus;
   let analog_in = Dac.convert_all t.dac stimulus in
   let analog_out = core analog_in in
   Adc.convert_all t.adc analog_out
+
+(* The same three stages over two buffers: the DAC reads the codes
+   into the samples, the core overwrites the samples, and only then
+   does the ADC overwrite the codes. *)
+let apply_core_test_into t ~core ~codes ~samples =
+  check_core_test t codes;
+  Dac.convert_into t.dac codes ~into:samples;
+  core samples;
+  Adc.convert_into t.adc samples ~into:codes
 
 let self_test_max_error_lsb t ~samples =
   (match t.config.mode with

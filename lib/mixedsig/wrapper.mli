@@ -67,6 +67,17 @@ val apply_core_test :
     @raise Invalid_argument if the mode is not [Core_test] or a code
     is out of range. *)
 
+val apply_core_test_into :
+  t -> core:(float array -> unit) -> codes:int array -> samples:float array -> unit
+(** {!apply_core_test} in two buffers, allocating no array: the DAC
+    converts the stimulus codes in [codes] into [samples], [core]
+    overwrites [samples] with the core's response (an in-place
+    kernel), and the ADC converts it back into [codes], which then
+    hold the response codes. Bit-identical to {!apply_core_test} with
+    the record-to-record version of [core].
+    @raise Invalid_argument as {!apply_core_test}, or if the two
+    buffers differ in length. *)
+
 val self_test_max_error_lsb : t -> samples:int -> float
 (** [Self_test] mode: play a full-scale code ramp through DAC→ADC and
     report the worst |response − stimulus| in LSBs. An ideal wrapper

@@ -6,36 +6,53 @@ type t = {
   magnitudes : float array;
 }
 
+type scratch = { re : float array; im : float array; mags : float array }
+
+let scratch n_fft =
+  if n_fft < 1 then invalid_arg "Spectrum.scratch: length must be positive";
+  {
+    re = Array.create_float n_fft;
+    im = Array.create_float n_fft;
+    mags = Array.create_float ((n_fft / 2) + 1);
+  }
+
 (* Window [coefs]-many samples of [x] from [offset] straight into the
-   bit-reversed slots of a zero-padded [n_fft]-point split buffer,
-   transform it in place over [plan] and return |X[k]| of the
-   one-sided bins 0 .. n_fft/2. The entry overwrites every slot, so
-   the buffers start uninitialized. *)
-let one_sided_magnitudes ~plan ~coefs ~n_fft ~offset x =
-  let re = Array.create_float n_fft and im = Array.create_float n_fft in
+   bit-reversed slots of the scratch's zero-padded split buffer,
+   transform it in place over [plan] and write |X[k]| of the one-sided
+   bins 0 .. n_fft/2 into its magnitudes. The entry overwrites every
+   slot, so whatever the scratch held before is never read. *)
+let one_sided_magnitudes ~plan ~coefs ~offset x { re; im; mags } =
   Fft.execute_windowed plan ~coefs ~offset x ~re ~im;
-  let mags = Array.create_float ((n_fft / 2) + 1) in
   for k = 0 to Array.length mags - 1 do
     mags.(k) <- Float.hypot re.(k) im.(k)
-  done;
-  mags
+  done
+
+let fft_length ?pad_to n_signal =
+  match pad_to with Some n -> n | None -> Fft.next_pow2 n_signal
 
 (* The window's coefficients and the FFT plan are built once per
    partial application, as [Quantize.encode ~bits ~range] computes its
    step: every record of a program's length reuses them. *)
-let analyzer ?(window = Window.Hann) ?pad_to ~fs n_signal =
+let analyzer_into ?(window = Window.Hann) ?pad_to ~fs n_signal =
   if not (Float.is_finite fs && fs > 0.0) then
     invalid_arg "Spectrum.analyze: fs must be finite and positive";
   if n_signal <= 0 then invalid_arg "Spectrum.analyze: empty record";
-  let n_fft = match pad_to with Some n -> n | None -> Fft.next_pow2 n_signal in
+  let n_fft = fft_length ?pad_to n_signal in
   if n_fft < n_signal then invalid_arg "Spectrum.analyze: pad_to smaller than the record";
   let plan = Fft.plan n_fft in
   let coefs = Window.coefficients window n_signal in
-  fun samples ->
+  fun s samples ->
     if Array.length samples <> n_signal then
       invalid_arg "Spectrum.analyze: record length differs from the analyzer's";
-    let magnitudes = one_sided_magnitudes ~plan ~coefs ~n_fft ~offset:0 samples in
-    { fs; n_signal; n_fft; window; magnitudes }
+    if Array.length s.re <> n_fft then
+      invalid_arg "Spectrum.analyze: scratch built for another FFT length";
+    one_sided_magnitudes ~plan ~coefs ~offset:0 samples s;
+    { fs; n_signal; n_fft; window; magnitudes = s.mags }
+
+let analyzer ?window ?pad_to ~fs n_signal =
+  let into = analyzer_into ?window ?pad_to ~fs n_signal in
+  let n_fft = fft_length ?pad_to n_signal in
+  fun samples -> into (scratch n_fft) samples
 
 let analyze ?window ?pad_to ~fs samples =
   analyzer ?window ?pad_to ~fs (Array.length samples) samples
@@ -108,8 +125,10 @@ let welch_psd ?(window = Window.Hann) ?(segment = 1024) ?(overlap = 0.5) ~fs x =
   let n_segments = 1 + ((Array.length x - segment) / hop) in
   let half = (segment / 2) + 1 in
   let acc = Array.make half 0.0 in
+  let buffers = scratch segment in
   for s = 0 to n_segments - 1 do
-    let mags = one_sided_magnitudes ~plan ~coefs ~n_fft:segment ~offset:(s * hop) x in
+    one_sided_magnitudes ~plan ~coefs ~offset:(s * hop) x buffers;
+    let mags = buffers.mags in
     for k = 0 to half - 1 do
       (* one-sided PSD: double everything but DC and Nyquist *)
       let scale = if k = 0 || k = half - 1 then 1.0 else 2.0 in

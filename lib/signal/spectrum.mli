@@ -12,15 +12,40 @@ type t = {
   magnitudes : float array;  (** bins 0 .. n_fft/2, raw |X[k]| *)
 }
 
+type scratch
+(** The buffers one spectrum is computed in: an [n_fft]-point split
+    FFT buffer (real and imaginary parts) and the [n_fft/2 + 1]
+    one-sided magnitudes. A caller that analyzes one record after
+    another keeps one scratch and lends it to {!analyzer_into} for
+    each; the spectrum it returns reads the scratch's magnitudes, so
+    it is valid until the scratch's next use. A scratch is written by
+    every spectrum computed in it: one domain owns it at a time. *)
+
+val scratch : int -> scratch
+(** [scratch n_fft]: uninitialized buffers for [n_fft]-point
+    spectra (every analysis overwrites all of them before reading).
+    @raise Invalid_argument if [n_fft < 1]. *)
+
+val analyzer_into :
+  ?window:Window.t -> ?pad_to:int -> fs:float -> int -> scratch -> float array -> t
+(** [analyzer_into ~fs n] builds what {!analyzer} builds (the window's
+    [n] coefficients and the {!Fft.plan} for the padded length, once)
+    and computes each spectrum in the scratch it is given, allocating
+    no array: the spectrum's [magnitudes] is the scratch's own array.
+    Bit-identical to {!analyzer}'s spectra.
+    @raise Invalid_argument as {!analyzer}, and, when applied, on a
+    scratch built for another FFT length. *)
+
 val analyzer :
   ?window:Window.t -> ?pad_to:int -> fs:float -> int -> float array -> t
 (** [analyzer ~fs n] is {!analyze} for records of [n] samples, with
     the window's [n] coefficients and the {!Fft.plan} for the padded
     length built once, here, and reused by every record it is applied
-    to (as [Quantize.encode ~bits ~range] computes its step once). A
-    Monte-Carlo program builds one analyzer, so every trial reads the
-    same plan. The closure only reads them, so domains may share it.
-    Each spectrum is bit-identical to {!analyze}'s.
+    to (as [Quantize.encode ~bits ~range] computes its step once).
+    Each spectrum is computed in a fresh {!scratch}, so it owns its
+    arrays. The closure only reads the plan and the coefficients, so
+    domains may share it. Each spectrum is bit-identical to
+    {!analyze}'s.
     @raise Invalid_argument if [fs] is not finite and positive (NaN
     included), [n <= 0], [pad_to < n] or [pad_to] is not a power of
     two (all when the analyzer is built), and, when
@@ -69,7 +94,7 @@ val welch_psd :
     record into [segment]-sample windows (default 1024, power of two)
     overlapping by [overlap] (default 0.5), window each, average the
     periodograms (each segment through the same in-place kernel as
-    {!analyze}, over one plan built per call). Returns one-sided
+    {!analyze}, over one plan and one {!scratch} built per call). Returns one-sided
     (frequency, PSD) pairs in units²/Hz; the variance of each PSD
     estimate shrinks with the number of averaged segments — the right
     tool for noise floors, where a single FFT's bins fluctuate 100%.

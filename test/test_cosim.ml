@@ -413,10 +413,28 @@ let print_engine_case c =
     (List.length c.dut.Dut.stages) (Wrapper.bits c.wrapper) (Array.length c.codes)
     cfg.Wrapper.serial_to_parallel cfg.Wrapper.divide_ratio
 
+(* The chain in two buffers, as a testbench trial runs it: the codes
+   come back as the response; a pipeline with two noise stages has no
+   one draws buffer and is refused. *)
+let in_place_response c =
+  let n = Array.length c.codes in
+  match Dut.batch_into ~draws:(Array.make n Float.nan) c.dut with
+  | exception Invalid_argument _ -> None
+  | core ->
+    let codes = Array.copy c.codes and samples = Array.make n Float.nan in
+    Wrapper.apply_core_test_into c.wrapper ~core:(fun x -> core x ~into:x) ~codes ~samples;
+    Some codes
+
 let engine_matches_reference c =
   let t = Engine.run ~wrapper:c.wrapper ~dut:c.dut ~stimulus_codes:c.codes in
   let r = Reference.run ~wrapper:c.wrapper ~dut:c.dut ~stimulus_codes:c.codes in
+  let noise_stages =
+    List.length (List.filter (function Dut.Noise _ -> true | _ -> false) c.dut.Dut.stages)
+  in
   t.Engine.response = r.Reference.response
+  && (match in_place_response c with
+     | Some response -> response = r.Reference.response
+     | None -> noise_stages > 1)
   && t.Engine.samples = r.Reference.samples
   && t.Engine.tam_cycles = r.Reference.tam_cycles
   && t.Engine.scheduler.Scheduler.processed
@@ -889,29 +907,52 @@ let test_monte_carlo_run_program () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero trials accepted"
 
-(* The allocation gate: one Monte-Carlo trial of the default fc
-   program may allocate at most [fc_trial_major_words] words on the
-   major heap. Its arrays longer than the minor heap's largest block
-   (the record, the DUT stages, the noise draws, the FFT buffers and
-   the magnitudes) go there directly; its ~5 000 minor words start on
-   an empty minor heap after [Gc.full_major] and trigger no minor
-   collection, so nothing is promoted and the count repeats exactly
-   (72 832 words; 81 935 before the noise draw streamed its uniforms
-   and the spectra stopped zero-filling their buffers). *)
-let fc_trial_major_words = 73_000.0
+(* The allocation gates, in major-heap words, each over one default fc
+   trial after [Gc.full_major]: its minor words (~6 000) start on an
+   empty minor heap and trigger no minor collection, so nothing is
+   promoted and each count repeats exactly. An array longer than the
+   minor heap's largest block (256 words) goes to the major heap
+   directly.
+
+   A fresh trial ([run_program]) allocates its workspace: the noise
+   draws, the sample and code buffers (4 552 words each), the two
+   8 192-point FFT buffers and the magnitudes, 34 140 words (72 832
+   before the workspace, when each stage allocated its own record and
+   each spectrum its own buffers; 81 935 before that). A stage that
+   allocates a record-sized array again fails it. *)
+let fc_trial_major_words = 34_500.0
+
+(* A trial through a warm workspace allocates no array (0 words): the
+   gate leaves room for less than one array past the minor heap's
+   largest block. *)
+let warm_fc_trial_major_words = 256.0
+
+let major_words f =
+  Gc.full_major ();
+  let _, _, before = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, _, after = Gc.counters () in
+  after -. before
 
 let test_fc_trial_major_words () =
   let program = Testbench.program Testbench.default Testbench.Fc in
   let variation = Variation.sample ~master:1 ~trial:1 () in
   ignore (Testbench.run_program program variation);
-  Gc.full_major ();
-  let _, _, before = Gc.counters () in
-  ignore (Sys.opaque_identity (Testbench.run_program program variation));
-  let _, _, after = Gc.counters () in
-  let words = after -. before in
+  let words = major_words (fun () -> Testbench.run_program program variation) in
   if words > fc_trial_major_words then
     Alcotest.failf "one fc trial allocated %.0f major words, above the gate's %.0f" words
       fc_trial_major_words
+
+let test_warm_fc_trial_major_words () =
+  let program = Testbench.program Testbench.default Testbench.Fc in
+  let ws = Testbench.workspace program in
+  ignore (Testbench.run_trial ws (Variation.sample ~master:1 ~trial:2 ()));
+  let words =
+    major_words (fun () -> Testbench.run_trial ws (Variation.sample ~master:1 ~trial:1 ()))
+  in
+  if words > warm_fc_trial_major_words then
+    Alcotest.failf "one warm fc trial allocated %.0f major words, above the gate's %.0f" words
+      warm_fc_trial_major_words
 
 (* --- calibration --- *)
 
@@ -1189,6 +1230,7 @@ let suites =
         Alcotest.test_case "summary" `Quick test_monte_carlo_summary;
         Alcotest.test_case "run_program = run" `Quick test_monte_carlo_run_program;
         Alcotest.test_case "fc trial major words" `Quick test_fc_trial_major_words;
+        Alcotest.test_case "warm fc trial major words" `Quick test_warm_fc_trial_major_words;
       ] );
     ( "cosim.calibrate",
       [

@@ -26,7 +26,14 @@
    random lists of up to five stages, with the noise drawn for the
    record's length, a longer or a shorter one, or per record, and
    compares two records' float bits (or the rejection) through one
-   model, and that neither record was written. *)
+   model, and that neither record was written; [Dut.batch_into], run
+   in place over a draws buffer of the same length, must match too.
+   Two more properties hold the trial's workspace to the fresh path:
+   for every spec, dies at 6, 8 and 10 bits run through one workspace
+   in shuffled order (the last twice) must each read what a fresh
+   [Testbench.run_program] reads, bit for bit; and a serial
+   Monte-Carlo sweep (one workspace) must equal the same sweep on a
+   2-domain pool (one workspace per chunk). *)
 
 module Testbench = Msoc_cosim.Testbench
 module Monte_carlo = Msoc_cosim.Monte_carlo
@@ -443,25 +450,121 @@ let batch_matches seed =
   in
   let model = Dut.batch ?samples dut and reference = Ref.batch ?samples dut in
   let run f = match f () with y -> Ok y | exception e -> Error (Printexc.to_string e) in
+  let same a b =
+    match (a, b) with
+    | Ok a, Ok b -> same_bits a b
+    | Error a, Error b -> String.equal a b
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  (* [batch_into] over draws of the drawn length (the record's without
+     one), written in place: the model a testbench trial runs. A
+     pipeline with two noise stages is refused when it is built. *)
+  let noise_stages = List.length (List.filter (function Dut.Noise _ -> true | _ -> false) stages) in
+  let into =
+    match Dut.batch_into ~draws:(Array.make (Option.value samples ~default:n) Float.nan) dut with
+    | core -> Some core
+    | exception Invalid_argument _ when noise_stages > 1 -> None
+  in
   (* one model over two records: nothing carries over between them,
      and neither record is written *)
   for _ = 1 to 2 do
     let x = Array.init n (fun _ -> Rng.float_in rng ~lo:(-1.0) ~hi:5.0) in
     let x0 = Array.copy x in
-    let same =
-      match (run (fun () -> model x), run (fun () -> reference x)) with
-      | Ok a, Ok b -> same_bits a b
-      | Error a, Error b -> String.equal a b
-      | Ok _, Error _ | Error _, Ok _ -> false
-    in
-    if not same then
+    let want = run (fun () -> reference x) in
+    if not (same (run (fun () -> model x)) want) then
       QCheck.Test.fail_reportf "%d stages, %d samples at fs %g: batch differs from the reference"
         (List.length stages) n fs;
-    if not (same_bits x x0) then QCheck.Test.fail_reportf "the record was written"
+    if not (same_bits x x0) then QCheck.Test.fail_reportf "the record was written";
+    Option.iter
+      (fun core ->
+        let buffer = Array.copy x in
+        if not (same (run (fun () -> core buffer ~into:buffer; buffer)) want) then
+          QCheck.Test.fail_reportf
+            "%d stages, %d samples at fs %g: batch_into differs from the reference"
+            (List.length stages) n fs)
+      into
   done;
   true
 
 let seed_arb = QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000_000))
+
+(* --- the workspace --- *)
+
+(* Two sampled dies at each resolution the default ranges draw (6, 8
+   and 10 bits), shuffled, the last one run twice: a workspace that
+   keeps anything of the trial before (its noise, its codes, its FFT
+   buffers) shows it on one of them. *)
+let workspace_dies rng =
+  let die bits =
+    {
+      (Variation.sample ~master:(Rng.int rng ~bound:1_000_000)
+         ~trial:(Rng.int_in rng ~lo:1 ~hi:50) ())
+      with
+      Variation.bits;
+    }
+  in
+  let dies = Array.of_list (List.concat_map (fun b -> [ die b; die b ]) [ 6; 8; 10 ]) in
+  Rng.shuffle rng dies;
+  Array.to_list dies @ [ dies.(Array.length dies - 1) ]
+
+let verdict_text ~measured ~direct ~error_pct ~pass =
+  Printf.sprintf "measured %s direct %s error %s pass %b" (bits measured) (bits direct)
+    (bits error_pct) pass
+
+(* Every spec, each at its own drawn record length, one rate per case:
+   the dies through one workspace, in order, against a fresh
+   [run_program] per die. *)
+let workspace_matches_fresh seed =
+  let rng = Rng.create ~seed in
+  let fs = Rng.pick rng rates in
+  let dies = workspace_dies rng in
+  List.iter
+    (fun spec ->
+      let config = { Testbench.default with Testbench.samples = draw_samples rng spec; fs } in
+      let program = Testbench.program config spec in
+      let ws = Testbench.workspace program in
+      List.iteri
+        (fun i die ->
+          let got =
+            outcome
+              (fun ({ Testbench.measured; direct; error_pct; pass } : Testbench.reading) ->
+                verdict_text ~measured ~direct ~error_pct ~pass)
+              (fun () -> Testbench.run_trial ws die)
+          and want =
+            outcome
+              (fun { Testbench.measured; direct; error_pct; pass; _ } ->
+                verdict_text ~measured ~direct ~error_pct ~pass)
+              (fun () -> Testbench.run_program program die)
+          in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s samples %d fs %g, trial %d (%d bits):\n got  %s\n want %s"
+              (Testbench.spec_name spec) config.Testbench.samples fs (i + 1)
+              die.Variation.bits got want)
+        dies)
+    Testbench.specs;
+  true
+
+(* One workspace for a whole serial sweep against two on a 2-domain
+   pool, each starting cold at its chunk's first trial. *)
+let pool_matches_serial seed =
+  let rng = Rng.create ~seed in
+  let spec = Rng.pick rng (Array.of_list Testbench.specs) in
+  let config =
+    { Testbench.default with Testbench.samples = draw_samples rng spec; fs = Rng.pick rng rates }
+  in
+  let program = Testbench.program config spec in
+  let trials = Rng.int_in rng ~lo:1 ~hi:12 and mc_seed = Rng.int rng ~bound:1_000_000 in
+  let text (ts, _) = String.concat "\n" (List.map trial_text ts) in
+  let serial = text (Monte_carlo.run_program ~trials ~seed:mc_seed program) in
+  let pooled =
+    text
+      (Pool.with_pool ~jobs:2 (fun pool ->
+           Monte_carlo.run_program ~pool ~trials ~seed:mc_seed program))
+  in
+  if serial <> pooled then
+    QCheck.Test.fail_reportf "%s samples %d, %d trials:\n serial %s\n pooled %s"
+      (Testbench.spec_name spec) config.Testbench.samples trials serial pooled;
+  true
 
 (* --- golden pin --- *)
 
@@ -497,6 +600,12 @@ let suites =
         QCheck_alcotest.to_alcotest
           (QCheck.Test.make ~name:"in-place DUT = per-stage arrays" ~count:150 seed_arb
              batch_matches);
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~name:"workspace trials = fresh trials (every spec, 6/8/10 bits)"
+             ~count:25 seed_arb workspace_matches_fresh);
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~name:"serial workspace sweep = 2-domain pool sweep" ~count:40
+             seed_arb pool_matches_serial);
       ] );
     ("cosim-ref.golden", [ Alcotest.test_case "Monte-Carlo trials pinned" `Quick test_golden ]);
   ]

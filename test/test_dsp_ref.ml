@@ -26,7 +26,10 @@
      run in every run;
    - spectra for every window with [pad_to] the record length (when a
      power of two), the next power of two and four times that, and
-     Welch PSDs, with segments of 1, 2 and 4 samples in every case;
+     Welch PSDs, with segments of 1, 2 and 4 samples in every case
+     (on records of at least 4 samples; [Ref.welch_psd] keeps its
+     record-length check, and both sides must refuse a record one
+     sample shorter than each segment);
    - both ADC architectures at 4..16 bits (even for the pipeline) on
      every threshold, its neighbouring floats, and voltages inside and
      outside 0..4 V, plus quantization of the same voltages;
@@ -138,6 +141,8 @@ module Ref = struct
     (n_fft, one_sided)
 
   let welch_psd ?(window = Window.Hann) ?(segment = 1024) ?(overlap = 0.5) ~fs x =
+    if Array.length x < segment then
+      invalid_arg "Spectrum.welch_psd: record shorter than one segment";
     let coefs = Window.coefficients window segment in
     (* window power normalization: U = mean of w^2 *)
     let u =
@@ -715,19 +720,31 @@ let spectra_match seed =
     windows
 
 (* The drawn segment and the three below the first radix-2² pass. *)
+(* The record holds at least 4 samples, so every segment checked (the
+   drawn one, 1, 2 and 4) fits it; a record one sample shorter than
+   each segment must be refused by both sides alike. *)
 let welch_matches seed =
   let rng = Rng.create ~seed in
   let drawn = 1 lsl Rng.int_in rng ~lo:0 ~hi:9 in
-  let x = values rng (drawn + Rng.int_in rng ~lo:0 ~hi:3000) in
+  let x = values rng (max 4 (drawn + Rng.int_in rng ~lo:0 ~hi:3000)) in
   let window = Rng.pick rng (Array.of_list windows) in
   let overlap = Rng.pick rng [| 0.0; 0.25; 0.5; 0.75; 0.9 |] in
   let fs = Rng.float_in rng ~lo:1.0e3 ~hi:1.0e7 in
+  let refused welch =
+    match welch () with
+    | _ -> false
+    | exception Invalid_argument msg ->
+      String.equal msg "Spectrum.welch_psd: record shorter than one segment"
+  in
   List.for_all
     (fun segment ->
       let flat = Spectrum.welch_psd ~window ~segment ~overlap ~fs x
       and reference = Ref.welch_psd ~window ~segment ~overlap ~fs x in
+      let short = Array.sub x 0 (segment - 1) in
       same_bits (Array.map fst flat) (Array.map fst reference)
-      && same_bits (Array.map snd flat) (Array.map snd reference))
+      && same_bits (Array.map snd flat) (Array.map snd reference)
+      && refused (fun () -> Spectrum.welch_psd ~window ~segment ~overlap ~fs short)
+      && refused (fun () -> Ref.welch_psd ~window ~segment ~overlap ~fs short))
     [ drawn; 1; 2; 4 ]
 
 (* --- ADC and quantization --- *)
@@ -906,14 +923,18 @@ let kernels_match seed =
   (* quantizer and converters at even 4..16 bits, mismatch and
      threshold noise on or off *)
   let bits = 2 * Rng.int_in rng ~lo:2 ~hi:8 and range = Quantize.default_range in
-  let codes = Quantize.encode_all ~bits ~range x in
-  check "Quantize.encode_all" (codes = Array.map (Ref.Mapped.encode ~bits ~range) x);
+  (* the record loops into a caller's buffer write every slot of one
+     that held something else *)
+  let ints_into loop src = let out = Array.make (Array.length src) (-1) in loop src out; out
+  and floats_into loop src = let out = Array.make (Array.length src) Float.nan in loop src out; out in
+  let codes = ints_into (fun x into -> Quantize.encode_into ~bits ~range x ~into) x in
+  check "Quantize.encode_into" (codes = Array.map (Ref.Mapped.encode ~bits ~range) x);
   let all_codes = Array.init (1 lsl bits) Fun.id in
   List.iter
     (fun cs ->
-      check "Quantize.decode_all"
+      check "Quantize.decode_into"
         (same_floats
-           (fun () -> Quantize.decode_all ~bits ~range cs)
+           (fun () -> floats_into (fun cs into -> Quantize.decode_into ~bits ~range cs ~into) cs)
            (fun () -> Array.map (Ref.Mapped.decode ~bits ~range) cs)))
     [ codes; all_codes; Array.append codes [| 1 lsl bits |]; [| -1 |] ];
   let mismatch_sigma = if Rng.bool rng then 0.0 else Rng.float_in rng ~lo:0.0 ~hi:0.05 in
@@ -925,6 +946,8 @@ let kernels_match seed =
     (fun cs ->
       let want () = Ref.Mapped.Dac.convert_all dac' cs in
       check "Dac.convert_all" (same_floats (fun () -> Dac.convert_all dac cs) want);
+      check "Dac.convert_into"
+        (same_floats (fun () -> floats_into (fun cs into -> Dac.convert_into dac cs ~into) cs) want);
       check "Dac.convert" (same_floats (fun () -> Array.map (Dac.convert dac) cs) want))
     [ codes; all_codes; [| 0; 1 lsl bits |] ];
   let threshold_sigma_lsb = if Rng.bool rng then 0.0 else Rng.float_in rng ~lo:0.0 ~hi:1.0 in
@@ -937,6 +960,8 @@ let kernels_match seed =
     (fun v ->
       let want () = Ref.Mapped.Adc.convert_all adc' v in
       check "Adc.convert_all" (same_ints (fun () -> Adc.convert_all adc v) want);
+      check "Adc.convert_into"
+        (same_ints (fun () -> ints_into (fun v into -> Adc.convert_into adc v ~into) v) want);
       check "Adc.convert" (same_ints (fun () -> Array.map (Adc.convert adc) v) want))
     [ x; analog ];
   (* the stages, each allocating form over its in-place kernel *)

@@ -375,6 +375,8 @@ let test_cli_bad_serve_values () =
   check_usage_errors
     [
       ([], [ "serve"; "--cache-max-mb"; "0" ], [ "'--cache-max-mb'" ]);
+      ([], replay [ "--count=-1" ], [ "'--count'"; "non-negative integer" ]);
+      ([], replay [ "--repeat=-1" ], [ "'--repeat'"; "non-negative integer" ]);
       ([], replay [ "--clients"; "0" ], [ "'--clients'" ]);
       ([], replay [ "--rate"; "0" ], [ "'--rate'" ]);
       ([], replay [ "--mix"; "bogus" ], [ "'--mix'"; "plan, optimize" ]);
