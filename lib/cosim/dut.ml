@@ -35,16 +35,10 @@ let pipeline t ~noise =
     List.iter (fun run -> run into) kernels;
     Models.dc_offset_in_place t.bias into
 
-(* With [samples], the noise stage draws its Gaussian values once,
-   here: a restarted stream would draw the same values for every
-   record of that length. *)
-let batch ?samples t =
-  let noise ~seed ~sigma =
-    match samples with
-    | None -> Models.additive_noise_in_place ~seed ~sigma
-    | Some n -> Models.add_draws_in_place ~sigma (Models.gaussian_draws ~seed n)
+let batch t =
+  let run =
+    pipeline t ~noise:(fun ~seed ~sigma -> Models.additive_noise_in_place ~seed ~sigma)
   in
-  let run = pipeline t ~noise in
   fun record ->
     let buffer = Array.create_float (Array.length record) in
     run record ~into:buffer;

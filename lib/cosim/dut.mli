@@ -28,7 +28,7 @@ val make : ?bias:float -> fs:float -> stage list -> t
     @raise Invalid_argument on an [fs] that is not positive and finite
     (NaN included), or a [bias] that is not finite. *)
 
-val batch : ?samples:int -> t -> Msoc_mixedsig.Analog_models.t
+val batch : t -> Msoc_mixedsig.Analog_models.t
 (** The record-at-once model. Applied to a record, it allocates one
     buffer and runs {!batch_into}'s stages over it: the bias comes off
     into the buffer ({!Msoc_mixedsig.Analog_models.remove_bias_into}),
@@ -40,27 +40,24 @@ val batch : ?samples:int -> t -> Msoc_mixedsig.Analog_models.t
     {!Msoc_mixedsig.Analog_models.biased} over the composed stage
     models, in their order, so the output is bit-identical to theirs.
     Filter and slew state start afresh and the noise stream restarts
-    at every record it is applied to.
-
-    With [samples], the noise stage's Gaussian values for a record of
-    that length are drawn once, when the model is built
-    ({!Msoc_mixedsig.Analog_models.gaussian_draws}), and every record
-    adds them ({!Msoc_mixedsig.Analog_models.add_draws_in_place}).
-    They are the values the restarted stream draws, so on records of
-    at most [samples] the model is bit-identical to the one without
-    it; a longer record raises [Invalid_argument]. The model only
-    reads the draws and writes only its own buffer: it can be applied
-    from any domain. *)
+    at every record it is applied to
+    ({!Msoc_mixedsig.Analog_models.additive_noise_in_place}). The
+    model writes only its own buffer: it can be applied from any
+    domain. *)
 
 val batch_into :
   draws:float array -> t -> float array -> into:float array -> unit
-(** The model {!batch}[ ~samples:(Array.length draws)] computes,
-    written into a buffer of the caller's instead of a fresh one and
-    with the noise drawn into [draws]: building the model
-    ([batch_into ~draws t]) overwrites [draws] with the noise stage's
-    values ({!Msoc_mixedsig.Analog_models.gaussian_draws_into}), and
-    applying it to a record writes the output into [into], which may
-    be the record itself. Nothing is allocated per record. A
+(** {!batch}'s model, written into a buffer of the caller's instead
+    of a fresh one and with the noise drawn once, into [draws]:
+    building the model ([batch_into ~draws t]) overwrites [draws] with
+    the noise stage's values
+    ({!Msoc_mixedsig.Analog_models.gaussian_draws_into}), the values
+    the restarted stream draws, and every record adds them
+    ({!Msoc_mixedsig.Analog_models.add_draws_in_place}). On records of
+    at most [Array.length draws] samples the output is bit-identical
+    to {!batch}'s. Applying the model to a record writes the output
+    into [into], which may be the record itself. Nothing is allocated
+    per record. A
     testbench trial builds it once, over its workspace's draws, and
     runs both paths through it: the direct path from the program's
     record into the sample buffer, the wrapped path in place on the

@@ -33,8 +33,20 @@ val run :
   trace
 (** The record through {!Msoc_mixedsig.Wrapper.apply_core_test} with
     the DUT's record-at-once model ({!Dut.batch}), every stage into a
-    fresh array. A testbench trial runs the same chain in its
-    workspace's buffers ({!Testbench.workspace}) and reports the same
-    counts.
+    fresh array.
     @raise Invalid_argument if the wrapper is not in [Core_test] mode,
     a stimulus code is out of range, or the record is empty. *)
+
+val run_core :
+  wrapper:Msoc_mixedsig.Wrapper.t -> core:Msoc_mixedsig.Analog_models.kernel ->
+  codes:int array -> samples:float array -> trace
+(** The same chain in two buffers of the caller's, through an in-place
+    core ({!Msoc_mixedsig.Wrapper.apply_core_test_into}): the DAC
+    converts the stimulus codes in [codes] into [samples], [core]
+    overwrites [samples], and the ADC writes the response back into
+    [codes], which is the trace's [response] (not a copy). The counts
+    are {!run}'s. A testbench trial runs it in its workspace's buffers
+    ({!Testbench.workspace}), with the DUT model its direct path runs
+    ({!Dut.batch_into}).
+    @raise Invalid_argument as {!run}, or if the two buffers differ in
+    length. *)

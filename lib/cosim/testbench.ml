@@ -315,39 +315,40 @@ let program ?tolerance_pct ?stimulus config spec =
 
 (* Everything a trial writes, sized for one program: the die's noise
    draws, the sample buffer every stage of both paths overwrites, the
-   code buffer (the stimulus codes, then the response codes) and, in
-   [read], the program's readout over the workspace's own FFT buffers
-   and magnitudes when it reads a spectrum. *)
+   code buffer (the stimulus codes, then the response codes) and a
+   spectral readout's FFT buffers and magnitudes. The scratch is built
+   when a readout first needs it, so a record readout and {!spectra},
+   which lends each spectrum a scratch of its own, build none. *)
 type workspace = {
   program : program;
   draws : float array;
   samples : float array;
   codes : int array;
-  read : float array -> float;
+  scratch : Spectrum.scratch Lazy.t;
 }
 
 let workspace (p : program) =
   let n = p.config.samples in
-  let read =
-    match p.readout with
-    | Of_record read -> read
-    | Of_spectrum { analyze; read } ->
-      let scratch = Spectrum.scratch (pad_of p.config) in
-      fun response -> read (analyze scratch response)
-  in
   {
     program = p;
     draws = Array.create_float n;
     samples = Array.create_float n;
     codes = Array.make n 0;
-    read;
+    scratch = lazy (Spectrum.scratch (pad_of p.config));
   }
+
+(* The program's readout of a response, a spectrum in the workspace's
+   scratch. *)
+let read ws response =
+  match ws.program.readout with
+  | Of_record read -> read response
+  | Of_spectrum { analyze; read } -> read (analyze (Lazy.force ws.scratch) response)
 
 (* One trial through [ws]: both paths through one DUT model (its noise
    drawn once, into the workspace), each response read by [read] from
    the sample buffer as soon as it exists; returns the direct reading,
-   the wrapped reading and the die's wrapper. The response codes stay
-   in [ws.codes]. *)
+   the wrapped reading and the wrapped path's trace, whose response is
+   the workspace's code buffer. *)
 let trial ws variation read =
   let p = ws.program in
   let config = with_variation variation p.config in
@@ -359,23 +360,14 @@ let trial ws variation read =
   let bits = variation.Variation.bits in
   let range = Quantize.default_range in
   Quantize.encode_into ~bits ~range p.record ~into:ws.codes;
-  let wrapper = Wrapper.set_mode (Variation.wrapper variation) Wrapper.Core_test in
-  Wrapper.apply_core_test_into wrapper
-    ~core:(fun x -> core x ~into:x)
-    ~codes:ws.codes ~samples:ws.samples;
+  let trace =
+    Engine.run_core
+      ~wrapper:(Wrapper.set_mode (Variation.wrapper variation) Wrapper.Core_test)
+      ~core:(fun x -> core x ~into:x)
+      ~codes:ws.codes ~samples:ws.samples
+  in
   Quantize.decode_into ~bits ~range ws.codes ~into:ws.samples;
-  (direct, read ws.samples, wrapper)
-
-(* The counts {!Engine.run} reports for the record, in closed form,
-   over the response codes the trial left in the workspace. *)
-let trace_of wrapper response =
-  let n = Array.length response in
-  {
-    Engine.samples = n;
-    tam_cycles = Wrapper.test_cycles wrapper ~samples:n;
-    scheduler = { Scheduler.processed = (5 * n) + 1; peak_queue = n };
-    response;
-  }
+  (direct, read ws.samples, trace)
 
 let error_pct_of ~direct ~measured =
   if direct = 0.0 then Float.abs measured *. 100.0
@@ -400,12 +392,12 @@ let program_spec (p : program) = p.spec
    buffer, so no two results share one. *)
 let run_program p variation =
   let ws = workspace p in
-  let direct, measured, wrapper = trial ws variation ws.read in
-  result_of p ~direct ~measured (trace_of wrapper ws.codes)
+  let direct, measured, trace = trial ws variation (read ws) in
+  result_of p ~direct ~measured trace
 
 (* The verdict alone: nothing of the workspace leaves the trial. *)
 let run_trial ws variation : reading =
-  let direct, measured, _ = trial ws variation ws.read in
+  let direct, measured, _ = trial ws variation (read ws) in
   let error_pct = error_pct_of ~direct ~measured in
   { measured; direct; error_pct; pass = error_pct <= ws.program.tolerance_pct }
 
@@ -425,10 +417,8 @@ let spectra (p : program) variation =
     (* each spectrum in a scratch of its own, so all three outlive the
        trial; the record is copied, as an analysis may write it *)
     let analyze x = analyze (Spectrum.scratch (pad_of p.config)) x in
-    let ws = workspace p in
-    let direct_spectrum, wrapped_spectrum, wrapper = trial ws variation analyze in
-    ( result_of p ~direct:(read direct_spectrum) ~measured:(read wrapped_spectrum)
-        (trace_of wrapper ws.codes),
+    let direct_spectrum, wrapped_spectrum, trace = trial (workspace p) variation analyze in
+    ( result_of p ~direct:(read direct_spectrum) ~measured:(read wrapped_spectrum) trace,
       {
         tones = p.tones;
         input = analyze (Array.copy p.record);

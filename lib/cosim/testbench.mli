@@ -151,7 +151,8 @@ type workspace
     decoded response), the code buffer (the stimulus codes the DAC
     reads, then the response codes the ADC writes) and, for a
     spectral readout, the FFT's split real and imaginary buffers and
-    the magnitudes ({!Msoc_signal.Spectrum.scratch}).
+    the magnitudes ({!Msoc_signal.Spectrum.scratch}), built by the
+    first trial that reads a spectrum.
 
     Ownership: a workspace belongs to the one domain that runs trials
     through it, one trial at a time; nothing holds it in a
@@ -187,7 +188,8 @@ val spectra : program -> Msoc_mixedsig.Variation.t -> result * spectra
     [Iip3], [Dr]), with the spectra it read: the same two paths, run
     once, and a bit-identical result. Each spectrum is computed in a
     scratch of its own, so all three own their arrays. The [Fc]
-    program's are Fig. 5.
+    program's are Fig. 5. The trial's other buffers are a fresh
+    {!workspace}'s, whose own FFT buffers it never builds.
     @raise Invalid_argument, naming the spec, for the others. *)
 
 val run :

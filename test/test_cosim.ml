@@ -916,10 +916,9 @@ let test_monte_carlo_run_program () =
 
    A fresh trial ([run_program]) allocates its workspace: the noise
    draws, the sample and code buffers (4 552 words each), the two
-   8 192-point FFT buffers and the magnitudes, 34 140 words (72 832
-   before the workspace, when each stage allocated its own record and
-   each spectrum its own buffers; 81 935 before that). A stage that
-   allocates a record-sized array again fails it. *)
+   8 192-point FFT buffers and the magnitudes, 34 140 words. The gate
+   leaves 360 words of slack, less than one record: a stage that
+   allocates a record-sized array fails it. *)
 let fc_trial_major_words = 34_500.0
 
 (* A trial through a warm workspace allocates no array (0 words): the

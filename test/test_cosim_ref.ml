@@ -23,11 +23,12 @@
    [Ref.Mapped.Models]), composed inside [biased], so each stage and
    each side of the bias allocated its own array. A second property
    runs both over each spec's stage list for a sampled die and over
-   random lists of up to five stages, with the noise drawn for the
-   record's length, a longer or a shorter one, or per record, and
-   compares two records' float bits (or the rejection) through one
-   model, and that neither record was written; [Dut.batch_into], run
-   in place over a draws buffer of the same length, must match too.
+   random lists of up to five stages, the noise stream restarted at
+   every record, and compares two records' float bits (or the
+   rejection) through one model, and that neither record was written;
+   [Dut.batch_into], run in place with its noise drawn for the
+   record's length, a longer or a shorter one, must match [Ref.batch]
+   with the noise drawn for that length.
    Two more properties hold the trial's workspace to the fresh path:
    for every spec, dies at 6, 8 and 10 bits run through one workspace
    in shuffled order (the last twice) must each read what a fresh
@@ -440,7 +441,8 @@ let batch_matches seed =
   let stages = draw_stages rng ~fs in
   let dut = Dut.make ~bias:(Rng.float_in rng ~lo:0.0 ~hi:4.0) ~fs stages in
   let n = Rng.int_in rng ~lo:1 ~hi:5000 in
-  (* the draws made for exactly [n], for more, for fewer, or none *)
+  (* [batch_into]'s draws: made for exactly [n] (twice as likely), for
+     more or for fewer *)
   let samples =
     match Rng.int rng ~bound:4 with
     | 0 -> None
@@ -448,7 +450,8 @@ let batch_matches seed =
     | 2 -> Some (n + Rng.int_in rng ~lo:1 ~hi:100)
     | _ -> Some (max 0 (n - Rng.int_in rng ~lo:1 ~hi:100))
   in
-  let model = Dut.batch ?samples dut and reference = Ref.batch ?samples dut in
+  let model = Dut.batch dut and reference = Ref.batch dut in
+  let drawn = Ref.batch ?samples dut in
   let run f = match f () with y -> Ok y | exception e -> Error (Printexc.to_string e) in
   let same a b =
     match (a, b) with
@@ -457,8 +460,9 @@ let batch_matches seed =
     | Ok _, Error _ | Error _, Ok _ -> false
   in
   (* [batch_into] over draws of the drawn length (the record's without
-     one), written in place: the model a testbench trial runs. A
-     pipeline with two noise stages is refused when it is built. *)
+     one), written in place: the model a testbench trial runs, against
+     the reference with its noise drawn for that length. A pipeline
+     with two noise stages is refused when it is built. *)
   let noise_stages = List.length (List.filter (function Dut.Noise _ -> true | _ -> false) stages) in
   let into =
     match Dut.batch_into ~draws:(Array.make (Option.value samples ~default:n) Float.nan) dut with
@@ -478,7 +482,8 @@ let batch_matches seed =
     Option.iter
       (fun core ->
         let buffer = Array.copy x in
-        if not (same (run (fun () -> core buffer ~into:buffer; buffer)) want) then
+        if not (same (run (fun () -> core buffer ~into:buffer; buffer)) (run (fun () -> drawn x)))
+        then
           QCheck.Test.fail_reportf
             "%d stages, %d samples at fs %g: batch_into differs from the reference"
             (List.length stages) n fs)
