@@ -46,7 +46,7 @@ let make_file_lines ~root (project : Project.t) =
       lines
 
 let run ?(config = Rules.default_config) ?allowlist_file ~root () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Msoc_util.Clock.now () in
   let project = Project.load ~root in
   let allowlist = resolve_allowlist ~root allowlist_file in
   let raw = Rules.run config project in
@@ -59,7 +59,7 @@ let run ?(config = Rules.default_config) ?allowlist_file ~root () =
       List.length project.Project.modules
       + List.length project.Project.dune_files;
     parse_failures = Semantic.parse_failures project;
-    elapsed_s = Unix.gettimeofday () -. t0;
+    elapsed_s = Msoc_util.Clock.now () -. t0;
     allowlist_path = allowlist.Allowlist.path;
   }
 

@@ -12,83 +12,143 @@ type json =
   | List of json list
   | Object of (string * json) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* --- printing ---
 
-let float_repr v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.12g" v
+   One writer for [to_string] and [pretty], appending straight into the
+   buffer: no string per int, string or key, and no closure per node.
+   Its bytes cannot move: cache keys are the MD5 of this rendering
+   (Fingerprint), and disk entries, envelopes and every [--json] are
+   its output. So each case writes exactly the bytes [string_of_int]
+   and [Printf] write for it; test/test_export_ref.ml keeps that
+   printer as the reference. *)
 
-let rec write ~indent ~level buf json =
-  let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
-  let newline () = if indent then Buffer.add_char buf '\n' in
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The digits of [-n] for [n <= 0]: working on the non-positive side
+   keeps [min_int] in range. *)
+let rec add_negated_digits buf n =
+  if n <= -10 then add_negated_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_negated_digits buf i
+  end
+  else add_negated_digits buf (-i)
+
+(* [Printf.sprintf "%.1f"] and ["%.12g"] both end in [caml_format_float]
+   (camlinternalFormat's [convert_float]). An integer-valued float below
+   1e15 is exact as an [int], and "%.1f" writes it as its digits and
+   ".0"; -0.0 keeps its sign. Every other float, NaN and the infinities
+   included, goes through the primitive itself. *)
+let add_float buf v =
+  if Float.is_integer v && Float.abs v < 1e15 then begin
+    if v = 0.0 && Float.sign_bit v then Buffer.add_char buf '-';
+    add_int buf (int_of_float v);
+    Buffer.add_string buf ".0"
+  end
+  else Buffer.add_string buf (format_float "%.12g" v)
+
+(* the first byte at or after [i] that needs an escape; [n] if none *)
+let rec escape_from s i n =
+  if i = n then n
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> escape_from s (i + 1) n
+
+let hex_digits = "0123456789abcdef"
+
+let add_escape buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c ->
+    Buffer.add_string buf "\\u00";
+    Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+    Buffer.add_char buf hex_digits.[Char.code c land 15]
+
+(* the runs between escapes; a string with none is added whole *)
+let rec add_runs buf s start n =
+  let i = escape_from s start n in
+  Buffer.add_substring buf s start (i - start);
+  if i < n then begin
+    add_escape buf (String.unsafe_get s i);
+    add_runs buf s (i + 1) n
+  end
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  add_runs buf s 0 (String.length s);
+  Buffer.add_char buf '"'
+
+(* a line break and [level]'s indent, in the pretty layout only *)
+let break buf indent level =
+  if indent then begin
+    Buffer.add_char buf '\n';
+    for _ = 1 to level do
+      Buffer.add_string buf "  "
+    done
+  end
+
+let rec write buf indent level json =
   match json with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float v -> Buffer.add_string buf (float_repr v)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Int i -> add_int buf i
+  | Float v -> add_float buf v
+  | String s -> add_string buf s
   | List [] -> Buffer.add_string buf "[]"
-  | List items ->
+  | List (item :: items) ->
     Buffer.add_char buf '[';
-    newline ();
-    List.iteri
-      (fun i item ->
-        if i > 0 then begin
-          Buffer.add_char buf ',';
-          newline ()
-        end;
-        pad (level + 1);
-        write ~indent ~level:(level + 1) buf item)
-      items;
-    newline ();
-    pad level;
+    break buf indent (level + 1);
+    write buf indent (level + 1) item;
+    write_items buf indent (level + 1) items;
+    break buf indent level;
     Buffer.add_char buf ']'
   | Object [] -> Buffer.add_string buf "{}"
-  | Object fields ->
+  | Object (field :: fields) ->
     Buffer.add_char buf '{';
-    newline ();
-    List.iteri
-      (fun i (key, value) ->
-        if i > 0 then begin
-          Buffer.add_char buf ',';
-          newline ()
-        end;
-        pad (level + 1);
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape key);
-        Buffer.add_string buf "\":";
-        if indent then Buffer.add_char buf ' ';
-        write ~indent ~level:(level + 1) buf value)
-      fields;
-    newline ();
-    pad level;
+    break buf indent (level + 1);
+    write_field buf indent (level + 1) field;
+    write_fields buf indent (level + 1) fields;
+    break buf indent level;
     Buffer.add_char buf '}'
+
+and write_items buf indent level = function
+  | [] -> ()
+  | item :: items ->
+    Buffer.add_char buf ',';
+    break buf indent level;
+    write buf indent level item;
+    write_items buf indent level items
+
+and write_field buf indent level (key, value) =
+  add_string buf key;
+  Buffer.add_char buf ':';
+  if indent then Buffer.add_char buf ' ';
+  write buf indent level value
+
+and write_fields buf indent level = function
+  | [] -> ()
+  | field :: fields ->
+    Buffer.add_char buf ',';
+    break buf indent level;
+    write_field buf indent level field;
+    write_fields buf indent level fields
 
 let to_string json =
   let buf = Buffer.create 256 in
-  write ~indent:false ~level:0 buf json;
+  write buf false 0 json;
   Buffer.contents buf
 
 let pretty json =
   let buf = Buffer.create 256 in
-  write ~indent:true ~level:0 buf json;
+  write buf true 0 json;
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
@@ -363,11 +423,6 @@ let plan_json (plan : Plan.t) =
       ("schedule", schedule_json e.Evaluate.schedule);
     ]
 
-let plan_to_string ?(pretty = false) plan =
+let plan_to_string ?pretty:(indent = false) plan =
   let json = plan_json plan in
-  if pretty then
-    let buf = Buffer.create 1024 in
-    write ~indent:true ~level:0 buf json;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
-  else to_string json
+  if indent then pretty json else to_string json

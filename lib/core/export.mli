@@ -17,7 +17,14 @@ type json =
   | Object of (string * json) list
 
 val to_string : json -> string
-(** Compact single-line rendering. *)
+(** Compact single-line rendering. An int prints as its decimal
+    digits; an integer-valued float below 1e15 in magnitude as its
+    digits and [".0"] ([-0.0] keeps its sign); any other float as
+    [%.12g] (NaN and the infinities print as C's printf writes them,
+    such as [nan] or [-inf], which is not JSON). In a string or key, ['"'], ['\\'], newline,
+    return and tab print as their two-byte escapes, other bytes below
+    0x20 as [\u00xx], and every other byte as itself. These bytes are
+    fixed: cache keys are their MD5. *)
 
 val pretty : json -> string
 (** Two-space-indented rendering with a trailing newline. *)

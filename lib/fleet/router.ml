@@ -392,8 +392,8 @@ let run ?ready ?metrics ~listen ~stop cfg =
             ~drain:(fun () ->
               (* in-flight work finishes and flushes back to clients
                  before the links drop; 10 s bounds a hung worker *)
-              let deadline = Unix.gettimeofday () +. 10.0 in
-              while pending_count st > 0 && Unix.gettimeofday () < deadline do
+              let deadline = Msoc_util.Clock.now () +. 10.0 in
+              while pending_count st > 0 && Msoc_util.Clock.now () < deadline do
                 Thread.delay 0.02
               done)
             (client_reader st)))

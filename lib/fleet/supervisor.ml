@@ -88,7 +88,7 @@ let ping ~timeout_s ~port =
    writes results back under the lock — so [stop] never waits behind
    a slow ping. *)
 let tick t =
-  let now = Unix.gettimeofday () in
+  let now = Msoc_util.Clock.now () in
   let actions =
     locked t (fun () ->
         List.filter_map
@@ -160,7 +160,7 @@ let loop t () =
 let create ?(ping_interval_s = 2.0) ?(ping_timeout_s = 1.0)
     ?(max_ping_failures = 3) ?on_restart ~seed specs =
   if specs = [] then invalid_arg "Supervisor.create: no workers";
-  let now = Unix.gettimeofday () in
+  let now = Msoc_util.Clock.now () in
   let workers =
     List.mapi
       (fun i spec ->
@@ -194,8 +194,8 @@ let create ?(ping_interval_s = 2.0) ?(ping_timeout_s = 1.0)
       match spawn w with
       | Some pid ->
         w.pid <- Some pid;
-        w.up_since <- Unix.gettimeofday ()
-      | None -> w.restart_at <- Some (Unix.gettimeofday ()))
+        w.up_since <- Msoc_util.Clock.now ()
+      | None -> w.restart_at <- Some (Msoc_util.Clock.now ()))
     workers;
   t.thread <- Some (Thread.create (loop t) ());
   t
@@ -216,11 +216,11 @@ let stop t =
   List.iter
     (fun (_, pid) -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
     live;
-  let deadline = Unix.gettimeofday () +. 5.0 in
+  let deadline = Msoc_util.Clock.now () +. 5.0 in
   let rec reap (id, pid) =
     match Unix.waitpid [ Unix.WNOHANG ] pid with
     | 0, _ ->
-      if Unix.gettimeofday () < deadline then begin
+      if Msoc_util.Clock.now () < deadline then begin
         Thread.delay 0.05;
         reap (id, pid)
       end

@@ -4,7 +4,8 @@ module Backoff = Msoc_util.Backoff
 
 (* One persistent TCP link to one worker, owned by a maintenance
    thread that connects (with jittered backoff while the worker is
-   down), then reads response lines until the link dies, then loops.
+   down), then reads response lines until the link dies or a line is
+   no envelope, then loops.
    Senders share the link through [send_line] under [lock]; the
    maintenance thread is the only closer, and closing takes the same
    lock so a late write can never land on a reused descriptor. *)
@@ -50,18 +51,19 @@ let still_running t =
   Mutex.unlock t.lock;
   r
 
+(* A line that is no envelope of this schema version (or garbage)
+   ends the read like a dead link: its request cannot be told from
+   the others in flight, so skipping the line would leave that client
+   without an envelope for good. Dropping the link fires the down
+   edge, and the router redispatches or answers everything the link
+   had in flight. *)
 let read_loop t l =
   let rec loop () =
     match Client.recv l with
     | Client.Response response ->
       t.on_response response;
       loop ()
-    | Client.Malformed _ ->
-      (* a line that is no envelope of this schema version (or
-         garbage) is skipped: the link stays up, and the request it
-         answered gets no envelope from this worker *)
-      loop ()
-    | Client.Closed | Client.Timed_out -> ()
+    | Client.Malformed _ | Client.Closed | Client.Timed_out -> ()
   in
   loop ()
 

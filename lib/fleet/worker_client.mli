@@ -5,8 +5,9 @@
     ({!Msoc_util.Backoff}) while the worker is down or restarting,
     then reads response lines through {!Msoc_serve.Client} and hands
     each envelope to [on_response] until the link dies, then
-    reconnects. A line that is no envelope is skipped: the link stays
-    up, and the request it answered gets nothing from this worker.
+    reconnects. A line that is no envelope ends the link too: the
+    request it answered could get no envelope from this worker, so the
+    link drops and the down edge hands its in-flight requests back.
     [on_state] fires on every up/down edge (outside any internal
     lock), which is how the router learns to fail requests over and
     to redispatch in-flight work from a dead worker.

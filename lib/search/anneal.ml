@@ -16,7 +16,7 @@ let rec add_varint buf n =
 
 let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
     prepared =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Msoc_util.Clock.now () in
   let cache0 = Evaluate.cache_stats prepared in
   let problem = Evaluate.problem prepared in
   let bound = Bound.create prepared in
@@ -281,7 +281,7 @@ let run ?(budget = Budget.unlimited) ?(seed = 1) ?iterations ?(top_k = 8)
       accepted_moves = !accepted;
       cache_hits = cache1.Evaluate.hits - cache0.Evaluate.hits;
       cache_misses = cache1.Evaluate.misses - cache0.Evaluate.misses;
-      wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+      wall_ms = (Msoc_util.Clock.now () -. t0) *. 1000.0;
       incumbent_trace = List.rev !trace;
     }
   in

@@ -6,7 +6,7 @@ module Problem = Msoc_testplan.Problem
 type result = { best : Evaluate.evaluation; stats : Stats.t; optimal : bool }
 
 let run ?(budget = Budget.unlimited) prepared =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Msoc_util.Clock.now () in
   let cache0 = Evaluate.cache_stats prepared in
   let problem = Evaluate.problem prepared in
   let policy = problem.Problem.policy in
@@ -159,7 +159,7 @@ let run ?(budget = Budget.unlimited) prepared =
       dedup_skips = !dedup;
       cache_hits = cache1.Evaluate.hits - cache0.Evaluate.hits;
       cache_misses = cache1.Evaluate.misses - cache0.Evaluate.misses;
-      wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+      wall_ms = (Msoc_util.Clock.now () -. t0) *. 1000.0;
       incumbent_trace = List.rev !trace;
     }
   in

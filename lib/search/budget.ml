@@ -15,15 +15,15 @@ let make ?max_evals ?time_limit_s ?deadline () =
   let deadline =
     match (time_limit_s, deadline) with
     | None, d -> d
-    | Some s, None -> Some (Unix.gettimeofday () +. s)
-    | Some s, Some d -> Some (Float.min d (Unix.gettimeofday () +. s))
+    | Some s, None -> Some (Msoc_util.Clock.now () +. s)
+    | Some s, Some d -> Some (Float.min d (Msoc_util.Clock.now () +. s))
   in
   { max_evals; deadline }
 
 let expired t =
   match t.deadline with
   | None -> false
-  | Some d -> Unix.gettimeofday () >= d
+  | Some d -> Msoc_util.Clock.now () >= d
 
 let exhausted t ~evals =
   (match t.max_evals with None -> false | Some m -> evals >= m) || expired t

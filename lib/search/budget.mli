@@ -1,18 +1,19 @@
 (** Evaluation/time budgets for the anytime search strategies.
 
     A budget caps the number of full TAM-optimizer evaluations and/or
-    imposes an absolute wall-clock deadline. Strategies poll it and
-    return their best-so-far incumbent when it runs out, so a search
-    over an astronomically large sharing space still answers within a
-    service deadline (the serve layer passes its per-request deadline
-    straight through). Every strategy guarantees at least one
+    imposes an absolute deadline on the monotonic clock. Strategies
+    poll it and return their best-so-far incumbent when it runs out, so
+    a search over an astronomically large sharing space still answers
+    within a service deadline (the serve layer passes its per-request
+    deadline straight through). Every strategy guarantees at least one
     evaluation — the no-sharing fallback — even under an already
     expired deadline, so a result always exists. *)
 
 type t = {
   max_evals : int option;  (** cap on full evaluations; [None] = no cap *)
   deadline : float option;
-      (** absolute [Unix.gettimeofday] instant; [None] = no deadline *)
+      (** absolute {!Msoc_util.Clock.now} instant (monotonic); [None] =
+          no deadline *)
 }
 
 val unlimited : t

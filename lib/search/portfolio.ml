@@ -18,7 +18,7 @@ type member_spec = Bnb_member | Anneal_member of int
 
 let run ?pool ?(budget = Budget.unlimited) ?(seeds = [ 1; 2; 3 ]) problem =
   if seeds = [] then invalid_arg "Portfolio.run: seeds must be non-empty";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Msoc_util.Clock.now () in
   let specs = Bnb_member :: List.map (fun s -> Anneal_member s) seeds in
   (* An eval cap is dealt out in member order: each member gets
      [total / k] and the first [total mod k] one more, so the members
@@ -75,7 +75,7 @@ let run ?pool ?(budget = Budget.unlimited) ?(seeds = [ 1; 2; 3 ]) problem =
   let stats =
     {
       (Stats.merge (List.map (fun (_, _, _, s) -> s) outcomes)) with
-      Stats.wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+      Stats.wall_ms = (Msoc_util.Clock.now () -. t0) *. 1000.0;
     }
   in
   { best; stats; optimal; members }

@@ -72,7 +72,7 @@ exception Verification_failed of string
 
 let run ?pool ?(budget = Budget.unlimited) kind prepared =
   let problem = Evaluate.problem prepared in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Msoc_util.Clock.now () in
   let cache0 = Evaluate.cache_stats prepared in
   let enumeration_stats ~evaluations ~considered =
     let cache1 = Evaluate.cache_stats prepared in
@@ -82,7 +82,7 @@ let run ?pool ?(budget = Budget.unlimited) kind prepared =
       considered;
       cache_hits = cache1.Evaluate.hits - cache0.Evaluate.hits;
       cache_misses = cache1.Evaluate.misses - cache0.Evaluate.misses;
-      wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+      wall_ms = (Msoc_util.Clock.now () -. t0) *. 1000.0;
     }
   in
   let best, stats, optimal, members =

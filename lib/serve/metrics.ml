@@ -30,7 +30,7 @@ let atomics n = Array.init n (fun _ -> Atomic.make 0)
 
 let create () =
   {
-    started_at = Unix.gettimeofday ();
+    started_at = Msoc_util.Clock.now ();
     requests = atomics (List.length ops);
     statuses = atomics (List.length statuses);
     malformed = Atomic.make 0;
@@ -103,7 +103,7 @@ let snapshot t =
         (bound, !sum))
   in
   {
-    uptime_s = Unix.gettimeofday () -. t.started_at;
+    uptime_s = Msoc_util.Clock.now () -. t.started_at;
     requests = named ops t.requests Protocol.op_name;
     statuses = named statuses t.statuses Protocol.status_name;
     malformed = Atomic.get t.malformed;

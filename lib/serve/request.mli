@@ -133,7 +133,8 @@ type optimized =
 val optimize :
   ?prepare:prepare -> ?pool:Msoc_util.Pool.t -> ?deadline:float -> setting ->
   strategy option -> optimized
-(** [deadline] (absolute, [Unix.gettimeofday]) joins a strategy's budget. *)
+(** [deadline] (absolute, {!Msoc_util.Clock.now}) joins a strategy's
+    budget. *)
 
 val explore : ?pool:Msoc_util.Pool.t -> setting -> sweep -> (string * Plan.t) list
 (** Points labelled ["W=16"] or ["w_T=0.50"]; points that cannot be

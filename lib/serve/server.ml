@@ -296,7 +296,7 @@ let reader service queue conn lr =
         send conn (Protocol.reject ~id Protocol.Bad_request e)
       | Ok request ->
         let job =
-          { request; admitted_at = Unix.gettimeofday (); reply = send conn }
+          { request; admitted_at = Msoc_util.Clock.now (); reply = send conn }
         in
         if not (Bounded_queue.try_push queue job) then begin
           let status, why =

@@ -139,7 +139,7 @@ let cached_compute t ~key compute =
 
 let handle ?admitted_at t (req : Protocol.request) =
   let admitted_at =
-    match admitted_at with Some at -> at | None -> Unix.gettimeofday ()
+    match admitted_at with Some at -> at | None -> Msoc_util.Clock.now ()
   in
   Metrics.incr_request t.metrics req.Protocol.op;
   let deadline =
@@ -147,7 +147,7 @@ let handle ?admitted_at t (req : Protocol.request) =
   in
   let expired () =
     match deadline with
-    | Some d -> Unix.gettimeofday () > d
+    | Some d -> Msoc_util.Clock.now () > d
     | None -> false
   in
   let id = req.Protocol.id in
@@ -184,7 +184,7 @@ let handle ?admitted_at t (req : Protocol.request) =
         | Some m -> Protocol.reject ~id Protocol.Bad_request m
         | None -> Protocol.reject ~id Protocol.Server_error (Printexc.to_string e))
   in
-  let elapsed = Unix.gettimeofday () -. admitted_at in
+  let elapsed = Msoc_util.Clock.now () -. admitted_at in
   Metrics.incr_status t.metrics response.Protocol.status;
   Metrics.observe_latency t.metrics ~seconds:elapsed;
   { response with

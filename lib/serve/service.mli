@@ -40,7 +40,9 @@ val jobs : t -> int
 
 val handle : ?admitted_at:float -> t -> Protocol.request -> Protocol.response
 (** [admitted_at] (default now) is when the transport admitted the
-    request — deadlines count queueing time, as a client would. *)
+    request, read on {!Msoc_util.Clock.now} (monotonic, so a step of
+    the system time moves no deadline) — deadlines count queueing
+    time, as a client would. *)
 
 val shutdown_requested : t -> bool
 (** True once a [shutdown] envelope has been handled or

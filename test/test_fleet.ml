@@ -669,6 +669,105 @@ let test_front_door start () =
   let idle = start (Some 0.2) in
   Fun.protect ~finally:idle.stop (fun () -> idle_body idle)
 
+(* --- a worker that answers garbage --- *)
+
+(* Answers every line on [fd] with a line that is no envelope, until
+   the peer closes. *)
+let answer_garbage fd =
+  let lr = Server.Line_reader.create fd in
+  let rec loop () =
+    match Server.Line_reader.next lr with
+    | Server.Line_reader.Line _ ->
+      ignore (Unix.write_substring fd "garbage\n" 0 8 : int);
+      loop ()
+    | Server.Line_reader.Eof | Server.Line_reader.Too_long
+    | Server.Line_reader.Idle_timeout ->
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      try loop () with Unix.Unix_error _ -> ())
+
+(* one connection at a time: the router's link reconnects after each
+   drop *)
+let accept_garbage listener stop =
+  Fun.protect ~finally:(fun () -> Unix.close listener) (fun () ->
+      while not (Atomic.get stop) do
+        match Unix.select [ listener ] [] [] 0.05 with
+        | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> ()
+        | _ -> answer_garbage (fst (Unix.accept ~cloexec:true listener))
+      done)
+
+(* a worker that answers garbage on a loopback port: the port and its
+   stop *)
+let garbage_worker () =
+  let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 8;
+  let port =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> 0
+  in
+  let stop = Atomic.make false in
+  let th = Thread.create (fun () -> accept_garbage listener stop) () in
+  ( port,
+    fun () ->
+      Atomic.set stop true;
+      Thread.join th )
+
+(* The link once skipped a line that was no envelope, so the request
+   it answered never got one: the client waited out its idle budget,
+   and the request held a window slot for good. The line now drops the
+   link, and the down edge answers the orphan (no other worker is up). *)
+let test_router_garbage_worker () =
+  let port, stop_worker = garbage_worker () in
+  let stop = Atomic.make false in
+  let router_port = Atomic.make 0 in
+  let router =
+    Thread.create
+      (fun () ->
+        Router.run
+          ~ready:(fun p -> Atomic.set router_port p)
+          ~listen:(`Tcp ("127.0.0.1", 0))
+          ~stop
+          (Router.config ~retry_rounds:1 ~seed:8
+             [ { Router.id = "g"; host = "127.0.0.1"; port } ]))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join router;
+      stop_worker ())
+    (fun () ->
+      let c = connect ~idle_timeout_s:30.0 (wait_port router_port) in
+      let stats id =
+        send_req c (Protocol.request ~id Protocol.Stats);
+        (recv_resp c).Protocol.result
+      in
+      (* the plan must reach the worker, so wait for the link *)
+      poll "the link came up"
+        (fun () ->
+          match Export.member "links" (stats "up") with
+          | Some links -> Export.member "g" links = Some (Export.Bool true)
+          | None -> false)
+        250;
+      let t0 = Msoc_util.Clock.now () in
+      send_req c (plan_req ~id:"g1" ());
+      let r = recv_resp ~what:"the plan a garbage line answered" c in
+      checks "the plan's own envelope" "g1" r.Protocol.id;
+      checkb "unavailable" true (r.Protocol.status = Protocol.Unavailable);
+      checkb "well inside the client's 30 s bound" true
+        (Msoc_util.Clock.now () -. t0 < 10.0);
+      (* exactly one: the next envelope answers the next request *)
+      send_req c (Protocol.request ~id:"s1" Protocol.Stats);
+      let s = recv_resp c in
+      checks "no second envelope for the plan" "s1" s.Protocol.id;
+      checkb "nothing pending" true
+        (Export.member "pending" s.Protocol.result = Some (Export.Int 0));
+      Client.close c)
+
 (* --- supervisor over a real worker process --- *)
 
 let test_supervisor_restarts_killed_worker () =
@@ -772,6 +871,8 @@ let suites =
           test_router_bad_envelope_keeps_id;
         Alcotest.test_case "out-of-range number rejected" `Quick
           test_router_out_of_range_number;
+        Alcotest.test_case "a garbage reply drops the link" `Quick
+          test_router_garbage_worker;
       ] );
     ( "front-door",
       [

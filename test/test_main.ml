@@ -7,7 +7,7 @@ let () =
    @ Test_measurements.suites @ Test_placement.suites @ Test_power.suites @ Test_extensions.suites @ Test_toolkit.suites @ Test_robustness.suites @ Test_catalog_ext.suites @ Test_protocol.suites @ Test_explore.suites @ Test_interconnect.suites @ Test_hardening.suites @ Test_metrology.suites @ Test_invariants.suites
    @ Test_packers.suites @ Test_packer_ref.suites @ Test_schedule_ref.suites
    @ Test_dsp_ref.suites @ Test_search_ref.suites @ Test_cosim_ref.suites
-   @ Test_soc_ref.suites
+   @ Test_soc_ref.suites @ Test_export_ref.suites
    @ Test_testplan.suites @ Test_integration.suites @ Test_engine.suites
    @ Test_check.suites @ Test_serve.suites @ Test_fleet.suites
    @ Test_cosim.suites

@@ -205,7 +205,7 @@ let test_budget_validation_and_floor () =
   let prepared = Evaluate.prepare problem in
   (* One evaluation is always delivered, even when the deadline is
      already in the past. *)
-  let expired = Budget.make ~deadline:(Unix.gettimeofday () -. 1.0) () in
+  let expired = Budget.make ~deadline:(Msoc_util.Clock.now () -. 1.0) () in
   let r = Bnb.run ~budget:expired prepared in
   checki "expired deadline still evaluates the fallback" 1
     r.Bnb.stats.Msoc_search.Stats.evaluations;

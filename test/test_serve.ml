@@ -896,7 +896,7 @@ let test_service_deadline () =
       (* expired-in-queue: admission long ago *)
       let resp =
         Service.handle
-          ~admitted_at:(Unix.gettimeofday () -. 60.0)
+          ~admitted_at:(Msoc_util.Clock.now () -. 60.0)
           service
           (Protocol.request ~deadline_ms:5_000.0 ~params:(plan_params ())
              ~id:"q" Protocol.Plan)
