@@ -58,7 +58,8 @@ let () =
       & opt (some string) None
       & info [ "allowlist" ] ~docv:"FILE"
           ~doc:
-            "Allowlist of audited exceptions, root-relative (defaults to \
+            "Allowlist of audited exceptions, root-relative unless absolute \
+             (defaults to \
              $(b,analysis.allow) under the root when present). Stale or \
              unjustified entries are themselves reported.")
   in

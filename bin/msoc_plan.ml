@@ -59,11 +59,14 @@ let positive_int = int_in Request.positive_int
 let non_negative_int = int_in { Request.expected = "a non-negative integer"; ok = (fun n -> n >= 0) }
 
 (* An output file is checked when the options are parsed, before any
-   work: its directory must exist. *)
+   work: its directory must exist, and the path must not name a
+   directory itself. *)
 let output_path ~docv ?(named = fun _ -> true) expected =
   let ok path =
     let dir = Filename.dirname path in
-    Sys.file_exists dir && Sys.is_directory dir && named path
+    Sys.file_exists dir && Sys.is_directory dir
+    && (not (Sys.file_exists path && Sys.is_directory path))
+    && named path
   in
   checked ~docv { Request.expected; ok } Option.some Format.pp_print_string
 let pp_name name ppf v = Format.pp_print_string ppf (name v)
@@ -653,7 +656,7 @@ let generate_cmd =
       output_path ~docv:"OUTPUT.soc"
         ~named:(fun path ->
           Msoc_itc02.Scan.one_token (Filename.remove_extension (Filename.basename path)))
-        "a path in an existing directory, named without blanks, tabs or '#'"
+        "a file path in an existing directory, named without blanks, tabs or '#'"
     in
     Arg.(required & pos 0 (some path) None & info [] ~docv:"OUTPUT.soc" ~doc:"Output path.")
   in
@@ -1419,7 +1422,7 @@ let replay_cmd =
   let json_out_arg =
     Arg.(
       value
-      & opt (some (output_path ~docv:"FILE" "a path in an existing directory")) None
+      & opt (some (output_path ~docv:"FILE" "a file path in an existing directory")) None
       & info [ "json-out" ] ~docv:"FILE"
           ~doc:"Write the load report (percentiles, statuses, workers) as JSON.")
   in

@@ -11,19 +11,6 @@ let position t label =
   | Some p -> p
   | None -> raise Not_found
 
-let labels t = List.map fst t
-
-let distance_mm t a b =
-  let xa, ya = position t a and xb, yb = position t b in
-  Float.hypot (xa -. xb) (ya -. yb)
-
-let mean_pairwise_distance_mm t group =
-  match Msoc_util.Combinat.pairs group with
-  | [] -> 0.0
-  | pairs ->
-    List.fold_left (fun acc (a, b) -> acc +. distance_mm t a b) 0.0 pairs
-    /. float_of_int (List.length pairs)
-
 let default_k_per_mm = 0.04
 
 let routing ?(k_per_mm = default_k_per_mm) t =

@@ -14,21 +14,6 @@ type t
 val create : (string * (float * float)) list -> t
 (** @raise Invalid_argument on duplicate labels. *)
 
-val position : t -> string -> float * float
-(** @raise Not_found for unknown labels. *)
-
-val labels : t -> string list
-
-val distance_mm : t -> string -> string -> float
-
-val mean_pairwise_distance_mm : t -> string list -> float
-(** 0 for groups of fewer than two cores. *)
-
-val routing : ?k_per_mm:float -> t -> Area.routing
-(** [Placed] routing backed by this placement. The default
-    [k_per_mm = 0.04] makes a 3 mm separation cost the paper's
-    uniform [k = 0.12]. *)
-
 val area_model : ?k_per_mm:float -> t -> Area.model
 (** {!Area.default_model} with this placement's routing. *)
 

@@ -51,9 +51,6 @@ val degree_signature : t -> int list
 (** Sorted (descending) group sizes, e.g. [[3;2]] — the paper's
     "degree of sharing" used to group combinations in Cost_Optimizer. *)
 
-val shared_groups : t -> Spec.core list list
-(** Groups with 2 or more cores. *)
-
 val is_feasible : ?policy:Spec.policy -> t -> bool
 (** All cores within each group pairwise {!Spec.compatible}. *)
 

@@ -103,8 +103,9 @@ let of_string ?path text =
     (String.split_on_char '\n' text);
   { path; entries = List.rev !entries; parse_diags = List.rev !diags }
 
-let load ~root rel =
-  of_string ~path:rel (Source.read_file (Filename.concat root rel))
+let load ~root path =
+  let file = if Filename.is_relative path then Filename.concat root path else path in
+  of_string ~path (Source.read_file file)
 
 let entry_matches ~file_lines entry (d : Diagnostic.t) =
   entry.code = d.Diagnostic.code

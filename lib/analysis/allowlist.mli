@@ -32,12 +32,9 @@ type t = {
 
 val empty : t
 
-val of_string : ?path:string -> string -> t
-(** Malformed lines become S403 diagnostics in [parse_diags], never an
-    exception: a broken allowlist must fail the gate, not crash it. *)
-
 val load : root:string -> string -> t
-(** [load ~root rel] parses [root/rel] with [path = rel].
+(** [load ~root path] parses [root/path], or [path] itself when it is
+    absolute, with [path] as given.
     @raise Sys_error when the file cannot be read. *)
 
 type applied = {

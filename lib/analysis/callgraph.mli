@@ -29,8 +29,6 @@ val build : Project.t -> t
 
 val defs : t -> def list
 
-val find : t -> string -> def option
-
 val callees : t -> string -> string list
 (** Callee def keys of a definition, deduplicated; [[]] for unknown
     keys. *)

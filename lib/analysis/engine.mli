@@ -19,10 +19,6 @@ type report = {
   allowlist_path : string option;
 }
 
-val default_allowlist_file : string
-(** ["analysis.allow"], looked up under the root when no explicit
-    allowlist is given. *)
-
 val run :
   ?config:Rules.config ->
   ?allowlist_file:string ->
@@ -30,7 +26,7 @@ val run :
   unit ->
   report
 (** [run ~root ()] analyzes the tree under [root].
-    [allowlist_file] is root-relative; when absent,
-    {!default_allowlist_file} is used if it exists. *)
+    [allowlist_file] is root-relative unless absolute; when absent,
+    [analysis.allow] under [root] is used if it exists. *)
 
 val exit_code : report -> int

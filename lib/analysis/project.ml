@@ -104,8 +104,9 @@ let load ~root =
                 else None))
   in
   (* The executable directories are flat: their modules join the scan
-     (exception-safety, lock rules, semantic tier, and the uses S505
-     counts) without joining the library-only hygiene checks. *)
+     (exception-safety, lock rules, semantic tier, and, outside test/,
+     the uses S505 counts) without joining the library-only hygiene
+     checks. *)
   let exe_dirs = [ "bin"; "test"; "bench"; "bench/suite"; "examples" ] in
   let flat_modules dir =
     list_dir root dir

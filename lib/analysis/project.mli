@@ -53,10 +53,6 @@ val opened_libs : t -> module_info -> lib list
 (** Libraries the module [open]s by their exposed name, at top level
     or locally. *)
 
-val dependencies : t -> module_info -> module_info list
-(** Library modules this module references (never [bin] modules, never
-    itself). *)
-
 val reachable : t -> roots:string list -> string list
 (** [ml_path]s of every module reachable from the roots (directories
     like ["lib/serve"] select all their modules; files like

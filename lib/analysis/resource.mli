@@ -17,10 +17,6 @@ type kind = {
   observers : string list;
 }
 
-val kinds : kind list
-(** The built-in catalog. Adding a pair is a data change here — see
-    CONTRIBUTING.md. *)
-
 type counter_pair = { inc : string; dec : string; full : bool }
 
 val counter_pairs : counter_pair list

@@ -9,9 +9,10 @@
    path. S503 flags Atomic check-then-act. S504 flags blocking calls
    (I/O, joins, delays) made while any lock is held, directly or
    through project calls. S505 reports .mli-exported values no other
-   module references. The S6xx tier (Resource, Typestate) runs from
-   the same context: resource lifecycle over the per-def summaries and
-   reply/counter obligations over the call graph.
+   module outside test/ references. The S6xx tier (Resource,
+   Typestate) runs from the same context: resource lifecycle over the
+   per-def summaries and reply/counter obligations over the call
+   graph.
 
    A module that fails to parse is skipped by every rule; S406 records
    the skip as an info-level diagnostic (never a silent gap). *)
@@ -268,7 +269,8 @@ let rule_blocking_under_lock ctx =
    per-file [module A = …] aliases expanded, and every [open]/[include]
    target marks its module fully used. Qualified access is the house
    style; two same-named modules in different libraries conservatively
-   share their uses. *)
+   share their uses. Modules under test/ are scanned by every other
+   rule but index no use here: an export only a test reads is dead. *)
 
 let is_upper c = 'A' <= c && c <= 'Z'
 
@@ -312,7 +314,8 @@ let rule_dead_api ctx =
   in
   List.iter
     (fun (m : Project.module_info) ->
-      index_source (m.Project.ml_path, m.Project.refs))
+      if not (String.starts_with ~prefix:"test/" m.Project.ml_path) then
+        index_source (m.Project.ml_path, m.Project.refs))
     p.Project.modules;
   (* exported values per lib module with a parsable .mli *)
   List.concat_map
@@ -350,8 +353,8 @@ let rule_dead_api ctx =
                              ~line:(Ast.line_of vd.Parsetree.pval_loc)
                              Codes.s505
                              "%s.%s is exported but never referenced outside \
-                              its module — drop it from the interface or \
-                              delete the dead code"
+                              its module and test/ — drop it from the \
+                              interface or delete the dead code"
                              m.Project.name name)
                   | _ -> None)
                 signature)))

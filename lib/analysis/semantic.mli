@@ -6,9 +6,10 @@
     every critical section's exception paths; MSOC-S503 catches
     [Atomic] check-then-act races; MSOC-S504 flags blocking calls made
     while a lock is held (directly or transitively); MSOC-S505 reports
-    [.mli]-exported values no other module references. The S6xx tier
-    runs from the same context: {!Resource} (S601–S603 lifecycle) and
-    {!Typestate} (S604 reply obligation, S605 counter balance).
+    [.mli]-exported values no other module outside [test/] references.
+    The S6xx tier runs from the same context: {!Resource} (S601–S603
+    lifecycle) and {!Typestate} (S604 reply obligation, S605 counter
+    balance).
 
     Modules that fail to parse contribute nothing here (nor to any
     other rule); MSOC-S406 records each skip as an info diagnostic, so

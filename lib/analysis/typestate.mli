@@ -8,17 +8,6 @@
     any region that uses both halves of a pair; sibling branches with
     different nets are reported with both witness lines. *)
 
-val request_paths : string list
-(** Call names (last component) whose matched result marks a
-    request-dispatch point. *)
-
-val reply_paths : string list
-(** Reply primitives — sending an envelope discharges the obligation. *)
-
-val transfer_paths : string list
-(** Hand-offs that move the obligation to another thread (queue push,
-    router forward). *)
-
 val run : Callgraph.t -> Msoc_check.Diagnostic.t list
 (** May-reply closure over the call graph ({!Callgraph.close}), then
     both rules over every definition. *)

@@ -115,7 +115,7 @@ let all =
     error s502 "lock not released on all exception paths";
     error s503 "atomic check-then-act without compare_and_set";
     warning s504 "blocking call while a lock is held";
-    warning s505 "exported value never referenced outside its module";
+    warning s505 "exported value never referenced outside its module and test/";
     error s601 "resource acquired but not released on all paths";
     error s602 "resource released twice on one path";
     error s603 "release does not match the resource's acquire pair";

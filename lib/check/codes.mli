@@ -142,7 +142,7 @@ val s504 : string
 
 val s505 : string
 (** a value exported by a [.mli] is never referenced outside its own
-    module (dead exported API) *)
+    module, reads from [test/] not counted (dead exported API) *)
 
 (* interprocedural resource-lifecycle and protocol-state analysis,
    Msoc_analysis S6xx *)
@@ -174,8 +174,6 @@ type info = { code : string; severity : Diagnostic.severity; title : string }
 val all : info list
 (** Every registered code, in numbering order; codes are unique. *)
 
-val describe : string -> info option
-
 val diag :
   ?file:string ->
   ?line:int ->
@@ -183,5 +181,5 @@ val diag :
   ('a, Format.formatter, unit, Diagnostic.t) format4 ->
   'a
 (** [diag ?file ?line code fmt ...] is {!Diagnostic.makef} at the
-    severity {!describe} registers for [code] ([Error] for a code the
+    severity {!all} registers for [code] ([Error] for a code the
     registry does not hold). *)

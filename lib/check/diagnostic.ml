@@ -24,8 +24,6 @@ let severity_label = function
 
 let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
 
-let compare_severity a b = compare (severity_rank a) (severity_rank b)
-
 let is_error d = d.severity = Error
 
 let errors = List.filter is_error
@@ -33,14 +31,6 @@ let errors = List.filter is_error
 let warnings = List.filter (fun d -> d.severity = Warning)
 
 let has_errors = List.exists is_error
-
-let max_severity = function
-  | [] -> None
-  | d :: rest ->
-    Some
-      (List.fold_left
-         (fun acc e -> if compare_severity e.severity acc > 0 then e.severity else acc)
-         d.severity rest)
 
 let exit_code ds = if has_errors ds then 1 else 0
 

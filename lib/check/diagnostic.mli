@@ -36,17 +36,9 @@ val makef :
 val severity_label : severity -> string
 (** ["info"], ["warning"] or ["error"]. *)
 
-val compare_severity : severity -> severity -> int
-(** [Info < Warning < Error]. *)
-
 val errors : t list -> t list
 
-val warnings : t list -> t list
-
 val has_errors : t list -> bool
-
-val max_severity : t list -> severity option
-(** [None] on an empty report. *)
 
 val exit_code : t list -> int
 (** 0 when {!has_errors} is false, 1 otherwise. *)

@@ -50,8 +50,6 @@ let lint ?file text =
   in
   (List.map finding s.findings @ policy ?file s.modules, s)
 
-let string ?file text = fst (lint ?file text)
-
 let load path =
   match Scan.read path with
   | exception Sys_error message ->
@@ -59,5 +57,3 @@ let load path =
   | text ->
     let diags, s = lint ~file:path text in
     (diags, if Diagnostic.has_errors diags then None else Some (Msoc_itc02.Soc_file.of_scan ~file:path s))
-
-let file path = fst (load path)

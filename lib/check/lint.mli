@@ -14,12 +14,7 @@
     carry no test data at all, whose Pareto staircase would be
     zero-length (E309). *)
 
-val string : ?file:string -> string -> Diagnostic.t list
-(** Lint [.soc] source text; [file] only labels the diagnostics. *)
-
-val file : string -> Diagnostic.t list
-(** Read and lint a file. Unreadable files yield a single E302. *)
-
 val load : string -> Diagnostic.t list * Msoc_itc02.Types.soc option
-(** [load path] reads [path] once and scans it once: its {!file}
-    findings, and the SOC when none of them is an error. *)
+(** [load path] reads [path] once and scans it once: every finding,
+    anchored to its line of [path], and the SOC when none of them is
+    an error. An unreadable [path] is one E302 error. *)

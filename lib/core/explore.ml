@@ -3,36 +3,11 @@
    TAM need) or the packer proves the job set cannot fit
    ([Packer.Infeasible] — e.g. a width validation deferred to pack
    time). Both mean "this point does not meet the constraints", never
-   "crash the sweep": minimal_width's binary search in particular
-   probes widths well below feasibility on purpose. *)
+   "crash the sweep". *)
 let plan_at ?search ?pool ?packer problem_of_axis axis =
   match Plan.run ?search ?pool ?packer (problem_of_axis axis) with
   | plan -> Some plan
   | exception (Invalid_argument _ | Msoc_tam.Packer.Infeasible _) -> None
-
-let minimal_width ?search ?pool ?packer ?(lo = 4) ?(hi = 128) ~budget_cycles problem_of_width =
-  if lo < 1 || hi < lo then invalid_arg "Explore.minimal_width: need 1 <= lo <= hi";
-  if budget_cycles < 1 then invalid_arg "Explore.minimal_width: budget must be positive";
-  let meets width =
-    match plan_at ?search ?pool ?packer problem_of_width width with
-    | Some plan when Plan.makespan plan <= budget_cycles -> Some plan
-    | Some _ | None -> None
-  in
-  (* Binary search for the first width meeting the budget, assuming
-     monotonicity; the candidate is verified by construction since
-     [meets] re-evaluates it. *)
-  match meets hi with
-  | None -> None
-  | Some hi_plan ->
-    let rec bisect lo hi best =
-      if lo > hi then best
-      else
-        let mid = (lo + hi) / 2 in
-        match meets mid with
-        | Some plan -> bisect lo (mid - 1) (Some (mid, plan))
-        | None -> bisect (mid + 1) hi best
-    in
-    bisect lo (hi - 1) (Some (hi, hi_plan))
 
 let weight_sweep ?search ?pool ?packer ~weights problem_of_weight =
   (* A packed schedule depends only on the sharing groups and the

@@ -1,9 +1,9 @@
 (** Design-space exploration helpers on top of {!Plan}.
 
     The planner answers "given W, what is the best architecture?";
-    a test engineer usually starts from the other end — a test-time
-    budget, or a curiosity about how the decision moves with the cost
-    weights. These helpers run the planner across the relevant axis.
+    a test engineer also asks how the decision moves with the TAM
+    width or the cost weights. These helpers run the planner across
+    the relevant axis.
 
     Infeasible axis points never crash a sweep: both
     [Invalid_argument] (from problem construction) and
@@ -16,26 +16,6 @@
     (see {!Evaluate.evaluate_many}). They also accept an optional
     [?packer] (a {!Msoc_tam.Packer_registry} variant, default
     [best_fit]) forwarded to every planner run of the sweep. *)
-
-val minimal_width :
-  ?search:Plan.search ->
-  ?pool:Msoc_util.Pool.t ->
-  ?packer:Msoc_tam.Packer_registry.packer ->
-  ?lo:int ->
-  ?hi:int ->
-  budget_cycles:int ->
-  (int -> Problem.t) ->
-  (int * Plan.t) option
-(** [minimal_width ~budget_cycles problem_of_width] finds the smallest
-    TAM width in [\[lo, hi\]] (default 4..128) whose plan meets the
-    makespan budget, by binary search on the first width meeting the
-    budget (makespan is monotonically non-increasing in W up to
-    heuristic noise; the returned plan is re-verified against the
-    budget). Widths where [problem_of_width] or the planner raises
-    [Invalid_argument] or [Packer.Infeasible] (e.g. below an analog
-    core's TAM need) are treated as infeasible — the search may probe
-    arbitrarily far below feasibility, including [lo = 1]. Returns
-    [None] when even [hi] misses the budget. *)
 
 val weight_sweep :
   ?search:Plan.search ->

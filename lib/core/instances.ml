@@ -5,11 +5,6 @@ let p93791m ?(weight_time = 0.5) ~tam_width () =
   Problem.make ~soc:(Msoc_itc02.Synthetic.p93791s ()) ~analog_cores:Catalog.all
     ~tam_width ~weight_time ()
 
-let d281m ?(weight_time = 0.5) ~tam_width () =
-  Problem.make ~soc:(Msoc_itc02.Synthetic.d281s ())
-    ~analog_cores:[ Catalog.core_c; Catalog.core_d; Catalog.core_e ] ~tam_width
-    ~weight_time ()
-
 let scaled_analog ~n =
   if n < 4 || n > 26 then invalid_arg "Instances.scaled_analog: n out of 4..26";
   let base = Array.of_list Catalog.all in

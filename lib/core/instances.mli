@@ -2,15 +2,11 @@
 
     [p93791m] is the paper's experimental SOC: the p93791-class
     digital benchmark augmented with the five analog cores of Table 2
-    (the "m" is the paper's naming). [d281m] is a small instance for
-    tests, examples and quick demos. *)
+    (the "m" is the paper's naming). *)
 
 val p93791m :
   ?weight_time:float -> tam_width:int -> unit -> Problem.t
 (** Default weights (0.5, 0.5). *)
-
-val d281m : ?weight_time:float -> tam_width:int -> unit -> Problem.t
-(** 8 digital cores + analog cores C, D, E. *)
 
 val scaled_analog : n:int -> Msoc_analog.Spec.core list
 (** [n] analog cores (4 <= n <= 26, single-letter labels A..Z) for the

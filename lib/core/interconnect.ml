@@ -37,16 +37,3 @@ let jobs soc ~max_width links =
   if List.length (List.sort_uniq compare keys) <> List.length keys then
     invalid_arg "Interconnect.jobs: duplicate link";
   List.map (job soc ~max_width) links
-
-let neighbor_chain (soc : Types.soc) ~patterns =
-  let sorted =
-    List.sort
-      (fun (a : Types.core) b -> compare a.Types.id b.Types.id)
-      soc.Types.cores
-  in
-  let rec pairs : Types.core list -> link list = function
-    | a :: (b :: _ as rest) ->
-      link ~from_core:a.Types.name ~to_core:b.Types.name ~patterns :: pairs rest
-    | [ _ ] | [] -> []
-  in
-  pairs sorted

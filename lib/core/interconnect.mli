@@ -17,19 +17,6 @@ type link = {
 val link : from_core:string -> to_core:string -> patterns:int -> link
 (** @raise Invalid_argument on non-positive patterns or a self-link. *)
 
-val job : Msoc_itc02.Types.soc -> max_width:int -> link -> Msoc_tam.Job.t
-(** The schedulable job for one link: labelled
-    ["link:<from>-><to>"], conflicting with both end cores' internal
-    tests. Its (width, time) staircase is that of a virtual
-    combinational core whose stimulus cells are the source's outputs
-    and whose response cells are the sink's inputs — the EXTEST shift
-    path. @raise Not_found if either core is not in the SOC. *)
-
 val jobs :
   Msoc_itc02.Types.soc -> max_width:int -> link list -> Msoc_tam.Job.t list
 (** One job per link. @raise Invalid_argument on duplicate links. *)
-
-val neighbor_chain : Msoc_itc02.Types.soc -> patterns:int -> link list
-(** A simple synthetic netlist: each core drives the next one in id
-    order — enough connectivity for benches and tests without a real
-    floorplan. *)

@@ -35,28 +35,3 @@ let run ?search ?pool ?packer problem =
 let makespan t = t.best.Evaluate.makespan
 
 let sharing t = t.best.Evaluate.combination
-
-let polish t =
-  let prepared = Evaluate.prepare t.problem in
-  let jobs = Evaluate.jobs_for prepared t.best.Evaluate.combination in
-  let optimized =
-    Msoc_tam.Packer.pack_optimized ~width:t.problem.Problem.tam_width jobs
-  in
-  if
-    Msoc_tam.Schedule.makespan optimized
-    < Msoc_tam.Schedule.makespan t.best.Evaluate.schedule
-  then optimized
-  else t.best.Evaluate.schedule
-
-let digital_operating_points t =
-  let digital_names =
-    List.map
-      (fun (c : Msoc_itc02.Types.core) -> c.Msoc_itc02.Types.name)
-      t.problem.Problem.soc.Msoc_itc02.Types.cores
-  in
-  t.best.Evaluate.schedule.Msoc_tam.Schedule.placements
-  |> List.filter_map (fun (p : Msoc_tam.Schedule.placement) ->
-         let label = p.Msoc_tam.Schedule.job.Msoc_tam.Job.label in
-         if List.mem label digital_names then
-           Some (label, p.Msoc_tam.Schedule.width, p.Msoc_tam.Schedule.time)
-         else None)

@@ -41,15 +41,3 @@ val run_prepared : ?search:search -> ?pool:Msoc_util.Pool.t -> Evaluate.prepared
 val makespan : t -> int
 
 val sharing : t -> Msoc_analog.Sharing.t
-
-val polish : t -> Msoc_tam.Schedule.t
-(** Re-pack the winning combination's jobs with
-    {!Msoc_tam.Packer.pack_optimized} (critical-job reordering) — a
-    final squeeze on the committed schedule after the search, never
-    worse than [t.best.schedule]. The search itself uses the plain
-    packer so that all combinations are compared under the same
-    scheduler. *)
-
-val digital_operating_points : t -> (string * int * int) list
-(** (core name, TAM width used, test time) for each digital core, in
-    schedule order — the wrapper design the plan commits to. *)

@@ -74,37 +74,5 @@ let wrapper_table (plan : Plan.t) =
   in
   Table.render ~columns ~rows
 
-let utilization_table (plan : Plan.t) =
-  let schedule = plan.Plan.best.Evaluate.schedule in
-  let span = Schedule.makespan schedule in
-  let width = schedule.Schedule.total_width in
-  let busy = Array.make width 0 in
-  List.iter
-    (fun (p : Schedule.placement) ->
-      List.iter
-        (fun wire -> busy.(wire) <- busy.(wire) + p.Schedule.time)
-        p.Schedule.wires)
-    schedule.Schedule.placements;
-  let columns =
-    [
-      Table.column ~align:Table.Right "wire";
-      Table.column ~align:Table.Right "busy cycles";
-      Table.column ~align:Table.Right "utilization (%)";
-    ]
-  in
-  let rows =
-    List.init width (fun wire ->
-        [
-          string_of_int wire;
-          Table.int_cell busy.(wire);
-          Table.float_cell
-            (if span = 0 then 0.0
-             else 100.0 *. float_of_int busy.(wire) /. float_of_int span);
-        ])
-  in
-  Table.render ~columns ~rows
-  ^ Printf.sprintf "overall efficiency: %.1f%%\n"
-      (100.0 *. Schedule.efficiency schedule)
-
 let console plan =
   String.concat "\n" [ summary plan; wrapper_table plan; schedule_table plan ]

@@ -12,10 +12,6 @@ val wrapper_table : Plan.t -> string
 (** Analog wrapper architecture: one row per wrapper with its member
     cores, requirement (bits, max fs, width) and serial usage. *)
 
-val utilization_table : Plan.t -> string
-(** Per-wire busy fraction of the winning schedule, plus the overall
-    efficiency — where the idle wire-cycles live. *)
-
 val console : Plan.t -> string
 (** [summary] + [wrapper_table] + [schedule_table], newline-separated
     — the full console report. The caller prints it; library code

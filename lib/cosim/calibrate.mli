@@ -22,11 +22,6 @@ type measured = {
   pass : bool;  (** the program's verdict: [error_pct] within the spec's tolerance *)
 }
 
-val spec_for_test : Msoc_analog.Spec.test -> Testbench.spec
-(** Catalog test name → testbench program ("f_c" → [Fc], "THD" →
-    [Thd], "IIP3" → [Iip3], "DC_offset" → [Dc_offset], "SR" → [Slew],
-    "DR" → [Dr]; gain-like and unmatched names → [Gain]). *)
-
 val measure_core :
   ?config:Testbench.config ->
   system_clock_hz:float ->
@@ -37,14 +32,6 @@ val measure_core :
     [bits], which each test dictates.
     @raise Invalid_argument if a test samples faster than
     [system_clock_hz] (the wrapper cannot divide up). *)
-
-val calibrated_core :
-  ?config:Testbench.config ->
-  system_clock_hz:float ->
-  Msoc_analog.Spec.core ->
-  Msoc_analog.Spec.core * measured list
-(** The same core with each test's [cycles] replaced by its measured
-    TAM-cycle count. *)
 
 val calibrated_problem :
   ?config:Testbench.config ->

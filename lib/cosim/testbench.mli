@@ -40,11 +40,6 @@ val max_samples : int
     stage and the next-power-of-two FFT pad are each a float array of
     about that length. *)
 
-val default_tolerance_pct : spec -> float
-(** Per-spec pass tolerance on the wrapped-vs-direct relative error:
-    5 % for [Gain]/[Fc] (the paper's Fig. 5 agreement), wider for the
-    specs whose readout sits closer to the converter noise floor. *)
-
 type config = {
   variation : Msoc_mixedsig.Variation.t;
       (** converter resolution/mismatch and DUT process variation *)
@@ -124,8 +119,9 @@ type program
 val program : ?tolerance_pct:float -> ?stimulus:stimulus -> config -> spec -> program
 (** The spec's program for the config's rate, record length, bias and
     nominal core. The config's variation is not read: each trial
-    brings its own die. [tolerance_pct] defaults to
-    {!default_tolerance_pct}, [stimulus] to the spec's own.
+    brings its own die. [tolerance_pct] defaults to the spec's own
+    (5 % for gain and fc, 20 % slew, 25 % DR, 40 % THD and IIP3, 50 %
+    DC offset), [stimulus] to the spec's own.
     @raise Invalid_argument if [config.samples] is outside
     [min_samples spec .. max_samples], or if the readout cannot use
     [stimulus]: a tone count other than one ([Gain], [Thd], [Dr]), two

@@ -43,8 +43,6 @@ let create ?(replicas = 64) ids =
     points;
   { ids; points }
 
-let workers t = Array.to_list t.ids
-
 (* First point at or clockwise after [h] (wrapping), by binary search
    over the sorted point array. *)
 let successor_index t h =

@@ -31,6 +31,3 @@ val lookup : t -> string -> string
 val successors : t -> string -> string list
 (** Every worker in ring order starting at the key's owner — head is
     {!lookup}, the rest is the failover order. *)
-
-val workers : t -> string list
-(** The ids the ring was built from (creation order). *)

@@ -357,7 +357,7 @@ let run ?ready ?metrics ~listen ~stop cfg =
     List.mapi
       (fun i w ->
         ( w.id,
-          Worker_client.create ~id:w.id ~host:w.host ~port:w.port
+          Worker_client.create ~host:w.host ~port:w.port
             ~seed:(cfg.seed + (7919 * (i + 1)))
             ~on_response:(fun resp -> with_st (fun st -> on_response st resp))
             ~on_state:(fun ~up ->

@@ -11,7 +11,6 @@ module Backoff = Msoc_util.Backoff
    lock so a late write can never land on a reused descriptor. *)
 
 type t = {
-  id : string;
   connect : unit -> Client.t;
   on_response : Protocol.response -> unit;
   on_state : up:bool -> unit;  (* edge-triggered, outside [lock] *)
@@ -21,8 +20,6 @@ type t = {
   backoff : Backoff.t;  (* owned by the maintenance thread *)
   mutable thread : Thread.t option;
 }
-
-let id t = t.id
 
 let is_up t =
   Mutex.lock t.lock;
@@ -87,10 +84,9 @@ let maintain t () =
   done;
   Option.iter Client.close (take_link t)
 
-let create ~id ~host ~port ~seed ~on_response ~on_state () =
+let create ~host ~port ~seed ~on_response ~on_state () =
   let t =
     {
-      id;
       (* resolves the host here, so a bad one fails [create] *)
       connect = Client.connect (`Tcp (host, port));
       on_response;

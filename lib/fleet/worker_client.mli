@@ -21,7 +21,7 @@
 type t
 
 val create :
-  id:string -> host:string -> port:int -> seed:int ->
+  host:string -> port:int -> seed:int ->
   on_response:(Msoc_serve.Protocol.response -> unit) ->
   on_state:(up:bool -> unit) -> unit -> t
 (** Starts the maintenance thread immediately. [host] accepts
@@ -30,8 +30,6 @@ val create :
     thread and must not call back into this module (except
     {!send_line}).
     @raise Failure on a bad host. *)
-
-val id : t -> string
 
 val is_up : t -> bool
 

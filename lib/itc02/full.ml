@@ -55,19 +55,11 @@ let parent t ~id =
     in
     scan None t.modules
 
-let ancestors t ~id =
-  let rec up acc id =
-    match parent t ~id with
-    | None -> List.rev acc
-    | Some p -> up (p :: acc) p.id
-  in
-  List.rev (up [] id)
-
 (* --- text --- *)
 
-let parse ?file text =
+let of_string text =
   let s = Scan.scan ~hierarchical:true text in
-  Scan.check ?file s;
+  Scan.check s;
   (* no fatal finding: every field read and is in range *)
   let v = Option.get in
   let module_ (m : Scan.module_) =
@@ -87,29 +79,7 @@ let parse ?file text =
   | None -> t
   | Some (i, test, why) ->
     let m = List.nth s.modules i in
-    Scan.fail ?file (match test with None -> m.line | Some j -> fst (List.nth m.tests j)) why
-
-let of_string text = parse text
-
-let to_string t =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "SocName %s\n" (Scan.token_name ~what:"Full.to_string: SOC" t.name);
-  List.iter
-    (fun m ->
-      Printf.bprintf buf "Module %d Level %d Name %s Inputs %d Outputs %d Bidirs %d" m.id m.level
-        (Scan.token_name ~what:"Full.to_string: module" m.name)
-        m.inputs m.outputs m.bidirs;
-      Scan.add_chains buf m.scan_chains;
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun test ->
-          Printf.bprintf buf "Test %d ScanUse %d TamUse %d Patterns %d\n" test.index
-            (Bool.to_int test.scan_use) (Bool.to_int test.tam_use) test.patterns)
-        m.tests)
-    t.modules;
-  Buffer.contents buf
-
-let load path = parse ~file:path (Scan.read path)
+    Scan.fail (match test with None -> m.line | Some j -> fst (List.nth m.tests j)) why
 
 (* --- flat view --- *)
 
@@ -135,23 +105,3 @@ let flatten t =
     t.modules;
   if !cores = [] then invalid_arg "Full.flatten: no TAM-using tests";
   Types.soc ~name:t.name ~cores:(List.rev !cores)
-
-let of_flat (soc : Types.soc) =
-  {
-    name = soc.Types.name;
-    modules =
-      List.map
-        (fun (c : Types.core) ->
-          {
-            id = c.Types.id;
-            level = 1;
-            name = c.Types.name;
-            inputs = c.Types.inputs;
-            outputs = c.Types.outputs;
-            bidirs = c.Types.bidirs;
-            scan_chains = c.Types.scan_chains;
-            tests =
-              [ { index = 1; scan_use = true; tam_use = true; patterns = c.Types.patterns } ];
-          })
-        soc.Types.cores;
-  }

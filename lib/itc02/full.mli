@@ -5,7 +5,7 @@
     cores), and each module carries one or more test sets, each
     declaring whether it uses the scan chains ([ScanUse]) and the TAM
     ([TamUse]) and how many patterns it applies. This module models
-    that richer shape, parses/prints a line-oriented dialect of it,
+    that richer shape, parses a line-oriented dialect of it,
     and flattens it into the planner's flat model.
 
     Concrete syntax (one [Module] header line, then its [Test] lines):
@@ -47,9 +47,6 @@ val parent : t -> id:int -> module_ option
 (** Embedding module per the level convention; [None] for top-level
     modules. @raise Not_found for unknown ids. *)
 
-val ancestors : t -> id:int -> module_ list
-(** Chain of embedding modules, innermost first. *)
-
 val of_string : string -> t
 (** Parses and validates through {!Scan}, the reader {!Soc_file} shares.
     A negative terminal count or a scan-chain length below 1 is refused
@@ -62,15 +59,6 @@ val of_string : string -> t
     replaced).
     @raise Soc_file.Parse_error, never [Invalid_argument]. *)
 
-val to_string : t -> string
-(** Round-trips through {!of_string} for every value it accepts.
-    @raise Invalid_argument when the SOC's or a module's name would not
-    read back as one token (see {!Scan.token_name}). *)
-
-val load : string -> t
-(** {!of_string} of a file (a pipe too).
-    @raise Soc_file.Parse_error (with [file = Some path]) or [Sys_error]. *)
-
 val flatten : t -> Types.soc
 (** The planner's flat view: one {!Types.core} per TAM-using test —
     named ["<module>/t<index>"] — carrying the module's terminals and
@@ -80,8 +68,3 @@ val flatten : t -> Types.soc
     dropped: modular SOC test scheduling treats the module set as
     flat, exactly as the paper and its references do.
     @raise Invalid_argument if no test uses the TAM. *)
-
-val of_flat : Types.soc -> t
-(** Lift a flat SOC: every core becomes a level-1 module with one
-    scan-using, TAM-using test. [flatten (of_flat s)] has the same
-    cores as [s] up to test naming. *)

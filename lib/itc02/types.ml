@@ -28,15 +28,11 @@ let soc ~name ~cores =
 
 let scan_cells c = Msoc_util.Numeric.sum_int c.scan_chains
 
-let terminal_count c = c.inputs + c.outputs + (2 * c.bidirs)
-
 let test_data_volume c =
   let cells = scan_cells c in
   let scan_in = cells + c.inputs + c.bidirs in
   let scan_out = cells + c.outputs + c.bidirs in
   c.patterns * (scan_in + scan_out)
-
-let find_core soc ~id = List.find (fun c -> c.id = id) soc.cores
 
 let pp_core ppf c =
   Format.fprintf ppf "core %d (%s): i=%d o=%d b=%d chains=%d cells=%d p=%d"

@@ -39,17 +39,10 @@ val soc : name:string -> cores:core list -> soc
 val scan_cells : core -> int
 (** Total internal scan flip-flops. *)
 
-val terminal_count : core -> int
-(** inputs + outputs + 2*bidirs (a bidir contributes a cell on both the
-    scan-in and scan-out side of the wrapper). *)
-
 val test_data_volume : core -> int
 (** Scan-in plus scan-out data volume in bits:
     [patterns * (scan_cells + inputs + bidirs) +
      patterns * (scan_cells + outputs + bidirs)]. *)
-
-val find_core : soc -> id:int -> core
-(** @raise Not_found if no core has this id. *)
 
 val pp_soc : Format.formatter -> soc -> unit
 (** One-line-per-core summary. *)

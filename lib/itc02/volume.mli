@@ -5,29 +5,11 @@
     and estimate feed bandwidth. These are pure functions of the flat
     SOC description. *)
 
-type core_stats = {
-  name : string;
-  scan_in_bits : int;  (** per pattern: scan cells + inputs + bidirs *)
-  scan_out_bits : int;
-  patterns : int;
-  total_bits : int;  (** stimuli + responses over all patterns *)
-}
-
-type soc_stats = {
-  cores : core_stats list;
-  total_bits : int;
-  largest_core : string;
-  largest_bits : int;
-}
-
-val core_stats : Types.core -> core_stats
-
-val soc_stats : Types.soc -> soc_stats
-(** @raise Invalid_argument on an SOC with no cores. *)
-
 val ate_depth_bits : Types.soc -> width:int -> int
 (** Vector memory depth (bits per TAM wire) if the whole stimulus set
     streams over a [width]-wire TAM: ⌈stimulus bits / width⌉. *)
 
 val report : Types.soc -> string
-(** ASCII table of per-core volumes, largest core and totals. *)
+(** ASCII table of per-core volumes — bits per pattern in (scan cells
+    + inputs + bidirs) and out, patterns, and stimuli + responses over
+    all patterns — then the total and the largest core. *)

@@ -11,7 +11,6 @@ type stages =
   | Pipeline of { coarse : flash_bank; cell_bottom : float array; fine : flash_bank }
 
 type t = {
-  architecture : architecture;
   bits : int;
   range : Quantize.range;
   stages : stages;
@@ -55,7 +54,7 @@ let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_r
       let fine = make_bank rng ~sigma_volts ~bits:half ~range in
       Pipeline { coarse; cell_bottom; fine }
   in
-  { architecture; bits; range; stages }
+  { bits; range; stages }
 
 let bits t = t.bits
 
@@ -106,8 +105,3 @@ let convert_all t samples =
   let codes = Array.make (Array.length samples) 0 in
   convert_into t samples ~into:codes;
   codes
-
-let comparator_count t =
-  match t.architecture with
-  | Flash -> (1 lsl t.bits) - 1
-  | Modular_pipeline -> 2 * ((1 lsl (t.bits / 2)) - 1)

@@ -45,9 +45,3 @@ val convert_into : t -> float array -> into:int array -> unit
 
 val convert_all : t -> float array -> int array
 (** {!convert_into} a fresh array. *)
-
-val comparator_count : t -> int
-(** 2^n − 1 for [Flash]; 2·(2^(n/2) − 1) for [Modular_pipeline]. *)
-
-val code_edges_ideal : bits:int -> range:Quantize.range -> float array
-(** The 2^n − 1 ideal decision thresholds; exposed for tests. *)

@@ -2,14 +2,6 @@ type t = float array -> float array
 
 type kernel = float array -> unit
 
-let copied kernel samples =
-  let out = Array.copy samples in
-  kernel out;
-  out
-
-let compose models samples =
-  List.fold_left (fun acc model -> model acc) samples models
-
 let remove_bias_into ~bias samples ~into:out =
   if Array.length out <> Array.length samples then
     invalid_arg "Analog_models.remove_bias_into: output length differs from the record's";
@@ -17,26 +9,15 @@ let remove_bias_into ~bias samples ~into:out =
     out.(i) <- samples.(i) -. bias
   done
 
-let remove_bias ~bias samples =
-  let out = Array.create_float (Array.length samples) in
-  remove_bias_into ~bias samples ~into:out;
-  out
-
 let dc_offset_in_place offset x =
   for i = 0 to Array.length x - 1 do
     x.(i) <- x.(i) +. offset
   done
 
-let dc_offset offset = copied (dc_offset_in_place offset)
-
-let biased ~bias inner samples = dc_offset bias (inner (remove_bias ~bias samples))
-
 let gain_in_place g x =
   for i = 0 to Array.length x - 1 do
     x.(i) <- g *. x.(i)
   done
-
-let gain g = copied (gain_in_place g)
 
 let polynomial_in_place ~a1 ~a2 ~a3 x =
   for i = 0 to Array.length x - 1 do
@@ -44,12 +25,8 @@ let polynomial_in_place ~a1 ~a2 ~a3 x =
     x.(i) <- (a1 *. v) +. (a2 *. v *. v) +. (a3 *. v *. v *. v)
   done
 
-let polynomial ~a1 ~a2 ~a3 = copied (polynomial_in_place ~a1 ~a2 ~a3)
-
 let lowpass_in_place ~order ~fc ~fs =
   Msoc_signal.Filter.process_in_place (Msoc_signal.Filter.butterworth_lowpass ~order ~fc ~fs)
-
-let lowpass ~order ~fc ~fs = copied (lowpass_in_place ~order ~fc ~fs)
 
 let slew_limited_in_place ~max_slew_v_per_s ~fs x =
   if not (max_slew_v_per_s > 0.0) then
@@ -58,15 +35,13 @@ let slew_limited_in_place ~max_slew_v_per_s ~fs x =
   let step = max_slew_v_per_s /. fs in
   let state = ref (if Array.length x > 0 then x.(0) else 0.0) in
   for i = 0 to Array.length x - 1 do
-    (* [Numeric.clamp ~lo:(-.step) ~hi:step], spelled out: the stdlib's
+    (* the clamp to [-step, step], spelled out: the stdlib's
        [min] and [max] inline, a call into another module would box
        each sample. *)
     let delta = Float.min step (Float.max (-.step) (x.(i) -. !state)) in
     state := !state +. delta;
     x.(i) <- !state
   done
-
-let slew_limited ~max_slew_v_per_s ~fs = copied (slew_limited_in_place ~max_slew_v_per_s ~fs)
 
 let gaussian_draws_into ~seed draws =
   Msoc_util.Rng.fill_gaussian (Msoc_util.Rng.create ~seed) draws
@@ -84,17 +59,5 @@ let add_draws_in_place ~sigma draws x =
     x.(i) <- x.(i) +. (sigma *. draws.(i))
   done
 
-let add_draws ~sigma draws = copied (add_draws_in_place ~sigma draws)
-
 let additive_noise_in_place ?(seed = 42) ~sigma x =
   add_draws_in_place ~sigma (gaussian_draws ~seed (Array.length x)) x
-
-let additive_noise ?seed ~sigma = copied (additive_noise_in_place ?seed ~sigma)
-
-let downconverter ~lo_hz ~fs ~if_lowpass_fc =
-  let post = lowpass_in_place ~order:3 ~fc:if_lowpass_fc ~fs in
-  copied (fun x ->
-      for i = 0 to Array.length x - 1 do
-        x.(i) <- x.(i) *. Float.cos (2.0 *. Float.pi *. lo_hz *. float_of_int i /. fs)
-      done;
-      post x)

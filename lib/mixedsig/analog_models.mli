@@ -9,21 +9,18 @@
     DC offset, slew rate, dynamic range via the noise floor).
 
     Each stage's arithmetic is written once, as an in-place {!kernel}
-    (a [for] loop over the float array, nothing allocated per sample);
-    the record-to-record model of the same stage runs that kernel on a
-    copy of its input, which it never writes. A DUT pipeline
-    ([Msoc_cosim.Dut.batch]) runs the kernels over one buffer per
-    record. *)
+    (a [for] loop over the float array, nothing allocated per sample).
+    A DUT pipeline ([Msoc_cosim.Dut.batch]) runs the kernels over one
+    buffer per record. *)
 
 type t = float array -> float array
+(** A record-to-record model: reads its input, returns a fresh
+    output. *)
 
 type kernel = float array -> unit
 (** A stage that overwrites its record with its output, sample [i]
     depending only on samples [0 .. i] (filter and slew state advance
     in sample order). *)
-
-val compose : t list -> t
-(** Left-to-right pipeline. *)
 
 val remove_bias_into : bias:float -> float array -> into:float array -> unit
 (** [remove_bias_into ~bias x ~into] writes [x.(i) -. bias] into
@@ -31,42 +28,26 @@ val remove_bias_into : bias:float -> float array -> into:float array -> unit
     point. [into] may be [x] itself.
     @raise Invalid_argument if [into]'s length differs from [x]'s. *)
 
-val biased : bias:float -> t -> t
-(** Run the inner model on the AC component around [bias] (wrapper
-    signals live in 0..4 V; cores are AC-coupled around mid-rail):
-    {!remove_bias_into} a fresh record, the inner model, then
-    {!dc_offset}[ bias]. *)
-
 val gain_in_place : float -> kernel
-
-val gain : float -> t
 (** Memoryless linear gain. *)
 
 val dc_offset_in_place : float -> kernel
-
-val dc_offset : float -> t
 (** Adds a constant. *)
 
 val polynomial_in_place : a1:float -> a2:float -> a3:float -> kernel
-
-val polynomial : a1:float -> a2:float -> a3:float -> t
 (** Memoryless nonlinearity [a1·x + a2·x² + a3·x³] — produces the
     harmonic and intermodulation distortion the THD and IIP3 tests
     measure. The third-order intercept of this model is at input
     amplitude [sqrt(4/3 · |a1/a3|)]. *)
 
 val lowpass_in_place : order:int -> fc:float -> fs:float -> kernel
-(** The filter is designed when the three labels are applied
+(** Butterworth low-pass core (the Fig. 5 core). The filter is
+    designed when the three labels are applied
     ({!Msoc_signal.Filter.process_in_place} runs it).
     @raise Invalid_argument as
     {!Msoc_signal.Filter.butterworth_lowpass}. *)
 
-val lowpass : order:int -> fc:float -> fs:float -> t
-(** Butterworth low-pass core (the Fig. 5 core). *)
-
 val slew_limited_in_place : max_slew_v_per_s:float -> fs:float -> kernel
-
-val slew_limited : max_slew_v_per_s:float -> fs:float -> t
 (** Rate limiter: output follows input but moves at most
     [max_slew/fs] volts per sample — the imperfection a slew-rate
     test quantifies. @raise Invalid_argument, when applied to a
@@ -74,35 +55,22 @@ val slew_limited : max_slew_v_per_s:float -> fs:float -> t
     [fs]. *)
 
 val additive_noise_in_place : ?seed:int -> sigma:float -> kernel
-
-val additive_noise : ?seed:int -> sigma:float -> t
 (** Deterministic Gaussian noise source (fresh stream per call using
     [seed]); sets the noise floor that a dynamic-range test measures.
-    [additive_noise ~seed ~sigma x] is
-    [add_draws ~sigma (gaussian_draws ~seed (Array.length x)) x]. *)
-
-val gaussian_draws : seed:int -> int -> float array
-(** [gaussian_draws ~seed n]: the first [n] standard-normal values of
-    the stream {!additive_noise} starts at [seed]
-    ({!Msoc_util.Rng.fill_gaussian}: Box–Muller, two uniforms per
-    value, the [2n] uniforms drawn in one bulk draw). The [i]-th value
-    depends on [seed] and [i] only, so a longer draw extends a shorter
-    one. *)
+    It adds [sigma] times the first [n] standard-normal values of the
+    stream {!gaussian_draws_into} writes for [seed], [n] the record's
+    length. *)
 
 val gaussian_draws_into : seed:int -> float array -> unit
-(** [gaussian_draws_into ~seed draws] overwrites [draws] with
-    [gaussian_draws ~seed (Array.length draws)], allocating no
-    array: a buffer one Monte-Carlo trial after another refills. *)
+(** [gaussian_draws_into ~seed draws] overwrites [draws] with the first
+    [Array.length draws] standard-normal values of the stream seeded
+    with [seed] ({!Msoc_util.Rng.fill_gaussian}: Box–Muller, two
+    uniforms per value), allocating no array: a buffer one Monte-Carlo
+    trial after another refills. The [i]-th value depends on [seed]
+    and [i] only, so a longer draw extends a shorter one. *)
 
 val add_draws_in_place : sigma:float -> float array -> kernel
-
-val add_draws : sigma:float -> float array -> t
-(** [add_draws ~sigma draws x] adds [sigma *. draws.(i)] to sample
-    [i]: the noise stage with its draws made in advance, so one draw
-    can serve several records of the same length.
+(** [add_draws_in_place ~sigma draws x] adds [sigma *. draws.(i)] to
+    sample [i]: the noise stage with its draws made in advance, so one
+    draw can serve several records of the same length.
     @raise Invalid_argument if the record is longer than [draws]. *)
-
-val downconverter : lo_hz:float -> fs:float -> if_lowpass_fc:float -> t
-(** Ideal mixer: multiply by a cosine local oscillator at [lo_hz] and
-    low-pass the product — core D's signal path. The useful gain of an
-    ideal multiplier to the difference frequency is 1/2. *)

@@ -8,12 +8,6 @@
     charge each wrapper a self-test job that must precede its core
     tests (Fig. 1's self-test mode). *)
 
-val ramp_samples : bits:int -> hits_per_code:int -> int
-(** Samples a code-density linearity test needs: every one of the
-    [2^bits] codes exercised [hits_per_code] times.
-    @raise Invalid_argument unless [bits] in 2..16 and
-    [hits_per_code >= 1]. *)
-
 val self_test_cycles : bits:int -> tam_width:int -> ?hits_per_code:int -> unit -> int
 (** TAM cycles the self-test occupies: the control words stream over
     the wrapper's own TAM wires, so

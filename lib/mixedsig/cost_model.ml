@@ -36,8 +36,3 @@ let wrapper_area_mm2 ?(scaling_exponent = 1.0) ?(bits = reference_bits) ~tech_um
     /. float_of_int (modular_comparators ~bits:reference_bits)
   in
   reference_wrapper_area_mm2 *. tech_factor *. hardware_factor
-
-let wrapper_to_core_ratio ~wrapper_mm2 ~core_mm2 =
-  if wrapper_mm2 <= 0.0 || core_mm2 <= 0.0 then
-    invalid_arg "Cost_model.wrapper_to_core_ratio: non-positive area";
-  wrapper_mm2 /. core_mm2

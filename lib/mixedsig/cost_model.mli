@@ -26,6 +26,3 @@ val wrapper_area_mm2 : ?scaling_exponent:float -> ?bits:int -> tech_um:float -> 
     the reference area, scaled by [(tech/0.5)^exponent] (default
     exponent 1.0) and by the comparator-count ratio against the 8-bit
     reference. *)
-
-val wrapper_to_core_ratio : wrapper_mm2:float -> core_mm2:float -> float
-(** Convenience division, with validation. *)

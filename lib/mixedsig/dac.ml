@@ -49,11 +49,6 @@ let create ?(mismatch_sigma = 0.0) ?(seed = 1) ?(range = Quantize.default_range)
 
 let bits t = t.bits
 
-let architecture t =
-  match t.ladders with
-  | String_ladder _ -> Full_string
-  | Modular_ladders _ -> Modular
-
 let span t = t.range.Quantize.vmax -. t.range.Quantize.vmin
 
 (* The conversion, written once: [convert] applies it to one code and
@@ -105,11 +100,6 @@ let convert t code =
   in
   volts ~vmin:t.range.Quantize.vmin ~span:(span t) fraction
 
-let resistor_count t =
-  match t.ladders with
-  | String_ladder _ -> 1 lsl t.bits
-  | Modular_ladders _ -> 2 * (1 lsl (t.bits / 2))
-
 let lsb t = span t /. float_of_int (1 lsl t.bits)
 
 let inl_lsb t =
@@ -117,15 +107,6 @@ let inl_lsb t =
   for code = 0 to (1 lsl t.bits) - 1 do
     let ideal = Quantize.decode ~bits:t.bits ~range:t.range code in
     let err = Float.abs (convert t code -. ideal) /. lsb t in
-    if err > !worst then worst := err
-  done;
-  !worst
-
-let dnl_lsb t =
-  let worst = ref 0.0 in
-  for code = 0 to (1 lsl t.bits) - 2 do
-    let delta = (convert t (code + 1) -. convert t code) /. lsb t in
-    let err = Float.abs (delta -. 1.0) in
     if err > !worst then worst := err
   done;
   !worst

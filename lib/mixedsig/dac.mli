@@ -27,8 +27,6 @@ val create :
 
 val bits : t -> int
 
-val architecture : t -> architecture
-
 val convert : t -> int -> float
 (** Code to voltage. @raise Invalid_argument on out-of-range codes. *)
 
@@ -42,12 +40,6 @@ val convert_into : t -> int array -> into:float array -> unit
 val convert_all : t -> int array -> float array
 (** {!convert_into} a fresh array. *)
 
-val resistor_count : t -> int
-(** 2^n for [Full_string]; 2·2^(n/2) for [Modular]. *)
-
 val inl_lsb : t -> float
 (** Integral nonlinearity: max |actual − ideal| over all codes, in
     LSBs. 0 for an ideal instance. *)
-
-val dnl_lsb : t -> float
-(** Differential nonlinearity in LSBs. *)

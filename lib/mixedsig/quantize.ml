@@ -24,13 +24,6 @@ let[@inline] volts_of ~vmin ~lsb ~n code =
   if code < 0 || code >= n then invalid_arg "Quantize.decode: code out of range";
   vmin +. ((float_of_int code +. 0.5) *. lsb)
 
-(* Every entry takes [bits] and [range] first and computes the step
-   once, so a partial application converts a whole record at one
-   step. *)
-let encode ~bits ~range =
-  let lsb = step ~bits ~range and hi = code_count ~bits - 1 in
-  fun v -> code_of ~vmin:range.vmin ~lsb ~hi v
-
 let decode ~bits ~range =
   let lsb = step ~bits ~range and n = code_count ~bits in
   fun code -> volts_of ~vmin:range.vmin ~lsb ~n code
@@ -52,9 +45,3 @@ let decode_into ~bits ~range codes ~into:volts =
   for i = 0 to Array.length codes - 1 do
     volts.(i) <- volts_of ~vmin:range.vmin ~lsb ~n codes.(i)
   done
-
-let roundtrip ~bits ~range v = decode ~bits ~range (encode ~bits ~range v)
-
-let snr_db_ideal ~bits =
-  check_bits bits;
-  (6.020599913279624 *. float_of_int bits) +. 1.7609125905568124

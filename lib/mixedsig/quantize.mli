@@ -9,39 +9,26 @@ type range = { vmin : float; vmax : float }
 val default_range : range
 (** [0 V .. 4 V] — the paper's wrapper runs from a 4 V supply. *)
 
-val code_count : bits:int -> int
-(** [2^bits]. @raise Invalid_argument outside 1..30 bits. *)
-
 val step : bits:int -> range:range -> float
 (** LSB size. *)
 
-val encode : bits:int -> range:range -> float -> int
-(** Voltage to code, clipping to the range. [encode ~bits ~range]
-    computes the step once, so mapping it over a record checks and
-    divides once per record, not once per sample. *)
-
 val decode : bits:int -> range:range -> int -> float
-(** Code to the center voltage of its quantization cell; staged like
-    {!encode}.
+(** Code to the center voltage of its quantization cell. Staged:
+    [decode ~bits ~range] checks and computes the step once, so
+    mapping it over a record divides once per record, not once per
+    sample.
     @raise Invalid_argument on out-of-range codes. *)
 
 val encode_into : bits:int -> range:range -> float array -> into:int array -> unit
-(** {!encode} over a record, written into [into]: one step
-    computation and one [for] loop over the float array, nothing
-    allocated or boxed per sample.
+(** Voltages to codes, clipping to the range, written into [into]:
+    one step computation and one [for] loop over the float array,
+    nothing allocated or boxed per sample.
     @raise Invalid_argument if [into]'s length differs from the
     record's. *)
 
 val decode_into : bits:int -> range:range -> int array -> into:float array -> unit
-(** {!decode} over a record, written into [into], staged like
-    {!encode_into}.
+(** {!decode} over a record, written into [into], with one step
+    computation like {!encode_into}.
     @raise Invalid_argument if [into]'s length differs from the
     record's, or on the first out-of-range code (the samples before
     it are written). *)
-
-val roundtrip : bits:int -> range:range -> float -> float
-(** [decode (encode v)] — ideal ADC→DAC path; error <= step/2 for
-    in-range [v]. *)
-
-val snr_db_ideal : bits:int -> float
-(** Theoretical full-scale sine SNR: [6.02·bits + 1.76] dB. *)

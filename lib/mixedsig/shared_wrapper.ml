@@ -1,21 +1,10 @@
 module Spec = Msoc_analog.Spec
 
-type run = {
-  core_label : string;
-  test_name : string;
-  start_cycle : int;
-  finish_cycle : int;
-}
-
 type t = {
   member_cores : Spec.core list;
-  requirement : Spec.requirement;
   wrapper : Wrapper.t;
   crosstalk : float;
   system_clock_hz : float;
-  mutable clock : int;
-  mutable runs : run list;
-  mutable reconfig_count : int;
 }
 
 let create ?(crosstalk = 1.0e-3) ?(system_clock_hz = 50.0e6) member_cores =
@@ -29,21 +18,7 @@ let create ?(crosstalk = 1.0e-3) ?(system_clock_hz = 50.0e6) member_cores =
     invalid_arg "Shared_wrapper.create: member needs sampling above the system clock";
   (* Converters must have even resolution (modular architecture). *)
   let bits = requirement.Spec.bits + (requirement.Spec.bits land 1) in
-  {
-    member_cores;
-    requirement;
-    wrapper = Wrapper.create ~bits ();
-    crosstalk;
-    system_clock_hz;
-    clock = 0;
-    runs = [];
-    reconfig_count = 0;
-  }
-
-
-let requirement t = t.requirement
-
-let bits t = Wrapper.bits t.wrapper
+  { member_cores; wrapper = Wrapper.create ~bits (); crosstalk; system_clock_hz }
 
 let run_test t ~core_label ~core ~test ~stimulus =
   if not (List.exists (fun c -> c.Spec.label = core_label) t.member_cores) then
@@ -52,7 +27,6 @@ let run_test t ~core_label ~core ~test ~stimulus =
   let configured =
     Wrapper.configure_for_test t.wrapper ~system_clock_hz:t.system_clock_hz test
   in
-  t.reconfig_count <- t.reconfig_count + 1;
   (* Mux parasitics: a small deterministic interferer added on the
      analog path between DAC and core. *)
   let fs = Wrapper.sample_rate_hz configured ~system_clock_hz:t.system_clock_hz in
@@ -68,17 +42,4 @@ let run_test t ~core_label ~core ~test ~stimulus =
     in
     core polluted
   in
-  let response = Wrapper.apply_core_test configured ~core:noisy_core ~stimulus in
-  let duration = Wrapper.test_cycles configured ~samples:(Array.length stimulus) in
-  let start_cycle = t.clock in
-  let finish_cycle = start_cycle + duration in
-  t.clock <- finish_cycle;
-  t.runs <-
-    { core_label; test_name = test.Spec.name; start_cycle; finish_cycle } :: t.runs;
-  response
-
-let schedule t = List.rev t.runs
-
-let usage_cycles t = t.clock
-
-let reconfigurations t = t.reconfig_count
+  Wrapper.apply_core_test configured ~core:noisy_core ~stimulus

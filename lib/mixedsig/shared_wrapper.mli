@@ -10,13 +10,6 @@
 
 type t
 
-type run = {
-  core_label : string;
-  test_name : string;
-  start_cycle : int;
-  finish_cycle : int;
-}
-
 val create :
   ?crosstalk:float ->
   ?system_clock_hz:float ->
@@ -28,11 +21,6 @@ val create :
     @raise Invalid_argument on an empty member list or a member whose
     sampling requirement exceeds the system clock. *)
 
-val requirement : t -> Msoc_analog.Spec.requirement
-(** Merged sizing requirement (resolution, speed, width). *)
-
-val bits : t -> int
-
 val run_test :
   t ->
   core_label:string ->
@@ -41,17 +29,6 @@ val run_test :
   stimulus:int array ->
   int array
 (** Reconfigure (mux to [core_label], divide ratio, serial↔parallel
-    rate), run, and log the occupancy. Tests are serialized by
-    construction: each run starts when the previous one finished.
+    rate) and run one test: the stimulus codes through the DAC, the
+    core with the mux's crosstalk tone added, and the ADC.
     @raise Invalid_argument if [core_label] is not a member. *)
-
-val schedule : t -> run list
-(** Completed runs in execution order. *)
-
-val usage_cycles : t -> int
-(** Total TAM cycles consumed so far = Σ test cycles of the runs —
-    the quantity whose maximum over wrappers is the paper's analog
-    test-time lower bound. *)
-
-val reconfigurations : t -> int
-(** Number of control-register loads performed. *)

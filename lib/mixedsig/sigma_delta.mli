@@ -10,21 +10,6 @@
 
 type order = First | Second
 
-val modulate : ?order:order -> float array -> bool array
-(** Single-bit sigma-delta modulation of an input in [-1, 1] (values
-    outside are clipped by the feedback loop's nature, not rejected).
-    Default [Second]. Deterministic: integrators start at zero. *)
-
-val bipolar : bool array -> float array
-(** Bit stream to ±1.0 samples. *)
-
-val decimate_cic : stages:int -> ratio:int -> float array -> float array
-(** [stages]-order CIC (boxcar cascade) decimation by [ratio]:
-    integrators at the high rate, combs at the low rate, output
-    normalized to unit DC gain. Output length = input length / ratio
-    (floor). @raise Invalid_argument unless [stages >= 1] and
-    [ratio >= 2]. *)
-
 val measured_enob :
   ?order:order -> osr:int -> fs:float -> signal_hz:float -> unit -> float
 (** Single-tone ENOB of the full oversampled ADC (modulate at the

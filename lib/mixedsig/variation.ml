@@ -42,34 +42,6 @@ let default_ranges =
     gain_shift_pct_max = 5.0;
   }
 
-let ranges ?(bits_choices = default_ranges.bits_choices)
-    ?(dac_mismatch_sigma_max = default_ranges.dac_mismatch_sigma_max)
-    ?(adc_threshold_sigma_lsb_max = default_ranges.adc_threshold_sigma_lsb_max)
-    ?(noise_sigma_v_max = default_ranges.noise_sigma_v_max)
-    ?(fc_shift_pct_max = default_ranges.fc_shift_pct_max)
-    ?(gain_shift_pct_max = default_ranges.gain_shift_pct_max) () =
-  if bits_choices = [] then invalid_arg "Variation.ranges: no bits choices";
-  List.iter
-    (fun b ->
-      if b < 4 || b > 16 || b mod 2 <> 0 then
-        invalid_arg "Variation.ranges: bits choices must be even, 4..16")
-    bits_choices;
-  if
-    not
-      (List.for_all
-         (fun bound -> bound >= 0.0)
-         [ dac_mismatch_sigma_max; adc_threshold_sigma_lsb_max; noise_sigma_v_max;
-           fc_shift_pct_max; gain_shift_pct_max ])
-  then invalid_arg "Variation.ranges: bounds must be non-negative (and not NaN)";
-  {
-    bits_choices;
-    dac_mismatch_sigma_max;
-    adc_threshold_sigma_lsb_max;
-    noise_sigma_v_max;
-    fc_shift_pct_max;
-    gain_shift_pct_max;
-  }
-
 (* SplitMix64 finalizer over the (master, trial) pair. Folding the
    trial index in through the golden-gamma multiply is exactly how
    SplitMix64 itself spaces its substreams, so neighbouring trials

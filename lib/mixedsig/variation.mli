@@ -34,33 +34,15 @@ type ranges = {
   gain_shift_pct_max : float;
 }
 
-val default_ranges : ranges
-(** bits ∈ {6, 8, 10}, mismatch up to 2 %, comparator noise up to
-    0.5 LSB, core noise up to 3 mV, fc ±10 %, gain ±5 % — the process
-    corners the Fig. 5 Monte-Carlo sweeps. *)
-
-val ranges :
-  ?bits_choices:int list ->
-  ?dac_mismatch_sigma_max:float ->
-  ?adc_threshold_sigma_lsb_max:float ->
-  ?noise_sigma_v_max:float ->
-  ?fc_shift_pct_max:float ->
-  ?gain_shift_pct_max:float ->
-  unit ->
-  ranges
-(** {!default_ranges} with overrides.
-    @raise Invalid_argument on an empty or odd [bits_choices] list,
-    bits outside 4..16, or a negative or NaN bound. *)
-
-val trial_seed : master:int -> trial:int -> int
-(** One SplitMix64 finalizer over the [(master, trial)] pair — the
-    non-negative seed every per-trial stream grows from. Pure, so
-    evaluation order and domain count cannot change it. *)
-
 val sample : ?ranges:ranges -> master:int -> trial:int -> unit -> t
 (** The variation of trial [trial] under [master]: a fresh SplitMix
-    stream seeded with {!trial_seed} drawn in a fixed field order.
-    Equal [(master, trial)] pairs always yield equal records. *)
+    stream drawn in a fixed field order, seeded by one SplitMix64
+    finalizer over the [(master, trial)] pair, so evaluation order and
+    domain count cannot change it. Equal [(master, trial)] pairs always
+    yield equal records. The default [ranges] are the process corners
+    the Fig. 5 Monte-Carlo sweeps: bits ∈ {6, 8, 10}, mismatch up to
+    2 %, comparator noise up to 0.5 LSB, core noise up to 3 mV, fc
+    ±10 %, gain ±5 %. *)
 
 val wrapper : t -> Wrapper.t
 (** This die's wrapper: modular converters with mismatch drawn from

@@ -113,8 +113,3 @@ let self_test_max_error_lsb t ~samples =
     if err > !worst then worst := err
   done;
   !worst
-
-let normal_passthrough t samples =
-  match t.config.mode with
-  | Normal -> Array.copy samples
-  | Self_test | Core_test -> invalid_arg "Wrapper.normal_passthrough: not in normal mode"

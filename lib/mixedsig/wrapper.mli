@@ -83,7 +83,3 @@ val self_test_max_error_lsb : t -> samples:int -> float
     report the worst |response − stimulus| in LSBs. An ideal wrapper
     reports <= 1. @raise Invalid_argument if the mode is not
     [Self_test]. *)
-
-val normal_passthrough : t -> float array -> float array
-(** [Normal] mode: the analog path untouched (identity).
-    @raise Invalid_argument in other modes. *)

@@ -34,10 +34,6 @@ val add_packs : t -> int -> unit
 
 val observe_latency : t -> seconds:float -> unit
 
-val bucket_bounds_ms : float array
-(** The histogram's upper bounds, smallest first, without the implicit
-    overflow bucket. *)
-
 type snapshot = {
   uptime_s : float;
   requests : (string * int) list;  (** by op name, ops with traffic *)

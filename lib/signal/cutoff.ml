@@ -5,7 +5,7 @@ let[@inline] model_gain ~order ~fc f =
    factor eliminated in closed form (it is the mean log offset). The
    tones' frequencies and log gains come as arrays built once per fit;
    [logs] is scratch of the same length. The mean is a left-to-right
-   sum divided by the count, as [Numeric.mean] takes it. *)
+   sum divided by the count. *)
 let residual ~order ~freqs ~log_gains ~logs fc =
   let n = Array.length freqs in
   let sum = ref 0.0 in

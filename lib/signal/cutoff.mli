@@ -6,9 +6,6 @@
     Butterworth magnitude model |H(f)| = g0 / sqrt(1 + (f/fc)^(2n))
     by least squares in log-gain, searching fc with golden-section. *)
 
-val model_gain : order:int -> fc:float -> float -> float
-(** |H(f)| of the unit-gain model. *)
-
 val fit : ?order:int -> (float * float) list -> float
 (** [fit gains] where [gains] are (frequency, linear gain) pairs —
     gains normalized to the pass-band (or not: an overall gain factor

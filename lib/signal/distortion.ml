@@ -81,10 +81,3 @@ let imd3 spectrum ~f1 ~f2 =
   in
   let iip3_rel = tone_level *. Float.pow 10.0 (-.imd_dbc /. 40.0) in
   { f1; f2; tone_level; imd_level; imd_dbc; iip3_rel }
-
-let dc_offset spectrum =
-  let scale =
-    float_of_int spectrum.Spectrum.n_signal
-    *. Window.coherent_gain spectrum.Spectrum.window
-  in
-  spectrum.Spectrum.magnitudes.(0) /. scale

@@ -6,21 +6,14 @@
     transmit and down-conversion paths), and SINAD/ENOB for converter
     self-characterization. *)
 
-val harmonic_frequencies : fundamental:float -> fs:float -> count:int -> float list
-(** The first [count] harmonic frequencies (2f, 3f, …) folded into the
-    first Nyquist zone (aliases of harmonics above fs/2 land where a
-    spectrum analyzer would see them).
-    @raise Invalid_argument unless [0 < fundamental < fs/2] (a NaN
-    [fundamental] or [fs] fails it). *)
-
 val thd : ?harmonics:int -> Spectrum.t -> fundamental:float -> float
 (** [thd spectrum ~fundamental] is sqrt(Σ harmonic amplitudes²) /
     fundamental amplitude, using harmonics 2..[harmonics]+1 (default
     5), alias-folded. Returns a linear ratio; multiply by 100 for %
     or use {!Msoc_util.Numeric.db}.
     @raise Invalid_argument as {!Spectrum.bin_of_freq} (a NaN
-    [fundamental] included) or {!harmonic_frequencies}, or when the
-    fundamental is absent. *)
+    [fundamental] included), unless [0 < fundamental < fs/2] and
+    [harmonics >= 1], or when the fundamental is absent. *)
 
 val sinad_db : Spectrum.t -> fundamental:float -> float
 (** Signal over everything-else (noise + distortion) in dB, computed
@@ -46,9 +39,3 @@ type imd3 = {
 val imd3 : Spectrum.t -> f1:float -> f2:float -> imd3
 (** @raise Invalid_argument if the tones coincide or an IMD product
     falls outside (0, fs/2) (a NaN tone's products do). *)
-
-val dc_offset : Spectrum.t -> float
-(** Mean value recovered from bin 0 (|X[0]|/(n·coherent gain)) —
-    Table 2's DC_offset test readout. Sign is not recoverable from a
-    magnitude spectrum; combine with a time-domain mean when signed
-    offset matters. *)

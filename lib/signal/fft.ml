@@ -16,7 +16,7 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
    transform multiplies by. *)
 type plan = { n : int; rev : int array; wr : float array; wi : float array }
 
-let make_plan ~sign n =
+let plan n =
   if not (is_pow2 n) then invalid_arg "Fft.plan: length must be a power of two";
   (* j walks the bit reversals of 0 .. n - 1: adding 1 at the top bit
      and carrying downwards. *)
@@ -34,7 +34,7 @@ let make_plan ~sign n =
   let half = ref 1 in
   while !half < n do
     let h = !half in
-    let theta = float_of_int sign *. 2.0 *. Float.pi /. float_of_int (2 * h) in
+    let theta = -2.0 *. Float.pi /. float_of_int (2 * h) in
     let cr = Float.cos theta and ci = Float.sin theta in
     for k = h to (2 * h) - 2 do
       let xr = wr.(k - 1) and xi = wi.(k - 1) in
@@ -44,8 +44,6 @@ let make_plan ~sign n =
     half := 2 * h
   done;
   { n; rev; wr; wi }
-
-let plan n = make_plan ~sign:(-1) n
 
 (* Unchecked float-array access, typed so every load and store stays
    unboxed. *)
@@ -150,21 +148,6 @@ let check_buffers name p ~re ~im =
   if Array.length re <> p.n || Array.length im <> p.n then
     invalid_arg (name ^ ": re and im must have the plan's length")
 
-let execute p ~re ~im =
-  check_buffers "Fft.execute" p ~re ~im;
-  let rev = p.rev in
-  for i = 0 to p.n - 1 do
-    let j = Array.unsafe_get rev i in
-    if i < j then begin
-      let tr = get re i and ti = get im i in
-      set re i (get re j);
-      set im i (get im j);
-      set re j tr;
-      set im j ti
-    end
-  done;
-  stages p re im
-
 let execute_windowed p ~coefs ~offset x ~re ~im =
   check_buffers "Fft.execute_windowed" p ~re ~im;
   let m = Array.length coefs in
@@ -180,20 +163,3 @@ let execute_windowed p ~coefs ~offset x ~re ~im =
   done;
   Array.fill im 0 p.n 0.0;
   stages p re im
-
-let forward_in_place ~re ~im = execute (plan (Array.length re)) ~re ~im
-
-let boxed ~sign ~scale input =
-  let re = Array.map (fun c -> c.Complex.re) input
-  and im = Array.map (fun c -> c.Complex.im) input in
-  execute (make_plan ~sign (Array.length input)) ~re ~im;
-  Array.init (Array.length input) (fun i ->
-      { Complex.re = scale re.(i); im = scale im.(i) })
-
-let forward input = boxed ~sign:(-1) ~scale:Fun.id input
-
-let inverse input =
-  let scale = 1.0 /. float_of_int (Array.length input) in
-  boxed ~sign:1 ~scale:(fun x -> x *. scale) input
-
-let bin_frequency ~n ~fs i = float_of_int i *. fs /. float_of_int n

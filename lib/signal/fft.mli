@@ -4,7 +4,7 @@
     frequency spectra of Fig. 5. Arbitrary-length real signals are
     handled by zero-padding to the next power of two.
 
-    One kernel does every transform: the decimation-in-time stages over
+    One kernel does the transform: the decimation-in-time stages over
     split real and imaginary float arrays, in place, run over a
     {!plan} on a vector in bit-reversed order. The stages run as
     radix-2{^2} passes: each pass loads a group of four values, runs
@@ -17,13 +17,12 @@
     w{_k+1} = w{_k}·(cos θ, sin θ). Results are therefore bit-identical
     to a radix-2 transform over boxed [Complex.t] values.
 
-    Two entries put a vector in bit-reversed order: {!execute} swaps an
-    in-order vector into it, {!execute_windowed} writes each windowed
-    sample straight into its bit-reversed slot. The passes read and
-    write without bounds checks; each entry checks, before any loop,
-    that its buffers have the plan's length (and {!execute_windowed}
-    that its coefficients fit the plan and its offset the record), and
-    a plan holds exactly the indices and twiddles its length needs. *)
+    Its entry, {!execute_windowed}, writes each windowed sample
+    straight into its bit-reversed slot. The passes read and write
+    without bounds checks; the entry checks, before any loop, that its
+    buffers have the plan's length, its coefficients fit the plan and
+    its offset the record, and a plan holds exactly the indices and
+    twiddles its length needs. *)
 
 val next_pow2 : int -> int
 (** Smallest power of two >= max 1 n.
@@ -43,43 +42,16 @@ val plan : int -> plan
     It holds [n] slot indices and n − 1 twiddles of each part.
     @raise Invalid_argument unless [n] is a positive power of two. *)
 
-val execute : plan -> re:float array -> im:float array -> unit
-(** In-order forward DIT FFT of the complex vector [(re, im)] over the
-    plan, overwriting both arrays with the spectrum: one pass of
-    bit-reversal swaps, then the stages. Allocates nothing.
-    @raise Invalid_argument unless both arrays have the plan's
-    length. *)
-
 val execute_windowed :
   plan -> coefs:float array -> offset:int -> float array -> re:float array ->
   im:float array -> unit
 (** [execute_windowed p ~coefs ~offset x ~re ~im] overwrites [re] and
-    [im] with the spectrum {!execute} computes of the real record
+    [im] with the forward spectrum of the real record
     [x.(offset + i) *. coefs.(i)], [i < Array.length coefs],
-    zero-padded to the plan's length, bit for bit, without the swap
-    pass: each windowed sample is written straight into its
-    bit-reversed slot of [re], every other slot of [re] and all of
-    [im] are zeroed, and the stages run. Whatever the buffers held
-    before is ignored. Allocates nothing.
+    zero-padded to the plan's length: each windowed sample is written
+    straight into its bit-reversed slot of [re], every other slot of
+    [re] and all of [im] are zeroed, and the stages run. Whatever the
+    buffers held before is ignored. Allocates nothing.
     @raise Invalid_argument unless both buffers have the plan's
     length, [coefs] is no longer than it and [offset .. offset +
     Array.length coefs - 1] lies inside [x]. *)
-
-val forward_in_place : re:float array -> im:float array -> unit
-(** {!execute} over a plan built for this one call.
-    @raise Invalid_argument unless both arrays have the same length
-    and it is a positive power of two. *)
-
-val forward : Complex.t array -> Complex.t array
-(** {!forward_in_place} on a copy of a boxed vector.
-    @raise Invalid_argument unless the length is a positive power of
-    two. *)
-
-val inverse : Complex.t array -> Complex.t array
-(** Inverse transform, scaled by 1/n; [inverse (forward x) ~= x].
-    Same kernel, over a plan of the opposite sign built for the call,
-    and the same length requirement. *)
-
-val bin_frequency : n:int -> fs:float -> int -> float
-(** Center frequency of bin [i] of an [n]-point transform at sampling
-    rate [fs]. *)

@@ -6,8 +6,6 @@ let of_sections = function
   | [] -> invalid_arg "Filter.of_sections: empty cascade"
   | sections -> sections
 
-let sections t = t
-
 (* RBJ-cookbook biquad low-pass for one pole pair of quality [q]. *)
 let lowpass_biquad ~fc ~fs ~q =
   let w0 = 2.0 *. Float.pi *. fc /. fs in
@@ -64,42 +62,3 @@ let process_section_in_place s x =
   done
 
 let process_in_place t x = List.iter (fun s -> process_section_in_place s x) t
-
-let process t samples =
-  let out = Array.copy samples in
-  process_in_place t out;
-  out
-
-let magnitude_response t ~fs f =
-  let w = 2.0 *. Float.pi *. f /. fs in
-  let z1 = Complex.polar 1.0 (-.w) in
-  let z2 = Complex.mul z1 z1 in
-  let section_gain s =
-    let num =
-      Complex.add
-        (Complex.add { re = s.b0; im = 0.0 } (Complex.mul { re = s.b1; im = 0.0 } z1))
-        (Complex.mul { re = s.b2; im = 0.0 } z2)
-    in
-    let den =
-      Complex.add
-        (Complex.add Complex.one (Complex.mul { re = s.a1; im = 0.0 } z1))
-        (Complex.mul { re = s.a2; im = 0.0 } z2)
-    in
-    Complex.norm num /. Complex.norm den
-  in
-  List.fold_left (fun acc s -> acc *. section_gain s) 1.0 t
-
-let cutoff_minus3db t ~fs =
-  let target = 1.0 /. Float.sqrt 2.0 in
-  let dc = magnitude_response t ~fs 1.0e-3 in
-  let level f = magnitude_response t ~fs f /. dc in
-  let nyquist = fs /. 2.0 in
-  if level (nyquist *. 0.999999) > target then raise Not_found;
-  let rec bisect lo hi iterations =
-    if iterations = 0 then (lo +. hi) /. 2.0
-    else
-      let mid = (lo +. hi) /. 2.0 in
-      if level mid > target then bisect mid hi (iterations - 1)
-      else bisect lo mid (iterations - 1)
-  in
-  bisect 1.0e-3 (nyquist *. 0.999999) 80

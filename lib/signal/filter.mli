@@ -2,16 +2,14 @@
 
     Models the analog cores' transfer behaviour (the LPF core of the
     paper's Fig. 5) in the sampled domain. The design uses the bilinear
-    transform with frequency pre-warping, so {!magnitude_response} at
+    transform with frequency pre-warping, so the magnitude response at
     the cut-off frequency is exactly -3 dB per order pair. *)
 
 type biquad = { b0 : float; b1 : float; b2 : float; a1 : float; a2 : float }
 (** Normalized (a0 = 1) second-order section. *)
 
-type t
-(** Cascade of sections. *)
-
-val sections : t -> biquad list
+type t = private biquad list
+(** Cascade of sections, in processing order. *)
 
 val butterworth_lowpass : order:int -> fc:float -> fs:float -> t
 (** Standard Butterworth low-pass.
@@ -23,14 +21,3 @@ val process_in_place : t -> float array -> unit
     the whole record (direct form II transposed, zero initial state),
     overwriting every sample with its output. Allocates nothing per
     sample. *)
-
-val process : t -> float array -> float array
-(** {!process_in_place} on a copy of the record. *)
-
-val magnitude_response : t -> fs:float -> float -> float
-(** [magnitude_response t ~fs f] is |H(e^{j2πf/fs})|. *)
-
-val cutoff_minus3db : t -> fs:float -> float
-(** Numerically locate the -3 dB frequency by bisection on
-    (0, fs/2); useful as ground truth in tests.
-    @raise Not_found if the response never crosses -3 dB. *)

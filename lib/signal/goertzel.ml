@@ -18,5 +18,3 @@ let power ~fs ~f x =
 
 let amplitude ~fs ~f x =
   2.0 *. Float.sqrt (Float.max 0.0 (power ~fs ~f x)) /. float_of_int (Array.length x)
-
-let amplitudes ~fs ~fl x = List.map (fun f -> (f, amplitude ~fs ~f x)) fl

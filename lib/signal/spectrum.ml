@@ -62,8 +62,6 @@ let bin_of_freq t f =
   let bin = int_of_float (Float.round (f *. float_of_int t.n_fft /. t.fs)) in
   min bin (Array.length t.magnitudes - 1)
 
-let freq_of_bin t i = Fft.bin_frequency ~n:t.n_fft ~fs:t.fs i
-
 let tone_amplitude t f =
   let center = bin_of_freq t f in
   let lo = max 0 (center - 2)
@@ -78,66 +76,3 @@ let tone_amplitude t f =
   !peak *. scale
 
 let tone_level_db t f = Msoc_util.Numeric.db (tone_amplitude t f)
-
-let series_db t =
-  Array.mapi
-    (fun i m ->
-      let level = if m = 0.0 then -160.0 else Msoc_util.Numeric.db m in
-      (freq_of_bin t i, level))
-    t.magnitudes
-
-let peaks t ~count =
-  let n = Array.length t.magnitudes in
-  let local_max i =
-    let m = t.magnitudes.(i) in
-    (i = 0 || t.magnitudes.(i - 1) <= m) && (i = n - 1 || t.magnitudes.(i + 1) < m)
-  in
-  let candidates =
-    List.init n Fun.id
-    |> List.filter local_max
-    |> List.sort (fun a b -> compare t.magnitudes.(b) t.magnitudes.(a))
-  in
-  let rec take acc = function
-    | [] -> List.rev acc
-    | _ when List.length acc >= count -> List.rev acc
-    | i :: rest ->
-      if List.exists (fun j -> abs (i - j) < 3 (* within 2 bins *)) acc then take acc rest
-      else take (i :: acc) rest
-  in
-  take [] candidates
-  |> List.map (fun i -> (freq_of_bin t i, tone_amplitude t (freq_of_bin t i)))
-
-let welch_psd ?(window = Window.Hann) ?(segment = 1024) ?(overlap = 0.5) ~fs x =
-  if not (Float.is_finite fs && fs > 0.0) then
-    invalid_arg "Spectrum.welch_psd: fs must be finite and positive";
-  if not (overlap >= 0.0 && overlap <= 0.9) then
-    invalid_arg "Spectrum.welch_psd: overlap outside [0, 0.9]";
-  if Array.length x < segment then
-    invalid_arg "Spectrum.welch_psd: record shorter than one segment";
-  if Fft.next_pow2 segment <> segment then
-    invalid_arg "Spectrum.welch_psd: segment must be a power of two";
-  let plan = Fft.plan segment and coefs = Window.coefficients window segment in
-  (* window power normalization: U = mean of w^2 *)
-  let u =
-    Array.fold_left (fun a w -> a +. (w *. w)) 0.0 coefs /. float_of_int segment
-  in
-  let hop = max 1 (int_of_float (float_of_int segment *. (1.0 -. overlap))) in
-  let n_segments = 1 + ((Array.length x - segment) / hop) in
-  let half = (segment / 2) + 1 in
-  let acc = Array.make half 0.0 in
-  let buffers = scratch segment in
-  for s = 0 to n_segments - 1 do
-    one_sided_magnitudes ~plan ~coefs ~offset:(s * hop) x buffers;
-    let mags = buffers.mags in
-    for k = 0 to half - 1 do
-      (* one-sided PSD: double everything but DC and Nyquist *)
-      let scale = if k = 0 || k = half - 1 then 1.0 else 2.0 in
-      acc.(k) <-
-        acc.(k)
-        +. (scale *. mags.(k) *. mags.(k)
-           /. (fs *. float_of_int segment *. u))
-    done
-  done;
-  Array.init half (fun k ->
-      ( Fft.bin_frequency ~n:segment ~fs k,
-        acc.(k) /. float_of_int n_segments ))

@@ -78,26 +78,3 @@ val tone_amplitude : t -> float -> float
 
 val tone_level_db : t -> float -> float
 (** [20 log10 (tone_amplitude t f)]. *)
-
-val series_db : t -> (float * float) array
-(** The whole one-sided spectrum as (frequency, dB) pairs — the
-    plotted series of Fig. 5. 0 magnitude maps to -160 dB. *)
-
-val peaks : t -> count:int -> (float * float) list
-(** [count] largest local maxima as (frequency, amplitude), strongest
-    first; each at least 2 bins away from a stronger one. *)
-
-val welch_psd :
-  ?window:Window.t -> ?segment:int -> ?overlap:float -> fs:float ->
-  float array -> (float * float) array
-(** Welch's averaged-periodogram power spectral density: split the
-    record into [segment]-sample windows (default 1024, power of two)
-    overlapping by [overlap] (default 0.5), window each, average the
-    periodograms (each segment through the same in-place kernel as
-    {!analyze}, over one plan and one {!scratch} built per call). Returns one-sided
-    (frequency, PSD) pairs in units²/Hz; the variance of each PSD
-    estimate shrinks with the number of averaged segments — the right
-    tool for noise floors, where a single FFT's bins fluctuate 100%.
-    @raise Invalid_argument if [fs] is not finite and positive, the
-    record is shorter than one segment, [segment] is not a power of two
-    or [overlap] is outside [0, 0.9] (NaN included for both). *)

@@ -20,19 +20,3 @@ val coherent_freq : fs:float -> n:int -> float -> float
     periods in an [n]-sample record — placing tones on-bin avoids
     spectral leakage, mirroring the coherent sampling an ATE would
     use. *)
-
-val crest_factor : float array -> float
-(** Peak magnitude over RMS; diagnostic for multi-tone phase choices.
-    @raise Invalid_argument on empty or all-zero input. *)
-
-val newman_phases : int -> float list
-(** Newman's low-crest-factor phase schedule for [n] equal-amplitude
-    tones: φ_k = π(k−1)²/n. Keeps the multi-tone crest factor near
-    sqrt(2) instead of growing like sqrt(2n) for zero phases — the
-    standard trick for fitting many test tones inside a converter's
-    input range. @raise Invalid_argument if [n < 1]. *)
-
-val multitone :
-  ?amplitude:float -> fs:float -> n:int -> float list -> float array
-(** [multitone ~fs ~n freqs]: equal-amplitude multi-tone with Newman
-    phases (amplitude per tone defaults to 1). *)

@@ -107,26 +107,3 @@ let optimize ?(max_buses = 6) ~width jobs =
     List.fold_left
       (fun best t -> if makespan t < makespan best then t else best)
       t rest
-
-let to_schedule t =
-  let total_width = Array.fold_left ( + ) 0 t.bus_widths in
-  let placements = ref [] in
-  let offset = ref 0 in
-  Array.iteri
-    (fun b bus_width ->
-      let clock = ref 0 in
-      List.iter
-        (fun job ->
-          let w = Pareto.width_for job.Job.staircase ~width:bus_width in
-          let time = Pareto.time_at job.Job.staircase ~width:bus_width in
-          let wires = List.init w (fun i -> !offset + i) in
-          placements :=
-            { Schedule.job; start = !clock; width = w; time; wires } :: !placements;
-          clock := !clock + time)
-        t.bus_jobs.(b);
-      offset := !offset + bus_width)
-    t.bus_widths;
-  let placements =
-    List.sort (fun a b -> compare a.Schedule.start b.Schedule.start) !placements
-  in
-  { Schedule.total_width; power_budget = None; placements }

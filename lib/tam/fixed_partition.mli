@@ -20,21 +20,12 @@ exception Infeasible of string
 val makespan : t -> int
 (** Longest bus: max over buses of Σ job time at the bus width. *)
 
-val design : width:int -> buses:int -> Job.t list -> t
-(** Split [width] evenly into [buses] buses (bus 0 takes the
-    remainder, and is widened to the largest job minimum width when
-    necessary), then assign longest-first, each unit to the currently
-    shortest bus that is wide enough. Jobs sharing an exclusion group
-    are kept on one bus (they serialize anyway; splitting them across
-    buses would idle both).
-    @raise Infeasible when some job fits on no bus.
-    @raise Invalid_argument unless [1 <= buses <= width]. *)
-
 val optimize : ?max_buses:int -> width:int -> Job.t list -> t
-(** Best {!design} over 1..[max_buses] buses (default 6, clamped to
-    [width]). *)
-
-val to_schedule : t -> Schedule.t
-(** Materialize as a flexible-schedule value (buses mapped to disjoint
-    wire ranges) so that {!Schedule.check} can validate it and reports
-    can render it. *)
+(** The best design over 1..[max_buses] buses (default 6, clamped to
+    [width]): each design splits [width] evenly into its buses (bus 0
+    takes the remainder, and is widened to the largest job minimum
+    width when necessary), then assigns longest-first, each unit to the
+    currently shortest bus that is wide enough. Jobs sharing an
+    exclusion group are kept on one bus (they serialize anyway;
+    splitting them across buses would idle both).
+    @raise Infeasible when no bus count fits every job. *)

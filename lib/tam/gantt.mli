@@ -9,6 +9,3 @@ val render : ?columns:int -> Schedule.t -> string
     columns (default 72). Wires are rows ("w00".."wNN"); each job is
     one repeated letter (a legend below maps letters to labels; jobs
     beyond 52 reuse letters). Empty schedules render as a note. *)
-
-val legend : Schedule.t -> (char * string) list
-(** Letter-to-label mapping used by {!render}, in placement order. *)

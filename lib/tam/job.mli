@@ -27,12 +27,6 @@ type t = {
   conflicts : string list;
 }
 
-val digital : label:string -> Msoc_wrapper.Pareto.t -> t
-(** No exclusion group, zero power, no predecessors.
-    @raise Invalid_argument if any staircase point has a non-positive
-    width or time — a zero-cycle rectangle would degenerate to an
-    empty busy interval and schedule on top of busy wires. *)
-
 val analog : label:string -> width:int -> time:int -> group:int -> t
 (** Fixed-shape rectangle (analog test time does not scale with TAM
     wires) bound to exclusion group [group].

@@ -12,8 +12,8 @@
     - each job starting only after its {!Job.t.predecessors} finish.
 
     Heuristic: a portfolio of priority orders (group-aware longest
-    first, largest area first, widest first), each passed through
-    {!respect_precedences} and packed greedily; the smallest makespan
+    first, largest area first, widest first), each reordered so that
+    predecessors come first and packed greedily; the smallest makespan
     wins, ties to the earlier order ({!pack_with_orders}). Each job takes
     the staircase point with the earliest finish over its candidate
     starts (ties to fewer wires), on the free wires with the least idle
@@ -68,15 +68,6 @@ module Intervals : sig
       touching. *)
 end
 
-val respect_precedences : Job.t list -> Job.t list
-(** Stable topological reorder: predecessors before dependents, the
-    priority order otherwise preserved (at every step the ready job
-    earliest in the input order is emitted — Kahn with a min-index
-    ready set, O(n + e)). When no job names a predecessor, the input
-    itself, after the duplicate-label check.
-    @raise Infeasible on duplicate labels, precedence cycles or
-    unknown predecessor labels. *)
-
 val group_urgency : Job.t list -> Job.t -> int
 (** Priority key used by the default heuristic: a job bound to an
     exclusion group inherits the group's total serial minimum time
@@ -98,7 +89,8 @@ val pack_with_orders :
   Schedule.t
 (** Generic entry point behind every packer variant: validate the
     strip and the jobs, then pack each priority order [orders jobs]
-    (after {!respect_precedences}) on an empty strip and keep the
+    (predecessors moved ahead of their dependents, the order kept
+    otherwise) on an empty strip and keep the
     first schedule with the strictly smallest makespan. Each order is
     packed against a bound, the makespan of the best complete order so
     far, and stops once its running makespan reaches it. The stop is
@@ -114,12 +106,6 @@ val pack : ?power_budget:int -> width:int -> Job.t list -> Schedule.t
     returns [[]]).
     @raise Infeasible as described above.
     @raise Invalid_argument if [width <= 0] or [power_budget <= 0]. *)
-
-val promotion_order : front:string list -> Job.t list -> Job.t list
-(** The priority order {!pack_optimized} repacks with: jobs whose
-    labels appear in [front] first — [front] is newest-promotion-first
-    and the newest promoted label leads the order — then the remaining
-    jobs by the default urgency rule. Exposed for tests. *)
 
 val pack_optimized :
   ?power_budget:int -> ?rounds:int -> width:int -> Job.t list -> Schedule.t

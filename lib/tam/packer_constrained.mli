@@ -6,7 +6,3 @@
     in {!Packer_registry}. *)
 
 include Packer_intf.S
-
-val constraint_degree : Job.t list -> Job.t -> int
-(** Number of placement-exclusion relations the job participates in
-    within this job set. Exposed for tests. *)

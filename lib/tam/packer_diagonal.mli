@@ -5,7 +5,3 @@
     Registered as ["diagonal"] in {!Packer_registry}. *)
 
 include Packer_intf.S
-
-val diagonal : Job.t -> float
-(** Diagonal length of the job's minimum-area Pareto point (0 for a
-    degenerate empty staircase). Exposed for tests. *)

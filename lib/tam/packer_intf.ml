@@ -15,8 +15,8 @@ module type S = sig
   val orders : Job.t list -> Job.t list list
   (** Candidate priority orders, each a permutation of the input.
       Precedences are {e not} yet applied — {!Packer.pack_with_orders}
-      runs {!Packer.respect_precedences} on every order. Must return
-      at least one order. *)
+      moves predecessors ahead of their dependents in every order.
+      Must return at least one order. *)
 
   val pack : ?power_budget:int -> width:int -> Job.t list -> Schedule.t
   (** Pack under this heuristic; semantics and error behavior of

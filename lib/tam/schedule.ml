@@ -262,16 +262,3 @@ let pp_violation ppf = function
     Format.fprintf ppf "conflicting jobs %s and %s overlap" first second
   | Power_exceeded { at; total; budget } ->
     Format.fprintf ppf "power %d exceeds budget %d at cycle %d" total budget at
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>TAM width %d, makespan %d, efficiency %.1f%%"
-    t.total_width (makespan t) (100.0 *. efficiency t);
-  (match t.power_budget with
-  | Some b -> Format.fprintf ppf ", power %d/%d" (peak_power t) b
-  | None -> ());
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "@,  [%8d, %8d) w=%-3d %s" p.start (finish p) p.width
-        p.job.Job.label)
-    t.placements;
-  Format.fprintf ppf "@]"

@@ -28,9 +28,6 @@ val finish : placement -> int
 val makespan : t -> int
 (** 0 for an empty schedule. *)
 
-val wire_busy_cycles : t -> int
-(** Σ width·time over placements — occupied wire-cycles. *)
-
 val efficiency : t -> float
 (** [wire_busy_cycles / (total_width * makespan)], in (0, 1]. *)
 
@@ -92,6 +89,3 @@ val check : ?expected:Job.t list -> t -> violation list
 val pp_violation : Format.formatter -> violation -> unit
 (** The one message renderer, for the registry's certificate and for
     [Msoc_check]'s diagnostics. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable Gantt-style listing. *)

@@ -18,8 +18,6 @@ let create ?(base_ms = 25.0) ?(cap_ms = 2_000.0) ~seed () =
   if cap_ms < base_ms then invalid_arg "Backoff.create: cap_ms must be >= base_ms";
   { base_ms; cap_ms; rng = Rng.create ~seed; attempt = 0 }
 
-let attempt t = t.attempt
-
 let reset t = t.attempt <- 0
 
 (* The uncapped envelope grows 2x per attempt; past the cap the draw

@@ -17,9 +17,6 @@ val create : ?base_ms:float -> ?cap_ms:float -> seed:int -> unit -> t
 val next_delay_ms : t -> float
 (** Draw the next delay and advance the attempt counter. *)
 
-val attempt : t -> int
-(** Attempts drawn since creation or the last {!reset}. *)
-
 val reset : t -> unit
 (** Back to attempt 0 — call after a successful recovery so the next
     failure starts fast again. *)

@@ -3,7 +3,6 @@ type 'a t = {
   queue : 'a Queue.t;
   lock : Mutex.t;
   not_empty : Condition.t;
-  not_full : Condition.t;
   mutable closed : bool;
 }
 
@@ -14,7 +13,6 @@ let create ~capacity =
     queue = Queue.create ();
     lock = Mutex.create ();
     not_empty = Condition.create ();
-    not_full = Condition.create ();
     closed = false;
   }
 
@@ -24,29 +22,9 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let length t = with_lock t (fun () -> Queue.length t.queue)
-
 let try_push t x =
   with_lock t (fun () ->
       if t.closed || Queue.length t.queue >= t.capacity then false
-      else begin
-        Queue.add x t.queue;
-        Condition.signal t.not_empty;
-        true
-      end)
-
-(* Blocking admission. The close contract: a producer blocked here is
-   woken by [close] and returns [false] with its element NOT enqueued
-   — the element is never silently dropped into a closed queue, and
-   the caller knows to shed it. A [true] return means the element was
-   enqueued before the close and will be observed by the drain ([pop]
-   keeps returning queued elements after close). *)
-let push t x =
-  with_lock t (fun () ->
-      while (not t.closed) && Queue.length t.queue >= t.capacity do
-        Condition.wait t.not_full t.lock
-      done;
-      if t.closed then false
       else begin
         Queue.add x t.queue;
         Condition.signal t.not_empty;
@@ -58,20 +36,13 @@ let pop t =
       while Queue.is_empty t.queue && not t.closed do
         Condition.wait t.not_empty t.lock
       done;
-      match Queue.take_opt t.queue with
-      | Some _ as taken ->
-        (* a slot opened; wake one blocked producer *)
-        Condition.signal t.not_full;
-        taken
-      | None -> None)
+      Queue.take_opt t.queue)
 
 let close t =
   with_lock t (fun () ->
       t.closed <- true;
-      (* wake every blocked consumer AND producer so each can observe
-         the close: consumers drain and exit on None, producers return
-         false without enqueueing *)
-      Condition.broadcast t.not_empty;
-      Condition.broadcast t.not_full)
+      (* wake every blocked consumer so each can observe the close:
+         consumers drain and exit on None *)
+      Condition.broadcast t.not_empty)
 
 let is_closed t = with_lock t (fun () -> t.closed)

@@ -1,26 +1,20 @@
 (** Thread-safe bounded FIFO queue — the admission valve between a
     server's connection readers and its single dispatch thread.
 
-    Two producer disciplines:
-    {ul
-    {- {!try_push} never blocks: it either admits the element or
-       reports the queue full, so a transport can shed load with a
-       structured rejection instead of queueing unboundedly.}
-    {- {!push} blocks while the queue is full and open — the
-       discipline for in-process pipelines that prefer backpressure
-       over shedding.}}
+    The producer never blocks: {!try_push} either admits the element
+    or reports the queue full, so a transport can shed load with a
+    structured rejection instead of queueing unboundedly.
 
     The consumer blocks in {!pop} until an element arrives or the
     queue is closed and drained, which is exactly a graceful shutdown:
     close, keep popping, exit on [None].
 
     Close semantics (load-bearing, stress-tested): {!close} wakes
-    every blocked producer and consumer. A producer blocked in {!push}
-    returns [false] with its element {e not} enqueued; any push that
-    returned [true] — before or during the close — left its element in
-    the queue, where the post-close drain will observe it. So elements
-    are never lost (accepted implies popped) and never fabricated
-    (rejected implies absent), with no deadlock in either direction. *)
+    every blocked consumer. A {!try_push} that returned [true] — before or
+    during the close — left its element in the queue, where the
+    post-close drain will observe it; one that returned [false]
+    left nothing. So elements are never lost (accepted implies popped)
+    and never fabricated (rejected implies absent). *)
 
 type 'a t
 
@@ -29,18 +23,9 @@ val create : capacity:int -> 'a t
 
 val capacity : 'a t -> int
 
-val length : 'a t -> int
-(** Elements currently queued (racy by nature; exact while no other
-    thread pushes or pops). *)
-
 val try_push : 'a t -> 'a -> bool
 (** Admit the element; [false] when the queue holds [capacity]
     elements (backpressure) or has been {!close}d. Never blocks. *)
-
-val push : 'a t -> 'a -> bool
-(** Admit the element, blocking while the queue is full and open.
-    [false] — element not enqueued — once the queue is {!close}d,
-    including when the close lands while blocked. *)
 
 val pop : 'a t -> 'a option
 (** Next element in FIFO order, blocking while the queue is empty and
@@ -49,6 +34,6 @@ val pop : 'a t -> 'a option
 
 val close : 'a t -> unit
 (** Reject all further pushes; queued elements remain poppable.
-    Wakes every blocked producer and consumer. Idempotent. *)
+    Wakes every blocked consumer. Idempotent. *)
 
 val is_closed : 'a t -> bool

@@ -1,24 +1,8 @@
 (* Set partitions by the standard recursive construction: insert the
    head element either into each existing block of a partition of the
-   tail, or as a singleton block in front. *)
-let rec set_partitions = function
-  | [] -> [ [] ]
-  | x :: rest ->
-    let tails = set_partitions rest in
-    let insert_into_each partition =
-      let rec go before = function
-        | [] -> []
-        | block :: after ->
-          let with_x = List.rev_append before ((x :: block) :: after) in
-          with_x :: go (block :: before) after
-      in
-      ([ x ] :: partition) :: go [] partition
-    in
-    List.concat_map insert_into_each tails
-
-(* Lazy variant of the same construction, in the same order, so that
-   consumers can dedup/filter/stop without first materializing all
-   Bell(n) partitions. *)
+   tail, or as a singleton block in front. Lazy, so that consumers can
+   dedup/filter/stop without first materializing all Bell(n)
+   partitions. *)
 let rec set_partitions_seq = function
   | [] -> Seq.return []
   | x :: rest ->
@@ -37,53 +21,6 @@ let rec set_partitions_seq = function
         Seq.cons ([ x ] :: partition) insertions)
       (set_partitions_seq rest)
 
-(* Restricted-growth strings: a.(0) = 0 and a.(i) <= 1 + max a.(0..i-1).
-   Each string encodes one set partition (a.(i) = block of element i),
-   every partition exactly once. Enumerated in lexicographic order. *)
-let restricted_growth_seq n =
-  if n < 0 then invalid_arg "Combinat.restricted_growth_seq";
-  if n = 0 then Seq.return [||]
-  else
-    (* [maxes.(i)] = max a.(0..i), maintained alongside the string so
-       the successor step is O(n) worst case, O(1) amortized. *)
-    let rec next a maxes () =
-      let a = Array.copy a in
-      (* find the rightmost position that can still be incremented *)
-      let rec bump i =
-        if i = 0 then None
-        else if a.(i) <= maxes.(i - 1) then begin
-          a.(i) <- a.(i) + 1;
-          let maxes = Array.copy maxes in
-          maxes.(i) <- max a.(i) maxes.(i - 1);
-          for j = i + 1 to n - 1 do
-            a.(j) <- 0;
-            maxes.(j) <- maxes.(i)
-          done;
-          Some (a, maxes)
-        end
-        else bump (i - 1)
-      in
-      match bump (n - 1) with
-      | None -> Seq.Nil
-      | Some (a, maxes) -> Seq.Cons (Array.copy a, next a maxes)
-    in
-    let a = Array.make n 0 in
-    let maxes = Array.make n 0 in
-    Seq.cons (Array.copy a) (next a maxes)
-
-let groups_of_rgs items rgs =
-  let n = Array.length rgs in
-  if Array.length items <> n then
-    invalid_arg "Combinat.groups_of_rgs: length mismatch";
-  let n_blocks =
-    Array.fold_left (fun acc b -> max acc (b + 1)) 0 rgs
-  in
-  let blocks = Array.make (max 1 n_blocks) [] in
-  for i = n - 1 downto 0 do
-    blocks.(rgs.(i)) <- items.(i) :: blocks.(rgs.(i))
-  done;
-  Array.to_list (Array.sub blocks 0 n_blocks)
-
 let bell_number n =
   if n < 0 then invalid_arg "Combinat.bell_number";
   (* Bell triangle. *)
@@ -98,12 +35,6 @@ let bell_number n =
     row := next
   done;
   !row.(0)
-
-let rec subsets = function
-  | [] -> [ [] ]
-  | x :: rest ->
-    let tails = subsets rest in
-    List.map (fun s -> x :: s) tails @ tails
 
 let rec pairs = function
   | [] -> []

@@ -6,38 +6,14 @@
     the paper's 26 figure counts unique partitions with cores B ≡ A
     merged; we enumerate true set partitions and let callers dedup). *)
 
-val set_partitions : 'a list -> 'a list list list
-(** [set_partitions xs] is the list of all partitions of [xs] into
-    non-empty blocks. Blocks preserve the relative order of [xs];
-    the partition list is in a deterministic order. Length is the Bell
-    number B(n); callers should keep n small (n <= 12 is instant). *)
-
 val set_partitions_seq : 'a list -> 'a list list Seq.t
-(** Lazy {!set_partitions}: the same partitions in the same order,
-    produced on demand, so callers can dedup, filter or stop early
-    without materializing the Bell(n)-sized list first. *)
-
-val restricted_growth_seq : int -> int array Seq.t
-(** All restricted-growth strings of length [n] — arrays [a] with
-    [a.(0) = 0] and [a.(i) <= 1 + max a.(0..i-1)] — in lexicographic
-    order. Each string encodes one set partition of [n] ordered
-    elements ([a.(i)] is element [i]'s block index), every partition
-    exactly once; there are Bell(n) of them. [n = 0] yields one empty
-    string. @raise Invalid_argument on negative [n]. *)
-
-val groups_of_rgs : 'a array -> int array -> 'a list list
-(** [groups_of_rgs items rgs] materializes the partition a
-    restricted-growth string encodes: block [b] collects, in order,
-    the [items.(i)] with [rgs.(i) = b]. Blocks come out in
-    first-occurrence order, which for a restricted-growth string is
-    block-index order. @raise Invalid_argument on length mismatch. *)
+(** Every set partition of the list, each once, produced on demand,
+    so callers can dedup, filter or stop early without materializing
+    the Bell(n)-sized list first. *)
 
 val bell_number : int -> int
 (** [bell_number n] is the number of set partitions of an n-element
     set. Exact for [n <= 24] (fits in 63-bit int). *)
-
-val subsets : 'a list -> 'a list list
-(** All 2^n subsets, in a deterministic order. *)
 
 val pairs : 'a list -> ('a * 'a) list
 (** All unordered pairs of distinct elements, order-preserving. *)

@@ -16,9 +16,6 @@ val percent_of_or : default:float -> float -> float -> float
     normalized to a reference makespan of 0 jobs). Never NaN as long
     as [part] and [default] are not. *)
 
-val clamp : lo:float -> hi:float -> float -> float
-(** Clamp into [\[lo, hi\]]. *)
-
 val clamp_int : lo:int -> hi:int -> int -> int
 (** Clamp into [\[lo, hi\]] with [Int.min]/[Int.max]: an integer compare,
     not the polymorphic one (every converter sample goes through it). *)
@@ -26,22 +23,11 @@ val clamp_int : lo:int -> hi:int -> int -> int
 val ceil_div : int -> int -> int
 (** [ceil_div a b] is ⌈a/b⌉ for positive [b]. *)
 
-val mean : float list -> float
-(** Arithmetic mean. @raise Invalid_argument on the empty list. *)
-
 val db : float -> float
 (** [db x] is [20 log10 x] — amplitude ratio in decibels. [db 0.] is
     [neg_infinity]. *)
-
-val from_db : float -> float
-(** Inverse of {!db}. *)
 
 val sum_int : int list -> int
 
 val max_int_list : int list -> int
 (** @raise Invalid_argument on the empty list. *)
-
-val interp_linear : x0:float -> y0:float -> x1:float -> y1:float -> float -> float
-(** [interp_linear ~x0 ~y0 ~x1 ~y1 x] linearly interpolates (or
-    extrapolates) the line through (x0,y0) and (x1,y1) at [x].
-    @raise Invalid_argument if [x0 = x1]. *)

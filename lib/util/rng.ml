@@ -5,8 +5,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* The stream's three steps, each written once. Inlined so a loop over
@@ -39,14 +37,6 @@ let int_in t ~lo ~hi =
   lo + int t ~bound:(hi - lo + 1)
 
 let float t ~bound = to_float (bits64 t) ~bound
-
-let fill_float t ~bound dst =
-  let state = ref t.state in
-  for i = 0 to Array.length dst - 1 do
-    state := advance !state;
-    dst.(i) <- to_float (mix !state) ~bound
-  done;
-  t.state <- !state
 
 (* Box–Muller from two uniforms in [0, 1). *)
 let[@inline] box_muller u1 u2 =

@@ -12,13 +12,6 @@ val create : seed:int -> t
 (** [create ~seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator whose future stream equals
-    [t]'s future stream. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> bound:int -> int
 (** [int t ~bound] is uniform in [\[0, bound)]. @raise Invalid_argument
     if [bound <= 0]. *)
@@ -30,13 +23,6 @@ val int_in : t -> lo:int -> hi:int -> int
 val float : t -> bound:float -> float
 (** [float t ~bound] is uniform in [\[0, bound)]. *)
 
-val fill_float : t -> bound:float -> float array -> unit
-(** [fill_float t ~bound dst] overwrites [dst.(i)], in index order,
-    with the value the [i]-th of [Array.length dst] calls of
-    [float t ~bound] would return, and leaves [t] where those calls
-    would. The generator state stays in a local for the loop, so
-    nothing is boxed per value. *)
-
 val gaussian : t -> float
 (** One standard-normal value by Box–Muller from two [float t
     ~bound:1.0] draws (the first clamped to at least 1e-12 before its
@@ -46,7 +32,7 @@ val fill_gaussian : t -> float array -> unit
 (** [fill_gaussian t dst] writes the values [Array.length dst] calls of
     {!gaussian} would return, bit for bit, and leaves [t] where those
     calls would. Each value's two uniforms are drawn inline, with the
-    generator state in a local as in {!fill_float}, so nothing is
+    generator state in a local, so nothing is
     allocated. *)
 
 val float_in : t -> lo:float -> hi:float -> float

@@ -16,15 +16,7 @@ type t = {
   scan_out : int;
 }
 
-let chain_scan_in c =
-  Msoc_util.Numeric.sum_int c.scan + c.input_cells + c.bidir_cells
-
-let chain_scan_out c =
-  Msoc_util.Numeric.sum_int c.scan + c.output_cells + c.bidir_cells
-
 let time ~patterns si so = ((1 + Int.max si so) * patterns) + Int.min si so
-
-let test_time t = time ~patterns:t.core.Types.patterns t.scan_in t.scan_out
 
 (* --- the kernel --- *)
 
@@ -235,5 +227,3 @@ let design core ~width =
         })
   in
   { core; width; used_width = kn.used; chains; scan_in = kn.si; scan_out = kn.so }
-
-let test_time_at core ~width = test_time (design core ~width)

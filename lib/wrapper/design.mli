@@ -32,19 +32,11 @@ type t = {
 }
 
 val design : Msoc_itc02.Types.core -> width:int -> t
-(** @raise Invalid_argument if [width <= 0] or a scan-chain length is
+(** The whole design {!run} computes at [width]: each wrapper chain's
+    scan chains, longest first, and its input, output and bidir cells.
+    Its test time is [run]'s.
+    @raise Invalid_argument if [width <= 0] or a scan-chain length is
     negative. *)
-
-val test_time : t -> int
-(** Test application time in TAM clock cycles. *)
-
-val chain_scan_in : chain -> int
-(** Scan-in depth of one chain: scan cells + input cells + bidirs. *)
-
-val chain_scan_out : chain -> int
-
-val test_time_at : Msoc_itc02.Types.core -> width:int -> int
-(** [test_time_at core ~width] = [test_time (design core ~width)]. *)
 
 (** {1 The kernel} *)
 

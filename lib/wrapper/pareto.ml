@@ -54,21 +54,11 @@ let time_at t ~width =
   | Some p -> p.time
   | None -> invalid_arg "Pareto.time_at: width below minimum"
 
-let width_for t ~width =
-  match best_at t ~width ~acc:None with
-  | Some p -> p.width
-  | None -> invalid_arg "Pareto.width_for: width below minimum"
-
 (* A staircase is non-empty by construction, so the [] cases cannot
    fire. *)
 let min_width = function
   | [] -> invalid_arg "Pareto.min_width: empty staircase"
   | p :: _ -> p.width
-
-let rec max_width = function
-  | [] -> invalid_arg "Pareto.max_width: empty staircase"
-  | [ p ] -> p.width
-  | _ :: rest -> max_width rest
 
 let rec min_time = function
   | [] -> invalid_arg "Pareto.min_time: empty staircase"

@@ -34,13 +34,7 @@ val time_at : t -> width:int -> int
 (** Test time using at most [width] wires.
     @raise Invalid_argument if [width] is below the minimum width. *)
 
-val width_for : t -> width:int -> int
-(** The widest Pareto width <= [width] — the wires the core actually
-    consumes when granted [width]. @raise Invalid_argument as above. *)
-
 val min_width : t -> int
-
-val max_width : t -> int
 
 val min_time : t -> int
 (** Time at the widest point. *)

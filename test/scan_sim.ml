@@ -11,7 +11,8 @@
    every pattern a capture followed by max(si, so) overlapped shifts,
    ending with the drain of the last response; its length is the
    simulated test time. [simulated_cycles] counts it without building
-   the trace, and [formula_cycles] is Design.test_time. *)
+   the trace, and [formula_cycles] is the test time [Design.run] returns
+   for the design's core and width. *)
 
 module Design = Msoc_wrapper.Design
 
@@ -44,7 +45,8 @@ let simulated_cycles d =
   let rec total k acc = if k > p then acc else total (k + 1) (acc + 1 + per_pattern k) in
   total 1 prologue
 
-let formula_cycles = Design.test_time
+let formula_cycles (d : Design.t) =
+  Design.run (Design.kernel d.Design.core ~max_width:d.Design.width) ~width:d.Design.width
 
 (* Human-readable recap: si/so, pattern count, simulated vs formula
    cycles. *)

@@ -137,7 +137,7 @@ let test_sharing_signatures () =
   let c = combo [ [ "A"; "B"; "E" ]; [ "C"; "D" ] ] in
   Alcotest.(check (list int)) "signature 3+2" [ 3; 2 ] (Sharing.degree_signature c);
   checki "2 wrappers" 2 (Sharing.wrappers c);
-  checki "2 shared groups" 2 (List.length (Sharing.shared_groups c))
+  Alcotest.(check string) "2 shared groups" "{A,B,E}{C,D}" (Sharing.short_name c)
 
 let test_sharing_paper_set_shape () =
   let combos = Sharing.paper_combinations Catalog.all in

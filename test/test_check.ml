@@ -51,22 +51,18 @@ let test_codes_registry () =
         && String.sub code 0 5 = "MSOC-"
         && (code.[5] = 'E' || code.[5] = 'W' || code.[5] = 'S')))
     all;
-  checkb "describe finds E101" true (Codes.describe Codes.e101 <> None);
-  checkb "describe rejects unknown" true (Codes.describe "MSOC-E999" = None)
+  checkb "registry holds E101" true (List.mem Codes.e101 all);
+  checkb "diag takes the registered severity" true
+    ((Codes.diag Codes.w101 "w").Diagnostic.severity = Diagnostic.Warning);
+  checkb "unknown code is an error" true
+    ((Codes.diag "MSOC-E999" "e").Diagnostic.severity = Diagnostic.Error)
 
 let test_severity_and_filters () =
   let e = Diagnostic.make ~code:Codes.e101 ~severity:Diagnostic.Error "e" in
   let w = Diagnostic.make ~code:Codes.w101 ~severity:Diagnostic.Warning "w" in
   let i = Diagnostic.make ~code:Codes.w101 ~severity:Diagnostic.Info "i" in
-  checkb "severity order" true
-    (Diagnostic.compare_severity Diagnostic.Info Diagnostic.Warning < 0
-    && Diagnostic.compare_severity Diagnostic.Warning Diagnostic.Error < 0);
   checki "errors filter" 1 (List.length (Diagnostic.errors [ e; w; i ]));
-  checki "warnings filter" 1 (List.length (Diagnostic.warnings [ e; w; i ]));
   checkb "has_errors" true (Diagnostic.has_errors [ w; e ]);
-  checkb "max severity" true
-    (Diagnostic.max_severity [ i; w ] = Some Diagnostic.Warning);
-  checkb "empty max severity" true (Diagnostic.max_severity [] = None);
   checki "exit clean" 0 (Diagnostic.exit_code [ w; i ]);
   checki "exit dirty" 1 (Diagnostic.exit_code [ w; e ]);
   (* sort puts errors first, stable within severity *)
@@ -108,11 +104,12 @@ let test_rendering () =
 
 let test_lint_clean_roundtrip () =
   let text = Soc_file.to_string (Synthetic.p93791s ()) in
-  let ds = Lint.string ~file:"p93791s.soc" text in
+  let ds = Fixtures.lint_text text in
   assert_clean ~ctx:"p93791s" ds;
-  checki "no warnings either" 0 (List.length (Diagnostic.warnings ds))
+  checki "no warnings either" 0
+    (List.length (List.filter (fun d -> d.Diagnostic.severity = Diagnostic.Warning) ds))
 
-let lint_lines lines = Lint.string (String.concat "\n" lines)
+let lint_lines lines = Fixtures.lint_text (String.concat "\n" lines)
 
 let find_line code ds =
   List.find_map
@@ -193,7 +190,7 @@ let test_lint_mutated_benchmark_file () =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  assert_clean ~ctx:"pristine benchmark" (Lint.file path);
+  assert_clean ~ctx:"pristine benchmark" (fst (Lint.load path));
   let text = if String.ends_with ~suffix:"\n" text then text else text ^ "\n" in
   let lines = String.split_on_char '\n' text in
   let module_line =
@@ -212,7 +209,7 @@ let test_lint_mutated_benchmark_file () =
   in
   let mutated = text ^ duplicate ^ "\n" in
   let appended_line = List.length (String.split_on_char '\n' text) in
-  let ds = Lint.string ~file:path mutated in
+  let ds = Fixtures.lint_text mutated in
   assert_code ~ctx:"duplicate id in benchmark" Codes.e301 ds;
   checkb "no duplicate-name finding" false (List.mem Codes.e308 (codes ds));
   checkb
@@ -222,7 +219,7 @@ let test_lint_mutated_benchmark_file () =
 
 let test_lint_error_free_implies_loadable () =
   let good = Soc_file.to_string (Synthetic.d281s ()) in
-  assert_clean ~ctx:"d281s lints clean" (Lint.string good);
+  assert_clean ~ctx:"d281s lints clean" (Fixtures.lint_text good);
   match Soc_file.of_string good with
   | soc -> checkb "loads" true (soc.Msoc_itc02.Types.cores <> [])
   | exception _ -> Alcotest.fail "lint-clean file failed to load"
@@ -276,7 +273,7 @@ let test_full_plans_verify_clean () =
   List.iter
     (fun search ->
       let plan =
-        Plan.run ~search (Msoc_testplan.Instances.d281m ~tam_width:16 ())
+        Plan.run ~search (Fixtures.d281m ~tam_width:16 ())
       in
       assert_clean ~ctx:"d281m plan" (Verify.plan plan))
     [ Plan.Exhaustive_search; Plan.Heuristic { delta = 0.0 } ]
@@ -284,7 +281,7 @@ let test_full_plans_verify_clean () =
 (* --- mutation tests: the checker must reject corrupted data --- *)
 
 let d281_best () =
-  let problem = Msoc_testplan.Instances.d281m ~tam_width:16 () in
+  let problem = Fixtures.d281m ~tam_width:16 () in
   let prepared = Evaluate.prepare problem in
   let full = Sharing.full_sharing problem.Problem.analog_cores in
   (problem, Evaluate.reference_makespan prepared, Evaluate.evaluate prepared full)

@@ -164,11 +164,11 @@ module Reference = struct
   end
 
   (* Per-sample DF2T biquad cascade with persistent section state: the
-     same recurrence Filter.process runs section by section over the
-     whole array, reassociated per sample. *)
-  let stream_filter filter =
+     same recurrence Filter.process_in_place runs section by section
+     over the whole array, reassociated per sample. *)
+  let stream_filter (filter : Filter.t) =
     let sections =
-      List.map (fun s -> (s, ref 0.0, ref 0.0)) (Filter.sections filter)
+      List.map (fun s -> (s, ref 0.0, ref 0.0)) (filter :> Filter.biquad list)
     in
     fun x ->
       List.fold_left
@@ -179,7 +179,7 @@ module Reference = struct
           y)
         x sections
 
-  (* Mirrors Analog_models.slew_limited: state starts at the first
+  (* Mirrors Analog_models.slew_limited_in_place: state starts at the first
      sample, so the first output equals the first input. *)
   let stream_slew ~max_slew_v_per_s ~fs =
     if max_slew_v_per_s <= 0.0 then
@@ -188,12 +188,12 @@ module Reference = struct
     let state = ref None in
     fun target ->
       let prev = match !state with Some s -> s | None -> target in
-      let delta = Msoc_util.Numeric.clamp ~lo:(-.step) ~hi:step (target -. prev) in
+      let delta = Fixtures.clamp ~lo:(-.step) ~hi:step (target -. prev) in
       let y = prev +. delta in
       state := Some y;
       y
 
-  (* Mirrors Analog_models.additive_noise's Box-Muller draw order: one
+  (* Mirrors Analog_models.additive_noise_in_place's Box-Muller draw order: one
      (u1, u2) pair per sample from a single stream. *)
   let stream_noise ~sigma ~seed =
     let rng = Rng.create ~seed in
@@ -542,7 +542,7 @@ let test_all_specs_pass_default () =
            r.Testbench.tolerance_pct)
         true r.Testbench.pass;
       checkb "default tolerance applied" true
-        (r.Testbench.tolerance_pct = Testbench.default_tolerance_pct spec);
+        (r.Testbench.tolerance_pct = Fixtures.default_tolerance_pct spec);
       (* the spec's DUT runs at the config's rate and bias *)
       let dut = Testbench.dut_for Testbench.default spec in
       checkb "dut at config rate" true
@@ -754,12 +754,6 @@ let test_golden () =
 (* --- variation sampler --- *)
 
 let test_variation_deterministic () =
-  checkb "trial_seed pure" true
-    (Variation.trial_seed ~master:7 ~trial:3
-    = Variation.trial_seed ~master:7 ~trial:3);
-  checkb "trial_seed spreads" true
-    (Variation.trial_seed ~master:7 ~trial:3
-    <> Variation.trial_seed ~master:7 ~trial:4);
   let a = Variation.sample ~master:7 ~trial:3 () in
   let b = Variation.sample ~master:7 ~trial:3 () in
   checkb "same (master, trial) same draw" true (a = b);
@@ -769,7 +763,8 @@ let test_variation_deterministic () =
   checkb "different master differs" true (a <> d)
 
 let test_variation_in_ranges () =
-  let r = Variation.default_ranges in
+  (* the documented default corners *)
+  let r = Fixtures.variation_ranges () in
   for trial = 1 to 50 do
     let v = Variation.sample ~master:99 ~trial () in
     checkb "bits from choices" true
@@ -782,31 +777,6 @@ let test_variation_in_ranges () =
     checkb "seeds positive" true
       (v.Variation.converter_seed > 0 && v.Variation.noise_seed > 0)
   done
-
-let test_variation_ranges_validation () =
-  (match Variation.ranges ~bits_choices:[] () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty bits accepted");
-  (match Variation.ranges ~bits_choices:[ 7 ] () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "odd bits accepted");
-  (match Variation.ranges ~dac_mismatch_sigma_max:(-0.1) () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative bound accepted");
-  let nan = Float.nan in
-  List.iter
-    (fun (name, ranges) ->
-      match ranges () with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "NaN %s accepted" name)
-    [
-      ("dac_mismatch_sigma_max", fun () -> Variation.ranges ~dac_mismatch_sigma_max:nan ());
-      ( "adc_threshold_sigma_lsb_max",
-        fun () -> Variation.ranges ~adc_threshold_sigma_lsb_max:nan () );
-      ("noise_sigma_v_max", fun () -> Variation.ranges ~noise_sigma_v_max:nan ());
-      ("fc_shift_pct_max", fun () -> Variation.ranges ~fc_shift_pct_max:nan ());
-      ("gain_shift_pct_max", fun () -> Variation.ranges ~gain_shift_pct_max:nan ());
-    ]
 
 let test_yield_port_compat () =
   (* Yield.wrapper_for_die now rides Variation.wrapper; the historical
@@ -956,27 +926,47 @@ let test_warm_fc_trial_major_words () =
 (* --- calibration --- *)
 
 let test_spec_for_test_mapping () =
-  let expect name spec =
-    let test =
-      Spec.test ~name ~f_low_hz:0.0 ~f_high_hz:1.0e4 ~f_sample_hz:1.0e6
-        ~cycles:100 ~tam_width:1 ~resolution_bits:8
-    in
-    checkb name true (Calibrate.spec_for_test test = spec)
+  (* each test name picks the program that measures it *)
+  let expected =
+    [
+      ("f_c", Testbench.Fc);
+      ("THD", Testbench.Thd);
+      ("IIP3", Testbench.Iip3);
+      ("DC_offset", Testbench.Dc_offset);
+      ("SR", Testbench.Slew);
+      ("DR", Testbench.Dr);
+      ("g_pb", Testbench.Gain);
+      ("ph_off", Testbench.Gain);
+    ]
   in
-  expect "f_c" Testbench.Fc;
-  expect "THD" Testbench.Thd;
-  expect "IIP3" Testbench.Iip3;
-  expect "DC_offset" Testbench.Dc_offset;
-  expect "SR" Testbench.Slew;
-  expect "DR" Testbench.Dr;
-  expect "g_pb" Testbench.Gain;
-  expect "ph_off" Testbench.Gain
+  let tests =
+    List.map
+      (fun (name, _) ->
+        Spec.test ~name ~f_low_hz:0.0 ~f_high_hz:1.0e4 ~f_sample_hz:1.0e6
+          ~cycles:100 ~tam_width:1 ~resolution_bits:8)
+      expected
+  in
+  let config = { Testbench.default with Testbench.samples = 256 } in
+  let measured =
+    Calibrate.measure_core ~config ~system_clock_hz:78.0e6
+      (Spec.core ~label:"M" ~name:"mapping" ~tests)
+  in
+  List.iter2
+    (fun (name, spec) (m : Calibrate.measured) -> checkb name true (m.Calibrate.spec = spec))
+    expected measured
 
 let test_calibrated_core_cycles () =
   let core = Catalog.find ~label:"A" in
   let config = { Testbench.default with Testbench.samples = 256 } in
   let calibrated, reports =
-    Calibrate.calibrated_core ~config ~system_clock_hz:78.0e6 core
+    match
+      Calibrate.calibrated_problem ~config ~system_clock_hz:78.0e6
+        ~soc:(Msoc_itc02.Synthetic.d281s ()) ~analog_cores:[ core ] ~tam_width:24
+        ~weight_time:0.5 ()
+    with
+    | { Msoc_testplan.Problem.analog_cores = [ calibrated ]; _ }, [ reports ] ->
+      (calibrated, reports)
+    | _ -> Alcotest.fail "one calibrated core, one report"
   in
   checki "test count preserved" (List.length core.Spec.tests)
     (List.length calibrated.Spec.tests);
@@ -986,7 +976,7 @@ let test_calibrated_core_cycles () =
         (t.Spec.cycles = m.Calibrate.measured_cycles
         && m.Calibrate.measured_cycles >= 256))
     calibrated.Spec.tests reports;
-  (* measure_core is the report half of calibrated_core *)
+  (* measure_core is the report half of the calibration *)
   let direct = Calibrate.measure_core ~config ~system_clock_hz:78.0e6 core in
   checkb "measure_core agrees" true
     (List.map (fun m -> m.Calibrate.measured_cycles) direct
@@ -1216,8 +1206,6 @@ let suites =
       [
         Alcotest.test_case "deterministic" `Quick test_variation_deterministic;
         Alcotest.test_case "in ranges" `Quick test_variation_in_ranges;
-        Alcotest.test_case "ranges validation" `Quick
-          test_variation_ranges_validation;
         Alcotest.test_case "yield port compat" `Quick test_yield_port_compat;
       ] );
     ( "cosim.monte_carlo",

@@ -207,7 +207,7 @@ module Ref = struct
     let tolerance_pct =
       match tolerance_pct with
       | Some t -> t
-      | None -> default_tolerance_pct spec
+      | None -> Fixtures.default_tolerance_pct spec
     in
     let dut = dut_for config spec in
     let stimulus = stimulus_for config spec in
@@ -217,7 +217,7 @@ module Ref = struct
     (* Wrapped path: digital words through DAC → DUT → ADC. *)
     let bits = config.variation.Variation.bits in
     let range = Quantize.default_range in
-    let codes = Array.map (Quantize.encode ~bits ~range) stimulus.samples_v in
+    let codes = Array.map (Fixtures.encode ~bits ~range) stimulus.samples_v in
     let wrapper =
       Wrapper.set_mode (Variation.wrapper config.variation) Wrapper.Core_test
     in
@@ -356,8 +356,8 @@ let draw_case seed =
   in
   let ranges =
     match Rng.int rng ~bound:3 with
-    | 0 -> Some (Variation.ranges ~noise_sigma_v_max:0.0 ())
-    | 1 -> Some (Variation.ranges ~bits_choices:[ 4; 12; 16 ] ~noise_sigma_v_max:0.01 ())
+    | 0 -> Some (Fixtures.variation_ranges ~noise_sigma_v_max:0.0 ())
+    | 1 -> Some (Fixtures.variation_ranges ~bits_choices:[ 4; 12; 16 ] ~noise_sigma_v_max:0.01 ())
     | _ -> None
   in
   {

@@ -58,7 +58,7 @@ let test_pool_validation () =
 (* --- schedule cache --- *)
 
 let prepared_d281 ?(weight_time = 0.5) () =
-  Evaluate.prepare (Instances.d281m ~weight_time ~tam_width:16 ())
+  Evaluate.prepare (Fixtures.d281m ~weight_time ~tam_width:16 ())
 
 let test_cache_seeded_with_reference () =
   let prep = prepared_d281 () in
@@ -92,7 +92,7 @@ let test_reweight_shares_cache () =
   let prep = prepared_d281 ~weight_time:0.2 () in
   ignore (Exhaustive.run prep);
   let misses = (Evaluate.cache_stats prep).Evaluate.misses in
-  let heavy = Instances.d281m ~weight_time:0.8 ~tam_width:16 () in
+  let heavy = Fixtures.d281m ~weight_time:0.8 ~tam_width:16 () in
   let reweighted = Evaluate.reweight prep heavy in
   let r = Exhaustive.run reweighted in
   checki "no pack at the new weight point"
@@ -107,7 +107,7 @@ let test_reweight_shares_cache () =
 
 let test_reweight_rejects_structural_change () =
   let prep = prepared_d281 () in
-  let other = Instances.d281m ~tam_width:24 () in
+  let other = Fixtures.d281m ~tam_width:24 () in
   match Evaluate.reweight prep other with
   | _ -> Alcotest.fail "different TAM width accepted"
   | exception Invalid_argument _ -> ()
@@ -149,7 +149,7 @@ let test_parallel_equals_serial () =
     [ 16; 24; 32 ]
 
 let test_parallel_heuristic_equals_serial () =
-  let problem = Instances.d281m ~tam_width:16 () in
+  let problem = Fixtures.d281m ~tam_width:16 () in
   let serial = Plan.run ~search:(Plan.Heuristic { delta = 0.0 }) problem in
   let parallel =
     Pool.with_pool ~jobs:4 (fun pool ->
@@ -167,7 +167,7 @@ let test_parallel_heuristic_equals_serial () =
 let test_weight_sweep_packs_once_per_combination () =
   let weights = [ 0.1; 0.25; 0.5; 0.75; 0.9 ] in
   let problem_of_weight weight_time =
-    Instances.d281m ~weight_time ~tam_width:16 ()
+    Fixtures.d281m ~weight_time ~tam_width:16 ()
   in
   let combos = List.length (Problem.combinations (problem_of_weight 0.5)) in
   let packs0 = Evaluate.total_packs () in

@@ -18,39 +18,6 @@ let problem_of_width tam_width =
 
 (* --- Explore --- *)
 
-let test_minimal_width_meets_budget () =
-  (* a generous budget: the analog serial chain (C+E = 307,685) plus
-     room for the digital cores at a narrow width *)
-  let budget_cycles = 400_000 in
-  match Explore.minimal_width ~lo:5 ~hi:48 ~budget_cycles problem_of_width with
-  | None -> Alcotest.fail "expected a feasible width"
-  | Some (width, plan) ->
-    checkb "meets budget" true (Plan.makespan plan <= budget_cycles);
-    checkb "width in range" true (width >= 5 && width <= 48);
-    (* one narrower step must miss the budget or be infeasible *)
-    if width > 5 then begin
-      match
-        Explore.width_sweep ~widths:[ width - 1 ] problem_of_width
-      with
-      | [ (_, narrower) ] ->
-        checkb
-          (Printf.sprintf "width-1 misses: %d > %d" (Plan.makespan narrower) budget_cycles)
-          true
-          (Plan.makespan narrower > budget_cycles)
-      | _ -> () (* width-1 infeasible: fine *)
-    end
-
-let test_minimal_width_impossible_budget () =
-  (* nothing can beat the analog serial chain of the sharing the
-     planner picks; ask for less than any single test *)
-  checkb "impossible budget -> None" true
-    (Explore.minimal_width ~lo:5 ~hi:64 ~budget_cycles:10_000 problem_of_width = None)
-
-let test_minimal_width_validation () =
-  match Explore.minimal_width ~lo:8 ~hi:4 ~budget_cycles:1 problem_of_width with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "lo > hi accepted"
-
 let test_weight_sweep () =
   let problem_of_weight weight_time =
     Problem.make ~soc:(Msoc_itc02.Synthetic.d281s ())
@@ -63,18 +30,10 @@ let test_weight_sweep () =
   checkb "area weight favors lower C_A" true (c_a 0.0 <= c_a 1.0 +. 1e-9)
 
 (* Regression: a width below a core's TAM need must read as "this
-   width misses the budget", never crash the sweep — whether the
+   width misses the constraints", never crash the sweep — whether the
    constructor rejects it (Invalid_argument, e.g. core D's 10-wire
    test below) or the feasibility check is deferred to the packer
    (Packer.Infeasible). *)
-let test_minimal_width_from_one () =
-  (* built-in instance with lo=1: widths 1..9 are infeasible for core
-     D and must be probed without crashing *)
-  let problem_of_width tam_width = Msoc_testplan.Instances.d281m ~tam_width () in
-  match Explore.minimal_width ~lo:1 ~hi:64 ~budget_cycles:2_000_000 problem_of_width with
-  | None -> Alcotest.fail "expected a feasible width"
-  | Some (width, _) -> checkb "width at least core D's need" true (width >= 10)
-
 let test_infeasible_width_is_none_not_crash () =
   (* model a problem source that defers width checking to the packer *)
   let problem_of_width tam_width =
@@ -86,10 +45,7 @@ let test_infeasible_width_is_none_not_crash () =
   in
   let sweep = Explore.width_sweep ~widths:[ 3; 16 ] problem_of_width in
   checki "packer-infeasible width skipped" 1 (List.length sweep);
-  checkb "the feasible width survives" true (List.mem_assoc 16 sweep);
-  match Explore.minimal_width ~lo:1 ~hi:48 ~budget_cycles:400_000 problem_of_width with
-  | None -> Alcotest.fail "binary search crashed or missed the feasible range"
-  | Some (width, _) -> checkb "found a width at or above 10" true (width >= 10)
+  checkb "the feasible width survives" true (List.mem_assoc 16 sweep)
 
 let test_width_sweep_skips_infeasible () =
   (* width 3 < core D's 10-wire test -> Problem.make raises, skipped *)
@@ -123,8 +79,8 @@ let test_anneal_respects_constraints () =
     [
       Job.analog ~label:"a" ~width:2 ~time:500 ~group:0;
       Job.analog ~label:"b" ~width:2 ~time:400 ~group:0;
-      Job.with_power (Job.digital ~label:"c" (Msoc_wrapper.Pareto.fixed ~width:3 ~time:600)) 5;
-      Job.with_power (Job.digital ~label:"d" (Msoc_wrapper.Pareto.fixed ~width:3 ~time:600)) 5;
+      Job.with_power (Fixtures.digital_job ~label:"c" (Msoc_wrapper.Pareto.fixed ~width:3 ~time:600)) 5;
+      Job.with_power (Fixtures.digital_job ~label:"d" (Msoc_wrapper.Pareto.fixed ~width:3 ~time:600)) 5;
     ]
   in
   let s = Packer.anneal ~power_budget:8 ~iterations:50 ~width:8 jobs in
@@ -139,11 +95,7 @@ let suites =
   [
     ( "explore",
       [
-        Alcotest.test_case "minimal width meets budget" `Slow test_minimal_width_meets_budget;
-        Alcotest.test_case "impossible budget" `Quick test_minimal_width_impossible_budget;
-        Alcotest.test_case "validation" `Quick test_minimal_width_validation;
         Alcotest.test_case "weight sweep" `Quick test_weight_sweep;
-        Alcotest.test_case "minimal width from lo=1" `Slow test_minimal_width_from_one;
         Alcotest.test_case "infeasible width is None, not a crash" `Slow
           test_infeasible_width_is_none_not_crash;
         Alcotest.test_case "width sweep skips infeasible" `Quick test_width_sweep_skips_infeasible;

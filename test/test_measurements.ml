@@ -27,11 +27,18 @@ let spectrum_of ?(fs = 1.0e6) ?(n = 8192) tones =
   Spectrum.analyze ~fs (Tone.sample ~tones ~fs ~n)
 
 let test_harmonic_frequencies () =
-  let hs = Distortion.harmonic_frequencies ~fundamental:100_000.0 ~fs:1.0e6 ~count:4 in
-  Alcotest.(check (list (float 0.1))) "2f..5f" [ 200_000.0; 300_000.0; 400_000.0; 500_000.0 ] hs;
-  (* folding: 3 x 400k = 1.2M aliases to 200k at fs=1M *)
-  let folded = Distortion.harmonic_frequencies ~fundamental:400_000.0 ~fs:1.0e6 ~count:2 in
-  Alcotest.(check (list (float 0.1))) "fold" [ 200_000.0; 200_000.0 ] folded
+  (* THD reads the harmonics where the spectrum shows them: 2f..4f of
+     a 100 kHz tone each carry 0.01 *)
+  let fs = 1.0e6 and n = 8192 in
+  let f = Tone.coherent_freq ~fs ~n 100_000.0 in
+  let harmonics = List.map (fun k -> Tone.tone ~amplitude:0.01 (float_of_int k *. f)) [ 2; 3; 4 ] in
+  close_pct "2f..4f" 3.0 (0.01 *. Float.sqrt 3.0)
+    (Distortion.thd ~harmonics:3 (spectrum_of ~fs ~n (Tone.tone f :: harmonics)) ~fundamental:f);
+  (* folding: at fs = 1 MHz, 2 x 400k = 800k and 3 x 400k = 1.2M both
+     alias to 200k, so one tone there counts twice *)
+  let f = Tone.coherent_freq ~fs ~n 400_000.0 in
+  let s = spectrum_of ~fs ~n [ Tone.tone f; Tone.tone ~amplitude:0.05 (fs -. (2.0 *. f)) ] in
+  close_pct "fold" 3.0 (0.05 *. Float.sqrt 2.0) (Distortion.thd ~harmonics:2 s ~fundamental:f)
 
 let test_thd_of_synthetic_harmonics () =
   let fs = 1.0e6 and n = 8192 in
@@ -62,7 +69,7 @@ let test_sinad_enob_of_quantized_tone () =
   let x =
     Tone.sample ~tones:[ Tone.tone ~amplitude:1.99 f ] ~fs ~n
     |> Array.map (fun v ->
-           Msoc_mixedsig.Quantize.roundtrip ~bits ~range (v +. 2.0) -. 2.0)
+           Fixtures.roundtrip ~bits ~range (v +. 2.0) -. 2.0)
   in
   let s = Spectrum.analyze ~fs x in
   let enob = Distortion.enob s ~fundamental:f in
@@ -76,7 +83,7 @@ let test_imd3_cubic_ground_truth () =
   let f1 = Tone.coherent_freq ~fs ~n 90_000.0
   and f2 = Tone.coherent_freq ~fs ~n 110_000.0 in
   let x = Tone.sample ~tones:[ Tone.tone ~amplitude:amp f1; Tone.tone ~amplitude:amp f2 ] ~fs ~n in
-  let y = Models.polynomial ~a1:1.0 ~a2:0.0 ~a3 x in
+  let y = Fixtures.on_copy (Models.polynomial_in_place ~a1:1.0 ~a2:0.0 ~a3) x in
   let s = Spectrum.analyze ~fs y in
   let r = Distortion.imd3 s ~f1 ~f2 in
   close_pct "imd level" 8.0 (0.75 *. a3 *. (amp ** 3.0)) r.Distortion.imd_level;
@@ -94,24 +101,28 @@ let test_imd3_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-band product accepted"
 
-let test_dc_offset_readout () =
-  let fs = 1.0e6 and n = 4096 in
-  let x = Array.make n 0.123 in
-  let s = Spectrum.analyze ~window:Msoc_signal.Window.Rectangular ~fs x in
-  close_pct "dc" 1.0 0.123 (Distortion.dc_offset s)
-
 (* --- Analog models --- *)
 
 let test_models_compose_and_bias () =
-  let model = Models.compose [ Models.gain 2.0; Models.dc_offset 0.1 ] in
-  let y = model [| 1.0; -1.0 |] in
+  let y =
+    Fixtures.on_copy
+      (fun x ->
+        Models.gain_in_place 2.0 x;
+        Models.dc_offset_in_place 0.1 x)
+      [| 1.0; -1.0 |]
+  in
   Alcotest.(check (array (float 1e-12))) "gain then offset" [| 2.1; -1.9 |] y;
-  let biased = Models.biased ~bias:2.0 (Models.gain 0.5) in
-  Alcotest.(check (array (float 1e-12))) "biased half" [| 2.5 |] (biased [| 3.0 |])
+  (* the AC component around the bias, the stage, the bias back *)
+  let biased x =
+    Models.remove_bias_into ~bias:2.0 x ~into:x;
+    Models.gain_in_place 0.5 x;
+    Models.dc_offset_in_place 2.0 x
+  in
+  Alcotest.(check (array (float 1e-12))) "biased half" [| 2.5 |] (Fixtures.on_copy biased [| 3.0 |])
 
 let test_models_slew_limiter () =
   let fs = 1.0e6 in
-  let model = Models.slew_limited ~max_slew_v_per_s:1.0e6 ~fs in
+  let model = Fixtures.on_copy (Models.slew_limited_in_place ~max_slew_v_per_s:1.0e6 ~fs) in
   (* step of 5 V can move 1 V per sample *)
   let y = model [| 0.0; 5.0; 5.0; 5.0; 5.0; 5.0; 5.0 |] in
   Alcotest.(check (array (float 1e-9))) "ramp" [| 0.0; 1.0; 2.0; 3.0; 4.0; 5.0; 5.0 |] y
@@ -119,21 +130,10 @@ let test_models_slew_limiter () =
 let test_models_slew_validation () =
   List.iter
     (fun (max_slew_v_per_s, fs) ->
-      match Models.slew_limited ~max_slew_v_per_s ~fs [| 0.0; 1.0 |] with
+      match Fixtures.on_copy (Models.slew_limited_in_place ~max_slew_v_per_s ~fs) [| 0.0; 1.0 |] with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "slew %g at fs %g accepted" max_slew_v_per_s fs)
     [ (0.0, 1.0e6); (-1.0, 1.0e6); (Float.nan, 1.0e6); (1.0e6, Float.nan) ]
-
-let test_models_downconverter () =
-  let fs = 1.0e6 and n = 8192 in
-  let lo = Tone.coherent_freq ~fs ~n 200_000.0 in
-  let rf = Tone.coherent_freq ~fs ~n 230_000.0 in
-  let model = Models.downconverter ~lo_hz:lo ~fs ~if_lowpass_fc:60_000.0 in
-  let y = model (Tone.sample ~tones:[ Tone.tone rf ] ~fs ~n) in
-  let s = Spectrum.analyze ~fs y in
-  (* difference product at 30 kHz with gain 1/2; sum product filtered *)
-  close_pct "IF tone" 6.0 0.5 (Spectrum.tone_amplitude s (rf -. lo));
-  checkb "sum suppressed" true (Spectrum.tone_amplitude s (rf +. lo) < 0.02)
 
 (* --- Table 2's spec tests through the wrapper --- *)
 
@@ -165,7 +165,7 @@ let gain_truth config f =
   match stages config Testbench.Gain with
   | [ Dut.Gain g; Dut.Lowpass { order; fc } ] ->
     let fs = config.Testbench.fs in
-    g *. Filter.magnitude_response (Filter.butterworth_lowpass ~order ~fc ~fs) ~fs (on_grid config f)
+    g *. Fixtures.magnitude_response (Filter.butterworth_lowpass ~order ~fc ~fs) ~fs (on_grid config f)
   | _ -> Alcotest.fail "gain DUT: expected gain then low-pass"
 
 let test_measure_gain () =
@@ -268,14 +268,12 @@ let suites =
         Alcotest.test_case "sinad/enob quantized" `Quick test_sinad_enob_of_quantized_tone;
         Alcotest.test_case "imd3 ground truth" `Quick test_imd3_cubic_ground_truth;
         Alcotest.test_case "imd3 validation" `Quick test_imd3_validation;
-        Alcotest.test_case "dc offset" `Quick test_dc_offset_readout;
       ] );
     ( "measure.models",
       [
         Alcotest.test_case "compose and bias" `Quick test_models_compose_and_bias;
         Alcotest.test_case "slew limiter" `Quick test_models_slew_limiter;
         Alcotest.test_case "slew validation" `Quick test_models_slew_validation;
-        Alcotest.test_case "downconverter" `Quick test_models_downconverter;
       ] );
     ( "measure.wrapped",
       [

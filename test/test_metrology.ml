@@ -1,11 +1,8 @@
 (* Tests for the metrology additions: sine-histogram converter BIST
-   (IEEE 1241 style) and Welch PSD estimation. *)
+   (IEEE 1241 style). *)
 
 module Adc = Msoc_mixedsig.Adc
 module Bist = Msoc_mixedsig.Bist
-module Spectrum = Msoc_signal.Spectrum
-module Tone = Msoc_signal.Tone
-module Rng = Msoc_util.Rng
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -52,77 +49,6 @@ let test_histogram_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "under-range sine accepted"
 
-(* --- Welch PSD --- *)
-
-let white_noise ~sigma ~n ~seed =
-  let rng = Rng.create ~seed in
-  Array.init n (fun _ ->
-      let u1 = Float.max 1e-12 (Rng.float rng ~bound:1.0) in
-      let u2 = Rng.float rng ~bound:1.0 in
-      sigma *. Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2))
-
-let test_welch_white_noise_level () =
-  (* White noise of variance sigma^2 has two-sided PSD sigma^2/fs,
-     i.e. one-sided 2*sigma^2/fs. *)
-  let fs = 1.0e6 and sigma = 0.1 in
-  let x = white_noise ~sigma ~n:65_536 ~seed:3 in
-  let psd = Spectrum.welch_psd ~fs x in
-  let mid = Array.sub psd 50 400 in
-  let mean =
-    Array.fold_left (fun a (_, p) -> a +. p) 0.0 mid /. float_of_int (Array.length mid)
-  in
-  let expected = 2.0 *. sigma *. sigma /. fs in
-  checkb
-    (Printf.sprintf "PSD %.3g within 15%% of %.3g" mean expected)
-    true
-    (Float.abs (mean -. expected) /. expected < 0.15)
-
-let test_welch_variance_reduction () =
-  (* More averaging -> flatter estimate: the relative spread across
-     bins shrinks with the number of segments. *)
-  let fs = 1.0e6 in
-  let x = white_noise ~sigma:0.1 ~n:65_536 ~seed:4 in
-  let spread segment =
-    let psd = Spectrum.welch_psd ~segment ~fs x in
-    let vals = Array.to_list (Array.map snd (Array.sub psd 20 200)) in
-    let mean = Msoc_util.Numeric.mean vals in
-    let var =
-      Msoc_util.Numeric.mean (List.map (fun v -> (v -. mean) ** 2.0) vals)
-    in
-    Float.sqrt var /. mean
-  in
-  let few_segments = spread 16_384 (* ~7 segments *) in
-  let many_segments = spread 1_024 (* ~127 segments *) in
-  checkb
-    (Printf.sprintf "spread %.3f (many) < %.3f (few)" many_segments few_segments)
-    true
-    (many_segments < few_segments /. 2.0)
-
-let test_welch_tone_sits_on_top () =
-  let fs = 1.0e6 in
-  let f = Tone.coherent_freq ~fs ~n:1024 100_000.0 in
-  let x =
-    Array.mapi
-      (fun i noise ->
-        noise +. (0.5 *. Float.sin (2.0 *. Float.pi *. f *. float_of_int i /. fs)))
-      (white_noise ~sigma:0.01 ~n:32_768 ~seed:5)
-  in
-  let psd = Spectrum.welch_psd ~fs x in
-  let peak_f, _ =
-    Array.fold_left
-      (fun (bf, bp) (fr, p) -> if p > bp then (fr, p) else (bf, bp))
-      (0.0, 0.0) psd
-  in
-  checkb "peak at the tone" true (Float.abs (peak_f -. f) < 2.0 *. fs /. 1024.0)
-
-let test_welch_validation () =
-  (match Spectrum.welch_psd ~fs:1.0e6 (Array.make 100 0.0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "short record accepted");
-  match Spectrum.welch_psd ~overlap:0.99 ~fs:1.0e6 (Array.make 4096 0.0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "extreme overlap accepted"
-
 let suites =
   [
     ( "metrology.histogram",
@@ -131,12 +57,5 @@ let suites =
         Alcotest.test_case "detects bad ADC" `Quick test_histogram_detects_bad_adc;
         Alcotest.test_case "flash vs pipeline" `Quick test_histogram_flash_vs_pipeline_agree;
         Alcotest.test_case "validation" `Quick test_histogram_validation;
-      ] );
-    ( "metrology.welch",
-      [
-        Alcotest.test_case "white noise level" `Quick test_welch_white_noise_level;
-        Alcotest.test_case "variance reduction" `Quick test_welch_variance_reduction;
-        Alcotest.test_case "tone on top" `Quick test_welch_tone_sits_on_top;
-        Alcotest.test_case "validation" `Quick test_welch_validation;
       ] );
   ]

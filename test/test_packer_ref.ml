@@ -286,6 +286,20 @@ module Ref = struct
         order
     in
     schedule_of_placements ?power_budget ~width placements_rev
+
+  (* Predecessors before their dependents, the priority order kept
+     otherwise: emit the first job, in order, whose predecessors are
+     all out, and rescan. *)
+  let respect_precedences order =
+    let rec go emitted acc = function
+      | [] -> List.rev acc
+      | pending -> (
+        let ready j = List.for_all (fun p -> List.mem p emitted) j.Job.predecessors in
+        match List.find_opt ready pending with
+        | None -> raise (Packer.Infeasible "precedence cycle or unknown predecessor")
+        | Some j -> go (j.Job.label :: emitted) (j :: acc) (List.filter (fun k -> k != j) pending))
+    in
+    go [] [] order
 end
 
 (* --- generated strips ------------------------------------------------ *)
@@ -371,7 +385,7 @@ let instance_arb =
 
 let reference inst order =
   Ref.pack_in_order ?power_budget:inst.power_budget ~width:inst.width
-    (Packer.respect_precedences order)
+    (Ref.respect_precedences order)
 
 (* Every priority order of every registry variant, packed one order at
    a time through the generic entry point. *)
@@ -542,7 +556,7 @@ let optimized_digest () =
         [ 16; 32; 64 ])
     [
       ("p93791m", fun tam_width -> Instances.p93791m ~tam_width ());
-      ("d281m", fun tam_width -> Instances.d281m ~tam_width ());
+      ("d281m", fun tam_width -> Fixtures.d281m ~tam_width ());
     ];
   let problem = Instances.p93791m ~tam_width:32 () in
   let jobs =

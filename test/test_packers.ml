@@ -45,13 +45,27 @@ let test_registry_find () =
 
 (* --- heuristic keys --- *)
 
+let labels order = List.map (fun j -> j.Job.label) order
+
 let test_diagonal_key () =
-  (* a single-point staircase (3 wires x 4 cycles): diagonal 5 *)
-  let j = Job.analog ~label:"a" ~width:3 ~time:4 ~group:0 in
-  checkb "3-4-5 triangle" true (abs_float (Diagonal.diagonal j -. 5.0) < 1e-9)
+  (* the first order ranks by group diagonal, then diagonal, then
+     time: a 6x8 job alone (10) ties a group of a 3x4 and a 4x3 job
+     (5 + 5) and wins on its own diagonal; a 7x7 one (9.9) comes last *)
+  let jobs =
+    [
+      Job.analog ~label:"c" ~width:7 ~time:7 ~group:2;
+      Job.analog ~label:"a" ~width:3 ~time:4 ~group:0;
+      Job.analog ~label:"b" ~width:4 ~time:3 ~group:0;
+      Job.analog ~label:"s" ~width:6 ~time:8 ~group:1;
+    ]
+  in
+  match Diagonal.orders jobs with
+  | first :: _ ->
+    Alcotest.(check (list string)) "3-4-5 triangle" [ "s"; "a"; "b"; "c" ] (labels first)
+  | [] -> Alcotest.fail "no order"
 
 let test_constraint_degree () =
-  let fixed l = Job.digital ~label:l (Pareto.fixed ~width:1 ~time:10) in
+  let fixed l = Fixtures.digital_job ~label:l (Pareto.fixed ~width:1 ~time:10) in
   let jobs =
     [
       Job.analog ~label:"a" ~width:1 ~time:10 ~group:0;
@@ -61,12 +75,13 @@ let test_constraint_degree () =
       fixed "e";
     ]
   in
-  let degree = Constrained.constraint_degree jobs in
-  checki "group peer + pred + conflict" 3 (degree (List.nth jobs 0));
-  checki "group peer only" 1 (degree (List.nth jobs 1));
-  checki "pred edge only" 1 (degree (List.nth jobs 2));
-  checki "conflict edge only" 1 (degree (List.nth jobs 3));
-  checki "unconstrained" 0 (degree (List.nth jobs 4))
+  (* degrees: a 3 (group peer + pred + conflict), b, c and d 1, e 0;
+     the first order ranks by degree first *)
+  match Constrained.orders jobs with
+  | first :: _ ->
+    checks "most constrained first" "a" (List.hd (labels first));
+    checks "unconstrained last" "e" (List.nth (labels first) 4)
+  | [] -> Alcotest.fail "no order"
 
 (* --- certification: a lying variant cannot return its schedule --- *)
 
@@ -121,7 +136,7 @@ let test_certify_rejects_invalid () =
 let packer_extra name = Export.Object [ ("packer", Export.String name) ]
 
 let test_fingerprint_distinct_per_variant () =
-  let problem = Instances.d281m ~tam_width:16 () in
+  let problem = Fixtures.d281m ~tam_width:16 () in
   let search = Msoc_testplan.Plan.Exhaustive_search in
   let base = Fingerprint.request_hex ~op:"plan" ~search problem in
   let keys =

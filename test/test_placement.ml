@@ -9,7 +9,6 @@ module Placement = Msoc_analog.Placement
 
 let checkb = Alcotest.(check bool)
 let checkf tol = Alcotest.(check (float tol))
-let checki = Alcotest.(check int)
 
 let combo labels =
   let named = List.map (List.map (fun l -> Catalog.find ~label:l)) labels in
@@ -21,11 +20,17 @@ let combo labels =
   in
   Sharing.make (named @ rest)
 
+(* The routing overhead a placement charges a group: (n - 1) x 100 x
+   k_per_mm x the group's mean pairwise distance, k_per_mm = 0.04 by
+   default. *)
+let rho placement labels =
+  Area.routing_overhead_pct (Placement.area_model placement)
+    (List.map (fun l -> Catalog.find ~label:l) labels)
+
 let test_placement_basics () =
   let p = Placement.create [ ("A", (0.0, 0.0)); ("B", (3.0, 4.0)) ] in
-  checkf 1e-9 "3-4-5 distance" 5.0 (Placement.distance_mm p "A" "B");
-  Alcotest.(check (list string)) "labels" [ "A"; "B" ] (Placement.labels p);
-  (match Placement.position p "Z" with
+  checkf 1e-9 "3-4-5 distance" 20.0 (rho p [ "A"; "B" ]);
+  (match rho p [ "A"; "C" ] with
   | exception Not_found -> ()
   | _ -> Alcotest.fail "unknown label found");
   match Placement.create [ ("A", (0.0, 0.0)); ("A", (1.0, 1.0)) ] with
@@ -37,26 +42,25 @@ let test_mean_pairwise_distance () =
     Placement.create [ ("A", (0.0, 0.0)); ("B", (2.0, 0.0)); ("C", (1.0, 0.0)) ]
   in
   (* pairs: AB=2, AC=1, BC=1 -> mean 4/3 *)
-  checkf 1e-9 "mean" (4.0 /. 3.0)
-    (Placement.mean_pairwise_distance_mm p [ "A"; "B"; "C" ]);
-  checkf 1e-9 "singleton" 0.0 (Placement.mean_pairwise_distance_mm p [ "A" ])
+  checkf 1e-9 "mean" (2.0 *. 4.0 *. 4.0 /. 3.0) (rho p [ "A"; "B"; "C" ]);
+  checkf 1e-9 "singleton" 0.0 (rho p [ "A" ])
 
 let test_spread_floorplan () =
   let p = Placement.spread ~die_mm:10.0 Catalog.all in
-  checki "all cores placed" 5 (List.length (Placement.labels p));
+  (* every core placed, apart, on a circle of diameter 7 mm *)
   List.iter
-    (fun l ->
-      let x, y = Placement.position p l in
-      checkb "inside die" true (x >= 0.0 && x <= 10.0 && y >= 0.0 && y <= 10.0))
-    (Placement.labels p)
+    (fun (a, b) ->
+      let r = rho p [ a; b ] in
+      checkb "inside die" true (r > 0.0 && r <= 4.0 *. 7.0 +. 1e-9))
+    (Msoc_util.Combinat.pairs (List.map (fun c -> c.Spec.label) Catalog.all))
 
 let test_clustered_floorplan () =
   let p =
     Placement.clustered ~die_mm:10.0 ~groups:[ [ "A"; "B" ]; [ "D"; "E" ] ] Catalog.all
   in
-  let close = Placement.distance_mm p "A" "B" in
-  let far = Placement.distance_mm p "A" "D" in
-  checkb "cluster members adjacent" true (close <= 1.0);
+  let close = rho p [ "A"; "B" ] in
+  let far = rho p [ "A"; "D" ] in
+  checkb "cluster members adjacent" true (close <= 4.0);
   checkb "clusters separated" true (far > 3.0 *. close);
   match Placement.clustered ~die_mm:10.0 ~groups:[ [ "Z" ] ] Catalog.all with
   | exception Invalid_argument _ -> ()
@@ -65,11 +69,7 @@ let test_clustered_floorplan () =
 let test_placed_routing_scales_with_distance () =
   let near = Placement.create [ ("A", (0.0, 0.0)); ("B", (1.0, 0.0)) ] in
   let far = Placement.create [ ("A", (0.0, 0.0)); ("B", (8.0, 0.0)) ] in
-  let rho placement =
-    Area.routing_overhead_pct
-      { Area.default_model with Area.routing = Placement.routing placement }
-      [ Catalog.core_a; Catalog.core_b ]
-  in
+  let rho placement = rho placement [ "A"; "B" ] in
   checkb "8x distance -> 8x overhead" true
     (Msoc_util.Numeric.close ~rel:1e-9 (rho far) (8.0 *. rho near));
   (* default calibration: 3 mm apart matches the paper's uniform k=0.12 *)

@@ -11,7 +11,7 @@ let checkb = Alcotest.(check bool)
 
 let job ?(power = 0) ?(preds = []) label ~width ~time =
   Job.with_predecessors
-    (Job.with_power (Job.digital ~label (Pareto.fixed ~width ~time)) power)
+    (Job.with_power (Fixtures.digital_job ~label (Pareto.fixed ~width ~time)) power)
     preds
 
 (* --- power budget --- *)

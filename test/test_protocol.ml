@@ -59,26 +59,6 @@ let test_scan_sim_summary () =
 
 (* --- Sigma-delta --- *)
 
-let test_sd_dc_tracking () =
-  (* the bit-stream average of a DC input equals the input *)
-  List.iter
-    (fun dc ->
-      let bits = Sd.modulate ~order:Sd.First (Array.make 4096 dc) in
-      let avg =
-        Array.fold_left (fun a b -> a +. b) 0.0 (Sd.bipolar bits) /. 4096.0
-      in
-      checkb
-        (Printf.sprintf "dc %.2f tracked (avg %.3f)" dc avg)
-        true
-        (Float.abs (avg -. dc) < 0.02))
-    [ -0.5; -0.1; 0.0; 0.3; 0.7 ]
-
-let test_sd_cic_dc_gain () =
-  let out = Sd.decimate_cic ~stages:3 ~ratio:8 (Array.make 512 1.0) in
-  checki "length / ratio" 64 (Array.length out);
-  (* after the filter fills, DC passes at unit gain *)
-  checkb "unit DC gain" true (Float.abs (out.(63) -. 1.0) < 1e-9)
-
 let test_sd_enob_improves_with_osr () =
   let enob osr = Sd.measured_enob ~order:Sd.Second ~osr ~fs:2.048e6 ~signal_hz:1_000.0 () in
   let e32 = enob 32 and e128 = enob 128 in
@@ -93,12 +73,13 @@ let test_sd_second_order_beats_first () =
   checkb "steeper noise shaping" true (enob Sd.Second > enob Sd.First +. 1.0)
 
 let test_sd_validation () =
-  (match Sd.decimate_cic ~stages:0 ~ratio:4 [| 1.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "0 stages accepted");
-  match Sd.decimate_cic ~stages:2 ~ratio:1 [| 1.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "ratio 1 accepted"
+  (* the CIC decimator needs a ratio of at least 2 *)
+  List.iter
+    (fun osr ->
+      match Sd.measured_enob ~osr ~fs:2.048e6 ~signal_hz:1_000.0 () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "osr %d accepted" osr)
+    [ 1; 0; -4 ]
 
 (* --- Volume --- *)
 
@@ -107,22 +88,35 @@ let test_volume_core_stats () =
     Types.core ~id:1 ~name:"v" ~inputs:10 ~outputs:5 ~bidirs:2
       ~scan_chains:[ 100; 50 ] ~patterns:20
   in
-  let s = Volume.core_stats c in
-  checki "in bits" (150 + 10 + 2) s.Volume.scan_in_bits;
-  checki "out bits" (150 + 5 + 2) s.Volume.scan_out_bits;
-  checki "total" (20 * (162 + 157)) s.Volume.total_bits;
-  checki "matches Types.test_data_volume" (Types.test_data_volume c) s.Volume.total_bits
+  let soc = Types.soc ~name:"s" ~cores:[ c ] in
+  (* the stimulus streams 150 + 10 + 2 bits per pattern *)
+  checki "in bits" (20 * (150 + 10 + 2)) (Volume.ate_depth_bits soc ~width:1);
+  (* the report's row: in and out bits per pattern, patterns, total *)
+  let row =
+    List.find
+      (fun l -> String.length l > 1 && l.[0] = 'v')
+      (String.split_on_char '\n' (Volume.report soc))
+  in
+  let cells = List.filter (fun s -> s <> "" && s <> "|") (String.split_on_char ' ' row) in
+  let int_cell = Msoc_util.Ascii_table.int_cell in
+  Alcotest.(check (list string))
+    "out bits and total"
+    [ "v"; int_cell 162; int_cell (150 + 5 + 2); "20"; int_cell (20 * (162 + 157)) ]
+    cells;
+  checki "matches Types.test_data_volume" (Types.test_data_volume c) (20 * (162 + 157))
 
 let test_volume_soc_stats () =
   let soc = Msoc_itc02.Synthetic.d281s () in
-  let stats = Volume.soc_stats soc in
-  checki "one row per core" 8 (List.length stats.Volume.cores);
-  checkb "largest <= total" true (stats.Volume.largest_bits <= stats.Volume.total_bits);
-  let sum =
-    List.fold_left (fun a (s : Volume.core_stats) -> a + s.Volume.total_bits) 0
-      stats.Volume.cores
+  let report = Volume.report soc in
+  let has_line prefix =
+    List.exists (String.starts_with ~prefix) (String.split_on_char '\n' report)
   in
-  checki "total is the sum" sum stats.Volume.total_bits
+  List.iter
+    (fun (c : Types.core) -> checkb "one row per core" true (has_line c.Types.name))
+    soc.Types.cores;
+  let sum = List.fold_left (fun a c -> a + Types.test_data_volume c) 0 soc.Types.cores in
+  checkb "total is the sum" true
+    (has_line (Printf.sprintf "total: %s bits" (Msoc_util.Ascii_table.int_cell sum)))
 
 let test_volume_ate_depth () =
   let soc = Msoc_itc02.Synthetic.d281s () in
@@ -147,8 +141,6 @@ let suites =
       ] );
     ( "protocol.sigma_delta",
       [
-        Alcotest.test_case "dc tracking" `Quick test_sd_dc_tracking;
-        Alcotest.test_case "cic dc gain" `Quick test_sd_cic_dc_gain;
         Alcotest.test_case "enob vs osr" `Slow test_sd_enob_improves_with_osr;
         Alcotest.test_case "2nd beats 1st order" `Slow test_sd_second_order_beats_first;
         Alcotest.test_case "validation" `Quick test_sd_validation;

@@ -66,7 +66,7 @@ let test_plan_weight_extremes () =
   List.iter
     (fun weight_time ->
       let plan =
-        Plan.run (Msoc_testplan.Instances.d281m ~weight_time ~tam_width:24 ())
+        Plan.run (Fixtures.d281m ~weight_time ~tam_width:24 ())
       in
       checkb "finite cost" true (Float.is_finite plan.Plan.best.Msoc_testplan.Evaluate.cost))
     [ 0.0; 1.0 ]
@@ -75,10 +75,10 @@ let test_plan_weight_extremes () =
 
 let jobs_with_awkward_rectangle () =
   [
-    Job.digital ~label:"slab" (Msoc_wrapper.Pareto.fixed ~width:6 ~time:900);
-    Job.digital ~label:"a" (Msoc_wrapper.Pareto.fixed ~width:3 ~time:500);
-    Job.digital ~label:"b" (Msoc_wrapper.Pareto.fixed ~width:3 ~time:500);
-    Job.digital ~label:"c" (Msoc_wrapper.Pareto.fixed ~width:2 ~time:450);
+    Fixtures.digital_job ~label:"slab" (Msoc_wrapper.Pareto.fixed ~width:6 ~time:900);
+    Fixtures.digital_job ~label:"a" (Msoc_wrapper.Pareto.fixed ~width:3 ~time:500);
+    Fixtures.digital_job ~label:"b" (Msoc_wrapper.Pareto.fixed ~width:3 ~time:500);
+    Fixtures.digital_job ~label:"c" (Msoc_wrapper.Pareto.fixed ~width:2 ~time:450);
     Job.analog ~label:"x" ~width:1 ~time:700 ~group:0;
     Job.analog ~label:"y" ~width:1 ~time:600 ~group:0;
   ]
@@ -102,8 +102,11 @@ let test_pack_optimized_awkward_instance () =
   checkb "respects LB" true (optimized >= Packer.lower_bound ~width:8 jobs)
 
 let test_plan_polish_no_worse () =
-  let plan = Plan.run (Msoc_testplan.Instances.d281m ~tam_width:24 ()) in
-  let polished = Plan.polish plan in
+  (* a final squeeze: pack_optimized over the winning combination's
+     jobs *)
+  let plan = Plan.run (Fixtures.d281m ~tam_width:24 ()) in
+  let jobs = Msoc_testplan.Evaluate.jobs_for (Msoc_testplan.Evaluate.prepare plan.Plan.problem) (Plan.sharing plan) in
+  let polished = Packer.pack_optimized ~width:plan.Plan.problem.Problem.tam_width jobs in
   checkb "polish never worse" true
     (Schedule.makespan polished <= Plan.makespan plan);
   checki "polished schedule valid" 0 (List.length (Schedule.check polished))
@@ -385,6 +388,7 @@ let test_cli_bad_serve_values () =
         [ "'--allow-shed'"; "overloaded, deadline_exceeded" ]);
       ([], replay [ "--json-out"; "/nonexistent/dir/r.json" ],
         [ "'--json-out'"; "existing directory" ]);
+      ([], replay [ "--json-out"; Filename.get_temp_dir_name () ], [ "'--json-out'"; "file path" ]);
     ]
 
 (* Planning values checked against the request range table. *)
@@ -427,6 +431,7 @@ let test_cli_bad_tool_values () =
       ([], [ "bist"; "--trials"; "0" ], [ "'--trials'" ]);
       ([], [ "generate"; "--cores"; "1"; "--bottleneck"; "unused.soc" ], [ "'--cores'"; "'--bottleneck'" ]);
       ([], [ "generate"; "/nonexistent/dir/out.soc" ], [ "OUTPUT.soc"; "existing directory" ]);
+      ([], [ "generate"; Filename.get_temp_dir_name () ], [ "OUTPUT.soc"; "file path" ]);
       ([], [ "generate"; "a b.soc" ], [ "OUTPUT.soc"; "without blanks" ]);
       ([], [ "serve"; "--memory-cache"; "0" ], [ "'--memory-cache'" ]);
       ([], [ "serve"; "--queue"; "0" ], [ "'--queue'" ]);
@@ -698,7 +703,26 @@ let test_cli_bad_analyze_files () =
       ([], [ "--baseline"; "b.json" ], [ "'--baseline'" ]);
       ([], [ "--write-baseline"; "b.json" ], [ "'--write-baseline'" ]);
     ];
-  check_usage_errors [ ([], [ "analyze" ], [ "unknown command 'analyze'" ]) ]
+  check_usage_errors [ ([], [ "analyze" ], [ "unknown command 'analyze'" ]) ];
+  (* an absolute --allowlist is read as given, not under the root: the
+     tree's own file by its full path reads "no findings", like the
+     default *)
+  let out = Filename.temp_file "msoc_analyze" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let allowlist = Filename.concat (Filename.dirname (Sys.getcwd ())) "analysis.allow" in
+      let code, lines =
+        let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o600 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            run_cli ~tool:"msoc_analyze" ~stdout:fd [ "--root"; ".."; "--allowlist"; allowlist ])
+      in
+      let report = In_channel.with_open_bin out In_channel.input_all in
+      checki "absolute --allowlist: exit" 0 code;
+      Alcotest.(check (list string)) "absolute --allowlist: stderr" [] lines;
+      checkb ("absolute --allowlist: " ^ report) true (contains report "no findings"))
 
 (* The planner, the serve daemon and the fleet workers are one binary,
    msoc_plan, and none of them runs the analyzer. So it links neither

@@ -283,7 +283,8 @@ let test_s505_dead_api () =
 
 (* examples/ and bench/suite/ are scanned trees: an export that only an
    example or only a benchmark workload reads is used, and the dead one
-   beside them still fires. *)
+   beside them still fires. test/ is scanned too, but a read from a test
+   keeps no export alive: one only a test reads is dead. *)
 let test_s505_executable_trees () =
   let mli = "val shown : int -> int\nval timed : int -> int\nval dead : int -> int\n" in
   let body = "let shown x = x + 1\nlet timed x = x + 2\nlet dead x = x - 1\n" in
@@ -292,7 +293,8 @@ let test_s505_executable_trees () =
       (fixture ~mli:false
          ~extra:
            [ ("examples/demo.ml", "let () = print_int (Fix.shown 1)\n");
-             ("bench/suite/workload.ml", "let run () = Fix.timed 1\n") ]
+             ("bench/suite/workload.ml", "let run () = Fix.timed 1\n");
+             ("test/t.ml", "let () = assert (Fix.dead 1 = 0)\n") ]
          body
       @ [ ("lib/fix/fix.mli", mli) ])
   in
@@ -497,9 +499,15 @@ let test_allowlist_stale_hash_is_s404 () =
   checkb "S403 on malformed hash" true (has Codes.s403 r)
 
 let test_allowlist_hash_parsing () =
+  let path = Filename.temp_file "msoc" ".allow" in
   let t =
-    Allowlist.of_string
-      "MSOC-S504 lib/serve/cache.ml:12@0a1b2c3d # spill under lock\n"
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc "MSOC-S504 lib/serve/cache.ml:12@0a1b2c3d # spill under lock\n");
+        (* an absolute path is read as given, whatever the root *)
+        Allowlist.load ~root:"lib" path)
   in
   (match t.Allowlist.entries with
   | [ e ] ->
@@ -520,8 +528,7 @@ let test_mask_quoted_strings () =
         "let s = {ext|assert false |} still|ext}\nlet k = 2\n" );
       ( "a quoted *) inside a comment keeps the comment open",
         "(* {|inner *) failwith still comment|} *)\nlet live = 3\n" );
-    ];
-  checks "default allowlist name" "analysis.allow" Engine.default_allowlist_file
+    ]
 
 (* --- white-box: Flow and Callgraph helpers --- *)
 
@@ -552,11 +559,7 @@ let test_flow_and_callgraph () =
       let caller = def "caller" in
       checkb "caller -> risky edge" true
         (List.mem (def "risky").Callgraph.key
-           (Callgraph.callees g caller.Callgraph.key));
-      (* Project.dependencies: fix has no library deps *)
-      match p.Project.modules with
-      | m :: _ -> checki "no lib deps" 0 (List.length (Project.dependencies p m))
-      | [] -> Alcotest.fail "no modules")
+           (Callgraph.callees g caller.Callgraph.key)))
 
 (* --- the union closure against the fixpoints it replaced --- *)
 
@@ -603,9 +606,9 @@ module Ref = struct
     done;
     table
 
-  let reply_paths = Typestate.reply_paths
+  let reply_paths = [ "send"; "send_client"; "reply"; "write_line" ]
 
-  let transfer_paths = Typestate.transfer_paths
+  let transfer_paths = [ "try_push"; "push"; "forward" ]
 
   let chain_last e =
     match Syntax.apply_chain e with
@@ -730,7 +733,7 @@ let suites =
         Alcotest.test_case "S504 blocking under lock" `Quick
           test_s504_blocking_under_lock;
         Alcotest.test_case "S505 dead exported API" `Quick test_s505_dead_api;
-        Alcotest.test_case "S505 examples and bench/suite uses" `Quick
+        Alcotest.test_case "S505 examples, bench/suite and test/ uses" `Quick
           test_s505_executable_trees;
         Alcotest.test_case "parse-failure degradation" `Quick
           test_parse_failure_degrades;

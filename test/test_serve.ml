@@ -217,7 +217,6 @@ let test_queue_fifo_and_backpressure () =
   checkb "push 1" true (Bounded_queue.try_push q 1);
   checkb "push 2" true (Bounded_queue.try_push q 2);
   checkb "push 3 rejected (full)" false (Bounded_queue.try_push q 3);
-  checki "length" 2 (Bounded_queue.length q);
   checkb "fifo 1" true (Bounded_queue.pop q = Some 1);
   checkb "freed a slot" true (Bounded_queue.try_push q 4);
   checkb "fifo 2" true (Bounded_queue.pop q = Some 2);
@@ -301,14 +300,15 @@ let test_metrics_histogram_cumulative () =
   let count_le bound =
     List.assoc bound buckets
   in
-  checki "first bucket" 1 (count_le Metrics.bucket_bounds_ms.(0));
+  (* the snapshot lists every bound, smallest first, overflow last *)
+  let finite = List.filter Float.is_finite (List.map fst buckets) in
+  checki "first bucket" 1 (count_le (List.hd finite));
   checkb "cumulative: monotone" true
     (let counts = List.map snd buckets in
      List.sort compare counts = counts);
   checki "overflow bucket counts everything" 3 (count_le infinity);
   (* the in-range observations are below some finite bound *)
-  checki "all finite below max bound" 2
-    (count_le Metrics.bucket_bounds_ms.(Array.length Metrics.bucket_bounds_ms - 1))
+  checki "all finite below max bound" 2 (count_le (List.nth finite (List.length finite - 1)))
 
 (* --- Cache --- *)
 

@@ -631,7 +631,7 @@ let flat_texts =
   QCheck.Gen.(frequency [ (3, flat_text); (1, delay (fun () -> mutate (Lazy.force p93791s))) ])
 
 let full_texts =
-  let p93791s_full = lazy (Full.to_string (Full.of_flat (Soc_file.of_string (Lazy.force p93791s)))) in
+  let p93791s_full = lazy (Fixtures.full_to_string (Fixtures.full_of_flat (Soc_file.of_string (Lazy.force p93791s)))) in
   QCheck.Gen.(frequency [ (3, full_text); (1, delay (fun () -> mutate (Lazy.force p93791s_full))) ])
 
 (* --- properties --- *)
@@ -716,10 +716,10 @@ let lint_agrees text =
       { d with code = Codes.e302; severity = Diagnostic.Error }
     | Some _ | None -> d
   in
-  triples (Lint.string text) = triples (List.map now (Ref.Lint.string text))
+  triples (Fixtures.lint_text text) = triples (List.map now (Ref.Lint.string text))
 
 let lint_clean_loads text =
-  let ds = Lint.string text in
+  let ds = Fixtures.lint_text text in
   match Soc_file.of_string text with
   | _ -> true
   | exception Soc_file.Parse_error { line; _ } ->

@@ -70,30 +70,33 @@ let test_queue_hammer () =
           last.(p) <- seq)
         batch)
     batches;
-  checki "queue drained" 0 (Bounded_queue.length q);
+  checkb "queue drained" true (Bounded_queue.pop q = None);
   checkb "queue closed" true (Bounded_queue.is_closed q)
 
-(* --- Bounded_queue.push: close lands while producers are blocked --- *)
+(* --- Bounded_queue.try_push: close lands mid-stream --- *)
 
-(* The close contract under the blocking discipline: a push that
-   returned [true] left its element where the drain will find it, a
-   push that returned [false] left nothing, and a close always wakes
-   every blocked producer. Two scenarios: close with every producer
-   parked in [push] (no consumer at all), and close racing an active
-   consumer mid-stream. The invariant — popped multiset = accepted
-   multiset, each producer's accepted run a prefix of its sequence —
-   holds for every interleaving, so a failure is a real race. *)
+(* The close contract for producers: a push that returned [true] left
+   its element where the drain will find it, a push that returned
+   [false] on a closed queue left nothing. The invariant — popped
+   multiset = accepted multiset, each producer's accepted run a prefix
+   of its sequence — holds for every interleaving, so a failure is a
+   real race. *)
 
 let push_producers = 4
 let push_per_producer = 400
 
 let push_stream q p =
-  (* blocking producer; stops at the first rejected push (the queue
-     never reopens, so acceptance is a prefix of the sequence) *)
+  (* spins on backpressure, stops at the first push the close rejects
+     (the queue never reopens, so acceptance is a prefix of the
+     sequence) *)
   let rec go seq acc =
     if seq > push_per_producer then acc
-    else if Bounded_queue.push q (p, seq) then go (seq + 1) ((p, seq) :: acc)
-    else acc
+    else if Bounded_queue.try_push q (p, seq) then go (seq + 1) ((p, seq) :: acc)
+    else if Bounded_queue.is_closed q then acc
+    else begin
+      Domain.cpu_relax ();
+      go seq acc
+    end
   in
   go 1 []
 
@@ -108,39 +111,6 @@ let check_push_invariants ~popped ~accepted =
         true
         (seqs = List.init (List.length seqs) succ))
     accepted
-
-let test_queue_push_close_while_blocked () =
-  (* no consumer: capacity fills, every producer parks in push, close
-     must wake them all with [false] and strand nothing *)
-  let q = Bounded_queue.create ~capacity:2 in
-  let producer_domains =
-    List.init push_producers (fun p -> Domain.spawn (fun () -> push_stream q p))
-  in
-  (* wait until the queue is full and stays full: all producers are
-     either parked in push or already rejected *)
-  let rec wait_full stable =
-    if stable >= 50 then ()
-    else if Bounded_queue.length q = Bounded_queue.capacity q then begin
-      Domain.cpu_relax ();
-      wait_full (stable + 1)
-    end
-    else begin
-      Domain.cpu_relax ();
-      wait_full 0
-    end
-  in
-  wait_full 0;
-  Bounded_queue.close q;
-  let accepted = List.map Domain.join producer_domains in
-  let rec drain acc =
-    match Bounded_queue.pop q with
-    | Some item -> drain (item :: acc)
-    | None -> acc
-  in
-  let popped = drain [] in
-  checki "exactly the capacity was accepted" (Bounded_queue.capacity q)
-    (List.length popped);
-  check_push_invariants ~popped ~accepted
 
 let test_queue_push_close_mid_stream () =
   (* active consumer: the consumer itself fires the close after a
@@ -231,8 +201,6 @@ let suites =
       [
         Alcotest.test_case "bounded queue multi-domain hammer" `Quick
           test_queue_hammer;
-        Alcotest.test_case "push wakes on close (all blocked)" `Quick
-          test_queue_push_close_while_blocked;
         Alcotest.test_case "push/close race mid-stream" `Quick
           test_queue_push_close_mid_stream;
         Alcotest.test_case "serve cache multi-domain hammer" `Quick

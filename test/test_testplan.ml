@@ -19,7 +19,7 @@ let checkf tol = Alcotest.(check (float tol))
 (* A small instance keeps the suite fast; p93791m is exercised by the
    integration suite. *)
 let small_problem ?(weight_time = 0.5) ?(tam_width = 24) () =
-  Instances.d281m ~weight_time ~tam_width ()
+  Fixtures.d281m ~weight_time ~tam_width ()
 
 let prepared = lazy (Evaluate.prepare (small_problem ()))
 
@@ -249,7 +249,17 @@ let test_plan_exhaustive_matches_direct () =
 
 let test_plan_digital_operating_points () =
   let plan = Plan.run (small_problem ()) in
-  let points = Plan.digital_operating_points plan in
+  (* the wrapper design the plan commits to: each digital core's
+     placement *)
+  let digital = List.map (fun (c : Msoc_itc02.Types.core) -> c.Msoc_itc02.Types.name) plan.Plan.problem.Problem.soc.Msoc_itc02.Types.cores in
+  let points =
+    List.filter_map
+      (fun (p : Msoc_tam.Schedule.placement) ->
+        let label = p.Msoc_tam.Schedule.job.Msoc_tam.Job.label in
+        if List.mem label digital then Some (label, p.Msoc_tam.Schedule.width, p.Msoc_tam.Schedule.time)
+        else None)
+      plan.Plan.best.Evaluate.schedule.Msoc_tam.Schedule.placements
+  in
   checki "one per digital core" 8 (List.length points);
   List.iter
     (fun (_, width, time) ->

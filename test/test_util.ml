@@ -12,27 +12,18 @@ let checki = Alcotest.(check int)
 
 (* --- Rng --- *)
 
+let draw_bits rng = Int64.bits_of_float (Rng.float rng ~bound:1.0)
+
 let test_rng_determinism () =
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
   for _ = 1 to 100 do
-    check Alcotest.int64 "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    check Alcotest.int64 "same stream" (draw_bits a) (draw_bits b)
   done
 
 let test_rng_seeds_differ () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
-  let same = List.init 16 (fun _ -> Rng.bits64 a = Rng.bits64 b) in
+  let same = List.init 16 (fun _ -> draw_bits a = draw_bits b) in
   checkb "streams differ" true (List.exists not same)
-
-let test_rng_copy_independent () =
-  let a = Rng.create ~seed:7 in
-  let _ = Rng.bits64 a in
-  let b = Rng.copy a in
-  checki "copy continues" (Rng.int a ~bound:1000) (Rng.int b ~bound:1000);
-  (* advancing one does not advance the other *)
-  let _ = Rng.bits64 a in
-  let va = Rng.int a ~bound:1000 and vb = Rng.int b ~bound:1000 in
-  ignore va;
-  ignore vb
 
 let test_rng_int_bounds () =
   let rng = Rng.create ~seed:3 in
@@ -98,11 +89,13 @@ let test_rng_log_uniform () =
 
 (* --- Combinat --- *)
 
+let set_partitions xs = List.of_seq (Combinat.set_partitions_seq xs)
+
 let test_set_partitions_counts () =
   List.iter
     (fun (n, bell) ->
       let xs = List.init n Fun.id in
-      checki (Printf.sprintf "Bell(%d)" n) bell (List.length (Combinat.set_partitions xs)))
+      checki (Printf.sprintf "Bell(%d)" n) bell (List.length (set_partitions xs)))
     [ (0, 1); (1, 1); (2, 2); (3, 5); (4, 15); (5, 52); (6, 203) ]
 
 let test_set_partitions_are_partitions () =
@@ -112,12 +105,12 @@ let test_set_partitions_are_partitions () =
       let flat = List.concat p |> List.sort compare in
       check Alcotest.(list int) "covers all elements" xs flat;
       checkb "no empty blocks" true (List.for_all (fun b -> b <> []) p))
-    (Combinat.set_partitions xs)
+    (set_partitions xs)
 
 let test_set_partitions_distinct () =
   let xs = [ 1; 2; 3; 4; 5 ] in
   let canon p = List.map (List.sort compare) p |> List.sort compare in
-  let keys = List.map canon (Combinat.set_partitions xs) in
+  let keys = List.map canon (set_partitions xs) in
   checki "all distinct" 52 (List.length (List.sort_uniq compare keys))
 
 let test_bell_number () =
@@ -130,40 +123,8 @@ let test_bell_matches_enumeration () =
     checki
       (Printf.sprintf "bell(%d) = #partitions" n)
       (Combinat.bell_number n)
-      (List.length (Combinat.set_partitions (List.init n Fun.id)))
+      (List.length (set_partitions (List.init n Fun.id)))
   done
-
-(* The restricted-growth-string encoding enumerates exactly the set
-   partitions: decoding every RGS of length n through groups_of_rgs
-   yields each canonical partition once. *)
-let test_rgs_encodes_partitions () =
-  for n = 0 to 6 do
-    let items = Array.init n Fun.id in
-    let decoded =
-      Combinat.restricted_growth_seq n
-      |> Seq.map (fun rgs -> Combinat.groups_of_rgs items rgs)
-      |> List.of_seq
-    in
-    checki
-      (Printf.sprintf "Bell(%d) strings" n)
-      (Combinat.bell_number n) (List.length decoded);
-    let canon p = List.map (List.sort compare) p |> List.sort compare in
-    checki
-      (Printf.sprintf "distinct partitions at n=%d" n)
-      (Combinat.bell_number n)
-      (List.length (List.sort_uniq compare (List.map canon decoded)));
-    List.iter
-      (fun p ->
-        checki
-          (Printf.sprintf "covers all %d elements" n)
-          n
-          (List.length (List.concat p)))
-      decoded
-  done
-
-let test_subsets () =
-  checki "2^4 subsets" 16 (List.length (Combinat.subsets [ 1; 2; 3; 4 ]));
-  checkb "empty subset present" true (List.mem [] (Combinat.subsets [ 1; 2 ]))
 
 let test_pairs () =
   check Alcotest.(list (pair int int)) "pairs of 3" [ (1, 2); (1, 3); (2, 3) ]
@@ -229,21 +190,18 @@ let test_ceil_div () =
   checki "round up" 4 (Numeric.ceil_div 10 3);
   checki "zero" 0 (Numeric.ceil_div 0 5)
 
+(* the inverse [db] must have: amplitude from decibels *)
+let from_db d = Float.pow 10.0 (d /. 20.0)
+
 let test_db_roundtrip () =
   checkb "db(1) = 0" true (Numeric.close (Numeric.db 1.0) 0.0 ~abs_tol:1e-9);
   checkb "-3dB magnitude" true
-    (Numeric.close ~rel:1e-3 (Numeric.from_db (-3.0103)) (1.0 /. Float.sqrt 2.0));
-  checkb "roundtrip" true (Numeric.close (Numeric.from_db (Numeric.db 0.35)) 0.35)
-
-let test_interp_linear () =
-  check Alcotest.(float 1e-9) "midpoint" 1.5
-    (Numeric.interp_linear ~x0:0.0 ~y0:1.0 ~x1:2.0 ~y1:2.0 1.0);
-  check Alcotest.(float 1e-9) "extrapolates" 3.0
-    (Numeric.interp_linear ~x0:0.0 ~y0:1.0 ~x1:2.0 ~y1:2.0 4.0)
+    (Numeric.close ~rel:1e-3 (Numeric.db (1.0 /. Float.sqrt 2.0)) (-3.0103));
+  checkb "roundtrip" true (Numeric.close (from_db (Numeric.db 0.35)) 0.35)
 
 let test_clamp () =
-  check Alcotest.(float 1e-9) "clamped hi" 2.0 (Numeric.clamp ~lo:0.0 ~hi:2.0 5.0);
-  checki "clamped lo" 1 (Numeric.clamp_int ~lo:1 ~hi:9 (-2))
+  checki "clamped lo" 1 (Numeric.clamp_int ~lo:1 ~hi:9 (-2));
+  checki "clamped hi" 9 (Numeric.clamp_int ~lo:1 ~hi:9 12)
 
 (* --- qcheck properties --- *)
 
@@ -253,7 +211,7 @@ let qcheck_tests =
     Test.make ~name:"set_partitions count = bell_number"
       (int_range 0 7)
       (fun n ->
-        List.length (Combinat.set_partitions (List.init n Fun.id))
+        List.length (set_partitions (List.init n Fun.id))
         = Combinat.bell_number n);
     Test.make ~name:"ceil_div a b is smallest q with q*b >= a"
       (pair (int_range 0 10000) (int_range 1 500))
@@ -274,7 +232,7 @@ let qcheck_tests =
         List.sort compare flat = List.sort compare xs);
     Test.make ~name:"from_db inverts db"
       (float_range 1e-6 1e6)
-      (fun x -> Numeric.close ~rel:1e-9 (Numeric.from_db (Numeric.db x)) x);
+      (fun x -> Numeric.close ~rel:1e-9 (from_db (Numeric.db x)) x);
   ]
   |> List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
@@ -284,7 +242,6 @@ let suites =
       [
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
         Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
-        Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
         Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
         Alcotest.test_case "int_in inclusive" `Quick test_rng_int_in_inclusive;
         Alcotest.test_case "float range" `Quick test_rng_float_range;
@@ -299,8 +256,6 @@ let suites =
         Alcotest.test_case "partitions distinct" `Quick test_set_partitions_distinct;
         Alcotest.test_case "bell numbers" `Quick test_bell_number;
         Alcotest.test_case "bell matches enumeration" `Quick test_bell_matches_enumeration;
-        Alcotest.test_case "rgs encoding" `Quick test_rgs_encodes_partitions;
-        Alcotest.test_case "subsets" `Quick test_subsets;
         Alcotest.test_case "pairs" `Quick test_pairs;
         Alcotest.test_case "block sizes" `Quick test_block_sizes;
         Alcotest.test_case "group_by" `Quick test_group_by;
@@ -319,7 +274,6 @@ let suites =
         Alcotest.test_case "percent_of" `Quick test_percent_of;
         Alcotest.test_case "ceil_div" `Quick test_ceil_div;
         Alcotest.test_case "db" `Quick test_db_roundtrip;
-        Alcotest.test_case "interp_linear" `Quick test_interp_linear;
         Alcotest.test_case "clamp" `Quick test_clamp;
       ] );
     ("util.properties", qcheck_tests);

@@ -8,6 +8,11 @@ module Pareto = Msoc_wrapper.Pareto
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
+(* The test time the kernel designs for a core at one width. *)
+let test_time_at core ~width = Design.run (Design.kernel core ~max_width:width) ~width
+
+let test_time (d : Design.t) = test_time_at d.Design.core ~width:d.Design.width
+
 (* --- Scan-chain partition: the BFD inside Design.design --- *)
 
 (* A core with only scan chains, so each wrapper chain's depth is its
@@ -43,8 +48,11 @@ let test_bfd_loads_consistent () =
   in
   let d = Design.design core ~width:4 in
   let deepest f = Array.fold_left (fun m c -> max m (f c)) 0 d.Design.chains in
-  checki "si = deepest chain" (deepest Design.chain_scan_in) d.Design.scan_in;
-  checki "so = deepest chain" (deepest Design.chain_scan_out) d.Design.scan_out;
+  let scan c = List.fold_left ( + ) 0 c.Design.scan in
+  let scan_in c = scan c + c.Design.input_cells + c.Design.bidir_cells
+  and scan_out c = scan c + c.Design.output_cells + c.Design.bidir_cells in
+  checki "si = deepest chain" (deepest scan_in) d.Design.scan_in;
+  checki "so = deepest chain" (deepest scan_out) d.Design.scan_out;
   checki "used width = non-empty chains" 4 d.Design.used_width
 
 let test_bfd_balances_equal_items () =
@@ -99,7 +107,7 @@ let test_design_depths () =
 let test_design_test_time_formula () =
   let d = Design.design scan_core ~width:4 in
   let si = d.Design.scan_in and so = d.Design.scan_out in
-  checki "T matches formula" (((1 + max si so) * 100) + min si so) (Design.test_time d)
+  checki "T matches formula" (((1 + max si so) * 100) + min si so) (test_time d)
 
 let test_design_width_one () =
   let d = Design.design scan_core ~width:1 in
@@ -110,7 +118,7 @@ let test_design_combinational () =
   let d = Design.design comb_core ~width:6 in
   checki "inputs spread over 6" 10 d.Design.scan_in;
   checki "outputs spread over 6" 5 d.Design.scan_out;
-  checkb "time = (1+si)*p + so" true (Design.test_time d = ((1 + 10) * 500) + 5)
+  checkb "time = (1+si)*p + so" true (test_time d = ((1 + 10) * 500) + 5)
 
 let test_design_used_width_bounded () =
   let d = Design.design comb_core ~width:200 in
@@ -119,9 +127,9 @@ let test_design_used_width_bounded () =
 
 let test_design_monotone_enough () =
   (* Doubling the width never increases the designed test time. *)
-  let t1 = Design.test_time_at scan_core ~width:1 in
-  let t2 = Design.test_time_at scan_core ~width:2 in
-  let t4 = Design.test_time_at scan_core ~width:4 in
+  let t1 = test_time_at scan_core ~width:1 in
+  let t2 = test_time_at scan_core ~width:2 in
+  let t4 = test_time_at scan_core ~width:4 in
   checkb "staircase trend" true (t1 >= t2 && t2 >= t4)
 
 let test_design_rejects_zero_width () =
@@ -144,7 +152,7 @@ let test_staircase_strictly_decreasing () =
 
 let test_staircase_time_at () =
   let s = Pareto.staircase scan_core ~max_width:16 in
-  checki "time at min width" (Design.test_time_at scan_core ~width:1)
+  checki "time at min width" (test_time_at scan_core ~width:1)
     (Pareto.time_at s ~width:1);
   checkb "wider never slower" true
     (Pareto.time_at s ~width:16 <= Pareto.time_at s ~width:2);
@@ -160,9 +168,8 @@ let test_staircase_below_min_width () =
 let test_fixed_staircase () =
   let s = Pareto.fixed ~width:5 ~time:42 in
   checki "min width" 5 (Pareto.min_width s);
-  checki "max width" 5 (Pareto.max_width s);
   checki "min time" 42 (Pareto.min_time s);
-  checki "width_for" 5 (Pareto.width_for s ~width:60)
+  checki "time past the point" 42 (Pareto.time_at s ~width:60)
 
 let test_staircase_dominance_vs_design () =
   (* Every staircase point is at least as good as the raw design at
@@ -171,7 +178,7 @@ let test_staircase_dominance_vs_design () =
   List.iter
     (fun (p : Pareto.point) ->
       checkb "frontier beats or ties design" true
-        (p.Pareto.time <= Design.test_time_at scan_core ~width:p.Pareto.width))
+        (p.Pareto.time <= test_time_at scan_core ~width:p.Pareto.width))
     (Pareto.points s)
 
 (* Every staircase point, for every core of three SOCs at every
@@ -214,6 +221,14 @@ let test_staircase_golden () =
    from designing every width. *)
 module Reference = struct
   open Design
+
+  let chain_scan_in c = List.fold_left ( + ) 0 c.scan + c.input_cells + c.bidir_cells
+
+  let chain_scan_out c = List.fold_left ( + ) 0 c.scan + c.output_cells + c.bidir_cells
+
+  (* the closed form T = (1 + max(si, so)) * p + min(si, so) *)
+  let test_time d =
+    ((1 + Int.max d.scan_in d.scan_out) * d.core.Types.patterns) + Int.min d.scan_in d.scan_out
 
   type 'a bin = { load : int; items : 'a list }
 
@@ -413,8 +428,8 @@ let qcheck_tests =
         let d = Design.design core ~width:6 in
         Array.for_all
           (fun c ->
-            Design.chain_scan_in c <= d.Design.scan_in
-            && Design.chain_scan_out c <= d.Design.scan_out)
+            Reference.chain_scan_in c <= d.Design.scan_in
+            && Reference.chain_scan_out c <= d.Design.scan_out)
           d.Design.chains);
     Test.make ~name:"design equals the cell-by-cell reference" ~count:1000
       design_arb (fun (core, width) ->
