@@ -6,6 +6,7 @@ module Types = Msoc_itc02.Types
 module Job = Msoc_tam.Job
 module Packer = Msoc_tam.Packer
 module Schedule = Msoc_tam.Schedule
+module Spec = Msoc_analog.Spec
 module Catalog = Msoc_analog.Catalog
 module Sharing = Msoc_analog.Sharing
 module Bounds = Msoc_analog.Bounds
@@ -92,6 +93,60 @@ let test_wrapped_cutoff_measurement_error_small () =
     true (err < 0.06);
   checkb "direct near design" true (Float.abs (fc_direct -. 61_000.0) < 3_000.0)
 
+(* --- Shared wrapper usage equals the scheduling bound --- *)
+
+let test_shared_wrapper_usage_vs_bound () =
+  (* Every test of cores A and E runs through one shared behavioral
+     wrapper (tiny records); in the planned p93791m schedule with A and
+     E on that wrapper its tests are serialized, so its usage = Σ runs
+     = the analytic per-wrapper bound. *)
+  let shared = [ Catalog.core_a; Catalog.core_e ] in
+  let sw = Msoc_mixedsig.Shared_wrapper.create ~system_clock_hz:200.0e6 shared in
+  let stim = Array.init 32 (fun i -> (i * 8) mod 256) in
+  let responses =
+    List.concat_map
+      (fun (core : Spec.core) ->
+        List.map
+          (fun test ->
+            Msoc_mixedsig.Shared_wrapper.run_test sw ~core_label:core.Spec.label
+              ~core:Fun.id ~test ~stimulus:stim)
+          core.Spec.tests)
+      shared
+  in
+  checki "8 runs (6 + 2 tests)" 8 (List.length responses);
+  List.iter (fun r -> checki "one code per sample" 32 (Array.length r)) responses;
+  let problem = Instances.p93791m ~tam_width:32 () in
+  let on_shared (c : Spec.core) = List.mem c.Spec.label [ "A"; "E" ] in
+  let combo =
+    Sharing.make
+      (shared
+      :: List.filter_map
+           (fun c -> if on_shared c then None else Some [ c ])
+           problem.Problem.analog_cores)
+  in
+  checkb "A and E may share" true (Sharing.is_feasible combo);
+  let e = Evaluate.evaluate (Evaluate.prepare problem) combo in
+  let runs =
+    List.filter
+      (fun (p : Schedule.placement) ->
+        match String.index_opt p.Schedule.job.Job.label ':' with
+        | Some i -> List.mem (String.sub p.Schedule.job.Job.label 0 i) [ "A"; "E" ]
+        | None -> false)
+      e.Evaluate.schedule.Schedule.placements
+  in
+  checki "8 scheduled runs" 8 (List.length runs);
+  let by_start =
+    List.sort (fun (a : Schedule.placement) b -> compare a.Schedule.start b.Schedule.start) runs
+  in
+  ignore
+    (List.fold_left
+       (fun prev_finish (p : Schedule.placement) ->
+         checkb "serialized" true (p.Schedule.start >= prev_finish);
+         Schedule.finish p)
+       0 by_start);
+  checki "usage = sum of runs" (Bounds.wrapper_usage shared)
+    (List.fold_left (fun acc (p : Schedule.placement) -> acc + p.Schedule.time) 0 runs)
+
 (* --- Sharing choice changes with weights on the real instance --- *)
 
 let test_p93791m_weights_steer () =
@@ -131,5 +186,9 @@ let suites =
       [
         Alcotest.test_case "wrapped cutoff error < 6%" `Quick
           test_wrapped_cutoff_measurement_error_small;
+      ] );
+    ( "integration.shared_wrapper",
+      [
+        Alcotest.test_case "usage vs bound" `Quick test_shared_wrapper_usage_vs_bound;
       ] );
   ]
