@@ -102,7 +102,7 @@ let soc_file_arg =
     "Digital SOC description (.soc file). Defaults to the built-in p93791s \
      synthetic benchmark."
   in
-  Arg.(value & opt (some file) None & info [ "soc" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some non_dir_file) None & info [ "soc" ] ~docv:"FILE" ~doc)
 
 let labels cores = List.map (fun c -> c.Msoc_analog.Spec.label) cores
 

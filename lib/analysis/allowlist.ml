@@ -105,6 +105,9 @@ let of_string ?path text =
 
 let load ~root path =
   let file = if Filename.is_relative path then Filename.concat root path else path in
+  (* reading a directory fails with an error that names neither it nor
+     the problem *)
+  if Sys.file_exists file && Sys.is_directory file then raise (Sys_error (file ^ ": Is a directory"));
   of_string ~path (Source.read_file file)
 
 let entry_matches ~file_lines entry (d : Diagnostic.t) =

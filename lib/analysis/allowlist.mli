@@ -35,7 +35,7 @@ val empty : t
 val load : root:string -> string -> t
 (** [load ~root path] parses [root/path], or [path] itself when it is
     absolute, with [path] as given.
-    @raise Sys_error when the file cannot be read. *)
+    @raise Sys_error when the file cannot be read or is a directory. *)
 
 type applied = {
   kept : Msoc_check.Diagnostic.t list;

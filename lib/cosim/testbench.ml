@@ -316,7 +316,8 @@ let program ?tolerance_pct ?stimulus config spec =
 (* Everything a trial writes, sized for one program: the die's noise
    draws, the sample buffer every stage of both paths overwrites, the
    code buffer (the stimulus codes, then the response codes) and a
-   spectral readout's FFT buffers and magnitudes. The scratch is built
+   spectral readout's scratch (its FFT buffers and the magnitudes
+   SINAD fills). The scratch is built
    when a readout first needs it, so a record readout and {!spectra},
    which lends each spectrum a scratch of its own, build none. *)
 type workspace = {

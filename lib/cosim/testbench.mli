@@ -146,9 +146,10 @@ type workspace
     which the DUT overwrites in place and the ADC reads; then the
     decoded response), the code buffer (the stimulus codes the DAC
     reads, then the response codes the ADC writes) and, for a
-    spectral readout, the FFT's split real and imaginary buffers and
-    the magnitudes ({!Msoc_signal.Spectrum.scratch}), built by the
-    first trial that reads a spectrum.
+    spectral readout, the FFT's split real and imaginary buffers,
+    which the readout reads its bins from, and the magnitudes a
+    whole-spectrum readout fills ({!Msoc_signal.Spectrum.scratch}),
+    built by the first trial that reads a spectrum.
 
     Ownership: a workspace belongs to the one domain that runs trials
     through it, one trial at a time; nothing holds it in a

@@ -1,14 +1,22 @@
 type architecture = Flash | Modular_pipeline
 
-(* A flash bank is its sorted threshold list; output code = number of
-   thresholds below the input. *)
+(* A flash bank is its thresholds in comparator order; output code =
+   number of thresholds at or below the input. *)
 type flash_bank = float array
 
 (* [cell_bottom.(msb)] is the bottom of coarse cell [msb], tabulated
-   from the reconstruction DAC when the converter is created. *)
+   from the reconstruction DAC when the converter is created. The
+   constructor says whether the banks are non-decreasing: threshold
+   noise can leave a mismatched bank out of order, and a pipeline with
+   either bank out of order is [Pipeline_unsorted]. The order lives in
+   the constructor, not in a field: every Monte-Carlo trial creates its
+   converters, and a trial's allocation is held word for word
+   (test_cosim's "warm trial minor words"). *)
 type stages =
   | Single of flash_bank
+  | Single_unsorted of flash_bank
   | Pipeline of { coarse : flash_bank; cell_bottom : float array; fine : flash_bank }
+  | Pipeline_unsorted of { coarse : flash_bank; cell_bottom : float array; fine : flash_bank }
 
 type t = {
   bits : int;
@@ -25,6 +33,15 @@ let make_bank rng ~sigma_volts ~bits ~range =
   code_edges_ideal ~bits ~range
   |> Array.map (fun edge -> edge +. (sigma_volts *. Msoc_util.Rng.gaussian rng))
 
+(* A NaN threshold compares false both ways, so it leaves its bank
+   unsorted. *)
+let non_decreasing (bank : flash_bank) =
+  let sorted = ref true in
+  for i = 1 to Array.length bank - 1 do
+    if not (bank.(i - 1) <= bank.(i)) then sorted := false
+  done;
+  !sorted
+
 let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_range)
     architecture ~bits =
   if bits < 2 || bits > 16 then invalid_arg "Adc.create: bits out of 2..16";
@@ -39,7 +56,9 @@ let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_r
   let sigma_volts = threshold_sigma_lsb *. full_lsb in
   let stages =
     match architecture with
-    | Flash -> Single (make_bank rng ~sigma_volts ~bits ~range)
+    | Flash ->
+      let bank = make_bank rng ~sigma_volts ~bits ~range in
+      if non_decreasing bank then Single bank else Single_unsorted bank
     | Modular_pipeline ->
       let half = bits / 2 in
       let coarse = make_bank rng ~sigma_volts ~bits:half ~range in
@@ -52,19 +71,44 @@ let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_r
         Array.init (1 lsl half) (fun msb -> Dac.convert reconstruct msb -. (msb_lsb /. 2.0))
       in
       let fine = make_bank rng ~sigma_volts ~bits:half ~range in
-      Pipeline { coarse; cell_bottom; fine }
+      if non_decreasing coarse && non_decreasing fine then Pipeline { coarse; cell_bottom; fine }
+      else Pipeline_unsorted { coarse; cell_bottom; fine }
   in
   { bits; range; stages }
 
 let bits t = t.bits
 
 
-(* The conversion is written once, in the two helpers below: [convert]
+(* The conversion is written once, in the helpers below: [convert]
    applies them to one voltage and [convert_into] to a record, with the
    stage match outside its loop. They are inlined, so no sample is
-   boxed. Thresholds are sorted; a binary search counts the
-   comparators below the input. *)
-let[@inline] bank_convert (bank : flash_bank) v =
+   boxed.
+
+   On a non-decreasing bank, the count of thresholds at or below [v]
+   starts from a guess, the count of ideal edges at or below [v]
+   ([vmin] and [inv_lsb], the reciprocal of the bank's ideal spacing,
+   place them), and steps up past every threshold at or below [v], then
+   down past every one above it: mismatch moves a threshold by a
+   fraction of the spacing, so the steps are short, and they make the
+   count exact whatever the guess. A NaN input counts no threshold. *)
+let[@inline] count_from_guess (bank : flash_bank) ~vmin ~inv_lsb v =
+  let m = Array.length bank in
+  let x = (v -. vmin) *. inv_lsb in
+  let k = ref (if x >= 0.0 then if x < float_of_int m then int_of_float x else m else 0) in
+  while !k < m && bank.(!k) <= v do
+    incr k
+  done;
+  while !k > 0 && bank.(!k - 1) > v do
+    decr k
+  done;
+  !k
+
+(* A bisection over the comparators in their order, as if they were
+   sorted. On a non-decreasing bank its code is the count of thresholds
+   at or below [v]; on a bank out of order it is where the bisection
+   stops, the count only where the comparators it visits agree with
+   it. *)
+let[@inline] bisect (bank : flash_bank) v =
   let lo = ref 0 and hi = ref (Array.length bank) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -72,33 +116,58 @@ let[@inline] bank_convert (bank : flash_bank) v =
   done;
   !lo
 
-let[@inline] pipeline_convert ~coarse ~cell_bottom ~fine ~vmin ~half v =
-  let msb = bank_convert coarse v in
+(* The fine bank has 2^half - 1 thresholds, so its code fits [half]
+   bits as it stands. A pipeline with a bank out of order bisects
+   both. *)
+let[@inline] pipeline_convert ~sorted ~coarse ~cell_bottom ~fine ~vmin ~inv_lsb ~half v =
+  let msb = if sorted then count_from_guess coarse ~vmin ~inv_lsb v else bisect coarse v in
   let residue = v -. cell_bottom.(msb) in
   let amplified = vmin +. (residue *. float_of_int (1 lsl half)) in
   let lsb_code =
-    Msoc_util.Numeric.clamp_int ~lo:0 ~hi:((1 lsl half) - 1) (bank_convert fine amplified)
+    if sorted then count_from_guess fine ~vmin ~inv_lsb amplified else bisect fine amplified
   in
   (msb lsl half) lor lsb_code
 
+(* The reciprocal of the ideal spacing of a bank of [bits] bits. *)
+let[@inline] inverse_lsb ~bits range =
+  float_of_int (1 lsl bits) /. (range.Quantize.vmax -. range.Quantize.vmin)
+
 let convert t v =
+  let vmin = t.range.Quantize.vmin and half = t.bits / 2 in
   match t.stages with
-  | Single bank -> bank_convert bank v
+  | Single bank -> count_from_guess bank ~vmin ~inv_lsb:(inverse_lsb ~bits:t.bits t.range) v
+  | Single_unsorted bank -> bisect bank v
   | Pipeline { coarse; cell_bottom; fine } ->
-    pipeline_convert ~coarse ~cell_bottom ~fine ~vmin:t.range.Quantize.vmin ~half:(t.bits / 2) v
+    pipeline_convert ~sorted:true ~coarse ~cell_bottom ~fine ~vmin
+      ~inv_lsb:(inverse_lsb ~bits:half t.range) ~half v
+  | Pipeline_unsorted { coarse; cell_bottom; fine } ->
+    pipeline_convert ~sorted:false ~coarse ~cell_bottom ~fine ~vmin ~inv_lsb:0.0 ~half v
 
 let convert_into t samples ~into:codes =
   if Array.length codes <> Array.length samples then
     invalid_arg "Adc.convert_into: output length differs from the record's";
+  let vmin = t.range.Quantize.vmin and half = t.bits / 2 and n = Array.length samples in
   match t.stages with
   | Single bank ->
-    for i = 0 to Array.length samples - 1 do
-      codes.(i) <- bank_convert bank samples.(i)
+    let inv_lsb = inverse_lsb ~bits:t.bits t.range in
+    for i = 0 to n - 1 do
+      codes.(i) <- count_from_guess bank ~vmin ~inv_lsb samples.(i)
+    done
+  | Single_unsorted bank ->
+    for i = 0 to n - 1 do
+      codes.(i) <- bisect bank samples.(i)
     done
   | Pipeline { coarse; cell_bottom; fine } ->
-    let vmin = t.range.Quantize.vmin and half = t.bits / 2 in
-    for i = 0 to Array.length samples - 1 do
-      codes.(i) <- pipeline_convert ~coarse ~cell_bottom ~fine ~vmin ~half samples.(i)
+    let inv_lsb = inverse_lsb ~bits:half t.range in
+    for i = 0 to n - 1 do
+      codes.(i) <-
+        pipeline_convert ~sorted:true ~coarse ~cell_bottom ~fine ~vmin ~inv_lsb ~half samples.(i)
+    done
+  | Pipeline_unsorted { coarse; cell_bottom; fine } ->
+    for i = 0 to n - 1 do
+      codes.(i) <-
+        pipeline_convert ~sorted:false ~coarse ~cell_bottom ~fine ~vmin ~inv_lsb:0.0 ~half
+          samples.(i)
     done
 
 let convert_all t samples =

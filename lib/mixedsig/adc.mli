@@ -10,11 +10,16 @@
     Optional comparator threshold noise exercises the pipeline's
     sensitivity to stage errors.
 
-    Conversion builds no closure and evaluates no DAC per sample: each
-    flash bank is a sorted threshold array searched by a binary-search
-    loop, and {!create} evaluates the pipeline's reconstruction DAC once
-    per coarse code into a table of coarse-cell bottoms. Codes are
-    bit-identical to evaluating the DAC on every sample. *)
+    Conversion builds no closure and evaluates no DAC per sample:
+    {!create} records whether each flash bank's thresholds are
+    non-decreasing and evaluates the pipeline's reconstruction DAC once
+    per coarse code into a table of coarse-cell bottoms. A
+    non-decreasing bank's code, the number of thresholds at or below
+    the input, starts from the count of ideal edges there and steps a
+    threshold or two; a bank that noise left out of order is
+    binary-searched over its comparators in their order, as every bank
+    was before. Codes are bit-identical to the binary search and to
+    evaluating the DAC on every sample. *)
 
 type architecture = Flash | Modular_pipeline
 

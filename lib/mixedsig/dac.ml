@@ -53,14 +53,19 @@ let span t = t.range.Quantize.vmax -. t.range.Quantize.vmin
 
 (* The conversion, written once: [convert] applies it to one code and
    [convert_into] to a record, with the ladder match outside its
-   loop. Inlined, so no sample is boxed. *)
+   loop. Inlined, so no sample is boxed. The LSB ladder's fraction is
+   scaled by [inv], 2^-h: multiplying by a power of two's exact
+   reciprocal rounds as dividing by the power does, so no sample
+   divides. *)
 let[@inline] check_code ~n code =
   if code < 0 || code >= n then invalid_arg "Dac.convert: code out of range"
 
 let[@inline] string_fraction ladder ~half_lsb code = ladder.(code) +. half_lsb
 
-let[@inline] modular_fraction ~msb ~lsb ~h ~half_lsb code =
-  msb.(code lsr h) +. (lsb.(code land ((1 lsl h) - 1)) /. float_of_int (1 lsl h)) +. half_lsb
+let[@inline] modular_fraction ~msb ~lsb ~h ~inv ~half_lsb code =
+  msb.(code lsr h) +. (lsb.(code land ((1 lsl h) - 1)) *. inv) +. half_lsb
+
+let[@inline] reciprocal_of_pow2 h = Float.ldexp 1.0 (-h)
 
 let[@inline] volts ~vmin ~span fraction = vmin +. (fraction *. span)
 
@@ -78,10 +83,11 @@ let convert_into t codes ~into:out =
     done
   | Modular_ladders { msb; lsb } ->
     let h = t.bits / 2 in
+    let inv = reciprocal_of_pow2 h in
     for i = 0 to Array.length codes - 1 do
       let code = codes.(i) in
       check_code ~n code;
-      out.(i) <- volts ~vmin ~span (modular_fraction ~msb ~lsb ~h ~half_lsb code)
+      out.(i) <- volts ~vmin ~span (modular_fraction ~msb ~lsb ~h ~inv ~half_lsb code)
     done
 
 let convert_all t codes =
@@ -96,7 +102,9 @@ let convert t code =
   let fraction =
     match t.ladders with
     | String_ladder ladder -> string_fraction ladder ~half_lsb code
-    | Modular_ladders { msb; lsb } -> modular_fraction ~msb ~lsb ~h:(t.bits / 2) ~half_lsb code
+    | Modular_ladders { msb; lsb } ->
+      let h = t.bits / 2 in
+      modular_fraction ~msb ~lsb ~h ~inv:(reciprocal_of_pow2 h) ~half_lsb code
   in
   volts ~vmin:t.range.Quantize.vmin ~span:(span t) fraction
 

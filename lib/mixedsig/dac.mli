@@ -7,7 +7,12 @@
       resistors, an 8× reduction at 8 bits.
 
     Optional resistor mismatch (a deterministic draw per instance)
-    lets tests and benches measure INL/DNL of both architectures. *)
+    lets tests and benches measure INL/DNL of both architectures.
+
+    The modular DAC scales its LSB sub-DAC's fraction by 2^-(n/2), the
+    exact reciprocal of 2^(n/2): the product rounds as the quotient
+    does, so each voltage is bit-identical to dividing by 2^(n/2),
+    without a division per sample. *)
 
 type architecture = Full_string | Modular
 

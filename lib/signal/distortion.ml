@@ -26,7 +26,7 @@ let thd ?(harmonics = 5) spectrum ~fundamental =
   Float.sqrt harmonic_power /. fund_amp
 
 let sinad_db spectrum ~fundamental =
-  let mags = spectrum.Spectrum.magnitudes in
+  let mags = Spectrum.magnitudes spectrum in
   let n = Array.length mags in
   let fund_bin = Spectrum.bin_of_freq spectrum fundamental in
   (* Zero-padding stretches the window mainlobe from +-2 bins (Hann,

@@ -148,15 +148,15 @@ let check_buffers name p ~re ~im =
   if Array.length re <> p.n || Array.length im <> p.n then
     invalid_arg (name ^ ": re and im must have the plan's length")
 
-let execute_windowed p ~coefs ~offset x ~re ~im =
+let execute_windowed p ~coefs x ~re ~im =
   check_buffers "Fft.execute_windowed" p ~re ~im;
   let m = Array.length coefs in
   if m > p.n then invalid_arg "Fft.execute_windowed: more coefficients than the plan's length";
-  if offset < 0 || offset > Array.length x - m then
-    invalid_arg "Fft.execute_windowed: offset leaves the record";
+  if m > Array.length x then
+    invalid_arg "Fft.execute_windowed: more coefficients than the record's samples";
   let rev = p.rev in
   for i = 0 to m - 1 do
-    set re (Array.unsafe_get rev i) (get x (offset + i) *. get coefs i)
+    set re (Array.unsafe_get rev i) (get x i *. get coefs i)
   done;
   for i = m to p.n - 1 do
     set re (Array.unsafe_get rev i) 0.0

@@ -20,9 +20,9 @@
     Its entry, {!execute_windowed}, writes each windowed sample
     straight into its bit-reversed slot. The passes read and write
     without bounds checks; the entry checks, before any loop, that its
-    buffers have the plan's length, its coefficients fit the plan and
-    its offset the record, and a plan holds exactly the indices and
-    twiddles its length needs. *)
+    buffers have the plan's length and its coefficients fit the plan
+    and the record, and a plan holds exactly the indices and twiddles
+    its length needs. *)
 
 val next_pow2 : int -> int
 (** Smallest power of two >= max 1 n.
@@ -43,15 +43,13 @@ val plan : int -> plan
     @raise Invalid_argument unless [n] is a positive power of two. *)
 
 val execute_windowed :
-  plan -> coefs:float array -> offset:int -> float array -> re:float array ->
-  im:float array -> unit
-(** [execute_windowed p ~coefs ~offset x ~re ~im] overwrites [re] and
-    [im] with the forward spectrum of the real record
-    [x.(offset + i) *. coefs.(i)], [i < Array.length coefs],
-    zero-padded to the plan's length: each windowed sample is written
-    straight into its bit-reversed slot of [re], every other slot of
-    [re] and all of [im] are zeroed, and the stages run. Whatever the
-    buffers held before is ignored. Allocates nothing.
+  plan -> coefs:float array -> float array -> re:float array -> im:float array -> unit
+(** [execute_windowed p ~coefs x ~re ~im] overwrites [re] and [im]
+    with the forward spectrum of the real record [x.(i) *. coefs.(i)],
+    [i < Array.length coefs], zero-padded to the plan's length: each
+    windowed sample is written straight into its bit-reversed slot of
+    [re], every other slot of [re] and all of [im] are zeroed, and the
+    stages run. Whatever the buffers held before is ignored. Allocates
+    nothing.
     @raise Invalid_argument unless both buffers have the plan's
-    length, [coefs] is no longer than it and [offset .. offset +
-    Array.length coefs - 1] lies inside [x]. *)
+    length and [coefs] is no longer than it or than [x]. *)

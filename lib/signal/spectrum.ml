@@ -1,12 +1,12 @@
+type scratch = { re : float array; im : float array; mags : float array }
+
 type t = {
   fs : float;
   n_signal : int;
   n_fft : int;
   window : Window.t;
-  magnitudes : float array;
+  bins : scratch;
 }
-
-type scratch = { re : float array; im : float array; mags : float array }
 
 let scratch n_fft =
   if n_fft < 1 then invalid_arg "Spectrum.scratch: length must be positive";
@@ -15,17 +15,6 @@ let scratch n_fft =
     im = Array.create_float n_fft;
     mags = Array.create_float ((n_fft / 2) + 1);
   }
-
-(* Window [coefs]-many samples of [x] from [offset] straight into the
-   bit-reversed slots of the scratch's zero-padded split buffer,
-   transform it in place over [plan] and write |X[k]| of the one-sided
-   bins 0 .. n_fft/2 into its magnitudes. The entry overwrites every
-   slot, so whatever the scratch held before is never read. *)
-let one_sided_magnitudes ~plan ~coefs ~offset x { re; im; mags } =
-  Fft.execute_windowed plan ~coefs ~offset x ~re ~im;
-  for k = 0 to Array.length mags - 1 do
-    mags.(k) <- Float.hypot re.(k) im.(k)
-  done
 
 let fft_length ?pad_to n_signal =
   match pad_to with Some n -> n | None -> Fft.next_pow2 n_signal
@@ -46,8 +35,8 @@ let analyzer_into ?(window = Window.Hann) ?pad_to ~fs n_signal =
       invalid_arg "Spectrum.analyze: record length differs from the analyzer's";
     if Array.length s.re <> n_fft then
       invalid_arg "Spectrum.analyze: scratch built for another FFT length";
-    one_sided_magnitudes ~plan ~coefs ~offset:0 samples s;
-    { fs; n_signal; n_fft; window; magnitudes = s.mags }
+    Fft.execute_windowed plan ~coefs samples ~re:s.re ~im:s.im;
+    { fs; n_signal; n_fft; window; bins = s }
 
 let analyzer ?window ?pad_to ~fs n_signal =
   let into = analyzer_into ?window ?pad_to ~fs n_signal in
@@ -57,18 +46,31 @@ let analyzer ?window ?pad_to ~fs n_signal =
 let analyze ?window ?pad_to ~fs samples =
   analyzer ?window ?pad_to ~fs (Array.length samples) samples
 
+(* |X[k]| of one-sided bin [k], from the transform the scratch holds:
+   every readout takes a bin's modulus here, when it reads the bin. *)
+let[@inline] magnitude { bins = { re; im; _ }; _ } k = Float.hypot re.(k) im.(k)
+
+let last_bin t = t.n_fft / 2
+
+let magnitudes t =
+  let mags = t.bins.mags in
+  for k = 0 to last_bin t do
+    mags.(k) <- magnitude t k
+  done;
+  mags
+
 let bin_of_freq t f =
   if not (f >= 0.0 && f <= t.fs /. 2.0) then invalid_arg "Spectrum.bin_of_freq: out of range";
   let bin = int_of_float (Float.round (f *. float_of_int t.n_fft /. t.fs)) in
-  min bin (Array.length t.magnitudes - 1)
+  min bin (last_bin t)
 
 let tone_amplitude t f =
   let center = bin_of_freq t f in
-  let lo = max 0 (center - 2)
-  and hi = min (Array.length t.magnitudes - 1) (center + 2) in
+  let lo = max 0 (center - 2) and hi = min (last_bin t) (center + 2) in
   let peak = ref 0.0 in
   for i = lo to hi do
-    if t.magnitudes.(i) > !peak then peak := t.magnitudes.(i)
+    let m = magnitude t i in
+    if m > !peak then peak := m
   done;
   let scale =
     2.0 /. (float_of_int t.n_signal *. Window.coherent_gain t.window)

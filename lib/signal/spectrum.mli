@@ -4,22 +4,28 @@
     paper's Fig. 5 and the tone-level measurements behind the cut-off
     extraction. *)
 
-type t = {
+type scratch
+(** The buffers one spectrum lives in: an [n_fft]-point split FFT
+    buffer (real and imaginary parts) holding the transform, and room
+    for the [n_fft/2 + 1] one-sided magnitudes {!magnitudes} writes. A
+    caller that analyzes one record after another keeps one scratch and
+    lends it to {!analyzer_into} for each. A spectrum reads its
+    scratch's transform whenever one of its bins is read, so it is
+    valid until the scratch's next analysis, and the array
+    {!magnitudes} returns until the scratch's next use. The next
+    analysis and {!magnitudes} write the scratch: one domain uses it at
+    a time. *)
+
+type t = private {
   fs : float;
   n_signal : int;  (** samples before zero-padding *)
   n_fft : int;
   window : Window.t;
-  magnitudes : float array;  (** bins 0 .. n_fft/2, raw |X[k]| *)
+  bins : scratch;  (** the transform the spectrum's bins are read from *)
 }
-
-type scratch
-(** The buffers one spectrum is computed in: an [n_fft]-point split
-    FFT buffer (real and imaginary parts) and the [n_fft/2 + 1]
-    one-sided magnitudes. A caller that analyzes one record after
-    another keeps one scratch and lends it to {!analyzer_into} for
-    each; the spectrum it returns reads the scratch's magnitudes, so
-    it is valid until the scratch's next use. A scratch is written by
-    every spectrum computed in it: one domain owns it at a time. *)
+(** A one-sided spectrum, bins 0 .. n_fft/2. A bin's modulus |X[k]| is
+    taken when a readout reads it, so a readout of a few bins
+    ({!tone_amplitude}) takes a few moduli. *)
 
 val scratch : int -> scratch
 (** [scratch n_fft]: uninitialized buffers for [n_fft]-point
@@ -31,7 +37,7 @@ val analyzer_into :
 (** [analyzer_into ~fs n] builds what {!analyzer} builds (the window's
     [n] coefficients and the {!Fft.plan} for the padded length, once)
     and computes each spectrum in the scratch it is given, allocating
-    no array: the spectrum's [magnitudes] is the scratch's own array.
+    no array: the spectrum reads the scratch's own buffers.
     Bit-identical to {!analyzer}'s spectra.
     @raise Invalid_argument as {!analyzer}, and, when applied, on a
     scratch built for another FFT length. *)
@@ -59,13 +65,20 @@ val analyze : ?window:Window.t -> ?pad_to:int -> fs:float -> float array -> t
     built per call. {!Fft.execute_windowed} writes each windowed
     sample straight into its bit-reversed slot of a [pad_to]-point
     split buffer (default: the next power of two of its length) and
-    transforms it in place, and only the one-sided bins take
-    [Float.hypot]. The magnitudes are
+    transforms it in place; a one-sided bin takes [Float.hypot] when
+    it is read. The magnitudes are
     bit-identical to windowing, padding, transforming and taking the
     modulus of boxed [Complex.t] values.
     @raise Invalid_argument on an [fs] that is not finite and positive
     (NaN included), an empty record, or a [pad_to] smaller than the
     record or not a power of two. *)
+
+val magnitudes : t -> float array
+(** Every one-sided bin's |X[k]|, 0 .. n_fft/2, written into the
+    scratch's magnitude array and returned: each bin takes its modulus
+    once per call, and the array is the scratch's, valid until its next
+    use. For a readout over the whole spectrum
+    ({!Distortion.sinad_db}). *)
 
 val bin_of_freq : t -> float -> int
 (** Nearest bin. @raise Invalid_argument outside [0, fs/2] (a NaN
@@ -74,7 +87,8 @@ val bin_of_freq : t -> float -> int
 val tone_amplitude : t -> float -> float
 (** Peak amplitude of the tone nearest [f]: searches ±2 bins around
     the nominal bin and compensates FFT length and window coherent
-    gain, so a unit sine reports ≈ 1.0. *)
+    gain, so a unit sine reports ≈ 1.0. Takes the modulus of those five
+    bins alone; bit-identical to reading them from {!magnitudes}. *)
 
 val tone_level_db : t -> float -> float
 (** [20 log10 (tone_amplitude t f)]. *)

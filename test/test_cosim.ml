@@ -643,8 +643,8 @@ let test_spectra_match_trial () =
             true
             (r = Testbench.run_program p die);
           checki "one input bin set per spectrum"
-            (Array.length s.Testbench.input.Msoc_signal.Spectrum.magnitudes)
-            (Array.length s.Testbench.wrapped_spectrum.Msoc_signal.Spectrum.magnitudes))
+            (Array.length (Msoc_signal.Spectrum.magnitudes s.Testbench.input))
+            (Array.length (Msoc_signal.Spectrum.magnitudes s.Testbench.wrapped_spectrum)))
         dies)
     [ Testbench.Fc; Testbench.Thd; Testbench.Iip3; Testbench.Dr ];
   let _, s = Testbench.spectra (Testbench.program Testbench.default Testbench.Fc)
@@ -922,6 +922,37 @@ let test_warm_fc_trial_major_words () =
   if words > warm_fc_trial_major_words then
     Alcotest.failf "one warm fc trial allocated %.0f major words, above the gate's %.0f" words
       warm_fc_trial_major_words
+
+(* The minor words of 20 warm trials of each spec: dies 1..20 of seed
+   1, each sampled as a sweep samples it, through one workspace that has
+   run a trial already. The limits are the counts at the parent of the
+   ADC's order flag and the spectra's bins read on demand (per trial:
+   2,421 for offset to 2,614 for thd, 6,094 for fc), and the counts
+   repeat exactly: words added to every trial (a field on a spectrum,
+   a copy of a comparator bank, a boxed float per sample) fail them. *)
+let warm_trial_minor_words = function
+  | Testbench.Gain -> 49_160.0
+  | Fc -> 121_880.0
+  | Thd -> 52_280.0
+  | Iip3 -> 50_120.0
+  | Dc_offset -> 48_420.0
+  | Slew -> 48_600.0
+  | Dr -> 49_320.0
+
+let test_warm_trial_minor_words () =
+  List.iter
+    (fun spec ->
+      let ws = Testbench.workspace (Testbench.program Testbench.default spec) in
+      ignore (Testbench.run_trial ws (Variation.sample ~master:1 ~trial:20 ()));
+      let before = Gc.minor_words () in
+      for trial = 1 to 20 do
+        ignore (Sys.opaque_identity (Testbench.run_trial ws (Variation.sample ~master:1 ~trial ())))
+      done;
+      let words = Gc.minor_words () -. before in
+      if words > warm_trial_minor_words spec then
+        Alcotest.failf "20 warm %s trials allocated %.0f minor words, above the gate's %.0f"
+          (Testbench.spec_name spec) words (warm_trial_minor_words spec))
+    Testbench.specs
 
 (* --- calibration --- *)
 
@@ -1218,6 +1249,7 @@ let suites =
         Alcotest.test_case "run_program = run" `Quick test_monte_carlo_run_program;
         Alcotest.test_case "fc trial major words" `Quick test_fc_trial_major_words;
         Alcotest.test_case "warm fc trial major words" `Quick test_warm_fc_trial_major_words;
+        Alcotest.test_case "warm trial minor words" `Quick test_warm_trial_minor_words;
       ] );
     ( "cosim.calibrate",
       [

@@ -14,7 +14,10 @@
      sampled one, the nominal one and a sampled one without noise)
      compares both readouts' float bits, the error's, the verdict and
      the whole trace, and every trial of Monte_carlo.run, serial and on
-     a 2-domain pool, against [Ref.monte_carlo];
+     a 2-domain pool, against [Ref.monte_carlo], whose dies are drawn
+     from the default ranges or one of three others (no noise; 4, 12
+     and 16 bits; comparator noise large enough to put most stage
+     banks out of order);
    - a golden pin: an MD5 over Monte_carlo.run for the seven specs at
      seeds 1 and 7, 20 trials, 4551 and 512 samples, taken at the
      reference code.
@@ -354,10 +357,13 @@ let draw_case seed =
   let tolerance_pct =
     if Rng.bool rng then None else Some (Rng.float_in rng ~lo:0.5 ~hi:60.0)
   in
+  (* the third runs comparator noise of up to 4 stage spacings at 10
+     bits (128 LSBs), so most trials' stage banks are out of order *)
   let ranges =
-    match Rng.int rng ~bound:3 with
+    match Rng.int rng ~bound:4 with
     | 0 -> Some (Fixtures.variation_ranges ~noise_sigma_v_max:0.0 ())
     | 1 -> Some (Fixtures.variation_ranges ~bits_choices:[ 4; 12; 16 ] ~noise_sigma_v_max:0.01 ())
+    | 2 -> Some (Fixtures.variation_ranges ~adc_threshold_sigma_lsb_max:128.0 ())
     | _ -> None
   in
   {

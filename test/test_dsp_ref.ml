@@ -4,7 +4,7 @@
    [architecture] field), the code the split-array path replaced: the
    radix-2 transform over boxed [Complex.t] values, the spectrum built
    as window -> pad -> transform -> modulus of every bin -> one-sided
-   slice (and Welch's average over it), the pipeline ADC that binary
+   slice, the pipeline ADC that binary
    searches with a recursive closure and asks its reconstruction DAC
    for the coarse cell's bottom on every sample, the [Array.map] biquad
    over [ref] state, the noise stage and per-sample quantization.
@@ -12,27 +12,32 @@
    which no case reaches), the split-array code that FFT plans, bulk
    draws, record loops and in-place stages replaced: the transform
    that recomputes its bit reversal and twiddles on every call, the
-   analyzer over it, the noise draw of one [Rng.float] pair per value,
+   analyzer over it (its spectrum a record of its own, as
+   [Spectrum.t] was when it held every bin's modulus), the noise draw
+   of one [Rng.float] pair per value,
    the [Array.map] quantizer, DAC and ADC passes with their private
    Box–Muller draws, the biquad cascade with a fresh array per section
    and every [Analog_models] stage as a record-to-record map. The
    current code must reproduce every output bit for bit, compared
    through [Int64.bits_of_float], on vectors that now and then carry
    NaNs of either sign and infinities:
-   - FFT forward and inverse at power-of-two lengths 1..4096, and in
-     every case each length 2^0..2^14 through both planned entries
-     ([execute], and [execute_windowed] against [execute]), so both
-     parities of log2 n and the sizes below the first radix-2² pass
-     run in every run;
+   - the forward transform at power-of-two lengths 1..4096, and in
+     every case each length 2^0..2^14 through the one entry,
+     [execute_windowed], so both parities of log2 n and the sizes
+     below the first radix-2² pass run in every run;
    - spectra for every window with [pad_to] the record length (when a
-     power of two), the next power of two and four times that, and
-     Welch PSDs, with segments of 1, 2 and 4 samples in every case
-     (on records of at least 4 samples; [Ref.welch_psd] keeps its
-     record-length check, and both sides must refuse a record one
-     sample shorter than each segment);
-   - both ADC architectures at 4..16 bits (even for the pipeline) on
-     every threshold, its neighbouring floats, and voltages inside and
-     outside 0..4 V, plus quantization of the same voltages;
+     power of two), the next power of two and four times that; on
+     each, every readout (tone amplitudes, each read twice, THD, IMD3,
+     the cut-off fit and SINAD) taken while bins are read on demand
+     must equal the same readout once every bin is filled, and each
+     tone amplitude the one the filled bins define;
+   - both ADC architectures at 4..16 bits (even for the pipeline),
+     through [convert], [convert_into] and [convert_all], on every
+     threshold, its neighbouring floats, and voltages inside and
+     outside the range, plus quantization of the same voltages. The
+     comparator noise reaches a few bank spacings and now and then
+     infinity, and one range in four sits where neighbouring ideal
+     edges round together, so banks come sorted, unsorted and tied;
    - Butterworth low-passes of orders 1..8 and the noise stage;
    - against [Ref.Mapped], on records of 1..5000 samples: one
      analyzer's spectra of two records with [pad_to] up to 2^14, the
@@ -45,14 +50,16 @@
    - [Ref.Cutoff] keeps the cut-off fit whose residual mapped the tone
      list and took its mean on every evaluation; [Cutoff.fit]
      must return its bits, or raise its exception, on 2..6 tones.
-   The entries whose loops run unchecked must raise [Invalid_argument]
-   on every buffer of the wrong length and every offset outside the
-   record. *)
+   The entry whose loops run unchecked must raise [Invalid_argument]
+   on every buffer of the wrong length and on more coefficients than
+   the plan or the record holds. *)
 
 module Fft = Msoc_signal.Fft
 module Window = Msoc_signal.Window
 module Spectrum = Msoc_signal.Spectrum
 module Filter = Msoc_signal.Filter
+module Distortion = Msoc_signal.Distortion
+module Cutoff = Msoc_signal.Cutoff
 module Adc = Msoc_mixedsig.Adc
 module Dac = Msoc_mixedsig.Dac
 module Quantize = Msoc_mixedsig.Quantize
@@ -307,7 +314,16 @@ module Ref = struct
     let forward_in_place ~re ~im = transform ~sign:(-1) re im
 
     (* Spectrum.analyzer: the window's coefficients once, a transform
-       with fresh twiddles per record. *)
+       with fresh twiddles per record; [spectrum] is the record it
+       returned, whose magnitudes were computed with it. *)
+    type spectrum = {
+      fs : float;
+      n_signal : int;
+      n_fft : int;
+      window : Window.t;
+      magnitudes : float array;
+    }
+
     let one_sided_magnitudes ~coefs ~n_fft ~offset x =
       let re = Array.make n_fft 0.0 and im = Array.make n_fft 0.0 in
       for i = 0 to Array.length coefs - 1 do
@@ -329,7 +345,7 @@ module Ref = struct
         if Array.length samples <> n_signal then
           invalid_arg "Spectrum.analyze: record length differs from the analyzer's";
         let magnitudes = one_sided_magnitudes ~coefs ~n_fft ~offset:0 samples in
-        { Spectrum.fs; n_signal; n_fft; window; magnitudes }
+        { fs; n_signal; n_fft; window; magnitudes }
 
     (* Quantize.encode and decode, staged, mapped over a record. *)
     let encode ~bits ~range =
@@ -648,6 +664,18 @@ let values rng n =
 
 let seed_arb = QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000_000))
 
+(* A call's value or its exception's text: a call the reference
+   rejects must be rejected the same way. *)
+type 'a outcome = Value of 'a | Raised of string
+
+let run f = match f () with v -> Value v | exception e -> Raised (Printexc.to_string e)
+
+let same_outcome same a b =
+  match (a, b) with
+  | Value a, Value b -> same a b
+  | Raised a, Raised b -> String.equal a b
+  | Value _, Raised _ | Raised _, Value _ -> false
+
 (* --- FFT --- *)
 
 (* The one entry under a rectangular window (every coefficient 1.0,
@@ -658,7 +686,7 @@ let fft_matches seed =
   let n = 1 lsl Rng.int_in rng ~lo:0 ~hi:12 in
   let x = values rng n in
   let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  Fft.execute_windowed (Fft.plan n) ~coefs:(Array.make n 1.0) ~offset:0 x ~re ~im;
+  Fft.execute_windowed (Fft.plan n) ~coefs:(Array.make n 1.0) x ~re ~im;
   same_complex
     (Array.init n (fun i -> { Complex.re = re.(i); im = im.(i) }))
     (Ref.forward (Array.map (fun v -> { Complex.re = v; im = 0.0 }) x))
@@ -667,6 +695,39 @@ let fft_matches seed =
 
 let windows = [ Window.Rectangular; Window.Hann; Window.Hamming; Window.Blackman ]
 
+(* The outcome of every readout of [s], in one order: the tone
+   amplitude at each of [freqs], each read twice, THD, every field of
+   IMD3, the cut-off fit with [input] as its input spectrum, and SINAD,
+   the one readout of every bin, last. *)
+let readouts ~input ~freqs ~fundamental ~f1 ~f2 ~tones s =
+  [
+    run (fun () ->
+        Array.concat
+          (List.map (fun f -> [| Spectrum.tone_amplitude s f; Spectrum.tone_amplitude s f |]) freqs));
+    run (fun () -> [| Distortion.thd s ~fundamental |]);
+    run (fun () ->
+        let r = Distortion.imd3 s ~f1 ~f2 in
+        Distortion.[| r.tone_level; r.imd_level; r.imd_dbc; r.iip3_rel |]);
+    run (fun () -> [| Cutoff.from_spectra ~input ~output:s tones |]);
+    run (fun () -> [| Distortion.sinad_db s ~fundamental |]);
+  ]
+
+(* A tone's amplitude by its definition over the filled bins [mags]:
+   the largest of the five bins around [f]'s nearest (a NaN bin is
+   never the largest), scaled so a unit sine reads 1. *)
+let amplitude_of_bins (s : Spectrum.t) mags f =
+  let center = Spectrum.bin_of_freq s f in
+  let peak = ref 0.0 in
+  for i = max 0 (center - 2) to min (Array.length mags - 1) (center + 2) do
+    if mags.(i) > !peak then peak := mags.(i)
+  done;
+  !peak *. (2.0 /. (float_of_int s.Spectrum.n_signal *. Window.coherent_gain s.Spectrum.window))
+
+(* Each spectrum's bins against the boxed reference, and every readout
+   of it, taken while its bins are read on demand, against the same
+   readout once {!Spectrum.magnitudes} has filled every bin and against
+   the tone amplitudes those bins define. Half the records carry the
+   readouts' tones over the drawn values. *)
 let spectra_match seed =
   let rng = Rng.create ~seed in
   let n =
@@ -675,14 +736,41 @@ let spectra_match seed =
   in
   let x = values rng n in
   let next = Fft.next_pow2 n in
+  let fs = 1.7e6 in
+  let f1 = fs *. Rng.float_in rng ~lo:0.05 ~hi:0.3 in
+  let f2 = f1 +. (fs *. Rng.float_in rng ~lo:0.001 ~hi:0.05) in
+  let fundamental = Rng.pick rng [| f1; fs *. Rng.float_in rng ~lo:0.0 ~hi:0.5 |] in
+  let tones = List.init (Rng.int_in rng ~lo:2 ~hi:4) (fun _ -> fs *. Rng.float_in rng ~lo:0.0 ~hi:0.45) in
+  let freqs = fundamental :: f1 :: f2 :: 0.0 :: (fs /. 2.0) :: tones in
+  let with_tones x =
+    if Rng.bool rng then
+      Array.iteri
+        (fun i v ->
+          let t = float_of_int i /. fs in
+          x.(i) <-
+            List.fold_left
+              (fun acc f -> acc +. Float.sin (2.0 *. Float.pi *. f *. t))
+              (0.01 *. v) (fundamental :: f1 :: f2 :: tones))
+        x;
+    x
+  in
+  let x = with_tones x and y = with_tones (values rng n) in
   List.for_all
     (fun window ->
       List.for_all
         (fun pad_to ->
-          let s = Spectrum.analyze ~window ?pad_to ~fs:1.7e6 x in
+          let s = Spectrum.analyze ~window ?pad_to ~fs x in
+          let input = Spectrum.analyze ~window ?pad_to ~fs y in
+          let read () = readouts ~input ~freqs ~fundamental ~f1 ~f2 ~tones s in
+          let on_demand = read () in
+          let filled = Spectrum.magnitudes s in
           let n_fft, mags = Ref.analyze ~window ?pad_to x in
           s.Spectrum.n_fft = n_fft && s.Spectrum.n_signal = n
-          && same_bits s.Spectrum.magnitudes mags)
+          && same_bits filled mags
+          && List.for_all2 (same_outcome same_bits) on_demand (read ())
+          && same_bits
+               (Array.of_list (List.map (Spectrum.tone_amplitude s) freqs))
+               (Array.of_list (List.map (amplitude_of_bins s mags) freqs)))
         ((if n = next then [ Some n ] else []) @ [ None; Some next; Some (4 * next) ]))
     windows
 
@@ -691,14 +779,17 @@ let spectra_match seed =
 (* Every threshold the converter compares against (including the
    pipeline's cell bottoms and the voltages whose amplified residue
    lands on a fine threshold), each with its neighbouring floats, the
-   range ends, random voltages across -1..5 V and non-finite inputs. *)
+   range ends and their outer neighbours, both zeros, random voltages
+   across the range and a quarter of it beyond each end, and non-finite
+   inputs. *)
 let probe_voltages rng (r : Ref.t) =
+  let { Quantize.vmin; vmax } = r.Ref.range in
   let banks =
     match r.Ref.stages with
     | Ref.Single bank -> [ bank ]
     | Ref.Pipeline { coarse; reconstruct; fine } ->
       let half = r.Ref.bits / 2 in
-      let span = r.Ref.range.Quantize.vmax -. r.Ref.range.Quantize.vmin in
+      let span = vmax -. vmin in
       let msb_lsb = span /. float_of_int (1 lsl half) in
       let bottoms =
         Array.init (1 lsl half) (fun msb -> Dac.convert reconstruct msb -. (msb_lsb /. 2.0))
@@ -707,20 +798,51 @@ let probe_voltages rng (r : Ref.t) =
         Array.map
           (fun edge ->
             let msb = Rng.int rng ~bound:(1 lsl half) in
-            bottoms.(msb) +. (edge /. float_of_int (1 lsl half)))
+            bottoms.(msb) +. ((edge -. vmin) /. float_of_int (1 lsl half)))
           fine
       in
       [ coarse; fine; bottoms; on_fine ]
   in
   let edges = Array.concat (Ref.code_edges_ideal ~bits:r.Ref.bits ~range:r.Ref.range :: banks) in
+  let quarter = (vmax -. vmin) /. 4.0 in
   Array.concat
     [
       edges; Array.map Float.pred edges; Array.map Float.succ edges;
-      [| 0.0; -0.0; 4.0; Float.pred 0.0; Float.succ 4.0; Float.nan; Float.infinity;
+      [| vmin; -0.0; 0.0; vmax; Float.pred vmin; Float.succ vmax; Float.nan; Float.infinity;
          Float.neg_infinity |];
-      Array.init 200 (fun _ -> Rng.float_in rng ~lo:(-1.0) ~hi:5.0);
+      Array.init 200 (fun _ -> Rng.float_in rng ~lo:(vmin -. quarter) ~hi:(vmax +. quarter));
     ]
 
+(* Comparator threshold noise in LSBs of the whole converter: none, up
+   to one LSB, or up to a few spacings of its flash banks (2^(bits/2)
+   LSBs for a pipeline's stages, drawn on a log scale), so banks come
+   sorted and unsorted; now and then infinite, which puts every
+   threshold at -inf or +inf, tied, in or out of order. *)
+let draw_threshold_sigma rng architecture ~bits =
+  let spacing =
+    match architecture with
+    | Adc.Flash -> 1.0
+    | Adc.Modular_pipeline -> float_of_int (1 lsl (bits / 2))
+  in
+  match Rng.int rng ~bound:8 with
+  | 0 | 1 -> 0.0
+  | 2 | 3 -> Rng.float_in rng ~lo:0.0 ~hi:1.0
+  | 7 -> Float.infinity
+  | _ -> spacing *. Float.pow 10.0 (Rng.float_in rng ~lo:(-2.0) ~hi:0.5)
+
+(* The converter's range: the default 0..4 V, or a range starting at
+   2^53 V, where a float is 2 V from the next, whose banks' ideal edges
+   lie 0.5, 1 or 1.5 V apart, so neighbouring edges round onto one
+   another and a bank ties. *)
+let draw_adc_range rng architecture ~bits =
+  if Rng.int rng ~bound:4 > 0 then Quantize.default_range
+  else
+    let bank_bits = match architecture with Adc.Flash -> bits | Adc.Modular_pipeline -> bits / 2 in
+    let vmin = 0x1p53 in
+    { Quantize.vmin;
+      vmax = vmin +. (float_of_int (1 lsl bank_bits) *. Rng.pick rng [| 0.5; 1.0; 1.5 |]) }
+
+(* Both architectures through all three entries, every probe. *)
 let adc_matches seed =
   let rng = Rng.create ~seed in
   let architecture = if Rng.bool rng then Adc.Flash else Adc.Modular_pipeline in
@@ -729,14 +851,20 @@ let adc_matches seed =
     | Adc.Flash -> Rng.int_in rng ~lo:4 ~hi:16
     | Adc.Modular_pipeline -> 2 * Rng.int_in rng ~lo:2 ~hi:8
   in
-  let threshold_sigma_lsb = if Rng.bool rng then 0.0 else Rng.float_in rng ~lo:0.0 ~hi:1.0 in
+  let threshold_sigma_lsb = draw_threshold_sigma rng architecture ~bits in
   let adc_seed = Rng.int_in rng ~lo:1 ~hi:1_000_000 in
-  let flat = Adc.create ~threshold_sigma_lsb ~seed:adc_seed architecture ~bits in
-  let r = Ref.create ~threshold_sigma_lsb ~seed:adc_seed architecture ~bits in
+  let adc_range = draw_adc_range rng architecture ~bits in
+  let flat = Adc.create ~threshold_sigma_lsb ~seed:adc_seed ~range:adc_range architecture ~bits in
+  let r = Ref.create ~threshold_sigma_lsb ~seed:adc_seed ~range:adc_range architecture ~bits in
   let volts = probe_voltages rng r in
+  let want = Array.map (Ref.convert r) volts in
+  let into = Array.make (Array.length volts) (-1) in
+  Adc.convert_into flat volts ~into;
   let range = Quantize.default_range in
   let codes = Array.init (1 lsl bits) Fun.id in
-  Adc.convert_all flat volts = Array.map (Ref.convert r) volts
+  Adc.convert_all flat volts = want
+  && into = want
+  && Array.map (Adc.convert flat) volts = want
   && Array.map (Fixtures.encode ~bits ~range) volts = Array.map (Ref.encode ~bits ~range) volts
   && same_bits
        (Array.map (Quantize.decode ~bits ~range) codes)
@@ -758,18 +886,6 @@ let filter_matches seed =
        (Ref.additive_noise ~seed:noise_seed ~sigma x)
 
 (* --- FFT plans, bulk draws, record loops and in-place stages --- *)
-
-(* A call's value or its exception's text: a call the reference
-   rejects must be rejected the same way. *)
-type 'a outcome = Value of 'a | Raised of string
-
-let run f = match f () with v -> Value v | exception e -> Raised (Printexc.to_string e)
-
-let same_outcome same a b =
-  match (a, b) with
-  | Value a, Value b -> same a b
-  | Raised a, Raised b -> String.equal a b
-  | Value _, Raised _ | Raised _, Value _ -> false
 
 let same_floats f g = same_outcome same_bits (run f) (run g)
 let same_ints f g = same_outcome ( = ) (run f) (run g)
@@ -810,9 +926,9 @@ let kernels_match seed =
   let window = Rng.pick rng (Array.of_list windows) in
   let planned = Spectrum.analyzer ~window ?pad_to ~fs n
   and mapped = Ref.Mapped.analyzer ~window ?pad_to ~fs n in
-  let same_spectrum (a : Spectrum.t) (b : Spectrum.t) =
-    a.Spectrum.n_fft = b.Spectrum.n_fft && a.Spectrum.n_signal = b.Spectrum.n_signal
-    && same_bits a.Spectrum.magnitudes b.Spectrum.magnitudes
+  let same_spectrum (a : Spectrum.t) (b : Ref.Mapped.spectrum) =
+    a.Spectrum.n_fft = b.Ref.Mapped.n_fft && a.Spectrum.n_signal = b.Ref.Mapped.n_signal
+    && same_bits (Spectrum.magnitudes a) b.Ref.Mapped.magnitudes
   in
   List.iter
     (fun r ->
@@ -828,7 +944,7 @@ let kernels_match seed =
     let v = Array.init size (fun _ -> value rng) in
     let re = Array.init size (fun _ -> value rng) and im = Array.init size (fun _ -> value rng) in
     let re' = Array.copy v and im' = Array.make size 0.0 in
-    Fft.execute_windowed plan ~coefs:ones ~offset:0 v ~re ~im;
+    Fft.execute_windowed plan ~coefs:ones v ~re ~im;
     Ref.Mapped.transform ~sign:(-1) re' im';
     check "Fft.execute_windowed" (same_bits re re' && same_bits im im')
   done;
@@ -878,9 +994,9 @@ let kernels_match seed =
         (same_floats (fun () -> floats_into (fun cs into -> Dac.convert_into dac cs ~into) cs) want);
       check "Dac.convert" (same_floats (fun () -> Array.map (Dac.convert dac) cs) want))
     [ codes; all_codes; [| 0; 1 lsl bits |] ];
-  let threshold_sigma_lsb = if Rng.bool rng then 0.0 else Rng.float_in rng ~lo:0.0 ~hi:1.0 in
-  let adc_seed = Rng.int_in rng ~lo:1 ~hi:1_000_000 in
   let adc_arch = if Rng.bool rng then Adc.Flash else Adc.Modular_pipeline in
+  let threshold_sigma_lsb = draw_threshold_sigma rng adc_arch ~bits in
+  let adc_seed = Rng.int_in rng ~lo:1 ~hi:1_000_000 in
   let adc = Adc.create ~threshold_sigma_lsb ~seed:adc_seed adc_arch ~bits
   and adc' = Ref.Mapped.Adc.create ~threshold_sigma_lsb ~seed:adc_seed adc_arch ~bits in
   let analog = Ref.Mapped.Dac.convert_all dac' codes in
@@ -951,8 +1067,8 @@ let kernels_match seed =
 
 (* Each length 2^0..2^14: [execute_windowed] over buffers full of
    leftovers against the mapped transform of the record it describes:
-   [m] samples from [offset] times [m] coefficients (NaNs and
-   infinities included), zero-padded. *)
+   the first [m] samples of a record at least that long times [m]
+   coefficients (NaNs and infinities included), zero-padded. *)
 let every_size_matches seed =
   let rng = Rng.create ~seed in
   let failed = ref [] in
@@ -961,25 +1077,23 @@ let every_size_matches seed =
     let check label ok = if not ok then failed := Printf.sprintf "%s at %d" label n :: !failed in
     let plan = Fft.plan n in
     let m = if Rng.bool rng then n else Rng.int_in rng ~lo:0 ~hi:n in
-    let offset = Rng.int_in rng ~lo:0 ~hi:5 in
-    let x = values rng (offset + m + Rng.int_in rng ~lo:0 ~hi:5) and coefs = values rng m in
+    let x = values rng (m + Rng.int_in rng ~lo:0 ~hi:5) and coefs = values rng m in
     let want_re = Array.make n 0.0 and want_im = Array.make n 0.0 in
     for i = 0 to m - 1 do
-      want_re.(i) <- x.(offset + i) *. coefs.(i)
+      want_re.(i) <- x.(i) *. coefs.(i)
     done;
     Ref.Mapped.transform ~sign:(-1) want_re want_im;
     let re = values rng n and im = values rng n in
-    Fft.execute_windowed plan ~coefs ~offset x ~re ~im;
+    Fft.execute_windowed plan ~coefs x ~re ~im;
     check "Fft.execute_windowed" (same_bits re want_re && same_bits im want_im)
   done;
   if !failed <> [] then
     QCheck.Test.fail_reportf "%s differ" (String.concat ", " (List.rev !failed));
   true
 
-(* The entries whose loops run unchecked reject, before any loop, a
-   buffer of the wrong length, more coefficients than the plan and an
-   offset that leaves the record (one past the end, negative, or large
-   enough to overflow). *)
+(* The entry whose loops run unchecked rejects, before any loop, a
+   buffer of the wrong length and more coefficients than the plan or
+   the record holds. *)
 let test_unchecked_entries_reject () =
   let rejects label f =
     match f () with
@@ -993,7 +1107,7 @@ let test_unchecked_entries_reject () =
       List.iter
         (fun (label, re, im) ->
           rejects ("execute_windowed " ^ label) (fun () ->
-              Fft.execute_windowed plan ~coefs:(buf 1) ~offset:0 (buf 1) ~re ~im))
+              Fft.execute_windowed plan ~coefs:(buf 1) (buf 1) ~re ~im))
         [
           ("re short", buf (n - 1), buf n);
           ("re long", buf (n + 1), buf n);
@@ -1001,15 +1115,12 @@ let test_unchecked_entries_reject () =
           ("im long", buf n, buf (n + 1));
           ("both empty", [||], [||]);
         ];
-      let windowed label ~coefs ~offset x =
+      let windowed label ~coefs x =
         rejects ("execute_windowed " ^ label) (fun () ->
-            Fft.execute_windowed plan ~coefs ~offset x ~re:(buf n) ~im:(buf n))
+            Fft.execute_windowed plan ~coefs x ~re:(buf n) ~im:(buf n))
       in
-      windowed "coefs past the plan" ~coefs:(buf (n + 1)) ~offset:0 (buf (n + 1));
-      windowed "offset past the end" ~coefs:(buf n) ~offset:1 (buf n);
-      windowed "offset -1" ~coefs:(buf 1) ~offset:(-1) (buf 4);
-      windowed "offset max_int" ~coefs:(buf 1) ~offset:max_int (buf 4);
-      windowed "offset min_int" ~coefs:(buf 1) ~offset:min_int (buf 4))
+      windowed "coefs past the plan" ~coefs:(buf (n + 1)) (buf (n + 1));
+      windowed "coefs past the record" ~coefs:(buf n) (buf (n - 1)))
     [ 1; 2; 4; 8; 1024 ]
 
 (* --- the cut-off fit --- *)

@@ -724,6 +724,22 @@ let test_cli_bad_analyze_files () =
       Alcotest.(check (list string)) "absolute --allowlist: stderr" [] lines;
       checkb ("absolute --allowlist: " ^ report) true (contains report "no findings"))
 
+(* A directory where an input file belongs is one usage error naming
+   the option and the path, exit 124, before any work: every command's
+   --soc (check's too, which linted a directory as E302 and exited 1)
+   and msoc_analyze's --allowlist. *)
+let test_cli_directory_inputs () =
+  let dir = Filename.get_temp_dir_name () in
+  let socket =
+    Filename.concat dir (Printf.sprintf "msoc-nobody-%d.sock" (Unix.getpid ()))
+  in
+  check_usage_errors
+    (List.map
+       (fun args -> ([], args @ [ "--soc"; dir ], [ "'--soc'"; dir ]))
+       [ [ "plan" ]; [ "check" ]; [ "soc-info" ]; [ "explore" ]; [ "optimize" ]; [ "cosim" ];
+         [ "replay"; "--socket"; socket ] ]);
+  check_usage_errors ~tool:"msoc_analyze" [ ([], [ "--allowlist"; dir ], [ "'--allowlist'"; dir ]) ]
+
 (* The planner, the serve daemon and the fleet workers are one binary,
    msoc_plan, and none of them runs the analyzer. So it links neither
    Msoc_analysis nor the compiler-libs front end the analyzer parses
@@ -879,6 +895,7 @@ let suites =
         Alcotest.test_case "bad cosim values" `Quick test_cli_bad_cosim_values;
         Alcotest.test_case "bad analyze file options" `Quick
           test_cli_bad_analyze_files;
+        Alcotest.test_case "a directory as an input file" `Quick test_cli_directory_inputs;
         Alcotest.test_case "msoc_plan links no analyzer" `Quick test_link_set;
         Alcotest.test_case "bad --socket/--tcp endpoints" `Quick
           test_cli_bad_endpoints;

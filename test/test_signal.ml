@@ -41,7 +41,7 @@ let test_next_pow2_ceiling () =
 let real_transform x =
   let n = Array.length x in
   let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  Fft.execute_windowed (Fft.plan n) ~coefs:(Array.make n 1.0) ~offset:0 x ~re ~im;
+  Fft.execute_windowed (Fft.plan n) ~coefs:(Array.make n 1.0) x ~re ~im;
   (re, im)
 
 let forward (x : Complex.t array) =
@@ -292,7 +292,7 @@ let test_spectrum_multi_tone_separation () =
 let test_spectrum_padding () =
   let s = Spectrum.analyze ~fs:1.0 [| 1.0; 2.0; 3.0 |] in
   checki "padded to 4" 4 s.Spectrum.n_fft;
-  checki "bins 0 .. n_fft/2" 3 (Array.length s.Spectrum.magnitudes);
+  checki "bins 0 .. n_fft/2" 3 (Array.length (Spectrum.magnitudes s));
   List.iter
     (fun pad_to ->
       match Spectrum.analyze ~pad_to ~fs:1.0 [| 1.0; 2.0; 3.0 |] with
