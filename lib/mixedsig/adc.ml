@@ -1,20 +1,18 @@
 type architecture = Flash | Modular_pipeline
 
-(* A flash bank is its thresholds in comparator order; output code =
-   number of thresholds at or below the input. *)
+(* A flash bank is its thresholds in comparator order; threshold
+   noise can leave a mismatched bank out of order. *)
 type flash_bank = float array
 
 (* [cell_bottom.(msb)] is the bottom of coarse cell [msb], tabulated
-   from the reconstruction DAC when the converter is created. The
-   constructor says whether the banks are non-decreasing: threshold
-   noise can leave a mismatched bank out of order, and a pipeline with
+   from the reconstruction DAC when the converter is created. A
+   pipeline whose two banks are non-decreasing is [Pipeline]; one with
    either bank out of order is [Pipeline_unsorted]. The order lives in
    the constructor, not in a field: every Monte-Carlo trial creates its
    converters, and a trial's allocation is held word for word
    (test_cosim's "warm trial minor words"). *)
 type stages =
   | Single of flash_bank
-  | Single_unsorted of flash_bank
   | Pipeline of { coarse : flash_bank; cell_bottom : float array; fine : flash_bank }
   | Pipeline_unsorted of { coarse : flash_bank; cell_bottom : float array; fine : flash_bank }
 
@@ -56,9 +54,7 @@ let create ?(threshold_sigma_lsb = 0.0) ?(seed = 2) ?(range = Quantize.default_r
   let sigma_volts = threshold_sigma_lsb *. full_lsb in
   let stages =
     match architecture with
-    | Flash ->
-      let bank = make_bank rng ~sigma_volts ~bits ~range in
-      if non_decreasing bank then Single bank else Single_unsorted bank
+    | Flash -> Single (make_bank rng ~sigma_volts ~bits ~range)
     | Modular_pipeline ->
       let half = bits / 2 in
       let coarse = make_bank rng ~sigma_volts ~bits:half ~range in
@@ -84,13 +80,28 @@ let bits t = t.bits
    stage match outside its loop. They are inlined, so no sample is
    boxed.
 
-   On a non-decreasing bank, the count of thresholds at or below [v]
-   starts from a guess, the count of ideal edges at or below [v]
+   A bisection over the comparators in their order, as if they were
+   sorted. On a non-decreasing bank its code is the number of
+   thresholds at or below [v]; on a bank out of order it is where the
+   bisection stops, that count only where the comparators it visits
+   agree with it. A NaN input counts no threshold. *)
+let[@inline] bisect (bank : flash_bank) v =
+  let lo = ref 0 and hi = ref (Array.length bank) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if v >= bank.(mid) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The bisection's code on a non-decreasing pipeline stage bank,
+   counted from a guess, the count of ideal edges at or below [v]
    ([vmin] and [inv_lsb], the reciprocal of the bank's ideal spacing,
-   place them), and steps up past every threshold at or below [v], then
-   down past every one above it: mismatch moves a threshold by a
-   fraction of the spacing, so the steps are short, and they make the
-   count exact whatever the guess. A NaN input counts no threshold. *)
+   place them): it steps up past every threshold at or below [v], then
+   down past every one above it. The steps make the count exact
+   whatever the guess, and a stage bank holds at most 255 thresholds,
+   so no count walks further; mismatch moves a threshold by a fraction
+   of the spacing, so the steps are short. A flash converter's one
+   bank, up to 65,535 thresholds, keeps the bisection. *)
 let[@inline] count_from_guess (bank : flash_bank) ~vmin ~inv_lsb v =
   let m = Array.length bank in
   let x = (v -. vmin) *. inv_lsb in
@@ -102,19 +113,6 @@ let[@inline] count_from_guess (bank : flash_bank) ~vmin ~inv_lsb v =
     decr k
   done;
   !k
-
-(* A bisection over the comparators in their order, as if they were
-   sorted. On a non-decreasing bank its code is the count of thresholds
-   at or below [v]; on a bank out of order it is where the bisection
-   stops, the count only where the comparators it visits agree with
-   it. *)
-let[@inline] bisect (bank : flash_bank) v =
-  let lo = ref 0 and hi = ref (Array.length bank) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if v >= bank.(mid) then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* The fine bank has 2^half - 1 thresholds, so its code fits [half]
    bits as it stands. A pipeline with a bank out of order bisects
@@ -135,8 +133,7 @@ let[@inline] inverse_lsb ~bits range =
 let convert t v =
   let vmin = t.range.Quantize.vmin and half = t.bits / 2 in
   match t.stages with
-  | Single bank -> count_from_guess bank ~vmin ~inv_lsb:(inverse_lsb ~bits:t.bits t.range) v
-  | Single_unsorted bank -> bisect bank v
+  | Single bank -> bisect bank v
   | Pipeline { coarse; cell_bottom; fine } ->
     pipeline_convert ~sorted:true ~coarse ~cell_bottom ~fine ~vmin
       ~inv_lsb:(inverse_lsb ~bits:half t.range) ~half v
@@ -149,11 +146,6 @@ let convert_into t samples ~into:codes =
   let vmin = t.range.Quantize.vmin and half = t.bits / 2 and n = Array.length samples in
   match t.stages with
   | Single bank ->
-    let inv_lsb = inverse_lsb ~bits:t.bits t.range in
-    for i = 0 to n - 1 do
-      codes.(i) <- count_from_guess bank ~vmin ~inv_lsb samples.(i)
-    done
-  | Single_unsorted bank ->
     for i = 0 to n - 1 do
       codes.(i) <- bisect bank samples.(i)
     done

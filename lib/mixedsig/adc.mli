@@ -11,15 +11,17 @@
     sensitivity to stage errors.
 
     Conversion builds no closure and evaluates no DAC per sample:
-    {!create} records whether each flash bank's thresholds are
-    non-decreasing and evaluates the pipeline's reconstruction DAC once
-    per coarse code into a table of coarse-cell bottoms. A
-    non-decreasing bank's code, the number of thresholds at or below
-    the input, starts from the count of ideal edges there and steps a
-    threshold or two; a bank that noise left out of order is
-    binary-searched over its comparators in their order, as every bank
-    was before. Codes are bit-identical to the binary search and to
-    evaluating the DAC on every sample. *)
+    {!create} evaluates the pipeline's reconstruction DAC once per
+    coarse code into a table of coarse-cell bottoms and records whether
+    both stage banks' thresholds are non-decreasing. A flash bank is
+    binary-searched over its comparators in their order. On a
+    non-decreasing stage bank (at most 255 thresholds) the code, the
+    number of thresholds at or below the input, starts from the count
+    of ideal edges there and steps a threshold or two; a pipeline that
+    noise left with a bank out of order bisects both. Codes are
+    bit-identical to the binary search and to evaluating the DAC on
+    every sample; on a bank out of order the bisection's code is where
+    it stops, not the count. *)
 
 type architecture = Flash | Modular_pipeline
 

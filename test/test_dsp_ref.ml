@@ -28,7 +28,7 @@
    - spectra for every window with [pad_to] the record length (when a
      power of two), the next power of two and four times that; on
      each, every readout (tone amplitudes, each read twice, THD, IMD3,
-     the cut-off fit and SINAD) taken while bins are read on demand
+     the cut-off fit and, last, SINAD) taken before any bin is filled
      must equal the same readout once every bin is filled, and each
      tone amplitude the one the filled bins define;
    - both ADC architectures at 4..16 bits (even for the pipeline),
@@ -37,7 +37,9 @@
      outside the range, plus quantization of the same voltages. The
      comparator noise reaches a few bank spacings and now and then
      infinity, and one range in four sits where neighbouring ideal
-     edges round together, so banks come sorted, unsorted and tied;
+     edges round together, one in eight where a whole bank collapses
+     onto two or three floats, so banks come sorted, unsorted and tied
+     locally or across most of the bank;
    - Butterworth low-passes of orders 1..8 and the noise stage;
    - against [Ref.Mapped], on records of 1..5000 samples: one
      analyzer's spectra of two records with [pad_to] up to 2^14, the
@@ -695,22 +697,27 @@ let fft_matches seed =
 
 let windows = [ Window.Rectangular; Window.Hann; Window.Hamming; Window.Blackman ]
 
-(* The outcome of every readout of [s], in one order: the tone
-   amplitude at each of [freqs], each read twice, THD, every field of
-   IMD3, the cut-off fit with [input] as its input spectrum, and SINAD,
-   the one readout of every bin, last. *)
+(* The outcome of every readout of [s], taken in this order (each
+   bound before the next, as a list literal's elements are evaluated
+   in no fixed order): the tone amplitude at each of [freqs], each
+   read twice, THD, every field of IMD3, the cut-off fit with [input]
+   as its input spectrum, and last SINAD, the one readout that fills
+   every bin of [s]. *)
 let readouts ~input ~freqs ~fundamental ~f1 ~f2 ~tones s =
-  [
+  let amplitudes =
     run (fun () ->
         Array.concat
-          (List.map (fun f -> [| Spectrum.tone_amplitude s f; Spectrum.tone_amplitude s f |]) freqs));
-    run (fun () -> [| Distortion.thd s ~fundamental |]);
+          (List.map (fun f -> [| Spectrum.tone_amplitude s f; Spectrum.tone_amplitude s f |]) freqs))
+  in
+  let thd = run (fun () -> [| Distortion.thd s ~fundamental |]) in
+  let imd3 =
     run (fun () ->
         let r = Distortion.imd3 s ~f1 ~f2 in
-        Distortion.[| r.tone_level; r.imd_level; r.imd_dbc; r.iip3_rel |]);
-    run (fun () -> [| Cutoff.from_spectra ~input ~output:s tones |]);
-    run (fun () -> [| Distortion.sinad_db s ~fundamental |]);
-  ]
+        Distortion.[| r.tone_level; r.imd_level; r.imd_dbc; r.iip3_rel |])
+  in
+  let cutoff = run (fun () -> [| Cutoff.from_spectra ~input ~output:s tones |]) in
+  let sinad = run (fun () -> [| Distortion.sinad_db s ~fundamental |]) in
+  [ amplitudes; thd; imd3; cutoff; sinad ]
 
 (* A tone's amplitude by its definition over the filled bins [mags]:
    the largest of the five bins around [f]'s nearest (a NaN bin is
@@ -724,9 +731,10 @@ let amplitude_of_bins (s : Spectrum.t) mags f =
   !peak *. (2.0 /. (float_of_int s.Spectrum.n_signal *. Window.coherent_gain s.Spectrum.window))
 
 (* Each spectrum's bins against the boxed reference, and every readout
-   of it, taken while its bins are read on demand, against the same
-   readout once {!Spectrum.magnitudes} has filled every bin and against
-   the tone amplitudes those bins define. Half the records carry the
+   of it, taken while no bin of it or of the cut-off fit's input
+   spectrum has been filled, against the same readout once
+   {!Spectrum.magnitudes} has filled every bin of both and against the
+   tone amplitudes those bins define. Half the records carry the
    readouts' tones over the drawn values. *)
 let spectra_match seed =
   let rng = Rng.create ~seed in
@@ -764,6 +772,7 @@ let spectra_match seed =
           let read () = readouts ~input ~freqs ~fundamental ~f1 ~f2 ~tones s in
           let on_demand = read () in
           let filled = Spectrum.magnitudes s in
+          ignore (Spectrum.magnitudes input : float array);
           let n_fft, mags = Ref.analyze ~window ?pad_to x in
           s.Spectrum.n_fft = n_fft && s.Spectrum.n_signal = n
           && same_bits filled mags
@@ -830,17 +839,22 @@ let draw_threshold_sigma rng architecture ~bits =
   | 7 -> Float.infinity
   | _ -> spacing *. Float.pow 10.0 (Rng.float_in rng ~lo:(-2.0) ~hi:0.5)
 
-(* The converter's range: the default 0..4 V, or a range starting at
-   2^53 V, where a float is 2 V from the next, whose banks' ideal edges
-   lie 0.5, 1 or 1.5 V apart, so neighbouring edges round onto one
-   another and a bank ties. *)
+(* The converter's range: the default 0..4 V, or one starting at
+   2^53 V, where a float is 2 V from the next. There either a bank's
+   ideal edges lie 0.5, 1 or 1.5 V apart, so neighbouring edges round
+   onto one another and a bank ties locally, or the whole range spans
+   2 or 4 V, so every edge of a bank collapses onto two or three
+   floats: ties up to tens of thousands of thresholds wide on a flash
+   bank, over a hundred on a stage bank. *)
 let draw_adc_range rng architecture ~bits =
-  if Rng.int rng ~bound:4 > 0 then Quantize.default_range
-  else
+  let vmin = 0x1p53 in
+  match Rng.int rng ~bound:8 with
+  | 0 | 1 ->
     let bank_bits = match architecture with Adc.Flash -> bits | Adc.Modular_pipeline -> bits / 2 in
-    let vmin = 0x1p53 in
     { Quantize.vmin;
       vmax = vmin +. (float_of_int (1 lsl bank_bits) *. Rng.pick rng [| 0.5; 1.0; 1.5 |]) }
+  | 2 -> { Quantize.vmin; vmax = vmin +. Rng.pick rng [| 2.0; 4.0 |] }
+  | _ -> Quantize.default_range
 
 (* Both architectures through all three entries, every probe. *)
 let adc_matches seed =
