@@ -183,10 +183,17 @@ let record_of config spec { tones; amplitude } =
         if i < half then config.bias -. (amplitude /. 2.0)
         else config.bias +. (amplitude /. 2.0))
   | Gain | Fc | Thd | Iip3 | Dr ->
-    Tone.sample
-      ~tones:(List.map (fun hz -> Tone.tone ~amplitude hz) tones)
-      ~fs:config.fs ~n:config.samples
-    |> Array.map (fun v -> v +. config.bias)
+    (* the bias goes on in place: a record-sized copy would be one
+       more array in the major heap for every program *)
+    let record =
+      Tone.sample
+        ~tones:(List.map (fun hz -> Tone.tone ~amplitude hz) tones)
+        ~fs:config.fs ~n:config.samples
+    in
+    for i = 0 to Array.length record - 1 do
+      record.(i) <- record.(i) +. config.bias
+    done;
+    record
 
 (* --- extraction (identical DSP on both paths) --- *)
 
@@ -215,7 +222,8 @@ let remove_bias_in_place ~bias x = Models.remove_bias_into ~bias x ~into:x
 (* The spec's readout, built once per program. What depends on the
    stimulus alone is computed here, once for every trial and both
    paths: the window's coefficients for the record length (inside the
-   analyzer) and the Fc program's input spectrum. *)
+   analyzer) and the Fc program's input tone amplitudes, read from an
+   input spectrum that is dropped once they are read. *)
 let extract config spec { tones; amplitude } ~record =
   let analyzer () =
     Spectrum.analyzer_into ~fs:config.fs ~pad_to:(pad_of config) config.samples
@@ -230,9 +238,10 @@ let extract config spec { tones; amplitude } ~record =
         Goertzel.amplitude ~fs:config.fs ~f response /. amplitude)
   | Fc, tones ->
     let analyze = analyzer () in
-    let s_in = analyze (Spectrum.scratch (pad_of config)) record in
-    Of_spectrum
-      { analyze; read = (fun s -> Cutoff.from_spectra ~order:2 ~input:s_in ~output:s tones) }
+    let fit =
+      Cutoff.from_spectra ~order:2 ~input:(analyze (Spectrum.scratch (pad_of config)) record) tones
+    in
+    Of_spectrum { analyze; read = (fun s -> fit ~output:s) }
   | Thd, [ f ] ->
     Of_spectrum { analyze = analyzer (); read = (fun s -> Distortion.thd s ~fundamental:f) }
   | Iip3, [ f1; f2 ] ->
@@ -316,8 +325,8 @@ let program ?tolerance_pct ?stimulus config spec =
 (* Everything a trial writes, sized for one program: the die's noise
    draws, the sample buffer every stage of both paths overwrites, the
    code buffer (the stimulus codes, then the response codes) and a
-   spectral readout's scratch (its FFT buffers and the magnitudes
-   SINAD fills). The scratch is built
+   spectral readout's scratch (its FFT buffers, and the magnitudes
+   once SINAD fills them). The scratch is built
    when a readout first needs it, so a record readout and {!spectra},
    which lends each spectrum a scratch of its own, build none. *)
 type workspace = {

@@ -148,8 +148,9 @@ type workspace
     reads, then the response codes the ADC writes) and, for a
     spectral readout, the FFT's split real and imaginary buffers,
     which the readout reads its bins from, and the magnitudes a
-    whole-spectrum readout fills ({!Msoc_signal.Spectrum.scratch}),
-    built by the first trial that reads a spectrum.
+    whole-spectrum readout fills, taken when it first fills them
+    ({!Msoc_signal.Spectrum.scratch}), built by the first trial that
+    reads a spectrum.
 
     Ownership: a workspace belongs to the one domain that runs trials
     through it, one trial at a time; nothing holds it in a

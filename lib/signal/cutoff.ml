@@ -66,7 +66,10 @@ let fit ?(order = 2) gains =
   let span = (hi -. lo) /. float_of_int steps in
   Float.exp (golden_section ~f:objective ~lo:(!best -. span) ~hi:(!best +. span) ~iterations:60)
 
-let from_spectra ?order ~input ~output tones =
+(* The input's tone amplitudes are read once, when [tones] is applied:
+   a program fitting many outputs against one input keeps the
+   amplitudes, not the input spectrum's buffers. *)
+let from_spectra ?order ~input tones =
   (* A tone at or above Nyquist has already folded back into the first
      zone: its "gain" belongs to the alias, and fitting it produces a
      confidently wrong cut-off. Refuse instead. *)
@@ -79,13 +82,14 @@ let from_spectra ?order ~input ~output tones =
              "Cutoff.from_spectra: tone %g Hz at or above Nyquist (%g Hz)" f
              nyquist))
     tones;
-  let gains =
+  let inputs =
     List.map
       (fun f ->
         let g_in = Spectrum.tone_amplitude input f in
-        let g_out = Spectrum.tone_amplitude output f in
         if g_in <= 0.0 then invalid_arg "Cutoff.from_spectra: tone absent from input";
-        (f, g_out /. g_in))
+        (f, g_in))
       tones
   in
-  fit ?order gains
+  fun ~output ->
+    fit ?order
+      (List.map (fun (f, g_in) -> (f, Spectrum.tone_amplitude output f /. g_in)) inputs)

@@ -14,9 +14,14 @@ val fit : ?order:int -> (float * float) list -> float
     gain that is not positive (NaN included). *)
 
 val from_spectra :
-  ?order:int -> input:Spectrum.t -> output:Spectrum.t -> float list -> float
-(** [from_spectra ~input ~output tones]: per-tone gain = output
+  ?order:int -> input:Spectrum.t -> float list -> output:Spectrum.t -> float
+(** [from_spectra ~input tones ~output]: per-tone gain = output
     amplitude / input amplitude at each tone frequency, then {!fit}.
+    The input's amplitudes are read when [tones] is applied, so
+    [let fit = from_spectra ~input tones] fits any number of outputs
+    ([fit ~output]) against one input without keeping the input
+    spectrum, each bit-identical to the full application.
     @raise Invalid_argument if a tone sits at or above the input
     spectrum's Nyquist frequency — such a tone has aliased and its
-    measured gain would fit to a wrong cut-off. *)
+    measured gain would fit to a wrong cut-off — or is absent from the
+    input, when [tones] is applied. *)

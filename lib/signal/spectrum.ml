@@ -1,4 +1,6 @@
-type scratch = { re : float array; im : float array; mags : float array }
+(* [mags] stays empty until {!magnitudes} first fills it: a readout of
+   a few bins never needs it. *)
+type scratch = { re : float array; im : float array; mutable mags : float array }
 
 type t = {
   fs : float;
@@ -13,7 +15,7 @@ let scratch n_fft =
   {
     re = Array.create_float n_fft;
     im = Array.create_float n_fft;
-    mags = Array.create_float ((n_fft / 2) + 1);
+    mags = [||];
   }
 
 let fft_length ?pad_to n_signal =
@@ -53,6 +55,7 @@ let[@inline] magnitude { bins = { re; im; _ }; _ } k = Float.hypot re.(k) im.(k)
 let last_bin t = t.n_fft / 2
 
 let magnitudes t =
+  if Array.length t.bins.mags = 0 then t.bins.mags <- Array.create_float (last_bin t + 1);
   let mags = t.bins.mags in
   for k = 0 to last_bin t do
     mags.(k) <- magnitude t k

@@ -6,8 +6,9 @@
 
 type scratch
 (** The buffers one spectrum lives in: an [n_fft]-point split FFT
-    buffer (real and imaginary parts) holding the transform, and room
-    for the [n_fft/2 + 1] one-sided magnitudes {!magnitudes} writes. A
+    buffer (real and imaginary parts) holding the transform, and the
+    [n_fft/2 + 1] one-sided magnitudes {!magnitudes} writes, an array
+    taken on its first call (a readout of a few bins never takes it). A
     caller that analyzes one record after another keeps one scratch and
     lends it to {!analyzer_into} for each. A spectrum reads its
     scratch's transform whenever one of its bins is read, so it is
@@ -28,7 +29,7 @@ type t = private {
     ({!tone_amplitude}) takes a few moduli. *)
 
 val scratch : int -> scratch
-(** [scratch n_fft]: uninitialized buffers for [n_fft]-point
+(** [scratch n_fft]: uninitialized split FFT buffers for [n_fft]-point
     spectra (every analysis overwrites all of them before reading).
     @raise Invalid_argument if [n_fft < 1]. *)
 
