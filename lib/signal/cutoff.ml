@@ -6,7 +6,7 @@ let[@inline] model_gain ~order ~fc f =
    tones' frequencies and log gains come as arrays built once per fit;
    [logs] is scratch of the same length. The mean is a left-to-right
    sum divided by the count. *)
-let residual ~order ~freqs ~log_gains ~logs fc =
+let[@inline] residual ~order ~freqs ~log_gains ~logs fc =
   let n = Array.length freqs in
   let sum = ref 0.0 in
   for i = 0 to n - 1 do
@@ -21,22 +21,6 @@ let residual ~order ~freqs ~log_gains ~logs fc =
   done;
   !acc
 
-let golden_section ~f ~lo ~hi ~iterations =
-  let phi = (Float.sqrt 5.0 -. 1.0) /. 2.0 in
-  let rec go a b fa_x fb_x x1 x2 n =
-    if n = 0 then (a +. b) /. 2.0
-    else if fa_x < fb_x then
-      let b = x2 and x2 = x1 in
-      let x1 = b -. (phi *. (b -. a)) in
-      go a b (f x1) fa_x x1 x2 (n - 1)
-    else
-      let a = x1 and x1 = x2 in
-      let x2 = a +. (phi *. (b -. a)) in
-      go a b fb_x (f x2) x1 x2 (n - 1)
-  in
-  let x1 = hi -. (phi *. (hi -. lo)) and x2 = lo +. (phi *. (hi -. lo)) in
-  go lo hi (f x1) (f x2) x1 x2 iterations
-
 let fit ?(order = 2) gains =
   if List.length gains < 2 then invalid_arg "Cutoff.fit: need at least two tones";
   if List.exists (fun (f, g) -> not (f > 0.0 && g > 0.0)) gains then
@@ -50,7 +34,7 @@ let fit ?(order = 2) gains =
   let freqs = Array.of_list freqs in
   let log_gains = Array.of_list (List.map (fun (_, g) -> Float.log g) gains) in
   let logs = Array.make (Array.length freqs) 0.0 in
-  let objective logfc = residual ~order ~freqs ~log_gains ~logs (Float.exp logfc) in
+  let[@inline] objective logfc = residual ~order ~freqs ~log_gains ~logs (Float.exp logfc) in
   (* Coarse grid seed + golden refinement, since the residual can have
      shallow local minima when a tone sits in the stop-band noise. *)
   let steps = 200 in
@@ -64,7 +48,32 @@ let fit ?(order = 2) gains =
     end
   done;
   let span = (hi -. lo) /. float_of_int steps in
-  Float.exp (golden_section ~f:objective ~lo:(!best -. span) ~hi:(!best +. span) ~iterations:60)
+  (* Golden-section refinement over [best - span, best + span], 60
+     steps. Each step keeps the better of the two inner points and
+     evaluates one new one. The bracket, the points and their values
+     live in local floats, so a step allocates nothing; a recursion
+     over them would box all six at every step. *)
+  let phi = (Float.sqrt 5.0 -. 1.0) /. 2.0 in
+  let a = ref (!best -. span) and b = ref (!best +. span) in
+  let x1 = ref (!b -. (phi *. (!b -. !a))) and x2 = ref (!a +. (phi *. (!b -. !a))) in
+  let f1 = ref (objective !x1) and f2 = ref (objective !x2) in
+  for _ = 1 to 60 do
+    if !f1 < !f2 then begin
+      b := !x2;
+      x2 := !x1;
+      f2 := !f1;
+      x1 := !b -. (phi *. (!b -. !a));
+      f1 := objective !x1
+    end
+    else begin
+      a := !x1;
+      x1 := !x2;
+      f1 := !f2;
+      x2 := !a +. (phi *. (!b -. !a));
+      f2 := objective !x2
+    end
+  done;
+  Float.exp ((!a +. !b) /. 2.0)
 
 (* The input's tone amplitudes are read once, when [tones] is applied:
    a program fitting many outputs against one input keeps the

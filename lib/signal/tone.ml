@@ -5,13 +5,23 @@ let tone ?(amplitude = 1.0) ?(phase_rad = 0.0) freq_hz =
   if not (amplitude >= 0.0) then invalid_arg "Tone.tone: amplitude must be non-negative";
   { freq_hz; amplitude; phase_rad }
 
+(* The sum lives in a local float, so a sample allocates nothing (a
+   closure per sample or a fold over the tones would box its time, its
+   partial sums and its value). The tones are added in list order from
+   0.0: that order fixes every sample's rounding. *)
 let sample ~tones ~fs ~n =
-  Array.init n (fun i ->
-      let time = float_of_int i /. fs in
-      List.fold_left
-        (fun acc t ->
-          acc +. (t.amplitude *. Float.sin ((2.0 *. Float.pi *. t.freq_hz *. time) +. t.phase_rad)))
-        0.0 tones)
+  let tones = Array.of_list tones in
+  let x = Array.create_float n in
+  for i = 0 to n - 1 do
+    let time = float_of_int i /. fs in
+    let acc = ref 0.0 in
+    for k = 0 to Array.length tones - 1 do
+      let t = tones.(k) in
+      acc := !acc +. (t.amplitude *. Float.sin ((2.0 *. Float.pi *. t.freq_hz *. time) +. t.phase_rad))
+    done;
+    x.(i) <- !acc
+  done;
+  x
 
 let coherent_freq ~fs ~n f =
   let bin = Float.round (f *. float_of_int n /. fs) in
