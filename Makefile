@@ -15,10 +15,10 @@ check:
 	dune build @all && dune runtest
 
 # Source-level static analysis over the parsed lib/ bin/ test/ bench/
-# bench/suite/ examples/ modules (hygiene rules, lock order, release
-# paths, check-then-act, blocking under lock, dead exported API,
-# resource lifecycles); exits 1 on error findings. The analyzer is its
-# own executable: msoc_plan links no compiler-libs.
+# bench/suite/ examples/ modules (hygiene rules, release paths,
+# check-then-act, blocking under lock, dead exported API and test-only
+# optional parameters, resource lifecycles); exits 1 on error findings.
+# The analyzer is its own executable: msoc_plan links no compiler-libs.
 analyze:
 	dune exec bin/msoc_analyze.exe
 

@@ -40,11 +40,10 @@ let () =
     "run the source-level static analyzer over this repository's own \
      lib/, bin/, test/, bench/, bench/suite/ and examples/ trees: every \
      module is parsed once and checked for concurrency, exception safety \
-     and API hygiene, lock-order cycles across the call graph, \
-     exception-path lock leaks, atomic check-then-act, blocking calls \
-     under a lock, dead exported API, \
-     resource lifecycles and reply obligations; exit 1 on any \
-     error-severity finding"
+     and API hygiene, exception-path lock leaks, atomic check-then-act, \
+     blocking calls under a lock, dead exported API and optional \
+     parameters only tests pass, resource lifecycles and reply \
+     obligations; exit 1 on any error-severity finding"
   in
   let root_arg =
     Arg.(

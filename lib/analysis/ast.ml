@@ -46,7 +46,12 @@ let path_string lid = String.concat "." (ident_path lid)
 
 type kind = Value | Member | Module | Open | Include | Alias of string
 
-type reference = { kind : kind; path : string list; line : int }
+type reference = {
+  kind : kind;
+  path : string list;
+  line : int;
+  labels : string list;
+}
 
 let rec components (lid : Longident.t) =
   match lid with
@@ -58,20 +63,21 @@ let rec components (lid : Longident.t) =
    language included (the codebase has no classes, so class paths are
    not collected). A path through a functor application
    ([Set.Make(String).t]) contributes the functor and its argument as
-   module paths. *)
+   module paths. An identifier applied to arguments carries the labels
+   the application passes. *)
 let references str =
   let refs = ref [] in
-  let rec note_lid kind line (lid : Longident.t) =
+  let rec note_lid ?(labels = []) kind line (lid : Longident.t) =
     match (components lid, lid) with
-    | Some path, _ -> refs := { kind; path; line } :: !refs
+    | Some path, _ -> refs := { kind; path; line; labels } :: !refs
     | None, Lapply (f, x) ->
       note_lid Module line f;
       note_lid Module line x
     | None, Ldot (p, _) -> note_lid Module line p
     | None, Lident _ -> ()
   in
-  let note kind (lid : Longident.t Location.loc) =
-    note_lid kind (line_of lid.loc) lid.txt
+  let note ?labels kind (lid : Longident.t Location.loc) =
+    note_lid ?labels kind (line_of lid.loc) lid.txt
   in
   let open Parsetree in
   let open Ast_iterator in
@@ -80,16 +86,28 @@ let references str =
       default_iterator with
       expr =
         (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ident lid -> note Value lid
-          | Pexp_construct (lid, _)
-          | Pexp_field (_, lid)
-          | Pexp_setfield (_, lid, _) ->
-            note Member lid
-          | Pexp_record (fields, _) ->
-            List.iter (fun (lid, _) -> note Member lid) fields
-          | _ -> ());
-          default_iterator.expr self e);
+          match e.pexp_desc with
+          | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) ->
+            let labels =
+              List.filter_map
+                (function
+                  | (Asttypes.Labelled l | Asttypes.Optional l), _ -> Some l
+                  | Asttypes.Nolabel, _ -> None)
+                args
+            in
+            note ~labels Value lid;
+            List.iter (fun (_, a) -> self.expr self a) args
+          | _ ->
+            (match e.pexp_desc with
+            | Pexp_ident lid -> note Value lid
+            | Pexp_construct (lid, _)
+            | Pexp_field (_, lid)
+            | Pexp_setfield (_, lid, _) ->
+              note Member lid
+            | Pexp_record (fields, _) ->
+              List.iter (fun (lid, _) -> note Member lid) fields
+            | _ -> ());
+            default_iterator.expr self e);
       pat =
         (fun self p ->
           (match p.ppat_desc with

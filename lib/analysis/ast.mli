@@ -41,9 +41,14 @@ type kind =
   | Include  (** an [include] target *)
   | Alias of string  (** [module A = Path]: the alias [A] of the path *)
 
-type reference = { kind : kind; path : string list; line : int }
-(** [path] is the dotted path split on dots, [line] its 1-based start
-    line. *)
+type reference = {
+  kind : kind;
+  path : string list;  (** the dotted path split on dots *)
+  line : int;  (** its 1-based start line *)
+  labels : string list;
+      (** the labelled and optional arguments passed where a [Value] is
+          applied ([["seed"]] for [Rng.make ~seed 1]); [[]] elsewhere *)
+}
 
 val references : Parsetree.structure -> reference list
 (** Every path the structure names, in source order: expressions,

@@ -7,10 +7,9 @@
     Unresolvable references (stdlib, function arguments, local opens)
     never become edges, so every edge is certain.
 
-    The interprocedural rules walk this graph: {!close} carries lock
-    acquisition, blocking and replies across function boundaries
-    (MSOC-S501, MSOC-S504, MSOC-S604), {!resolve_call} chases one
-    reference. *)
+    The interprocedural rules walk this graph: {!close} carries
+    blocking and replies across function boundaries (MSOC-S504,
+    MSOC-S604), {!resolve_call} chases one reference. *)
 
 type def = {
   key : string;  (** globally unique: ["lib/serve/cache.ml#Lru.find"] *)
@@ -38,13 +37,13 @@ val close : t -> (def -> Set.Make(String).t) -> string -> Set.Make(String).t
     [key] reaches through {!callees}, itself included: the least
     table with [closed k ⊇ seed d] for each definition [d] under [k]
     and [closed k ⊇ closed c] for each callee [c]. Unknown keys close
-    to the empty set. MSOC-S501 closes the locks each definition
-    takes, MSOC-S504 the blocking primitives it reaches, and MSOC-S604
-    a one-element seed on a direct reply (non-empty = may reply). *)
+    to the empty set. MSOC-S504 closes the blocking primitives each
+    definition reaches, and MSOC-S604 a one-element seed on a direct
+    reply (non-empty = may reply). *)
 
 val resolve_call : t -> def -> Longident.t -> def list
 (** Candidate defs a reference inside [d] may name, resolved against
     [d]'s callees: the value name must match; a module qualifier
     narrows multiple candidates. Over-matching is accepted — the
-    interprocedural rules (MSOC-S501/S504/S6xx) prefer a false edge
+    interprocedural rules (MSOC-S504/S6xx) prefer a false edge
     over a missed one. *)

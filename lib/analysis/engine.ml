@@ -45,11 +45,11 @@ let make_file_lines ~root (project : Project.t) =
       Hashtbl.replace cache rel lines;
       lines
 
-let run ?(config = Rules.default_config) ?allowlist_file ~root () =
+let run ?allowlist_file ~root () =
   let t0 = Msoc_util.Clock.now () in
   let project = Project.load ~root in
   let allowlist = resolve_allowlist ~root allowlist_file in
-  let raw = Rules.run config project in
+  let raw = Rules.run project in
   let file_lines = make_file_lines ~root project in
   let applied = Allowlist.apply ~file_lines allowlist raw in
   {

@@ -19,12 +19,7 @@ type report = {
   allowlist_path : string option;
 }
 
-val run :
-  ?config:Rules.config ->
-  ?allowlist_file:string ->
-  root:string ->
-  unit ->
-  report
+val run : ?allowlist_file:string -> root:string -> unit -> report
 (** [run ~root ()] analyzes the tree under [root].
     [allowlist_file] is root-relative unless absolute; when absent,
     [analysis.allow] under [root] is used if it exists. *)

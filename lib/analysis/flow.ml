@@ -3,10 +3,9 @@
    One walk per top-level definition yields everything the S5xx rules
    need: every Mutex acquisition (with whether the critical section is
    released on all exception paths), every call made while locks are
-   held, every directly-nested acquisition pair, and the Atomic
-   get/set/read-modify-write footprint — plus the resource summary
-   (acquire/release pairs, forwarded parameters) the S6xx tier's
-   interprocedural fixpoint consumes.
+   held, and the Atomic get/set/read-modify-write footprint — plus the
+   resource summary (acquire/release pairs, forwarded parameters) the
+   S6xx tier's interprocedural fixpoint consumes.
 
    Locks are identified syntactically: an ident or a field chain
    rooted in an ident ([m], [t.lock], [state.cache.lock]) renders to a
@@ -38,8 +37,6 @@ type held_call = {
 type summary = {
   acquisitions : acquisition list;
   held_calls : held_call list;
-  nested : (string * string * int) list;
-      (* (outer, inner, line): inner acquired while outer held *)
   check_then_act : (string * int) list;
       (* atomics with Atomic.get before Atomic.set and no RMW *)
   blocking_sites : (string * int) list;
@@ -82,12 +79,10 @@ let is_blocking_path path =
 type state = {
   mutable acqs : acquisition list;
   mutable calls : held_call list;
-  mutable pairs : (string * string * int) list;
 }
 
-let record_acq st ~held ~line ~released lock =
-  st.acqs <- { lock; line; released } :: st.acqs;
-  List.iter (fun outer -> st.pairs <- (outer, lock, line) :: st.pairs) held
+let record_acq st ~line ~released lock =
+  st.acqs <- { lock; line; released } :: st.acqs
 
 (* Walk [e] with [held] the stack of locks currently held. Sequencing
    constructs are linearized so a [Mutex.lock] sees its continuation:
@@ -97,7 +92,7 @@ let rec walk st ~held e =
   match e.pexp_desc with
   | Pexp_sequence _ | Pexp_let _ ->
     walk_seq st ~held (Syntax.linearize e)
-  | Pexp_apply _ -> walk_apply st ~held e ~continuation:[]
+  | Pexp_apply _ -> walk_apply st ~held e
   | Pexp_ifthenelse (c, t, f) ->
     walk st ~held c;
     walk st ~held t;
@@ -158,9 +153,9 @@ and walk_critical st ~held ~lock ~line rest =
   match rest with
   | [] ->
     (* acquire-wrapper idiom: nothing here can leak the lock *)
-    record_acq st ~held ~line ~released:true lock
+    record_acq st ~line ~released:true lock
   | guard :: after when is_protect guard ->
-    record_acq st ~held ~line ~released:true lock;
+    record_acq st ~line ~released:true lock;
     walk_protect st ~held:held' guard;
     (* Fun.protect's finally released the lock *)
     walk_seq st ~held after
@@ -170,11 +165,11 @@ and walk_critical st ~held ~lock ~line rest =
     match split_at_unlock lock rest with
     | Some (critical, after) ->
       let released = not (List.exists Syntax.may_raise critical) in
-      record_acq st ~held ~line ~released lock;
+      record_acq st ~line ~released lock;
       List.iter (walk_stmt st ~held:held') critical;
       walk_seq st ~held after
     | None ->
-      record_acq st ~held ~line ~released:false lock;
+      record_acq st ~line ~released:false lock;
       List.iter (walk_stmt st ~held:held') rest)
 
 and is_protect e =
@@ -198,10 +193,10 @@ and split_at_unlock lock stmts =
 
 and walk_stmt st ~held stmt =
   match Syntax.apply_path stmt with
-  | Some _ -> walk_apply st ~held stmt ~continuation:[]
+  | Some _ -> walk_apply st ~held stmt
   | None -> walk st ~held stmt
 
-and walk_apply st ~held e ~continuation:_ =
+and walk_apply st ~held e =
   match Syntax.apply_path e with
   | None -> (
     match Syntax.normalize_apply e with
@@ -214,7 +209,7 @@ and walk_apply st ~held e ~continuation:_ =
     match Syntax.positional args with
     | [ m; body ] ->
       let lock = Option.value (Syntax.ident_chain m) ~default:"<opaque>" in
-      record_acq st ~held ~line:(Syntax.line_of e) ~released:true lock;
+      record_acq st ~line:(Syntax.line_of e) ~released:true lock;
       walk st ~held:(lock :: held) (Syntax.thunk_body body)
     | _ -> List.iter (fun (_, a) -> walk st ~held a) args)
   | Some ("Mutex.lock", _, args) ->
@@ -225,7 +220,7 @@ and walk_apply st ~held e ~continuation:_ =
       | [ m ] -> Option.value (Syntax.ident_chain m) ~default:"<opaque>"
       | _ -> "<opaque>"
     in
-    record_acq st ~held ~line:(Syntax.line_of e) ~released:true lock
+    record_acq st ~line:(Syntax.line_of e) ~released:true lock
   | Some ("Fun.protect", _, _) -> walk_protect st ~held e
   | Some (_, lid, args) ->
     if held <> [] then
@@ -246,6 +241,9 @@ and walk_protect st ~held e =
 
 (* --- Atomic check-then-act --- *)
 
+(* A position is taken after the expression's children are visited,
+   so in [Atomic.set a (Atomic.get a + 1)] the get, an argument of the
+   set, comes first. *)
 let atomic_footprint e =
   let gets = Hashtbl.create 4 and sets = Hashtbl.create 4 in
   let rmw = Hashtbl.create 4 in
@@ -255,8 +253,9 @@ let atomic_footprint e =
       Ast_iterator.default_iterator with
       expr =
         (fun self ex ->
+          Ast_iterator.default_iterator.expr self ex;
           incr pos;
-          (match Syntax.apply_path ex with
+          match Syntax.apply_path ex with
           | Some (path, _, args) -> (
             let atom =
               match Syntax.positional args with
@@ -275,7 +274,6 @@ let atomic_footprint e =
               Hashtbl.replace rmw a ()
             | _ -> ())
           | None -> ());
-          Ast_iterator.default_iterator.expr self ex);
     }
   in
   it.expr it e;
@@ -312,12 +310,11 @@ let blocking_footprint e =
 (* --- entry point --- *)
 
 let summarize e =
-  let st = { acqs = []; calls = []; pairs = [] } in
+  let st = { acqs = []; calls = [] } in
   walk st ~held:[] e;
   {
     acquisitions = List.rev st.acqs;
     held_calls = List.rev st.calls;
-    nested = List.rev st.pairs;
     check_then_act = List.sort compare (atomic_footprint e);
     blocking_sites = blocking_footprint e;
     resources = Resource.summarize e;

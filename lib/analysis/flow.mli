@@ -3,9 +3,8 @@
 
     One {!summarize} per top-level definition yields the Mutex
     acquisitions (with release-on-all-paths classification for
-    MSOC-S502), the calls made while locks are held and the
-    directly-nested acquisition pairs (the edges MSOC-S501 and
-    MSOC-S504 reason over), and the [Atomic] check-then-act footprint
+    MSOC-S502), the calls made while locks are held (the edges
+    MSOC-S504 reasons over), and the [Atomic] check-then-act footprint
     (MSOC-S503).
 
     Locks are identified syntactically — an ident or a field chain
@@ -31,8 +30,6 @@ type held_call = {
 type summary = {
   acquisitions : acquisition list;
   held_calls : held_call list;
-  nested : (string * string * int) list;
-      (** [(outer, inner, line)]: [inner] acquired while [outer] held *)
   check_then_act : (string * int) list;
       (** atomics read with [Atomic.get] and later written with
           [Atomic.set] in this definition, with no

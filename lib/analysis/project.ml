@@ -1,14 +1,13 @@
-(* Repository discovery and the module-reference graph.
+(* Repository discovery: the modules, their Parsetrees and the paths
+   they name.
 
    The analyzer works on the checked-out tree itself: libraries are
    the [lib/<dir>] directories owning a [dune] file with a
    [(name ...)] stanza, modules are their [.ml] files, and the
    executables of [bin], [test], [bench], [bench/suite] and [examples]
    join the scan without joining the library-only checks. Every module
-   is parsed once, here, with [Ast.parse_impl]; edges are the module paths its Parsetree names,
-   which is exactly what the reachability rule (MSOC-S101) needs: if a
-   module is named by code that runs under the domain pool or the
-   server threads, its module-level state is shared state. *)
+   is parsed once, here, with [Ast.parse_impl]; its references are the
+   paths its Parsetree names. *)
 
 type lib = {
   dir : string;  (* "lib/serve" *)
@@ -142,67 +141,3 @@ let opened_libs t (m : module_info) =
           r.Ast.kind = Ast.Open && r.Ast.path = [ exposed_name lib ])
         m.refs)
     t.libs
-
-(* The module path a reference goes through: the qualifier of a value
-   or member path ([Pool] for [Pool.map], nothing for a bare [map]),
-   the whole path of a module-level reference. *)
-let module_part (r : Ast.reference) =
-  match (r.Ast.kind, List.rev r.Ast.path) with
-  | (Ast.Value | Ast.Member), _ :: quals -> List.rev quals
-  | (Ast.Module | Ast.Open | Ast.Include | Ast.Alias _), _ -> r.Ast.path
-  | (Ast.Value | Ast.Member), [] -> []
-
-(* A library module [N] is referenced by its bare name ([N.f],
-   [open N], [module X = N]) from its own library or from a module
-   that opens the library, and as [Msoc_x.N] from anywhere. *)
-let dependencies t (m : module_info) =
-  let heads = Hashtbl.create 64 and qualified = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      match module_part r with
-      | a :: rest -> (
-        Hashtbl.replace heads a ();
-        match rest with
-        | b :: _ -> Hashtbl.replace qualified (a, b) ()
-        | [] -> ())
-      | [] -> ())
-    m.refs;
-  let opened = opened_libs t m in
-  List.filter
-    (fun (n : module_info) ->
-      n.ml_path <> m.ml_path
-      &&
-      match n.owner with
-      | None -> false
-      | Some lib ->
-        let same_lib =
-          match m.owner with Some a -> a.dir = lib.dir | None -> false
-        in
-        if same_lib then Hashtbl.mem heads n.name
-        else
-          Hashtbl.mem qualified (exposed_name lib, n.name)
-          || (List.memq lib opened && Hashtbl.mem heads n.name))
-    t.modules
-
-(* --- reachability --- *)
-
-(* [roots] entries are directories ("lib/serve": every module inside)
-   or single files ("lib/util/pool.ml"). The result contains the
-   roots themselves plus every module they transitively reference. *)
-let reachable t ~roots =
-  let is_root (m : module_info) =
-    List.exists
-      (fun r -> m.ml_path = r || String.length m.ml_path > String.length r
-                 && String.sub m.ml_path 0 (String.length r + 1) = r ^ "/")
-      roots
-  in
-  let seen = Hashtbl.create 64 in
-  let rec visit m =
-    if not (Hashtbl.mem seen m.ml_path) then begin
-      Hashtbl.replace seen m.ml_path ();
-      List.iter visit (dependencies t m)
-    end
-  in
-  List.iter (fun m -> if is_root m then visit m) t.modules;
-  List.filter (fun m -> Hashtbl.mem seen m.ml_path) t.modules
-  |> List.map (fun m -> m.ml_path)

@@ -1,13 +1,14 @@
-(** Repository discovery and the module-reference graph.
+(** Repository discovery: the modules, their Parsetrees and the paths
+    they name.
 
     A project is the checked-out tree: every [lib/<dir>] owning a
     [dune] file with a [(name ...)] stanza contributes its [.ml]
     modules, and the executables of [bin/], [test/], [bench/],
     [bench/suite/] and [examples/] join the scan without belonging to a
     library. Every module is parsed once at load ({!Ast.parse_impl});
-    edges of the graph are the module paths its Parsetree names
-    ([Pool.map], [Msoc_util.Pool], [open]/[include]/alias targets,
-    types, constructors, fields). *)
+    its references are the paths its Parsetree names ([Pool.map],
+    [Msoc_util.Pool], [open]/[include]/alias targets, types,
+    constructors, fields). *)
 
 type lib = {
   dir : string;  (** e.g. ["lib/serve"] *)
@@ -52,8 +53,3 @@ val exposed_name : lib -> string
 val opened_libs : t -> module_info -> lib list
 (** Libraries the module [open]s by their exposed name, at top level
     or locally. *)
-
-val reachable : t -> roots:string list -> string list
-(** [ml_path]s of every module reachable from the roots (directories
-    like ["lib/serve"] select all their modules; files like
-    ["lib/util/pool.ml"] select one), roots included. *)

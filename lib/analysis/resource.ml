@@ -1,4 +1,4 @@
-(* Resource-lifecycle analysis: the S601/S602/S603 rule family.
+(* Resource-lifecycle analysis: the S601/S602 rule family.
 
    A resource is anything acquired by one call and owed a matching
    release: a Unix fd or socket, an in/out channel, the temp file of
@@ -7,10 +7,10 @@
    paths: released everywhere (clean), released on some branches but
    not others (S601 with the witness branch), released only after a
    statement that can raise (S601 on the exception path), released
-   twice (S602), released through the wrong pair (S603), or handed
-   off — returned, stored, passed to an unknown call — in which case
-   tracking stops (ownership moved; the interprocedural tier follows
-   it where it can).
+   twice (S602), or handed off — returned, stored, passed to an
+   unknown call — in which case tracking stops (ownership moved; the
+   interprocedural tier follows it where it can). A release from
+   another kind's pair is a type error, so the compiler reports it.
 
    Interprocedural: per-function summaries seed a callgraph fixpoint
    of derived releasers (a function that releases (a field of) its
@@ -109,8 +109,7 @@ let counter_pairs =
 let kind_acquiring path =
   List.find_opt (fun k -> List.mem path k.acquires) kinds
 
-let kind_releasing path =
-  List.find_opt (fun k -> List.mem path k.releases) kinds
+let is_release path = List.exists (fun k -> List.mem path k.releases) kinds
 
 (* --- per-function summary (embedded in Flow.summary) --- *)
 
@@ -200,8 +199,8 @@ let summarize body =
           (match Syntax.apply_path ex with
           | Some (path, lid, args) -> (
             let pos = Syntax.positional args in
-            (match (kind_releasing path, pos) with
-            | Some _, first :: _ -> (
+            (match pos with
+            | first :: _ when is_release path -> (
               match Syntax.ident_chain first with
               | Some chain -> (
                 match param_idx (chain_root chain) with
@@ -209,7 +208,7 @@ let summarize body =
                 | None -> ())
               | None -> ())
             | _ -> ());
-            if kind_releasing path = None && kind_acquiring path = None then
+            if (not (is_release path)) && kind_acquiring path = None then
               let forwarded =
                 List.mapi
                   (fun arg_idx a ->
@@ -365,7 +364,7 @@ let strip_try e =
 
 (* Classification of one statement with respect to tracked name [x]. *)
 type stmt_class =
-  | Release of string * int  (* releasing kind name, line *)
+  | Release of int  (* line *)
   | Observe
   | Untouched
 
@@ -381,32 +380,31 @@ type walk_ctx = {
   emit : Diagnostic.t -> unit;
 }
 
+(* An [Untouched] statement that mentions [x] is for the caller to
+   judge: a branch, or an escape. *)
 let classify_stmt ctx x (k : kind) e =
   let e = strip_try e in
   match Syntax.apply_path e with
-  | Some (path, lid, args) -> (
-    match kind_releasing path with
-    | Some rk when first_positional_is x args ->
-      Release (rk.kind_name, Syntax.line_of e)
-    | _ ->
-      if List.mem path k.observers && first_positional_is x args then Observe
-      else if
-        (* derived releaser: x passed at a released arg position *)
-        List.exists
-          (fun (c : Callgraph.def) ->
-            match Hashtbl.find_opt ctx.derived.releasers c.Callgraph.key with
-            | Some idxs ->
-              List.exists
-                (fun i ->
-                  match List.nth_opt (Syntax.positional args) i with
-                  | Some a -> Syntax.ident_chain a = Some x
-                  | None -> false)
-                idxs
-            | None -> false)
-          (Callgraph.resolve_call ctx.graph ctx.def lid)
-      then Release (k.kind_name, Syntax.line_of e)
-      else if mentions x e then Untouched (* caller decides: escape *)
-      else Untouched)
+  | Some (path, lid, args) ->
+    if is_release path && first_positional_is x args then
+      Release (Syntax.line_of e)
+    else if List.mem path k.observers && first_positional_is x args then Observe
+    else if
+      (* derived releaser: x passed at a released arg position *)
+      List.exists
+        (fun (c : Callgraph.def) ->
+          match Hashtbl.find_opt ctx.derived.releasers c.Callgraph.key with
+          | Some idxs ->
+            List.exists
+              (fun i ->
+                match List.nth_opt (Syntax.positional args) i with
+                | Some a -> Syntax.ident_chain a = Some x
+                | None -> false)
+              idxs
+          | None -> false)
+        (Callgraph.resolve_call ctx.graph ctx.def lid)
+    then Release (Syntax.line_of e)
+    else Untouched
   | None -> Untouched
 
 (* All release applications of [x] inside [e], with whether each sits
@@ -418,12 +416,9 @@ let releases_in x e =
   let rec go ~cond e =
     let e' = strip_try e in
     (match Syntax.apply_path e' with
-    | Some (path, _, args) -> (
-      match kind_releasing path with
-      | Some rk when first_positional_is x args ->
-        out := (rk.kind_name, Syntax.line_of e', cond) :: !out
-      | _ -> ())
-    | None -> ());
+    | Some (path, _, args) when is_release path && first_positional_is x args ->
+      out := (Syntax.line_of e', cond) :: !out
+    | _ -> ());
     match e.pexp_desc with
     | Pexp_sequence (a, b) ->
       go ~cond a;
@@ -471,7 +466,12 @@ type status =
 
 (* Walk the scope of one acquisition. [risky] is the line of the first
    statement since the acquisition that can raise while the resource
-   is live (None if the prefix is exception-free). *)
+   is live (None if the prefix is exception-free).
+
+   No tree has ever fired S602. It stays because a realistic mutant is
+   caught by it and by no test: a second [Unix.close fd] in the
+   protected body of [Supervisor.ping] fails only the runs of the
+   analyzer itself. *)
 let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
   let file = ctx.def.Callgraph.ml_path in
   let emit = ctx.emit in
@@ -483,7 +483,7 @@ let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
       | Some first_line -> (
         (* already released: later unconditional releases are S602 *)
         match classify_stmt ctx x k e with
-        | Release (_, line) ->
+        | Release line ->
           emit
             (Codes.diag ~file ~line Codes.s602
                "%s '%s' (acquired at line %d) was already released at line \
@@ -498,18 +498,18 @@ let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
              an unconditional release in the protected body is a
              double release. *)
           let fin_unconditional =
-            List.exists (fun (_, _, cond) -> not cond) fin_rels
+            List.exists (fun (_, cond) -> not cond) fin_rels
           in
           (if fin_unconditional then
              List.iter
                (fun body ->
                  match
                    List.filter
-                     (fun (_, _, cond) -> not cond)
+                     (fun (_, cond) -> not cond)
                      (releases_in x (Syntax.thunk_body body))
                  with
-                 | (_, line, _) :: _ ->
-                   let _, fin_line, _ = List.hd fin_rels in
+                 | (line, _) :: _ ->
+                   let fin_line, _ = List.hd fin_rels in
                    emit
                      (Codes.diag ~file ~line:fin_line Codes.s602
                         "%s '%s' is released in the protected body (line %d) \
@@ -521,27 +521,17 @@ let rec track ctx ~x ~(k : kind) ~acq_line ~risky block =
           go risky (Some (Syntax.line_of e)) rest
         | None -> (
           match classify_stmt ctx x k e with
-          | Release (rk, line) ->
-            if rk <> k.kind_name then begin
+          | Release line ->
+            (match risky with
+            | Some raise_line ->
               emit
-                (Codes.diag ~file ~line Codes.s603
-                   "'%s' holds a %s acquired at line %d but is released \
-                    with a %s release — mismatched acquire/release pair"
-                   x k.kind_name acq_line rk);
-              go risky (Some line) rest
-            end
-            else begin
-              (match risky with
-              | Some raise_line ->
-                emit
-                  (Codes.diag ~file ~line:acq_line Codes.s601
-                     "%s '%s' is released at line %d, but line %d can raise \
-                      first — the resource leaks on that exception path \
-                      (wrap in Fun.protect ~finally)"
-                     k.kind_name x line raise_line)
-              | None -> ());
-              go risky (Some line) rest
-            end
+                (Codes.diag ~file ~line:acq_line Codes.s601
+                   "%s '%s' is released at line %d, but line %d can raise \
+                    first — the resource leaks on that exception path (wrap \
+                    in Fun.protect ~finally)"
+                   k.kind_name x line raise_line)
+            | None -> ());
+            go risky (Some line) rest
           | Observe ->
             let risky =
               match risky with

@@ -1,10 +1,10 @@
-(** Resource-lifecycle analysis — the MSOC-S601/S602/S603 family.
+(** Resource-lifecycle analysis — the MSOC-S601/S602 family.
 
     A resource kind pairs acquire calls with their owed releases
     (Unix fds, in/out channels, atomic-write temp files). The path
     walk tracks let-bound acquisitions to the end of their scope and
-    reports leaks on normal or exception paths (S601), double
-    releases (S602) and mismatched pairs (S603). Per-function
+    reports leaks on normal or exception paths (S601) and double
+    releases (S602). Per-function
     summaries feed a callgraph fixpoint of derived releasers
     ([close_link l = Unix.close l.fd]) and derived acquirers
     (a function whose tail is a fresh acquisition), so the rules see

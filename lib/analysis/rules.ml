@@ -1,9 +1,9 @@
 (* The rule families.
 
    Concurrency (S101): PRs 1-4 made the planner parallel — a Domain
-   pool, per-connection reader threads, a racing portfolio — so
-   module-level mutable state reachable from that code is shared
-   state. Exception safety (S2xx): a catch-all that drops the
+   pool, per-connection reader threads, a racing portfolio — and any
+   library module can run under them, so its module-level mutable
+   state is shared state. Exception safety (S2xx): a catch-all that drops the
    exception turns a crash into silent corruption. Hygiene (S3xx):
    every library module keeps a .mli, every stanza keeps
    warnings-as-errors, stdout belongs to the CLI. Lock discipline and
@@ -15,13 +15,6 @@
 
 open Parsetree
 module Codes = Msoc_check.Codes
-
-type config = {
-  roots : string list;
-      (* reachability roots for S101: directories or single .ml files *)
-}
-
-let default_config = { roots = [ "lib/serve"; "lib/search"; "lib/util/pool.ml" ] }
 
 (* Substrings every dune stanza must carry (S302): the
    warnings-as-errors set. *)
@@ -67,6 +60,12 @@ let expr_lines (m : Project.module_info) hit =
     List.sort_uniq compare !lines
 
 (* --- S101: module-level mutable state under concurrency --- *)
+
+(* No tree has ever fired S101. It stays because a realistic mutant
+   is caught by it and by no test: a module-level [let expansions =
+   ref 0] bumped in [Bnb.run] fails only the runs of the analyzer
+   itself (analysis-dogfood, robustness.cli "bad analyze file
+   options"). *)
 
 let mutable_triggers =
   [
@@ -117,8 +116,7 @@ let toplevel_mutable_bindings str =
       | _ -> [])
     str
 
-let rule_concurrent_state config p =
-  let reachable = Project.reachable p ~roots:config.roots in
+let rule_concurrent_state p =
   List.concat_map
     (fun (m : Project.module_info) ->
       let guarded () =
@@ -128,13 +126,12 @@ let rule_concurrent_state config p =
           m.Project.refs
       in
       match m.Project.ast with
-      | Ok str when List.mem m.Project.ml_path reachable && not (guarded ()) ->
+      | Ok str when not (guarded ()) ->
         List.map
           (fun (line, tok) ->
             Codes.diag ~file:m.Project.ml_path ~line Codes.s101
-              "module-level %s in a module reachable from the concurrent \
-               roots, with no Atomic/Mutex in scope — guard it or allowlist \
-               the audited exception"
+              "module-level %s in a library module, with no Atomic/Mutex in \
+               scope — guard it or allowlist the audited exception"
               tok)
           (toplevel_mutable_bindings str)
       | _ -> [])
@@ -202,6 +199,11 @@ let rule_assert_false p =
     (fun m -> expr_lines m assert_false_lines)
     p
 
+(* No tree has ever fired S203. It stays because a realistic mutant is
+   caught by it and by no test: an [exit 2] for the [invalid_arg] on
+   [Problem]'s bad-MSOC_MAX_COMBINATIONS path fails only the runs of
+   the analyzer itself (analysis-dogfood, robustness.cli "bad analyze
+   file options"). *)
 let rule_lib_exit p =
   lib_rule ~code:Codes.s203
     ~message:"exit called from library code — only the CLI owns the process"
@@ -217,6 +219,10 @@ let rule_lib_failwith p =
     p
 
 (* --- S301: every library .ml has a .mli --- *)
+
+(* No tree has ever fired S301. It stays because a realistic mutant is
+   caught by it and by no test: deleting lib/search/budget.mli builds
+   and fails only the runs of the analyzer itself. *)
 
 let rule_missing_mli (p : Project.t) =
   List.filter_map
@@ -311,8 +317,8 @@ let rule_stdout_in_lib p =
 
 (* --- all rules --- *)
 
-let run config p =
-  rule_concurrent_state config p
+let run p =
+  rule_concurrent_state p
   @ Semantic.run p
   @ rule_catch_all p
   @ rule_assert_false p

@@ -1,15 +1,14 @@
 (* The S5xx/S6xx semantic rule families: interprocedural checks over
    the call graph of the parsed project.
 
-   S501 builds the Mutex acquisition graph across the call graph and
-   reports cycles (two call paths taking the same locks in opposite
-   orders). S502 classifies every critical section: a lock whose
-   continuation can raise before the unlock — and is not under
+   S502 classifies every critical section: a lock whose continuation
+   can raise before the unlock — and is not under
    Fun.protect/Mutex.protect — leaves the mutex held on the exception
    path. S503 flags Atomic check-then-act. S504 flags blocking calls
    (I/O, joins, delays) made while any lock is held, directly or
    through project calls. S505 reports .mli-exported values no other
-   module outside test/ references. The S6xx tier (Resource,
+   module outside test/ references, and their optional parameters no
+   call outside test/ passes. The S6xx tier (Resource,
    Typestate) runs from the same context: resource lifecycle over the
    per-def summaries and reply/counter obligations over the call
    graph.
@@ -75,118 +74,10 @@ let summary ctx key =
     {
       Flow.acquisitions = [];
       held_calls = [];
-      nested = [];
       check_then_act = [];
       blocking_sites = [];
       resources = Resource.empty;
     }
-
-(* A lock rendered module-qualified, so [t.lock] in Cache and [t.lock]
-   in Metrics stay distinct graph nodes. Opaque locks are dropped. *)
-let qualify (d : Callgraph.def) lock =
-  if lock = "<opaque>" then None
-  else Some (d.Callgraph.module_name ^ ":" ^ lock)
-
-(* --- S501: lock-order cycles --- *)
-
-let rule_lock_order ctx =
-  let locks_of =
-    Callgraph.close ctx.graph (fun d ->
-        List.fold_left
-          (fun acc (a : Flow.acquisition) ->
-            match qualify d a.Flow.lock with
-            | Some q -> StringSet.add q acc
-            | None -> acc)
-          StringSet.empty
-          (summary ctx d.Callgraph.key).Flow.acquisitions)
-  in
-  (* edges: (outer, inner) -> first provenance (file, line) *)
-  let edges = Hashtbl.create 64 in
-  let add_edge a b file line =
-    if a <> "" && b <> "" && not (Hashtbl.mem edges (a, b)) then
-      Hashtbl.replace edges (a, b) (file, line)
-  in
-  List.iter
-    (fun (d : Callgraph.def) ->
-      let s = summary ctx d.Callgraph.key in
-      List.iter
-        (fun (outer, inner, line) ->
-          match (qualify d outer, qualify d inner) with
-          | Some a, Some b -> add_edge a b d.Callgraph.ml_path line
-          | _ -> ())
-        s.Flow.nested;
-      List.iter
-        (fun (hc : Flow.held_call) ->
-          let inner_locks =
-            List.fold_left
-              (fun acc (c : Callgraph.def) ->
-                StringSet.union acc (locks_of c.Callgraph.key))
-              StringSet.empty
-              (Callgraph.resolve_call ctx.graph d hc.Flow.callee)
-          in
-          List.iter
-            (fun outer ->
-              match qualify d outer with
-              | Some a ->
-                StringSet.iter
-                  (fun b -> add_edge a b d.Callgraph.ml_path hc.Flow.call_line)
-                  inner_locks
-              | None -> ())
-            hc.Flow.held)
-        s.Flow.held_calls)
-    (Callgraph.defs ctx.graph);
-  (* reachability over the lock graph *)
-  let succs = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (a, b) _ ->
-      Hashtbl.replace succs a
-        (StringSet.add b
-           (Option.value (Hashtbl.find_opt succs a) ~default:StringSet.empty)))
-    edges;
-  let reaches a b =
-    let seen = Hashtbl.create 16 in
-    let rec go x =
-      x = b
-      || (not (Hashtbl.mem seen x))
-         && begin
-           Hashtbl.replace seen x ();
-           match Hashtbl.find_opt succs x with
-           | Some nexts -> StringSet.exists go nexts
-           | None -> false
-         end
-    in
-    (match Hashtbl.find_opt succs a with
-    | Some nexts -> StringSet.exists go nexts
-    | None -> false)
-  in
-  (* one report per unordered cycle pair (or self-loop), anchored at
-     the edge that closes it *)
-  let reported = Hashtbl.create 8 in
-  Hashtbl.fold
-    (fun (a, b) (file, line) acc ->
-      let cycle = if a = b then true else reaches b a in
-      if not cycle then acc
-      else
-        let id = if a <= b then (a, b) else (b, a) in
-        if Hashtbl.mem reported id then acc
-        else begin
-          Hashtbl.replace reported id ();
-          let d =
-            if a = b then
-              Codes.diag ~file ~line Codes.s501
-                "lock %s can be re-acquired while already held (self-deadlock \
-                 on a non-reentrant mutex)"
-                a
-            else
-              Codes.diag ~file ~line Codes.s501
-                "lock-order cycle: %s is acquired while %s is held, and a \
-                 call path acquires them in the opposite order — potential \
-                 deadlock"
-                b a
-          in
-          d :: acc
-        end)
-    edges []
 
 (* --- S502: lock not released on all exception paths --- *)
 
@@ -208,6 +99,10 @@ let rule_lock_release ctx =
 
 (* --- S503: Atomic check-then-act --- *)
 
+(* No tree has ever fired S503. It stays because a realistic mutant
+   is caught by it and by no test: [Metrics.incr_malformed] as an
+   [Atomic.get] then an [Atomic.set] fails only the runs of the
+   analyzer itself. *)
 let rule_check_then_act ctx =
   List.concat_map
     (fun (d : Callgraph.def) ->
@@ -270,7 +165,11 @@ let rule_blocking_under_lock ctx =
    target marks its module fully used. Qualified access is the house
    style; two same-named modules in different libraries conservatively
    share their uses. Modules under test/ are scanned by every other
-   rule but index no use here: an export only a test reads is dead. *)
+   rule but index no use here: an export only a test reads is dead.
+   The labels an application passes are indexed too, a bare call's
+   under its own module and under each module its file opens, so an
+   optional parameter that no call outside test/ passes is a constant
+   or a test seam. *)
 
 let is_upper c = 'A' <= c && c <= 'Z'
 
@@ -280,13 +179,28 @@ let is_ident_char c = is_upper c || is_lower_start c || ('0' <= c && c <= '9') |
 
 let last path = List.nth path (List.length path - 1)
 
+(* The optional parameters of a [val]'s type, each with the line of
+   its label. *)
+let rec optional_params (t : Parsetree.core_type) =
+  match t.ptyp_desc with
+  | Ptyp_arrow (Asttypes.Optional label, _, rest) ->
+    (label, Ast.line_of t.ptyp_loc) :: optional_params rest
+  | Ptyp_arrow (_, _, rest) | Ptyp_poly (_, rest) -> optional_params rest
+  | _ -> []
+
 let rule_dead_api ctx =
   let p = ctx.project in
-  (* use index: (module name, value name) -> every file using it, and
-     the fully-used modules *)
+  (* use index: (module name, value name) -> every file using it,
+     (module name, value name ^ "?" ^ label) -> every file passing the
+     label, and the fully-used modules *)
   let uses = Hashtbl.create 1024 in
   let fully_used = Hashtbl.create 16 in
-  let index_source (path, refs) =
+  let add key path =
+    if not (List.mem path (Hashtbl.find_all uses key)) then
+      Hashtbl.add uses key path
+  in
+  let index_source (m : Project.module_info) =
+    let path = m.Project.ml_path in
     let aliases =
       List.filter_map
         (fun (r : Ast.reference) ->
@@ -294,29 +208,78 @@ let rule_dead_api ctx =
           | Ast.Alias name when name <> last r.Ast.path ->
             Some (name, last r.Ast.path)
           | _ -> None)
-        refs
+        m.Project.refs
     in
     let resolve m =
       match List.assoc_opt m aliases with Some t -> t | None -> m
     in
+    let opened =
+      List.filter_map
+        (fun (r : Ast.reference) ->
+          match (r.Ast.kind, List.rev r.Ast.path) with
+          | (Ast.Open | Ast.Include), q :: _ when is_upper q.[0] ->
+            Some (resolve q)
+          | _ -> None)
+        m.Project.refs
+    in
+    List.iter (fun q -> Hashtbl.replace fully_used q ()) opened;
     List.iter
       (fun (r : Ast.reference) ->
         match (r.Ast.kind, List.rev r.Ast.path) with
-        | (Ast.Value | Ast.Member), v :: m :: _
-          when is_upper m.[0] && is_lower_start v.[0] ->
-          let key = (resolve m, v) in
-          if not (List.mem path (Hashtbl.find_all uses key)) then
-            Hashtbl.add uses key path
-        | (Ast.Open | Ast.Include), m :: _ when is_upper m.[0] ->
-          Hashtbl.replace fully_used (resolve m) ()
+        | (Ast.Value | Ast.Member), v :: q :: _
+          when is_upper q.[0] && is_lower_start v.[0] ->
+          add (resolve q, v) path;
+          List.iter (fun l -> add (resolve q, v ^ "?" ^ l) path) r.Ast.labels
+        | Ast.Value, [ v ] ->
+          List.iter
+            (fun q -> List.iter (fun l -> add (q, v ^ "?" ^ l) path) r.Ast.labels)
+            (m.Project.name :: opened)
         | _ -> ())
-      refs
+      m.Project.refs
   in
   List.iter
     (fun (m : Project.module_info) ->
       if not (String.starts_with ~prefix:"test/" m.Project.ml_path) then
-        index_source (m.Project.ml_path, m.Project.refs))
+        index_source m)
     p.Project.modules;
+  (* one exported value: dead, or live with unpassed optional
+     parameters *)
+  let value_findings (m : Project.module_info) mli_path
+      (vd : Parsetree.value_description) =
+    let name = vd.Parsetree.pval_name.txt in
+    let mname = m.Project.name in
+    if
+      name = ""
+      || (not (is_lower_start name.[0]))
+      || not (String.for_all is_ident_char name)
+    then []
+    else if
+      (not (Hashtbl.mem fully_used mname))
+      && not
+           (List.exists
+              (fun path -> path <> m.Project.ml_path)
+              (Hashtbl.find_all uses (mname, name)))
+    then
+      [
+        Codes.diag ~file:mli_path ~line:(Ast.line_of vd.Parsetree.pval_loc)
+          Codes.s505
+          "%s.%s is exported but never referenced outside its module and \
+           test/ — drop it from the interface or delete the dead code"
+          mname name;
+      ]
+    else
+      List.filter_map
+        (fun (label, line) ->
+          if Hashtbl.mem uses (mname, name ^ "?" ^ label) then None
+          else
+            Some
+              (Codes.diag ~file:mli_path ~line Codes.s505
+                 "%s.%s ?%s is passed by no call outside test/ — make it a \
+                  constant, or keep it as a seam whose allowlist entry names \
+                  the test"
+                 mname name label))
+        (optional_params vd.Parsetree.pval_type)
+  in
   (* exported values per lib module with a parsable .mli *)
   List.concat_map
     (fun (m : Project.module_info) ->
@@ -329,35 +292,12 @@ let rule_dead_api ctx =
           match Ast.parse_intf ~path:mli_path (Source.text mli_src) with
           | Error _ -> []
           | Ok signature ->
-            if Hashtbl.mem fully_used m.Project.name then []
-            else
-              List.filter_map
-                (fun (item : Parsetree.signature_item) ->
-                  match item.psig_desc with
-                  | Parsetree.Psig_value vd ->
-                    let name = vd.Parsetree.pval_name.txt in
-                    if
-                      name = ""
-                      || not (is_lower_start name.[0])
-                      || not (String.for_all is_ident_char name)
-                    then None
-                    else
-                      if
-                        List.exists
-                          (fun path -> path <> m.Project.ml_path)
-                          (Hashtbl.find_all uses (m.Project.name, name))
-                      then None
-                      else
-                        Some
-                          (Codes.diag ~file:mli_path
-                             ~line:(Ast.line_of vd.Parsetree.pval_loc)
-                             Codes.s505
-                             "%s.%s is exported but never referenced outside \
-                              its module and test/ — drop it from the \
-                              interface or delete the dead code"
-                             m.Project.name name)
-                  | _ -> None)
-                signature)))
+            List.concat_map
+              (fun (item : Parsetree.signature_item) ->
+                match item.psig_desc with
+                | Parsetree.Psig_value vd -> value_findings m mli_path vd
+                | _ -> [])
+              signature)))
     (List.filter
        (fun (m : Project.module_info) -> m.Project.owner <> None)
        p.Project.modules)
@@ -367,8 +307,7 @@ let rule_dead_api ctx =
 let run (p : Project.t) =
   let ctx = make_ctx p in
   let lookup key = (summary ctx key).Flow.resources in
-  rule_lock_order ctx
-  @ rule_lock_release ctx
+  rule_lock_release ctx
   @ rule_check_then_act ctx
   @ rule_blocking_under_lock ctx
   @ rule_dead_api ctx

@@ -43,14 +43,12 @@ let s402 = "MSOC-S402"
 let s403 = "MSOC-S403"
 let s404 = "MSOC-S404"
 let s406 = "MSOC-S406"
-let s501 = "MSOC-S501"
 let s502 = "MSOC-S502"
 let s503 = "MSOC-S503"
 let s504 = "MSOC-S504"
 let s505 = "MSOC-S505"
 let s601 = "MSOC-S601"
 let s602 = "MSOC-S602"
-let s603 = "MSOC-S603"
 let s604 = "MSOC-S604"
 let s605 = "MSOC-S605"
 
@@ -97,7 +95,7 @@ let all =
     warning w302 "SocName redeclared";
     warning w303 "SOC declares no cores";
     error s101
-      "module-level mutable state reachable from concurrent code without \
+      "module-level mutable state in a library module without \
        Atomic/Mutex protection";
     error s201 "catch-all exception handler drops the exception";
     warning s202 "assert false in library code";
@@ -111,14 +109,13 @@ let all =
     error s403 "malformed allowlist line";
     warning s404 "allowlist anchor hash no longer matches the code";
     info s406 "file does not parse: every AST rule skipped it";
-    error s501 "lock-order cycle across the call graph (potential deadlock)";
     error s502 "lock not released on all exception paths";
     error s503 "atomic check-then-act without compare_and_set";
     warning s504 "blocking call while a lock is held";
-    warning s505 "exported value never referenced outside its module and test/";
+    warning s505
+      "exported value or optional parameter no code outside test/ uses";
     error s601 "resource acquired but not released on all paths";
     error s602 "resource released twice on one path";
-    error s603 "release does not match the resource's acquire pair";
     error s604 "request-handling path breaks the one-reply obligation";
     error s605 "paired counter not balanced on all branches";
   ]

@@ -88,8 +88,8 @@ val w303 : string  (** SOC declares no cores *)
 
 val s101 : string
 (** module-level mutable state ([ref]/[Hashtbl.create]/[Buffer.create]/
-    [Queue.create] bound at structure level) in a module reachable from
-    the concurrent roots, with no [Atomic]/[Mutex] in scope *)
+    [Queue.create] bound at structure level) in a library module, with
+    no [Atomic]/[Mutex] in scope *)
 
 val s201 : string  (** [with _ ->] catch-all that drops the exception *)
 
@@ -122,11 +122,6 @@ val s406 : string
 
 (* semantic (AST-level) analysis, Msoc_analysis S5xx *)
 
-val s501 : string
-(** lock-order cycle: the Mutex acquisition graph built across the
-    call graph contains a cycle — two call paths acquire the same
-    locks in opposite orders (potential deadlock) *)
-
 val s502 : string
 (** a [Mutex.lock] whose critical section can raise without the lock
     being released ([Fun.protect]/[Mutex.protect] absent and the
@@ -142,7 +137,8 @@ val s504 : string
 
 val s505 : string
 (** a value exported by a [.mli] is never referenced outside its own
-    module, reads from [test/] not counted (dead exported API) *)
+    module, or no call passes one of its optional parameters — reads
+    from [test/] not counted (dead exported API) *)
 
 (* interprocedural resource-lifecycle and protocol-state analysis,
    Msoc_analysis S6xx *)
@@ -154,10 +150,6 @@ val s601 : string
 
 val s602 : string
 (** the same resource released twice along one path *)
-
-val s603 : string
-(** a release applied to a resource acquired under a different pair
-    (e.g. [close_in] on an out-channel) or never acquired at all *)
 
 val s604 : string
 (** a request-dispatch branch that can complete with zero replies, or

@@ -5,13 +5,15 @@ module Area = Msoc_analog.Area
 module Sharing = Msoc_analog.Sharing
 module Spec = Msoc_analog.Spec
 
-let default_tolerance = 1e-6
+(* Relative: loose enough for float re-association, far tighter than
+   any real divergence. *)
+let tol = 1e-6
 
-let close ~tol a b =
+let close a b =
   Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-let evaluation ?(tol = default_tolerance) ~(problem : Problem.t)
-    ~reference_makespan (ev : Evaluate.evaluation) =
+let evaluation ~(problem : Problem.t) ~reference_makespan
+    (ev : Evaluate.evaluation) =
   let diags = ref [] in
   let err code fmt =
     Format.kasprintf
@@ -45,7 +47,7 @@ let evaluation ?(tol = default_tolerance) ~(problem : Problem.t)
   let c_a =
     Area.cost_ca ~model:problem.Problem.area_model ev.Evaluate.combination
   in
-  if not (close ~tol c_a ev.Evaluate.c_a) then
+  if not (close c_a ev.Evaluate.c_a) then
     err Codes.e201 "C_A reported %.9g, Equation 1 recomputes %.9g" ev.Evaluate.c_a
       c_a;
   (* C_T normalization (zero reference prices C_T as 0 by convention) *)
@@ -56,14 +58,14 @@ let evaluation ?(tol = default_tolerance) ~(problem : Problem.t)
       (float_of_int recomputed_makespan)
       (float_of_int reference_makespan)
   in
-  if not (close ~tol c_t ev.Evaluate.c_t) then
+  if not (close c_t ev.Evaluate.c_t) then
     err Codes.e202 "C_T reported %.9g, recomputed %.9g (makespan %d / reference %d)"
       ev.Evaluate.c_t c_t recomputed_makespan reference_makespan;
   (* weighted total *)
   let cost =
     (problem.Problem.weight_time *. c_t) +. (problem.Problem.weight_area *. c_a)
   in
-  if not (close ~tol cost ev.Evaluate.cost) then
+  if not (close cost ev.Evaluate.cost) then
     err Codes.e203 "cost reported %.9g, recomputed %.9g = %.3g*C_T + %.3g*C_A"
       ev.Evaluate.cost cost problem.Problem.weight_time problem.Problem.weight_area;
   List.rev !diags

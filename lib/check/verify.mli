@@ -6,7 +6,6 @@
     packer's own bookkeeping is consistent. *)
 
 val evaluation :
-  ?tol:float ->
   problem:Msoc_testplan.Problem.t ->
   reference_makespan:int ->
   Msoc_testplan.Evaluate.evaluation ->
@@ -14,6 +13,6 @@ val evaluation :
 (** Schedule checks (against the re-derived job set and the reported
     makespan) followed by cost cross-checks. *)
 
-val plan : ?tol:float -> Msoc_testplan.Plan.t -> Diagnostic.t list
+val plan : Msoc_testplan.Plan.t -> Diagnostic.t list
 (** {!evaluation} applied to the plan's best evaluation under the
     plan's problem and reference makespan. [[]] means clean. *)

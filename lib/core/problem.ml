@@ -17,8 +17,8 @@ type t = {
 
 let max_tam_width = 1024
 
-let make ?(area_model = Area.default_model) ?(policy = Spec.default_policy)
-    ?self_test ~soc ~analog_cores ~tam_width ~weight_time () =
+let make ?(area_model = Area.default_model) ?self_test ~soc ~analog_cores
+    ~tam_width ~weight_time () =
   (* Written so that NaN, which fails every comparison, is rejected. *)
   if not (weight_time >= 0.0 && weight_time <= 1.0) then
     invalid_arg "Problem.make: weight_time out of [0, 1]";
@@ -43,7 +43,7 @@ let make ?(area_model = Area.default_model) ?(policy = Spec.default_policy)
     weight_time;
     weight_area = 1.0 -. weight_time;
     area_model;
-    policy;
+    policy = Spec.default_policy;
     self_test;
   }
 
@@ -107,8 +107,8 @@ let filter_candidates t candidates =
   |> List.filter (Sharing.is_feasible ~policy:t.policy)
   |> List.filter (Area.acceptable ~model:t.area_model)
 
-let combinations ?limit t =
-  check_combination_count ?limit t;
+let combinations t =
+  check_combination_count t;
   match filter_candidates t (Sharing.paper_combinations t.analog_cores) with
   | [] ->
     (* No feasible sharing (e.g. one analog core, or every grouping

@@ -34,7 +34,6 @@ val max_tam_width : int
 
 val make :
   ?area_model:Msoc_analog.Area.model ->
-  ?policy:Msoc_analog.Spec.policy ->
   ?self_test:self_test_config ->
   soc:Msoc_itc02.Types.soc ->
   analog_cores:Msoc_analog.Spec.core list ->
@@ -42,7 +41,8 @@ val make :
   weight_time:float ->
   unit ->
   t
-(** [weight_area] is [1 − weight_time].
+(** [weight_area] is [1 − weight_time]; the policy is
+    {!Msoc_analog.Spec.default_policy}.
     @raise Invalid_argument unless [0 <= weight_time <= 1],
     [1 <= tam_width <= max_tam_width], the analog list is non-empty,
     and every analog core's width fits in [tam_width]. *)
@@ -73,7 +73,7 @@ val overflow_message :
     materialize the lattice). Also installed as a
     [Printexc] printer. *)
 
-val combinations : ?limit:int -> t -> Msoc_analog.Sharing.t list
+val combinations : t -> Msoc_analog.Sharing.t list
 (** The candidate sharing combinations the optimizers search: the
     paper's enumeration ({!Msoc_analog.Sharing.paper_combinations}),
     restricted to combinations that are compatibility-feasible under
@@ -81,8 +81,8 @@ val combinations : ?limit:int -> t -> Msoc_analog.Sharing.t list
     Never empty: when no sharing is feasible (one analog core, or all
     groupings ruled out), the no-sharing combination is the single
     candidate. Partitions are enumerated lazily and deduplicated
-    incrementally. [limit] defaults to [MSOC_MAX_COMBINATIONS] when
-    set, else 200_000 (admits m = 10 analog cores, Bell(10) = 115_975;
+    incrementally. The limit is [MSOC_MAX_COMBINATIONS] when set,
+    else 200_000 (admits m = 10 analog cores, Bell(10) = 115_975;
     refuses m >= 11).
     @raise Combination_overflow when Bell(m) exceeds the limit.
     @raise Invalid_argument when [MSOC_MAX_COMBINATIONS] is read and is
@@ -91,4 +91,5 @@ val combinations : ?limit:int -> t -> Msoc_analog.Sharing.t list
 val all_combinations : ?limit:int -> t -> Msoc_analog.Sharing.t list
 (** Same filters over every distinct partition (for the generalized /
     scaling experiments and the search strategies' reference optimum).
+    [limit] replaces {!combinations}' limit.
     @raise Combination_overflow as {!combinations}. *)

@@ -99,14 +99,14 @@ let calibrated_core ?config ~system_clock_hz core =
   ( Spec.core ~label:core.Spec.label ~name:core.Spec.name ~tests,
     measurements )
 
-let calibrated_problem ?config ?policy ~system_clock_hz ~soc ~analog_cores
+let calibrated_problem ?config ~system_clock_hz ~soc ~analog_cores
     ~tam_width ~weight_time () =
   let calibrated =
     List.map (calibrated_core ?config ~system_clock_hz) analog_cores
   in
   let cores = List.map fst calibrated in
   let problem =
-    Problem.make ?policy ~soc ~analog_cores:cores ~tam_width ~weight_time ()
+    Problem.make ~soc ~analog_cores:cores ~tam_width ~weight_time ()
   in
   (problem, List.map snd calibrated)
 

@@ -35,7 +35,6 @@ val measure_core :
 
 val calibrated_problem :
   ?config:Testbench.config ->
-  ?policy:Msoc_analog.Spec.policy ->
   system_clock_hz:float ->
   soc:Msoc_itc02.Types.soc ->
   analog_cores:Msoc_analog.Spec.core list ->

@@ -191,7 +191,8 @@ val spectra : program -> Msoc_mixedsig.Variation.t -> result * spectra
     @raise Invalid_argument, naming the spec, for the others. *)
 
 val run :
-  ?tolerance_pct:float -> ?stimulus:stimulus -> ?config:config -> spec -> result
+  ?tolerance_pct:float ->
+  ?stimulus:stimulus -> ?config:config -> spec -> result
 (** Execute the spec's program for the config's own die:
     [run_program (program ?tolerance_pct ?stimulus config spec)
     config.variation].

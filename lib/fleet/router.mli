@@ -46,8 +46,10 @@ type config = {
 }
 
 val config :
-  ?window:int -> ?replicas:int -> ?retry_rounds:int -> ?max_line:int ->
-  ?idle_timeout_s:float -> ?seed:int -> worker_spec list -> config
+  ?window:int -> ?replicas:int -> ?retry_rounds:int ->
+  ?max_line:int ->
+  ?idle_timeout_s:float ->
+  ?seed:int -> worker_spec list -> config
 (** Defaults: [window] 8 in-flight per worker, [replicas] 64,
     [retry_rounds] 5, no [max_line] (the front door's 1 MiB), no idle
     timeout, [seed] 1.

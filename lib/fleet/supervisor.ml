@@ -22,7 +22,6 @@ type t = {
   workers : worker list;
   ping_interval_s : float;
   ping_timeout_s : float;
-  max_ping_failures : int;
   on_restart : (string -> unit) option;
   mutable running : bool;
   mutable thread : Thread.t option;
@@ -83,6 +82,9 @@ let ping ~timeout_s ~port =
 
 (* --- the supervision loop --- *)
 
+(* Consecutive failed health checks after which a worker is killed. *)
+let max_ping_failures = 3
+
 (* Each tick reads a consistent snapshot of intent under the lock,
    performs process I/O (waitpid, spawn, ping, kill) outside it, and
    writes results back under the lock — so [stop] never waits behind
@@ -135,7 +137,7 @@ let tick t =
                 w.last_ping <- now;
                 w.ping_failures <- (if ok then 0 else w.ping_failures + 1))
           end;
-          if w.ping_failures >= t.max_ping_failures then begin
+          if w.ping_failures >= max_ping_failures then begin
             Printf.eprintf
               "[fleet] %s: %d failed health checks; killing pid %d\n%!"
               w.spec.id w.ping_failures pid;
@@ -157,8 +159,8 @@ let loop t () =
     Thread.delay 0.1
   done
 
-let create ?(ping_interval_s = 2.0) ?(ping_timeout_s = 1.0)
-    ?(max_ping_failures = 3) ?on_restart ~seed specs =
+let create ?(ping_interval_s = 2.0) ?(ping_timeout_s = 1.0) ?on_restart ~seed
+    specs =
   if specs = [] then invalid_arg "Supervisor.create: no workers";
   let now = Msoc_util.Clock.now () in
   let workers =
@@ -181,7 +183,6 @@ let create ?(ping_interval_s = 2.0) ?(ping_timeout_s = 1.0)
       workers;
       ping_interval_s;
       ping_timeout_s;
-      max_ping_failures;
       on_restart;
       running = true;
       thread = None;

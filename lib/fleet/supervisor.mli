@@ -27,8 +27,7 @@ type t
 
 val create :
   ?ping_interval_s:float -> ?ping_timeout_s:float ->
-  ?max_ping_failures:int -> ?on_restart:(string -> unit) -> seed:int ->
-  spec list -> t
+  ?on_restart:(string -> unit) -> seed:int -> spec list -> t
 (** Spawns every worker synchronously, then starts the loop thread.
     Defaults: ping every 2 s with a 1 s budget, kill after 3
     consecutive failures. [on_restart id] fires on every respawn (not

@@ -32,8 +32,7 @@ let loopback_linearity wrapper =
     monotonic = !monotonic;
   }
 
-let passes ?(max_error = 1) linearity =
-  linearity.max_code_error <= max_error && linearity.monotonic
+let passes linearity = linearity.max_code_error <= 1 && linearity.monotonic
 
 type histogram_result = {
   samples : int;

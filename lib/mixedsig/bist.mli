@@ -27,8 +27,8 @@ val loopback_linearity : Wrapper.t -> linearity
     mode semantics). An ideal wrapper reports
     [{ max_code_error = 0; mean_abs_error = 0.; monotonic = true }]. *)
 
-val passes : ?max_error:int -> linearity -> bool
-(** Default acceptance: [max_code_error <= 1] and monotonic. *)
+val passes : linearity -> bool
+(** The acceptance: [max_code_error <= 1] and monotonic. *)
 
 (** Sine-histogram linearity test (IEEE 1241 style) — the method the
     converter-BIST literature the paper cites builds on: digitize a
@@ -42,7 +42,9 @@ type histogram_result = {
   missing_codes : int;  (** codes that never occurred *)
 }
 
-val sine_histogram : ?samples:int -> ?overdrive:float -> Adc.t -> histogram_result
+val sine_histogram :
+  ?samples:int ->
+  ?overdrive:float -> Adc.t -> histogram_result
 (** [sine_histogram adc] drives an analytically generated sine
     covering [overdrive] (default 1.05) times the full range through
     the ADC ([samples] defaults to 2^17). An ideal converter reports

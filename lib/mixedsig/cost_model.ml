@@ -28,9 +28,9 @@ let reference_tech_um = 0.5
 
 let reference_bits = 8
 
-let wrapper_area_mm2 ?(scaling_exponent = 1.0) ?(bits = reference_bits) ~tech_um () =
+let wrapper_area_mm2 ?(bits = reference_bits) ~tech_um () =
   if tech_um <= 0.0 then invalid_arg "Cost_model.wrapper_area_mm2: tech_um <= 0";
-  let tech_factor = Float.pow (tech_um /. reference_tech_um) scaling_exponent in
+  let tech_factor = tech_um /. reference_tech_um in
   let hardware_factor =
     float_of_int (modular_comparators ~bits)
     /. float_of_int (modular_comparators ~bits:reference_bits)

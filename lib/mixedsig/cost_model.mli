@@ -6,7 +6,7 @@
     process. Analog area scales roughly linearly with feature size
     (matching and noise, not lithography, set device sizes), which
     reproduces the paper's "≤ 1/30 of the core in the same technology"
-    expectation; the exponent is a parameter. *)
+    expectation. *)
 
 val flash_comparators : bits:int -> int
 (** 2^n − 1 (the paper quotes ≈ 2^n = 256 at 8 bits). *)
@@ -21,8 +21,7 @@ val modular_dac_resistors : bits:int -> int
 val comparator_reduction : bits:int -> float
 (** flash / modular comparator ratio — ≈ 8× at 8 bits. *)
 
-val wrapper_area_mm2 : ?scaling_exponent:float -> ?bits:int -> tech_um:float -> unit -> float
+val wrapper_area_mm2 : ?bits:int -> tech_um:float -> unit -> float
 (** Area of a [bits]-bit (default 8) wrapper in a [tech_um] process:
-    the reference area, scaled by [(tech/0.5)^exponent] (default
-    exponent 1.0) and by the comparator-count ratio against the 8-bit
-    reference. *)
+    the reference area, scaled linearly by [tech/0.5] and by the
+    comparator-count ratio against the 8-bit reference. *)

@@ -14,16 +14,16 @@ type t = {
   config : config;
 }
 
-let create ?adc ?dac ?(range = Quantize.default_range) ~bits () =
+let create ?adc ?dac ~bits () =
   let adc =
     match adc with
     | Some a -> a
-    | None -> Adc.create Adc.Modular_pipeline ~bits ~range
+    | None -> Adc.create Adc.Modular_pipeline ~bits
   in
   let dac =
     match dac with
     | Some d -> d
-    | None -> Dac.create Dac.Modular ~bits ~range
+    | None -> Dac.create Dac.Modular ~bits
   in
   if Adc.bits adc <> bits || Dac.bits dac <> bits then
     invalid_arg "Wrapper.create: converter resolution mismatch";

@@ -25,7 +25,6 @@ type t
 val create :
   ?adc:Adc.t ->
   ?dac:Dac.t ->
-  ?range:Quantize.range ->
   bits:int ->
   unit ->
   t

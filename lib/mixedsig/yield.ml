@@ -2,13 +2,12 @@
    construction is delegated to the shared Variation sampler.
    [Variation.wrapper] keeps the historical ADC seed offset, so
    per-seed results are bit-identical across the port. *)
-let wrapper_for_die ?(bits = 8) ?(dac_mismatch_sigma = 0.01)
-    ?(adc_threshold_sigma_lsb = 0.3) ~seed () =
+let wrapper_for_die ?(bits = 8) ?(dac_mismatch_sigma = 0.01) ~seed () =
   Variation.wrapper
     {
       (Variation.nominal ~bits ()) with
       Variation.dac_mismatch_sigma;
-      adc_threshold_sigma_lsb;
+      adc_threshold_sigma_lsb = 0.3;
       converter_seed = seed;
     }
 

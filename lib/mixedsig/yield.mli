@@ -10,13 +10,12 @@
 val wrapper_for_die :
   ?bits:int ->
   ?dac_mismatch_sigma:float ->
-  ?adc_threshold_sigma_lsb:float ->
   seed:int ->
   unit ->
   Wrapper.t
-(** One die's wrapper: modular converters with mismatch drawn from the
-    given sigmas using [seed] (defaults: 8 bits, 1% resistor mismatch,
-    0.3 LSB comparator noise). *)
+(** One die's wrapper: modular converters with mismatch drawn using
+    [seed] from the given resistor sigma and 0.3 LSB comparator noise
+    (defaults: 8 bits, 1% resistor mismatch). *)
 
 type result = {
   trials : int;

@@ -154,12 +154,13 @@ type response = {
   error : string option;
 }
 
-let ok ?worker ?cached ?elapsed_ms ~id result =
-  { id; status = Success; worker; cached; elapsed_ms; result; error = None }
+let ok ?worker ?cached ~id result =
+  { id; status = Success; worker; cached; elapsed_ms = None; result;
+    error = None }
 
-let reject ?worker ?elapsed_ms ~id status error =
+let reject ?worker ~id status error =
   if status = Success then invalid_arg "Protocol.reject: Success is not a rejection";
-  { id; status; worker; cached = None; elapsed_ms; result = Export.Null;
+  { id; status; worker; cached = None; elapsed_ms = None; result = Export.Null;
     error = Some error }
 
 let response_json r =

@@ -99,12 +99,12 @@ type response = {
 }
 
 val ok :
-  ?worker:string -> ?cached:string -> ?elapsed_ms:float -> id:string ->
+  ?worker:string -> ?cached:string -> id:string ->
   Msoc_testplan.Export.json -> response
+(** A [Success] envelope; [elapsed_ms] is [None] until the service
+    stamps it. *)
 
-val reject :
-  ?worker:string -> ?elapsed_ms:float -> id:string -> status -> string ->
-  response
+val reject : ?worker:string -> id:string -> status -> string -> response
 (** @raise Invalid_argument when called with [Success]. *)
 
 val response_to_line : response -> string

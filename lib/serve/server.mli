@@ -110,7 +110,8 @@ val accept_loop :
     it. *)
 
 val serve :
-  ?queue_capacity:int -> ?max_line:int -> ?idle_timeout_s:float ->
+  ?queue_capacity:int ->
+  ?max_line:int -> ?idle_timeout_s:float ->
   ?ready:(int -> unit) -> listen:endpoint -> Service.t -> unit
 (** The planning daemon on [listen]; blocks until shutdown.
     [queue_capacity] (default 64) bounds admitted-but-undispatched

@@ -60,7 +60,9 @@ val analyzer :
     [n] is padded to {!Fft.next_pow2}[ n]; with it, that is not
     computed. *)
 
-val analyze : ?window:Window.t -> ?pad_to:int -> fs:float -> float array -> t
+val analyze :
+  ?window:Window.t ->
+  ?pad_to:int -> fs:float -> float array -> t
 (** Windowed (default Hann), zero-padded FFT magnitude spectrum:
     [analyzer ?window ?pad_to ~fs (Array.length x) x], so one plan is
     built per call. {!Fft.execute_windowed} writes each windowed

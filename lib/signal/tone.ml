@@ -1,9 +1,9 @@
-type t = { freq_hz : float; amplitude : float; phase_rad : float }
+type t = { freq_hz : float; amplitude : float }
 
-let tone ?(amplitude = 1.0) ?(phase_rad = 0.0) freq_hz =
+let tone ?(amplitude = 1.0) freq_hz =
   if not (freq_hz > 0.0) then invalid_arg "Tone.tone: frequency must be positive";
   if not (amplitude >= 0.0) then invalid_arg "Tone.tone: amplitude must be non-negative";
-  { freq_hz; amplitude; phase_rad }
+  { freq_hz; amplitude }
 
 (* The sum lives in a local float, so a sample allocates nothing (a
    closure per sample or a fold over the tones would box its time, its
@@ -17,7 +17,7 @@ let sample ~tones ~fs ~n =
     let acc = ref 0.0 in
     for k = 0 to Array.length tones - 1 do
       let t = tones.(k) in
-      acc := !acc +. (t.amplitude *. Float.sin ((2.0 *. Float.pi *. t.freq_hz *. time) +. t.phase_rad))
+      acc := !acc +. (t.amplitude *. Float.sin (2.0 *. Float.pi *. t.freq_hz *. time))
     done;
     x.(i) <- !acc
   done;

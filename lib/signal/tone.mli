@@ -4,10 +4,11 @@
     ("an input with only three frequencies") and reads the cut-off
     from the spectrum of the response. *)
 
-type t = { freq_hz : float; amplitude : float; phase_rad : float }
+type t = { freq_hz : float; amplitude : float }
+(** A sine of phase 0 at [t = 0]. *)
 
-val tone : ?amplitude:float -> ?phase_rad:float -> float -> t
-(** [tone f] with amplitude 1 and phase 0 by default.
+val tone : ?amplitude:float -> float -> t
+(** [tone f] with amplitude 1 by default.
     @raise Invalid_argument on a frequency that is not positive or an
     amplitude that is negative, NaN included. *)
 

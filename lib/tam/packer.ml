@@ -656,10 +656,10 @@ let promotion_order ~front jobs =
     jobs
 
 (* Promote the job that currently finishes last to the front of the
-   priority order and repack; repeat while it helps. The critical job
-   is the one whose placement freedom matters most, so scheduling it
-   first usually removes the overhang. *)
-let pack_optimized ?power_budget ?(rounds = 8) ~width jobs =
+   priority order and repack; repeat while it helps, at most 8 times.
+   The critical job is the one whose placement freedom matters most,
+   so scheduling it first usually removes the overhang. *)
+let pack_optimized ?power_budget ~width jobs =
   let initial = pack ?power_budget ~width jobs in
   let rec refine best order_front remaining =
     if remaining = 0 then best
@@ -691,7 +691,7 @@ let pack_optimized ?power_budget ?(rounds = 8) ~width jobs =
           refine best order_front (remaining - 1)
         end
   in
-  refine initial [] rounds
+  refine initial [] 8
 
 let anneal ?power_budget ?(seed = 1) ?(iterations = 150) ~width jobs =
   let best = ref (pack_optimized ?power_budget ~width jobs) in

@@ -108,12 +108,12 @@ val pack : ?power_budget:int -> width:int -> Job.t list -> Schedule.t
     @raise Invalid_argument if [width <= 0] or [power_budget <= 0]. *)
 
 val pack_optimized :
-  ?power_budget:int -> ?rounds:int -> width:int -> Job.t list -> Schedule.t
-(** {!pack} followed by critical-job reordering: up to [rounds]
-    (default 8) times, the job that finishes last is promoted to the
-    front of the priority order and the strip is repacked; the best
-    schedule wins. Never worse than {!pack}; typically buys a few
-    percent on instances with one awkward rectangle. *)
+  ?power_budget:int -> width:int -> Job.t list -> Schedule.t
+(** {!pack} followed by critical-job reordering: up to 8 times, the
+    job that finishes last is promoted to the front of the priority
+    order and the strip is repacked; the best schedule wins. Never
+    worse than {!pack}; typically buys a few percent on instances with
+    one awkward rectangle. *)
 
 val anneal :
   ?power_budget:int ->

@@ -8,15 +8,16 @@
 
 type t = {
   base_ms : float;
-  cap_ms : float;
   rng : Rng.t;
   mutable attempt : int;
 }
 
-let create ?(base_ms = 25.0) ?(cap_ms = 2_000.0) ~seed () =
-  if base_ms <= 0.0 then invalid_arg "Backoff.create: base_ms must be positive";
-  if cap_ms < base_ms then invalid_arg "Backoff.create: cap_ms must be >= base_ms";
-  { base_ms; cap_ms; rng = Rng.create ~seed; attempt = 0 }
+let cap_ms = 2_000.0
+
+let create ?(base_ms = 25.0) ~seed () =
+  if not (base_ms > 0.0 && base_ms <= cap_ms) then
+    invalid_arg "Backoff.create: base_ms must be in (0, 2000]";
+  { base_ms; rng = Rng.create ~seed; attempt = 0 }
 
 let reset t = t.attempt <- 0
 
@@ -25,7 +26,7 @@ let reset t = t.attempt <- 0
    over [0, cap_ms]. *)
 let ceiling_ms t =
   let doublings = min t.attempt 30 (* 2^30 * base already dwarfs any cap *) in
-  Float.min t.cap_ms (t.base_ms *. Float.of_int (1 lsl doublings))
+  Float.min cap_ms (t.base_ms *. Float.of_int (1 lsl doublings))
 
 let next_delay_ms t =
   let d = Rng.float t.rng ~bound:(ceiling_ms t) in

@@ -1,7 +1,7 @@
 (** Capped exponential backoff with full jitter.
 
-    Attempt [k] draws a delay uniformly from [0, min (cap_ms, base_ms
-    * 2^k)] — the "FullJitter" policy. Uniform draws decorrelate many
+    Attempt [k] draws a delay uniformly from [0, min (2000, base_ms
+    * 2^k)] ms — the "FullJitter" policy. Uniform draws decorrelate many
     clients retrying against one failed resource (reconnecting router
     links, worker restarts), while the growing ceiling keeps pressure
     off a resource that stays down. Deterministic for a fixed seed.
@@ -10,9 +10,9 @@
 
 type t
 
-val create : ?base_ms:float -> ?cap_ms:float -> seed:int -> unit -> t
-(** [base_ms] defaults to 25 ms, [cap_ms] to 2000 ms.
-    @raise Invalid_argument if [base_ms <= 0] or [cap_ms < base_ms]. *)
+val create : ?base_ms:float -> seed:int -> unit -> t
+(** [base_ms] defaults to 25 ms.
+    @raise Invalid_argument unless [0 < base_ms <= 2000]. *)
 
 val next_delay_ms : t -> float
 (** Draw the next delay and advance the attempt counter. *)

@@ -7,7 +7,6 @@
 module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
 module Engine = Msoc_analysis.Engine
-module Rules = Msoc_analysis.Rules
 module Allowlist = Msoc_analysis.Allowlist
 
 let checki = Alcotest.(check int)
@@ -69,12 +68,9 @@ let fixture ?(mli = true) ?(dune = clean_dune) ?(extra = []) body =
   @ (if mli then [ ("lib/fix/fix.mli", "(* fixture interface *)\n") ] else [])
   @ extra
 
-(* The default rules with lib/fix as the concurrent root; each fixture
-   seeds one violation, so it reports exactly one finding. *)
-let fix_config = { Rules.roots = [ "lib/fix" ] }
-
-let analyze ?(config = fix_config) files =
-  with_project files (fun root -> Engine.run ~config ~root ())
+(* Each fixture seeds one violation, so it reports exactly one
+   finding. *)
+let analyze files = with_project files (fun root -> Engine.run ~root ())
 
 let codes_of (r : Engine.report) =
   List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) r.Engine.diagnostics
@@ -114,7 +110,7 @@ let test_s101_mutable_state () =
   in
   assert_only ~ctx:"S101 ref" Codes.s101 1 r
 
-let test_s101_guarded_or_unreachable () =
+let test_s101_negatives () =
   (* a Mutex anywhere in the file marks the state as guarded *)
   let r =
     analyze
@@ -126,14 +122,7 @@ let test_s101_guarded_or_unreachable () =
   let r =
     analyze (fixture "let f xs =\n  let seen = Hashtbl.create 8 in\n  List.filter (fun x -> not (Hashtbl.mem seen x)) xs\n")
   in
-  assert_clean ~ctx:"S101 local binding" r;
-  (* a module outside the concurrent roots is not flagged *)
-  let r =
-    analyze
-      ~config:{ Rules.roots = [ "lib/other" ] }
-      (fixture "let table = Hashtbl.create 16\nlet find k = Hashtbl.find_opt table k\n")
-  in
-  assert_clean ~ctx:"S101 unreachable" r
+  assert_clean ~ctx:"S101 local binding" r
 
 (* S502 judges the lock-pairing fixtures (MSOC-S102 is retired). *)
 let test_s102_lock_pairing () =
@@ -223,23 +212,6 @@ let test_ast_spellings () =
   (* a function returning a fresh container holds no state *)
   let r = analyze (fixture "let make () = Hashtbl.create 16\n") in
   assert_clean ~ctx:"S101 factory function" r;
-  (* reachable through a qualified field only *)
-  let r =
-    analyze
-      ~config:{ Rules.roots = [ "lib/fix/fix.ml" ] }
-      (fixture
-         ~extra:
-           [ ("lib/fix/state.ml", "type t = { count : int }\nlet table = Hashtbl.create 16\n");
-             ("lib/fix/state.mli", "(* fixture interface *)\n") ]
-         "let count x = x.State.count\n")
-  in
-  checkb ("S101 via a qualified field — " ^ show r) true
-    (List.map
-       (fun (d : Diagnostic.t) ->
-         (d.Diagnostic.code, d.Diagnostic.location.Diagnostic.file,
-          d.Diagnostic.location.Diagnostic.line))
-       r.Engine.diagnostics
-    = [ (Codes.s101, Some "lib/fix/state.ml", Some 2) ]);
   (* a handler on its own line, and after another handler *)
   let r = analyze (fixture "let f g x =\n  try g x with\n  | _ -> 0\n") in
   assert_only ~ctx:"S201 handler on its own line" Codes.s201 3 r;
@@ -333,7 +305,7 @@ let suites =
         Alcotest.test_case "S101 module-level mutable state" `Quick
           test_s101_mutable_state;
         Alcotest.test_case "S101 negatives" `Quick
-          test_s101_guarded_or_unreachable;
+          test_s101_negatives;
         Alcotest.test_case "S102 lock pairing" `Quick test_s102_lock_pairing;
         Alcotest.test_case "S201 catch-all" `Quick test_s201_catch_all;
         Alcotest.test_case "S202/S203/S204 lib safety" `Quick

@@ -7,7 +7,6 @@
 module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
 module Engine = Msoc_analysis.Engine
-module Rules = Msoc_analysis.Rules
 module Project = Msoc_analysis.Project
 module Callgraph = Msoc_analysis.Callgraph
 module Resource = Msoc_analysis.Resource
@@ -24,12 +23,7 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* Semantic tier on; S101 roots kept away from lib/fix so each fixture
-   isolates its S6xx rule. *)
-let res_config = { Rules.roots = [ "lib/none" ] }
-
-let analyze ?(config = res_config) files =
-  with_project files (fun root -> Engine.run ~config ~root ())
+let analyze = Test_analysis.analyze
 
 let codes_of (r : Engine.report) =
   List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) r.Engine.diagnostics
@@ -184,23 +178,6 @@ let test_s602_double_release () =
          \    (fun () -> Sys.rename tmp \"dst\")\n")
   in
   assert_clean ~ctx:"S602 conditional-finally near-miss" r
-
-(* --- S603: mismatched acquire/release pair --- *)
-
-let test_s603_mismatched_pair () =
-  (* mutation: the in-channel is fed to the out-channel release
-     (fixtures are parsed, never typechecked) *)
-  let r =
-    analyze
-      (fixture "let f path =\n  let ic = open_in path in\n  close_out ic\n")
-  in
-  assert_fires ~ctx:"S603 wrong pair" Codes.s603 3 r;
-  (* near-miss: the matching release *)
-  let r =
-    analyze
-      (fixture "let f path =\n  let ic = open_in path in\n  close_in ic\n")
-  in
-  assert_clean ~ctx:"S603 matching near-miss" r
 
 (* --- interprocedural: derived releasers and acquirers --- *)
 
@@ -452,8 +429,6 @@ let suites =
         Alcotest.test_case "S601 nested let" `Quick test_s601_nested_let;
         Alcotest.test_case "S602 double release" `Quick
           test_s602_double_release;
-        Alcotest.test_case "S603 mismatched pair" `Quick
-          test_s603_mismatched_pair;
         Alcotest.test_case "derived releaser" `Quick test_derived_releaser;
         Alcotest.test_case "derived acquirer" `Quick test_derived_acquirer;
       ] );

@@ -155,8 +155,8 @@ let test_wilson_interval () =
 
 let test_yield_deterministic () =
   let die seed =
-    let wrapper = Yield.wrapper_for_die ~dac_mismatch_sigma:0.05 ~seed () in
-    Bist.passes ~max_error:2 (Bist.loopback_linearity wrapper)
+    let l = Bist.loopback_linearity (Yield.wrapper_for_die ~dac_mismatch_sigma:0.05 ~seed ()) in
+    l.Bist.max_code_error <= 2 && l.Bist.monotonic
   in
   let a = Yield.estimate ~trials:15 ~die and b = Yield.estimate ~trials:15 ~die in
   checkb "same result" true (a = b)

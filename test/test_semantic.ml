@@ -8,7 +8,6 @@
 module Diagnostic = Msoc_check.Diagnostic
 module Codes = Msoc_check.Codes
 module Engine = Msoc_analysis.Engine
-module Rules = Msoc_analysis.Rules
 module Allowlist = Msoc_analysis.Allowlist
 module Source = Msoc_analysis.Source
 module Project = Msoc_analysis.Project
@@ -24,12 +23,7 @@ let with_project = Test_analysis.with_project
 let fixture = Test_analysis.fixture
 let show = Test_analysis.show
 
-(* Semantic tier on; roots kept away from lib/fix so S101 stays out of
-   the picture and each fixture isolates its S5xx rule. *)
-let sem_config = { Rules.roots = [ "lib/none" ] }
-
-let analyze ?(config = sem_config) files =
-  with_project files (fun root -> Engine.run ~config ~root ())
+let analyze = Test_analysis.analyze
 
 let codes_of (r : Engine.report) =
   List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) r.Engine.diagnostics
@@ -52,51 +46,6 @@ let assert_fires ~ctx code line (r : Engine.report) =
 
 let assert_clean ~ctx (r : Engine.report) =
   checks (ctx ^ ": clean") "<clean>" (show r)
-
-(* --- S501: lock-order cycles --- *)
-
-let test_s501_lock_order () =
-  let r =
-    analyze
-      (fixture
-         "let a = Mutex.create ()\n\
-          let b = Mutex.create ()\n\
-          let f () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> 1))\n\
-          let g () = Mutex.protect b (fun () -> Mutex.protect a (fun () -> 2))\n")
-  in
-  checkb ("S501 opposite orders fire — " ^ show r) true (has Codes.s501 r);
-  (* same order everywhere: no cycle *)
-  let r =
-    analyze
-      (fixture
-         "let a = Mutex.create ()\n\
-          let b = Mutex.create ()\n\
-          let f () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> 1))\n\
-          let g () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> 2))\n")
-  in
-  assert_clean ~ctx:"S501 consistent order" r
-
-let test_s501_through_callgraph () =
-  (* f holds [a] and calls helper, which re-acquires [a]: a self-cycle
-     visible only across the call graph *)
-  let r =
-    analyze
-      (fixture
-         "let a = Mutex.create ()\n\
-          let helper () = Mutex.protect a (fun () -> 1)\n\
-          let f () = Mutex.protect a (fun () -> helper ())\n")
-  in
-  checkb ("S501 re-acquisition via call — " ^ show r) true (has Codes.s501 r);
-  (* helper takes a different lock: no cycle *)
-  let r =
-    analyze
-      (fixture
-         "let a = Mutex.create ()\n\
-          let b = Mutex.create ()\n\
-          let helper () = Mutex.protect b (fun () -> 1)\n\
-          let f () = Mutex.protect a (fun () -> helper ())\n")
-  in
-  assert_clean ~ctx:"S501 distinct locks via call" r
 
 (* --- S502: lock not released on all exception paths --- *)
 
@@ -156,6 +105,14 @@ let test_s503_check_then_act () =
   in
   (* anchored at the act (the Atomic.set), line 4 *)
   assert_fires ~ctx:"S503 get-then-set" Codes.s503 4 r;
+  (* the get as the set's own argument: the lost update on one line *)
+  let r =
+    analyze
+      (fixture
+         "let hits = Atomic.make 0\n\
+          let bump () = Atomic.set hits (Atomic.get hits + 1)\n")
+  in
+  assert_fires ~ctx:"S503 one-line get-then-set" Codes.s503 2 r;
   (* a compare_and_set loop on the same atomic: clean *)
   let r =
     analyze
@@ -312,6 +269,51 @@ let test_s505_executable_trees () =
     ("S505 fires on fix.mli line 3 only — " ^ show r)
     [ 3 ] dead_lines
 
+(* An optional parameter that only test/ passes fires; one passed from
+   bin/ or from its own module does not. *)
+let test_s505_optional_parameters () =
+  let mli =
+    "val run :\n  ?seed:int ->\n  ?trials:int ->\n  ?depth:int ->\n  unit -> int\n\
+     val twice : unit -> int\n"
+  in
+  let body =
+    "let run ?(seed = 1) ?(trials = 2) ?(depth = 3) () = seed + trials + depth\n\
+     let twice () = 2 * run ~depth:4 ()\n"
+  in
+  let r =
+    analyze
+      (fixture ~mli:false
+         ~extra:
+           [ ("bin/main.ml", "let () = print_int (Fix.run ~trials:5 () + Fix.twice ())\n");
+             ("test/t.ml", "let () = assert (Fix.run ~seed:7 () > 0)\n") ]
+         body
+      @ [ ("lib/fix/fix.mli", mli) ])
+  in
+  let s505 =
+    List.filter
+      (fun (d : Diagnostic.t) -> d.Diagnostic.code = Codes.s505)
+      r.Engine.diagnostics
+  in
+  (match s505 with
+  | [ d ] ->
+    checkb "S505 anchors at ?seed's line" true
+      (d.Diagnostic.location.Diagnostic.line = Some 2);
+    checkb "S505 names Fix.run ?seed" true
+      (String.starts_with ~prefix:"Fix.run ?seed " d.Diagnostic.message)
+  | _ -> Alcotest.fail ("S505 should fire on ?seed only — " ^ show r));
+  (* a bare call in a file that opens the module passes its labels *)
+  let r =
+    analyze
+      (fixture ~mli:false
+         ~extra:
+           [ ("bin/main.ml",
+              "open Fix\nlet () = print_int (run ~seed:5 ~trials:5 () + twice ())\n") ]
+         body
+      @ [ ("lib/fix/fix.mli", mli) ])
+  in
+  checkb ("S505 silent when an opener passes ?seed — " ^ show r) true
+    (not (has Codes.s505 r))
+
 (* --- parse failure: S406 and nothing else --- *)
 
 (* The S406 notice carries the parser's own description of the
@@ -404,21 +406,11 @@ let test_mutated_serve_unguarded_lock () =
   let r = analyze (mutated_cache mutation) in
   checkb ("mutated cache: S502 caught — " ^ show r) true (has Codes.s502 r)
 
-let test_mutated_serve_lock_cycle () =
-  (* re-acquire the cache lock through the call graph: a wrapper holds
-     t.lock and calls locked, which takes it again *)
-  let mutation text =
-    text
-    ^ "\nlet peek_twice t f = Mutex.protect t.lock (fun () -> locked t f)\n"
-  in
-  let r = analyze (mutated_cache mutation) in
-  checkb ("mutated cache: S501 caught — " ^ show r) true (has Codes.s501 r)
-
 let test_real_serve_cache_no_false_positives () =
   (* the unmutated cache funnels every critical section through
      [locked] (lock + Fun.protect): the semantic tier must not invent
-     S501/S502/S504 findings on it (its S202 eviction invariant is the
-     only expected hit) *)
+     S502/S504 findings on it (its S202 eviction invariant is the only
+     expected hit) *)
   let r =
     analyze
       [
@@ -433,7 +425,7 @@ let test_real_serve_cache_no_false_positives () =
         ("unmutated cache clean of " ^ code ^ " — " ^ show r)
         true
         (not (has code r)))
-    [ Codes.s501; Codes.s502; Codes.s504 ]
+    [ Codes.s502; Codes.s504 ]
 
 let test_mutated_serve_blocking_under_lock () =
   (* inline a disk sweep under the real cache lock: S504 must see the
@@ -565,8 +557,9 @@ let test_flow_and_callgraph () =
 
 (* Semantic.fixpoint and Typestate.may_reply_table as they were before
    Callgraph.close replaced them, verbatim, with the helpers their
-   seeds used (qualify for S501's acquisitions, direct_may_reply for
-   S604's replies); [ctx] keeps the one field fixpoint read. *)
+   seeds used (qualify for the lock acquisitions the retired S501
+   closed, direct_may_reply for S604's replies); [ctx] keeps the one
+   field fixpoint read. *)
 module Ref = struct
   module StringSet = Set.Make (String)
 
@@ -663,7 +656,7 @@ end
 module StringSet = Ref.StringSet
 
 (* Over the repository's own call graph, Callgraph.close returns the
-   tables the two fixpoints did for S501's acquisitions, S504's
+   tables the two fixpoints did for lock acquisitions, S504's
    blocking sites and S604's direct replies; in each some closure
    outgrows its seed, so the propagation itself is compared. *)
 let test_closure_matches_reference () =
@@ -711,7 +704,7 @@ let test_closure_matches_reference () =
          defs)
   in
   let set_of table (d : Callgraph.def) = Hashtbl.find table d.Callgraph.key in
-  compare_on "S501 locks" locks (set_of (Ref.fixpoint { Ref.graph } locks));
+  compare_on "lock acquisitions" locks (set_of (Ref.fixpoint { Ref.graph } locks));
   compare_on "S504 blocking" blocking
     (set_of (Ref.fixpoint { Ref.graph } blocking));
   let may_reply = Ref.may_reply_table graph in
@@ -723,9 +716,6 @@ let suites =
   [
     ( "semantic-rules",
       [
-        Alcotest.test_case "S501 lock order" `Quick test_s501_lock_order;
-        Alcotest.test_case "S501 via call graph" `Quick
-          test_s501_through_callgraph;
         Alcotest.test_case "S502 exception paths" `Quick
           test_s502_exception_paths;
         Alcotest.test_case "S503 check-then-act" `Quick
@@ -735,6 +725,8 @@ let suites =
         Alcotest.test_case "S505 dead exported API" `Quick test_s505_dead_api;
         Alcotest.test_case "S505 examples, bench/suite and test/ uses" `Quick
           test_s505_executable_trees;
+        Alcotest.test_case "S505 optional parameters" `Quick
+          test_s505_optional_parameters;
         Alcotest.test_case "parse-failure degradation" `Quick
           test_parse_failure_degrades;
       ] );
@@ -742,8 +734,6 @@ let suites =
       [
         Alcotest.test_case "unguarded cache lock caught" `Quick
           test_mutated_serve_unguarded_lock;
-        Alcotest.test_case "lock re-acquisition caught" `Quick
-          test_mutated_serve_lock_cycle;
         Alcotest.test_case "blocking inlined under lock caught" `Quick
           test_mutated_serve_blocking_under_lock;
         Alcotest.test_case "unmutated cache has no false positives" `Quick

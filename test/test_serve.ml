@@ -514,7 +514,8 @@ let test_protocol_request_roundtrip () =
 
 let test_protocol_response_roundtrip () =
   let resp =
-    Protocol.ok ~cached:"memory" ~elapsed_ms:1.5 ~id:"r-1" (Export.Int 9)
+    { (Protocol.ok ~cached:"memory" ~id:"r-1" (Export.Int 9)) with
+      Protocol.elapsed_ms = Some 1.5 }
   in
   (match Protocol.response_of_line (Protocol.response_to_line resp) with
   | Ok back ->
